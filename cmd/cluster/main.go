@@ -111,7 +111,7 @@ func run(w io.Writer, n, k, payload int, loss float64, fanout, shards int, modeN
 	}
 	maxN := n + sched.Joins()
 	if buffer == 0 {
-		buffer = 4 * maxN * (fanout + 1)
+		buffer = cluster.DefaultInboxBuffer(maxN, fanout+1)
 	}
 	tr, err := cliutil.BuildTransport(maxN, buffer, lockstep, delay, reorder, loss, seed)
 	if err != nil {

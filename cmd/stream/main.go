@@ -115,7 +115,7 @@ func run(w io.Writer, n, k, payload, window, gens int, loss float64, fanout, sha
 	}
 	maxN := n + sched.Joins()
 	if buffer == 0 {
-		buffer = 4 * stream.InboxBuffer(maxN, fanout+1)
+		buffer = stream.DefaultInboxBuffer(maxN, fanout+1)
 	}
 	tr, err := cliutil.BuildTransport(maxN, buffer, lockstep, delay, reorder, loss, seed)
 	if err != nil {

@@ -261,11 +261,87 @@ func (v *View) materialize() {
 }
 
 // Fill marks ids 0..n-1 live with the given stamp — the initial
-// membership of a run, or a joiner's contact list prefix.
+// membership of a run, or a joiner's contact list prefix. It is Mark
+// over the prefix in closed form: O(1) while the result is still the
+// dense prefix with one shared stamp, one pass over the explicit arrays
+// otherwise.
 func (v *View) Fill(n int, now int64) {
-	for id := 0; id < n && id < v.maxN; id++ {
-		v.Mark(id, now)
+	if n > v.maxN {
+		n = v.maxN
 	}
+	if n <= 0 {
+		return
+	}
+	if v.live == nil {
+		if v.n == 0 { // Mark(0, now): an empty view adopts any stamp
+			v.n, v.stamp = 1, max(v.stamp, now)
+		}
+		switch {
+		case v.SuspectAfter == 0 || now == v.stamp:
+			v.n, v.stamp = max(v.n, n), max(v.stamp, now)
+			return
+		case now < v.stamp && n <= v.n:
+			return // every id already live with a fresher shared stamp
+		}
+		v.materialize()
+	}
+	for id := 0; id < n; id++ {
+		if !v.live[id] {
+			v.live[id] = true
+			v.n++
+		}
+		v.heard[id] = max(v.heard[id], now)
+	}
+}
+
+// Contacts is a live set frozen for one spawn batch — a run's initial
+// membership, or the nodes live when a churn batch applies — from which
+// every member of the batch copies its starting view. Building it scans
+// the live flags once; View is then O(1) while the set is the dense
+// prefix 0..n-1 and one array copy otherwise, where marking each live
+// peer per member made start-up O(n²) Mark calls.
+type Contacts struct {
+	maxN, n int
+	// live is nil while the set is exactly the prefix 0..n-1.
+	live []bool
+}
+
+// NewContacts snapshots the ids flagged in live, which holds at most
+// maxN flags.
+func NewContacts(live []bool, maxN int) Contacts {
+	c := Contacts{maxN: maxN}
+	dense := true
+	for id, l := range live {
+		if l {
+			dense = dense && id == c.n
+			c.n++
+		}
+	}
+	if !dense {
+		c.live = make([]bool, maxN)
+		copy(c.live, live)
+	}
+	return c
+}
+
+// View returns node self's view of the contacts, every one of them
+// last heard at now: the state NewView plus one Mark per live id (with
+// SuspectAfter still zero) arrives at, including the representation.
+func (c Contacts) View(self int, now int64) *View {
+	v := &View{self: self, maxN: c.maxN, n: c.n}
+	if c.n > 0 {
+		v.stamp = max(now, 0)
+	}
+	if c.live != nil {
+		v.live = append([]bool(nil), c.live...)
+		v.heard = make([]int64, c.maxN)
+		for id, l := range v.live {
+			if l {
+				v.heard[id] = v.stamp
+			}
+		}
+	}
+	return v
 }
 
 // Mark adds id to the view (if absent) and refreshes its last-heard

@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,14 +82,14 @@ type Config struct {
 	// Lockstep runs the deterministic single-threaded driver instead of
 	// goroutines.
 	Lockstep bool
-	// Shards splits the lockstep driver's per-node phases (sample,
-	// drain, emit) across that many worker goroutines over contiguous
-	// node-id ranges, with a serial exchange barrier replaying each
-	// shard's emissions in id order so the transcript stays bit-identical
-	// to the serial driver for every shard count (see outbox.go and
-	// DESIGN.md "Sharded lockstep engine"). 0 and 1 both mean the serial
-	// engine; >1 requires Lockstep — the async driver is already
-	// concurrent.
+	// Shards splits the lockstep driver's per-node phases (initial
+	// spawn, sample, drain, emit) across that many worker goroutines
+	// over contiguous node-id ranges, with a serial exchange barrier
+	// replaying each shard's emissions in id order so the transcript
+	// stays bit-identical to the serial driver for every shard count
+	// (see outbox.go and DESIGN.md "Sharded lockstep engine"). 0 and 1
+	// both mean the serial engine; >1 requires Lockstep — the async
+	// driver is already concurrent.
 	Shards int
 	// MaxTicks caps a lockstep run (default 20000).
 	MaxTicks int
@@ -277,8 +278,9 @@ type gossiper interface {
 	// progress is the node's decoding progress (span rank, or token
 	// count in forward mode) — the telemetry time series' rank column.
 	progress() int
-	// verify checks the node's final state against the originals.
-	verify(toks []token.Token) error
+	// verify checks the node's final state against the originals; vecs
+	// is tokenVecs of toks, flattened once per run instead of per node.
+	verify(toks []token.Token, vecs []gf.BitVec) error
 }
 
 // TokenVec flattens a token to the bit vector coded gossip codes over:
@@ -298,6 +300,17 @@ func TokenVec(t token.Token) gf.BitVec {
 	}
 	t.Payload.CopyInto(v, token.UIDBits)
 	return v
+}
+
+// tokenVecs flattens the run's tokens once for verification: a decoded
+// row equals its source token iff it equals the token's vector, so
+// every coded node compares words instead of rebuilding tokens.
+func tokenVecs(toks []token.Token) []gf.BitVec {
+	vecs := make([]gf.BitVec, len(toks))
+	for i, t := range toks {
+		vecs[i] = TokenVec(t)
+	}
+	return vecs
 }
 
 // VecToken inverts TokenVec.
@@ -343,14 +356,14 @@ func (c *codedNode) complete() bool { return c.span.CanDecode() }
 
 func (c *codedNode) progress() int { return c.span.Rank() }
 
-func (c *codedNode) verify(toks []token.Token) error {
-	vecs, err := c.span.Decode()
+func (c *codedNode) verify(toks []token.Token, vecs []gf.BitVec) error {
+	rows, err := c.span.Decode()
 	if err != nil {
 		return fmt.Errorf("node %d: %w", c.id, err)
 	}
-	for i, v := range vecs {
-		if got := VecToken(v); !got.Equal(toks[i]) {
-			return fmt.Errorf("node %d: token %d decoded to %v, want %v", c.id, i, got.UID, toks[i].UID)
+	for i, row := range rows {
+		if !row.Equal(vecs[i]) {
+			return fmt.Errorf("node %d: token %d decoded to %v, want %v", c.id, i, VecToken(row).UID, toks[i].UID)
 		}
 	}
 	return nil
@@ -393,7 +406,7 @@ func (f *forwardNode) complete() bool { return f.set.Len() >= f.k }
 
 func (f *forwardNode) progress() int { return f.set.Len() }
 
-func (f *forwardNode) verify(toks []token.Token) error {
+func (f *forwardNode) verify(toks []token.Token, _ []gf.BitVec) error {
 	for _, want := range toks {
 		got, ok := f.set.Get(want.UID)
 		if !ok || !got.Equal(want) {
@@ -463,26 +476,27 @@ func Run(ctx context.Context, cfg Config, toks []token.Token) (*Result, error) {
 		members: make([]*member, maxN),
 		live:    make([]bool, maxN),
 		ch:      NewChurner(cfg.Churn, cfg.N, maxN, cfg.Seed),
+		exec:    shard.New(maxN, cfg.shards()),
 	}
 	if cfg.Churn.HasTargeted() {
 		cr.ranks = make([]atomic.Int64, maxN)
 		cr.ch.SetRank(func(id int) int { return int(cr.ranks[id].Load()) })
 	}
-	if cfg.Lockstep {
-		cr.exec = shard.New(maxN, cfg.shards())
-		if cr.exec.Shards() > 1 {
-			cr.outs = make([]*Outbox, cr.exec.Shards())
-			for i := range cr.outs {
-				cr.outs[i] = &Outbox{}
-			}
+	if cr.exec.Shards() > 1 {
+		cr.outs = make([]*Outbox, cr.exec.Shards())
+		for i := range cr.outs {
+			cr.outs[i] = &Outbox{}
 		}
 	}
 	for i := 0; i < cfg.N; i++ {
 		cr.live[i] = true
 	}
-	for i := 0; i < cfg.N; i++ {
-		cr.spawn(i, true, 0)
-	}
+	cr.contacts = NewContacts(cr.live, maxN)
+	cr.exec.Run(func(_, lo, hi int) {
+		for id := lo; id < min(hi, cfg.N); id++ {
+			cr.spawn(id, true, 0)
+		}
+	})
 
 	start := time.Now()
 	if cfg.Lockstep {
@@ -503,11 +517,12 @@ func Run(ctx context.Context, cfg Config, toks []token.Token) (*Result, error) {
 		}
 	}
 	if res.Completed {
+		want := tokenVecs(toks)
 		for id, mb := range cr.members {
 			if mb == nil || !res.Nodes[id].Live {
 				continue
 			}
-			if err := mb.g.verify(toks); err != nil {
+			if err := mb.g.verify(toks, want); err != nil {
 				return res, fmt.Errorf("cluster: verification failed: %w", err)
 			}
 		}
@@ -596,12 +611,15 @@ type clusterRun struct {
 	// controller runs on its own goroutine. Nil unless the schedule
 	// HasTargeted, so untargeted runs pay nothing.
 	ranks []atomic.Int64
-	// exec partitions the id space for the lockstep driver's parallel
-	// phases (nil in async mode); outs holds one private outbox per
-	// shard, nil when exec has a single shard (serial engine, inline
-	// sends).
+	// exec partitions the id space for the initial spawn and the
+	// lockstep driver's parallel phases (a single shard in async mode);
+	// outs holds one private outbox per shard, nil when exec has a single
+	// shard (serial engine, inline sends).
 	exec *shard.Executor
 	outs []*Outbox
+	// contacts is the live set of the current spawn batch, rebuilt
+	// whenever the churner has flipped cr.live.
+	contacts Contacts
 }
 
 // newMember builds one node's full runtime state independent of any
@@ -612,7 +630,7 @@ type clusterRun struct {
 // runtime (RunSingle) construct nodes through here, so the state —
 // including the rng derivation that the lockstep golden transcripts
 // pin — cannot drift between them.
-func newMember(mode Mode, seed int64, toks []token.Token, id, n, maxN int, seedTokens bool, live []bool, now int64, m *NodeMetrics, tel *telemetry.Recorder) *member {
+func newMember(mode Mode, seed int64, toks []token.Token, id, n int, seedTokens bool, contacts Contacts, now int64, m *NodeMetrics, tel *telemetry.Recorder) *member {
 	k := len(toks)
 	d := toks[0].D()
 	rng := rand.New(rand.NewSource(seed + 7919*int64(id) + 1))
@@ -635,13 +653,7 @@ func newMember(mode Mode, seed int64, toks []token.Token, id, n, maxN int, seedT
 		}
 		g = &forwardNode{id: id, k: k, set: set, rng: rng}
 	}
-	view := NewView(id, maxN)
-	for pid, l := range live {
-		if l {
-			view.Mark(pid, now)
-		}
-	}
-	mb := &member{id: id, g: g, view: view, rng: rng, m: m, tel: tel}
+	mb := &member{id: id, g: g, view: contacts.View(id, now), rng: rng, m: m, tel: tel}
 	mb.io.ring = NewBufRing(DefaultRingCap)
 	mb.m.Spawned = true
 	mb.m.Live = true
@@ -649,10 +661,12 @@ func newMember(mode Mode, seed int64, toks []token.Token, id, n, maxN int, seedT
 }
 
 // spawn builds (or wipes) the member for id. Initial members seed
-// their share of the tokens; joiners start empty. The view is a
-// snapshot of the nodes currently live — a joiner's contact list.
+// their share of the tokens; joiners start empty. The view is a copy of
+// cr.contacts, the nodes live when the batch applied — a joiner's
+// contact list. It touches per-id state only, so the initial batch
+// spawns under cr.exec.
 func (cr *clusterRun) spawn(id int, seedTokens bool, now int64) *member {
-	mb := newMember(cr.cfg.Mode, cr.cfg.Seed, cr.toks, id, cr.cfg.N, cr.maxN, seedTokens, cr.live, now, &cr.res.Nodes[id], cr.cfg.Telemetry)
+	mb := newMember(cr.cfg.Mode, cr.cfg.Seed, cr.toks, id, cr.cfg.N, seedTokens, cr.contacts, now, &cr.res.Nodes[id], cr.cfg.Telemetry)
 	if cr.ranks != nil {
 		mb.rank = &cr.ranks[id]
 		mb.rank.Store(int64(mb.g.progress()))
@@ -724,8 +738,7 @@ func (mb *member) emit(tr Transport, fanout int, now int64, churn bool) {
 		if !mb.g.emitInto(&mb.io.tx, int(mb.m.PacketsOut)) {
 			if f == 0 && churn {
 				if peer := mb.pick(now); peer >= 0 {
-					mb.buildHello(false)
-					mb.sendHello(tr, peer, now)
+					mb.sendHello(tr, peer, now, mb.buildHello(false))
 				}
 			}
 			return
@@ -765,24 +778,26 @@ func (mb *member) sample(tr Transport, now int64) {
 }
 
 // buildHello fills the tx scratch with a membership announcement
-// carrying the member's current live view.
-func (mb *member) buildHello(leaving bool) {
+// carrying the member's current live view and returns it marshalled
+// into a ring buffer.
+func (mb *member) buildHello(leaving bool) []byte {
 	tx := &mb.io.tx
 	tx.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeHello, Sender: uint32(mb.id), Epoch: 0}
 	tx.Hello.Leaving = leaving
 	tx.Hello.Peers = mb.view.AppendPeers(tx.Hello.Peers[:0])
+	return tx.AppendTo(mb.io.ring.Get()[:0])
 }
 
-// sendHello marshals the tx scratch (a hello built by buildHello) to
-// one peer, with the usual ring-buffer recycling.
-func (mb *member) sendHello(tr Transport, peer int, now int64) {
+// sendHello sends buf — the tx scratch's hello as marshalled by
+// buildHello, or a copy of it — to one peer, with the usual ring-buffer
+// recycling. Ownership of buf passes to the transport.
+func (mb *member) sendHello(tr Transport, peer int, now int64, buf []byte) {
 	mb.m.HellosOut++
 	mb.m.BitsOut += int64(mb.io.tx.Bits())
 	leaving := int64(0)
 	if mb.io.tx.Hello.Leaving {
 		leaving = 1
 	}
-	buf := mb.io.tx.AppendTo(mb.io.ring.Get()[:0])
 	if mb.out != nil {
 		mb.out.Add(OutEntry{From: mb.id, To: peer, Kind: OutHello, Arg: leaving, Buf: buf})
 		return
@@ -803,16 +818,22 @@ func (mb *member) sendHello(tr Transport, peer int, now int64) {
 // serial engine delivers churn-phase hellos to inboxes drained the
 // same tick — routing them through the shard outbox would defer them
 // past the drain and change the transcript.
+//
+// The burst is marshalled once; each recipient gets its own exact-size
+// copy, never a shared slice, because a buffer handed to Send has one
+// owner from then on: middleware may rewrite it in place (hostile's
+// mutator flips bits) and the receiver recycles it into its own ring.
 func (mb *member) helloAll(tr Transport, leaving bool, now int64) {
 	out := mb.out
 	mb.out = nil
 	defer func() { mb.out = out }()
-	mb.buildHello(leaving)
+	msg := mb.buildHello(leaving)
 	for _, pid := range mb.io.tx.Hello.Peers {
 		if int(pid) != mb.id {
-			mb.sendHello(tr, int(pid), now)
+			mb.sendHello(tr, int(pid), now, slices.Clone(msg))
 		}
 	}
+	mb.io.ring.Put(msg)
 }
 
 // applyLockstep executes one churn operation under the lockstep
@@ -891,8 +912,11 @@ func (cr *clusterRun) runLockstep(ctx context.Context) {
 		default:
 		}
 		ObserveTick(cr.tr, int64(tick))
-		for _, op := range cr.ch.PopUntil(tick, cr.live) {
-			cr.applyLockstep(op, tick)
+		if ops := cr.ch.PopUntil(tick, cr.live); len(ops) > 0 {
+			cr.contacts = NewContacts(cr.live, cr.maxN)
+			for _, op := range ops {
+				cr.applyLockstep(op, tick)
+			}
 		}
 		cr.exec.Run(func(_, lo, hi int) {
 			if cr.cfg.Telemetry != nil {
@@ -1106,6 +1130,7 @@ func (cr *clusterRun) runAsync(ctx context.Context, start time.Time) {
 				// restart/rejoin below must reset its node's stale Done
 				// before any check() may trust the live set.
 				tk.addsPending = cr.ch.PendingAdds() || batchAdds(ops)
+				cr.contacts = NewContacts(cr.live, cr.maxN)
 				tk.mu.Unlock()
 				for _, op := range ops {
 					m := &cr.res.Nodes[op.ID]

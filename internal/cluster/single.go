@@ -131,11 +131,8 @@ func RunSingle(ctx context.Context, cfg SingleConfig, toks []token.Token) (NodeM
 	// Every peer starts presumed-live: membership here is static (the
 	// launcher starts all N processes); what is dynamic is routability,
 	// which the known gate covers as the address book fills.
-	live := make([]bool, cfg.N)
-	for i := range live {
-		live[i] = true
-	}
-	mb := newMember(cfg.Mode, cfg.Seed, toks, cfg.ID, cfg.N, cfg.N, true, live, 0, &m, cfg.Telemetry)
+	contacts := Contacts{maxN: cfg.N, n: cfg.N}
+	mb := newMember(cfg.Mode, cfg.Seed, toks, cfg.ID, cfg.N, true, contacts, 0, &m, cfg.Telemetry)
 	mb.known = cfg.Known
 	if mb.known == nil {
 		if at, ok := cfg.Transport.(AddressedTransport); ok {
@@ -159,7 +156,7 @@ func RunSingle(ctx context.Context, cfg SingleConfig, toks []token.Token) (NodeM
 
 	var lingerC <-chan time.Time
 	if markDone() { // n == 1, or this node seeded everything
-		if err := mb.g.verify(toks); err != nil {
+		if err := mb.g.verify(toks, tokenVecs(toks)); err != nil {
 			return m, fmt.Errorf("cluster: verification failed: %w", err)
 		}
 		lt := time.NewTimer(cfg.linger())
@@ -182,7 +179,7 @@ func RunSingle(ctx context.Context, cfg SingleConfig, toks []token.Token) (NodeM
 				if markDone() && lingerC == nil {
 					// Verify at the completion edge, before lingering:
 					// a corrupt decode should fail loudly, not gossip on.
-					if err := mb.g.verify(toks); err != nil {
+					if err := mb.g.verify(toks, tokenVecs(toks)); err != nil {
 						return m, fmt.Errorf("cluster: verification failed: %w", err)
 					}
 					lt := time.NewTimer(cfg.linger())

@@ -32,7 +32,7 @@ type SweepParams struct {
 // rows — curve differences between revisions are code, not noise.
 func SweepRun(p SweepParams) (*Result, error) {
 	maxN := p.N + p.Churn.Joins()
-	var tr Transport = NewChanTransport(maxN, InboxBuffer(maxN, p.Fanout+1))
+	var tr Transport = NewChanTransport(maxN, DefaultInboxBuffer(maxN, p.Fanout+1))
 	if p.Loss > 0 {
 		tr = WithLoss(tr, p.Loss, p.Seed+103)
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -53,8 +54,7 @@ func ObserveTick(t Transport, tick int64) {
 // as loss, exactly as on a saturated datagram socket.
 type ChanTransport struct {
 	inboxes []chan []byte
-	done    chan struct{}
-	once    sync.Once
+	closed  atomic.Bool
 }
 
 // NewChanTransport returns a transport for n nodes with the given
@@ -63,7 +63,7 @@ func NewChanTransport(n, buffer int) *ChanTransport {
 	if buffer < 1 {
 		buffer = 1
 	}
-	t := &ChanTransport{inboxes: make([]chan []byte, n), done: make(chan struct{})}
+	t := &ChanTransport{inboxes: make([]chan []byte, n)}
 	for i := range t.inboxes {
 		t.inboxes[i] = make(chan []byte, buffer)
 	}
@@ -72,13 +72,8 @@ func NewChanTransport(n, buffer int) *ChanTransport {
 
 // Send implements Transport.
 func (t *ChanTransport) Send(from, to int, pkt []byte) bool {
-	if to < 0 || to >= len(t.inboxes) {
+	if to < 0 || to >= len(t.inboxes) || t.closed.Load() {
 		return false
-	}
-	select {
-	case <-t.done:
-		return false
-	default:
 	}
 	select {
 	case t.inboxes[to] <- pkt:
@@ -100,7 +95,7 @@ func (t *ChanTransport) Recv(id int) <-chan []byte {
 }
 
 // Close implements Transport.
-func (t *ChanTransport) Close() { t.once.Do(func() { close(t.done) }) }
+func (t *ChanTransport) Close() { t.closed.Store(true) }
 
 // lossTransport drops each packet independently with fixed probability.
 type lossTransport struct {

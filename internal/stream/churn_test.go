@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/wire"
 )
 
 // churnStreamRun is the canonical seeded lockstep churn stream shared
@@ -318,5 +320,41 @@ func TestLockstepStreamChurnAggregateMetrics(t *testing.T) {
 	}
 	if departed == 0 {
 		t.Error("schedule has a leave and a crash but no departed node kept its counters")
+	}
+}
+
+// captureTransport records every accepted Send per recipient.
+type captureTransport struct {
+	cluster.Transport
+	got map[int][]byte
+}
+
+func (c *captureTransport) Send(from, to int, pkt []byte) bool {
+	c.got[to] = pkt
+	return true
+}
+
+// TestHelloBurstPerRecipientCopy mirrors the cluster runtime's test for
+// the stream node's burst: every recipient gets the hello's canonical
+// bytes in a buffer of its own, so an in-place rewrite of one (the
+// hostile mutator) leaves the others intact.
+func TestHelloBurstPerRecipientCopy(t *testing.T) {
+	const maxN, id = 9, 4
+	live := []bool{true, false, true, true, true, false, false, true, false}
+	cfg := Config{N: maxN, K: 2, PayloadBits: 8, Generations: 1, Seed: 1}
+	var m NodeMetrics
+	nd := newNode(id, cfg, cfg.source(), &m, cluster.NewContacts(live, maxN), 5, true)
+	tr := &captureTransport{got: map[int][]byte{}}
+	nd.helloAll(tr, true)
+
+	want := wire.NewHello(id, 0, wire.Hello{Leaving: true, Peers: []uint32{0, 2, 3, 4, 7}}).Marshal()
+	if len(tr.got) != 4 || m.HellosOut != 4 {
+		t.Fatalf("%d recipients, HellosOut %d, want 4", len(tr.got), m.HellosOut)
+	}
+	tr.got[0][len(want)-1] ^= 0x80
+	for to, buf := range tr.got {
+		if to == id || !live[to] || (to != 0 && !bytes.Equal(buf, want)) {
+			t.Errorf("recipient %d got %x, want its own copy of %x", to, buf, want)
+		}
 	}
 }

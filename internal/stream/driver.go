@@ -28,12 +28,16 @@ type streamRun struct {
 	// atomically when selecting victims. Nil unless the schedule
 	// HasTargeted.
 	ranks []atomic.Int64
-	// exec partitions the id space for the lockstep driver's parallel
-	// phases (nil in async mode); outs holds one private outbox per
-	// shard, nil when exec has a single shard (serial engine, inline
-	// sends). See cluster.Outbox for the merge-order contract.
+	// exec partitions the id space for the initial spawn and the
+	// lockstep driver's parallel phases (a single shard in async mode);
+	// outs holds one private outbox per shard, nil when exec has a single
+	// shard (serial engine, inline sends). See cluster.Outbox for the
+	// merge-order contract.
 	exec *shard.Executor
 	outs []*cluster.Outbox
+	// contacts is the live set of the current spawn batch, rebuilt
+	// whenever the churner has flipped sr.live.
+	contacts cluster.Contacts
 }
 
 // attach wires nd into the run's shared machinery: its slot of the
@@ -67,7 +71,7 @@ func (sr *streamRun) applyLockstep(op cluster.ChurnOp, tick int) {
 	tel := sr.cfg.Telemetry
 	switch op.Kind {
 	case cluster.ChurnJoin, cluster.ChurnRejoin:
-		nd := newNode(op.ID, sr.cfg, sr.src, m, sr.live, int64(tick), true)
+		nd := newNode(op.ID, sr.cfg, sr.src, m, sr.contacts, int64(tick), true)
 		sr.attach(nd)
 		sr.nodes[op.ID] = nd
 		m.Done = false
@@ -146,8 +150,11 @@ func (sr *streamRun) runLockstep(ctx context.Context) error {
 		default:
 		}
 		cluster.ObserveTick(sr.tr, int64(tick))
-		for _, op := range sr.ch.PopUntil(tick, sr.live) {
-			sr.applyLockstep(op, tick)
+		if ops := sr.ch.PopUntil(tick, sr.live); len(ops) > 0 {
+			sr.contacts = cluster.NewContacts(sr.live, sr.maxN)
+			for _, op := range ops {
+				sr.applyLockstep(op, tick)
+			}
 		}
 		sr.exec.Run(func(_, lo, hi int) {
 			if sr.cfg.Telemetry != nil {
@@ -395,6 +402,7 @@ func (sr *streamRun) runAsync(ctx context.Context, start time.Time) error {
 				// restart/rejoin below must reset its node's stale Done
 				// before any check() may trust the live set.
 				tk.addsPending = sr.ch.PendingAdds() || batchAdds(ops)
+				sr.contacts = cluster.NewContacts(sr.live, sr.maxN)
 				tk.mu.Unlock()
 				for _, op := range ops {
 					m := &sr.res.Nodes[op.ID]
@@ -421,7 +429,7 @@ func (sr *streamRun) runAsync(ctx context.Context, start time.Time) error {
 						tk.mu.Unlock()
 					case cluster.ChurnJoin, cluster.ChurnRejoin:
 						tk.mu.Lock()
-						sr.nodes[op.ID] = newNode(op.ID, cfg, sr.src, m, tk.live, int64(time.Since(start)), true)
+						sr.nodes[op.ID] = newNode(op.ID, cfg, sr.src, m, sr.contacts, int64(time.Since(start)), true)
 						sr.attach(sr.nodes[op.ID])
 						m.Done = false
 						m.JoinAt = time.Since(start)

@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -152,10 +153,11 @@ type node struct {
 	out *cluster.Outbox
 }
 
-// newNode builds the runtime state for one node. live is the current
-// membership snapshot (the node's initial view / a joiner's contact
-// list); joiner marks the node as needing frontier bootstrap.
-func newNode(id int, cfg Config, src Source, m *NodeMetrics, live []bool, now int64, joiner bool) *node {
+// newNode builds the runtime state for one node. contacts is the spawn
+// batch's membership snapshot (the node's initial view / a joiner's
+// contact list); joiner marks the node as needing frontier bootstrap.
+// It touches per-id state only, so the initial batch spawns in parallel.
+func newNode(id int, cfg Config, src Source, m *NodeMetrics, contacts cluster.Contacts, now int64, joiner bool) *node {
 	maxN := cfg.maxNodes()
 	nd := &node{
 		id:           id,
@@ -174,17 +176,12 @@ func newNode(id int, cfg Config, src Source, m *NodeMetrics, live []bool, now in
 		deliver:      cfg.Deliver,
 		spans:        make(map[int]*genState),
 		marks:        make([]int, maxN),
-		view:         cluster.NewView(id, maxN),
+		view:         contacts.View(id, now),
 		now:          now,
 		bootstrapped: !joiner,
 		ring:         cluster.NewBufRing(cluster.DefaultRingCap),
 		m:            m,
 		tel:          cfg.Telemetry,
-	}
-	for pid, l := range live {
-		if l {
-			nd.view.Mark(pid, now)
-		}
 	}
 	nd.view.SuspectAfter = cfg.suspectAfter()
 	m.Spawned = true
@@ -819,8 +816,7 @@ func (nd *node) pushData(tr cluster.Transport) {
 	}
 	if !sent && nd.churn {
 		if peer := nd.randPeer(); peer >= 0 {
-			nd.buildHello(false)
-			nd.sendHello(tr, peer)
+			nd.sendHello(tr, peer, nd.buildHello(false))
 		}
 	}
 }
@@ -852,22 +848,25 @@ func (nd *node) pushAck(tr cluster.Transport) {
 }
 
 // buildHello fills the tx scratch with a membership announcement
-// carrying the node's current live view.
-func (nd *node) buildHello(leaving bool) {
+// carrying the node's current live view and returns it marshalled into
+// a ring buffer.
+func (nd *node) buildHello(leaving bool) []byte {
 	nd.tx.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeHello, Sender: uint32(nd.id), Epoch: 0}
 	nd.tx.Hello.Leaving = leaving
 	nd.tx.Hello.Peers = nd.view.AppendPeers(nd.tx.Hello.Peers[:0])
+	return nd.tx.AppendTo(nd.ring.Get()[:0])
 }
 
-// sendHello marshals the tx scratch (built by buildHello) to one peer.
-func (nd *node) sendHello(tr cluster.Transport, peer int) {
+// sendHello sends buf — the tx scratch's hello as marshalled by
+// buildHello, or a copy of it — to one peer; ownership of buf passes to
+// the transport.
+func (nd *node) sendHello(tr cluster.Transport, peer int, buf []byte) {
 	nd.m.HellosOut++
 	nd.m.BitsOut += int64(nd.tx.Bits())
 	leaving := int64(0)
 	if nd.tx.Hello.Leaving {
 		leaving = 1
 	}
-	buf := nd.tx.AppendTo(nd.ring.Get()[:0])
 	if nd.out != nil {
 		nd.out.Add(cluster.OutEntry{From: nd.id, To: peer, Kind: cluster.OutHello, Arg: leaving, Buf: buf})
 		return
@@ -907,15 +906,18 @@ func (nd *node) sample(tr cluster.Transport) {
 // Churn-phase hellos bypass the shard outbox and send inline: the
 // serial driver delivers them to inboxes drained the same tick, so
 // deferring them to the exchange barrier would delay delivery a tick
-// and diverge from the serial transcript.
+// and diverge from the serial transcript. The burst is marshalled once
+// and every recipient gets its own exact-size copy — a sent buffer has
+// one owner (see cluster's helloAll).
 func (nd *node) helloAll(tr cluster.Transport, leaving bool) {
 	out := nd.out
 	nd.out = nil
 	defer func() { nd.out = out }()
-	nd.buildHello(leaving)
+	msg := nd.buildHello(leaving)
 	for _, pid := range nd.tx.Hello.Peers {
 		if int(pid) != nd.id {
-			nd.sendHello(tr, int(pid))
+			nd.sendHello(tr, int(pid), slices.Clone(msg))
 		}
 	}
+	nd.ring.Put(msg)
 }

@@ -153,7 +153,7 @@ func RunSingle(ctx context.Context, cfg SingleConfig) (NodeMetrics, error) {
 	for i := range live {
 		live[i] = true
 	}
-	nd := newNode(cfg.ID, lowered, src, &m, live, 0, false)
+	nd := newNode(cfg.ID, lowered, src, &m, cluster.NewContacts(live, cfg.N), 0, false)
 	nd.known = cfg.Known
 	if nd.known == nil {
 		if at, ok := cfg.Transport.(cluster.AddressedTransport); ok {

@@ -455,27 +455,28 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		nodes: make([]*node, maxN),
 		live:  make([]bool, maxN),
 		ch:    cluster.NewChurner(cfg.Churn, cfg.N, maxN, cfg.Seed),
+		exec:  shard.New(maxN, cfg.shards()),
 	}
 	if cfg.Churn.HasTargeted() {
 		sr.ranks = make([]atomic.Int64, maxN)
 		sr.ch.SetRank(func(id int) int { return int(sr.ranks[id].Load()) })
 	}
-	if cfg.Lockstep {
-		sr.exec = shard.New(maxN, cfg.shards())
-		if sr.exec.Shards() > 1 {
-			sr.outs = make([]*cluster.Outbox, sr.exec.Shards())
-			for i := range sr.outs {
-				sr.outs[i] = &cluster.Outbox{}
-			}
+	if sr.exec.Shards() > 1 {
+		sr.outs = make([]*cluster.Outbox, sr.exec.Shards())
+		for i := range sr.outs {
+			sr.outs[i] = &cluster.Outbox{}
 		}
 	}
 	for i := 0; i < cfg.N; i++ {
 		sr.live[i] = true
 	}
-	for i := 0; i < cfg.N; i++ {
-		sr.nodes[i] = newNode(i, cfg, src, &res.Nodes[i], sr.live, 0, false)
-		sr.attach(sr.nodes[i])
-	}
+	sr.contacts = cluster.NewContacts(sr.live, maxN)
+	sr.exec.Run(func(_, lo, hi int) {
+		for id := lo; id < min(hi, cfg.N); id++ {
+			sr.nodes[id] = newNode(id, cfg, src, &res.Nodes[id], sr.contacts, 0, false)
+			sr.attach(sr.nodes[id])
+		}
+	})
 
 	start := time.Now()
 	var err error

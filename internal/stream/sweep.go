@@ -28,7 +28,7 @@ type SweepParams struct {
 // like cluster.SweepRun.
 func SweepRun(p SweepParams) (*Result, error) {
 	maxN := p.N + p.Churn.Joins()
-	var tr cluster.Transport = cluster.NewChanTransport(maxN, InboxBuffer(maxN, p.Fanout+1))
+	var tr cluster.Transport = cluster.NewChanTransport(maxN, DefaultInboxBuffer(maxN, p.Fanout+1))
 	if p.Loss > 0 {
 		tr = cluster.WithLoss(tr, p.Loss, p.Seed+103)
 	}

@@ -58,6 +58,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/gf"
 	"repro/internal/rlnc"
@@ -341,7 +342,11 @@ func (p Packet) Bits() int {
 }
 
 // WireBytes returns the exact marshaled size in bytes.
-func (p Packet) WireBytes() int {
+func (p Packet) WireBytes() int { return p.wireBytes() }
+
+// wireBytes is WireBytes without a second copy of the packet, for
+// AppendTo, which already holds one.
+func (p *Packet) wireBytes() int {
 	switch p.Env.Type {
 	case TypeCoded:
 		return HeaderBytes + 8 + (p.Coded.Vec.Len()+7)/8
@@ -365,17 +370,19 @@ func (p Packet) WireBytes() int {
 // envelope type the codec does not know (a programming error, not a
 // wire condition).
 func (p Packet) Marshal() []byte {
-	return p.AppendTo(make([]byte, 0, p.WireBytes()))
+	return p.AppendTo(nil)
 }
 
 // AppendTo appends the packet's serialization to buf and returns the
 // extended slice, producing byte-for-byte the same encoding as Marshal.
 // It performs no allocation when buf has WireBytes of spare capacity —
 // the emission hot path hands it a recycled buffer (buf[:0]) so a
-// steady-state packet round-trip reuses one allocation indefinitely.
+// steady-state packet round-trip reuses one allocation indefinitely —
+// and exactly one otherwise: the size is reserved up front, so a packet
+// marshalled out of an empty ring never grows by doubling.
 // Like Marshal it panics on an unknown envelope type.
 func (p Packet) AppendTo(buf []byte) []byte {
-	out := buf
+	out := slices.Grow(buf, p.wireBytes())
 	out = append(out, p.Env.Version, byte(p.Env.Type))
 	out = binary.LittleEndian.AppendUint32(out, p.Env.Sender)
 	out = binary.LittleEndian.AppendUint32(out, p.Env.Epoch)

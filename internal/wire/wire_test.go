@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -589,6 +590,31 @@ func TestAppendToMatchesMarshal(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendToReservesOnce pins the size reservation: marshalling out of
+// an empty buffer — a node's first packets, or a hello far larger than
+// anything its ring holds — costs one allocation, not a doubling chain.
+func TestAppendToReservesOnce(t *testing.T) {
+	pkts := samplePackets(t)
+	peers := make([]uint32, 1000)
+	for i := range peers {
+		peers[i] = uint32(i)
+	}
+	pkts = append(pkts, NewHello(5, 0, Hello{Peers: peers}))
+	small := make([]byte, 0, 16)
+	for _, p := range pkts {
+		for name, buf := range map[string][]byte{"nil": nil, "too small": small} {
+			// What one reservation costs in this build (1; 2 under -race).
+			size := p.WireBytes()
+			want := testing.AllocsPerRun(20, func() { sink = slices.Grow(buf, size) })
+			if n := testing.AllocsPerRun(20, func() { sink = p.AppendTo(buf) }); n != want {
+				t.Errorf("type %d into a %s buffer: %.0f allocations, want %.0f", p.Env.Type, name, n, want)
+			}
+		}
+	}
+}
+
+var sink []byte
 
 // TestUnmarshalIntoReuse decodes alternating packet types into one
 // scratch Packet and requires every decode to match the allocating
