@@ -7,68 +7,57 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cliutil"
 )
 
-// runArgs calls run with defaults, overridden per case, so the tests
+// defaults are small valid flags, overridden per case, so the tests
 // exercise exactly the code path main dispatches to.
-type runArgs struct {
-	n, k, payload   int
-	loss            float64
-	fanout, shards  int
-	mode, tp        string
-	seed            int64
-	delay           time.Duration
-	reorder         float64
-	buffer, maxTick int
-	churn           string
-	adv, mutate     string
-	trace, telem    string
+func defaults() options {
+	return options{mode: "coded", GossipFlags: cliutil.GossipFlags{
+		N: 8, K: 4, Payload: 32, Fanout: 2, Shards: 1, Transport: "lockstep", Seed: 1,
+		Interval: 500 * time.Microsecond, Timeout: 30 * time.Second,
+	}}
 }
 
-func defaults() runArgs {
-	return runArgs{n: 8, k: 4, payload: 32, fanout: 2, shards: 1, mode: "coded", tp: "lockstep", seed: 1}
-}
-
-func (a runArgs) run(w io.Writer) error {
+func (o options) run(w io.Writer) error {
 	if w == nil {
 		w = io.Discard
 	}
-	return run(w, a.n, a.k, a.payload, a.loss, a.fanout, a.shards, a.mode, a.tp, a.seed,
-		500*time.Microsecond, 30*time.Second, a.delay, a.reorder, a.buffer, a.maxTick, a.churn,
-		a.adv, a.mutate, a.trace, a.telem)
+	return run(w, o)
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	cases := []struct {
 		name string
-		mut  func(*runArgs)
+		mut  func(*options)
 		want string
 	}{
-		{"n too small", func(a *runArgs) { a.n = 1 }, "-n"},
-		{"n negative", func(a *runArgs) { a.n = -3 }, "-n"},
-		{"k zero", func(a *runArgs) { a.k = 0 }, "-k"},
-		{"payload zero", func(a *runArgs) { a.payload = 0 }, "-payload"},
-		{"fanout zero", func(a *runArgs) { a.fanout = 0 }, "-fanout"},
-		{"fanout at n", func(a *runArgs) { a.fanout = 8 }, "-fanout"},
-		{"fanout above n", func(a *runArgs) { a.fanout = 100 }, "-fanout"},
-		{"shards zero", func(a *runArgs) { a.shards = 0 }, "-shards"},
-		{"shards negative", func(a *runArgs) { a.shards = -4 }, "-shards"},
-		{"shards above n", func(a *runArgs) { a.shards = 9 }, "-shards"},
-		{"shards on async transport", func(a *runArgs) { a.shards = 2; a.tp = "chan" }, "-shards"},
-		{"buffer negative", func(a *runArgs) { a.buffer = -2 }, "-buffer"},
-		{"loss negative", func(a *runArgs) { a.loss = -0.1 }, "-loss"},
-		{"loss one", func(a *runArgs) { a.loss = 1.0 }, "-loss"},
-		{"reorder negative", func(a *runArgs) { a.reorder = -0.5 }, "-reorder"},
-		{"reorder one", func(a *runArgs) { a.reorder = 1.5 }, "-reorder"},
-		{"delay negative", func(a *runArgs) { a.delay = -time.Millisecond }, "-delay"},
-		{"unknown mode", func(a *runArgs) { a.mode = "telepathy" }, "mode"},
-		{"unknown transport", func(a *runArgs) { a.tp = "carrier-pigeon" }, "transport"},
-		{"bad churn kind", func(a *runArgs) { a.churn = "meteor:10:1" }, "-churn"},
-		{"bad churn shape", func(a *runArgs) { a.churn = "join:10" }, "-churn"},
-		{"bad churn tick", func(a *runArgs) { a.churn = "join:0:1" }, "-churn"},
-		{"unknown adversary", func(a *runArgs) { a.adv = "omniscient" }, "-adversary"},
-		{"bad mutate op", func(a *runArgs) { a.mutate = "melt:0.1" }, "-mutate"},
-		{"bad mutate rate", func(a *runArgs) { a.mutate = "dup:1.5" }, "-mutate"},
+		{"n too small", func(a *options) { a.N = 1 }, "-n"},
+		{"n negative", func(a *options) { a.N = -3 }, "-n"},
+		{"k zero", func(a *options) { a.K = 0 }, "-k"},
+		{"payload zero", func(a *options) { a.Payload = 0 }, "-payload"},
+		{"fanout zero", func(a *options) { a.Fanout = 0 }, "-fanout"},
+		{"fanout at n", func(a *options) { a.Fanout = 8 }, "-fanout"},
+		{"fanout above n", func(a *options) { a.Fanout = 100 }, "-fanout"},
+		{"shards zero", func(a *options) { a.Shards = 0 }, "-shards"},
+		{"shards negative", func(a *options) { a.Shards = -4 }, "-shards"},
+		{"shards above n", func(a *options) { a.Shards = 9 }, "-shards"},
+		{"shards on async transport", func(a *options) { a.Shards = 2; a.Transport = "chan" }, "-shards"},
+		{"buffer negative", func(a *options) { a.Buffer = -2 }, "-buffer"},
+		{"loss negative", func(a *options) { a.Loss = -0.1 }, "-loss"},
+		{"loss one", func(a *options) { a.Loss = 1.0 }, "-loss"},
+		{"reorder negative", func(a *options) { a.Reorder = -0.5 }, "-reorder"},
+		{"reorder one", func(a *options) { a.Reorder = 1.5 }, "-reorder"},
+		{"delay negative", func(a *options) { a.Delay = -time.Millisecond }, "-delay"},
+		{"unknown mode", func(a *options) { a.mode = "telepathy" }, "mode"},
+		{"unknown transport", func(a *options) { a.Transport = "carrier-pigeon" }, "transport"},
+		{"bad churn kind", func(a *options) { a.Churn = "meteor:10:1" }, "-churn"},
+		{"bad churn shape", func(a *options) { a.Churn = "join:10" }, "-churn"},
+		{"bad churn tick", func(a *options) { a.Churn = "join:0:1" }, "-churn"},
+		{"unknown adversary", func(a *options) { a.Adversary = "omniscient" }, "-adversary"},
+		{"bad mutate op", func(a *options) { a.Mutate = "melt:0.1" }, "-mutate"},
+		{"bad mutate rate", func(a *options) { a.Mutate = "dup:1.5" }, "-mutate"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -100,7 +89,7 @@ func TestRunShardedMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := defaults()
-	a.shards = 4
+	a.Shards = 4
 	if err := a.run(&sharded); err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +104,10 @@ func TestRunShardedMatchesSerial(t *testing.T) {
 // packets — through the exact path main dispatches to.
 func TestRunAdversarialLockstepCompletes(t *testing.T) {
 	a := defaults()
-	a.adv = "adaptive"
-	a.mutate = "dup:0.05,stale:0.05,trunc:0.02"
-	a.churn = "crashmax:10:1,restart:25:1"
-	a.loss = 0.05
+	a.Adversary = "adaptive"
+	a.Mutate = "dup:0.05,stale:0.05,trunc:0.02"
+	a.Churn = "crashmax:10:1,restart:25:1"
+	a.Loss = 0.05
 	if err := a.run(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +115,8 @@ func TestRunAdversarialLockstepCompletes(t *testing.T) {
 
 func TestRunLockstepChurnCompletes(t *testing.T) {
 	a := defaults()
-	a.churn = "crash:5:1,join:8:1"
-	a.loss = 0.1
+	a.Churn = "crash:5:1,join:8:1"
+	a.Loss = 0.1
 	var out strings.Builder
 	if err := a.run(&out); err != nil {
 		t.Fatal(err)
@@ -145,8 +134,8 @@ func TestRunLockstepChurnCompletes(t *testing.T) {
 // empty-slice summary math).
 func TestRunIncompleteOutputIsSane(t *testing.T) {
 	a := defaults()
-	a.loss = 0.98
-	a.maxTick = 5
+	a.Loss = 0.98
+	a.MaxTicks = 5
 	var out strings.Builder
 	err := a.run(&out)
 	if err == nil || !strings.Contains(err.Error(), "incomplete") {
@@ -173,8 +162,8 @@ func TestRunIncompleteOutputIsSane(t *testing.T) {
 func TestRunTraceExportsArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	a := defaults()
-	a.trace = dir
-	a.telem = filepath.Join(dir, "export.txt")
+	a.Trace = dir
+	a.Telemetry = filepath.Join(dir, "export.txt")
 	if err := a.run(nil); err != nil {
 		t.Fatal(err)
 	}

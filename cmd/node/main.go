@@ -56,35 +56,22 @@ import (
 )
 
 // options carries every flag so tests drive run() without a process.
+// The gossip knobs are the shared cliutil.GossipFlags block, bound
+// here under this CLI's own help text.
 type options struct {
+	cliutil.GossipFlags
+
 	addr      string
 	bootstrap string
 	id        int
-	n         int
 	mode      string
-
-	k       int
-	payload int
-	fanout  int
-	seed    int64
 
 	window      int
 	generations int
 
-	interval time.Duration
-	timeout  time.Duration
-	linger   time.Duration
+	linger time.Duration
 
-	loss      float64
-	delay     time.Duration
-	reorder   float64
-	adversary string
-	mutate    string
-
-	metrics string
-
-	trace     string
-	telem     string
+	metrics   string
 	debugAddr string
 }
 
@@ -93,25 +80,25 @@ func main() {
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:0", "UDP address to bind (host:port; port 0 = ephemeral)")
 	flag.StringVar(&o.bootstrap, "bootstrap", "", "a peer's UDP address to learn the membership from (empty = this IS the bootstrap node)")
 	flag.IntVar(&o.id, "id", 0, "this node's id in [0, n)")
-	flag.IntVar(&o.n, "n", 2, "total number of node processes")
+	flag.IntVar(&o.N, "n", 2, "total number of node processes")
 	flag.StringVar(&o.mode, "mode", "cluster", "runtime: cluster (one-shot dissemination) | stream (windowed generations)")
-	flag.IntVar(&o.k, "k", 32, "tokens to disseminate (cluster) or generation size (stream)")
-	flag.IntVar(&o.payload, "payload", 128, "token payload size in bits")
-	flag.IntVar(&o.fanout, "fanout", 2, "peers contacted per emission")
-	flag.Int64Var(&o.seed, "seed", 1, "shared seed; all processes must agree (tokens derive from it)")
+	flag.IntVar(&o.K, "k", 32, "tokens to disseminate (cluster) or generation size (stream)")
+	flag.IntVar(&o.Payload, "payload", 128, "token payload size in bits")
+	flag.IntVar(&o.Fanout, "fanout", 2, "peers contacted per emission")
+	flag.Int64Var(&o.Seed, "seed", 1, "shared seed; all processes must agree (tokens derive from it)")
 	flag.IntVar(&o.window, "window", 4, "stream: maximum concurrent generations")
 	flag.IntVar(&o.generations, "generations", 8, "stream: number of generations")
-	flag.DurationVar(&o.interval, "interval", 2*time.Millisecond, "emission pacing")
-	flag.DurationVar(&o.timeout, "timeout", 60*time.Second, "wall-clock cap for bootstrap and for the run")
+	flag.DurationVar(&o.Interval, "interval", 2*time.Millisecond, "emission pacing")
+	flag.DurationVar(&o.Timeout, "timeout", 60*time.Second, "wall-clock cap for bootstrap and for the run")
 	flag.DurationVar(&o.linger, "linger", 2*time.Second, "keep gossiping this long after local completion")
-	flag.Float64Var(&o.loss, "loss", 0, "injected packet loss rate in [0,1), above the socket")
-	flag.DurationVar(&o.delay, "delay", 0, "injected per-packet latency upper bound")
-	flag.Float64Var(&o.reorder, "reorder", 0, "injected packet reordering rate in [0,1)")
-	flag.StringVar(&o.adversary, "adversary", "", `topology adversary name[:params] (random | rotating-path | static-<topology> | tstable:<T> | tinterval:<T> | adaptive | trace:<file>)`)
-	flag.StringVar(&o.mutate, "mutate", "", `hostile-packet mutation spec, e.g. "dup:0.05,stale:0.1" (ops: dup|stale|trunc|flip|xgen|all)`)
+	flag.Float64Var(&o.Loss, "loss", 0, "injected packet loss rate in [0,1), above the socket")
+	flag.DurationVar(&o.Delay, "delay", 0, "injected per-packet latency upper bound")
+	flag.Float64Var(&o.Reorder, "reorder", 0, "injected packet reordering rate in [0,1)")
+	flag.StringVar(&o.Adversary, "adversary", "", cliutil.AdversaryHelp)
+	flag.StringVar(&o.Mutate, "mutate", "", `hostile-packet mutation spec, e.g. "dup:0.05,stale:0.1" (ops: dup|stale|trunc|flip|xgen|all)`)
 	flag.StringVar(&o.metrics, "metrics", "", "write key=value metrics to this file")
-	flag.StringVar(&o.trace, "trace", "", "trace the run and render node<id>-{telemetry.txt,heatmap.svg,timeline.svg,packetflow.svg} into this directory")
-	flag.StringVar(&o.telem, "telemetry", "", "trace the run and write the telemetry v1 text export to this file")
+	flag.StringVar(&o.Trace, "trace", "", "trace the run and render node<id>-{telemetry.txt,heatmap.svg,timeline.svg,packetflow.svg} into this directory")
+	flag.StringVar(&o.Telemetry, "telemetry", "", cliutil.TelemetryHelp)
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve /debug/pprof and /debug/vars on this address (host:port; port 0 = ephemeral)")
 	flag.Parse()
 	// SIGTERM joins SIGINT so a `kill` (what launchers and CI send)
@@ -140,32 +127,22 @@ func run(ctx context.Context, w io.Writer, o options) error {
 			return err
 		}
 	}
-	if err := cliutil.ValidateNodeID(o.id, o.n); err != nil {
+	if err := cliutil.ValidateNodeID(o.id, o.N); err != nil {
 		return err
 	}
-	if err := cliutil.ValidateGossip(o.n, o.k, o.payload, o.fanout, o.loss, o.reorder); err != nil {
+	if err := o.Validate(); err != nil {
 		return err
 	}
 
-	tr, err := udpnet.Dial(udpnet.Config{ID: o.id, Nodes: o.n, Addr: o.addr, Bootstrap: o.bootstrap})
+	tr, err := udpnet.Dial(udpnet.Config{ID: o.id, Nodes: o.N, Addr: o.addr, Bootstrap: o.bootstrap})
 	if err != nil {
 		return err
 	}
 	defer tr.Close()
 	fmt.Fprintf(w, "LISTEN id=%d addr=%s\n", o.id, tr.LocalAddr())
 
-	// The recorder must exist before the adversarial wrap: the adaptive
-	// adversary reads its rank scoreboard.
-	var rec *telemetry.Recorder
-	if o.trace != "" || o.telem != "" || cliutil.AdversaryNeedsTelemetry(o.adversary) {
-		rec = telemetry.New(telemetry.Config{Nodes: o.n})
-		rec.SetMeta("driver", "node")
-		rec.SetMeta("id", fmt.Sprint(o.id))
-		rec.SetMeta("n", fmt.Sprint(o.n))
-		rec.SetMeta("mode", o.mode)
-		rec.SetMeta("k", fmt.Sprint(o.k))
-		rec.SetMeta("seed", fmt.Sprint(o.seed))
-	}
+	rec := o.Recorder(o.N, "driver", "node", "id", fmt.Sprint(o.id), "n", fmt.Sprint(o.N),
+		"mode", o.mode, "k", fmt.Sprint(o.K), "seed", fmt.Sprint(o.Seed))
 
 	if o.debugAddr != "" {
 		ln, err := net.Listen("tcp", o.debugAddr)
@@ -210,7 +187,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 				return err
 			}
 		}
-		return cliutil.ExportTelemetry(rec, o.trace, o.telem, fmt.Sprintf("node%d", o.id), streamMode)
+		return o.Export(rec, fmt.Sprintf("node%d", o.id), streamMode)
 	}
 	defer func() {
 		if !flushed {
@@ -220,14 +197,10 @@ func run(ctx context.Context, w io.Writer, o options) error {
 
 	// Wrap before bootstrapping so a bad middleware knob fails fast.
 	// The middlewares hide the socket transport's Known method, which is
-	// why the routability gate is captured from tr, not wrapped.
-	wrapped, err := cliutil.WrapHostile(tr, o.delay, o.reorder, o.loss, o.seed)
-	if err != nil {
-		return err
-	}
-	// The hostile layers stack outermost; their tick clock derives from
-	// the emission interval (no lockstep driver feeds them ticks here).
-	wrapped, err = cliutil.WrapAdversarial(wrapped, o.adversary, o.mutate, o.n, o.seed, o.interval, rec)
+	// why the routability gate is captured from tr, not wrapped. The
+	// hostile layers' tick clock derives from the emission interval (no
+	// lockstep driver feeds them ticks here).
+	wrapped, err := o.Wrap(tr, o.N, o.Interval, rec)
 	if err != nil {
 		return err
 	}
@@ -238,10 +211,10 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	// interval (which the launcher scales with n): n-1 joiners hammering
 	// one bootstrap peer every 50ms was a measured livelock at n=1024 on
 	// one core — the ping storm starved the processes it was probing.
-	bootCtx, cancelBoot := context.WithTimeout(ctx, o.timeout)
+	bootCtx, cancelBoot := context.WithTimeout(ctx, o.Timeout)
 	defer cancelBoot()
 	if o.bootstrap != "" {
-		bootEvery := 10 * o.interval
+		bootEvery := 10 * o.Interval
 		if bootEvery < 50*time.Millisecond {
 			bootEvery = 50 * time.Millisecond
 		}
@@ -260,7 +233,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		if bootCtx.Err() != nil {
 			return fmt.Errorf("bootstrap: %w", err)
 		}
-		fmt.Fprintf(w, "BOOT id=%d known=%d/%d\n", o.id, tr.BookSize(), o.n)
+		fmt.Fprintf(w, "BOOT id=%d known=%d/%d\n", o.id, tr.BookSize(), o.N)
 	}
 
 	// One sampling loop per process feeds the socket accounting series;
@@ -279,7 +252,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		}
 		go func() {
 			defer close(samplerDone)
-			every := 10 * o.interval
+			every := 10 * o.Interval
 			if every < 10*time.Millisecond {
 				every = 10 * time.Millisecond
 			}
@@ -304,58 +277,54 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		defer stopSampler()
 	}
 
-	var done bool
+	// Both runtimes count into the same shared block; the stream adds
+	// its own on top.
+	var shared cluster.NodeMetrics
 	if streamMode {
 		m, err := stream.RunSingle(ctx, stream.SingleConfig{
-			ID: o.id, N: o.n, K: o.k, PayloadBits: o.payload,
+			ID: o.id, N: o.N, K: o.K, PayloadBits: o.Payload,
 			Window: o.window, Generations: o.generations,
-			Fanout: o.fanout, Seed: o.seed,
+			Fanout: o.Fanout, Seed: o.Seed,
 			Transport: wrapped, Known: tr.Known,
-			Interval: o.interval, Timeout: o.timeout, Linger: o.linger,
+			Interval: o.Interval, Timeout: o.Timeout, Linger: o.linger,
 			Telemetry: rec,
 		})
 		if err != nil {
 			return err
 		}
-		done = m.Done
-		add("done", m.Done)
-		add("done_at_ms", m.DoneAt.Milliseconds())
+		shared = m.NodeMetrics
 		add("delivered", m.Delivered)
-		add("packets_out", m.PacketsOut)
-		add("packets_in", m.PacketsIn)
 		add("acks_out", m.AcksOut)
 		add("acks_in", m.AcksIn)
-		add("bits_out", m.BitsOut)
-		add("dropped", m.Dropped)
-		add("innovative", m.Innovative)
 		add("stale", m.Stale)
 		fmt.Fprintf(w, "DONE id=%d ok=%v delivered=%d packets_out=%d\n", o.id, m.Done, m.Delivered, m.PacketsOut)
 	} else {
-		toks := token.RandomSet(o.k, o.payload, rand.New(rand.NewSource(o.seed)))
+		toks := token.RandomSet(o.K, o.Payload, rand.New(rand.NewSource(o.Seed)))
 		m, err := cluster.RunSingle(ctx, cluster.SingleConfig{
-			ID: o.id, N: o.n, Fanout: o.fanout, Mode: cluster.Coded, Seed: o.seed,
+			ID: o.id, N: o.N, Fanout: o.Fanout, Mode: cluster.Coded, Seed: o.Seed,
 			Transport: wrapped, Known: tr.Known,
-			Interval: o.interval, Timeout: o.timeout, Linger: o.linger,
+			Interval: o.Interval, Timeout: o.Timeout, Linger: o.linger,
 			Telemetry: rec,
 		}, toks)
 		if err != nil {
 			return err
 		}
-		done = m.Done
-		add("done", m.Done)
-		add("done_at_ms", m.DoneAt.Milliseconds())
-		add("packets_out", m.PacketsOut)
-		add("packets_in", m.PacketsIn)
-		add("bits_out", m.BitsOut)
-		add("dropped", m.Dropped)
-		add("innovative", m.Innovative)
+		shared = m
 		fmt.Fprintf(w, "DONE id=%d ok=%v innovative=%d packets_out=%d\n", o.id, m.Done, m.Innovative, m.PacketsOut)
 	}
+	add("done", shared.Done)
+	add("done_at_ms", shared.DoneAt.Milliseconds())
+	add("packets_out", shared.PacketsOut)
+	add("packets_in", shared.PacketsIn)
+	add("hellos_out", shared.HellosOut)
+	add("bits_out", shared.BitsOut)
+	add("dropped", shared.Dropped)
+	add("innovative", shared.Innovative)
 	if err := flush(); err != nil {
 		return err
 	}
-	if !done {
-		return fmt.Errorf("did not complete within %v", o.timeout)
+	if !shared.Done {
+		return fmt.Errorf("did not complete within %v", o.Timeout)
 	}
 	return nil
 }

@@ -12,14 +12,18 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cliutil"
 )
 
 func validOptions() options {
 	return options{
-		addr: "127.0.0.1:0", id: 0, n: 2, mode: "cluster",
-		k: 4, payload: 32, fanout: 1, seed: 1,
-		window: 2, generations: 3,
-		interval: time.Millisecond, timeout: 20 * time.Second, linger: 500 * time.Millisecond,
+		addr: "127.0.0.1:0", id: 0, mode: "cluster",
+		window: 2, generations: 3, linger: 500 * time.Millisecond,
+		GossipFlags: cliutil.GossipFlags{
+			N: 2, K: 4, Payload: 32, Fanout: 1, Seed: 1,
+			Interval: time.Millisecond, Timeout: 20 * time.Second,
+		},
 	}
 }
 
@@ -38,12 +42,12 @@ func TestRunValidation(t *testing.T) {
 		{"bad bootstrap", func(o options) options { o.bootstrap = "nonsense"; return o }, "-bootstrap"},
 		{"negative id", func(o options) options { o.id = -1; return o }, "-id"},
 		{"id at n", func(o options) options { o.id = 2; return o }, "-id"},
-		{"single node", func(o options) options { o.n = 1; o.id = 0; return o }, "-n"},
-		{"zero k", func(o options) options { o.k = 0; return o }, "-k"},
-		{"zero payload", func(o options) options { o.payload = 0; return o }, "-payload"},
-		{"fanout at n", func(o options) options { o.fanout = 2; return o }, "-fanout"},
-		{"loss out of range", func(o options) options { o.loss = 1; return o }, "-loss"},
-		{"reorder out of range", func(o options) options { o.reorder = -0.1; return o }, "-reorder"},
+		{"single node", func(o options) options { o.N = 1; o.id = 0; return o }, "-n"},
+		{"zero k", func(o options) options { o.K = 0; return o }, "-k"},
+		{"zero payload", func(o options) options { o.Payload = 0; return o }, "-payload"},
+		{"fanout at n", func(o options) options { o.Fanout = 2; return o }, "-fanout"},
+		{"loss out of range", func(o options) options { o.Loss = 1; return o }, "-loss"},
+		{"reorder out of range", func(o options) options { o.Reorder = -0.1; return o }, "-reorder"},
 	}
 	for _, tc := range cases {
 		err := run(context.Background(), io.Discard, tc.mut(validOptions()))
@@ -58,7 +62,7 @@ func TestRunValidation(t *testing.T) {
 // -delay must fail the run, not silently mean "no delay".
 func TestRunRejectsNegativeDelay(t *testing.T) {
 	o := validOptions()
-	o.delay = -time.Millisecond
+	o.Delay = -time.Millisecond
 	if err := run(context.Background(), io.Discard, o); err == nil || !strings.Contains(err.Error(), "-delay") {
 		t.Errorf("negative delay: err %v does not name -delay", err)
 	}
@@ -169,10 +173,10 @@ func TestMetricsFlushOnCancel(t *testing.T) {
 	dir := t.TempDir()
 	o := validOptions()
 	o.metrics = filepath.Join(dir, "node0.metrics")
-	o.telem = filepath.Join(dir, "node0.telemetry")
+	o.Telemetry = filepath.Join(dir, "node0.telemetry")
 	// No peer ever answers: the node blocks (in bootstrap or the run
 	// loop) until killed.
-	o.timeout = 20 * time.Second
+	o.Timeout = 20 * time.Second
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(300*time.Millisecond, cancel)
 	err := run(ctx, io.Discard, o)
@@ -188,7 +192,7 @@ func TestMetricsFlushOnCancel(t *testing.T) {
 			t.Errorf("flushed metrics lack %q:\n%s", key, raw)
 		}
 	}
-	if tel, rerr := os.ReadFile(o.telem); rerr != nil {
+	if tel, rerr := os.ReadFile(o.Telemetry); rerr != nil {
 		t.Errorf("canceled run left no telemetry export: %v", rerr)
 	} else if !strings.HasPrefix(string(tel), "telemetry v1\n") {
 		t.Errorf("telemetry export lacks the v1 header:\n%.80s", tel)
@@ -208,7 +212,7 @@ func TestMetricsFlushOnBootstrapFailure(t *testing.T) {
 	o.bootstrap = addrs[0] // reserved then released: nobody listens
 	o.id = 1
 	o.metrics = filepath.Join(dir, "node1.metrics")
-	o.timeout = 400 * time.Millisecond
+	o.Timeout = 400 * time.Millisecond
 	err := run(context.Background(), io.Discard, o)
 	if err == nil || !strings.Contains(err.Error(), "bootstrap") {
 		t.Fatalf("bootstrap against a dead peer returned %v", err)
@@ -238,9 +242,9 @@ func TestDebugEndpointsServe(t *testing.T) {
 		o := validOptions()
 		o.addr = addrs[0]
 		o.debugAddr = "127.0.0.1:0"
-		o.trace = dir
+		o.Trace = dir
 		o.metrics = filepath.Join(dir, "node0.metrics")
-		o.timeout = 20 * time.Second
+		o.Timeout = 20 * time.Second
 
 		debugUp := make(chan string, 1)
 		ctx, cancel := context.WithCancel(context.Background())

@@ -3,8 +3,9 @@
 // n-node gossip cluster and reports sustained-throughput and memory
 // tables. It is the interactive surface of internal/stream, the
 // pipelined counterpart of the one-shot cmd/cluster; see DESIGN.md
-// ("Streaming layer", "Dynamic membership & churn") for the
-// architecture, generation/window lifecycle and ack wire format.
+// ("Streaming layer", "Node runtime and drivers", "Dynamic membership &
+// churn") for the architecture, generation/window lifecycle and ack
+// wire format.
 //
 // Quick start:
 //
@@ -41,106 +42,37 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/sim"
 	"repro/internal/stream"
-	"repro/internal/telemetry"
 )
 
+// options carries every flag so tests drive run() without a process.
+type options struct {
+	cliutil.GossipFlags
+	window, generations int
+}
+
 func main() {
-	var (
-		n        = flag.Int("n", 32, "number of nodes")
-		k        = flag.Int("k", 16, "tokens per generation")
-		payload  = flag.Int("payload", 128, "token payload size in bits")
-		window   = flag.Int("window", 4, "generations gossiped concurrently (1 = sequential)")
-		gens     = flag.Int("generations", 16, "stream length in generations")
-		loss     = flag.Float64("loss", 0, "packet loss rate in [0,1)")
-		fanout   = flag.Int("fanout", 2, "peers contacted per emission")
-		shards   = flag.Int("shards", 1, "lockstep worker shards (bit-identical to serial at any count)")
-		tp       = flag.String("transport", "chan", "transport: chan (async) | lockstep (deterministic)")
-		seed     = flag.Int64("seed", 1, "random seed (lockstep runs are a pure function of it)")
-		interval = flag.Duration("interval", 500*time.Microsecond, "async emission pacing")
-		timeout  = flag.Duration("timeout", 30*time.Second, "async wall-clock cap")
-		delay    = flag.Duration("delay", 0, "async per-packet latency upper bound (uniform in [delay/10, delay])")
-		reorder  = flag.Float64("reorder", 0, "packet reordering rate in [0,1)")
-		buffer   = flag.Int("buffer", 0, "per-node inbox buffer (0 = auto)")
-		maxTicks = flag.Int("maxticks", 0, "lockstep tick cap (0 = default)")
-		churn    = flag.String("churn", "", `membership schedule, e.g. "crash:30:1,join:60:1" (kinds: join|leave|crash|restart|rejoin|crashmax|crashfrontier)`)
-		adv      = flag.String("adversary", "", `topology adversary name[:params] (random | rotating-path | static-<topology> | tstable:<T> | tinterval:<T> | adaptive | trace:<file>)`)
-		mutate   = flag.String("mutate", "", `hostile-packet mutation spec, e.g. "stale:0.1,xgen:0.05" (ops: dup|stale|trunc|flip|xgen|all)`)
-		trace    = flag.String("trace", "", "trace the run and render stream-{telemetry.txt,heatmap.svg,timeline.svg,packetflow.svg} into this directory")
-		telem    = flag.String("telemetry", "", "trace the run and write the telemetry v1 text export to this file")
-	)
+	var o options
+	o.Register(flag.CommandLine, "stream", 32, 16)
+	flag.IntVar(&o.window, "window", 4, "generations gossiped concurrently (1 = sequential)")
+	flag.IntVar(&o.generations, "generations", 16, "stream length in generations")
 	flag.Parse()
-	if err := run(os.Stdout, *n, *k, *payload, *window, *gens, *loss, *fanout, *shards, *tp, *seed,
-		*interval, *timeout, *delay, *reorder, *buffer, *maxTicks, *churn, *adv, *mutate, *trace, *telem); err != nil {
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "stream:", err)
 		os.Exit(1)
 	}
 }
 
-// validate applies the shared gossip checks plus the stream-only
-// window/generations flags.
-func validate(n, k, payload, window, gens, fanout, shards, buffer int, loss, reorder float64) error {
-	if err := cliutil.ValidateGossip(n, k, payload, fanout, loss, reorder); err != nil {
-		return err
-	}
-	if err := cliutil.ValidateShards(shards, n); err != nil {
-		return err
-	}
-	if err := cliutil.ValidateBuffer(buffer); err != nil {
-		return err
-	}
+func run(w io.Writer, o options) error {
 	switch {
-	case window < 1:
-		return fmt.Errorf("-window must be at least 1, got %d", window)
-	case gens < 1:
-		return fmt.Errorf("-generations must be at least 1, got %d", gens)
+	case o.window < 1:
+		return fmt.Errorf("-window must be at least 1, got %d", o.window)
+	case o.generations < 1:
+		return fmt.Errorf("-generations must be at least 1, got %d", o.generations)
 	}
-	return nil
-}
-
-func run(w io.Writer, n, k, payload, window, gens int, loss float64, fanout, shards int, tp string, seed int64,
-	interval, timeout, delay time.Duration, reorder float64, buffer, maxTicks int, churnSpec, advSpec, mutateSpec, traceDir, traceFile string) error {
-	if err := validate(n, k, payload, window, gens, fanout, shards, buffer, loss, reorder); err != nil {
-		return err
-	}
-	lockstep, err := cliutil.ParseTransport(tp)
-	if err != nil {
-		return err
-	}
-	if shards > 1 && !lockstep {
-		return fmt.Errorf("-shards needs the deterministic driver (the async runtime is already concurrent); use -transport lockstep")
-	}
-	sched, err := cliutil.ParseChurnFlag(churnSpec)
-	if err != nil {
-		return err
-	}
-	maxN := n + sched.Joins()
-	if buffer == 0 {
-		buffer = stream.DefaultInboxBuffer(maxN, fanout+1)
-	}
-	tr, err := cliutil.BuildTransport(maxN, buffer, lockstep, delay, reorder, loss, seed)
-	if err != nil {
-		return err
-	}
-
-	// The recorder must exist before the adversarial wrap: the adaptive
-	// adversary reads its rank scoreboard.
-	var rec *telemetry.Recorder
-	if traceDir != "" || traceFile != "" || cliutil.AdversaryNeedsTelemetry(advSpec) {
-		rec = telemetry.New(telemetry.Config{Nodes: maxN})
-		rec.SetMeta("driver", "stream")
-		rec.SetMeta("n", fmt.Sprint(n))
-		rec.SetMeta("k", fmt.Sprint(k))
-		rec.SetMeta("window", fmt.Sprint(window))
-		rec.SetMeta("generations", fmt.Sprint(gens))
-		rec.SetMeta("loss", fmt.Sprint(loss))
-		rec.SetMeta("transport", tp)
-		rec.SetMeta("seed", fmt.Sprint(seed))
-	}
-	advInterval := time.Duration(0)
-	if !lockstep {
-		advInterval = interval
-	}
-	tr, err = cliutil.WrapAdversarial(tr, advSpec, mutateSpec, maxN, seed, advInterval, rec)
+	g, err := o.Open(1, // the ack
+		"driver", "stream", "n", fmt.Sprint(o.N), "k", fmt.Sprint(o.K),
+		"window", fmt.Sprint(o.window), "generations", fmt.Sprint(o.generations),
+		"loss", fmt.Sprint(o.Loss), "transport", o.Transport, "seed", fmt.Sprint(o.Seed))
 	if err != nil {
 		return err
 	}
@@ -148,14 +80,14 @@ func run(w io.Writer, n, k, payload, window, gens int, loss float64, fanout, sha
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	res, err := stream.Run(ctx, stream.Config{
-		N: n, K: k, PayloadBits: payload, Window: window, Generations: gens, Fanout: fanout,
-		Seed: seed, Transport: tr, Lockstep: lockstep, Shards: shards, MaxTicks: maxTicks,
-		Interval: interval, Timeout: timeout, Churn: sched, Telemetry: rec,
+		N: o.N, K: o.K, PayloadBits: o.Payload, Window: o.window, Generations: o.generations, Fanout: o.Fanout,
+		Seed: o.Seed, Transport: g.Transport, Lockstep: g.Lockstep, Shards: o.Shards, MaxTicks: o.MaxTicks,
+		Interval: o.Interval, Timeout: o.Timeout, Churn: g.Churn, Telemetry: g.Recorder,
 	})
 	if err != nil {
 		return err
 	}
-	if err := cliutil.ExportTelemetry(rec, traceDir, traceFile, "stream", true); err != nil {
+	if err := o.Export(g.Recorder, "stream", true); err != nil {
 		return err
 	}
 
@@ -172,17 +104,17 @@ func run(w io.Writer, n, k, payload, window, gens int, loss float64, fanout, sha
 	var liveTokens int64
 	for _, m := range res.Nodes {
 		if m.Live {
-			liveTokens += int64(m.Delivered) * int64(k)
+			liveTokens += int64(m.Delivered) * int64(o.K)
 		}
 	}
 	deliveredPerNode := float64(liveTokens) / float64(liveNodes)
 	t := &sim.Table{
 		Caption: fmt.Sprintf("stream: n=%d k=%d payload=%d bits, window=%d, %d generations, loss=%.2f transport=%s seed=%d",
-			n, k, payload, window, gens, loss, tp, seed),
+			o.N, o.K, o.Payload, o.window, o.generations, o.Loss, o.Transport, o.Seed),
 		Header: []string{"metric", "value"},
 	}
 	t.AddRow("completed", fmt.Sprintf("%v", res.Completed))
-	if lockstep {
+	if g.Lockstep {
 		t.AddRow("ticks", sim.I(res.Ticks))
 		if res.Ticks > 0 && deliveredPerNode > 0 {
 			t.AddRow("sustained tokens/tick", sim.F(deliveredPerNode/float64(res.Ticks)))
@@ -208,17 +140,17 @@ func run(w io.Writer, n, k, payload, window, gens int, loss float64, fanout, sha
 		t.AddRow("bits per delivered token", sim.F(float64(res.BitsOut)/deliveredPerNode))
 	}
 	t.AddRow("peak span memory per node", fmt.Sprintf("%d B", res.MaxSpanBytes))
-	if sched != nil {
-		t.AddRow("churn schedule", sched.String())
+	if g.Churn != nil {
+		t.AddRow("churn schedule", g.Churn.String())
 		t.AddRow("nodes live at end", sim.I(res.FinalLive))
 		for id, m := range res.Nodes {
 			if !m.Spawned || m.StartGen == 0 {
 				continue
 			}
-			if lockstep && m.CaughtUpTick > 0 {
+			if g.Lockstep && m.CaughtUpTick > 0 {
 				t.AddRow(fmt.Sprintf("node %d joined@%d, start gen %d", id, m.JoinTick, m.StartGen),
 					fmt.Sprintf("caught up in %d ticks", m.CaughtUpTick-m.JoinTick))
-			} else if !lockstep && m.CaughtUpAt > 0 {
+			} else if !g.Lockstep && m.CaughtUpAt > 0 {
 				t.AddRow(fmt.Sprintf("node %d joined@%v, start gen %d", id, m.JoinAt.Round(time.Millisecond), m.StartGen),
 					fmt.Sprintf("caught up in %v", (m.CaughtUpAt-m.JoinAt).Round(time.Millisecond)))
 			}

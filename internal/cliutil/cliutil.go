@@ -1,10 +1,11 @@
-// Package cliutil holds the flag validation and transport assembly
-// shared by the gossip CLIs (cmd/cluster and cmd/stream), so the two
-// surfaces cannot drift: one validator, one transport parser, one
-// middleware stacking order.
+// Package cliutil holds the flag set, validation and transport
+// assembly shared by the gossip CLIs (cmd/cluster, cmd/stream and
+// cmd/node), so the surfaces cannot drift: one flag block, one
+// validator, one transport parser, one middleware stacking order.
 package cliutil
 
 import (
+	"flag"
 	"fmt"
 	"net"
 	"os"
@@ -18,6 +19,158 @@ import (
 	"repro/internal/hostile"
 	"repro/internal/telemetry"
 )
+
+// GossipFlags is the flag block the gossip CLIs share. cmd/cluster and
+// cmd/stream bind all of it with Register; cmd/node, whose runtime is
+// one process per node over a socket, binds the fields it has flags
+// for under its own help text and leaves the in-process ones zero.
+type GossipFlags struct {
+	N, K, Payload, Fanout int
+	Loss, Reorder         float64
+	Delay                 time.Duration
+	Seed                  int64
+	Interval, Timeout     time.Duration
+	Adversary, Mutate     string
+	Trace, Telemetry      string
+
+	// In-process runs only.
+	Shards, Buffer, MaxTicks int
+	Transport, Churn         string
+}
+
+// Register binds every field to its flag on fs. driver is the CLI's
+// name ("cluster" or "stream"): it names the -trace artifacts and
+// picks the help text where the two differ; n and k are its defaults.
+func (g *GossipFlags) Register(fs *flag.FlagSet, driver string, n, k int) {
+	kHelp, churnEx, mutateEx := "number of tokens", "join:500:2,crash:1000:1", "dup:0.05,stale:0.1"
+	if driver == "stream" {
+		kHelp, churnEx, mutateEx = "tokens per generation", "crash:30:1,join:60:1", "stale:0.1,xgen:0.05"
+	}
+	fs.IntVar(&g.N, "n", n, "number of nodes")
+	fs.IntVar(&g.K, "k", k, kHelp)
+	fs.IntVar(&g.Payload, "payload", 128, "token payload size in bits")
+	fs.Float64Var(&g.Loss, "loss", 0, "packet loss rate in [0,1)")
+	fs.IntVar(&g.Fanout, "fanout", 2, "peers contacted per emission")
+	fs.IntVar(&g.Shards, "shards", 1, "lockstep worker shards (bit-identical to serial at any count)")
+	fs.StringVar(&g.Transport, "transport", "chan", "transport: chan (async) | lockstep (deterministic)")
+	fs.Int64Var(&g.Seed, "seed", 1, "random seed (lockstep runs are a pure function of it)")
+	fs.DurationVar(&g.Interval, "interval", 500*time.Microsecond, "async emission pacing")
+	fs.DurationVar(&g.Timeout, "timeout", 30*time.Second, "async wall-clock cap")
+	fs.DurationVar(&g.Delay, "delay", 0, "async per-packet latency upper bound (uniform in [delay/10, delay])")
+	fs.Float64Var(&g.Reorder, "reorder", 0, "packet reordering rate in [0,1)")
+	fs.IntVar(&g.Buffer, "buffer", 0, "per-node inbox buffer (0 = auto)")
+	fs.IntVar(&g.MaxTicks, "maxticks", 0, "lockstep tick cap (0 = default)")
+	fs.StringVar(&g.Churn, "churn", "", `membership schedule, e.g. "`+churnEx+`" (kinds: join|leave|crash|restart|rejoin|crashmax|crashfrontier)`)
+	fs.StringVar(&g.Adversary, "adversary", "", AdversaryHelp)
+	fs.StringVar(&g.Mutate, "mutate", "", `hostile-packet mutation spec, e.g. "`+mutateEx+`" (ops: dup|stale|trunc|flip|xgen|all)`)
+	fs.StringVar(&g.Trace, "trace", "", "trace the run and render "+driver+"-{telemetry.txt,heatmap.svg,timeline.svg,packetflow.svg} into this directory")
+	fs.StringVar(&g.Telemetry, "telemetry", "", TelemetryHelp)
+}
+
+// Help text of the flags every gossip CLI words the same way.
+const (
+	AdversaryHelp = `topology adversary name[:params] (random | rotating-path | static-<topology> | tstable:<T> | tinterval:<T> | adaptive | trace:<file>)`
+	TelemetryHelp = "trace the run and write the telemetry v1 text export to this file"
+)
+
+// Validate applies ValidateGossip to the flags.
+func (g *GossipFlags) Validate() error {
+	return ValidateGossip(g.N, g.K, g.Payload, g.Fanout, g.Loss, g.Reorder)
+}
+
+// Recorder returns the run's telemetry recorder over an id space of
+// nodes, or nil when no flag asks for one (-trace, -telemetry, or an
+// adversary that reads it). meta is the run's key, value, key, value…
+// header, in export order. The recorder must exist before Wrap: the
+// adaptive adversary reads its rank scoreboard.
+func (g *GossipFlags) Recorder(nodes int, meta ...string) *telemetry.Recorder {
+	if g.Trace == "" && g.Telemetry == "" && !AdversaryNeedsTelemetry(g.Adversary) {
+		return nil
+	}
+	rec := telemetry.New(telemetry.Config{Nodes: nodes})
+	for i := 0; i+1 < len(meta); i += 2 {
+		rec.SetMeta(meta[i], meta[i+1])
+	}
+	return rec
+}
+
+// Wrap stacks the fault-injection flags over tr: WrapHostile's
+// loss/reorder/delay, then WrapAdversarial's topology and mutation
+// layers outermost. nodes is the run's full id space; interval > 0
+// clocks the adversary by wall time (async and multi-process runs).
+func (g *GossipFlags) Wrap(tr cluster.Transport, nodes int, interval time.Duration, rec *telemetry.Recorder) (cluster.Transport, error) {
+	tr, err := WrapHostile(tr, g.Delay, g.Reorder, g.Loss, g.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return WrapAdversarial(tr, g.Adversary, g.Mutate, nodes, g.Seed, interval, rec)
+}
+
+// Export writes a traced run's artifacts where -trace and -telemetry
+// ask (see ExportTelemetry).
+func (g *GossipFlags) Export(rec *telemetry.Recorder, prefix string, watermark bool) error {
+	return ExportTelemetry(rec, g.Trace, g.Telemetry, prefix, watermark)
+}
+
+// GossipRun is what Open assembles from the flags for one in-process
+// run.
+type GossipRun struct {
+	Lockstep bool
+	Churn    *cluster.ChurnSchedule
+	// Transport is the full stack: channels, fault injection, hostile
+	// layers.
+	Transport cluster.Transport
+	// Recorder is nil unless a flag asked for tracing.
+	Recorder *telemetry.Recorder
+}
+
+// Open validates the flags and builds an in-process run's transport
+// stack and recorder. control is the packets a node sends per tick
+// besides its fanout data packets (the stream's ack), for sizing
+// -buffer 0; meta is the recorder's header (see Recorder).
+func (g *GossipFlags) Open(control int, meta ...string) (*GossipRun, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	if err := ValidateShards(g.Shards, g.N); err != nil {
+		return nil, err
+	}
+	if err := ValidateBuffer(g.Buffer); err != nil {
+		return nil, err
+	}
+	lockstep, err := ParseTransport(g.Transport)
+	if err != nil {
+		return nil, err
+	}
+	if g.Shards > 1 && !lockstep {
+		return nil, fmt.Errorf("-shards needs the deterministic driver (the async runtime is already concurrent); use -transport lockstep")
+	}
+	sched, err := ParseChurnFlag(g.Churn)
+	if err != nil {
+		return nil, err
+	}
+	maxN := g.N + sched.Joins()
+	buffer := g.Buffer
+	if buffer == 0 {
+		// One more slot than the data and control packets: every member
+		// may also address a hello to the same inbox in a tick.
+		buffer = cluster.DefaultInboxBuffer(maxN, g.Fanout+control+1)
+	}
+	tr, err := BuildTransport(maxN, buffer, lockstep, g.Delay, g.Reorder, g.Loss, g.Seed)
+	if err != nil {
+		return nil, err
+	}
+	rec := g.Recorder(maxN, meta...)
+	interval := time.Duration(0) // lockstep: the driver feeds the adversary ticks
+	if !lockstep {
+		interval = g.Interval
+	}
+	tr, err = WrapAdversarial(tr, g.Adversary, g.Mutate, maxN, g.Seed, interval, rec)
+	if err != nil {
+		return nil, err
+	}
+	return &GossipRun{Lockstep: lockstep, Churn: sched, Transport: tr, Recorder: rec}, nil
+}
 
 // ValidateGossip rejects the flag values common to every gossip CLI
 // that would panic, hang, or silently misbehave deeper in the stack.

@@ -31,7 +31,7 @@ const (
 	// ChurnCrashMax is the targeted-crash adversary: it kills the live
 	// node with the highest rank (most decoding progress) instead of a
 	// uniform victim, maximizing the knowledge the cluster loses. With
-	// no rank oracle installed (Churner.SetRank) it degrades to a
+	// no rank oracle installed (churner.setRank) it degrades to a
 	// uniform crash. Resolved operations surface as ChurnCrash, so the
 	// drivers need no targeted-specific handling.
 	ChurnCrashMax
@@ -163,7 +163,7 @@ func (s *ChurnSchedule) Joins() int {
 
 // HasTargeted reports whether the schedule contains any rank-targeted
 // event (crashmax, crashfrontier) — the drivers use it to decide
-// whether to maintain the rank oracle the Churner needs.
+// whether to maintain the rank oracle the churner needs.
 func (s *ChurnSchedule) HasTargeted() bool {
 	if s == nil {
 		return false
@@ -294,22 +294,22 @@ func (v *View) Fill(n int, now int64) {
 	}
 }
 
-// Contacts is a live set frozen for one spawn batch — a run's initial
+// contacts is a live set frozen for one spawn batch — a run's initial
 // membership, or the nodes live when a churn batch applies — from which
 // every member of the batch copies its starting view. Building it scans
 // the live flags once; View is then O(1) while the set is the dense
 // prefix 0..n-1 and one array copy otherwise, where marking each live
 // peer per member made start-up O(n²) Mark calls.
-type Contacts struct {
+type contacts struct {
 	maxN, n int
 	// live is nil while the set is exactly the prefix 0..n-1.
 	live []bool
 }
 
-// NewContacts snapshots the ids flagged in live, which holds at most
+// newContacts snapshots the ids flagged in live, which holds at most
 // maxN flags.
-func NewContacts(live []bool, maxN int) Contacts {
-	c := Contacts{maxN: maxN}
+func newContacts(live []bool, maxN int) contacts {
+	c := contacts{maxN: maxN}
 	dense := true
 	for id, l := range live {
 		if l {
@@ -324,10 +324,10 @@ func NewContacts(live []bool, maxN int) Contacts {
 	return c
 }
 
-// View returns node self's view of the contacts, every one of them
+// view returns node self's view of the contacts, every one of them
 // last heard at now: the state NewView plus one Mark per live id (with
 // SuspectAfter still zero) arrives at, including the representation.
-func (c Contacts) View(self int, now int64) *View {
+func (c contacts) view(self int, now int64) *View {
 	v := &View{self: self, maxN: c.maxN, n: c.n}
 	if c.n > 0 {
 		v.stamp = max(now, 0)
@@ -537,42 +537,42 @@ func (v *View) AppendPeers(dst []uint32) []uint32 {
 	return dst
 }
 
-// ChurnOp is one concrete membership operation: an event kind bound
+// churnOp is one concrete membership operation: an event kind bound
 // to the node id the churner selected for it.
-type ChurnOp struct {
+type churnOp struct {
 	Kind ChurnKind
 	ID   int
 }
 
-// Churner turns a ChurnSchedule into concrete operations, selecting
+// churner turns a ChurnSchedule into concrete operations, selecting
 // crash/leave victims and restart candidates from its own seeded rng
 // so that under the lockstep drivers the whole membership history is a
 // pure function of the run seed. One churner serves one run; both
 // drivers consume events in At order, so victim draws replay
 // identically for identical seeds.
-type Churner struct {
+type churner struct {
 	events  []ChurnEvent
 	next    int
 	rng     *rand.Rand
 	nextID  int   // next fresh id for joins
 	maxID   int   // id space bound
 	crashed []int // ids available for restart/rejoin, in crash order
-	ops     []ChurnOp
+	ops     []churnOp
 	// rank is the oracle for the targeted crash kinds (crashmax,
 	// crashfrontier): the current decoding progress / delivery
 	// watermark of a live node. Nil degrades targeted kinds to uniform
-	// crashes. See SetRank.
+	// crashes. See setRank.
 	rank func(id int) int
 }
 
 // churnSeed offsets the victim-selection stream away from the node rngs.
 const churnSeed = 7717
 
-func NewChurner(s *ChurnSchedule, n, maxN int, seed int64) *Churner {
+func newChurner(s *ChurnSchedule, n, maxN int, seed int64) *churner {
 	if s == nil || len(s.Events) == 0 {
 		return nil
 	}
-	return &Churner{
+	return &churner{
 		events: s.Events,
 		rng:    rand.New(rand.NewSource(seed + churnSeed)),
 		nextID: n,
@@ -580,30 +580,30 @@ func NewChurner(s *ChurnSchedule, n, maxN int, seed int64) *Churner {
 	}
 }
 
-// SetRank installs the rank oracle the targeted crash kinds select
+// setRank installs the rank oracle the targeted crash kinds select
 // victims with. The drivers call it once at run start when the
-// schedule HasTargeted; fn must be callable at PopUntil time for every
+// schedule HasTargeted; fn must be callable at popUntil time for every
 // live id (the async churn controller calls it from its own goroutine,
 // so implementations back it with atomics). A nil churner or nil fn is
 // a no-op / oracle removal.
-func (c *Churner) SetRank(fn func(id int) int) {
+func (c *churner) setRank(fn func(id int) int) {
 	if c != nil {
 		c.rank = fn
 	}
 }
 
-// NextAt returns the tick of the next unapplied event, if any.
-func (c *Churner) NextAt() (int, bool) {
+// nextAt returns the tick of the next unapplied event, if any.
+func (c *churner) nextAt() (int, bool) {
 	if c == nil || c.next >= len(c.events) {
 		return 0, false
 	}
 	return c.events[c.next].At, true
 }
 
-// PendingAdds reports whether any membership-adding event (join,
+// pendingAdds reports whether any membership-adding event (join,
 // restart, rejoin) has not yet been applied. A run cannot complete
 // while one is pending: the node it adds still has catching up to do.
-func (c *Churner) PendingAdds() bool {
+func (c *churner) pendingAdds() bool {
 	if c == nil {
 		return false
 	}
@@ -616,11 +616,11 @@ func (c *Churner) PendingAdds() bool {
 	return false
 }
 
-// PopUntil applies every event with At <= tick against the live set
+// popUntil applies every event with At <= tick against the live set
 // and returns the concrete operations, reusing the internal scratch
 // slice. live is indexed by node id; the churner never selects a
 // victim that would empty the cluster.
-func (c *Churner) PopUntil(tick int, live []bool) []ChurnOp {
+func (c *churner) popUntil(tick int, live []bool) []churnOp {
 	if c == nil {
 		return nil
 	}
@@ -636,14 +636,14 @@ func (c *Churner) PopUntil(tick int, live []bool) []ChurnOp {
 				}
 				id := c.nextID
 				c.nextID++
-				c.ops = append(c.ops, ChurnOp{ChurnJoin, id})
+				c.ops = append(c.ops, churnOp{ChurnJoin, id})
 				live[id] = true
 			case ChurnLeave, ChurnCrash:
 				id := c.pickLive(live)
 				if id < 0 {
 					continue // refusing to kill the last node
 				}
-				c.ops = append(c.ops, ChurnOp{e.Kind, id})
+				c.ops = append(c.ops, churnOp{e.Kind, id})
 				live[id] = false
 				if e.Kind == ChurnCrash {
 					c.crashed = append(c.crashed, id)
@@ -655,7 +655,7 @@ func (c *Churner) PopUntil(tick int, live []bool) []ChurnOp {
 				}
 				// Resolve to a plain crash: drivers see only ChurnCrash
 				// ops, the targeting lives entirely in victim selection.
-				c.ops = append(c.ops, ChurnOp{ChurnCrash, id})
+				c.ops = append(c.ops, churnOp{ChurnCrash, id})
 				live[id] = false
 				c.crashed = append(c.crashed, id)
 			case ChurnRestart, ChurnRejoin:
@@ -665,7 +665,7 @@ func (c *Churner) PopUntil(tick int, live []bool) []ChurnOp {
 				r := c.rng.Intn(len(c.crashed))
 				id := c.crashed[r]
 				c.crashed = append(c.crashed[:r], c.crashed[r+1:]...)
-				c.ops = append(c.ops, ChurnOp{e.Kind, id})
+				c.ops = append(c.ops, churnOp{e.Kind, id})
 				live[id] = true
 			}
 		}
@@ -679,7 +679,7 @@ func (c *Churner) PopUntil(tick int, live []bool) []ChurnOp {
 // breaking ties toward the lowest id so the choice is deterministic.
 // Without a rank oracle it falls back to a uniform draw; like
 // pickLive it refuses to reduce the cluster below two live nodes.
-func (c *Churner) pickTargeted(live []bool, max bool) int {
+func (c *churner) pickTargeted(live []bool, max bool) int {
 	if c.rank == nil {
 		return c.pickLive(live)
 	}
@@ -702,7 +702,7 @@ func (c *Churner) pickTargeted(live []bool, max bool) int {
 
 // pickLive draws a uniform victim among live nodes, or -1 when fewer
 // than two are live (a schedule may not empty the cluster).
-func (c *Churner) pickLive(live []bool) int {
+func (c *churner) pickLive(live []bool) int {
 	count := 0
 	for _, l := range live {
 		if l {

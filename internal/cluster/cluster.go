@@ -7,7 +7,13 @@
 // codec. There are no rounds and no global coordination; loss, delay,
 // reordering and partitions are composable transport middlewares.
 //
-// Two execution modes share the node logic:
+// The package is also the node runtime every gossip protocol in the
+// repository runs on (DESIGN.md "Node runtime and drivers"): a Node
+// shell, a Protocol interface, and an Engine holding the three
+// drivers. One-shot k-token gossip (Run, RunSingle) is one Protocol,
+// defined here; the windowed stream of internal/stream is the other.
+//
+// Two in-process execution modes share the node logic:
 //
 //   - Async (default): goroutine per node, pacing by ticker plus
 //     push-on-innovation, wall-clock metrics. This is the "production"
@@ -25,15 +31,10 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/gf"
 	"repro/internal/rlnc"
-	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/token"
 	"repro/internal/wire"
@@ -87,7 +88,7 @@ type Config struct {
 	// over contiguous node-id ranges, with a serial exchange barrier
 	// replaying each shard's emissions in id order so the transcript
 	// stays bit-identical to the serial driver for every shard count
-	// (see outbox.go and DESIGN.md "Sharded lockstep engine"). 0 and 1
+	// (see outbox.go and DESIGN.md "Node runtime and drivers"). 0 and 1
 	// both mean the serial engine; >1 requires Lockstep — the async
 	// driver is already concurrent.
 	Shards int
@@ -112,41 +113,6 @@ type Config struct {
 // maxNodes is the run's node id space: the initial membership plus
 // every id the churn schedule can create.
 func (c Config) maxNodes() int { return c.N + c.Churn.Joins() }
-
-func (c Config) fanout() int {
-	if c.Fanout > 0 {
-		return c.Fanout
-	}
-	return 2
-}
-
-func (c Config) interval() time.Duration {
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return 500 * time.Microsecond
-}
-
-func (c Config) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 30 * time.Second
-}
-
-func (c Config) shards() int {
-	if c.Shards > 1 {
-		return c.Shards
-	}
-	return 1
-}
-
-func (c Config) maxTicks() int {
-	if c.MaxTicks > 0 {
-		return c.MaxTicks
-	}
-	return 20000
-}
 
 // NodeMetrics are one node's counters. In async mode DoneAt is the wall
 // time from start to full knowledge; in lockstep mode DoneTick is the
@@ -264,7 +230,8 @@ func DefaultInboxBuffer(n, fanout int) int {
 	return full
 }
 
-// gossiper is the per-node protocol state shared by both modes.
+// gossiper is the payload discipline of a one-shot node: what the two
+// modes do differently inside the oneShot protocol.
 type gossiper interface {
 	// absorb ingests one packet, reporting whether it was innovative.
 	// The packet is the caller's reused scratch: implementations must
@@ -302,9 +269,10 @@ func TokenVec(t token.Token) gf.BitVec {
 	return v
 }
 
-// tokenVecs flattens the run's tokens once for verification: a decoded
-// row equals its source token iff it equals the token's vector, so
-// every coded node compares words instead of rebuilding tokens.
+// tokenVecs flattens the run's tokens once, for seeding and for
+// verification: a decoded row equals its source token iff it equals
+// the token's vector, so every coded node compares words instead of
+// rebuilding tokens.
 func tokenVecs(toks []token.Token) []gf.BitVec {
 	vecs := make([]gf.BitVec, len(toks))
 	for i, t := range toks {
@@ -326,9 +294,8 @@ func VecToken(v gf.BitVec) token.Token {
 
 // codedNode gossips random linear combinations of its span.
 type codedNode struct {
-	id   int
+	nd   *Node
 	span *rlnc.Span
-	rng  *rand.Rand
 }
 
 func (c *codedNode) absorb(p *wire.Packet) bool {
@@ -345,10 +312,10 @@ func (c *codedNode) absorb(p *wire.Packet) bool {
 }
 
 func (c *codedNode) emitInto(p *wire.Packet, epoch int) bool {
-	if !c.span.RandomCombinationInto(&p.Coded, c.rng) {
+	if !c.span.RandomCombinationInto(&p.Coded, c.nd.Rng) {
 		return false
 	}
-	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeCoded, Sender: uint32(c.id), Epoch: uint32(epoch)}
+	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeCoded, Sender: uint32(c.nd.ID), Epoch: uint32(epoch)}
 	return true
 }
 
@@ -359,11 +326,11 @@ func (c *codedNode) progress() int { return c.span.Rank() }
 func (c *codedNode) verify(toks []token.Token, vecs []gf.BitVec) error {
 	rows, err := c.span.Decode()
 	if err != nil {
-		return fmt.Errorf("node %d: %w", c.id, err)
+		return fmt.Errorf("node %d: %w", c.nd.ID, err)
 	}
 	for i, row := range rows {
 		if !row.Equal(vecs[i]) {
-			return fmt.Errorf("node %d: token %d decoded to %v, want %v", c.id, i, VecToken(row).UID, toks[i].UID)
+			return fmt.Errorf("node %d: token %d decoded to %v, want %v", c.nd.ID, i, VecToken(row).UID, toks[i].UID)
 		}
 	}
 	return nil
@@ -371,10 +338,9 @@ func (c *codedNode) verify(toks []token.Token, vecs []gf.BitVec) error {
 
 // forwardNode gossips raw tokens, one random known token per packet.
 type forwardNode struct {
-	id  int
+	nd  *Node
 	k   int
 	set *token.Set
-	rng *rand.Rand
 }
 
 func (f *forwardNode) absorb(p *wire.Packet) bool {
@@ -397,8 +363,8 @@ func (f *forwardNode) emitInto(p *wire.Packet, epoch int) bool {
 	}
 	// The emitted payload aliases set storage; AppendTo copies it onto
 	// the wire before the packet scratch is reused.
-	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeToken, Sender: uint32(f.id), Epoch: uint32(epoch)}
-	p.Token = toks[f.rng.Intn(len(toks))]
+	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeToken, Sender: uint32(f.nd.ID), Epoch: uint32(epoch)}
+	p.Token = toks[f.nd.Rng.Intn(len(toks))]
 	return true
 }
 
@@ -410,8 +376,152 @@ func (f *forwardNode) verify(toks []token.Token, _ []gf.BitVec) error {
 	for _, want := range toks {
 		got, ok := f.set.Get(want.UID)
 		if !ok || !got.Equal(want) {
-			return fmt.Errorf("node %d: token %v missing or corrupted", f.id, want.UID)
+			return fmt.Errorf("node %d: token %v missing or corrupted", f.nd.ID, want.UID)
 		}
+	}
+	return nil
+}
+
+// dissemination is what the nodes of a one-shot run share: the tokens
+// to spread and who starts with which.
+type dissemination struct {
+	mode Mode
+	// n is the founding membership: token i starts at node i mod n.
+	n    int
+	toks []token.Token
+	vecs []gf.BitVec // tokenVecs(toks)
+}
+
+// oneShotEngine returns the Engine that spreads toks from n founding
+// members in the given mode, counting into the given blocks.
+func oneShotEngine(mode Mode, n int, toks []token.Token, metrics func(id int) *NodeMetrics) Engine {
+	d := &dissemination{mode: mode, n: n, toks: toks, vecs: tokenVecs(toks)}
+	return Engine{New: d.newNode, Metrics: metrics}
+}
+
+// newNode builds one node's one-shot state: a founding member is
+// seeded with its stride-n share of the tokens, a joiner starts empty.
+func (d *dissemination) newNode(nd *Node, joiner bool) Protocol {
+	k := len(d.toks)
+	o := &oneShot{nd: nd, d: d}
+	switch d.mode {
+	case Coded:
+		span := rlnc.NewSpan(k, token.UIDBits+d.toks[0].D())
+		if !joiner {
+			for j := nd.ID; j < k; j += d.n {
+				span.Add(rlnc.Encode(j, k, d.vecs[j]))
+			}
+		}
+		o.g = &codedNode{nd: nd, span: span}
+	case Forward:
+		set := token.NewSet()
+		if !joiner {
+			for j := nd.ID; j < k; j += d.n {
+				set.Add(d.toks[j])
+			}
+		}
+		o.g = &forwardNode{nd: nd, k: k, set: set}
+	}
+	nd.Publish(o.g.progress())
+	return o
+}
+
+// oneShot is the one-shot k-token Protocol: push fanout fresh packets
+// per slot until the node holds all k tokens, then keep pushing for
+// the others.
+type oneShot struct {
+	nd *Node
+	g  gossiper
+	d  *dissemination
+	// verified records that the node's complete state has been checked
+	// against the originals (see settle).
+	verified bool
+}
+
+func (o *oneShot) Start() { o.settle() }
+
+// settle verifies the node's state the moment it first holds every
+// token — a corrupt decode fails the run there, not after more gossip
+// has spread it — and never again: a complete node's state is final.
+func (o *oneShot) settle() {
+	if o.verified || !o.g.complete() {
+		return
+	}
+	o.verified = true
+	if err := o.g.verify(o.d.toks, o.d.vecs); err != nil {
+		o.nd.Fail(fmt.Errorf("cluster: verification failed: %w", err))
+	}
+}
+
+// Absorb feeds one gossip packet to the gossiper. PacketsIn counts
+// every non-hello packet, and every packet proves its sender live.
+func (o *oneShot) Absorb(p *wire.Packet) bool {
+	nd := o.nd
+	sender := int(p.Env.Sender)
+	nd.M.PacketsIn++
+	nd.View.Mark(sender, nd.Now)
+	innovative := o.g.absorb(p)
+	if innovative {
+		nd.M.Innovative++
+		nd.Publish(o.g.progress())
+		o.settle()
+	}
+	if nd.Tel != nil { // progress() is only worth computing when tracing
+		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindRecv, int64(sender), int64(p.Env.Epoch), 0)
+		c := int64(0)
+		if innovative {
+			c = 1
+		}
+		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindInsert, int64(p.Env.Epoch), int64(o.g.progress()), c)
+	}
+	return innovative
+}
+
+// Emit pushes up to Fanout fresh packets to random view peers; every
+// slot is the same, paced or not. emitInto fills the Tx scratch, Send
+// marshals it into a recycled buffer, and a refused Send returns the
+// buffer to the ring — the steady-state path touches the allocator not
+// at all.
+func (o *oneShot) Emit(bool) {
+	nd := o.nd
+	if nd.View.LiveCount() < 2 {
+		return
+	}
+	for f := 0; f < nd.Fanout; f++ {
+		if !o.g.emitInto(&nd.Tx, int(nd.M.PacketsOut)) {
+			if f == 0 {
+				nd.Announce()
+			}
+			return
+		}
+		peer := nd.Pick()
+		if peer < 0 {
+			return
+		}
+		nd.Send(peer)
+	}
+}
+
+func (o *oneShot) Done() bool { return o.g.complete() }
+
+func (o *oneShot) Progress() (rank, watermark int) { return o.g.progress(), 0 }
+
+// Restart resumes with the span or token set the node crashed with.
+func (o *oneShot) Restart() {}
+
+// validate rejects token sets and modes no one-shot run can spread.
+func validate(mode Mode, toks []token.Token) error {
+	if len(toks) < 1 {
+		return fmt.Errorf("cluster: need at least 1 token")
+	}
+	d := toks[0].D()
+	for i, t := range toks {
+		if t.D() != d {
+			return fmt.Errorf("cluster: token %d has %d payload bits, token 0 has %d", i, t.D(), d)
+		}
+	}
+	if mode != Coded && mode != Forward {
+		return fmt.Errorf("cluster: unknown mode %d", mode)
 	}
 	return nil
 }
@@ -420,8 +530,8 @@ func (f *forwardNode) verify(toks []token.Token, _ []gf.BitVec) error {
 // holds all of them (coded: full span rank; forward: full token set),
 // the context is canceled, the timeout expires, or the lockstep tick
 // cap is hit. Token i starts at node i mod n. All token payloads must
-// have the same bit length. On a completed run every live node's final
-// state is verified against the originals before Run returns.
+// have the same bit length. Every node's state is verified against the
+// originals the moment it completes; a mismatch fails the run.
 //
 // With a Churn schedule the membership is dynamic: joiners start empty
 // and bootstrap from a contact list of the nodes live at join time,
@@ -430,21 +540,11 @@ func (f *forwardNode) verify(toks []token.Token, _ []gf.BitVec) error {
 // absorbs wasted sends as drops). A run does not complete before every
 // scheduled join/restart has been applied and caught up.
 func Run(ctx context.Context, cfg Config, toks []token.Token) (*Result, error) {
-	k := len(toks)
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 node, got %d", cfg.N)
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("cluster: need at least 1 token")
-	}
-	d := toks[0].D()
-	for i, t := range toks {
-		if t.D() != d {
-			return nil, fmt.Errorf("cluster: token %d has %d payload bits, token 0 has %d", i, t.D(), d)
-		}
-	}
-	if cfg.Mode != Coded && cfg.Mode != Forward {
-		return nil, fmt.Errorf("cluster: unknown mode %d", cfg.Mode)
+	if err := validate(cfg.Mode, toks); err != nil {
+		return nil, err
 	}
 	if err := cfg.Churn.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -452,739 +552,8 @@ func Run(ctx context.Context, cfg Config, toks []token.Token) (*Result, error) {
 	if cfg.Shards > 1 && !cfg.Lockstep {
 		return nil, fmt.Errorf("cluster: Shards=%d requires Lockstep (the async driver is already concurrent)", cfg.Shards)
 	}
-
-	maxN := cfg.maxNodes()
-	fanout := cfg.fanout()
-	tr := cfg.Transport
-	if tr == nil {
-		extra := 0
-		if cfg.Churn != nil {
-			extra = 1 // hello headroom; see InboxBuffer
-		}
-		tr = NewChanTransport(maxN, DefaultInboxBuffer(maxN, fanout+extra))
-	}
-	defer tr.Close()
-
-	res := &Result{Nodes: make([]NodeMetrics, maxN)}
-	cr := &clusterRun{
-		cfg:     cfg,
-		toks:    toks,
-		tr:      tr,
-		res:     res,
-		maxN:    maxN,
-		fanout:  fanout,
-		members: make([]*member, maxN),
-		live:    make([]bool, maxN),
-		ch:      NewChurner(cfg.Churn, cfg.N, maxN, cfg.Seed),
-		exec:    shard.New(maxN, cfg.shards()),
-	}
-	if cfg.Churn.HasTargeted() {
-		cr.ranks = make([]atomic.Int64, maxN)
-		cr.ch.SetRank(func(id int) int { return int(cr.ranks[id].Load()) })
-	}
-	if cr.exec.Shards() > 1 {
-		cr.outs = make([]*Outbox, cr.exec.Shards())
-		for i := range cr.outs {
-			cr.outs[i] = &Outbox{}
-		}
-	}
-	for i := 0; i < cfg.N; i++ {
-		cr.live[i] = true
-	}
-	cr.contacts = NewContacts(cr.live, maxN)
-	cr.exec.Run(func(_, lo, hi int) {
-		for id := lo; id < min(hi, cfg.N); id++ {
-			cr.spawn(id, true, 0)
-		}
-	})
-
-	start := time.Now()
-	if cfg.Lockstep {
-		cr.runLockstep(ctx)
-	} else {
-		cr.runAsync(ctx, start)
-	}
-	res.Elapsed = time.Since(start)
-
-	for id := range res.Nodes {
-		m := &res.Nodes[id]
-		res.PacketsOut += m.PacketsOut
-		res.PacketsIn += m.PacketsIn
-		res.BitsOut += m.BitsOut
-		res.Dropped += m.Dropped
-		if m.Live {
-			res.FinalLive++
-		}
-	}
-	if res.Completed {
-		want := tokenVecs(toks)
-		for id, mb := range cr.members {
-			if mb == nil || !res.Nodes[id].Live {
-				continue
-			}
-			if err := mb.g.verify(toks, want); err != nil {
-				return res, fmt.Errorf("cluster: verification failed: %w", err)
-			}
-		}
-	}
-	return res, nil
-}
-
-// nodeIO is one node's reusable packet plumbing: a tx scratch fed by
-// emitInto, an rx scratch fed by UnmarshalInto, and the buffer ring
-// that recycles wire buffers between the node's receive and send sides.
-// Each nodeIO is owned by exactly one goroutine (see BufRing).
-type nodeIO struct {
-	tx   wire.Packet
-	rx   wire.Packet
-	ring *BufRing
-}
-
-// member bundles one node's whole runtime: the protocol gossiper, its
-// membership view, randomness, metrics and packet plumbing. Like the
-// nodeIO it wraps, a member is only ever touched by the goroutine (or
-// lockstep slot) currently driving the node, which is what keeps churn
-// restarts race-free: the old goroutine fully exits before the state
-// is handed to the next incarnation.
-type member struct {
-	id   int
-	g    gossiper
-	view *View
-	rng  *rand.Rand
-	io   nodeIO
-	m    *NodeMetrics
-	// tel traces the node's protocol events; nil is the disabled state
-	// (every recording call is a nil-receiver no-op). Owned by the same
-	// goroutine/lockstep slot as the rest of the member.
-	tel *telemetry.Recorder
-	// known optionally gates peer sampling on routability: a transport
-	// with an address book (udpnet) may know fewer peers than the view
-	// believes live, and pushing to an unroutable peer only burns the
-	// emission. Nil (every in-process run) means one Pick draw exactly,
-	// which is what keeps the lockstep golden transcripts byte-stable.
-	known func(int) bool
-	// rank, when non-nil, publishes the node's decoding progress for
-	// the targeted-crash oracle after every innovative receipt.
-	rank *atomic.Int64
-	// out, when non-nil, routes this node's emissions into its shard's
-	// private outbox instead of the transport; the sharded lockstep
-	// barrier replays them serially (see outbox.go). Nil on the async
-	// and shards=1 paths, which send inline.
-	out *Outbox
-}
-
-// pick samples a live peer for an emission. With a known gate it
-// redraws a bounded number of times to land on a routable peer,
-// returning -1 when the book is still too empty; without one it is
-// exactly one View.Pick draw.
-func (mb *member) pick(now int64) int {
-	peer := mb.view.Pick(mb.rng, now)
-	if mb.known == nil {
-		return peer
-	}
-	for tries := 0; tries < 4 && peer >= 0 && !mb.known(peer); tries++ {
-		peer = mb.view.Pick(mb.rng, now)
-	}
-	if peer >= 0 && !mb.known(peer) {
-		return -1
-	}
-	return peer
-}
-
-// clusterRun is the shared run state of both drivers: the member table
-// (indexed by node id, nil until spawned), the live set, and the
-// churner applying the membership script.
-type clusterRun struct {
-	cfg     Config
-	toks    []token.Token
-	tr      Transport
-	res     *Result
-	maxN    int
-	fanout  int
-	members []*member
-	live    []bool
-	ch      *Churner
-	// ranks backs the targeted-crash rank oracle (ChurnCrashMax /
-	// ChurnCrashFrontier): each member publishes its decoding progress
-	// here on every innovative receipt, and the churner reads it when
-	// selecting victims — atomically, because the async churn
-	// controller runs on its own goroutine. Nil unless the schedule
-	// HasTargeted, so untargeted runs pay nothing.
-	ranks []atomic.Int64
-	// exec partitions the id space for the initial spawn and the
-	// lockstep driver's parallel phases (a single shard in async mode);
-	// outs holds one private outbox per shard, nil when exec has a single
-	// shard (serial engine, inline sends).
-	exec *shard.Executor
-	outs []*Outbox
-	// contacts is the live set of the current spawn batch, rebuilt
-	// whenever the churner has flipped cr.live.
-	contacts Contacts
-}
-
-// newMember builds one node's full runtime state independent of any
-// driver: the gossiper (seeded with its stride-n share of the tokens
-// when seedTokens), a view marking every id flagged in live, the
-// node's seeded rng, and the buffer-ring packet plumbing. Both the
-// in-process drivers (via spawn) and the multi-process single-node
-// runtime (RunSingle) construct nodes through here, so the state —
-// including the rng derivation that the lockstep golden transcripts
-// pin — cannot drift between them.
-func newMember(mode Mode, seed int64, toks []token.Token, id, n int, seedTokens bool, contacts Contacts, now int64, m *NodeMetrics, tel *telemetry.Recorder) *member {
-	k := len(toks)
-	d := toks[0].D()
-	rng := rand.New(rand.NewSource(seed + 7919*int64(id) + 1))
-	var g gossiper
-	switch mode {
-	case Coded:
-		span := rlnc.NewSpan(k, token.UIDBits+d)
-		if seedTokens {
-			for j := id; j < k; j += n {
-				span.Add(rlnc.Encode(j, k, TokenVec(toks[j])))
-			}
-		}
-		g = &codedNode{id: id, span: span, rng: rng}
-	case Forward:
-		set := token.NewSet()
-		if seedTokens {
-			for j := id; j < k; j += n {
-				set.Add(toks[j])
-			}
-		}
-		g = &forwardNode{id: id, k: k, set: set, rng: rng}
-	}
-	mb := &member{id: id, g: g, view: contacts.View(id, now), rng: rng, m: m, tel: tel}
-	mb.io.ring = NewBufRing(DefaultRingCap)
-	mb.m.Spawned = true
-	mb.m.Live = true
-	return mb
-}
-
-// spawn builds (or wipes) the member for id. Initial members seed
-// their share of the tokens; joiners start empty. The view is a copy of
-// cr.contacts, the nodes live when the batch applied — a joiner's
-// contact list. It touches per-id state only, so the initial batch
-// spawns under cr.exec.
-func (cr *clusterRun) spawn(id int, seedTokens bool, now int64) *member {
-	mb := newMember(cr.cfg.Mode, cr.cfg.Seed, cr.toks, id, cr.cfg.N, seedTokens, cr.contacts, now, &cr.res.Nodes[id], cr.cfg.Telemetry)
-	if cr.ranks != nil {
-		mb.rank = &cr.ranks[id]
-		mb.rank.Store(int64(mb.g.progress()))
-	}
-	if cr.outs != nil {
-		mb.out = cr.outs[cr.exec.ShardOf(id)]
-	}
-	cr.members[id] = mb
-	return mb
-}
-
-// recv decodes one drained inbox buffer into the member's rx scratch,
-// folds membership information out of it (every packet proves its
-// sender live; hellos carry views and leave announcements), and feeds
-// gossip packets to the gossiper. It reports innovation. PacketsIn
-// counts gossip payload packets only — hellos are control traffic,
-// visible in the metrics as HellosOut plus their BitsOut, so the
-// in/out packet counters reconcile under churn.
-func (mb *member) recv(raw []byte, now int64) bool {
-	if !DecodeRecycle(&mb.io.rx, mb.io.ring, raw) {
-		return false
-	}
-	p := &mb.io.rx
-	sender := int(p.Env.Sender)
-	if p.Env.Type == wire.TypeHello {
-		if p.Hello.Leaving {
-			mb.tel.Event(mb.id, now, telemetry.KindRecvHello, int64(sender), 1, 0)
-			mb.view.Remove(sender)
-			return false
-		}
-		mb.tel.Event(mb.id, now, telemetry.KindRecvHello, int64(sender), 0, 0)
-		mb.view.Mark(sender, now)
-		for _, pid := range p.Hello.Peers {
-			// Third-party introductions never refresh a known peer's
-			// stamp (see View.Introduce).
-			mb.view.Introduce(int(pid), now)
-		}
-		return false
-	}
-	mb.m.PacketsIn++
-	mb.view.Mark(sender, now)
-	innovative := mb.g.absorb(p)
-	if innovative && mb.rank != nil {
-		mb.rank.Store(int64(mb.g.progress()))
-	}
-	if mb.tel != nil { // progress() is only worth computing when tracing
-		mb.tel.Event(mb.id, now, telemetry.KindRecv, int64(sender), int64(p.Env.Epoch), 0)
-		c := int64(0)
-		if innovative {
-			c = 1
-		}
-		mb.tel.Event(mb.id, now, telemetry.KindInsert, int64(p.Env.Epoch), int64(mb.g.progress()), c)
-	}
-	return innovative
-}
-
-// emit pushes up to fanout fresh packets to random view peers: emitInto
-// fills the tx scratch, AppendTo marshals it into a recycled buffer,
-// and a dropped Send returns the buffer to the ring — the steady-state
-// path touches the allocator not at all. A member with nothing to
-// gossip yet (a joiner before its first packet) instead announces
-// itself to one random peer when churn is on, so peers learn to push
-// to it even if its join-time hello burst was lost.
-func (mb *member) emit(tr Transport, fanout int, now int64, churn bool) {
-	if mb.view.LiveCount() < 2 {
-		return
-	}
-	for f := 0; f < fanout; f++ {
-		if !mb.g.emitInto(&mb.io.tx, int(mb.m.PacketsOut)) {
-			if f == 0 && churn {
-				if peer := mb.pick(now); peer >= 0 {
-					mb.sendHello(tr, peer, now, mb.buildHello(false))
-				}
-			}
-			return
-		}
-		peer := mb.pick(now)
-		if peer < 0 {
-			return
-		}
-		mb.m.PacketsOut++
-		bits := int64(mb.io.tx.Bits())
-		mb.m.BitsOut += bits
-		buf := mb.io.tx.AppendTo(mb.io.ring.Get()[:0])
-		if mb.out != nil {
-			// Sharded emit phase: counters and bytes are per-node state,
-			// captured here in parallel; the Send and its telemetry happen
-			// at the serial barrier, in the serial driver's order.
-			mb.out.Add(OutEntry{From: mb.id, To: peer, Kind: OutData,
-				Arg: int64(mb.io.tx.Env.Epoch), Bits: bits, Buf: buf})
-			continue
-		}
-		mb.tel.Event(mb.id, now, telemetry.KindSend, int64(peer), int64(mb.io.tx.Env.Epoch), bits)
-		if !tr.Send(mb.id, peer, buf) {
-			mb.m.Dropped++
-			mb.tel.Event(mb.id, now, telemetry.KindDrop, int64(peer), 0, 0)
-			mb.io.ring.Put(buf)
-		}
-	}
-}
-
-// sample records one telemetry time-series point for the node: rank
-// progress, inbox backlog, live-view size. A no-op without a recorder.
-func (mb *member) sample(tr Transport, now int64) {
-	if mb.tel == nil {
-		return
-	}
-	mb.tel.Sample(mb.id, now, mb.g.progress(), 0, len(tr.Recv(mb.id)), mb.view.LiveCount())
-}
-
-// buildHello fills the tx scratch with a membership announcement
-// carrying the member's current live view and returns it marshalled
-// into a ring buffer.
-func (mb *member) buildHello(leaving bool) []byte {
-	tx := &mb.io.tx
-	tx.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeHello, Sender: uint32(mb.id), Epoch: 0}
-	tx.Hello.Leaving = leaving
-	tx.Hello.Peers = mb.view.AppendPeers(tx.Hello.Peers[:0])
-	return tx.AppendTo(mb.io.ring.Get()[:0])
-}
-
-// sendHello sends buf — the tx scratch's hello as marshalled by
-// buildHello, or a copy of it — to one peer, with the usual ring-buffer
-// recycling. Ownership of buf passes to the transport.
-func (mb *member) sendHello(tr Transport, peer int, now int64, buf []byte) {
-	mb.m.HellosOut++
-	mb.m.BitsOut += int64(mb.io.tx.Bits())
-	leaving := int64(0)
-	if mb.io.tx.Hello.Leaving {
-		leaving = 1
-	}
-	if mb.out != nil {
-		mb.out.Add(OutEntry{From: mb.id, To: peer, Kind: OutHello, Arg: leaving, Buf: buf})
-		return
-	}
-	mb.tel.Event(mb.id, now, telemetry.KindSendHello, int64(peer), leaving, 0)
-	if !tr.Send(mb.id, peer, buf) {
-		mb.m.Dropped++
-		mb.tel.Event(mb.id, now, telemetry.KindDrop, int64(peer), 0, 0)
-		mb.io.ring.Put(buf)
-	}
-}
-
-// helloAll announces to every peer currently in the view: the
-// join/restart introduction burst, or the graceful-leave goodbye.
-//
-// It always sends inline, even on a sharded run: helloAll only runs
-// from the serial churn phase (lockstep) or the async drivers, and the
-// serial engine delivers churn-phase hellos to inboxes drained the
-// same tick — routing them through the shard outbox would defer them
-// past the drain and change the transcript.
-//
-// The burst is marshalled once; each recipient gets its own exact-size
-// copy, never a shared slice, because a buffer handed to Send has one
-// owner from then on: middleware may rewrite it in place (hostile's
-// mutator flips bits) and the receiver recycles it into its own ring.
-func (mb *member) helloAll(tr Transport, leaving bool, now int64) {
-	out := mb.out
-	mb.out = nil
-	defer func() { mb.out = out }()
-	msg := mb.buildHello(leaving)
-	for _, pid := range mb.io.tx.Hello.Peers {
-		if int(pid) != mb.id {
-			mb.sendHello(tr, int(pid), now, slices.Clone(msg))
-		}
-	}
-	mb.io.ring.Put(msg)
-}
-
-// applyLockstep executes one churn operation under the lockstep
-// driver. The churner has already flipped cr.live.
-func (cr *clusterRun) applyLockstep(op ChurnOp, tick int) {
-	m := &cr.res.Nodes[op.ID]
-	tel := cr.cfg.Telemetry
-	switch op.Kind {
-	case ChurnJoin, ChurnRejoin:
-		mb := cr.spawn(op.ID, false, int64(tick))
-		m.Done = false
-		m.DoneTick = 0
-		m.JoinTick = tick
-		tel.Event(op.ID, int64(tick), telemetry.KindJoin, 0, 0, 0)
-		mb.helloAll(cr.tr, false, int64(tick))
-	case ChurnRestart:
-		mb := cr.members[op.ID]
-		m.Live = true
-		m.JoinTick = tick
-		tel.Event(op.ID, int64(tick), telemetry.KindRestart, 0, 0, 0)
-		mb.helloAll(cr.tr, false, int64(tick))
-	case ChurnLeave:
-		tel.Event(op.ID, int64(tick), telemetry.KindLeave, 0, 0, 0)
-		cr.members[op.ID].helloAll(cr.tr, true, int64(tick))
-		m.Live = false
-	case ChurnCrash:
-		tel.Event(op.ID, int64(tick), telemetry.KindCrash, 0, 0, 0)
-		m.Live = false
-	}
-}
-
-// runLockstep is the deterministic driver: per tick, churn events
-// apply, every live node drains its inbox in id order, completion is
-// recorded, then every live node emits. With a seeded Config the whole
-// run — middleware coin flips, churn victims, everything — is a pure
-// function of the seed; context cancellation (checked once per tick)
-// only ever cuts a run short, it cannot change the ticks that did
-// execute.
-//
-// With Config.Shards > 1 the per-node phases (telemetry sampling,
-// inbox drain, emission) fan out across cr.exec's workers — each
-// touches only state owned by its id range — while everything
-// order-sensitive stays serial at the barriers: tick observation,
-// churn, the completion scan, and the outbox replay that performs the
-// actual Sends in ascending id order (see outbox.go). The phase
-// boundaries are identical at every shard count, which is what the
-// bit-equality property tests pin.
-func (cr *clusterRun) runLockstep(ctx context.Context) {
-	cfg, res := cr.cfg, cr.res
-	complete := func(tick int) bool {
-		all := true
-		for id, mb := range cr.members {
-			if mb == nil {
-				continue
-			}
-			m := &res.Nodes[id]
-			if !m.Done && mb.g.complete() {
-				m.Done = true
-				m.DoneTick = tick
-			}
-			if cr.live[id] {
-				all = all && m.Done
-			}
-		}
-		return all && !cr.ch.PendingAdds()
-	}
-	if complete(0) {
-		res.Completed = true
-		return
-	}
-	for tick := 1; tick <= cfg.maxTicks(); tick++ {
-		select {
-		case <-ctx.Done():
-			res.Ticks = tick - 1
-			return
-		default:
-		}
-		ObserveTick(cr.tr, int64(tick))
-		if ops := cr.ch.PopUntil(tick, cr.live); len(ops) > 0 {
-			cr.contacts = NewContacts(cr.live, cr.maxN)
-			for _, op := range ops {
-				cr.applyLockstep(op, tick)
-			}
-		}
-		cr.exec.Run(func(_, lo, hi int) {
-			if cr.cfg.Telemetry != nil {
-				// Sample before the drain so inbox depth shows the backlog
-				// queued by the previous emit phase.
-				for id := lo; id < hi; id++ {
-					if mb := cr.members[id]; mb != nil && cr.live[id] {
-						cr.cfg.Telemetry.SampleTick(id, int64(tick),
-							mb.g.progress(), 0, len(cr.tr.Recv(id)), mb.view.LiveCount())
-					}
-				}
-			}
-			for id := lo; id < hi; id++ {
-				mb := cr.members[id]
-				if mb == nil || !cr.live[id] {
-					continue
-				}
-				m := &res.Nodes[id]
-				inbox := cr.tr.Recv(id)
-				for drained := false; !drained; {
-					select {
-					case raw := <-inbox:
-						if mb.recv(raw, int64(tick)) {
-							m.Innovative++
-						}
-					default:
-						drained = true
-					}
-				}
-			}
-		})
-		if complete(tick) {
-			res.Completed = true
-			res.Ticks = tick
-			return
-		}
-		cr.exec.Run(func(_, lo, hi int) {
-			for id := lo; id < hi; id++ {
-				if mb := cr.members[id]; mb != nil && cr.live[id] {
-					mb.emit(cr.tr, cr.fanout, int64(tick), cr.ch != nil)
-				}
-			}
-		})
-		cr.flushOutboxes(int64(tick))
-	}
-	res.Ticks = cfg.maxTicks()
-}
-
-// flushOutboxes is the exchange barrier of a sharded tick: it replays
-// every shard's deferred emissions against the real transport in
-// (shard, node id, emission order) order — ascending node id, exactly
-// the serial driver's send order — performing the middleware-visible
-// Send, the send/drop telemetry, and the drop accounting that could
-// not run in parallel. A no-op on the serial engine (outs is nil).
-func (cr *clusterRun) flushOutboxes(now int64) {
-	for _, ob := range cr.outs {
-		for _, e := range ob.Entries() {
-			mb := cr.members[e.From]
-			switch e.Kind {
-			case OutData:
-				mb.tel.Event(e.From, now, telemetry.KindSend, int64(e.To), e.Arg, e.Bits)
-			case OutHello:
-				mb.tel.Event(e.From, now, telemetry.KindSendHello, int64(e.To), e.Arg, 0)
-			}
-			if !cr.tr.Send(e.From, e.To, e.Buf) {
-				mb.m.Dropped++
-				mb.tel.Event(e.From, now, telemetry.KindDrop, int64(e.To), 0, 0)
-				mb.io.ring.Put(e.Buf)
-			}
-		}
-		ob.Reset()
-	}
-}
-
-// batchAdds reports whether a popped churn batch contains any
-// membership-adding operation (join, restart, rejoin).
-func batchAdds(ops []ChurnOp) bool {
-	for _, op := range ops {
-		switch op.Kind {
-		case ChurnJoin, ChurnRestart, ChurnRejoin:
-			return true
-		}
-	}
-	return false
-}
-
-// tracker is the async drivers' completion accounting, redesigned for
-// a changing population: instead of a fixed countdown it re-evaluates
-// "is every live node done, with no membership additions pending"
-// under one mutex, which node goroutines update on completion and the
-// churn controller updates on every membership change.
-type tracker struct {
-	mu          sync.Mutex
-	res         *Result
-	live        []bool
-	addsPending bool
-	allDone     chan struct{}
-	closed      bool
-}
-
-func (t *tracker) markDone(id int, g gossiper, at time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	m := &t.res.Nodes[id]
-	if m.Done || !g.complete() {
-		return
-	}
-	m.Done = true
-	m.DoneAt = at
-	t.check()
-}
-
-// check closes allDone when the run is complete. Callers hold mu.
-func (t *tracker) check() {
-	if t.closed || t.addsPending {
-		return
-	}
-	for id, l := range t.live {
-		if l && !t.res.Nodes[id].Done {
-			return
-		}
-	}
-	t.closed = true
-	close(t.allDone)
-}
-
-// runAsync is the goroutine-per-node execution: ticker-paced emission
-// plus an immediate push after every innovative receipt, with a churn
-// controller goroutine applying membership events at At×Interval wall
-// offsets — canceling crashed/leaving nodes (and joining on their
-// exit before flipping liveness, so member state never has two
-// owners) and spawning joiners.
-func (cr *clusterRun) runAsync(ctx context.Context, start time.Time) {
-	cfg := cr.cfg
-	ctx, cancel := context.WithTimeout(ctx, cfg.timeout())
-	defer cancel()
-
-	tk := &tracker{res: cr.res, live: cr.live, addsPending: cr.ch.PendingAdds(), allDone: make(chan struct{})}
-	cancels := make([]context.CancelFunc, cr.maxN)
-	exited := make([]chan struct{}, cr.maxN)
-	var leaving []atomic.Bool
-	if cr.ch != nil {
-		leaving = make([]atomic.Bool, cr.maxN)
-	}
-
-	var wg sync.WaitGroup
-	spawnNode := func(id int, announce bool) {
-		nodeCtx, nodeCancel := context.WithCancel(ctx)
-		cancels[id] = nodeCancel
-		stop := make(chan struct{})
-		exited[id] = stop
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(stop)
-			mb := cr.members[id]
-			m := mb.m
-			now := func() int64 { return int64(time.Since(start)) }
-			if announce {
-				mb.helloAll(cr.tr, false, now())
-			}
-			markDone := func() { tk.markDone(id, mb.g, time.Since(start)) }
-			markDone() // n == 1 or a node seeded with everything
-			emit := func() { mb.emit(cr.tr, cr.fanout, now(), cr.ch != nil) }
-			ticker := time.NewTicker(cfg.interval())
-			defer ticker.Stop()
-			for {
-				select {
-				case <-nodeCtx.Done():
-					if leaving != nil && leaving[id].Load() {
-						mb.helloAll(cr.tr, true, now())
-					}
-					return
-				case raw := <-cr.tr.Recv(id):
-					if mb.recv(raw, now()) {
-						m.Innovative++
-						markDone()
-						emit()
-					}
-				case <-ticker.C:
-					mb.sample(cr.tr, now())
-					emit()
-				}
-			}
-		}()
-	}
-	for id := 0; id < cfg.N; id++ {
-		spawnNode(id, false)
-	}
-
-	if cr.ch != nil {
-		wg.Add(1)
-		go func() { // churn controller
-			defer wg.Done()
-			for {
-				at, ok := cr.ch.NextAt()
-				if !ok {
-					return
-				}
-				timer := time.NewTimer(time.Until(start.Add(time.Duration(at) * cfg.interval())))
-				select {
-				case <-ctx.Done():
-					timer.Stop()
-					return
-				case <-timer.C:
-				}
-				tk.mu.Lock()
-				ops := append([]ChurnOp(nil), cr.ch.PopUntil(at, tk.live)...)
-				// Completion stays blocked until this batch's adds are
-				// applied too: PopUntil already flipped liveness, but a
-				// restart/rejoin below must reset its node's stale Done
-				// before any check() may trust the live set.
-				tk.addsPending = cr.ch.PendingAdds() || batchAdds(ops)
-				cr.contacts = NewContacts(cr.live, cr.maxN)
-				tk.mu.Unlock()
-				for _, op := range ops {
-					m := &cr.res.Nodes[op.ID]
-					// Churn events are recorded here, where the node's
-					// goroutine is provably not running (after its exit, or
-					// before its spawn), preserving single-owner rings.
-					tel := cr.cfg.Telemetry
-					switch op.Kind {
-					case ChurnCrash, ChurnLeave:
-						if op.Kind == ChurnLeave {
-							leaving[op.ID].Store(true)
-						}
-						cancels[op.ID]()
-						<-exited[op.ID]
-						leaving[op.ID].Store(false)
-						if op.Kind == ChurnLeave {
-							tel.Event(op.ID, int64(time.Since(start)), telemetry.KindLeave, 0, 0, 0)
-						} else {
-							tel.Event(op.ID, int64(time.Since(start)), telemetry.KindCrash, 0, 0, 0)
-						}
-						tk.mu.Lock()
-						m.Live = false
-						tk.check()
-						tk.mu.Unlock()
-					case ChurnJoin, ChurnRejoin:
-						tk.mu.Lock()
-						cr.spawn(op.ID, false, int64(time.Since(start)))
-						m.Done = false
-						m.JoinAt = time.Since(start)
-						tk.mu.Unlock()
-						tel.Event(op.ID, int64(time.Since(start)), telemetry.KindJoin, 0, 0, 0)
-						spawnNode(op.ID, true)
-					case ChurnRestart:
-						tk.mu.Lock()
-						m.Live = true
-						m.JoinAt = time.Since(start)
-						tk.mu.Unlock()
-						tel.Event(op.ID, int64(time.Since(start)), telemetry.KindRestart, 0, 0, 0)
-						spawnNode(op.ID, true)
-					}
-				}
-				tk.mu.Lock()
-				tk.addsPending = cr.ch.PendingAdds()
-				tk.check() // e.g. a restarted already-done node closes the run
-				tk.mu.Unlock()
-			}
-		}()
-	}
-
-	select {
-	case <-tk.allDone:
-		cr.res.Completed = true
-	case <-ctx.Done():
-	}
-	cancel()
-	wg.Wait()
+	nodes := make([]NodeMetrics, cfg.maxNodes())
+	res, err := oneShotEngine(cfg.Mode, cfg.N, toks, func(id int) *NodeMetrics { return &nodes[id] }).Run(ctx, cfg)
+	res.Nodes = nodes
+	return res, err
 }

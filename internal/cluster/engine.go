@@ -1,0 +1,638 @@
+package cluster
+
+import (
+	"context"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/shard"
+	"repro/internal/telemetry"
+)
+
+// Engine runs a Protocol: it is the set-up, the two in-process drivers
+// (Run: deterministic lockstep, or a goroutine per node) and the
+// one-process-per-node loop (RunSingle) that one-shot gossip and the
+// stream share. Callers validate their own configuration first; the
+// engine resolves defaults and drives.
+type Engine struct {
+	// New builds the protocol state of a freshly spawned node. A joiner
+	// starts empty and catches up from gossip; everyone else is a
+	// founding member holding its share of the source.
+	New func(nd *Node, joiner bool) Protocol
+	// Metrics returns node id's shared counter block, which the caller
+	// owns (it is part of the caller's Result) and which must stay put
+	// for the whole run.
+	Metrics func(id int) *NodeMetrics
+	// Control is how many packets a node sends per tick besides its
+	// Fanout data packets (the stream's one ack); it only sizes the
+	// default transport's inboxes.
+	Control int
+	// SuspectTicks, when positive, turns on silence-based suspicion in
+	// every view (View.SuspectAfter) at that many lockstep ticks, or
+	// that many Intervals under the async driver.
+	SuspectTicks int
+}
+
+// orDefault resolves a "zero means default" configuration value.
+func orDefault[T int | time.Duration](v, def T) T {
+	if v > 0 {
+		return v
+	}
+	return def
+}
+
+// run is the state of one in-process run, shared by both drivers: the
+// node table (indexed by id, nil until spawned), the live set, and the
+// churner applying the membership script.
+type run struct {
+	eng   Engine
+	cfg   Config // defaults resolved
+	tr    Transport
+	res   *Result
+	maxN  int
+	nodes []*Node
+	live  []bool
+	ch    *churner
+	// ranks backs the targeted-crash oracle (ChurnCrashMax /
+	// ChurnCrashFrontier): each node publishes its progress here and the
+	// churner reads it when selecting victims — atomically, because the
+	// async churn controller runs on its own goroutine. Nil unless the
+	// schedule HasTargeted, so untargeted runs pay nothing.
+	ranks []atomic.Int64
+	// exec partitions the id space for the initial spawn and the
+	// lockstep driver's parallel phases (a single shard in async mode);
+	// outs holds one private outbox per shard, nil when exec has a single
+	// shard (serial engine, inline sends).
+	exec *shard.Executor
+	outs []*outbox
+	// contacts is the live set of the current spawn batch, rebuilt
+	// whenever the churner has flipped live.
+	contacts     contacts
+	suspectAfter int64
+}
+
+// Run drives cfg's membership through one run of the protocol until
+// every live node is Done (and every scheduled join/restart has been
+// applied and caught up), a node fails, the context is canceled, the
+// timeout expires or the lockstep tick cap is hit. It closes the
+// transport before returning. The Result carries the run-level fields
+// and the aggregates over the shared counters; Nodes is the caller's.
+func (e Engine) Run(ctx context.Context, cfg Config) (*Result, error) {
+	cfg.Fanout = orDefault(cfg.Fanout, 2)
+	cfg.Interval = orDefault(cfg.Interval, 500*time.Microsecond)
+	cfg.Timeout = orDefault(cfg.Timeout, 30*time.Second)
+	cfg.MaxTicks = orDefault(cfg.MaxTicks, 20000)
+
+	maxN := cfg.maxNodes()
+	tr := cfg.Transport
+	if tr == nil {
+		perTick := cfg.Fanout + e.Control
+		if cfg.Churn != nil {
+			perTick++ // hello headroom; see InboxBuffer
+		}
+		tr = NewChanTransport(maxN, DefaultInboxBuffer(maxN, perTick))
+	}
+	defer tr.Close()
+
+	r := &run{
+		eng:   e,
+		cfg:   cfg,
+		tr:    tr,
+		res:   &Result{},
+		maxN:  maxN,
+		nodes: make([]*Node, maxN),
+		live:  make([]bool, maxN),
+		ch:    newChurner(cfg.Churn, cfg.N, maxN, cfg.Seed),
+		exec:  shard.New(maxN, cfg.Shards),
+	}
+	if cfg.Lockstep {
+		r.suspectAfter = int64(e.SuspectTicks)
+	} else {
+		r.suspectAfter = int64(time.Duration(e.SuspectTicks) * cfg.Interval)
+	}
+	if cfg.Churn.HasTargeted() {
+		r.ranks = make([]atomic.Int64, maxN)
+		r.ch.setRank(func(id int) int { return int(r.ranks[id].Load()) })
+	}
+	if r.exec.Shards() > 1 {
+		r.outs = make([]*outbox, r.exec.Shards())
+		for i := range r.outs {
+			r.outs[i] = &outbox{}
+		}
+	}
+	for i := 0; i < cfg.N; i++ {
+		r.live[i] = true
+	}
+	r.contacts = newContacts(r.live, maxN)
+	// Spawning touches per-id state only, so the initial batch runs
+	// under exec: shard-count bit-identity holds by construction.
+	r.exec.Run(func(_, lo, hi int) {
+		for id := lo; id < min(hi, cfg.N); id++ {
+			r.spawn(id, false, 0)
+		}
+	})
+
+	start := time.Now()
+	var err error
+	if cfg.Lockstep {
+		err = r.runLockstep(ctx)
+	} else {
+		err = r.runAsync(ctx, start)
+	}
+	res := r.res
+	res.Elapsed = time.Since(start)
+	for id := 0; id < maxN; id++ {
+		m := e.Metrics(id)
+		res.PacketsOut += m.PacketsOut
+		res.PacketsIn += m.PacketsIn
+		res.BitsOut += m.BitsOut
+		res.Dropped += m.Dropped
+		if m.Live {
+			res.FinalLive++
+		}
+	}
+	return res, err
+}
+
+// spawn builds (or rebuilds, wiping it) node id. Its view is a copy of
+// r.contacts, the nodes live when the batch applied — a joiner's
+// contact list.
+func (r *run) spawn(id int, joiner bool, now int64) *Node {
+	nd := newNode(id, r.cfg.Seed, r.cfg.Fanout, r.contacts.view(id, now), r.tr, r.eng.Metrics(id), r.cfg.Telemetry)
+	// Suspicion is set before any mark can deviate from the shared
+	// stamp (see View).
+	nd.View.SuspectAfter = r.suspectAfter
+	nd.Now = now
+	nd.churn = r.cfg.Churn != nil
+	if r.ranks != nil {
+		nd.rank = &r.ranks[id]
+	}
+	if r.outs != nil {
+		nd.out = r.outs[r.exec.ShardOf(id)]
+	}
+	nd.proto = r.eng.New(nd, joiner)
+	r.nodes[id] = nd
+	return nd
+}
+
+func (r *run) firstErr() error {
+	for _, nd := range r.nodes {
+		if nd != nil && nd.err != nil {
+			return nd.err
+		}
+	}
+	return nil
+}
+
+// applyLockstep executes one churn operation under the lockstep
+// driver. The churner has already flipped r.live.
+func (r *run) applyLockstep(op churnOp, tick int) {
+	m := r.eng.Metrics(op.ID)
+	tel := r.cfg.Telemetry
+	now := int64(tick)
+	switch op.Kind {
+	case ChurnJoin, ChurnRejoin:
+		nd := r.spawn(op.ID, true, now)
+		m.Done = false
+		m.DoneTick = 0
+		m.JoinTick = tick
+		tel.Event(op.ID, now, telemetry.KindJoin, 0, 0, 0)
+		nd.helloAll(false)
+		nd.proto.Start()
+	case ChurnRestart:
+		nd := r.nodes[op.ID]
+		nd.Now = now
+		nd.proto.Restart()
+		m.Live = true
+		m.JoinTick = tick
+		tel.Event(op.ID, now, telemetry.KindRestart, 0, 0, 0)
+		nd.helloAll(false)
+		nd.proto.Start()
+	case ChurnLeave:
+		nd := r.nodes[op.ID]
+		nd.Now = now
+		tel.Event(op.ID, now, telemetry.KindLeave, 0, 0, 0)
+		// The goodbye goes out while the leaver still counts as live.
+		nd.helloAll(true)
+		m.Live = false
+	case ChurnCrash:
+		tel.Event(op.ID, now, telemetry.KindCrash, 0, 0, 0)
+		m.Live = false
+	}
+}
+
+// runLockstep is the deterministic driver: per tick, churn events
+// apply, every live node drains its inbox in id order, completion is
+// recorded, then every live node spends one full emission slot. With a
+// seeded Config the whole run — middleware coin flips, churn victims,
+// everything — is a pure function of the seed; context cancellation
+// (checked once per tick) only ever cuts a run short, it cannot change
+// the ticks that did execute.
+//
+// With Config.Shards > 1 the per-node phases (telemetry sampling,
+// inbox drain, emission) fan out across r.exec's workers — each
+// touches only state owned by its id range — while everything
+// order-sensitive stays serial at the barriers: tick observation,
+// churn, the completion scan, and the outbox replay that performs the
+// actual Sends in ascending id order (see outbox.go). The phase
+// boundaries are identical at every shard count, which is what the
+// bit-equality property tests pin.
+func (r *run) runLockstep(ctx context.Context) error {
+	res := r.res
+	complete := func(tick int) bool {
+		all := true
+		for id, nd := range r.nodes {
+			if nd == nil {
+				continue
+			}
+			if !nd.M.Done && nd.proto.Done() {
+				nd.M.Done = true
+				nd.M.DoneTick = tick
+			}
+			if r.live[id] {
+				all = all && nd.M.Done
+			}
+		}
+		// A pending add still has catching up to do.
+		return all && !r.ch.pendingAdds()
+	}
+
+	for _, nd := range r.nodes {
+		if nd != nil {
+			nd.proto.Start()
+		}
+	}
+	if err := r.firstErr(); err != nil {
+		return err
+	}
+	if complete(0) {
+		res.Completed = true
+		return nil
+	}
+	for tick := 1; tick <= r.cfg.MaxTicks; tick++ {
+		select {
+		case <-ctx.Done():
+			res.Ticks = tick - 1
+			return nil
+		default:
+		}
+		now := int64(tick)
+		ObserveTick(r.tr, now)
+		if ops := r.ch.popUntil(tick, r.live); len(ops) > 0 {
+			r.contacts = newContacts(r.live, r.maxN)
+			for _, op := range ops {
+				r.applyLockstep(op, tick)
+			}
+		}
+		r.exec.Run(func(_, lo, hi int) {
+			for id := lo; id < hi; id++ {
+				nd := r.nodes[id]
+				if nd == nil || !r.live[id] {
+					continue
+				}
+				nd.Now = now
+				// Sample before the drain so inbox depth shows the backlog
+				// queued by the previous emit phase.
+				nd.sample(true)
+				inbox := r.tr.Recv(id)
+				for drained := false; !drained; {
+					select {
+					case raw := <-inbox:
+						nd.recv(raw)
+					default:
+						drained = true
+					}
+				}
+			}
+		})
+		if err := r.firstErr(); err != nil {
+			return err
+		}
+		if complete(tick) {
+			res.Completed = true
+			res.Ticks = tick
+			return nil
+		}
+		r.exec.Run(func(_, lo, hi int) {
+			for id := lo; id < hi; id++ {
+				if nd := r.nodes[id]; nd != nil && r.live[id] {
+					nd.proto.Emit(true)
+				}
+			}
+		})
+		r.flushOutboxes(now)
+		if err := r.firstErr(); err != nil {
+			return err
+		}
+	}
+	res.Ticks = r.cfg.MaxTicks
+	return nil
+}
+
+// flushOutboxes is the exchange barrier of a sharded tick: it replays
+// every shard's deferred emissions against the real transport in
+// (shard, node id, emission order) order — ascending node id, exactly
+// the serial driver's send order. A no-op on the serial engine (outs
+// is nil).
+func (r *run) flushOutboxes(now int64) {
+	for _, ob := range r.outs {
+		for _, e := range ob.entries {
+			r.nodes[e.from].transmit(now, e.to, e.kind, e.arg, e.bits, e.buf)
+		}
+		ob.reset()
+	}
+}
+
+// batchAdds reports whether a popped churn batch contains any
+// membership-adding operation (join, restart, rejoin).
+func batchAdds(ops []churnOp) bool {
+	for _, op := range ops {
+		switch op.Kind {
+		case ChurnJoin, ChurnRestart, ChurnRejoin:
+			return true
+		}
+	}
+	return false
+}
+
+// tracker is the async driver's completion accounting for a changing
+// population: instead of a fixed countdown it re-evaluates "is every
+// live node done, with no membership additions pending" under one
+// mutex, which node goroutines update on completion and the churn
+// controller updates on every membership change.
+type tracker struct {
+	mu          sync.Mutex
+	nodes       []*Node
+	live        []bool
+	addsPending bool
+	allDone     chan struct{}
+	closed      bool
+}
+
+func (t *tracker) markDone(nd *Node, at time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if nd.M.Done || !nd.proto.Done() {
+		return
+	}
+	nd.M.Done = true
+	nd.M.DoneAt = at
+	t.check()
+}
+
+// check closes allDone when the run is complete. Callers hold mu.
+func (t *tracker) check() {
+	if t.closed || t.addsPending {
+		return
+	}
+	for id, l := range t.live {
+		if l && !t.nodes[id].M.Done {
+			return
+		}
+	}
+	t.closed = true
+	close(t.allDone)
+}
+
+// loop is one node's life as a goroutine of the async driver or as a
+// process of its own: ticker-paced full emission slots plus an
+// immediate data push after every packet that made progress. settle
+// runs on the node's goroutine after Start and after every state
+// change; it records completion, and the channel it returns (nil:
+// never) ends the loop when it fires. The loop also ends with ctx, or
+// with the node's failure.
+func (nd *Node) loop(ctx context.Context, start time.Time, interval time.Duration, settle func() <-chan time.Time) error {
+	clock := func() { nd.Now = int64(time.Since(start)) }
+	clock()
+	nd.proto.Start()
+	if nd.err != nil {
+		return nd.err
+	}
+	stop := settle()
+	inbox := nd.tr.Recv(nd.ID)
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-stop:
+			return nil
+		case raw := <-inbox:
+			clock()
+			if nd.recv(raw) {
+				if nd.err != nil {
+					return nd.err
+				}
+				stop = settle()
+				nd.proto.Emit(false)
+			}
+		case <-ticker.C:
+			clock()
+			nd.sample(false)
+			nd.proto.Emit(true)
+			if nd.err != nil {
+				return nd.err
+			}
+			stop = settle() // a full slot can finish a node by itself
+		}
+	}
+}
+
+// runAsync is the goroutine-per-node execution, with a churn
+// controller goroutine applying membership events at At×Interval wall
+// offsets — canceling crashed/leaving nodes (and joining on their exit
+// before flipping liveness, so node state never has two owners) and
+// spawning joiners.
+func (r *run) runAsync(ctx context.Context, start time.Time) error {
+	cfg := r.cfg
+	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
+	defer cancel()
+
+	tk := &tracker{nodes: r.nodes, live: r.live, addsPending: r.ch.pendingAdds(), allDone: make(chan struct{})}
+	errCh := make(chan error, 1) // the first failure ends the run
+	cancels := make([]context.CancelFunc, r.maxN)
+	exited := make([]chan struct{}, r.maxN)
+	var leaving []atomic.Bool
+	if r.ch != nil {
+		leaving = make([]atomic.Bool, r.maxN)
+	}
+
+	var wg sync.WaitGroup
+	spawnNode := func(id int, announce bool) {
+		nodeCtx, nodeCancel := context.WithCancel(ctx)
+		cancels[id] = nodeCancel
+		stop := make(chan struct{})
+		exited[id] = stop
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer close(stop)
+			nd := r.nodes[id]
+			nd.Now = int64(time.Since(start))
+			if announce {
+				nd.helloAll(false)
+			}
+			err := nd.loop(nodeCtx, start, cfg.Interval, func() <-chan time.Time {
+				// Done is only ever written by this goroutine, or by the
+				// churn controller while it is not running.
+				if !nd.M.Done {
+					tk.markDone(nd, time.Since(start))
+				}
+				return nil
+			})
+			if err != nil {
+				select {
+				case errCh <- err:
+				default:
+				}
+				return
+			}
+			if leaving != nil && leaving[id].Load() {
+				nd.Now = int64(time.Since(start))
+				nd.helloAll(true)
+			}
+		}()
+	}
+	for id := 0; id < cfg.N; id++ {
+		spawnNode(id, false)
+	}
+
+	if r.ch != nil {
+		wg.Add(1)
+		go func() { // churn controller
+			defer wg.Done()
+			for {
+				at, ok := r.ch.nextAt()
+				if !ok {
+					return
+				}
+				timer := time.NewTimer(time.Until(start.Add(time.Duration(at) * cfg.Interval)))
+				select {
+				case <-ctx.Done():
+					timer.Stop()
+					return
+				case <-timer.C:
+				}
+				tk.mu.Lock()
+				ops := append([]churnOp(nil), r.ch.popUntil(at, tk.live)...)
+				// Completion stays blocked until this batch's adds are
+				// applied too: popUntil already flipped liveness, but a
+				// restart/rejoin below must reset its node's stale Done
+				// before any check() may trust the live set.
+				tk.addsPending = r.ch.pendingAdds() || batchAdds(ops)
+				r.contacts = newContacts(r.live, r.maxN)
+				tk.mu.Unlock()
+				for _, op := range ops {
+					m := r.eng.Metrics(op.ID)
+					// Churn events are recorded here, where the node's
+					// goroutine is provably not running (after its exit, or
+					// before its spawn), preserving single-owner rings.
+					tel := cfg.Telemetry
+					switch op.Kind {
+					case ChurnCrash, ChurnLeave:
+						kind := telemetry.KindCrash
+						if op.Kind == ChurnLeave {
+							kind = telemetry.KindLeave
+							leaving[op.ID].Store(true)
+						}
+						cancels[op.ID]()
+						<-exited[op.ID]
+						leaving[op.ID].Store(false)
+						tel.Event(op.ID, int64(time.Since(start)), kind, 0, 0, 0)
+						tk.mu.Lock()
+						m.Live = false
+						tk.check()
+						tk.mu.Unlock()
+					case ChurnJoin, ChurnRejoin:
+						tk.mu.Lock()
+						r.spawn(op.ID, true, int64(time.Since(start)))
+						m.Done = false
+						m.JoinAt = time.Since(start)
+						tk.mu.Unlock()
+						tel.Event(op.ID, int64(time.Since(start)), telemetry.KindJoin, 0, 0, 0)
+						spawnNode(op.ID, true)
+					case ChurnRestart:
+						tk.mu.Lock()
+						r.nodes[op.ID].proto.Restart()
+						m.Live = true
+						m.JoinAt = time.Since(start)
+						tk.mu.Unlock()
+						tel.Event(op.ID, int64(time.Since(start)), telemetry.KindRestart, 0, 0, 0)
+						spawnNode(op.ID, true)
+					}
+				}
+				tk.mu.Lock()
+				tk.addsPending = r.ch.pendingAdds()
+				tk.check() // e.g. a restarted already-done node closes the run
+				tk.mu.Unlock()
+			}
+		}()
+	}
+
+	var err error
+	select {
+	case <-tk.allDone:
+		r.res.Completed = true
+	case err = <-errCh:
+	case <-ctx.Done():
+	}
+	cancel()
+	wg.Wait()
+	if err == nil {
+		select {
+		case err = <-errCh:
+		default:
+		}
+	}
+	return err
+}
+
+// RunSingle runs ONE node of an N-node run as the body of its own
+// process: the other N-1 are reachable only through cfg.Transport,
+// which RunSingle does not close. The node gossips until it is Done,
+// keeps emitting for the linger window so slower peers can finish too,
+// and returns. A timeout or cancellation before completion leaves
+// Done == false in the node's metrics and returns nil; the error is
+// the node's failure.
+func (e Engine) RunSingle(ctx context.Context, cfg SingleConfig) error {
+	m := e.Metrics(cfg.ID)
+	// Every peer starts presumed-live: membership here is static (the
+	// launcher starts all N processes); what is dynamic is routability,
+	// which the known gate covers as the address book fills.
+	live := make([]bool, cfg.N)
+	for i := range live {
+		live[i] = true
+	}
+	nd := newNode(cfg.ID, cfg.Seed, orDefault(cfg.Fanout, 2), newContacts(live, cfg.N).view(cfg.ID, 0),
+		cfg.Transport, m, cfg.Telemetry)
+	nd.known = cfg.Known
+	if nd.known == nil {
+		if at, ok := cfg.Transport.(AddressedTransport); ok {
+			nd.known = at.Known
+		}
+	}
+	nd.proto = e.New(nd, false)
+
+	ctx, cancel := context.WithTimeout(ctx, orDefault(cfg.Timeout, 30*time.Second))
+	defer cancel()
+	start := time.Now()
+	var linger *time.Timer
+	defer func() {
+		if linger != nil {
+			linger.Stop()
+		}
+	}()
+	return nd.loop(ctx, start, orDefault(cfg.Interval, 500*time.Microsecond), func() <-chan time.Time {
+		if linger == nil {
+			if !nd.proto.Done() {
+				return nil
+			}
+			m.Done = true
+			m.DoneAt = time.Since(start)
+			linger = time.NewTimer(orDefault(cfg.Linger, 2*time.Second))
+		}
+		return linger.C
+	})
+}

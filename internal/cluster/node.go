@@ -1,0 +1,309 @@
+package cluster
+
+import (
+	"math/rand"
+	"slices"
+	"sync/atomic"
+
+	"repro/internal/telemetry"
+	"repro/internal/wire"
+)
+
+// Protocol is what differs between one-shot k-token gossip (this
+// package's coded and forward gossipers) and the windowed stream
+// (internal/stream): what a node absorbs, what it emits, and when it
+// is finished. Everything else — membership, peer sampling, the wire
+// buffers, the send path, the three drivers — is the Node shell and
+// the Engine, written once. A Protocol is owned by its Node: every
+// method is called by whichever goroutine (or lockstep slot) is
+// driving that node, never concurrently, and reaches the network only
+// through the Node's Pick, Send and Announce.
+//
+// The methods are exported because internal/stream implements them
+// from another package; nothing outside the two protocol packages is
+// meant to.
+type Protocol interface {
+	// Start runs once whenever the node enters a run (initial spawn,
+	// join, restart), before its first packet: open whatever state lets
+	// the node speak first, and settle anything already finished.
+	Start()
+	// Absorb ingests one gossip packet — never a hello, the shell folds
+	// those into the view — and reports whether it changed the node's
+	// state, the async driver's push-on-progress trigger. The packet is
+	// the shell's reused scratch: copy what is kept.
+	Absorb(p *wire.Packet) bool
+	// Emit spends one emission slot. A full slot is the paced one (a
+	// lockstep tick, an async ticker fire) and carries everything the
+	// protocol sends periodically; a partial slot follows a packet that
+	// made progress and carries data only.
+	Emit(full bool)
+	// Done reports whether the node holds everything it is owed.
+	Done() bool
+	// Progress is the telemetry series' rank and watermark columns.
+	Progress() (rank, watermark int)
+	// Restart revives persisted state after a crash (ChurnRestart).
+	Restart()
+}
+
+// Node is the shell every gossip node runs in, whatever its Protocol:
+// identity, membership view, randomness, clock, packet scratches and
+// the buffer ring, counters and tracing. One owner at a time — the
+// goroutine or lockstep slot driving the node — touches any of it,
+// which is what keeps rings lock-free and churn restarts race-free:
+// the drivers let the old owner exit before the next one starts.
+//
+// The exported fields are the protocol's working set; the rest is the
+// runtime's.
+type Node struct {
+	ID int
+	// View is the node's membership view: peer sampling and hello
+	// bookkeeping run over it here, the stream's retirement frontier
+	// reads it too.
+	View *View
+	// Rng is the node's seeded randomness, shared by coding coins and
+	// peer choice; the draw order between them is what the lockstep
+	// golden transcripts pin.
+	Rng *rand.Rand
+	// Now is the node's clock in view-stamp units (lockstep tick, async
+	// nanoseconds since start), set by the driver before it hands the
+	// node packets or an emission slot.
+	Now int64
+	// Fanout is the resolved number of peers a data emission contacts.
+	Fanout int
+	// Tx is the scratch a protocol fills before Send.
+	Tx wire.Packet
+	// M is the node's shared counter block. It outlives the node's
+	// incarnations: a rejoin builds a new Node over the same counters.
+	M *NodeMetrics
+	// Tel traces the node's protocol events; nil is the disabled state
+	// (every recording call is a nil-receiver no-op).
+	Tel *telemetry.Recorder
+
+	proto Protocol
+	tr    Transport
+	rx    wire.Packet
+	ring  *BufRing
+	// churn is true on runs with a membership schedule: only there does
+	// a node with nothing to say announce itself instead.
+	churn bool
+	// known optionally gates peer sampling on routability: a transport
+	// with an address book (udpnet) may know fewer peers than the view
+	// believes live, and pushing to an unroutable peer only burns the
+	// emission. Nil (every in-process run) means one View.Pick draw
+	// exactly, which keeps the lockstep golden transcripts byte-stable.
+	known func(int) bool
+	// rank, when non-nil, is the node's slot of the targeted-crash
+	// scoreboard (see Publish).
+	rank *atomic.Int64
+	// out, when non-nil, routes emissions into the node's shard outbox
+	// instead of the transport; the sharded lockstep barrier replays them
+	// serially (see outbox.go). Nil on the async and shards=1 paths.
+	out *outbox
+	// err is the first failure the protocol reported (see Fail).
+	err error
+}
+
+// newNode builds the shell for one node. The rng derivation is what
+// every driver — in-process or one process per node — shares, so the
+// same (seed, id) draws the same coins everywhere.
+func newNode(id int, seed int64, fanout int, view *View, tr Transport, m *NodeMetrics, tel *telemetry.Recorder) *Node {
+	m.Spawned = true
+	m.Live = true
+	return &Node{
+		ID:     id,
+		View:   view,
+		Rng:    rand.New(rand.NewSource(seed + 7919*int64(id) + 1)),
+		Fanout: fanout,
+		M:      m,
+		Tel:    tel,
+		tr:     tr,
+		ring:   NewBufRing(DefaultRingCap),
+	}
+}
+
+// Fail records a failure that must abort the run — a decode that does
+// not match its source. The drivers check between phases and return
+// the first one.
+func (nd *Node) Fail(err error) {
+	if nd.err == nil {
+		nd.err = err
+	}
+}
+
+// Publish posts the node's progress to the targeted-crash oracle
+// (ChurnCrashMax / ChurnCrashFrontier): span rank for one-shot gossip,
+// the delivery watermark for the stream. A no-op on runs whose
+// schedule has no targeted event.
+func (nd *Node) Publish(progress int) {
+	if nd.rank != nil {
+		nd.rank.Store(int64(progress))
+	}
+}
+
+// Pick samples a live peer for an emission, or -1 when there is none.
+// With a known gate it redraws a bounded number of times to land on a
+// routable peer, giving up while the book is still too empty; without
+// one it is exactly one View.Pick draw.
+func (nd *Node) Pick() int {
+	peer := nd.View.Pick(nd.Rng, nd.Now)
+	if nd.known == nil {
+		return peer
+	}
+	for tries := 0; tries < 4 && peer >= 0 && !nd.known(peer); tries++ {
+		peer = nd.View.Pick(nd.Rng, nd.Now)
+	}
+	if peer >= 0 && !nd.known(peer) {
+		return -1
+	}
+	return peer
+}
+
+// Send marshals Tx into a recycled buffer and sends it to peer.
+func (nd *Node) Send(peer int) {
+	// Bits first: Packet.Bits copies the packet, and that copy measured
+	// three times dearer after AppendTo than before it (5 % of a
+	// gossip-wide run).
+	bits := int64(nd.Tx.Bits())
+	nd.post(peer, bits, nd.Tx.AppendTo(nd.ring.Get()[:0]))
+}
+
+// post is the one send path: buf holds Tx's encoding and bits its
+// Bits(), and from here on buf belongs to the transport. It counts the
+// packet, then either performs the Send or — in a sharded emit phase —
+// parks it in the shard's outbox for the serial barrier. Counters and
+// bytes are per-node state, safe to settle in parallel; the Send, its
+// telemetry and the drop accounting are order-sensitive and happen in
+// transmit.
+func (nd *Node) post(peer int, bits int64, buf []byte) {
+	nd.M.BitsOut += bits
+	kind, arg := telemetry.KindSend, int64(nd.Tx.Env.Epoch)
+	switch nd.Tx.Env.Type {
+	case wire.TypeAck:
+		kind, bits = telemetry.KindSendAck, 0
+	case wire.TypeHello:
+		nd.M.HellosOut++
+		kind, bits, arg = telemetry.KindSendHello, 0, 0
+		if nd.Tx.Hello.Leaving {
+			arg = 1
+		}
+	default:
+		nd.M.PacketsOut++
+	}
+	if nd.out != nil {
+		nd.out.add(outEntry{from: nd.ID, to: peer, kind: kind, arg: arg, bits: bits, buf: buf})
+		return
+	}
+	nd.transmit(nd.Now, peer, kind, arg, bits, buf)
+}
+
+// transmit hands one marshalled packet to the transport: the
+// middleware-visible Send, its telemetry, and on refusal the drop
+// accounting and the buffer's return to the ring.
+func (nd *Node) transmit(now int64, to int, kind telemetry.Kind, arg, bits int64, buf []byte) {
+	nd.Tel.Event(nd.ID, now, kind, int64(to), arg, bits)
+	if !nd.tr.Send(nd.ID, to, buf) {
+		nd.M.Dropped++
+		nd.Tel.Event(nd.ID, now, telemetry.KindDrop, int64(to), 0, 0)
+		nd.ring.Put(buf)
+	}
+}
+
+// recv decodes one drained inbox buffer into the rx scratch and
+// recycles the buffer. Hellos end here, folded into the view (every
+// hello proves its sender live; its body carries the sender's view or
+// a leave announcement); anything else is the protocol's, which also
+// counts it — hellos are control traffic, visible as HellosOut plus
+// their BitsOut, so the in/out packet counters reconcile under churn.
+func (nd *Node) recv(raw []byte) bool {
+	if !DecodeRecycle(&nd.rx, nd.ring, raw) {
+		return false
+	}
+	p := &nd.rx
+	if p.Env.Type != wire.TypeHello {
+		return nd.proto.Absorb(p)
+	}
+	sender := int(p.Env.Sender)
+	if p.Hello.Leaving {
+		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindRecvHello, int64(sender), 1, 0)
+		nd.View.Remove(sender)
+		return false
+	}
+	nd.Tel.Event(nd.ID, nd.Now, telemetry.KindRecvHello, int64(sender), 0, 0)
+	nd.View.Mark(sender, nd.Now)
+	for _, pid := range p.Hello.Peers {
+		// Third-party introductions never refresh a known peer's stamp
+		// (see View.Introduce), or suspicion could never evict a crashed
+		// node that peers keep listing.
+		nd.View.Introduce(int(pid), nd.Now)
+	}
+	return false
+}
+
+// Announce is what a node with nothing to gossip yet (a joiner before
+// its first packet or its frontier bootstrap) does with its emission
+// slot in a churn run: one hello to one random peer, so peers learn to
+// push to it even if its join-time burst was lost.
+func (nd *Node) Announce() {
+	if !nd.churn {
+		return
+	}
+	if peer := nd.Pick(); peer >= 0 {
+		nd.sendHello(peer, nd.buildHello(false))
+	}
+}
+
+// buildHello fills Tx with a membership announcement carrying the
+// node's current live view and returns it marshalled into a ring
+// buffer.
+func (nd *Node) buildHello(leaving bool) []byte {
+	nd.Tx.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeHello, Sender: uint32(nd.ID), Epoch: 0}
+	nd.Tx.Hello.Leaving = leaving
+	nd.Tx.Hello.Peers = nd.View.AppendPeers(nd.Tx.Hello.Peers[:0])
+	return nd.Tx.AppendTo(nd.ring.Get()[:0])
+}
+
+// sendHello sends buf — Tx's hello as marshalled by buildHello, or a
+// copy of it — to one peer.
+func (nd *Node) sendHello(peer int, buf []byte) { nd.post(peer, int64(nd.Tx.Bits()), buf) }
+
+// helloAll announces to every peer currently in the view: the
+// join/restart introduction burst, or the graceful-leave goodbye.
+//
+// It always sends inline, even on a sharded run: helloAll only runs
+// from the serial churn phase (lockstep) or the async driver, and the
+// serial engine delivers churn-phase hellos to inboxes drained the
+// same tick — routing them through the shard outbox would defer them
+// past the drain and change the transcript.
+//
+// The burst is marshalled once; each recipient gets its own exact-size
+// copy, never a shared slice, because a buffer handed to Send has one
+// owner from then on: middleware may rewrite it in place (hostile's
+// mutator flips bits) and the receiver recycles it into its own ring.
+func (nd *Node) helloAll(leaving bool) {
+	out := nd.out
+	nd.out = nil
+	defer func() { nd.out = out }()
+	msg := nd.buildHello(leaving)
+	for _, pid := range nd.Tx.Hello.Peers {
+		if int(pid) != nd.ID {
+			nd.sendHello(int(pid), slices.Clone(msg))
+		}
+	}
+	nd.ring.Put(msg)
+}
+
+// sample records one telemetry time-series point for the node: the
+// protocol's rank and watermark, inbox backlog, live-view size. A
+// no-op without a recorder.
+func (nd *Node) sample(lockstep bool) {
+	if nd.Tel == nil {
+		return
+	}
+	rank, watermark := nd.proto.Progress()
+	inbox, view := len(nd.tr.Recv(nd.ID)), nd.View.LiveCount()
+	if lockstep {
+		nd.Tel.SampleTick(nd.ID, nd.Now, rank, watermark, inbox, view)
+	} else {
+		nd.Tel.Sample(nd.ID, nd.Now, rank, watermark, inbox, view)
+	}
+}

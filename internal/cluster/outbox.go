@@ -1,13 +1,15 @@
 package cluster
 
+import "repro/internal/telemetry"
+
 // The sharded lockstep engine splits every tick into parallel
 // per-node phases and serial barrier phases (see runLockstep and
-// DESIGN.md "Sharded lockstep engine"). Emission is the phase that
+// DESIGN.md "Node runtime and drivers"). Emission is the phase that
 // cannot run concurrently as-is: transport middlewares (loss, reorder,
 // mutators, adversaries) draw from their own seeded rngs in Send-call
 // order, so Sends racing across shards would consume coins in a
 // nondeterministic order and change the transcript. Instead each
-// shard's workers emit into a private Outbox — per-node counters and
+// shard's workers emit into a private outbox — per-node counters and
 // the marshaled bytes are captured in parallel, since they are
 // functions of per-node state only — and the serial exchange barrier
 // replays the entries against the real transport in (shard, node id,
@@ -16,59 +18,38 @@ package cluster
 // draws, drop accounting, send/drop telemetry events) happens at
 // replay time.
 //
-// A nil *Outbox on a node means "send inline": the async drivers and
+// A nil *outbox on a node means "send inline": the async driver and
 // the shards=1 lockstep engine keep the pre-sharding path untouched.
 
-// OutKind classifies a deferred emission so the barrier replay can
-// reconstruct the kind-specific telemetry event.
-type OutKind uint8
-
-const (
-	// OutData is a gossip payload packet (telemetry.KindSend).
-	OutData OutKind = iota
-	// OutAck is a stream cumulative ack (telemetry.KindSendAck).
-	OutAck
-	// OutHello is a membership announcement (telemetry.KindSendHello).
-	OutHello
-)
-
-// OutEntry is one deferred Send: the marshaled packet plus what the
-// serial replay needs to reproduce the inline path's side effects.
-type OutEntry struct {
-	From, To int
-	Kind     OutKind
-	// Arg is the kind-specific telemetry argument: the data epoch for
-	// OutData, the acked watermark for OutAck, 1 for a leaving hello.
-	Arg int64
-	// Bits is the packet's Bits() accounting, replayed as the KindSend
-	// event's bits argument (zero for acks and hellos, whose events
-	// carry no bits column).
-	Bits int64
-	// Buf is the marshaled wire bytes, drawn from the emitting node's
+// outEntry is one deferred Send: the arguments Node.transmit was not
+// yet allowed to be called with.
+type outEntry struct {
+	from, to int
+	// kind, arg and bits are the send's telemetry event (see Node.post).
+	kind      telemetry.Kind
+	arg, bits int64
+	// buf is the marshaled wire bytes, drawn from the emitting node's
 	// BufRing; ownership passes to the replay, which returns it to that
 	// ring if the transport refuses the Send.
-	Buf []byte
+	buf []byte
 }
 
-// Outbox collects one shard's deferred emissions for a tick. Each
-// Outbox is written by exactly one shard worker during the emit phase
+// outbox collects one shard's deferred emissions for a tick. Each
+// outbox is written by exactly one shard worker during the emit phase
 // and drained by the serial barrier; it is reused across ticks.
-type Outbox struct {
-	entries []OutEntry
+type outbox struct {
+	entries []outEntry
 }
 
-// Add appends one deferred emission in the node's send order.
-func (o *Outbox) Add(e OutEntry) { o.entries = append(o.entries, e) }
+// add appends one deferred emission in the node's send order.
+func (o *outbox) add(e outEntry) { o.entries = append(o.entries, e) }
 
-// Entries returns the pending emissions in insertion order.
-func (o *Outbox) Entries() []OutEntry { return o.entries }
-
-// Reset empties the outbox, keeping its capacity for the next tick.
+// reset empties the outbox, keeping its capacity for the next tick.
 // Buf pointers are dropped so a retained entry slab cannot pin packet
 // buffers past the tick that owned them.
-func (o *Outbox) Reset() {
+func (o *outbox) reset() {
 	for i := range o.entries {
-		o.entries[i].Buf = nil
+		o.entries[i].buf = nil
 	}
 	o.entries = o.entries[:0]
 }

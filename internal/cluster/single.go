@@ -66,34 +66,6 @@ type SingleConfig struct {
 	Telemetry *telemetry.Recorder
 }
 
-func (c SingleConfig) fanout() int {
-	if c.Fanout > 0 {
-		return c.Fanout
-	}
-	return 2
-}
-
-func (c SingleConfig) interval() time.Duration {
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return 500 * time.Microsecond
-}
-
-func (c SingleConfig) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 30 * time.Second
-}
-
-func (c SingleConfig) linger() time.Duration {
-	if c.Linger > 0 {
-		return c.Linger
-	}
-	return 2 * time.Second
-}
-
 // RunSingle runs ONE node of an N-node cluster dissemination: the
 // cmd/node process body. It seeds the node's stride-N share of toks,
 // gossips over cfg.Transport until the node holds all of them (then
@@ -105,92 +77,18 @@ func (c SingleConfig) linger() time.Duration {
 // reserved for misconfiguration and verification failures.
 func RunSingle(ctx context.Context, cfg SingleConfig, toks []token.Token) (NodeMetrics, error) {
 	var m NodeMetrics
-	k := len(toks)
 	if cfg.N < 1 {
 		return m, fmt.Errorf("cluster: need at least 1 node, got %d", cfg.N)
 	}
 	if cfg.ID < 0 || cfg.ID >= cfg.N {
 		return m, fmt.Errorf("cluster: node id %d outside [0, %d)", cfg.ID, cfg.N)
 	}
-	if k < 1 {
-		return m, fmt.Errorf("cluster: need at least 1 token")
-	}
-	d := toks[0].D()
-	for i, t := range toks {
-		if t.D() != d {
-			return m, fmt.Errorf("cluster: token %d has %d payload bits, token 0 has %d", i, t.D(), d)
-		}
-	}
-	if cfg.Mode != Coded && cfg.Mode != Forward {
-		return m, fmt.Errorf("cluster: unknown mode %d", cfg.Mode)
+	if err := validate(cfg.Mode, toks); err != nil {
+		return m, err
 	}
 	if cfg.Transport == nil {
 		return m, fmt.Errorf("cluster: RunSingle needs a Transport (the process's socket)")
 	}
-
-	// Every peer starts presumed-live: membership here is static (the
-	// launcher starts all N processes); what is dynamic is routability,
-	// which the known gate covers as the address book fills.
-	contacts := Contacts{maxN: cfg.N, n: cfg.N}
-	mb := newMember(cfg.Mode, cfg.Seed, toks, cfg.ID, cfg.N, true, contacts, 0, &m, cfg.Telemetry)
-	mb.known = cfg.Known
-	if mb.known == nil {
-		if at, ok := cfg.Transport.(AddressedTransport); ok {
-			mb.known = at.Known
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(ctx, cfg.timeout())
-	defer cancel()
-
-	start := time.Now()
-	now := func() int64 { return int64(time.Since(start)) }
-	emit := func() { mb.emit(cfg.Transport, cfg.fanout(), now(), false) }
-	markDone := func() bool {
-		if !m.Done && mb.g.complete() {
-			m.Done = true
-			m.DoneAt = time.Since(start)
-		}
-		return m.Done
-	}
-
-	var lingerC <-chan time.Time
-	if markDone() { // n == 1, or this node seeded everything
-		if err := mb.g.verify(toks, tokenVecs(toks)); err != nil {
-			return m, fmt.Errorf("cluster: verification failed: %w", err)
-		}
-		lt := time.NewTimer(cfg.linger())
-		defer lt.Stop()
-		lingerC = lt.C
-	}
-
-	inbox := cfg.Transport.Recv(cfg.ID)
-	ticker := time.NewTicker(cfg.interval())
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return m, nil
-		case <-lingerC:
-			return m, nil
-		case raw := <-inbox:
-			if mb.recv(raw, now()) {
-				m.Innovative++
-				if markDone() && lingerC == nil {
-					// Verify at the completion edge, before lingering:
-					// a corrupt decode should fail loudly, not gossip on.
-					if err := mb.g.verify(toks, tokenVecs(toks)); err != nil {
-						return m, fmt.Errorf("cluster: verification failed: %w", err)
-					}
-					lt := time.NewTimer(cfg.linger())
-					defer lt.Stop()
-					lingerC = lt.C
-				}
-				emit()
-			}
-		case <-ticker.C:
-			mb.sample(cfg.Transport, now())
-			emit()
-		}
-	}
+	err := oneShotEngine(cfg.Mode, cfg.N, toks, func(int) *NodeMetrics { return &m }).RunSingle(ctx, cfg)
+	return m, err
 }

@@ -81,7 +81,7 @@ func randomLive(rng *rand.Rand, maxN int) []bool {
 }
 
 // TestContactsViewMatchesMarkLoop is the property the O(1) start-up
-// rests on: a view copied from a batch's Contacts is indistinguishable
+// rests on: a view copied from a batch's contacts is indistinguishable
 // from NewView plus one Mark per live id — the loop it replaced —
 // whether suspicion was switched on before or after the fill, and stays
 // so under whatever membership traffic follows.
@@ -102,7 +102,7 @@ func TestContactsViewMatchesMarkLoop(t *testing.T) {
 			}
 		}
 		ref.SuspectAfter = sa
-		got := NewContacts(live, maxN).View(self, now)
+		got := newContacts(live, maxN).view(self, now)
 		got.SuspectAfter = sa
 
 		sameView(t, "fresh", ref, got, sa)
@@ -122,8 +122,8 @@ func TestFillMatchesMarkLoop(t *testing.T) {
 		ref, got := NewView(self, maxN), NewView(self, maxN)
 		ref.SuspectAfter, got.SuspectAfter = sa, sa
 		if rng.Intn(2) == 0 {
-			first := NewContacts(randomLive(rng, maxN), maxN)
-			ref, got = first.View(self, 2), first.View(self, 2)
+			first := newContacts(randomLive(rng, maxN), maxN)
+			ref, got = first.view(self, 2), first.view(self, 2)
 			ref.SuspectAfter, got.SuspectAfter = sa, sa
 			perturb(rng, maxN, ref, got)
 		}
@@ -161,9 +161,9 @@ func TestHelloBurstMarshalsOncePerRecipientCopy(t *testing.T) {
 		live[p] = true
 	}
 	var m NodeMetrics
-	mb := newMember(Coded, 1, testTokens(4, 16, 1), id, 6, false, NewContacts(live, maxN), 7, &m, nil)
 	tr := &captureTransport{got: map[int][][]byte{}}
-	mb.helloAll(tr, false, 7)
+	nd := newNode(id, 1, 2, newContacts(live, maxN).view(id, 7), tr, &m, nil)
+	nd.helloAll(false)
 
 	peers := []uint32{0, 2, 3, 5, 8, 11}
 	want := wire.NewHello(id, 0, wire.Hello{Peers: peers}).Marshal()

@@ -323,37 +323,59 @@ func TestLockstepStreamChurnAggregateMetrics(t *testing.T) {
 	}
 }
 
-// captureTransport records every accepted Send per recipient.
+// captureTransport keeps the first hello each recipient is sent — the
+// churn phase's burst; the emit phase's announcements come later in the
+// tick — and delivers nothing: a kept buffer is never recycled under
+// the test.
 type captureTransport struct {
 	cluster.Transport
 	got map[int][]byte
 }
 
 func (c *captureTransport) Send(from, to int, pkt []byte) bool {
-	c.got[to] = pkt
+	if _, seen := c.got[to]; !seen && wire.Type(pkt[1]) == wire.TypeHello {
+		c.got[to] = pkt
+	}
 	return true
 }
 
 // TestHelloBurstPerRecipientCopy mirrors the cluster runtime's test for
-// the stream node's burst: every recipient gets the hello's canonical
-// bytes in a buffer of its own, so an in-place rewrite of one (the
-// hostile mutator) leaves the others intact.
+// a stream node's burst, through the constructors a run uses: the
+// goodbye of a graceful leave reaches every recipient as the hello's
+// canonical bytes in a buffer of its own, so an in-place rewrite of
+// one (the hostile mutator) leaves the others intact.
 func TestHelloBurstPerRecipientCopy(t *testing.T) {
-	const maxN, id = 9, 4
-	live := []bool{true, false, true, true, true, false, false, true, false}
-	cfg := Config{N: maxN, K: 2, PayloadBits: 8, Generations: 1, Seed: 1}
-	var m NodeMetrics
-	nd := newNode(id, cfg, cfg.source(), &m, cluster.NewContacts(live, maxN), 5, true)
-	tr := &captureTransport{got: map[int][]byte{}}
-	nd.helloAll(tr, true)
-
-	want := wire.NewHello(id, 0, wire.Hello{Leaving: true, Peers: []uint32{0, 2, 3, 4, 7}}).Marshal()
-	if len(tr.got) != 4 || m.HellosOut != 4 {
-		t.Fatalf("%d recipients, HellosOut %d, want 4", len(tr.got), m.HellosOut)
+	const n = 5
+	tr := &captureTransport{Transport: cluster.NewChanTransport(n, 1), got: map[int][]byte{}}
+	sched, err := cluster.ParseChurn("leave:1:1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	tr.got[0][len(want)-1] ^= 0x80
+	res, err := Run(context.Background(), Config{
+		N: n, K: 2, PayloadBits: 8, Generations: 1, Seed: 1,
+		Lockstep: true, MaxTicks: 1, Churn: sched, Transport: tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaver := -1
+	for id, m := range res.Nodes {
+		if !m.Live {
+			leaver = id
+		}
+	}
+	if leaver < 0 {
+		t.Fatal("nobody left")
+	}
+
+	want := wire.NewHello(leaver, 0, wire.Hello{Leaving: true, Peers: []uint32{0, 1, 2, 3, 4}}).Marshal()
+	if len(tr.got) != n-1 || res.Nodes[leaver].HellosOut != n-1 {
+		t.Fatalf("%d recipients, HellosOut %d, want %d", len(tr.got), res.Nodes[leaver].HellosOut, n-1)
+	}
+	first := (leaver + 1) % n
+	tr.got[first][len(want)-1] ^= 0x80
 	for to, buf := range tr.got {
-		if to == id || !live[to] || (to != 0 && !bytes.Equal(buf, want)) {
+		if to == leaver || (to != first && !bytes.Equal(buf, want)) {
 			t.Errorf("recipient %d got %x, want its own copy of %x", to, buf, want)
 		}
 	}

@@ -3,8 +3,6 @@ package stream
 import (
 	"fmt"
 	"math/rand"
-	"slices"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -45,13 +43,19 @@ type genState struct {
 	adopted []bool
 }
 
-// node is the per-node streaming protocol state, shared by the lockstep
-// and async drivers. All methods are single-threaded per node: the
-// lockstep driver calls them from one goroutine, the async driver from
-// the node's own goroutine (and across a crash/restart the drivers
-// sequence the handoff, so state never has two owners).
+// node is the stream's cluster.Protocol: the window, ack and retirement
+// state one node keeps on top of the cluster.Node shell it runs in
+// (identity, view, clock, randomness, the send path). All methods are
+// single-threaded per node, like the shell's: the lockstep driver calls
+// them from one slot, the async driver from the node's own goroutine
+// (and across a crash/restart the drivers sequence the handoff, so
+// state never has two owners).
 type node struct {
-	id       int
+	// Node is the shell. Its View carries, besides peer sampling, the
+	// retirement frontier: a crashed node's stale watermark stops
+	// holding the frontier once suspicion evicts it.
+	*cluster.Node
+
 	n        int // initial membership (origin rotation modulus)
 	maxN     int // node id space: n + churn joins
 	k        int
@@ -59,22 +63,10 @@ type node struct {
 	vecBits  int // k + UIDBits + d, the span's column count
 	window   int
 	gens     int
-	fanout   int
 	churn    bool
 	lockstep bool
 	src      Source
-	rng      *rand.Rand
 	deliver  DeliverFunc
-
-	// view is the node's membership view; peer sampling, hello
-	// bookkeeping and — crucially — the retirement frontier run over
-	// it, so a crashed node's stale watermark stops holding the
-	// frontier once suspicion evicts it.
-	view *cluster.View
-	// now is the node's current clock in view-stamp units (lockstep
-	// tick / async nanoseconds), set by the driver before it hands the
-	// node packets or emission slots.
-	now int64
 
 	// base is the retirement frontier: the oldest generation not yet
 	// known to be decoded by every frontier member. Spans below base
@@ -112,55 +104,23 @@ type node struct {
 	// directly. Only ever non-empty in churn runs.
 	serveQ []serveReq
 
-	// tx/rx are the node's reusable packet scratches (emitInto /
-	// UnmarshalInto targets) and ring recycles wire buffers between the
-	// node's receive and send sides; all three are only ever touched by
-	// the goroutine driving this node.
-	tx   wire.Packet
-	rx   wire.Packet
-	ring *cluster.BufRing
-
+	// m is the node's full counter block; the shell's M points at the
+	// shared counters embedded in it.
 	m *NodeMetrics
-	// err records a delivery verification failure; the drivers abort
-	// the run when set.
-	err error
 
-	// tel traces the node's protocol events; nil is the disabled state
-	// (every recording call is a nil-receiver no-op). Owned by the same
-	// goroutine/lockstep slot as the rest of the node.
-	tel *telemetry.Recorder
 	// eligPrev tracks each peer's frontier eligibility between gc
 	// passes, so suspicion transitions (eligible → not) can be traced.
 	// Lazily allocated only when tracing a churn run; nil otherwise.
 	eligPrev []bool
-
-	// known optionally gates peer sampling on routability: a transport
-	// with an address book (udpnet) may know fewer peers than the view
-	// believes live. Nil (every in-process run) keeps randPeer a single
-	// Pick draw, which the lockstep golden transcripts pin.
-	known func(int) bool
-
-	// rank, when non-nil, publishes the node's delivery watermark for
-	// the targeted-crash oracle (crashfrontier kills the straggler).
-	rank *atomic.Int64
-
-	// out, when non-nil, routes this node's emissions into its shard's
-	// private outbox instead of the transport: the sharded lockstep
-	// driver replays outboxes serially at the tick's exchange barrier so
-	// middleware rng draws happen in serial-driver order. Cleared
-	// around churn-phase helloAll, whose sends must land inline (the
-	// serial driver drains them the same tick).
-	out *cluster.Outbox
 }
 
-// newNode builds the runtime state for one node. contacts is the spawn
-// batch's membership snapshot (the node's initial view / a joiner's
-// contact list); joiner marks the node as needing frontier bootstrap.
-// It touches per-id state only, so the initial batch spawns in parallel.
-func newNode(id int, cfg Config, src Source, m *NodeMetrics, contacts cluster.Contacts, now int64, joiner bool) *node {
+// newNode builds the stream state of the node running in shell nd;
+// joiner marks it as needing frontier bootstrap. It touches per-id
+// state only, so the initial batch spawns in parallel.
+func newNode(nd *cluster.Node, cfg Config, src Source, m *NodeMetrics, joiner bool) *node {
 	maxN := cfg.maxNodes()
-	nd := &node{
-		id:           id,
+	s := &node{
+		Node:         nd,
 		n:            cfg.N,
 		maxN:         maxN,
 		k:            cfg.K,
@@ -168,32 +128,17 @@ func newNode(id int, cfg Config, src Source, m *NodeMetrics, contacts cluster.Co
 		vecBits:      cfg.K + token.UIDBits + cfg.PayloadBits,
 		window:       cfg.window(),
 		gens:         cfg.Generations,
-		fanout:       cfg.fanout(),
 		churn:        cfg.Churn != nil,
 		lockstep:     cfg.Lockstep,
 		src:          src,
-		rng:          rand.New(rand.NewSource(cfg.Seed + 7919*int64(id) + 1)),
 		deliver:      cfg.Deliver,
 		spans:        make(map[int]*genState),
 		marks:        make([]int, maxN),
-		view:         contacts.View(id, now),
-		now:          now,
 		bootstrapped: !joiner,
-		ring:         cluster.NewBufRing(cluster.DefaultRingCap),
 		m:            m,
-		tel:          cfg.Telemetry,
 	}
-	nd.view.SuspectAfter = cfg.suspectAfter()
-	m.Spawned = true
-	m.Live = true
-	return nd
-}
-
-// recv decodes one drained inbox buffer into the rx scratch, absorbs
-// it, and recycles the buffer into the node's ring. It reports whether
-// the packet changed the node's state.
-func (nd *node) recv(raw []byte) bool {
-	return cluster.DecodeRecycle(&nd.rx, nd.ring, raw) && nd.absorb(&nd.rx)
+	s.Publish(s.delivered)
+	return s
 }
 
 // ensureGen returns generation g's state, creating the span (from the
@@ -215,7 +160,7 @@ func (nd *node) ensureGen(g int) *genState {
 
 	owned := false
 	for j := 0; j < nd.k; j++ {
-		if genOwner(g, nd.k, j, nd.n) == nd.id {
+		if genOwner(g, nd.k, j, nd.n) == nd.ID {
 			owned = true
 			break
 		}
@@ -223,7 +168,7 @@ func (nd *node) ensureGen(g int) *genState {
 	if owned {
 		toks := nd.src.Generation(g)
 		for j := 0; j < nd.k; j++ {
-			if genOwner(g, nd.k, j, nd.n) == nd.id {
+			if genOwner(g, nd.k, j, nd.n) == nd.ID {
 				gs.span.Add(rlnc.Encode(j, nd.k, cluster.TokenVec(toks[j])))
 			}
 		}
@@ -255,7 +200,7 @@ func (nd *node) deliverReady() {
 		g := nd.delivered
 		vecs, err := gs.span.Decode()
 		if err != nil {
-			nd.err = fmt.Errorf("stream: node %d generation %d: %w", nd.id, g, err)
+			nd.Fail(fmt.Errorf("stream: node %d generation %d: %w", nd.ID, g, err))
 			return
 		}
 		toks := make([]token.Token, len(vecs))
@@ -264,8 +209,8 @@ func (nd *node) deliverReady() {
 		}
 		for j, want := range nd.src.Generation(g) {
 			if !toks[j].Equal(want) {
-				nd.err = fmt.Errorf("stream: node %d generation %d token %d decoded to %v, want %v",
-					nd.id, g, j, toks[j].UID, want.UID)
+				nd.Fail(fmt.Errorf("stream: node %d generation %d token %d decoded to %v, want %v",
+					nd.ID, g, j, toks[j].UID, want.UID))
 				return
 			}
 		}
@@ -273,20 +218,18 @@ func (nd *node) deliverReady() {
 			// First delivery of a mid-stream joiner: it has reached the
 			// cluster watermark it learned at join time.
 			if nd.lockstep {
-				nd.m.CaughtUpTick = int(nd.now)
+				nd.m.CaughtUpTick = int(nd.Now)
 			} else {
-				nd.m.CaughtUpAt = time.Duration(nd.now)
+				nd.m.CaughtUpAt = time.Duration(nd.Now)
 			}
 		}
 		nd.delivered++
-		nd.marks[nd.id] = nd.delivered
-		if nd.rank != nil {
-			nd.rank.Store(int64(nd.delivered))
-		}
+		nd.marks[nd.ID] = nd.delivered
+		nd.Publish(nd.delivered)
 		nd.m.Delivered++
-		nd.tel.Event(nd.id, nd.now, telemetry.KindDeliver, int64(g), int64(nd.delivered), 0)
+		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindDeliver, int64(g), int64(nd.delivered), 0)
 		if nd.deliver != nil {
-			nd.deliver(nd.id, g, toks)
+			nd.deliver(nd.ID, g, toks)
 		}
 	}
 }
@@ -301,23 +244,23 @@ func (nd *node) deliverReady() {
 func (nd *node) gc() {
 	// Suspicion transitions are traced by diffing eligibility between
 	// gc passes; the first pass only snapshots (no transitions yet).
-	trackSusp := nd.tel != nil && nd.churn
+	trackSusp := nd.Tel != nil && nd.churn
 	if trackSusp && nd.eligPrev == nil {
 		nd.eligPrev = make([]bool, nd.maxN)
 		for id := range nd.eligPrev {
-			nd.eligPrev[id] = nd.view.Eligible(id, nd.now)
+			nd.eligPrev[id] = nd.View.Eligible(id, nd.Now)
 		}
 		trackSusp = false
 	}
 	floor := nd.delivered
 	for id := 0; id < nd.maxN; id++ {
-		if id == nd.id {
+		if id == nd.ID {
 			continue
 		}
-		elig := nd.view.Eligible(id, nd.now)
+		elig := nd.View.Eligible(id, nd.Now)
 		if trackSusp {
 			if nd.eligPrev[id] && !elig {
-				nd.tel.Event(nd.id, nd.now, telemetry.KindSuspect, int64(id), 0, 0)
+				nd.Tel.Event(nd.ID, nd.Now, telemetry.KindSuspect, int64(id), 0, 0)
 			}
 			nd.eligPrev[id] = elig
 		}
@@ -333,12 +276,12 @@ func (nd *node) gc() {
 			gs.span.Reset()
 			nd.pool = append(nd.pool, gs.span)
 			delete(nd.spans, g)
-			nd.tel.Event(nd.id, nd.now, telemetry.KindRetire, int64(g), 0, 0)
+			nd.Tel.Event(nd.ID, nd.Now, telemetry.KindRetire, int64(g), 0, 0)
 		}
 	}
 	if floor > nd.base {
 		nd.base = floor
-		nd.tel.Event(nd.id, nd.now, telemetry.KindFrontier, int64(floor), 0, 0)
+		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindFrontier, int64(floor), 0, 0)
 	}
 }
 
@@ -383,15 +326,48 @@ func (nd *node) noteMemory() {
 	}
 }
 
-// prime opens the node's initial window so origins have something to
+// Start opens the node's initial window so origins have something to
 // say before any packet arrives, and delivers whatever is
-// self-contained (the n = 1 case decodes everything right here).
-func (nd *node) prime() { nd.advance() }
+// self-contained (the n = 1 case decodes everything right here). A
+// joiner, or a restarted node re-learning the frontier, opens nothing
+// yet.
+func (nd *node) Start() { nd.advance() }
 
-// done reports whether the node has delivered the whole stream (from
+// Done reports whether the node has delivered the whole stream (from
 // its startGen onward; a joiner's obligation starts at the frontier it
 // learned at join time).
-func (nd *node) done() bool { return nd.bootstrapped && nd.delivered >= nd.gens }
+func (nd *node) Done() bool { return nd.bootstrapped && nd.delivered >= nd.gens }
+
+// Progress is the rank of the generation at the delivery watermark
+// (the one the node is working on) and the watermark itself.
+func (nd *node) Progress() (rank, watermark int) {
+	if gs, ok := nd.spans[nd.delivered]; ok {
+		rank = gs.span.Rank()
+	} else if nd.delivered >= nd.gens {
+		rank = nd.k // stream finished
+	}
+	return rank, nd.delivered
+}
+
+// Restart makes a revived node re-learn the frontier before resuming:
+// the cluster may have retired generations past its persisted
+// watermark while it was down, so its Done is stale too.
+func (nd *node) Restart() {
+	nd.bootstrapped = false
+	nd.m.Done = false
+}
+
+// Emit pushes fanout data packets; a full slot first adopts tokens
+// orphaned by dead origins (churn runs) and ends with one ack.
+func (nd *node) Emit(full bool) {
+	if full {
+		nd.adoptOrphans()
+	}
+	nd.pushData()
+	if full {
+		nd.pushAck()
+	}
+}
 
 // bootstrap consumes the first watermark gossip a joiner (or a
 // restarted node re-learning the frontier) sees: the highest watermark
@@ -419,7 +395,7 @@ func (nd *node) bootstrap() {
 	}
 	nd.startGen = start
 	nd.delivered = start
-	nd.marks[nd.id] = start
+	nd.marks[nd.ID] = start
 	nd.m.StartGen = start
 	// Sweep persisted spans the cluster retired while this node was
 	// down; base only ever moves forward.
@@ -437,33 +413,18 @@ func (nd *node) bootstrap() {
 	nd.advance()
 }
 
-// absorb ingests one packet, reporting whether it changed this node's
-// state (grew a span, advanced a watermark, or bootstrapped a joiner)
-// — the async driver's emit-on-progress trigger. The packet is the
-// caller's reused scratch: everything retained (span rows, watermarks,
-// rank bits, view entries) is copied.
-func (nd *node) absorb(p *wire.Packet) bool {
+// Absorb ingests one data or ack packet, reporting whether it changed
+// this node's state (grew a span, advanced a watermark, or
+// bootstrapped a joiner) — the async driver's emit-on-progress
+// trigger. The packet is the shell's reused scratch: everything
+// retained (span rows, watermarks, rank bits) is copied.
+func (nd *node) Absorb(p *wire.Packet) bool {
 	sender := int(p.Env.Sender)
 	switch p.Env.Type {
-	case wire.TypeHello:
-		if p.Hello.Leaving {
-			nd.tel.Event(nd.id, nd.now, telemetry.KindRecvHello, int64(sender), 1, 0)
-			nd.view.Remove(sender)
-			return false
-		}
-		nd.tel.Event(nd.id, nd.now, telemetry.KindRecvHello, int64(sender), 0, 0)
-		nd.view.Mark(sender, nd.now)
-		for _, pid := range p.Hello.Peers {
-			// Third-party introductions never refresh a known peer's
-			// stamp (see View.Introduce), or suspicion could never evict
-			// a crashed node that peers keep listing.
-			nd.view.Introduce(int(pid), nd.now)
-		}
-		return false
 	case wire.TypeCoded:
 		nd.m.PacketsIn++
-		nd.tel.Event(nd.id, nd.now, telemetry.KindRecv, int64(sender), int64(p.Env.Epoch), 0)
-		nd.view.Mark(sender, nd.now)
+		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindRecv, int64(sender), int64(p.Env.Epoch), 0)
+		nd.View.Mark(sender, nd.Now)
 		if !nd.bootstrapped {
 			nd.m.Stale++
 			return false
@@ -479,22 +440,22 @@ func (nd *node) absorb(p *wire.Packet) bool {
 		}
 		gs := nd.ensureGen(g)
 		if gs.decoded || !gs.span.Add(cd) {
-			if nd.tel != nil {
-				nd.tel.Event(nd.id, nd.now, telemetry.KindInsert, int64(g), int64(gs.span.Rank()), 0)
+			if nd.Tel != nil {
+				nd.Tel.Event(nd.ID, nd.Now, telemetry.KindInsert, int64(g), int64(gs.span.Rank()), 0)
 			}
 			return false
 		}
 		nd.m.Innovative++
-		if nd.tel != nil {
-			nd.tel.Event(nd.id, nd.now, telemetry.KindInsert, int64(g), int64(gs.span.Rank()), 1)
+		if nd.Tel != nil {
+			nd.Tel.Event(nd.ID, nd.Now, telemetry.KindInsert, int64(g), int64(gs.span.Rank()), 1)
 		}
 		nd.checkDecoded(g, gs)
 		nd.advance()
 		return true
 	case wire.TypeAck:
 		nd.m.AcksIn++
-		nd.tel.Event(nd.id, nd.now, telemetry.KindRecvAck, int64(sender), int64(p.Ack.Watermark), 0)
-		nd.view.Mark(sender, nd.now)
+		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindRecvAck, int64(sender), int64(p.Ack.Watermark), 0)
+		nd.View.Mark(sender, nd.Now)
 		changed := nd.mergeMark(sender, int(p.Ack.Watermark))
 		for _, pm := range p.Ack.Peers {
 			changed = nd.mergeMark(int(pm.Node), int(pm.Watermark)) || changed
@@ -547,29 +508,13 @@ func (nd *node) queueServe(peer, gen int) {
 // coded packets addressed to the straggler. Losses heal themselves:
 // the straggler's next ack still shows partial rank and re-queues the
 // serve.
-func (nd *node) serveCatchup(tr cluster.Transport) {
-	if len(nd.serveQ) == 0 {
-		return
-	}
+func (nd *node) serveCatchup() {
 	for _, rq := range nd.serveQ {
 		toks := nd.src.Generation(rq.gen)
 		for j := 0; j < nd.k; j++ {
-			nd.tx.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeCoded, Sender: uint32(nd.id), Epoch: uint32(rq.gen)}
-			nd.tx.Coded = rlnc.Encode(j, nd.k, cluster.TokenVec(toks[j]))
-			nd.m.PacketsOut++
-			bits := int64(nd.tx.Bits())
-			nd.m.BitsOut += bits
-			buf := nd.tx.AppendTo(nd.ring.Get()[:0])
-			if nd.out != nil {
-				nd.out.Add(cluster.OutEntry{From: nd.id, To: rq.peer, Kind: cluster.OutData, Arg: int64(rq.gen), Bits: bits, Buf: buf})
-				continue
-			}
-			nd.tel.Event(nd.id, nd.now, telemetry.KindSend, int64(rq.peer), int64(rq.gen), bits)
-			if !tr.Send(nd.id, rq.peer, buf) {
-				nd.m.Dropped++
-				nd.tel.Event(nd.id, nd.now, telemetry.KindDrop, int64(rq.peer), 0, 0)
-				nd.ring.Put(buf)
-			}
+			nd.Tx.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeCoded, Sender: uint32(nd.ID), Epoch: uint32(rq.gen)}
+			nd.Tx.Coded = rlnc.Encode(j, nd.k, cluster.TokenVec(toks[j]))
+			nd.Send(rq.peer)
 		}
 	}
 	nd.serveQ = nd.serveQ[:0]
@@ -580,7 +525,7 @@ func (nd *node) serveCatchup(tr cluster.Transport) {
 // permanent; only live spans are updated (the hint is worthless once
 // the generation retired, and not worth opening a span for).
 func (nd *node) markRank(sender, g, rank int) {
-	if rank < nd.k || sender < 0 || sender >= nd.maxN || sender == nd.id {
+	if rank < nd.k || sender < 0 || sender >= nd.maxN || sender == nd.ID {
 		return
 	}
 	gs, ok := nd.spans[g]
@@ -598,7 +543,7 @@ func (nd *node) markRank(sender, g, rank int) {
 
 // mergeMark folds one learned watermark into the view (pointwise max).
 func (nd *node) mergeMark(id, w int) bool {
-	if id < 0 || id >= nd.maxN || id == nd.id {
+	if id < 0 || id >= nd.maxN || id == nd.ID {
 		return false
 	}
 	if w > nd.gens {
@@ -647,7 +592,7 @@ func (nd *node) adoptOrphans() {
 		injected := false
 		for j := 0; j < nd.k; j++ {
 			owner := genOwner(g, nd.k, j, nd.n)
-			if owner == nd.id || nd.view.Eligible(owner, nd.now) {
+			if owner == nd.ID || nd.View.Eligible(owner, nd.Now) {
 				continue
 			}
 			if gs.adopted == nil {
@@ -678,8 +623,8 @@ func (nd *node) adoptOrphans() {
 // the currently eligible view members — the deterministic adopter of
 // orphaned origins.
 func (nd *node) lowestEligible() bool {
-	for id := 0; id < nd.id; id++ {
-		if nd.view.Eligible(id, nd.now) {
+	for id := 0; id < nd.ID; id++ {
+		if nd.View.Eligible(id, nd.Now) {
 			return false
 		}
 	}
@@ -698,7 +643,7 @@ func (nd *node) emitDataInto(p *wire.Packet) bool {
 	if hi > nd.gens {
 		hi = nd.gens
 	}
-	audience := nd.view.LiveCount() - 1
+	audience := nd.View.LiveCount() - 1
 	nd.cands = nd.cands[:0]
 	for g := nd.base; g < hi; g++ {
 		gs := nd.ensureGen(g)
@@ -713,10 +658,10 @@ func (nd *node) emitDataInto(p *wire.Packet) bool {
 	}
 	g := nd.cands[nd.cursor%len(nd.cands)]
 	nd.cursor++
-	if !nd.spans[g].span.RandomCombinationInto(&p.Coded, nd.rng) {
+	if !nd.spans[g].span.RandomCombinationInto(&p.Coded, nd.Rng) {
 		return false
 	}
-	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeCoded, Sender: uint32(nd.id), Epoch: uint32(g)}
+	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeCoded, Sender: uint32(nd.ID), Epoch: uint32(g)}
 	return true
 }
 
@@ -729,7 +674,7 @@ func (nd *node) emitAckInto(p *wire.Packet) {
 	if hi > nd.gens {
 		hi = nd.gens
 	}
-	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeAck, Sender: uint32(nd.id), Epoch: uint32(nd.delivered)}
+	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeAck, Sender: uint32(nd.ID), Epoch: uint32(nd.delivered)}
 	ack := &p.Ack
 	ack.Watermark = uint32(nd.delivered)
 	ack.Ranks = ack.Ranks[:0]
@@ -752,7 +697,7 @@ func (nd *node) emitAckInto(p *wire.Packet) {
 		ack.Ranks = append(ack.Ranks, wire.GenRank{Gen: uint32(nd.delivered), Rank: uint32(rank)})
 	}
 	for i, w := range nd.marks {
-		if i == nd.id {
+		if i == nd.ID {
 			w = nd.delivered
 		}
 		if w > 0 {
@@ -761,163 +706,42 @@ func (nd *node) emitAckInto(p *wire.Packet) {
 	}
 }
 
-// randPeer picks a uniform live, unsuspected peer, or -1 when there is
-// none. With a full view it draws exactly as the static runtime did,
-// keeping churnless transcripts bit-identical. With a known gate it
-// redraws a bounded number of times to land on a routable peer.
-func (nd *node) randPeer() int {
-	peer := nd.view.Pick(nd.rng, nd.now)
-	if nd.known == nil {
-		return peer
-	}
-	for tries := 0; tries < 4 && peer >= 0 && !nd.known(peer); tries++ {
-		peer = nd.view.Pick(nd.rng, nd.now)
-	}
-	if peer >= 0 && !nd.known(peer) {
-		return -1
-	}
-	return peer
-}
-
-// pushData sends up to fanout fresh coded packets to random peers,
-// marshalling each through a recycled ring buffer. A node with nothing
-// to gossip yet (a joiner awaiting bootstrap) instead announces itself
-// to one random peer in churn runs, so peers keep learning it exists
-// even if its join-time hello burst was lost.
-func (nd *node) pushData(tr cluster.Transport) {
-	if nd.view.LiveCount() < 2 {
+// pushData sends up to fanout fresh coded packets to random peers. A
+// node with nothing to gossip yet (a joiner awaiting bootstrap)
+// announces itself instead (see cluster.Node.Announce).
+func (nd *node) pushData() {
+	if nd.View.LiveCount() < 2 {
 		return
 	}
-	nd.serveCatchup(tr)
+	nd.serveCatchup()
 	sent := false
-	for f := 0; f < nd.fanout; f++ {
-		if !nd.emitDataInto(&nd.tx) {
+	for f := 0; f < nd.Fanout; f++ {
+		if !nd.emitDataInto(&nd.Tx) {
 			break
 		}
-		peer := nd.randPeer()
+		peer := nd.Pick()
 		if peer < 0 {
 			return
 		}
 		sent = true
-		nd.m.PacketsOut++
-		bits := int64(nd.tx.Bits())
-		nd.m.BitsOut += bits
-		buf := nd.tx.AppendTo(nd.ring.Get()[:0])
-		if nd.out != nil {
-			nd.out.Add(cluster.OutEntry{From: nd.id, To: peer, Kind: cluster.OutData, Arg: int64(nd.tx.Env.Epoch), Bits: bits, Buf: buf})
-			continue
-		}
-		nd.tel.Event(nd.id, nd.now, telemetry.KindSend, int64(peer), int64(nd.tx.Env.Epoch), bits)
-		if !tr.Send(nd.id, peer, buf) {
-			nd.m.Dropped++
-			nd.tel.Event(nd.id, nd.now, telemetry.KindDrop, int64(peer), 0, 0)
-			nd.ring.Put(buf)
-		}
+		nd.Send(peer)
 	}
-	if !sent && nd.churn {
-		if peer := nd.randPeer(); peer >= 0 {
-			nd.sendHello(tr, peer, nd.buildHello(false))
-		}
+	if !sent {
+		nd.Announce()
 	}
 }
 
 // pushAck sends one progress ack to a random peer. A joiner holds its
 // acks until it has bootstrapped: it has no watermark to report yet.
-func (nd *node) pushAck(tr cluster.Transport) {
-	if nd.view.LiveCount() < 2 || !nd.bootstrapped {
+func (nd *node) pushAck() {
+	if nd.View.LiveCount() < 2 || !nd.bootstrapped {
 		return
 	}
-	nd.emitAckInto(&nd.tx)
-	peer := nd.randPeer()
+	nd.emitAckInto(&nd.Tx)
+	peer := nd.Pick()
 	if peer < 0 {
 		return
 	}
 	nd.m.AcksOut++
-	nd.m.BitsOut += int64(nd.tx.Bits())
-	buf := nd.tx.AppendTo(nd.ring.Get()[:0])
-	if nd.out != nil {
-		nd.out.Add(cluster.OutEntry{From: nd.id, To: peer, Kind: cluster.OutAck, Arg: int64(nd.delivered), Buf: buf})
-		return
-	}
-	nd.tel.Event(nd.id, nd.now, telemetry.KindSendAck, int64(peer), int64(nd.delivered), 0)
-	if !tr.Send(nd.id, peer, buf) {
-		nd.m.Dropped++
-		nd.tel.Event(nd.id, nd.now, telemetry.KindDrop, int64(peer), 0, 0)
-		nd.ring.Put(buf)
-	}
-}
-
-// buildHello fills the tx scratch with a membership announcement
-// carrying the node's current live view and returns it marshalled into
-// a ring buffer.
-func (nd *node) buildHello(leaving bool) []byte {
-	nd.tx.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeHello, Sender: uint32(nd.id), Epoch: 0}
-	nd.tx.Hello.Leaving = leaving
-	nd.tx.Hello.Peers = nd.view.AppendPeers(nd.tx.Hello.Peers[:0])
-	return nd.tx.AppendTo(nd.ring.Get()[:0])
-}
-
-// sendHello sends buf — the tx scratch's hello as marshalled by
-// buildHello, or a copy of it — to one peer; ownership of buf passes to
-// the transport.
-func (nd *node) sendHello(tr cluster.Transport, peer int, buf []byte) {
-	nd.m.HellosOut++
-	nd.m.BitsOut += int64(nd.tx.Bits())
-	leaving := int64(0)
-	if nd.tx.Hello.Leaving {
-		leaving = 1
-	}
-	if nd.out != nil {
-		nd.out.Add(cluster.OutEntry{From: nd.id, To: peer, Kind: cluster.OutHello, Arg: leaving, Buf: buf})
-		return
-	}
-	nd.tel.Event(nd.id, nd.now, telemetry.KindSendHello, int64(peer), leaving, 0)
-	if !tr.Send(nd.id, peer, buf) {
-		nd.m.Dropped++
-		nd.tel.Event(nd.id, nd.now, telemetry.KindDrop, int64(peer), 0, 0)
-		nd.ring.Put(buf)
-	}
-}
-
-// sample records one telemetry time-series point for the node: the
-// rank of the generation at the delivery watermark (the one the node
-// is working on), the watermark itself, inbox backlog and live-view
-// size. A no-op without a recorder.
-func (nd *node) sample(tr cluster.Transport) {
-	if nd.tel == nil {
-		return
-	}
-	rank := 0
-	if gs, ok := nd.spans[nd.delivered]; ok {
-		rank = gs.span.Rank()
-	} else if nd.delivered >= nd.gens {
-		rank = nd.k // stream finished
-	}
-	inbox := len(tr.Recv(nd.id))
-	if nd.lockstep {
-		nd.tel.SampleTick(nd.id, nd.now, rank, nd.delivered, inbox, nd.view.LiveCount())
-	} else {
-		nd.tel.Sample(nd.id, nd.now, rank, nd.delivered, inbox, nd.view.LiveCount())
-	}
-}
-
-// helloAll announces to every peer currently in the view: the
-// join/restart introduction burst, or the graceful-leave goodbye.
-// Churn-phase hellos bypass the shard outbox and send inline: the
-// serial driver delivers them to inboxes drained the same tick, so
-// deferring them to the exchange barrier would delay delivery a tick
-// and diverge from the serial transcript. The burst is marshalled once
-// and every recipient gets its own exact-size copy — a sent buffer has
-// one owner (see cluster's helloAll).
-func (nd *node) helloAll(tr cluster.Transport, leaving bool) {
-	out := nd.out
-	nd.out = nil
-	defer func() { nd.out = out }()
-	msg := nd.buildHello(leaving)
-	for _, pid := range nd.tx.Hello.Peers {
-		if int(pid) != nd.id {
-			nd.sendHello(tr, int(pid), slices.Clone(msg))
-		}
-	}
-	nd.ring.Put(msg)
+	nd.Send(peer)
 }

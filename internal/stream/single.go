@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/telemetry"
-	"repro/internal/wire"
 )
 
 // SingleConfig parameterizes one node of a multi-process streaming run:
@@ -58,44 +57,9 @@ type SingleConfig struct {
 	Telemetry *telemetry.Recorder
 }
 
-func (c SingleConfig) fanout() int {
-	if c.Fanout > 0 {
-		return c.Fanout
-	}
-	return 2
-}
-
-func (c SingleConfig) window() int {
-	if c.Window > 0 {
-		return c.Window
-	}
-	return 4
-}
-
-func (c SingleConfig) interval() time.Duration {
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return 500 * time.Microsecond
-}
-
-func (c SingleConfig) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 30 * time.Second
-}
-
-func (c SingleConfig) linger() time.Duration {
-	if c.Linger > 0 {
-		return c.Linger
-	}
-	return 2 * time.Second
-}
-
-// config lowers the single-node parameters onto the shared Config so
-// newNode and the node methods see exactly the in-process shape
-// (churnless, async clocking).
+// config lowers the protocol's parameters onto the shared Config so
+// validation, newNode and the node methods see exactly the in-process
+// shape (churnless, async clocking).
 func (c SingleConfig) config() Config {
 	return Config{
 		N:           c.N,
@@ -107,9 +71,6 @@ func (c SingleConfig) config() Config {
 		Seed:        c.Seed,
 		Source:      c.Source,
 		Deliver:     c.Deliver,
-		Interval:    c.Interval,
-		Timeout:     c.Timeout,
-		Telemetry:   c.Telemetry,
 	}
 }
 
@@ -123,96 +84,25 @@ func (c SingleConfig) config() Config {
 // delivery verification failure.
 func RunSingle(ctx context.Context, cfg SingleConfig) (NodeMetrics, error) {
 	var m NodeMetrics
-	switch {
-	case cfg.N < 1:
-		return m, fmt.Errorf("stream: need at least 1 node, got %d", cfg.N)
-	case cfg.ID < 0 || cfg.ID >= cfg.N:
+	lowered := cfg.config()
+	if err := lowered.validate(); err != nil {
+		return m, err
+	}
+	if cfg.ID < 0 || cfg.ID >= cfg.N {
 		return m, fmt.Errorf("stream: node id %d outside [0, %d)", cfg.ID, cfg.N)
-	case cfg.K < 1:
-		return m, fmt.Errorf("stream: need at least 1 token per generation, got %d", cfg.K)
-	case cfg.PayloadBits < 1:
-		return m, fmt.Errorf("stream: need at least 1 payload bit, got %d", cfg.PayloadBits)
-	case cfg.Generations < 1:
-		return m, fmt.Errorf("stream: need at least 1 generation, got %d", cfg.Generations)
-	case uint64(cfg.Generations) > wire.MaxEpoch:
-		return m, fmt.Errorf("stream: %d generations exceed the 32-bit wire epoch space (%d)", cfg.Generations, uint64(wire.MaxEpoch))
-	case cfg.Window < 0:
-		return m, fmt.Errorf("stream: negative window %d", cfg.Window)
-	case cfg.Fanout < 0:
-		return m, fmt.Errorf("stream: negative fanout %d", cfg.Fanout)
-	case cfg.Transport == nil:
+	}
+	if cfg.Transport == nil {
 		return m, fmt.Errorf("stream: RunSingle needs a Transport (the process's socket)")
 	}
-	lowered := cfg.config()
-	src := lowered.source()
-	if toks := src.Generation(0); len(toks) != cfg.K {
-		return m, fmt.Errorf("stream: source produced %d tokens per generation, want K=%d", len(toks), cfg.K)
+	eng, err := lowered.engine(func(int) *NodeMetrics { return &m })
+	if err != nil {
+		return m, err
 	}
-
-	live := make([]bool, cfg.N)
-	for i := range live {
-		live[i] = true
-	}
-	nd := newNode(cfg.ID, lowered, src, &m, cluster.NewContacts(live, cfg.N), 0, false)
-	nd.known = cfg.Known
-	if nd.known == nil {
-		if at, ok := cfg.Transport.(cluster.AddressedTransport); ok {
-			nd.known = at.Known
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(ctx, cfg.timeout())
-	defer cancel()
-
-	start := time.Now()
-	tick := func() { nd.now = int64(time.Since(start)) }
-	markDone := func() bool {
-		if !m.Done && nd.done() {
-			m.Done = true
-			m.DoneAt = time.Since(start)
-		}
-		return m.Done
-	}
-
-	nd.prime()
-	if nd.err != nil {
-		return m, nd.err
-	}
-	var lingerC <-chan time.Time
-	startLinger := func() {
-		lt := time.NewTimer(cfg.linger())
-		lingerC = lt.C
-	}
-	if markDone() { // n == 1, or a window the node sources alone
-		startLinger()
-	}
-
-	tr := cfg.Transport
-	inbox := tr.Recv(cfg.ID)
-	ticker := time.NewTicker(cfg.interval())
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return m, nil
-		case <-lingerC:
-			return m, nil
-		case raw := <-inbox:
-			tick()
-			if nd.recv(raw) {
-				if nd.err != nil {
-					return m, nd.err
-				}
-				if markDone() && lingerC == nil {
-					startLinger()
-				}
-				nd.pushData(tr)
-			}
-		case <-ticker.C:
-			tick()
-			nd.sample(tr)
-			nd.pushData(tr)
-			nd.pushAck(tr)
-		}
-	}
+	err = eng.RunSingle(ctx, cluster.SingleConfig{
+		ID: cfg.ID, N: cfg.N, Fanout: cfg.Fanout, Seed: cfg.Seed,
+		Transport: cfg.Transport, Known: cfg.Known,
+		Interval: cfg.Interval, Timeout: cfg.Timeout, Linger: cfg.Linger,
+		Telemetry: cfg.Telemetry,
+	})
+	return m, err
 }

@@ -25,21 +25,21 @@
 // generation order per node, and every delivery is verified against the
 // Source before the callback sees it.
 //
-// Like internal/cluster, the package ships two drivers over the same
-// node logic: an async goroutine-per-node runtime (wall-clock metrics,
-// context shutdown) and a deterministic lockstep driver whose runs are
-// a pure function of Config.Seed.
+// The package is a protocol, not a runtime: its node implements
+// cluster.Protocol and runs on cluster.Engine's drivers — the async
+// goroutine-per-node runtime (wall-clock metrics, context shutdown),
+// the deterministic lockstep driver whose runs are a pure function of
+// Config.Seed, and the one-process-per-node loop behind RunSingle (see
+// DESIGN.md "Node runtime and drivers").
 package stream
 
 import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/token"
 	"repro/internal/wire"
@@ -174,7 +174,7 @@ type Config struct {
 	// many workers over contiguous node-id ranges, with a serial
 	// exchange barrier replaying emissions in id order so transcripts
 	// stay bit-identical to the serial driver at every shard count (see
-	// cluster.Outbox and DESIGN.md "Sharded lockstep engine"). 0 and 1
+	// DESIGN.md "Node runtime and drivers"). 0 and 1
 	// both mean the serial engine; >1 requires Lockstep. On sharded runs
 	// Deliver is called concurrently from shard workers (distinct nodes
 	// only — per-node calls stay strictly ordered) and must be safe for
@@ -217,59 +217,11 @@ func (c Config) suspectTicks() int {
 	return 50
 }
 
-// suspectAfter is the suspicion threshold in view-stamp units: ticks
-// under the lockstep driver, nanoseconds under the async one. Zero
-// (churnless) disables suspicion.
-func (c Config) suspectAfter() int64 {
-	if c.Churn == nil {
-		return 0
-	}
-	if c.Lockstep {
-		return int64(c.suspectTicks())
-	}
-	return int64(time.Duration(c.suspectTicks()) * c.interval())
-}
-
 func (c Config) window() int {
 	if c.Window > 0 {
 		return c.Window
 	}
 	return 4
-}
-
-func (c Config) fanout() int {
-	if c.Fanout > 0 {
-		return c.Fanout
-	}
-	return 2
-}
-
-func (c Config) shards() int {
-	if c.Shards > 1 {
-		return c.Shards
-	}
-	return 1
-}
-
-func (c Config) maxTicks() int {
-	if c.MaxTicks > 0 {
-		return c.MaxTicks
-	}
-	return 20000
-}
-
-func (c Config) interval() time.Duration {
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return 500 * time.Microsecond
-}
-
-func (c Config) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 30 * time.Second
 }
 
 func (c Config) source() Source {
@@ -294,41 +246,21 @@ func DefaultInboxBuffer(n, fanout int) int { return cluster.DefaultInboxBuffer(n
 
 // NodeMetrics are one node's counters for a streaming run.
 type NodeMetrics struct {
-	// PacketsOut / PacketsIn count coded data packets only; acks are
-	// counted separately.
-	PacketsOut int64
-	PacketsIn  int64
-	AcksOut    int64
-	AcksIn     int64
-	// BitsOut is protocol bits sent (data and acks) under the
-	// simulator's Bits() accounting, wire framing excluded.
-	BitsOut int64
-	// Dropped counts Sends the transport reported undelivered.
-	Dropped int64
-	// Innovative counts received coded packets that grew a span.
-	Innovative int64
+	// The counters every gossip runtime keeps, with the stream's
+	// reading: PacketsOut / PacketsIn count coded data packets only
+	// (acks are counted separately below), BitsOut covers data, acks
+	// and hellos, Innovative counts received coded packets that grew a
+	// span. Done, DoneTick and DoneAt mark delivery of the final
+	// generation; JoinTick / JoinAt the node's latest (re)entry.
+	cluster.NodeMetrics
+	AcksOut int64
+	AcksIn  int64
 	// Stale counts received coded packets for generations already
 	// retired locally (or arriving before a joiner bootstrapped).
 	Stale int64
-	// HellosOut counts membership announcements sent (bits included in
-	// BitsOut). Always zero without churn.
-	HellosOut int64
 	// Delivered is the number of generations handed to the consumer
 	// (from StartGen onward for joiners).
 	Delivered int
-	Done      bool
-	// DoneTick / DoneAt mark delivery of the final generation
-	// (lockstep tick, async wall time).
-	DoneTick int
-	DoneAt   time.Duration
-	// Spawned marks ids that actually entered the run; Live is the
-	// node's membership at the end (false after a crash or leave).
-	Spawned bool
-	Live    bool
-	// JoinTick / JoinAt stamp the node's latest (re)entry: zero for
-	// founding members.
-	JoinTick int
-	JoinAt   time.Duration
 	// StartGen is where the node's delivery obligation started: 0 for
 	// founding members, the frontier learned at join time for joiners.
 	StartGen int
@@ -396,6 +328,53 @@ func (r *Result) DoneTimes() []float64 {
 	return out
 }
 
+// validate rejects stream shapes no run can carry.
+func (c Config) validate() error {
+	switch {
+	case c.N < 1:
+		return fmt.Errorf("stream: need at least 1 node, got %d", c.N)
+	case c.K < 1:
+		return fmt.Errorf("stream: need at least 1 token per generation, got %d", c.K)
+	case c.PayloadBits < 1:
+		return fmt.Errorf("stream: need at least 1 payload bit, got %d", c.PayloadBits)
+	case c.Generations < 1:
+		return fmt.Errorf("stream: need at least 1 generation, got %d", c.Generations)
+	case uint64(c.Generations) > wire.MaxEpoch: // Generations >= 1 here; uint64 keeps 32-bit builds compiling
+		// The generation number rides the 32-bit wire epoch; beyond it,
+		// generation g and g+2^32 would alias in ack/rank bookkeeping
+		// (the constructors panic rather than wrap — shard the stream).
+		return fmt.Errorf("stream: %d generations exceed the 32-bit wire epoch space (%d)", c.Generations, uint64(wire.MaxEpoch))
+	case c.Window < 0:
+		return fmt.Errorf("stream: negative window %d", c.Window)
+	case c.Fanout < 0:
+		return fmt.Errorf("stream: negative fanout %d", c.Fanout)
+	}
+	return nil
+}
+
+// engine returns the cluster.Engine that streams c: its nodes are this
+// package's, sharing one Source (checked against K here) and counting
+// into the blocks metrics hands out.
+func (c Config) engine(metrics func(id int) *NodeMetrics) (cluster.Engine, error) {
+	src := c.source()
+	if toks := src.Generation(0); len(toks) != c.K {
+		return cluster.Engine{}, fmt.Errorf("stream: source produced %d tokens per generation, want K=%d", len(toks), c.K)
+	}
+	eng := cluster.Engine{
+		New: func(nd *cluster.Node, joiner bool) cluster.Protocol {
+			return newNode(nd, c, src, metrics(nd.ID), joiner)
+		},
+		Metrics: func(id int) *cluster.NodeMetrics { return &metrics(id).NodeMetrics },
+		Control: 1, // the ack
+	}
+	if c.Churn != nil {
+		// The retirement frontier would deadlock on a dead node's stale
+		// watermark; churnless runs never suspect.
+		eng.SuspectTicks = c.suspectTicks()
+	}
+	return eng, nil
+}
+
 // Run streams cfg.Generations generations of cfg.K tokens across an
 // n-node gossip cluster until every live node has decoded and
 // delivered the whole stream in order (joiners from the frontier they
@@ -403,24 +382,8 @@ func (r *Result) DoneTimes() []float64 {
 // or the lockstep tick cap is hit. Every delivered generation is
 // verified against the Source before Run returns it to the consumer.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	switch {
-	case cfg.N < 1:
-		return nil, fmt.Errorf("stream: need at least 1 node, got %d", cfg.N)
-	case cfg.K < 1:
-		return nil, fmt.Errorf("stream: need at least 1 token per generation, got %d", cfg.K)
-	case cfg.PayloadBits < 1:
-		return nil, fmt.Errorf("stream: need at least 1 payload bit, got %d", cfg.PayloadBits)
-	case cfg.Generations < 1:
-		return nil, fmt.Errorf("stream: need at least 1 generation, got %d", cfg.Generations)
-	case uint64(cfg.Generations) > wire.MaxEpoch: // Generations >= 1 here; uint64 keeps 32-bit builds compiling
-		// The generation number rides the 32-bit wire epoch; beyond it,
-		// generation g and g+2^32 would alias in ack/rank bookkeeping
-		// (the constructors panic rather than wrap — shard the stream).
-		return nil, fmt.Errorf("stream: %d generations exceed the 32-bit wire epoch space (%d)", cfg.Generations, uint64(wire.MaxEpoch))
-	case cfg.Window < 0:
-		return nil, fmt.Errorf("stream: negative window %d", cfg.Window)
-	case cfg.Fanout < 0:
-		return nil, fmt.Errorf("stream: negative fanout %d", cfg.Fanout)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if err := cfg.Churn.Validate(); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
@@ -428,78 +391,22 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Shards > 1 && !cfg.Lockstep {
 		return nil, fmt.Errorf("stream: Shards=%d requires Lockstep (the async driver is already concurrent)", cfg.Shards)
 	}
-
-	src := cfg.source()
-	if toks := src.Generation(0); len(toks) != cfg.K {
-		return nil, fmt.Errorf("stream: source produced %d tokens per generation, want K=%d", len(toks), cfg.K)
+	res := &Result{Nodes: make([]NodeMetrics, cfg.maxNodes())}
+	eng, err := cfg.engine(func(id int) *NodeMetrics { return &res.Nodes[id] })
+	if err != nil {
+		return nil, err
 	}
-
-	maxN := cfg.maxNodes()
-	tr := cfg.Transport
-	if tr == nil {
-		extra := 0
-		if cfg.Churn != nil {
-			extra = 1 // hello headroom; see cluster.InboxBuffer
-		}
-		tr = cluster.NewChanTransport(maxN, DefaultInboxBuffer(maxN, cfg.fanout()+extra))
-	}
-	defer tr.Close()
-
-	res := &Result{Nodes: make([]NodeMetrics, maxN)}
-	sr := &streamRun{
-		cfg:   cfg,
-		src:   src,
-		tr:    tr,
-		res:   res,
-		maxN:  maxN,
-		nodes: make([]*node, maxN),
-		live:  make([]bool, maxN),
-		ch:    cluster.NewChurner(cfg.Churn, cfg.N, maxN, cfg.Seed),
-		exec:  shard.New(maxN, cfg.shards()),
-	}
-	if cfg.Churn.HasTargeted() {
-		sr.ranks = make([]atomic.Int64, maxN)
-		sr.ch.SetRank(func(id int) int { return int(sr.ranks[id].Load()) })
-	}
-	if sr.exec.Shards() > 1 {
-		sr.outs = make([]*cluster.Outbox, sr.exec.Shards())
-		for i := range sr.outs {
-			sr.outs[i] = &cluster.Outbox{}
-		}
-	}
-	for i := 0; i < cfg.N; i++ {
-		sr.live[i] = true
-	}
-	sr.contacts = cluster.NewContacts(sr.live, maxN)
-	sr.exec.Run(func(_, lo, hi int) {
-		for id := lo; id < min(hi, cfg.N); id++ {
-			sr.nodes[id] = newNode(id, cfg, src, &res.Nodes[id], sr.contacts, 0, false)
-			sr.attach(sr.nodes[id])
-		}
+	run, err := eng.Run(ctx, cluster.Config{
+		N: cfg.N, Fanout: cfg.Fanout, Seed: cfg.Seed, Transport: cfg.Transport,
+		Interval: cfg.Interval, Timeout: cfg.Timeout, Lockstep: cfg.Lockstep,
+		Shards: cfg.Shards, MaxTicks: cfg.MaxTicks, Churn: cfg.Churn, Telemetry: cfg.Telemetry,
 	})
-
-	start := time.Now()
-	var err error
-	if cfg.Lockstep {
-		err = sr.runLockstep(ctx)
-	} else {
-		err = sr.runAsync(ctx, start)
-	}
-	res.Elapsed = time.Since(start)
-
+	res.Completed, res.FinalLive, res.Elapsed, res.Ticks = run.Completed, run.FinalLive, run.Elapsed, run.Ticks
+	res.PacketsOut, res.PacketsIn, res.BitsOut, res.Dropped = run.PacketsOut, run.PacketsIn, run.BitsOut, run.Dropped
 	for _, m := range res.Nodes {
-		res.PacketsOut += m.PacketsOut
-		res.PacketsIn += m.PacketsIn
 		res.AcksOut += m.AcksOut
-		res.BitsOut += m.BitsOut
-		res.Dropped += m.Dropped
 		res.TokensDelivered += int64(m.Delivered) * int64(cfg.K)
-		if m.MaxSpanBytes > res.MaxSpanBytes {
-			res.MaxSpanBytes = m.MaxSpanBytes
-		}
-		if m.Live {
-			res.FinalLive++
-		}
+		res.MaxSpanBytes = max(res.MaxSpanBytes, m.MaxSpanBytes)
 	}
 	return res, err
 }
