@@ -290,21 +290,20 @@ func BenchmarkE11GossipUnderLoss(b *testing.B) {
 	var codedTicks, fwdTicks int
 	for i := 0; i < b.N; i++ {
 		toks := token.RandomSet(k, d, rand.New(rand.NewSource(int64(i))))
-		for _, cfg := range []struct {
+		for _, c := range []struct {
 			mode cluster.Mode
 			out  *int
 		}{{cluster.Coded, &codedTicks}, {cluster.Forward, &fwdTicks}} {
-			tr := cluster.WithLoss(cluster.NewChanTransport(n, cluster.InboxBuffer(n, 2)), loss, int64(i)+77)
-			res, err := cluster.Run(ctx, cluster.Config{
-				N: n, Fanout: 2, Mode: cfg.mode, Seed: int64(i), Transport: tr, Lockstep: true,
-			}, toks)
+			cfg := cluster.Config{N: n, Fanout: 2, Mode: c.mode, Seed: int64(i), Lockstep: true}
+			cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(0), loss, int64(i)+77)
+			res, err := cluster.Run(ctx, cfg, toks)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if !res.Completed {
-				b.Fatalf("%v gossip incomplete", cfg.mode)
+				b.Fatalf("%v gossip incomplete", c.mode)
 			}
-			*cfg.out = res.Ticks
+			*c.out = res.Ticks
 		}
 	}
 	b.ReportMetric(float64(codedTicks), "coded-ticks")
@@ -321,22 +320,23 @@ func BenchmarkE12StreamWindows(b *testing.B) {
 	ctx := context.Background()
 	var seqTicks, pipeTicks int
 	for i := 0; i < b.N; i++ {
-		for _, cfg := range []struct {
+		for _, c := range []struct {
 			window int
 			out    *int
 		}{{1, &seqTicks}, {4, &pipeTicks}} {
-			tr := cluster.WithLoss(cluster.NewChanTransport(n, stream.InboxBuffer(n, 2)), loss, int64(i)+77)
-			res, err := stream.Run(ctx, stream.Config{
-				N: n, K: k, PayloadBits: d, Window: cfg.window, Generations: gens,
-				Seed: int64(i), Transport: tr, Lockstep: true, MaxTicks: 500000,
-			})
+			cfg := stream.Config{
+				N: n, K: k, PayloadBits: d, Window: c.window, Generations: gens,
+				Seed: int64(i), Lockstep: true, MaxTicks: 500000,
+			}
+			cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), loss, int64(i)+77)
+			res, err := stream.Run(ctx, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if !res.Completed {
-				b.Fatalf("W=%d stream incomplete", cfg.window)
+				b.Fatalf("W=%d stream incomplete", c.window)
 			}
-			*cfg.out = res.Ticks
+			*c.out = res.Ticks
 		}
 	}
 	tokens := float64(k * gens)
@@ -359,15 +359,12 @@ func BenchmarkChurnSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	maxN := n + sched.Joins()
 	ctx := context.Background()
 	var ticks, live int
 	for i := 0; i < b.N; i++ {
-		tr := cluster.WithLoss(cluster.NewChanTransport(maxN, cluster.InboxBuffer(maxN, 3)), loss, int64(i)+77)
-		res, err := cluster.Run(ctx, cluster.Config{
-			N: n, Fanout: 2, Seed: int64(i), Transport: tr, Lockstep: true,
-			MaxTicks: 200000, Churn: sched,
-		}, token.RandomSet(k, d, rand.New(rand.NewSource(int64(i)))))
+		cfg := cluster.Config{N: n, Fanout: 2, Seed: int64(i), Lockstep: true, MaxTicks: 200000, Churn: sched}
+		cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(0), loss, int64(i)+77)
+		res, err := cluster.Run(ctx, cfg, token.RandomSet(k, d, rand.New(rand.NewSource(int64(i)))))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -35,7 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"os/signal"
 	"time"
@@ -43,7 +42,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/cluster"
 	"repro/internal/sim"
-	"repro/internal/token"
 )
 
 // options carries every flag so tests drive run() without a process.
@@ -73,24 +71,20 @@ func run(w io.Writer, o options) error {
 	default:
 		return fmt.Errorf("unknown mode %q", o.mode)
 	}
-	g, err := o.Open(0,
+	cfg, err := o.Open(nil,
 		"driver", "cluster", "mode", o.mode, "n", fmt.Sprint(o.N), "k", fmt.Sprint(o.K),
 		"loss", fmt.Sprint(o.Loss), "transport", o.Transport, "seed", fmt.Sprint(o.Seed))
 	if err != nil {
 		return err
 	}
-	toks := token.RandomSet(o.K, o.Payload, rand.New(rand.NewSource(o.Seed)))
+	cfg.Mode = mode
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	res, err := cluster.Run(ctx, cluster.Config{
-		N: o.N, Fanout: o.Fanout, Mode: mode, Seed: o.Seed, Transport: g.Transport,
-		Interval: o.Interval, Timeout: o.Timeout, Lockstep: g.Lockstep, Shards: o.Shards,
-		MaxTicks: o.MaxTicks, Churn: g.Churn, Telemetry: g.Recorder,
-	}, toks)
+	res, err := cluster.Run(ctx, cfg, o.Tokens())
 	if err != nil {
 		return err
 	}
-	if err := o.Export(g.Recorder, "cluster", false); err != nil {
+	if err := o.Export(cfg.Telemetry, "cluster", false); err != nil {
 		return err
 	}
 
@@ -100,14 +94,14 @@ func run(w io.Writer, o options) error {
 		Header: []string{"metric", "value"},
 	}
 	t.AddRow("completed", fmt.Sprintf("%v", res.Completed))
-	if g.Lockstep {
+	if cfg.Lockstep {
 		t.AddRow("ticks", sim.I(res.Ticks))
-		if s := sim.Summarize(res.DoneTicks()); s.N > 0 {
+		if s := sim.Summarize(cluster.DoneTicks(res.Nodes)); s.N > 0 {
 			t.AddRow("ticks-to-rank-k min/mean/max", fmt.Sprintf("%s / %s / %s", sim.F(s.Min), sim.F(s.Mean), sim.F(s.Max)))
 		}
 	} else {
 		t.AddRow("elapsed", res.Elapsed.Round(time.Millisecond).String())
-		if s := sim.Summarize(res.DoneTimes()); s.N > 0 {
+		if s := sim.Summarize(cluster.DoneTimes(res.Nodes)); s.N > 0 {
 			t.AddRow("time-to-rank-k min/mean/max", fmt.Sprintf("%.1fms / %.1fms / %.1fms", 1e3*s.Min, 1e3*s.Mean, 1e3*s.Max))
 		}
 	}
@@ -115,7 +109,7 @@ func run(w io.Writer, o options) error {
 	t.AddRow("packets received", sim.I(int(res.PacketsIn)))
 	t.AddRow("packets dropped", sim.I(int(res.Dropped)))
 	t.AddRow("protocol bits sent", sim.I(int(res.BitsOut)))
-	if g.Churn != nil {
+	if cfg.Churn != nil {
 		spawned, hellos := 0, int64(0)
 		for _, m := range res.Nodes {
 			if m.Spawned {
@@ -123,7 +117,7 @@ func run(w io.Writer, o options) error {
 			}
 			hellos += m.HellosOut
 		}
-		t.AddRow("churn schedule", g.Churn.String())
+		t.AddRow("churn schedule", cfg.Churn.String())
 		t.AddRow("nodes spawned / live at end", fmt.Sprintf("%d / %d", spawned, res.FinalLive))
 		t.AddRow("hellos sent", sim.I(int(hellos)))
 	}

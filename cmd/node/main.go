@@ -34,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux for -debug-addr
@@ -51,7 +50,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
-	"repro/internal/token"
 	"repro/internal/udpnet"
 )
 
@@ -141,8 +139,27 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	defer tr.Close()
 	fmt.Fprintf(w, "LISTEN id=%d addr=%s\n", o.id, tr.LocalAddr())
 
-	rec := o.Recorder(o.N, "driver", "node", "id", fmt.Sprint(o.id), "n", fmt.Sprint(o.N),
-		"mode", o.mode, "k", fmt.Sprint(o.K), "seed", fmt.Sprint(o.Seed))
+	// Lower the flags before bootstrapping so a bad middleware knob
+	// fails fast. The middlewares hide the socket transport's Known
+	// method, which is why the routability gate is captured from tr, not
+	// from the wrapped stack. The hostile layers' tick clock derives from
+	// the emission interval (no lockstep driver feeds them ticks here).
+	meta := []string{"driver", "node", "id", fmt.Sprint(o.id), "n", fmt.Sprint(o.N),
+		"mode", o.mode, "k", fmt.Sprint(o.K), "seed", fmt.Sprint(o.Seed)}
+	single := cluster.Single{ID: o.id, Linger: o.linger, Known: tr.Known}
+	var oneShot cluster.Config
+	var streamed stream.Config
+	var rec *telemetry.Recorder
+	if streamMode {
+		streamed, err = o.OpenStream(tr, o.window, o.generations, meta...)
+		rec = streamed.Telemetry
+	} else {
+		oneShot, err = o.Open(tr, meta...)
+		rec = oneShot.Telemetry
+	}
+	if err != nil {
+		return err
+	}
 
 	if o.debugAddr != "" {
 		ln, err := net.Listen("tcp", o.debugAddr)
@@ -170,18 +187,9 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	flush := func() error {
 		flushed = true
 		stopSampler() // exports must see a quiet recorder
-		s := tr.Stats()
-		add("udp_datagrams", s.Datagrams)
-		add("udp_gossip", s.Gossip)
-		add("udp_announces", s.Announces)
-		add("udp_drop_oversize", s.DropOversize)
-		add("udp_drop_truncated", s.DropTruncated)
-		add("udp_drop_version", s.DropVersion)
-		add("udp_drop_type", s.DropType)
-		add("udp_drop_malformed", s.DropMalformed)
-		add("udp_drop_inbox_full", s.DropInboxFull)
-		add("udp_drop_unknown_peer", s.DropUnknownPeer)
-		add("udp_write_errors", s.WriteErrors)
+		for i, v := range tr.Stats().Counts() {
+			add("udp_"+udpnet.BucketNames[i], v)
+		}
 		if o.metrics != "" {
 			if err := writeMetrics(o.metrics, o.id, kv); err != nil {
 				return err
@@ -194,16 +202,6 @@ func run(ctx context.Context, w io.Writer, o options) error {
 			flush() // crash path: best-effort, the run's own error wins
 		}
 	}()
-
-	// Wrap before bootstrapping so a bad middleware knob fails fast.
-	// The middlewares hide the socket transport's Known method, which is
-	// why the routability gate is captured from tr, not wrapped. The
-	// hostile layers' tick clock derives from the emission interval (no
-	// lockstep driver feeds them ticks here).
-	wrapped, err := o.Wrap(tr, o.N, o.Interval, rec)
-	if err != nil {
-		return err
-	}
 
 	// Fill the address book before gossiping: joiners pull it from the
 	// bootstrap peer; the bootstrap node itself learns each joiner from
@@ -263,14 +261,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 				case <-sctx.Done():
 					return
 				case <-tick.C:
-					s := tr.Stats()
-					rec.SampleNet(time.Since(start).Milliseconds(), telemetry.NetCounters{
-						Datagrams: s.Datagrams, Gossip: s.Gossip, Announces: s.Announces,
-						DropOversize: s.DropOversize, DropTruncated: s.DropTruncated,
-						DropVersion: s.DropVersion, DropType: s.DropType,
-						DropMalformed: s.DropMalformed, DropInboxFull: s.DropInboxFull,
-						DropUnknownPeer: s.DropUnknownPeer, WriteErrors: s.WriteErrors,
-					})
+					rec.SampleNet(time.Since(start).Milliseconds(), tr.Stats().Counts())
 				}
 			}
 		}()
@@ -281,14 +272,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	// its own on top.
 	var shared cluster.NodeMetrics
 	if streamMode {
-		m, err := stream.RunSingle(ctx, stream.SingleConfig{
-			ID: o.id, N: o.N, K: o.K, PayloadBits: o.Payload,
-			Window: o.window, Generations: o.generations,
-			Fanout: o.Fanout, Seed: o.Seed,
-			Transport: wrapped, Known: tr.Known,
-			Interval: o.Interval, Timeout: o.Timeout, Linger: o.linger,
-			Telemetry: rec,
-		})
+		m, err := stream.RunSingle(ctx, streamed, single)
 		if err != nil {
 			return err
 		}
@@ -299,13 +283,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		add("stale", m.Stale)
 		fmt.Fprintf(w, "DONE id=%d ok=%v delivered=%d packets_out=%d\n", o.id, m.Done, m.Delivered, m.PacketsOut)
 	} else {
-		toks := token.RandomSet(o.K, o.Payload, rand.New(rand.NewSource(o.Seed)))
-		m, err := cluster.RunSingle(ctx, cluster.SingleConfig{
-			ID: o.id, N: o.N, Fanout: o.Fanout, Mode: cluster.Coded, Seed: o.Seed,
-			Transport: wrapped, Known: tr.Known,
-			Interval: o.Interval, Timeout: o.Timeout, Linger: o.linger,
-			Telemetry: rec,
-		}, toks)
+		m, err := cluster.RunSingle(ctx, oneShot, single, o.Tokens())
 		if err != nil {
 			return err
 		}

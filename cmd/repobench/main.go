@@ -39,6 +39,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -52,6 +53,7 @@ import (
 	"strings"
 
 	"repro/internal/benchfmt"
+	"repro/internal/cliutil"
 	"repro/internal/cluster"
 	"repro/internal/exp"
 	"repro/internal/sim"
@@ -65,16 +67,23 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// fixed are the non-swept run parameters.
+// fixed are the non-swept run parameters: the gossip CLIs' own flag
+// block, so a sweep point runs through exactly the path `cmd/cluster`
+// or `cmd/stream` would take with the same flags, plus the stream's
+// two.
 type fixed struct {
-	n, k, payload, window, gens, fanout, shards int
-	loss                                        float64
-	seed                                        int64
+	cliutil.GossipFlags
+	window, gens int
 }
+
+// sweepMaxTicks caps a sweep point's run: sweeps visit hostile corners
+// the drivers' default cap is too tight for.
+const sweepMaxTicks = 500000
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repobench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	fx := fixed{GossipFlags: cliutil.GossipFlags{Transport: "lockstep", MaxTicks: sweepMaxTicks}}
 	var (
 		sweep    = fs.String("sweep", "", "generate mode: param=min:step:max with param n|k|loss|window|fanout|churn|shards")
 		driver   = fs.String("driver", "cluster", "generate mode: cluster | stream | engine (lockstep/synchronous drivers)")
@@ -87,22 +96,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rev      = fs.String("rev", "", "revision key for the datafile name (default: git rev-parse --short HEAD)")
 		guard    = fs.String("guard", "BenchmarkEngineRound,BenchmarkWireRoundTrip,BenchmarkStreamSustained,BenchmarkEmitInsertSteadyState,BenchmarkChurnSteadyState,BenchmarkStreamWindowSweep/W=4,BenchmarkLockstepSharded/shards=1,BenchmarkLockstepSharded/shards=4",
 			"display history: comma-separated benchmarks to chart")
-
-		n       = fs.Int("n", 16, "nodes")
-		k       = fs.Int("k", 16, "tokens per run / per generation")
-		payload = fs.Int("payload", 128, "token payload bits")
-		window  = fs.Int("window", 4, "stream window (stream driver)")
-		gens    = fs.Int("generations", 8, "stream length (stream driver)")
-		fanout  = fs.Int("fanout", 2, "peers per emission")
-		shards  = fs.Int("shards", 1, "lockstep worker shards (cluster/stream drivers)")
-		loss    = fs.Float64("loss", 0, "packet loss rate in [0,1)")
-		seed    = fs.Int64("seed", 1, "base seed (runs are pure functions of it)")
 	)
+	fs.IntVar(&fx.N, "n", 16, "nodes")
+	fs.IntVar(&fx.K, "k", 16, "tokens per run / per generation")
+	fs.IntVar(&fx.Payload, "payload", 128, "token payload bits")
+	fs.IntVar(&fx.window, "window", 4, "stream window (stream driver)")
+	fs.IntVar(&fx.gens, "generations", 8, "stream length (stream driver)")
+	fs.IntVar(&fx.Fanout, "fanout", 2, "peers per emission")
+	fs.IntVar(&fx.Shards, "shards", 1, "lockstep worker shards (cluster/stream drivers)")
+	fs.Float64Var(&fx.Loss, "loss", 0, "packet loss rate in [0,1)")
+	fs.Int64Var(&fx.Seed, "seed", 1, "base seed (runs are pure functions of it)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	fx := fixed{n: *n, k: *k, payload: *payload, window: *window, gens: *gens,
-		fanout: *fanout, shards: *shards, loss: *loss, seed: *seed}
 
 	var err error
 	switch {
@@ -284,17 +290,14 @@ func generate(stdout io.Writer, datadir, revOverride, driver, sweepSpec string, 
 	return nil
 }
 
-// churnSchedule builds the swept churn workload: `pairs` crash/join
-// pairs spread over the run, one shared grammar with the CLIs.
-func churnSchedule(pairs int) (*cluster.ChurnSchedule, error) {
-	if pairs == 0 {
-		return nil, nil
-	}
+// churnSchedule builds the swept churn workload as a -churn value:
+// `pairs` crash/join pairs spread over the run.
+func churnSchedule(pairs int) string {
 	var parts []string
 	for i := 0; i < pairs; i++ {
 		parts = append(parts, fmt.Sprintf("crash:%d:1,join:%d:1", 15+20*i, 25+20*i))
 	}
-	return cluster.ParseChurn(strings.Join(parts, ","))
+	return strings.Join(parts, ",")
 }
 
 // measure runs one sweep point through the selected driver under
@@ -303,26 +306,14 @@ func measure(driver, param string, v float64, fx fixed) (row, error) {
 	iv := int(math.Round(v))
 	r := row{driver: driver, param: param, value: v}
 
-	apply := func(dst *int) error { *dst = iv; return nil }
-	setInt := map[string]*int{"n": &fx.n, "k": &fx.k, "window": &fx.window, "fanout": &fx.fanout, "shards": &fx.shards}
-
-	churnPairs := 0
+	setInt := map[string]*int{"n": &fx.N, "k": &fx.K, "window": &fx.window, "fanout": &fx.Fanout, "shards": &fx.Shards}
 	switch param {
 	case "loss":
-		if v < 0 || v >= 1 {
-			return row{}, fmt.Errorf("swept loss %g outside [0,1)", v)
-		}
-		fx.loss = v
+		fx.Loss = v
 	case "churn":
-		churnPairs = iv
+		fx.Churn = churnSchedule(iv)
 	default:
-		if err := apply(setInt[param]); err != nil {
-			return row{}, err
-		}
-	}
-	churn, err := churnSchedule(churnPairs)
-	if err != nil {
-		return row{}, err
+		*setInt[param] = iv
 	}
 
 	var tokens float64
@@ -330,10 +321,11 @@ func measure(driver, param string, v float64, fx fixed) (row, error) {
 	m, err := sim.Measure(func() error {
 		switch driver {
 		case "cluster":
-			res, err := cluster.SweepRun(cluster.SweepParams{
-				N: fx.n, K: fx.k, PayloadBits: fx.payload, Fanout: fx.fanout,
-				Loss: fx.loss, Churn: churn, Seed: fx.seed, Shards: fx.shards,
-			})
+			cfg, err := fx.Open(nil)
+			if err != nil {
+				return err
+			}
+			res, err := cluster.Run(context.Background(), cfg, fx.Tokens())
 			if err != nil {
 				return err
 			}
@@ -346,13 +338,13 @@ func measure(driver, param string, v float64, fx fixed) (row, error) {
 					done++
 				}
 			}
-			tokens, ticks = float64(done*fx.k), res.Ticks
+			tokens, ticks = float64(done*fx.K), res.Ticks
 		case "stream":
-			res, err := stream.SweepRun(stream.SweepParams{
-				N: fx.n, K: fx.k, PayloadBits: fx.payload, Window: fx.window,
-				Generations: fx.gens, Fanout: fx.fanout, Loss: fx.loss,
-				Churn: churn, Seed: fx.seed, Shards: fx.shards,
-			})
+			cfg, err := fx.OpenStream(nil, fx.window, fx.gens)
+			if err != nil {
+				return err
+			}
+			res, err := stream.Run(context.Background(), cfg)
 			if err != nil {
 				return err
 			}
@@ -361,21 +353,21 @@ func measure(driver, param string, v float64, fx fixed) (row, error) {
 			}
 			tokens, ticks = float64(res.TokensDelivered), res.Ticks
 		case "engine":
-			if fx.loss > 0 || churn != nil {
+			if fx.Loss > 0 || fx.Churn != "" {
 				return fmt.Errorf("the synchronous engine driver has no loss/churn axes")
 			}
-			if param == "shards" || fx.shards > 1 {
+			if param == "shards" || fx.Shards > 1 {
 				return fmt.Errorf("the synchronous engine driver has no shards axis (use -driver cluster or stream)")
 			}
-			if fx.k > fx.n {
-				return fmt.Errorf("engine driver needs k <= n (one source token per node), got k=%d n=%d", fx.k, fx.n)
+			if fx.K > fx.N {
+				return fmt.Errorf("engine driver needs k <= n (one source token per node), got k=%d n=%d", fx.K, fx.N)
 			}
-			adv := adversary.NewRandomConnected(fx.n, fx.n/2, fx.seed)
-			rounds, err := exp.RunIndexedUntilDecoded(fx.n, fx.k, fx.payload, adv, fx.seed)
+			adv := adversary.NewRandomConnected(fx.N, fx.N/2, fx.Seed)
+			rounds, err := exp.RunIndexedUntilDecoded(fx.N, fx.K, fx.Payload, adv, fx.Seed)
 			if err != nil {
 				return err
 			}
-			tokens, ticks = float64(fx.n*fx.k), rounds
+			tokens, ticks = float64(fx.N*fx.K), rounds
 		default:
 			return fmt.Errorf("unknown -driver %q (want cluster, stream or engine)", driver)
 		}

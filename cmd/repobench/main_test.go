@@ -3,7 +3,9 @@ package main
 import (
 	"encoding/xml"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -310,5 +312,69 @@ func TestChurnSweep(t *testing.T) {
 	}
 	if len(rows) != 3 {
 		t.Fatalf("churn sweep rows %+v, want 3", rows)
+	}
+}
+
+// TestSweepPointMatchesCLIs: a sweep point is the run `cmd/cluster` or
+// `cmd/stream` makes with the same flags — same transport stack, same
+// sizing, same tokens — so it finishes at the same tick. The CLIs are
+// built and run as processes: what is compared is what a user would
+// see, not a second spelling of the lowering.
+func TestSweepPointMatchesCLIs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds cmd/cluster and cmd/stream; skipped with -short")
+	}
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin+string(os.PathSeparator), "../cluster", "../stream").CombinedOutput(); err != nil {
+		t.Fatalf("building the CLIs: %v\n%s", err, out)
+	}
+	// cliRow runs a CLI and returns the integer value of a table row.
+	cliRow := func(out, metric string) int {
+		t.Helper()
+		for _, line := range strings.Split(out, "\n") {
+			if rest, ok := strings.CutPrefix(line, metric); ok && strings.HasPrefix(rest, "  ") {
+				v, err := strconv.Atoi(strings.TrimSpace(rest))
+				if err != nil {
+					t.Fatalf("row %q: %v", line, err)
+				}
+				return v
+			}
+		}
+		t.Fatalf("no %q row in:\n%s", metric, out)
+		return 0
+	}
+	shared := []string{"-n", "12", "-k", "6", "-payload", "48", "-fanout", "2", "-loss", "0.2", "-seed", "5"}
+	for _, tc := range []struct {
+		driver string
+		extra  []string // the stream's own flags
+		sweep  string
+		cli    []string // the swept value as the CLI's flag
+	}{
+		{"cluster", nil, "shards=2:1:2", []string{"-shards", "2"}},
+		{"stream", []string{"-window", "3", "-generations", "5"}, "churn=1:1:1", []string{"-churn", churnSchedule(1)}},
+	} {
+		args := append(append([]string{"-transport", "lockstep", "-maxticks", strconv.Itoa(sweepMaxTicks)}, shared...), append(tc.extra, tc.cli...)...)
+		out, err := exec.Command(filepath.Join(bin, tc.driver), args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("cmd/%s %v: %v\n%s", tc.driver, args, err, out)
+		}
+		ticks := cliRow(string(out), "ticks")
+		tokens := 12 * 6 // cluster, no churn: every node ends with all k
+		if tc.driver == "stream" {
+			tokens = cliRow(string(out), "tokens delivered (all nodes)")
+		}
+
+		dir := t.TempDir()
+		sweep := append(append([]string{"-driver", tc.driver, "-sweep", tc.sweep, "-datadir", dir, "-rev", "cli"}, shared...), tc.extra...)
+		if code, _, errOut := execCLI(t, sweep...); code != 0 {
+			t.Fatalf("%s sweep exited %d: %s", tc.driver, code, errOut)
+		}
+		rows, err := readDatafile(filepath.Join(dir, "cli.dat"))
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("%s sweep rows %+v, err %v", tc.driver, rows, err)
+		}
+		if want := float64(tokens) / float64(ticks); rows[0].tokensPerTick != want {
+			t.Errorf("%s: sweep tokens_per_tick %g, the CLI run gives %d/%d = %g", tc.driver, rows[0].tokensPerTick, tokens, ticks, want)
+		}
 	}
 }

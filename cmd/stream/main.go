@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
+	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/stream"
 )
@@ -69,7 +70,7 @@ func run(w io.Writer, o options) error {
 	case o.generations < 1:
 		return fmt.Errorf("-generations must be at least 1, got %d", o.generations)
 	}
-	g, err := o.Open(1, // the ack
+	cfg, err := o.OpenStream(nil, o.window, o.generations,
 		"driver", "stream", "n", fmt.Sprint(o.N), "k", fmt.Sprint(o.K),
 		"window", fmt.Sprint(o.window), "generations", fmt.Sprint(o.generations),
 		"loss", fmt.Sprint(o.Loss), "transport", o.Transport, "seed", fmt.Sprint(o.Seed))
@@ -79,15 +80,11 @@ func run(w io.Writer, o options) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	res, err := stream.Run(ctx, stream.Config{
-		N: o.N, K: o.K, PayloadBits: o.Payload, Window: o.window, Generations: o.generations, Fanout: o.Fanout,
-		Seed: o.Seed, Transport: g.Transport, Lockstep: g.Lockstep, Shards: o.Shards, MaxTicks: o.MaxTicks,
-		Interval: o.Interval, Timeout: o.Timeout, Churn: g.Churn, Telemetry: g.Recorder,
-	})
+	res, err := stream.Run(ctx, cfg)
 	if err != nil {
 		return err
 	}
-	if err := o.Export(g.Recorder, "stream", true); err != nil {
+	if err := o.Export(cfg.Telemetry, "stream", true); err != nil {
 		return err
 	}
 
@@ -114,12 +111,12 @@ func run(w io.Writer, o options) error {
 		Header: []string{"metric", "value"},
 	}
 	t.AddRow("completed", fmt.Sprintf("%v", res.Completed))
-	if g.Lockstep {
+	if cfg.Lockstep {
 		t.AddRow("ticks", sim.I(res.Ticks))
 		if res.Ticks > 0 && deliveredPerNode > 0 {
 			t.AddRow("sustained tokens/tick", sim.F(deliveredPerNode/float64(res.Ticks)))
 		}
-		if s := sim.Summarize(res.DoneTicks()); s.N > 0 {
+		if s := sim.Summarize(cluster.DoneTicks(res.Nodes)); s.N > 0 {
 			t.AddRow("ticks-to-stream-end min/mean/max", fmt.Sprintf("%s / %s / %s", sim.F(s.Min), sim.F(s.Mean), sim.F(s.Max)))
 		}
 	} else {
@@ -127,7 +124,7 @@ func run(w io.Writer, o options) error {
 		if secs := res.Elapsed.Seconds(); secs > 0 && deliveredPerNode > 0 {
 			t.AddRow("sustained tokens/sec", sim.F(deliveredPerNode/secs))
 		}
-		if s := sim.Summarize(res.DoneTimes()); s.N > 0 {
+		if s := sim.Summarize(cluster.DoneTimes(res.Nodes)); s.N > 0 {
 			t.AddRow("time-to-stream-end min/mean/max", fmt.Sprintf("%.1fms / %.1fms / %.1fms", 1e3*s.Min, 1e3*s.Mean, 1e3*s.Max))
 		}
 	}
@@ -140,17 +137,17 @@ func run(w io.Writer, o options) error {
 		t.AddRow("bits per delivered token", sim.F(float64(res.BitsOut)/deliveredPerNode))
 	}
 	t.AddRow("peak span memory per node", fmt.Sprintf("%d B", res.MaxSpanBytes))
-	if g.Churn != nil {
-		t.AddRow("churn schedule", g.Churn.String())
+	if cfg.Churn != nil {
+		t.AddRow("churn schedule", cfg.Churn.String())
 		t.AddRow("nodes live at end", sim.I(res.FinalLive))
 		for id, m := range res.Nodes {
 			if !m.Spawned || m.StartGen == 0 {
 				continue
 			}
-			if g.Lockstep && m.CaughtUpTick > 0 {
+			if cfg.Lockstep && m.CaughtUpTick > 0 {
 				t.AddRow(fmt.Sprintf("node %d joined@%d, start gen %d", id, m.JoinTick, m.StartGen),
 					fmt.Sprintf("caught up in %d ticks", m.CaughtUpTick-m.JoinTick))
-			} else if !g.Lockstep && m.CaughtUpAt > 0 {
+			} else if !cfg.Lockstep && m.CaughtUpAt > 0 {
 				t.AddRow(fmt.Sprintf("node %d joined@%v, start gen %d", id, m.JoinAt.Round(time.Millisecond), m.StartGen),
 					fmt.Sprintf("caught up in %v", (m.CaughtUpAt-m.JoinAt).Round(time.Millisecond)))
 			}

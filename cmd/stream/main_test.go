@@ -45,7 +45,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"shards negative", func(a *options) { a.Shards = -4 }, "-shards"},
 		{"shards above n", func(a *options) { a.Shards = 9 }, "-shards"},
 		{"shards on async transport", func(a *options) { a.Shards = 2; a.Transport = "chan" }, "-shards"},
-		{"buffer negative", func(a *options) { a.Buffer = -1 }, "-buffer"},
 		{"loss negative", func(a *options) { a.Loss = -0.1 }, "-loss"},
 		{"loss one", func(a *options) { a.Loss = 1.0 }, "-loss"},
 		{"reorder negative", func(a *options) { a.Reorder = -0.5 }, "-reorder"},

@@ -65,10 +65,17 @@
 // (see scripts/bench.sh; parsing and comparison live in
 // internal/benchfmt, which keeps /-qualified sub-benchmark names).
 //
+// A run has one description, cluster.Config (stream.Config carries the
+// same fields next to the stream's own); every CLI reaches it through
+// the one flag block and lowering in internal/cliutil, and
+// cluster.Engine is the one place it is checked and defaulted — see
+// DESIGN.md "Node runtime and drivers".
+//
 // cmd/repobench is the performance observatory on top of all this:
 // generate mode sweeps one parameter through the deterministic
-// drivers and appends measurements to a datafile keyed by git
-// revision, display mode renders pure-Go SVG charts
+// drivers — each point the run cmd/cluster or cmd/stream would make
+// with the same flags — and appends measurements to a datafile keyed
+// by git revision, display mode renders pure-Go SVG charts
 // (internal/svgplot) — per-parameter scaling curves with one curve
 // per revision, or the committed BENCH_PR*.json baselines as a
 // per-commit trajectory:

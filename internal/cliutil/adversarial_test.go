@@ -101,12 +101,13 @@ func TestParseMutateFlagNamesFlag(t *testing.T) {
 }
 
 // TestWrapAdversarialEmptyIsIdentity pins the golden-transcript
-// guarantee: with both specs empty the transport comes back untouched —
-// no layer, no rng draw, nothing a seed-pinned run could observe.
+// guarantee of GossipFlags.Wrap: with every knob zero and both specs
+// empty the transport comes back untouched — no layer, no rng draw,
+// nothing a seed-pinned run could observe.
 func TestWrapAdversarialEmptyIsIdentity(t *testing.T) {
 	var base cluster.Transport = cluster.NewChanTransport(2, 1)
 	defer base.Close()
-	tr, err := WrapAdversarial(base, "", "", 2, 1, 0, nil)
+	tr, err := (&GossipFlags{Seed: 1}).Wrap(base, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,8 @@ func TestWrapAdversarialEmptyIsIdentity(t *testing.T) {
 func TestWrapAdversarialStacks(t *testing.T) {
 	var base cluster.Transport = cluster.NewChanTransport(4, 8)
 	defer base.Close()
-	tr, err := WrapAdversarial(base, "rotating-path", "dup:0.1", 4, 1, time.Millisecond, nil)
+	g := GossipFlags{Seed: 1, Adversary: "rotating-path", Mutate: "dup:0.1"}
+	tr, err := g.Wrap(base, 4, time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +131,10 @@ func TestWrapAdversarialStacks(t *testing.T) {
 		t.Error("outermost adversarial layer does not observe ticks")
 	}
 	// Bad specs surface with the flag name.
-	if _, err := WrapAdversarial(base, "omniscient", "", 4, 1, 0, nil); err == nil || !strings.Contains(err.Error(), "-adversary") {
+	if _, err := (&GossipFlags{Adversary: "omniscient"}).Wrap(base, 4, 0, nil); err == nil || !strings.Contains(err.Error(), "-adversary") {
 		t.Errorf("bad -adversary error %v does not name the flag", err)
 	}
-	if _, err := WrapAdversarial(base, "", "melt:0.5", 4, 1, 0, nil); err == nil || !strings.Contains(err.Error(), "-mutate") {
+	if _, err := (&GossipFlags{Mutate: "melt:0.5"}).Wrap(base, 4, 0, nil); err == nil || !strings.Contains(err.Error(), "-mutate") {
 		t.Errorf("bad -mutate error %v does not name the flag", err)
 	}
 }

@@ -1,14 +1,16 @@
-// Package cliutil holds the flag set, validation and transport
-// assembly shared by the gossip CLIs (cmd/cluster, cmd/stream and
-// cmd/node), so the surfaces cannot drift: one flag block, one
-// validator, one transport parser, one middleware stacking order.
+// Package cliutil holds the flag set, validation and run assembly
+// shared by the gossip CLIs (cmd/cluster, cmd/stream, cmd/node) and the
+// sweeping tool (cmd/repobench), so the surfaces cannot drift: one flag
+// block, one validator, one middleware stacking order, and one
+// lowering of the flags onto each of the two run descriptions
+// (cluster.Config, stream.Config).
 package cliutil
 
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"net"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -17,13 +19,16 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dynnet"
 	"repro/internal/hostile"
+	"repro/internal/stream"
 	"repro/internal/telemetry"
+	"repro/internal/token"
 )
 
 // GossipFlags is the flag block the gossip CLIs share. cmd/cluster and
 // cmd/stream bind all of it with Register; cmd/node, whose runtime is
 // one process per node over a socket, binds the fields it has flags
-// for under its own help text and leaves the in-process ones zero.
+// for under its own help text and leaves the in-process ones zero;
+// cmd/repobench fills it from its own flags and the swept value.
 type GossipFlags struct {
 	N, K, Payload, Fanout int
 	Loss, Reorder         float64
@@ -34,8 +39,8 @@ type GossipFlags struct {
 	Trace, Telemetry      string
 
 	// In-process runs only.
-	Shards, Buffer, MaxTicks int
-	Transport, Churn         string
+	Shards, MaxTicks int
+	Transport, Churn string
 }
 
 // Register binds every field to its flag on fs. driver is the CLI's
@@ -58,7 +63,6 @@ func (g *GossipFlags) Register(fs *flag.FlagSet, driver string, n, k int) {
 	fs.DurationVar(&g.Timeout, "timeout", 30*time.Second, "async wall-clock cap")
 	fs.DurationVar(&g.Delay, "delay", 0, "async per-packet latency upper bound (uniform in [delay/10, delay])")
 	fs.Float64Var(&g.Reorder, "reorder", 0, "packet reordering rate in [0,1)")
-	fs.IntVar(&g.Buffer, "buffer", 0, "per-node inbox buffer (0 = auto)")
 	fs.IntVar(&g.MaxTicks, "maxticks", 0, "lockstep tick cap (0 = default)")
 	fs.StringVar(&g.Churn, "churn", "", `membership schedule, e.g. "`+churnEx+`" (kinds: join|leave|crash|restart|rejoin|crashmax|crashfrontier)`)
 	fs.StringVar(&g.Adversary, "adversary", "", AdversaryHelp)
@@ -73,17 +77,19 @@ const (
 	TelemetryHelp = "trace the run and write the telemetry v1 text export to this file"
 )
 
-// Validate applies ValidateGossip to the flags.
-func (g *GossipFlags) Validate() error {
-	return ValidateGossip(g.N, g.K, g.Payload, g.Fanout, g.Loss, g.Reorder)
+// Tokens derives the one-shot run's token set from the flags — the
+// derivation every process of a multi-process run repeats, so all of
+// them spread (and verify against) the same tokens.
+func (g *GossipFlags) Tokens() []token.Token {
+	return token.RandomSet(g.K, g.Payload, rand.New(rand.NewSource(g.Seed)))
 }
 
-// Recorder returns the run's telemetry recorder over an id space of
+// recorder returns the run's telemetry recorder over an id space of
 // nodes, or nil when no flag asks for one (-trace, -telemetry, or an
 // adversary that reads it). meta is the run's key, value, key, value…
 // header, in export order. The recorder must exist before Wrap: the
 // adaptive adversary reads its rank scoreboard.
-func (g *GossipFlags) Recorder(nodes int, meta ...string) *telemetry.Recorder {
+func (g *GossipFlags) recorder(nodes int, meta []string) *telemetry.Recorder {
 	if g.Trace == "" && g.Telemetry == "" && !AdversaryNeedsTelemetry(g.Adversary) {
 		return nil
 	}
@@ -94,106 +100,125 @@ func (g *GossipFlags) Recorder(nodes int, meta ...string) *telemetry.Recorder {
 	return rec
 }
 
-// Wrap stacks the fault-injection flags over tr: WrapHostile's
-// loss/reorder/delay, then WrapAdversarial's topology and mutation
-// layers outermost. nodes is the run's full id space; interval > 0
-// clocks the adversary by wall time (async and multi-process runs).
+// Wrap stacks the fault-injection flags over tr — in-process channels
+// or a real socket alike — in the canonical order, with the shared
+// per-layer seed offsets: loss over reorder over delay, then packet
+// mutation, then the adversarial topology. The hostile layers run on
+// the sender's goroutine and forward lockstep ticks down the stack,
+// which is why they wrap last. nodes is the run's full id space;
+// interval > 0 clocks the adversary by wall time (async and
+// multi-process runs), 0 leaves it to the lockstep driver's ticks.
+// Zero knobs and empty specs add no layer — the golden transcripts rely
+// on the bare transport passing through untouched. Any wrapping hides
+// optional interfaces like cluster.AddressedTransport, so callers that
+// need Known capture it first. Validate checks the rates and the delay.
 func (g *GossipFlags) Wrap(tr cluster.Transport, nodes int, interval time.Duration, rec *telemetry.Recorder) (cluster.Transport, error) {
-	tr, err := WrapHostile(tr, g.Delay, g.Reorder, g.Loss, g.Seed)
+	ms, err := ParseMutateFlag(g.Mutate)
 	if err != nil {
 		return nil, err
 	}
-	return WrapAdversarial(tr, g.Adversary, g.Mutate, nodes, g.Seed, interval, rec)
+	adv, err := ParseAdversaryFlag(g.Adversary, nodes, g.Seed+104, rec)
+	if err != nil {
+		return nil, err
+	}
+	tr = cluster.WithDelay(tr, g.Delay/10, g.Delay, g.Seed+101)
+	tr = cluster.WithReorder(tr, g.Reorder, g.Seed+102)
+	tr = cluster.WithLoss(tr, g.Loss, g.Seed+103)
+	tr = hostile.WithMutator(tr, ms, g.Seed+105, rec)
+	return hostile.WithAdversary(tr, adv, hostile.TopoConfig{Interval: interval, Telemetry: rec}), nil
 }
 
-// Export writes a traced run's artifacts where -trace and -telemetry
-// ask (see ExportTelemetry).
-func (g *GossipFlags) Export(rec *telemetry.Recorder, prefix string, watermark bool) error {
-	return ExportTelemetry(rec, g.Trace, g.Telemetry, prefix, watermark)
+// Open validates the flags and lowers them to the cluster.Config of
+// one run — the only flags→cluster.Config lowering; the caller adds
+// Mode. Its Transport is the full fault-injection stack (Wrap) and its
+// Telemetry the recorder (meta is its header), nil unless a flag asked
+// for tracing. With a nil socket the run is in-process: -transport,
+// -shards, -churn and -maxticks apply and the stack sits on the
+// config's own DefaultTransport. cmd/node passes its socket instead:
+// one process of N, where the in-process flags do not exist and the
+// adversary is clocked by -interval.
+func (g *GossipFlags) Open(socket cluster.Transport, meta ...string) (cluster.Config, error) {
+	return g.open(socket, func(c cluster.Config) cluster.Transport { return c.DefaultTransport(0) }, meta)
 }
 
-// GossipRun is what Open assembles from the flags for one in-process
-// run.
-type GossipRun struct {
-	Lockstep bool
-	Churn    *cluster.ChurnSchedule
-	// Transport is the full stack: channels, fault injection, hostile
-	// layers.
-	Transport cluster.Transport
-	// Recorder is nil unless a flag asked for tracing.
-	Recorder *telemetry.Recorder
-}
-
-// Open validates the flags and builds an in-process run's transport
-// stack and recorder. control is the packets a node sends per tick
-// besides its fanout data packets (the stream's ack), for sizing
-// -buffer 0; meta is the recorder's header (see Recorder).
-func (g *GossipFlags) Open(control int, meta ...string) (*GossipRun, error) {
+// open is Open with the protocol's in-process fabric left to the
+// caller: what a node sends per tick besides data is the protocol's to
+// say, so the stream sizes its own (OpenStream).
+func (g *GossipFlags) open(socket cluster.Transport, fabric func(cluster.Config) cluster.Transport, meta []string) (cluster.Config, error) {
 	if err := g.Validate(); err != nil {
-		return nil, err
+		return cluster.Config{}, err
 	}
-	if err := ValidateShards(g.Shards, g.N); err != nil {
-		return nil, err
+	cfg := cluster.Config{N: g.N, Fanout: g.Fanout, Seed: g.Seed, Interval: g.Interval, Timeout: g.Timeout}
+	base, clock := socket, g.Interval
+	if socket == nil {
+		if err := ValidateShards(g.Shards, g.N); err != nil {
+			return cfg, err
+		}
+		var err error
+		if cfg.Lockstep, err = ParseTransport(g.Transport); err != nil {
+			return cfg, err
+		}
+		if cfg.Churn, err = ParseChurnFlag(g.Churn); err != nil {
+			return cfg, err
+		}
+		cfg.Shards, cfg.MaxTicks = g.Shards, g.MaxTicks
+		switch {
+		case !cfg.Lockstep && g.Shards > 1:
+			// The engine rejects this too; said here in flag names.
+			return cfg, fmt.Errorf("-shards %d needs -transport lockstep: the async driver is already concurrent", g.Shards)
+		case cfg.Lockstep && g.Delay > 0:
+			return cfg, fmt.Errorf("-delay needs wall-clock time; use -transport chan")
+		case cfg.Lockstep:
+			clock = 0 // the driver feeds the adversary ticks
+		}
+		base = fabric(cfg)
 	}
-	if err := ValidateBuffer(g.Buffer); err != nil {
-		return nil, err
-	}
-	lockstep, err := ParseTransport(g.Transport)
-	if err != nil {
-		return nil, err
-	}
-	if g.Shards > 1 && !lockstep {
-		return nil, fmt.Errorf("-shards needs the deterministic driver (the async runtime is already concurrent); use -transport lockstep")
-	}
-	sched, err := ParseChurnFlag(g.Churn)
-	if err != nil {
-		return nil, err
-	}
-	maxN := g.N + sched.Joins()
-	buffer := g.Buffer
-	if buffer == 0 {
-		// One more slot than the data and control packets: every member
-		// may also address a hello to the same inbox in a tick.
-		buffer = cluster.DefaultInboxBuffer(maxN, g.Fanout+control+1)
-	}
-	tr, err := BuildTransport(maxN, buffer, lockstep, g.Delay, g.Reorder, g.Loss, g.Seed)
-	if err != nil {
-		return nil, err
-	}
-	rec := g.Recorder(maxN, meta...)
-	interval := time.Duration(0) // lockstep: the driver feeds the adversary ticks
-	if !lockstep {
-		interval = g.Interval
-	}
-	tr, err = WrapAdversarial(tr, g.Adversary, g.Mutate, maxN, g.Seed, interval, rec)
-	if err != nil {
-		return nil, err
-	}
-	return &GossipRun{Lockstep: lockstep, Churn: sched, Transport: tr, Recorder: rec}, nil
+	cfg.Telemetry = g.recorder(cfg.MaxNodes(), meta)
+	var err error
+	cfg.Transport, err = g.Wrap(base, cfg.MaxNodes(), clock, cfg.Telemetry)
+	return cfg, err
 }
 
-// ValidateGossip rejects the flag values common to every gossip CLI
-// that would panic, hang, or silently misbehave deeper in the stack.
-func ValidateGossip(n, k, payload, fanout int, loss, reorder float64) error {
+// OpenStream is Open for the streaming runtime: the only
+// flags→stream.Config lowering. -k is the generation size; window and
+// generations are the two flags the stream CLIs add to the block.
+func (g *GossipFlags) OpenStream(socket cluster.Transport, window, generations int, meta ...string) (stream.Config, error) {
+	lower := func(c cluster.Config) stream.Config {
+		return stream.Config{
+			N: c.N, K: g.K, PayloadBits: g.Payload, Window: window, Generations: generations,
+			Fanout: c.Fanout, Seed: c.Seed, Transport: c.Transport, Lockstep: c.Lockstep,
+			Shards: c.Shards, MaxTicks: c.MaxTicks, Interval: c.Interval, Timeout: c.Timeout,
+			Churn: c.Churn, Telemetry: c.Telemetry,
+		}
+	}
+	c, err := g.open(socket, func(c cluster.Config) cluster.Transport { return lower(c).DefaultTransport() }, meta)
+	return lower(c), err
+}
+
+// Validate rejects the flag values common to every gossip CLI that
+// would panic, hang, or silently misbehave deeper in the stack.
+func (g *GossipFlags) Validate() error {
 	switch {
-	case n < 2:
-		return fmt.Errorf("-n must be at least 2 (gossip needs a peer), got %d", n)
-	case k < 1:
-		return fmt.Errorf("-k must be at least 1, got %d", k)
-	case payload < 1:
-		return fmt.Errorf("-payload must be at least 1 bit, got %d", payload)
-	case fanout < 1:
-		return fmt.Errorf("-fanout must be at least 1, got %d", fanout)
-	case fanout >= n:
+	case g.N < 2:
+		return fmt.Errorf("-n must be at least 2 (gossip needs a peer), got %d", g.N)
+	case g.K < 1:
+		return fmt.Errorf("-k must be at least 1, got %d", g.K)
+	case g.Payload < 1:
+		return fmt.Errorf("-payload must be at least 1 bit, got %d", g.Payload)
+	case g.Fanout < 1:
+		return fmt.Errorf("-fanout must be at least 1, got %d", g.Fanout)
+	case g.Fanout >= g.N:
 		// Emissions sample peers with replacement; a fanout at or above
 		// n silently oversamples the same peers instead of reaching more
 		// of them, which every experiment table would misread as extra
 		// reach.
-		return fmt.Errorf("-fanout must be below -n (only %d other peers exist), got %d", n-1, fanout)
-	case loss < 0 || loss >= 1:
-		return fmt.Errorf("-loss must be in [0,1), got %g", loss)
-	case reorder < 0 || reorder >= 1:
-		return fmt.Errorf("-reorder must be in [0,1), got %g", reorder)
+		return fmt.Errorf("-fanout must be below -n (only %d other peers exist), got %d", g.N-1, g.Fanout)
+	case g.Loss < 0 || g.Loss >= 1:
+		return fmt.Errorf("-loss must be in [0,1), got %g", g.Loss)
+	case g.Reorder < 0 || g.Reorder >= 1:
+		return fmt.Errorf("-reorder must be in [0,1), got %g", g.Reorder)
+	case g.Delay < 0:
+		return fmt.Errorf("-delay must be non-negative, got %v", g.Delay)
 	}
 	return nil
 }
@@ -208,15 +233,6 @@ func ValidateShards(shards, n int) error {
 		return fmt.Errorf("-shards must be at least 1, got %d", shards)
 	case shards > n:
 		return fmt.Errorf("-shards must not exceed -n (%d nodes cannot fill %d shards), got %d", n, shards, shards)
-	}
-	return nil
-}
-
-// ValidateBuffer rejects negative explicit inbox buffers (0 means
-// auto-size).
-func ValidateBuffer(buffer int) error {
-	if buffer < 0 {
-		return fmt.Errorf("-buffer must be non-negative (0 = auto), got %d", buffer)
 	}
 	return nil
 }
@@ -280,48 +296,6 @@ func ParseTransport(name string) (lockstep bool, err error) {
 	default:
 		return false, fmt.Errorf("unknown transport %q", name)
 	}
-}
-
-// BuildTransport assembles the CLI middleware stack over a fresh
-// ChanTransport in the canonical order — loss over reorder over delay —
-// with the per-middleware seed offsets every CLI uses. Delay needs wall
-// -clock time, so it is rejected under the lockstep driver.
-func BuildTransport(n, buffer int, lockstep bool, delay time.Duration, reorder, loss float64, seed int64) (cluster.Transport, error) {
-	if delay < 0 {
-		return nil, fmt.Errorf("-delay must be non-negative, got %v", delay)
-	}
-	if delay > 0 && lockstep {
-		return nil, fmt.Errorf("-delay needs wall-clock time; use -transport chan")
-	}
-	return WrapHostile(cluster.NewChanTransport(n, buffer), delay, reorder, loss, seed)
-}
-
-// WrapHostile stacks the fault-injection middlewares over an existing
-// transport — in-process channels or real sockets alike — in the
-// canonical order (loss over reorder over delay) with the shared
-// per-middleware seed offsets. Zero-valued knobs add no layer, so the
-// bare transport passes through untouched; note that any wrapping hides
-// optional interfaces like cluster.AddressedTransport, so callers that
-// need Known must capture it before wrapping.
-func WrapHostile(tr cluster.Transport, delay time.Duration, reorder, loss float64, seed int64) (cluster.Transport, error) {
-	switch {
-	case delay < 0:
-		return nil, fmt.Errorf("-delay must be non-negative, got %v", delay)
-	case reorder < 0 || reorder >= 1:
-		return nil, fmt.Errorf("-reorder must be in [0,1), got %g", reorder)
-	case loss < 0 || loss >= 1:
-		return nil, fmt.Errorf("-loss must be in [0,1), got %g", loss)
-	}
-	if delay > 0 {
-		tr = cluster.WithDelay(tr, delay/10, delay, seed+101)
-	}
-	if reorder > 0 {
-		tr = cluster.WithReorder(tr, reorder, seed+102)
-	}
-	if loss > 0 {
-		tr = cluster.WithLoss(tr, loss, seed+103)
-	}
-	return tr, nil
 }
 
 // AdversaryNeedsTelemetry reports whether the -adversary spec requires
@@ -402,55 +376,22 @@ func ParseMutateFlag(spec string) (hostile.MutationSpec, error) {
 	return ms, nil
 }
 
-// WrapAdversarial stacks the fault-injection layers of internal/hostile
-// over an already-built transport, outermost in the canonical CLI
-// order: adversarial topology over packet mutation over whatever tr
-// already stacks (WrapHostile's loss/reorder/delay). The hostile
-// layers run on the sender's goroutine and forward lockstep ticks down
-// the stack, which is why they must wrap last. n is the run's full id
-// space (N plus churn joins); interval > 0 switches the adversary's
-// clock to wall time for the async and multi-process runtimes. Empty
-// specs add no layer.
-func WrapAdversarial(tr cluster.Transport, advSpec, mutateSpec string, n int, seed int64, interval time.Duration, rec *telemetry.Recorder) (cluster.Transport, error) {
-	ms, err := ParseMutateFlag(mutateSpec)
-	if err != nil {
-		return nil, err
-	}
-	adv, err := ParseAdversaryFlag(advSpec, n, seed+104, rec)
-	if err != nil {
-		return nil, err
-	}
-	tr = hostile.WithMutator(tr, ms, seed+105, rec)
-	tr = hostile.WithAdversary(tr, adv, hostile.TopoConfig{Interval: interval, Telemetry: rec})
-	return tr, nil
-}
-
-// ExportTelemetry writes a traced run's artifacts from the shared
-// -trace / -telemetry CLI flags: dir gets the standard rendered file
-// set (text export, heatmap, timeline, packet flow) under prefix, and
-// file gets just the v1 text export. A nil recorder (tracing off) is a
-// no-op, so callers can invoke it unconditionally.
-func ExportTelemetry(rec *telemetry.Recorder, dir, file, prefix string, watermark bool) error {
+// Export writes a traced run's artifacts where the flags ask: -trace's
+// directory gets the standard rendered file set (text export, heatmap,
+// timeline, packet flow) under prefix, -telemetry's file just the v1
+// text export. A nil recorder (tracing off) is a no-op, so callers can
+// invoke it unconditionally.
+func (g *GossipFlags) Export(rec *telemetry.Recorder, prefix string, watermark bool) error {
 	if rec == nil {
 		return nil
 	}
-	if file != "" {
-		f, err := os.Create(file)
-		if err != nil {
-			return err
-		}
-		if err := rec.WriteText(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+	if g.Telemetry != "" {
+		if err := rec.WriteTextFile(g.Telemetry); err != nil {
 			return err
 		}
 	}
-	if dir != "" {
-		if err := rec.WriteFiles(dir, prefix, watermark); err != nil {
-			return err
-		}
+	if g.Trace != "" {
+		return rec.WriteFiles(g.Trace, prefix, watermark)
 	}
 	return nil
 }

@@ -6,10 +6,16 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/stream"
 )
 
+// validateGossip runs GossipFlags.Validate over the given knobs.
+func validateGossip(n, k, payload, fanout int, loss, reorder float64) error {
+	return (&GossipFlags{N: n, K: k, Payload: payload, Fanout: fanout, Loss: loss, Reorder: reorder}).Validate()
+}
+
 func TestValidateGossip(t *testing.T) {
-	if err := ValidateGossip(2, 1, 1, 1, 0, 0); err != nil {
+	if err := validateGossip(2, 1, 1, 1, 0, 0); err != nil {
 		t.Fatalf("minimal valid flags rejected: %v", err)
 	}
 	cases := []struct {
@@ -30,7 +36,7 @@ func TestValidateGossip(t *testing.T) {
 		{"reorder high", 8, 4, 32, 2, 0, 1.2, "-reorder"},
 	}
 	for _, tc := range cases {
-		err := ValidateGossip(tc.n, tc.k, tc.payload, tc.fanout, tc.loss, tc.reorder)
+		err := validateGossip(tc.n, tc.k, tc.payload, tc.fanout, tc.loss, tc.reorder)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err %v does not name %q", tc.name, err, tc.want)
 		}
@@ -51,20 +57,8 @@ func TestParseTransport(t *testing.T) {
 
 func TestValidateGossipFanoutBoundary(t *testing.T) {
 	// fanout = n-1 is the largest sensible value and must pass.
-	if err := ValidateGossip(8, 4, 32, 7, 0, 0); err != nil {
+	if err := validateGossip(8, 4, 32, 7, 0, 0); err != nil {
 		t.Errorf("fanout n-1 rejected: %v", err)
-	}
-}
-
-func TestValidateBuffer(t *testing.T) {
-	if err := ValidateBuffer(0); err != nil {
-		t.Errorf("auto buffer rejected: %v", err)
-	}
-	if err := ValidateBuffer(64); err != nil {
-		t.Errorf("explicit buffer rejected: %v", err)
-	}
-	if err := ValidateBuffer(-1); err == nil || !strings.Contains(err.Error(), "-buffer") {
-		t.Errorf("negative buffer: err %v does not name -buffer", err)
 	}
 }
 
@@ -137,53 +131,131 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
+// inProcess are small valid flags for an in-process lockstep run.
+func inProcess() GossipFlags {
+	return GossipFlags{
+		N: 8, K: 4, Payload: 32, Fanout: 2, Shards: 1, Transport: "lockstep", Seed: 1,
+		Interval: 500 * time.Microsecond, Timeout: 30 * time.Second,
+	}
+}
+
+// TestWrapHostileValidation pins the checks of the loss/reorder/delay
+// knobs that precede every Wrap — Validate's, which Open and cmd/node
+// both run first — and Wrap's identity on zero knobs.
 func TestWrapHostileValidation(t *testing.T) {
 	cases := []struct {
-		name    string
-		delay   time.Duration
-		reorder float64
-		loss    float64
-		want    string
+		name string
+		mut  func(*GossipFlags)
+		want string
 	}{
-		{"negative delay", -time.Millisecond, 0, 0, "-delay"},
-		{"reorder high", 0, 1, 0, "-reorder"},
-		{"loss high", 0, 0, 1.5, "-loss"},
+		{"negative delay", func(g *GossipFlags) { g.Delay = -time.Millisecond }, "-delay"},
+		{"reorder high", func(g *GossipFlags) { g.Reorder = 1 }, "-reorder"},
+		{"loss high", func(g *GossipFlags) { g.Loss = 1.5 }, "-loss"},
 	}
 	for _, tc := range cases {
-		if _, err := WrapHostile(nil, tc.delay, tc.reorder, tc.loss, 1); err == nil || !strings.Contains(err.Error(), tc.want) {
+		g := inProcess()
+		tc.mut(&g)
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err %v does not name %q", tc.name, err, tc.want)
 		}
 	}
 	// Zero knobs must pass the transport through untouched.
 	var base cluster.Transport = cluster.NewChanTransport(2, 1)
 	defer base.Close()
-	tr, err := WrapHostile(base, 0, 0, 0, 1)
+	tr, err := (&GossipFlags{Seed: 1}).Wrap(base, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr != base {
-		t.Error("zero-knob WrapHostile wrapped the transport anyway")
+		t.Error("zero-knob Wrap wrapped the transport anyway")
 	}
 }
 
+// TestBuildTransportRejectsLockstepDelay: Open, which builds an
+// in-process run's transport stack, refuses a wall-clock delay under
+// the lockstep driver and accepts the other knobs there.
 func TestBuildTransportRejectsLockstepDelay(t *testing.T) {
-	if _, err := BuildTransport(4, 8, true, time.Millisecond, 0, 0, 1); err == nil {
-		t.Error("delay under lockstep accepted")
+	g := inProcess()
+	g.Delay = time.Millisecond
+	if _, err := g.Open(nil); err == nil || !strings.Contains(err.Error(), "-delay") {
+		t.Errorf("delay under lockstep: err %v, want one naming -delay", err)
 	}
-	tr, err := BuildTransport(4, 8, true, 0, 0.2, 0.3, 1)
-	if err != nil || tr == nil {
+	g = inProcess()
+	g.Reorder, g.Loss = 0.2, 0.3
+	cfg, err := g.Open(nil)
+	if err != nil || cfg.Transport == nil {
 		t.Fatalf("valid lockstep stack rejected: %v", err)
 	}
-	tr.Close()
+	cfg.Transport.Close()
 }
 
 func TestBuildTransportRejectsNegativeDelay(t *testing.T) {
 	// Rejected under both drivers: a negative -delay was silently
 	// treated as "no delay" before, unlike every other flag.
-	for _, lockstep := range []bool{false, true} {
-		_, err := BuildTransport(4, 8, lockstep, -time.Millisecond, 0, 0, 1)
+	for _, transport := range []string{"chan", "lockstep"} {
+		g := inProcess()
+		g.Transport, g.Delay = transport, -time.Millisecond
+		_, err := g.Open(nil)
 		if err == nil || !strings.Contains(err.Error(), "-delay") {
-			t.Errorf("lockstep=%v: negative delay -> err %v, want one naming -delay", lockstep, err)
+			t.Errorf("-transport %s: negative delay -> err %v, want one naming -delay", transport, err)
 		}
+	}
+}
+
+// TestOpenMatchesLibraryDefaultTransport: the transport a CLI builds
+// and the one the library builds for the same run description have the
+// same inbox capacity — there is one sizing rule, the engine's, and
+// its hello headroom is paid under churn only.
+func TestOpenMatchesLibraryDefaultTransport(t *testing.T) {
+	for _, churn := range []string{"", "crash:5:1,join:9:2"} {
+		g := inProcess()
+		g.N, g.Churn = 64, churn
+
+		cc, err := g.Open(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib := cluster.Config{N: cc.N, Fanout: cc.Fanout, Churn: cc.Churn}.DefaultTransport(0)
+		if got, want := cap(cc.Transport.Recv(0)), cap(lib.Recv(0)); got != want {
+			t.Errorf("cluster, churn %q: CLI inbox holds %d packets, library default %d", churn, got, want)
+		}
+
+		sc, err := g.OpenStream(nil, 4, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slib := stream.Config{N: sc.N, Fanout: sc.Fanout, Churn: sc.Churn}.DefaultTransport()
+		if got, want := cap(sc.Transport.Recv(0)), cap(slib.Recv(0)); got != want {
+			t.Errorf("stream, churn %q: CLI inbox holds %d packets, library default %d", churn, got, want)
+		}
+		if churn == "" {
+			// The exact no-overflow bound: 64 senders × 2 data packets
+			// (+ 64 acks on the stream), plus one.
+			if got := cap(cc.Transport.Recv(0)); got != 129 {
+				t.Errorf("cluster n=64 inbox holds %d packets, want 129", got)
+			}
+			if got := cap(sc.Transport.Recv(0)); got != 193 {
+				t.Errorf("stream n=64 inbox holds %d packets, want 193", got)
+			}
+		}
+	}
+}
+
+// TestOpenSocketRunIgnoresInProcessFlags: over a socket (cmd/node)
+// the in-process flags are not consulted — they are zero there — and
+// the description stays one RunSingle accepts.
+func TestOpenSocketRunIgnoresInProcessFlags(t *testing.T) {
+	var socket cluster.Transport = cluster.NewChanTransport(2, 1)
+	defer socket.Close()
+	g := GossipFlags{N: 2, K: 4, Payload: 32, Fanout: 1, Seed: 1, Interval: time.Millisecond, Timeout: time.Second}
+	cfg, err := g.Open(socket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Transport != socket {
+		t.Error("zero-knob socket run wrapped the socket anyway")
+	}
+	if cfg.Lockstep || cfg.Shards != 0 || cfg.MaxTicks != 0 || cfg.Churn != nil {
+		t.Errorf("socket run carries in-process fields: %+v", cfg)
 	}
 }

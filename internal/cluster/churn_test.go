@@ -130,11 +130,9 @@ func churnRun(t *testing.T, seed int64, schedule string, mode Mode) *Result {
 		t.Fatal(err)
 	}
 	const n, k, d = 10, 10, 48
-	maxN := n + sched.Joins()
-	tr := WithLoss(NewChanTransport(maxN, InboxBuffer(maxN, 3)), 0.2, seed*17+1)
-	res, err := Run(context.Background(), Config{
-		N: n, Seed: seed, Mode: mode, Lockstep: true, Transport: tr, Churn: sched, MaxTicks: 100000,
-	}, testTokens(k, d, 7))
+	cfg := Config{N: n, Seed: seed, Mode: mode, Lockstep: true, Churn: sched, MaxTicks: 100000}
+	cfg.Transport = WithLoss(cfg.DefaultTransport(0), 0.2, seed*17+1)
+	res, err := Run(context.Background(), cfg, testTokens(k, d, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,13 +245,12 @@ func TestAsyncChurnCrashJoinCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxN := n + sched.Joins()
-	var tr Transport = NewChanTransport(maxN, InboxBuffer(maxN, 3))
-	tr = WithLoss(tr, 0.1, 12)
-	res, err := Run(context.Background(), Config{
-		N: n, Seed: 6, Transport: tr, Churn: sched, Timeout: 20 * time.Second,
+	cfg := Config{
+		N: n, Seed: 6, Churn: sched, Timeout: 20 * time.Second,
 		Interval: 200 * time.Microsecond,
-	}, testTokens(k, d, 4))
+	}
+	cfg.Transport = WithLoss(cfg.DefaultTransport(0), 0.1, 12)
+	res, err := Run(context.Background(), cfg, testTokens(k, d, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,6 +286,14 @@ func TestChurnRejectsBadSchedule(t *testing.T) {
 		t.Error("invalid schedule accepted")
 	} else if !strings.Contains(err.Error(), "tick") {
 		t.Errorf("error %v does not explain the invalid tick", err)
+	}
+	// A negative join count that outweighs N must be an error too, not a
+	// panic while the per-node table is sized (MaxNodes).
+	bad = &ChurnSchedule{Events: []ChurnEvent{{ChurnJoin, 5, -9}}}
+	if _, err := Run(context.Background(), Config{N: 4, Lockstep: true, Churn: bad}, testTokens(4, 8, 1)); err == nil {
+		t.Error("negative join count accepted")
+	} else if !strings.Contains(err.Error(), "count") {
+		t.Errorf("error %v does not explain the invalid count", err)
 	}
 }
 

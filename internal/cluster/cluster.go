@@ -60,7 +60,11 @@ func (m Mode) String() string {
 	return "coded"
 }
 
-// Config parameterizes a cluster run.
+// Config describes a run: it is the one run description in the
+// repository. Engine.Run and Engine.RunSingle check it and resolve its
+// defaults, the id-space size (MaxNodes) and the default transport
+// (DefaultTransport); the stream's Config lowers onto it, and the CLIs'
+// flags onto those two (DESIGN.md "Node runtime and drivers").
 type Config struct {
 	// N is the number of nodes.
 	N int
@@ -71,9 +75,9 @@ type Config struct {
 	// Seed derives all node randomness (coding coins, peer choice). In
 	// lockstep mode it fully determines the run.
 	Seed int64
-	// Transport carries the packets; nil means a fresh ChanTransport
-	// sized so buffer overflow cannot occur in lockstep mode. Run closes
-	// the transport before returning.
+	// Transport carries the packets; nil means DefaultTransport. Run
+	// closes the transport before returning; RunSingle, where it is the
+	// process's socket and required, does not.
 	Transport Transport
 	// Interval paces each node's ticker emissions in async mode
 	// (default 500µs).
@@ -98,21 +102,15 @@ type Config struct {
 	// leaves, crashes and restarts (see ChurnSchedule / ParseChurn). Nil
 	// means the fixed always-alive membership. Event ticks map to
 	// lockstep ticks directly and to At×Interval wall offsets in async
-	// mode. With churn, the node id space is N + Churn.Joins(); a
-	// caller-supplied Transport must be sized for it (the default
-	// transport is).
+	// mode. With churn, the node id space is MaxNodes; a caller-supplied
+	// Transport must be sized for it (the default transport is).
 	Churn *ChurnSchedule
 	// Telemetry optionally traces the run (nil = disabled, zero
-	// overhead). Size it for maxNodes (N + Churn.Joins()); events for
-	// ids beyond the recorder's space are discarded. Recording only
-	// observes — a traced lockstep run produces the same transcript as
-	// an untraced one.
+	// overhead). Size it for MaxNodes; events for ids beyond the
+	// recorder's space are discarded. Recording only observes — a traced
+	// lockstep run produces the same transcript as an untraced one.
 	Telemetry *telemetry.Recorder
 }
-
-// maxNodes is the run's node id space: the initial membership plus
-// every id the churn schedule can create.
-func (c Config) maxNodes() int { return c.N + c.Churn.Joins() }
 
 // NodeMetrics are one node's counters. In async mode DoneAt is the wall
 // time from start to full knowledge; in lockstep mode DoneTick is the
@@ -150,8 +148,10 @@ type NodeMetrics struct {
 	JoinAt   time.Duration
 }
 
-// Result reports a finished run.
-type Result struct {
+// Outcome is the run-level part of a Result — what Engine.Run reports
+// about any protocol's run; each protocol's Result embeds it next to
+// its own per-node counters.
+type Outcome struct {
 	// Completed is true when every live node reached full knowledge
 	// (and every scheduled join/restart was applied) before the
 	// timeout / tick cap.
@@ -161,70 +161,75 @@ type Result struct {
 	Elapsed time.Duration
 	// Ticks is the lockstep tick count at completion (0 for async).
 	Ticks int
-	// Nodes is indexed by node id over the whole id space
-	// (Config.N + Churn.Joins()); check Spawned/Live per entry.
-	Nodes []NodeMetrics
-
 	// FinalLive counts the nodes live at the end of the run.
 	FinalLive int
 
-	// Aggregates over Nodes.
+	// Aggregates over the nodes' shared counters.
 	PacketsOut int64
 	PacketsIn  int64
 	BitsOut    int64
 	Dropped    int64
 }
 
-// DoneTicks returns each completed node's DoneTick as float64s, for
-// summary statistics.
-func (r *Result) DoneTicks() []float64 {
-	out := make([]float64, 0, len(r.Nodes))
-	for _, m := range r.Nodes {
-		if m.Done {
-			out = append(out, float64(m.DoneTick))
+// Result reports a finished run.
+type Result struct {
+	Outcome
+	// Nodes is indexed by node id over the whole id space
+	// (Config.MaxNodes); check Spawned/Live per entry.
+	Nodes []NodeMetrics
+}
+
+// completed is either protocol's per-node counter block:
+// stream.NodeMetrics embeds NodeMetrics and so carries the method too.
+type completed interface {
+	completion() (done bool, tick int, at time.Duration)
+}
+
+func (m NodeMetrics) completion() (bool, int, time.Duration) { return m.Done, m.DoneTick, m.DoneAt }
+
+// DoneTicks returns each completed node's DoneTick (lockstep runs) as
+// float64s, for summary statistics; nodes is a Result's Nodes.
+func DoneTicks[M completed](nodes []M) []float64 {
+	out := make([]float64, 0, len(nodes))
+	for _, m := range nodes {
+		if done, tick, _ := m.completion(); done {
+			out = append(out, float64(tick))
 		}
 	}
 	return out
 }
 
-// DoneTimes returns each completed node's DoneAt in seconds.
-func (r *Result) DoneTimes() []float64 {
-	out := make([]float64, 0, len(r.Nodes))
-	for _, m := range r.Nodes {
-		if m.Done {
-			out = append(out, m.DoneAt.Seconds())
+// DoneTimes returns each completed node's DoneAt (async runs) in
+// seconds.
+func DoneTimes[M completed](nodes []M) []float64 {
+	out := make([]float64, 0, len(nodes))
+	for _, m := range nodes {
+		if done, _, at := m.completion(); done {
+			out = append(out, at.Seconds())
 		}
 	}
 	return out
 }
 
-// InboxBuffer returns the per-node inbox size at which backpressure
-// drops are impossible in lockstep mode: one tick's worst case is every
-// node targeting the same inbox with fanout packets each. Callers that
-// pre-build a ChanTransport (to wrap middlewares around it) should size
-// it with the same fanout they pass to Run — and, under churn, pass
-// Config.maxNodes-many nodes and one extra fanout slot, since every
-// member may additionally address one hello to the same inbox in a
-// tick (join/leave bursts and the nothing-to-say announcement).
-func InboxBuffer(n, fanout int) int { return n*fanout + 1 }
+// largeCluster is the id-space size above which default inboxes stop
+// being sized by the overflow-proof bound: that bound is O(n) slots
+// per node — O(n²) total — which at n=100k would cost hundreds of
+// gigabytes for buffers that are virtually all empty.
+const largeCluster = 4096
 
-// LargeClusterNodes is the id-space size above which the drivers stop
-// sizing default inboxes by the overflow-proof InboxBuffer bound: that
-// bound is O(n) slots per node — O(n²) total — which at n=100k would
-// cost hundreds of gigabytes for buffers that are virtually all empty.
-const LargeClusterNodes = 4096
-
-// DefaultInboxBuffer is the inbox sizing the drivers (and the CLIs'
-// buffer auto-sizing) use when no explicit buffer is given: the exact
-// InboxBuffer bound below LargeClusterNodes, capped at a constant slot
-// count above it. Past the cap an overflow is possible in principle
-// but the per-tick arrivals at one inbox are Binomial(n·fanout, 1/n) —
-// mean fanout — so the tail beyond 64·(fanout+1) slots is vanishingly
-// small; if it ever hits, it is a deterministic, counted Dropped, not
-// an error.
-func DefaultInboxBuffer(n, fanout int) int {
-	full := InboxBuffer(n, fanout)
-	if capped := 64 * (fanout + 1); n >= LargeClusterNodes && capped < full {
+// DefaultInboxBuffer is the inbox size of the default transport (the
+// runtime reaches it only through Config.DefaultTransport) for n ids
+// each sending perTick packets a tick. Below largeCluster it is the
+// bound at which backpressure drops are impossible in lockstep mode —
+// one tick's worst case is every node targeting the same inbox with
+// all its packets — and above it a constant slot count. Past the cap an
+// overflow is possible in principle but the per-tick arrivals at one
+// inbox are Binomial(n·perTick, 1/n) — mean perTick — so the tail
+// beyond 64·(perTick+1) slots is vanishingly small; if it ever hits,
+// it is a deterministic, counted Dropped, not an error.
+func DefaultInboxBuffer(n, perTick int) int {
+	full := n*perTick + 1
+	if capped := 64 * (perTick + 1); n >= largeCluster && capped < full {
 		return capped
 	}
 	return full
@@ -540,20 +545,10 @@ func validate(mode Mode, toks []token.Token) error {
 // absorbs wasted sends as drops). A run does not complete before every
 // scheduled join/restart has been applied and caught up.
 func Run(ctx context.Context, cfg Config, toks []token.Token) (*Result, error) {
-	if cfg.N < 1 {
-		return nil, fmt.Errorf("cluster: need at least 1 node, got %d", cfg.N)
-	}
 	if err := validate(cfg.Mode, toks); err != nil {
 		return nil, err
 	}
-	if err := cfg.Churn.Validate(); err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	if cfg.Shards > 1 && !cfg.Lockstep {
-		return nil, fmt.Errorf("cluster: Shards=%d requires Lockstep (the async driver is already concurrent)", cfg.Shards)
-	}
-	nodes := make([]NodeMetrics, cfg.maxNodes())
-	res, err := oneShotEngine(cfg.Mode, cfg.N, toks, func(id int) *NodeMetrics { return &nodes[id] }).Run(ctx, cfg)
-	res.Nodes = nodes
-	return res, err
+	nodes := make([]NodeMetrics, cfg.MaxNodes())
+	out, err := oneShotEngine(cfg.Mode, cfg.N, toks, func(id int) *NodeMetrics { return &nodes[id] }).Run(ctx, cfg)
+	return &Result{Outcome: out, Nodes: nodes}, err
 }

@@ -514,8 +514,9 @@ func TestLockstepGoldenTranscripts(t *testing.T) {
 				if traced {
 					rec = telemetry.New(telemetry.Config{Nodes: 10})
 				}
-				tr := WithLoss(NewChanTransport(10, InboxBuffer(10, 2)), 0.25, g.seed+77)
-				res, err := Run(ctx, Config{N: 10, Fanout: 2, Mode: mode, Seed: g.seed, Transport: tr, Lockstep: true, Telemetry: rec}, toks)
+				cfg := Config{N: 10, Fanout: 2, Mode: mode, Seed: g.seed, Lockstep: true, Telemetry: rec}
+				cfg.Transport = WithLoss(cfg.DefaultTransport(0), 0.25, g.seed+77)
+				res, err := Run(ctx, cfg, toks)
 				if err != nil {
 					t.Fatalf("seed %d %v traced=%v: %v", g.seed, mode, traced, err)
 				}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,8 +14,10 @@ import (
 // Engine runs a Protocol: it is the set-up, the two in-process drivers
 // (Run: deterministic lockstep, or a goroutine per node) and the
 // one-process-per-node loop (RunSingle) that one-shot gossip and the
-// stream share. Callers validate their own configuration first; the
-// engine resolves defaults and drives.
+// stream share. It is also the only place a Config is resolved: the
+// checks every run shares, the defaults, the id space and the default
+// transport live here; callers validate what only their protocol knows
+// (token shapes, window, generations).
 type Engine struct {
 	// New builds the protocol state of a freshly spawned node. A joiner
 	// starts empty and catches up from gossip; everyone else is a
@@ -26,7 +29,7 @@ type Engine struct {
 	Metrics func(id int) *NodeMetrics
 	// Control is how many packets a node sends per tick besides its
 	// Fanout data packets (the stream's one ack); it only sizes the
-	// default transport's inboxes.
+	// default transport's inboxes (see Config.DefaultTransport).
 	Control int
 	// SuspectTicks, when positive, turns on silence-based suspicion in
 	// every view (View.SuspectAfter) at that many lockstep ticks, or
@@ -42,6 +45,54 @@ func orDefault[T int | time.Duration](v, def T) T {
 	return def
 }
 
+// withDefaults resolves every "zero means default" field of c.
+func (c Config) withDefaults() Config {
+	c.Fanout = orDefault(c.Fanout, 2)
+	c.Interval = orDefault(c.Interval, 500*time.Microsecond)
+	c.Timeout = orDefault(c.Timeout, 30*time.Second)
+	c.MaxTicks = orDefault(c.MaxTicks, 20000)
+	return c
+}
+
+// check rejects the run descriptions no driver of any protocol can
+// run.
+func (c Config) check() error {
+	switch {
+	case c.N < 1:
+		return fmt.Errorf("cluster: need at least 1 node, got %d", c.N)
+	case c.Shards > 1 && !c.Lockstep:
+		return fmt.Errorf("cluster: Shards=%d requires Lockstep: the async driver is already concurrent", c.Shards)
+	}
+	if err := c.Churn.Validate(); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	return nil
+}
+
+// MaxNodes is the size of the run's node id space — the initial
+// membership plus every id the churn schedule can create — by which
+// per-node tables, recorders and transports are sized. An invalid N or
+// a hand-built schedule whose join counts sum below zero counts as
+// none: sizing a table must not panic before Run has rejected the
+// description.
+func (c Config) MaxNodes() int { return max(c.N, 0) + max(c.Churn.Joins(), 0) }
+
+// DefaultTransport returns the in-process transport a run of c gets
+// when c.Transport is nil, for callers to wrap middlewares around: one
+// channel inbox per id, sized (DefaultInboxBuffer) for what a node
+// sends per tick — Fanout data packets, plus control, the protocol's
+// periodic extras (0 one-shot, 1 for the stream's ack; stream.Config
+// has the method without the argument), plus, under churn only, one
+// hello (join/leave bursts, the nothing-to-say announcement): without
+// a schedule no hello is ever sent, so there is no headroom to pay for.
+func (c Config) DefaultTransport(control int) *ChanTransport {
+	perTick := c.withDefaults().Fanout + control
+	if c.Churn != nil {
+		perTick++
+	}
+	return NewChanTransport(c.MaxNodes(), DefaultInboxBuffer(c.MaxNodes(), perTick))
+}
+
 // run is the state of one in-process run, shared by both drivers: the
 // node table (indexed by id, nil until spawned), the live set, and the
 // churner applying the membership script.
@@ -49,7 +100,7 @@ type run struct {
 	eng   Engine
 	cfg   Config // defaults resolved
 	tr    Transport
-	res   *Result
+	res   *Outcome
 	maxN  int
 	nodes []*Node
 	live  []bool
@@ -76,22 +127,17 @@ type run struct {
 // every live node is Done (and every scheduled join/restart has been
 // applied and caught up), a node fails, the context is canceled, the
 // timeout expires or the lockstep tick cap is hit. It closes the
-// transport before returning. The Result carries the run-level fields
-// and the aggregates over the shared counters; Nodes is the caller's.
-func (e Engine) Run(ctx context.Context, cfg Config) (*Result, error) {
-	cfg.Fanout = orDefault(cfg.Fanout, 2)
-	cfg.Interval = orDefault(cfg.Interval, 500*time.Microsecond)
-	cfg.Timeout = orDefault(cfg.Timeout, 30*time.Second)
-	cfg.MaxTicks = orDefault(cfg.MaxTicks, 20000)
-
-	maxN := cfg.maxNodes()
+// transport before returning. The Outcome carries the run-level fields
+// and the aggregates over the shared counters, which are the caller's.
+func (e Engine) Run(ctx context.Context, cfg Config) (Outcome, error) {
+	if err := cfg.check(); err != nil {
+		return Outcome{}, err
+	}
+	cfg = cfg.withDefaults()
+	maxN := cfg.MaxNodes()
 	tr := cfg.Transport
 	if tr == nil {
-		perTick := cfg.Fanout + e.Control
-		if cfg.Churn != nil {
-			perTick++ // hello headroom; see InboxBuffer
-		}
-		tr = NewChanTransport(maxN, DefaultInboxBuffer(maxN, perTick))
+		tr = cfg.DefaultTransport(e.Control)
 	}
 	defer tr.Close()
 
@@ -99,7 +145,7 @@ func (e Engine) Run(ctx context.Context, cfg Config) (*Result, error) {
 		eng:   e,
 		cfg:   cfg,
 		tr:    tr,
-		res:   &Result{},
+		res:   &Outcome{},
 		maxN:  maxN,
 		nodes: make([]*Node, maxN),
 		live:  make([]bool, maxN),
@@ -152,7 +198,7 @@ func (e Engine) Run(ctx context.Context, cfg Config) (*Result, error) {
 			res.FinalLive++
 		}
 	}
-	return res, err
+	return *res, err
 }
 
 // spawn builds (or rebuilds, wiping it) node id. Its view is a copy of
@@ -294,7 +340,7 @@ func (r *run) runLockstep(ctx context.Context) error {
 				nd.Now = now
 				// Sample before the drain so inbox depth shows the backlog
 				// queued by the previous emit phase.
-				nd.sample(true)
+				nd.sample()
 				inbox := r.tr.Recv(id)
 				for drained := false; !drained; {
 					select {
@@ -430,7 +476,7 @@ func (nd *Node) loop(ctx context.Context, start time.Time, interval time.Duratio
 			}
 		case <-ticker.C:
 			clock()
-			nd.sample(false)
+			nd.sample()
 			nd.proto.Emit(true)
 			if nd.err != nil {
 				return nd.err
@@ -589,15 +635,57 @@ func (r *run) runAsync(ctx context.Context, start time.Time) error {
 	return err
 }
 
-// RunSingle runs ONE node of an N-node run as the body of its own
+// Single is what one process of a multi-process run adds to the run's
+// Config: which node it is and how it behaves around its own
+// completion. Everything else — N, Fanout, Seed, the socket as
+// Transport, Interval, Timeout, Telemetry — is the Config every
+// process of the run shares.
+type Single struct {
+	// ID is this node's id in [0, N).
+	ID int
+	// Linger keeps the node gossiping after its own completion so that
+	// slower peers still receive combinations — the multi-process
+	// equivalent of the in-process run ending only when every node is
+	// done (default 2s; the launcher usually kills lingering nodes once
+	// all have reported DONE).
+	Linger time.Duration
+	// Known optionally gates peer sampling on routability. Nil falls
+	// back to the Transport's own AddressedTransport.Known when it has
+	// one, else sampling is ungated.
+	Known func(id int) bool
+}
+
+// RunSingle runs ONE node of cfg's N-node run as the body of its own
 // process: the other N-1 are reachable only through cfg.Transport,
-// which RunSingle does not close. The node gossips until it is Done,
-// keeps emitting for the linger window so slower peers can finish too,
-// and returns. A timeout or cancellation before completion leaves
-// Done == false in the node's metrics and returns nil; the error is
-// the node's failure.
-func (e Engine) RunSingle(ctx context.Context, cfg SingleConfig) error {
-	m := e.Metrics(cfg.ID)
+// which is required and not closed — it is the process's socket, owned
+// by the caller, and outlives the gossip run (metric scraping still
+// reads its counters). What only an in-process driver can honour
+// (Lockstep, Shards, MaxTicks, Churn) is rejected when set. The node
+// gossips until it is Done, keeps emitting for the linger window so
+// slower peers can finish too, and returns. A timeout (cfg.Timeout caps
+// the run including linger) or cancellation before completion leaves
+// Done == false in the node's metrics and returns nil; the error is a
+// rejected description or the node's failure.
+func (e Engine) RunSingle(ctx context.Context, cfg Config, s Single) error {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{{"Lockstep", cfg.Lockstep}, {"Shards", cfg.Shards != 0}, {"MaxTicks", cfg.MaxTicks != 0}, {"Churn", cfg.Churn != nil}} {
+		if f.set {
+			return fmt.Errorf("cluster: RunSingle runs one process of a multi-process run; Config.%s belongs to the in-process drivers", f.name)
+		}
+	}
+	if err := cfg.check(); err != nil {
+		return err
+	}
+	if s.ID < 0 || s.ID >= cfg.N {
+		return fmt.Errorf("cluster: node id %d outside [0, %d)", s.ID, cfg.N)
+	}
+	if cfg.Transport == nil {
+		return fmt.Errorf("cluster: RunSingle needs a Transport (the process's socket)")
+	}
+	cfg = cfg.withDefaults()
+	m := e.Metrics(s.ID)
 	// Every peer starts presumed-live: membership here is static (the
 	// launcher starts all N processes); what is dynamic is routability,
 	// which the known gate covers as the address book fills.
@@ -605,9 +693,8 @@ func (e Engine) RunSingle(ctx context.Context, cfg SingleConfig) error {
 	for i := range live {
 		live[i] = true
 	}
-	nd := newNode(cfg.ID, cfg.Seed, orDefault(cfg.Fanout, 2), newContacts(live, cfg.N).view(cfg.ID, 0),
-		cfg.Transport, m, cfg.Telemetry)
-	nd.known = cfg.Known
+	nd := newNode(s.ID, cfg.Seed, cfg.Fanout, newContacts(live, cfg.N).view(s.ID, 0), cfg.Transport, m, cfg.Telemetry)
+	nd.known = s.Known
 	if nd.known == nil {
 		if at, ok := cfg.Transport.(AddressedTransport); ok {
 			nd.known = at.Known
@@ -615,7 +702,7 @@ func (e Engine) RunSingle(ctx context.Context, cfg SingleConfig) error {
 	}
 	nd.proto = e.New(nd, false)
 
-	ctx, cancel := context.WithTimeout(ctx, orDefault(cfg.Timeout, 30*time.Second))
+	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()
 	start := time.Now()
 	var linger *time.Timer
@@ -624,14 +711,14 @@ func (e Engine) RunSingle(ctx context.Context, cfg SingleConfig) error {
 			linger.Stop()
 		}
 	}()
-	return nd.loop(ctx, start, orDefault(cfg.Interval, 500*time.Microsecond), func() <-chan time.Time {
+	return nd.loop(ctx, start, cfg.Interval, func() <-chan time.Time {
 		if linger == nil {
 			if !nd.proto.Done() {
 				return nil
 			}
 			m.Done = true
 			m.DoneAt = time.Since(start)
-			linger = time.NewTimer(orDefault(cfg.Linger, 2*time.Second))
+			linger = time.NewTimer(orDefault(s.Linger, 2*time.Second))
 		}
 		return linger.C
 	})

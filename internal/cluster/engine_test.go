@@ -84,16 +84,15 @@ func (p *probe) Send(from, to int, pkt []byte) bool {
 // counterRun drives the counter protocol through one churn script:
 // a join, a graceful leave, and a crash whose restart is scheduled
 // long after everyone else has finished.
-func counterRun(t *testing.T, cfg Config) (*Result, []NodeMetrics, *probe) {
+func counterRun(t *testing.T, cfg Config) (Outcome, []NodeMetrics, *probe) {
 	t.Helper()
 	sched, err := ParseChurn("join:3:1,leave:5:1,crash:6:1,restart:30:1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.N, cfg.Seed, cfg.Churn = 6, 11, sched
-	maxN := cfg.maxNodes()
-	nodes := make([]NodeMetrics, maxN)
-	pr := &probe{Transport: NewChanTransport(maxN, InboxBuffer(maxN, 3)), nodes: nodes}
+	nodes := make([]NodeMetrics, cfg.MaxNodes())
+	pr := &probe{Transport: cfg.DefaultTransport(0), nodes: nodes}
 	cfg.Transport = pr
 	eng := Engine{
 		New:     func(nd *Node, _ bool) Protocol { return &counter{nd: nd, need: 1} },

@@ -130,14 +130,18 @@ func (nd *Node) Fail(err error) {
 	}
 }
 
-// Publish posts the node's progress to the targeted-crash oracle
-// (ChurnCrashMax / ChurnCrashFrontier): span rank for one-shot gossip,
-// the delivery watermark for the stream. A no-op on runs whose
-// schedule has no targeted event.
+// Publish posts the node's progress — span rank for one-shot gossip,
+// the delivery watermark for the stream — to the two scoreboards
+// adversaries read: the targeted-crash oracle (ChurnCrashMax /
+// ChurnCrashFrontier; absent unless the schedule has a targeted event)
+// and the recorder's (telemetry.Recorder.LiveRank, the adaptive
+// topology adversary's). It is the only writer of either, so both
+// adversaries sort by one definition of progress.
 func (nd *Node) Publish(progress int) {
 	if nd.rank != nil {
 		nd.rank.Store(int64(progress))
 	}
+	nd.Tel.Publish(nd.ID, int64(progress))
 }
 
 // Pick samples a live peer for an emission, or -1 when there is none.
@@ -295,15 +299,10 @@ func (nd *Node) helloAll(leaving bool) {
 // sample records one telemetry time-series point for the node: the
 // protocol's rank and watermark, inbox backlog, live-view size. A
 // no-op without a recorder.
-func (nd *Node) sample(lockstep bool) {
+func (nd *Node) sample() {
 	if nd.Tel == nil {
 		return
 	}
 	rank, watermark := nd.proto.Progress()
-	inbox, view := len(nd.tr.Recv(nd.ID)), nd.View.LiveCount()
-	if lockstep {
-		nd.Tel.SampleTick(nd.ID, nd.Now, rank, watermark, inbox, view)
-	} else {
-		nd.Tel.Sample(nd.ID, nd.Now, rank, watermark, inbox, view)
-	}
+	nd.Tel.Sample(nd.ID, nd.Now, rank, watermark, len(nd.tr.Recv(nd.ID)), nd.View.LiveCount())
 }

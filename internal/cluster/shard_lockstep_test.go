@@ -29,13 +29,14 @@ func shardedClusterFingerprint(t *testing.T, seed int64, shards int, mode Mode) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxN := n + sched.Joins()
-	rec := telemetry.New(telemetry.Config{Nodes: maxN})
-	tr := WithLoss(NewChanTransport(maxN, InboxBuffer(maxN, 3)), 0.15, seed+103)
-	res, err := Run(context.Background(), Config{
-		N: n, Fanout: 2, Mode: mode, Seed: seed, Transport: tr,
-		Lockstep: true, Shards: shards, MaxTicks: 100000, Churn: sched, Telemetry: rec,
-	}, testTokens(k, d, seed))
+	cfg := Config{
+		N: n, Fanout: 2, Mode: mode, Seed: seed,
+		Lockstep: true, Shards: shards, MaxTicks: 100000, Churn: sched,
+	}
+	rec := telemetry.New(telemetry.Config{Nodes: cfg.MaxNodes()})
+	cfg.Telemetry = rec
+	cfg.Transport = WithLoss(cfg.DefaultTransport(0), 0.15, seed+103)
+	res, err := Run(context.Background(), cfg, testTokens(k, d, seed))
 	if err != nil {
 		t.Fatalf("seed %d shards %d: %v", seed, shards, err)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,8 +16,9 @@ import (
 func TestRunSingleCrossProcessEquivalent(t *testing.T) {
 	const n, k, d = 5, 10, 64
 	toks := testTokens(k, d, 11)
-	tr := NewChanTransport(n, InboxBuffer(n, 2))
-	defer tr.Close()
+	cfg := Config{N: n, Seed: 21, Timeout: 20 * time.Second}
+	cfg.Transport = cfg.DefaultTransport(0)
+	defer cfg.Transport.Close()
 
 	var wg sync.WaitGroup
 	results := make([]NodeMetrics, n)
@@ -25,10 +27,7 @@ func TestRunSingleCrossProcessEquivalent(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			results[id], errs[id] = RunSingle(context.Background(), SingleConfig{
-				ID: id, N: n, Seed: 21, Transport: tr,
-				Timeout: 20 * time.Second, Linger: 500 * time.Millisecond,
-			}, toks)
+			results[id], errs[id] = RunSingle(context.Background(), cfg, Single{ID: id, Linger: 500 * time.Millisecond}, toks)
 		}(id)
 	}
 	wg.Wait()
@@ -48,8 +47,9 @@ func TestRunSingleCrossProcessEquivalent(t *testing.T) {
 func TestRunSingleForwardMode(t *testing.T) {
 	const n, k, d = 3, 6, 32
 	toks := testTokens(k, d, 5)
-	tr := NewChanTransport(n, InboxBuffer(n, 2))
-	defer tr.Close()
+	cfg := Config{N: n, Mode: Forward, Seed: 9, Timeout: 20 * time.Second}
+	cfg.Transport = cfg.DefaultTransport(0)
+	defer cfg.Transport.Close()
 
 	var wg sync.WaitGroup
 	results := make([]NodeMetrics, n)
@@ -58,10 +58,7 @@ func TestRunSingleForwardMode(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			results[id], errs[id] = RunSingle(context.Background(), SingleConfig{
-				ID: id, N: n, Mode: Forward, Seed: 9, Transport: tr,
-				Timeout: 20 * time.Second, Linger: 500 * time.Millisecond,
-			}, toks)
+			results[id], errs[id] = RunSingle(context.Background(), cfg, Single{ID: id, Linger: 500 * time.Millisecond}, toks)
 		}(id)
 	}
 	wg.Wait()
@@ -75,26 +72,41 @@ func TestRunSingleForwardMode(t *testing.T) {
 	}
 }
 
-// TestRunSingleValidation pins the misconfiguration errors.
+// TestRunSingleValidation pins the misconfiguration errors: what
+// RunSingle itself checks, and the fields only an in-process driver can
+// honour, each rejected by the engine under one message whatever the
+// protocol (internal/stream's TestStreamRunSingleValidation expects
+// the same strings).
 func TestRunSingleValidation(t *testing.T) {
 	toks := testTokens(2, 8, 1)
 	tr := NewChanTransport(2, 1)
 	defer tr.Close()
+	sched, err := ParseChurn("join:5:1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
-		cfg  SingleConfig
+		cfg  Config
+		id   int
+		want string
 	}{
-		{"no transport", SingleConfig{ID: 0, N: 2}},
-		{"id out of range", SingleConfig{ID: 2, N: 2, Transport: tr}},
-		{"negative id", SingleConfig{ID: -1, N: 2, Transport: tr}},
-		{"bad mode", SingleConfig{ID: 0, N: 2, Mode: 7, Transport: tr}},
+		{"no transport", Config{N: 2}, 0, "needs a Transport"},
+		{"no nodes", Config{Transport: tr}, 0, "at least 1 node"},
+		{"id out of range", Config{N: 2, Transport: tr}, 2, "node id 2 outside [0, 2)"},
+		{"negative id", Config{N: 2, Transport: tr}, -1, "node id -1 outside [0, 2)"},
+		{"bad mode", Config{N: 2, Mode: 7, Transport: tr}, 0, "unknown mode"},
+		{"lockstep", Config{N: 2, Transport: tr, Lockstep: true}, 0, "Config.Lockstep belongs to the in-process drivers"},
+		{"shards", Config{N: 2, Transport: tr, Shards: 2}, 0, "Config.Shards belongs to the in-process drivers"},
+		{"max ticks", Config{N: 2, Transport: tr, MaxTicks: 10}, 0, "Config.MaxTicks belongs to the in-process drivers"},
+		{"churn", Config{N: 2, Transport: tr, Churn: sched}, 0, "Config.Churn belongs to the in-process drivers"},
 	}
 	for _, tc := range cases {
-		if _, err := RunSingle(context.Background(), tc.cfg, toks); err == nil {
-			t.Errorf("%s: no error", tc.name)
+		if _, err := RunSingle(context.Background(), tc.cfg, Single{ID: tc.id}, toks); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
-	if _, err := RunSingle(context.Background(), SingleConfig{ID: 0, N: 2, Transport: tr}, nil); err == nil {
+	if _, err := RunSingle(context.Background(), Config{N: 2, Transport: tr}, Single{}, nil); err == nil {
 		t.Error("empty token set: no error")
 	}
 }
@@ -106,10 +118,10 @@ func TestRunSingleTimeoutIncomplete(t *testing.T) {
 	toks := testTokens(4, 16, 3)
 	tr := NewChanTransport(2, 4)
 	defer tr.Close()
-	m, err := RunSingle(context.Background(), SingleConfig{
-		ID: 0, N: 2, Seed: 1, Transport: tr,
+	m, err := RunSingle(context.Background(), Config{
+		N: 2, Seed: 1, Transport: tr,
 		Timeout: 50 * time.Millisecond, Interval: time.Millisecond,
-	}, toks)
+	}, Single{ID: 0}, toks)
 	if err != nil {
 		t.Fatalf("timeout run errored: %v", err)
 	}
@@ -125,11 +137,10 @@ func TestRunSingleKnownGate(t *testing.T) {
 	toks := testTokens(4, 16, 3)
 	tr := NewChanTransport(3, 4)
 	defer tr.Close()
-	m, err := RunSingle(context.Background(), SingleConfig{
-		ID: 0, N: 3, Seed: 1, Transport: tr,
-		Known:   func(id int) bool { return id == 0 },
+	m, err := RunSingle(context.Background(), Config{
+		N: 3, Seed: 1, Transport: tr,
 		Timeout: 50 * time.Millisecond, Interval: time.Millisecond,
-	}, toks)
+	}, Single{ID: 0, Known: func(id int) bool { return id == 0 }}, toks)
 	if err != nil {
 		t.Fatalf("gated run errored: %v", err)
 	}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/shard"
 )
 
 // NodeID identifies a node; IDs are 0..n-1. The model gives nodes unique
@@ -82,16 +81,6 @@ type Config struct {
 	// round's topology and messages (nil entries for silent nodes).
 	// Observers must not retain or mutate their arguments.
 	Observer Observer
-	// Shards partitions the node table into contiguous worker ranges for
-	// the engine's per-node phases (Send collection and Receive
-	// delivery); 0 or 1 runs serially. The adversary, connectivity
-	// validation and the Observer always run serially between the
-	// parallel phases, and metrics are reduced in shard order, so a
-	// sharded round is observationally identical to a serial one. At
-	// Shards>1 the engine calls Send/Receive/Done concurrently for
-	// DISTINCT nodes — node implementations sharing mutable state (a
-	// common rng, say) are not shardable.
-	Shards int
 }
 
 // Observer receives a callback after each executed round; the trace
@@ -127,27 +116,12 @@ type Engine struct {
 	cfg     Config
 	metrics Metrics
 	round   int
-	// exec partitions the node table for the sharded per-node phases; at
-	// one shard every phase runs inline on the calling goroutine.
-	exec *shard.Executor
-	// msgs and inbufs are per-round scratch reused across Steps so the
+	// msgs and inbuf are per-round scratch reused across Steps so the
 	// engine's own bookkeeping allocates nothing in steady state. Both
 	// are only valid within a Step: Receive implementations and
-	// Observers must not retain the slices they are handed. inbufs holds
-	// one delivery scratch per shard (workers never share one).
-	msgs   []Message
-	inbufs [][]Message
-	// deltas is the per-shard metrics/error scratch of the collect
-	// phase, reduced serially in shard order after the barrier.
-	deltas []collectDelta
-}
-
-// collectDelta is one shard's private view of a collect phase: the
-// metric increments for its node range, and the first budget error it
-// hit (the shard stops collecting there, exactly like the serial loop).
-type collectDelta struct {
-	metrics Metrics
-	err     error
+	// Observers must not retain the slices they are handed.
+	msgs  []Message
+	inbuf []Message
 }
 
 // ErrBudgetExceeded is wrapped by errors returned when a node broadcasts
@@ -168,15 +142,7 @@ func NewEngine(nodes []Node, adv Adversary, cfg Config) *Engine {
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = DefaultMaxRounds
 	}
-	exec := shard.New(len(nodes), cfg.Shards)
-	return &Engine{
-		nodes:  nodes,
-		adv:    adv,
-		cfg:    cfg,
-		exec:   exec,
-		inbufs: make([][]Message, exec.Shards()),
-		deltas: make([]collectDelta, exec.Shards()),
-	}
+	return &Engine{nodes: nodes, adv: adv, cfg: cfg}
 }
 
 // Nodes returns the engine's nodes.
@@ -201,48 +167,24 @@ func (e *Engine) Step() error {
 		msgs[i] = nil
 	}
 
-	// collect gathers every non-terminated node's broadcast, sharded:
-	// each worker writes only its own msgs[i] slots and accumulates a
-	// private metrics delta, which the serial reduction below folds in
-	// ascending shard order. A budget violation stops that shard's loop
-	// where the serial loop would have stopped, and the reduction
-	// discards every later shard's delta, so the metrics on the error
-	// path match the serial engine bit for bit.
 	collect := func() error {
-		e.exec.Run(func(s, lo, hi int) {
-			d := &e.deltas[s]
-			*d = collectDelta{}
-			for i := lo; i < hi; i++ {
-				n := e.nodes[i]
-				if n.Done() {
-					continue
-				}
-				m := n.Send(e.round)
-				if m == nil {
-					continue
-				}
-				if e.cfg.BitBudget > 0 && m.Bits() > e.cfg.BitBudget {
-					d.err = fmt.Errorf("dynnet: round %d node %d sent %d bits > budget %d: %w",
-						e.round, i, m.Bits(), e.cfg.BitBudget, ErrBudgetExceeded)
-					return
-				}
-				msgs[i] = m
-				d.metrics.Messages++
-				d.metrics.Bits += int64(m.Bits())
-				if m.Bits() > d.metrics.MaxMessageBits {
-					d.metrics.MaxMessageBits = m.Bits()
-				}
+		for i, n := range e.nodes {
+			if n.Done() {
+				continue
 			}
-		})
-		for s := 0; s < e.exec.Shards(); s++ {
-			d := &e.deltas[s]
-			e.metrics.Messages += d.metrics.Messages
-			e.metrics.Bits += d.metrics.Bits
-			if d.metrics.MaxMessageBits > e.metrics.MaxMessageBits {
-				e.metrics.MaxMessageBits = d.metrics.MaxMessageBits
+			m := n.Send(e.round)
+			if m == nil {
+				continue
 			}
-			if d.err != nil {
-				return d.err
+			if e.cfg.BitBudget > 0 && m.Bits() > e.cfg.BitBudget {
+				return fmt.Errorf("dynnet: round %d node %d sent %d bits > budget %d: %w",
+					e.round, i, m.Bits(), e.cfg.BitBudget, ErrBudgetExceeded)
+			}
+			msgs[i] = m
+			e.metrics.Messages++
+			e.metrics.Bits += int64(m.Bits())
+			if m.Bits() > e.metrics.MaxMessageBits {
+				e.metrics.MaxMessageBits = m.Bits()
 			}
 		}
 		return nil
@@ -272,23 +214,19 @@ func (e *Engine) Step() error {
 		return fmt.Errorf("dynnet: round %d adversary served a disconnected graph: %w", e.round, ErrDisconnected)
 	}
 
-	e.exec.Run(func(s, lo, hi int) {
-		in := e.inbufs[s]
-		for i := lo; i < hi; i++ {
-			n := e.nodes[i]
-			if n.Done() {
-				continue
-			}
-			in = in[:0]
-			for _, v := range g.Neighbors(i) {
-				if msgs[v] != nil {
-					in = append(in, msgs[v])
-				}
-			}
-			n.Receive(e.round, in)
+	for i, n := range e.nodes {
+		if n.Done() {
+			continue
 		}
-		e.inbufs[s] = in[:0]
-	})
+		in := e.inbuf[:0]
+		for _, v := range g.Neighbors(i) {
+			if msgs[v] != nil {
+				in = append(in, msgs[v])
+			}
+		}
+		e.inbuf = in[:0]
+		n.Receive(e.round, in)
+	}
 	if e.cfg.Observer != nil {
 		e.cfg.Observer.ObserveRound(e.round, g, msgs, e.nodes)
 	}

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/adversary"
 	"repro/internal/cluster"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/hostile"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/token"
 )
 
 // e14Mutations is the hostile-packet cell's mutation mix: every op in
@@ -19,12 +17,6 @@ import (
 // the CI adversarial-smoke job.
 var e14Mutations = hostile.MutationSpec{Dup: 0.05, Stale: 0.05, Trunc: 0.03, Flip: 0.02, Xgen: 0.03}
 
-// advTrial is one seeded E14 data point: both gossip modes through one
-// dynamics × packets cell at identical seeds.
-type advTrial struct {
-	codedTicks, fwdTicks float64
-}
-
 // runAdversarialTrial runs coded and forwarding gossip through one
 // cell. Both modes face the same loss, the same targeted-crash
 // schedule, identically-seeded packet mutations, and the same adversary
@@ -32,22 +24,21 @@ type advTrial struct {
 // telemetry, which is the point: it reads per-node decoding rank every
 // tick and serves the rank-sorted path, so whatever the protocol
 // achieves shapes what the topology permits next.
-func runAdversarialTrial(cfg Config, n, k, d int, adaptive, hostilePkts bool, seed int64) (advTrial, error) {
-	const fanout = 2
-	const loss = 0.1
+func runAdversarialTrial(cfg Config, n, k, d int, adaptive, hostilePkts bool, seed int64) (gossipTrial, error) {
 	sched, err := cluster.ParseChurn("crashmax:40:1,restart:90:1")
 	if err != nil {
-		return advTrial{}, err
+		return gossipTrial{}, err
 	}
-	toks := token.RandomSet(k, d, rand.New(rand.NewSource(seed)))
-	run := func(mode cluster.Mode) (*cluster.Result, error) {
+	rc := cluster.Config{N: n, Seed: seed, MaxTicks: 500000, Churn: sched}
+	setting := fmt.Sprintf("under adversarial dynamics (adaptive %v, hostile %v)", adaptive, hostilePkts)
+	return runGossipTrial(cfg, rc, k, d, setting, func(rc *cluster.Config) {
 		// The recorder exists in every cell, not just the adaptive ones:
 		// it is the adaptive adversary's rank oracle, and keeping it in
 		// the benign cells too means the cells differ only in the faults
 		// injected, never in the instrumentation.
 		rec := telemetry.New(telemetry.Config{Nodes: n})
-		var tr cluster.Transport = cluster.WithLoss(
-			cluster.NewChanTransport(n, cluster.InboxBuffer(n, fanout+1)), loss, seed*977+31)
+		rc.Telemetry = rec
+		tr := lossy(rc, 0.1)
 		if hostilePkts {
 			tr = hostile.WithMutator(tr, e14Mutations, seed+105, rec)
 		}
@@ -57,29 +48,8 @@ func runAdversarialTrial(cfg Config, n, k, d int, adaptive, hostilePkts bool, se
 		} else {
 			adv = adversary.NewRandomConnected(n, n/2, seed+104)
 		}
-		tr = hostile.WithAdversary(tr, adv, hostile.TopoConfig{Telemetry: rec})
-		res, err := cluster.Run(cfg.ctx(), cluster.Config{
-			N: n, Fanout: fanout, Mode: mode, Seed: seed, Transport: tr,
-			Lockstep: true, MaxTicks: 500000, Churn: sched, Telemetry: rec,
-		}, toks)
-		if err != nil {
-			return nil, err
-		}
-		if !res.Completed {
-			return nil, fmt.Errorf("exp: %v gossip incomplete under adversarial dynamics (adaptive %v, hostile %v) after %d ticks (seed %d)",
-				mode, adaptive, hostilePkts, res.Ticks, seed)
-		}
-		return res, nil
-	}
-	coded, err := run(cluster.Coded)
-	if err != nil {
-		return advTrial{}, err
-	}
-	fwd, err := run(cluster.Forward)
-	if err != nil {
-		return advTrial{}, err
-	}
-	return advTrial{codedTicks: float64(coded.Ticks), fwdTicks: float64(fwd.Ticks)}, nil
+		rc.Transport = hostile.WithAdversary(tr, adv, hostile.TopoConfig{Telemetry: rec})
+	})
 }
 
 // E14 caps the fault-injection suite: coded vs store-and-forward
@@ -118,17 +88,13 @@ func E14(cfg Config) (*sim.Table, error) {
 	ratios := map[string]float64{}
 	for _, cell := range cells {
 		cell := cell
-		trials, err := sweepSeeded(cfg, cfg.trials(), func(seed int64) (advTrial, error) {
+		trials, err := sweepSeeded(cfg, cfg.trials(), func(seed int64) (gossipTrial, error) {
 			return runAdversarialTrial(cfg, n, k, d, cell.adaptive, cell.hostile, cfg.Seed+seed)
 		})
 		if err != nil {
 			return nil, err
 		}
-		var g advTrial
-		for _, tr := range trials {
-			g.codedTicks += tr.codedTicks
-			g.fwdTicks += tr.fwdTicks
-		}
+		g := sumTrials(trials)
 		m := float64(len(trials))
 		ratio := g.fwdTicks / g.codedTicks
 		ratios[cell.dynamics+"/"+cell.packets] = ratio

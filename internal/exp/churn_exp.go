@@ -2,58 +2,11 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/stream"
-	"repro/internal/token"
 )
-
-// churnTrial is one seeded E13 data point: the same token set pushed
-// through the lockstep cluster runtime in both gossip modes, over an
-// identically-seeded lossy transport and an identically-seeded churn
-// schedule (joins, crashes, a leave).
-type churnTrial struct {
-	codedTicks, fwdTicks float64
-}
-
-// runChurnGossipTrial runs both modes at one (schedule, loss, seed)
-// triple. Victim selection, joins and every coin derive from the seed,
-// so E13 rides the deterministic parallel trial engine like E11.
-func runChurnGossipTrial(cfg Config, n, k, d int, churnSpec string, loss float64, seed int64) (churnTrial, error) {
-	const fanout = 2
-	sched, err := cluster.ParseChurn(churnSpec)
-	if err != nil {
-		return churnTrial{}, err
-	}
-	maxN := n + sched.Joins()
-	toks := token.RandomSet(k, d, rand.New(rand.NewSource(seed)))
-	run := func(mode cluster.Mode) (*cluster.Result, error) {
-		tr := cluster.WithLoss(cluster.NewChanTransport(maxN, cluster.InboxBuffer(maxN, fanout+1)), loss, seed*977+31)
-		res, err := cluster.Run(cfg.ctx(), cluster.Config{
-			N: n, Fanout: fanout, Mode: mode, Seed: seed, Transport: tr,
-			Lockstep: true, MaxTicks: 200000, Churn: sched,
-		}, toks)
-		if err != nil {
-			return nil, err
-		}
-		if !res.Completed {
-			return nil, fmt.Errorf("exp: %v gossip incomplete under churn %q after %d ticks (loss %.2f, seed %d)",
-				mode, churnSpec, res.Ticks, loss, seed)
-		}
-		return res, nil
-	}
-	coded, err := run(cluster.Coded)
-	if err != nil {
-		return churnTrial{}, err
-	}
-	fwd, err := run(cluster.Forward)
-	if err != nil {
-		return churnTrial{}, err
-	}
-	return churnTrial{codedTicks: float64(coded.Ticks), fwdTicks: float64(fwd.Ticks)}, nil
-}
 
 // joinerTrial is one seeded stream data point for E13's catch-up
 // claim: a node joins mid-stream and must reach the cluster watermark.
@@ -71,16 +24,13 @@ func runStreamJoinerTrial(cfg Config, loss float64, seed int64) (joinerTrial, er
 	if err != nil {
 		return joinerTrial{}, err
 	}
-	maxN := n + 1
-	var tr cluster.Transport = cluster.NewChanTransport(maxN, stream.InboxBuffer(maxN, 3))
-	if loss > 0 {
-		tr = cluster.WithLoss(tr, loss, seed*977+31)
-	}
-	res, err := stream.Run(cfg.ctx(), stream.Config{
+	rc := stream.Config{
 		N: n, K: k, PayloadBits: d, Window: w, Generations: gens, Fanout: 2,
-		Seed: seed, Lockstep: true, Transport: tr, MaxTicks: 500000,
+		Seed: seed, Lockstep: true, MaxTicks: 500000,
 		Churn: sched, SuspectTicks: 12,
-	})
+	}
+	rc.Transport = cluster.WithLoss(rc.DefaultTransport(), loss, seed*977+31)
+	res, err := stream.Run(cfg.ctx(), rc)
 	if err != nil {
 		return joinerTrial{}, err
 	}
@@ -129,17 +79,20 @@ func E13(cfg Config) (*sim.Table, error) {
 	for _, schedule := range schedules {
 		for _, loss := range losses {
 			schedule, loss := schedule, loss
-			trials, err := sweepSeeded(cfg, cfg.trials(), func(seed int64) (churnTrial, error) {
-				return runChurnGossipTrial(cfg, n, k, d, schedule.spec, loss, cfg.Seed+seed)
+			// Victim selection, joins and every coin derive from the seed.
+			trials, err := sweepSeeded(cfg, cfg.trials(), func(seed int64) (gossipTrial, error) {
+				sched, err := cluster.ParseChurn(schedule.spec)
+				if err != nil {
+					return gossipTrial{}, err
+				}
+				rc := cluster.Config{N: n, Seed: cfg.Seed + seed, MaxTicks: 200000, Churn: sched}
+				return runGossipTrial(cfg, rc, k, d, fmt.Sprintf("under churn %q at loss %.2f", schedule.spec, loss),
+					func(rc *cluster.Config) { rc.Transport = lossy(rc, loss) })
 			})
 			if err != nil {
 				return nil, err
 			}
-			var g churnTrial
-			for _, tr := range trials {
-				g.codedTicks += tr.codedTicks
-				g.fwdTicks += tr.fwdTicks
-			}
+			g := sumTrials(trials)
 			m := float64(len(trials))
 			ratio := g.fwdTicks / g.codedTicks
 			if minRatio < 0 || ratio < minRatio {

@@ -9,51 +9,62 @@ import (
 	"repro/internal/token"
 )
 
-// gossipTrial is one seeded E11 data point: the same token set pushed
-// through the lockstep cluster runtime in both gossip modes over an
-// identically-seeded lossy transport.
+// gossipTrial is one seeded data point of the coded-vs-forwarding
+// experiments (E11, E13, E14): the same token set pushed through the
+// lockstep cluster runtime in both gossip modes over identically-seeded
+// fault layers. Summed over a cell's trials by sumTrials.
 type gossipTrial struct {
 	codedTicks, fwdTicks float64
 	codedBits, fwdBits   float64
+	dropped              int64
 }
 
-// runGossipTrial runs both modes at one (loss, seed) pair. Lockstep
-// mode makes each run a pure function of its seed, which is what lets
-// E11 ride the deterministic parallel trial engine like every other
-// experiment.
-func runGossipTrial(cfg Config, n, k, d int, loss float64, seed int64) (gossipTrial, error) {
-	const fanout = 2
-	toks := token.RandomSet(k, d, rand.New(rand.NewSource(seed)))
-	run := func(mode cluster.Mode) (*cluster.Result, error) {
-		tr := cluster.WithLoss(cluster.NewChanTransport(n, cluster.InboxBuffer(n, fanout)), loss, seed*977+31)
-		res, err := cluster.Run(cfg.ctx(), cluster.Config{
-			N: n, Fanout: fanout, Mode: mode, Seed: seed, Transport: tr, Lockstep: true, MaxTicks: 100000,
-		}, toks)
+// runGossipTrial runs both modes through the lockstep run rc describes
+// (N, Seed, MaxTicks, Churn; fanout 2) over k random d-bit tokens drawn
+// from its seed. stack completes each run's description with its
+// transport — lossy, and whatever the cell layers on top. Lockstep mode
+// makes each run a pure function of its seed, which is what lets these
+// experiments ride the deterministic parallel trial engine like every
+// other; setting names the cell in the incomplete-run error.
+func runGossipTrial(cfg Config, rc cluster.Config, k, d int, setting string, stack func(rc *cluster.Config)) (gossipTrial, error) {
+	toks := token.RandomSet(k, d, rand.New(rand.NewSource(rc.Seed)))
+	var g gossipTrial
+	for _, mode := range []cluster.Mode{cluster.Coded, cluster.Forward} {
+		rc := rc
+		rc.Mode, rc.Fanout, rc.Lockstep = mode, 2, true
+		stack(&rc)
+		res, err := cluster.Run(cfg.ctx(), rc, toks)
 		if err != nil {
-			return nil, err
+			return g, err
 		}
 		if !res.Completed {
-			return nil, fmt.Errorf("exp: %v gossip incomplete after %d ticks (loss %.2f, seed %d)", mode, res.Ticks, loss, seed)
+			return g, fmt.Errorf("exp: %v gossip incomplete %s after %d ticks (seed %d)", mode, setting, res.Ticks, rc.Seed)
 		}
-		if loss == 0 && res.Dropped != 0 {
-			// The inbox is sized so lockstep cannot overflow; a drop on
-			// the lossless row would silently skew the baseline.
-			return nil, fmt.Errorf("exp: %d drops on the lossless row (%v, seed %d)", res.Dropped, mode, seed)
+		g.dropped += res.Dropped
+		if mode == cluster.Coded {
+			g.codedTicks, g.codedBits = float64(res.Ticks), float64(res.BitsOut)
+		} else {
+			g.fwdTicks, g.fwdBits = float64(res.Ticks), float64(res.BitsOut)
 		}
-		return res, nil
 	}
-	coded, err := run(cluster.Coded)
-	if err != nil {
-		return gossipTrial{}, err
+	return g, nil
+}
+
+// lossy is the experiments' seeded loss layer over rc's own default
+// transport.
+func lossy(rc *cluster.Config, loss float64) cluster.Transport {
+	return cluster.WithLoss(rc.DefaultTransport(0), loss, rc.Seed*977+31)
+}
+
+// sumTrials adds up a cell's trials.
+func sumTrials(trials []gossipTrial) (g gossipTrial) {
+	for _, tr := range trials {
+		g.codedTicks += tr.codedTicks
+		g.fwdTicks += tr.fwdTicks
+		g.codedBits += tr.codedBits
+		g.fwdBits += tr.fwdBits
 	}
-	fwd, err := run(cluster.Forward)
-	if err != nil {
-		return gossipTrial{}, err
-	}
-	return gossipTrial{
-		codedTicks: float64(coded.Ticks), fwdTicks: float64(fwd.Ticks),
-		codedBits: float64(coded.BitsOut), fwdBits: float64(fwd.BitsOut),
-	}, nil
+	return g
 }
 
 // E11 compares asynchronous coded gossip against store-and-forward
@@ -80,18 +91,20 @@ func E11(cfg Config) (*sim.Table, error) {
 	for _, loss := range losses {
 		loss := loss
 		trials, err := sweepSeeded(cfg, cfg.trials(), func(seed int64) (gossipTrial, error) {
-			return runGossipTrial(cfg, n, k, d, loss, cfg.Seed+seed)
+			rc := cluster.Config{N: n, Seed: cfg.Seed + seed, MaxTicks: 100000}
+			tr, err := runGossipTrial(cfg, rc, k, d, fmt.Sprintf("at loss %.2f", loss),
+				func(rc *cluster.Config) { rc.Transport = lossy(rc, loss) })
+			if err == nil && loss == 0 && tr.dropped != 0 {
+				// The inbox is sized so lockstep cannot overflow; a drop on
+				// the lossless row would silently skew the baseline.
+				err = fmt.Errorf("exp: %d drops on the lossless row (seed %d)", tr.dropped, rc.Seed)
+			}
+			return tr, err
 		})
 		if err != nil {
 			return nil, err
 		}
-		var g gossipTrial
-		for _, tr := range trials {
-			g.codedTicks += tr.codedTicks
-			g.fwdTicks += tr.fwdTicks
-			g.codedBits += tr.codedBits
-			g.fwdBits += tr.fwdBits
-		}
+		g := sumTrials(trials)
 		m := float64(len(trials))
 		ratio := g.fwdTicks / g.codedTicks
 		ratios = append(ratios, ratio)

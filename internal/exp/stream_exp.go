@@ -22,14 +22,12 @@ type streamTrial struct {
 // E12 rides the deterministic parallel trial engine like E11.
 func runStreamTrial(cfg Config, n, k, d, gens, w int, loss float64, seed int64) (streamTrial, error) {
 	const fanout = 2
-	var tr cluster.Transport = cluster.NewChanTransport(n, stream.InboxBuffer(n, fanout))
-	if loss > 0 {
-		tr = cluster.WithLoss(tr, loss, seed*977+31)
-	}
-	res, err := stream.Run(cfg.ctx(), stream.Config{
+	rc := stream.Config{
 		N: n, K: k, PayloadBits: d, Window: w, Generations: gens, Fanout: fanout,
-		Seed: seed, Lockstep: true, Transport: tr, MaxTicks: 500000,
-	})
+		Seed: seed, Lockstep: true, MaxTicks: 500000,
+	}
+	rc.Transport = cluster.WithLoss(rc.DefaultTransport(), loss, seed*977+31)
+	res, err := stream.Run(cfg.ctx(), rc)
 	if err != nil {
 		return streamTrial{}, err
 	}

@@ -307,13 +307,13 @@ func TestAdaptiveServesRankSortedPath(t *testing.T) {
 	const n = 6
 	rec := telemetry.New(telemetry.Config{Nodes: n})
 	// Ranks: node 0 -> 5, node 1 -> 2, node 2 -> 9, node 3 crashed,
-	// node 4 unseen, node 5 -> 2.
-	rec.Event(0, 1, telemetry.KindInsert, 0, 5, 1)
-	rec.Event(1, 1, telemetry.KindInsert, 0, 2, 1)
-	rec.Event(2, 1, telemetry.KindInsert, 0, 9, 1)
-	rec.Event(3, 1, telemetry.KindInsert, 0, 7, 1)
+	// node 4 unseen, node 5 -> 2. Publish is the scoreboard's only
+	// writer; the event marks the id as part of the run.
+	for _, s := range [][2]int64{{0, 5}, {1, 2}, {2, 9}, {3, 7}, {5, 2}} {
+		rec.Event(int(s[0]), 1, telemetry.KindInsert, 0, s[1], 1)
+		rec.Publish(int(s[0]), s[1])
+	}
 	rec.Event(3, 2, telemetry.KindCrash, 0, 0, 0)
-	rec.Event(5, 1, telemetry.KindInsert, 0, 2, 1)
 	adv := hostile.NewAdaptive(n, 1, rec)
 	g := adv.Graph(0, nil)
 	if !g.IsConnected() {
@@ -337,6 +337,10 @@ func TestAdaptiveServesRankSortedPath(t *testing.T) {
 	if !g.HasEdge(1, 5) {
 		t.Error("equal-rank nodes 1 and 5 not adjacent in the rank path")
 	}
+	// Node 0 (rank 5) sits between the rank-2 pair and node 2.
+	if !g.HasEdge(0, 2) || !(g.HasEdge(0, 1) || g.HasEdge(0, 5)) {
+		t.Error("middle-rank node 0 does not join the rank-2 pair to node 2")
+	}
 }
 
 func TestAdaptiveDeterministicPerSeed(t *testing.T) {
@@ -345,6 +349,7 @@ func TestAdaptiveDeterministicPerSeed(t *testing.T) {
 		rec := telemetry.New(telemetry.Config{Nodes: n})
 		for id := 0; id < n; id++ {
 			rec.Event(id, 1, telemetry.KindInsert, 0, int64(id%3), 1)
+			rec.Publish(id, int64(id%3))
 		}
 		adv := hostile.NewAdaptive(n, seed, rec)
 		var edges [][2]int

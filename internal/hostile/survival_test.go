@@ -80,7 +80,9 @@ func TestStreamSurvivesCrashFrontierAndStaleReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			tracker := newDeliveryTracker()
-			var tr cluster.Transport = cluster.NewChanTransport(n, 4*stream.InboxBuffer(n, 3))
+			// Four times the no-overflow inbox (n senders × 2 data, an ack
+			// and a hello, plus one): duplicated packets must not overflow.
+			var tr cluster.Transport = cluster.NewChanTransport(n, 4*(4*n+1))
 			tr = cluster.WithLoss(tr, 0.1, 103)
 			tr = hostile.WithMutator(tr, streamSurvivalMutations, 105, nil)
 			cfg := stream.Config{
@@ -115,12 +117,9 @@ func TestStreamSurvivesCrashFrontierAndStaleReplay(t *testing.T) {
 func TestClusterSurvivesRotatingPathAdversary(t *testing.T) {
 	const n, k = 10, 8
 	toks := token.RandomSet(k, 32, rand.New(rand.NewSource(9)))
-	var tr cluster.Transport = cluster.NewChanTransport(n, cluster.InboxBuffer(n, 3))
-	tr = hostile.WithAdversary(tr, adversary.NewRotatingPath(n, 9), hostile.TopoConfig{})
-	res, err := cluster.Run(context.Background(), cluster.Config{
-		N: n, Fanout: 2, Mode: cluster.Coded, Seed: 9, Transport: tr,
-		Lockstep: true, MaxTicks: 200000,
-	}, toks)
+	cfg := cluster.Config{N: n, Fanout: 2, Mode: cluster.Coded, Seed: 9, Lockstep: true, MaxTicks: 200000}
+	cfg.Transport = hostile.WithAdversary(cfg.DefaultTransport(0), adversary.NewRotatingPath(n, 9), hostile.TopoConfig{})
+	res, err := cluster.Run(context.Background(), cfg, toks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +141,14 @@ func hostileClusterFingerprint(t *testing.T, seed int64, shards int) string {
 	}
 	toks := token.RandomSet(k, 32, rand.New(rand.NewSource(seed)))
 	rec := telemetry.New(telemetry.Config{Nodes: n})
-	var tr cluster.Transport = cluster.NewChanTransport(n, cluster.InboxBuffer(n, 3))
-	tr = cluster.WithLoss(tr, 0.1, seed+103)
-	tr = hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.05, Stale: 0.05, Trunc: 0.03, Flip: 0.02, Xgen: 0.03}, seed+105, rec)
-	tr = hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed+104, rec), hostile.TopoConfig{Telemetry: rec})
-	res, err := cluster.Run(context.Background(), cluster.Config{
-		N: n, Fanout: 2, Mode: cluster.Coded, Seed: seed, Transport: tr,
+	cfg := cluster.Config{
+		N: n, Fanout: 2, Mode: cluster.Coded, Seed: seed,
 		Lockstep: true, Shards: shards, MaxTicks: 200000, Churn: sched, Telemetry: rec,
-	}, toks)
+	}
+	tr := cluster.WithLoss(cfg.DefaultTransport(0), 0.1, seed+103)
+	tr = hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.05, Stale: 0.05, Trunc: 0.03, Flip: 0.02, Xgen: 0.03}, seed+105, rec)
+	cfg.Transport = hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed+104, rec), hostile.TopoConfig{Telemetry: rec})
+	res, err := cluster.Run(context.Background(), cfg, toks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,16 +23,13 @@ func churnStreamRun(t *testing.T, seed int64, schedule string, loss float64) *Re
 		t.Fatal(err)
 	}
 	const n, k, d, gens, w = 12, 6, 48, 10, 4
-	maxN := n + sched.Joins()
-	var tr cluster.Transport = cluster.NewChanTransport(maxN, InboxBuffer(maxN, 3))
-	if loss > 0 {
-		tr = cluster.WithLoss(tr, loss, seed*17+1)
-	}
-	res, err := Run(context.Background(), Config{
+	cfg := Config{
 		N: n, K: k, PayloadBits: d, Window: w, Generations: gens,
-		Seed: seed, Lockstep: true, Transport: tr, MaxTicks: 200000,
+		Seed: seed, Lockstep: true, MaxTicks: 200000,
 		Churn: sched, SuspectTicks: 12,
-	})
+	}
+	cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), loss, seed*17+1)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,14 +23,12 @@ func FuzzStreamLockstep(f *testing.F) {
 		loss := float64(lossByte%128) / 256 // [0, 0.5)
 		w := 1 + int(windowByte)%4
 		gens := 1 + int(gensByte)%4
-		var tr cluster.Transport = cluster.NewChanTransport(n, InboxBuffer(n, 2))
-		if loss > 0 {
-			tr = cluster.WithLoss(tr, loss, seed*31+7)
-		}
-		res, err := Run(context.Background(), Config{
+		cfg := Config{
 			N: n, K: k, PayloadBits: d, Window: w, Generations: gens,
-			Seed: seed, Lockstep: true, Transport: tr, MaxTicks: 50000,
-		})
+			Seed: seed, Lockstep: true, MaxTicks: 50000,
+		}
+		cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), loss, seed*31+7)
+		res, err := Run(context.Background(), cfg)
 		if err != nil {
 			panic(err) // decode corruption — always a bug
 		}

@@ -114,11 +114,11 @@ type node struct {
 	eligPrev []bool
 }
 
-// newNode builds the stream state of the node running in shell nd;
-// joiner marks it as needing frontier bootstrap. It touches per-id
-// state only, so the initial batch spawns in parallel.
-func newNode(nd *cluster.Node, cfg Config, src Source, m *NodeMetrics, joiner bool) *node {
-	maxN := cfg.maxNodes()
+// newNode builds the stream state of the node running in shell nd over
+// an id space of maxN; joiner marks it as needing frontier bootstrap.
+// It touches per-id state only, so the initial batch spawns in
+// parallel.
+func newNode(nd *cluster.Node, cfg Config, maxN int, m *NodeMetrics, joiner bool) *node {
 	s := &node{
 		Node:         nd,
 		n:            cfg.N,
@@ -126,11 +126,11 @@ func newNode(nd *cluster.Node, cfg Config, src Source, m *NodeMetrics, joiner bo
 		k:            cfg.K,
 		d:            cfg.PayloadBits,
 		vecBits:      cfg.K + token.UIDBits + cfg.PayloadBits,
-		window:       cfg.window(),
+		window:       cfg.Window,
 		gens:         cfg.Generations,
 		churn:        cfg.Churn != nil,
 		lockstep:     cfg.Lockstep,
-		src:          src,
+		src:          cfg.Source,
 		deliver:      cfg.Deliver,
 		spans:        make(map[int]*genState),
 		marks:        make([]int, maxN),

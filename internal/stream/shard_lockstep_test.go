@@ -31,21 +31,22 @@ func shardedStreamFingerprint(t *testing.T, seed int64, shards int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxN := n + sched.Joins()
-	rec := telemetry.New(telemetry.Config{Nodes: maxN})
-	tr := cluster.WithLoss(cluster.NewChanTransport(maxN, InboxBuffer(maxN, 3)), 0.15, seed+103)
 	var mu sync.Mutex
 	deliveries := make(map[string]int)
-	res, err := Run(context.Background(), Config{
+	cfg := Config{
 		N: n, K: k, PayloadBits: d, Window: w, Generations: gens, Fanout: 2,
-		Seed: seed, Transport: tr, Lockstep: true, Shards: shards,
-		MaxTicks: 100000, Churn: sched, Telemetry: rec,
+		Seed: seed, Lockstep: true, Shards: shards,
+		MaxTicks: 100000, Churn: sched,
 		Deliver: func(node, gen int, toks []token.Token) {
 			mu.Lock()
 			deliveries[fmt.Sprintf("n%d/g%d/%d", node, gen, len(toks))]++
 			mu.Unlock()
 		},
-	})
+	}
+	rec := telemetry.New(telemetry.Config{Nodes: cfg.runtime().MaxNodes()})
+	cfg.Telemetry = rec
+	cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), 0.15, seed+103)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("seed %d shards %d: %v", seed, shards, err)
 	}

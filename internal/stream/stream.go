@@ -137,10 +137,10 @@ func (s *seededSource) buildUncached(g int) []token.Token {
 // safe for concurrent use.
 type DeliverFunc func(node, gen int, toks []token.Token)
 
-// Config parameterizes a streaming run.
+// Config parameterizes a streaming run: the stream's own shape, plus
+// the fields of the run description, cluster.Config, which mean here
+// exactly what they mean there (runtime is the lowering).
 type Config struct {
-	// N is the number of nodes.
-	N int
 	// K is the generation size in tokens.
 	K int
 	// PayloadBits is the token payload size d.
@@ -152,33 +152,42 @@ type Config struct {
 	// Generations is the stream length for this run — the experiment
 	// horizon; the protocol itself has no such bound.
 	Generations int
+	// Source feeds the stream; nil means NewSeededSource(K,
+	// PayloadBits, Seed).
+	Source Source
+	// Deliver observes decoded generations (optional). On sharded runs
+	// (Shards > 1) it is called concurrently from shard workers
+	// (distinct nodes only — per-node calls stay strictly ordered) and
+	// must be safe for concurrent use, exactly as in async mode.
+	Deliver DeliverFunc
+	// SuspectTicks is the silence threshold (in lockstep ticks; async
+	// runs scale it by Interval) after which a peer is dropped from the
+	// retirement frontier and peer sampling. Only used with Churn;
+	// default 50.
+	SuspectTicks int
+
+	// The run description: each field below means what the field of the
+	// same name means in cluster.Config, which resolves it.
+
+	// N is the number of nodes.
+	N int
 	// Fanout is the number of peers contacted per data emission
-	// (default 2).
+	// (default 2); the ack is extra.
 	Fanout int
 	// Seed derives all node randomness. In lockstep mode it fully
 	// determines the run.
 	Seed int64
-	// Source feeds the stream; nil means NewSeededSource(K,
-	// PayloadBits, Seed).
-	Source Source
-	// Transport carries the packets; nil means a fresh ChanTransport
-	// sized so lockstep backpressure drops cannot occur. Run closes the
+	// Transport carries the packets; nil means DefaultTransport(), sized
+	// so lockstep backpressure drops cannot occur. Run closes the
 	// transport before returning.
 	Transport cluster.Transport
-	// Deliver observes decoded generations (optional).
-	Deliver DeliverFunc
 	// Lockstep runs the deterministic single-threaded driver instead of
 	// goroutines.
 	Lockstep bool
 	// Shards splits the lockstep driver's per-node phases across that
-	// many workers over contiguous node-id ranges, with a serial
-	// exchange barrier replaying emissions in id order so transcripts
-	// stay bit-identical to the serial driver at every shard count (see
-	// DESIGN.md "Node runtime and drivers"). 0 and 1
-	// both mean the serial engine; >1 requires Lockstep. On sharded runs
-	// Deliver is called concurrently from shard workers (distinct nodes
-	// only — per-node calls stay strictly ordered) and must be safe for
-	// concurrent use, exactly as in async mode.
+	// many workers, transcripts bit-identical at every count (see
+	// DESIGN.md "Node runtime and drivers"). 0 and 1 both mean the
+	// serial engine; >1 requires Lockstep.
 	Shards int
 	// MaxTicks caps a lockstep run (default 20000).
 	MaxTicks int
@@ -191,58 +200,57 @@ type Config struct {
 	// cluster.ChurnSchedule / cluster.ParseChurn). Nil means the fixed
 	// always-alive membership. Joiners catch up from the retirement
 	// frontier they learn from watermark gossip; the frontier itself
-	// ignores nodes silent for longer than the suspicion threshold so
-	// crashes cannot deadlock retirement.
+	// ignores nodes silent for longer than SuspectTicks so crashes
+	// cannot deadlock retirement.
 	Churn *cluster.ChurnSchedule
-	// SuspectTicks is the silence threshold (in lockstep ticks; async
-	// runs scale it by Interval) after which a peer is dropped from the
-	// retirement frontier and peer sampling. Only used with Churn;
-	// default 50.
-	SuspectTicks int
 	// Telemetry optionally traces the run (nil = disabled, zero
-	// overhead). Size it for maxNodes (N + Churn.Joins()). Recording
-	// only observes — a traced lockstep run produces the same transcript
-	// as an untraced one.
+	// overhead). Size it for the whole id space (N plus the schedule's
+	// joins). Recording only observes — a traced lockstep run produces
+	// the same transcript as an untraced one.
 	Telemetry *telemetry.Recorder
 }
 
-// maxNodes is the run's node id space: the initial membership plus
-// every id the churn schedule can create.
-func (c Config) maxNodes() int { return c.N + c.Churn.Joins() }
-
-func (c Config) suspectTicks() int {
-	if c.SuspectTicks > 0 {
-		return c.SuspectTicks
+// runtime lowers c onto the run description the engine resolves: what
+// is left over — K, PayloadBits, Window, Generations, Source, Deliver,
+// SuspectTicks — is the protocol's.
+func (c Config) runtime() cluster.Config {
+	return cluster.Config{
+		N: c.N, Fanout: c.Fanout, Seed: c.Seed, Transport: c.Transport,
+		Interval: c.Interval, Timeout: c.Timeout, Lockstep: c.Lockstep,
+		Shards: c.Shards, MaxTicks: c.MaxTicks, Churn: c.Churn, Telemetry: c.Telemetry,
 	}
-	return 50
 }
 
-func (c Config) window() int {
-	if c.Window > 0 {
-		return c.Window
-	}
-	return 4
+// control is the packets a node sends per tick besides its Fanout data
+// packets: the one ack.
+const control = 1
+
+// DefaultTransport returns the in-process transport a run of c gets
+// when c.Transport is nil (see cluster.Config.DefaultTransport), for
+// callers that want middlewares over the default fabric.
+func (c Config) DefaultTransport() *cluster.ChanTransport {
+	return c.runtime().DefaultTransport(control)
 }
 
-func (c Config) source() Source {
-	if c.Source != nil {
-		return c.Source
+// withDefaults resolves the stream's own "zero means default" fields
+// (the run description's are the engine's to resolve).
+func (c Config) withDefaults() Config {
+	if c.Window == 0 {
+		c.Window = 4
 	}
-	return NewSeededSource(c.K, c.PayloadBits, c.Seed)
+	if c.SuspectTicks <= 0 {
+		c.SuspectTicks = 50
+	}
+	if c.Source == nil {
+		c.Source = NewSeededSource(c.K, c.PayloadBits, c.Seed)
+	}
+	return c
 }
 
-// InboxBuffer returns the per-node inbox size at which lockstep
-// backpressure drops are impossible: one tick's worst case is every
-// node targeting the same inbox with fanout data packets plus one ack
-// each.
-func InboxBuffer(n, fanout int) int { return cluster.InboxBuffer(n, fanout+1) }
-
-// DefaultInboxBuffer is the sizing the driver (and the CLI's buffer
-// auto-sizing) uses when no transport is supplied: the exact
-// InboxBuffer bound below cluster.LargeClusterNodes, capped at a
-// constant slot count above it — see cluster.DefaultInboxBuffer for
-// the overflow analysis.
-func DefaultInboxBuffer(n, fanout int) int { return cluster.DefaultInboxBuffer(n, fanout+1) }
+// DefaultInboxBuffer is cluster.DefaultInboxBuffer for a stream whose
+// nodes send fanout data packets and the ack per tick. The runtime
+// itself sizes through DefaultTransport, which also knows about churn.
+func DefaultInboxBuffer(n, fanout int) int { return cluster.DefaultInboxBuffer(n, fanout+control) }
 
 // NodeMetrics are one node's counters for a streaming run.
 type NodeMetrics struct {
@@ -280,59 +288,28 @@ type NodeMetrics struct {
 
 // Result reports a finished streaming run.
 type Result struct {
-	// Completed is true when every live node delivered the stream
-	// through Generations (from its StartGen onward) and every
-	// scheduled join/restart was applied, before the timeout/tick cap.
-	Completed bool
-	// FinalLive counts the nodes live at the end of the run.
-	FinalLive int
-	// Elapsed is the async wall clock (also set, informationally, for
-	// lockstep runs).
-	Elapsed time.Duration
-	// Ticks is the lockstep tick count at completion (0 for async).
-	Ticks int
+	// The run-level fields and totals every protocol reports, with the
+	// stream's reading: Completed is true when every live node
+	// delivered the stream through Generations (from its StartGen
+	// onward) and every scheduled join/restart was applied, before the
+	// timeout/tick cap; PacketsOut / PacketsIn total data packets only.
+	cluster.Outcome
 	// TokensDelivered totals consumer deliveries across all nodes
 	// (N·K·Generations on a completed run).
 	TokensDelivered int64
 	Nodes           []NodeMetrics
 
 	// Aggregates over Nodes.
-	PacketsOut int64
-	PacketsIn  int64
-	AcksOut    int64
-	BitsOut    int64
-	Dropped    int64
+	AcksOut int64
 	// MaxSpanBytes is the largest per-node span footprint observed.
 	MaxSpanBytes int
 }
 
-// DoneTicks returns each completed node's DoneTick as float64s.
-func (r *Result) DoneTicks() []float64 {
-	out := make([]float64, 0, len(r.Nodes))
-	for _, m := range r.Nodes {
-		if m.Done {
-			out = append(out, float64(m.DoneTick))
-		}
-	}
-	return out
-}
-
-// DoneTimes returns each completed node's DoneAt in seconds.
-func (r *Result) DoneTimes() []float64 {
-	out := make([]float64, 0, len(r.Nodes))
-	for _, m := range r.Nodes {
-		if m.Done {
-			out = append(out, m.DoneAt.Seconds())
-		}
-	}
-	return out
-}
-
-// validate rejects stream shapes no run can carry.
+// validate rejects stream shapes no run can carry; what any run
+// description can get wrong (N, Shards, Churn) is the engine's to
+// reject.
 func (c Config) validate() error {
 	switch {
-	case c.N < 1:
-		return fmt.Errorf("stream: need at least 1 node, got %d", c.N)
 	case c.K < 1:
 		return fmt.Errorf("stream: need at least 1 token per generation, got %d", c.K)
 	case c.PayloadBits < 1:
@@ -352,25 +329,29 @@ func (c Config) validate() error {
 	return nil
 }
 
-// engine returns the cluster.Engine that streams c: its nodes are this
-// package's, sharing one Source (checked against K here) and counting
-// into the blocks metrics hands out.
+// engine checks the stream's shape and returns the cluster.Engine that
+// streams c: its nodes are this package's, sharing one Source (checked
+// against K here) and counting into the blocks metrics hands out.
 func (c Config) engine(metrics func(id int) *NodeMetrics) (cluster.Engine, error) {
-	src := c.source()
-	if toks := src.Generation(0); len(toks) != c.K {
+	if err := c.validate(); err != nil {
+		return cluster.Engine{}, err
+	}
+	c = c.withDefaults()
+	if toks := c.Source.Generation(0); len(toks) != c.K {
 		return cluster.Engine{}, fmt.Errorf("stream: source produced %d tokens per generation, want K=%d", len(toks), c.K)
 	}
+	maxN := c.runtime().MaxNodes()
 	eng := cluster.Engine{
 		New: func(nd *cluster.Node, joiner bool) cluster.Protocol {
-			return newNode(nd, c, src, metrics(nd.ID), joiner)
+			return newNode(nd, c, maxN, metrics(nd.ID), joiner)
 		},
 		Metrics: func(id int) *cluster.NodeMetrics { return &metrics(id).NodeMetrics },
-		Control: 1, // the ack
+		Control: control,
 	}
 	if c.Churn != nil {
 		// The retirement frontier would deadlock on a dead node's stale
 		// watermark; churnless runs never suspect.
-		eng.SuspectTicks = c.suspectTicks()
+		eng.SuspectTicks = c.SuspectTicks
 	}
 	return eng, nil
 }
@@ -382,27 +363,12 @@ func (c Config) engine(metrics func(id int) *NodeMetrics) (cluster.Engine, error
 // or the lockstep tick cap is hit. Every delivered generation is
 // verified against the Source before Run returns it to the consumer.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Churn.Validate(); err != nil {
-		return nil, fmt.Errorf("stream: %w", err)
-	}
-	if cfg.Shards > 1 && !cfg.Lockstep {
-		return nil, fmt.Errorf("stream: Shards=%d requires Lockstep (the async driver is already concurrent)", cfg.Shards)
-	}
-	res := &Result{Nodes: make([]NodeMetrics, cfg.maxNodes())}
+	res := &Result{Nodes: make([]NodeMetrics, cfg.runtime().MaxNodes())}
 	eng, err := cfg.engine(func(id int) *NodeMetrics { return &res.Nodes[id] })
 	if err != nil {
 		return nil, err
 	}
-	run, err := eng.Run(ctx, cluster.Config{
-		N: cfg.N, Fanout: cfg.Fanout, Seed: cfg.Seed, Transport: cfg.Transport,
-		Interval: cfg.Interval, Timeout: cfg.Timeout, Lockstep: cfg.Lockstep,
-		Shards: cfg.Shards, MaxTicks: cfg.MaxTicks, Churn: cfg.Churn, Telemetry: cfg.Telemetry,
-	})
-	res.Completed, res.FinalLive, res.Elapsed, res.Ticks = run.Completed, run.FinalLive, run.Elapsed, run.Ticks
-	res.PacketsOut, res.PacketsIn, res.BitsOut, res.Dropped = run.PacketsOut, run.PacketsIn, run.BitsOut, run.Dropped
+	res.Outcome, err = eng.Run(ctx, cfg.runtime())
 	for _, m := range res.Nodes {
 		res.AcksOut += m.AcksOut
 		res.TokensDelivered += int64(m.Delivered) * int64(cfg.K)

@@ -37,11 +37,12 @@ func TestSeededSourceDeterministic(t *testing.T) {
 
 func TestLockstepStreamCompletesUnderLoss(t *testing.T) {
 	const n, k, d, gens, w = 12, 6, 64, 6, 4
-	tr := cluster.WithLoss(cluster.NewChanTransport(n, InboxBuffer(n, 2)), 0.3, 99)
-	res, err := Run(context.Background(), Config{
+	cfg := Config{
 		N: n, K: k, PayloadBits: d, Window: w, Generations: gens,
-		Seed: 5, Lockstep: true, Transport: tr, MaxTicks: 100000,
-	})
+		Seed: 5, Lockstep: true, MaxTicks: 100000,
+	}
+	cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), 0.3, 99)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +97,12 @@ func TestSequentialWindowCompletes(t *testing.T) {
 func runSeeded(t *testing.T, seed int64, w int) *Result {
 	t.Helper()
 	const n, k, d, gens = 10, 5, 48, 5
-	tr := cluster.WithLoss(cluster.NewChanTransport(n, InboxBuffer(n, 2)), 0.25, seed*17+1)
-	res, err := Run(context.Background(), Config{
+	cfg := Config{
 		N: n, K: k, PayloadBits: d, Window: w, Generations: gens,
-		Seed: seed, Lockstep: true, Transport: tr, MaxTicks: 100000,
-	})
+		Seed: seed, Lockstep: true, MaxTicks: 100000,
+	}
+	cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), 0.25, seed*17+1)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +139,12 @@ func TestLockstepPureFunctionOfSeed(t *testing.T) {
 func TestPipeliningBeatsSequentialUnderLoss(t *testing.T) {
 	const n, k, d, gens = 16, 8, 64, 8
 	ticks := func(w int) int {
-		tr := cluster.WithLoss(cluster.NewChanTransport(n, InboxBuffer(n, 2)), 0.3, 77)
-		res, err := Run(context.Background(), Config{
+		cfg := Config{
 			N: n, K: k, PayloadBits: d, Window: w, Generations: gens,
-			Seed: 9, Lockstep: true, Transport: tr, MaxTicks: 100000,
-		})
+			Seed: 9, Lockstep: true, MaxTicks: 100000,
+		}
+		cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), 0.3, 77)
+		res, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,6 +272,9 @@ func TestStreamValidation(t *testing.T) {
 		{N: 2, K: 1, PayloadBits: 1, Generations: 0},
 		{N: 2, K: 1, PayloadBits: 1, Generations: 1, Window: -1},
 		{N: 2, K: 1, PayloadBits: 1, Generations: 1, Fanout: -1},
+		// Rejected, not a panic while Run sizes its table.
+		{N: 2, K: 1, PayloadBits: 1, Generations: 1, Churn: &cluster.ChurnSchedule{
+			Events: []cluster.ChurnEvent{{Kind: cluster.ChurnJoin, At: 5, Count: -9}}}},
 	}
 	for i, cfg := range bad {
 		cfg.Lockstep = true
@@ -295,11 +301,12 @@ func TestSingleNodeStreams(t *testing.T) {
 
 func TestStreamCapReportsIncomplete(t *testing.T) {
 	const n = 8
-	tr := cluster.WithLoss(cluster.NewChanTransport(n, InboxBuffer(n, 2)), 0.999, 1)
-	res, err := Run(context.Background(), Config{
+	cfg := Config{
 		N: n, K: 4, PayloadBits: 32, Window: 2, Generations: 4,
-		Seed: 1, Lockstep: true, Transport: tr, MaxTicks: 20,
-	})
+		Seed: 1, Lockstep: true, MaxTicks: 20,
+	}
+	cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), 0.999, 1)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +322,12 @@ func TestStreamObservesContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	const n = 8
-	tr := cluster.WithLoss(cluster.NewChanTransport(n, InboxBuffer(n, 2)), 0.999, 1)
-	res, err := Run(ctx, Config{
+	cfg := Config{
 		N: n, K: 4, PayloadBits: 32, Window: 2, Generations: 4,
-		Seed: 1, Lockstep: true, Transport: tr, MaxTicks: 1 << 20,
-	})
+		Seed: 1, Lockstep: true, MaxTicks: 1 << 20,
+	}
+	cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), 0.999, 1)
+	res, err := Run(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,12 +367,13 @@ func TestStreamLockstepGoldenTranscripts(t *testing.T) {
 			if traced {
 				rec = telemetry.New(telemetry.Config{Nodes: 8})
 			}
-			tr := cluster.WithLoss(cluster.NewChanTransport(8, InboxBuffer(8, 2)), 0.2, g.seed+3)
-			res, err := Run(ctx, Config{
+			cfg := Config{
 				N: 8, K: 6, PayloadBits: 48, Window: 3, Generations: 6,
-				Seed: g.seed, Transport: tr, Lockstep: true, MaxTicks: 200000,
+				Seed: g.seed, Lockstep: true, MaxTicks: 200000,
 				Telemetry: rec,
-			})
+			}
+			cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), 0.2, g.seed+3)
+			res, err := Run(ctx, cfg)
 			if err != nil {
 				t.Fatalf("seed %d traced=%v: %v", g.seed, traced, err)
 			}
@@ -429,5 +438,31 @@ func TestSeededSourceCacheBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 500; i++ { // random jumps
 		check(rng.Intn(10 * sourceCacheCap))
+	}
+}
+
+// TestLiveRankIsDeliveryWatermark pins the recorder scoreboard's stream
+// semantics: what LiveRank reports for a stream node is its delivery
+// watermark — the value the node publishes, the one targeted churn
+// reads too — so at the end of a run every node reads Generations. K
+// differs from Generations here because the scoreboard used to be
+// overwritten each tick by the span rank of the generation at the
+// watermark, which for a finished node is K.
+func TestLiveRankIsDeliveryWatermark(t *testing.T) {
+	const n, k, gens = 8, 3, 7
+	rec := telemetry.New(telemetry.Config{Nodes: n})
+	cfg := Config{
+		N: n, K: k, PayloadBits: 32, Window: 2, Generations: gens,
+		Seed: 3, Lockstep: true, MaxTicks: 100000, Telemetry: rec,
+	}
+	cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), 0.2, 11)
+	res, err := Run(context.Background(), cfg)
+	if err != nil || !res.Completed {
+		t.Fatalf("completed=%v err=%v", res.Completed, err)
+	}
+	for id := 0; id < n; id++ {
+		if rank, ok := rec.LiveRank(id); !ok || rank != gens {
+			t.Errorf("node %d: LiveRank = %d, %v; want the watermark %d", id, rank, ok, gens)
+		}
 	}
 }

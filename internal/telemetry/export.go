@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 )
 
 // The text export schema, version 1, written by WriteText. One
@@ -49,13 +50,26 @@ func (r *Recorder) WriteText(w io.Writer) error {
 			}
 		}
 		for _, ns := range r.netSamples {
-			n := ns.Net
-			fmt.Fprintf(bw, "net %d %d %d %d %d %d %d %d %d %d %d %d\n",
-				ns.Tick, n.Datagrams, n.Gossip, n.Announces,
-				n.DropOversize, n.DropTruncated, n.DropVersion, n.DropType,
-				n.DropMalformed, n.DropInboxFull, n.DropUnknownPeer, n.WriteErrors)
+			fmt.Fprintf(bw, "net %d", ns.tick)
+			for _, v := range ns.net {
+				fmt.Fprintf(bw, " %d", v)
+			}
+			fmt.Fprintln(bw)
 		}
 	}
 	fmt.Fprintf(bw, "end\n")
 	return bw.Flush()
+}
+
+// WriteTextFile writes WriteText's document to a new file at path.
+func (r *Recorder) WriteTextFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteText(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -276,15 +276,7 @@ func (r *Recorder) WriteFiles(dir, prefix string, watermark bool) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, prefix+"-telemetry.txt"))
-	if err != nil {
-		return err
-	}
-	if err := r.WriteText(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := r.WriteTextFile(filepath.Join(dir, prefix+"-telemetry.txt")); err != nil {
 		return err
 	}
 	tl := r.RankTimeline()

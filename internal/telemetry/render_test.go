@@ -27,7 +27,7 @@ func recordedRun() *Recorder {
 }
 
 func TestRankHeatmapCarryForward(t *testing.T) {
-	r := New(Config{Nodes: 2, SampleEvery: 1})
+	r := New(Config{Nodes: 2})
 	r.Sample(0, 0, 1, 0, 0, 2)
 	r.Sample(0, 4, 5, 0, 0, 2)
 	r.Sample(1, 2, 3, 0, 0, 2)
@@ -60,7 +60,7 @@ func TestTimelinePerNodeVsEnvelope(t *testing.T) {
 	}
 
 	big := New(Config{Nodes: maxTimelineSeries + 5})
-	for id := 0; id < big.Nodes(); id++ {
+	for id := 0; id < maxTimelineSeries+5; id++ {
 		for tick := int64(0); tick < 4; tick++ {
 			big.Sample(id, tick, int(tick)+id%3, 0, 0, 1)
 		}

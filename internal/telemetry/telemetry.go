@@ -104,20 +104,13 @@ type Sample struct {
 	View int32
 }
 
-// NetCounters mirror the udpnet datagram accounting buckets without
-// importing udpnet (which sits above this package). All values are
-// cumulative at sample time.
-type NetCounters struct {
-	Datagrams, Gossip, Announces                       int64
-	DropOversize, DropTruncated, DropVersion, DropType int64
-	DropMalformed, DropInboxFull, DropUnknownPeer      int64
-	WriteErrors                                        int64
-}
-
-// NetSample is one time-bucketed snapshot of the socket accounting.
-type NetSample struct {
-	Tick int64
-	Net  NetCounters
+// netSample is one time-bucketed snapshot of the socket accounting:
+// the udpnet datagram buckets, cumulative at sample time, in the order
+// udpnet declares them (udpnet.BucketNames — this package sits below
+// udpnet and only carries the values).
+type netSample struct {
+	tick int64
+	net  []int64
 }
 
 // Config sizes a Recorder.
@@ -132,32 +125,6 @@ type Config struct {
 	// it new samples are discarded (the series covers the run's start,
 	// the ring covers its end).
 	MaxSamples int
-	// SampleEvery thins lockstep sampling: SampleTick records only
-	// ticks divisible by it (default 1 = every tick). Async sampling
-	// (Sample) is already paced by the emission interval and ignores
-	// it.
-	SampleEvery int
-}
-
-func (c Config) eventCap() int {
-	if c.EventCap > 0 {
-		return c.EventCap
-	}
-	return 4096
-}
-
-func (c Config) maxSamples() int {
-	if c.MaxSamples > 0 {
-		return c.MaxSamples
-	}
-	return 65536
-}
-
-func (c Config) sampleEvery() int64 {
-	if c.SampleEvery > 1 {
-		return int64(c.SampleEvery)
-	}
-	return 1
 }
 
 // nodeRec is one node's storage: an overwrite-oldest event ring and an
@@ -170,12 +137,13 @@ type nodeRec struct {
 	samples []Sample
 }
 
-// nodeStat is the recorder's live per-node scoreboard, maintained as a
-// side effect of Event/Sample recording. Unlike the rings and series it
-// is written and read with atomics, so an adversary (internal/hostile)
-// may consult it concurrently with recording.
+// nodeStat is the recorder's live per-node scoreboard: the progress
+// the node last published, and its liveness as a side effect of
+// Event/Sample recording. Unlike the rings and series it is written
+// and read with atomics, so an adversary (internal/hostile) may consult
+// it concurrently with recording.
 type nodeStat struct {
-	rank atomic.Int64 // latest decoding progress / delivery watermark
+	rank atomic.Int64 // latest Publish: span rank / delivery watermark
 	seen atomic.Bool  // any event or sample recorded for this id
 	dead atomic.Bool  // last membership event was a crash or leave
 }
@@ -197,7 +165,7 @@ type Recorder struct {
 
 	stats []nodeStat // live rank scoreboard; see LiveRank
 
-	netSamples []NetSample // owned by the net sampler goroutine
+	netSamples []netSample // owned by the net sampler goroutine
 }
 
 // New returns a Recorder for a run over cfg.Nodes node ids.
@@ -205,15 +173,13 @@ func New(cfg Config) *Recorder {
 	if cfg.Nodes < 1 {
 		cfg.Nodes = 1
 	}
-	return &Recorder{cfg: cfg, recs: make([]nodeRec, cfg.Nodes), stats: make([]nodeStat, cfg.Nodes)}
-}
-
-// Nodes returns the recorder's node id space.
-func (r *Recorder) Nodes() int {
-	if r == nil {
-		return 0
+	if cfg.EventCap <= 0 {
+		cfg.EventCap = 4096
 	}
-	return len(r.recs)
+	if cfg.MaxSamples <= 0 {
+		cfg.MaxSamples = 65536
+	}
+	return &Recorder{cfg: cfg, recs: make([]nodeRec, cfg.Nodes), stats: make([]nodeStat, cfg.Nodes)}
 }
 
 // SetMeta records one run parameter for the export header (driver,
@@ -234,7 +200,7 @@ func (r *Recorder) Event(node int, tick int64, k Kind, a, b, c int64) {
 	}
 	nr := &r.recs[node]
 	if nr.ring == nil {
-		nr.ring = make([]Event, r.cfg.eventCap())
+		nr.ring = make([]Event, r.cfg.EventCap)
 	}
 	nr.ring[nr.head] = Event{Tick: tick, Kind: k, A: a, B: b, C: c}
 	nr.head++
@@ -248,14 +214,11 @@ func (r *Recorder) Event(node int, tick int64, k Kind, a, b, c int64) {
 	}
 	r.kindCounts[k].Add(1)
 
-	// Maintain the live scoreboard: rank moves on insert/deliver,
-	// liveness flips on membership events, any event proves the id is
-	// part of the run.
+	// Maintain the live scoreboard: liveness flips on membership
+	// events, any event proves the id is part of the run.
 	st := &r.stats[node]
 	st.seen.Store(true)
 	switch k {
-	case KindInsert, KindDeliver:
-		st.rank.Store(b)
 	case KindCrash, KindLeave:
 		st.dead.Store(true)
 	case KindJoin, KindRestart:
@@ -263,13 +226,25 @@ func (r *Recorder) Event(node int, tick int64, k Kind, a, b, c int64) {
 	}
 }
 
-// LiveRank reads the scoreboard Event/Sample recording maintains: node's
-// latest decoding progress (cluster: span rank / token count, via
-// KindInsert) or delivery watermark (stream, via KindDeliver), and
-// whether the node has been observed at all without a subsequent
-// crash/leave. It is the adaptive adversary's window into the run
-// (internal/hostile) and is safe to call concurrently with recording. A
-// nil receiver or out-of-range id reports ok=false.
+// Publish posts node's progress to the scoreboard: span rank / token
+// count for one-shot gossip, the delivery watermark for the stream. The
+// node runtime calls it wherever the node's progress moves
+// (cluster.Node.Publish, which feeds the targeted-churn oracle the same
+// value) and nothing else writes the slot, so a rank read here means
+// one thing for the whole run. It does not mark the node observed: a
+// node shows up in LiveRank with its first event or sample.
+func (r *Recorder) Publish(node int, progress int64) {
+	if r == nil || node < 0 || node >= len(r.stats) {
+		return
+	}
+	r.stats[node].rank.Store(progress)
+}
+
+// LiveRank reads the scoreboard: the progress node last published
+// (see Publish), and whether the node has been observed at all without
+// a subsequent crash/leave. It is the adaptive adversary's window into
+// the run (internal/hostile) and is safe to call concurrently with
+// recording. A nil receiver or out-of-range id reports ok=false.
 func (r *Recorder) LiveRank(node int) (rank int64, ok bool) {
 	if r == nil || node < 0 || node >= len(r.stats) {
 		return 0, false
@@ -281,14 +256,15 @@ func (r *Recorder) LiveRank(node int) (rank int64, ok bool) {
 	return st.rank.Load(), true
 }
 
-// Sample appends one time-series point for node unconditionally (the
-// async drivers pace it by their emission interval).
+// Sample appends one time-series point for node: once per tick under
+// the lockstep driver, once per emission interval under the async
+// ones.
 func (r *Recorder) Sample(node int, tick int64, rank, watermark, inbox, view int) {
 	if r == nil || node < 0 || node >= len(r.recs) {
 		return
 	}
 	nr := &r.recs[node]
-	if len(nr.samples) >= r.cfg.maxSamples() {
+	if len(nr.samples) >= r.cfg.MaxSamples {
 		r.samplesDropped.Add(1)
 		return
 	}
@@ -300,28 +276,17 @@ func (r *Recorder) Sample(node int, tick int64, rank, watermark, inbox, view int
 		Inbox: int32(inbox), View: int32(view),
 	})
 	r.sampleCount.Add(1)
-	st := &r.stats[node]
-	st.seen.Store(true)
-	st.rank.Store(int64(rank))
+	r.stats[node].seen.Store(true)
 }
 
-// SampleTick is Sample under the lockstep drivers: it thins to every
-// Config.SampleEvery-th tick so long deterministic runs stay cheap.
-func (r *Recorder) SampleTick(node int, tick int64, rank, watermark, inbox, view int) {
-	if r == nil || tick%r.cfg.sampleEvery() != 0 {
-		return
-	}
-	r.Sample(node, tick, rank, watermark, inbox, view)
-}
-
-// SampleNet appends one socket accounting snapshot. It is owned by the
-// caller's sampling loop (cmd/node runs one); not safe for concurrent
-// SampleNet calls.
-func (r *Recorder) SampleNet(tick int64, net NetCounters) {
+// SampleNet appends one socket accounting snapshot (see netSample),
+// keeping net. It is owned by the caller's sampling loop (cmd/node runs
+// one); not safe for concurrent SampleNet calls.
+func (r *Recorder) SampleNet(tick int64, net []int64) {
 	if r == nil {
 		return
 	}
-	r.netSamples = append(r.netSamples, NetSample{Tick: tick, Net: net})
+	r.netSamples = append(r.netSamples, netSample{tick: tick, net: net})
 }
 
 // Events returns node's traced events, oldest first. The slice is
@@ -349,14 +314,6 @@ func (r *Recorder) Samples(node int) []Sample {
 		return nil
 	}
 	return r.recs[node].samples
-}
-
-// NetSamples returns the socket accounting series in recording order.
-func (r *Recorder) NetSamples() []NetSample {
-	if r == nil {
-		return nil
-	}
-	return r.netSamples
 }
 
 // Counters snapshots the aggregate counters (events recorded per kind,

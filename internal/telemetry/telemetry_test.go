@@ -60,20 +60,37 @@ func TestEventOutOfRangeIgnored(t *testing.T) {
 	}
 }
 
-func TestSampleTickThinning(t *testing.T) {
-	r := New(Config{Nodes: 1, SampleEvery: 4})
-	for tick := int64(0); tick < 10; tick++ {
-		r.SampleTick(0, tick, int(tick), 0, 0, 3)
+// TestLiveRankReadsPublishOnly pins the scoreboard's one definition of
+// progress: the rank LiveRank reports is what the node last published,
+// whatever per-generation ranks its insert events and samples carried;
+// observation and liveness still come from events and samples.
+func TestLiveRankReadsPublishOnly(t *testing.T) {
+	r := New(Config{Nodes: 2})
+	r.Publish(0, 3)
+	if _, ok := r.LiveRank(0); ok {
+		t.Error("a published but never observed node is live")
 	}
-	s := r.Samples(0)
-	if len(s) != 3 { // ticks 0, 4, 8
-		t.Fatalf("len(Samples) = %d, want 3", len(s))
+	r.Sample(0, 1, 9, 0, 0, 1)
+	r.Event(0, 1, KindInsert, 4, 7, 1)
+	r.Event(0, 1, KindDeliver, 4, 5, 0)
+	if rank, ok := r.LiveRank(0); !ok || rank != 3 {
+		t.Errorf("LiveRank = %d, %v after a sample and events; want the published 3, true", rank, ok)
 	}
-	for i, want := range []int64{0, 4, 8} {
-		if s[i].Tick != want {
-			t.Errorf("Samples[%d].Tick = %d, want %d", i, s[i].Tick, want)
-		}
+	r.Publish(0, 4)
+	if rank, _ := r.LiveRank(0); rank != 4 {
+		t.Errorf("LiveRank = %d after Publish(4)", rank)
 	}
+	r.Event(0, 2, KindCrash, 0, 0, 0)
+	if _, ok := r.LiveRank(0); ok {
+		t.Error("crashed node still live")
+	}
+	r.Event(0, 3, KindRestart, 0, 0, 0)
+	if rank, ok := r.LiveRank(0); !ok || rank != 4 {
+		t.Errorf("LiveRank = %d, %v after restart; want 4, true", rank, ok)
+	}
+	r.Publish(5, 1) // out of range: ignored
+	var nilRec *Recorder
+	nilRec.Publish(0, 1)
 }
 
 func TestSampleCap(t *testing.T) {
@@ -99,7 +116,7 @@ func TestWriteTextSchema(t *testing.T) {
 	r.Event(0, 0, KindSend, 1, 0, 96)
 	r.Event(1, 0, KindRecv, 0, 0, 0)
 	r.Event(1, 0, KindInsert, 0, 1, 1)
-	r.SampleNet(5, NetCounters{Datagrams: 10, Gossip: 8, Announces: 2, DropInboxFull: 1})
+	r.SampleNet(5, []int64{10, 8, 2, 0, 0, 0, 0, 0, 1, 0, 0})
 
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
@@ -137,11 +154,9 @@ func TestNilRecorderNoOps(t *testing.T) {
 	var r *Recorder
 	r.Event(0, 0, KindSend, 0, 0, 0)
 	r.Sample(0, 0, 0, 0, 0, 0)
-	r.SampleTick(0, 0, 0, 0, 0, 0)
-	r.SampleNet(0, NetCounters{})
+	r.SampleNet(0, nil)
 	r.SetMeta("k", "v")
-	if r.Nodes() != 0 || r.Events(0) != nil || r.Samples(0) != nil ||
-		r.NetSamples() != nil || r.Counters() != nil {
+	if r.Events(0) != nil || r.Samples(0) != nil || r.Counters() != nil {
 		t.Error("nil recorder accessors not empty")
 	}
 }
@@ -154,8 +169,8 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		r.Event(3, 17, KindInsert, 1, 2, 1)
 		r.Sample(3, 17, 4, 2, 1, 8)
-		r.SampleTick(3, 17, 4, 2, 1, 8)
-		r.SampleNet(17, NetCounters{})
+		r.Publish(3, 4)
+		r.SampleNet(17, nil)
 	}); n != 0 {
 		t.Errorf("disabled path allocates %.1f allocs/op, want 0", n)
 	}

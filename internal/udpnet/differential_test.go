@@ -87,8 +87,11 @@ func TestRuntimesDeliverIdenticalSets(t *testing.T) {
 	// "every node Done, no error" is "every node decoded exactly toks".
 	toks := testTokens(6, 48, seed)
 	for _, mode := range []cluster.Mode{cluster.Coded, cluster.Forward} {
+		ccfg := cluster.Config{N: n, Mode: mode, Seed: seed, Interval: interval, Timeout: timeout}
 		for _, lockstep := range []bool{true, false} {
-			res, err := cluster.Run(ctx, cluster.Config{N: n, Mode: mode, Seed: seed, Lockstep: lockstep, Interval: interval, Timeout: timeout}, toks)
+			cfg := ccfg
+			cfg.Lockstep = lockstep
+			res, err := cluster.Run(ctx, cfg, toks)
 			if err != nil || !res.Completed {
 				t.Fatalf("%v lockstep=%v: completed=%v err=%v", mode, lockstep, res.Completed, err)
 			}
@@ -99,10 +102,9 @@ func TestRuntimesDeliverIdenticalSets(t *testing.T) {
 			}
 		}
 		overSockets(t, n, func(id int, tr *Transport) (bool, error) {
-			m, err := cluster.RunSingle(ctx, cluster.SingleConfig{
-				ID: id, N: n, Mode: mode, Seed: seed, Transport: tr,
-				Interval: interval, Timeout: timeout, Linger: linger,
-			}, toks)
+			cfg := ccfg
+			cfg.Transport = tr
+			m, err := cluster.RunSingle(ctx, cfg, cluster.Single{ID: id, Linger: linger}, toks)
 			return m.Done, err
 		})
 	}
@@ -129,11 +131,9 @@ func TestRuntimesDeliverIdenticalSets(t *testing.T) {
 	}
 	var got deliveries
 	overSockets(t, n, func(id int, tr *Transport) (bool, error) {
-		m, err := stream.RunSingle(ctx, stream.SingleConfig{
-			ID: id, N: n, K: scfg.K, PayloadBits: scfg.PayloadBits, Window: scfg.Window,
-			Generations: scfg.Generations, Seed: seed, Transport: tr, Deliver: got.deliver,
-			Interval: interval, Timeout: timeout, Linger: linger,
-		})
+		cfg := scfg
+		cfg.Transport, cfg.Deliver = tr, got.deliver
+		m, err := stream.RunSingle(ctx, cfg, cluster.Single{ID: id, Linger: linger})
 		return m.Done, err
 	})
 	if !slices.Equal(got.sorted(), want) {

@@ -46,9 +46,9 @@
 //	defer tr.Close()
 //	go tr.BootstrapLoop(ctx, 0)          // fill the address book
 //	if err := tr.WaitReady(ctx); err != nil { ... }
-//	metrics, err := cluster.RunSingle(ctx, cluster.SingleConfig{
-//		ID: id, N: n, Seed: seed, Transport: tr,
-//	}, toks)
+//	metrics, err := cluster.RunSingle(ctx,
+//		cluster.Config{N: n, Seed: seed, Transport: tr},
+//		cluster.Single{ID: id}, toks)
 //
 // For in-process tests that want real sockets without the bootstrap
 // dance, NewMesh binds n loopback transports with pre-populated books

@@ -76,19 +76,11 @@ func (m *Mesh) Close() {
 // Stats sums the per-node datagram accounting.
 func (m *Mesh) Stats() Stats {
 	var out Stats
+	sum := out.fields()
 	for _, tr := range m.nodes {
-		s := tr.Stats()
-		out.Datagrams += s.Datagrams
-		out.Gossip += s.Gossip
-		out.Announces += s.Announces
-		out.DropOversize += s.DropOversize
-		out.DropTruncated += s.DropTruncated
-		out.DropVersion += s.DropVersion
-		out.DropType += s.DropType
-		out.DropMalformed += s.DropMalformed
-		out.DropInboxFull += s.DropInboxFull
-		out.DropUnknownPeer += s.DropUnknownPeer
-		out.WriteErrors += s.WriteErrors
+		for i, v := range tr.Stats().Counts() {
+			*sum[i] += v
+		}
 	}
 	return out
 }

@@ -42,10 +42,11 @@ type Config struct {
 	InboxBuffer int
 	// MaxPacket caps accepted datagram size (default DefaultMaxPacket).
 	MaxPacket int
-	// ReadBuffer requests SO_RCVBUF bytes on the socket (default 1 MiB;
-	// best-effort, the kernel may clamp it).
-	ReadBuffer int
 }
+
+// readBuffer is the SO_RCVBUF request on every socket (best-effort,
+// the kernel may clamp it).
+const readBuffer = 1 << 20
 
 func (c Config) inboxBuffer() int {
 	if c.InboxBuffer > 0 {
@@ -59,13 +60,6 @@ func (c Config) maxPacket() int {
 		return c.MaxPacket
 	}
 	return DefaultMaxPacket
-}
-
-func (c Config) readBuffer() int {
-	if c.ReadBuffer > 0 {
-		return c.ReadBuffer
-	}
-	return 1 << 20
 }
 
 // Stats is a snapshot of the transport's datagram accounting. Every
@@ -99,35 +93,59 @@ type Stats struct {
 	WriteErrors int64
 }
 
-// stats is the live atomic counterpart of Stats.
-type stats struct {
-	datagrams       atomic.Int64
-	gossip          atomic.Int64
-	announces       atomic.Int64
-	dropOversize    atomic.Int64
-	dropTruncated   atomic.Int64
-	dropVersion     atomic.Int64
-	dropType        atomic.Int64
-	dropMalformed   atomic.Int64
-	dropInboxFull   atomic.Int64
-	dropUnknownPeer atomic.Int64
-	writeErrors     atomic.Int64
+// The accounting buckets, in Stats field order: the index of the live
+// counters, of BucketNames and of Stats.Counts.
+const (
+	datagrams = iota
+	gossip
+	announces
+	dropOversize
+	dropTruncated
+	dropVersion
+	dropType
+	dropMalformed
+	dropInboxFull
+	dropUnknownPeer
+	writeErrors
+	numBuckets
+)
+
+// BucketNames are the buckets' stable export names: cmd/node's metrics
+// file writes them as udp_<name>, and the telemetry export's net row
+// carries the values in this order.
+var BucketNames = [numBuckets]string{
+	"datagrams", "gossip", "announces",
+	"drop_oversize", "drop_truncated", "drop_version", "drop_type",
+	"drop_malformed", "drop_inbox_full", "drop_unknown_peer", "write_errors",
 }
 
-func (s *stats) snapshot() Stats {
-	return Stats{
-		Datagrams:       s.datagrams.Load(),
-		Gossip:          s.gossip.Load(),
-		Announces:       s.announces.Load(),
-		DropOversize:    s.dropOversize.Load(),
-		DropTruncated:   s.dropTruncated.Load(),
-		DropVersion:     s.dropVersion.Load(),
-		DropType:        s.dropType.Load(),
-		DropMalformed:   s.dropMalformed.Load(),
-		DropInboxFull:   s.dropInboxFull.Load(),
-		DropUnknownPeer: s.dropUnknownPeer.Load(),
-		WriteErrors:     s.writeErrors.Load(),
+// fields maps bucket index to Stats field.
+func (s *Stats) fields() [numBuckets]*int64 {
+	return [numBuckets]*int64{
+		&s.Datagrams, &s.Gossip, &s.Announces,
+		&s.DropOversize, &s.DropTruncated, &s.DropVersion, &s.DropType,
+		&s.DropMalformed, &s.DropInboxFull, &s.DropUnknownPeer, &s.WriteErrors,
 	}
+}
+
+// Counts returns the buckets' values in BucketNames order.
+func (s Stats) Counts() []int64 {
+	out := make([]int64, numBuckets)
+	for i, f := range s.fields() {
+		out[i] = *f
+	}
+	return out
+}
+
+// stats is the live atomic counterpart of Stats.
+type stats [numBuckets]atomic.Int64
+
+func (st *stats) snapshot() Stats {
+	var out Stats
+	for i, f := range out.fields() {
+		*f = st[i].Load()
+	}
+	return out
 }
 
 // Transport is one node's socket transport. It implements
@@ -209,7 +227,7 @@ func newTransport(cfg Config) (*Transport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("udpnet: listen %q: %w", cfg.Addr, err)
 	}
-	_ = conn.SetReadBuffer(cfg.readBuffer()) // best-effort; kernel may clamp
+	_ = conn.SetReadBuffer(readBuffer) // best-effort; kernel may clamp
 
 	t := &Transport{
 		cfg:      cfg,
@@ -313,11 +331,11 @@ func (t *Transport) Send(from, to int, pkt []byte) bool {
 	}
 	addr := t.addrOf(to)
 	if addr == nil {
-		t.st.dropUnknownPeer.Add(1)
+		t.st[dropUnknownPeer].Add(1)
 		return false
 	}
 	if _, err := t.conn.WriteToUDP(pkt, addr); err != nil {
-		t.st.writeErrors.Add(1)
+		t.st[writeErrors].Add(1)
 		return false
 	}
 	// The kernel copied the payload; recycle the buffer into the read
@@ -376,26 +394,26 @@ func (t *Transport) readLoop() {
 // rejection; each call increments Datagrams once and at most one drop
 // counter.
 func (t *Transport) ingest(data []byte, src *net.UDPAddr, scratch *wire.Packet) error {
-	t.st.datagrams.Add(1)
+	t.st[datagrams].Add(1)
 	if len(data) > t.cfg.maxPacket() {
-		t.st.dropOversize.Add(1)
+		t.st[dropOversize].Add(1)
 		return fmt.Errorf("%w: %d-byte datagram exceeds %d-byte cap", wire.ErrMalformed, len(data), t.cfg.maxPacket())
 	}
 	if err := wire.UnmarshalInto(scratch, data); err != nil {
 		switch {
 		case errors.Is(err, wire.ErrVersion):
-			t.st.dropVersion.Add(1)
+			t.st[dropVersion].Add(1)
 		case errors.Is(err, wire.ErrType):
-			t.st.dropType.Add(1)
+			t.st[dropType].Add(1)
 		case errors.Is(err, wire.ErrTruncated):
-			t.st.dropTruncated.Add(1)
+			t.st[dropTruncated].Add(1)
 		default:
-			t.st.dropMalformed.Add(1)
+			t.st[dropMalformed].Add(1)
 		}
 		return err
 	}
 	if scratch.Env.Type == wire.TypeAnnounce {
-		t.st.announces.Add(1)
+		t.st[announces].Add(1)
 		t.handleAnnounce(scratch, src)
 		return nil
 	}
@@ -409,9 +427,9 @@ func (t *Transport) ingest(data []byte, src *net.UDPAddr, scratch *wire.Packet) 
 	cp = append(cp[:0], data...)
 	select {
 	case t.inbox <- cp:
-		t.st.gossip.Add(1)
+		t.st[gossip].Add(1)
 	default:
-		t.st.dropInboxFull.Add(1)
+		t.st[dropInboxFull].Add(1)
 	}
 	return nil
 }
@@ -478,13 +496,13 @@ func (t *Transport) sendBook(dst *net.UDPAddr, op wire.AnnounceOp, msgID uint64)
 		// A book too large for one datagram cannot be announced whole;
 		// peers still converge through the per-announce sender learning,
 		// but flag the write as failed for visibility.
-		t.st.writeErrors.Add(1)
+		t.st[writeErrors].Add(1)
 		return
 	}
 	buf[wire.HeaderBytes] = byte(op)
 	binary.LittleEndian.PutUint64(buf[wire.HeaderBytes+1:], msgID)
 	if _, err := t.conn.WriteToUDP(buf, dst); err != nil {
-		t.st.writeErrors.Add(1)
+		t.st[writeErrors].Add(1)
 	}
 }
 
@@ -507,11 +525,11 @@ func (t *Transport) sendAnnounce(dst *net.UDPAddr, op wire.AnnounceOp, msgID uin
 	a := wire.Announce{Op: op, MsgID: msgID, Addrs: addrs}
 	pkt := wire.NewAnnounce(t.cfg.ID, 0, a)
 	if pkt.WireBytes() > t.cfg.maxPacket() {
-		t.st.writeErrors.Add(1)
+		t.st[writeErrors].Add(1)
 		return
 	}
 	if _, err := t.conn.WriteToUDP(pkt.Marshal(), dst); err != nil {
-		t.st.writeErrors.Add(1)
+		t.st[writeErrors].Add(1)
 	}
 }
 

@@ -218,11 +218,10 @@ func TestSingleNodesOverSockets(t *testing.T) {
 		go func(id int, tr *Transport) {
 			go tr.BootstrapLoop(ctx, 20*time.Millisecond)
 			_ = tr.WaitReady(ctx)
-			results[id], errs[id] = cluster.RunSingle(ctx, cluster.SingleConfig{
-				ID: id, N: n, Seed: 4, Transport: tr,
-				Interval: 2 * time.Millisecond,
-				Timeout:  15 * time.Second, Linger: time.Second,
-			}, toks)
+			results[id], errs[id] = cluster.RunSingle(ctx, cluster.Config{
+				N: n, Seed: 4, Transport: tr,
+				Interval: 2 * time.Millisecond, Timeout: 15 * time.Second,
+			}, cluster.Single{ID: id, Linger: time.Second}, toks)
 			done <- id
 		}(id, tr)
 	}
