@@ -665,22 +665,77 @@ func BenchmarkSpanDecodableCount(b *testing.B) {
 	b.ReportMetric(float64(count), "decodable")
 }
 
-// BenchmarkBitMatrixInsert measures raw echelon-insert throughput: 256
-// random 512-bit vectors inserted into a fresh matrix per iteration.
-func BenchmarkBitMatrixInsert(b *testing.B) {
-	b.ReportAllocs()
-	const cols, nvecs = 512, 256
-	rng := rand.New(rand.NewSource(6))
-	vecs := make([]gf.BitVec, nvecs)
-	for i := range vecs {
-		vecs[i] = gf.RandomBitVec(cols, rng.Uint64)
+// codingShapes are the coding shapes of the repo benchmark's kernel-bound
+// and harness-bound workloads (benchmark/workloads.go): gossip-deep
+// codes K=768 tokens of 64 UID + 1024 payload bits, gossip-wide K=32
+// tokens of 64 + 64.
+var codingShapes = []struct {
+	name    string
+	k, bits int
+}{
+	{"shape=deep", 768, 1088},
+	{"shape=wide", 32, 128},
+}
+
+// shapeFill returns one node's arrival sequence at a coding shape — k
+// innovative recodings of a full source span — and the full-rank span
+// they leave behind, as the repo benchmark's coding kernels build them.
+func shapeFill(k, bits int, rng *rand.Rand) ([]rlnc.Coded, *rlnc.Span) {
+	src := rlnc.NewSpan(k, bits)
+	for j := 0; j < k; j++ {
+		src.Add(rlnc.Encode(j, k, gf.RandomBitVec(bits, rng.Uint64)))
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := gf.NewBitMatrix(cols)
-		for _, v := range vecs {
-			m.Insert(v)
+	span := rlnc.NewSpan(k, bits)
+	var fresh []rlnc.Coded
+	for span.Rank() < k {
+		if c, _ := src.RandomCombination(rng); span.Add(c) {
+			fresh = append(fresh, c)
 		}
+	}
+	return fresh, span
+}
+
+// BenchmarkSpanCombineInto measures one emission — a random combination
+// of a full-rank span into a warmed packet — at each coding shape. It
+// allocates nothing; benchguard holds it to that.
+func BenchmarkSpanCombineInto(b *testing.B) {
+	for _, sh := range codingShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rng := rand.New(rand.NewSource(6))
+			_, span := shapeFill(sh.k, sh.bits, rng)
+			var dst rlnc.Coded
+			span.CombineInto(&dst, rng)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				span.CombineInto(&dst, rng)
+			}
+		})
+	}
+}
+
+// BenchmarkBitMatrixInsert measures one node's whole fill, rank 0 to K,
+// into a reset matrix at each coding shape: every insert reduces against
+// the basis so far and back-eliminates it. The slab is at capacity, so
+// it allocates nothing; benchguard holds it to that.
+func BenchmarkBitMatrixInsert(b *testing.B) {
+	for _, sh := range codingShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			fresh, _ := shapeFill(sh.k, sh.bits, rand.New(rand.NewSource(6)))
+			m := gf.NewBitMatrix(sh.k + sh.bits)
+			for _, c := range fresh {
+				m.Insert(c.Vec)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Reset()
+				for _, c := range fresh {
+					m.Insert(c.Vec)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(fresh)), "ns/insert")
+		})
 	}
 }
 

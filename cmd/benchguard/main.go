@@ -49,7 +49,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		note       = fs.String("note", "go test -run xxx -bench . -benchtime 1x -benchmem ./... (see scripts/bench.sh)", "provenance note stored in the baseline")
 		baseline   = fs.String("baseline", "", "committed baseline to compare against (default: newest BENCH_PR*.json)")
 		maxRegress = fs.Float64("max-regress", 0.20, "allowed fractional allocs/op growth before failing")
-		guard      = fs.String("guard", "BenchmarkEngineRound,BenchmarkWireRoundTrip,BenchmarkStreamSustained,BenchmarkEmitInsertSteadyState,BenchmarkChurnSteadyState,BenchmarkStreamWindowSweep/W=4,BenchmarkLockstepSharded/shards=1,BenchmarkLockstepSharded/shards=4",
+		guard      = fs.String("guard", "BenchmarkEngineRound,BenchmarkWireRoundTrip,BenchmarkStreamSustained,BenchmarkEmitInsertSteadyState,BenchmarkChurnSteadyState,BenchmarkStreamWindowSweep/W=4,BenchmarkLockstepSharded/shards=1,BenchmarkLockstepSharded/shards=4,BenchmarkSpanCombineInto/shape=deep,BenchmarkSpanCombineInto/shape=wide,BenchmarkBitMatrixInsert/shape=deep,BenchmarkBitMatrixInsert/shape=wide",
 			"comma-separated benchmarks the gate enforces")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -264,12 +264,7 @@ type gossiper interface {
 // byte-compatible.
 func TokenVec(t token.Token) gf.BitVec {
 	v := gf.NewBitVec(token.UIDBits + t.D())
-	u := uint64(t.UID)
-	for b := 0; b < token.UIDBits; b++ {
-		if u>>uint(b)&1 == 1 {
-			v.Set(b, true)
-		}
-	}
+	v.SetWord(0, uint64(t.UID))
 	t.Payload.CopyInto(v, token.UIDBits)
 	return v
 }
@@ -288,13 +283,7 @@ func tokenVecs(toks []token.Token) []gf.BitVec {
 
 // VecToken inverts TokenVec.
 func VecToken(v gf.BitVec) token.Token {
-	var u uint64
-	for b := 0; b < token.UIDBits; b++ {
-		if v.Bit(b) {
-			u |= 1 << uint(b)
-		}
-	}
-	return token.Token{UID: token.UID(u), Payload: v.Slice(token.UIDBits, v.Len())}
+	return token.Token{UID: token.UID(v.Word(0)), Payload: v.Slice(token.UIDBits, v.Len())}
 }
 
 // codedNode gossips random linear combinations of its span.

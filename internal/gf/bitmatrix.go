@@ -2,6 +2,7 @@ package gf
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -78,14 +79,113 @@ func (m *BitMatrix) Reduce(v BitVec) BitVec {
 	return r
 }
 
+// reduceInPlace eliminates r against the stored rows, 64 echelon rows
+// per XorRows call. The rows to xor are known before any xor happens:
+// the basis is in reduced form, so a stored row is zero in every pivot
+// column but its own, and xoring it into r moves none of the other bits
+// the selection reads. Echelon form alone would not do — a row could
+// flip r at a later pivot.
 func (m *BitMatrix) reduceInPlace(r BitVec) {
-	for i, idx := range m.order {
-		l := m.lead[i]
-		if r.Bit(l) {
-			// row is zero below its leading bit, so the xor can start
-			// at the pivot word.
-			r.XorRange(m.rowAt(idx), l, m.cols)
+	for base := 0; base < len(m.lead); base += 64 {
+		var mask uint64
+		for i, l := range m.lead[base:min(base+64, len(m.lead))] {
+			mask |= (r.w[l>>6] >> (uint(l) & 63) & 1) << uint(i)
 		}
+		m.XorRows(r, base>>6, mask)
+	}
+}
+
+// XorRows xors into dst the echelon rows 64·chunk+i for every set bit i
+// of mask; bits that name a row at or beyond the rank are ignored. A
+// random mask per chunk is a random combination of the basis, the pivot
+// bits of a vector its reduction: this is the one subset-xor loop under
+// Insert, Reduce and rlnc.Span.CombineInto.
+//
+// It expands mask into the slab offsets and pivot words of the selected
+// rows, on the stack, then sweeps dst in blocks of eight words (a cache
+// line) held in registers: a row-word costs one load, against two loads
+// and a store when dst is rewritten once per row. Rows are sorted by
+// pivot and zero below it, so the sweep starts at the first row's pivot
+// word and each block visits only the prefix off[:hi] of rows whose
+// pivot word it has reached; that prefix is never empty, which lets the
+// row loops test at the bottom — the form in which the compiler folds
+// each load into its xor and the accumulators stay in registers. dst
+// must not be a stored row.
+func (m *BitMatrix) XorRows(dst BitVec, chunk int, mask uint64) {
+	if dst.n != m.cols {
+		panic(fmt.Sprintf("gf: BitMatrix xor of rows into %d-bit vector, have %d columns", dst.n, m.cols))
+	}
+	base := chunk << 6
+	if rem := len(m.order) - base; rem < 64 {
+		mask &= 1<<uint(max(rem, 0)) - 1
+	}
+	if mask == 0 {
+		return
+	}
+	var off, pw [64]int
+	n := 0
+	for ; mask != 0; mask &= mask - 1 {
+		i := base + bits.TrailingZeros64(mask)
+		off[n], pw[n] = int(m.order[i])*m.stride, m.lead[i]>>6
+		n++
+	}
+	slab, stride, dw := m.slab, m.stride, dst.w[:m.stride]
+	w, hi := pw[0], 0
+	for ; w+8 <= stride; w += 8 {
+		for hi < n && pw[hi] < w+8 {
+			hi++
+		}
+		d, rows := dw[w:w+8:w+8], slab[w:]
+		a0, a1, a2, a3, a4, a5, a6, a7 := d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
+		for i := 0; ; {
+			o := off[i&63]
+			r := rows[o : o+8 : o+8]
+			a0 ^= r[0]
+			a1 ^= r[1]
+			a2 ^= r[2]
+			a3 ^= r[3]
+			a4 ^= r[4]
+			a5 ^= r[5]
+			a6 ^= r[6]
+			a7 ^= r[7]
+			if i++; i >= hi {
+				break
+			}
+		}
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	}
+	if w+4 <= stride {
+		for hi < n && pw[hi] < w+4 {
+			hi++
+		}
+		d, rows := dw[w:w+4:w+4], slab[w:]
+		a0, a1, a2, a3 := d[0], d[1], d[2], d[3]
+		for i := 0; ; {
+			o := off[i&63]
+			r := rows[o : o+4 : o+4]
+			a0 ^= r[0]
+			a1 ^= r[1]
+			a2 ^= r[2]
+			a3 ^= r[3]
+			if i++; i >= hi {
+				break
+			}
+		}
+		d[0], d[1], d[2], d[3] = a0, a1, a2, a3
+		w += 4
+	}
+	for ; w < stride; w++ {
+		for hi < n && pw[hi] <= w {
+			hi++
+		}
+		a, rows := dw[w], slab[w:]
+		for i := 0; ; {
+			a ^= rows[off[i&63]]
+			if i++; i >= hi {
+				break
+			}
+		}
+		dw[w] = a
 	}
 }
 
@@ -120,19 +220,30 @@ func (m *BitMatrix) Insert(v BitVec) bool {
 	}
 	m.grow()
 	free := int32(len(m.order))
-	r := m.rowAt(free)
-	r.CopyFrom(v)
-	m.reduceInPlace(r)
-	lb := r.LeadingBit()
+	row := m.rowAt(free)
+	row.CopyFrom(v)
+	m.reduceInPlace(row)
+	lb := row.LeadingBit()
 	if lb < 0 {
 		return false
 	}
 	pos := sort.SearchInts(m.lead, lb)
 	// Only rows before pos can see column lb: every later row's leading
-	// bit exceeds lb, so its bits at and below lb are already zero.
-	for j := 0; j < pos; j++ {
-		if row := m.rowAt(m.order[j]); row.Bit(lb) {
-			row.XorRange(r, lb, m.cols)
+	// bit exceeds lb, so its bits at and below lb are already zero. The
+	// new row is zero below lb, so the xor can start at the pivot word.
+	// The column is gathered 64 rows at a time before any row is
+	// rewritten: the loads are independent and overlap their cache
+	// misses, where a test-and-xor per row waits out a miss behind every
+	// mispredicted branch.
+	lw, lbit := lb>>6, uint(lb)&63
+	for base := 0; base < pos; base += 64 {
+		var mask uint64
+		for i, idx := range m.order[base:min(base+64, pos)] {
+			mask |= (m.slab[int(idx)*m.stride+lw] >> lbit & 1) << uint(i)
+		}
+		for ; mask != 0; mask &= mask - 1 {
+			o := int(m.order[base+bits.TrailingZeros64(mask)]) * m.stride
+			xorWords(m.slab[o+lw:o+m.stride], row.w[lw:])
 		}
 	}
 	m.order = append(m.order, 0)

@@ -239,11 +239,19 @@ type refMatrix struct {
 
 func newRefMatrix(cols int) *refMatrix { return &refMatrix{cols: cols} }
 
+// naiveXor is the oracle's own addition, one whole row a word at a
+// time, sharing no code with xorWords or the XorRows kernel.
+func naiveXor(dst, src BitVec) {
+	for i := range dst.w {
+		dst.w[i] ^= src.w[i]
+	}
+}
+
 func (m *refMatrix) insert(v BitVec) bool {
 	r := v.Clone()
 	for i, row := range m.rows {
 		if r.Bit(m.lead[i]) {
-			r.XorRange(row, m.lead[i], m.cols)
+			naiveXor(r, row)
 		}
 	}
 	lb := r.LeadingBit()
@@ -256,7 +264,7 @@ func (m *refMatrix) insert(v BitVec) bool {
 	}
 	for j := 0; j < pos; j++ {
 		if m.rows[j].Bit(lb) {
-			m.rows[j].XorRange(r, lb, m.cols)
+			naiveXor(m.rows[j], r)
 		}
 	}
 	m.rows = append(m.rows, BitVec{})
@@ -383,5 +391,111 @@ func TestBitMatrixInsertZeroAllocAtCapacity(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Reset+refill at capacity allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// spreadBasis inserts rows random vectors, the i-th zeroed below column
+// i·cols/rows, so the basis has pivots in every word of the row rather
+// than only in the first rank columns.
+func spreadBasis(cols, rows int, rng *rand.Rand) *BitMatrix {
+	m := NewBitMatrix(cols)
+	for i := 0; i < rows; i++ {
+		v := randBV(cols, rng)
+		for b := 0; b < i*cols/rows; b++ {
+			v.Set(b, false)
+		}
+		m.Insert(v)
+	}
+	return m
+}
+
+// checkXorRows compares one kernel call with the loop it replaced: one
+// whole-row xor per selected echelon row below the rank.
+func checkXorRows(t *testing.T, m *BitMatrix, dst BitVec, chunk int, mask uint64) {
+	t.Helper()
+	want := dst.Clone()
+	for i := 0; i < 64; i++ {
+		if r := 64*chunk + i; mask>>uint(i)&1 == 1 && r < m.Rank() {
+			naiveXor(want, m.Row(r))
+		}
+	}
+	m.XorRows(dst, chunk, mask)
+	if !dst.Equal(want) {
+		t.Fatalf("cols=%d rank=%d chunk=%d mask=%#x: kernel and per-row loop differ", m.Cols(), m.Rank(), chunk, mask)
+	}
+}
+
+// TestXorRowsMatchesPerRowLoop sweeps the kernel over every stride from
+// 0 to 20 words — so every mix of eight-word blocks, the four-word
+// block and single-word tails, from every starting word — at ranks that
+// are not multiples of 64, for the edge masks and random ones, on every
+// chunk up to one beyond the rank.
+func TestXorRowsMatchesPerRowLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for stride := 0; stride <= 20; stride++ {
+		for _, cols := range []int{64 * stride, 64*stride - 13} {
+			if cols < 0 {
+				continue
+			}
+			m := spreadBasis(cols, min(cols, 150), rng)
+			seen := make([]bool, stride)
+			for i := 0; i < m.Rank(); i++ {
+				seen[m.Lead(i)>>6] = true
+			}
+			for w, ok := range seen {
+				if !ok && cols >= 150 {
+					t.Fatalf("cols=%d: no pivot in word %d, the sweep would not start there", cols, w)
+				}
+			}
+			for chunk := 0; chunk <= m.Rank()>>6+1; chunk++ {
+				masks := []uint64{0, 1, 1 << 63, ^uint64(0), rng.Uint64(), rng.Uint64() & rng.Uint64(), rng.Uint64()}
+				for _, mask := range masks {
+					checkXorRows(t, m, randBV(cols, rng), chunk, mask)
+				}
+			}
+		}
+	}
+}
+
+// TestReduceSelectsRowsUpFront tests the premise reduceInPlace rests
+// on: against a reduced basis, the rows a reduction xors are the ones
+// whose pivot bit is set in the vector as it arrives, because no stored
+// row touches another row's pivot column. The second half shows the
+// premise is RREF's, not echelon form's.
+func TestReduceSelectsRowsUpFront(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, cols := range []int{1, 64, 200, 777} {
+		m := spreadBasis(cols, cols/2+1, rng)
+		for trial := 0; trial < 20; trial++ {
+			v := randBV(cols, rng)
+			seq, upfront := v.Clone(), v.Clone()
+			for i := 0; i < m.Rank(); i++ {
+				if seq.Bit(m.Lead(i)) {
+					naiveXor(seq, m.Row(i))
+				}
+				if v.Bit(m.Lead(i)) {
+					naiveXor(upfront, m.Row(i))
+				}
+			}
+			if !seq.Equal(upfront) || !m.Reduce(v).Equal(seq) {
+				t.Fatalf("cols=%d: row-by-row, up-front and Reduce disagree", cols)
+			}
+		}
+	}
+	// Echelon but not reduced: row 0 is set in row 1's pivot column, so
+	// xoring it flips a bit the up-front selection has already read.
+	rows := []BitVec{bvFromString(t, "110"), bvFromString(t, "010")}
+	v := bvFromString(t, "100")
+	seq, upfront := v.Clone(), v.Clone()
+	for i, row := range rows {
+		if seq.Bit(i) {
+			naiveXor(seq, row)
+		}
+		if v.Bit(i) {
+			naiveXor(upfront, row)
+		}
+	}
+	if !seq.IsZero() || upfront.IsZero() {
+		t.Fatalf("non-reduced basis: row-by-row left %v, up-front %v; want zero and nonzero", seq, upfront)
 	}
 }

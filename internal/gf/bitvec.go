@@ -127,10 +127,32 @@ func (v BitVec) Flip(i int) {
 	v.w[i>>6] ^= 1 << (uint(i) & 63)
 }
 
-func (v BitVec) check(i int) {
-	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("gf: BitVec index %d out of range [0,%d)", i, v.n))
+// Word returns bits [64i, 64i+64) as one word, bit 64i lowest; bits at
+// and beyond Len read as zero.
+func (v BitVec) Word(i int) uint64 { return v.w[i] }
+
+// SetWord overwrites bits [64i, 64i+64) with w, dropping the bits of w
+// that fall at or beyond Len.
+func (v BitVec) SetWord(i int, w uint64) {
+	v.w[i] = w
+	if i == len(v.w)-1 {
+		v.maskTail()
 	}
+}
+
+// check keeps the per-bit accessors inlinable: one unsigned compare
+// covers both ends of the range, and the panic value formats its
+// message only if it is ever printed.
+func (v BitVec) check(i int) {
+	if uint(i) >= uint(v.n) {
+		panic(indexError{i, v.n})
+	}
+}
+
+type indexError struct{ i, n int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("gf: BitVec index %d out of range [0,%d)", e.i, e.n)
 }
 
 // Xor adds u into v in place (v += u over GF(2)). The lengths must match.
@@ -138,29 +160,21 @@ func (v BitVec) Xor(u BitVec) {
 	if v.n != u.n {
 		panic(fmt.Sprintf("gf: BitVec length mismatch %d vs %d", v.n, u.n))
 	}
-	for i, uw := range u.w {
-		v.w[i] ^= uw
-	}
+	xorWords(v.w, u.w)
 }
 
-// XorRange xors into v the whole 64-bit words of u that cover bits
-// [lo, hi); words entirely outside the range are skipped. Bits of u that
-// share a word with the range boundary are xored too, so callers must
-// know u is zero outside [lo, hi) — the echelon fast path qualifies: a
-// basis row is zero below its leading bit, so reducing against it can
-// start at the pivot word.
-func (v BitVec) XorRange(u BitVec, lo, hi int) {
-	if v.n != u.n {
-		panic(fmt.Sprintf("gf: BitVec length mismatch %d vs %d", v.n, u.n))
+// xorWords xors src into dst, eight words to a step with the bounds
+// checked once per step. len(src) must be at least len(dst).
+func xorWords(dst, src []uint64) {
+	src = src[:len(dst)]
+	for len(dst) >= 8 {
+		d, s := (*[8]uint64)(dst), (*[8]uint64)(src)
+		d[0], d[1], d[2], d[3] = d[0]^s[0], d[1]^s[1], d[2]^s[2], d[3]^s[3]
+		d[4], d[5], d[6], d[7] = d[4]^s[4], d[5]^s[5], d[6]^s[6], d[7]^s[7]
+		dst, src = dst[8:], src[8:]
 	}
-	if lo < 0 || hi > v.n || lo > hi {
-		panic(fmt.Sprintf("gf: BitVec xor range [%d,%d) out of range [0,%d)", lo, hi, v.n))
-	}
-	if lo == hi {
-		return
-	}
-	for i, end := lo>>6, (hi+63)>>6; i < end; i++ {
-		v.w[i] ^= u.w[i]
+	for i, w := range src {
+		dst[i] ^= w
 	}
 }
 
@@ -271,13 +285,22 @@ func (v BitVec) Slice(lo, hi int) BitVec {
 	return out
 }
 
-// CopyInto copies v into bits [off, off+v.Len()) of dst.
+// CopyInto copies v into bits [off, off+v.Len()) of dst, leaving the
+// rest of dst as it was. It works a word at a time: each source word
+// lands in at most two destination words via shifts, as in Slice.
 func (v BitVec) CopyInto(dst BitVec, off int) {
 	if off < 0 || off+v.n > dst.n {
 		panic(fmt.Sprintf("gf: BitVec copy of %d bits at offset %d into %d bits", v.n, off, dst.n))
 	}
-	for i := 0; i < v.n; i++ {
-		dst.Set(off+i, v.Bit(i))
+	lo, shift := off>>6, uint(off)&63
+	for i, w := range v.w {
+		mask := ^uint64(0) >> uint(max(0, 64*(i+1)-v.n))
+		dst.w[lo+i] = dst.w[lo+i]&^(mask<<shift) | w&mask<<shift
+		// A shift count of 64 yields zero, so an aligned copy, or a
+		// last word that fits, spills nothing.
+		if spill := mask >> (64 - shift); spill != 0 {
+			dst.w[lo+i+1] = dst.w[lo+i+1]&^spill | w&mask>>(64-shift)
+		}
 	}
 }
 

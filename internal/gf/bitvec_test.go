@@ -162,6 +162,45 @@ func TestBitVecSliceAndCopyInto(t *testing.T) {
 	}
 }
 
+// TestBitVecCopyIntoMatchesPerBit holds the word-at-a-time CopyInto to
+// the per-bit copy over aligned and unaligned offsets, lengths on both
+// sides of a word boundary, and a nonzero destination whose other bits
+// must survive.
+func TestBitVecCopyIntoMatchesPerBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{0, 1, 5, 63, 64, 65, 70, 127, 128, 130, 1024} {
+		for _, off := range []int{0, 1, 37, 63, 64, 65, 100, 768} {
+			for _, pad := range []int{0, 3, 64} {
+				v := randBV(n, rng)
+				dst := randBV(off+n+pad, rng)
+				want := dst.Clone()
+				for i := 0; i < n; i++ {
+					want.Set(off+i, v.Bit(i))
+				}
+				v.CopyInto(dst, off)
+				if !dst.Equal(want) {
+					t.Fatalf("n=%d off=%d pad=%d: CopyInto differs from the per-bit copy", n, off, pad)
+				}
+			}
+		}
+	}
+}
+
+func TestBitVecWord(t *testing.T) {
+	v := NewBitVec(70)
+	v.SetWord(0, 0xfeedface12345678)
+	v.SetWord(1, ^uint64(0))
+	if v.Word(0) != 0xfeedface12345678 || v.Word(1) != 1<<6-1 {
+		t.Fatalf("words %#x %#x, want the first whole and the second cut to 6 bits", v.Word(0), v.Word(1))
+	}
+	for i := 0; i < 70; i++ {
+		want := i >= 64 || uint64(0xfeedface12345678)>>uint(i)&1 == 1
+		if v.Bit(i) != want {
+			t.Fatalf("bit %d = %v, want %v", i, v.Bit(i), want)
+		}
+	}
+}
+
 func TestBitVecBytesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{1, 7, 8, 9, 63, 64, 65, 200} {

@@ -1,6 +1,7 @@
 package gf
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -66,4 +67,22 @@ func checkRREFInvariants(t *testing.T, m *BitMatrix) {
 			}
 		}
 	}
+}
+
+// FuzzXorRows holds the subset-xor kernel to the per-row loop it
+// replaced on a random reduced basis of any width up to 20 words, with
+// pivots in every word, for any chunk and row selection.
+func FuzzXorRows(f *testing.F) {
+	f.Add(uint16(1856), uint8(150), int64(1), uint8(0), ^uint64(0))
+	f.Add(uint16(160), uint8(32), int64(2), uint8(0), uint64(0xdeadbeef))
+	f.Add(uint16(1280), uint8(200), int64(3), uint8(3), uint64(1)<<63|1)
+	f.Add(uint16(64), uint8(64), int64(4), uint8(1), ^uint64(0))
+	f.Add(uint16(0), uint8(9), int64(5), uint8(0), uint64(1))
+	f.Fuzz(func(t *testing.T, cols16 uint16, rows uint8, seed int64, chunk uint8, mask uint64) {
+		cols := int(cols16) % 1281
+		rng := rand.New(rand.NewSource(seed))
+		m := spreadBasis(cols, int(rows), rng)
+		checkRREFInvariants(t, m)
+		checkXorRows(t, m, randBV(cols, rng), int(chunk)%5, mask)
+	})
 }

@@ -97,10 +97,11 @@ func (s *Span) Add(c Coded) bool {
 // the caller-owned dst, reusing dst.Vec's storage when its capacity
 // allows. It returns false, leaving dst untouched, if the span is
 // empty, in which case the node stays silent. Coefficient coins are
-// drawn 64 at a time and each basis row is xored starting at its pivot
-// word, so the steady-state cost is pure word-level XOR with zero
-// allocation. The coin sequence is identical to Combine's: given equal
-// rng states the two produce bit-identical combinations.
+// drawn 64 at a time, one rng word per 64 basis rows in echelon order,
+// and each word goes to gf.BitMatrix.XorRows as the row selection, so
+// the steady-state cost is pure word-level XOR with zero allocation.
+// The coin sequence is identical to Combine's: given equal rng states
+// the two produce bit-identical combinations.
 func (s *Span) CombineInto(dst *Coded, rng *rand.Rand) bool {
 	r := s.mat.Rank()
 	if r == 0 {
@@ -108,15 +109,8 @@ func (s *Span) CombineInto(dst *Coded, rng *rand.Rand) bool {
 	}
 	dst.K = s.k
 	dst.Vec.Resize(s.k + s.payload)
-	var coins uint64
-	for i := 0; i < r; i++ {
-		if i&63 == 0 {
-			coins = rng.Uint64()
-		}
-		if coins&1 == 1 {
-			dst.Vec.XorRange(s.mat.Row(i), s.mat.Lead(i), s.k+s.payload)
-		}
-		coins >>= 1
+	for chunk := 0; chunk<<6 < r; chunk++ {
+		s.mat.XorRows(dst.Vec, chunk, rng.Uint64())
 	}
 	return true
 }

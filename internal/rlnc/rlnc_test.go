@@ -1,6 +1,8 @@
 package rlnc
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -438,5 +440,57 @@ func TestCombineIntoSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("RandomCombinationInto allocated %.1f times per draw, want 0", allocs)
+	}
+}
+
+// TestCombineIntoPinnedBits pins the bits CombineInto emits, and the
+// coins it leaves in the rng, at the two shapes the repo benchmark runs
+// (gossip-deep, gossip-wide): the hashes are what the row-at-a-time loop
+// before the subset-xor kernel produced for the same seeds. A span is
+// filled from recoded gossip, so its rows sit in shuffled slab order,
+// and is drawn from at a partial rank (not a multiple of 64) and at
+// full rank; the hash covers every stored row as well, so the RREF the
+// inserts leave is pinned with the packets. If this moves, every golden
+// transcript moves with it.
+func TestCombineIntoPinnedBits(t *testing.T) {
+	for _, tc := range []struct {
+		k, d int
+		want uint64
+	}{
+		{768, 1088, 0xaa8c37bca482a78f},
+		{32, 128, 0x528fb865b3f0b0e5},
+	} {
+		rng := rand.New(rand.NewSource(int64(tc.k)))
+		src := NewSpan(tc.k, tc.d)
+		for i := 0; i < tc.k; i++ {
+			src.Add(Encode(i, tc.k, gf.RandomBitVec(tc.d, rng.Uint64)))
+		}
+		h := fnv.New64a()
+		s := NewSpan(tc.k, tc.d)
+		var c, dst Coded
+		draw := func() {
+			for i := 0; i < 40; i++ {
+				if !s.CombineInto(&dst, rng) {
+					t.Fatalf("k=%d: empty span at rank %d", tc.k, s.Rank())
+				}
+				h.Write(dst.Vec.Bytes())
+			}
+		}
+		for s.Rank() < tc.k {
+			src.RandomCombinationInto(&c, rng)
+			if s.Add(c) && s.Rank() == tc.k*5/8+3 {
+				draw()
+			}
+		}
+		draw()
+		for i := 0; i < s.Rank(); i++ {
+			h.Write(s.mat.Row(i).Bytes())
+		}
+		var tail [8]byte
+		binary.LittleEndian.PutUint64(tail[:], rng.Uint64())
+		h.Write(tail[:])
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("k=%d d=%d: hash %#x, want %#x", tc.k, tc.d, got, tc.want)
+		}
 	}
 }
