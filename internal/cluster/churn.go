@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -524,10 +525,13 @@ func (v *View) Pick(rng *rand.Rand, _ int64) int {
 // a hello body, reusing dst's capacity.
 func (v *View) AppendPeers(dst []uint32) []uint32 {
 	if v.live == nil {
-		for id := 0; id < v.n; id++ {
-			dst = append(dst, uint32(id))
+		// Dense: ids 0..n-1, filled by index into one sized extension.
+		dst = slices.Grow(dst, v.n)
+		ids := dst[len(dst) : len(dst)+v.n]
+		for id := range ids {
+			ids[id] = uint32(id)
 		}
-		return dst
+		return dst[:len(dst)+v.n]
 	}
 	for id, l := range v.live {
 		if l {

@@ -164,11 +164,17 @@ func (nd *Node) Pick() int {
 
 // Send marshals Tx into a recycled buffer and sends it to peer.
 func (nd *Node) Send(peer int) {
-	// Bits first: Packet.Bits copies the packet, and that copy measured
-	// three times dearer after AppendTo than before it (5 % of a
-	// gossip-wide run).
-	bits := int64(nd.Tx.Bits())
-	nd.post(peer, bits, nd.Tx.AppendTo(nd.ring.Get()[:0]))
+	bits, buf := nd.marshal()
+	nd.post(peer, bits, buf)
+}
+
+// marshal measures Tx once — a hello or an ack costs a pass over its id
+// list to size, and both the accounting and the encoding want the
+// answer — and returns post's arguments: Tx's Bits() and its encoding
+// in a ring buffer.
+func (nd *Node) marshal() (int64, []byte) {
+	sz := nd.Tx.Size()
+	return int64(sz.Bits), nd.Tx.AppendSized(nd.ring.Get()[:0], sz)
 }
 
 // post is the one send path: buf holds Tx's encoding and bits its
@@ -252,26 +258,23 @@ func (nd *Node) Announce() {
 		return
 	}
 	if peer := nd.Pick(); peer >= 0 {
-		nd.sendHello(peer, nd.buildHello(false))
+		bits, msg := nd.buildHello(false, nd.View.AppendPeers(nd.Tx.Hello.Peers[:0]))
+		nd.post(peer, bits, msg)
 	}
 }
 
-// buildHello fills Tx with a membership announcement carrying the
-// node's current live view and returns it marshalled into a ring
-// buffer.
-func (nd *Node) buildHello(leaving bool) []byte {
+// buildHello fills Tx with a membership announcement listing peers
+// (built in Tx.Hello.Peers' storage) and marshals it.
+func (nd *Node) buildHello(leaving bool, peers []uint32) (int64, []byte) {
 	nd.Tx.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeHello, Sender: uint32(nd.ID), Epoch: 0}
-	nd.Tx.Hello.Leaving = leaving
-	nd.Tx.Hello.Peers = nd.View.AppendPeers(nd.Tx.Hello.Peers[:0])
-	return nd.Tx.AppendTo(nd.ring.Get()[:0])
+	nd.Tx.Hello = wire.Hello{Leaving: leaving, Peers: peers}
+	return nd.marshal()
 }
 
-// sendHello sends buf — Tx's hello as marshalled by buildHello, or a
-// copy of it — to one peer.
-func (nd *Node) sendHello(peer int, buf []byte) { nd.post(peer, int64(nd.Tx.Bits()), buf) }
-
 // helloAll announces to every peer currently in the view: the
-// join/restart introduction burst, or the graceful-leave goodbye.
+// join/restart introduction burst, which carries that view, or the
+// graceful-leave goodbye, which carries nothing — a receiver drops the
+// sender at the leave flag and never reads a goodbye's list.
 //
 // It always sends inline, even on a sharded run: helloAll only runs
 // from the serial churn phase (lockstep) or the async driver, and the
@@ -279,18 +282,26 @@ func (nd *Node) sendHello(peer int, buf []byte) { nd.post(peer, int64(nd.Tx.Bits
 // same tick — routing them through the shard outbox would defer them
 // past the drain and change the transcript.
 //
-// The burst is marshalled once; each recipient gets its own exact-size
-// copy, never a shared slice, because a buffer handed to Send has one
-// owner from then on: middleware may rewrite it in place (hostile's
-// mutator flips bits) and the receiver recycles it into its own ring.
+// The burst is measured and marshalled once; each recipient gets its
+// own exact-size copy, never a shared slice, because a buffer handed to
+// Send has one owner from then on: middleware may rewrite it in place
+// (hostile's mutator flips bits) and the receiver recycles it into its
+// own ring.
 func (nd *Node) helloAll(leaving bool) {
 	out := nd.out
 	nd.out = nil
 	defer func() { nd.out = out }()
-	msg := nd.buildHello(leaving)
-	for _, pid := range nd.Tx.Hello.Peers {
+	// The view is the recipient list either way; only an introduction
+	// also carries it (a goodbye keeps the storage and sends it empty).
+	to := nd.View.AppendPeers(nd.Tx.Hello.Peers[:0])
+	list := to
+	if leaving {
+		list = to[:0]
+	}
+	bits, msg := nd.buildHello(leaving, list)
+	for _, pid := range to {
 		if int(pid) != nd.ID {
-			nd.sendHello(int(pid), slices.Clone(msg))
+			nd.post(int(pid), bits, slices.Clone(msg))
 		}
 	}
 	nd.ring.Put(msg)

@@ -338,9 +338,10 @@ func (c *captureTransport) Send(from, to int, pkt []byte) bool {
 
 // TestHelloBurstPerRecipientCopy mirrors the cluster runtime's test for
 // a stream node's burst, through the constructors a run uses: the
-// goodbye of a graceful leave reaches every recipient as the hello's
-// canonical bytes in a buffer of its own, so an in-place rewrite of
-// one (the hostile mutator) leaves the others intact.
+// goodbye of a graceful leave reaches every peer in the leaver's view as
+// the canonical bytes of a leave hello with an empty list, in a buffer
+// of its own, so an in-place rewrite of one (the hostile mutator) leaves
+// the others intact.
 func TestHelloBurstPerRecipientCopy(t *testing.T) {
 	const n = 5
 	tr := &captureTransport{Transport: cluster.NewChanTransport(n, 1), got: map[int][]byte{}}
@@ -365,7 +366,8 @@ func TestHelloBurstPerRecipientCopy(t *testing.T) {
 		t.Fatal("nobody left")
 	}
 
-	want := wire.NewHello(leaver, 0, wire.Hello{Leaving: true, Peers: []uint32{0, 1, 2, 3, 4}}).Marshal()
+	// A goodbye lists nobody: receivers drop the sender at the leave flag.
+	want := wire.NewHello(leaver, 0, wire.Hello{Leaving: true}).Marshal()
 	if len(tr.got) != n-1 || res.Nodes[leaver].HellosOut != n-1 {
 		t.Fatalf("%d recipients, HellosOut %d, want %d", len(tr.got), res.Nodes[leaver].HellosOut, n-1)
 	}

@@ -2,7 +2,9 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -79,6 +81,13 @@ type node struct {
 	// marks[i] is the highest delivery watermark learned for node i
 	// (marks[id] is maintained locally as delivered).
 	marks []int
+	// peerMin caches the minimum of marks over every other node, for
+	// churnless runs only, where every id stays eligible (suspicion is
+	// wired under churn alone) and the frontier is just that minimum.
+	// mergeMark, the one writer of a peer's mark, clears peerMinOK when
+	// it raises a mark that may have been the minimum.
+	peerMin   int
+	peerMinOK bool
 	// delivered is the absolute watermark: generations in
 	// [startGen, delivered) were decoded, verified and handed to the
 	// consumer in order.
@@ -242,35 +251,7 @@ func (nd *node) deliverReady() {
 // an unsuspected silent node still holds the frontier, which only
 // delays retirement, never corrupts it.
 func (nd *node) gc() {
-	// Suspicion transitions are traced by diffing eligibility between
-	// gc passes; the first pass only snapshots (no transitions yet).
-	trackSusp := nd.Tel != nil && nd.churn
-	if trackSusp && nd.eligPrev == nil {
-		nd.eligPrev = make([]bool, nd.maxN)
-		for id := range nd.eligPrev {
-			nd.eligPrev[id] = nd.View.Eligible(id, nd.Now)
-		}
-		trackSusp = false
-	}
-	floor := nd.delivered
-	for id := 0; id < nd.maxN; id++ {
-		if id == nd.ID {
-			continue
-		}
-		elig := nd.View.Eligible(id, nd.Now)
-		if trackSusp {
-			if nd.eligPrev[id] && !elig {
-				nd.Tel.Event(nd.ID, nd.Now, telemetry.KindSuspect, int64(id), 0, 0)
-			}
-			nd.eligPrev[id] = elig
-		}
-		if !elig {
-			continue
-		}
-		if nd.marks[id] < floor {
-			floor = nd.marks[id]
-		}
-	}
+	floor := min(nd.delivered, nd.peerFloor())
 	for g := nd.base; g < floor; g++ {
 		if gs, ok := nd.spans[g]; ok {
 			gs.span.Reset()
@@ -283,6 +264,51 @@ func (nd *node) gc() {
 		nd.base = floor
 		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindFrontier, int64(floor), 0, 0)
 	}
+}
+
+// peerFloor is the minimum watermark over every eligible view member
+// other than this node (MaxInt when there is none). A churn run rescans
+// marks against the view each time, because eligibility moves with the
+// clock; a churnless run reads the cached minimum.
+func (nd *node) peerFloor() int {
+	if !nd.churn {
+		if !nd.peerMinOK {
+			nd.peerMin, nd.peerMinOK = math.MaxInt, true
+			for id, w := range nd.marks {
+				if id != nd.ID && w < nd.peerMin {
+					nd.peerMin = w
+				}
+			}
+		}
+		return nd.peerMin
+	}
+	// Suspicion transitions are traced by diffing eligibility between
+	// passes; the first pass only snapshots (no transitions yet).
+	trackSusp := nd.Tel != nil
+	if trackSusp && nd.eligPrev == nil {
+		nd.eligPrev = make([]bool, nd.maxN)
+		for id := range nd.eligPrev {
+			nd.eligPrev[id] = nd.View.Eligible(id, nd.Now)
+		}
+		trackSusp = false
+	}
+	floor := math.MaxInt
+	for id := 0; id < nd.maxN; id++ {
+		if id == nd.ID {
+			continue
+		}
+		elig := nd.View.Eligible(id, nd.Now)
+		if trackSusp {
+			if nd.eligPrev[id] && !elig {
+				nd.Tel.Event(nd.ID, nd.Now, telemetry.KindSuspect, int64(id), 0, 0)
+			}
+			nd.eligPrev[id] = elig
+		}
+		if elig && nd.marks[id] < floor {
+			floor = nd.marks[id]
+		}
+	}
+	return floor
 }
 
 // advance retires what the frontier allows and opens every generation
@@ -549,10 +575,14 @@ func (nd *node) mergeMark(id, w int) bool {
 	if w > nd.gens {
 		w = nd.gens
 	}
-	if w <= nd.marks[id] {
+	old := nd.marks[id]
+	if w <= old {
 		return false
 	}
 	nd.marks[id] = w
+	if old <= nd.peerMin {
+		nd.peerMinOK = false
+	}
 	return true
 }
 
@@ -678,7 +708,6 @@ func (nd *node) emitAckInto(p *wire.Packet) {
 	ack := &p.Ack
 	ack.Watermark = uint32(nd.delivered)
 	ack.Ranks = ack.Ranks[:0]
-	ack.Peers = ack.Peers[:0]
 	for g := nd.base; g < hi; g++ {
 		if gs, ok := nd.spans[g]; ok {
 			ack.Ranks = append(ack.Ranks, wire.GenRank{Gen: uint32(g), Rank: uint32(gs.span.Rank())})
@@ -696,14 +725,19 @@ func (nd *node) emitAckInto(p *wire.Packet) {
 		}
 		ack.Ranks = append(ack.Ranks, wire.GenRank{Gen: uint32(nd.delivered), Rank: uint32(rank)})
 	}
+	// Filled by index into a slice sized once for the whole id space.
+	peers := slices.Grow(ack.Peers[:0], len(nd.marks))[:len(nd.marks)]
+	n := 0
 	for i, w := range nd.marks {
 		if i == nd.ID {
 			w = nd.delivered
 		}
 		if w > 0 {
-			ack.Peers = append(ack.Peers, wire.PeerMark{Node: uint32(i), Watermark: uint32(w)})
+			peers[n] = wire.PeerMark{Node: uint32(i), Watermark: uint32(w)}
+			n++
 		}
 	}
+	ack.Peers = peers[:n]
 }
 
 // pushData sends up to fanout fresh coded packets to random peers. A

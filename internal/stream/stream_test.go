@@ -343,7 +343,9 @@ func TestStreamObservesContext(t *testing.T) {
 // fingerprints under loss. Like the cluster goldens, the values come
 // from the pre-pooling (allocating) pipeline, proving the pooled
 // zero-allocation path — ring-recycled buffers, scratch packets, the
-// memoized source — reproduces it bit for bit.
+// memoized source — reproduces it bit for bit. The bits column alone
+// was re-pinned when wire version 2 run-length coded the acks' peer
+// section: same acks, fewer bits each.
 func TestStreamLockstepGoldenTranscripts(t *testing.T) {
 	ctx := context.Background()
 	goldens := []struct {
@@ -352,11 +354,11 @@ func TestStreamLockstepGoldenTranscripts(t *testing.T) {
 		out, in, acks, bits, drop int64
 		delivered                 int64
 	}{
-		{1, 61, 960, 767, 480, 393408, 300, 288},
-		{2, 57, 896, 729, 448, 372928, 268, 288},
-		{3, 59, 928, 759, 464, 379008, 279, 288},
-		{4, 57, 896, 720, 448, 355200, 262, 288},
-		{5, 59, 928, 735, 464, 373504, 297, 288},
+		{1, 61, 960, 767, 480, 249304, 300, 288},
+		{2, 57, 896, 729, 448, 235608, 268, 288},
+		{3, 59, 928, 759, 464, 241216, 279, 288},
+		{4, 57, 896, 720, 448, 230464, 262, 288},
+		{5, 59, 928, 735, 464, 238792, 297, 288},
 	}
 	for _, g := range goldens {
 		// Each transcript is pinned with telemetry both off and on:

@@ -26,7 +26,7 @@
 // Wire layout (all integers little-endian):
 //
 //	offset  size  field
-//	0       1     version (currently 1)
+//	0       1     version (currently 2; anything else is rejected)
 //	1       1     type (1 = coded, 2 = token, 3 = ack, 4 = hello, 5 = announce)
 //	2       4     sender (uint32 node id)
 //	6       4     epoch (uint32 sender-local sequence/round)
@@ -37,13 +37,34 @@
 //	token:    uint64 uid, uint32 payloadBits, ceil(payloadBits/8) bytes
 //	ack:      uint32 watermark,
 //	          uint32 nRanks,  nRanks × (uint32 gen, uint32 rank),
-//	          uint32 nPeers,  nPeers × (uint32 node, uint32 watermark)
+//	          uvarint nRuns,  nRuns × (uvarint start, uvarint count,
+//	                                   count × uvarint watermark)
 //	hello:    uint8 flags (0 = announce, 1 = leave; others rejected),
-//	          uint32 nPeers,  nPeers × uint32 node
+//	          uvarint nRuns,  nRuns × (uvarint start, uvarint count)
 //	announce: uint8 op (0 = ping, 1 = pong, 2 = lookup, 3 = lookup-ok;
 //	          others rejected), uint64 msgID,
 //	          uint32 nAddrs, nAddrs × (uint32 node, uint16 addrLen,
 //	          addrLen bytes "host:port", addrLen ≤ MaxAddrBytes)
+//
+// Id lists are run-length coded. A hello's peer list and an ack's
+// watermark vector are lists of node ids that, in every run the repo
+// makes, are a handful of stretches of consecutive ascending ids; on
+// the wire each stretch is one run (start, count) standing for the ids
+// start, start+1, …, start+count-1 in that order, an ack's run followed
+// by one watermark per id. runEnd cuts a list into runs — maximal ones,
+// in list order — so any list round-trips entry for entry (unsorted,
+// duplicated, id 2³²-1 followed by id 0: each break just starts a new
+// run), a dense n-node view costs a few bytes whatever n is, and the
+// worst case (no two neighbours consecutive) costs one count byte per
+// id over a plain varint list. uvarint is the base-128 little-endian
+// varint of encoding/binary, at most 32 bits wide here. The encoding is
+// canonical, which is what keeps Marshal(Unmarshal(b)) == b: the
+// decoder rejects a count of zero, a run that continues the one before
+// it (the encoder would have merged them), a run reaching past id
+// 2³²-1 and a varint with a padding zero group or more than 32 bits.
+// MaxAckEntries caps the expanded length of a list and is checked
+// against each run's count before the run is expanded: a few bytes
+// cannot make the decoder allocate for 2³² ids.
 //
 // Wrap policy: Sender and Epoch are 32-bit on the wire and do NOT wrap.
 // The constructors (NewCoded, NewToken, NewAck, NewHello) panic on a
@@ -58,6 +79,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/gf"
@@ -67,7 +89,7 @@ import (
 
 // Version is the codec version byte emitted by Marshal and required by
 // Unmarshal.
-const Version = 1
+const Version = 2
 
 // HeaderBytes is the size of the envelope header on the wire.
 const HeaderBytes = 10
@@ -111,8 +133,9 @@ const (
 )
 
 // MaxAckEntries caps the list lengths the decoder accepts in an ack,
-// hello or announce body. Like MaxVecBits it only bounds decoder work
-// on adversarial input; real acks carry a handful of entries.
+// hello or announce body — for the run-length coded id lists the
+// expanded length, whatever the runs cost in bytes. Like MaxVecBits it
+// only bounds decoder work and memory on adversarial input.
 const MaxAckEntries = 1 << 16
 
 // MaxAddrBytes caps one announce entry's host:port string. Far above
@@ -181,8 +204,29 @@ type Ack struct {
 }
 
 // Bits returns the body's information content under the simulator's
-// accounting: the watermark plus each 2×uint32 list entry.
-func (a Ack) Bits() int { return 32 + 64*(len(a.Ranks)+len(a.Peers)) }
+// accounting: the watermark, each 2×uint32 rank entry and the encoded
+// peer runs — every body byte but the two list-length fields.
+func (a Ack) Bits() int {
+	_, bytes := a.peerRuns()
+	return 32 + 64*len(a.Ranks) + 8*bytes
+}
+
+// peerRuns measures the peer section: its runs and the bytes they and
+// their watermarks encode to.
+func (a *Ack) peerRuns() (runs, bytes int) {
+	for lo, hi := 0, 0; lo < len(a.Peers); lo = hi {
+		hi = runEnd(a.Peers, lo, markID)
+		runs++
+		bytes += uvarintLen(a.Peers[lo].Node) + uvarintLen(uint32(hi-lo))
+		bytes += hi - lo
+		for _, pm := range a.Peers[lo:hi] {
+			if pm.Watermark >= 0x80 { // rare: marks are generation counts
+				bytes += uvarintLen(pm.Watermark) - 1
+			}
+		}
+	}
+	return runs, bytes
+}
 
 // Hello is the membership control body. Leaving distinguishes a
 // graceful departure announcement from a join/alive announcement;
@@ -194,8 +238,22 @@ type Hello struct {
 }
 
 // Bits returns the body's information content under the simulator's
-// accounting: the flag byte plus one uint32 per listed peer.
-func (h Hello) Bits() int { return 8 + 32*len(h.Peers) }
+// accounting: the flag byte plus the encoded peer runs.
+func (h Hello) Bits() int {
+	_, bytes := h.peerRuns()
+	return 8 + 8*bytes
+}
+
+// peerRuns measures the peer list: its runs and the bytes they encode
+// to.
+func (h *Hello) peerRuns() (runs, bytes int) {
+	for lo, hi := 0, 0; lo < len(h.Peers); lo = hi {
+		hi = runEnd(h.Peers, lo, peerID)
+		runs++
+		bytes += uvarintLen(h.Peers[lo]) + uvarintLen(uint32(hi-lo))
+	}
+	return runs, bytes
+}
 
 // AnnounceOp discriminates the four announce exchanges.
 type AnnounceOp uint8
@@ -325,45 +383,88 @@ func NewAnnounce(sender, epoch int, a Announce) Packet {
 // accounting (rlnc.Coded.Bits or token.Token.Bits), which is what makes
 // wire costs comparable with dynnet.Metrics. Framing overhead is
 // excluded; see HeaderBits and WireBytes.
-func (p Packet) Bits() int {
-	switch p.Env.Type {
-	case TypeCoded:
-		return p.Coded.Bits()
-	case TypeToken:
-		return p.Token.Bits()
-	case TypeAck:
-		return p.Ack.Bits()
-	case TypeHello:
-		return p.Hello.Bits()
-	case TypeAnnounce:
-		return p.Announce.Bits()
-	}
-	return 0
-}
+func (p Packet) Bits() int { return p.Size().Bits }
 
 // WireBytes returns the exact marshaled size in bytes.
-func (p Packet) WireBytes() int { return p.wireBytes() }
+func (p Packet) WireBytes() int { return p.Size().Bytes }
 
-// wireBytes is WireBytes without a second copy of the packet, for
-// AppendTo, which already holds one.
-func (p *Packet) wireBytes() int {
+// Size is a packet measured once: a hello or an ack costs a pass over
+// its id list to measure, so a sender that needs the accounting and the
+// encoding takes one Size and hands it to AppendSized.
+type Size struct {
+	// Bits is Packet.Bits: the body's information content.
+	Bits int
+	// Bytes is Packet.WireBytes: header, length fields and body.
+	Bytes int
+	// runs is the number of runs a hello's or an ack's id list encodes
+	// to, which the layout writes ahead of them.
+	runs int
+}
+
+// Size measures the packet: for a hello or an ack, Bytes is HeaderBytes
+// plus Bits/8 plus the body's list-length fields.
+func (p *Packet) Size() Size {
 	switch p.Env.Type {
 	case TypeCoded:
-		return HeaderBytes + 8 + (p.Coded.Vec.Len()+7)/8
+		return Size{Bits: p.Coded.Bits(), Bytes: HeaderBytes + 8 + (p.Coded.Vec.Len()+7)/8}
 	case TypeToken:
-		return HeaderBytes + 12 + (p.Token.Payload.Len()+7)/8
+		return Size{Bits: p.Token.Bits(), Bytes: HeaderBytes + 12 + (p.Token.Payload.Len()+7)/8}
 	case TypeAck:
-		return HeaderBytes + 12 + 8*(len(p.Ack.Ranks)+len(p.Ack.Peers))
+		runs, bytes := p.Ack.peerRuns()
+		bytes += 4 + 8*len(p.Ack.Ranks)
+		return Size{Bits: 8 * bytes, Bytes: HeaderBytes + bytes + 4 + uvarintLen(uint32(runs)), runs: runs}
 	case TypeHello:
-		return HeaderBytes + 5 + 4*len(p.Hello.Peers)
+		runs, bytes := p.Hello.peerRuns()
+		bytes++
+		return Size{Bits: 8 * bytes, Bytes: HeaderBytes + bytes + uvarintLen(uint32(runs)), runs: runs}
 	case TypeAnnounce:
-		n := HeaderBytes + 13
+		sz := Size{Bits: p.Announce.Bits(), Bytes: HeaderBytes + 13}
 		for _, e := range p.Announce.Addrs {
-			n += 6 + len(e.Addr)
+			sz.Bytes += 6 + len(e.Addr)
 		}
-		return n
+		return sz
 	}
-	return HeaderBytes
+	return Size{Bytes: HeaderBytes}
+}
+
+// runEnd is the run iterator every id list on the wire is cut by: the
+// end of the maximal run starting at list[lo], that is, the ids of
+// list[lo:end] are consecutive and ascending and list[end] (if any)
+// does not continue them. A run never wraps from id 2³²-1 to id 0.
+// Callers pass a constant id function and runEnd is small enough to
+// inline into them, so id becomes a plain field load; grown past the
+// inliner's budget (an unrolled variant was tried) id turns into an
+// indirect call per entry and the scan runs three times slower.
+func runEnd[T any](list []T, lo int, id func(T) uint32) int {
+	next := id(list[lo]) + 1
+	hi := lo + 1
+	for ; hi < len(list) && next != 0 && id(list[hi]) == next; hi++ {
+		next++
+	}
+	return hi
+}
+
+func peerID(id uint32) uint32   { return id }
+func markID(pm PeerMark) uint32 { return pm.Node }
+
+// uvarintLen is the encoded size of v as a minimal uvarint.
+func uvarintLen(v uint32) int { return (bits.Len32(v|1) + 6) / 7 }
+
+// appendUvarint appends v as a minimal uvarint.
+func appendUvarint(b []byte, v uint32) []byte {
+	if v < 0x80 {
+		return append(b, byte(v))
+	}
+	return binary.AppendUvarint(b, uint64(v))
+}
+
+// wideMarks appends the watermarks of marks, the tail of a run from its
+// first mark of more than one byte on.
+func wideMarks(out []byte, marks []PeerMark) []byte {
+	for _, pm := range marks {
+		out = appendUvarint(out, pm.Watermark)
+	}
+	return out
 }
 
 // Marshal serializes the packet into a fresh buffer. It panics on an
@@ -381,8 +482,12 @@ func (p Packet) Marshal() []byte {
 // and exactly one otherwise: the size is reserved up front, so a packet
 // marshalled out of an empty ring never grows by doubling.
 // Like Marshal it panics on an unknown envelope type.
-func (p Packet) AppendTo(buf []byte) []byte {
-	out := slices.Grow(buf, p.wireBytes())
+func (p Packet) AppendTo(buf []byte) []byte { return p.AppendSized(buf, p.Size()) }
+
+// AppendSized is AppendTo for a caller that already holds the packet's
+// Size. It panics if the packet changed since it was measured.
+func (p *Packet) AppendSized(buf []byte, sz Size) []byte {
+	out := slices.Grow(buf, sz.Bytes)
 	out = append(out, p.Env.Version, byte(p.Env.Type))
 	out = binary.LittleEndian.AppendUint32(out, p.Env.Sender)
 	out = binary.LittleEndian.AppendUint32(out, p.Env.Epoch)
@@ -402,23 +507,39 @@ func (p Packet) AppendTo(buf []byte) []byte {
 			out = binary.LittleEndian.AppendUint32(out, r.Gen)
 			out = binary.LittleEndian.AppendUint32(out, r.Rank)
 		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(p.Ack.Peers)))
-		for _, pm := range p.Ack.Peers {
-			out = binary.LittleEndian.AppendUint32(out, pm.Node)
-			out = binary.LittleEndian.AppendUint32(out, pm.Watermark)
+		peers := p.Ack.Peers
+		out = appendUvarint(out, uint32(sz.runs))
+		for lo, hi := 0, 0; lo < len(peers); lo = hi {
+			hi = runEnd(peers, lo, markID)
+			out = appendUvarint(out, peers[lo].Node)
+			out = appendUvarint(out, uint32(hi-lo))
+			// One byte per mark is reserved and nearly always enough;
+			// written by index, the common case is a store.
+			n := len(out)
+			out = out[:n+hi-lo]
+			for i, pm := range peers[lo:hi] {
+				if pm.Watermark >= 0x80 {
+					out = wideMarks(out[:n+i], peers[lo+i:hi])
+					break
+				}
+				out[n+i] = byte(pm.Watermark)
+			}
 		}
 	case TypeHello:
 		var flags byte
 		if p.Hello.Leaving {
 			flags = 1
 		}
+		peers := p.Hello.Peers
 		out = append(out, flags)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(p.Hello.Peers)))
-		for _, id := range p.Hello.Peers {
-			out = binary.LittleEndian.AppendUint32(out, id)
+		out = appendUvarint(out, uint32(sz.runs))
+		for lo, hi := 0, 0; lo < len(peers); lo = hi {
+			hi = runEnd(peers, lo, peerID)
+			out = appendUvarint(out, peers[lo])
+			out = appendUvarint(out, uint32(hi-lo))
 		}
 	case TypeAnnounce:
-		a := p.Announce
+		a := &p.Announce
 		if a.Op > AnnounceLookupOK {
 			panic(fmt.Sprintf("wire: marshal of unknown announce op %d", a.Op))
 		}
@@ -435,6 +556,9 @@ func (p Packet) AppendTo(buf []byte) []byte {
 		}
 	default:
 		panic(fmt.Sprintf("wire: marshal of unknown type %d", p.Env.Type))
+	}
+	if len(out)-len(buf) != sz.Bytes {
+		panic(fmt.Sprintf("wire: type %d packet encoded to %d bytes, measured %d: changed since Size", p.Env.Type, len(out)-len(buf), sz.Bytes))
 	}
 	return out
 }
@@ -518,7 +642,7 @@ func UnmarshalInto(p *Packet, data []byte) error {
 			return fmt.Errorf("%w: ack rank count %d exceeds cap", ErrMalformed, nRanks)
 		}
 		rest := body[8:]
-		if uint64(len(rest)) < 8*uint64(nRanks)+4 {
+		if uint64(len(rest)) < 8*uint64(nRanks) {
 			return fmt.Errorf("%w: ack body %d bytes for %d rank entries", ErrTruncated, len(body), nRanks)
 		}
 		a.Watermark = binary.LittleEndian.Uint32(body[0:4])
@@ -530,44 +654,82 @@ func UnmarshalInto(p *Packet, data []byte) error {
 			})
 		}
 		rest = rest[8*nRanks:]
-		nPeers := binary.LittleEndian.Uint32(rest[0:4])
-		if nPeers > MaxAckEntries {
-			return fmt.Errorf("%w: ack peer count %d exceeds cap", ErrMalformed, nPeers)
+		nRuns, n := uvarint(rest)
+		if n <= 0 {
+			return varintError(n, "ack run count")
 		}
-		rest = rest[4:]
-		if uint64(len(rest)) != 8*uint64(nPeers) {
-			return fmt.Errorf("%w: %d trailing ack bytes for %d peer entries (want %d)", ErrMalformed, len(rest), nPeers, 8*uint64(nPeers))
-		}
+		rest = rest[n:]
 		a.Peers = a.Peers[:0]
-		for i := 0; i < int(nPeers); i++ {
-			a.Peers = append(a.Peers, PeerMark{
-				Node:      binary.LittleEndian.Uint32(rest[8*i:]),
-				Watermark: binary.LittleEndian.Uint32(rest[8*i+4:]),
-			})
+		prevEnd := noRun
+		for r := uint32(0); r < nRuns; r++ {
+			start, count, n, err := readRun(rest, prevEnd, len(a.Peers))
+			if err != nil {
+				return fmt.Errorf("ack run %d: %w", r, err)
+			}
+			rest = rest[n:]
+			if count > len(rest) { // a watermark is at least a byte
+				return fmt.Errorf("%w: ack run %d: %d bytes for %d watermarks", ErrTruncated, r, len(rest), count)
+			}
+			prevEnd = uint64(start) + uint64(count)
+			a.Peers = slices.Grow(a.Peers, count)[:len(a.Peers)+count]
+			run := a.Peers[len(a.Peers)-count:]
+			// One-byte marks, nearly all of them, are read in step with the
+			// ids; the first wider one moves the rest of the run to uvarint.
+			i := 0
+			for _, c := range rest[:count] {
+				if c >= 0x80 {
+					break
+				}
+				run[i] = PeerMark{Node: start + uint32(i), Watermark: uint32(c)}
+				i++
+			}
+			rest = rest[i:]
+			for ; i < count; i++ {
+				mark, n := uvarint(rest)
+				if n <= 0 {
+					return varintError(n, "ack watermark")
+				}
+				rest = rest[n:]
+				run[i] = PeerMark{Node: start + uint32(i), Watermark: mark}
+			}
+		}
+		if len(rest) != 0 {
+			return fmt.Errorf("%w: %d trailing ack bytes after %d runs", ErrMalformed, len(rest), nRuns)
 		}
 		p.Env = env
 		return nil
 	case TypeHello:
-		if len(body) < 5 {
-			return fmt.Errorf("%w: hello body %d bytes < 5", ErrTruncated, len(body))
+		if len(body) < 2 {
+			return fmt.Errorf("%w: hello body %d bytes < 2", ErrTruncated, len(body))
 		}
 		if body[0] > 1 {
 			return fmt.Errorf("%w: hello flags %d (only 0/1 defined)", ErrMalformed, body[0])
 		}
-		nPeers := binary.LittleEndian.Uint32(body[1:5])
-		if nPeers > MaxAckEntries {
-			return fmt.Errorf("%w: hello peer count %d exceeds cap", ErrMalformed, nPeers)
+		nRuns, n := uvarint(body[1:])
+		if n <= 0 {
+			return varintError(n, "hello run count")
 		}
-		rest := body[5:]
-		if uint64(len(rest)) != 4*uint64(nPeers) {
-			return fmt.Errorf("%w: %d trailing hello bytes for %d peer entries (want %d)", ErrMalformed, len(rest), nPeers, 4*uint64(nPeers))
-		}
+		rest := body[1+n:]
 		h := &p.Hello
-		h.Leaving = body[0] == 1
 		h.Peers = h.Peers[:0]
-		for i := 0; i < int(nPeers); i++ {
-			h.Peers = append(h.Peers, binary.LittleEndian.Uint32(rest[4*i:]))
+		prevEnd := noRun
+		for r := uint32(0); r < nRuns; r++ {
+			start, count, n, err := readRun(rest, prevEnd, len(h.Peers))
+			if err != nil {
+				return fmt.Errorf("hello run %d: %w", r, err)
+			}
+			rest = rest[n:]
+			prevEnd = uint64(start) + uint64(count)
+			h.Peers = slices.Grow(h.Peers, count)[:len(h.Peers)+count]
+			run := h.Peers[len(h.Peers)-count:]
+			for i := range run {
+				run[i] = start + uint32(i)
+			}
 		}
+		if len(rest) != 0 {
+			return fmt.Errorf("%w: %d trailing hello bytes after %d runs", ErrMalformed, len(rest), nRuns)
+		}
+		h.Leaving = body[0] == 1
 		p.Env = env
 		return nil
 	case TypeAnnounce:
@@ -610,6 +772,60 @@ func UnmarshalInto(p *Packet, data []byte) error {
 	default:
 		return fmt.Errorf("%w: %d", ErrType, env.Type)
 	}
+}
+
+// uvarint decodes one minimal uvarint of at most 32 bits from the head
+// of b and returns it with the bytes it took. n == 0 means b ended
+// inside the value; n < 0 means the value is not canonical: wider than
+// 32 bits, or padded with a final zero group.
+func uvarint(b []byte) (v uint32, n int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint32(b[0]), 1
+	}
+	wide, n := binary.Uvarint(b)
+	if n > 0 && (wide>>32 != 0 || n != uvarintLen(uint32(wide))) {
+		return 0, -1
+	}
+	return uint32(wide), n
+}
+
+// varintError words uvarint's two failures.
+func varintError(n int, what string) error {
+	if n == 0 {
+		return fmt.Errorf("%w: inside %s", ErrTruncated, what)
+	}
+	return fmt.Errorf("%w: %s is not a minimal 32-bit uvarint", ErrMalformed, what)
+}
+
+// noRun is readRun's prevEnd before the first run: no start equals it.
+const noRun uint64 = 1 << 63
+
+// readRun decodes one run header (start, count) from the head of b and
+// returns it with the bytes it took. It rejects what the encoder never
+// writes — an empty run, a run reaching past id 2³²-1, a run starting
+// where the one before it ended at prevEnd (they would have been one) —
+// and a count that would take the list, have entries long so far, past
+// MaxAckEntries; the caller expands the run only after that.
+func readRun(b []byte, prevEnd uint64, have int) (start uint32, count, n int, err error) {
+	start, n = uvarint(b)
+	if n <= 0 {
+		return 0, 0, 0, varintError(n, "run start")
+	}
+	c, m := uvarint(b[n:])
+	if m <= 0 {
+		return 0, 0, 0, varintError(m, "run count")
+	}
+	switch {
+	case c == 0:
+		return 0, 0, 0, fmt.Errorf("%w: empty run at id %d", ErrMalformed, start)
+	case uint64(c) > uint64(MaxAckEntries-have):
+		return 0, 0, 0, fmt.Errorf("%w: run of %d ids after %d exceeds the %d-entry cap", ErrMalformed, c, have, MaxAckEntries)
+	case uint64(start)+uint64(c) > 1<<32:
+		return 0, 0, 0, fmt.Errorf("%w: run of %d ids from %d passes id 2^32-1", ErrMalformed, c, start)
+	case uint64(start) == prevEnd:
+		return 0, 0, 0, fmt.Errorf("%w: run at id %d continues the run before it", ErrMalformed, start)
+	}
+	return start, int(c), n + m, nil
 }
 
 // bitvecFromWire decodes an n-bit LSB-first vector that must occupy

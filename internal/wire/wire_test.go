@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strconv"
 	"testing"
@@ -57,14 +56,23 @@ func TestTokenRoundTrip(t *testing.T) {
 }
 
 func TestAckRoundTrip(t *testing.T) {
-	acks := []Ack{
-		{},
-		{Watermark: 3},
-		{Watermark: 2, Ranks: []GenRank{{Gen: 2, Rank: 5}, {Gen: 3, Rank: 0}}},
-		{Watermark: 1, Peers: []PeerMark{{Node: 0, Watermark: 1}, {Node: 9, Watermark: 4}}},
-		{Watermark: 7, Ranks: []GenRank{{Gen: 7, Rank: 8}}, Peers: []PeerMark{{Node: 3, Watermark: 7}}},
+	acks := []struct {
+		a Ack
+		// peerBytes is what the peer section's runs and watermarks encode
+		// to, its run count excluded.
+		peerBytes int
+	}{
+		{Ack{}, 0},
+		{Ack{Watermark: 3}, 0},
+		{Ack{Watermark: 2, Ranks: []GenRank{{Gen: 2, Rank: 5}, {Gen: 3, Rank: 0}}}, 0},
+		// Two one-id runs: (start, count, watermark) a byte each.
+		{Ack{Watermark: 1, Peers: []PeerMark{{Node: 0, Watermark: 1}, {Node: 9, Watermark: 4}}}, 6},
+		{Ack{Watermark: 7, Ranks: []GenRank{{Gen: 7, Rank: 8}}, Peers: []PeerMark{{Node: 3, Watermark: 7}}}, 3},
+		// One run of three ids, the middle watermark two bytes wide.
+		{Ack{Peers: []PeerMark{{Node: 200, Watermark: 1}, {Node: 201, Watermark: 300}, {Node: 202, Watermark: 0}}}, 2 + 1 + 4},
 	}
-	for i, a := range acks {
+	for i, tc := range acks {
+		a := tc.a
 		p := NewAck(i, i*2, a)
 		got, err := Unmarshal(p.Marshal())
 		if err != nil {
@@ -73,13 +81,15 @@ func TestAckRoundTrip(t *testing.T) {
 		if got.Env != p.Env {
 			t.Errorf("ack %d: envelope mismatch", i)
 		}
-		if !reflect.DeepEqual(got.Ack, a) {
+		if got.Ack.Watermark != a.Watermark || !slices.Equal(got.Ack.Ranks, a.Ranks) || !slices.Equal(got.Ack.Peers, a.Peers) {
 			t.Errorf("ack %d: body %+v does not round-trip to %+v", i, a, got.Ack)
 		}
-		if want := 32 + 64*(len(a.Ranks)+len(a.Peers)); p.Bits() != want {
-			t.Errorf("ack %d: Bits %d, want %d", i, p.Bits(), want)
+		if want := 32 + 64*len(a.Ranks) + 8*tc.peerBytes; p.Bits() != want || a.Bits() != want {
+			t.Errorf("ack %d: Bits %d (body %d), want %d", i, p.Bits(), a.Bits(), want)
 		}
-		if want := HeaderBytes + 12 + 8*(len(a.Ranks)+len(a.Peers)); len(p.Marshal()) != want || p.WireBytes() != want {
+		// Framing on top of Bits: the header, the rank count and the
+		// one-byte run count.
+		if want := HeaderBytes + 4 + 1 + p.Bits()/8; len(p.Marshal()) != want || p.WireBytes() != want {
 			t.Errorf("ack %d: wire size %d (WireBytes %d), want %d", i, len(p.Marshal()), p.WireBytes(), want)
 		}
 	}
@@ -94,7 +104,8 @@ func TestAckUnmarshalRejects(t *testing.T) {
 	}{
 		{"short body", good[:HeaderBytes+4], ErrTruncated},
 		{"rank list truncated", good[:HeaderBytes+12], ErrTruncated},
-		{"peer list truncated", good[:len(good)-1], ErrMalformed},
+		{"run count missing", good[:HeaderBytes+16], ErrTruncated},
+		{"peer list truncated", good[:len(good)-1], ErrTruncated},
 		{"trailing byte", append(append([]byte(nil), good...), 0), ErrMalformed},
 	}
 	for _, tc := range cases {
@@ -102,23 +113,29 @@ func TestAckUnmarshalRejects(t *testing.T) {
 			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	for _, off := range []int{HeaderBytes + 4, HeaderBytes + 4 + 4 + 8} {
-		huge := append([]byte(nil), good...)
-		binary.LittleEndian.PutUint32(huge[off:], MaxAckEntries+1)
-		if _, err := Unmarshal(huge); !errors.Is(err, ErrMalformed) {
-			t.Errorf("oversized count at offset %d accepted: %v", off, err)
-		}
+	huge := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(huge[HeaderBytes+4:], MaxAckEntries+1)
+	if _, err := Unmarshal(huge); !errors.Is(err, ErrMalformed) {
+		t.Errorf("oversized rank count accepted: %v", err)
 	}
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	hellos := []Hello{
-		{},
-		{Leaving: true},
-		{Peers: []uint32{0, 3, 9}},
-		{Leaving: true, Peers: []uint32{7}},
+	hellos := []struct {
+		h Hello
+		// runBytes is what the peer list's (start, count) pairs encode to.
+		runBytes int
+	}{
+		{Hello{}, 0},
+		{Hello{Leaving: true}, 0},
+		{Hello{Peers: []uint32{0, 3, 9}}, 6},
+		{Hello{Leaving: true, Peers: []uint32{7}}, 2},
+		// 0..299 is one run with a two-byte count; 1000 stands alone with
+		// a two-byte start.
+		{Hello{Peers: append(seq(0, 300), 1000)}, 1 + 2 + 2 + 1},
 	}
-	for i, h := range hellos {
+	for i, tc := range hellos {
+		h := tc.h
 		p := NewHello(i, i*3, h)
 		got, err := Unmarshal(p.Marshal())
 		if err != nil {
@@ -127,16 +144,26 @@ func TestHelloRoundTrip(t *testing.T) {
 		if got.Env != p.Env {
 			t.Errorf("hello %d: envelope mismatch", i)
 		}
-		if !reflect.DeepEqual(got.Hello, h) {
+		if got.Hello.Leaving != h.Leaving || !slices.Equal(got.Hello.Peers, h.Peers) {
 			t.Errorf("hello %d: body %+v does not round-trip to %+v", i, h, got.Hello)
 		}
-		if want := 8 + 32*len(h.Peers); p.Bits() != want {
-			t.Errorf("hello %d: Bits %d, want %d", i, p.Bits(), want)
+		if want := 8 + 8*tc.runBytes; p.Bits() != want || h.Bits() != want {
+			t.Errorf("hello %d: Bits %d (body %d), want %d", i, p.Bits(), h.Bits(), want)
 		}
-		if want := HeaderBytes + 5 + 4*len(h.Peers); len(p.Marshal()) != want || p.WireBytes() != want {
+		// Framing on top of Bits: the header and the one-byte run count.
+		if want := HeaderBytes + 1 + p.Bits()/8; len(p.Marshal()) != want || p.WireBytes() != want {
 			t.Errorf("hello %d: wire size %d (WireBytes %d), want %d", i, len(p.Marshal()), p.WireBytes(), want)
 		}
 	}
+}
+
+// seq returns the ids lo, lo+1, …, lo+n-1.
+func seq(lo uint32, n int) []uint32 {
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i] = lo + uint32(i)
+	}
+	return ids
 }
 
 func TestHelloUnmarshalRejects(t *testing.T) {
@@ -146,8 +173,8 @@ func TestHelloUnmarshalRejects(t *testing.T) {
 		data []byte
 		want error
 	}{
-		{"short body", good[:HeaderBytes+3], ErrTruncated},
-		{"peer list truncated", good[:len(good)-1], ErrMalformed},
+		{"short body", good[:HeaderBytes+1], ErrTruncated},
+		{"run list truncated", good[:len(good)-1], ErrTruncated},
 		{"trailing byte", append(append([]byte(nil), good...), 0), ErrMalformed},
 	}
 	for _, tc := range cases {
@@ -163,11 +190,6 @@ func TestHelloUnmarshalRejects(t *testing.T) {
 		if _, err := Unmarshal(bad); !errors.Is(err, ErrMalformed) {
 			t.Errorf("flags %#x accepted: %v", flags, err)
 		}
-	}
-	huge := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint32(huge[HeaderBytes+1:], MaxAckEntries+1)
-	if _, err := Unmarshal(huge); !errors.Is(err, ErrMalformed) {
-		t.Errorf("oversized peer count accepted: %v", err)
 	}
 }
 
@@ -339,7 +361,7 @@ func TestGoldenWireBytes(t *testing.T) {
 			"coded",
 			NewCoded(0x04030201, 0x44332211, rlnc.Coded{K: 3, Vec: codedVec}),
 			[]byte{
-				0x01,                   // version
+				Version,                // version
 				0x01,                   // type = coded
 				0x01, 0x02, 0x03, 0x04, // sender, little-endian
 				0x11, 0x22, 0x33, 0x44, // epoch, little-endian
@@ -352,7 +374,7 @@ func TestGoldenWireBytes(t *testing.T) {
 			"token",
 			NewToken(5, 6, token.Token{UID: token.NewUID(2, 3), Payload: tokenPayload}),
 			[]byte{
-				0x01,                   // version
+				Version,                // version
 				0x02,                   // type = token
 				0x05, 0x00, 0x00, 0x00, // sender
 				0x06, 0x00, 0x00, 0x00, // epoch
@@ -363,16 +385,16 @@ func TestGoldenWireBytes(t *testing.T) {
 		},
 		{
 			"hello",
-			NewHello(9, 10, Hello{Leaving: true, Peers: []uint32{2, 0x01020304}}),
+			NewHello(9, 10, Hello{Leaving: true, Peers: []uint32{2, 3, 0x01020304}}),
 			[]byte{
-				0x01,                   // version
+				Version,                // version
 				0x04,                   // type = hello
 				0x09, 0x00, 0x00, 0x00, // sender
 				0x0a, 0x00, 0x00, 0x00, // epoch
-				0x01,                   // flags: leaving
-				0x02, 0x00, 0x00, 0x00, // 2 peer entries
-				0x02, 0x00, 0x00, 0x00, // peer 2
-				0x04, 0x03, 0x02, 0x01, // peer 0x01020304, little-endian
+				0x01,       // flags: leaving
+				0x02,       // 2 runs
+				0x02, 0x02, // ids 2, 3
+				0x84, 0x86, 0x88, 0x08, 0x01, // id 0x01020304 as a uvarint, alone
 			},
 		},
 		{
@@ -383,7 +405,7 @@ func TestGoldenWireBytes(t *testing.T) {
 				Addrs: []AddrEntry{{Node: 2, Addr: "a:1"}},
 			}),
 			[]byte{
-				0x01,                   // version
+				Version,                // version
 				0x05,                   // type = announce
 				0x0b, 0x00, 0x00, 0x00, // sender
 				0x0c, 0x00, 0x00, 0x00, // epoch
@@ -400,19 +422,19 @@ func TestGoldenWireBytes(t *testing.T) {
 			NewAck(7, 8, Ack{
 				Watermark: 2,
 				Ranks:     []GenRank{{Gen: 2, Rank: 1}},
-				Peers:     []PeerMark{{Node: 0, Watermark: 2}, {Node: 1, Watermark: 3}},
+				Peers:     []PeerMark{{Node: 0, Watermark: 2}, {Node: 1, Watermark: 3}, {Node: 300, Watermark: 200}},
 			}),
 			[]byte{
-				0x01,                   // version
+				Version,                // version
 				0x03,                   // type = ack
 				0x07, 0x00, 0x00, 0x00, // sender
 				0x08, 0x00, 0x00, 0x00, // epoch
 				0x02, 0x00, 0x00, 0x00, // watermark = 2
 				0x01, 0x00, 0x00, 0x00, // 1 rank entry
 				0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, // gen 2 rank 1
-				0x02, 0x00, 0x00, 0x00, // 2 peer entries
-				0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, // node 0 watermark 2
-				0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, // node 1 watermark 3
+				0x02,                   // 2 peer runs
+				0x00, 0x02, 0x02, 0x03, // nodes 0, 1: watermarks 2, 3
+				0xac, 0x02, 0x01, 0xc8, 0x01, // node 300 alone: watermark 200, both two-byte uvarints
 			},
 		},
 	}
@@ -488,6 +510,7 @@ func TestUnmarshalRejects(t *testing.T) {
 		{"empty", nil, ErrTruncated},
 		{"short header", good[:5], ErrTruncated},
 		{"bad version", mutate(func(b []byte) []byte { b[0] = 9; return b }), ErrVersion},
+		{"version 1, the fixed-width list layout", mutate(func(b []byte) []byte { b[0] = 1; return b }), ErrVersion},
 		{"bad type", mutate(func(b []byte) []byte { b[1] = 77; return b }), ErrType},
 		{"short coded body", good[:HeaderBytes+3], ErrTruncated},
 		{"trailing byte", append(append([]byte(nil), good...), 0), ErrMalformed},
