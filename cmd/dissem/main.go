@@ -19,6 +19,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -47,7 +48,7 @@ func main() {
 		workers = flag.Int("workers", 0, "trial worker pool width (0 = GOMAXPROCS, 1 = serial)")
 	)
 	flag.Parse()
-	if err := run(*algo, *n, *k, *b, *d, *tt, *adv, *dist, *seed, *trials, *workers); err != nil {
+	if err := run(os.Stdout, *algo, *n, *k, *b, *d, *tt, *adv, *dist, *seed, *trials, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "dissem:", err)
 		os.Exit(1)
 	}
@@ -123,8 +124,8 @@ func runOnce(algo string, n, k, b, d, t int, advName, distName string, seed int6
 	return res, nil
 }
 
-func run(algo string, n, k, b, d, t int, advName, distName string, seed int64, trials, workers int) error {
-	fmt.Printf("algo=%s n=%d k=%d b=%d d=%d T=%d adv=%s dist=%s seed=%d\n", algo, n, k, b, d, t, advName, distName, seed)
+func run(w io.Writer, algo string, n, k, b, d, t int, advName, distName string, seed int64, trials, workers int) error {
+	fmt.Fprintf(w, "algo=%s n=%d k=%d b=%d d=%d T=%d adv=%s dist=%s seed=%d\n", algo, n, k, b, d, t, advName, distName, seed)
 	if trials > 1 {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
@@ -136,9 +137,9 @@ func run(algo string, n, k, b, d, t int, advName, distName string, seed int64, t
 		if err != nil {
 			return err
 		}
-		fmt.Printf("trials=%d rounds mean=%.1f median=%.1f min=%.0f max=%.0f\n",
+		fmt.Fprintf(w, "trials=%d rounds mean=%.1f median=%.1f min=%.0f max=%.0f\n",
 			sum.N, sum.Mean, sum.Median, sum.Min, sum.Max)
-		fmt.Println("all nodes decoded all tokens in every trial: verified")
+		fmt.Fprintln(w, "all nodes decoded all tokens in every trial: verified")
 		return nil
 	}
 	res, err := runOnce(algo, n, k, b, d, t, advName, distName, seed)
@@ -146,11 +147,11 @@ func run(algo string, n, k, b, d, t int, advName, distName string, seed int64, t
 		return err
 	}
 	if res.Messages > 0 {
-		fmt.Printf("rounds=%d iterations=%d messages=%d bits=%d\n", res.Rounds, res.Iterations, res.Messages, res.Bits)
+		fmt.Fprintf(w, "rounds=%d iterations=%d messages=%d bits=%d\n", res.Rounds, res.Iterations, res.Messages, res.Bits)
 	} else {
 		// The forwarding baselines report rounds only.
-		fmt.Printf("rounds=%d\n", res.Rounds)
+		fmt.Fprintf(w, "rounds=%d\n", res.Rounds)
 	}
-	fmt.Println("all nodes decoded all tokens: verified")
+	fmt.Fprintln(w, "all nodes decoded all tokens: verified")
 	return nil
 }

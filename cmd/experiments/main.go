@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -32,13 +33,13 @@ func main() {
 		progress = flag.Bool("progress", false, "print per-sweep trial progress to stderr")
 	)
 	flag.Parse()
-	if err := realMain(*run, *trials, *quick, *seed, *asJSON, *workers, *progress); err != nil {
+	if err := realMain(os.Stdout, *run, *trials, *quick, *seed, *asJSON, *workers, *progress); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func realMain(run string, trials int, quick bool, seed int64, asJSON bool, workers int, progress bool) error {
+func realMain(w io.Writer, run string, trials int, quick bool, seed int64, asJSON bool, workers int, progress bool) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	cfg := exp.Config{Trials: trials, Quick: quick, Seed: seed, Workers: workers, Ctx: ctx}
@@ -61,7 +62,7 @@ func realMain(run string, trials int, quick bool, seed int64, asJSON bool, worke
 	var jsonOut []map[string]any
 	for _, e := range suite {
 		if !asJSON {
-			fmt.Printf("== %s: %s\n", e.ID, e.Title)
+			fmt.Fprintf(w, "== %s: %s\n", e.ID, e.Title)
 		}
 		tbl, err := e.Run(cfg)
 		if err != nil {
@@ -74,10 +75,10 @@ func realMain(run string, trials int, quick bool, seed int64, asJSON bool, worke
 			jsonOut = append(jsonOut, m)
 			continue
 		}
-		fmt.Println(tbl.String())
+		fmt.Fprintln(w, tbl.String())
 	}
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(jsonOut)
 	}

@@ -1,16 +1,20 @@
 // Command repobench is the repository's performance observatory: a
 // two-mode sweep-to-SVG harness in the spirit of reposurgeon's
 // repobench (generate and display are separate so the expensive
-// generate result can be kept around for repeated visualization).
+// generate result can be kept around for repeated visualization). Its
+// one datafile format is the repository benchmark's JSON report (what
+// `bash benchmark/run.sh -out` writes and `-compare` reads) and its one
+// metric vocabulary is BENCHMARK.json's.
 //
 // Generate mode (the default) sweeps one parameter through a lockstep
-// driver, measures each point (wall runtime, allocations, allocated
-// bytes, heap high-water via runtime.ReadMemStats, delivered
-// tokens/tick) and appends one row per point to a datafile named after
-// the current git revision under -datadir. Because every lockstep run
-// is a pure function of the seed, the curves are reproducible
-// measurements: re-running a sweep at the same revision appends
-// identical rows, and differences between revision files are code.
+// driver and records each point as a workload entry of the report
+// <datadir>/sweep-<revision>.json, named sweep/<driver>/<param>=<v>,
+// with run_s, allocs and alloc_mib samples plus cluster.ticks,
+// stream.tokens_per_tick and proc.heap_highwater_mib. Because every
+// lockstep run is a pure function of the seed, the curves are
+// reproducible measurements: re-running a sweep at the same revision
+// adds one more sample to the same entries, and differences between
+// revision files are code.
 //
 //	repobench -driver cluster -sweep n=8:8:32 -k 16 -loss 0.2
 //	repobench -driver stream  -sweep window=1:1:6 -generations 8
@@ -23,23 +27,21 @@
 // n | k | loss | window | fanout | churn | shards. The remaining
 // parameters are fixed by their flags.
 //
-// Display mode renders SVG line charts (pure Go, no gnuplot):
+// Display mode renders an SVG line chart (pure Go, no gnuplot) of one
+// BENCHMARK.json metric over the report files named as arguments:
 //
-//	repobench -display sweep -param n -stat runtime -o sweep.svg
-//	    # one curve per git revision datafile: per-parameter scaling
-//	    # and per-commit regressions from the same chart
-//	repobench -display history -stat allocs -o history.svg
-//	    # folds the committed BENCH_PR*.json baselines into a
-//	    # per-commit trajectory, one curve per guarded benchmark
-//
-// Stats: runtime (ms; history: ns/op), allocs, bytes, heap
-// (generate-mode datafiles only), tokens (tokens/tick, generate-mode
-// only).
+//	repobench -display sweep -param n -metric run_s -o sweep.svg benchdata/*.json
+//	    # X the swept value, one curve per revision and driver:
+//	    # per-parameter scaling and per-commit regressions in one chart
+//	repobench -display history -metric allocs -o history.svg a.json b.json
+//	    # X the reports, oldest first, one curve per benchmark workload:
+//	    # CI's bench-report artifacts, or `bash benchmark/run.sh -out`
 package main
 
 import (
-	"bufio"
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,19 +50,18 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"time"
 
-	"repro/internal/benchfmt"
+	"repro/internal/adversary"
 	"repro/internal/cliutil"
 	"repro/internal/cluster"
 	"repro/internal/exp"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/svgplot"
-
-	"repro/internal/adversary"
 )
 
 func main() {
@@ -85,17 +86,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	fx := fixed{GossipFlags: cliutil.GossipFlags{Transport: "lockstep", MaxTicks: sweepMaxTicks}}
 	var (
-		sweep    = fs.String("sweep", "", "generate mode: param=min:step:max with param n|k|loss|window|fanout|churn|shards")
-		driver   = fs.String("driver", "cluster", "generate mode: cluster | stream | engine (lockstep/synchronous drivers)")
-		display  = fs.String("display", "", "display mode: sweep (benchdata curves per revision) | history (BENCH_PR*.json trajectory)")
-		stat     = fs.String("stat", "runtime", "statistic to chart: runtime | allocs | bytes | heap | tokens")
-		param    = fs.String("param", "n", "display sweep: which swept parameter to chart")
-		outPath  = fs.String("o", "", "display mode: output SVG file (default stdout)")
-		datadir  = fs.String("datadir", "benchdata", "datafile directory")
-		benchDir = fs.String("benchdir", ".", "directory holding the committed BENCH_PR*.json baselines")
-		rev      = fs.String("rev", "", "revision key for the datafile name (default: git rev-parse --short HEAD)")
-		guard    = fs.String("guard", "BenchmarkEngineRound,BenchmarkWireRoundTrip,BenchmarkStreamSustained,BenchmarkEmitInsertSteadyState,BenchmarkChurnSteadyState,BenchmarkStreamWindowSweep/W=4,BenchmarkLockstepSharded/shards=1,BenchmarkLockstepSharded/shards=4",
-			"display history: comma-separated benchmarks to chart")
+		sweep   = fs.String("sweep", "", "generate mode: param=min:step:max with param n|k|loss|window|fanout|churn|shards")
+		driver  = fs.String("driver", "cluster", "generate mode: cluster | stream | engine (lockstep/synchronous drivers)")
+		display = fs.String("display", "", "display mode, over the report files given as arguments: sweep (one curve per revision and driver) | history (one curve per benchmark workload)")
+		metric  = fs.String("metric", "run_s", "display mode: the BENCHMARK.json metric to chart")
+		param   = fs.String("param", "n", "display sweep: which swept parameter to chart")
+		outPath = fs.String("o", "", "display mode: output SVG file (default stdout)")
+		datadir = fs.String("datadir", "benchdata", "generate mode: directory of the sweep report")
+		rev     = fs.String("rev", "", "revision key of the sweep report (default: git rev-parse --short HEAD, -dirty with uncommitted changes)")
 	)
 	fs.IntVar(&fx.N, "n", 16, "nodes")
 	fs.IntVar(&fx.K, "k", 16, "tokens per run / per generation")
@@ -114,14 +112,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *display != "" && *sweep != "":
 		err = fmt.Errorf("-sweep and -display are mutually exclusive")
-	case *display == "sweep":
-		err = withOut(*outPath, stdout, func(w io.Writer) error {
-			return displaySweep(w, *datadir, *param, *stat)
-		})
-	case *display == "history":
-		err = withOut(*outPath, stdout, func(w io.Writer) error {
-			return displayHistory(w, *benchDir, strings.Split(*guard, ","), *stat)
-		})
+	case *display == "sweep" || *display == "history":
+		err = displayChart(stdout, *outPath, *display, fs.Args(), *param, *metric)
 	case *display != "":
 		err = fmt.Errorf("unknown -display mode %q (want sweep or history)", *display)
 	case *sweep == "":
@@ -136,71 +128,86 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// withOut routes display output to a file or stdout.
-func withOut(path string, stdout io.Writer, fn func(io.Writer) error) error {
-	if path == "" {
-		return fn(stdout)
-	}
-	f, err := os.Create(path)
+// --- the datafile ---
+
+// report is the benchmark's report file, declared down to the fields
+// this command reads or writes; benchmark/report.go owns the schema.
+type report struct {
+	Header    header     `json:"header"`
+	Workloads []workload `json:"workloads"`
+}
+
+type header struct {
+	Revision string `json:"revision"`
+	Time     string `json:"time"` // RFC 3339, UTC
+}
+
+type workload struct {
+	Name string `json:"name"`
+	// Samples holds every sample's value of each end-to-end metric; the
+	// reported number is the median.
+	Samples  map[string][]float64 `json:"samples"`
+	PerLayer map[string]float64   `json:"per_layer"`
+}
+
+// loadReport reads one report file, whichever command wrote it.
+func loadReport(path string) (*report, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
+	var rep report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return f.Close()
+	return &rep, nil
+}
+
+// value is the workload's reading of a metric: the median of an
+// end-to-end metric's samples, or the traced pass's per-layer number.
+func (w *workload) value(metric string) (float64, bool) {
+	if xs := w.Samples[metric]; len(xs) > 0 {
+		return sim.Summarize(xs).Median, true
+	}
+	v, ok := w.PerLayer[metric]
+	return v, ok
+}
+
+// metricUnit looks a metric up in BENCHMARK.json, the one list of metric
+// names, found in the working directory or the nearest one above it
+// (the repository root, wherever inside the checkout the command runs).
+func metricUnit(name string) (string, error) {
+	dir, err := filepath.Abs(".")
+	if err != nil {
+		return "", err
+	}
+	var data []byte
+	for {
+		if data, err = os.ReadFile(filepath.Join(dir, "BENCHMARK.json")); err == nil {
+			break
+		}
+		if !errors.Is(err, os.ErrNotExist) || dir == filepath.Dir(dir) {
+			return "", fmt.Errorf("looking for BENCHMARK.json, which names the metrics: %w", err)
+		}
+		dir = filepath.Dir(dir)
+	}
+	type defs []struct{ Name, Unit string }
+	var m struct {
+		EndToEnd defs `json:"end_to_end"`
+		PerLayer defs `json:"per_layer"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		return "", fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	for _, d := range append(m.EndToEnd, m.PerLayer...) {
+		if d.Name == name {
+			return d.Unit, nil
+		}
+	}
+	return "", fmt.Errorf("unknown -metric %q: BENCHMARK.json lists no end_to_end or per_layer metric of that name", name)
 }
 
 // --- generate mode ---
-
-// row is one measured sweep point, as stored in the datafile.
-type row struct {
-	driver, param string
-	value         float64
-	runtimeNs     int64
-	allocs, bytes uint64
-	heapHighWater uint64
-	tokensPerTick float64
-}
-
-const fileHeader = `# repobench datafile v1 — one row per measured lockstep run
-# driver param value runtime_ns allocs bytes heap_highwater tokens_per_tick
-`
-
-func (r row) format() string {
-	return fmt.Sprintf("%s %s %g %d %d %d %d %g\n",
-		r.driver, r.param, r.value, r.runtimeNs, r.allocs, r.bytes, r.heapHighWater, r.tokensPerTick)
-}
-
-func parseRow(line string) (row, error) {
-	f := strings.Fields(line)
-	if len(f) != 8 {
-		return row{}, fmt.Errorf("datafile row has %d fields, want 8: %q", len(f), line)
-	}
-	var r row
-	r.driver, r.param = f[0], f[1]
-	var err error
-	ints := []struct {
-		dst *uint64
-		s   string
-	}{{&r.allocs, f[4]}, {&r.bytes, f[5]}, {&r.heapHighWater, f[6]}}
-	if r.value, err = strconv.ParseFloat(f[2], 64); err != nil {
-		return row{}, fmt.Errorf("bad value in row %q: %w", line, err)
-	}
-	if r.runtimeNs, err = strconv.ParseInt(f[3], 10, 64); err != nil {
-		return row{}, fmt.Errorf("bad runtime_ns in row %q: %w", line, err)
-	}
-	for _, iv := range ints {
-		if *iv.dst, err = strconv.ParseUint(iv.s, 10, 64); err != nil {
-			return row{}, fmt.Errorf("bad counter in row %q: %w", line, err)
-		}
-	}
-	if r.tokensPerTick, err = strconv.ParseFloat(f[7], 64); err != nil {
-		return row{}, fmt.Errorf("bad tokens_per_tick in row %q: %w", line, err)
-	}
-	return r, nil
-}
 
 var sweepRe = regexp.MustCompile(`^(n|k|loss|window|fanout|churn|shards)=([^:]+):([^:]+):([^:]+)$`)
 
@@ -226,18 +233,36 @@ func parseSweep(s string) (param string, min, step, max float64, err error) {
 	return m[1], min, step, max, nil
 }
 
-// gitRev resolves the datafile key: the short git revision of the
-// working tree, overridable with -rev (used by tests and by sweeps of
-// historical checkouts built elsewhere).
-func gitRev(override string) (string, error) {
+// gitRev resolves the sweep report's key: the short git revision of
+// the checkout at dir, overridable with -rev (used by tests and by
+// sweeps of historical checkouts built elsewhere). A tree with
+// uncommitted changes is <rev>-dirty: what it measures is not the
+// committed revision's code and must not land in that revision's curve.
+func gitRev(dir, override string) (string, error) {
 	if override != "" {
 		return override, nil
 	}
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "", fmt.Errorf("resolving git revision (pass -rev to override): %w", err)
+	git := func(args ...string) (string, error) {
+		cmd := exec.Command("git", args...)
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		if err != nil {
+			return "", fmt.Errorf("resolving git revision (pass -rev to override): git %s: %w", args[0], err)
+		}
+		return strings.TrimSpace(string(out)), nil
 	}
-	return strings.TrimSpace(string(out)), nil
+	rev, err := git("rev-parse", "--short", "HEAD")
+	if err != nil {
+		return "", err
+	}
+	changes, err := git("status", "--porcelain")
+	if err != nil {
+		return "", err
+	}
+	if changes != "" {
+		rev += "-dirty"
+	}
+	return rev, nil
 }
 
 func generate(stdout io.Writer, datadir, revOverride, driver, sweepSpec string, fx fixed) error {
@@ -245,25 +270,19 @@ func generate(stdout io.Writer, datadir, revOverride, driver, sweepSpec string, 
 	if err != nil {
 		return err
 	}
-	rev, err := gitRev(revOverride)
+	rev, err := gitRev(".", revOverride)
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(datadir, 0o755); err != nil {
-		return err
+	path := filepath.Join(datadir, "sweep-"+rev+".json")
+	rep, err := loadReport(path)
+	if errors.Is(err, os.ErrNotExist) {
+		rep, err = &report{}, nil
 	}
-	path := filepath.Join(datadir, rev+".dat")
-	_, statErr := os.Stat(path)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if os.IsNotExist(statErr) {
-		if _, err := f.WriteString(fileHeader); err != nil {
-			return err
-		}
-	}
+	rep.Header = header{Revision: rev, Time: time.Now().UTC().Format(time.RFC3339)}
 
 	// Walk the grid by index, not by float accumulation: v = min + i*step
 	// has one rounding error per point instead of i accumulated ones, so
@@ -272,22 +291,49 @@ func generate(stdout io.Writer, datadir, revOverride, driver, sweepSpec string, 
 	// drift pushed the last point past max+step/2). The epsilon absorbs
 	// representation error in (max-min)/step for fractional steps like
 	// 0:0.1:0.4; rounding to 9 decimals keeps values like
-	// 0.30000000000000004 out of datafiles and labels.
+	// 0.30000000000000004 out of entry names and labels.
 	nsteps := int(math.Floor((max-min)/step + 1e-9))
 	for i := 0; i <= nsteps; i++ {
 		v := math.Round((min+float64(i)*step)*1e9) / 1e9
-		r, err := measure(driver, param, v, fx)
+		m, ticks, tokensPerTick, err := measure(driver, param, v, fx)
 		if err != nil {
 			return fmt.Errorf("%s sweep %s=%g: %w", driver, param, v, err)
 		}
-		if _, err := f.WriteString(r.format()); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "repobench: %s %s=%g runtime=%.1fms allocs=%d heap=%dB tokens/tick=%.3f\n",
-			driver, param, v, float64(r.runtimeNs)/1e6, r.allocs, r.heapHighWater, r.tokensPerTick)
+		w := rep.entry(fmt.Sprintf("sweep/%s/%s=%g", driver, param, v))
+		w.Samples["run_s"] = append(w.Samples["run_s"], m.Runtime.Seconds())
+		w.Samples["allocs"] = append(w.Samples["allocs"], float64(m.Allocs))
+		w.Samples["alloc_mib"] = append(w.Samples["alloc_mib"], float64(m.Bytes)/(1<<20))
+		w.PerLayer["cluster.ticks"] = float64(ticks)
+		w.PerLayer["stream.tokens_per_tick"] = tokensPerTick
+		w.PerLayer["proc.heap_highwater_mib"] = float64(m.HeapHighWater) / (1 << 20)
+		fmt.Fprintf(stdout, "repobench: %s %s=%g run_s=%.4f allocs=%d heap_highwater_mib=%.2f tokens_per_tick=%.3f\n",
+			driver, param, v, m.Runtime.Seconds(), m.Allocs, w.PerLayer["proc.heap_highwater_mib"], tokensPerTick)
 	}
-	fmt.Fprintf(stdout, "repobench: appended to %s\n", path)
+
+	data, err := json.MarshalIndent(rep, "", " ")
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(datadir, 0o755); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "repobench: wrote %s\n", path)
 	return nil
+}
+
+// entry returns the report's workload of that name, adding it if the
+// report has none yet.
+func (rep *report) entry(name string) *workload {
+	for i := range rep.Workloads {
+		if rep.Workloads[i].Name == name {
+			return &rep.Workloads[i]
+		}
+	}
+	rep.Workloads = append(rep.Workloads, workload{Name: name, Samples: map[string][]float64{}, PerLayer: map[string]float64{}})
+	return &rep.Workloads[len(rep.Workloads)-1]
 }
 
 // churnSchedule builds the swept churn workload as a -churn value:
@@ -301,11 +347,10 @@ func churnSchedule(pairs int) string {
 }
 
 // measure runs one sweep point through the selected driver under
-// sim.Measure and converts the outcome to a datafile row.
-func measure(driver, param string, v float64, fx fixed) (row, error) {
+// sim.Measure and returns its cost, its length in ticks and the
+// node-tokens it delivered per tick.
+func measure(driver, param string, v float64, fx fixed) (m sim.Measurement, ticks int, tokensPerTick float64, err error) {
 	iv := int(math.Round(v))
-	r := row{driver: driver, param: param, value: v}
-
 	setInt := map[string]*int{"n": &fx.N, "k": &fx.K, "window": &fx.window, "fanout": &fx.Fanout, "shards": &fx.Shards}
 	switch param {
 	case "loss":
@@ -317,8 +362,7 @@ func measure(driver, param string, v float64, fx fixed) (row, error) {
 	}
 
 	var tokens float64
-	var ticks int
-	m, err := sim.Measure(func() error {
+	m, err = sim.Measure(func() error {
 		switch driver {
 		case "cluster":
 			cfg, err := fx.Open(nil)
@@ -373,191 +417,80 @@ func measure(driver, param string, v float64, fx fixed) (row, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		return row{}, err
-	}
-	r.runtimeNs = m.Runtime.Nanoseconds()
-	r.allocs, r.bytes, r.heapHighWater = m.Allocs, m.Bytes, m.HeapHighWater
 	if ticks > 0 {
-		r.tokensPerTick = tokens / float64(ticks)
+		tokensPerTick = tokens / float64(ticks)
 	}
-	return r, nil
+	return m, ticks, tokensPerTick, err
 }
 
 // --- display mode ---
 
-// statOf extracts the charted statistic from a datafile row.
-func statOf(r row, stat string) (float64, error) {
-	switch stat {
-	case "runtime":
-		return float64(r.runtimeNs) / 1e6, nil
-	case "allocs":
-		return float64(r.allocs), nil
-	case "bytes":
-		return float64(r.bytes), nil
-	case "heap":
-		return float64(r.heapHighWater), nil
-	case "tokens":
-		return r.tokensPerTick, nil
-	}
-	return 0, fmt.Errorf("unknown -stat %q (want runtime, allocs, bytes, heap or tokens)", stat)
-}
+var sweepName = regexp.MustCompile(`^sweep/([^/]+)/([a-z]+)=(.+)$`)
 
-func statLabel(stat string) string {
-	switch stat {
-	case "runtime":
-		return "runtime (ms)"
-	case "allocs":
-		return "allocations"
-	case "bytes":
-		return "allocated bytes"
-	case "heap":
-		return "heap high-water (B)"
-	case "tokens":
-		return "tokens/tick"
-	}
-	return stat
-}
-
-// readDatafile parses one revision's rows; comment and blank lines are
-// skipped.
-func readDatafile(path string) ([]row, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var rows []row
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		r, err := parseRow(line)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		rows = append(rows, r)
-	}
-	return rows, sc.Err()
-}
-
-// displaySweep charts one swept parameter: X the parameter value, one
-// curve per (revision, driver) that measured it.
-func displaySweep(w io.Writer, datadir, param, stat string) error {
-	if _, err := statOf(row{}, stat); err != nil {
-		return err
-	}
-	paths, err := filepath.Glob(filepath.Join(datadir, "*.dat"))
+// displayChart renders one metric of the given report files, oldest
+// report first, to outPath (stdout when empty). A sweep chart has X the
+// swept value of param and one curve per revision and driver that
+// measured it; a history chart has X the reports and one curve per
+// benchmark workload (sweep points have their own chart).
+func displayChart(stdout io.Writer, outPath, mode string, paths []string, param, metric string) error {
+	unit, err := metricUnit(metric)
 	if err != nil {
 		return err
 	}
 	if len(paths) == 0 {
-		return fmt.Errorf("no datafiles under %s (run a -sweep first)", datadir)
+		return fmt.Errorf("-display %s needs report files as arguments (a -sweep's, or `bash benchmark/run.sh -out`'s)", mode)
 	}
-	sort.Strings(paths)
-	series := map[string]*svgplot.Series{}
-	var order []string
-	for _, path := range paths {
-		rows, err := readDatafile(path)
-		if err != nil {
+	reps := make([]*report, len(paths))
+	for i, path := range paths {
+		if reps[i], err = loadReport(path); err != nil {
 			return err
 		}
-		rev := strings.TrimSuffix(filepath.Base(path), ".dat")
-		for _, r := range rows {
-			if r.param != param {
+	}
+	slices.SortStableFunc(reps, func(a, b *report) int { return strings.Compare(a.Header.Time, b.Header.Time) })
+
+	label := fmt.Sprintf("%s (%s)", metric, unit)
+	c := svgplot.Chart{Title: label + " vs " + param, XLabel: param, YLabel: label}
+	if mode == "history" {
+		c.Title, c.XLabel = label+" per report", "report:"
+	}
+	for i, rep := range reps {
+		if mode == "history" {
+			c.XLabel += fmt.Sprintf(" %d=%s", i+1, rep.Header.Revision)
+		}
+		for _, w := range rep.Workloads {
+			y, ok := w.value(metric)
+			if !ok {
 				continue
 			}
-			key := rev + "/" + r.driver
-			s, ok := series[key]
-			if !ok {
-				s = &svgplot.Series{Name: key}
-				series[key] = s
-				order = append(order, key)
+			name, x := w.Name, float64(i+1)
+			point := sweepName.FindStringSubmatch(w.Name)
+			if mode == "history" && point != nil {
+				continue
 			}
-			y, _ := statOf(r, stat)
-			s.X = append(s.X, r.value)
-			s.Y = append(s.Y, y)
-		}
-	}
-	if len(order) == 0 {
-		return fmt.Errorf("no rows sweeping %q in %s", param, datadir)
-	}
-	c := svgplot.Chart{
-		Title:  fmt.Sprintf("%s vs %s", statLabel(stat), param),
-		XLabel: param, YLabel: statLabel(stat),
-	}
-	for _, key := range order {
-		c.Series = append(c.Series, *series[key])
-	}
-	_, err = io.WriteString(w, c.SVG())
-	return err
-}
-
-var prNum = regexp.MustCompile(`BENCH_PR(\d+)\.json$`)
-
-// displayHistory folds the committed BENCH_PR*.json baselines into a
-// per-commit trajectory chart: X the PR number, one curve per guarded
-// benchmark.
-func displayHistory(w io.Writer, benchdir string, guard []string, stat string) error {
-	var field func(benchfmt.Entry) float64
-	switch stat {
-	case "runtime":
-		field = func(e benchfmt.Entry) float64 { return e.NsPerOp }
-	case "allocs":
-		field = func(e benchfmt.Entry) float64 { return e.AllocsPerOp }
-	case "bytes":
-		field = func(e benchfmt.Entry) float64 { return e.BytesPerOp }
-	default:
-		return fmt.Errorf("history charts support -stat runtime, allocs or bytes, not %q", stat)
-	}
-	paths, err := benchfmt.Baselines(benchdir)
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("no BENCH_PR*.json baselines in %s", benchdir)
-	}
-	c := svgplot.Chart{
-		Title:  fmt.Sprintf("committed baseline trajectory: %s per op", stat),
-		XLabel: "PR", YLabel: statLabel(stat),
-	}
-	bySeries := map[string]*svgplot.Series{}
-	for _, name := range guard {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		bySeries[name] = &svgplot.Series{Name: strings.TrimPrefix(name, "Benchmark")}
-	}
-	for _, path := range paths {
-		base, err := benchfmt.ReadBaseline(path)
-		if err != nil {
-			return err
-		}
-		m := prNum.FindStringSubmatch(path)
-		if m == nil {
-			continue
-		}
-		pr, _ := strconv.Atoi(m[1])
-		for name, s := range bySeries {
-			if e, ok := base.Benchmarks[name]; ok {
-				s.X = append(s.X, float64(pr))
-				s.Y = append(s.Y, field(e))
+			if mode == "sweep" {
+				if point == nil || point[2] != param {
+					continue
+				}
+				if x, err = strconv.ParseFloat(point[3], 64); err != nil {
+					return fmt.Errorf("report of %s: workload %q: %w", rep.Header.Revision, w.Name, err)
+				}
+				name = rep.Header.Revision + "/" + point[1]
 			}
-		}
-	}
-	// Series in guard order, dropping benchmarks no baseline recorded.
-	for _, name := range guard {
-		name = strings.TrimSpace(name)
-		if s, ok := bySeries[name]; ok && len(s.X) > 0 {
-			c.Series = append(c.Series, *s)
+			at := slices.IndexFunc(c.Series, func(s svgplot.Series) bool { return s.Name == name })
+			if at < 0 {
+				at = len(c.Series)
+				c.Series = append(c.Series, svgplot.Series{Name: name})
+			}
+			c.Series[at].X = append(c.Series[at].X, x)
+			c.Series[at].Y = append(c.Series[at].Y, y)
 		}
 	}
 	if len(c.Series) == 0 {
-		return fmt.Errorf("none of the guarded benchmarks appear in the baselines under %s", benchdir)
+		return fmt.Errorf("nothing to chart: no workload in the %d reports read carries %s for a %s chart", len(reps), metric, mode)
 	}
-	_, err = io.WriteString(w, c.SVG())
+	if outPath != "" {
+		return os.WriteFile(outPath, []byte(c.SVG()), 0o644)
+	}
+	_, err = io.WriteString(stdout, c.SVG())
 	return err
 }

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"encoding/xml"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -31,9 +34,32 @@ func mustXML(t *testing.T, s string) {
 	}
 }
 
+// readSweep loads the sweep report generate mode wrote for rev — through
+// the loader display mode uses — and returns its entries.
+func readSweep(t *testing.T, dir, rev string) []workload {
+	t.Helper()
+	rep, err := loadReport(filepath.Join(dir, "sweep-"+rev+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Header.Revision != rev {
+		t.Errorf("report header names revision %q, want %q", rep.Header.Revision, rev)
+	}
+	return rep.Workloads
+}
+
+func names(ws []workload) []string {
+	var out []string
+	for _, w := range ws {
+		out = append(out, w.Name)
+	}
+	return out
+}
+
 // TestSweepAppendsRevisionKeyedRows drives generate mode end to end:
-// a cluster n-sweep writes a datafile named by the revision, appends
-// on re-run, and every row carries the measured figures.
+// a cluster n-sweep writes a report named by the revision, a re-run
+// adds a sample to the same entries, and every entry carries the
+// measured figures under BENCHMARK.json's names.
 func TestSweepAppendsRevisionKeyedRows(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-driver", "cluster", "-sweep", "n=4:2:8", "-k", "4",
@@ -42,46 +68,39 @@ func TestSweepAppendsRevisionKeyedRows(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("sweep exited %d: %s%s", code, out, errOut)
 	}
-	path := filepath.Join(dir, "abc1234.dat")
-	rows, err := readDatafile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("sweep n=4:2:8 wrote %d rows, want 3:\n%+v", len(rows), rows)
+	rows := readSweep(t, dir, "abc1234")
+	if got, want := names(rows), []string{"sweep/cluster/n=4", "sweep/cluster/n=6", "sweep/cluster/n=8"}; !slices.Equal(got, want) {
+		t.Fatalf("sweep n=4:2:8 wrote entries %v, want %v", got, want)
 	}
 	for _, r := range rows {
-		if r.driver != "cluster" || r.param != "n" {
-			t.Errorf("row mislabeled: %+v", r)
+		for _, metric := range []string{"run_s", "allocs", "alloc_mib", "cluster.ticks", "stream.tokens_per_tick", "proc.heap_highwater_mib"} {
+			if v, ok := r.value(metric); !ok || v <= 0 {
+				t.Errorf("%s: %s = %g (present %v), want a measurement", r.Name, metric, v, ok)
+			}
 		}
-		if r.runtimeNs <= 0 || r.allocs == 0 || r.heapHighWater == 0 || r.tokensPerTick <= 0 {
-			t.Errorf("row missing measurements: %+v", r)
-		}
-	}
-	if rows[0].value != 4 || rows[1].value != 6 || rows[2].value != 8 {
-		t.Errorf("swept values %g %g %g, want 4 6 8", rows[0].value, rows[1].value, rows[2].value)
 	}
 
-	// Appending: a second sweep lands in the same revision file.
+	// Appending: a second sweep lands in the same entries of the same file.
 	if code, _, errOut := execCLI(t, args...); code != 0 {
 		t.Fatalf("second sweep exited %d: %s", code, errOut)
 	}
-	rows, err = readDatafile(path)
-	if err != nil {
-		t.Fatal(err)
+	again := readSweep(t, dir, "abc1234")
+	if len(again) != 3 {
+		t.Fatalf("re-run left %d entries, want 3: %v", len(again), names(again))
 	}
-	if len(rows) != 6 {
-		t.Errorf("re-run appended to %d rows, want 6", len(rows))
-	}
-	// The header comment must appear exactly once.
-	raw, _ := os.ReadFile(path)
-	if n := strings.Count(string(raw), "repobench datafile"); n != 1 {
-		t.Errorf("header written %d times, want 1:\n%s", n, raw)
+	for i, r := range again {
+		if len(r.Samples["run_s"]) != 2 {
+			t.Errorf("%s: %d run_s samples after a re-run, want 2", r.Name, len(r.Samples["run_s"]))
+		}
+		// A lockstep run is a pure function of the seed.
+		if r.PerLayer["cluster.ticks"] != rows[i].PerLayer["cluster.ticks"] {
+			t.Errorf("%s: ticks moved between identical runs", r.Name)
+		}
 	}
 }
 
 // TestLossSweepKeepsEndpoint pins the float-accumulation guard: a
-// 0:0.1:0.4 sweep must include 0.4.
+// 0:0.2:0.4 sweep must include 0.4.
 func TestLossSweepKeepsEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	code, _, errOut := execCLI(t, "-driver", "cluster", "-sweep", "loss=0:0.2:0.4",
@@ -89,12 +108,9 @@ func TestLossSweepKeepsEndpoint(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("loss sweep exited %d: %s", code, errOut)
 	}
-	rows, err := readDatafile(filepath.Join(dir, "r1.dat"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 || rows[2].value < 0.39 {
-		t.Errorf("loss sweep rows %+v, want 3 ending at 0.4", rows)
+	rows := readSweep(t, dir, "r1")
+	if len(rows) != 3 || rows[2].Name != "sweep/cluster/loss=0.4" {
+		t.Errorf("loss sweep entries %v, want 3 ending at loss=0.4", names(rows))
 	}
 }
 
@@ -110,16 +126,9 @@ func TestStreamAndEngineDrivers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("engine sweep exited %d: %s", code, errOut)
 	}
-	rows, err := readDatafile(filepath.Join(dir, "r1.dat"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var drivers []string
-	for _, r := range rows {
-		drivers = append(drivers, r.driver)
-	}
-	if len(rows) != 4 || rows[0].driver != "stream" || rows[3].driver != "engine" {
-		t.Errorf("drivers %v, want stream,stream,engine,engine", drivers)
+	want := []string{"sweep/stream/window=1", "sweep/stream/window=2", "sweep/engine/k=4", "sweep/engine/k=8"}
+	if got := names(readSweep(t, dir, "r1")); !slices.Equal(got, want) {
+		t.Errorf("entries %v, want %v", got, want)
 	}
 }
 
@@ -136,8 +145,8 @@ func TestDisplaySweepSVG(t *testing.T) {
 		}
 	}
 	out := filepath.Join(dir, "sweep.svg")
-	code, _, errOut := execCLI(t, "-display", "sweep", "-param", "n", "-stat", "runtime",
-		"-datadir", dir, "-o", out)
+	code, _, errOut := execCLI(t, "-display", "sweep", "-param", "n", "-metric", "run_s", "-o", out,
+		filepath.Join(dir, "sweep-aaa1111.json"), filepath.Join(dir, "sweep-bbb2222.json"))
 	if code != 0 {
 		t.Fatalf("display exited %d: %s", code, errOut)
 	}
@@ -146,44 +155,130 @@ func TestDisplaySweepSVG(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustXML(t, string(svg))
-	for _, want := range []string{"aaa1111/cluster", "bbb2222/cluster", "<polyline", "runtime (ms)"} {
+	for _, want := range []string{"aaa1111/cluster", "bbb2222/cluster", "<polyline", "run_s (s)"} {
 		if !strings.Contains(string(svg), want) {
 			t.Errorf("sweep SVG missing %q", want)
 		}
 	}
 }
 
-// TestDisplayHistorySVG folds committed BENCH_PR*.json baselines into
-// the trajectory chart.
+// realReport is `bash benchmark/run.sh -seconds 4 -out` at a19c03d,
+// trimmed to two of its six workloads.
+const realReport = "testdata/report-a19c03d.json"
+
+// TestDisplayHistorySVG charts a report the benchmark wrote, through the
+// loader and chart code the sweeps use: one curve per benchmark
+// workload across the reports given, sweep points left to their own
+// chart.
 func TestDisplayHistorySVG(t *testing.T) {
 	dir := t.TempDir()
-	files := map[string]string{
-		"BENCH_PR4.json": `{"benchmarks":{"BenchmarkEngineRound":{"ns_per_op":900,"allocs_per_op":1295},
-			"BenchmarkWireRoundTrip":{"ns_per_op":1000,"allocs_per_op":3}}}`,
-		"BENCH_PR5.json": `{"benchmarks":{"BenchmarkEngineRound":{"ns_per_op":880,"allocs_per_op":883},
-			"BenchmarkWireRoundTrip":{"ns_per_op":600,"allocs_per_op":1}}}`,
+	if code, _, errOut := execCLI(t, "-driver", "cluster", "-sweep", "n=4:2:6", "-k", "4",
+		"-payload", "32", "-datadir", dir, "-rev", "ccc3333"); code != 0 {
+		t.Fatalf("sweep exited %d: %s", code, errOut)
 	}
-	for name, body := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
+	for _, metric := range []string{"run_s", "rlnc.coding_share"} {
+		var out strings.Builder
+		code := run([]string{"-display", "history", "-metric", metric,
+			realReport, filepath.Join(dir, "sweep-ccc3333.json"), realReport}, &out, os.Stderr)
+		if code != 0 {
+			t.Fatalf("history display of %s exited %d", metric, code)
+		}
+		svg := out.String()
+		mustXML(t, svg)
+		for _, want := range []string{">gossip-deep<", ">stream-lossy<", metric + " (", "1=a19c03d 2=a19c03d 3=ccc3333"} {
+			if !strings.Contains(svg, want) {
+				t.Errorf("%s history SVG missing %q", metric, want)
+			}
+		}
+		if n := strings.Count(svg, "<polyline"); n != 2 {
+			t.Errorf("%s history SVG draws %d curves, want one per workload of the report (2)", metric, n)
+		}
+		if strings.Contains(svg, "sweep/") {
+			t.Errorf("%s history SVG charts a sweep point", metric)
 		}
 	}
-	var out strings.Builder
-	code := run([]string{"-display", "history", "-stat", "allocs", "-benchdir", dir}, &out, os.Stderr)
-	if code != 0 {
-		t.Fatalf("history display exited %d", code)
+
+	// The same file answers a sweep chart with "nothing to chart", not a
+	// parse error: there is one loader.
+	if code, _, errOut := execCLI(t, "-display", "sweep", "-param", "n", realReport); code != 1 || !strings.Contains(errOut, "nothing to chart") {
+		t.Errorf("sweep chart of a benchmark report: exit %d, stderr %q", code, errOut)
 	}
-	svg := out.String()
-	mustXML(t, svg)
-	for _, want := range []string{"EngineRound", "WireRoundTrip", "trajectory", "allocations"} {
-		if !strings.Contains(svg, want) {
-			t.Errorf("history SVG missing %q", want)
+}
+
+// TestMetricNamesAreTheBenchmarks: -metric takes exactly BENCHMARK.json's
+// names — every one of them, and no private spelling of any.
+func TestMetricNamesAreTheBenchmarks(t *testing.T) {
+	for _, bad := range []string{"runtime", "tokens", "run_ms", ""} {
+		code, _, errOut := execCLI(t, "-display", "history", "-metric", bad, realReport)
+		if code != 1 || !strings.Contains(errOut, strconv.Quote(bad)) || !strings.Contains(errOut, "BENCHMARK.json") {
+			t.Errorf("-metric %q: exit %d, stderr %q; want a rejection naming it", bad, code, errOut)
 		}
 	}
-	// Benchmarks the baselines never recorded are dropped, not drawn as
-	// empty series.
-	if strings.Contains(svg, "StreamSustained") {
-		t.Error("history SVG charts a benchmark absent from every baseline")
+	data, err := os.ReadFile("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.EndToEnd) == 0 || len(m.PerLayer) == 0 {
+		t.Fatal("no metric names read from BENCHMARK.json")
+	}
+	for _, d := range append(m.EndToEnd, m.PerLayer...) {
+		if _, err := metricUnit(d.Name); err != nil {
+			t.Errorf("BENCHMARK.json metric %s rejected: %v", d.Name, err)
+		}
+	}
+}
+
+// TestGitRevMarksDirtyTree: a sweep of uncommitted code must not be
+// keyed under HEAD's hash.
+func TestGitRevMarksDirtyTree(t *testing.T) {
+	dir := t.TempDir()
+	git := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command("git", append([]string{"-c", "user.name=t", "-c", "user.email=t@example.invalid"}, args...)...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+		return strings.TrimSpace(string(out))
+	}
+	git("init", "-q")
+	tracked := filepath.Join(dir, "tracked.txt")
+	if err := os.WriteFile(tracked, []byte("v1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	git("add", "tracked.txt")
+	git("commit", "-q", "-m", "one")
+	head := git("rev-parse", "--short", "HEAD")
+
+	if rev, err := gitRev(dir, ""); err != nil || rev != head {
+		t.Errorf("clean tree: gitRev = %q, %v; want %q", rev, err, head)
+	}
+	if err := os.WriteFile(tracked, []byte("v2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rev, err := gitRev(dir, ""); err != nil || rev != head+"-dirty" {
+		t.Errorf("modified file: gitRev = %q, %v; want %q", rev, err, head+"-dirty")
+	}
+	git("checkout", "-q", "tracked.txt")
+	if err := os.WriteFile(filepath.Join(dir, "new.go"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rev, err := gitRev(dir, ""); err != nil || rev != head+"-dirty" {
+		t.Errorf("untracked file: gitRev = %q, %v; want %q", rev, err, head+"-dirty")
+	}
+	if rev, err := gitRev(dir, "v1.0"); err != nil || rev != "v1.0" {
+		t.Errorf("-rev override: gitRev = %q, %v; want v1.0", rev, err)
+	}
+	if _, err := gitRev(t.TempDir(), ""); err == nil {
+		t.Error("gitRev outside a repository returned no error")
 	}
 }
 
@@ -217,6 +312,9 @@ func TestModeValidation(t *testing.T) {
 	if code, _, _ := execCLI(t, "-display", "interpretive-dance"); code != 1 {
 		t.Error("unknown display mode must fail")
 	}
+	if code, _, errOut := execCLI(t, "-display", "history"); code != 1 || !strings.Contains(errOut, "report files") {
+		t.Errorf("display with no report files: exit %d, stderr %q", code, errOut)
+	}
 	if code, _, errOut := execCLI(t, "-driver", "engine", "-sweep", "loss=0:0.1:0.2",
 		"-datadir", t.TempDir(), "-rev", "x"); code != 1 || !strings.Contains(errOut, "engine") {
 		t.Errorf("engine loss sweep: exit %d, stderr %q; want rejection", code, errOut)
@@ -243,21 +341,12 @@ func TestShardsSweepKeepsIntegerEndpoints(t *testing.T) {
 		if code != 0 {
 			t.Fatalf("%s exited %d: %s", tc.spec, code, errOut)
 		}
-		rows, err := readDatafile(filepath.Join(dir, "r1.dat"))
-		if err != nil {
-			t.Fatal(err)
+		var want []string
+		for _, v := range tc.want {
+			want = append(want, fmt.Sprintf("sweep/cluster/shards=%g", v))
 		}
-		var got []float64
-		for _, r := range rows {
-			got = append(got, r.value)
-		}
-		if len(got) != len(tc.want) {
-			t.Fatalf("%s swept %v, want %v", tc.spec, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("%s swept %v, want %v", tc.spec, got, tc.want)
-			}
+		if got := names(readSweep(t, dir, "r1")); !slices.Equal(got, want) {
+			t.Fatalf("%s swept %v, want %v", tc.spec, got, want)
 		}
 	}
 }
@@ -272,15 +361,12 @@ func TestShardsSweepMatchesSerial(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("shards sweep exited %d: %s", code, errOut)
 	}
-	rows, err := readDatafile(filepath.Join(dir, "r1.dat"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := readSweep(t, dir, "r1")
 	if len(rows) != 3 {
-		t.Fatalf("shards sweep rows %+v, want 3", rows)
+		t.Fatalf("shards sweep entries %v, want 3", names(rows))
 	}
 	for _, r := range rows[1:] {
-		if r.tokensPerTick != rows[0].tokensPerTick {
+		if r.PerLayer["stream.tokens_per_tick"] != rows[0].PerLayer["stream.tokens_per_tick"] {
 			t.Errorf("tokens/tick varies across shard counts: %+v", rows)
 		}
 	}
@@ -306,12 +392,8 @@ func TestChurnSweep(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("churn sweep exited %d: %s", code, errOut)
 	}
-	rows, err := readDatafile(filepath.Join(dir, "r1.dat"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("churn sweep rows %+v, want 3", rows)
+	if rows := readSweep(t, dir, "r1"); len(rows) != 3 {
+		t.Fatalf("churn sweep entries %v, want 3", names(rows))
 	}
 }
 
@@ -369,12 +451,12 @@ func TestSweepPointMatchesCLIs(t *testing.T) {
 		if code, _, errOut := execCLI(t, sweep...); code != 0 {
 			t.Fatalf("%s sweep exited %d: %s", tc.driver, code, errOut)
 		}
-		rows, err := readDatafile(filepath.Join(dir, "cli.dat"))
-		if err != nil || len(rows) != 1 {
-			t.Fatalf("%s sweep rows %+v, err %v", tc.driver, rows, err)
+		rows := readSweep(t, dir, "cli")
+		if len(rows) != 1 {
+			t.Fatalf("%s sweep entries %v, want 1", tc.driver, names(rows))
 		}
-		if want := float64(tokens) / float64(ticks); rows[0].tokensPerTick != want {
-			t.Errorf("%s: sweep tokens_per_tick %g, the CLI run gives %d/%d = %g", tc.driver, rows[0].tokensPerTick, tokens, ticks, want)
+		if want, got := float64(tokens)/float64(ticks), rows[0].PerLayer["stream.tokens_per_tick"]; got != want || rows[0].PerLayer["cluster.ticks"] != float64(ticks) {
+			t.Errorf("%s: sweep tokens_per_tick %g over %g ticks, the CLI run gives %d/%d = %g", tc.driver, got, rows[0].PerLayer["cluster.ticks"], tokens, ticks, want)
 		}
 	}
 }

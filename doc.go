@@ -59,11 +59,11 @@
 // DESIGN.md "Hot-path memory layout" for the slab layout, the buffer
 // ownership rules and the before/after allocation table.
 //
-// The benchmark suite in bench_test.go regenerates every experiment
-// with b.ReportAllocs throughout; the newest committed BENCH_PR*.json
-// is the allocation baseline that CI's cmd/benchguard gate enforces
-// (see scripts/bench.sh; parsing and comparison live in
-// internal/benchfmt, which keeps /-qualified sub-benchmark names).
+// Performance is measured one way: the repository benchmark (its own
+// module under benchmark/, described by BENCHMARK.json) writes a JSON
+// report, its -compare is the only verdict, and scripts/benchgate.sh —
+// this tree against its parent commit — is the only gate. bench_test.go
+// regenerates every experiment as a Go benchmark for work in progress.
 //
 // A run has one description, cluster.Config (stream.Config carries the
 // same fields next to the stream's own); every CLI reaches it through
@@ -74,19 +74,19 @@
 // cmd/repobench is the performance observatory on top of all this:
 // generate mode sweeps one parameter through the deterministic
 // drivers — each point the run cmd/cluster or cmd/stream would make
-// with the same flags — and appends measurements to a datafile keyed
-// by git revision, display mode renders pure-Go SVG charts
-// (internal/svgplot) — per-parameter scaling curves with one curve
-// per revision, or the committed BENCH_PR*.json baselines as a
-// per-commit trajectory:
+// with the same flags — and records every point as a workload entry of
+// a report in the benchmark's schema, keyed by git revision; display
+// mode renders pure-Go SVG charts (internal/svgplot) of any
+// BENCHMARK.json metric — per-parameter scaling curves with one curve
+// per revision, or a per-report history of the benchmark's workloads:
 //
 //	go run ./cmd/repobench -driver stream -sweep loss=0:0.1:0.4 -n 8 -k 8 -generations 4
 //	go run ./cmd/repobench -driver cluster -sweep n=8:8:64 -k 16
-//	go run ./cmd/repobench -display sweep -param loss -stat tokens -o loss.svg
-//	go run ./cmd/repobench -display history -stat allocs -o history.svg
+//	go run ./cmd/repobench -display sweep -param loss -metric stream.tokens_per_tick -o loss.svg benchdata/*.json
+//	go run ./cmd/repobench -display history -metric allocs -o history.svg a.json b.json
 //
-// See DESIGN.md "Performance observatory" for the datafile schema and
-// sweep grammar. See DESIGN.md for the experiment index and
+// See DESIGN.md "Performance observatory" for the datafile, the sweep
+// grammar and the gate. See DESIGN.md for the experiment index and
 // implementation notes, and CHANGES.md for the per-change measurement
 // log.
 package repro

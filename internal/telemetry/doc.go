@@ -12,8 +12,8 @@
 // points in internal/cluster and internal/stream therefore call the
 // methods unconditionally; with telemetry off the cost is one
 // predictable branch per call site, which keeps the lockstep golden
-// transcripts and the benchguard allocation baselines byte-identical
-// whether the recorder is attached or not (recording only observes —
+// transcripts and the zero-allocation hot-path tests unmoved whether
+// the recorder is attached or not (recording only observes —
 // it never touches the protocol's RNG streams or emission order).
 //
 // Per-node storage is owned by whatever goroutine drives the node (the

@@ -667,22 +667,58 @@ func TestUnmarshalIntoReuse(t *testing.T) {
 
 // TestWireRoundTripSteadyStateZeroAlloc pins the tentpole claim for the
 // codec layer: a marshal→unmarshal round trip through one reused buffer
-// and one reused scratch Packet allocates nothing.
+// and one reused scratch Packet allocates nothing — alone, and as the
+// middle of the whole emission hop the runtimes run per packet (what
+// BenchmarkEmitInsertSteadyState times): recombine a full-rank span
+// into a scratch packet, marshal, decode, insert into a receiving span
+// that is Reset, keeping its slab, whenever it reaches full rank.
 func TestWireRoundTripSteadyStateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	p := NewCoded(3, 9, rlnc.Encode(5, 32, gf.RandomBitVec(160, rng.Uint64)))
+	const k, d = 32, 160
 	var scratch Packet
-	buf := p.AppendTo(nil)
-	if err := UnmarshalInto(&scratch, buf); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	roundTrip := func(p *Packet, buf []byte) []byte {
 		buf = p.AppendTo(buf[:0])
 		if err := UnmarshalInto(&scratch, buf); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state wire round trip allocated %.1f times per op, want 0", allocs)
+		return buf
 	}
+
+	t.Run("codec", func(t *testing.T) {
+		p := NewCoded(3, 9, rlnc.Encode(5, k, gf.RandomBitVec(d, rng.Uint64)))
+		buf := roundTrip(&p, nil)
+		if allocs := testing.AllocsPerRun(100, func() { buf = roundTrip(&p, buf) }); allocs != 0 {
+			t.Fatalf("steady-state wire round trip allocated %.1f times per op, want 0", allocs)
+		}
+	})
+
+	t.Run("emission hop", func(t *testing.T) {
+		src, sink := rlnc.NewSpan(k, d), rlnc.NewSpan(k, d)
+		for i := 0; i < k; i++ {
+			src.Add(rlnc.Encode(i, k, gf.RandomBitVec(d, rng.Uint64)))
+		}
+		tx := Packet{Env: Envelope{Version: Version, Type: TypeCoded, Sender: 1}}
+		var buf []byte
+		resets := 0
+		hop := func() {
+			if !src.RandomCombinationInto(&tx.Coded, rng) {
+				t.Fatal("empty source span")
+			}
+			buf = roundTrip(&tx, buf)
+			sink.Add(scratch.Coded)
+			if sink.Rank() == k {
+				sink.Reset()
+				resets++
+			}
+		}
+		for resets == 0 { // warm the scratches, grow the sink's slab to full rank once
+			hop()
+		}
+		if allocs := testing.AllocsPerRun(4*k, hop); allocs != 0 {
+			t.Fatalf("steady-state emission hop allocated %.2f times per packet, want 0", allocs)
+		}
+		if resets < 3 {
+			t.Fatalf("%d sink refills measured, want the Reset path covered", resets)
+		}
+	})
 }

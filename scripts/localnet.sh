@@ -115,23 +115,24 @@ echo "localnet: $done_ok/$N nodes decoded in ${elapsed}s"
 awk -F= '
   /^packets_out=/ {po+=$2} /^packets_in=/ {pi+=$2}
   /^bits_out=/ {bo+=$2} /^udp_datagrams=/ {dg+=$2}
-  /^udp_drop_oversize=/ {drop["oversize"]+=$2}
-  /^udp_drop_truncated=/ {drop["truncated"]+=$2}
-  /^udp_drop_version=/ {drop["version"]+=$2}
-  /^udp_drop_type=/ {drop["type"]+=$2}
-  /^udp_drop_malformed=/ {drop["malformed"]+=$2}
-  /^udp_drop_inbox_full=/ {drop["inbox-full"]+=$2}
-  /^udp_drop_unknown_peer=/ {drop["unknown-peer"]+=$2}
-  /^udp_write_errors=/ {drop["write-errors"]+=$2}
+  # Every socket drop bucket the files carry, whatever udpnet.BucketNames
+  # holds today: a bucket added to that table shows up here unasked.
+  /^udp_drop_|^udp_write_errors=/ {
+    if (!($1 in drop)) order[++buckets] = $1
+    drop[$1] += $2
+  }
   END {
     n='"$N"'
     if (n > 0) printf "localnet: per node: %.0f packets out, %.0f datagrams in, %.0f bits out\n",
       po/n, dg/n, bo/n
-    # Every socket drop bucket, so a lossy run is diagnosable from the
-    # summary line alone; buckets are listed in wire-pipeline order.
-    split("oversize truncated version type malformed inbox-full unknown-peer write-errors", order, " ")
+    # So a lossy run is diagnosable from the summary line alone; buckets
+    # come in the order the files list them.
     line = ""; total = 0
-    for (i = 1; i <= 8; i++) { b = order[i]; total += drop[b]; line = line sprintf(" %s=%.0f", b, drop[b]) }
+    for (i = 1; i <= buckets; i++) {
+      b = order[i]; total += drop[b]
+      name = b; sub(/^udp_(drop_)?/, "", name); gsub(/_/, "-", name)
+      line = line sprintf(" %s=%.0f", name, drop[b])
+    }
     printf "localnet: udp drops (total %.0f):%s\n", total, line
   }
 ' "$OUTDIR"/node*.metrics 2>/dev/null || true
