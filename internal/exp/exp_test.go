@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -82,5 +83,50 @@ func TestExperimentIDsAreSequential(t *testing.T) {
 		if e.ID != want {
 			t.Errorf("experiment %d has ID %s, want %s", i, e.ID, want)
 		}
+	}
+}
+
+// quickTables renders E1–E10 (the synchronous, paper-model experiments)
+// at Quick scale and seed 1, the way cmd/experiments prints them.
+func quickTables(t *testing.T, workers int) string {
+	t.Helper()
+	var b strings.Builder
+	for _, e := range All()[:10] {
+		tbl, err := e.Run(Config{Quick: true, Seed: 1, Workers: workers})
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		b.WriteString(tbl.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestQuickTablesPinned pins the paper side the way the golden
+// transcripts pin the gossip runtime: every cell and fitted slope of
+// E1–E10 at Quick scale, seed 1, is a pure function of the seed, at any
+// worker count. A refactor of dynnet, the node types or the
+// dissemination drivers must leave testdata/quick-seed1.txt as it is;
+// set UPDATE_PINNED=1 to rewrite it after a deliberate behaviour change.
+func TestQuickTablesPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow; skipped with -short")
+	}
+	const path = "testdata/quick-seed1.txt"
+	got := quickTables(t, 1)
+	if os.Getenv("UPDATE_PINNED") != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("Workers=1 tables differ from %s:\n%s", path, got)
+	}
+	if got4 := quickTables(t, 4); got4 != string(want) {
+		t.Errorf("Workers=4 tables differ from %s:\n%s", path, got4)
 	}
 }
