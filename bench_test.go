@@ -135,16 +135,10 @@ func BenchmarkE5TStable(b *testing.B) {
 	b.ReportAllocs()
 	const (
 		n, budget, T = 48, 160, 96
-		chunkBits    = 32
-		blocks       = T / 8
-		payload      = 3 * T / 8
 		kFwd, d      = 64, 8
 	)
-	geo := stable.Geometry{
-		D: 1, ChunkBits: chunkBits,
-		Chunks: (blocks + payload + chunkBits - 1) / chunkBits,
-		Blocks: blocks, Payload: payload, BuildBudget: T / 2,
-	}
+	geo := stable.ScaledGeometry(budget, T)
+	blocks, payload := geo.Blocks, geo.Payload
 	var codThroughput, fwdThroughput float64
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
@@ -158,7 +152,7 @@ func BenchmarkE5TStable(b *testing.B) {
 		}
 		tadv := adversary.NewTStable(adversary.NewRandomConnected(n, n, int64(i)), T)
 		s := dynnet.NewSession(n, tadv, dynnet.Config{BitBudget: budget})
-		if _, err := stable.Broadcast(s, tadv, geo, initial, rngs, 0); err != nil {
+		if _, err := stable.Broadcast(s, tadv, geo, initial, rngs); err != nil {
 			b.Fatal(err)
 		}
 		codThroughput = float64(blocks*payload) / float64(s.Metrics().Rounds)
@@ -578,14 +572,15 @@ func e1Kernel(seed int64) (float64, error) {
 	return float64(r), err
 }
 
-// BenchmarkTrialSweepSerial times an 8-seed E1 sweep through the serial
-// sim.Trials path; BenchmarkTrialSweepParallel runs the identical sweep
-// through sim.ParallelTrials on all cores. Both produce bit-identical
-// Summaries; the ratio of their ns/op is the experiment-engine speedup.
+// BenchmarkTrialSweepSerial times an 8-seed E1 sweep through
+// sim.ParallelTrials on one worker; BenchmarkTrialSweepParallel runs the
+// identical sweep on all cores. Both produce bit-identical Summaries;
+// the ratio of their ns/op is the experiment-engine speedup.
 func BenchmarkTrialSweepSerial(b *testing.B) {
 	b.ReportAllocs()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Trials(8, e1Kernel); err != nil {
+		if _, err := sim.ParallelTrials(ctx, sim.ParallelConfig{Workers: 1}, 8, e1Kernel); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -776,27 +771,27 @@ func BenchmarkPrimeInv(b *testing.B) {
 	_ = acc
 }
 
-// engineRound builds what BenchmarkEngineRound steps: 128 coded
-// broadcast nodes, one 8-bit token each, under the random connected
-// adversary of the synchronous engine.
-func engineRound() *dynnet.Engine {
+// engineRound builds what BenchmarkEngineRound runs one-round phases of:
+// 128 coded broadcast nodes, one 8-bit token each, under the random
+// connected adversary of the synchronous session.
+func engineRound() (*dynnet.Session, []*rlnc.BroadcastNode) {
 	const n = 128
-	nodes := make([]dynnet.Node, n)
+	nodes := make([]*rlnc.BroadcastNode, n)
 	rng := rand.New(rand.NewSource(4))
 	for i := range nodes {
 		nrng := rand.New(rand.NewSource(int64(i)))
-		nodes[i] = rlnc.NewBroadcastNode(n, 8, 1<<30,
+		nodes[i] = rlnc.NewBroadcastNode(n, 8,
 			[]rlnc.Coded{rlnc.Encode(i, n, gf.RandomBitVec(8, rng.Uint64))}, nrng)
 	}
-	return dynnet.NewEngine(nodes, adversary.NewRandomConnected(n, n/2, 5), dynnet.Config{})
+	return dynnet.NewSession(n, adversary.NewRandomConnected(n, n/2, 5), dynnet.Config{}), nodes
 }
 
 func BenchmarkEngineRound(b *testing.B) {
 	b.ReportAllocs()
-	e := engineRound()
+	s, nodes := engineRound()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.Step(); err != nil {
+		if err := dynnet.Run(s, nodes, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -810,12 +805,12 @@ func BenchmarkEngineRound(b *testing.B) {
 // spans fill.
 func TestEngineRoundAllocCeiling(t *testing.T) {
 	const ceiling = 900
-	e := engineRound()
+	s, nodes := engineRound()
 	var ms runtime.MemStats
 	mallocs := func() uint64 { runtime.ReadMemStats(&ms); return ms.Mallocs }
 	for round := 0; round < 10; round++ {
 		before := mallocs()
-		if err := e.Step(); err != nil {
+		if err := dynnet.Run(s, nodes, 1); err != nil {
 			t.Fatal(err)
 		}
 		if n := mallocs() - before; n > ceiling {

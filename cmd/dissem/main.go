@@ -54,6 +54,11 @@ func main() {
 	}
 }
 
+// baseline adapts a forwarding baseline, which reports rounds only.
+func baseline(rounds int, err error) (dissem.Result, error) {
+	return dissem.Result{Rounds: rounds, Iterations: 1}, err
+}
+
 // runOnce executes one dissemination instance at the given seed.
 func runOnce(algo string, n, k, b, d, t int, advName, distName string, seed int64) (dissem.Result, error) {
 	rng := rand.New(rand.NewSource(seed))
@@ -61,67 +66,29 @@ func runOnce(algo string, n, k, b, d, t int, advName, distName string, seed int6
 	if err != nil {
 		return dissem.Result{}, err
 	}
-	mkAdv := func() (dynnet.Adversary, error) { return adversary.Named(advName, n, seed+1) }
-	params := dissem.Params{B: b, D: d, Seed: seed}
-
-	var res dissem.Result
-	switch algo {
-	case "forward":
-		a, err := mkAdv()
-		if err != nil {
-			return res, err
-		}
-		rounds, err := forwarding.RunPipelinedFlood(distribution, k, b, d, a)
-		if err != nil {
-			return res, err
-		}
-		res = dissem.Result{Rounds: rounds, Iterations: 1}
-	case "stable-forward":
-		a, err := mkAdv()
-		if err != nil {
-			return res, err
-		}
-		rounds, err := stable.RunFlood(distribution, k, b, d, t, adversary.NewTStable(a, t))
-		if err != nil {
-			return res, err
-		}
-		res = dissem.Result{Rounds: rounds, Iterations: 1}
-	case "naive":
-		a, err := mkAdv()
-		if err != nil {
-			return res, err
-		}
-		if res, err = dissem.Naive(distribution, params, a); err != nil {
-			return res, err
-		}
-	case "greedy":
-		a, err := mkAdv()
-		if err != nil {
-			return res, err
-		}
-		if res, err = dissem.GreedyForward(distribution, params, a); err != nil {
-			return res, err
-		}
-	case "priority":
-		a, err := mkAdv()
-		if err != nil {
-			return res, err
-		}
-		if res, err = dissem.PriorityForward(distribution, params, a); err != nil {
-			return res, err
-		}
-	case "tstable":
-		a, err := mkAdv()
-		if err != nil {
-			return res, err
-		}
-		if res, err = dissem.TStableDisseminate(distribution, params, t, a); err != nil {
-			return res, err
-		}
-	default:
-		return res, fmt.Errorf("unknown algorithm %q", algo)
+	algorithms := map[string]func(token.Distribution, dissem.Params, dynnet.Adversary) (dissem.Result, error){
+		"forward": func(dist token.Distribution, _ dissem.Params, adv dynnet.Adversary) (dissem.Result, error) {
+			return baseline(forwarding.RunPipelinedFlood(dist, k, b, d, adv))
+		},
+		"stable-forward": func(dist token.Distribution, _ dissem.Params, adv dynnet.Adversary) (dissem.Result, error) {
+			return baseline(stable.RunFlood(dist, k, b, d, t, adversary.NewTStable(adv, t)))
+		},
+		"naive":    dissem.Naive,
+		"greedy":   dissem.GreedyForward,
+		"priority": dissem.PriorityForward,
+		"tstable": func(dist token.Distribution, p dissem.Params, adv dynnet.Adversary) (dissem.Result, error) {
+			return dissem.TStableDisseminate(dist, p, t, adv)
+		},
 	}
-	return res, nil
+	run, ok := algorithms[algo]
+	if !ok {
+		return dissem.Result{}, fmt.Errorf("unknown algorithm %q", algo)
+	}
+	adv, err := adversary.Named(advName, n, seed+1)
+	if err != nil {
+		return dissem.Result{}, err
+	}
+	return run(distribution, dissem.Params{B: b, D: d, Seed: seed}, adv)
 }
 
 func run(w io.Writer, algo string, n, k, b, d, t int, advName, distName string, seed int64, trials, workers int) error {

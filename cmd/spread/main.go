@@ -43,16 +43,15 @@ func run(w io.Writer, n, d int, advName string, seed int64) error {
 		return err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	nodes := make([]dynnet.Node, n)
-	schedule := rlnc.DefaultSchedule(n, n)
-	for i := 0; i < n; i++ {
-		nrng := rand.New(rand.NewSource(seed + int64(i)*101 + 7))
-		nodes[i] = rlnc.NewBroadcastNode(n, d, schedule,
-			[]rlnc.Coded{rlnc.Encode(i, n, gf.RandomBitVec(d, rng.Uint64))}, nrng)
+	initial := make([][]rlnc.Coded, n)
+	rngs := make([]*rand.Rand, n)
+	for i := range initial {
+		initial[i] = []rlnc.Coded{rlnc.Encode(i, n, gf.RandomBitVec(d, rng.Uint64))}
+		rngs[i] = rand.New(rand.NewSource(seed + int64(i)*101 + 7))
 	}
 	rec := trace.NewRecorder(n)
-	e := dynnet.NewEngine(nodes, adv, dynnet.Config{BitBudget: n + d, Observer: rec})
-	if _, err := e.Run(); err != nil {
+	s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: n + d, Observer: rec})
+	if _, err := rlnc.IndexedBroadcast(s, n, d, initial, rngs, rlnc.DefaultSchedule(n, n), false); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "coded indexed broadcast, n = k = %d, d = %d, adversary = %s, seed = %d\n\n", n, d, advName, seed)

@@ -9,7 +9,11 @@
 // the T-stable machinery of Section 8 (internal/stable), the
 // derandomization results of Section 6 (internal/derand), the counting
 // application (internal/count), and the experiment harness
-// (internal/sim, internal/exp).
+// (internal/sim, internal/exp). The synchronous model has one runner
+// and one contract: a phase is a slice of two-method nodes (Send,
+// Receive) and a round count, run on a dynnet.Session by dynnet.Run;
+// every algorithm is a sequence of phases on the schedule the paper
+// gives it (DESIGN.md "Synchronous model").
 //
 // Beside the synchronous simulator sits an asynchronous execution
 // model: internal/wire (binary packet codec, fuzz-tested to round-trip

@@ -60,32 +60,15 @@ func main() {
 
 func runUntilDecoded(adv dynnet.Adversary) (int, error) {
 	rng := rand.New(rand.NewSource(9))
-	nodes := make([]dynnet.Node, n)
-	impls := make([]*rlnc.BroadcastNode, n)
-	const capRounds = 64 * 2 * n
-	for i := 0; i < n; i++ {
-		payload := gf.RandomBitVec(d, rng.Uint64)
-		nrng := rand.New(rand.NewSource(int64(100 + i)))
-		impls[i] = rlnc.NewBroadcastNode(n, d, capRounds, []rlnc.Coded{rlnc.Encode(i, n, payload)}, nrng)
-		nodes[i] = impls[i]
+	initial := make([][]rlnc.Coded, n)
+	rngs := make([]*rand.Rand, n)
+	for i := range initial {
+		initial[i] = []rlnc.Coded{rlnc.Encode(i, n, gf.RandomBitVec(d, rng.Uint64))}
+		rngs[i] = rand.New(rand.NewSource(int64(100 + i)))
 	}
-	e := dynnet.NewEngine(nodes, adv, dynnet.Config{BitBudget: n + d})
-	for r := 1; r <= capRounds; r++ {
-		if err := e.Step(); err != nil {
-			return 0, err
-		}
-		done := true
-		for _, impl := range impls {
-			if !impl.Span().CanDecode() {
-				done = false
-				break
-			}
-		}
-		if done {
-			return r, nil
-		}
-	}
-	return 0, fmt.Errorf("not decoded in %d rounds", capRounds)
+	s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: n + d})
+	_, err := rlnc.IndexedBroadcast(s, n, d, initial, rngs, 64*2*n, true)
+	return s.Round(), err
 }
 
 func mustRounds(r int, err error) int {

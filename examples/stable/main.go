@@ -31,23 +31,15 @@ import (
 
 func main() {
 	const (
-		n         = 48  // nodes
-		b         = 160 // message budget bits
-		chunkBits = 32  // b minus pipeline chunk headers
+		n = 48  // nodes
+		b = 160 // message budget bits: 32-bit chunks after pipeline headers
 	)
 
 	fmt.Printf("T-stable coded broadcast from one source (n = %d, b = %d)\n\n", n, b)
 	fmt.Printf("%5s %12s %14s %12s %22s\n", "T", "shipped bits", "rounds", "bits/round", "full window capacity")
 	for _, T := range []int{48, 96, 192} {
-		blocks, payload := T/8, 3*T/8
-		geo := stable.Geometry{
-			D:           maxInt(1, T/96),
-			ChunkBits:   chunkBits,
-			Chunks:      (blocks + payload + chunkBits - 1) / chunkBits,
-			Blocks:      blocks,
-			Payload:     payload,
-			BuildBudget: T / 2,
-		}
+		geo := stable.ScaledGeometry(b, T)
+		blocks, payload := geo.Blocks, geo.Payload
 
 		rng := rand.New(rand.NewSource(int64(T)))
 		initial := make([][]rlnc.Coded, n)
@@ -60,7 +52,7 @@ func main() {
 		}
 		tadv := adversary.NewTStable(adversary.NewRandomConnected(n, n, int64(T)), T)
 		s := dynnet.NewSession(n, tadv, dynnet.Config{BitBudget: b})
-		if _, err := stable.Broadcast(s, tadv, geo, initial, rngs, 0); err != nil {
+		if _, err := stable.Broadcast(s, tadv, geo, initial, rngs); err != nil {
 			log.Fatal(err)
 		}
 
@@ -75,11 +67,4 @@ func main() {
 	fmt.Println()
 	fmt.Println("capacity grows ~4x per T doubling (the (bT)^2 mechanism of Lemma 8.1);")
 	fmt.Println("every broadcast decoded at all nodes despite per-window topology changes")
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -33,18 +33,16 @@ func (m Message) Bits() int { return m.Coded.PayloadBits() }
 // Node is the centralized counterpart of rlnc.BroadcastNode: identical
 // coding state, header-free messages.
 type Node struct {
-	span     *rlnc.Span
-	rng      *rand.Rand
-	schedule int
-	elapsed  int
+	span *rlnc.Span
+	rng  *rand.Rand
 }
 
 var _ dynnet.Node = (*Node)(nil)
 
 // NewNode returns a centralized coding node. The rng models the shared
 // randomness source: the driver seeds all nodes from one stream.
-func NewNode(k, payloadBits, schedule int, initial []rlnc.Coded, rng *rand.Rand) *Node {
-	n := &Node{span: rlnc.NewSpan(k, payloadBits), rng: rng, schedule: schedule}
+func NewNode(k, payloadBits int, initial []rlnc.Coded, rng *rand.Rand) *Node {
+	n := &Node{span: rlnc.NewSpan(k, payloadBits), rng: rng}
 	for _, c := range initial {
 		n.span.Add(c)
 	}
@@ -70,11 +68,7 @@ func (n *Node) Receive(_ int, msgs []dynnet.Message) {
 			n.span.Add(cm.Coded)
 		}
 	}
-	n.elapsed++
 }
-
-// Done reports whether the schedule elapsed.
-func (n *Node) Done() bool { return n.elapsed >= n.schedule }
 
 // Run executes Corollary 2.6's randomized centralized k-indexed
 // broadcast: one token per node for i < k, message budget exactly d
@@ -83,9 +77,7 @@ func (n *Node) Done() bool { return n.elapsed >= n.schedule }
 func Run(n, k, d int, adv dynnet.Adversary, seed int64) (int, error) {
 	rng := rand.New(rand.NewSource(seed))
 	payloads := make([]gf.BitVec, k)
-	nodes := make([]dynnet.Node, n)
-	impls := make([]*Node, n)
-	schedule := rlnc.DefaultSchedule(n, k)
+	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
 		var initial []rlnc.Coded
 		if i < k {
@@ -93,24 +85,22 @@ func Run(n, k, d int, adv dynnet.Adversary, seed int64) (int, error) {
 			initial = []rlnc.Coded{rlnc.Encode(i, k, payloads[i])}
 		}
 		nrng := rand.New(rand.NewSource(seed + 7919*int64(i+1)))
-		impls[i] = NewNode(k, d, schedule, initial, nrng)
-		nodes[i] = impls[i]
+		nodes[i] = NewNode(k, d, initial, nrng)
 	}
-	e := dynnet.NewEngine(nodes, adv, dynnet.Config{BitBudget: d})
-	rounds, err := e.Run()
-	if err != nil {
-		return rounds, err
+	s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: d})
+	if err := dynnet.Run(s, nodes, rlnc.DefaultSchedule(n, k)); err != nil {
+		return s.Round(), err
 	}
-	for i, impl := range impls {
-		got, err := impl.Span().Decode()
+	for i, nd := range nodes {
+		got, err := nd.Span().Decode()
 		if err != nil {
-			return rounds, fmt.Errorf("central: node %d: %w", i, err)
+			return s.Round(), fmt.Errorf("central: node %d: %w", i, err)
 		}
 		for j := range payloads {
 			if !got[j].Equal(payloads[j]) {
-				return rounds, fmt.Errorf("central: node %d decoded token %d incorrectly", i, j)
+				return s.Round(), fmt.Errorf("central: node %d decoded token %d incorrectly", i, j)
 			}
 		}
 	}
-	return rounds, nil
+	return s.Round(), nil
 }

@@ -6,13 +6,18 @@
 // sub-phase, doubling on failure. Because schedules grow geometrically,
 // the total cost is dominated by the final (successful) phase — the
 // "factor of two" remark of Section 4.1 that experiment E7 measures.
+// Run and RunCoded are one doubling loop (run); they differ in one
+// optional stage, the coded confirmation of the indexed IDs.
 package count
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/dynnet"
 	"repro/internal/forwarding"
+	"repro/internal/gf"
+	"repro/internal/rlnc"
 	"repro/internal/token"
 )
 
@@ -31,12 +36,70 @@ type Result struct {
 }
 
 // Run counts an n-node network with b-bit messages. Nodes do not use n
-// except through the engine; the dissemination schedule in each phase
+// except through the session; the dissemination schedule in each phase
 // depends only on the current estimate m. Failure of a phase (some node
 // would not have terminated consistently) is detected by the harness
 // standing in for the paper's deferred detection mechanism, and the
 // verification rounds the mechanism would cost are charged.
 func Run(n, b int, adv dynnet.Adversary, seed int64) (Result, error) {
+	return run(n, b, adv, nil)
+}
+
+// RunCoded is the counting application built on Corollary 7.1's coded
+// dissemination instead of pure flooding: each phase floods the m
+// smallest IDs to establish an indexing (as Run does) and then confirms
+// them with a network-coded indexed broadcast whose payloads are the
+// IDs themselves. For log-sized tokens the indexing flood dominates, so
+// coded counting costs the same order as flooding-based counting — the
+// paper's observation that Corollary 7.1 "cannot lead to any
+// improvement" when the tokens are themselves O(log n) bits. The
+// function exists to measure exactly that, and as a second full client
+// of the coding stack.
+func RunCoded(n, b int, adv dynnet.Adversary, seed int64) (Result, error) {
+	return run(n, b, adv, func(s *dynnet.Session, m int, ids []uint64, known []map[uint64]bool) error {
+		// The ID coefficient header must fit alongside the 64-bit
+		// payload.
+		if len(ids) == 0 || len(ids)+token.UIDBits > b {
+			return nil
+		}
+		// Index i carries ID ids[i]; a node injects the IDs it knows.
+		kDims := len(ids)
+		initial := make([][]rlnc.Coded, n)
+		rngs := make([]*rand.Rand, n)
+		for i := range initial {
+			for idx, id := range ids {
+				if known[i][id] {
+					payload := gf.NewBitVec(token.UIDBits)
+					payload.SetWord(0, id)
+					initial[i] = append(initial[i], rlnc.Encode(idx, kDims, payload))
+				}
+			}
+			rngs[i] = rand.New(rand.NewSource(seed + int64(i)*271 + 5))
+		}
+		nodes, err := rlnc.IndexedBroadcast(s, kDims, token.UIDBits, initial, rngs, rlnc.DefaultSchedule(2*m, kDims), false)
+		if err != nil {
+			return err
+		}
+		// Nodes that decode merge the confirmed IDs; with m >= n the
+		// schedule guarantees this whp.
+		for i, nd := range nodes {
+			payloads, err := nd.Span().Decode()
+			if err != nil {
+				continue // counts as a failed phase in verification
+			}
+			for _, p := range payloads {
+				known[i][p.Word(0)] = true
+			}
+		}
+		return nil
+	})
+}
+
+// run is the estimate-doubling loop. confirm, when non-nil, is the one
+// optional stage of a phase: it runs between the indexing flood and the
+// verification, and what nodes learn in the phase is then what it
+// teaches them instead of the flood's list.
+func run(n, b int, adv dynnet.Adversary, confirm func(s *dynnet.Session, m int, ids []uint64, known []map[uint64]bool) error) (Result, error) {
 	if n < 1 {
 		return Result{}, fmt.Errorf("count: n must be >= 1")
 	}
@@ -60,11 +123,11 @@ func Run(n, b int, adv dynnet.Adversary, seed int64) (Result, error) {
 		if res.Phases > 64 {
 			return Result{}, fmt.Errorf("count: estimate overflow")
 		}
-		phaseStart := s.Metrics().Rounds
+		phaseStart := s.Round()
 
 		// Dissemination schedule for estimate m: flood the m smallest
-		// IDs in sub-phases of m rounds each. With m >= n this floods
-		// every ID to every node.
+		// IDs in sub-phases of m rounds each (the Corollary 7.1
+		// bottleneck). With m >= n this floods every ID to every node.
 		for i := range own {
 			own[i] = own[i][:0]
 			for id := range known[i] {
@@ -77,12 +140,20 @@ func Run(n, b int, adv dynnet.Adversary, seed int64) (Result, error) {
 			// estimate is too small; charge it and double.
 			continue
 		}
-		// Merge what the flood taught each node. (FloodSmallestMulti
-		// returns the agreed global list; per-node merges below model
-		// each node retaining everything it heard.)
-		for i := range known {
-			for _, id := range ids {
-				known[i][id] = true
+		if confirm != nil {
+			// The flood only indexed the IDs; nodes learn them from the
+			// confirmation broadcast.
+			if err := confirm(s, m, ids, known); err != nil {
+				return Result{}, err
+			}
+		} else {
+			// Merge what the flood taught each node. (FloodSmallestMulti
+			// returns the agreed global list; per-node merges below
+			// model each node retaining everything it heard.)
+			for i := range known {
+				for _, id := range ids {
+					known[i][id] = true
+				}
 			}
 		}
 
@@ -91,23 +162,17 @@ func Run(n, b int, adv dynnet.Adversary, seed int64) (Result, error) {
 		// failed; the harness also fails the phase when some node's
 		// knowledge is incomplete (the paper's full detection mechanism
 		// is deferred to its full version).
-		counts := make([]int, n)
-		for i := range known {
-			counts[i] = len(known[i])
-		}
-		verify := make([]dynnet.Node, n)
-		impls := make([]*forwarding.MaxFloodNode, n)
+		verify := make([]*forwarding.MaxFloodNode, n)
 		for i := range verify {
-			impls[i] = forwarding.NewMaxFloodNode(uint64(counts[i]), 32, m)
-			verify[i] = impls[i]
+			verify[i] = forwarding.NewMaxFloodNode(uint64(len(known[i])), 32)
 		}
-		if err := s.RunFixed(verify, m); err != nil {
+		if err := dynnet.Run(s, verify, m); err != nil {
 			return Result{}, err
 		}
 
 		failed := false
 		for i := range known {
-			if len(known[i]) != n || int(impls[i].Best()) != len(known[i]) || len(known[i]) > m {
+			if len(known[i]) != n || int(verify[i].Best()) != len(known[i]) || len(known[i]) > m {
 				failed = true
 				break
 			}
@@ -115,8 +180,8 @@ func Run(n, b int, adv dynnet.Adversary, seed int64) (Result, error) {
 		if !failed {
 			res.N = n
 			res.Estimate = m
-			res.FinalPhaseRounds = s.Metrics().Rounds - phaseStart
-			res.TotalRounds = s.Metrics().Rounds
+			res.FinalPhaseRounds = s.Round() - phaseStart
+			res.TotalRounds = s.Round()
 			return res, nil
 		}
 	}

@@ -166,21 +166,19 @@ func RunOmniscientBroadcast(f gf.Field, n, payloadElems, schedule int, seed int6
 	mu[0] = 1 // target: the direction of token 0
 	adv := NewStallAdversary(f, mu, seed+1)
 
-	nodes := make([]dynnet.Node, n)
-	impls := make([]*rlnc.GBroadcastNode, n)
+	nodes := make([]*rlnc.GBroadcastNode, n)
 	for i := 0; i < n; i++ {
 		payload := gf.RandomVec(f, payloadElems, rng.Uint64)
 		nrng := rand.New(rand.NewSource(seed + 1000 + int64(i)))
-		impls[i] = rlnc.NewGBroadcastNode(f, n, payloadElems, schedule, []rlnc.GCoded{rlnc.GEncode(f, i, n, payload)}, nrng)
-		nodes[i] = impls[i]
+		nodes[i] = rlnc.NewGBroadcastNode(f, n, payloadElems, []rlnc.GCoded{rlnc.GEncode(f, i, n, payload)}, nrng)
 	}
-	e := dynnet.NewEngine(nodes, adv, dynnet.Config{})
-	if _, err := e.Run(); err != nil {
+	s := dynnet.NewSession(n, adv, dynnet.Config{})
+	if err := dynnet.Run(s, nodes, schedule); err != nil {
 		return false, adv.Stalls, adv.Rounds, err
 	}
 	decodedAll = true
-	for _, impl := range impls {
-		if !impl.Span().CanDecode() {
+	for _, nd := range nodes {
+		if !nd.Span().CanDecode() {
 			decodedAll = false
 			break
 		}

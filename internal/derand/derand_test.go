@@ -139,18 +139,16 @@ func TestDeterministicScheduleDecodesAgainstStaller(t *testing.T) {
 	coeff := AdviceSchedule(f, 11)
 
 	rng := rand.New(rand.NewSource(9))
-	nodes := make([]dynnet.Node, n)
 	impls := make([]*rlnc.GBroadcastNode, n)
 	for i := 0; i < n; i++ {
 		payload := gf.RandomVec(f, pe, rng.Uint64)
 		node := i
-		impls[i] = rlnc.NewScheduledBroadcastNode(f, n, pe, schedule,
+		impls[i] = rlnc.NewScheduledBroadcastNode(f, n, pe,
 			[]rlnc.GCoded{rlnc.GEncode(f, i, n, payload)},
 			func(round, row int) uint64 { return coeff(node, round, row) })
-		nodes[i] = impls[i]
 	}
-	e := dynnet.NewEngine(nodes, adv, dynnet.Config{})
-	if _, err := e.Run(); err != nil {
+	s := dynnet.NewSession(n, adv, dynnet.Config{})
+	if err := dynnet.Run(s, impls, schedule); err != nil {
 		t.Fatal(err)
 	}
 	for i, impl := range impls {

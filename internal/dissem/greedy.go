@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dynnet"
 	"repro/internal/forwarding"
+	"repro/internal/gf"
 	"repro/internal/rlnc"
 	"repro/internal/token"
 )
@@ -56,95 +57,79 @@ func (bp blockPlan) usedBlocks(count int) int {
 	return blocks
 }
 
-// packLeaderBlocks packs up to blocks*plan.m of the leader's eligible
-// tokens into exactly blocks blocks (padding the tail with empty blocks
-// so the coefficient dimension is fixed and known to everyone).
-func packLeaderBlocks(leader *token.Set, st *state, plan blockPlan, blocks int) ([]rlnc.Coded, []token.Token, error) {
-	var chosen []token.Token
-	for _, t := range leader.Tokens() {
-		if st.eligible(t.UID) {
-			chosen = append(chosen, t)
-			if len(chosen) == blocks*plan.m {
-				break
-			}
-		}
-	}
+// packLeaderBlocks packs up to blocks*m of the leader's unbroadcast
+// tokens into exactly blocks blocks of m tokens, each zero-padded to
+// payloadBits (the tail padded with empty blocks so the coefficient
+// dimension is fixed and known to everyone).
+func (st *state) packLeaderBlocks(leader, m, d, blocks, payloadBits int) ([]rlnc.Coded, error) {
+	chosen := st.unbroadcast(leader, blocks*m)
 	initial := make([]rlnc.Coded, blocks)
-	for blk := 0; blk < blocks; blk++ {
-		lo := blk * plan.m
-		hi := lo + plan.m
-		if lo > len(chosen) {
-			lo = len(chosen)
-		}
-		if hi > len(chosen) {
-			hi = len(chosen)
-		}
-		packed, err := token.PackBlock(chosen[lo:hi], plan.m, st.d())
+	for blk := range initial {
+		lo, hi := min(blk*m, len(chosen)), min((blk+1)*m, len(chosen))
+		packed, err := token.PackBlock(chosen[lo:hi], m, d)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		initial[blk] = rlnc.Encode(blk, blocks, packed)
+		padded := gf.NewBitVec(payloadBits)
+		packed.CopyInto(padded, 0)
+		initial[blk] = rlnc.Encode(blk, blocks, padded)
 	}
-	return initial, chosen, nil
+	return initial, nil
 }
 
-// d returns the payload size of the tokens in the run (uniform by
-// construction of the distributions).
-func (st *state) d() int {
-	for _, set := range st.sets {
-		for _, t := range set.Tokens() {
-			return t.D()
-		}
+// A broadcast ships the gathered tokens of the node random-forward
+// identified to everyone, and delivers them.
+type broadcast func(s *dynnet.Session, st *state, res forwarding.RandomForwardResult) error
+
+// gathered is the step the three gathering-based algorithms share:
+// gather with random-forward (2n rounds), identify a node with the
+// maximum count of unbroadcast tokens (n rounds), and hand it to the
+// broadcast, the one place they differ.
+func gathered(p Params, ship broadcast) (step, error) {
+	c, err := forwarding.TokensPerMessage(p.B, p.D)
+	if err != nil {
+		return nil, err
 	}
-	return 0
+	return func(s *dynnet.Session, st *state) (bool, error) {
+		res, err := forwarding.RandomForward(s, st.sets, st.eligible, c, 2*s.N(), st.rngs)
+		if err != nil || res.Count == 0 {
+			return false, err
+		}
+		return true, ship(s, st, res)
+	}, nil
+}
+
+// greedyBroadcast is the Theorem 7.3 broadcast: the identified node packs
+// up to b^2/d of its tokens into blocks and one O(n)-round network-coded
+// indexed broadcast delivers them.
+func greedyBroadcast(plan blockPlan, d int) broadcast {
+	return func(s *dynnet.Session, st *state, res forwarding.RandomForwardResult) error {
+		blocks := plan.usedBlocks(res.Count)
+		packed, err := st.packLeaderBlocks(res.Identified, plan.m, d, blocks, plan.blockBits)
+		if err != nil {
+			return err
+		}
+		initial := make([][]rlnc.Coded, s.N())
+		initial[res.Identified] = packed
+		payloads, err := codedBroadcast(s, st, blocks, plan.blockBits, initial)
+		if err != nil {
+			return err
+		}
+		return st.deliverBlocks(payloads, plan.m, d)
+	}
 }
 
 // GreedyForward is the Theorem 7.3 algorithm: while tokens remain,
-// gather with random-forward (O(n) rounds), identify a node with the
-// maximum count of unbroadcast tokens (n rounds), and let it broadcast
-// up to b^2/d of them in one O(n)-round network-coded indexed broadcast.
-// Total: O(nkd/b^2 + nb) rounds.
+// gather, identify, and let the identified node broadcast up to b^2/d
+// tokens. Total: O(nkd/b^2 + nb) rounds.
 func GreedyForward(dist token.Distribution, p Params, adv dynnet.Adversary) (Result, error) {
-	n := len(dist)
-	st := newState(dist, p.Seed)
-	s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: p.B})
-
 	plan, err := planBlocks(p.B, p.D)
 	if err != nil {
 		return Result{}, err
 	}
-	c, err := forwarding.TokensPerMessage(p.B, p.D)
+	next, err := gathered(p, greedyBroadcast(plan, p.D))
 	if err != nil {
 		return Result{}, err
 	}
-
-	iters := 0
-	for st.remaining() > 0 {
-		if iters++; iters > p.maxIterations(st.k) {
-			return Result{}, fmt.Errorf("dissem: greedy exceeded %d iterations", p.maxIterations(st.k))
-		}
-		res, err := forwarding.RandomForward(s, st.sets, st.eligible, c, 2*n, st.rngs)
-		if err != nil {
-			return Result{}, err
-		}
-		if res.Count == 0 {
-			break
-		}
-		blocks := plan.usedBlocks(res.Count)
-		initial := make([][]rlnc.Coded, n)
-		leaderInit, _, err := packLeaderBlocks(st.sets[res.Identified], st, plan, blocks)
-		if err != nil {
-			return Result{}, err
-		}
-		initial[res.Identified] = leaderInit
-		if err := broadcastAndDeliver(s, st, plan, blocks, p.D, initial); err != nil {
-			return Result{}, err
-		}
-	}
-
-	if err := st.verify(dist); err != nil {
-		return Result{}, err
-	}
-	m := s.Metrics()
-	return Result{Rounds: m.Rounds, Bits: m.Bits, Messages: m.Messages, Iterations: iters}, nil
+	return disseminate("greedy", dist, p, adv, next)
 }

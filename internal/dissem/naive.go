@@ -17,56 +17,26 @@ import (
 // log(n)/d factor better than forwarding, which is why Section 7 then
 // develops the gathering-based algorithms.
 func Naive(dist token.Distribution, p Params, adv dynnet.Adversary) (Result, error) {
-	n := len(dist)
-	st := newState(dist, p.Seed)
-	s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: p.B})
-
 	// g UIDs of UIDBits each per message, and g coefficients + d payload
 	// must also fit one message in the broadcast step.
-	g := (p.B - token.CountBits) / token.UIDBits
-	if g > p.B-p.D {
-		g = p.B - p.D
-	}
+	g := min((p.B-token.CountBits)/token.UIDBits, p.B-p.D)
 	if g < 1 {
 		return Result{}, fmt.Errorf("dissem: budget b=%d too small for naive indexing with d=%d", p.B, p.D)
 	}
-
-	iters := 0
-	for st.remaining() > 0 {
-		if iters++; iters > p.maxIterations(st.k) {
-			return Result{}, fmt.Errorf("dissem: naive exceeded %d iterations", p.maxIterations(st.k))
-		}
-
-		// Phase 1: flood the g smallest eligible UIDs for n rounds.
-		nodes := make([]dynnet.Node, n)
-		impls := make([]*forwarding.SmallestFloodNode, n)
-		for i := range nodes {
-			var own []uint64
-			for _, t := range st.sets[i].Tokens() {
-				if st.eligible(t.UID) {
-					own = append(own, uint64(t.UID))
-				}
-			}
-			impls[i] = forwarding.NewSmallestFloodNode(own, g, g, token.UIDBits, n)
-			nodes[i] = impls[i]
-		}
-		if err := s.RunFixed(nodes, n); err != nil {
-			return Result{}, err
-		}
-		chosen := impls[0].Smallest()
-		for i := 1; i < n; i++ {
-			other := impls[i].Smallest()
-			if len(other) != len(chosen) {
-				return Result{}, fmt.Errorf("dissem: naive: nodes disagree on chosen UID count")
-			}
-			for j := range chosen {
-				if other[j] != chosen[j] {
-					return Result{}, fmt.Errorf("dissem: naive: nodes disagree on chosen UIDs")
-				}
+	return disseminate("naive", dist, p, adv, func(s *dynnet.Session, st *state) (bool, error) {
+		// Phase 1: flood the g smallest eligible UIDs for n rounds. They
+		// fit one message, so this is a single flooding phase, after
+		// which every node holds the same sorted list.
+		n := s.N()
+		own := make([][]uint64, n)
+		for i := range own {
+			for _, t := range st.unbroadcast(i, -1) {
+				own[i] = append(own[i], uint64(t.UID))
 			}
 		}
-		if len(chosen) == 0 {
-			break
+		chosen, err := forwarding.FloodSmallestMulti(s, own, g, g, token.UIDBits, n)
+		if err != nil || len(chosen) == 0 {
+			return false, err
 		}
 
 		// Phase 2: coded indexed broadcast of the chosen tokens, indexed
@@ -82,18 +52,13 @@ func Naive(dist token.Distribution, p Params, adv dynnet.Adversary) (Result, err
 		}
 		payloads, err := codedBroadcast(s, st, kDims, p.D, initial)
 		if err != nil {
-			return Result{}, err
+			return false, err
 		}
 		delivered := make([]token.Token, kDims)
 		for idx, u := range chosen {
 			delivered[idx] = token.Token{UID: token.UID(u), Payload: payloads[idx]}
 		}
 		st.deliver(delivered)
-	}
-
-	if err := st.verify(dist); err != nil {
-		return Result{}, err
-	}
-	m := s.Metrics()
-	return Result{Rounds: m.Rounds, Bits: m.Bits, Messages: m.Messages, Iterations: iters}, nil
+		return true, nil
+	})
 }

@@ -29,15 +29,7 @@ func priorityOwnerIdx(v uint64) (owner, idx int) {
 // with network-coded indexed broadcast. The random selection guarantees
 // every token's copy count decays geometrically (Lemma 7.4).
 func PriorityForward(dist token.Distribution, p Params, adv dynnet.Adversary) (Result, error) {
-	n := len(dist)
-	st := newState(dist, p.Seed)
-	s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: p.B})
-
 	plan, err := planBlocks(p.B, p.D)
-	if err != nil {
-		return Result{}, err
-	}
-	c, err := forwarding.TokensPerMessage(p.B, p.D)
 	if err != nil {
 		return Result{}, err
 	}
@@ -45,62 +37,33 @@ func PriorityForward(dist token.Distribution, p Params, adv dynnet.Adversary) (R
 	if perMsg < 1 {
 		return Result{}, fmt.Errorf("dissem: budget b=%d cannot flood 64-bit priorities", p.B)
 	}
-
-	iters := 0
-	for st.remaining() > 0 {
-		if iters++; iters > p.maxIterations(st.k) {
-			return Result{}, fmt.Errorf("dissem: priority exceeded %d iterations", p.maxIterations(st.k))
-		}
-		res, err := forwarding.RandomForward(s, st.sets, st.eligible, c, 2*n, st.rngs)
-		if err != nil {
-			return Result{}, err
-		}
-		if res.Count == 0 {
-			break
-		}
+	greedy := greedyBroadcast(plan, p.D)
+	next, err := gathered(p, func(s *dynnet.Session, st *state, res forwarding.RandomForwardResult) error {
 		if res.Count >= plan.capacity() {
 			// Gathering still works: use the greedy step.
-			blocks := plan.usedBlocks(res.Count)
-			initial := make([][]rlnc.Coded, n)
-			leaderInit, _, err := packLeaderBlocks(st.sets[res.Identified], st, plan, blocks)
-			if err != nil {
-				return Result{}, err
-			}
-			initial[res.Identified] = leaderInit
-			if err := broadcastAndDeliver(s, st, plan, blocks, p.D, initial); err != nil {
-				return Result{}, err
-			}
-			continue
+			return greedy(s, st, res)
 		}
 
 		// Priority step. Every node chunks its eligible tokens into
 		// blocks of m and draws a random priority per block.
+		n := s.N()
 		blocks := make([][][]token.Token, n) // node -> block idx -> tokens
 		own := make([][]uint64, n)
-		for i := range st.sets {
-			var eligibleTokens []token.Token
-			for _, t := range st.sets[i].Tokens() {
-				if st.eligible(t.UID) {
-					eligibleTokens = append(eligibleTokens, t)
-				}
-			}
-			for lo := 0; lo < len(eligibleTokens); lo += plan.m {
-				hi := lo + plan.m
-				if hi > len(eligibleTokens) {
-					hi = len(eligibleTokens)
-				}
+		for i := range blocks {
+			eligible := st.unbroadcast(i, -1)
+			for lo := 0; lo < len(eligible); lo += plan.m {
 				idx := len(blocks[i])
-				blocks[i] = append(blocks[i], eligibleTokens[lo:hi])
+				blocks[i] = append(blocks[i], eligible[lo:min(lo+plan.m, len(eligible))])
 				own[i] = append(own[i], priorityValue(st.rngs[i].Uint32(), i, idx))
 			}
 		}
 
 		chosen, err := forwarding.FloodSmallestMulti(s, own, plan.numBlocks, perMsg, 64, n)
 		if err != nil {
-			return Result{}, err
+			return err
 		}
 		if len(chosen) == 0 {
-			return Result{}, fmt.Errorf("dissem: priority: tokens remain but no blocks selected")
+			return fmt.Errorf("dissem: priority: tokens remain but no blocks selected")
 		}
 
 		// Selected blocks are indexed by their position in the chosen
@@ -110,52 +73,22 @@ func PriorityForward(dist token.Distribution, p Params, adv dynnet.Adversary) (R
 		for slot, v := range chosen {
 			owner, idx := priorityOwnerIdx(v)
 			if owner >= n || idx >= len(blocks[owner]) {
-				return Result{}, fmt.Errorf("dissem: priority: chosen value decodes to unknown block (%d,%d)", owner, idx)
+				return fmt.Errorf("dissem: priority: chosen value decodes to unknown block (%d,%d)", owner, idx)
 			}
 			packed, err := token.PackBlock(blocks[owner][idx], plan.m, p.D)
 			if err != nil {
-				return Result{}, err
+				return err
 			}
 			initial[owner] = append(initial[owner], rlnc.Encode(slot, kDims, packed))
 		}
 		payloads, err := codedBroadcast(s, st, kDims, plan.blockBits, initial)
 		if err != nil {
-			return Result{}, err
+			return err
 		}
-		var delivered []token.Token
-		for _, pb := range payloads {
-			ts, err := token.UnpackBlock(pb, plan.m, p.D)
-			if err != nil {
-				return Result{}, fmt.Errorf("dissem: priority: decoded block corrupt: %w", err)
-			}
-			delivered = append(delivered, ts...)
-		}
-		st.deliver(delivered)
-	}
-
-	if err := st.verify(dist); err != nil {
+		return st.deliverBlocks(payloads, plan.m, p.D)
+	})
+	if err != nil {
 		return Result{}, err
 	}
-	m := s.Metrics()
-	return Result{Rounds: m.Rounds, Bits: m.Bits, Messages: m.Messages, Iterations: iters}, nil
-}
-
-// broadcastAndDeliver runs a coded broadcast of pre-packed leader blocks
-// over the given coefficient dimension and delivers the decoded tokens
-// (the greedy step shared by both gathering-based algorithms).
-func broadcastAndDeliver(s *dynnet.Session, st *state, plan blockPlan, blocks, d int, initial [][]rlnc.Coded) error {
-	payloads, err := codedBroadcast(s, st, blocks, plan.blockBits, initial)
-	if err != nil {
-		return err
-	}
-	var delivered []token.Token
-	for _, pb := range payloads {
-		ts, err := token.UnpackBlock(pb, plan.m, d)
-		if err != nil {
-			return fmt.Errorf("dissem: decoded block corrupt: %w", err)
-		}
-		delivered = append(delivered, ts...)
-	}
-	st.deliver(delivered)
-	return nil
+	return disseminate("priority", dist, p, adv, next)
 }

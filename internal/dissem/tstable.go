@@ -6,7 +6,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/dynnet"
 	"repro/internal/forwarding"
-	"repro/internal/gf"
 	"repro/internal/rlnc"
 	"repro/internal/stable"
 	"repro/internal/token"
@@ -21,93 +20,40 @@ import (
 func TStableDisseminate(dist token.Distribution, p Params, t int, inner dynnet.Adversary) (Result, error) {
 	n := len(dist)
 	tadv := adversary.NewTStable(inner, t)
-	st := newState(dist, p.Seed)
-	s := dynnet.NewSession(n, tadv, dynnet.Config{BitBudget: p.B})
-
 	fullGeo, err := stable.PlanGeometry(n, p.B, t)
 	if err != nil {
 		return Result{}, err
 	}
-	c, err := forwarding.TokensPerMessage(p.B, p.D)
-	if err != nil {
-		return Result{}, err
-	}
-
-	iters := 0
-	for st.remaining() > 0 {
-		if iters++; iters > p.maxIterations(st.k) {
-			return Result{}, fmt.Errorf("dissem: T-stable exceeded %d iterations", p.maxIterations(st.k))
-		}
-		res, err := forwarding.RandomForward(s, st.sets, st.eligible, c, 2*n, st.rngs)
-		if err != nil {
-			return Result{}, err
-		}
-		if res.Count == 0 {
-			break
-		}
+	next, err := gathered(p, func(s *dynnet.Session, st *state, res forwarding.RandomForwardResult) error {
 		// Size the coded vector to the remaining workload (smaller
 		// vectors mean cheaper meta-rounds; the full geometry is the
 		// (bT)^2 capacity ceiling). Capacity scales as L^2, so the
 		// needed vector length scales as the square root of the
 		// remaining bits.
 		remBits := st.remaining() * (token.UIDBits + p.D + token.CountBits)
-		needBits := 2*intSqrt(remBits) + 256
-		geo := fullGeo.Shrink(needBits)
+		geo := fullGeo.Shrink(2*intSqrt(remBits) + 256)
 		m := token.TokensPerBlock(geo.Payload, p.D)
 		if m < 1 {
-			return Result{}, fmt.Errorf("dissem: T-stable geometry payload %d bits cannot hold a d=%d token", geo.Payload, p.D)
+			return fmt.Errorf("dissem: T-stable geometry payload %d bits cannot hold a d=%d token", geo.Payload, p.D)
 		}
-		capacity := geo.Blocks * m
-
-		// The leader packs up to capacity tokens into geo.Blocks padded
-		// blocks of geo.Payload bits each.
-		var chosen []token.Token
-		for _, tk := range st.sets[res.Identified].Tokens() {
-			if st.eligible(tk.UID) {
-				chosen = append(chosen, tk)
-				if len(chosen) == capacity {
-					break
-				}
-			}
+		// The leader packs up to geo.Blocks*m tokens into geo.Blocks
+		// blocks, padded up to the geometry payload.
+		packed, err := st.packLeaderBlocks(res.Identified, m, p.D, geo.Blocks, geo.Payload)
+		if err != nil {
+			return err
 		}
 		initial := make([][]rlnc.Coded, n)
-		for blk := 0; blk < geo.Blocks; blk++ {
-			lo, hi := blk*m, (blk+1)*m
-			if lo > len(chosen) {
-				lo = len(chosen)
-			}
-			if hi > len(chosen) {
-				hi = len(chosen)
-			}
-			packed, err := token.PackBlock(chosen[lo:hi], m, p.D)
-			if err != nil {
-				return Result{}, err
-			}
-			// Blocks of geo.Payload bits: PackBlock yields BlockBits(m, d)
-			// bits, padded up to the geometry payload.
-			vec := rlnc.Encode(blk, geo.Blocks, padTo(packed, geo.Payload))
-			initial[res.Identified] = append(initial[res.Identified], vec)
-		}
-		payloads, err := stable.Broadcast(s, tadv, geo, initial, st.rngs, 0)
+		initial[res.Identified] = packed
+		payloads, err := stable.Broadcast(s, tadv, geo, initial, st.rngs)
 		if err != nil {
-			return Result{}, err
+			return err
 		}
-		var delivered []token.Token
-		for _, pb := range payloads[0] {
-			ts, err := token.UnpackBlock(pb.Slice(0, token.BlockBits(m, p.D)), m, p.D)
-			if err != nil {
-				return Result{}, fmt.Errorf("dissem: T-stable decoded block corrupt: %w", err)
-			}
-			delivered = append(delivered, ts...)
-		}
-		st.deliver(delivered)
-	}
-
-	if err := st.verify(dist); err != nil {
+		return st.deliverBlocks(payloads[0], m, p.D)
+	})
+	if err != nil {
 		return Result{}, err
 	}
-	met := s.Metrics()
-	return Result{Rounds: met.Rounds, Bits: met.Bits, Messages: met.Messages, Iterations: iters}, nil
+	return disseminate("T-stable", dist, p, tadv, next)
 }
 
 // intSqrt returns floor(sqrt(x)) for x >= 0.
@@ -120,14 +66,4 @@ func intSqrt(x int) int {
 		r++
 	}
 	return r
-}
-
-// padTo extends v with zero bits to exactly n bits.
-func padTo(v gf.BitVec, n int) gf.BitVec {
-	if v.Len() == n {
-		return v
-	}
-	out := gf.NewBitVec(n)
-	v.CopyInto(out, 0)
-	return out
 }

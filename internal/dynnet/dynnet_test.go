@@ -2,6 +2,7 @@ package dynnet
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -12,132 +13,141 @@ type bitMsg int
 
 func (m bitMsg) Bits() int { return int(m) }
 
-// floodNode learns a bit and rebroadcasts it; terminates after a fixed
-// number of rounds.
-type floodNode struct {
-	informed bool
-	rounds   int
-	maxRound int
-}
+// floodNode learns a bit and rebroadcasts it.
+type floodNode struct{ informed bool }
 
 type floodMsg struct{}
 
 func (floodMsg) Bits() int { return 1 }
 
-func (n *floodNode) Send(round int) Message {
+func (n *floodNode) Send(int) Message {
 	if n.informed {
 		return floodMsg{}
 	}
 	return nil
 }
 
-func (n *floodNode) Receive(round int, msgs []Message) {
+func (n *floodNode) Receive(_ int, msgs []Message) {
 	if len(msgs) > 0 {
 		n.informed = true
 	}
-	n.rounds++
 }
 
-func (n *floodNode) Done() bool { return n.rounds >= n.maxRound }
+// staticAdv serves one graph and counts how often it is consulted.
+type staticAdv struct {
+	g     *graph.Graph
+	calls int
+}
 
-type staticAdv struct{ g *graph.Graph }
-
-func (a staticAdv) Graph(int, []Node) *graph.Graph { return a.g }
+func (a *staticAdv) Graph(int, []Node) *graph.Graph { a.calls++; return a.g }
 
 func TestFloodOnPathTakesDiameterRounds(t *testing.T) {
-	const n = 8
-	nodes := make([]Node, n)
-	impls := make([]*floodNode, n)
+	const n = 8 // a path of diameter n-1
+	nodes := make([]*floodNode, n)
 	for i := range nodes {
-		impls[i] = &floodNode{maxRound: n}
-		nodes[i] = impls[i]
+		nodes[i] = &floodNode{}
 	}
-	impls[0].informed = true
-	e := NewEngine(nodes, staticAdv{g: graph.Path(n)}, Config{BitBudget: 8})
-	rounds, err := e.Run()
-	if err != nil {
+	nodes[0].informed = true
+	s := NewSession(n, &staticAdv{g: graph.Path(n)}, Config{BitBudget: 8})
+	if err := Run(s, nodes, n-2); err != nil {
 		t.Fatal(err)
 	}
-	if rounds != n {
-		t.Errorf("ran %d rounds, want %d", rounds, n)
+	if nodes[n-1].informed {
+		t.Errorf("far end informed after %d rounds, diameter is %d", n-2, n-1)
 	}
-	for i, fn := range impls {
+	if err := Run(s, nodes, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i, fn := range nodes {
 		if !fn.informed {
-			t.Errorf("node %d not informed after flooding", i)
+			t.Errorf("node %d not informed after diameter rounds", i)
 		}
 	}
-	// Node at distance d learns the bit in exactly d rounds; metrics
-	// should reflect one message per informed node per round.
-	if e.Metrics().Messages == 0 || e.Metrics().Bits == 0 {
-		t.Error("metrics not recorded")
+	// The node at distance d speaks from round d on: one message per
+	// informed node per round, one bit each.
+	want := 0
+	for r := 0; r < n-1; r++ {
+		want += r + 1
+	}
+	if m := s.Metrics(); m.Messages != want || m.Bits != int64(want) || m.MaxMessageBits != 1 {
+		t.Errorf("metrics = %+v, want %d one-bit messages", m, want)
+	}
+}
+
+// fixedSender broadcasts size bits every round and counts its calls.
+type fixedSender struct {
+	size            int
+	sends, receives int
+}
+
+func (s *fixedSender) Send(int) Message       { s.sends++; return bitMsg(s.size) }
+func (s *fixedSender) Receive(int, []Message) { s.receives++ }
+
+func senders(n, size int) []*fixedSender {
+	out := make([]*fixedSender, n)
+	for i := range out {
+		out[i] = &fixedSender{size: size}
+	}
+	return out
+}
+
+// TestPhaseCallsEveryNodeEveryRound is the phase contract: r rounds are
+// r Sends and r Receives on every node and r adversary consultations,
+// whatever the nodes think of the time.
+func TestPhaseCallsEveryNodeEveryRound(t *testing.T) {
+	const n, r = 5, 7
+	adv := &staticAdv{g: graph.Cycle(n)}
+	s := NewSession(n, adv, Config{})
+	nodes := senders(n, 1)
+	if err := Run(s, nodes, r); err != nil {
+		t.Fatal(err)
+	}
+	for i, nd := range nodes {
+		if nd.sends != r || nd.receives != r {
+			t.Errorf("node %d: %d sends, %d receives, want %d each", i, nd.sends, nd.receives, r)
+		}
+	}
+	if adv.calls != r {
+		t.Errorf("adversary consulted %d times, want %d", adv.calls, r)
+	}
+	if s.Round() != r || s.Metrics().Rounds != r {
+		t.Errorf("round = %d, metrics = %+v, want %d rounds", s.Round(), s.Metrics(), r)
 	}
 }
 
 func TestBudgetEnforced(t *testing.T) {
-	nodes := []Node{&fixedSender{size: 100, life: 3}, &fixedSender{size: 5, life: 3}}
-	e := NewEngine(nodes, staticAdv{g: graph.Path(2)}, Config{BitBudget: 50})
-	_, err := e.Run()
+	s := NewSession(2, &staticAdv{g: graph.Path(2)}, Config{BitBudget: 50})
+	err := Run(s, []*fixedSender{{size: 100}, {size: 5}}, 3)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("err = %v, want ErrBudgetExceeded", err)
 	}
 }
 
-type fixedSender struct {
-	size  int
-	life  int
-	round int
-}
-
-func (s *fixedSender) Send(int) Message       { return bitMsg(s.size) }
-func (s *fixedSender) Receive(int, []Message) { s.round++ }
-func (s *fixedSender) Done() bool             { return s.round >= s.life }
-
 func TestZeroBudgetDisablesEnforcement(t *testing.T) {
-	nodes := []Node{&fixedSender{size: 1 << 20, life: 1}, &fixedSender{size: 1, life: 1}}
-	e := NewEngine(nodes, staticAdv{g: graph.Path(2)}, Config{})
-	if _, err := e.Run(); err != nil {
+	s := NewSession(2, &staticAdv{g: graph.Path(2)}, Config{})
+	if err := Run(s, []*fixedSender{{size: 1 << 20}, {size: 1}}, 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestMaxRounds(t *testing.T) {
-	// A node that never terminates must trip the cap.
-	nodes := []Node{&fixedSender{size: 1, life: 1 << 30}}
-	e := NewEngine(nodes, staticAdv{g: graph.New(1)}, Config{MaxRounds: 10})
-	rounds, err := e.Run()
-	if !errors.Is(err, ErrMaxRounds) {
-		t.Errorf("err = %v, want ErrMaxRounds", err)
-	}
-	if rounds != 10 {
-		t.Errorf("rounds = %d, want 10", rounds)
-	}
-}
-
 func TestAdversaryGraphSizeChecked(t *testing.T) {
-	nodes := []Node{&fixedSender{size: 1, life: 5}}
-	e := NewEngine(nodes, staticAdv{g: graph.New(3)}, Config{})
-	if _, err := e.Run(); err == nil {
-		t.Error("mismatched graph size not rejected")
+	s := NewSession(1, &staticAdv{g: graph.New(3)}, Config{})
+	err := Run(s, senders(1, 1), 5)
+	if err == nil || !strings.Contains(err.Error(), "adversary graph has 3 vertices, want 1") {
+		t.Errorf("mismatched graph size: err = %v", err)
 	}
 }
 
 func TestConnectivityValidation(t *testing.T) {
 	disc := graph.New(3)
 	disc.AddEdge(0, 1) // vertex 2 isolated
-	mk := func() []Node {
-		return []Node{
-			&fixedSender{size: 1, life: 5},
-			&fixedSender{size: 1, life: 5},
-			&fixedSender{size: 1, life: 5},
-		}
-	}
-	e := NewEngine(mk(), staticAdv{g: disc}, Config{ValidateConnectivity: true})
-	if _, err := e.Run(); !errors.Is(err, ErrDisconnected) {
+	s := NewSession(3, &staticAdv{g: disc}, Config{ValidateConnectivity: true})
+	if err := Run(s, senders(3, 1), 5); !errors.Is(err, ErrDisconnected) {
 		t.Errorf("err = %v, want ErrDisconnected", err)
 	}
 	// Without validation the same topology is tolerated.
-	e = NewEngine(mk(), staticAdv{g: disc}, Config{})
-	if _, err := e.Run(); err != nil {
+	s = NewSession(3, &staticAdv{g: disc}, Config{})
+	if err := Run(s, senders(3, 1), 5); err != nil {
 		t.Errorf("unexpected error without validation: %v", err)
 	}
 }
@@ -160,9 +170,8 @@ func (o *omniProbe) GraphAfterMessages(round int, nodes []Node, msgs []Message) 
 
 func TestOmniscientOrdering(t *testing.T) {
 	probe := &omniProbe{}
-	nodes := []Node{&fixedSender{size: 1, life: 2}}
-	e := NewEngine(nodes, probe, Config{})
-	if _, err := e.Run(); err != nil {
+	s := NewSession(1, probe, Config{})
+	if err := Run(s, senders(1, 1), 2); err != nil {
 		t.Fatal(err)
 	}
 	if !probe.sawMsgs {
@@ -170,39 +179,22 @@ func TestOmniscientOrdering(t *testing.T) {
 	}
 }
 
-func TestDoneNodesStaySilent(t *testing.T) {
-	done := &fixedSender{size: 1, life: 0} // immediately done
-	live := &fixedSender{size: 1, life: 2}
-	e := NewEngine([]Node{done, live}, staticAdv{g: graph.Path(2)}, Config{})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// done had life 0: it must never have sent or received.
-	if done.round != 0 {
-		t.Errorf("done node received %d times, want 0", done.round)
-	}
-	if got := e.Metrics().Messages; got != 2 {
-		t.Errorf("messages = %d, want 2 (live node only)", got)
-	}
-}
-
+// TestSessionPhases: the round counter and the metrics carry across
+// phases, whatever node type each phase runs.
 func TestSessionPhases(t *testing.T) {
 	const n = 4
-	s := NewSession(n, staticAdv{g: graph.Cycle(n)}, Config{BitBudget: 8})
-	mk := func(life int) []Node {
-		out := make([]Node, n)
-		for i := range out {
-			out[i] = &fixedSender{size: 2, life: life}
-		}
-		return out
-	}
-	if err := s.RunFixed(mk(1000), 5); err != nil {
+	s := NewSession(n, &staticAdv{g: graph.Cycle(n)}, Config{BitBudget: 8})
+	if err := Run(s, senders(n, 2), 5); err != nil {
 		t.Fatal(err)
 	}
 	if s.Round() != 5 {
 		t.Errorf("round = %d, want 5", s.Round())
 	}
-	if err := s.RunUntilDone(mk(3)); err != nil {
+	informed := make([]*floodNode, n)
+	for i := range informed {
+		informed[i] = &floodNode{informed: true}
+	}
+	if err := Run(s, informed, 3); err != nil {
 		t.Fatal(err)
 	}
 	if s.Round() != 8 {
@@ -212,14 +204,15 @@ func TestSessionPhases(t *testing.T) {
 	if m.Rounds != 8 || m.Messages != 8*n {
 		t.Errorf("metrics = %+v", m)
 	}
-	if m.Bits != int64(8*n*2) {
-		t.Errorf("bits = %d, want %d", m.Bits, 8*n*2)
+	if m.Bits != int64(5*n*2+3*n) || m.MaxMessageBits != 2 {
+		t.Errorf("bits = %d, max = %d, want %d and 2", m.Bits, m.MaxMessageBits, 5*n*2+3*n)
 	}
 }
 
 func TestSessionWrongSize(t *testing.T) {
-	s := NewSession(3, staticAdv{g: graph.Path(3)}, Config{})
-	if err := s.RunFixed([]Node{&fixedSender{}}, 1); err == nil {
-		t.Error("phase with wrong node count accepted")
+	s := NewSession(3, &staticAdv{g: graph.Path(3)}, Config{})
+	err := Run(s, senders(1, 1), 1)
+	if err == nil || !strings.Contains(err.Error(), "phase has 1 nodes, session has 3") {
+		t.Errorf("phase with wrong node count: err = %v", err)
 	}
 }

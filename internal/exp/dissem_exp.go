@@ -6,10 +6,41 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/dissem"
+	"repro/internal/dynnet"
 	"repro/internal/forwarding"
 	"repro/internal/sim"
 	"repro/internal/token"
 )
+
+// nTokens is the instance E2–E4 sweep: n tokens of d bits, one per node,
+// against the random connected adversary, both rebuilt from the trial's
+// seed.
+func (c Config) nTokens(n, d int, seed int64) (token.Distribution, dynnet.Adversary) {
+	return token.OnePerNode(n, d, rand.New(rand.NewSource(c.Seed+seed))),
+		adversary.NewRandomConnected(n, n/2, c.Seed+seed)
+}
+
+// forwardTrial is one run of the Theorem 2.1 pipelined-flooding baseline
+// on the nTokens instance, in rounds.
+func (c Config) forwardTrial(n, b, d int) sim.TrialFunc {
+	return func(seed int64) (float64, error) {
+		dist, adv := c.nTokens(n, d, seed)
+		r, err := forwarding.RunPipelinedFlood(dist, n, b, d, adv)
+		return float64(r), err
+	}
+}
+
+// codedTrial is one run of a coded dissemination algorithm on the
+// nTokens instance.
+func (c Config) codedTrial(
+	algo func(token.Distribution, dissem.Params, dynnet.Adversary) (dissem.Result, error),
+	n, b, d int,
+) func(seed int64) (dissem.Result, error) {
+	return func(seed int64) (dissem.Result, error) {
+		dist, adv := c.nTokens(n, d, seed)
+		return algo(dist, dissem.Params{B: b, D: d, Seed: c.Seed + seed}, adv)
+	}
+}
 
 // E2 sweeps n (with k = n, d = 8, fixed b) and compares the Theorem 2.1
 // pipelined-flooding baseline against greedy-forward coding. The paper
@@ -30,24 +61,15 @@ func E2(cfg Config) (*sim.Table, error) {
 	prevRatio := 0.0
 	grew := true
 	for i, n := range ns {
-		n := n
-		fwd, err := cfg.sweep(cfg.trials(), func(seed int64) (float64, error) {
-			dist := token.OnePerNode(n, d, rand.New(rand.NewSource(cfg.Seed+seed)))
-			r, err := forwarding.RunPipelinedFlood(dist, n, b, d, adversary.NewRandomConnected(n, n/2, cfg.Seed+seed))
-			return float64(r), err
-		})
+		fwd, err := cfg.sweep(cfg.trials(), cfg.forwardTrial(n, b, d))
 		if err != nil {
 			return nil, err
 		}
-		cod, err := cfg.sweep(cfg.trials(), func(seed int64) (float64, error) {
-			dist := token.OnePerNode(n, d, rand.New(rand.NewSource(cfg.Seed+seed)))
-			res, err := dissem.GreedyForward(dist, dissem.Params{B: b, D: d, Seed: cfg.Seed + seed},
-				adversary.NewRandomConnected(n, n/2, cfg.Seed+seed))
-			return float64(res.Rounds), err
-		})
+		runs, err := sweepSeeded(cfg, cfg.trials(), cfg.codedTrial(dissem.GreedyForward, n, b, d))
 		if err != nil {
 			return nil, err
 		}
+		cod := sim.Summarize(roundsOf(runs))
 		ratio := fwd.Mean / cod.Mean
 		t.AddRow(sim.I(n), sim.F(fwd.Mean), sim.F(cod.Mean), sim.F(ratio))
 		if i > 0 && ratio < prevRatio {
@@ -77,20 +99,11 @@ func E3(cfg Config) (*sim.Table, error) {
 	}
 	var xs, yf, yc []float64
 	for _, b := range bs {
-		b := b
-		fwd, err := cfg.sweep(cfg.trials(), func(seed int64) (float64, error) {
-			dist := token.OnePerNode(n, d, rand.New(rand.NewSource(cfg.Seed+seed)))
-			r, err := forwarding.RunPipelinedFlood(dist, n, b, d, adversary.NewRandomConnected(n, n/2, cfg.Seed+seed))
-			return float64(r), err
-		})
+		fwd, err := cfg.sweep(cfg.trials(), cfg.forwardTrial(n, b, d))
 		if err != nil {
 			return nil, err
 		}
-		runs, err := sweepSeeded(cfg, cfg.trials(), func(seed int64) (dissem.Result, error) {
-			dist := token.OnePerNode(n, d, rand.New(rand.NewSource(cfg.Seed+seed)))
-			return dissem.GreedyForward(dist, dissem.Params{B: b, D: d, Seed: cfg.Seed + seed},
-				adversary.NewRandomConnected(n, n/2, cfg.Seed+seed))
-		})
+		runs, err := sweepSeeded(cfg, cfg.trials(), cfg.codedTrial(dissem.GreedyForward, n, b, d))
 		if err != nil {
 			return nil, err
 		}
@@ -132,20 +145,11 @@ func E4(cfg Config) (*sim.Table, error) {
 		Header:  []string{"b", "greedy", "greedy iters", "priority", "priority iters"},
 	}
 	for _, b := range bs {
-		b := b
-		gRuns, err := sweepSeeded(cfg, cfg.trials(), func(seed int64) (dissem.Result, error) {
-			dist := token.OnePerNode(n, d, rand.New(rand.NewSource(cfg.Seed+seed)))
-			return dissem.GreedyForward(dist, dissem.Params{B: b, D: d, Seed: cfg.Seed + seed},
-				adversary.NewRandomConnected(n, n/2, cfg.Seed+seed))
-		})
+		gRuns, err := sweepSeeded(cfg, cfg.trials(), cfg.codedTrial(dissem.GreedyForward, n, b, d))
 		if err != nil {
 			return nil, err
 		}
-		pRuns, err := sweepSeeded(cfg, cfg.trials(), func(seed int64) (dissem.Result, error) {
-			dist := token.OnePerNode(n, d, rand.New(rand.NewSource(cfg.Seed+seed)))
-			return dissem.PriorityForward(dist, dissem.Params{B: b, D: d, Seed: cfg.Seed + seed},
-				adversary.NewRandomConnected(n, n/2, cfg.Seed+seed))
-		})
+		pRuns, err := sweepSeeded(cfg, cfg.trials(), cfg.codedTrial(dissem.PriorityForward, n, b, d))
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +201,7 @@ func E6(cfg Config) (*sim.Table, error) {
 					}
 					rngs[i] = rand.New(rand.NewSource(cfg.Seed + seed + int64(i)*31 + 1))
 				}
-				s := newSession(n, adversary.NewRotatingPath(n, cfg.Seed+seed))
+				s := dynnet.NewSession(n, adversary.NewRotatingPath(n, cfg.Seed+seed), dynnet.Config{})
 				res, err := forwarding.RandomForward(s, sets, nil, c, rounds, rngs)
 				if err != nil {
 					return 0, err

@@ -107,41 +107,23 @@ func Find(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("exp: unknown experiment %q", id)
 }
 
-// RunIndexedUntilDecoded runs Lemma 5.3 nodes step by step and returns
+// RunIndexedUntilDecoded runs Lemma 5.3 nodes round by round and returns
 // the first round after which every node can decode (the quantity whose
 // n-scaling E1 fits). The adversary is rebuilt per trial from the seed.
 func RunIndexedUntilDecoded(n, k, d int, adv dynnet.Adversary, seed int64) (int, error) {
 	rng := rand.New(rand.NewSource(seed))
-	nodes := make([]dynnet.Node, n)
-	impls := make([]*rlnc.BroadcastNode, n)
-	cap := 64 * (n + k)
-	for i := 0; i < n; i++ {
+	initial := make([][]rlnc.Coded, n)
+	rngs := make([]*rand.Rand, n)
+	for i := range initial {
 		payload := gf.RandomBitVec(d, rng.Uint64)
-		var initial []rlnc.Coded
 		if i < k {
-			initial = []rlnc.Coded{rlnc.Encode(i, k, payload)}
+			initial[i] = []rlnc.Coded{rlnc.Encode(i, k, payload)}
 		}
-		nrng := rand.New(rand.NewSource(seed + 100 + int64(i)))
-		impls[i] = rlnc.NewBroadcastNode(k, d, cap, initial, nrng)
-		nodes[i] = impls[i]
+		rngs[i] = rand.New(rand.NewSource(seed + 100 + int64(i)))
 	}
-	e := dynnet.NewEngine(nodes, adv, dynnet.Config{BitBudget: k + d})
-	for r := 1; r <= cap; r++ {
-		if err := e.Step(); err != nil {
-			return 0, err
-		}
-		all := true
-		for _, impl := range impls {
-			if !impl.Span().CanDecode() {
-				all = false
-				break
-			}
-		}
-		if all {
-			return r, nil
-		}
-	}
-	return 0, fmt.Errorf("exp: indexed broadcast not decoded in %d rounds", cap)
+	s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: k + d})
+	_, err := rlnc.IndexedBroadcast(s, k, d, initial, rngs, 64*(n+k), true)
+	return s.Round(), err
 }
 
 // E1 sweeps n with k = n and measures rounds until all nodes decode
@@ -159,7 +141,6 @@ func E1(cfg Config) (*sim.Table, error) {
 	}
 	var xs, ys []float64
 	for _, n := range ns {
-		n := n
 		randomSum, err := cfg.sweep(cfg.trials(), func(seed int64) (float64, error) {
 			adv := adversary.NewRandomConnected(n, n/2, cfg.Seed+seed)
 			r, err := RunIndexedUntilDecoded(n, n, d, adv, cfg.Seed+seed)

@@ -14,10 +14,6 @@ import (
 	"repro/internal/token"
 )
 
-func newSession(n int, adv dynnet.Adversary) *dynnet.Session {
-	return dynnet.NewSession(n, adv, dynnet.Config{})
-}
-
 // E5 measures the Lemma 8.1 / Theorem 2.4 stability claim in its
 // throughput form: one full share-pass-share broadcast ships
 // Blocks*Payload ~ T^2 bits from a single node to everyone in roughly
@@ -25,10 +21,8 @@ func newSession(n int, adv dynnet.Adversary) *dynnet.Session {
 // the coded bits-per-round grows ~quadratically with T; the forwarding
 // baseline's throughput grows only ~linearly (Theorem 2.1, tight for
 // knowledge-based forwarding). The paper's asymptotic regime bT^2 <= n
-// is unreachable with realistic message sizes at laptop n, so the
-// coded vector is scaled as Blocks = T/8, Payload = 3T/8 (both ~T,
-// product ~T^2) with the block count held under the n/D meta-round
-// budget — the same proportions the proof of Lemma 8.1 uses.
+// is unreachable with realistic message sizes at laptop n, so the coded
+// vector is scaled with T as stable.ScaledGeometry describes.
 func E5(cfg Config) (*sim.Table, error) {
 	n := 64
 	ts := []int{48, 96, 192}
@@ -37,10 +31,9 @@ func E5(cfg Config) (*sim.Table, error) {
 		ts = []int{48, 96}
 	}
 	const (
-		b         = 160 // chunk = b - 128 header = 32 bits
-		kFwd      = 64  // forwarding workload (tokens at one node)
-		d         = 8
-		chunkBits = 32
+		b    = 160 // chunk = b - 128 header = 32 bits
+		kFwd = 64  // forwarding workload (tokens at one node)
+		d    = 8
 	)
 	t := &sim.Table{
 		Caption: "E5: T-stable throughput, coded broadcast vs forwarding (n = " + sim.I(n) + ", b = 160)",
@@ -49,17 +42,9 @@ func E5(cfg Config) (*sim.Table, error) {
 	var xs, ycap, yc, yf []float64
 	for _, T := range ts {
 		T := T
-		blocks := T / 8
-		payload := 3 * T / 8
-		geo := stable.Geometry{
-			D:           maxInt(1, T/96),
-			ChunkBits:   chunkBits,
-			Chunks:      (blocks + payload + chunkBits - 1) / chunkBits,
-			Blocks:      blocks,
-			Payload:     payload,
-			BuildBudget: T / 2,
-		}
-		bits := float64(blocks * payload)
+		geo := stable.ScaledGeometry(b, T)
+		blocks, payload := geo.Blocks, geo.Payload
+		bits := float64(geo.Capacity())
 		coded, err := cfg.sweep(cfg.trials(), func(seed int64) (float64, error) {
 			rng := rand.New(rand.NewSource(cfg.Seed + seed))
 			initial := make([][]rlnc.Coded, n)
@@ -72,7 +57,7 @@ func E5(cfg Config) (*sim.Table, error) {
 			}
 			tadv := adversary.NewTStable(adversary.NewRandomConnected(n, n, cfg.Seed+seed), T)
 			s := dynnet.NewSession(n, tadv, dynnet.Config{BitBudget: b})
-			if _, err := stable.Broadcast(s, tadv, geo, initial, rngs, 0); err != nil {
+			if _, err := stable.Broadcast(s, tadv, geo, initial, rngs); err != nil {
 				return 0, err
 			}
 			return float64(s.Metrics().Rounds), nil
@@ -118,13 +103,6 @@ func E5(cfg Config) (*sim.Table, error) {
 	t.AddNote("the full T^2-vs-T separation needs the paper's regime bT^2 <~ n (kd >~ b^2 T^3 log n),")
 	t.AddNote("beyond laptop scale at byte-sized b; the mechanism and whp completion are what we verify")
 	return t, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // E7 sweeps n and measures the counting application: total rounds across

@@ -11,18 +11,16 @@ import (
 // rounds on always-connected dynamics every node knows the global
 // maximum. Callers pack (count, id) or similar orderings into the value.
 type MaxFloodNode struct {
-	best     uint64
-	width    int
-	schedule int
-	elapsed  int
+	best  uint64
+	width int
 }
 
 var _ dynnet.Node = (*MaxFloodNode)(nil)
 
-// NewMaxFloodNode returns a node starting with value own, flooding for
-// schedule rounds, charging width bits per message.
-func NewMaxFloodNode(own uint64, width, schedule int) *MaxFloodNode {
-	return &MaxFloodNode{best: own, width: width, schedule: schedule}
+// NewMaxFloodNode returns a node starting with value own, charging width
+// bits per message.
+func NewMaxFloodNode(own uint64, width int) *MaxFloodNode {
+	return &MaxFloodNode{best: own, width: width}
 }
 
 // Best returns the largest value seen so far.
@@ -46,11 +44,7 @@ func (m *MaxFloodNode) Receive(_ int, msgs []dynnet.Message) {
 			}
 		}
 	}
-	m.elapsed++
 }
-
-// Done reports whether the schedule elapsed.
-func (m *MaxFloodNode) Done() bool { return m.elapsed >= m.schedule }
 
 // SmallestFloodNode floods the s globally smallest values: every round
 // it broadcasts the (up to) perMsg smallest values it knows; each of the
@@ -59,28 +53,20 @@ func (m *MaxFloodNode) Done() bool { return m.elapsed >= m.schedule }
 // subroutine of Corollary 7.1 (token UIDs as values) and of
 // priority-forward (block priorities as values).
 type SmallestFloodNode struct {
-	keep     int
-	perMsg   int
-	width    int
-	schedule int
-	elapsed  int
-	known    []uint64
-	seen     map[uint64]bool
+	keep   int
+	perMsg int
+	width  int
+	known  []uint64
+	seen   map[uint64]bool
 }
 
 var _ dynnet.Node = (*SmallestFloodNode)(nil)
 
 // NewSmallestFloodNode returns a node that starts knowing own, keeps the
-// keep smallest values, broadcasts at most perMsg of them per round at
-// width bits each, and runs for schedule rounds.
-func NewSmallestFloodNode(own []uint64, keep, perMsg, width, schedule int) *SmallestFloodNode {
-	n := &SmallestFloodNode{
-		keep:     keep,
-		perMsg:   perMsg,
-		width:    width,
-		schedule: schedule,
-		seen:     make(map[uint64]bool),
-	}
+// keep smallest values and broadcasts at most perMsg of them per round
+// at width bits each.
+func NewSmallestFloodNode(own []uint64, keep, perMsg, width int) *SmallestFloodNode {
+	n := &SmallestFloodNode{keep: keep, perMsg: perMsg, width: width, seen: make(map[uint64]bool)}
 	for _, v := range own {
 		n.add(v)
 	}
@@ -132,11 +118,7 @@ func (s *SmallestFloodNode) Receive(_ int, msgs []dynnet.Message) {
 			s.add(v)
 		}
 	}
-	s.elapsed++
 }
-
-// Done reports whether the schedule elapsed.
-func (s *SmallestFloodNode) Done() bool { return s.elapsed >= s.schedule }
 
 // PackCountID packs a (count, node ID) pair so that uint64 ordering is
 // "higher count wins; ties to the lower ID", as used to identify the

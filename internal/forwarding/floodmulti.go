@@ -2,6 +2,7 @@ package forwarding
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dynnet"
 )
@@ -35,31 +36,23 @@ func FloodSmallestMulti(s *dynnet.Session, own [][]uint64, selectCount, perMsg, 
 	inFinal := make(map[uint64]bool, selectCount)
 
 	for len(finalized) < selectCount {
-		nodes := make([]dynnet.Node, n)
 		impls := make([]*SmallestFloodNode, n)
-		for i := range nodes {
+		for i := range impls {
 			var vals []uint64
 			for _, v := range own[i] {
 				if !inFinal[v] {
 					vals = append(vals, v)
 				}
 			}
-			impls[i] = NewSmallestFloodNode(vals, perMsg, perMsg, width, phaseLen)
-			nodes[i] = impls[i]
+			impls[i] = NewSmallestFloodNode(vals, perMsg, perMsg, width)
 		}
-		if err := s.RunFixed(nodes, phaseLen); err != nil {
+		if err := dynnet.Run(s, impls, phaseLen); err != nil {
 			return nil, err
 		}
 		chosen := impls[0].Smallest()
-		for i := 1; i < n; i++ {
-			other := impls[i].Smallest()
-			if len(other) != len(chosen) {
-				return nil, fmt.Errorf("forwarding: flood phase disagreement on value count")
-			}
-			for j := range chosen {
-				if other[j] != chosen[j] {
-					return nil, fmt.Errorf("forwarding: flood phase disagreement on values")
-				}
+		for _, other := range impls[1:] {
+			if !slices.Equal(other.Smallest(), chosen) {
+				return nil, fmt.Errorf("forwarding: flood phase disagreement on values")
 			}
 		}
 		if len(chosen) == 0 {

@@ -52,8 +52,8 @@ func TokensPerMessage(b, d int) (int, error) {
 	return c, nil
 }
 
-// knownTokens collects all tokens a node knows as a sorted slice filtered
-// by a predicate.
+// smallestUnfinished returns the (up to) limit smallest-UID tokens of
+// set that are not yet finished, in UID order.
 func smallestUnfinished(set *token.Set, finished map[token.UID]bool, limit int) []token.Token {
 	all := set.Tokens() // sorted by UID
 	out := make([]token.Token, 0, limit)
@@ -81,10 +81,8 @@ type PipelinedFloodNode struct {
 	set      *token.Set
 	finished map[token.UID]bool
 	n        int
-	k        int
 	c        int
 	round    int
-	total    int
 }
 
 var _ dynnet.Node = (*PipelinedFloodNode)(nil)
@@ -97,14 +95,11 @@ func NewPipelinedFloodNode(n, k, c int, initial []token.Token) *PipelinedFloodNo
 	for _, t := range initial {
 		set.Add(t)
 	}
-	phases := (k + c - 1) / c
 	return &PipelinedFloodNode{
 		set:      set,
 		finished: make(map[token.UID]bool, k),
 		n:        n,
-		k:        k,
 		c:        c,
-		total:    phases * n,
 	}
 }
 
@@ -140,9 +135,6 @@ func (p *PipelinedFloodNode) Receive(_ int, msgs []dynnet.Message) {
 	}
 }
 
-// Done reports whether all phases have elapsed.
-func (p *PipelinedFloodNode) Done() bool { return p.round >= p.total }
-
 // RunPipelinedFlood executes the Theorem 2.1 baseline end to end for a
 // distribution of k tokens and verifies every node learned every token.
 // It returns the number of rounds executed.
@@ -152,28 +144,19 @@ func RunPipelinedFlood(dist token.Distribution, k, b, d int, adv dynnet.Adversar
 	if err != nil {
 		return 0, err
 	}
-	nodes := make([]dynnet.Node, n)
-	impls := make([]*PipelinedFloodNode, n)
+	nodes := make([]*PipelinedFloodNode, n)
 	for i := range nodes {
-		impls[i] = NewPipelinedFloodNode(n, k, c, dist[i])
-		nodes[i] = impls[i]
+		nodes[i] = NewPipelinedFloodNode(n, k, c, dist[i])
 	}
-	e := dynnet.NewEngine(nodes, adv, dynnet.Config{BitBudget: b})
-	rounds, err := e.Run()
-	if err != nil {
-		return rounds, err
+	// ceil(k/c) phases of n rounds, c tokens finalized per phase.
+	s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: b})
+	if err := dynnet.Run(s, nodes, (k+c-1)/c*n); err != nil {
+		return s.Round(), err
 	}
-	want := dist.All()
-	for i, impl := range impls {
-		if impl.Set().Len() < k {
-			return rounds, fmt.Errorf("forwarding: node %d knows %d of %d tokens", i, impl.Set().Len(), k)
-		}
-		for _, t := range want {
-			got, ok := impl.Set().Get(t.UID)
-			if !ok || !got.Equal(t) {
-				return rounds, fmt.Errorf("forwarding: node %d missing token %v", i, t.UID)
-			}
+	for i, nd := range nodes {
+		if err := dist.HeldBy(nd.Set()); err != nil {
+			return s.Round(), fmt.Errorf("forwarding: node %d: %w", i, err)
 		}
 	}
-	return rounds, nil
+	return s.Round(), nil
 }

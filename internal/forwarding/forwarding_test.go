@@ -104,14 +104,12 @@ func TestPipelinedFloodBudgetTooSmall(t *testing.T) {
 func TestMaxFloodAgreesOnPath(t *testing.T) {
 	const n = 9
 	vals := []uint64{3, 1, 4, 1, 5, 9, 2, 6, 5}
-	nodes := make([]dynnet.Node, n)
 	impls := make([]*MaxFloodNode, n)
-	for i := range nodes {
-		impls[i] = NewMaxFloodNode(vals[i], 64, n)
-		nodes[i] = impls[i]
+	for i := range impls {
+		impls[i] = NewMaxFloodNode(vals[i], 64)
 	}
-	e := dynnet.NewEngine(nodes, adversary.NewStatic(graph.Path(n)), dynnet.Config{BitBudget: 64 + token.CountBits})
-	if _, err := e.Run(); err != nil {
+	s := dynnet.NewSession(n, adversary.NewStatic(graph.Path(n)), dynnet.Config{BitBudget: 64 + token.CountBits})
+	if err := dynnet.Run(s, impls, n); err != nil {
 		t.Fatal(err)
 	}
 	for i, impl := range impls {
@@ -123,14 +121,12 @@ func TestMaxFloodAgreesOnPath(t *testing.T) {
 
 func TestSmallestFloodConvergesToGlobalSmallest(t *testing.T) {
 	const n, keep = 10, 3
-	nodes := make([]dynnet.Node, n)
 	impls := make([]*SmallestFloodNode, n)
-	for i := range nodes {
-		impls[i] = NewSmallestFloodNode([]uint64{uint64(100 - i)}, keep, keep, 32, n)
-		nodes[i] = impls[i]
+	for i := range impls {
+		impls[i] = NewSmallestFloodNode([]uint64{uint64(100 - i)}, keep, keep, 32)
 	}
-	e := dynnet.NewEngine(nodes, adversary.NewRotatingPath(n, 7), dynnet.Config{})
-	if _, err := e.Run(); err != nil {
+	s := dynnet.NewSession(n, adversary.NewRotatingPath(n, 7), dynnet.Config{})
+	if err := dynnet.Run(s, impls, n); err != nil {
 		t.Fatal(err)
 	}
 	want := []uint64{91, 92, 93}

@@ -17,22 +17,20 @@ type RandomForwardNode struct {
 	eligible func(token.UID) bool
 	c        int
 	rng      *rand.Rand
-	schedule int
-	elapsed  int
 }
 
 var _ dynnet.Node = (*RandomForwardNode)(nil)
 
 // NewRandomForwardNode returns a node forwarding c random eligible
-// tokens per round for schedule rounds. The set is shared state owned by
+// tokens per round. The set is shared state owned by
 // the caller (dissemination drivers keep one token.Set per node across
 // phases); eligible filters which tokens are still in consideration
 // (nil means all).
-func NewRandomForwardNode(set *token.Set, eligible func(token.UID) bool, c, schedule int, rng *rand.Rand) *RandomForwardNode {
+func NewRandomForwardNode(set *token.Set, eligible func(token.UID) bool, c int, rng *rand.Rand) *RandomForwardNode {
 	if eligible == nil {
 		eligible = func(token.UID) bool { return true }
 	}
-	return &RandomForwardNode{set: set, eligible: eligible, c: c, rng: rng, schedule: schedule}
+	return &RandomForwardNode{set: set, eligible: eligible, c: c, rng: rng}
 }
 
 // Send broadcasts c random eligible tokens.
@@ -65,11 +63,7 @@ func (r *RandomForwardNode) Receive(_ int, msgs []dynnet.Message) {
 			r.set.Add(t)
 		}
 	}
-	r.elapsed++
 }
-
-// Done reports whether the schedule elapsed.
-func (r *RandomForwardNode) Done() bool { return r.elapsed >= r.schedule }
 
 // RandomForwardResult reports the outcome of one random-forward +
 // identify execution.
@@ -94,43 +88,29 @@ func RandomForward(
 	rngs []*rand.Rand,
 ) (RandomForwardResult, error) {
 	n := s.N()
-	nodes := make([]dynnet.Node, n)
+	nodes := make([]*RandomForwardNode, n)
 	for i := range nodes {
-		nodes[i] = NewRandomForwardNode(sets[i], eligible, c, forwardRounds, rngs[i])
+		nodes[i] = NewRandomForwardNode(sets[i], eligible, c, rngs[i])
 	}
-	if err := s.RunFixed(nodes, forwardRounds); err != nil {
+	if err := dynnet.Run(s, nodes, forwardRounds); err != nil {
 		return RandomForwardResult{}, err
 	}
 
-	counts := make([]int, n)
+	// Identify: flood (count, id) maxima for n rounds so every node
+	// learns which node holds the maximum eligible count.
+	flood := make([]*MaxFloodNode, n)
 	for i, set := range sets {
+		count := 0
 		for _, t := range set.Tokens() {
 			if eligible == nil || eligible(t.UID) {
-				counts[i]++
+				count++
 			}
 		}
+		flood[i] = NewMaxFloodNode(PackCountID(count, i, n), 64)
 	}
-	id, err := IdentifyMaxCount(s, counts)
-	if err != nil {
+	if err := dynnet.Run(s, flood, n); err != nil {
 		return RandomForwardResult{}, err
 	}
-	return RandomForwardResult{Identified: id, Count: counts[id]}, nil
-}
-
-// IdentifyMaxCount floods (count, id) maxima for n rounds so every node
-// learns which node holds the maximum count (ties to the lowest ID); it
-// returns that node's ID.
-func IdentifyMaxCount(s *dynnet.Session, counts []int) (int, error) {
-	n := s.N()
-	nodes := make([]dynnet.Node, n)
-	impls := make([]*MaxFloodNode, n)
-	for i := range nodes {
-		impls[i] = NewMaxFloodNode(PackCountID(counts[i], i, n), 64, n)
-		nodes[i] = impls[i]
-	}
-	if err := s.RunFixed(nodes, n); err != nil {
-		return 0, err
-	}
-	_, id := UnpackCountID(impls[0].Best(), n)
-	return id, nil
+	count, id := UnpackCountID(flood[0].Best(), n)
+	return RandomForwardResult{Identified: id, Count: count}, nil
 }

@@ -11,15 +11,13 @@ import (
 // BroadcastNode is the k-indexed-broadcast algorithm of Lemma 5.3 as a
 // dynnet.Node: every round it broadcasts a fresh random linear
 // combination of everything received so far and inserts whatever it
-// hears. It runs for a fixed schedule of rounds — the paper's algorithms
-// are Las Vegas with deterministic stopping schedules of Theta(n + k)
-// rounds — after which the caller decodes.
+// hears. How long it runs is its phase's schedule — the paper's
+// algorithms are Las Vegas with deterministic stopping schedules of
+// Theta(n + k) rounds — after which the caller decodes.
 type BroadcastNode struct {
-	span     *Span
-	rng      *rand.Rand
-	schedule int
-	elapsed  int
-	// scratch is the reused Send combination: the engine collects every
+	span *Span
+	rng  *rand.Rand
+	// scratch is the reused Send combination: the session collects every
 	// node's message before any delivery, and receivers copy the vector
 	// into their span, so one buffer per node is safe for a round.
 	scratch Coded
@@ -29,13 +27,9 @@ var _ dynnet.Node = (*BroadcastNode)(nil)
 
 // NewBroadcastNode returns a node for k tokens with payloadBits payload,
 // holding the given initial coded vectors (one per token it starts
-// with), running for schedule rounds.
-func NewBroadcastNode(k, payloadBits, schedule int, initial []Coded, rng *rand.Rand) *BroadcastNode {
-	n := &BroadcastNode{
-		span:     NewSpan(k, payloadBits),
-		rng:      rng,
-		schedule: schedule,
-	}
+// with).
+func NewBroadcastNode(k, payloadBits int, initial []Coded, rng *rand.Rand) *BroadcastNode {
+	n := &BroadcastNode{span: NewSpan(k, payloadBits), rng: rng}
 	for _, c := range initial {
 		n.span.Add(c)
 	}
@@ -49,7 +43,7 @@ func (n *BroadcastNode) Span() *Span { return n.span }
 // Send broadcasts a random combination of the received subspace, or
 // nothing if the node has heard nothing yet. The returned message
 // points at a per-node scratch buffer that is valid until the node's
-// next Send; the engine's collect-then-deliver round structure
+// next Send; the session's collect-then-deliver round structure
 // guarantees every receiver has copied it by then.
 func (n *BroadcastNode) Send(int) dynnet.Message {
 	if !n.span.CombineInto(&n.scratch, n.rng) {
@@ -69,21 +63,55 @@ func (n *BroadcastNode) Receive(_ int, msgs []dynnet.Message) {
 			n.span.Add(*c)
 		}
 	}
-	n.elapsed++
 }
-
-// Done reports whether the schedule has elapsed.
-func (n *BroadcastNode) Done() bool { return n.elapsed >= n.schedule }
 
 // DefaultSchedule returns the Theta(n + k) stopping schedule used by
 // Lemma 5.3. The constant is an implementation artifact; correctness is
 // checked by the tests, which fail if the schedule is too aggressive.
 func DefaultSchedule(n, k int) int { return 4*(n+k) + 16 }
 
-// RunIndexedBroadcast wires up one complete Lemma 5.3 execution: node i
-// starts with the coded vectors initial[i], all nodes run the schedule
-// against the adversary, and every node must decode all k payloads.
-// It returns the rounds executed and each node's k decoded payloads.
+// IndexedBroadcast is the one wiring of Lemma 5.3: node i starts with
+// the coded vectors initial[i] and mixes with rngs[i], and all run as one
+// phase of s — for exactly rounds rounds, or, with untilDecoded, round
+// by round until every span has full rank, rounds then being the cap
+// whose exhaustion is an error. It returns the nodes for the caller to
+// decode; s.Round() tells how long it took.
+func IndexedBroadcast(
+	s *dynnet.Session,
+	k, payloadBits int,
+	initial [][]Coded,
+	rngs []*rand.Rand,
+	rounds int,
+	untilDecoded bool,
+) ([]*BroadcastNode, error) {
+	nodes := make([]*BroadcastNode, len(initial))
+	for i := range nodes {
+		nodes[i] = NewBroadcastNode(k, payloadBits, initial[i], rngs[i])
+	}
+	if !untilDecoded {
+		return nodes, dynnet.Run(s, nodes, rounds)
+	}
+	// Decodability is monotone (spans only gain rank), so the check
+	// resumes at the first node not yet known to decode.
+	decoding := 0
+	for r := 0; r < rounds; r++ {
+		if err := dynnet.Run(s, nodes, 1); err != nil {
+			return nil, err
+		}
+		for decoding < len(nodes) && nodes[decoding].span.CanDecode() {
+			decoding++
+		}
+		if decoding == len(nodes) {
+			return nodes, nil
+		}
+	}
+	return nil, fmt.Errorf("rlnc: indexed broadcast not decoded in %d rounds", rounds)
+}
+
+// RunIndexedBroadcast is one complete Lemma 5.3 execution on a session
+// of its own: all nodes run the schedule against the adversary, and
+// every node must decode all k payloads. It returns the rounds executed
+// and each node's k decoded payloads.
 func RunIndexedBroadcast(
 	initial [][]Coded,
 	k, payloadBits, schedule int,
@@ -91,26 +119,22 @@ func RunIndexedBroadcast(
 	budget int,
 	seed int64,
 ) (int, [][]gf.BitVec, error) {
-	nNodes := len(initial)
-	nodes := make([]dynnet.Node, nNodes)
-	impls := make([]*BroadcastNode, nNodes)
-	for i := range nodes {
-		rng := rand.New(rand.NewSource(seed + int64(i)*1664525 + 1013904223))
-		impls[i] = NewBroadcastNode(k, payloadBits, schedule, initial[i], rng)
-		nodes[i] = impls[i]
+	rngs := make([]*rand.Rand, len(initial))
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(seed + int64(i)*1664525 + 1013904223))
 	}
-	e := dynnet.NewEngine(nodes, adv, dynnet.Config{BitBudget: budget, MaxRounds: 4 * schedule})
-	rounds, err := e.Run()
+	s := dynnet.NewSession(len(initial), adv, dynnet.Config{BitBudget: budget})
+	nodes, err := IndexedBroadcast(s, k, payloadBits, initial, rngs, schedule, false)
 	if err != nil {
-		return rounds, nil, err
+		return s.Round(), nil, err
 	}
-	decoded := make([][]gf.BitVec, nNodes)
-	for i, impl := range impls {
-		payloads, err := impl.Span().Decode()
+	decoded := make([][]gf.BitVec, len(nodes))
+	for i, nd := range nodes {
+		payloads, err := nd.Span().Decode()
 		if err != nil {
-			return rounds, nil, fmt.Errorf("rlnc: node %d: %w", i, err)
+			return s.Round(), nil, fmt.Errorf("rlnc: node %d: %w", i, err)
 		}
 		decoded[i] = payloads
 	}
-	return rounds, decoded, nil
+	return s.Round(), decoded, nil
 }

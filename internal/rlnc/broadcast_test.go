@@ -106,20 +106,51 @@ func TestIndexedBroadcastBudget(t *testing.T) {
 	}
 }
 
-// TestBroadcastNodeLifecycle checks Done gating and silent start.
+// TestIndexedBroadcastUntilDecoded: with untilDecoded the phase stops at
+// the first round after which every span has full rank — the round
+// before, some span lacked it — and a cap too small is an error.
+func TestIndexedBroadcastUntilDecoded(t *testing.T) {
+	const n, d = 8, 8
+	run := func(limit int) (*dynnet.Session, []*BroadcastNode, error) {
+		initial, _ := oneTokenPerNode(n, d, rand.New(rand.NewSource(12)))
+		rngs := make([]*rand.Rand, n)
+		for i := range rngs {
+			rngs[i] = rand.New(rand.NewSource(int64(20 + i)))
+		}
+		s := dynnet.NewSession(n, adversary.NewStatic(graph.Path(n)), dynnet.Config{BitBudget: n + d})
+		nodes, err := IndexedBroadcast(s, n, d, initial, rngs, limit, true)
+		return s, nodes, err
+	}
+	s, nodes, err := run(DefaultSchedule(n, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, nd := range nodes {
+		if !nd.Span().CanDecode() {
+			t.Errorf("node %d cannot decode after %d rounds", i, s.Round())
+		}
+	}
+	// A path of n nodes needs at least n-1 rounds for the far token.
+	if s.Round() < n-1 || s.Round() >= DefaultSchedule(n, n) {
+		t.Errorf("stopped after %d rounds", s.Round())
+	}
+	if short, _, err := run(s.Round() - 1); err == nil {
+		t.Errorf("decoded in %d rounds on the second run, %d on the first", short.Round(), s.Round())
+	}
+}
+
+// TestBroadcastNodeLifecycle checks the silent start: a node that has
+// heard nothing has nothing to combine, however many rounds pass.
 func TestBroadcastNodeLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	n := NewBroadcastNode(4, 4, 2, nil, rng)
-	if n.Done() {
-		t.Error("fresh node done")
-	}
+	n := NewBroadcastNode(4, 4, nil, rng)
 	if n.Send(0) != nil {
 		t.Error("node with empty span must stay silent")
 	}
 	n.Receive(0, nil)
 	n.Receive(1, nil)
-	if !n.Done() {
-		t.Error("node not done after schedule rounds")
+	if n.Send(2) != nil {
+		t.Error("node that heard nothing must stay silent")
 	}
 }
 
@@ -127,7 +158,7 @@ func TestBroadcastNodeLifecycle(t *testing.T) {
 // skipped rather than crashing the decoder.
 func TestBroadcastNodeIgnoresForeignMessages(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	n := NewBroadcastNode(4, 4, 5, nil, rng)
+	n := NewBroadcastNode(4, 4, nil, rng)
 	n.Receive(0, []dynnet.Message{fakeMsg{}})
 	if n.Span().Rank() != 0 {
 		t.Error("foreign message changed span")

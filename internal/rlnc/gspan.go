@@ -133,17 +133,15 @@ func (s *GSpan) Decode() ([]gf.Vec, error) {
 // may come from node randomness or, via NewScheduledBroadcastNode, from
 // a deterministic schedule.
 type GBroadcastNode struct {
-	span     *GSpan
-	combine  func(round int) (GCoded, bool)
-	schedule int
-	elapsed  int
+	span    *GSpan
+	combine func(round int) (GCoded, bool)
 }
 
 var _ dynnet.Node = (*GBroadcastNode)(nil)
 
 // NewGBroadcastNode returns a randomized general-field broadcast node.
-func NewGBroadcastNode(f gf.Field, k, payloadElems, schedule int, initial []GCoded, rng *rand.Rand) *GBroadcastNode {
-	n := &GBroadcastNode{span: NewGSpan(f, k, payloadElems), schedule: schedule}
+func NewGBroadcastNode(f gf.Field, k, payloadElems int, initial []GCoded, rng *rand.Rand) *GBroadcastNode {
+	n := &GBroadcastNode{span: NewGSpan(f, k, payloadElems)}
 	n.combine = func(int) (GCoded, bool) { return n.span.Combine(rng) }
 	for _, c := range initial {
 		n.span.Add(c)
@@ -154,8 +152,8 @@ func NewGBroadcastNode(f gf.Field, k, payloadElems, schedule int, initial []GCod
 // NewScheduledBroadcastNode returns a deterministic broadcast node whose
 // combination scalars come from schedule coeff(round, row) — the
 // "pseudo-random advice matrix" construction of Corollary 6.2.
-func NewScheduledBroadcastNode(f gf.Field, k, payloadElems, schedule int, initial []GCoded, coeff func(round, row int) uint64) *GBroadcastNode {
-	n := &GBroadcastNode{span: NewGSpan(f, k, payloadElems), schedule: schedule}
+func NewScheduledBroadcastNode(f gf.Field, k, payloadElems int, initial []GCoded, coeff func(round, row int) uint64) *GBroadcastNode {
+	n := &GBroadcastNode{span: NewGSpan(f, k, payloadElems)}
 	n.combine = func(round int) (GCoded, bool) {
 		return n.span.CombineWith(func(row int) uint64 { return coeff(round, row) })
 	}
@@ -184,8 +182,4 @@ func (n *GBroadcastNode) Receive(_ int, msgs []dynnet.Message) {
 			n.span.Add(c)
 		}
 	}
-	n.elapsed++
 }
-
-// Done reports whether the schedule has elapsed.
-func (n *GBroadcastNode) Done() bool { return n.elapsed >= n.schedule }

@@ -93,17 +93,14 @@ func TestGBroadcastEndToEnd(t *testing.T) {
 	const n, pe = 10, 4
 	rng := rand.New(rand.NewSource(3))
 	payloads := make([]gf.Vec, n)
-	nodes := make([]dynnet.Node, n)
 	impls := make([]*GBroadcastNode, n)
-	schedule := DefaultSchedule(n, n)
 	for i := 0; i < n; i++ {
 		payloads[i] = gf.RandomVec(f, pe, rng.Uint64)
 		nrng := rand.New(rand.NewSource(int64(100 + i)))
-		impls[i] = NewGBroadcastNode(f, n, pe, schedule, []GCoded{GEncode(f, i, n, payloads[i])}, nrng)
-		nodes[i] = impls[i]
+		impls[i] = NewGBroadcastNode(f, n, pe, []GCoded{GEncode(f, i, n, payloads[i])}, nrng)
 	}
-	e := dynnet.NewEngine(nodes, adversary.NewRandomConnected(n, n/2, 4), dynnet.Config{})
-	if _, err := e.Run(); err != nil {
+	s := dynnet.NewSession(n, adversary.NewRandomConnected(n, n/2, 4), dynnet.Config{})
+	if err := dynnet.Run(s, impls, DefaultSchedule(n, n)); err != nil {
 		t.Fatal(err)
 	}
 	for i, impl := range impls {
@@ -137,16 +134,13 @@ func TestScheduledBroadcastDeterministic(t *testing.T) {
 	}
 	run := func() []int {
 		rng := rand.New(rand.NewSource(5))
-		nodes := make([]dynnet.Node, n)
 		impls := make([]*GBroadcastNode, n)
-		schedule := DefaultSchedule(n, n)
 		for i := 0; i < n; i++ {
 			payload := gf.RandomVec(f, pe, rng.Uint64)
-			impls[i] = NewScheduledBroadcastNode(f, n, pe, schedule, []GCoded{GEncode(f, i, n, payload)}, coeff(i))
-			nodes[i] = impls[i]
+			impls[i] = NewScheduledBroadcastNode(f, n, pe, []GCoded{GEncode(f, i, n, payload)}, coeff(i))
 		}
-		e := dynnet.NewEngine(nodes, adversary.NewRandomConnected(n, 2, 9), dynnet.Config{})
-		if _, err := e.Run(); err != nil {
+		s := dynnet.NewSession(n, adversary.NewRandomConnected(n, 2, 9), dynnet.Config{})
+		if err := dynnet.Run(s, impls, DefaultSchedule(n, n)); err != nil {
 			t.Fatal(err)
 		}
 		ranks := make([]int, n)

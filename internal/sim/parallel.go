@@ -93,11 +93,11 @@ func ParallelSeeded[T any](ctx context.Context, cfg ParallelConfig, n int, fn fu
 	return out, nil
 }
 
-// ParallelTrials is the concurrent counterpart of Trials: it runs fn for
-// seeds 0..n-1 on a bounded worker pool and summarizes the results.
-// Because results are merged in seed order and trials derive all
-// randomness from their seed, the Summary is bit-identical to the one
-// Trials returns for the same n and fn, at any worker count.
+// ParallelTrials runs fn for seeds 0..n-1 on a bounded worker pool and
+// summarizes the results. Because results are merged in seed order and
+// trials derive all randomness from their seed, the Summary is
+// bit-identical to a serial loop's (Workers: 1) for the same n and fn,
+// at any worker count.
 func ParallelTrials(ctx context.Context, cfg ParallelConfig, n int, fn TrialFunc) (Summary, error) {
 	xs, err := ParallelSeeded(ctx, cfg, n, fn)
 	if err != nil {

@@ -24,15 +24,27 @@ func trialFn(seed int64) (float64, error) {
 	return acc, nil
 }
 
-// TestParallelTrialsMatchesSerial is the differential property test: for
-// the same seed set, ParallelTrials must produce a Summary bit-identical
-// to the serial Trials at every worker count.
-func TestParallelTrialsMatchesSerial(t *testing.T) {
-	for _, n := range []int{1, 3, 17, 64} {
-		want, err := Trials(n, trialFn)
+// serialTrials is the reference the pool is held to: a plain loop over
+// seeds 0..n-1, summarized.
+func serialTrials(t *testing.T, n int, fn TrialFunc) Summary {
+	t.Helper()
+	xs := make([]float64, 0, n)
+	for seed := int64(0); seed < int64(n); seed++ {
+		x, err := fn(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
+		xs = append(xs, x)
+	}
+	return Summarize(xs)
+}
+
+// TestParallelTrialsMatchesSerial is the differential property test: for
+// the same seed set, ParallelTrials must produce a Summary bit-identical
+// to the serial loop at every worker count.
+func TestParallelTrialsMatchesSerial(t *testing.T) {
+	for _, n := range []int{1, 3, 17, 64} {
+		want := serialTrials(t, n, trialFn)
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			got, err := ParallelTrials(context.Background(), ParallelConfig{Workers: workers}, n, trialFn)
 			if err != nil {
@@ -144,17 +156,13 @@ func TestParallelTrialsProgress(t *testing.T) {
 	}
 }
 
-// TestParallelTrialsEmpty mirrors Trials on n = 0.
+// TestParallelTrialsEmpty mirrors the serial loop on n = 0.
 func TestParallelTrialsEmpty(t *testing.T) {
 	got, err := ParallelTrials(context.Background(), ParallelConfig{}, 0, trialFn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Trials(0, trialFn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
+	if want := serialTrials(t, 0, trialFn); got != want {
 		t.Errorf("empty sweep: parallel %+v != serial %+v", got, want)
 	}
 }

@@ -47,21 +47,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Trials runs fn for seeds 0..n-1 and summarizes the results. Errors
-// abort the sweep. ParallelTrials is the concurrent equivalent; both
-// produce identical Summaries for the same n and fn.
-func Trials(n int, fn TrialFunc) (Summary, error) {
-	xs := make([]float64, 0, n)
-	for seed := int64(0); seed < int64(n); seed++ {
-		x, err := fn(seed)
-		if err != nil {
-			return Summary{}, fmt.Errorf("sim: trial %d: %w", seed, err)
-		}
-		xs = append(xs, x)
-	}
-	return Summarize(xs), nil
-}
-
 // FitLogLogSlope fits y = c * x^slope by least squares in log-log space.
 // It is how the harness turns measured round counts into scaling
 // exponents comparable to the paper's bounds (e.g. slope -2 vs b for

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -26,25 +25,6 @@ func TestSummarize(t *testing.T) {
 				t.Errorf("Summarize(%v) = %+v, want %+v", tt.xs, got, tt.want)
 			}
 		})
-	}
-}
-
-func TestTrials(t *testing.T) {
-	s, err := Trials(5, func(seed int64) (float64, error) { return float64(seed), nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 2 {
-		t.Errorf("summary = %+v", s)
-	}
-	wantErr := errors.New("boom")
-	if _, err := Trials(3, func(seed int64) (float64, error) {
-		if seed == 1 {
-			return 0, wantErr
-		}
-		return 0, nil
-	}); !errors.Is(err, wantErr) {
-		t.Errorf("err = %v", err)
 	}
 }
 

@@ -50,7 +50,7 @@ func AblationMetaRounds(g *graph.Graph, d, blocks, payload, chunkBits int, secon
 		return true
 	}
 	for meta := 0; meta < maxMeta; meta++ {
-		if _, err := metaRoundOpt(s, patches, spans, rngs, chunkBits, secondShare); err != nil {
+		if err := metaRound(s, patches, spans, rngs, chunkBits, secondShare); err != nil {
 			return 0, err
 		}
 		if decoded() {

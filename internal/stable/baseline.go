@@ -30,7 +30,6 @@ type FloodNode struct {
 	t         int
 	batchSize int
 	period    int // rounds per batch
-	total     int
 	round     int
 }
 
@@ -43,15 +42,7 @@ func NewFloodNode(n, k, c, t int, initial []token.Token) *FloodNode {
 	for _, tk := range initial {
 		set.Add(tk)
 	}
-	batchSize := c * t / 2
-	if batchSize < c {
-		batchSize = c
-	}
-	// ceil(2n/T)+2 windows of T rounds each: enough for the know-all
-	// frontier to cross the network at Theta(T) nodes per window.
-	windows := (2*n+t-1)/t + 2
-	period := windows * t
-	batches := (k + batchSize - 1) / batchSize
+	batchSize, period := floodBatching(n, c, t)
 	return &FloodNode{
 		set:       set,
 		finished:  make(map[token.UID]bool, k),
@@ -60,15 +51,22 @@ func NewFloodNode(n, k, c, t int, initial []token.Token) *FloodNode {
 		t:         t,
 		batchSize: batchSize,
 		period:    period,
-		total:     batches * period,
 	}
 }
 
 // Set exposes the node's knowledge.
 func (f *FloodNode) Set() *token.Set { return f.set }
 
-// Schedule returns the node's total round schedule.
-func (f *FloodNode) Schedule() int { return f.total }
+// floodBatching returns the baseline's batch size in tokens and the
+// rounds it spends per batch; ceil(k/batchSize) periods are the whole
+// schedule.
+func floodBatching(n, c, t int) (batchSize, period int) {
+	batchSize = max(c*t/2, c)
+	// ceil(2n/T)+2 windows of T rounds each: enough for the know-all
+	// frontier to cross the network at Theta(T) nodes per window.
+	windows := (2*n+t-1)/t + 2
+	return batchSize, windows * t
+}
 
 // batch returns the current batch: the batchSize smallest unfinished
 // tokens the node knows.
@@ -132,9 +130,6 @@ func (f *FloodNode) Receive(_ int, msgs []dynnet.Message) {
 	}
 }
 
-// Done reports whether all batches have elapsed.
-func (f *FloodNode) Done() bool { return f.round >= f.total }
-
 // RunFlood runs the T-stable forwarding baseline to completion on its
 // deterministic schedule and verifies every node learned all k tokens.
 func RunFlood(dist token.Distribution, k, b, d, t int, adv dynnet.Adversary) (int, error) {
@@ -143,21 +138,19 @@ func RunFlood(dist token.Distribution, k, b, d, t int, adv dynnet.Adversary) (in
 	if err != nil {
 		return 0, err
 	}
-	nodes := make([]dynnet.Node, n)
-	impls := make([]*FloodNode, n)
+	nodes := make([]*FloodNode, n)
 	for i := range nodes {
-		impls[i] = NewFloodNode(n, k, c, t, dist[i])
-		nodes[i] = impls[i]
+		nodes[i] = NewFloodNode(n, k, c, t, dist[i])
 	}
-	e := dynnet.NewEngine(nodes, adv, dynnet.Config{BitBudget: b, MaxRounds: impls[0].Schedule() + 1})
-	rounds, err := e.Run()
-	if err != nil {
-		return rounds, err
+	batchSize, period := floodBatching(n, c, t)
+	s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: b})
+	if err := dynnet.Run(s, nodes, (k+batchSize-1)/batchSize*period); err != nil {
+		return s.Round(), err
 	}
-	for i, impl := range impls {
-		if impl.Set().Len() < k {
-			return rounds, fmt.Errorf("stable: baseline node %d knows %d of %d tokens", i, impl.Set().Len(), k)
+	for i, nd := range nodes {
+		if err := dist.HeldBy(nd.Set()); err != nil {
+			return s.Round(), fmt.Errorf("stable: baseline node %d: %w", i, err)
 		}
 	}
-	return rounds, nil
+	return s.Round(), nil
 }

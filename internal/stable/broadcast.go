@@ -95,23 +95,31 @@ func (g Geometry) Shrink(maxVectorBits int) Geometry {
 	return g
 }
 
-// idleNode burns rounds silently (used to align to window boundaries).
-type idleNode struct{ left int }
-
-func (i *idleNode) Send(int) dynnet.Message       { return nil }
-func (i *idleNode) Receive(int, []dynnet.Message) { i.left-- }
-func (i *idleNode) Done() bool                    { return i.left <= 0 }
-
-func idle(s *dynnet.Session, roundsToIdle int) error {
-	if roundsToIdle <= 0 {
-		return nil
+// ScaledGeometry is the geometry the throughput measurements (E5,
+// examples/stable) run one broadcast with: the paper's regime bT^2 <= n
+// is unreachable at laptop n, so the coded vector is scaled as
+// Blocks = T/8, Payload = 3T/8 — both ~T, product ~T^2, the proportions
+// the proof of Lemma 8.1 uses — with the block count held under the n/D
+// meta-round budget and half of each window left to patch building.
+func ScaledGeometry(b, t int) Geometry {
+	chunkBits := b - chunkHeaderBits
+	blocks, payload := t/8, 3*t/8
+	return Geometry{
+		D:           max(1, t/96),
+		ChunkBits:   chunkBits,
+		Chunks:      numChunks(blocks+payload, chunkBits),
+		Blocks:      blocks,
+		Payload:     payload,
+		BuildBudget: t / 2,
 	}
-	nodes := make([]dynnet.Node, s.N())
-	for i := range nodes {
-		nodes[i] = &idleNode{left: roundsToIdle}
-	}
-	return s.RunFixed(nodes, roundsToIdle)
 }
+
+// idleNode says nothing and hears nothing; a phase of them burns rounds
+// to align to a window boundary.
+type idleNode struct{}
+
+func (idleNode) Send(int) dynnet.Message       { return nil }
+func (idleNode) Receive(int, []dynnet.Message) {}
 
 // Broadcast runs the Lemma 8.1 T-stable indexed broadcast over an
 // existing session driven by a T-stable adversary: node i injects the
@@ -125,7 +133,6 @@ func Broadcast(
 	geo Geometry,
 	initial [][]rlnc.Coded,
 	rngs []*rand.Rand,
-	maxWindows int,
 ) ([][]gf.BitVec, error) {
 	n := s.N()
 	if len(initial) != n {
@@ -139,9 +146,7 @@ func Broadcast(
 			spans[i].Add(c)
 		}
 	}
-	if maxWindows <= 0 {
-		maxWindows = 4*(n/geo.D+geo.Blocks) + 64
-	}
+	maxWindows := 4*(n/geo.D+geo.Blocks) + 64
 
 	// Decodability is monotone (spans only gain rank), so the check
 	// resumes at the first node not yet known to decode instead of
@@ -160,7 +165,7 @@ func Broadcast(
 	for w := 0; w < maxWindows && !decoded(); w++ {
 		// Align to the next window boundary.
 		if mod := s.Round() % t; mod != 0 {
-			if err := idle(s, t-mod); err != nil {
+			if err := dynnet.Run(s, make([]idleNode, n), t-mod); err != nil {
 				return nil, err
 			}
 		}
@@ -184,7 +189,7 @@ func Broadcast(
 
 		// Meta-rounds while they fit in the window.
 		for s.Round()+geo.MetaCost() <= windowEnd {
-			if _, err := metaRound(s, patches, spans, rngs, geo.ChunkBits); err != nil {
+			if err := metaRound(s, patches, spans, rngs, geo.ChunkBits, true); err != nil {
 				return nil, err
 			}
 			if decoded() {

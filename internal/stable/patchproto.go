@@ -27,13 +27,6 @@ func maxLubyIterations(n int) int {
 	return iters
 }
 
-// BuildPatchesCostBound returns a conservative upper bound on the rounds
-// BuildPatches may consume for an n-node network with patch radius d.
-// Callers use it to size stability windows.
-func BuildPatchesCostBound(n, d int) int {
-	return maxLubyIterations(n)*2*d + (2*d + 2)
-}
-
 // BuildPatches runs the distributed Section 8.1 patch construction as
 // phases of the session (whose adversary must be serving a stable
 // connected graph for the duration):
@@ -72,12 +65,10 @@ func BuildPatches(s *dynnet.Session, d int, rng *rand.Rand) (*graph.Patching, er
 			}
 		}
 		maxNodes := make([]*forwarding.MaxFloodNode, n)
-		nodes := make([]dynnet.Node, n)
-		for i := range nodes {
-			maxNodes[i] = forwarding.NewMaxFloodNode(prio[i], 64, d)
-			nodes[i] = maxNodes[i]
+		for i := range maxNodes {
+			maxNodes[i] = forwarding.NewMaxFloodNode(prio[i], 64)
 		}
-		if err := s.RunFixed(nodes, d); err != nil {
+		if err := dynnet.Run(s, maxNodes, d); err != nil {
 			return nil, err
 		}
 		joined := make([]bool, n)
@@ -87,15 +78,14 @@ func BuildPatches(s *dynnet.Session, d int, rng *rand.Rand) (*graph.Patching, er
 		// Deactivation wave: a 1-bit flood from fresh MIS members for d
 		// rounds deactivates their d-neighbourhoods.
 		deact := make([]*forwarding.MaxFloodNode, n)
-		for i := range nodes {
+		for i := range deact {
 			own := uint64(0)
 			if joined[i] {
 				own = 1
 			}
-			deact[i] = forwarding.NewMaxFloodNode(own, 1, d)
-			nodes[i] = deact[i]
+			deact[i] = forwarding.NewMaxFloodNode(own, 1)
 		}
-		if err := s.RunFixed(nodes, d); err != nil {
+		if err := dynnet.Run(s, deact, d); err != nil {
 			return nil, err
 		}
 		for i := range active {
@@ -111,13 +101,10 @@ func BuildPatches(s *dynnet.Session, d int, rng *rand.Rand) (*graph.Patching, er
 
 	// Claim wave.
 	claims := make([]*claimNode, n)
-	nodes := make([]dynnet.Node, n)
-	rounds := 2*d + 2
-	for i := range nodes {
-		claims[i] = newClaimNode(i, inMIS[i], rounds)
-		nodes[i] = claims[i]
+	for i := range claims {
+		claims[i] = newClaimNode(i, inMIS[i])
 	}
-	if err := s.RunFixed(nodes, rounds); err != nil {
+	if err := dynnet.Run(s, claims, 2*d+2); err != nil {
 		return nil, err
 	}
 
@@ -159,14 +146,12 @@ type claimNode struct {
 	bestLeader int
 	bestDist   int
 	parent     int
-	schedule   int
-	elapsed    int
 }
 
 var _ dynnet.Node = (*claimNode)(nil)
 
-func newClaimNode(id int, leader bool, schedule int) *claimNode {
-	c := &claimNode{id: id, bestLeader: -1, bestDist: 1 << 30, parent: -1, schedule: schedule}
+func newClaimNode(id int, leader bool) *claimNode {
+	c := &claimNode{id: id, bestLeader: -1, bestDist: 1 << 30, parent: -1}
 	if leader {
 		c.bestLeader = id
 		c.bestDist = 0
@@ -197,7 +182,4 @@ func (c *claimNode) Receive(_ int, msgs []dynnet.Message) {
 			c.parent = cm.Sender
 		}
 	}
-	c.elapsed++
 }
-
-func (c *claimNode) Done() bool { return c.elapsed >= c.schedule }

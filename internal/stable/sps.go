@@ -47,24 +47,22 @@ type sumUpNode struct {
 	id       int
 	depth    int
 	maxDepth int
-	children map[int]bool
+	parent   []int // the patching's tree: parent[v] == id makes v a child
 	chunks   []gf.BitVec
 	elapsed  int
 }
 
 var _ dynnet.Node = (*sumUpNode)(nil)
 
-func newSumUpNode(id int, p *graph.Patching, children map[int]bool, local gf.BitVec, chunkBits, maxDepth int) *sumUpNode {
+func newSumUpNode(id int, p *graph.Patching, local gf.BitVec, chunkBits, maxDepth int) *sumUpNode {
 	return &sumUpNode{
 		id:       id,
 		depth:    p.Depth[id],
 		maxDepth: maxDepth,
-		children: children,
+		parent:   p.Parent,
 		chunks:   splitChunks(local, chunkBits),
 	}
 }
-
-func (u *sumUpNode) schedule() int { return len(u.chunks) + u.maxDepth }
 
 func (u *sumUpNode) Send(int) dynnet.Message {
 	i := u.elapsed - (u.maxDepth - u.depth)
@@ -77,7 +75,7 @@ func (u *sumUpNode) Send(int) dynnet.Message {
 func (u *sumUpNode) Receive(_ int, msgs []dynnet.Message) {
 	for _, m := range msgs {
 		cm, ok := m.(chunkMsg)
-		if !ok || !u.children[cm.Sender] {
+		if !ok || u.parent[cm.Sender] != u.id {
 			continue
 		}
 		u.chunks[cm.Idx].Xor(cm.Data)
@@ -85,29 +83,21 @@ func (u *sumUpNode) Receive(_ int, msgs []dynnet.Message) {
 	u.elapsed++
 }
 
-func (u *sumUpNode) Done() bool { return u.elapsed >= u.schedule() }
-
 // downNode implements the pipelined tree broadcast: the leader emits
 // chunk i at local round i; a node at depth delta relays chunk i at
 // round i + delta, having received it from its parent one round earlier.
 type downNode struct {
-	id       int
-	depth    int
-	parent   int
-	maxDepth int
-	chunks   []gf.BitVec // nil until received (leader starts full)
-	elapsed  int
+	id      int
+	depth   int
+	parent  int
+	chunks  []gf.BitVec // nil until received (leader starts full)
+	elapsed int
 }
 
 var _ dynnet.Node = (*downNode)(nil)
 
-func newDownNode(id int, p *graph.Patching, chunks []gf.BitVec, nChunks, maxDepth int) *downNode {
-	d := &downNode{
-		id:       id,
-		depth:    p.Depth[id],
-		parent:   p.Parent[id],
-		maxDepth: maxDepth,
-	}
+func newDownNode(id int, p *graph.Patching, chunks []gf.BitVec, nChunks int) *downNode {
+	d := &downNode{id: id, depth: p.Depth[id], parent: p.Parent[id]}
 	if d.depth == 0 {
 		d.chunks = chunks
 	} else {
@@ -115,8 +105,6 @@ func newDownNode(id int, p *graph.Patching, chunks []gf.BitVec, nChunks, maxDept
 	}
 	return d
 }
-
-func (d *downNode) schedule() int { return len(d.chunks) + d.maxDepth }
 
 func (d *downNode) Send(int) dynnet.Message {
 	i := d.elapsed - d.depth
@@ -138,8 +126,6 @@ func (d *downNode) Receive(_ int, msgs []dynnet.Message) {
 	}
 	d.elapsed++
 }
-
-func (d *downNode) Done() bool { return d.elapsed >= d.schedule() }
 
 // passNode broadcasts its patch's vector in C chunks and reassembles
 // every complete foreign vector it hears, keyed by sender.
@@ -189,8 +175,6 @@ func (p *passNode) Receive(_ int, msgs []dynnet.Message) {
 	p.elapsed++
 }
 
-func (p *passNode) Done() bool { return p.elapsed >= len(p.chunks) }
-
 // received returns every completely reassembled foreign vector.
 func (p *passNode) received() ([]gf.BitVec, error) {
 	var out []gf.BitVec
@@ -217,51 +201,37 @@ func (p *passNode) received() ([]gf.BitVec, error) {
 // metaRound executes one share-pass-share cycle over the given patches:
 // spans[i] is node i's coding state; every patch combination computed in
 // either share step is inserted into every member's span, and passed
-// vectors are inserted at their recipients. Returns the rounds consumed.
+// vectors are inserted at their recipients.
+//
+// secondShare false skips the second share step. The paper's Lemma 8.1
+// analysis uses both shares so each meta-round independently satisfies
+// its two-case progress guarantee. Operationally, however, consecutive
+// meta-rounds fuse: meta-round i+1's first share performs exactly the
+// distribution job of meta-round i's second share, so dropping the
+// second share (a share-pass pipeline) preserves progress per round and
+// saves ~40% of the meta-round cost. The ablation in AblationMetaRounds
+// measures this; Broadcast keeps the paper's three-step form for
+// fidelity.
 func metaRound(
 	s *dynnet.Session,
 	p *graph.Patching,
 	spans []*rlnc.Span,
 	rngs []*rand.Rand,
 	chunkBits int,
-) (int, error) {
-	return metaRoundOpt(s, p, spans, rngs, chunkBits, true)
-}
-
-// metaRoundOpt optionally skips the second share step. The paper's
-// Lemma 8.1 analysis uses both shares so each meta-round independently
-// satisfies its two-case progress guarantee. Operationally, however,
-// consecutive meta-rounds fuse: meta-round i+1's first share performs
-// exactly the distribution job of meta-round i's second share, so
-// dropping the second share (a share-pass pipeline) preserves progress
-// per round and saves ~40% of the meta-round cost. The ablation in
-// AblationMetaRounds measures this; the repository keeps the paper's
-// three-step form as the default for fidelity.
-func metaRoundOpt(
-	s *dynnet.Session,
-	p *graph.Patching,
-	spans []*rlnc.Span,
-	rngs []*rand.Rand,
-	chunkBits int,
 	secondShare bool,
-) (int, error) {
-	start := rounds(s)
+) error {
 	vecs, err := sharePhase(s, p, spans, rngs, chunkBits)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if err := passPhase(s, p, spans, vecs, chunkBits); err != nil {
-		return 0, err
+		return err
 	}
 	if secondShare {
-		if _, err := sharePhase(s, p, spans, rngs, chunkBits); err != nil {
-			return 0, err
-		}
+		_, err = sharePhase(s, p, spans, rngs, chunkBits)
 	}
-	return rounds(s) - start, nil
+	return err
 }
-
-func rounds(s *dynnet.Session) int { return s.Metrics().Rounds }
 
 // sharePhase runs sum-up then broadcast-down, inserting the patch
 // combination into every member's span, and returns each node's patch
@@ -276,14 +246,6 @@ func sharePhase(
 	n := s.N()
 	vecLen := spans[0].K() + spans[0].PayloadBits()
 	maxDepth := p.MaxDepth()
-	childSets := make([]map[int]bool, n)
-	children := p.Children()
-	for i := range childSets {
-		childSets[i] = make(map[int]bool, len(children[i]))
-		for _, c := range children[i] {
-			childSets[i][c] = true
-		}
-	}
 
 	// Local random combinations (zero vector when a span is empty — it
 	// contributes nothing to the patch sum).
@@ -296,29 +258,27 @@ func sharePhase(
 		}
 	}
 
-	// Sum up.
+	// Sum up: the last chunk of the deepest node reaches its leader
+	// after C + D rounds.
 	ups := make([]*sumUpNode, n)
-	nodes := make([]dynnet.Node, n)
-	for i := range nodes {
-		ups[i] = newSumUpNode(i, p, childSets[i], local[i], chunkBits, maxDepth)
-		nodes[i] = ups[i]
+	for i := range ups {
+		ups[i] = newSumUpNode(i, p, local[i], chunkBits, maxDepth)
 	}
 	nC := numChunks(vecLen, chunkBits)
-	if err := s.RunFixed(nodes, nC+maxDepth); err != nil {
+	if err := dynnet.Run(s, ups, nC+maxDepth); err != nil {
 		return nil, err
 	}
 
-	// Broadcast down from each leader.
+	// Broadcast down from each leader, the same C + D rounds.
 	downs := make([]*downNode, n)
-	for i := range nodes {
+	for i := range downs {
 		var chunks []gf.BitVec
 		if p.Depth[i] == 0 {
 			chunks = ups[i].chunks
 		}
-		downs[i] = newDownNode(i, p, chunks, nC, maxDepth)
-		nodes[i] = downs[i]
+		downs[i] = newDownNode(i, p, chunks, nC)
 	}
-	if err := s.RunFixed(nodes, nC+maxDepth); err != nil {
+	if err := dynnet.Run(s, downs, nC+maxDepth); err != nil {
 		return nil, err
 	}
 
@@ -345,13 +305,11 @@ func passPhase(
 ) error {
 	n := s.N()
 	passes := make([]*passNode, n)
-	nodes := make([]dynnet.Node, n)
-	for i := range nodes {
+	for i := range passes {
 		passes[i] = newPassNode(i, p.PatchOf[i], vecs[i], chunkBits)
-		nodes[i] = passes[i]
 	}
 	vecLen := vecs[0].Len()
-	if err := s.RunFixed(nodes, numChunks(vecLen, chunkBits)); err != nil {
+	if err := dynnet.Run(s, passes, numChunks(vecLen, chunkBits)); err != nil {
 		return err
 	}
 	for i := range passes {

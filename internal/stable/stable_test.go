@@ -132,7 +132,7 @@ func TestMetaRoundSpreadsAcrossPatches(t *testing.T) {
 		spans[0].Add(rlnc.Encode(j, blocks, gf.RandomBitVec(payload, rng.Uint64)))
 	}
 	for meta := 0; meta < 30; meta++ {
-		if _, err := metaRound(s, patches, spans, rngs, 64); err != nil {
+		if err := metaRound(s, patches, spans, rngs, 64, true); err != nil {
 			t.Fatal(err)
 		}
 		all := true
@@ -216,7 +216,7 @@ func TestBroadcastLemma81(t *testing.T) {
 	}
 	tadv := adversary.NewTStable(adversary.NewRandomConnected(n, n, 8), T)
 	s := dynnet.NewSession(n, tadv, dynnet.Config{BitBudget: b})
-	decoded, err := Broadcast(s, tadv, geo, initial, rngs, 0)
+	decoded, err := Broadcast(s, tadv, geo, initial, rngs)
 	if err != nil {
 		t.Fatal(err)
 	}

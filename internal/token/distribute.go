@@ -35,6 +35,25 @@ func (d Distribution) All() []Token {
 	return out
 }
 
+// HeldBy checks that set holds every token of the distribution with its
+// payload intact — what "the node learned all k tokens" means at the end
+// of every dissemination run. Counting the set is not enough: a token
+// with a flipped payload bit still counts.
+func (d Distribution) HeldBy(set *Set) error {
+	for _, ts := range d {
+		for _, t := range ts {
+			got, ok := set.Get(t.UID)
+			if !ok {
+				return fmt.Errorf("token %v missing", t.UID)
+			}
+			if !got.Equal(t) {
+				return fmt.Errorf("token %v corrupted", t.UID)
+			}
+		}
+	}
+	return nil
+}
+
 // OnePerNode gives node i the single token with UID i:0 — the canonical
 // n-token dissemination instance (k = n).
 func OnePerNode(n, d int, rng *rand.Rand) Distribution {

@@ -166,6 +166,39 @@ func TestDistributions(t *testing.T) {
 	}
 }
 
+// TestHeldByRejectsFlippedPayload: a set with k tokens is not a set with
+// the k tokens — one flipped payload bit, or one missing token, fails.
+func TestHeldByRejectsFlippedPayload(t *testing.T) {
+	const k = 6
+	d := Spread(4, k, 8, rand.New(rand.NewSource(8)))
+	all := d.All()
+	set := NewSet()
+	for _, tk := range all {
+		set.Add(tk)
+	}
+	if err := d.HeldBy(set); err != nil {
+		t.Fatalf("complete set rejected: %v", err)
+	}
+	flipped := NewSet()
+	for i, tk := range all {
+		if i == k/2 {
+			tk.Payload = tk.Payload.Clone()
+			tk.Payload.Set(3, !tk.Payload.Bit(3))
+		}
+		flipped.Add(tk)
+	}
+	if flipped.Len() != k {
+		t.Fatalf("flipped set has %d tokens, want %d", flipped.Len(), k)
+	}
+	if err := d.HeldBy(flipped); err == nil {
+		t.Error("set with a flipped payload bit accepted")
+	}
+	set.Remove(all[0].UID)
+	if err := d.HeldBy(set); err == nil {
+		t.Error("set missing a token accepted")
+	}
+}
+
 func TestAtOnePlacement(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	d := AtOne(5, 9, 8, rng)

@@ -12,22 +12,21 @@ import (
 	"repro/internal/rlnc"
 )
 
-// runRecorded executes a small coded broadcast with a recorder attached.
+// runRecorded executes a small coded broadcast (n = k, every seed
+// pinned) with a recorder attached.
 func runRecorded(t *testing.T, n int) *Recorder {
 	t.Helper()
-	rng := rand.New(rand.NewSource(1))
-	nodes := make([]dynnet.Node, n)
 	const d = 8
-	schedule := rlnc.DefaultSchedule(n, n)
-	for i := 0; i < n; i++ {
-		nrng := rand.New(rand.NewSource(int64(i + 10)))
-		nodes[i] = rlnc.NewBroadcastNode(n, d, schedule,
-			[]rlnc.Coded{rlnc.Encode(i, n, gf.RandomBitVec(d, rng.Uint64))}, nrng)
+	rng := rand.New(rand.NewSource(1))
+	initial := make([][]rlnc.Coded, n)
+	rngs := make([]*rand.Rand, n)
+	for i := range initial {
+		initial[i] = []rlnc.Coded{rlnc.Encode(i, n, gf.RandomBitVec(d, rng.Uint64))}
+		rngs[i] = rand.New(rand.NewSource(int64(i + 10)))
 	}
 	rec := NewRecorder(n)
-	e := dynnet.NewEngine(nodes, adversary.NewRandomConnected(n, n/2, 2),
-		dynnet.Config{Observer: rec})
-	if _, err := e.Run(); err != nil {
+	s := dynnet.NewSession(n, adversary.NewRandomConnected(n, n/2, 2), dynnet.Config{Observer: rec})
+	if _, err := rlnc.IndexedBroadcast(s, n, d, initial, rngs, rlnc.DefaultSchedule(n, n), false); err != nil {
 		t.Fatal(err)
 	}
 	return rec
@@ -142,35 +141,13 @@ func TestReportRenders(t *testing.T) {
 	}
 }
 
-// runRecordedN is runRecorded with an explicit node count and fully
-// pinned seeds, the fixture for the golden assertions below.
-func runRecordedN(t *testing.T, n int) *Recorder {
-	t.Helper()
-	rng := rand.New(rand.NewSource(1))
-	nodes := make([]dynnet.Node, n)
-	const d = 8
-	schedule := rlnc.DefaultSchedule(n, n)
-	for i := 0; i < n; i++ {
-		nrng := rand.New(rand.NewSource(int64(i + 10)))
-		nodes[i] = rlnc.NewBroadcastNode(n, d, schedule,
-			[]rlnc.Coded{rlnc.Encode(i, n, gf.RandomBitVec(d, rng.Uint64))}, nrng)
-	}
-	rec := NewRecorder(n)
-	e := dynnet.NewEngine(nodes, adversary.NewRandomConnected(n, n/2, 2),
-		dynnet.Config{Observer: rec})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return rec
-}
-
 // TestDecodableCurveGolden pins the round-curve output of a small fully
 // deterministic run (n = k = 6, seeds fixed): every derived curve and
 // its rendering must reproduce bit for bit. The early decodable values
 // and the saturation at k are the Section 5.2 "late reveal" shape the
 // curve exists to expose.
 func TestDecodableCurveGolden(t *testing.T) {
-	rec := runRecordedN(t, 6)
+	rec := runRecorded(t, 6)
 	samples := rec.Samples()
 	if len(samples) != 64 {
 		t.Fatalf("samples = %d, want the full 64-round schedule", len(samples))
