@@ -207,16 +207,26 @@ func TestBuildTransportRejectsNegativeDelay(t *testing.T) {
 // same inbox capacity — there is one sizing rule, the engine's, and
 // its hello headroom is paid under churn only.
 func TestOpenMatchesLibraryDefaultTransport(t *testing.T) {
-	for _, churn := range []string{"", "crash:5:1,join:9:2"} {
+	// An inbox's capacity is the number of Sends it accepts undrained,
+	// whichever fabric (mailbox or channels) the description selects.
+	held := func(tr cluster.Transport) (n int) {
+		for tr.Send(1, 0, nil) {
+			n++
+		}
+		return n
+	}
+	for _, tc := range [][2]string{{"lockstep", ""}, {"lockstep", "crash:5:1,join:9:2"}, {"chan", ""}, {"chan", "crash:5:1,join:9:2"}} {
 		g := inProcess()
-		g.N, g.Churn = 64, churn
+		churn := tc[1]
+		g.N, g.Transport, g.Churn = 64, tc[0], churn
 
 		cc, err := g.Open(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lib := cluster.Config{N: cc.N, Fanout: cc.Fanout, Churn: cc.Churn}.DefaultTransport(0)
-		if got, want := cap(cc.Transport.Recv(0)), cap(lib.Recv(0)); got != want {
+		lib := cluster.Config{N: cc.N, Fanout: cc.Fanout, Churn: cc.Churn, Lockstep: cc.Lockstep}.DefaultTransport(0)
+		ccHeld := held(cc.Transport)
+		if got, want := ccHeld, held(lib); got != want {
 			t.Errorf("cluster, churn %q: CLI inbox holds %d packets, library default %d", churn, got, want)
 		}
 
@@ -224,17 +234,18 @@ func TestOpenMatchesLibraryDefaultTransport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slib := stream.Config{N: sc.N, Fanout: sc.Fanout, Churn: sc.Churn}.DefaultTransport()
-		if got, want := cap(sc.Transport.Recv(0)), cap(slib.Recv(0)); got != want {
+		slib := stream.Config{N: sc.N, Fanout: sc.Fanout, Churn: sc.Churn, Lockstep: sc.Lockstep}.DefaultTransport()
+		scHeld := held(sc.Transport)
+		if got, want := scHeld, held(slib); got != want {
 			t.Errorf("stream, churn %q: CLI inbox holds %d packets, library default %d", churn, got, want)
 		}
 		if churn == "" {
 			// The exact no-overflow bound: 64 senders × 2 data packets
 			// (+ 64 acks on the stream), plus one.
-			if got := cap(cc.Transport.Recv(0)); got != 129 {
+			if got := ccHeld; got != 129 {
 				t.Errorf("cluster n=64 inbox holds %d packets, want 129", got)
 			}
-			if got := cap(sc.Transport.Recv(0)); got != 193 {
+			if got := scHeld; got != 193 {
 				t.Errorf("stream n=64 inbox holds %d packets, want 193", got)
 			}
 		}

@@ -20,9 +20,11 @@
 //     shape: concurrent, lossy, timing-dependent.
 //
 //   - Lockstep (Config.Lockstep): a single-threaded driver alternates
-//     drain and emit phases over the same Transport and node state, so
-//     a run is a pure function of Config.Seed — reproducible trials for
-//     tests and for experiment E11.
+//     drain and emit phases over the same node state — and over the same
+//     Transport when one is supplied; its own fabric is a tick mailbox,
+//     one log of the tick's packets sorted by destination at the
+//     barrier — so a run is a pure function of Config.Seed:
+//     reproducible trials for tests and for experiment E11.
 //
 // Mode Forward swaps the coded gossiper for a store-and-forward one
 // (random known token per packet), the baseline E11 compares against.
@@ -75,9 +77,10 @@ type Config struct {
 	// Seed derives all node randomness (coding coins, peer choice). In
 	// lockstep mode it fully determines the run.
 	Seed int64
-	// Transport carries the packets; nil means DefaultTransport. Run
-	// closes the transport before returning; RunSingle, where it is the
-	// process's socket and required, does not.
+	// Transport carries the packets; nil means DefaultTransport (build
+	// stacks over that, with Lockstep already set, to keep the engine's
+	// own fabric). Run closes the transport before returning; RunSingle,
+	// where it is the process's socket and required, does not.
 	Transport Transport
 	// Interval paces each node's ticker emissions in async mode
 	// (default 500µs).
@@ -219,7 +222,10 @@ const largeCluster = 4096
 
 // DefaultInboxBuffer is the inbox size of the default transport (the
 // runtime reaches it only through Config.DefaultTransport) for n ids
-// each sending perTick packets a tick. Below largeCluster it is the
+// each sending perTick packets a tick: channel slots on the async
+// fabric, where it is memory; the pending count at which a Send is
+// refused on the lockstep mailbox, where it costs nothing until it
+// binds. Below largeCluster it is the
 // bound at which backpressure drops are impossible in lockstep mode —
 // one tick's worst case is every node targeting the same inbox with
 // all its packets — and above it a constant slot count. Past the cap an

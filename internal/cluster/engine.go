@@ -77,20 +77,57 @@ func (c Config) check() error {
 // description.
 func (c Config) MaxNodes() int { return max(c.N, 0) + max(c.Churn.Joins(), 0) }
 
-// DefaultTransport returns the in-process transport a run of c gets
-// when c.Transport is nil, for callers to wrap middlewares around: one
-// channel inbox per id, sized (DefaultInboxBuffer) for what a node
-// sends per tick — Fanout data packets, plus control, the protocol's
-// periodic extras (0 one-shot, 1 for the stream's ack; stream.Config
-// has the method without the argument), plus, under churn only, one
-// hello (join/leave bursts, the nothing-to-say announcement): without
-// a schedule no hello is ever sent, so there is no headroom to pay for.
-func (c Config) DefaultTransport(control int) *ChanTransport {
+// DefaultTransport returns the in-process fabric a run of c gets when
+// c.Transport is nil, for callers to wrap middlewares around: the tick
+// mailbox when c.Lockstep (the lockstep driver finds it under any stack
+// of Layer middlewares; nothing else can drive it, so set Lockstep
+// before asking), one channel inbox per id (ChanTransport) otherwise.
+// Either way an inbox holds DefaultInboxBuffer packets, sized for what
+// a node sends per tick — Fanout data packets, plus control, the
+// protocol's periodic extras (0 one-shot, 1 for the stream's ack;
+// stream.Config has the method without the argument), plus, under churn
+// only, one hello (join/leave bursts, the nothing-to-say announcement):
+// without a schedule no hello is ever sent, so there is no headroom to
+// pay for.
+func (c Config) DefaultTransport(control int) Transport {
 	perTick := c.withDefaults().Fanout + control
 	if c.Churn != nil {
 		perTick++
 	}
-	return NewChanTransport(c.MaxNodes(), DefaultInboxBuffer(c.MaxNodes(), perTick))
+	n, buffer := c.MaxNodes(), DefaultInboxBuffer(c.MaxNodes(), perTick)
+	if c.Lockstep {
+		return newMailbox(n, buffer)
+	}
+	return NewChanTransport(n, buffer)
+}
+
+// fabric checks that the driver cfg selects can drive tr and returns
+// the tick mailbox at the bottom of it, if that is what the lockstep
+// driver will drain (nil: through Recv). It walks the stack through
+// Layer.Unwrap, so it sees what any stack of this repository's
+// middlewares is built on and whether a wall-clock layer is in it.
+func (c Config) fabric(tr Transport) (*mailbox, error) {
+	for t := tr; t != nil; {
+		switch l := t.(type) {
+		case *mailbox:
+			if c.Lockstep {
+				return l, nil
+			}
+		case *delayTransport:
+			if c.Lockstep {
+				return nil, fmt.Errorf("cluster: Lockstep with WithDelay in the transport stack: delayed packets arrive from timer goroutines between ticks, so the run would not be a function of its seed")
+			}
+		}
+		u, ok := t.(interface{ Unwrap() Transport })
+		if !ok {
+			break
+		}
+		t = u.Unwrap()
+	}
+	if tr.Recv(0) == nil {
+		return nil, fmt.Errorf("cluster: the transport has no inbox channel for node 0: the tick mailbox (DefaultTransport of a Lockstep Config) serves only the lockstep driver, which reaches it only through Layer.Unwrap")
+	}
+	return nil, nil
 }
 
 // run is the state of one in-process run, shared by both drivers: the
@@ -105,6 +142,9 @@ type run struct {
 	nodes []*Node
 	live  []bool
 	ch    *churner
+	// mb is the tick mailbox at the bottom of tr when the lockstep driver
+	// drains that instead of tr.Recv (see Config.fabric).
+	mb *mailbox
 	// ranks backs the targeted-crash oracle (ChurnCrashMax /
 	// ChurnCrashFrontier): each node publishes its progress here and the
 	// churner reads it when selecting victims — atomically, because the
@@ -140,11 +180,16 @@ func (e Engine) Run(ctx context.Context, cfg Config) (Outcome, error) {
 		tr = cfg.DefaultTransport(e.Control)
 	}
 	defer tr.Close()
+	mb, err := cfg.fabric(tr)
+	if err != nil {
+		return Outcome{}, err
+	}
 
 	r := &run{
 		eng:   e,
 		cfg:   cfg,
 		tr:    tr,
+		mb:    mb,
 		res:   &Outcome{},
 		maxN:  maxN,
 		nodes: make([]*Node, maxN),
@@ -180,7 +225,6 @@ func (e Engine) Run(ctx context.Context, cfg Config) (Outcome, error) {
 	})
 
 	start := time.Now()
-	var err error
 	if cfg.Lockstep {
 		err = r.runLockstep(ctx)
 	} else {
@@ -269,8 +313,10 @@ func (r *run) applyLockstep(op churnOp, tick int) {
 }
 
 // runLockstep is the deterministic driver: per tick, churn events
-// apply, every live node drains its inbox in id order, completion is
-// recorded, then every live node spends one full emission slot. With a
+// apply, the engine's own fabric sorts the tick's mail by destination
+// (see mailbox), every live node drains its inbox in id order,
+// completion is recorded, then every live node spends one full emission
+// slot. With a
 // seeded Config the whole run — middleware coin flips, churn victims,
 // everything — is a pure function of the seed; context cancellation
 // (checked once per tick) only ever cuts a run short, it cannot change
@@ -331,6 +377,11 @@ func (r *run) runLockstep(ctx context.Context) error {
 				r.applyLockstep(op, tick)
 			}
 		}
+		if r.mb != nil {
+			// The barrier: every packet of the tick — last tick's
+			// emissions, this tick's churn hellos — exists, none is delivered.
+			r.mb.sort()
+		}
 		r.exec.Run(func(_, lo, hi int) {
 			for id := lo; id < hi; id++ {
 				nd := r.nodes[id]
@@ -338,20 +389,12 @@ func (r *run) runLockstep(ctx context.Context) error {
 					continue
 				}
 				nd.Now = now
-				// Sample before the drain so inbox depth shows the backlog
-				// queued by the previous emit phase.
-				nd.sample()
-				inbox := r.tr.Recv(id)
-				for drained := false; !drained; {
-					select {
-					case raw := <-inbox:
-						nd.recv(raw)
-					default:
-						drained = true
-					}
-				}
+				r.drain(nd)
 			}
 		})
+		if r.mb != nil {
+			r.mb.carry()
+		}
 		if err := r.firstErr(); err != nil {
 			return err
 		}
@@ -374,6 +417,32 @@ func (r *run) runLockstep(ctx context.Context) error {
 	}
 	res.Ticks = r.cfg.MaxTicks
 	return nil
+}
+
+// drain hands node nd everything waiting in its inbox, sampling first
+// so the inbox depth shows the backlog queued by the previous emit
+// phase: a walk of the node's range of the sorted mailbox on the
+// engine's own fabric, non-blocking receives on a supplied transport.
+func (r *run) drain(nd *Node) {
+	if r.mb != nil {
+		box := r.mb.take(nd.ID)
+		nd.sample(len(box))
+		for i, raw := range box {
+			box[i] = nil
+			nd.recv(raw)
+		}
+		return
+	}
+	inbox := r.tr.Recv(nd.ID)
+	nd.sample(len(inbox))
+	for {
+		select {
+		case raw := <-inbox:
+			nd.recv(raw)
+		default:
+			return
+		}
+	}
 }
 
 // flushOutboxes is the exchange barrier of a sharded tick: it replays
@@ -476,7 +545,7 @@ func (nd *Node) loop(ctx context.Context, start time.Time, interval time.Duratio
 			}
 		case <-ticker.C:
 			clock()
-			nd.sample()
+			nd.sample(len(inbox))
 			nd.proto.Emit(true)
 			if nd.err != nil {
 				return nd.err

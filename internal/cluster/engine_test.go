@@ -51,9 +51,11 @@ func (c *counter) Done() bool                      { return c.got >= c.need }
 func (c *counter) Progress() (rank, watermark int) { return c.got, 0 }
 func (c *counter) Restart()                        {}
 
-// probe watches every Send on its way to the inboxes.
+// probe watches every Send on its way to the inboxes. It embeds Layer,
+// not a bare Transport, so the lockstep driver finds the default
+// fabric's mailbox beneath it.
 type probe struct {
-	Transport
+	Layer
 	nodes []NodeMetrics
 
 	mu   sync.Mutex
@@ -92,7 +94,7 @@ func counterRun(t *testing.T, cfg Config) (Outcome, []NodeMetrics, *probe) {
 	}
 	cfg.N, cfg.Seed, cfg.Churn = 6, 11, sched
 	nodes := make([]NodeMetrics, cfg.MaxNodes())
-	pr := &probe{Transport: cfg.DefaultTransport(0), nodes: nodes}
+	pr := &probe{Layer: Layer{cfg.DefaultTransport(0)}, nodes: nodes}
 	cfg.Transport = pr
 	eng := Engine{
 		New:     func(nd *Node, _ bool) Protocol { return &counter{nd: nd, need: 1} },

@@ -308,12 +308,12 @@ func (nd *Node) helloAll(leaving bool) {
 }
 
 // sample records one telemetry time-series point for the node: the
-// protocol's rank and watermark, inbox backlog, live-view size. A
-// no-op without a recorder.
-func (nd *Node) sample() {
+// protocol's rank and watermark, the inbox backlog its driver read off
+// the node's inbox, live-view size. A no-op without a recorder.
+func (nd *Node) sample(inbox int) {
 	if nd.Tel == nil {
 		return
 	}
 	rank, watermark := nd.proto.Progress()
-	nd.Tel.Sample(nd.ID, nd.Now, rank, watermark, len(nd.tr.Recv(nd.ID)), nd.View.LiveCount())
+	nd.Tel.Sample(nd.ID, nd.Now, rank, watermark, inbox, nd.View.LiveCount())
 }

@@ -16,12 +16,20 @@ import (
 // non-blocking: gossip loops fire and forget. A false return means the
 // packet was dropped (lossy decorator, partition, full inbox, closed
 // transport); UDP-style semantics, no retransmission.
+//
+// These three methods are the whole interface, and what a supplied
+// transport (ChanTransport, a udpnet socket or mesh, any decorator) is
+// driven through by every driver. The one fabric that is not drained
+// through Recv is the engine's own under the lockstep driver, the tick
+// mailbox behind Config.DefaultTransport, which the driver reaches
+// beneath a middleware stack through Layer.Unwrap.
 type Transport interface {
 	// Send attempts to deliver pkt to node to's inbox, reporting whether
 	// it was accepted for (eventual) delivery.
 	Send(from, to int, pkt []byte) bool
 	// Recv returns node id's inbox channel. The channel is never closed;
-	// receivers stop via their context.
+	// receivers stop via their context. Nil means id has no channel inbox
+	// here: an id out of range, or the tick mailbox, which has none.
 	Recv(id int) <-chan []byte
 	// Close stops delivery: subsequent (and in-flight delayed) Sends are
 	// dropped. Close is idempotent.
@@ -33,13 +41,29 @@ type Transport interface {
 // start of every tick, so tick-aware middleware — the adversarial
 // topology and packet-mutation layers in internal/hostile — advances
 // its clock in sync with the driver instead of guessing from wall time.
-// A middleware that implements it should forward the call to its inner
-// transport when that transport also implements TickObserver, so a
-// whole stack advances together. Transports without the facet are
-// simply not called.
+// A middleware built on Layer forwards the call to its inner transport
+// (and one with a clock of its own does so after advancing it), so a
+// whole stack advances together in any stacking order. Transports
+// without the facet are simply not called.
 type TickObserver interface {
 	ObserveTick(tick int64)
 }
+
+// Layer is what a transport middleware embeds in place of a bare
+// Transport: the inner transport with its three methods promoted, plus
+// the two facets a stack needs from every layer whatever the layer
+// does. A decorator that embeds a bare Transport instead is opaque:
+// ticks stop at it, and a tick mailbox beneath it is out of the
+// lockstep driver's reach (Engine.Run rejects that stack).
+type Layer struct{ Transport }
+
+// Unwrap returns the inner transport: the walk by which Engine.Run
+// finds the tick mailbox, or a wall-clock delay layer, under a stack.
+func (l Layer) Unwrap() Transport { return l.Transport }
+
+// ObserveTick implements TickObserver by forwarding: a layer without a
+// clock of its own must not hide the driver's from the layers below.
+func (l Layer) ObserveTick(tick int64) { ObserveTick(l.Transport, tick) }
 
 // ObserveTick type-asserts and forwards one driver tick; the shared
 // helper keeps both lockstep drivers' call sites identical.
@@ -99,7 +123,7 @@ func (t *ChanTransport) Close() { t.closed.Store(true) }
 
 // lossTransport drops each packet independently with fixed probability.
 type lossTransport struct {
-	Transport
+	Layer
 	rate float64
 	mu   sync.Mutex
 	rng  *rand.Rand
@@ -112,7 +136,7 @@ func WithLoss(t Transport, rate float64, seed int64) Transport {
 	if rate <= 0 {
 		return t
 	}
-	return &lossTransport{Transport: t, rate: rate, rng: rand.New(rand.NewSource(seed))}
+	return &lossTransport{Layer: Layer{t}, rate: rate, rng: rand.New(rand.NewSource(seed))}
 }
 
 func (l *lossTransport) Send(from, to int, pkt []byte) bool {
@@ -126,9 +150,10 @@ func (l *lossTransport) Send(from, to int, pkt []byte) bool {
 }
 
 // delayTransport holds each packet for a random latency before passing
-// it on. Only meaningful in async mode; lockstep runs do not use it.
+// it on. Only meaningful on a wall clock: Engine.Run rejects a lockstep
+// run with this layer anywhere in its stack.
 type delayTransport struct {
-	Transport
+	Layer
 	min, max time.Duration
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -148,7 +173,7 @@ func WithDelay(t Transport, min, max time.Duration, seed int64) Transport {
 	if max < min {
 		max = min
 	}
-	return &delayTransport{Transport: t, min: min, max: max, rng: rand.New(rand.NewSource(seed))}
+	return &delayTransport{Layer: Layer{t}, min: min, max: max, rng: rand.New(rand.NewSource(seed))}
 }
 
 func (d *delayTransport) Send(from, to int, pkt []byte) bool {
@@ -166,7 +191,7 @@ func (d *delayTransport) Send(from, to int, pkt []byte) bool {
 // one-slot hold-back buffer: a packet chosen for reordering waits until
 // the next chosen packet arrives and is delivered in its place.
 type reorderTransport struct {
-	Transport
+	Layer
 	rate float64
 	mu   sync.Mutex
 	rng  *rand.Rand
@@ -188,7 +213,7 @@ func WithReorder(t Transport, rate float64, seed int64) Transport {
 	if rate <= 0 {
 		return t
 	}
-	return &reorderTransport{Transport: t, rate: rate, rng: rand.New(rand.NewSource(seed))}
+	return &reorderTransport{Layer: Layer{t}, rate: rate, rng: rand.New(rand.NewSource(seed))}
 }
 
 func (r *reorderTransport) Send(from, to int, pkt []byte) bool {
@@ -208,7 +233,7 @@ func (r *reorderTransport) Send(from, to int, pkt []byte) bool {
 
 // partitionTransport blocks traffic across a caller-defined cut.
 type partitionTransport struct {
-	Transport
+	Layer
 	blocked func(from, to int) bool
 }
 
@@ -217,7 +242,7 @@ type partitionTransport struct {
 // and must be safe for concurrent use; flipping it heals or splits the
 // cluster mid-run.
 func WithPartition(t Transport, blocked func(from, to int) bool) Transport {
-	return &partitionTransport{Transport: t, blocked: blocked}
+	return &partitionTransport{Layer: Layer{t}, blocked: blocked}
 }
 
 func (p *partitionTransport) Send(from, to int, pkt []byte) bool {

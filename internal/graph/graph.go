@@ -1,12 +1,12 @@
 // Package graph provides the static-graph machinery the dynamic network
 // model is built from: adjacency structures, generators for the topologies
-// adversaries serve, BFS primitives, graph powers, Luby's maximal
-// independent set, and the patch decomposition of Section 8.1 of the paper.
+// adversaries serve, BFS distances, and the patch decomposition of
+// Section 8.1 of the paper as a checked data type (stable.BuildPatches
+// computes one distributedly; Patching.Validate is its judge).
 package graph
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 )
 
@@ -166,173 +166,6 @@ func (g *Graph) IsConnected() bool {
 	}
 	for _, d := range g.BFS(0) {
 		if d < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Diameter returns the largest finite BFS distance over all sources, or
-// -1 if the graph is disconnected or empty.
-func (g *Graph) Diameter() int {
-	if g.n == 0 {
-		return -1
-	}
-	diam := 0
-	for s := 0; s < g.n; s++ {
-		for _, d := range g.BFS(s) {
-			if d < 0 {
-				return -1
-			}
-			if d > diam {
-				diam = d
-			}
-		}
-	}
-	return diam
-}
-
-// Power returns the D-th power of g: vertices are adjacent iff their
-// distance in g is between 1 and D.
-func (g *Graph) Power(d int) *Graph {
-	if d < 1 {
-		panic("graph: power must be >= 1")
-	}
-	p := New(g.n)
-	for s := 0; s < g.n; s++ {
-		for v, dist := range g.BFS(s) {
-			if dist >= 1 && dist <= d && v > s {
-				p.AddEdge(s, v)
-			}
-		}
-	}
-	return p
-}
-
-// BFSTree returns the parent of every vertex in a BFS tree rooted at
-// root (parent[root] = -1; unreachable vertices also get -1). Ties are
-// broken toward the lowest-numbered parent, matching the paper's
-// "lowest ID node the broadcast was received from".
-func (g *Graph) BFSTree(root int) []int {
-	g.checkVertex(root)
-	parent := make([]int, g.n)
-	dist := make([]int, g.n)
-	for i := range parent {
-		parent[i] = -1
-		dist[i] = -1
-	}
-	dist[root] = 0
-	queue := []int{root}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		// Visit neighbours in sorted order for deterministic low-ID parents.
-		nb := append([]int(nil), g.adj[u]...)
-		sort.Ints(nb)
-		for _, v := range nb {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				parent[v] = u
-				queue = append(queue, v)
-			}
-		}
-	}
-	return parent
-}
-
-// MIS returns a maximal independent set computed by Luby's randomized
-// permutation algorithm: repeatedly add the vertex whose random priority
-// beats all its active neighbours, then deactivate its neighbourhood.
-func (g *Graph) MIS(rng *rand.Rand) []int {
-	active := make([]bool, g.n)
-	for i := range active {
-		active[i] = true
-	}
-	inMIS := make([]bool, g.n)
-	remaining := g.n
-	for remaining > 0 {
-		prio := make([]float64, g.n)
-		for i := range prio {
-			prio[i] = rng.Float64()
-		}
-		// A vertex joins when its priority is a strict local maximum among
-		// active closed-neighbourhood rivals.
-		var join []int
-		for u := 0; u < g.n; u++ {
-			if !active[u] {
-				continue
-			}
-			best := true
-			for _, v := range g.adj[u] {
-				if active[v] && (prio[v] > prio[u] || (prio[v] == prio[u] && v < u)) {
-					best = false
-					break
-				}
-			}
-			if best {
-				join = append(join, u)
-			}
-		}
-		for _, u := range join {
-			if !active[u] {
-				continue
-			}
-			inMIS[u] = true
-			active[u] = false
-			remaining--
-			for _, v := range g.adj[u] {
-				if active[v] {
-					active[v] = false
-					remaining--
-				}
-			}
-		}
-	}
-	var out []int
-	for u, in := range inMIS {
-		if in {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// IsIndependentSet reports whether no two vertices of set are adjacent.
-func (g *Graph) IsIndependentSet(set []int) bool {
-	in := make(map[int]bool, len(set))
-	for _, u := range set {
-		in[u] = true
-	}
-	for e := range g.has {
-		if in[e.u] && in[e.v] {
-			return false
-		}
-	}
-	return true
-}
-
-// IsMaximalIndependentSet reports whether set is independent and every
-// vertex outside it has a neighbour inside it.
-func (g *Graph) IsMaximalIndependentSet(set []int) bool {
-	if !g.IsIndependentSet(set) {
-		return false
-	}
-	in := make(map[int]bool, len(set))
-	for _, u := range set {
-		in[u] = true
-	}
-	for u := 0; u < g.n; u++ {
-		if in[u] {
-			continue
-		}
-		covered := false
-		for _, v := range g.adj[u] {
-			if in[v] {
-				covered = true
-				break
-			}
-		}
-		if !covered {
 			return false
 		}
 	}

@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math/rand"
-	"sort"
-)
+import "fmt"
 
 // Patching is the Section 8.1 decomposition of a (stable) graph into
 // connected patches of radius at most D around the vertices of a maximal
@@ -23,73 +19,6 @@ type Patching struct {
 	Parent []int
 	// Depth is the tree depth of each vertex (0 for leaders).
 	Depth []int
-}
-
-// ComputePatches decomposes a connected graph into patches with radius
-// parameter D >= 1: it takes a maximal independent set of G^D and assigns
-// every vertex to its closest leader (ties broken toward the lowest
-// leader ID), yielding connected patches of diameter at most 2D in which
-// any two leaders are more than D apart.
-func ComputePatches(g *Graph, d int, rng *rand.Rand) (*Patching, error) {
-	if d < 1 {
-		return nil, fmt.Errorf("graph: patch radius %d must be >= 1", d)
-	}
-	if g.N() == 0 {
-		return nil, fmt.Errorf("graph: cannot patch the empty graph")
-	}
-	if !g.IsConnected() {
-		return nil, fmt.Errorf("graph: cannot patch a disconnected graph")
-	}
-	leaders := g.Power(d).MIS(rng)
-	sort.Ints(leaders)
-	p := &Patching{
-		D:       d,
-		Leaders: leaders,
-		PatchOf: make([]int, g.N()),
-		Parent:  make([]int, g.N()),
-		Depth:   make([]int, g.N()),
-	}
-	for i := range p.PatchOf {
-		p.PatchOf[i] = -1
-		p.Parent[i] = -1
-		p.Depth[i] = -1
-	}
-	// Multi-source BFS from all leaders. A vertex adopts the patch of the
-	// first wave to reach it; simultaneous waves break ties toward the
-	// lowest leader ID, and the parent is the lowest-ID same-patch
-	// neighbour one step closer — this mirrors the paper's "lowest ID node
-	// the broadcast was received from" rule and keeps patches connected.
-	type qe struct{ v, leader, depth, parent int }
-	queue := make([]qe, 0, g.N())
-	for _, l := range leaders {
-		queue = append(queue, qe{v: l, leader: l, depth: 0, parent: -1})
-	}
-	for len(queue) > 0 {
-		var next []qe
-		// Within a BFS level, deliver claims in (leader, parent) order so
-		// the lowest leader/parent wins deterministically.
-		sort.Slice(queue, func(i, j int) bool {
-			if queue[i].leader != queue[j].leader {
-				return queue[i].leader < queue[j].leader
-			}
-			return queue[i].parent < queue[j].parent
-		})
-		for _, e := range queue {
-			if p.PatchOf[e.v] != -1 {
-				continue
-			}
-			p.PatchOf[e.v] = e.leader
-			p.Parent[e.v] = e.parent
-			p.Depth[e.v] = e.depth
-			for _, w := range g.Neighbors(e.v) {
-				if p.PatchOf[w] == -1 {
-					next = append(next, qe{v: w, leader: e.leader, depth: e.depth + 1, parent: e.v})
-				}
-			}
-		}
-		queue = next
-	}
-	return p, nil
 }
 
 // Members returns the vertices of the patch led by leader, in increasing

@@ -1,114 +1,17 @@
 package graph
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
-
-func TestComputePatchesPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	g := Path(20)
-	p, err := ComputePatches(g, 3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Leaders) == 0 {
-		t.Fatal("no leaders")
-	}
-	// On a path with D=3, leaders are > 3 apart, so at most ceil(20/4)=5.
-	if len(p.Leaders) > 5 {
-		t.Errorf("too many leaders: %d", len(p.Leaders))
-	}
-}
-
-// TestComputePatchesInvariants property-tests the Section 8.1 guarantees
-// on random connected graphs: connectivity of patches, diameter <= 2D,
-// and patch size >= D/2 when n is large enough.
-func TestComputePatchesInvariants(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 8 + rng.Intn(60)
-		d := 1 + rng.Intn(4)
-		g := RandomConnected(n, rng.Intn(n), rng)
-		p, err := ComputePatches(g, d, rng)
-		if err != nil {
-			return false
-		}
-		if err := p.Validate(g); err != nil {
-			return false
-		}
-		for _, l := range p.Leaders {
-			members := p.Members(l)
-			// Size bound: every vertex within distance D/2 of a leader
-			// joins its patch (property 3 in Section 8.1). In a connected
-			// graph with n > D/2 the ball has >= D/2 vertices.
-			if len(members) < d/2 {
-				return false
-			}
-			if !patchConnected(g, members) {
-				return false
-			}
-			// Depth bound implies diameter <= 2D via the leader.
-			for _, v := range members {
-				if p.Depth[v] > d {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func patchConnected(g *Graph, members []int) bool {
-	if len(members) == 0 {
-		return false
-	}
-	in := make(map[int]bool, len(members))
-	for _, v := range members {
-		in[v] = true
-	}
-	seen := map[int]bool{members[0]: true}
-	queue := []int{members[0]}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(u) {
-			if in[w] && !seen[w] {
-				seen[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	return len(seen) == len(members)
-}
-
-func TestComputePatchesErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	if _, err := ComputePatches(Path(5), 0, rng); err == nil {
-		t.Error("D=0 should fail")
-	}
-	if _, err := ComputePatches(New(0), 1, rng); err == nil {
-		t.Error("empty graph should fail")
-	}
-	disc := New(4)
-	disc.AddEdge(0, 1)
-	if _, err := ComputePatches(disc, 1, rng); err == nil {
-		t.Error("disconnected graph should fail")
-	}
-}
+import "testing"
 
 func TestPatchingChildrenAndDepth(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := Path(10)
-	p, err := ComputePatches(g, 2, rng)
-	if err != nil {
+	// Path(10) at D = 2: leaders three apart, everyone with the closer one.
+	p := &Patching{
+		D:       2,
+		Leaders: []int{0, 3, 6, 9},
+		PatchOf: []int{0, 0, 3, 3, 3, 6, 6, 6, 9, 9},
+		Parent:  []int{-1, 0, 3, -1, 3, 6, -1, 6, 9, -1},
+		Depth:   []int{0, 1, 1, 0, 1, 1, 0, 1, 1, 0},
+	}
+	if err := p.Validate(Path(10)); err != nil {
 		t.Fatal(err)
 	}
 	ch := p.Children()
@@ -133,12 +36,11 @@ func TestPatchingChildrenAndDepth(t *testing.T) {
 }
 
 func TestPatchingSingleVertex(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	p, err := ComputePatches(New(1), 1, rng)
-	if err != nil {
-		t.Fatal(err)
+	p := &Patching{D: 1, Leaders: []int{0}, PatchOf: []int{0}, Parent: []int{-1}, Depth: []int{0}}
+	if err := p.Validate(New(1)); err != nil {
+		t.Errorf("the patching of K_1 is rejected: %v", err)
 	}
-	if len(p.Leaders) != 1 || p.Leaders[0] != 0 || p.Depth[0] != 0 {
+	if got := p.Members(0); len(got) != 1 || got[0] != 0 || p.MaxDepth() != 0 || len(p.Children()[0]) != 0 {
 		t.Errorf("unexpected patching of K_1: %+v", p)
 	}
 }

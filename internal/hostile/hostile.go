@@ -16,11 +16,12 @@
 // cliutil stacking helpers preserve this order.
 //
 // Clock: the lockstep drivers push their tick into the stack via
-// cluster.TickObserver. The async and multi-process runtimes instead
-// set TopoConfig.Interval, and the layer derives the tick from wall
-// time — identically-seeded processes then see approximately the same
-// topology schedule, exactly as churn events map to At×Interval wall
-// offsets.
+// cluster.TickObserver, which every cluster.Layer forwards: the clock
+// reaches these layers wherever they sit. The async and multi-process
+// runtimes instead set TopoConfig.Interval, and the layer derives the
+// tick from wall time — identically-seeded processes then see
+// approximately the same topology schedule, exactly as churn events map
+// to At×Interval wall offsets.
 package hostile
 
 import (
@@ -47,7 +48,7 @@ type TopoConfig struct {
 
 // advTransport filters Sends through a per-tick adversary topology.
 type advTransport struct {
-	cluster.Transport
+	cluster.Layer
 	adv dynnet.Adversary
 	cfg TopoConfig
 
@@ -70,7 +71,7 @@ func WithAdversary(t cluster.Transport, adv dynnet.Adversary, cfg TopoConfig) cl
 	if adv == nil {
 		return t
 	}
-	return &advTransport{Transport: t, adv: adv, cfg: cfg, curTick: -1, start: time.Now()}
+	return &advTransport{Layer: cluster.Layer{Transport: t}, adv: adv, cfg: cfg, curTick: -1, start: time.Now()}
 }
 
 // ObserveTick implements cluster.TickObserver: the lockstep drivers'

@@ -223,10 +223,11 @@ func TestWithMutatorXgenHoldsBackOneSlot(t *testing.T) {
 // --- adversary transport ---------------------------------------------------
 
 // pathAdversary serves a fixed path 0-1-...-n-1 every round, recording
-// how many distinct rounds were queried.
+// how many distinct rounds were queried and the latest of them.
 type pathAdversary struct {
 	g       *graph.Graph
 	queries int
+	last    int
 }
 
 func newPathAdversary(n int) *pathAdversary {
@@ -239,6 +240,7 @@ func newPathAdversary(n int) *pathAdversary {
 
 func (p *pathAdversary) Graph(round int, _ []dynnet.Node) *graph.Graph {
 	p.queries++
+	p.last = round
 	return p.g
 }
 

@@ -220,7 +220,7 @@ func mutateFlip(pkt []byte, scratch *wire.Packet, rng *rand.Rand) []byte {
 
 // mutTransport injects hostile packets on the Send path.
 type mutTransport struct {
-	cluster.Transport
+	cluster.Layer
 	spec  MutationSpec
 	rates [numOps]float64
 	tel   *telemetry.Recorder
@@ -261,7 +261,7 @@ func WithMutator(t cluster.Transport, spec MutationSpec, seed int64, tel *teleme
 		panic(err)
 	}
 	mt := &mutTransport{
-		Transport: t, spec: spec, rates: spec.rates(), tel: tel,
+		Layer: cluster.Layer{Transport: t}, spec: spec, rates: spec.rates(), tel: tel,
 		rng: rand.New(rand.NewSource(seed)),
 	}
 	if spec.Stale > 0 {

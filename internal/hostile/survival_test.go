@@ -128,6 +128,30 @@ func TestClusterSurvivesRotatingPathAdversary(t *testing.T) {
 	}
 }
 
+// TestAdversaryUnderPlainMiddlewareSeesEveryTick: the lockstep clock
+// reaches a tick-aware layer wherever it sits. Stacked beneath loss,
+// reorder and partition — none of which has a clock of its own — the
+// adversary is still asked for every tick's topology, where it used to
+// serve tick 0's for the whole run.
+func TestAdversaryUnderPlainMiddlewareSeesEveryTick(t *testing.T) {
+	const n = 6
+	adv := newPathAdversary(n)
+	cfg := cluster.Config{N: n, Fanout: 2, Seed: 3, Lockstep: true, MaxTicks: 100000}
+	tr := hostile.WithAdversary(cfg.DefaultTransport(0), adv, hostile.TopoConfig{})
+	tr = cluster.WithPartition(tr, func(from, to int) bool { return false })
+	tr = cluster.WithReorder(tr, 0.1, 5)
+	cfg.Transport = cluster.WithLoss(tr, 0.1, 4)
+	res, err := cluster.Run(context.Background(), cfg, token.RandomSet(4, 32, rand.New(rand.NewSource(3))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every tick but the one that completes the run has an emit phase.
+	if !res.Completed || res.Ticks < 3 || adv.last != res.Ticks-1 || adv.queries != res.Ticks-1 {
+		t.Errorf("completed %v in %d ticks; adversary queried %d times, last for tick %d: want one query for each of ticks 1..%d",
+			res.Completed, res.Ticks, adv.queries, adv.last, res.Ticks-1)
+	}
+}
+
 // hostileClusterFingerprint runs the full stack — loss, every mutation
 // op, the adaptive adversary, targeted churn — under the lockstep
 // driver at the given shard count and fingerprints everything

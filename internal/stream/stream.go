@@ -225,10 +225,11 @@ func (c Config) runtime() cluster.Config {
 // packets: the one ack.
 const control = 1
 
-// DefaultTransport returns the in-process transport a run of c gets
-// when c.Transport is nil (see cluster.Config.DefaultTransport), for
-// callers that want middlewares over the default fabric.
-func (c Config) DefaultTransport() *cluster.ChanTransport {
+// DefaultTransport returns the in-process fabric a run of c gets when
+// c.Transport is nil — the tick mailbox when c.Lockstep, channels
+// otherwise (see cluster.Config.DefaultTransport) — for callers that
+// want middlewares over the default fabric.
+func (c Config) DefaultTransport() cluster.Transport {
 	return c.runtime().DefaultTransport(control)
 }
 
