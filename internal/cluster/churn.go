@@ -2,11 +2,14 @@ package cluster
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/wire"
 )
 
 // ChurnKind is one membership event type in a ChurnSchedule.
@@ -209,6 +212,12 @@ func (s *ChurnSchedule) Validate() error {
 // suspicion. Each View is owned by exactly one node (the goroutine or
 // lockstep slot driving it), like the node's BufRing.
 //
+// The live set is a sorted list of maximal runs [lo, hi) of consecutive
+// ids — what a hello carries on the wire (wire.Hello), so a received
+// peer list merges one interval union per run, and a full-membership
+// view is one run whatever n is. Every mutator is add or Remove; every
+// query walks or searches the runs.
+//
 // Stamps are in driver units — ticks under the lockstep drivers,
 // nanoseconds since run start under the async ones — and suspicion
 // compares them against SuspectAfter in the same units. SuspectAfter
@@ -216,28 +225,27 @@ func (s *ChurnSchedule) Validate() error {
 // crashed peer then simply keeps absorbing wasted sends as transport
 // drops; the stream runtime enables suspicion because its retirement
 // frontier would otherwise deadlock on a dead node's stale watermark).
-// A View starts in a compact dense representation — the common case
-// is "everyone 0..n-1 is live", which a full-membership run never
-// leaves — storing only the count and one shared last-heard stamp, so
-// a churnless n=100k cluster holds O(1) view state per node instead
-// of O(n). The first operation the dense form cannot represent
-// exactly (a mid-range removal, an out-of-order join, a per-peer
-// stamp deviation that suspicion would read) materializes the full
-// per-id live/heard arrays and continues with identical semantics.
-//
-// The shared dense stamp is exact while every mark uses one homogeneous
-// timestamp (how runs initialize views). When suspicion is off
-// (SuspectAfter == 0) stamps are never read, so the dense form also
-// tolerates heterogeneous marks; consequently SuspectAfter must be set
-// before marks deviate — the stream runtime sets it immediately after
-// construction — or materialized stamps inherit the running maximum.
+// A peer entering the view is stamped with the instant it enters; one
+// already there keeps the latest instant it was heard at. While every
+// live peer's stamp is the same instant (how runs initialize views) the
+// view stores that one stamp, so a churnless n=100k cluster holds O(1)
+// view state per node; the first mark that deviates from it while
+// suspicion is on allocates the per-id stamps. With suspicion off stamps
+// are never read and the shared stamp just tracks the latest mark;
+// consequently SuspectAfter must be set before marks deviate — the
+// stream runtime sets it immediately after construction — or the per-id
+// stamps inherit that running maximum.
 type View struct {
-	self  int
-	maxN  int
-	n     int
+	self int
+	maxN int
+	n    int
+	// runs is the live set, ascending, non-empty and non-adjacent. one
+	// backs it while a single run is enough, so such a view is a single
+	// allocation.
+	runs []idRun
+	one  [1]idRun
+	// stamp is every live peer's last-heard instant while heard is nil.
 	stamp int64
-	// live/heard are nil in dense mode; materialize() allocates them.
-	live  []bool
 	heard []int64
 	// SuspectAfter is the silence threshold beyond which a live peer
 	// stops being eligible for sampling and frontier membership. Zero
@@ -245,155 +253,97 @@ type View struct {
 	SuspectAfter int64
 }
 
+// idRun is the ids lo, lo+1, …, hi-1.
+type idRun struct{ lo, hi int }
+
 // NewView returns an empty view for a node in an id space of maxN.
 func NewView(self, maxN int) *View {
-	return &View{self: self, maxN: maxN}
+	v := &View{self: self, maxN: maxN}
+	v.runs = v.one[:0]
+	return v
 }
 
-// materialize switches from the dense {0..n-1} form to explicit
-// per-id arrays, stamping every live peer with the shared stamp.
-func (v *View) materialize() {
-	v.live = make([]bool, v.maxN)
-	v.heard = make([]int64, v.maxN)
-	for id := 0; id < v.n; id++ {
-		v.live[id] = true
-		v.heard[id] = v.stamp
+// find returns the index of the first run that ends beyond id: the run
+// holding id if any does (runs[i].lo <= id), else the next one up.
+func (v *View) find(id int) int {
+	lo, hi := 0, len(v.runs)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); v.runs[m].hi <= id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
+	return lo
 }
 
-// Fill marks ids 0..n-1 live with the given stamp — the initial
-// membership of a run, or a joiner's contact list prefix. It is Mark
-// over the prefix in closed form: O(1) while the result is still the
-// dense prefix with one shared stamp, one pass over the explicit arrays
-// otherwise.
-func (v *View) Fill(n int, now int64) {
-	if n > v.maxN {
-		n = v.maxN
-	}
-	if n <= 0 {
+// add is the one way ids enter a view: the interval union of [lo, hi),
+// cut to the id space, into the live set. Ids it adds are stamped now;
+// ids already live keep their stamp, or with refresh move it up to now.
+func (v *View) add(lo, hi int, now int64, refresh bool) {
+	lo, hi = max(lo, 0), min(hi, v.maxN)
+	if lo >= hi {
 		return
 	}
-	if v.live == nil {
-		if v.n == 0 { // Mark(0, now): an empty view adopts any stamp
-			v.n, v.stamp = 1, max(v.stamp, now)
-		}
-		switch {
-		case v.SuspectAfter == 0 || now == v.stamp:
-			v.n, v.stamp = max(v.n, n), max(v.stamp, now)
-			return
-		case now < v.stamp && n <= v.n:
-			return // every id already live with a fresher shared stamp
-		}
-		v.materialize()
+	// runs[i:j] are the runs [lo, hi) overlaps or touches: the union
+	// replaces them by one.
+	i := v.find(lo - 1)
+	j, fresh := i, hi-lo
+	for ; j < len(v.runs) && v.runs[j].lo <= hi; j++ {
+		fresh -= min(hi, v.runs[j].hi) - max(lo, v.runs[j].lo)
 	}
-	for id := 0; id < n; id++ {
-		if !v.live[id] {
-			v.live[id] = true
-			v.n++
-		}
-		v.heard[id] = max(v.heard[id], now)
+	if fresh == 0 && !refresh {
+		return
 	}
-}
-
-// contacts is a live set frozen for one spawn batch — a run's initial
-// membership, or the nodes live when a churn batch applies — from which
-// every member of the batch copies its starting view. Building it scans
-// the live flags once; View is then O(1) while the set is the dense
-// prefix 0..n-1 and one array copy otherwise, where marking each live
-// peer per member made start-up O(n²) Mark calls.
-type contacts struct {
-	maxN, n int
-	// live is nil while the set is exactly the prefix 0..n-1.
-	live []bool
-}
-
-// newContacts snapshots the ids flagged in live, which holds at most
-// maxN flags.
-func newContacts(live []bool, maxN int) contacts {
-	c := contacts{maxN: maxN}
-	dense := true
-	for id, l := range live {
-		if l {
-			dense = dense && id == c.n
-			c.n++
-		}
-	}
-	if !dense {
-		c.live = make([]bool, maxN)
-		copy(c.live, live)
-	}
-	return c
-}
-
-// view returns node self's view of the contacts, every one of them
-// last heard at now: the state NewView plus one Mark per live id (with
-// SuspectAfter still zero) arrives at, including the representation.
-func (c contacts) view(self int, now int64) *View {
-	v := &View{self: self, maxN: c.maxN, n: c.n}
-	if c.n > 0 {
-		v.stamp = max(now, 0)
-	}
-	if c.live != nil {
-		v.live = append([]bool(nil), c.live...)
-		v.heard = make([]int64, c.maxN)
-		for id, l := range v.live {
-			if l {
+	switch {
+	case v.heard != nil:
+	case v.n == 0:
+		v.stamp = now
+	case v.SuspectAfter == 0:
+		v.stamp = max(v.stamp, now) // never read; see View
+	case now == v.stamp || fresh == 0 && now < v.stamp:
+		// The shared stamp still says it all.
+	default:
+		v.heard = make([]int64, v.maxN)
+		for _, r := range v.runs {
+			for id := r.lo; id < r.hi; id++ {
 				v.heard[id] = v.stamp
 			}
 		}
 	}
-	return v
+	if v.heard != nil {
+		at := lo // the first id of [lo, hi) not yet stamped
+		for _, r := range v.runs[i:j] {
+			for ; at < r.lo; at++ {
+				v.heard[at] = now
+			}
+			end := min(hi, r.hi) // at <= end: r starts at or before hi
+			for id := at; refresh && id < end; id++ {
+				v.heard[id] = max(v.heard[id], now)
+			}
+			at = end
+		}
+		for ; at < hi; at++ {
+			v.heard[at] = now
+		}
+	}
+	if fresh == 0 {
+		return
+	}
+	if i < j {
+		lo, hi = min(lo, v.runs[i].lo), max(hi, v.runs[j-1].hi)
+	}
+	v.runs = slices.Replace(v.runs, i, j, idRun{lo, hi})
+	v.n += fresh
 }
+
+// Fill marks ids 0..n-1 live with the given stamp — the initial
+// membership of a run — as Mark over the prefix would.
+func (v *View) Fill(n int, now int64) { v.add(0, n, now, true) }
 
 // Mark adds id to the view (if absent) and refreshes its last-heard
 // stamp. Marking the view's own node is allowed and keeps it live.
-func (v *View) Mark(id int, now int64) {
-	if id < 0 || id >= v.maxN {
-		return
-	}
-	if v.live == nil {
-		if v.denseMark(id, now) {
-			return
-		}
-		v.materialize()
-	}
-	if !v.live[id] {
-		v.live[id] = true
-		v.n++
-	}
-	if now > v.heard[id] {
-		v.heard[id] = now
-	}
-}
-
-// denseMark applies Mark in the dense form when the result is still
-// representable there, reporting whether it did. Refusals (id beyond
-// the dense prefix, or a stamp deviation that suspicion would read)
-// make the caller materialize and retry on the explicit arrays.
-func (v *View) denseMark(id int, now int64) bool {
-	switch {
-	case id < v.n: // already live: refresh the shared stamp
-		if now <= v.stamp {
-			return true
-		}
-		if v.SuspectAfter == 0 {
-			v.stamp = now
-			return true
-		}
-		return false // per-peer stamps now diverge and are read
-	case id == v.n: // extends the dense prefix by exactly one
-		if v.SuspectAfter == 0 || v.n == 0 || now == v.stamp {
-			v.n++
-			if now > v.stamp {
-				v.stamp = now
-			}
-			return true
-		}
-		return false
-	default:
-		return false
-	}
-}
+func (v *View) Mark(id int, now int64) { v.add(id, id+1, now, true) }
 
 // Introduce adds id to the view with a fresh stamp only if it is
 // absent; a known peer's last-heard stamp is left untouched. This is
@@ -402,70 +352,79 @@ func (v *View) denseMark(id int, now int64) bool {
 // sender still believes in — refreshing known peers' stamps from
 // relayed lists would let one chatty node keep a crashed peer
 // unsuspected forever, deadlocking the stream's retirement frontier.
-func (v *View) Introduce(id int, now int64) {
-	if id < 0 || id >= v.maxN {
-		return
-	}
-	if v.live == nil {
-		if id < v.n {
-			return // known peer: stamp untouched
-		}
-		if v.denseMark(id, now) {
-			return
-		}
-		v.materialize()
-	}
-	if !v.live[id] {
-		v.live[id] = true
-		v.n++
-		if now > v.heard[id] {
-			v.heard[id] = now
+func (v *View) Introduce(id int, now int64) { v.add(id, id+1, now, false) }
+
+// IntroducePeers is Introduce for every id of a hello body, at one
+// interval union per run of the list — cut where the wire codec cuts it
+// — and not one per id. Ids beyond the id space are ignored.
+func (v *View) IntroducePeers(peers []uint32, now int64) {
+	for lo, hi := 0, 0; lo < len(peers); lo = hi {
+		hi = wire.RunEnd(peers, lo)
+		if first := peers[lo]; first < uint32(v.maxN) {
+			v.add(int(first), int(min(peers[hi-1], uint32(v.maxN-1)))+1, now, false)
 		}
 	}
 }
 
 // Remove drops id from the view (a leave announcement, or local
-// bookkeeping by a driver).
+// bookkeeping by a driver), splitting the run that held it.
 func (v *View) Remove(id int) {
-	if id < 0 || id >= v.maxN {
+	i := v.find(id)
+	if i == len(v.runs) || v.runs[i].lo > id {
 		return
 	}
-	if v.live == nil {
-		if id >= v.n {
-			return
-		}
-		if id == v.n-1 { // shrinking the dense prefix stays dense
-			v.n--
-			return
-		}
-		v.materialize()
+	var parts [2]idRun
+	k, r := 0, v.runs[i]
+	if r.lo < id {
+		parts[k], k = idRun{r.lo, id}, k+1
 	}
-	if v.live[id] {
-		v.live[id] = false
-		v.n--
+	if id+1 < r.hi {
+		parts[k], k = idRun{id + 1, r.hi}, k+1
 	}
+	v.runs = slices.Replace(v.runs, i, i+1, parts[:k]...)
+	v.n--
+}
+
+// contacts is a live set frozen for one spawn batch — a run's initial
+// membership, or the nodes live when a churn batch applies — as a
+// template view: building it passes over the live flags once, and
+// every member of the batch copies its run list, where marking each
+// live peer per member made start-up O(n²) Mark calls.
+type contacts struct{ live *View }
+
+// newContacts snapshots the ids flagged in live, which holds at most
+// maxN flags.
+func newContacts(live []bool, maxN int) contacts {
+	c := contacts{NewView(-1, maxN)}
+	for id, l := range live {
+		if l {
+			c.live.Introduce(id, 0)
+		}
+	}
+	return c
+}
+
+// view returns node self's view of the contacts, every one of them
+// last heard at now: the state NewView plus one Mark per live id
+// arrives at.
+func (c contacts) view(self int, now int64) *View {
+	v := NewView(self, c.live.maxN)
+	v.runs = append(v.runs, c.live.runs...)
+	v.n, v.stamp = c.live.n, now
+	return v
 }
 
 // Live reports whether id is in the view.
 func (v *View) Live(id int) bool {
-	if id < 0 || id >= v.maxN {
-		return false
-	}
-	if v.live == nil {
-		return id < v.n
-	}
-	return v.live[id]
+	i := v.find(id)
+	return i < len(v.runs) && v.runs[i].lo <= id
 }
 
 // LiveCount is the number of nodes in the view, including self.
 func (v *View) LiveCount() int { return v.n }
 
-// Eligible reports whether id is in the view and not suspected at the
-// given instant. The view's own node is always eligible.
-func (v *View) Eligible(id int, now int64) bool {
-	if !v.Live(id) {
-		return false
-	}
+// unsuspected reports whether live id has been heard recently enough.
+func (v *View) unsuspected(id int, now int64) bool {
 	if id == v.self || v.SuspectAfter == 0 {
 		return true
 	}
@@ -476,11 +435,33 @@ func (v *View) Eligible(id int, now int64) bool {
 	return now-heard <= v.SuspectAfter
 }
 
+// Eligible reports whether id is in the view and not suspected at the
+// given instant. The view's own node is always eligible.
+func (v *View) Eligible(id int, now int64) bool {
+	return v.Live(id) && v.unsuspected(id, now)
+}
+
+// EligibleIDs iterates, in ascending order, over the ids Eligible at the
+// given instant: one walk of the runs, for callers that would otherwise
+// ask Eligible of every id of the id space.
+func (v *View) EligibleIDs(now int64) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for _, r := range v.runs {
+			for id := r.lo; id < r.hi; id++ {
+				if v.unsuspected(id, now) && !yield(id) {
+					return
+				}
+			}
+		}
+	}
+}
+
 // Pick draws a uniformly random live peer other than self, or -1 when
-// there is none. With a full view of n nodes it draws exactly one
-// rng.Intn(n-1) and maps it exactly as the static runtimes' `peer :=
-// rng.Intn(n-1); if peer >= id { peer++ }` did, so churnless runs
-// reproduce their pre-membership transcripts bit for bit.
+// there is none: one rng.Intn(peers), whose value r selects the r-th
+// live id other than self in ascending order. With a full view of n
+// nodes that is exactly the static runtimes' `peer := rng.Intn(n-1); if
+// peer >= id { peer++ }`, so churnless runs reproduce their
+// pre-membership transcripts bit for bit.
 //
 // Deliberately, suspicion does NOT filter sampling — only Remove
 // (leave announcements) does. Excluding suspected peers from sampling
@@ -502,21 +483,14 @@ func (v *View) Pick(rng *rand.Rand, _ int64) int {
 		return -1
 	}
 	r := rng.Intn(peers)
-	if v.live == nil {
-		// Dense: live ids are 0..n-1 ascending; skipping self is the
-		// static mapping in closed form, O(1) instead of a scan.
-		if v.self < v.n && r >= v.self {
-			r++
+	for _, run := range v.runs {
+		if run.lo <= v.self && v.self < run.hi && r >= v.self-run.lo {
+			r++ // self's slot is not a draw
 		}
-		return r
-	}
-	for id := range v.live {
-		if id != v.self && v.live[id] {
-			if r == 0 {
-				return id
-			}
-			r--
+		if r < run.hi-run.lo {
+			return run.lo + r
 		}
+		r -= run.hi - run.lo
 	}
 	return -1 // unreachable
 }
@@ -524,19 +498,14 @@ func (v *View) Pick(rng *rand.Rand, _ int64) int {
 // AppendPeers appends the view's live ids (including self) to dst for
 // a hello body, reusing dst's capacity.
 func (v *View) AppendPeers(dst []uint32) []uint32 {
-	if v.live == nil {
-		// Dense: ids 0..n-1, filled by index into one sized extension.
-		dst = slices.Grow(dst, v.n)
-		ids := dst[len(dst) : len(dst)+v.n]
-		for id := range ids {
-			ids[id] = uint32(id)
+	dst = slices.Grow(dst, v.n)
+	for _, r := range v.runs {
+		// Filled by index into one sized extension per run.
+		ids := dst[len(dst) : len(dst)+r.hi-r.lo]
+		for k := range ids {
+			ids[k] = uint32(r.lo + k)
 		}
-		return dst[:len(dst)+v.n]
-	}
-	for id, l := range v.live {
-		if l {
-			dst = append(dst, uint32(id))
-		}
+		dst = dst[:len(dst)+len(ids)]
 	}
 	return dst
 }

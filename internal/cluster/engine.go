@@ -758,11 +758,9 @@ func (e Engine) RunSingle(ctx context.Context, cfg Config, s Single) error {
 	// Every peer starts presumed-live: membership here is static (the
 	// launcher starts all N processes); what is dynamic is routability,
 	// which the known gate covers as the address book fills.
-	live := make([]bool, cfg.N)
-	for i := range live {
-		live[i] = true
-	}
-	nd := newNode(s.ID, cfg.Seed, cfg.Fanout, newContacts(live, cfg.N).view(s.ID, 0), cfg.Transport, m, cfg.Telemetry)
+	view := NewView(s.ID, cfg.N)
+	view.Fill(cfg.N, 0)
+	nd := newNode(s.ID, cfg.Seed, cfg.Fanout, view, cfg.Transport, m, cfg.Telemetry)
 	nd.known = s.Known
 	if nd.known == nil {
 		if at, ok := cfg.Transport.(AddressedTransport); ok {

@@ -240,12 +240,10 @@ func (nd *Node) recv(raw []byte) bool {
 	}
 	nd.Tel.Event(nd.ID, nd.Now, telemetry.KindRecvHello, int64(sender), 0, 0)
 	nd.View.Mark(sender, nd.Now)
-	for _, pid := range p.Hello.Peers {
-		// Third-party introductions never refresh a known peer's stamp
-		// (see View.Introduce), or suspicion could never evict a crashed
-		// node that peers keep listing.
-		nd.View.Introduce(int(pid), nd.Now)
-	}
+	// Third-party introductions never refresh a known peer's stamp (see
+	// View.Introduce), or suspicion could never evict a crashed node that
+	// peers keep listing.
+	nd.View.IntroducePeers(p.Hello.Peers, nd.Now)
 	return false
 }
 

@@ -13,12 +13,12 @@ import (
 
 // sameView fails unless two views answer every query a runtime makes of
 // them identically: membership, suspicion at a spread of instants, the
-// hello body, and a seeded sequence of peer picks. Both must also be in
-// the same representation, since that decides what the next Mark costs.
+// hello body, and a seeded sequence of peer picks. Their run lists must
+// be equal too: a live set has one canonical list.
 func sameView(t *testing.T, stage string, ref, got *View, sa int64) {
 	t.Helper()
-	if (ref.live == nil) != (got.live == nil) {
-		t.Fatalf("%s: dense=%v, Mark loop dense=%v", stage, got.live == nil, ref.live == nil)
+	if !slices.Equal(ref.runs, got.runs) {
+		t.Fatalf("%s: runs %v, Mark loop %v", stage, got.runs, ref.runs)
 	}
 	if ref.LiveCount() != got.LiveCount() {
 		t.Fatalf("%s: LiveCount %d, Mark loop %d", stage, got.LiveCount(), ref.LiveCount())
@@ -45,8 +45,8 @@ func sameView(t *testing.T, stage string, ref, got *View, sa int64) {
 }
 
 // perturb applies one random membership sequence to both views, so a
-// stamp or representation difference the queries above cannot see yet
-// surfaces in what the views do next.
+// stamp difference the queries above cannot see yet surfaces in what the
+// views do next.
 func perturb(rng *rand.Rand, maxN int, views ...*View) {
 	for step, at := 0, int64(3); step < 12; step++ {
 		op, id := rng.Intn(3), rng.Intn(maxN+2)-1
@@ -64,9 +64,9 @@ func perturb(rng *rand.Rand, maxN int, views ...*View) {
 	}
 }
 
-// randomLive draws a live set over maxN ids: a prefix (the dense input)
-// or an arbitrary subset (the materialised one), sometimes shorter than
-// the id space, as a churn run's live slice never is but callers may be.
+// randomLive draws a live set over maxN ids: a prefix (one run) or an
+// arbitrary subset (many), sometimes shorter than the id space, as a
+// churn run's live slice never is but callers may be.
 func randomLive(rng *rand.Rand, maxN int) []bool {
 	live := make([]bool, maxN-rng.Intn(2)*rng.Intn(maxN))
 	prefix, dense := rng.Intn(len(live)+1), rng.Intn(2) == 0
@@ -111,9 +111,9 @@ func TestContactsViewMatchesMarkLoop(t *testing.T) {
 	}
 }
 
-// TestFillMatchesMarkLoop holds Fill's closed form to the Mark loop it
-// replaced, on fresh views and on views already dense or materialised
-// by earlier traffic, with suspicion on and off.
+// TestFillMatchesMarkLoop holds Fill's one interval union to the Mark
+// loop it stands for, on fresh views and on views already fragmented by
+// earlier traffic, with suspicion on and off.
 func TestFillMatchesMarkLoop(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))

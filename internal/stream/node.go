@@ -282,33 +282,38 @@ func (nd *node) peerFloor() int {
 		}
 		return nd.peerMin
 	}
-	// Suspicion transitions are traced by diffing eligibility between
-	// passes; the first pass only snapshots (no transitions yet).
+	// One walk of the view's eligible ids, ascending. Suspicion
+	// transitions are traced by diffing eligibility between passes: every
+	// id the walk skips is ineligible now. The first pass only snapshots.
 	trackSusp := nd.Tel != nil
 	if trackSusp && nd.eligPrev == nil {
 		nd.eligPrev = make([]bool, nd.maxN)
-		for id := range nd.eligPrev {
-			nd.eligPrev[id] = nd.View.Eligible(id, nd.Now)
-		}
-		trackSusp = false
 	}
-	floor := math.MaxInt
-	for id := 0; id < nd.maxN; id++ {
-		if id == nd.ID {
-			continue
-		}
-		elig := nd.View.Eligible(id, nd.Now)
+	floor, next := math.MaxInt, 0
+	for id := range nd.View.EligibleIDs(nd.Now) {
 		if trackSusp {
-			if nd.eligPrev[id] && !elig {
-				nd.Tel.Event(nd.ID, nd.Now, telemetry.KindSuspect, int64(id), 0, 0)
-			}
-			nd.eligPrev[id] = elig
+			nd.suspect(next, id)
+			nd.eligPrev[id], next = true, id+1
 		}
-		if elig && nd.marks[id] < floor {
+		if id != nd.ID && nd.marks[id] < floor {
 			floor = nd.marks[id]
 		}
 	}
+	if trackSusp {
+		nd.suspect(next, nd.maxN)
+	}
 	return floor
+}
+
+// suspect traces the peers of [lo, hi), none of them eligible now, that
+// were at the last pass.
+func (nd *node) suspect(lo, hi int) {
+	for id := lo; id < hi; id++ {
+		if nd.eligPrev[id] && id != nd.ID {
+			nd.Tel.Event(nd.ID, nd.Now, telemetry.KindSuspect, int64(id), 0, 0)
+		}
+		nd.eligPrev[id] = false
+	}
 }
 
 // advance retires what the frontier allows and opens every generation
@@ -653,8 +658,8 @@ func (nd *node) adoptOrphans() {
 // the currently eligible view members — the deterministic adopter of
 // orphaned origins.
 func (nd *node) lowestEligible() bool {
-	for id := 0; id < nd.ID; id++ {
-		if nd.View.Eligible(id, nd.Now) {
+	for id := range nd.View.EligibleIDs(nd.Now) {
+		if id < nd.ID {
 			return false
 		}
 	}

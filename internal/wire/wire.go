@@ -444,6 +444,11 @@ func runEnd[T any](list []T, lo int, id func(T) uint32) int {
 	return hi
 }
 
+// RunEnd is runEnd over a hello's peer list, for a receiver that merges
+// the list run by run: the codec's rule for where a run ends is the only
+// one.
+func RunEnd(peers []uint32, lo int) int { return runEnd(peers, lo, peerID) }
+
 func peerID(id uint32) uint32   { return id }
 func markID(pm PeerMark) uint32 { return pm.Node }
 
