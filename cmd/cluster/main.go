@@ -20,13 +20,14 @@
 //	                                                    # hostile-packet injection
 //
 // Transports: "chan" (default) runs the concurrent runtime on buffered
-// channels with wall-clock metrics; "lockstep" runs the deterministic
+// channels, a tick every -interval of wall time, and reports
+// milliseconds (ticks × -interval); "lockstep" runs the deterministic
 // single-threaded driver, whose runs are a pure function of -seed and
-// report ticks instead of milliseconds.
+// report ticks. -delay, -churn and every telemetry stamp count those
+// ticks under both.
 //
 // Churn: -churn takes a comma-separated kind:tick:count schedule
-// (join, leave, crash, restart, rejoin); ticks map to At×-interval
-// wall offsets under the async transport. Completion then means every
+// (join, leave, crash, restart, rejoin). Completion then means every
 // node live at the end holds all k tokens.
 package main
 
@@ -101,8 +102,9 @@ func run(w io.Writer, o options) error {
 		}
 	} else {
 		t.AddRow("elapsed", res.Elapsed.Round(time.Millisecond).String())
-		if s := sim.Summarize(cluster.DoneTimes(res.Nodes)); s.N > 0 {
-			t.AddRow("time-to-rank-k min/mean/max", fmt.Sprintf("%.1fms / %.1fms / %.1fms", 1e3*s.Min, 1e3*s.Mean, 1e3*s.Max))
+		if s := sim.Summarize(cluster.DoneTicks(res.Nodes)); s.N > 0 {
+			ms := 1e3 * o.Interval.Seconds() // an async tick is one -interval
+			t.AddRow("time-to-rank-k min/mean/max", fmt.Sprintf("%.1fms / %.1fms / %.1fms", ms*s.Min, ms*s.Mean, ms*s.Max))
 		}
 	}
 	t.AddRow("packets sent", sim.I(int(res.PacketsOut)))

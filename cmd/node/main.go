@@ -90,7 +90,7 @@ func main() {
 	flag.DurationVar(&o.Timeout, "timeout", 60*time.Second, "wall-clock cap for bootstrap and for the run")
 	flag.DurationVar(&o.linger, "linger", 2*time.Second, "keep gossiping this long after local completion")
 	flag.Float64Var(&o.Loss, "loss", 0, "injected packet loss rate in [0,1), above the socket")
-	flag.DurationVar(&o.Delay, "delay", 0, "injected per-packet latency upper bound")
+	flag.DurationVar(&o.Delay, "delay", 0, "injected per-packet latency upper bound, in units of -interval")
 	flag.Float64Var(&o.Reorder, "reorder", 0, "injected packet reordering rate in [0,1)")
 	flag.StringVar(&o.Adversary, "adversary", "", cliutil.AdversaryHelp)
 	flag.StringVar(&o.Mutate, "mutate", "", `hostile-packet mutation spec, e.g. "dup:0.05,stale:0.1" (ops: dup|stale|trunc|flip|xgen|all)`)
@@ -131,6 +131,9 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	if err := o.Validate(); err != nil {
 		return err
 	}
+	if o.Interval <= 0 {
+		return fmt.Errorf("-interval must be positive (it is the run's tick), got %v", o.Interval)
+	}
 
 	tr, err := udpnet.Dial(udpnet.Config{ID: o.id, Nodes: o.N, Addr: o.addr, Bootstrap: o.bootstrap})
 	if err != nil {
@@ -140,13 +143,10 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	fmt.Fprintf(w, "LISTEN id=%d addr=%s\n", o.id, tr.LocalAddr())
 
 	// Lower the flags before bootstrapping so a bad middleware knob
-	// fails fast. The middlewares hide the socket transport's Known
-	// method, which is why the routability gate is captured from tr, not
-	// from the wrapped stack. The hostile layers' tick clock derives from
-	// the emission interval (no lockstep driver feeds them ticks here).
+	// fails fast.
 	meta := []string{"driver", "node", "id", fmt.Sprint(o.id), "n", fmt.Sprint(o.N),
 		"mode", o.mode, "k", fmt.Sprint(o.K), "seed", fmt.Sprint(o.Seed)}
-	single := cluster.Single{ID: o.id, Linger: o.linger, Known: tr.Known}
+	single := cluster.Single{ID: o.id, Linger: o.linger}
 	var oneShot cluster.Config
 	var streamed stream.Config
 	var rec *telemetry.Recorder
@@ -234,9 +234,9 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		fmt.Fprintf(w, "BOOT id=%d known=%d/%d\n", o.id, tr.BookSize(), o.N)
 	}
 
-	// One sampling loop per process feeds the socket accounting series;
-	// flush joins it (via stopSampler) so the exports see a quiet
-	// recorder.
+	// One sampling loop per process feeds the socket accounting series,
+	// stamped in the run's unit of time, ticks of -interval; flush joins
+	// it (via stopSampler) so the exports see a quiet recorder.
 	if rec != nil {
 		start := time.Now()
 		sctx, scancel := context.WithCancel(ctx)
@@ -261,7 +261,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 				case <-sctx.Done():
 					return
 				case <-tick.C:
-					rec.SampleNet(time.Since(start).Milliseconds(), tr.Stats().Counts())
+					rec.SampleNet(int64(time.Since(start)/o.Interval), tr.Stats().Counts())
 				}
 			}
 		}()
@@ -291,7 +291,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		fmt.Fprintf(w, "DONE id=%d ok=%v innovative=%d packets_out=%d\n", o.id, m.Done, m.Innovative, m.PacketsOut)
 	}
 	add("done", shared.Done)
-	add("done_at_ms", shared.DoneAt.Milliseconds())
+	add("done_at_ms", (time.Duration(shared.DoneTick) * o.Interval).Milliseconds())
 	add("packets_out", shared.PacketsOut)
 	add("packets_in", shared.PacketsIn)
 	add("hellos_out", shared.HellosOut)

@@ -3,17 +3,20 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cliutil"
+	"repro/internal/cluster"
 )
 
 func validOptions() options {
@@ -94,18 +97,28 @@ func freeAddrs(t *testing.T, n int) []string {
 // outputs and metric files.
 func smoke(t *testing.T, mode string) (outs []bytes.Buffer, metrics []string) {
 	t.Helper()
-	addrs := freeAddrs(t, 2)
+	return launch(t, 2, func(_ int, o *options) { o.mode = mode })
+}
+
+// launch runs n run() bodies as one cluster — node 0 the bootstrap
+// peer, tune adjusting each node's options — and fails the test unless
+// all of them succeed.
+func launch(t *testing.T, n int, tune func(id int, o *options)) (outs []bytes.Buffer, metrics []string) {
+	t.Helper()
+	addrs := freeAddrs(t, n)
 	dir := t.TempDir()
-	outs = make([]bytes.Buffer, 2)
-	metrics = []string{filepath.Join(dir, "node0.metrics"), filepath.Join(dir, "node1.metrics")}
-	errs := make([]error, 2)
+	outs = make([]bytes.Buffer, n)
+	metrics = make([]string, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for id := 0; id < 2; id++ {
+	for id := 0; id < n; id++ {
+		metrics[id] = filepath.Join(dir, fmt.Sprintf("node%d.metrics", id))
 		o := validOptions()
-		o.id, o.mode, o.addr, o.metrics = id, mode, addrs[id], metrics[id]
+		o.N, o.id, o.addr, o.metrics = n, id, addrs[id], metrics[id]
 		if id > 0 {
 			o.bootstrap = addrs[0]
 		}
+		tune(id, &o)
 		wg.Add(1)
 		go func(id int, o options) {
 			defer wg.Done()
@@ -321,4 +334,101 @@ func httpGet(url string) (string, error) {
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	return string(b), err
+}
+
+// exportTicks reads a telemetry v1 export into the tick range of every
+// line family it holds: "s" (samples), "net" (the socket series) and
+// each event kind.
+func exportTicks(t *testing.T, doc string) map[string][2]int64 {
+	t.Helper()
+	out := map[string][2]int64{}
+	for _, line := range strings.Split(doc, "\n") {
+		f := strings.Fields(line)
+		var family, tick string
+		switch {
+		case len(f) > 3 && f[0] == "e":
+			family, tick = f[3], f[2]
+		case len(f) > 2 && f[0] == "s":
+			family, tick = "s", f[2]
+		case len(f) > 1 && f[0] == "net":
+			family, tick = "net", f[1]
+		default:
+			continue
+		}
+		v, err := strconv.ParseInt(tick, 10, 64)
+		if err != nil {
+			t.Fatalf("export line %q: %v", line, err)
+		}
+		r, seen := out[family]
+		if !seen {
+			r = [2]int64{v, v}
+		}
+		out[family] = [2]int64{min(r[0], v), max(r[1], v)}
+	}
+	return out
+}
+
+// TestTelemetryOneTimeBase: whoever stamps a telemetry line — a node, a
+// hostile middleware, cmd/node's socket sampler — stamps it with the
+// run's one clock, ticks of -interval since the run started, under the
+// async driver and over real sockets under RunSingle alike. So every
+// family of an export lies in [0, elapsed/interval + 1], and the
+// middlewares' stamps move: every driver ticks the stack, not only the
+// lockstep one.
+func TestTelemetryOneTimeBase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("socket integration test skipped with -short")
+	}
+	const interval = 2 * time.Millisecond // not 1ms: a millisecond stamp must not pass for a tick
+	check := func(t *testing.T, file string, elapsed time.Duration, families ...string) {
+		t.Helper()
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ticks, last := exportTicks(t, string(raw)), int64(elapsed/interval)+1
+		for family, r := range ticks {
+			if r[0] < 0 || r[1] > last {
+				t.Errorf("%s lines span ticks %d…%d of a run that lasted %d", family, r[0], r[1], last)
+			}
+		}
+		for _, family := range families {
+			if r, ok := ticks[family]; !ok || r[1] == 0 {
+				t.Errorf("%s lines span ticks %v (present %v): want stamps that move with the run", family, r, ok)
+			}
+		}
+	}
+
+	t.Run("async", func(t *testing.T) {
+		g := validOptions().GossipFlags
+		g.N, g.K, g.Fanout, g.Interval, g.Transport, g.Shards = 8, 32, 2, interval, "chan", 1
+		g.Mutate, g.Adversary, g.Telemetry = "dup:0.2", "random", filepath.Join(t.TempDir(), "async.telemetry")
+		cfg, err := g.Open(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		res, err := cluster.Run(context.Background(), cfg, g.Tokens())
+		elapsed := time.Since(start)
+		if err != nil || !res.Completed {
+			t.Fatalf("completed=%v, err %v", res.Completed, err)
+		}
+		if err := g.Export(cfg.Telemetry, "", false); err != nil {
+			t.Fatal(err)
+		}
+		check(t, g.Telemetry, elapsed, "s", "send", "recv", "mutate", "adv_cut")
+	})
+
+	t.Run("node", func(t *testing.T) {
+		dir := t.TempDir()
+		file := func(id int) string { return filepath.Join(dir, fmt.Sprintf("node%d.telemetry", id)) }
+		start := time.Now()
+		launch(t, 3, func(id int, o *options) {
+			o.K, o.Interval, o.Mutate, o.Adversary, o.Telemetry = 16, interval, "dup:0.2", "rotating-path", file(id)
+		})
+		elapsed := time.Since(start)
+		for id := 0; id < 3; id++ {
+			check(t, file(id), elapsed, "s", "send", "recv", "mutate", "adv_cut", "net")
+		}
+	})
 }

@@ -20,9 +20,11 @@
 //	go run ./cmd/stream -mutate "stale:0.1,xgen:0.05"           # stale-epoch replay + cross-generation reordering
 //
 // Transports: "chan" (default) runs the concurrent runtime on buffered
-// channels with wall-clock metrics; "lockstep" runs the deterministic
+// channels, a tick every -interval of wall time, and reports
+// milliseconds (ticks × -interval); "lockstep" runs the deterministic
 // single-threaded driver, whose runs are a pure function of -seed and
-// report ticks instead of milliseconds.
+// report ticks. -delay, -churn and every telemetry stamp count those
+// ticks under both.
 //
 // Churn: -churn takes a comma-separated kind:tick:count schedule
 // (join, leave, crash, restart, rejoin). A mid-stream joiner learns
@@ -124,8 +126,9 @@ func run(w io.Writer, o options) error {
 		if secs := res.Elapsed.Seconds(); secs > 0 && deliveredPerNode > 0 {
 			t.AddRow("sustained tokens/sec", sim.F(deliveredPerNode/secs))
 		}
-		if s := sim.Summarize(cluster.DoneTimes(res.Nodes)); s.N > 0 {
-			t.AddRow("time-to-stream-end min/mean/max", fmt.Sprintf("%.1fms / %.1fms / %.1fms", 1e3*s.Min, 1e3*s.Mean, 1e3*s.Max))
+		if s := sim.Summarize(cluster.DoneTicks(res.Nodes)); s.N > 0 {
+			ms := 1e3 * o.Interval.Seconds() // an async tick is one -interval
+			t.AddRow("time-to-stream-end min/mean/max", fmt.Sprintf("%.1fms / %.1fms / %.1fms", ms*s.Min, ms*s.Mean, ms*s.Max))
 		}
 	}
 	t.AddRow("tokens delivered (all nodes)", sim.I(int(res.TokensDelivered)))
@@ -141,15 +144,16 @@ func run(w io.Writer, o options) error {
 		t.AddRow("churn schedule", cfg.Churn.String())
 		t.AddRow("nodes live at end", sim.I(res.FinalLive))
 		for id, m := range res.Nodes {
-			if !m.Spawned || m.StartGen == 0 {
+			if !m.Spawned || m.StartGen == 0 || m.CaughtUpTick == 0 {
 				continue
 			}
-			if cfg.Lockstep && m.CaughtUpTick > 0 {
+			if cfg.Lockstep {
 				t.AddRow(fmt.Sprintf("node %d joined@%d, start gen %d", id, m.JoinTick, m.StartGen),
 					fmt.Sprintf("caught up in %d ticks", m.CaughtUpTick-m.JoinTick))
-			} else if !cfg.Lockstep && m.CaughtUpAt > 0 {
-				t.AddRow(fmt.Sprintf("node %d joined@%v, start gen %d", id, m.JoinAt.Round(time.Millisecond), m.StartGen),
-					fmt.Sprintf("caught up in %v", (m.CaughtUpAt-m.JoinAt).Round(time.Millisecond)))
+			} else {
+				wall := func(ticks int) time.Duration { return (time.Duration(ticks) * o.Interval).Round(time.Millisecond) }
+				t.AddRow(fmt.Sprintf("node %d joined@%v, start gen %d", id, wall(m.JoinTick), m.StartGen),
+					fmt.Sprintf("caught up in %v", wall(m.CaughtUpTick-m.JoinTick)))
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/telemetry"
@@ -107,7 +106,7 @@ func TestParseMutateFlagNamesFlag(t *testing.T) {
 func TestWrapAdversarialEmptyIsIdentity(t *testing.T) {
 	var base cluster.Transport = cluster.NewChanTransport(2, 1)
 	defer base.Close()
-	tr, err := (&GossipFlags{Seed: 1}).Wrap(base, 2, 0, nil)
+	tr, err := (&GossipFlags{Seed: 1}).Wrap(base, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +119,7 @@ func TestWrapAdversarialStacks(t *testing.T) {
 	var base cluster.Transport = cluster.NewChanTransport(4, 8)
 	defer base.Close()
 	g := GossipFlags{Seed: 1, Adversary: "rotating-path", Mutate: "dup:0.1"}
-	tr, err := g.Wrap(base, 4, time.Millisecond, nil)
+	tr, err := g.Wrap(base, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +130,10 @@ func TestWrapAdversarialStacks(t *testing.T) {
 		t.Error("outermost adversarial layer does not observe ticks")
 	}
 	// Bad specs surface with the flag name.
-	if _, err := (&GossipFlags{Adversary: "omniscient"}).Wrap(base, 4, 0, nil); err == nil || !strings.Contains(err.Error(), "-adversary") {
+	if _, err := (&GossipFlags{Adversary: "omniscient"}).Wrap(base, 4, nil); err == nil || !strings.Contains(err.Error(), "-adversary") {
 		t.Errorf("bad -adversary error %v does not name the flag", err)
 	}
-	if _, err := (&GossipFlags{Mutate: "melt:0.5"}).Wrap(base, 4, 0, nil); err == nil || !strings.Contains(err.Error(), "-mutate") {
+	if _, err := (&GossipFlags{Mutate: "melt:0.5"}).Wrap(base, 4, nil); err == nil || !strings.Contains(err.Error(), "-mutate") {
 		t.Errorf("bad -mutate error %v does not name the flag", err)
 	}
 }

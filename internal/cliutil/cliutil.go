@@ -61,7 +61,7 @@ func (g *GossipFlags) Register(fs *flag.FlagSet, driver string, n, k int) {
 	fs.Int64Var(&g.Seed, "seed", 1, "random seed (lockstep runs are a pure function of it)")
 	fs.DurationVar(&g.Interval, "interval", 500*time.Microsecond, "async emission pacing")
 	fs.DurationVar(&g.Timeout, "timeout", 30*time.Second, "async wall-clock cap")
-	fs.DurationVar(&g.Delay, "delay", 0, "async per-packet latency upper bound (uniform in [delay/10, delay])")
+	fs.DurationVar(&g.Delay, "delay", 0, "per-packet latency upper bound, in units of -interval (uniform in [delay/10, delay])")
 	fs.Float64Var(&g.Reorder, "reorder", 0, "packet reordering rate in [0,1)")
 	fs.IntVar(&g.MaxTicks, "maxticks", 0, "lockstep tick cap (0 = default)")
 	fs.StringVar(&g.Churn, "churn", "", `membership schedule, e.g. "`+churnEx+`" (kinds: join|leave|crash|restart|rejoin|crashmax|crashfrontier)`)
@@ -104,15 +104,13 @@ func (g *GossipFlags) recorder(nodes int, meta []string) *telemetry.Recorder {
 // or a real socket alike — in the canonical order, with the shared
 // per-layer seed offsets: loss over reorder over delay, then packet
 // mutation, then the adversarial topology. The hostile layers run on
-// the sender's goroutine and forward lockstep ticks down the stack,
-// which is why they wrap last. nodes is the run's full id space;
-// interval > 0 clocks the adversary by wall time (async and
-// multi-process runs), 0 leaves it to the lockstep driver's ticks.
-// Zero knobs and empty specs add no layer — the golden transcripts rely
-// on the bare transport passing through untouched. Any wrapping hides
-// optional interfaces like cluster.AddressedTransport, so callers that
-// need Known capture it first. Validate checks the rates and the delay.
-func (g *GossipFlags) Wrap(tr cluster.Transport, nodes int, interval time.Duration, rec *telemetry.Recorder) (cluster.Transport, error) {
+// the sender's goroutine, which is why they wrap last; every layer is
+// clocked by the driver's ticks, whichever driver it is, so -delay, a
+// duration, is lowered to ticks of -interval (rounded up). nodes is the
+// run's full id space. Zero knobs and empty specs add no layer — the
+// golden transcripts rely on the bare transport passing through
+// untouched. Validate checks the rates and the delay.
+func (g *GossipFlags) Wrap(tr cluster.Transport, nodes int, rec *telemetry.Recorder) (cluster.Transport, error) {
 	ms, err := ParseMutateFlag(g.Mutate)
 	if err != nil {
 		return nil, err
@@ -121,11 +119,14 @@ func (g *GossipFlags) Wrap(tr cluster.Transport, nodes int, interval time.Durati
 	if err != nil {
 		return nil, err
 	}
-	tr = cluster.WithDelay(tr, g.Delay/10, g.Delay, g.Seed+101)
+	if g.Delay > 0 && g.Interval > 0 {
+		ticks := int((g.Delay + g.Interval - 1) / g.Interval)
+		tr = cluster.WithDelay(tr, ticks/10, ticks, g.Seed+101)
+	}
 	tr = cluster.WithReorder(tr, g.Reorder, g.Seed+102)
 	tr = cluster.WithLoss(tr, g.Loss, g.Seed+103)
 	tr = hostile.WithMutator(tr, ms, g.Seed+105, rec)
-	return hostile.WithAdversary(tr, adv, hostile.TopoConfig{Interval: interval, Telemetry: rec}), nil
+	return hostile.WithAdversary(tr, adv, hostile.TopoConfig{Telemetry: rec}), nil
 }
 
 // Open validates the flags and lowers them to the cluster.Config of
@@ -135,8 +136,7 @@ func (g *GossipFlags) Wrap(tr cluster.Transport, nodes int, interval time.Durati
 // for tracing. With a nil socket the run is in-process: -transport,
 // -shards, -churn and -maxticks apply and the stack sits on the
 // config's own DefaultTransport. cmd/node passes its socket instead:
-// one process of N, where the in-process flags do not exist and the
-// adversary is clocked by -interval.
+// one process of N, where the in-process flags do not exist.
 func (g *GossipFlags) Open(socket cluster.Transport, meta ...string) (cluster.Config, error) {
 	return g.open(socket, func(c cluster.Config) cluster.Transport { return c.DefaultTransport(0) }, meta)
 }
@@ -149,7 +149,7 @@ func (g *GossipFlags) open(socket cluster.Transport, fabric func(cluster.Config)
 		return cluster.Config{}, err
 	}
 	cfg := cluster.Config{N: g.N, Fanout: g.Fanout, Seed: g.Seed, Interval: g.Interval, Timeout: g.Timeout}
-	base, clock := socket, g.Interval
+	base := socket
 	if socket == nil {
 		if err := ValidateShards(g.Shards, g.N); err != nil {
 			return cfg, err
@@ -162,20 +162,15 @@ func (g *GossipFlags) open(socket cluster.Transport, fabric func(cluster.Config)
 			return cfg, err
 		}
 		cfg.Shards, cfg.MaxTicks = g.Shards, g.MaxTicks
-		switch {
-		case !cfg.Lockstep && g.Shards > 1:
+		if !cfg.Lockstep && g.Shards > 1 {
 			// The engine rejects this too; said here in flag names.
 			return cfg, fmt.Errorf("-shards %d needs -transport lockstep: the async driver is already concurrent", g.Shards)
-		case cfg.Lockstep && g.Delay > 0:
-			return cfg, fmt.Errorf("-delay needs wall-clock time; use -transport chan")
-		case cfg.Lockstep:
-			clock = 0 // the driver feeds the adversary ticks
 		}
 		base = fabric(cfg)
 	}
 	cfg.Telemetry = g.recorder(cfg.MaxNodes(), meta)
 	var err error
-	cfg.Transport, err = g.Wrap(base, cfg.MaxNodes(), clock, cfg.Telemetry)
+	cfg.Transport, err = g.Wrap(base, cfg.MaxNodes(), cfg.Telemetry)
 	return cfg, err
 }
 
@@ -219,6 +214,8 @@ func (g *GossipFlags) Validate() error {
 		return fmt.Errorf("-reorder must be in [0,1), got %g", g.Reorder)
 	case g.Delay < 0:
 		return fmt.Errorf("-delay must be non-negative, got %v", g.Delay)
+	case g.Delay > 0 && g.Interval <= 0:
+		return fmt.Errorf("-delay is counted in ticks of -interval, which must be positive, got %v", g.Interval)
 	}
 	return nil
 }

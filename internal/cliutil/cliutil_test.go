@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -162,7 +163,7 @@ func TestWrapHostileValidation(t *testing.T) {
 	// Zero knobs must pass the transport through untouched.
 	var base cluster.Transport = cluster.NewChanTransport(2, 1)
 	defer base.Close()
-	tr, err := (&GossipFlags{Seed: 1}).Wrap(base, 2, 0, nil)
+	tr, err := (&GossipFlags{Seed: 1}).Wrap(base, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,22 +172,54 @@ func TestWrapHostileValidation(t *testing.T) {
 	}
 }
 
-// TestBuildTransportRejectsLockstepDelay: Open, which builds an
-// in-process run's transport stack, refuses a wall-clock delay under
-// the lockstep driver and accepts the other knobs there.
-func TestBuildTransportRejectsLockstepDelay(t *testing.T) {
+// TestDelayLowersToTicks: -delay is a duration and the delay layer
+// counts the driver's ticks, so the flags lower it in units of
+// -interval — 2ms at 500µs is at most 4 ticks, whatever -transport is —
+// and a delayed run is one both drivers accept and finish.
+func TestDelayLowersToTicks(t *testing.T) {
 	g := inProcess()
-	g.Delay = time.Millisecond
-	if _, err := g.Open(nil); err == nil || !strings.Contains(err.Error(), "-delay") {
-		t.Errorf("delay under lockstep: err %v, want one naming -delay", err)
+	g.Delay = 2 * time.Millisecond
+	inbox := cluster.NewChanTransport(2, 64)
+	tr, err := g.Wrap(inbox, 2, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	g = inProcess()
-	g.Reorder, g.Loss = 0.2, 0.3
-	cfg, err := g.Open(nil)
-	if err != nil || cfg.Transport == nil {
-		t.Fatalf("valid lockstep stack rejected: %v", err)
+	arrivals := map[int]int{}
+	for round := 0; round < 40; round++ {
+		sent := int64(10 * round)
+		cluster.ObserveTick(tr, sent)
+		tr.Send(0, 1, []byte{1})
+		for d := 0; d <= 6; d++ {
+			if d > 0 {
+				cluster.ObserveTick(tr, sent+int64(d))
+			}
+			arrivals[d] += len(inbox.Recv(1))
+			for len(inbox.Recv(1)) > 0 {
+				<-inbox.Recv(1)
+			}
+		}
 	}
-	cfg.Transport.Close()
+	if arrivals[4] == 0 || arrivals[5]+arrivals[6] != 0 || arrivals[0]+arrivals[1]+arrivals[2]+arrivals[3]+arrivals[4] != 40 {
+		t.Errorf("-delay 2ms -interval 500us: arrivals by ticks of latency %v, want all 40 within 4 and some at 4", arrivals)
+	}
+
+	g.Interval = 0
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "-interval") {
+		t.Errorf("-delay without a positive -interval: err %v, want one naming -interval", err)
+	}
+
+	for _, transport := range []string{"chan", "lockstep"} {
+		g := inProcess()
+		g.Transport, g.Delay, g.Reorder, g.Loss = transport, 2*time.Millisecond, 0.2, 0.3
+		cfg, err := g.Open(nil)
+		if err != nil {
+			t.Fatalf("-transport %s -delay 2ms rejected: %v", transport, err)
+		}
+		res, err := cluster.Run(context.Background(), cfg, g.Tokens())
+		if err != nil || !res.Completed {
+			t.Errorf("-transport %s -delay 2ms: completed=%v, err %v", transport, res.Completed, err)
+		}
+	}
 }
 
 func TestBuildTransportRejectsNegativeDelay(t *testing.T) {

@@ -68,9 +68,8 @@ func (k ChurnKind) String() string {
 }
 
 // ChurnEvent schedules Count membership events of one kind at one
-// instant. At is a lockstep tick; the async drivers convert it to a
-// wall-clock offset of At × Config.Interval after the run starts, so
-// one schedule reads the same against both drivers.
+// instant. At is a tick of the run's clock (see TickObserver), so one
+// schedule reads the same against both in-process drivers.
 type ChurnEvent struct {
 	Kind  ChurnKind
 	At    int
@@ -218,9 +217,8 @@ func (s *ChurnSchedule) Validate() error {
 // view is one run whatever n is. Every mutator is add or Remove; every
 // query walks or searches the runs.
 //
-// Stamps are in driver units — ticks under the lockstep drivers,
-// nanoseconds since run start under the async ones — and suspicion
-// compares them against SuspectAfter in the same units. SuspectAfter
+// Stamps are ticks of the run's clock (Node.Now), and suspicion
+// compares them against SuspectAfter, in ticks too. SuspectAfter
 // zero disables suspicion entirely (the cluster runtime's default: a
 // crashed peer then simply keeps absorbing wasted sends as transport
 // drops; the stream runtime enables suspicion because its retirement
@@ -556,21 +554,13 @@ func newChurner(s *ChurnSchedule, n, maxN int, seed int64) *churner {
 // setRank installs the rank oracle the targeted crash kinds select
 // victims with. The drivers call it once at run start when the
 // schedule HasTargeted; fn must be callable at popUntil time for every
-// live id (the async churn controller calls it from its own goroutine,
-// so implementations back it with atomics). A nil churner or nil fn is
+// live id (the async driver's clock goroutine is not the nodes', so
+// implementations back it with atomics). A nil churner or nil fn is
 // a no-op / oracle removal.
 func (c *churner) setRank(fn func(id int) int) {
 	if c != nil {
 		c.rank = fn
 	}
-}
-
-// nextAt returns the tick of the next unapplied event, if any.
-func (c *churner) nextAt() (int, bool) {
-	if c == nil || c.next >= len(c.events) {
-		return 0, false
-	}
-	return c.events[c.next].At, true
 }
 
 // pendingAdds reports whether any membership-adding event (join,

@@ -265,8 +265,8 @@ func TestAsyncChurnCrashJoinCompletes(t *testing.T) {
 	if !joiner.Spawned || !joiner.Live || !joiner.Done {
 		t.Errorf("joiner: %+v", joiner)
 	}
-	if joiner.JoinAt <= 0 || joiner.DoneAt < joiner.JoinAt {
-		t.Errorf("joiner done at %v before joining at %v", joiner.DoneAt, joiner.JoinAt)
+	if joiner.JoinTick < 30 || joiner.DoneTick < joiner.JoinTick {
+		t.Errorf("joiner done at tick %d, joined at %d: want it to join at its event's tick 30 or later and finish after", joiner.DoneTick, joiner.JoinTick)
 	}
 	left := 0
 	for _, m := range res.Nodes {

@@ -13,11 +13,12 @@
 // drivers. One-shot k-token gossip (Run, RunSingle) is one Protocol,
 // defined here; the windowed stream of internal/stream is the other.
 //
-// Two in-process execution modes share the node logic:
+// Two in-process execution modes share the node logic, and one unit of
+// time, the tick (see TickObserver):
 //
 //   - Async (default): goroutine per node, pacing by ticker plus
-//     push-on-innovation, wall-clock metrics. This is the "production"
-//     shape: concurrent, lossy, timing-dependent.
+//     push-on-innovation, a tick every Interval of wall time. This is the
+//     "production" shape: concurrent, lossy, timing-dependent.
 //
 //   - Lockstep (Config.Lockstep): a single-threaded driver alternates
 //     drain and emit phases over the same node state — and over the same
@@ -115,9 +116,9 @@ type Config struct {
 	Telemetry *telemetry.Recorder
 }
 
-// NodeMetrics are one node's counters. In async mode DoneAt is the wall
-// time from start to full knowledge; in lockstep mode DoneTick is the
-// tick at which the node completed (0-based first tick is 1).
+// NodeMetrics are one node's counters. DoneTick is the tick at which
+// the node completed (the first lockstep tick is 1; under the
+// wall-clock drivers a tick is an Interval).
 type NodeMetrics struct {
 	PacketsOut int64
 	PacketsIn  int64
@@ -134,7 +135,6 @@ type NodeMetrics struct {
 	// knowledge.
 	Innovative int64
 	Done       bool
-	DoneAt     time.Duration
 	DoneTick   int
 	// Spawned marks ids that actually entered the run: the initial
 	// members and every applied join. Metrics of unspawned ids stay
@@ -144,11 +144,9 @@ type NodeMetrics struct {
 	// nodes that crashed or left (and for unspawned ids). Completion
 	// and verification cover live nodes only.
 	Live bool
-	// JoinTick / JoinAt stamp the node's latest (re)entry into the run:
-	// zero for initial members, the churn event's lockstep tick or
-	// async wall offset otherwise.
+	// JoinTick stamps the node's latest (re)entry into the run: zero for
+	// initial members, the tick its churn event was applied at otherwise.
 	JoinTick int
-	JoinAt   time.Duration
 }
 
 // Outcome is the run-level part of a Result — what Engine.Run reports
@@ -185,30 +183,18 @@ type Result struct {
 // completed is either protocol's per-node counter block:
 // stream.NodeMetrics embeds NodeMetrics and so carries the method too.
 type completed interface {
-	completion() (done bool, tick int, at time.Duration)
+	completion() (done bool, tick int)
 }
 
-func (m NodeMetrics) completion() (bool, int, time.Duration) { return m.Done, m.DoneTick, m.DoneAt }
+func (m NodeMetrics) completion() (bool, int) { return m.Done, m.DoneTick }
 
-// DoneTicks returns each completed node's DoneTick (lockstep runs) as
-// float64s, for summary statistics; nodes is a Result's Nodes.
+// DoneTicks returns each completed node's DoneTick as float64s, for
+// summary statistics; nodes is a Result's Nodes.
 func DoneTicks[M completed](nodes []M) []float64 {
 	out := make([]float64, 0, len(nodes))
 	for _, m := range nodes {
-		if done, tick, _ := m.completion(); done {
+		if done, tick := m.completion(); done {
 			out = append(out, float64(tick))
-		}
-	}
-	return out
-}
-
-// DoneTimes returns each completed node's DoneAt (async runs) in
-// seconds.
-func DoneTimes[M completed](nodes []M) []float64 {
-	out := make([]float64, 0, len(nodes))
-	for _, m := range nodes {
-		if done, _, at := m.completion(); done {
-			out = append(out, at.Seconds())
 		}
 	}
 	return out

@@ -89,9 +89,11 @@ func TestAsyncCodedSmall(t *testing.T) {
 	if !res.Completed {
 		t.Fatal("async run did not complete")
 	}
+	// An async tick is one Interval (500µs by default) of wall time.
+	last := int(res.Elapsed/(500*time.Microsecond)) + 1
 	for id, m := range res.Nodes {
-		if !m.Done || m.DoneAt <= 0 {
-			t.Errorf("node %d: done=%v at %v", id, m.Done, m.DoneAt)
+		if !m.Done || m.DoneTick < 0 || m.DoneTick > last {
+			t.Errorf("node %d: done=%v at tick %d of a run of %d", id, m.Done, m.DoneTick, last)
 		}
 	}
 }
@@ -106,7 +108,7 @@ func TestAsyncUnderHostileTransport(t *testing.T) {
 	}
 	const n, k, d = 24, 16, 128
 	var tr Transport = NewChanTransport(n, 4*n)
-	tr = WithDelay(tr, 50*time.Microsecond, 2*time.Millisecond, 10)
+	tr = WithDelay(tr, 0, 4, 10)
 	tr = WithReorder(tr, 0.3, 11)
 	tr = WithLoss(tr, 0.2, 12)
 	res, err := Run(context.Background(), Config{N: n, Seed: 6, Transport: tr, Timeout: 20 * time.Second},
@@ -196,7 +198,7 @@ func TestFullMiddlewareStackThenHeal(t *testing.T) {
 			return partitioned.Load() && cut(from, to)
 		})
 		tr = WithReorder(tr, 0.3, 31)
-		tr = WithDelay(tr, 50*time.Microsecond, time.Millisecond, 32)
+		tr = WithDelay(tr, 0, 2, 32)
 		tr = WithLoss(tr, 0.15, 33)
 		return tr
 	}
@@ -229,56 +231,73 @@ func TestFullMiddlewareStackThenHeal(t *testing.T) {
 	}
 }
 
+// drainInbox empties id's inbox without blocking and returns the first
+// byte of every packet, in arrival order.
+func drainInbox(tr Transport, id int) []byte {
+	var got []byte
+	for {
+		select {
+		case p := <-tr.Recv(id):
+			got = append(got, p[0])
+		default:
+			return got
+		}
+	}
+}
+
 // TestStackedMiddlewaresDeliver checks the composed stack at the
-// transport level, without the runtime: a blocked partition stops every
-// packet no matter what loss/delay/reorder do above it, and once
-// blocked is false every packet the stack accepts arrives intact at its
-// addressee, exactly once (delay and reorder never lose or duplicate
-// accepted packets).
+// transport level, without the runtime, ticking it the way a driver
+// does: a blocked partition stops every packet no matter what
+// loss/delay/reorder do above it, and once blocked is false every
+// packet the stack accepts arrives intact at its addressee, exactly
+// once (delay and reorder never lose or duplicate accepted packets).
 func TestStackedMiddlewaresDeliver(t *testing.T) {
-	const sends = 400
-	stack := func(blocked *atomic.Bool) (Transport, *ChanTransport) {
-		inner := NewChanTransport(2, sends+1)
-		var tr Transport = WithPartition(inner, func(from, to int) bool { return blocked.Load() })
+	const sends, maxDelay = 400, 4
+	stack := func(blocked *atomic.Bool) Transport {
+		var tr Transport = NewChanTransport(2, sends+1)
+		tr = WithPartition(tr, func(from, to int) bool { return blocked.Load() })
 		tr = WithReorder(tr, 0.4, 41)
-		tr = WithDelay(tr, 0, 2*time.Millisecond, 42)
+		tr = WithDelay(tr, 0, maxDelay, 42)
 		tr = WithLoss(tr, 0.25, 43)
-		return tr, inner
+		return tr
+	}
+	// drive sends count packets, eight a tick, then ticks the delay queue
+	// dry.
+	drive := func(tr Transport, count int) (accepted int) {
+		tick := int64(0)
+		for i := 0; i < count; i++ {
+			if i%8 == 0 {
+				tick++
+				ObserveTick(tr, tick)
+			}
+			if tr.Send(0, 1, []byte{byte(i)}) {
+				accepted++
+			}
+		}
+		for i := 0; i < maxDelay; i++ {
+			tick++
+			ObserveTick(tr, tick)
+		}
+		return accepted
 	}
 
-	// Blocked cut: nothing may reach the inbox, however long we wait for
-	// the delay/reorder layers to flush.
+	// Blocked cut: nothing may reach the inbox once everything held has
+	// been released.
 	var blocked atomic.Bool
 	blocked.Store(true)
-	cutTr, cutInner := stack(&blocked)
-	for i := 0; i < 50; i++ {
-		cutTr.Send(0, 1, []byte{byte(i)})
-	}
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case p := <-cutInner.Recv(1):
-		t.Fatalf("packet %d delivered across a blocked partition", p[0])
-	default:
+	cutTr := stack(&blocked)
+	drive(cutTr, 50)
+	if got := drainInbox(cutTr, 1); len(got) > 0 {
+		t.Fatalf("packet %d delivered across a blocked partition", got[0])
 	}
 
 	// Healed cut: the stack delivers what it accepts, without duplicates.
 	var healed atomic.Bool
-	tr, _ := stack(&healed)
-	accepted := 0
-	for i := 0; i < sends; i++ {
-		if tr.Send(0, 1, []byte{byte(i)}) {
-			accepted++
-		}
-	}
-	deadline := time.After(2 * time.Second)
-	var got []byte
-	for len(got) < accepted-1 { // reorder may park one packet forever
-		select {
-		case p := <-tr.Recv(1):
-			got = append(got, p[0])
-		case <-deadline:
-			t.Fatalf("only %d of %d accepted packets arrived", len(got), accepted)
-		}
+	tr := stack(&healed)
+	accepted := drive(tr, sends)
+	got := drainInbox(tr, 1)
+	if len(got) < accepted-1 || len(got) > accepted { // reorder may park one packet forever
+		t.Fatalf("%d of %d accepted packets arrived", len(got), accepted)
 	}
 	frac := float64(accepted) / sends
 	if frac < 0.6 || frac > 0.9 {
@@ -395,18 +414,61 @@ drain:
 	}
 }
 
+// keepOpen swallows Close, so a test can see what a layer above it
+// does with the packets it holds when the stack is closed.
+type keepOpen struct{ Layer }
+
+func (keepOpen) Close() {}
+
+// TestWithDelayDeliversLater hand-drives the delay layer's contract: a
+// packet sent during tick s with latency d reaches the inner transport
+// at ObserveTick(s+d), not a tick earlier; packets released together go
+// in Send order; latency 0 passes straight through; every latency of
+// [min, max] is drawn; Close drops what is held.
 func TestWithDelayDeliversLater(t *testing.T) {
-	inner := NewChanTransport(2, 4)
-	tr := WithDelay(inner, 5*time.Millisecond, 10*time.Millisecond, 3)
-	start := time.Now()
-	tr.Send(0, 1, []byte{7})
-	select {
-	case <-tr.Recv(1):
-		if since := time.Since(start); since < 4*time.Millisecond {
-			t.Errorf("packet arrived after %v, want >= ~5ms", since)
+	inner := NewChanTransport(2, 64)
+	tr := WithDelay(keepOpen{Layer{inner}}, 3, 3, 3)
+	ObserveTick(tr, 5)
+	tr.Send(0, 1, []byte{1})
+	tr.Send(0, 1, []byte{2})
+	ObserveTick(tr, 6)
+	tr.Send(0, 1, []byte{3})
+	for _, step := range []struct {
+		tick int64
+		want string
+	}{{7, ""}, {8, "\x01\x02"}, {9, "\x03"}, {10, ""}} {
+		ObserveTick(tr, step.tick)
+		if got := string(drainInbox(inner, 1)); got != step.want {
+			t.Errorf("tick %d released %q, want %q", step.tick, got, step.want)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("delayed packet never arrived")
+	}
+	tr.Send(0, 1, []byte{4})
+	tr.Close()
+	ObserveTick(tr, 20)
+	if got := drainInbox(inner, 1); len(got) > 0 {
+		t.Errorf("packet %d released after Close", got[0])
+	}
+
+	ranged := WithDelay(inner, 0, 2, 4)
+	seen := map[int64]int{}
+	for i := 0; i < 60; i++ {
+		sent := int64(100 + 10*i)
+		ObserveTick(ranged, sent)
+		ranged.Send(0, 1, []byte{byte(i)})
+		for d := int64(0); d <= 3; d++ {
+			if d > 0 {
+				ObserveTick(ranged, sent+d)
+			}
+			if got := drainInbox(inner, 1); len(got) > 0 {
+				seen[d]++
+			}
+		}
+	}
+	if seen[0] == 0 || seen[1] == 0 || seen[2] == 0 || seen[3] != 0 || seen[0]+seen[1]+seen[2] != 60 {
+		t.Errorf("latencies drawn from [0, 2] ticks: %v of 60 sends", seen)
+	}
+	if same := WithDelay(inner, 0, 0, 1); same != Transport(inner) {
+		t.Error("zero delay should be the identity decorator")
 	}
 }
 

@@ -32,8 +32,7 @@ type Engine struct {
 	// default transport's inboxes (see Config.DefaultTransport).
 	Control int
 	// SuspectTicks, when positive, turns on silence-based suspicion in
-	// every view (View.SuspectAfter) at that many lockstep ticks, or
-	// that many Intervals under the async driver.
+	// every view (View.SuspectAfter) at that many ticks.
 	SuspectTicks int
 }
 
@@ -101,28 +100,30 @@ func (c Config) DefaultTransport(control int) Transport {
 	return NewChanTransport(n, buffer)
 }
 
-// fabric checks that the driver cfg selects can drive tr and returns
-// the tick mailbox at the bottom of it, if that is what the lockstep
-// driver will drain (nil: through Recv). It walks the stack through
-// Layer.Unwrap, so it sees what any stack of this repository's
-// middlewares is built on and whether a wall-clock layer is in it.
-func (c Config) fabric(tr Transport) (*mailbox, error) {
+// find walks tr's stack through Layer.Unwrap and returns the first
+// transport in it that is a T: how a driver reaches what any stack of
+// this repository's middlewares is built on.
+func find[T any](tr Transport) (T, bool) {
 	for t := tr; t != nil; {
-		switch l := t.(type) {
-		case *mailbox:
-			if c.Lockstep {
-				return l, nil
-			}
-		case *delayTransport:
-			if c.Lockstep {
-				return nil, fmt.Errorf("cluster: Lockstep with WithDelay in the transport stack: delayed packets arrive from timer goroutines between ticks, so the run would not be a function of its seed")
-			}
+		if v, ok := t.(T); ok {
+			return v, true
 		}
 		u, ok := t.(interface{ Unwrap() Transport })
 		if !ok {
 			break
 		}
 		t = u.Unwrap()
+	}
+	var none T
+	return none, false
+}
+
+// fabric checks that the driver cfg selects can drive tr and returns
+// the tick mailbox at the bottom of it, if that is what the lockstep
+// driver will drain (nil: through Recv).
+func (c Config) fabric(tr Transport) (*mailbox, error) {
+	if mb, ok := find[*mailbox](tr); ok && c.Lockstep {
+		return mb, nil
 	}
 	if tr.Recv(0) == nil {
 		return nil, fmt.Errorf("cluster: the transport has no inbox channel for node 0: the tick mailbox (DefaultTransport of a Lockstep Config) serves only the lockstep driver, which reaches it only through Layer.Unwrap")
@@ -148,7 +149,7 @@ type run struct {
 	// ranks backs the targeted-crash oracle (ChurnCrashMax /
 	// ChurnCrashFrontier): each node publishes its progress here and the
 	// churner reads it when selecting victims — atomically, because the
-	// async churn controller runs on its own goroutine. Nil unless the
+	// async driver's clock goroutine is not the nodes'. Nil unless the
 	// schedule HasTargeted, so untargeted runs pay nothing.
 	ranks []atomic.Int64
 	// exec partitions the id space for the initial spawn and the
@@ -159,8 +160,7 @@ type run struct {
 	outs []*outbox
 	// contacts is the live set of the current spawn batch, rebuilt
 	// whenever the churner has flipped live.
-	contacts     contacts
-	suspectAfter int64
+	contacts contacts
 }
 
 // Run drives cfg's membership through one run of the protocol until
@@ -197,11 +197,6 @@ func (e Engine) Run(ctx context.Context, cfg Config) (Outcome, error) {
 		ch:    newChurner(cfg.Churn, cfg.N, maxN, cfg.Seed),
 		exec:  shard.New(maxN, cfg.Shards),
 	}
-	if cfg.Lockstep {
-		r.suspectAfter = int64(e.SuspectTicks)
-	} else {
-		r.suspectAfter = int64(time.Duration(e.SuspectTicks) * cfg.Interval)
-	}
 	if cfg.Churn.HasTargeted() {
 		r.ranks = make([]atomic.Int64, maxN)
 		r.ch.setRank(func(id int) int { return int(r.ranks[id].Load()) })
@@ -225,10 +220,17 @@ func (e Engine) Run(ctx context.Context, cfg Config) (Outcome, error) {
 	})
 
 	start := time.Now()
-	if cfg.Lockstep {
-		err = r.runLockstep(ctx)
-	} else {
-		err = r.runAsync(ctx, start)
+	for _, nd := range r.nodes {
+		if nd != nil {
+			nd.proto.Start()
+		}
+	}
+	if err = r.firstErr(); err == nil {
+		if cfg.Lockstep {
+			err = r.runLockstep(ctx)
+		} else {
+			err = r.runAsync(ctx)
+		}
 	}
 	res := r.res
 	res.Elapsed = time.Since(start)
@@ -252,7 +254,7 @@ func (r *run) spawn(id int, joiner bool, now int64) *Node {
 	nd := newNode(id, r.cfg.Seed, r.cfg.Fanout, r.contacts.view(id, now), r.tr, r.eng.Metrics(id), r.cfg.Telemetry)
 	// Suspicion is set before any mark can deviate from the shared
 	// stamp (see View).
-	nd.View.SuspectAfter = r.suspectAfter
+	nd.View.SuspectAfter = int64(r.eng.SuspectTicks)
 	nd.Now = now
 	nd.churn = r.cfg.Churn != nil
 	if r.ranks != nil {
@@ -275,18 +277,20 @@ func (r *run) firstErr() error {
 	return nil
 }
 
-// applyLockstep executes one churn operation under the lockstep
-// driver. The churner has already flipped r.live.
-func (r *run) applyLockstep(op churnOp, tick int) {
+// apply executes one churn operation at tick now, under either driver:
+// the churner has already flipped r.live, and nobody else is driving
+// the op's node — the lockstep loop is in its serial churn phase, the
+// async clock goroutine has let the node's goroutine exit and starts
+// the next one only afterwards.
+func (r *run) apply(op churnOp, now int64) {
 	m := r.eng.Metrics(op.ID)
 	tel := r.cfg.Telemetry
-	now := int64(tick)
 	switch op.Kind {
 	case ChurnJoin, ChurnRejoin:
 		nd := r.spawn(op.ID, true, now)
 		m.Done = false
 		m.DoneTick = 0
-		m.JoinTick = tick
+		m.JoinTick = int(now)
 		tel.Event(op.ID, now, telemetry.KindJoin, 0, 0, 0)
 		nd.helloAll(false)
 		nd.proto.Start()
@@ -295,7 +299,7 @@ func (r *run) applyLockstep(op churnOp, tick int) {
 		nd.Now = now
 		nd.proto.Restart()
 		m.Live = true
-		m.JoinTick = tick
+		m.JoinTick = int(now)
 		tel.Event(op.ID, now, telemetry.KindRestart, 0, 0, 0)
 		nd.helloAll(false)
 		nd.proto.Start()
@@ -350,14 +354,6 @@ func (r *run) runLockstep(ctx context.Context) error {
 		return all && !r.ch.pendingAdds()
 	}
 
-	for _, nd := range r.nodes {
-		if nd != nil {
-			nd.proto.Start()
-		}
-	}
-	if err := r.firstErr(); err != nil {
-		return err
-	}
 	if complete(0) {
 		res.Completed = true
 		return nil
@@ -374,7 +370,7 @@ func (r *run) runLockstep(ctx context.Context) error {
 		if ops := r.ch.popUntil(tick, r.live); len(ops) > 0 {
 			r.contacts = newContacts(r.live, r.maxN)
 			for _, op := range ops {
-				r.applyLockstep(op, tick)
+				r.apply(op, now)
 			}
 		}
 		if r.mb != nil {
@@ -459,23 +455,11 @@ func (r *run) flushOutboxes(now int64) {
 	}
 }
 
-// batchAdds reports whether a popped churn batch contains any
-// membership-adding operation (join, restart, rejoin).
-func batchAdds(ops []churnOp) bool {
-	for _, op := range ops {
-		switch op.Kind {
-		case ChurnJoin, ChurnRestart, ChurnRejoin:
-			return true
-		}
-	}
-	return false
-}
-
 // tracker is the async driver's completion accounting for a changing
 // population: instead of a fixed countdown it re-evaluates "is every
 // live node done, with no membership additions pending" under one
-// mutex, which node goroutines update on completion and the churn
-// controller updates on every membership change.
+// mutex, which node goroutines take on completion and the clock
+// goroutine around every membership change.
 type tracker struct {
 	mu          sync.Mutex
 	nodes       []*Node
@@ -485,14 +469,14 @@ type tracker struct {
 	closed      bool
 }
 
-func (t *tracker) markDone(nd *Node, at time.Duration) {
+func (t *tracker) markDone(nd *Node) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if nd.M.Done || !nd.proto.Done() {
 		return
 	}
 	nd.M.Done = true
-	nd.M.DoneAt = at
+	nd.M.DoneTick = int(nd.Now)
 	t.check()
 }
 
@@ -510,23 +494,32 @@ func (t *tracker) check() {
 	close(t.allDone)
 }
 
-// loop is one node's life as a goroutine of the async driver or as a
-// process of its own: ticker-paced full emission slots plus an
-// immediate data push after every packet that made progress. settle
-// runs on the node's goroutine after Start and after every state
+// wallClock is the tick under the wall-clock drivers: whole Intervals
+// elapsed since the run started.
+type wallClock struct {
+	start    time.Time
+	interval time.Duration
+}
+
+func (c wallClock) now() int64 { return int64(time.Since(c.start) / c.interval) }
+
+// loop is one started node's life as a goroutine of the async driver or
+// as a process of its own: ticker-paced full emission slots plus an
+// immediate data push after every packet that made progress. drive
+// makes the node the run's clock as well (RunSingle, where it is the
+// only goroutine there is): it feeds its ticks to the transport stack.
+// settle runs on the node's goroutine on entry and after every state
 // change; it records completion, and the channel it returns (nil:
 // never) ends the loop when it fires. The loop also ends with ctx, or
 // with the node's failure.
-func (nd *Node) loop(ctx context.Context, start time.Time, interval time.Duration, settle func() <-chan time.Time) error {
-	clock := func() { nd.Now = int64(time.Since(start)) }
-	clock()
-	nd.proto.Start()
+func (nd *Node) loop(ctx context.Context, clk wallClock, drive bool, settle func() <-chan time.Time) error {
+	nd.Now = clk.now()
 	if nd.err != nil {
 		return nd.err
 	}
 	stop := settle()
 	inbox := nd.tr.Recv(nd.ID)
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(clk.interval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -535,7 +528,7 @@ func (nd *Node) loop(ctx context.Context, start time.Time, interval time.Duratio
 		case <-stop:
 			return nil
 		case raw := <-inbox:
-			clock()
+			nd.Now = clk.now()
 			if nd.recv(raw) {
 				if nd.err != nil {
 					return nd.err
@@ -544,7 +537,10 @@ func (nd *Node) loop(ctx context.Context, start time.Time, interval time.Duratio
 				nd.proto.Emit(false)
 			}
 		case <-ticker.C:
-			clock()
+			nd.Now = clk.now()
+			if drive {
+				ObserveTick(nd.tr, nd.Now)
+			}
 			nd.sample(len(inbox))
 			nd.proto.Emit(true)
 			if nd.err != nil {
@@ -555,12 +551,13 @@ func (nd *Node) loop(ctx context.Context, start time.Time, interval time.Duratio
 	}
 }
 
-// runAsync is the goroutine-per-node execution, with a churn
-// controller goroutine applying membership events at At×Interval wall
-// offsets — canceling crashed/leaving nodes (and joining on their exit
-// before flipping liveness, so node state never has two owners) and
-// spawning joiners.
-func (r *run) runAsync(ctx context.Context, start time.Time) error {
+// runAsync is the goroutine-per-node execution. What is asynchronous is
+// the nodes; time is one goroutine's, the run's clock: once per
+// Interval it feeds the tick to the transport stack and applies the
+// churn operations that have fallen due — letting an operation's node
+// exit first, so node state never has two owners, and starting a
+// goroutine for whatever the operation added.
+func (r *run) runAsync(ctx context.Context) error {
 	cfg := r.cfg
 	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()
@@ -569,13 +566,10 @@ func (r *run) runAsync(ctx context.Context, start time.Time) error {
 	errCh := make(chan error, 1) // the first failure ends the run
 	cancels := make([]context.CancelFunc, r.maxN)
 	exited := make([]chan struct{}, r.maxN)
-	var leaving []atomic.Bool
-	if r.ch != nil {
-		leaving = make([]atomic.Bool, r.maxN)
-	}
+	clk := wallClock{time.Now(), cfg.Interval}
 
 	var wg sync.WaitGroup
-	spawnNode := func(id int, announce bool) {
+	start := func(id int) {
 		nodeCtx, nodeCancel := context.WithCancel(ctx)
 		cancels[id] = nodeCancel
 		stop := make(chan struct{})
@@ -585,15 +579,11 @@ func (r *run) runAsync(ctx context.Context, start time.Time) error {
 			defer wg.Done()
 			defer close(stop)
 			nd := r.nodes[id]
-			nd.Now = int64(time.Since(start))
-			if announce {
-				nd.helloAll(false)
-			}
-			err := nd.loop(nodeCtx, start, cfg.Interval, func() <-chan time.Time {
+			err := nd.loop(nodeCtx, clk, false, func() <-chan time.Time {
 				// Done is only ever written by this goroutine, or by the
-				// churn controller while it is not running.
+				// clock goroutine while this one is not running.
 				if !nd.M.Done {
-					tk.markDone(nd, time.Since(start))
+					tk.markDone(nd)
 				}
 				return nil
 			})
@@ -602,89 +592,61 @@ func (r *run) runAsync(ctx context.Context, start time.Time) error {
 				case errCh <- err:
 				default:
 				}
-				return
-			}
-			if leaving != nil && leaving[id].Load() {
-				nd.Now = int64(time.Since(start))
-				nd.helloAll(true)
 			}
 		}()
 	}
 	for id := 0; id < cfg.N; id++ {
-		spawnNode(id, false)
+		start(id)
 	}
 
-	if r.ch != nil {
-		wg.Add(1)
-		go func() { // churn controller
-			defer wg.Done()
-			for {
-				at, ok := r.ch.nextAt()
-				if !ok {
-					return
-				}
-				timer := time.NewTimer(time.Until(start.Add(time.Duration(at) * cfg.Interval)))
-				select {
-				case <-ctx.Done():
-					timer.Stop()
-					return
-				case <-timer.C:
+	wg.Add(1)
+	go func() { // the run's clock
+		defer wg.Done()
+		ticker := time.NewTicker(cfg.Interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-ticker.C:
+			}
+			now := clk.now()
+			ObserveTick(r.tr, now)
+			if r.ch == nil {
+				continue // no schedule: nothing falls due
+			}
+			tk.mu.Lock()
+			ops := r.ch.popUntil(int(now), tk.live)
+			if len(ops) > 0 {
+				// popUntil has flipped liveness; completion stays blocked
+				// until the batch is applied, because a restart or rejoin
+				// must reset its node's stale Done before any check() may
+				// trust the live set.
+				tk.addsPending = true
+				r.contacts = newContacts(r.live, r.maxN)
+			}
+			tk.mu.Unlock()
+			for _, op := range ops {
+				if exited[op.ID] != nil {
+					cancels[op.ID]()
+					<-exited[op.ID]
 				}
 				tk.mu.Lock()
-				ops := append([]churnOp(nil), r.ch.popUntil(at, tk.live)...)
-				// Completion stays blocked until this batch's adds are
-				// applied too: popUntil already flipped liveness, but a
-				// restart/rejoin below must reset its node's stale Done
-				// before any check() may trust the live set.
-				tk.addsPending = r.ch.pendingAdds() || batchAdds(ops)
-				r.contacts = newContacts(r.live, r.maxN)
+				r.apply(op, now)
+				entered := r.eng.Metrics(op.ID).Live
 				tk.mu.Unlock()
-				for _, op := range ops {
-					m := r.eng.Metrics(op.ID)
-					// Churn events are recorded here, where the node's
-					// goroutine is provably not running (after its exit, or
-					// before its spawn), preserving single-owner rings.
-					tel := cfg.Telemetry
-					switch op.Kind {
-					case ChurnCrash, ChurnLeave:
-						kind := telemetry.KindCrash
-						if op.Kind == ChurnLeave {
-							kind = telemetry.KindLeave
-							leaving[op.ID].Store(true)
-						}
-						cancels[op.ID]()
-						<-exited[op.ID]
-						leaving[op.ID].Store(false)
-						tel.Event(op.ID, int64(time.Since(start)), kind, 0, 0, 0)
-						tk.mu.Lock()
-						m.Live = false
-						tk.check()
-						tk.mu.Unlock()
-					case ChurnJoin, ChurnRejoin:
-						tk.mu.Lock()
-						r.spawn(op.ID, true, int64(time.Since(start)))
-						m.Done = false
-						m.JoinAt = time.Since(start)
-						tk.mu.Unlock()
-						tel.Event(op.ID, int64(time.Since(start)), telemetry.KindJoin, 0, 0, 0)
-						spawnNode(op.ID, true)
-					case ChurnRestart:
-						tk.mu.Lock()
-						r.nodes[op.ID].proto.Restart()
-						m.Live = true
-						m.JoinAt = time.Since(start)
-						tk.mu.Unlock()
-						tel.Event(op.ID, int64(time.Since(start)), telemetry.KindRestart, 0, 0, 0)
-						spawnNode(op.ID, true)
-					}
+				if entered {
+					start(op.ID)
 				}
+			}
+			if len(ops) > 0 {
 				tk.mu.Lock()
 				tk.addsPending = r.ch.pendingAdds()
 				tk.check() // e.g. a restarted already-done node closes the run
 				tk.mu.Unlock()
 			}
-		}()
-	}
+		}
+	}()
 
 	var err error
 	select {
@@ -718,23 +680,20 @@ type Single struct {
 	// done (default 2s; the launcher usually kills lingering nodes once
 	// all have reported DONE).
 	Linger time.Duration
-	// Known optionally gates peer sampling on routability. Nil falls
-	// back to the Transport's own AddressedTransport.Known when it has
-	// one, else sampling is ungated.
-	Known func(id int) bool
 }
 
 // RunSingle runs ONE node of cfg's N-node run as the body of its own
 // process: the other N-1 are reachable only through cfg.Transport,
 // which is required and not closed — it is the process's socket, owned
 // by the caller, and outlives the gossip run (metric scraping still
-// reads its counters). What only an in-process driver can honour
-// (Lockstep, Shards, MaxTicks, Churn) is rejected when set. The node
-// gossips until it is Done, keeps emitting for the linger window so
-// slower peers can finish too, and returns. A timeout (cfg.Timeout caps
-// the run including linger) or cancellation before completion leaves
-// Done == false in the node's metrics and returns nil; the error is a
-// rejected description or the node's failure.
+// reads its counters). An AddressedTransport anywhere in the stack
+// gates peer sampling on routability. What only an in-process driver
+// can honour (Lockstep, Shards, MaxTicks, Churn) is rejected when set.
+// The node gossips until it is Done, keeps emitting for the linger
+// window so slower peers can finish too, and returns. A timeout
+// (cfg.Timeout caps the run including linger) or cancellation before
+// completion leaves Done == false in the node's metrics and returns
+// nil; the error is a rejected description or the node's failure.
 func (e Engine) RunSingle(ctx context.Context, cfg Config, s Single) error {
 	for _, f := range []struct {
 		name string
@@ -761,30 +720,27 @@ func (e Engine) RunSingle(ctx context.Context, cfg Config, s Single) error {
 	view := NewView(s.ID, cfg.N)
 	view.Fill(cfg.N, 0)
 	nd := newNode(s.ID, cfg.Seed, cfg.Fanout, view, cfg.Transport, m, cfg.Telemetry)
-	nd.known = s.Known
-	if nd.known == nil {
-		if at, ok := cfg.Transport.(AddressedTransport); ok {
-			nd.known = at.Known
-		}
+	if at, ok := find[AddressedTransport](cfg.Transport); ok {
+		nd.known = at.Known
 	}
 	nd.proto = e.New(nd, false)
+	nd.proto.Start()
 
 	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()
-	start := time.Now()
 	var linger *time.Timer
 	defer func() {
 		if linger != nil {
 			linger.Stop()
 		}
 	}()
-	return nd.loop(ctx, start, cfg.Interval, func() <-chan time.Time {
+	return nd.loop(ctx, wallClock{time.Now(), cfg.Interval}, true, func() <-chan time.Time {
 		if linger == nil {
 			if !nd.proto.Done() {
 				return nil
 			}
 			m.Done = true
-			m.DoneAt = time.Since(start)
+			m.DoneTick = int(nd.Now)
 			linger = time.NewTimer(orDefault(s.Linger, 2*time.Second))
 		}
 		return linger.C

@@ -220,21 +220,62 @@ func TestMailboxMatchesChannels(t *testing.T) {
 	}
 }
 
+// TestLockstepDelayBitIdentical: the delay layer keeps no clock and
+// starts no goroutine — a due-queue the driver's tick releases — so a
+// delayed lockstep run is the same function of its seed at every shard
+// count and over either fabric, Result and telemetry export alike,
+// under loss and a schedule with crash, join, leave and restart; and
+// the delay is really there: the run takes longer than without it.
+func TestLockstepDelayBitIdentical(t *testing.T) {
+	sched, err := ParseChurn("crash:4:2,join:6:2,leave:9:1,restart:12:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, loss := range []float64{0, 0.2} {
+		base := Config{N: 14, Fanout: 3, Seed: 43, Lockstep: true, MaxTicks: 5000, Churn: sched}
+		maxN := base.MaxNodes()
+		plain, _, _ := differentialRun(t, base, base.DefaultTransport(0), loss)
+		var want *Result
+		var wantTrace string
+		for _, shards := range []int{1, 2, 4} {
+			for _, channels := range []bool{false, true} {
+				cfg := base
+				cfg.Shards = shards
+				fabric := cfg.DefaultTransport(0)
+				if channels {
+					fabric = NewChanTransport(maxN, DefaultInboxBuffer(maxN, cfg.Fanout+1))
+				}
+				got, gotTrace, _ := differentialRun(t, cfg, WithDelay(fabric, 0, 4, cfg.Seed+101), loss)
+				name := fmt.Sprintf("loss=%v shards=%d channels=%v", loss, shards, channels)
+				if !got.Completed {
+					t.Errorf("%s: run did not complete in %d ticks", name, got.Ticks)
+				}
+				if want == nil {
+					want, wantTrace = got, gotTrace
+					if got.Ticks <= plain.Ticks {
+						t.Errorf("%s: %d ticks under delay, %d without: the layer held nothing", name, got.Ticks, plain.Ticks)
+					}
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: results diverge from the serial mailbox run:\n%+v\n%+v", name, got.Outcome, want.Outcome)
+				}
+				if gotTrace != wantTrace {
+					t.Errorf("%s: telemetry exports diverge (%d vs %d bytes)", name, len(gotTrace), len(wantTrace))
+				}
+			}
+		}
+	}
+}
+
 // TestRunRejectsUndrivableFabrics: a description whose driver cannot
 // drive its transport is an error at Run, not a run that silently is
-// not what it claims — wall-clock delay under the deterministic driver,
-// the tick mailbox under the async driver, or the mailbox hidden from
-// the lockstep driver by a decorator without Unwrap.
+// not what it claims — the tick mailbox under the async driver, or the
+// mailbox hidden from the lockstep driver by a decorator without
+// Unwrap.
 func TestRunRejectsUndrivableFabrics(t *testing.T) {
 	toks := testTokens(2, 16, 1)
 	lock := Config{N: 4, Lockstep: true}
-	for _, base := range []Transport{lock.DefaultTransport(0), NewChanTransport(4, 16)} {
-		cfg := lock
-		cfg.Transport = WithLoss(WithDelay(base, 0, time.Millisecond, 1), 0.1, 2)
-		if _, err := Run(context.Background(), cfg, toks); err == nil || !strings.Contains(err.Error(), "Lockstep") || !strings.Contains(err.Error(), "WithDelay") {
-			t.Errorf("lockstep over WithDelay(%T): err %v, want one naming Lockstep and WithDelay", base, err)
-		}
-	}
 
 	async := Config{N: 4, Timeout: 5 * time.Second, Transport: WithLoss(lock.DefaultTransport(0), 0.1, 2)}
 	if _, err := Run(context.Background(), async, toks); err == nil || !strings.Contains(err.Error(), "mailbox") {

@@ -64,9 +64,8 @@ type Node struct {
 	// peer choice; the draw order between them is what the lockstep
 	// golden transcripts pin.
 	Rng *rand.Rand
-	// Now is the node's clock in view-stamp units (lockstep tick, async
-	// nanoseconds since start), set by the driver before it hands the
-	// node packets or an emission slot.
+	// Now is the node's clock, the run's tick (see TickObserver), set by
+	// the driver before it hands the node packets or an emission slot.
 	Now int64
 	// Fanout is the resolved number of peers a data emission contacts.
 	Fanout int

@@ -10,9 +10,8 @@ import (
 // address book (udpnet) rather than a node-indexed table, and can
 // therefore say which peers are reachable right now. RunSingle uses it
 // to gate peer sampling so emissions are not burned on peers whose
-// address is still unknown. Middleware decorators embed the Transport
-// interface and so hide this method; callers wrapping an addressed
-// transport in middlewares should pass Single.Known explicitly.
+// address is still unknown, and finds it under a stack of middlewares
+// through Layer.Unwrap.
 type AddressedTransport interface {
 	Transport
 	// Known reports whether the transport can currently route to id.

@@ -130,17 +130,23 @@ func TestRunSingleTimeoutIncomplete(t *testing.T) {
 	}
 }
 
-// TestRunSingleKnownGate verifies that a Known predicate confines
-// emissions to routable peers: with only the self entry known, nothing
-// is ever sent.
+// selfOnly is an AddressedTransport whose book holds only id 0.
+type selfOnly struct{ Transport }
+
+func (selfOnly) Known(id int) bool { return id == 0 }
+
+// TestRunSingleKnownGate verifies that an AddressedTransport confines
+// emissions to routable peers, and that RunSingle finds it under a
+// stack of middlewares: with only the self entry known, nothing is ever
+// sent.
 func TestRunSingleKnownGate(t *testing.T) {
 	toks := testTokens(4, 16, 3)
 	tr := NewChanTransport(3, 4)
 	defer tr.Close()
 	m, err := RunSingle(context.Background(), Config{
-		N: 3, Seed: 1, Transport: tr,
+		N: 3, Seed: 1, Transport: WithLoss(WithDelay(selfOnly{tr}, 0, 2, 1), 0.1, 2),
 		Timeout: 50 * time.Millisecond, Interval: time.Millisecond,
-	}, Single{ID: 0, Known: func(id int) bool { return id == 0 }}, toks)
+	}, Single{ID: 0}, toks)
 	if err != nil {
 		t.Fatalf("gated run errored: %v", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Transport moves serialized packets between cluster nodes. The runtime
@@ -36,15 +35,22 @@ type Transport interface {
 	Close()
 }
 
-// TickObserver is an optional Transport facet: the lockstep drivers
-// (cluster and stream) call ObserveTick on Config.Transport at the
-// start of every tick, so tick-aware middleware — the adversarial
-// topology and packet-mutation layers in internal/hostile — advances
-// its clock in sync with the driver instead of guessing from wall time.
-// A middleware built on Layer forwards the call to its inner transport
-// (and one with a clock of its own does so after advancing it), so a
-// whole stack advances together in any stacking order. Transports
-// without the facet are simply not called.
+// TickObserver is an optional Transport facet, and the whole clock
+// contract: the tick is the only unit of time above the socket and the
+// driver its only source. Node.Now, every view stamp, churn instant and
+// telemetry stamp count the same ticks — the lockstep tick, or whole
+// Intervals elapsed under the two wall-clock drivers (runAsync,
+// RunSingle) — and the driver calls ObserveTick on Config.Transport
+// from one goroutine with ascending ticks: exactly once per tick, at
+// its start, under lockstep (the loop itself); once per Interval,
+// concurrently with Send, under the wall-clock drivers (the run's clock
+// goroutine in runAsync, the node's own loop in RunSingle), where a
+// late ticker can skip a tick. So a middleware keeps no clock of its
+// own, and an observer with state locks it. A middleware built on Layer
+// forwards the call to its inner transport (one that shadows
+// ObserveTick does so itself), so a whole stack advances together in
+// any stacking order. Transports without the facet are simply not
+// called.
 type TickObserver interface {
 	ObserveTick(tick int64)
 }
@@ -58,15 +64,15 @@ type TickObserver interface {
 type Layer struct{ Transport }
 
 // Unwrap returns the inner transport: the walk by which Engine.Run
-// finds the tick mailbox, or a wall-clock delay layer, under a stack.
+// finds the tick mailbox, and RunSingle an AddressedTransport, under a
+// stack.
 func (l Layer) Unwrap() Transport { return l.Transport }
 
 // ObserveTick implements TickObserver by forwarding: a layer without a
 // clock of its own must not hide the driver's from the layers below.
 func (l Layer) ObserveTick(tick int64) { ObserveTick(l.Transport, tick) }
 
-// ObserveTick type-asserts and forwards one driver tick; the shared
-// helper keeps both lockstep drivers' call sites identical.
+// ObserveTick type-asserts and forwards one driver tick.
 func ObserveTick(t Transport, tick int64) {
 	if ob, ok := t.(TickObserver); ok {
 		ob.ObserveTick(tick)
@@ -149,21 +155,33 @@ func (l *lossTransport) Send(from, to int, pkt []byte) bool {
 	return l.Transport.Send(from, to, pkt)
 }
 
-// delayTransport holds each packet for a random latency before passing
-// it on. Only meaningful on a wall clock: Engine.Run rejects a lockstep
-// run with this layer anywhere in its stack.
+// delayTransport holds each packet for a seeded number of ticks: a
+// queue in Send order, released from ObserveTick. No timers and no
+// goroutines, so under lockstep a delayed run is as much a function of
+// its seed, at any shard count, as an undelayed one.
 type delayTransport struct {
 	Layer
-	min, max time.Duration
+	min, max int64
 	mu       sync.Mutex
 	rng      *rand.Rand
+	now      int64
+	held     []heldPkt
+	due      []heldPkt // ObserveTick's scratch, the driver goroutine's
 }
 
-// WithDelay decorates t so each packet is delivered after a uniform
-// random latency in [min, max]. Send reports true optimistically; a
-// delayed packet that arrives after Close is dropped by the inner
-// transport.
-func WithDelay(t Transport, min, max time.Duration, seed int64) Transport {
+type heldPkt struct {
+	from, to int
+	pkt      []byte
+	due      int64
+}
+
+// WithDelay decorates t so each packet sent during tick s reaches t
+// when the driver observes tick s+d, d uniform in [min, max] ticks;
+// packets released by one ObserveTick go in Send order, and d = 0
+// passes straight through. Send reports true optimistically for a held
+// packet: what t says at its release is not attributed back to any
+// sender, and Close drops what is still held.
+func WithDelay(t Transport, min, max int, seed int64) Transport {
 	if max <= 0 {
 		return t
 	}
@@ -173,18 +191,48 @@ func WithDelay(t Transport, min, max time.Duration, seed int64) Transport {
 	if max < min {
 		max = min
 	}
-	return &delayTransport{Layer: Layer{t}, min: min, max: max, rng: rand.New(rand.NewSource(seed))}
+	return &delayTransport{Layer: Layer{t}, min: int64(min), max: int64(max), rng: rand.New(rand.NewSource(seed))}
 }
 
 func (d *delayTransport) Send(from, to int, pkt []byte) bool {
 	d.mu.Lock()
-	lat := d.min
-	if d.max > d.min {
-		lat += time.Duration(d.rng.Int63n(int64(d.max - d.min + 1)))
+	lat := d.min + d.rng.Int63n(d.max-d.min+1)
+	if lat > 0 {
+		d.held = append(d.held, heldPkt{from, to, pkt, d.now + lat})
 	}
 	d.mu.Unlock()
-	time.AfterFunc(lat, func() { d.Transport.Send(from, to, pkt) })
-	return true
+	return lat > 0 || d.Transport.Send(from, to, pkt)
+}
+
+// ObserveTick implements TickObserver: the stack below advances first,
+// then receives what has fallen due.
+func (d *delayTransport) ObserveTick(tick int64) {
+	ObserveTick(d.Transport, tick)
+	d.mu.Lock()
+	d.now = tick
+	keep := d.held[:0]
+	for _, p := range d.held {
+		if p.due <= tick {
+			d.due = append(d.due, p)
+		} else {
+			keep = append(keep, p)
+		}
+	}
+	clear(d.held[len(keep):])
+	d.held = keep
+	d.mu.Unlock()
+	for _, p := range d.due {
+		d.Transport.Send(p.from, p.to, p.pkt)
+	}
+	clear(d.due)
+	d.due = d.due[:0]
+}
+
+func (d *delayTransport) Close() {
+	d.mu.Lock()
+	d.held = nil
+	d.mu.Unlock()
+	d.Transport.Close()
 }
 
 // reorderTransport swaps selected packets past later traffic using a
@@ -196,11 +244,6 @@ type reorderTransport struct {
 	mu   sync.Mutex
 	rng  *rand.Rand
 	held *heldPkt
-}
-
-type heldPkt struct {
-	from, to int
-	pkt      []byte
 }
 
 // WithReorder decorates t so each packet is, with probability rate,

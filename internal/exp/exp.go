@@ -90,7 +90,7 @@ func All() []Experiment {
 		{"E8", "omniscient adversary vs field size (Thm 6.1)", E8},
 		{"E9", "end-game: one XOR replaces ~k/2 forwarding rounds (Sec 5.2)", E9},
 		{"E10", "centralized coding is linear-time at b = d (Cor 2.6)", E10},
-		{"E11", "async coded gossip beats store-and-forward under loss (Thm 2.3, cluster runtime)", E11},
+		{"E11", "coded gossip beats store-and-forward under loss (Thm 2.3, lockstep cluster runtime)", E11},
 		{"E12", "pipelined generation windows beat sequential streaming under loss (perfect pipelining, stream runtime)", E12},
 		{"E13", "coded gossip keeps its edge under node churn; mid-stream joiners catch up (membership subsystem)", E13},
 		{"E14", "coding's margin widens under adaptive dynamics and survives hostile packets (fault-injection suite)", E14},

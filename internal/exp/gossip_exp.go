@@ -67,9 +67,10 @@ func sumTrials(trials []gossipTrial) (g gossipTrial) {
 	return g
 }
 
-// E11 compares asynchronous coded gossip against store-and-forward
-// gossip across packet loss rates on the cluster runtime. It is the
-// async restatement of the paper's core separation (Thm 2.3 vs 2.1):
+// E11 compares coded gossip against store-and-forward gossip across
+// packet loss rates on the cluster runtime's lockstep driver. It is the
+// paper's core separation (Thm 2.3 vs 2.1) restated as push gossip over
+// a lossy wire:
 // a forwarding node must collect k distinct tokens from random pushes —
 // a coupon-collector tail that loss stretches further — while a coded
 // node only needs k innovative packets, and under recoding almost every

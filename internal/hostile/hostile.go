@@ -12,21 +12,20 @@
 // WithReorder, WithDelay, WithPartition) but must sit ABOVE them in the
 // stack (closer to the sender): both WithAdversary and WithMutator run
 // on the sender's goroutine and attribute their telemetry events to the
-// sender's ring, which WithDelay's timer goroutines would break. The
-// cliutil stacking helpers preserve this order.
+// sender's ring, which WithDelay, releasing from the driver's goroutine,
+// would break under the wall-clock drivers. The cliutil stacking
+// helpers preserve this order.
 //
-// Clock: the lockstep drivers push their tick into the stack via
-// cluster.TickObserver, which every cluster.Layer forwards: the clock
-// reaches these layers wherever they sit. The async and multi-process
-// runtimes instead set TopoConfig.Interval, and the layer derives the
-// tick from wall time — identically-seeded processes then see
-// approximately the same topology schedule, exactly as churn events map
-// to At×Interval wall offsets.
+// Clock: the layers keep none. Every driver pushes the run's tick into
+// the stack via cluster.TickObserver, which every cluster.Layer
+// forwards, so it reaches these layers wherever they sit; under the
+// wall-clock drivers a tick is an emission Interval, and
+// identically-seeded processes see approximately the same topology
+// schedule.
 package hostile
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dynnet"
@@ -36,11 +35,6 @@ import (
 
 // TopoConfig tunes the WithAdversary middleware.
 type TopoConfig struct {
-	// Interval, when positive, derives the adversary's round clock from
-	// wall time (elapsed / Interval) — the async and udpnet runtimes'
-	// mode. Zero means the clock advances only via ObserveTick (the
-	// lockstep drivers).
-	Interval time.Duration
 	// Telemetry, when non-nil, traces every blocked Send as a
 	// KindAdvCut event on the sender's ring.
 	Telemetry *telemetry.Recorder
@@ -56,7 +50,6 @@ type advTransport struct {
 	tick    int64
 	cur     *graph.Graph // the tick's topology, valid until the next query
 	curTick int64        // tick the cached graph was computed for (-1 = none)
-	start   time.Time
 }
 
 // WithAdversary decorates t so a Send is dropped unless the adversary's
@@ -71,12 +64,11 @@ func WithAdversary(t cluster.Transport, adv dynnet.Adversary, cfg TopoConfig) cl
 	if adv == nil {
 		return t
 	}
-	return &advTransport{Layer: cluster.Layer{Transport: t}, adv: adv, cfg: cfg, curTick: -1, start: time.Now()}
+	return &advTransport{Layer: cluster.Layer{Transport: t}, adv: adv, cfg: cfg, curTick: -1}
 }
 
-// ObserveTick implements cluster.TickObserver: the lockstep drivers'
-// clock. Forwarded down the stack so lower tick-aware layers advance
-// too.
+// ObserveTick implements cluster.TickObserver: the driver's clock.
+// Forwarded down the stack so lower tick-aware layers advance too.
 func (a *advTransport) ObserveTick(tick int64) {
 	a.mu.Lock()
 	if tick > a.tick {
@@ -89,11 +81,6 @@ func (a *advTransport) ObserveTick(tick int64) {
 // edgeUp consults (and lazily recomputes) the tick's topology. Callers
 // hold a.mu.
 func (a *advTransport) edgeUp(from, to int) bool {
-	if a.cfg.Interval > 0 {
-		if t := int64(time.Since(a.start) / a.cfg.Interval); t > a.tick {
-			a.tick = t
-		}
-	}
 	if a.cur == nil || a.curTick != a.tick {
 		// Query exactly once per tick and hold the result for the whole
 		// tick: scratch-reusing adversaries (RandomConnected) invalidate

@@ -205,15 +205,15 @@ func TestAsyncStreamChurnCrashJoin(t *testing.T) {
 	if !j.Spawned || !j.Live || !j.Done {
 		t.Errorf("joiner state: %+v", j)
 	}
-	if j.JoinAt <= 0 || j.DoneAt < j.JoinAt {
-		t.Errorf("joiner done at %v before joining at %v", j.DoneAt, j.JoinAt)
+	if j.JoinTick < 40 || j.DoneTick < j.JoinTick {
+		t.Errorf("joiner done at tick %d, joined at %d: want it to join at its event's tick 40 or later and finish after", j.DoneTick, j.JoinTick)
 	}
 	// A joiner that still had generations to deliver must have recorded
 	// its catch-up after the join. (Under -race the scheduler can slow
 	// the run enough that the join lands after the stream finished —
 	// StartGen == gens — in which case there is nothing to catch up to.)
-	if j.StartGen > 0 && j.StartGen < gens && j.CaughtUpAt < j.JoinAt {
-		t.Errorf("joiner caught up at %v before joining at %v", j.CaughtUpAt, j.JoinAt)
+	if j.StartGen > 0 && j.StartGen < gens && j.CaughtUpTick < j.JoinTick {
+		t.Errorf("joiner caught up at tick %d before joining at %d", j.CaughtUpTick, j.JoinTick)
 	}
 	if j.Delivered != gens-j.StartGen {
 		t.Errorf("joiner delivered %d, want %d", j.Delivered, gens-j.StartGen)

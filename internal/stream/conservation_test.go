@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -15,14 +16,25 @@ import (
 // overflows, so most Sends are refused by the transport. Every packet
 // sent must then be accounted for exactly once — received, counted in
 // Dropped, or still sitting in an inbox when the run ended — at every
-// shard count, and the run must still complete.
+// shard count, and the run must still complete. Under a delay layer a
+// refusal happens at the packet's release, where no sender hears of it;
+// those are counted beneath the layer, once the run is over and the
+// layer's queue has been ticked dry.
 func TestSendPathConservation(t *testing.T) {
 	const n = 8
 	for _, shards := range []int{1, 3} {
-		for _, proto := range []string{"coded", "forward", "stream"} {
-			tr := cluster.NewChanTransport(n, 1)
+		for _, proto := range []string{"coded", "forward", "stream", "coded+delay", "stream+delay"} {
+			inboxes := cluster.NewChanTransport(n, 1)
+			var tr cluster.Transport = inboxes
+			var late refusals
+			proto, delayed := strings.CutSuffix(proto, "+delay")
+			if delayed {
+				late.Layer = cluster.Layer{Transport: inboxes}
+				tr = keepOpen{cluster.Layer{Transport: cluster.WithDelay(&late, 1, 3, 7)}}
+			}
 			var sent, received, dropped int64
 			var completed bool
+			var ticks int
 			if proto == "stream" {
 				res, err := Run(context.Background(), Config{
 					N: n, K: 4, PayloadBits: 16, Window: 2, Generations: 3,
@@ -31,7 +43,7 @@ func TestSendPathConservation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				completed, dropped = res.Completed, res.Dropped
+				completed, dropped, ticks = res.Completed, res.Dropped, res.Ticks
 				for _, m := range res.Nodes {
 					sent += m.PacketsOut + m.AcksOut
 					received += m.PacketsIn + m.AcksIn
@@ -47,23 +59,48 @@ func TestSendPathConservation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				completed, dropped = res.Completed, res.Dropped
+				completed, dropped, ticks = res.Completed, res.Dropped, res.Ticks
 				sent, received = res.PacketsOut, res.PacketsIn
 			}
+			for d := 1; d <= 3; d++ {
+				cluster.ObserveTick(tr, int64(ticks+d))
+			}
+			dropped += late.n
 			inFlight := int64(0)
 			for id := 0; id < n; id++ {
-				inFlight += int64(len(tr.Recv(id)))
+				inFlight += int64(len(inboxes.Recv(id)))
 			}
 			if !completed {
-				t.Errorf("%s shards=%d: did not complete through 1-slot inboxes", proto, shards)
+				t.Errorf("%s delay=%v shards=%d: did not complete through 1-slot inboxes", proto, delayed, shards)
 			}
-			if dropped == 0 {
-				t.Errorf("%s shards=%d: nothing dropped; the overflow path did not run", proto, shards)
+			if dropped == 0 || delayed != (late.n > 0) {
+				t.Errorf("%s delay=%v shards=%d: %d dropped, %d at release; the overflow path did not run", proto, delayed, shards, dropped, late.n)
 			}
 			if sent != received+dropped+inFlight {
-				t.Errorf("%s shards=%d: sent %d != received %d + dropped %d + in flight %d",
-					proto, shards, sent, received, dropped, inFlight)
+				t.Errorf("%s delay=%v shards=%d: sent %d != received %d + dropped %d + in flight %d",
+					proto, delayed, shards, sent, received, dropped, inFlight)
 			}
 		}
 	}
 }
+
+// refusals counts the Sends the transport beneath it refused. The
+// lockstep driver's Sends are serial, so it needs no lock.
+type refusals struct {
+	cluster.Layer
+	n int64
+}
+
+func (r *refusals) Send(from, to int, pkt []byte) bool {
+	ok := r.Transport.Send(from, to, pkt)
+	if !ok {
+		r.n++
+	}
+	return ok
+}
+
+// keepOpen swallows Close: Run closes its transport, and the test wants
+// what the delay layer still holds then.
+type keepOpen struct{ cluster.Layer }
+
+func (keepOpen) Close() {}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/rlnc"
@@ -58,17 +57,16 @@ type node struct {
 	// holding the frontier once suspicion evicts it.
 	*cluster.Node
 
-	n        int // initial membership (origin rotation modulus)
-	maxN     int // node id space: n + churn joins
-	k        int
-	d        int // payload bits
-	vecBits  int // k + UIDBits + d, the span's column count
-	window   int
-	gens     int
-	churn    bool
-	lockstep bool
-	src      Source
-	deliver  DeliverFunc
+	n       int // initial membership (origin rotation modulus)
+	maxN    int // node id space: n + churn joins
+	k       int
+	d       int // payload bits
+	vecBits int // k + UIDBits + d, the span's column count
+	window  int
+	gens    int
+	churn   bool
+	src     Source
+	deliver DeliverFunc
 
 	// base is the retirement frontier: the oldest generation not yet
 	// known to be decoded by every frontier member. Spans below base
@@ -138,7 +136,6 @@ func newNode(nd *cluster.Node, cfg Config, maxN int, m *NodeMetrics, joiner bool
 		window:       cfg.Window,
 		gens:         cfg.Generations,
 		churn:        cfg.Churn != nil,
-		lockstep:     cfg.Lockstep,
 		src:          cfg.Source,
 		deliver:      cfg.Deliver,
 		spans:        make(map[int]*genState),
@@ -223,14 +220,10 @@ func (nd *node) deliverReady() {
 				return
 			}
 		}
-		if nd.delivered == nd.startGen && nd.startGen > 0 && nd.m.CaughtUpTick == 0 && nd.m.CaughtUpAt == 0 {
+		if nd.delivered == nd.startGen && nd.startGen > 0 && nd.m.CaughtUpTick == 0 {
 			// First delivery of a mid-stream joiner: it has reached the
 			// cluster watermark it learned at join time.
-			if nd.lockstep {
-				nd.m.CaughtUpTick = int(nd.Now)
-			} else {
-				nd.m.CaughtUpAt = time.Duration(nd.Now)
-			}
+			nd.m.CaughtUpTick = int(nd.Now)
 		}
 		nd.delivered++
 		nd.marks[nd.ID] = nd.delivered

@@ -27,7 +27,7 @@
 //
 // The package is a protocol, not a runtime: its node implements
 // cluster.Protocol and runs on cluster.Engine's drivers — the async
-// goroutine-per-node runtime (wall-clock metrics, context shutdown),
+// goroutine-per-node runtime (wall-clock pacing, context shutdown),
 // the deterministic lockstep driver whose runs are a pure function of
 // Config.Seed, and the one-process-per-node loop behind RunSingle (see
 // DESIGN.md "Node runtime and drivers").
@@ -259,8 +259,8 @@ type NodeMetrics struct {
 	// reading: PacketsOut / PacketsIn count coded data packets only
 	// (acks are counted separately below), BitsOut covers data, acks
 	// and hellos, Innovative counts received coded packets that grew a
-	// span. Done, DoneTick and DoneAt mark delivery of the final
-	// generation; JoinTick / JoinAt the node's latest (re)entry.
+	// span. Done and DoneTick mark delivery of the final generation;
+	// JoinTick the node's latest (re)entry.
 	cluster.NodeMetrics
 	AcksOut int64
 	AcksIn  int64
@@ -273,12 +273,11 @@ type NodeMetrics struct {
 	// StartGen is where the node's delivery obligation started: 0 for
 	// founding members, the frontier learned at join time for joiners.
 	StartGen int
-	// CaughtUpTick / CaughtUpAt stamp a mid-stream joiner's first
-	// delivery — the moment it reached the cluster watermark it
-	// learned at join time. Zero for founding members. Subtract
-	// JoinTick / JoinAt for the time-to-catch-up.
+	// CaughtUpTick stamps a mid-stream joiner's first delivery — the
+	// moment it reached the cluster watermark it learned at join time.
+	// Zero for founding members. Subtract JoinTick for the
+	// time-to-catch-up.
 	CaughtUpTick int
-	CaughtUpAt   time.Duration
 	// MaxSpanBytes is the peak heap held in live spans — the memory a
 	// node needs no matter how long the stream is; window retirement is
 	// what keeps it bounded.

@@ -229,9 +229,11 @@ func TestAsyncStreamSmall(t *testing.T) {
 	if !res.Completed {
 		t.Fatal("async stream did not complete")
 	}
+	// An async tick is one Interval (500µs by default) of wall time.
+	last := int(res.Elapsed/(500*time.Microsecond)) + 1
 	for id, m := range res.Nodes {
-		if !m.Done || m.DoneAt <= 0 || m.Delivered != 5 {
-			t.Errorf("node %d: done=%v at %v, delivered %d", id, m.Done, m.DoneAt, m.Delivered)
+		if !m.Done || m.DoneTick < 0 || m.DoneTick > last || m.Delivered != 5 {
+			t.Errorf("node %d: done=%v at tick %d of a run of %d, delivered %d", id, m.Done, m.DoneTick, last, m.Delivered)
 		}
 	}
 }
@@ -245,7 +247,7 @@ func TestAsyncStreamUnderHostileTransport(t *testing.T) {
 	}
 	const n = 16
 	var tr cluster.Transport = cluster.NewChanTransport(n, 8*n)
-	tr = cluster.WithDelay(tr, 50*time.Microsecond, 2*time.Millisecond, 20)
+	tr = cluster.WithDelay(tr, 0, 4, 20)
 	tr = cluster.WithReorder(tr, 0.3, 21)
 	tr = cluster.WithLoss(tr, 0.2, 22)
 	res, err := Run(context.Background(), Config{

@@ -4,7 +4,11 @@
 // generation retirement, frontier moves, membership churn) plus a
 // tick-bucketed time series of each node's protocol state (rank,
 // delivery watermark, inbox depth, live-view size) and, for the
-// socket runtime, the udpnet datagram accounting buckets.
+// socket runtime, the udpnet datagram accounting buckets. Every tick a
+// line carries is the run's one clock's: the lockstep tick, or whole
+// emission intervals since the run started under the wall-clock
+// drivers, whoever recorded the line (cluster.TickObserver states the
+// contract), so one export has one time base.
 //
 // The package is built around one invariant: a nil *Recorder is the
 // disabled state, and every recording method is a nil-receiver no-op

@@ -39,7 +39,7 @@ func TestFullMiddlewareStackThenHealOverUDP(t *testing.T) {
 			return partitioned.Load() && cut(from, to)
 		})
 		tr = cluster.WithReorder(tr, 0.3, 31)
-		tr = cluster.WithDelay(tr, 50*time.Microsecond, time.Millisecond, 32)
+		tr = cluster.WithDelay(tr, 0, 2, 32)
 		tr = cluster.WithLoss(tr, 0.15, 33)
 		return tr
 	}
@@ -85,7 +85,7 @@ func TestStackedMiddlewaresDeliverOverUDP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("socket integration test skipped with -short")
 	}
-	const sends = 400
+	const sends, maxDelay = 400, 4
 	stack := func(blocked *atomic.Bool) (cluster.Transport, *Mesh) {
 		mesh, err := NewMesh(2, sends+1)
 		if err != nil {
@@ -93,21 +93,39 @@ func TestStackedMiddlewaresDeliverOverUDP(t *testing.T) {
 		}
 		var tr cluster.Transport = cluster.WithPartition(mesh, func(from, to int) bool { return blocked.Load() })
 		tr = cluster.WithReorder(tr, 0.4, 41)
-		tr = cluster.WithDelay(tr, 0, 2*time.Millisecond, 42)
+		tr = cluster.WithDelay(tr, 0, maxDelay, 42)
 		tr = cluster.WithLoss(tr, 0.25, 43)
 		return tr, mesh
 	}
 	pkt := func(i int) []byte { return wire.NewHello(0, i, wire.Hello{}).Marshal() }
+	// drive sends count packets, eight a tick, the way a driver clocks
+	// the stack, then ticks the delay queue dry.
+	drive := func(tr cluster.Transport, count int) (accepted int) {
+		tick := int64(0)
+		for i := 0; i < count; i++ {
+			if i%8 == 0 {
+				tick++
+				cluster.ObserveTick(tr, tick)
+			}
+			if tr.Send(0, 1, pkt(i)) {
+				accepted++
+			}
+		}
+		for i := 0; i < maxDelay; i++ {
+			tick++
+			cluster.ObserveTick(tr, tick)
+		}
+		return accepted
+	}
 
-	// Blocked cut: nothing may reach the socket, however long we wait
-	// for the delay/reorder layers to flush.
+	// Blocked cut: nothing may reach the socket once the delay layer has
+	// released everything it held (the sleep is the kernel's, for a
+	// datagram that should not exist).
 	var blocked atomic.Bool
 	blocked.Store(true)
 	cutTr, cutMesh := stack(&blocked)
 	defer cutTr.Close()
-	for i := 0; i < 50; i++ {
-		cutTr.Send(0, 1, pkt(i))
-	}
+	drive(cutTr, 50)
 	time.Sleep(20 * time.Millisecond)
 	select {
 	case raw := <-cutMesh.Recv(1):
@@ -123,12 +141,7 @@ func TestStackedMiddlewaresDeliverOverUDP(t *testing.T) {
 	var healed atomic.Bool
 	tr, _ := stack(&healed)
 	defer tr.Close()
-	accepted := 0
-	for i := 0; i < sends; i++ {
-		if tr.Send(0, 1, pkt(i)) {
-			accepted++
-		}
-	}
+	accepted := drive(tr, sends)
 	deadline := time.After(5 * time.Second)
 	counts := make(map[uint32]int)
 	got := 0
