@@ -101,15 +101,17 @@ func (g *GossipFlags) recorder(nodes int, meta []string) *telemetry.Recorder {
 }
 
 // Wrap stacks the fault-injection flags over tr — in-process channels
-// or a real socket alike — in the canonical order, with the shared
-// per-layer seed offsets: loss over reorder over delay, then packet
-// mutation, then the adversarial topology. The hostile layers run on
-// the sender's goroutine, which is why they wrap last; every layer is
-// clocked by the driver's ticks, whichever driver it is, so -delay, a
-// duration, is lowered to ticks of -interval (rounded up). nodes is the
-// run's full id space. Zero knobs and empty specs add no layer — the
-// golden transcripts rely on the bare transport passing through
-// untouched. Validate checks the rates and the delay.
+// or a real socket alike — in the canonical order: loss over reorder
+// over delay, then packet mutation, then the adversarial topology. Each
+// layer's stream is keyed by the run seed and its own purpose
+// (cluster.NewRand); only the paper-side adversaries, which seed
+// math/rand by value, get an offset off Tokens' seed. The hostile
+// layers run on the sender's goroutine, which is why they wrap last;
+// every layer is clocked by the driver's ticks, whichever driver it is,
+// so -delay, a duration, is lowered to ticks of -interval (rounded up).
+// nodes is the run's full id space. Zero knobs and empty specs add no
+// layer — the golden transcripts rely on the bare transport passing
+// through untouched. Validate checks the rates and the delay.
 func (g *GossipFlags) Wrap(tr cluster.Transport, nodes int, rec *telemetry.Recorder) (cluster.Transport, error) {
 	ms, err := ParseMutateFlag(g.Mutate)
 	if err != nil {
@@ -121,11 +123,11 @@ func (g *GossipFlags) Wrap(tr cluster.Transport, nodes int, rec *telemetry.Recor
 	}
 	if g.Delay > 0 && g.Interval > 0 {
 		ticks := int((g.Delay + g.Interval - 1) / g.Interval)
-		tr = cluster.WithDelay(tr, ticks/10, ticks, g.Seed+101)
+		tr = cluster.WithDelay(tr, ticks/10, ticks, g.Seed)
 	}
-	tr = cluster.WithReorder(tr, g.Reorder, g.Seed+102)
-	tr = cluster.WithLoss(tr, g.Loss, g.Seed+103)
-	tr = hostile.WithMutator(tr, ms, g.Seed+105, rec)
+	tr = cluster.WithReorder(tr, g.Reorder, g.Seed)
+	tr = cluster.WithLoss(tr, g.Loss, g.Seed)
+	tr = hostile.WithMutator(tr, ms, g.Seed, rec)
 	return hostile.WithAdversary(tr, adv, hostile.TopoConfig{Telemetry: rec}), nil
 }
 

@@ -536,16 +536,13 @@ type churner struct {
 	rank func(id int) int
 }
 
-// churnSeed offsets the victim-selection stream away from the node rngs.
-const churnSeed = 7717
-
 func newChurner(s *ChurnSchedule, n, maxN int, seed int64) *churner {
 	if s == nil || len(s.Events) == 0 {
 		return nil
 	}
 	return &churner{
 		events: s.Events,
-		rng:    rand.New(rand.NewSource(seed + churnSeed)),
+		rng:    NewRand(seed, RandChurn),
 		nextID: n,
 		maxID:  maxN,
 	}

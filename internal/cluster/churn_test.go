@@ -5,9 +5,13 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/rlnc"
+	"repro/internal/token"
 )
 
 func TestParseChurn(t *testing.T) {
@@ -120,10 +124,75 @@ func TestViewSuspicion(t *testing.T) {
 	}
 }
 
-// churnRun is the canonical seeded lockstep churn run shared by the
-// determinism and completion tests: joins, a graceful leave, a crash
+// runKeepingStates is Run that also hands back every id's protocol
+// state, each incarnation's as spawn built it: the last entry of an id
+// is what it holds when the run stops. spawned, when non-nil, sees each
+// incarnation's shell before its protocol is built.
+func runKeepingStates(t *testing.T, cfg Config, toks []token.Token, spawned func(*Node)) (*Result, [][]*oneShot) {
+	t.Helper()
+	nodes := make([]NodeMetrics, cfg.MaxNodes())
+	states := make([][]*oneShot, len(nodes))
+	eng := oneShotEngine(cfg.Mode, cfg.N, toks, func(id int) *NodeMetrics { return &nodes[id] })
+	build := eng.New
+	var mu sync.Mutex // the founding batch spawns on every shard at once
+	eng.New = func(nd *Node, joiner bool) Protocol {
+		if spawned != nil {
+			spawned(nd)
+		}
+		p := build(nd, joiner)
+		mu.Lock()
+		states[nd.ID] = append(states[nd.ID], p.(*oneShot))
+		mu.Unlock()
+		return p
+	}
+	out, err := eng.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Result{Outcome: out, Nodes: nodes}, states
+}
+
+// held is how much of the k tokens a stopped run's live nodes hold
+// between them: distinct tokens (forward) or the joint rank of their
+// spans (coded). Below k a token left with the nodes that crashed or
+// departed — a leaver's goodbye hands nothing over — and no amount of
+// gossip among the survivors completes the run.
+func held(res *Result, states [][]*oneShot, k int) int {
+	set := token.NewSet()
+	var joint *rlnc.Span
+	rng := rand.New(rand.NewSource(1))
+	for id, lives := range states {
+		if len(lives) == 0 || !res.Nodes[id].Live {
+			continue
+		}
+		switch g := lives[len(lives)-1].g.(type) {
+		case *forwardNode:
+			for _, tok := range g.set.Tokens() {
+				set.Add(tok)
+			}
+		case *codedNode:
+			if joint == nil {
+				joint = rlnc.NewSpan(k, g.span.PayloadBits())
+			}
+			// A span shows its rows only through combinations: k+64 random
+			// ones miss a dimension of it with probability 2⁻⁶⁴.
+			for i := 0; i < k+64; i++ {
+				if c, ok := g.span.RandomCombination(rng); ok {
+					joint.Add(c)
+				}
+			}
+		}
+	}
+	if joint != nil {
+		return joint.Rank()
+	}
+	return set.Len()
+}
+
+// churnRunStates is the canonical seeded lockstep churn run shared by
+// the determinism and completion tests: joins, a graceful leave, a crash
 // and a persisted restart, under loss.
-func churnRun(t *testing.T, seed int64, schedule string, mode Mode) *Result {
+func churnRunStates(t *testing.T, seed int64, schedule string, mode Mode, spawned func(*Node)) (*Result, [][]*oneShot) {
 	t.Helper()
 	sched, err := ParseChurn(schedule)
 	if err != nil {
@@ -132,11 +201,14 @@ func churnRun(t *testing.T, seed int64, schedule string, mode Mode) *Result {
 	const n, k, d = 10, 10, 48
 	cfg := Config{N: n, Seed: seed, Mode: mode, Lockstep: true, Churn: sched, MaxTicks: 100000}
 	cfg.Transport = WithLoss(cfg.DefaultTransport(0), 0.2, seed*17+1)
-	res, err := Run(context.Background(), cfg, testTokens(k, d, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, states := runKeepingStates(t, cfg, testTokens(k, d, 7), spawned)
 	res.Elapsed = 0 // wall clock is the one legitimately impure field
+	return res, states
+}
+
+func churnRun(t *testing.T, seed int64, schedule string, mode Mode) *Result {
+	t.Helper()
+	res, _ := churnRunStates(t, seed, schedule, mode, nil)
 	return res
 }
 
@@ -298,10 +370,16 @@ func TestChurnRejectsBadSchedule(t *testing.T) {
 }
 
 // TestLockstepChurnGridCompletes sweeps churn schedules × seeds × modes
-// through the lockstep cluster driver and requires completion: the
-// one-shot runtime keeps recoding until every live node (including late
-// joiners) holds everything, so no schedule that leaves two nodes alive
-// may stall it.
+// through the lockstep cluster driver and requires completion of every
+// run that can complete: the one-shot runtime keeps recoding until
+// every live node (including late joiners) holds everything, so a run
+// stalls only when a departed node took the last copy of a token with
+// it — it left or crashed before any of its sends of that token
+// arrived — and then the survivors hold fewer than k between them. At
+// the parent of the keyed generator "leave:8:1,crash:16:1,rejoin:45:1",
+// seed 5, Forward was such a run (node 3 left at tick 8 after 14 sends,
+// its own token in none of the 10 delivered); extinct below counts how
+// many of this grid are.
 func TestLockstepChurnGridCompletes(t *testing.T) {
 	schedules := []string{
 		"crash:15:1",
@@ -309,15 +387,79 @@ func TestLockstepChurnGridCompletes(t *testing.T) {
 		"join:5:2,crash:18:1,restart:40:1",
 		"leave:8:1,crash:16:1,rejoin:45:1",
 	}
+	const k = 10 // churnRun's
+	runs, extinct := 0, 0
 	for _, schedule := range schedules {
-		for seed := int64(1); seed <= 3; seed++ {
+		for seed := int64(1); seed <= 24; seed++ {
 			for _, mode := range []Mode{Coded, Forward} {
-				res := churnRun(t, seed, schedule, mode)
-				if !res.Completed {
-					t.Errorf("schedule %q seed %d %v stalled after %d ticks", schedule, seed, mode, res.Ticks)
+				res, states := churnRunStates(t, seed, schedule, mode, nil)
+				runs++
+				if res.Completed {
+					continue
+				}
+				extinct++
+				if h := held(res, states, k); h >= k {
+					t.Errorf("schedule %q seed %d %v stalled after %d ticks with all %d tokens among its live nodes", schedule, seed, mode, res.Ticks, h)
 				}
 			}
 		}
+	}
+	t.Logf("%d of %d runs lost a token with a departed node", extinct, runs)
+	if 4*extinct > runs {
+		t.Errorf("%d of %d runs lost a token: the grid no longer tests completion", extinct, runs)
+	}
+}
+
+// TestRejoinDoesNotReplayFirstLife: a rejoin wipes an id and spawns it
+// again under the same (seed, id); the spawn tick in the key is what
+// keeps the second incarnation from redrawing the first one's peer
+// picks and coding coins from word 0. Each incarnation's first word is
+// the one its key names, the two differ, and a re-run of the seed
+// reproduces both.
+func TestRejoinDoesNotReplayFirstLife(t *testing.T) {
+	const seed, schedule = 3, "crash:8:1,rejoin:25:1"
+	type life struct {
+		id    int
+		spawn int64
+		word  uint64
+	}
+	run := func() (rejoined []life) {
+		var mu sync.Mutex
+		var lives []life
+		res, states := churnRunStates(t, seed, schedule, Coded, func(nd *Node) {
+			// Drawing here moves the run off its pinned transcript, the
+			// same way every time.
+			mu.Lock()
+			lives = append(lives, life{nd.ID, nd.Now, nd.Rng.Uint64()})
+			mu.Unlock()
+		})
+		if !res.Completed {
+			t.Fatalf("run did not complete in %d ticks", res.Ticks)
+		}
+		for _, l := range lives {
+			if len(states[l.id]) == 2 {
+				rejoined = append(rejoined, l)
+			}
+		}
+		return rejoined
+	}
+	got := run()
+	if len(got) != 2 || got[0].id != got[1].id {
+		t.Fatalf("incarnations of the rejoined id: %+v, want two of one id", got)
+	}
+	for _, l := range got {
+		if want := NewRand(seed, RandNode, int64(l.id), l.spawn).Uint64(); l.word != want {
+			t.Errorf("id %d spawned at tick %d starts on %#x, its key says %#x", l.id, l.spawn, l.word, want)
+		}
+	}
+	if got[0].spawn != 0 || got[1].spawn != 25 {
+		t.Errorf("spawn ticks %d and %d, want 0 and 25", got[0].spawn, got[1].spawn)
+	}
+	if got[0].word == got[1].word {
+		t.Errorf("id %d starts both lives on %#x", got[0].id, got[0].word)
+	}
+	if again := run(); !reflect.DeepEqual(again, got) {
+		t.Errorf("a re-run of seed %d spawned %+v, want %+v", seed, again, got)
 	}
 }
 

@@ -251,11 +251,10 @@ func (e Engine) Run(ctx context.Context, cfg Config) (Outcome, error) {
 // r.contacts, the nodes live when the batch applied — a joiner's
 // contact list.
 func (r *run) spawn(id int, joiner bool, now int64) *Node {
-	nd := newNode(id, r.cfg.Seed, r.cfg.Fanout, r.contacts.view(id, now), r.tr, r.eng.Metrics(id), r.cfg.Telemetry)
+	nd := newNode(id, r.cfg.Seed, now, r.cfg.Fanout, r.contacts.view(id, now), r.tr, r.eng.Metrics(id), r.cfg.Telemetry)
 	// Suspicion is set before any mark can deviate from the shared
 	// stamp (see View).
 	nd.View.SuspectAfter = int64(r.eng.SuspectTicks)
-	nd.Now = now
 	nd.churn = r.cfg.Churn != nil
 	if r.ranks != nil {
 		nd.rank = &r.ranks[id]
@@ -719,7 +718,7 @@ func (e Engine) RunSingle(ctx context.Context, cfg Config, s Single) error {
 	// which the known gate covers as the address book fills.
 	view := NewView(s.ID, cfg.N)
 	view.Fill(cfg.N, 0)
-	nd := newNode(s.ID, cfg.Seed, cfg.Fanout, view, cfg.Transport, m, cfg.Telemetry)
+	nd := newNode(s.ID, cfg.Seed, 0, cfg.Fanout, view, cfg.Transport, m, cfg.Telemetry)
 	if at, ok := find[AddressedTransport](cfg.Transport); ok {
 		nd.known = at.Known
 	}

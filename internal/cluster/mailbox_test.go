@@ -234,7 +234,7 @@ func TestLockstepDelayBitIdentical(t *testing.T) {
 	for _, loss := range []float64{0, 0.2} {
 		base := Config{N: 14, Fanout: 3, Seed: 43, Lockstep: true, MaxTicks: 5000, Churn: sched}
 		maxN := base.MaxNodes()
-		plain, _, _ := differentialRun(t, base, base.DefaultTransport(0), loss)
+		_, plainTrace, _ := differentialRun(t, base, base.DefaultTransport(0), loss)
 		var want *Result
 		var wantTrace string
 		for _, shards := range []int{1, 2, 4} {
@@ -252,8 +252,10 @@ func TestLockstepDelayBitIdentical(t *testing.T) {
 				}
 				if want == nil {
 					want, wantTrace = got, gotTrace
-					if got.Ticks <= plain.Ticks {
-						t.Errorf("%s: %d ticks under delay, %d without: the layer held nothing", name, got.Ticks, plain.Ticks)
+					// Not "more ticks": a run whose last packets drew short
+					// delays can finish on the undelayed run's tick.
+					if gotTrace == plainTrace {
+						t.Errorf("%s: the export under delay is the undelayed run's: the layer held nothing", name)
 					}
 					continue
 				}

@@ -102,16 +102,18 @@ type Node struct {
 	err error
 }
 
-// newNode builds the shell for one node. The rng derivation is what
-// every driver — in-process or one process per node — shares, so the
-// same (seed, id) draws the same coins everywhere.
-func newNode(id int, seed int64, fanout int, view *View, tr Transport, m *NodeMetrics, tel *telemetry.Recorder) *Node {
+// newNode builds the shell for one incarnation of a node, spawned at
+// tick spawn. The rng key is what every driver — in-process or one
+// process per node — shares, so the same (seed, id, spawn) draws the
+// same coins everywhere.
+func newNode(id int, seed, spawn int64, fanout int, view *View, tr Transport, m *NodeMetrics, tel *telemetry.Recorder) *Node {
 	m.Spawned = true
 	m.Live = true
 	return &Node{
 		ID:     id,
 		View:   view,
-		Rng:    rand.New(rand.NewSource(seed + 7919*int64(id) + 1)),
+		Now:    spawn,
+		Rng:    NewRand(seed, RandNode, int64(id), spawn),
 		Fanout: fanout,
 		M:      m,
 		Tel:    tel,

@@ -162,7 +162,7 @@ func TestHelloBurstMarshalsOncePerRecipientCopy(t *testing.T) {
 	}
 	var m NodeMetrics
 	tr := &captureTransport{got: map[int][][]byte{}}
-	nd := newNode(id, 1, 2, newContacts(live, maxN).view(id, 7), tr, &m, nil)
+	nd := newNode(id, 1, 0, 2, newContacts(live, maxN).view(id, 7), tr, &m, nil)
 	nd.helloAll(false)
 
 	peers := []uint32{0, 2, 3, 5, 8, 11}

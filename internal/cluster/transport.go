@@ -142,7 +142,7 @@ func WithLoss(t Transport, rate float64, seed int64) Transport {
 	if rate <= 0 {
 		return t
 	}
-	return &lossTransport{Layer: Layer{t}, rate: rate, rng: rand.New(rand.NewSource(seed))}
+	return &lossTransport{Layer: Layer{t}, rate: rate, rng: NewRand(seed, RandLoss)}
 }
 
 func (l *lossTransport) Send(from, to int, pkt []byte) bool {
@@ -191,7 +191,7 @@ func WithDelay(t Transport, min, max int, seed int64) Transport {
 	if max < min {
 		max = min
 	}
-	return &delayTransport{Layer: Layer{t}, min: int64(min), max: int64(max), rng: rand.New(rand.NewSource(seed))}
+	return &delayTransport{Layer: Layer{t}, min: int64(min), max: int64(max), rng: NewRand(seed, RandDelay)}
 }
 
 func (d *delayTransport) Send(from, to int, pkt []byte) bool {
@@ -256,7 +256,7 @@ func WithReorder(t Transport, rate float64, seed int64) Transport {
 	if rate <= 0 {
 		return t
 	}
-	return &reorderTransport{Layer: Layer{t}, rate: rate, rng: rand.New(rand.NewSource(seed))}
+	return &reorderTransport{Layer: Layer{t}, rate: rate, rng: NewRand(seed, RandReorder)}
 }
 
 func (r *reorderTransport) Send(from, to int, pkt []byte) bool {

@@ -197,7 +197,7 @@ func TestHelloReceivePerRun(t *testing.T) {
 		var metrics NodeMetrics
 		first := newContacts(randomLive(rng, maxN), maxN)
 		ref := first.view(self, 2)
-		nd := newNode(self, 1, 2, first.view(self, 2), nil, &metrics, nil)
+		nd := newNode(self, 1, 0, 2, first.view(self, 2), nil, &metrics, nil)
 		ref.SuspectAfter, nd.View.SuspectAfter = sa, sa
 		perturb(rng, maxN, ref, nd.View)
 

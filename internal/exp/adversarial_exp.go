@@ -40,11 +40,11 @@ func runAdversarialTrial(cfg Config, n, k, d int, adaptive, hostilePkts bool, se
 		rc.Telemetry = rec
 		tr := lossy(rc, 0.1)
 		if hostilePkts {
-			tr = hostile.WithMutator(tr, e14Mutations, seed+105, rec)
+			tr = hostile.WithMutator(tr, e14Mutations, seed, rec)
 		}
 		var adv dynnet.Adversary
 		if adaptive {
-			adv = hostile.NewAdaptive(n, seed+104, rec)
+			adv = hostile.NewAdaptive(n, seed, rec)
 		} else {
 			adv = adversary.NewRandomConnected(n, n/2, seed+104)
 		}

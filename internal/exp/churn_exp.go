@@ -29,7 +29,7 @@ func runStreamJoinerTrial(cfg Config, loss float64, seed int64) (joinerTrial, er
 		Seed: seed, Lockstep: true, MaxTicks: 500000,
 		Churn: sched, SuspectTicks: 12,
 	}
-	rc.Transport = cluster.WithLoss(rc.DefaultTransport(), loss, seed*977+31)
+	rc.Transport = cluster.WithLoss(rc.DefaultTransport(), loss, seed)
 	res, err := stream.Run(cfg.ctx(), rc)
 	if err != nil {
 		return joinerTrial{}, err

@@ -53,7 +53,7 @@ func runGossipTrial(cfg Config, rc cluster.Config, k, d int, setting string, sta
 // lossy is the experiments' seeded loss layer over rc's own default
 // transport.
 func lossy(rc *cluster.Config, loss float64) cluster.Transport {
-	return cluster.WithLoss(rc.DefaultTransport(0), loss, rc.Seed*977+31)
+	return cluster.WithLoss(rc.DefaultTransport(0), loss, rc.Seed)
 }
 
 // sumTrials adds up a cell's trials.

@@ -26,7 +26,7 @@ func runStreamTrial(cfg Config, n, k, d, gens, w int, loss float64, seed int64) 
 		N: n, K: k, PayloadBits: d, Window: w, Generations: gens, Fanout: fanout,
 		Seed: seed, Lockstep: true, MaxTicks: 500000,
 	}
-	rc.Transport = cluster.WithLoss(rc.DefaultTransport(), loss, seed*977+31)
+	rc.Transport = cluster.WithLoss(rc.DefaultTransport(), loss, seed)
 	res, err := stream.Run(cfg.ctx(), rc)
 	if err != nil {
 		return streamTrial{}, err

@@ -262,7 +262,7 @@ func WithMutator(t cluster.Transport, spec MutationSpec, seed int64, tel *teleme
 	}
 	mt := &mutTransport{
 		Layer: cluster.Layer{Transport: t}, spec: spec, rates: spec.rates(), tel: tel,
-		rng: rand.New(rand.NewSource(seed)),
+		rng: cluster.NewRand(seed, cluster.RandMutator),
 	}
 	if spec.Stale > 0 {
 		mt.history = make([][]byte, 0, staleHistory)

@@ -320,18 +320,22 @@ func TestLockstepStreamChurnAggregateMetrics(t *testing.T) {
 	}
 }
 
-// captureTransport keeps the first hello each recipient is sent — the
-// churn phase's burst; the emit phase's announcements come later in the
-// tick — and delivers nothing: a kept buffer is never recycled under
-// the test.
+// captureTransport keeps the hellos of the first node to send one — the
+// churn phase's burst; the emit phase's announcements, one of which may
+// pick the leaver, come later in the tick — and delivers nothing: a kept
+// buffer is never recycled under the test.
 type captureTransport struct {
 	cluster.Transport
-	got map[int][]byte
+	from int // the burst's sender, -1 before the first hello
+	got  map[int][]byte
 }
 
 func (c *captureTransport) Send(from, to int, pkt []byte) bool {
-	if _, seen := c.got[to]; !seen && wire.Type(pkt[1]) == wire.TypeHello {
-		c.got[to] = pkt
+	if wire.Type(pkt[1]) == wire.TypeHello && (c.from < 0 || c.from == from) {
+		c.from = from
+		if _, seen := c.got[to]; !seen {
+			c.got[to] = pkt
+		}
 	}
 	return true
 }
@@ -344,7 +348,7 @@ func (c *captureTransport) Send(from, to int, pkt []byte) bool {
 // the others intact.
 func TestHelloBurstPerRecipientCopy(t *testing.T) {
 	const n = 5
-	tr := &captureTransport{Transport: cluster.NewChanTransport(n, 1), got: map[int][]byte{}}
+	tr := &captureTransport{Transport: cluster.NewChanTransport(n, 1), from: -1, got: map[int][]byte{}}
 	sched, err := cluster.ParseChurn("leave:1:1")
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 
 	"repro/internal/cluster"
@@ -12,12 +11,6 @@ import (
 	"repro/internal/token"
 	"repro/internal/wire"
 )
-
-// newGenRand returns the PRNG for generation g of a seeded stream. The
-// multiplier just separates the per-generation streams.
-func newGenRand(seed int64, g int) *rand.Rand {
-	return rand.New(rand.NewSource(seed + 1000003*int64(g) + 1))
-}
 
 // genOwner returns the node where token j of generation g originates.
 // Origins rotate across the initial membership so every founding node

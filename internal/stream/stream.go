@@ -121,7 +121,7 @@ func (s *seededSource) Generation(g int) []token.Token {
 // buildUncached constructs generation g's tokens from the seed alone —
 // the pure function the cache memoizes.
 func (s *seededSource) buildUncached(g int) []token.Token {
-	rng := newGenRand(s.seed, g)
+	rng := cluster.NewRand(s.seed, cluster.RandGeneration, int64(g))
 	out := make([]token.Token, s.k)
 	for j := range out {
 		out[j] = token.Random(token.NewUID(j, g), s.d, rng)
