@@ -543,12 +543,12 @@ func TestLockstepObservesContext(t *testing.T) {
 }
 
 // TestLockstepGoldenTranscripts pins exact lockstep run fingerprints
-// for both modes under loss. The values were produced by the
-// pre-pooling (allocating) pipeline, so this test is the proof that the
-// zero-allocation emission path — CombineInto/AppendTo/UnmarshalInto
-// feeding per-node buffer rings — is bit-identical to it: any divergence
-// in coin draws, emission order or buffer corruption shifts these
-// counters.
+// for both modes under loss: any divergence in coin draws, emission
+// order or buffer corruption shifts these counters. The values held
+// from the pre-pooling (allocating) pipeline through the zero-allocation
+// emission path — CombineInto/AppendTo/UnmarshalInto feeding per-node
+// buffer rings — and were re-pinned, inputs unchanged, when every stream
+// became a keyed generator (NewRand).
 func TestLockstepGoldenTranscripts(t *testing.T) {
 	ctx := context.Background()
 	type golden struct {
@@ -559,11 +559,11 @@ func TestLockstepGoldenTranscripts(t *testing.T) {
 		fout, fin, fbits, fdrop int64
 	}
 	goldens := []golden{
-		{1, 12, 220, 164, 23760, 56, 44, 860, 654, 82560, 206},
-		{2, 12, 220, 171, 23760, 49, 64, 1260, 952, 120960, 308},
-		{3, 13, 240, 181, 25920, 59, 43, 840, 635, 80640, 205},
-		{4, 13, 240, 174, 25920, 66, 43, 840, 640, 80640, 200},
-		{5, 16, 300, 231, 32400, 69, 70, 1380, 1058, 132480, 322},
+		{1, 16, 300, 225, 32400, 75, 39, 760, 562, 72960, 198},
+		{2, 16, 300, 222, 32400, 78, 36, 700, 524, 67200, 176},
+		{3, 13, 240, 188, 25920, 52, 39, 760, 590, 72960, 170},
+		{4, 16, 300, 233, 32400, 67, 54, 1060, 798, 101760, 262},
+		{5, 15, 280, 207, 30240, 73, 38, 740, 547, 71040, 193},
 	}
 	for _, g := range goldens {
 		toks := token.RandomSet(12, 32, rand.New(rand.NewSource(g.seed)))
@@ -591,7 +591,7 @@ func TestLockstepGoldenTranscripts(t *testing.T) {
 				}
 				got := [5]int64{int64(res.Ticks), res.PacketsOut, res.PacketsIn, res.BitsOut, res.Dropped}
 				if got != want {
-					t.Errorf("seed %d %v traced=%v: transcript diverged from allocating pipeline: got %v, want %v", g.seed, mode, traced, got, want)
+					t.Errorf("seed %d %v traced=%v: transcript diverged: got %v, want %v", g.seed, mode, traced, got, want)
 				}
 				if traced {
 					// The trace must reconcile with the pinned counters: every

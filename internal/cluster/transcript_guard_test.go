@@ -33,9 +33,9 @@ func TestChurnTranscriptPinned(t *testing.T) {
 		want    string
 	}{
 		{48, 96, 200, 7, "crash:3:4,join:5:4,leave:8:2,restart:12:2",
-			"completed=true ticks=95 out=8984 in=6698 hellos=388 dropped=1900 live=48 nodes=52 hash=fe7ec4b373f8174e"},
+			"completed=true ticks=85 out=8022 in=5964 hellos=389 dropped=1687 live=48 nodes=52 hash=cfa75a2e53b45594"},
 		{96, 128, 64, 5, "crash:3:5,leave:4:6,join:6:5,rejoin:9:2,leave:11:4,join:13:4,restart:15:2,crash:17:3,join:20:3,rejoin:24:2,leave:26:3,join:30:2",
-			"completed=true ticks=122 out=22778 in=16557 hellos=3133 dropped=5164 live=95 nodes=110 hash=1fa91ad50274cc72"},
+			"completed=false ticks=1000 out=189790 in=137174 hellos=3119 dropped=48368 live=95 nodes=110 hash=df98a5526efdd198"},
 	} {
 		sched, err := ParseChurn(c.churn)
 		if err != nil {

@@ -342,12 +342,13 @@ func TestStreamObservesContext(t *testing.T) {
 }
 
 // TestStreamLockstepGoldenTranscripts pins exact lockstep streaming run
-// fingerprints under loss. Like the cluster goldens, the values come
-// from the pre-pooling (allocating) pipeline, proving the pooled
-// zero-allocation path — ring-recycled buffers, scratch packets, the
-// memoized source — reproduces it bit for bit. The bits column alone
-// was re-pinned when wire version 2 run-length coded the acks' peer
-// section: same acks, fewer bits each.
+// fingerprints under loss. Like the cluster goldens they held from the
+// pre-pooling (allocating) pipeline through the pooled zero-allocation
+// path — ring-recycled buffers, scratch packets, the memoized source —
+// with the bits column alone re-pinned when wire version 2 run-length
+// coded the acks' peer section, and were re-pinned whole, inputs
+// unchanged, when every stream became a keyed generator
+// (cluster.NewRand).
 func TestStreamLockstepGoldenTranscripts(t *testing.T) {
 	ctx := context.Background()
 	goldens := []struct {
@@ -356,11 +357,11 @@ func TestStreamLockstepGoldenTranscripts(t *testing.T) {
 		out, in, acks, bits, drop int64
 		delivered                 int64
 	}{
-		{1, 61, 960, 767, 480, 249304, 300, 288},
-		{2, 57, 896, 729, 448, 235608, 268, 288},
-		{3, 59, 928, 759, 464, 241216, 279, 288},
-		{4, 57, 896, 720, 448, 230464, 262, 288},
-		{5, 59, 928, 735, 464, 238792, 297, 288},
+		{1, 63, 992, 810, 496, 258352, 281, 288},
+		{2, 55, 864, 678, 432, 224496, 277, 288},
+		{3, 52, 816, 661, 408, 206400, 221, 288},
+		{4, 64, 1008, 787, 504, 265344, 324, 288},
+		{5, 72, 1130, 884, 568, 290900, 375, 288},
 	}
 	for _, g := range goldens {
 		// Each transcript is pinned with telemetry both off and on:
@@ -387,7 +388,7 @@ func TestStreamLockstepGoldenTranscripts(t *testing.T) {
 			got := [7]int64{int64(res.Ticks), res.PacketsOut, res.PacketsIn, res.AcksOut, res.BitsOut, res.Dropped, res.TokensDelivered}
 			want := [7]int64{int64(g.ticks), g.out, g.in, g.acks, g.bits, g.drop, g.delivered}
 			if got != want {
-				t.Errorf("seed %d traced=%v: transcript diverged from allocating pipeline: got %v, want %v", g.seed, traced, got, want)
+				t.Errorf("seed %d traced=%v: transcript diverged: got %v, want %v", g.seed, traced, got, want)
 			}
 			if traced {
 				// The trace must reconcile with the pinned counters.

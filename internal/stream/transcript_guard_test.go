@@ -26,10 +26,10 @@ func TestStreamChurnTranscriptPinned(t *testing.T) {
 	}{
 		{Config{N: 24, K: 8, PayloadBits: 64, Window: 3, Generations: 10, Seed: 7},
 			"crash:6:3,join:9:3,leave:14:2",
-			"ticks=186 out=8164 in=5762 hellos=126 acks=4083 dropped=3230 toks=1760 live=22 nodes=27 hash=0c9c3955aa4f1c18"},
+			"ticks=170 out=7400 in=5166 hellos=156 acks=3726 dropped=2916 toks=1760 live=22 nodes=27 hash=868470337484da73"},
 		{Config{N: 96, K: 8, PayloadBits: 64, Window: 3, Generations: 12, Seed: 5, SuspectTicks: 12},
 			"crash:6:5,leave:9:6,join:14:5,rejoin:20:2,leave:26:4,join:31:4,restart:37:2,crash:42:3,join:48:3,rejoin:55:2,leave:60:3,join:66:2",
-			"ticks=206 out=37992 in=27500 hellos=3588 acks=19245 dropped=12212 toks=9008 live=95 nodes=110 hash=e0bbfde07dbc4144"},
+			"ticks=205 out=37506 in=27002 hellos=3604 acks=19156 dropped=12112 toks=9032 live=95 nodes=110 hash=8554bb78129b9307"},
 	} {
 		sched, err := cluster.ParseChurn(c.churn)
 		if err != nil {
