@@ -154,8 +154,8 @@ func runKeepingStates(t *testing.T, cfg Config, toks []token.Token, spawned func
 
 // held is how much of the k tokens a stopped run's live nodes hold
 // between them: distinct tokens (forward) or the joint rank of their
-// spans (coded). Below k a token left with the nodes that crashed or
-// departed — a leaver's goodbye hands nothing over — and no amount of
+// spans (coded). Below k a token left with a node that crashed, or
+// with a leaver whose hand-over the fabric lost, and no amount of
 // gossip among the survivors completes the run.
 func held(res *Result, states [][]*oneShot, k int) int {
 	set := token.NewSet()
@@ -374,12 +374,13 @@ func TestChurnRejectsBadSchedule(t *testing.T) {
 // run that can complete: the one-shot runtime keeps recoding until
 // every live node (including late joiners) holds everything, so a run
 // stalls only when a departed node took the last copy of a token with
-// it — it left or crashed before any of its sends of that token
-// arrived — and then the survivors hold fewer than k between them. At
-// the parent of the keyed generator "leave:8:1,crash:16:1,rejoin:45:1",
-// seed 5, Forward was such a run (node 3 left at tick 8 after 14 sends,
-// its own token in none of the 10 delivered); extinct below counts how
-// many of this grid are.
+// it — it crashed before any of its sends of that token arrived, or
+// left and the hand-over (oneShot.Leave) was lost too — and then the
+// survivors hold fewer than k between them. Before there was a
+// hand-over "leave:8:1,crash:16:1,rejoin:45:1", seed 5, Forward was
+// such a run (node 3 left at tick 8 after 14 sends, its own token in
+// none of the 10 delivered); extinct below counts how many of this
+// grid are.
 func TestLockstepChurnGridCompletes(t *testing.T) {
 	schedules := []string{
 		"crash:15:1",
@@ -410,6 +411,28 @@ func TestLockstepChurnGridCompletes(t *testing.T) {
 	}
 }
 
+// TestLeaverHandsOver: a node that leaves at tick 1, before anyone has
+// emitted, holds the only copies of its tokens, and the next two
+// leavers may be where they went; on a lossless fabric the hand-over
+// alone is what lets the survivors complete. One leaver a tick: a
+// hand-over to a peer departing in the same tick is lost with it.
+func TestLeaverHandsOver(t *testing.T) {
+	sched, err := ParseChurn("leave:1:1,leave:2:1,leave:3:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, k = 8, 12
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, mode := range []Mode{Coded, Forward} {
+			cfg := Config{N: n, Seed: seed, Mode: mode, Lockstep: true, Churn: sched, MaxTicks: 500}
+			res, states := runKeepingStates(t, cfg, testTokens(k, 48, seed), nil)
+			if !res.Completed || res.FinalLive != n-3 {
+				t.Errorf("seed %d %v: completed=%v with %d live, the survivors hold %d of %d", seed, mode, res.Completed, res.FinalLive, held(res, states, k), k)
+			}
+		}
+	}
+}
+
 // TestRejoinDoesNotReplayFirstLife: a rejoin wipes an id and spawns it
 // again under the same (seed, id); the spawn tick in the key is what
 // keeps the second incarnation from redrawing the first one's peer
@@ -424,21 +447,21 @@ func TestRejoinDoesNotReplayFirstLife(t *testing.T) {
 		word  uint64
 	}
 	run := func() (rejoined []life) {
-		var mu sync.Mutex
-		var lives []life
-		res, states := churnRunStates(t, seed, schedule, Coded, func(nd *Node) {
+		var mu sync.Mutex // the founding batch spawns on every shard at once
+		lives := map[int][]life{}
+		res, _ := churnRunStates(t, seed, schedule, Coded, func(nd *Node) {
 			// Drawing here moves the run off its pinned transcript, the
 			// same way every time.
 			mu.Lock()
-			lives = append(lives, life{nd.ID, nd.Now, nd.Rng.Uint64()})
+			lives[nd.ID] = append(lives[nd.ID], life{nd.ID, nd.Now, nd.Rng.Uint64()})
 			mu.Unlock()
 		})
 		if !res.Completed {
 			t.Fatalf("run did not complete in %d ticks", res.Ticks)
 		}
 		for _, l := range lives {
-			if len(states[l.id]) == 2 {
-				rejoined = append(rejoined, l)
+			if len(l) > 1 {
+				rejoined = append(rejoined, l...)
 			}
 		}
 		return rejoined

@@ -237,6 +237,9 @@ type gossiper interface {
 	// emitInto draws one fresh packet to push into the caller-owned
 	// scratch, or reports false if the node has nothing to say yet.
 	emitInto(p *wire.Packet, epoch int) bool
+	// heldInto fills the scratch with the i-th of the progress() things
+	// the node holds, a basis row or a token: a leaver's hand-over.
+	heldInto(p *wire.Packet, i, epoch int)
 	// complete reports whether the node holds all k tokens.
 	complete() bool
 	// progress is the node's decoding progress (span rank, or token
@@ -305,6 +308,11 @@ func (c *codedNode) emitInto(p *wire.Packet, epoch int) bool {
 	return true
 }
 
+func (c *codedNode) heldInto(p *wire.Packet, i, epoch int) {
+	c.span.RowInto(&p.Coded, i)
+	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeCoded, Sender: uint32(c.nd.ID), Epoch: uint32(epoch)}
+}
+
 func (c *codedNode) complete() bool { return c.span.CanDecode() }
 
 func (c *codedNode) progress() int { return c.span.Rank() }
@@ -352,6 +360,11 @@ func (f *forwardNode) emitInto(p *wire.Packet, epoch int) bool {
 	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeToken, Sender: uint32(f.nd.ID), Epoch: uint32(epoch)}
 	p.Token = toks[f.nd.Rng.Intn(len(toks))]
 	return true
+}
+
+func (f *forwardNode) heldInto(p *wire.Packet, i, epoch int) {
+	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeToken, Sender: uint32(f.nd.ID), Epoch: uint32(epoch)}
+	p.Token = f.set.Tokens()[i]
 }
 
 func (f *forwardNode) complete() bool { return f.set.Len() >= f.k }
@@ -494,6 +507,24 @@ func (o *oneShot) Progress() (rank, watermark int) { return o.g.progress(), 0 }
 
 // Restart resumes with the span or token set the node crashed with.
 func (o *oneShot) Restart() {}
+
+// Leave hands over everything the node holds, one packet per basis row
+// or token, each to a freshly picked peer: a graceful leaver may hold
+// the only copy of a token (its own, before any packet carrying it
+// alone has arrived), and then no amount of gossip among the survivors
+// completes the run. What the fabric loses of the hand-over is lost,
+// and so is what goes to a peer that departs in the same tick.
+func (o *oneShot) Leave() {
+	nd := o.nd
+	for i, r := 0, o.g.progress(); i < r; i++ {
+		peer := nd.Pick()
+		if peer < 0 {
+			return
+		}
+		o.g.heldInto(&nd.Tx, i, int(nd.M.PacketsOut))
+		nd.Send(peer)
+	}
+}
 
 // validate rejects token sets and modes no one-shot run can spread.
 func validate(mode Mode, toks []token.Token) error {

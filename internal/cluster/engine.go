@@ -306,7 +306,11 @@ func (r *run) apply(op churnOp, now int64) {
 		nd := r.nodes[op.ID]
 		nd.Now = now
 		tel.Event(op.ID, now, telemetry.KindLeave, 0, 0, 0)
-		// The goodbye goes out while the leaver still counts as live.
+		// The hand-over and the goodbye go out while the leaver still
+		// counts as live, inline like every churn-phase send (see
+		// helloAll); the leaver never emits again.
+		nd.out = nil
+		nd.proto.Leave()
 		nd.helloAll(true)
 		m.Live = false
 	case ChurnCrash:

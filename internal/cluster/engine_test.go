@@ -50,6 +50,7 @@ func (c *counter) Emit(bool) {
 func (c *counter) Done() bool                      { return c.got >= c.need }
 func (c *counter) Progress() (rank, watermark int) { return c.got, 0 }
 func (c *counter) Restart()                        {}
+func (c *counter) Leave()                          {}
 
 // probe watches every Send on its way to the inboxes. It embeds Layer,
 // not a bare Transport, so the lockstep driver finds the default

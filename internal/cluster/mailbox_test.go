@@ -174,6 +174,35 @@ func differentialRun(t *testing.T, cfg Config, tr Transport, loss float64) (res 
 	return res, b.String(), backlog
 }
 
+// slowest is the longest any data packet of an export received before
+// the given tick spent in flight, in ticks: each recv is matched to its
+// send by (sender, epoch), which one-shot gossip makes unique — the
+// epoch is the sender's PacketsOut.
+func slowest(trace string, before int64) (ticks int64) {
+	type event struct {
+		node, tick int64
+		kind       string
+		a, b, c    int64
+	}
+	var events []event
+	sent := map[[2]int64]int64{}
+	for _, line := range strings.Split(trace, "\n") {
+		var e event
+		if n, _ := fmt.Sscanf(line, "e %d %d %s %d %d %d", &e.node, &e.tick, &e.kind, &e.a, &e.b, &e.c); n == 6 {
+			events = append(events, e)
+			if e.kind == "send" {
+				sent[[2]int64{e.node, e.b}] = e.tick
+			}
+		}
+	}
+	for _, e := range events {
+		if at, ok := sent[[2]int64{e.a, e.b}]; ok && e.kind == "recv" && e.tick < before {
+			ticks = max(ticks, e.tick-at)
+		}
+	}
+	return ticks
+}
+
 // TestMailboxMatchesChannels carries the tentpole's claim: a lockstep
 // run over the engine's own fabric and the same run over an explicit
 // ChanTransport of the same capacity are indistinguishable — per-node
@@ -225,7 +254,9 @@ func TestMailboxMatchesChannels(t *testing.T) {
 // delayed lockstep run is the same function of its seed at every shard
 // count and over either fabric, Result and telemetry export alike,
 // under loss and a schedule with crash, join, leave and restart; and
-// the delay is really there: the run takes longer than without it.
+// the delay is really there: without it every packet is drained the
+// tick after its send (until a restarted node drains what piled up
+// while it was down), under it some spend longer in flight.
 func TestLockstepDelayBitIdentical(t *testing.T) {
 	sched, err := ParseChurn("crash:4:2,join:6:2,leave:9:1,restart:12:1")
 	if err != nil {
@@ -252,10 +283,10 @@ func TestLockstepDelayBitIdentical(t *testing.T) {
 				}
 				if want == nil {
 					want, wantTrace = got, gotTrace
-					// Not "more ticks": a run whose last packets drew short
-					// delays can finish on the undelayed run's tick.
-					if gotTrace == plainTrace {
-						t.Errorf("%s: the export under delay is the undelayed run's: the layer held nothing", name)
+					// Not "more ticks than undelayed": a run whose last packets
+					// drew short delays can finish on the undelayed run's tick.
+					if p, d := slowest(plainTrace, 12), slowest(gotTrace, 12); p != 1 || d <= 1 || d > 1+4 {
+						t.Errorf("%s: the slowest packet took %d ticks undelayed and %d under a delay of 0 to 4; want 1 and 2 to 5", name, p, d)
 					}
 					continue
 				}

@@ -43,6 +43,9 @@ type Protocol interface {
 	Progress() (rank, watermark int)
 	// Restart revives persisted state after a crash (ChurnRestart).
 	Restart()
+	// Leave runs once before a graceful leaver's goodbye (ChurnLeave),
+	// its last chance to send: hand over what would leave with the node.
+	Leave()
 }
 
 // Node is the shell every gossip node runs in, whatever its Protocol:

@@ -156,6 +156,16 @@ func (s *Span) RandomCombination(rng *rand.Rand) (Coded, bool) {
 	return c, true
 }
 
+// RowInto writes basis row i (0 ≤ i < Rank, echelon order) into the
+// caller-owned dst, the way CombineInto writes a combination: the Rank
+// rows together are the whole of what the span holds, which is what a
+// node handing its state over sends.
+func (s *Span) RowInto(dst *Coded, i int) {
+	dst.K = s.k
+	dst.Vec.Resize(s.k + s.payload)
+	s.mat.XorRows(dst.Vec, i>>6, 1<<(i&63))
+}
+
 // Senses reports Definition 5.1: whether the node has received a vector
 // whose coefficient part is not orthogonal to mu. Because sensing only
 // depends on the received subspace, it is evaluated on the basis.

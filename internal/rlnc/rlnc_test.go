@@ -250,6 +250,37 @@ func TestSpanCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestRowIntoSpansTheSpan: the Rank rows RowInto hands out rebuild the
+// span — every one innovative to an empty span, none to the source — at
+// ranks on both sides of the 64-row coin chunk.
+func TestRowIntoSpansTheSpan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, k := range []int{1, 7, 64, 100} {
+		src := NewSpan(k, 24)
+		for i := 0; i < k; i++ {
+			src.Add(Encode(i, k, gf.RandomBitVec(24, rng.Uint64)))
+		}
+		half := NewSpan(k, 24) // a proper subspace, rows not unit vectors
+		for i := 0; i < k/2+1; i++ {
+			c, _ := src.RandomCombination(rng)
+			half.Add(c)
+		}
+		for _, s := range []*Span{src, half} {
+			sink := NewSpan(k, 24)
+			var row Coded
+			for i := 0; i < s.Rank(); i++ {
+				s.RowInto(&row, i)
+				if !sink.Add(row) || s.Clone().Add(row) {
+					t.Fatalf("k=%d: row %d of %d is not a fresh element of the span", k, i, s.Rank())
+				}
+			}
+			if sink.Rank() != s.Rank() {
+				t.Errorf("k=%d: rows rebuild rank %d of %d", k, sink.Rank(), s.Rank())
+			}
+		}
+	}
+}
+
 // TestRandomCombinationInSpanAndNonzero checks the cluster recoding
 // primitive: every draw is a nonzero vector that lies in the span (so
 // adding it to a clone cannot grow the rank).

@@ -374,6 +374,10 @@ func (nd *node) Restart() {
 	nd.m.Done = false
 }
 
+// Leave hands nothing over: the tokens a leaver sourced are re-sourced
+// from the Source by whoever adopts them (see adoptOrphans).
+func (nd *node) Leave() {}
+
 // Emit pushes fanout data packets; a full slot first adopts tokens
 // orphaned by dead origins (churn runs) and ends with one ack.
 func (nd *node) Emit(full bool) {
