@@ -26,9 +26,9 @@ func TestChurnTranscriptPinned(t *testing.T) {
 		want    string
 	}{
 		{48, 96, 200, 7, "crash:3:4,join:5:4,leave:8:2,restart:12:2",
-			"ticks=95 out=8984 in=6698 hellos=388 dropped=1900 live=48 nodes=52 hash=fe7ec4b373f8174e"},
+			"ticks=80 out=7570 in=5670 hellos=389 dropped=1603 live=48 nodes=52 hash=f3117d814af948fa"},
 		{96, 128, 64, 5, "crash:3:5,leave:4:6,join:6:5,rejoin:9:2,leave:11:4,join:13:4,restart:15:2,crash:17:3,join:20:3,rejoin:24:2,leave:26:3,join:30:2",
-			"ticks=122 out=22778 in=16557 hellos=3133 dropped=5164 live=95 nodes=110 hash=1fa91ad50274cc72"},
+			"ticks=132 out=24871 in=18064 hellos=3129 dropped=5654 live=95 nodes=110 hash=466e2f7723dfd316"},
 	} {
 		sched, err := ParseChurn(c.churn)
 		if err != nil {
