@@ -20,8 +20,9 @@ const (
 	// cluster. Joiners bootstrap from a contact list of the nodes live
 	// at join time and announce themselves with a wire.TypeHello.
 	ChurnJoin ChurnKind = iota
-	// ChurnLeave removes a live node gracefully: it broadcasts a leave
-	// announcement to its view before going silent.
+	// ChurnLeave removes a live node gracefully: it hands over what it
+	// holds (Protocol.Leave) and broadcasts a leave announcement to its
+	// view before going silent.
 	ChurnLeave
 	// ChurnCrash removes a live node abruptly: no announcement, peers
 	// only ever find out by its silence.

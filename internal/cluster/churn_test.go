@@ -376,11 +376,8 @@ func TestChurnRejectsBadSchedule(t *testing.T) {
 // stalls only when a departed node took the last copy of a token with
 // it — it crashed before any of its sends of that token arrived, or
 // left and the hand-over (oneShot.Leave) was lost too — and then the
-// survivors hold fewer than k between them. Before there was a
-// hand-over "leave:8:1,crash:16:1,rejoin:45:1", seed 5, Forward was
-// such a run (node 3 left at tick 8 after 14 sends, its own token in
-// none of the 10 delivered); extinct below counts how many of this
-// grid are.
+// survivors hold fewer than k between them; extinct below counts how
+// many of this grid are such runs.
 func TestLockstepChurnGridCompletes(t *testing.T) {
 	schedules := []string{
 		"crash:15:1",

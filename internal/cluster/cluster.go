@@ -552,10 +552,11 @@ func validate(mode Mode, toks []token.Token) error {
 //
 // With a Churn schedule the membership is dynamic: joiners start empty
 // and bootstrap from a contact list of the nodes live at join time,
-// announcing themselves with wire.TypeHello; leavers announce their
-// departure; crashed nodes just go silent (their unclaimed inbox
-// absorbs wasted sends as drops). A run does not complete before every
-// scheduled join/restart has been applied and caught up.
+// announcing themselves with wire.TypeHello; leavers hand over what
+// they hold and announce their departure; crashed nodes just go silent
+// (their unclaimed inbox absorbs wasted sends as drops). A run does not
+// complete before every scheduled join/restart has been applied and
+// caught up.
 func Run(ctx context.Context, cfg Config, toks []token.Token) (*Result, error) {
 	if err := validate(cfg.Mode, toks); err != nil {
 		return nil, err

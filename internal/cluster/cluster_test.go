@@ -544,11 +544,9 @@ func TestLockstepObservesContext(t *testing.T) {
 
 // TestLockstepGoldenTranscripts pins exact lockstep run fingerprints
 // for both modes under loss: any divergence in coin draws, emission
-// order or buffer corruption shifts these counters. The values held
-// from the pre-pooling (allocating) pipeline through the zero-allocation
-// emission path — CombineInto/AppendTo/UnmarshalInto feeding per-node
-// buffer rings — and were re-pinned, inputs unchanged, when every stream
-// became a keyed generator (NewRand).
+// order or buffer corruption — in CombineInto/AppendTo/UnmarshalInto or
+// the per-node buffer rings they feed — shifts these counters. Only a
+// change to NewRand's keys or generator re-pins them, inputs unchanged.
 func TestLockstepGoldenTranscripts(t *testing.T) {
 	ctx := context.Background()
 	type golden struct {

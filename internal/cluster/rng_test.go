@@ -9,7 +9,8 @@ import (
 )
 
 // chi2Crit999 is the 99.9 % critical value of χ² at df degrees of
-// freedom (Wilson–Hilferty; within 1 % of the tables from df = 1 up).
+// freedom (Wilson–Hilferty: 11.2 for the tables' 10.8 at df = 1, within
+// half a percent from df = 14 up).
 func chi2Crit999(df int) float64 {
 	const z = 3.0902 // Φ⁻¹(0.999)
 	a := 2 / (9 * float64(df))

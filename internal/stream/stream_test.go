@@ -342,13 +342,12 @@ func TestStreamObservesContext(t *testing.T) {
 }
 
 // TestStreamLockstepGoldenTranscripts pins exact lockstep streaming run
-// fingerprints under loss. Like the cluster goldens they held from the
-// pre-pooling (allocating) pipeline through the pooled zero-allocation
-// path — ring-recycled buffers, scratch packets, the memoized source —
-// with the bits column alone re-pinned when wire version 2 run-length
-// coded the acks' peer section, and were re-pinned whole, inputs
-// unchanged, when every stream became a keyed generator
-// (cluster.NewRand).
+// fingerprints under loss. Like the cluster goldens they hold the
+// pooled zero-allocation path — ring-recycled buffers, scratch packets,
+// the memoized source — to its coin draws and emission order. A codec
+// change may move the bits column alone; only a change to
+// cluster.NewRand's keys or generator re-pins the rest, inputs
+// unchanged.
 func TestStreamLockstepGoldenTranscripts(t *testing.T) {
 	ctx := context.Background()
 	goldens := []struct {
