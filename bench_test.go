@@ -436,12 +436,11 @@ func BenchmarkStreamWindowSweep(b *testing.B) {
 
 // BenchmarkLockstepSharded exposes the shard-count axis of the
 // deterministic cluster engine as b.Run sub-benchmarks, so the serial
-// fast path (shards=1, exactly the pre-sharding driver) and the
-// sharded exchange-barrier path (shards=4) are timed separately.
-// Transcripts are bit-identical across the axis; the
-// sub-benchmarks exist to catch cost regressions in either path — the
-// outbox capture/replay overhead at shards>1, and any creep in the
-// inline path at shards=1.
+// path (shards=1) and the sharded one (shards=4, every phase emission
+// included fanned out) are timed separately. Transcripts are
+// bit-identical across the axis; the sub-benchmarks exist to catch
+// cost regressions in either path — the goroutine fan-out and the
+// middleware lock at shards>1, and any creep at shards=1.
 func BenchmarkLockstepSharded(b *testing.B) {
 	const n, k, d = 64, 16, 64
 	ctx := context.Background()

@@ -33,11 +33,11 @@
 //
 // The -shards flag runs the deterministic lockstep drivers sharded
 // across cores (internal/shard): nodes are partitioned into contiguous
-// ranges, per-node phases run in parallel against private outboxes,
-// and a serial barrier replays emissions in node-id order — so the
-// transcript is bit-identical to -shards 1 at any shard count, and one
-// 100k-node run fits CI-class memory. See DESIGN.md "Sharded lockstep
-// engine" for the phase diagram and the ordering rules.
+// ranges and the per-node phases, emission included, run in parallel.
+// Every middleware decision is keyed by its sender and the tick mailbox
+// delivers by sender, so the transcript is bit-identical to -shards 1
+// at any shard count, and one 100k-node run fits CI-class memory. See
+// DESIGN.md "Node runtime and drivers" for the phase diagram.
 //
 // and see experiments E11 (DESIGN.md "Async cluster runtime") for
 // coded vs store-and-forward gossip under loss and E12 (DESIGN.md

@@ -92,13 +92,13 @@ type Config struct {
 	// goroutines.
 	Lockstep bool
 	// Shards splits the lockstep driver's per-node phases (initial
-	// spawn, sample, drain, emit) across that many worker goroutines
-	// over contiguous node-id ranges, with a serial exchange barrier
-	// replaying each shard's emissions in id order so the transcript
-	// stays bit-identical to the serial driver for every shard count
-	// (see outbox.go and DESIGN.md "Node runtime and drivers"). 0 and 1
-	// both mean the serial engine; >1 requires Lockstep — the async
-	// driver is already concurrent.
+	// spawn, sample, drain, and emit on the engine's own tick mailbox)
+	// across that many worker goroutines over contiguous node-id ranges.
+	// Below Node.post every decision is keyed by its sender, so the
+	// transcript is bit-identical to the serial driver's at every shard
+	// count (see runLockstep and DESIGN.md "Node runtime and drivers").
+	// 0 and 1 both mean the serial engine; >1 requires Lockstep — the
+	// async driver is already concurrent.
 	Shards int
 	// MaxTicks caps a lockstep run (default 20000).
 	MaxTicks int
@@ -209,7 +209,7 @@ const largeCluster = 4096
 // DefaultInboxBuffer is the inbox size of the default transport (the
 // runtime reaches it only through Config.DefaultTransport) for n ids
 // each sending perTick packets a tick: channel slots on the async
-// fabric, where it is memory; the pending count at which a Send is
+// fabric, where it is memory; the carried backlog at which a Send is
 // refused on the lockstep mailbox, where it costs nothing until it
 // binds. Below largeCluster it is the
 // bound at which backpressure drops are impossible in lockstep mode —
@@ -512,8 +512,9 @@ func (o *oneShot) Restart() {}
 // or token, each to a freshly picked peer: a graceful leaver may hold
 // the only copy of a token (its own, before any packet carrying it
 // alone has arrived), and then no amount of gossip among the survivors
-// completes the run. What the fabric loses of the hand-over is lost,
-// and so is what goes to a peer that departs in the same tick.
+// completes the run. Peers leaving in the same churn batch are out of
+// the view by now (run.apply); what the fabric loses of the hand-over is
+// lost.
 func (o *oneShot) Leave() {
 	nd := o.nd
 	for i, r := 0, o.g.progress(); i < r; i++ {

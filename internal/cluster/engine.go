@@ -81,13 +81,14 @@ func (c Config) MaxNodes() int { return max(c.N, 0) + max(c.Churn.Joins(), 0) }
 // mailbox when c.Lockstep (the lockstep driver finds it under any stack
 // of Layer middlewares; nothing else can drive it, so set Lockstep
 // before asking), one channel inbox per id (ChanTransport) otherwise.
-// Either way an inbox holds DefaultInboxBuffer packets, sized for what
-// a node sends per tick — Fanout data packets, plus control, the
-// protocol's periodic extras (0 one-shot, 1 for the stream's ack;
-// stream.Config has the method without the argument), plus, under churn
-// only, one hello (join/leave bursts, the nothing-to-say announcement):
-// without a schedule no hello is ever sent, so there is no headroom to
-// pay for.
+// Either way an inbox holds DefaultInboxBuffer packets (the mailbox
+// counts only mail carried from earlier ticks), sized for what a node
+// sends per tick — Fanout data packets, plus control, the protocol's
+// periodic extras (0 one-shot, 1 for the stream's ack; stream.Config
+// has the method without the argument), plus, under churn only, one
+// hello (join/leave bursts, the nothing-to-say announcement): without a
+// schedule no hello is ever sent, so there is no headroom to pay for.
+// The same count sizes each mailbox sender's log.
 func (c Config) DefaultTransport(control int) Transport {
 	perTick := c.withDefaults().Fanout + control
 	if c.Churn != nil {
@@ -95,7 +96,7 @@ func (c Config) DefaultTransport(control int) Transport {
 	}
 	n, buffer := c.MaxNodes(), DefaultInboxBuffer(c.MaxNodes(), perTick)
 	if c.Lockstep {
-		return newMailbox(n, buffer)
+		return newMailbox(n, buffer, perTick)
 	}
 	return NewChanTransport(n, buffer)
 }
@@ -153,11 +154,8 @@ type run struct {
 	// schedule HasTargeted, so untargeted runs pay nothing.
 	ranks []atomic.Int64
 	// exec partitions the id space for the initial spawn and the
-	// lockstep driver's parallel phases (a single shard in async mode);
-	// outs holds one private outbox per shard, nil when exec has a single
-	// shard (serial engine, inline sends).
+	// lockstep driver's parallel phases (a single shard in async mode).
 	exec *shard.Executor
-	outs []*outbox
 	// contacts is the live set of the current spawn batch, rebuilt
 	// whenever the churner has flipped live.
 	contacts contacts
@@ -200,12 +198,6 @@ func (e Engine) Run(ctx context.Context, cfg Config) (Outcome, error) {
 	if cfg.Churn.HasTargeted() {
 		r.ranks = make([]atomic.Int64, maxN)
 		r.ch.setRank(func(id int) int { return int(r.ranks[id].Load()) })
-	}
-	if r.exec.Shards() > 1 {
-		r.outs = make([]*outbox, r.exec.Shards())
-		for i := range r.outs {
-			r.outs[i] = &outbox{}
-		}
 	}
 	for i := 0; i < cfg.N; i++ {
 		r.live[i] = true
@@ -259,9 +251,6 @@ func (r *run) spawn(id int, joiner bool, now int64) *Node {
 	if r.ranks != nil {
 		nd.rank = &r.ranks[id]
 	}
-	if r.outs != nil {
-		nd.out = r.outs[r.exec.ShardOf(id)]
-	}
 	nd.proto = r.eng.New(nd, joiner)
 	r.nodes[id] = nd
 	return nd
@@ -276,12 +265,12 @@ func (r *run) firstErr() error {
 	return nil
 }
 
-// apply executes one churn operation at tick now, under either driver:
-// the churner has already flipped r.live, and nobody else is driving
-// the op's node — the lockstep loop is in its serial churn phase, the
-// async clock goroutine has let the node's goroutine exit and starts
-// the next one only afterwards.
-func (r *run) apply(op churnOp, now int64) {
+// apply executes one churn operation of the batch due at tick now,
+// under either driver: the churner has already flipped r.live, and
+// nobody else is driving the op's node — the lockstep loop is in its
+// serial churn phase, the async clock goroutine has let the node's
+// goroutine exit and starts the next one only afterwards.
+func (r *run) apply(op churnOp, now int64, batch []churnOp) {
 	m := r.eng.Metrics(op.ID)
 	tel := r.cfg.Telemetry
 	switch op.Kind {
@@ -306,10 +295,15 @@ func (r *run) apply(op churnOp, now int64) {
 		nd := r.nodes[op.ID]
 		nd.Now = now
 		tel.Event(op.ID, now, telemetry.KindLeave, 0, 0, 0)
+		// The batch's other leavers never drain again: a hand-over to one
+		// of them would leave with it.
+		for _, o := range batch {
+			if o.Kind == ChurnLeave && o.ID != op.ID {
+				nd.View.Remove(o.ID)
+			}
+		}
 		// The hand-over and the goodbye go out while the leaver still
-		// counts as live, inline like every churn-phase send (see
-		// helloAll); the leaver never emits again.
-		nd.out = nil
+		// counts as live; the leaver never emits again.
 		nd.proto.Leave()
 		nd.helloAll(true)
 		m.Live = false
@@ -331,12 +325,15 @@ func (r *run) apply(op churnOp, now int64) {
 //
 // With Config.Shards > 1 the per-node phases (telemetry sampling,
 // inbox drain, emission) fan out across r.exec's workers — each
-// touches only state owned by its id range — while everything
-// order-sensitive stays serial at the barriers: tick observation,
-// churn, the completion scan, and the outbox replay that performs the
-// actual Sends in ascending id order (see outbox.go). The phase
-// boundaries are identical at every shard count, which is what the
-// bit-equality property tests pin.
+// touches only state owned by its id range — while tick observation,
+// churn and the completion scan stay serial at the barriers. Emission
+// fans out only on the engine's own fabric, where every decision below
+// Node.post is a function of the sender's own sends (the mailbox's
+// per-sender logs, per-sender middleware streams), so the interleaving
+// of the shards cannot show; a supplied transport orders concurrent
+// Sends by arrival, so over one the nodes emit serially in id order.
+// The phase boundaries are identical at every shard count, which is
+// what the bit-equality property tests pin.
 func (r *run) runLockstep(ctx context.Context) error {
 	res := r.res
 	complete := func(tick int) bool {
@@ -373,7 +370,7 @@ func (r *run) runLockstep(ctx context.Context) error {
 		if ops := r.ch.popUntil(tick, r.live); len(ops) > 0 {
 			r.contacts = newContacts(r.live, r.maxN)
 			for _, op := range ops {
-				r.apply(op, now)
+				r.apply(op, now, ops)
 			}
 		}
 		if r.mb != nil {
@@ -402,14 +399,18 @@ func (r *run) runLockstep(ctx context.Context) error {
 			res.Ticks = tick
 			return nil
 		}
-		r.exec.Run(func(_, lo, hi int) {
+		emit := func(_, lo, hi int) {
 			for id := lo; id < hi; id++ {
 				if nd := r.nodes[id]; nd != nil && r.live[id] {
 					nd.proto.Emit(true)
 				}
 			}
-		})
-		r.flushOutboxes(now)
+		}
+		if r.mb != nil {
+			r.exec.Run(emit)
+		} else {
+			emit(0, 0, r.maxN)
+		}
 		if err := r.firstErr(); err != nil {
 			return err
 		}
@@ -441,20 +442,6 @@ func (r *run) drain(nd *Node) {
 		default:
 			return
 		}
-	}
-}
-
-// flushOutboxes is the exchange barrier of a sharded tick: it replays
-// every shard's deferred emissions against the real transport in
-// (shard, node id, emission order) order — ascending node id, exactly
-// the serial driver's send order. A no-op on the serial engine (outs
-// is nil).
-func (r *run) flushOutboxes(now int64) {
-	for _, ob := range r.outs {
-		for _, e := range ob.entries {
-			r.nodes[e.from].transmit(now, e.to, e.kind, e.arg, e.bits, e.buf)
-		}
-		ob.reset()
 	}
 }
 
@@ -635,7 +622,7 @@ func (r *run) runAsync(ctx context.Context) error {
 					<-exited[op.ID]
 				}
 				tk.mu.Lock()
-				r.apply(op, now)
+				r.apply(op, now, ops)
 				entered := r.eng.Metrics(op.ID).Live
 				tk.mu.Unlock()
 				if entered {

@@ -31,8 +31,11 @@ func tickOf(m *mailbox, takers ...int) map[int]string {
 	return got
 }
 
+// TestMailboxFIFOPerDestination: an inbox is the tick's mail by
+// ascending sender id, each sender's in its Send order, whatever order
+// the senders called in.
 func TestMailboxFIFOPerDestination(t *testing.T) {
-	m := newMailbox(3, 8)
+	m := newMailbox(3, 8, 2)
 	for _, s := range []struct {
 		from, to int
 		b        byte
@@ -41,12 +44,9 @@ func TestMailboxFIFOPerDestination(t *testing.T) {
 			t.Fatalf("send %c refused", s.b)
 		}
 	}
-	if p := m.pending; p[0] != 3 || p[1] != 0 || p[2] != 4 {
-		t.Errorf("pending %v, want 3 0 4", p)
-	}
 	got := tickOf(m, 0, 1, 2)
-	if want := map[int]string{0: "pqr", 1: "", 2: "abcd"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("delivered %v, want each destination's mail in Send-call order %v", got, want)
+	if want := map[int]string{0: "qpr", 1: "", 2: "adcb"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("delivered %v, want each destination's mail by sender, in each sender's order %v", got, want)
 	}
 	for i, raw := range m.slab {
 		if raw != nil {
@@ -55,16 +55,21 @@ func TestMailboxFIFOPerDestination(t *testing.T) {
 	}
 }
 
+// TestMailboxCapacityBoundsAndClose: a Send is refused once the
+// destination's carried backlog reaches buffer, never on account of the
+// tick's own mail, so no Send of a phase can change whether another is
+// refused.
 func TestMailboxCapacityBoundsAndClose(t *testing.T) {
 	const buffer = 3
-	m := newMailbox(2, buffer)
-	for i := 0; i < buffer; i++ {
+	m := newMailbox(2, buffer, 1)
+	for i := 0; i <= buffer; i++ {
 		if !m.Send(0, 1, []byte{byte(i)}) {
-			t.Fatalf("send %d of %d refused", i+1, buffer)
+			t.Fatalf("send %d of %d refused with nothing carried", i+1, buffer+1)
 		}
 	}
+	tickOf(m, 0) // id 1 does not drain: four carried
 	if m.Send(0, 1, []byte{9}) {
-		t.Errorf("send accepted with %d pending: the inbox holds exactly buffer packets", buffer)
+		t.Errorf("send accepted with %d carried: the inbox refuses at buffer %d", buffer+1, buffer)
 	}
 	if !m.Send(1, 0, []byte{9}) {
 		t.Error("a full inbox refused mail for another id")
@@ -78,6 +83,9 @@ func TestMailboxCapacityBoundsAndClose(t *testing.T) {
 			t.Errorf("send to out-of-range id %d accepted", to)
 		}
 	}
+	if m.Send(2, 0, []byte{9}) {
+		t.Error("send from an out-of-range id accepted")
+	}
 	if m.Recv(0) != nil {
 		t.Error("the mailbox has no channels; Recv must say so with nil")
 	}
@@ -89,33 +97,33 @@ func TestMailboxCapacityBoundsAndClose(t *testing.T) {
 }
 
 // TestMailboxCarriesUndrainedMail: mail for an id nobody drains — a
-// crashed node — survives ticks in order behind nothing newer, keeps
+// crashed node — survives ticks in order ahead of anything newer, keeps
 // counting against the id's capacity, and is all there for a restart.
 func TestMailboxCarriesUndrainedMail(t *testing.T) {
-	m := newMailbox(3, 4)
+	m := newMailbox(3, 3, 1)
 	m.Send(0, 1, []byte{'a'})
 	m.Send(0, 2, []byte{'x'})
 	m.Send(2, 1, []byte{'b'})
 	if got := tickOf(m, 0, 2); got[2] != "x" {
 		t.Fatalf("tick 1 delivered %v", got)
 	}
-	if m.pending[1] != 2 {
-		t.Fatalf("undrained id holds %d, want 2", m.pending[1])
+	if m.backlog[1] != 2 {
+		t.Fatalf("undrained id holds %d, want 2", m.backlog[1])
 	}
 	m.Send(2, 1, []byte{'c'})
 	m.Send(0, 2, []byte{'y'})
 	m.Send(0, 1, []byte{'d'})
-	if m.Send(0, 1, []byte{'e'}) {
-		t.Error("carried mail stopped counting against capacity")
-	}
 	if got := tickOf(m, 0, 2); got[2] != "y" {
 		t.Fatalf("tick 2 delivered %v", got)
 	}
-	if got := tickOf(m, 0, 1, 2); got[1] != "abcd" || got[0] != "" || got[2] != "" {
-		t.Errorf("restart drained %v, want id 1's mail of three ticks in order", got)
+	if m.Send(0, 1, []byte{'e'}) {
+		t.Error("carried mail stopped counting against capacity")
 	}
-	if got := tickOf(m, 0, 1, 2); got[1] != "" || len(m.log) != 0 {
-		t.Errorf("delivered mail came back: %v, log %d", got, len(m.log))
+	if got := tickOf(m, 0, 1, 2); got[1] != "abdc" || got[0] != "" || got[2] != "" {
+		t.Errorf("restart drained %v, want id 1's carried mail first, each tick's by sender", got)
+	}
+	if got := tickOf(m, 0, 1, 2); got[1] != "" || len(m.held) != 0 {
+		t.Errorf("delivered mail came back: %v, held %d", got, len(m.held))
 	}
 }
 
@@ -124,7 +132,7 @@ func TestMailboxCarriesUndrainedMail(t *testing.T) {
 // send, sort, drain, carry — touches the allocator not at all.
 func TestMailboxSteadyStateAllocs(t *testing.T) {
 	const n = 64
-	m := newMailbox(n, 3*n)
+	m := newMailbox(n, 3*n, 2)
 	pkt := []byte{1}
 	tick := func() {
 		for from := 0; from < n; from++ {
@@ -203,47 +211,34 @@ func slowest(trace string, before int64) (ticks int64) {
 	return ticks
 }
 
-// TestMailboxMatchesChannels carries the tentpole's claim: a lockstep
-// run over the engine's own fabric and the same run over an explicit
-// ChanTransport of the same capacity are indistinguishable — per-node
+// TestMailboxMatchesChannels: where the two fabrics' laws coincide — no
+// churn, no delay, default capacity, so the only Sends are the emit
+// phase's, one node at a time on channels, and nothing is carried or
+// refused — a lockstep run over the engine's own fabric and the same run
+// over an explicit ChanTransport are indistinguishable: per-node
 // counters, ticks, drops, every telemetry event and sample (the inbox
-// column included) — at every shard count, with and without loss, under
-// a schedule with crash, leave, restart, join and rejoin, and with
-// inboxes so small that overflow refusals happen every tick.
+// column included), at every shard count, with and without loss.
+// Outside it the mailbox delivers by sender where a channel delivers by
+// call, and refuses on the carried backlog only (see mailbox).
 func TestMailboxMatchesChannels(t *testing.T) {
-	sched, err := ParseChurn("crash:4:2,join:6:2,leave:9:1,restart:12:1,rejoin:15:1,restart:18:1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, shards := range []int{1, 2, 4} {
 		for _, loss := range []float64{0, 0.2} {
-			for _, tiny := range []bool{false, true} {
-				cfg := Config{N: 14, Fanout: 3, Seed: 41, Lockstep: true, Shards: shards, MaxTicks: 5000, Churn: sched}
-				name := fmt.Sprintf("shards=%d loss=%v tiny=%v", shards, loss, tiny)
-				maxN := cfg.MaxNodes()
-				buffer := DefaultInboxBuffer(maxN, cfg.Fanout+1)
-				mb := cfg.DefaultTransport(0)
-				if tiny {
-					buffer = 2
-					mb = newMailbox(maxN, buffer)
-				}
-				got, gotTrace, backlog := differentialRun(t, cfg, mb, loss)
-				want, wantTrace, _ := differentialRun(t, cfg, NewChanTransport(maxN, buffer), loss)
-				if !got.Completed {
-					t.Errorf("%s: run did not complete in %d ticks", name, got.Ticks)
-				}
-				if tiny && got.Dropped == 0 {
-					t.Errorf("%s: no overflow refusal happened; the capacity path went untested", name)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: results diverge:\nmailbox  %+v\nchannels %+v", name, got.Outcome, want.Outcome)
-				}
-				if gotTrace != wantTrace {
-					t.Errorf("%s: telemetry exports diverge (%d vs %d bytes)", name, len(gotTrace), len(wantTrace))
-				}
-				if !backlog {
-					t.Errorf("%s: every inbox sample reads 0; the depth column went untested", name)
-				}
+			cfg := Config{N: 14, Fanout: 3, Seed: 41, Lockstep: true, Shards: shards, MaxTicks: 5000}
+			name := fmt.Sprintf("shards=%d loss=%v", shards, loss)
+			maxN := cfg.MaxNodes()
+			got, gotTrace, backlog := differentialRun(t, cfg, cfg.DefaultTransport(0), loss)
+			want, wantTrace, _ := differentialRun(t, cfg, NewChanTransport(maxN, DefaultInboxBuffer(maxN, cfg.Fanout)), loss)
+			if !got.Completed {
+				t.Errorf("%s: run did not complete in %d ticks", name, got.Ticks)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: results diverge:\nmailbox  %+v\nchannels %+v", name, got.Outcome, want.Outcome)
+			}
+			if gotTrace != wantTrace {
+				t.Errorf("%s: telemetry exports diverge (%d vs %d bytes)", name, len(gotTrace), len(wantTrace))
+			}
+			if !backlog {
+				t.Errorf("%s: every inbox sample reads 0; the depth column went untested", name)
 			}
 		}
 	}
@@ -252,8 +247,9 @@ func TestMailboxMatchesChannels(t *testing.T) {
 // TestLockstepDelayBitIdentical: the delay layer keeps no clock and
 // starts no goroutine — a due-queue the driver's tick releases — so a
 // delayed lockstep run is the same function of its seed at every shard
-// count and over either fabric, Result and telemetry export alike,
-// under loss and a schedule with crash, join, leave and restart; and
+// count, Result and telemetry export alike, under loss and a schedule
+// with crash, join, leave and restart: on the tick mailbox, whose emit
+// phase fans out, and on channels, where the nodes emit serially. And
 // the delay is really there: without it every packet is drained the
 // tick after its send (until a restarted node drains what piled up
 // while it was down), under it some spend longer in flight.
@@ -266,10 +262,10 @@ func TestLockstepDelayBitIdentical(t *testing.T) {
 		base := Config{N: 14, Fanout: 3, Seed: 43, Lockstep: true, MaxTicks: 5000, Churn: sched}
 		maxN := base.MaxNodes()
 		_, plainTrace, _ := differentialRun(t, base, base.DefaultTransport(0), loss)
-		var want *Result
-		var wantTrace string
-		for _, shards := range []int{1, 2, 4} {
-			for _, channels := range []bool{false, true} {
+		for _, channels := range []bool{false, true} {
+			var want *Result
+			var wantTrace string
+			for _, shards := range []int{1, 2, 4} {
 				cfg := base
 				cfg.Shards = shards
 				fabric := cfg.DefaultTransport(0)
@@ -291,7 +287,7 @@ func TestLockstepDelayBitIdentical(t *testing.T) {
 					continue
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: results diverge from the serial mailbox run:\n%+v\n%+v", name, got.Outcome, want.Outcome)
+					t.Errorf("%s: results diverge from the serial run:\n%+v\n%+v", name, got.Outcome, want.Outcome)
 				}
 				if gotTrace != wantTrace {
 					t.Errorf("%s: telemetry exports diverge (%d vs %d bytes)", name, len(gotTrace), len(wantTrace))

@@ -97,10 +97,6 @@ type Node struct {
 	// rank, when non-nil, is the node's slot of the targeted-crash
 	// scoreboard (see Publish).
 	rank *atomic.Int64
-	// out, when non-nil, routes emissions into the node's shard outbox
-	// instead of the transport; the sharded lockstep barrier replays them
-	// serially (see outbox.go). Nil on the async and shards=1 paths.
-	out *outbox
 	// err is the first failure the protocol reported (see Fail).
 	err error
 }
@@ -183,11 +179,8 @@ func (nd *Node) marshal() (int64, []byte) {
 
 // post is the one send path: buf holds Tx's encoding and bits its
 // Bits(), and from here on buf belongs to the transport. It counts the
-// packet, then either performs the Send or — in a sharded emit phase —
-// parks it in the shard's outbox for the serial barrier. Counters and
-// bytes are per-node state, safe to settle in parallel; the Send, its
-// telemetry and the drop accounting are order-sensitive and happen in
-// transmit.
+// packet by type, traces it and Sends it; on refusal it counts and
+// traces the drop and returns buf to the ring.
 func (nd *Node) post(peer int, bits int64, buf []byte) {
 	nd.M.BitsOut += bits
 	kind, arg := telemetry.KindSend, int64(nd.Tx.Env.Epoch)
@@ -203,21 +196,10 @@ func (nd *Node) post(peer int, bits int64, buf []byte) {
 	default:
 		nd.M.PacketsOut++
 	}
-	if nd.out != nil {
-		nd.out.add(outEntry{from: nd.ID, to: peer, kind: kind, arg: arg, bits: bits, buf: buf})
-		return
-	}
-	nd.transmit(nd.Now, peer, kind, arg, bits, buf)
-}
-
-// transmit hands one marshalled packet to the transport: the
-// middleware-visible Send, its telemetry, and on refusal the drop
-// accounting and the buffer's return to the ring.
-func (nd *Node) transmit(now int64, to int, kind telemetry.Kind, arg, bits int64, buf []byte) {
-	nd.Tel.Event(nd.ID, now, kind, int64(to), arg, bits)
-	if !nd.tr.Send(nd.ID, to, buf) {
+	nd.Tel.Event(nd.ID, nd.Now, kind, int64(peer), arg, bits)
+	if !nd.tr.Send(nd.ID, peer, buf) {
 		nd.M.Dropped++
-		nd.Tel.Event(nd.ID, now, telemetry.KindDrop, int64(to), 0, 0)
+		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindDrop, int64(peer), 0, 0)
 		nd.ring.Put(buf)
 	}
 }
@@ -278,21 +260,12 @@ func (nd *Node) buildHello(leaving bool, peers []uint32) (int64, []byte) {
 // graceful-leave goodbye, which carries nothing — a receiver drops the
 // sender at the leave flag and never reads a goodbye's list.
 //
-// It always sends inline, even on a sharded run: helloAll only runs
-// from the serial churn phase (lockstep) or the async driver, and the
-// serial engine delivers churn-phase hellos to inboxes drained the
-// same tick — routing them through the shard outbox would defer them
-// past the drain and change the transcript.
-//
 // The burst is measured and marshalled once; each recipient gets its
 // own exact-size copy, never a shared slice, because a buffer handed to
 // Send has one owner from then on: middleware may rewrite it in place
 // (hostile's mutator flips bits) and the receiver recycles it into its
 // own ring.
 func (nd *Node) helloAll(leaving bool) {
-	out := nd.out
-	nd.out = nil
-	defer func() { nd.out = out }()
 	// The view is the recipient list either way; only an introduction
 	// also carries it (a goodbye keeps the storage and sends it empty).
 	to := nd.View.AppendPeers(nd.Tx.Hello.Peers[:0])

@@ -60,7 +60,10 @@ type TickObserver interface {
 // the two facets a stack needs from every layer whatever the layer
 // does. A decorator that embeds a bare Transport instead is opaque:
 // ticks stop at it, and a tick mailbox beneath it is out of the
-// lockstep driver's reach (Engine.Run rejects that stack).
+// lockstep driver's reach (Engine.Run rejects that stack). Over the
+// mailbox every shard of the emit phase Sends at once, so whatever a
+// layer decides for a packet must follow from its sender's own sends
+// and the tick alone (Senders).
 type Layer struct{ Transport }
 
 // Unwrap returns the inner transport: the walk by which Engine.Run
@@ -127,27 +130,53 @@ func (t *ChanTransport) Recv(id int) <-chan []byte {
 // Close implements Transport.
 func (t *ChanTransport) Close() { t.closed.Store(true) }
 
+// Senders is a middleware's state for each sender, built by New on
+// first use: keeping whatever a layer decides for a packet a function
+// of its sender's own sends is what makes the decision independent of
+// the order in which concurrent senders reach the layer (the sharded
+// lockstep emit phase). The layer's lock guards it.
+type Senders[T any] struct {
+	New   func(from int) *T
+	slots []*T
+}
+
+// Of returns from's state.
+func (s *Senders[T]) Of(from int) *T {
+	if from >= len(s.slots) {
+		s.slots = append(s.slots, make([]*T, from+1-len(s.slots))...)
+	}
+	if s.slots[from] == nil {
+		s.slots[from] = s.New(from)
+	}
+	return s.slots[from]
+}
+
+// senderRands is one stream per sender, keyed (seed, purpose, sender).
+func senderRands(seed int64, purpose Purpose) Senders[rand.Rand] {
+	return Senders[rand.Rand]{New: func(from int) *rand.Rand { return NewRand(seed, purpose, int64(from)) }}
+}
+
 // lossTransport drops each packet independently with fixed probability.
 type lossTransport struct {
 	Layer
 	rate float64
 	mu   sync.Mutex
-	rng  *rand.Rand
+	rngs Senders[rand.Rand]
 }
 
 // WithLoss decorates t so each Send is dropped with probability rate.
-// The coin sequence is seeded, so under a single-threaded driver
-// (lockstep mode) losses are fully reproducible.
+// Each sender's coins come from its own seeded stream, so a lockstep
+// run's losses are reproducible at any shard count.
 func WithLoss(t Transport, rate float64, seed int64) Transport {
 	if rate <= 0 {
 		return t
 	}
-	return &lossTransport{Layer: Layer{t}, rate: rate, rng: NewRand(seed, RandLoss)}
+	return &lossTransport{Layer: Layer{t}, rate: rate, rngs: senderRands(seed, RandLoss)}
 }
 
 func (l *lossTransport) Send(from, to int, pkt []byte) bool {
 	l.mu.Lock()
-	drop := l.rng.Float64() < l.rate
+	drop := l.rngs.Of(from).Float64() < l.rate
 	l.mu.Unlock()
 	if drop {
 		return false
@@ -155,15 +184,16 @@ func (l *lossTransport) Send(from, to int, pkt []byte) bool {
 	return l.Transport.Send(from, to, pkt)
 }
 
-// delayTransport holds each packet for a seeded number of ticks: a
-// queue in Send order, released from ObserveTick. No timers and no
-// goroutines, so under lockstep a delayed run is as much a function of
-// its seed, at any shard count, as an undelayed one.
+// delayTransport holds each packet for a number of ticks drawn from
+// its sender's stream: a queue in Send order, released from
+// ObserveTick. No timers and no goroutines, so under lockstep a delayed
+// run is as much a function of its seed, at any shard count, as an
+// undelayed one.
 type delayTransport struct {
 	Layer
 	min, max int64
 	mu       sync.Mutex
-	rng      *rand.Rand
+	rngs     Senders[rand.Rand]
 	now      int64
 	held     []heldPkt
 	due      []heldPkt // ObserveTick's scratch, the driver goroutine's
@@ -177,8 +207,9 @@ type heldPkt struct {
 
 // WithDelay decorates t so each packet sent during tick s reaches t
 // when the driver observes tick s+d, d uniform in [min, max] ticks;
-// packets released by one ObserveTick go in Send order, and d = 0
-// passes straight through. Send reports true optimistically for a held
+// packets released by one ObserveTick go in Send order (each sender's
+// in its own order, all the tick mailbox delivers by), and d = 0 passes
+// straight through. Send reports true optimistically for a held
 // packet: what t says at its release is not attributed back to any
 // sender, and Close drops what is still held.
 func WithDelay(t Transport, min, max int, seed int64) Transport {
@@ -191,12 +222,12 @@ func WithDelay(t Transport, min, max int, seed int64) Transport {
 	if max < min {
 		max = min
 	}
-	return &delayTransport{Layer: Layer{t}, min: int64(min), max: int64(max), rng: NewRand(seed, RandDelay)}
+	return &delayTransport{Layer: Layer{t}, min: int64(min), max: int64(max), rngs: senderRands(seed, RandDelay)}
 }
 
 func (d *delayTransport) Send(from, to int, pkt []byte) bool {
 	d.mu.Lock()
-	lat := d.min + d.rng.Int63n(d.max-d.min+1)
+	lat := d.min + d.rngs.Of(from).Int63n(d.max-d.min+1)
 	if lat > 0 {
 		d.held = append(d.held, heldPkt{from, to, pkt, d.now + lat})
 	}
@@ -236,37 +267,46 @@ func (d *delayTransport) Close() {
 }
 
 // reorderTransport swaps selected packets past later traffic using a
-// one-slot hold-back buffer: a packet chosen for reordering waits until
-// the next chosen packet arrives and is delivered in its place.
+// one-slot hold-back buffer per sender: a packet chosen for reordering
+// waits until its sender's next chosen packet arrives and is delivered
+// in its place.
 type reorderTransport struct {
 	Layer
-	rate float64
-	mu   sync.Mutex
+	rate    float64
+	mu      sync.Mutex
+	senders Senders[reorderSlot]
+}
+
+type reorderSlot struct {
 	rng  *rand.Rand
 	held *heldPkt
 }
 
-// WithReorder decorates t so each packet is, with probability rate,
-// parked and released only when the next parked packet replaces it —
-// out-of-order delivery without loss (at most one packet is parked at
-// Close). Like WithDelay, Send reports true optimistically for a
-// parked packet: its eventual fate belongs to a later delivery and is
-// not attributed back to any sender.
+// WithReorder decorates t so each packet is, with probability rate
+// drawn from its sender's stream, parked and released only when the
+// sender's next parked packet replaces it — out-of-order delivery
+// without loss (at most one packet per sender is parked at Close). Like
+// WithDelay, Send reports true optimistically for a parked packet: its
+// eventual fate belongs to a later delivery and is not attributed back
+// to any sender.
 func WithReorder(t Transport, rate float64, seed int64) Transport {
 	if rate <= 0 {
 		return t
 	}
-	return &reorderTransport{Layer: Layer{t}, rate: rate, rng: NewRand(seed, RandReorder)}
+	return &reorderTransport{Layer: Layer{t}, rate: rate, senders: Senders[reorderSlot]{New: func(from int) *reorderSlot {
+		return &reorderSlot{rng: NewRand(seed, RandReorder, int64(from))}
+	}}}
 }
 
 func (r *reorderTransport) Send(from, to int, pkt []byte) bool {
 	r.mu.Lock()
-	if r.rng.Float64() >= r.rate {
+	s := r.senders.Of(from)
+	if s.rng.Float64() >= r.rate {
 		r.mu.Unlock()
 		return r.Transport.Send(from, to, pkt)
 	}
-	release := r.held
-	r.held = &heldPkt{from: from, to: to, pkt: pkt}
+	release := s.held
+	s.held = &heldPkt{from: from, to: to, pkt: pkt}
 	r.mu.Unlock()
 	if release != nil {
 		r.Transport.Send(release.from, release.to, release.pkt)

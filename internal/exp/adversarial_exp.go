@@ -106,7 +106,7 @@ func E14(cfg Config) (*sim.Table, error) {
 	}
 	t.AddNote("require: fwd/coded strictly larger under adaptive than random dynamics at equal churn × loss, for benign and hostile packets alike: %s (benign %.2f -> %.2f, hostile %.2f -> %.2f)",
 		verdict, ratios["random/benign"], ratios["adaptive/benign"], ratios["random/hostile"], ratios["adaptive/hostile"])
-	t.AddNote("hostile packet mix: %s (per-Send rates; stale replays draw from a seeded reservoir of genuinely sent packets)", e14Mutations.String())
+	t.AddNote("hostile packet mix: %s (per-Send rates; stale replays draw from a seeded reservoir of the sender's own past packets)", e14Mutations.String())
 	t.AddNote("every run decode-verified on completion; crashmax kills the highest-rank live node, restart revives it")
 	return t, nil
 }

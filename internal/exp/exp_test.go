@@ -126,3 +126,32 @@ func TestQuickTablesPinned(t *testing.T) {
 		t.Errorf("Workers=4 tables differ from %s:\n%s", path, got4)
 	}
 }
+
+// TestRuntimeVerdictsPassQuick reads the verdicts of E11–E14 — the
+// lockstep runtime experiments, which end in a machine-read PASS/FAIL —
+// at Quick scale and seed 1, the way CI and `cmd/experiments -quick`
+// print them: every verdict note must say PASS.
+func TestRuntimeVerdictsPassQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow; skipped with -short")
+	}
+	for _, e := range All()[10:] {
+		tbl, err := e.Run(Config{Quick: true, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		verdicts := 0
+		for _, note := range tbl.Notes {
+			if !strings.Contains(note, "require") {
+				continue
+			}
+			verdicts++
+			if !strings.Contains(note, "PASS") || strings.Contains(note, "FAIL") {
+				t.Errorf("%s: %s", e.ID, note)
+			}
+		}
+		if verdicts == 0 {
+			t.Errorf("%s prints no verdict note", e.ID)
+		}
+	}
+}

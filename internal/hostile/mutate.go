@@ -226,15 +226,21 @@ type mutTransport struct {
 	tel   *telemetry.Recorder
 
 	mu      sync.Mutex
-	rng     *rand.Rand
 	tick    int64
-	held    *heldSend // OpXgen's one-slot hold-back
-	history [][]byte  // OpStale's replay source: seeded reservoir of past packets
+	senders cluster.Senders[mutSender]
 	scratch wire.Packet
 }
 
-// staleHistory bounds OpStale's replay reservoir. Inserts land at a
-// seeded random slot once full, so entry ages follow a geometric
+// mutSender is what the mutator keeps for one sender, so that what it
+// does to a packet depends on that sender's own sends only.
+type mutSender struct {
+	rng     *rand.Rand
+	held    *heldSend // OpXgen's one-slot hold-back
+	history [][]byte  // OpStale's replay source: seeded reservoir of the sender's past packets
+}
+
+// staleHistory bounds a sender's OpStale replay reservoir. Inserts
+// land at a seeded random slot once full, so entry ages follow a geometric
 // distribution: some entries stay ancient, which is what makes the
 // replayed epochs genuinely stale.
 const staleHistory = 32
@@ -244,9 +250,11 @@ type heldSend struct {
 	pkt      []byte
 }
 
-// WithMutator decorates t so each Send is, with the spec's seeded
-// probabilities, duplicated, replayed with a stale epoch, truncated,
-// bit-flipped, or reordered across generations. Copies are fresh
+// WithMutator decorates t so each Send is, with the spec's
+// probabilities drawn from its sender's stream (seed, RandMutator,
+// sender), duplicated, replayed with a stale epoch from the sender's
+// own history, truncated, bit-flipped, or held back behind the sender's
+// next reordered packet. Copies are fresh
 // allocations (the inner transport owns what it accepts); in-place
 // mutations reuse the sender's buffer, which the ring recycling does
 // not mind. Like the other hostile layers it must sit above WithDelay
@@ -260,12 +268,13 @@ func WithMutator(t cluster.Transport, spec MutationSpec, seed int64, tel *teleme
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	mt := &mutTransport{
-		Layer: cluster.Layer{Transport: t}, spec: spec, rates: spec.rates(), tel: tel,
-		rng: cluster.NewRand(seed, cluster.RandMutator),
-	}
-	if spec.Stale > 0 {
-		mt.history = make([][]byte, 0, staleHistory)
+	mt := &mutTransport{Layer: cluster.Layer{Transport: t}, spec: spec, rates: spec.rates(), tel: tel}
+	mt.senders.New = func(from int) *mutSender {
+		s := &mutSender{rng: cluster.NewRand(seed, cluster.RandMutator, int64(from))}
+		if spec.Stale > 0 {
+			s.history = make([][]byte, 0, staleHistory)
+		}
+		return s
 	}
 	return mt
 }
@@ -283,9 +292,10 @@ func (m *mutTransport) ObserveTick(tick int64) {
 
 func (m *mutTransport) Send(from, to int, pkt []byte) bool {
 	m.mu.Lock()
+	s := m.senders.Of(from)
 	op := Op(-1)
 	for o, rate := range m.rates {
-		if rate > 0 && m.rng.Float64() < rate {
+		if rate > 0 && s.rng.Float64() < rate {
 			op = Op(o)
 			break
 		}
@@ -293,12 +303,12 @@ func (m *mutTransport) Send(from, to int, pkt []byte) bool {
 	// The replay reservoir captures originals before any in-place
 	// mutation, so a replayed packet is always one that was genuinely
 	// on the wire.
-	if m.history != nil && len(pkt) > 0 {
+	if s.history != nil && len(pkt) > 0 {
 		cp := append([]byte(nil), pkt...)
-		if len(m.history) < cap(m.history) {
-			m.history = append(m.history, cp)
+		if len(s.history) < cap(s.history) {
+			s.history = append(s.history, cp)
 		} else {
-			m.history[m.rng.Intn(len(m.history))] = cp
+			s.history[s.rng.Intn(len(s.history))] = cp
 		}
 	}
 	var extra []byte      // an additional packet to send before the original
@@ -308,16 +318,16 @@ func (m *mutTransport) Send(from, to int, pkt []byte) bool {
 	case OpDup:
 		extra = append([]byte(nil), pkt...)
 	case OpStale:
-		if len(m.history) > 0 {
-			extra = append([]byte(nil), m.history[m.rng.Intn(len(m.history))]...)
+		if len(s.history) > 0 {
+			extra = append([]byte(nil), s.history[s.rng.Intn(len(s.history))]...)
 		}
 	case OpTrunc:
-		pkt = mutateTrunc(pkt, m.rng)
+		pkt = mutateTrunc(pkt, s.rng)
 	case OpFlip:
-		pkt = mutateFlip(pkt, &m.scratch, m.rng)
+		pkt = mutateFlip(pkt, &m.scratch, s.rng)
 	case OpXgen:
-		release = m.held
-		m.held = &heldSend{from: from, to: to, pkt: pkt}
+		release = s.held
+		s.held = &heldSend{from: from, to: to, pkt: pkt}
 		parked = true
 	}
 	tick := m.tick

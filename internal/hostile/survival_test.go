@@ -131,8 +131,8 @@ func TestClusterSurvivesRotatingPathAdversary(t *testing.T) {
 // TestAdversaryUnderPlainMiddlewareSeesEveryTick: the lockstep clock
 // reaches a tick-aware layer wherever it sits. Stacked beneath loss,
 // reorder and partition — none of which has a clock of its own — the
-// adversary is still asked for every tick's topology, where it used to
-// serve tick 0's for the whole run.
+// adversary is still asked for every tick's topology, once, when the
+// tick is observed, where it used to serve tick 0's for the whole run.
 func TestAdversaryUnderPlainMiddlewareSeesEveryTick(t *testing.T) {
 	const n = 6
 	adv := newPathAdversary(n)
@@ -145,10 +145,9 @@ func TestAdversaryUnderPlainMiddlewareSeesEveryTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every tick but the one that completes the run has an emit phase.
-	if !res.Completed || res.Ticks < 3 || adv.last != res.Ticks-1 || adv.queries != res.Ticks-1 {
+	if !res.Completed || res.Ticks < 3 || adv.last != res.Ticks || adv.queries != res.Ticks {
 		t.Errorf("completed %v in %d ticks; adversary queried %d times, last for tick %d: want one query for each of ticks 1..%d",
-			res.Completed, res.Ticks, adv.queries, adv.last, res.Ticks-1)
+			res.Completed, res.Ticks, adv.queries, adv.last, res.Ticks)
 	}
 }
 
@@ -212,10 +211,10 @@ func TestHostileLockstepBitReproducible(t *testing.T) {
 
 // TestHostileShardedBitIdentical runs the full hostile stack — loss,
 // every mutation op, the adaptive adversary, targeted churn — under
-// the sharded lockstep engine and checks the transcript is
-// byte-identical to serial at every shard count. The adversary and
-// mutator draw from middleware rngs in Send-call order, so this is the
-// strictest ordering test the sharding refactor faces.
+// the sharded lockstep engine, whose emit phase Sends from every shard
+// at once, and checks the transcript is byte-identical to serial at
+// every shard count: the strictest test of the layers' per-sender
+// keying the engine faces.
 func TestHostileShardedBitIdentical(t *testing.T) {
 	for _, seed := range []int64{3, 17} {
 		serial := hostileClusterFingerprint(t, seed, 1)

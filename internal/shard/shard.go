@@ -1,16 +1,15 @@
 // Package shard partitions node ids into contiguous ranges and fans a
 // phase function out over them, one worker goroutine per shard. It is
 // the parallel half of the sharded lockstep engine: drivers run the
-// per-node phases of a tick (sample, drain, emit-into-outbox) through
-// Executor.Run and keep everything order-sensitive (churn, transport
-// sends, completion checks) in the serial barrier between phases.
+// per-node phases of a tick (sample, drain, emit) through Executor.Run
+// and keep everything order-sensitive (tick observation, churn,
+// completion checks) in the serial barrier between phases. A phase
+// that Sends needs a fabric on which one sender's fate cannot depend on
+// another's timing; the engine's own tick mailbox is one.
 //
 // The partition is a pure function of (n, shards): shard s owns the
 // contiguous id range [lo, hi) with sizes differing by at most one,
-// lower shards taking the larger ranges. Contiguity matters — the
-// serial merge that reconciles per-shard outboxes walks shards in
-// order and nodes in id order within each shard, which reproduces the
-// serial driver's ascending-id emission order exactly.
+// lower shards taking the larger ranges.
 package shard
 
 import "sync"
