@@ -557,11 +557,11 @@ func TestLockstepGoldenTranscripts(t *testing.T) {
 		fout, fin, fbits, fdrop int64
 	}
 	goldens := []golden{
-		{1, 16, 300, 225, 32400, 75, 39, 760, 562, 72960, 198},
-		{2, 16, 300, 222, 32400, 78, 36, 700, 524, 67200, 176},
-		{3, 13, 240, 188, 25920, 52, 39, 760, 590, 72960, 170},
-		{4, 16, 300, 233, 32400, 67, 54, 1060, 798, 101760, 262},
-		{5, 15, 280, 207, 30240, 73, 38, 740, 547, 71040, 193},
+		{1, 18, 340, 256, 36720, 84, 74, 1460, 1098, 140160, 362},
+		{2, 19, 360, 264, 38880, 96, 39, 760, 569, 72960, 191},
+		{3, 14, 260, 201, 28080, 59, 44, 860, 653, 82560, 207},
+		{4, 12, 220, 179, 23760, 41, 45, 880, 665, 84480, 215},
+		{5, 14, 260, 197, 28080, 63, 37, 720, 556, 69120, 164},
 	}
 	for _, g := range goldens {
 		toks := token.RandomSet(12, 32, rand.New(rand.NewSource(g.seed)))

@@ -356,11 +356,11 @@ func TestStreamLockstepGoldenTranscripts(t *testing.T) {
 		out, in, acks, bits, drop int64
 		delivered                 int64
 	}{
-		{1, 63, 992, 810, 496, 258352, 281, 288},
-		{2, 55, 864, 678, 432, 224496, 277, 288},
-		{3, 52, 816, 661, 408, 206400, 221, 288},
-		{4, 64, 1008, 787, 504, 265344, 324, 288},
-		{5, 72, 1130, 884, 568, 290900, 375, 288},
+		{1, 55, 864, 697, 432, 221960, 249, 288},
+		{2, 65, 1024, 808, 512, 266240, 328, 288},
+		{3, 52, 816, 656, 408, 212744, 243, 288},
+		{4, 55, 864, 678, 432, 219688, 261, 288},
+		{5, 55, 864, 678, 432, 221224, 269, 288},
 	}
 	for _, g := range goldens {
 		// Each transcript is pinned with telemetry both off and on:
