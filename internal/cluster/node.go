@@ -162,27 +162,18 @@ func (nd *Node) Pick() int {
 	return peer
 }
 
-// Send marshals Tx into a recycled buffer and sends it to peer.
+// Send encodes Tx into a recycled buffer and sends it to peer.
 func (nd *Node) Send(peer int) {
-	bits, buf := nd.marshal()
+	buf, bits := nd.Tx.Encode(nd.ring.Get()[:0])
 	nd.post(peer, bits, buf)
-}
-
-// marshal measures Tx once — a hello or an ack costs a pass over its id
-// list to size, and both the accounting and the encoding want the
-// answer — and returns post's arguments: Tx's Bits() and its encoding
-// in a ring buffer.
-func (nd *Node) marshal() (int64, []byte) {
-	sz := nd.Tx.Size()
-	return int64(sz.Bits), nd.Tx.AppendSized(nd.ring.Get()[:0], sz)
 }
 
 // post is the one send path: buf holds Tx's encoding and bits its
 // Bits(), and from here on buf belongs to the transport. It counts the
 // packet by type, traces it and Sends it; on refusal it counts and
 // traces the drop and returns buf to the ring.
-func (nd *Node) post(peer int, bits int64, buf []byte) {
-	nd.M.BitsOut += bits
+func (nd *Node) post(peer int, bits int, buf []byte) {
+	nd.M.BitsOut += int64(bits)
 	kind, arg := telemetry.KindSend, int64(nd.Tx.Env.Epoch)
 	switch nd.Tx.Env.Type {
 	case wire.TypeAck:
@@ -196,7 +187,7 @@ func (nd *Node) post(peer int, bits int64, buf []byte) {
 	default:
 		nd.M.PacketsOut++
 	}
-	nd.Tel.Event(nd.ID, nd.Now, kind, int64(peer), arg, bits)
+	nd.Tel.Event(nd.ID, nd.Now, kind, int64(peer), arg, int64(bits))
 	if !nd.tr.Send(nd.ID, peer, buf) {
 		nd.M.Dropped++
 		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindDrop, int64(peer), 0, 0)
@@ -242,17 +233,17 @@ func (nd *Node) Announce() {
 		return
 	}
 	if peer := nd.Pick(); peer >= 0 {
-		bits, msg := nd.buildHello(false, nd.View.AppendPeers(nd.Tx.Hello.Peers[:0]))
+		msg, bits := nd.buildHello(false, nd.View.AppendPeers(nd.Tx.Hello.Peers[:0]))
 		nd.post(peer, bits, msg)
 	}
 }
 
 // buildHello fills Tx with a membership announcement listing peers
-// (built in Tx.Hello.Peers' storage) and marshals it.
-func (nd *Node) buildHello(leaving bool, peers []uint32) (int64, []byte) {
+// (built in Tx.Hello.Peers' storage) and encodes it.
+func (nd *Node) buildHello(leaving bool, peers []uint32) ([]byte, int) {
 	nd.Tx.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeHello, Sender: uint32(nd.ID), Epoch: 0}
 	nd.Tx.Hello = wire.Hello{Leaving: leaving, Peers: peers}
-	return nd.marshal()
+	return nd.Tx.Encode(nd.ring.Get()[:0])
 }
 
 // helloAll announces to every peer currently in the view: the
@@ -260,11 +251,10 @@ func (nd *Node) buildHello(leaving bool, peers []uint32) (int64, []byte) {
 // graceful-leave goodbye, which carries nothing — a receiver drops the
 // sender at the leave flag and never reads a goodbye's list.
 //
-// The burst is measured and marshalled once; each recipient gets its
-// own exact-size copy, never a shared slice, because a buffer handed to
-// Send has one owner from then on: middleware may rewrite it in place
-// (hostile's mutator flips bits) and the receiver recycles it into its
-// own ring.
+// The burst is encoded once; each recipient gets its own exact-size
+// copy, never a shared slice, because a buffer handed to Send has one
+// owner from then on: middleware may rewrite it in place (hostile's
+// mutator flips bits) and the receiver recycles it into its own ring.
 func (nd *Node) helloAll(leaving bool) {
 	// The view is the recipient list either way; only an introduction
 	// also carries it (a goodbye keeps the storage and sends it empty).
@@ -273,7 +263,7 @@ func (nd *Node) helloAll(leaving bool) {
 	if leaving {
 		list = to[:0]
 	}
-	bits, msg := nd.buildHello(leaving, list)
+	msg, bits := nd.buildHello(leaving, list)
 	for _, pid := range to {
 		if int(pid) != nd.ID {
 			nd.post(int(pid), bits, slices.Clone(msg))

@@ -69,9 +69,14 @@ type node struct {
 	spans map[int]*genState
 	// pool holds Reset spans for reuse by future generations.
 	pool []*rlnc.Span
-	// marks[i] is the highest delivery watermark learned for node i
-	// (marks[id] is maintained locally as delivered).
-	marks []int
+	// marks[i] is node i's id and the highest delivery watermark learned
+	// for it; marks[ID] is always this node's delivered (setDelivered).
+	// unknown counts the zero marks. Once it reaches zero, marks is the
+	// ack's peer list as it stands; until then emitAckInto copies the
+	// nonzero marks into ackPeers.
+	marks    []wire.PeerMark
+	unknown  int
+	ackPeers []wire.PeerMark
 	// peerMin caches the minimum of marks over every other node, for
 	// churnless runs only, where every id stays eligible (suspicion is
 	// wired under churn alone) and the frontier is just that minimum.
@@ -132,12 +137,25 @@ func newNode(nd *cluster.Node, cfg Config, maxN int, m *NodeMetrics, joiner bool
 		src:          cfg.Source,
 		deliver:      cfg.Deliver,
 		spans:        make(map[int]*genState),
-		marks:        make([]int, maxN),
+		marks:        make([]wire.PeerMark, maxN),
+		unknown:      maxN,
 		bootstrapped: !joiner,
 		m:            m,
 	}
+	for i := range s.marks {
+		s.marks[i].Node = uint32(i)
+	}
 	s.Publish(s.delivered)
 	return s
+}
+
+// setDelivered moves the delivery watermark and this node's mark.
+func (nd *node) setDelivered(d int) {
+	if nd.marks[nd.ID].Watermark == 0 && d > 0 {
+		nd.unknown--
+	}
+	nd.delivered = d
+	nd.marks[nd.ID].Watermark = uint32(d)
 }
 
 // ensureGen returns generation g's state, creating the span (from the
@@ -218,8 +236,7 @@ func (nd *node) deliverReady() {
 			// cluster watermark it learned at join time.
 			nd.m.CaughtUpTick = int(nd.Now)
 		}
-		nd.delivered++
-		nd.marks[nd.ID] = nd.delivered
+		nd.setDelivered(nd.delivered + 1)
 		nd.Publish(nd.delivered)
 		nd.m.Delivered++
 		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindDeliver, int64(g), int64(nd.delivered), 0)
@@ -260,9 +277,9 @@ func (nd *node) peerFloor() int {
 	if !nd.churn {
 		if !nd.peerMinOK {
 			nd.peerMin, nd.peerMinOK = math.MaxInt, true
-			for id, w := range nd.marks {
-				if id != nd.ID && w < nd.peerMin {
-					nd.peerMin = w
+			for id, pm := range nd.marks {
+				if id != nd.ID && int(pm.Watermark) < nd.peerMin {
+					nd.peerMin = int(pm.Watermark)
 				}
 			}
 		}
@@ -281,8 +298,8 @@ func (nd *node) peerFloor() int {
 			nd.suspect(next, id)
 			nd.eligPrev[id], next = true, id+1
 		}
-		if id != nd.ID && nd.marks[id] < floor {
-			floor = nd.marks[id]
+		if w := int(nd.marks[id].Watermark); id != nd.ID && w < floor {
+			floor = w
 		}
 	}
 	if trackSusp {
@@ -315,10 +332,7 @@ func (nd *node) advance() {
 	for {
 		prevBase, prevDelivered := nd.base, nd.delivered
 		nd.gc()
-		hi := nd.base + nd.window
-		if hi > nd.gens {
-			hi = nd.gens
-		}
+		hi := min(nd.base+nd.window, nd.gens)
 		for g := nd.base; g < hi; g++ {
 			nd.ensureGen(g)
 		}
@@ -402,21 +416,13 @@ func (nd *node) Emit(full bool) {
 // it was down (its own persisted watermark is in marks, so it never
 // skips something it could still deliver).
 func (nd *node) bootstrap() {
+	// Own mark included: it is delivered, and marks never exceed gens.
 	start := 0
-	for _, w := range nd.marks {
-		if w > start {
-			start = w
-		}
-	}
-	if d := nd.delivered; d > start {
-		start = d
-	}
-	if start > nd.gens {
-		start = nd.gens
+	for _, pm := range nd.marks {
+		start = max(start, int(pm.Watermark))
 	}
 	nd.startGen = start
-	nd.delivered = start
-	nd.marks[nd.ID] = start
+	nd.setDelivered(start)
 	nd.m.StartGen = start
 	// Sweep persisted spans the cluster retired while this node was
 	// down; base only ever moves forward.
@@ -477,10 +483,7 @@ func (nd *node) Absorb(p *wire.Packet) bool {
 		nd.m.AcksIn++
 		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindRecvAck, int64(sender), int64(p.Ack.Watermark), 0)
 		nd.View.Mark(sender, nd.Now)
-		changed := nd.mergeMark(sender, int(p.Ack.Watermark))
-		for _, pm := range p.Ack.Peers {
-			changed = nd.mergeMark(int(pm.Node), int(pm.Watermark)) || changed
-		}
+		changed := nd.mergeAck(sender, &p.Ack)
 		if !nd.bootstrapped {
 			nd.bootstrap()
 			return true
@@ -562,20 +565,35 @@ func (nd *node) markRank(sender, g, rank int) {
 	}
 }
 
-// mergeMark folds one learned watermark into the view (pointwise max).
-func (nd *node) mergeMark(id, w int) bool {
-	if id < 0 || id >= nd.maxN || id == nd.ID {
+// mergeAck folds the sender's watermark and every mark its ack lists
+// into the view, reporting whether any rose. Nearly none does, which
+// the loop tells before it calls mergeMark.
+func (nd *node) mergeAck(sender int, a *wire.Ack) bool {
+	changed, marks := nd.mergeMark(sender, a.Watermark), nd.marks
+	for _, pm := range a.Peers {
+		if uint(pm.Node) >= uint(len(marks)) || pm.Watermark > marks[pm.Node].Watermark {
+			changed = nd.mergeMark(int(pm.Node), pm.Watermark) || changed
+		}
+	}
+	return changed
+}
+
+// mergeMark folds one learned watermark into the view (pointwise max),
+// clamped to gens before it is compared. It must stay inlinable.
+func (nd *node) mergeMark(id int, w uint32) bool {
+	if uint(id) >= uint(len(nd.marks)) || id == nd.ID {
 		return false
 	}
-	if w > nd.gens {
-		w = nd.gens
-	}
-	old := nd.marks[id]
+	w = min(w, uint32(nd.gens))
+	old := nd.marks[id].Watermark
 	if w <= old {
 		return false
 	}
-	nd.marks[id] = w
-	if old <= nd.peerMin {
+	nd.marks[id].Watermark = w
+	if old == 0 {
+		nd.unknown--
+	}
+	if int(old) <= nd.peerMin {
 		nd.peerMinOK = false
 	}
 	return true
@@ -603,10 +621,7 @@ func (nd *node) adoptOrphans() {
 	if !nd.lowestEligible() {
 		return
 	}
-	hi := nd.base + nd.window
-	if hi > nd.gens {
-		hi = nd.gens
-	}
+	hi := min(nd.base+nd.window, nd.gens)
 	progressed := false
 	for g := nd.base; g < hi; g++ {
 		gs, ok := nd.spans[g]
@@ -664,10 +679,7 @@ func (nd *node) emitDataInto(p *wire.Packet) bool {
 	if !nd.bootstrapped {
 		return false
 	}
-	hi := nd.base + nd.window
-	if hi > nd.gens {
-		hi = nd.gens
-	}
+	hi := min(nd.base+nd.window, nd.gens)
 	audience := nd.View.LiveCount() - 1
 	nd.cands = nd.cands[:0]
 	for g := nd.base; g < hi; g++ {
@@ -691,14 +703,13 @@ func (nd *node) emitDataInto(p *wire.Packet) bool {
 }
 
 // emitAckInto summarizes this node's progress into the tx scratch: its
-// watermark, the span ranks of its active window, and its full gossip
-// view of peer watermarks. The scratch's entry slices are truncated and
-// refilled, so steady-state acks allocate nothing.
+// watermark, the span ranks of its active window, and every nonzero
+// mark, which once no mark is zero is marks itself, aliased (Send
+// encodes the packet before any mark can change). Until then the marks
+// are copied into ackPeers, never into the scratch's storage, which may
+// alias marks. Steady-state acks allocate nothing.
 func (nd *node) emitAckInto(p *wire.Packet) {
-	hi := nd.base + nd.window
-	if hi > nd.gens {
-		hi = nd.gens
-	}
+	hi := min(nd.base+nd.window, nd.gens)
 	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeAck, Sender: uint32(nd.ID), Epoch: uint32(nd.delivered)}
 	ack := &p.Ack
 	ack.Watermark = uint32(nd.delivered)
@@ -720,18 +731,20 @@ func (nd *node) emitAckInto(p *wire.Packet) {
 		}
 		ack.Ranks = append(ack.Ranks, wire.GenRank{Gen: uint32(nd.delivered), Rank: uint32(rank)})
 	}
+	if nd.unknown == 0 {
+		ack.Peers = nd.marks
+		return
+	}
 	// Filled by index into a slice sized once for the whole id space.
-	peers := slices.Grow(ack.Peers[:0], len(nd.marks))[:len(nd.marks)]
+	peers := slices.Grow(nd.ackPeers[:0], len(nd.marks))[:len(nd.marks)]
 	n := 0
-	for i, w := range nd.marks {
-		if i == nd.ID {
-			w = nd.delivered
-		}
-		if w > 0 {
-			peers[n] = wire.PeerMark{Node: uint32(i), Watermark: uint32(w)}
+	for _, pm := range nd.marks {
+		if pm.Watermark > 0 {
+			peers[n] = pm
 			n++
 		}
 	}
+	nd.ackPeers = peers
 	ack.Peers = peers[:n]
 }
 

@@ -48,6 +48,21 @@ func checkControlRoundTrip(t *testing.T, ids []uint32, marks []PeerMark) {
 		if p.WireBytes() != len(raw) {
 			t.Fatalf("type %d: WireBytes %d, marshalled %d", p.Env.Type, p.WireBytes(), len(raw))
 		}
+		checkEncode(t, &p, raw)
+	}
+}
+
+// checkEncode holds the one-pass encoder to Marshal and Bits: after any
+// prefix, Encode writes Marshal's bytes and counts Bits() of them.
+func checkEncode(t *testing.T, p *Packet, raw []byte) {
+	t.Helper()
+	prefix := []byte{0xde, 0xad}
+	out, bits := p.Encode(prefix[:2:2])
+	if !bytes.Equal(out[:2], prefix) || !bytes.Equal(out[2:], raw) {
+		t.Fatalf("type %d: Encode wrote %x, Marshal %x", p.Env.Type, out[2:], raw)
+	}
+	if bits != p.Bits() {
+		t.Fatalf("type %d: Encode counted %d bits, Bits is %d, for %x", p.Env.Type, bits, p.Bits(), raw)
 	}
 }
 
@@ -94,6 +109,15 @@ func randomIDs(rng *rand.Rand) []uint32 {
 	return ids
 }
 
+// apart lists n ids no two of which are neighbours: n runs of one.
+func apart(n int) []uint32 {
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i] = 2 * uint32(i)
+	}
+	return ids
+}
+
 func randomMarks(rng *rand.Rand, ids []uint32) []PeerMark {
 	marks := make([]PeerMark, len(ids))
 	for i, id := range ids {
@@ -123,6 +147,8 @@ func TestControlRoundTripProperty(t *testing.T) {
 		{9, 8, 7},             // descending
 		{1, 2, 3, 1, 2, 3},    // the same run twice
 		seq(0, MaxAckEntries), // the cap itself, as one run
+		apart(0x80),           // a run count of two bytes
+		apart(1 << 14),        // a run count of three bytes
 	} {
 		marks := make([]PeerMark, len(ids))
 		for i, id := range ids {
@@ -150,6 +176,20 @@ func FuzzControlRoundTrip(f *testing.F) {
 	f.Add(pairs(7, 0, 9, 200, 8, 1<<28))
 	f.Add(pairs(math.MaxUint32, 3, 0, math.MaxUint32))
 	f.Add(pairs(4, 4, 4, 4, 5, 5, 3, 3))
+	// Past 127 runs the run count takes two bytes and the encoder shifts
+	// the runs it wrote to fit it; once with one-byte marks, once with
+	// marks of every width from 0x80 on.
+	for _, wide := range []bool{false, true} {
+		var kv []uint32
+		for i, id := range apart(0x90) {
+			w := uint32(i % 0x80)
+			if wide {
+				w = 0x80 << (i % 25)
+			}
+			kv = append(kv, id, w)
+		}
+		f.Add(pairs(kv...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ids []uint32
 		var marks []PeerMark
@@ -333,19 +373,4 @@ func TestControlSteadyStateZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestAppendSizedRejectsStaleSize: a Size describes the packet it was
-// taken from; encoding a packet that changed since is a caller bug and
-// must not put a body with the wrong run count on the wire.
-func TestAppendSizedRejectsStaleSize(t *testing.T) {
-	p := NewHello(1, 0, Hello{Peers: []uint32{1, 2, 3}})
-	sz := p.Size()
-	p.Hello.Peers = []uint32{1, 3, 5}
-	defer func() {
-		if recover() == nil {
-			t.Error("AppendSized encoded a packet that changed since it was measured")
-		}
-	}()
-	p.AppendSized(nil, sz)
 }

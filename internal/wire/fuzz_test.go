@@ -51,6 +51,15 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(NewAck(0, 0, Ack{}).Marshal())
 	f.Add(NewHello(0, 0, Hello{}).Marshal())
 	f.Add(NewAnnounce(0, 0, Announce{Op: AnnouncePing, MsgID: 1}).Marshal())
+	// Lists of more than 127 runs, whose two-byte run count the encoder
+	// puts in ahead of runs already written, and marks of 0x80 and up.
+	many := apart(0x81)
+	marks := make([]PeerMark, len(many))
+	for i, id := range many {
+		marks[i] = PeerMark{Node: id, Watermark: uint32(0x7e + i)}
+	}
+	f.Add(NewHello(3, 0, Hello{Peers: many}).Marshal())
+	f.Add(NewAck(3, 1, Ack{Watermark: 0x90, Peers: marks}).Marshal())
 	f.Add([]byte{})
 	f.Add([]byte{Version, byte(TypeCoded), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0xff}, 40))
@@ -66,6 +75,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			if p.Bits() < 0 {
 				t.Fatalf("negative Bits %d", p.Bits())
 			}
+			checkEncode(t, &p, data)
 		} else {
 			// Every rejection must be classifiable by kind: ad-hoc error
 			// strings are not an API, the wrapped sentinels are.
@@ -147,7 +157,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 			p = NewAck(sender, epoch, a)
 		}
-		got, err := Unmarshal(p.Marshal())
+		raw := p.Marshal()
+		checkEncode(t, &p, raw)
+		got, err := Unmarshal(raw)
 		if err != nil {
 			t.Fatalf("marshal of valid packet rejected: %v", err)
 		}

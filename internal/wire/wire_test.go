@@ -84,8 +84,8 @@ func TestAckRoundTrip(t *testing.T) {
 		if got.Ack.Watermark != a.Watermark || !slices.Equal(got.Ack.Ranks, a.Ranks) || !slices.Equal(got.Ack.Peers, a.Peers) {
 			t.Errorf("ack %d: body %+v does not round-trip to %+v", i, a, got.Ack)
 		}
-		if want := 32 + 64*len(a.Ranks) + 8*tc.peerBytes; p.Bits() != want || a.Bits() != want {
-			t.Errorf("ack %d: Bits %d (body %d), want %d", i, p.Bits(), a.Bits(), want)
+		if want := 32 + 64*len(a.Ranks) + 8*tc.peerBytes; p.Bits() != want {
+			t.Errorf("ack %d: Bits %d, want %d", i, p.Bits(), want)
 		}
 		// Framing on top of Bits: the header, the rank count and the
 		// one-byte run count.
@@ -147,8 +147,8 @@ func TestHelloRoundTrip(t *testing.T) {
 		if got.Hello.Leaving != h.Leaving || !slices.Equal(got.Hello.Peers, h.Peers) {
 			t.Errorf("hello %d: body %+v does not round-trip to %+v", i, h, got.Hello)
 		}
-		if want := 8 + 8*tc.runBytes; p.Bits() != want || h.Bits() != want {
-			t.Errorf("hello %d: Bits %d (body %d), want %d", i, p.Bits(), h.Bits(), want)
+		if want := 8 + 8*tc.runBytes; p.Bits() != want {
+			t.Errorf("hello %d: Bits %d, want %d", i, p.Bits(), want)
 		}
 		// Framing on top of Bits: the header and the one-byte run count.
 		if want := HeaderBytes + 1 + p.Bits()/8; len(p.Marshal()) != want || p.WireBytes() != want {
@@ -614,26 +614,40 @@ func TestAppendToMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestAppendToReservesOnce pins the size reservation: marshalling out of
-// an empty buffer — a node's first packets, or a hello far larger than
-// anything its ring holds — costs one allocation, not a doubling chain.
+// TestAppendToReservesOnce pins the per-type reservation: marshalling
+// out of an empty buffer — a node's first packets, or a hello far larger
+// than anything its ring holds — costs one allocation, not a doubling
+// chain, for every packet of the sample set and for the two lists the
+// runtimes send: an ack of one-byte marks over the whole id space, dense
+// or with a few holes, and a hello of a dense view. A hello's
+// reservation does not grow with its list, because its encoding is
+// O(runs).
 func TestAppendToReservesOnce(t *testing.T) {
 	pkts := samplePackets(t)
-	peers := make([]uint32, 1000)
-	for i := range peers {
-		peers[i] = uint32(i)
+	for _, n := range []int{192, 2048} {
+		var marks []PeerMark
+		for id := 0; id < n; id++ {
+			if id != 7 && id != 100 { // three runs, at most 7 bytes of headers
+				marks = append(marks, PeerMark{Node: uint32(id), Watermark: uint32(1 + id%127)})
+			}
+		}
+		pkts = append(pkts, NewAck(5, 3, Ack{Watermark: 3, Ranks: []GenRank{{Gen: 3, Rank: 9}}, Peers: marks}),
+			NewHello(5, 0, Hello{Peers: seq(0, n)}))
 	}
-	pkts = append(pkts, NewHello(5, 0, Hello{Peers: peers}))
-	small := make([]byte, 0, 16)
+	small := make([]byte, 0, HeaderBytes-1)
 	for _, p := range pkts {
 		for name, buf := range map[string][]byte{"nil": nil, "too small": small} {
 			// What one reservation costs in this build (1; 2 under -race).
 			size := p.WireBytes()
 			want := testing.AllocsPerRun(20, func() { sink = slices.Grow(buf, size) })
 			if n := testing.AllocsPerRun(20, func() { sink = p.AppendTo(buf) }); n != want {
-				t.Errorf("type %d into a %s buffer: %.0f allocations, want %.0f", p.Env.Type, name, n, want)
+				t.Errorf("type %d of %d bytes into a %s buffer: %.0f allocations, want %.0f", p.Env.Type, size, name, n, want)
 			}
 		}
+	}
+	dense := NewHello(5, 0, Hello{Peers: seq(0, MaxAckEntries)})
+	if got, want := cap(dense.AppendTo(nil)), cap(NewHello(5, 0, Hello{}).AppendTo(nil)); got != want {
+		t.Errorf("a %d-id hello reserved %d bytes, an empty one %d", MaxAckEntries, got, want)
 	}
 }
 
