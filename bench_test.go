@@ -662,14 +662,28 @@ func BenchmarkSpanDecodableCount(b *testing.B) {
 
 // codingShapes are the coding shapes of the repo benchmark's kernel-bound
 // and harness-bound workloads (benchmark/workloads.go): gossip-deep
-// codes K=768 tokens of 64 UID + 1024 payload bits, gossip-wide K=32
-// tokens of 64 + 64.
-var codingShapes = []struct {
-	name    string
-	k, bits int
-}{
+// codes K=768 tokens of 64 UID + 1024 payload bits (29-word rows),
+// gossip-wide K=32 tokens of 64 + 64 (3 words), stream-udp K=32 of
+// 1088 bits (18 words). Then a row-width sweep at K=128 — 3, 6, 8, 12,
+// 29 and 65 words — across gf's eight-word vector-kernel threshold and
+// its 32-word panels.
+var codingShapes = append([]codingShape{
 	{"shape=deep", 768, 1088},
 	{"shape=wide", 32, 128},
+	{"shape=udp", 32, 1088},
+}, rowSweep(3, 6, 8, 12, 29, 65)...)
+
+type codingShape struct {
+	name    string
+	k, bits int
+}
+
+func rowSweep(words ...int) []codingShape {
+	shapes := make([]codingShape, len(words))
+	for i, w := range words {
+		shapes[i] = codingShape{fmt.Sprintf("words=%d", w), 128, 64*w - 128}
+	}
+	return shapes
 }
 
 // shapeFill returns one node's arrival sequence at a coding shape — k

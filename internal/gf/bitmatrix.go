@@ -109,8 +109,10 @@ func (m *BitMatrix) reduceInPlace(r BitVec) {
 // word and each block visits only the prefix off[:hi] of rows whose
 // pivot word it has reached; that prefix is never empty, which lets the
 // row loops test at the bottom — the form in which the compiler folds
-// each load into its xor and the accumulators stay in registers. dst
-// must not be a stored row.
+// each load into its xor and the accumulators stay in registers. Where
+// vector reports true, gatherXor512 replaces the sweep: it streams each
+// selected row once against dst held in vector registers. dst must not
+// be a stored row.
 func (m *BitMatrix) XorRows(dst BitVec, chunk int, mask uint64) {
 	if dst.n != m.cols {
 		panic(fmt.Sprintf("gf: BitMatrix xor of rows into %d-bit vector, have %d columns", dst.n, m.cols))
@@ -128,6 +130,10 @@ func (m *BitMatrix) XorRows(dst BitVec, chunk int, mask uint64) {
 		i := base + bits.TrailingZeros64(mask)
 		off[n], pw[n] = int(m.order[i])*m.stride, m.lead[i]>>6
 		n++
+	}
+	if m.vector() {
+		gatherXor512(dst.w[:m.stride], m.slab, off[:n], pw[0])
+		return
 	}
 	slab, stride, dw := m.slab, m.stride, dst.w[:m.stride]
 	w, hi := pw[0], 0
@@ -189,6 +195,16 @@ func (m *BitMatrix) XorRows(dst BitVec, chunk int, mask uint64) {
 	}
 }
 
+// useAVX512 selects the AVX-512F kernels (xor_amd64.s) under XorRows
+// and Insert's back-elimination. It is set once from CPUID; only tests
+// flip it.
+var useAVX512 = hasAVX512()
+
+// vector reports whether the AVX-512F kernels serve this matrix: the CPU
+// has them and a row fills at least one 64-byte line. Narrower rows keep
+// the Go loops; DESIGN.md "The subset-xor kernel" says why.
+func (m *BitMatrix) vector() bool { return useAVX512 && m.stride >= 8 }
+
 // grow ensures the slab has room for one more row, doubling on demand.
 func (m *BitMatrix) grow() {
 	if m.stride == 0 {
@@ -234,12 +250,22 @@ func (m *BitMatrix) Insert(v BitVec) bool {
 	// The column is gathered 64 rows at a time before any row is
 	// rewritten: the loads are independent and overlap their cache
 	// misses, where a test-and-xor per row waits out a miss behind every
-	// mispredicted branch.
+	// mispredicted branch. The vector kernel takes a chunk's selected
+	// rows in one call.
 	lw, lbit := lb>>6, uint(lb)&63
 	for base := 0; base < pos; base += 64 {
 		var mask uint64
 		for i, idx := range m.order[base:min(base+64, pos)] {
 			mask |= (m.slab[int(idx)*m.stride+lw] >> lbit & 1) << uint(i)
+		}
+		if m.vector() && mask != 0 {
+			var off [64]int
+			n := 0
+			for ; mask != 0; mask &= mask - 1 {
+				off[n] = int(m.order[base+bits.TrailingZeros64(mask)]) * m.stride
+				n++
+			}
+			scatterXor512(row.w, m.slab, off[:n], lw)
 		}
 		for ; mask != 0; mask &= mask - 1 {
 			o := int(m.order[base+bits.TrailingZeros64(mask)]) * m.stride

@@ -2,6 +2,7 @@ package gf
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -371,26 +372,72 @@ func TestBitMatrixResetReuseAfterGrowth(t *testing.T) {
 
 // TestBitMatrixInsertZeroAllocAtCapacity pins the steady-state claim:
 // once the slab has grown to the working rank, further Inserts (both
-// rejected duplicates and a Reset/refill cycle) allocate nothing.
+// rejected duplicates and a Reset/refill cycle) and XorRows calls
+// allocate nothing — at a narrow shape and at gossip-deep's (K 768,
+// 1856-bit rows), on every kernel.
 func TestBitMatrixInsertZeroAllocAtCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const cols = 192
-	m := NewBitMatrix(cols)
-	vecs := make([]BitVec, cols)
-	for i := range vecs {
-		vecs[i] = randBV(cols, rng)
-	}
-	for _, v := range vecs {
-		m.Insert(v)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		m.Reset()
-		for _, v := range vecs {
-			m.Insert(v)
+	for _, sh := range []struct{ cols, rows int }{{192, 192}, {1856, 768}} {
+		vecs := make([]BitVec, sh.rows)
+		for i := range vecs {
+			vecs[i] = randBV(sh.cols, rng)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Reset+refill at capacity allocated %.1f times per run, want 0", allocs)
+		dst := NewBitVec(sh.cols)
+		for _, vec := range kernels() {
+			withKernel(vec, func() {
+				m := NewBitMatrix(sh.cols)
+				for _, v := range vecs {
+					m.Insert(v)
+				}
+				allocs := testing.AllocsPerRun(5, func() {
+					m.Reset()
+					for _, v := range vecs {
+						m.Insert(v)
+					}
+					for chunk := 0; chunk<<6 < m.Rank(); chunk++ {
+						m.XorRows(dst, chunk, ^uint64(0))
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("%s kernel, cols=%d: Reset+refill+combine at capacity allocated %.1f times per run, want 0", kernelName(vec), sh.cols, allocs)
+				}
+			})
+		}
+	}
+}
+
+// kernels lists the subset-xor kernels this CPU runs: the Go loops
+// always (false), the AVX-512F pair (true) where CPUID reports it.
+func kernels() []bool {
+	if hasAVX512() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+func kernelName(vec bool) string {
+	if vec {
+		return "avx512"
+	}
+	return "go"
+}
+
+// withKernel runs f with the AVX-512F kernels switched on or off, and
+// restores the dispatch after. A test that calls it must not run in
+// parallel with another gf test.
+func withKernel(vec bool, f func()) {
+	saved := useAVX512
+	defer func() { useAVX512 = saved }()
+	useAVX512 = vec
+	f()
+}
+
+// checkSameMatrix requires identical slabs — free rows included — order
+// and leads.
+func checkSameMatrix(t *testing.T, a, b *BitMatrix) {
+	t.Helper()
+	if !slices.Equal(a.slab, b.slab) || !slices.Equal(a.order, b.order) || !slices.Equal(a.lead, b.lead) {
+		t.Fatalf("cols=%d: the kernels left different matrices (rank %d and %d)", a.cols, a.Rank(), b.Rank())
 	}
 }
 
@@ -409,8 +456,9 @@ func spreadBasis(cols, rows int, rng *rand.Rand) *BitMatrix {
 	return m
 }
 
-// checkXorRows compares one kernel call with the loop it replaced: one
-// whole-row xor per selected echelon row below the rank.
+// checkXorRows compares one XorRows call on every kernel with the loop
+// it replaced: one whole-row xor per selected echelon row below the
+// rank. Equal to the loop, the kernels are bit-equal to each other.
 func checkXorRows(t *testing.T, m *BitMatrix, dst BitVec, chunk int, mask uint64) {
 	t.Helper()
 	want := dst.Clone()
@@ -419,20 +467,24 @@ func checkXorRows(t *testing.T, m *BitMatrix, dst BitVec, chunk int, mask uint64
 			naiveXor(want, m.Row(r))
 		}
 	}
-	m.XorRows(dst, chunk, mask)
-	if !dst.Equal(want) {
-		t.Fatalf("cols=%d rank=%d chunk=%d mask=%#x: kernel and per-row loop differ", m.Cols(), m.Rank(), chunk, mask)
+	for _, vec := range kernels() {
+		got := dst.Clone()
+		withKernel(vec, func() { m.XorRows(got, chunk, mask) })
+		if !got.Equal(want) {
+			t.Fatalf("%s kernel, cols=%d rank=%d chunk=%d mask=%#x: kernel and per-row loop differ", kernelName(vec), m.Cols(), m.Rank(), chunk, mask)
+		}
 	}
 }
 
-// TestXorRowsMatchesPerRowLoop sweeps the kernel over every stride from
-// 0 to 20 words — so every mix of eight-word blocks, the four-word
-// block and single-word tails, from every starting word — at ranks that
-// are not multiples of 64, for the edge masks and random ones, on every
-// chunk up to one beyond the rank.
+// TestXorRowsMatchesPerRowLoop sweeps the kernels over every stride from
+// 0 to 70 words — so every mix of eight-word blocks, the four-word
+// block and single-word tails of the Go loop, and of full and masked
+// 32-word panels of the vector kernel, from every starting word — at
+// ranks that are not multiples of 64, for the edge masks and random
+// ones, on every chunk up to one beyond the rank.
 func TestXorRowsMatchesPerRowLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	for stride := 0; stride <= 20; stride++ {
+	for stride := 0; stride <= 70; stride++ {
 		for _, cols := range []int{64 * stride, 64*stride - 13} {
 			if cols < 0 {
 				continue
@@ -454,6 +506,78 @@ func TestXorRowsMatchesPerRowLoop(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestInsertKernelsAgree drives one matrix per kernel through the same
+// inserts — rows zeroed below a moving column, so pivots and
+// back-eliminations start in every word, and every third one the sum of
+// the two before it, which is rejected — at widths around the vector
+// kernels' eight-word threshold and their 32-word panels. Slab, order
+// and leads must be identical after every insert.
+func TestInsertKernelsAgree(t *testing.T) {
+	ks := kernels()
+	if len(ks) < 2 {
+		t.Skip("one kernel on this CPU")
+	}
+	rng := rand.New(rand.NewSource(17))
+	for _, cols := range []int{190, 511, 512, 1856, 2048, 2049, 4160, 4200} {
+		rows := min(cols, 160)
+		ms := []*BitMatrix{NewBitMatrix(cols), NewBitMatrix(cols)}
+		var prev [2]BitVec
+		for i := 0; i < 2*rows; i++ {
+			v := randBV(cols, rng)
+			for b := 0; b < i%rows*cols/rows; b++ {
+				v.Set(b, false)
+			}
+			if i%3 == 2 {
+				v = prev[0].Clone()
+				v.Xor(prev[1])
+			}
+			prev[0], prev[1] = prev[1], v
+			var grew [2]bool
+			for j, vec := range ks {
+				withKernel(vec, func() { grew[j] = ms[j].Insert(v) })
+			}
+			if grew[0] != grew[1] {
+				t.Fatalf("cols=%d insert %d: go kernel grew=%v, avx512 %v", cols, i, grew[0], grew[1])
+			}
+			checkSameMatrix(t, ms[0], ms[1])
+		}
+		checkRREFInvariants(t, ms[1])
+	}
+}
+
+// TestKernelsStopAtSlabEnd runs the kernels over slabs whose last row
+// ends exactly where the allocation does — at an inaccessible page where
+// the OS offers one — so a panel load or store past a row's last word
+// faults or reads foreign bits. XorRows reads every row of a slab of
+// exactly rank rows; Insert reduces and back-eliminates in a slab whose
+// free row is its last.
+func TestKernelsStopAtSlabEnd(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, cols := range []int{64 * 8, 64*9 - 5, 1856, 64 * 32, 64*33 + 1, 64*65 + 1} {
+		basis := spreadBasis(cols, 100, rng).Clone()
+		rank, stride := basis.Rank(), basis.stride
+		exact := basis.Clone()
+		exact.slab = endOfAllocation(t, rank*stride)
+		copy(exact.slab, basis.slab)
+		for chunk := 0; chunk<<6 < rank; chunk++ {
+			checkXorRows(t, exact, randBV(cols, rng), chunk, ^uint64(0))
+		}
+		v := randBV(cols, rng)
+		var want *BitMatrix
+		for _, vec := range kernels() {
+			m := basis.Clone()
+			m.slab = endOfAllocation(t, (rank+1)*stride)
+			copy(m.slab, basis.slab)
+			withKernel(vec, func() { m.Insert(v) })
+			if want == nil {
+				want = m
+			}
+			checkSameMatrix(t, m, want)
+		}
+		checkRREFInvariants(t, want)
 	}
 }
 

@@ -96,7 +96,7 @@ func (g Geometry) Shrink(maxVectorBits int) Geometry {
 }
 
 // ScaledGeometry is the geometry the throughput measurements (E5,
-// examples/stable) run one broadcast with: the paper's regime bT^2 <= n
+// Example_stable) run one broadcast with: the paper's regime bT^2 <= n
 // is unreachable at laptop n, so the coded vector is scaled as
 // Blocks = T/8, Payload = 3T/8 — both ~T, product ~T^2, the proportions
 // the proof of Lemma 8.1 uses — with the block count held under the n/D
