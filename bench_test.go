@@ -665,8 +665,8 @@ func BenchmarkSpanDecodableCount(b *testing.B) {
 // codes K=768 tokens of 64 UID + 1024 payload bits (29-word rows),
 // gossip-wide K=32 tokens of 64 + 64 (3 words), stream-udp K=32 of
 // 1088 bits (18 words). Then a row-width sweep at K=128 — 3, 6, 8, 12,
-// 29 and 65 words — across gf's eight-word vector-kernel threshold and
-// its 32-word panels.
+// 29 and 65 words — from rows narrower than one of gf's 64-byte vector
+// registers to rows past two of its 32-word panels.
 var codingShapes = append([]codingShape{
 	{"shape=deep", 768, 1088},
 	{"shape=wide", 32, 128},

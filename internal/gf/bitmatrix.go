@@ -110,7 +110,7 @@ func (m *BitMatrix) reduceInPlace(r BitVec) {
 // pivot word it has reached; that prefix is never empty, which lets the
 // row loops test at the bottom — the form in which the compiler folds
 // each load into its xor and the accumulators stay in registers. Where
-// vector reports true, gatherXor512 replaces the sweep: it streams each
+// useAVX512 is set, gatherXor512 replaces the sweep: it streams each
 // selected row once against dst held in vector registers. dst must not
 // be a stored row.
 func (m *BitMatrix) XorRows(dst BitVec, chunk int, mask uint64) {
@@ -131,7 +131,7 @@ func (m *BitMatrix) XorRows(dst BitVec, chunk int, mask uint64) {
 		off[n], pw[n] = int(m.order[i])*m.stride, m.lead[i]>>6
 		n++
 	}
-	if m.vector() {
+	if useAVX512 {
 		gatherXor512(dst.w[:m.stride], m.slab, off[:n], pw[0])
 		return
 	}
@@ -196,14 +196,9 @@ func (m *BitMatrix) XorRows(dst BitVec, chunk int, mask uint64) {
 }
 
 // useAVX512 selects the AVX-512F kernels (xor_amd64.s) under XorRows
-// and Insert's back-elimination. It is set once from CPUID; only tests
-// flip it.
+// and Insert's back-elimination, at every row width. It is set once from
+// CPUID; only tests flip it.
 var useAVX512 = hasAVX512()
-
-// vector reports whether the AVX-512F kernels serve this matrix: the CPU
-// has them and a row fills at least one 64-byte line. Narrower rows keep
-// the Go loops; DESIGN.md "The subset-xor kernel" says why.
-func (m *BitMatrix) vector() bool { return useAVX512 && m.stride >= 8 }
 
 // grow ensures the slab has room for one more row, doubling on demand.
 func (m *BitMatrix) grow() {
@@ -258,7 +253,7 @@ func (m *BitMatrix) Insert(v BitVec) bool {
 		for i, idx := range m.order[base:min(base+64, pos)] {
 			mask |= (m.slab[int(idx)*m.stride+lw] >> lbit & 1) << uint(i)
 		}
-		if m.vector() && mask != 0 {
+		if useAVX512 && mask != 0 {
 			var off [64]int
 			n := 0
 			for ; mask != 0; mask &= mask - 1 {

@@ -512,16 +512,16 @@ func TestXorRowsMatchesPerRowLoop(t *testing.T) {
 // TestInsertKernelsAgree drives one matrix per kernel through the same
 // inserts — rows zeroed below a moving column, so pivots and
 // back-eliminations start in every word, and every third one the sum of
-// the two before it, which is rejected — at widths around the vector
-// kernels' eight-word threshold and their 32-word panels. Slab, order
-// and leads must be identical after every insert.
+// the two before it, which is rejected — at widths from one word to past
+// two of the vector kernels' 32-word panels. Slab, order and leads must
+// be identical after every insert.
 func TestInsertKernelsAgree(t *testing.T) {
 	ks := kernels()
 	if len(ks) < 2 {
 		t.Skip("one kernel on this CPU")
 	}
 	rng := rand.New(rand.NewSource(17))
-	for _, cols := range []int{190, 511, 512, 1856, 2048, 2049, 4160, 4200} {
+	for _, cols := range []int{64, 190, 383, 511, 512, 1856, 2048, 2049, 4160, 4200} {
 		rows := min(cols, 160)
 		ms := []*BitMatrix{NewBitMatrix(cols), NewBitMatrix(cols)}
 		var prev [2]BitVec
@@ -556,8 +556,8 @@ func TestInsertKernelsAgree(t *testing.T) {
 // free row is its last.
 func TestKernelsStopAtSlabEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	for _, cols := range []int{64 * 8, 64*9 - 5, 1856, 64 * 32, 64*33 + 1, 64*65 + 1} {
-		basis := spreadBasis(cols, 100, rng).Clone()
+	for _, cols := range []int{70, 64 * 3, 64*6 - 7, 64 * 8, 64*9 - 5, 1856, 64 * 32, 64*33 + 1, 64*65 + 1} {
+		basis := spreadBasis(cols, min(cols, 100), rng).Clone()
 		rank, stride := basis.Rank(), basis.stride
 		exact := basis.Clone()
 		exact.slab = endOfAllocation(t, rank*stride)

@@ -5,8 +5,7 @@
 // panels of up to 32 words: four ZMM registers of eight words, K1–K4
 // masking the registers past the row's end. A masked-off lane is
 // neither loaded nor stored and cannot fault, so the last panel needs
-// no scalar tail. A panel of r ≤ 3 registers runs a loop that touches
-// only r of them.
+// no scalar tail, and a row narrower than a panel runs the same loop.
 
 // func hasAVX512() bool
 TEXT ·hasAVX512(SB), NOSPLIT, $0-1
@@ -36,8 +35,8 @@ nope:
 	RET
 
 // PANEL sets CX to the words left in the panel at word BX of a
-// DX-word row (at most 32; the caller has checked BX < DX), K1–K4 to
-// their lane masks and AX to the registers they fill, 1 to 4.
+// DX-word row (at most 32; the caller has checked BX < DX) and K1–K4
+// to their lane masks.
 #define PANEL \
 	MOVQ  DX, CX          \
 	SUBQ  BX, CX          \
@@ -53,9 +52,7 @@ nope:
 	SHRQ  $8, AX          \
 	KMOVW AX, K3          \
 	SHRQ  $8, AX          \
-	KMOVW AX, K4          \
-	LEAQ  7(CX), AX       \
-	SHRQ  $3, AX
+	KMOVW AX, K4
 
 // GATHER xors register r of the panel of the row at R13 into Zr.
 #define GATHER(disp, kr, zr) VPXORQ disp(R13), zr, kr, zr
@@ -92,13 +89,8 @@ gpanel:
 	VMOVDQU64.Z 128(R10), K3, Z2
 	VMOVDQU64.Z 192(R10), K4, Z3
 	XORQ R12, R12
-	CMPQ AX, $2
-	JLT  g1
-	JEQ  g2
-	CMPQ AX, $3
-	JEQ  g3
 
-g4:
+gloop:
 	ROW
 	GATHER(0, K1, Z0)
 	GATHER(64, K2, Z1)
@@ -106,36 +98,7 @@ g4:
 	GATHER(192, K4, Z3)
 	INCQ R12
 	CMPQ R12, R9
-	JLT  g4
-	JMP  gstore
-
-g3:
-	ROW
-	GATHER(0, K1, Z0)
-	GATHER(64, K2, Z1)
-	GATHER(128, K3, Z2)
-	INCQ R12
-	CMPQ R12, R9
-	JLT  g3
-	JMP  gstore
-
-g2:
-	ROW
-	GATHER(0, K1, Z0)
-	GATHER(64, K2, Z1)
-	INCQ R12
-	CMPQ R12, R9
-	JLT  g2
-	JMP  gstore
-
-g1:
-	ROW
-	GATHER(0, K1, Z0)
-	INCQ R12
-	CMPQ R12, R9
-	JLT  g1
-
-gstore:
+	JLT  gloop
 	VMOVDQU64 Z0, K1, 0(R10)
 	VMOVDQU64 Z1, K2, 64(R10)
 	VMOVDQU64 Z2, K3, 128(R10)
@@ -170,13 +133,8 @@ spanel:
 	VMOVDQU64.Z 128(R10), K3, Z2
 	VMOVDQU64.Z 192(R10), K4, Z3
 	XORQ R12, R12
-	CMPQ AX, $2
-	JLT  s1
-	JEQ  s2
-	CMPQ AX, $3
-	JEQ  s3
 
-s4:
+sloop:
 	ROW
 	SCATTER(0, K1, Z0, Z4)
 	SCATTER(64, K2, Z1, Z5)
@@ -184,36 +142,7 @@ s4:
 	SCATTER(192, K4, Z3, Z7)
 	INCQ R12
 	CMPQ R12, R9
-	JLT  s4
-	JMP  snext
-
-s3:
-	ROW
-	SCATTER(0, K1, Z0, Z4)
-	SCATTER(64, K2, Z1, Z5)
-	SCATTER(128, K3, Z2, Z6)
-	INCQ R12
-	CMPQ R12, R9
-	JLT  s3
-	JMP  snext
-
-s2:
-	ROW
-	SCATTER(0, K1, Z0, Z4)
-	SCATTER(64, K2, Z1, Z5)
-	INCQ R12
-	CMPQ R12, R9
-	JLT  s2
-	JMP  snext
-
-s1:
-	ROW
-	SCATTER(0, K1, Z0, Z4)
-	INCQ R12
-	CMPQ R12, R9
-	JLT  s1
-
-snext:
+	JLT  sloop
 	ADDQ $32, BX
 	CMPQ BX, DX
 	JLT  spanel
