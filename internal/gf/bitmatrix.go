@@ -23,7 +23,7 @@ import (
 // Echelon order is an indirection (order[i] names the slab row holding
 // echelon row i), so Insert never moves row data — it reduces the
 // candidate in place in the next free slab row and, on success, splices
-// one index. The slab grows by doubling; Reset keeps it, so a decoder
+// one index. The slab grows (see grow); Reset keeps it, so a decoder
 // slot reused across coding generations (the streaming layer's span
 // pool) performs no steady-state allocation.
 type BitMatrix struct {
@@ -32,9 +32,13 @@ type BitMatrix struct {
 	slab   []uint64
 	// order maps echelon position -> slab row index. len(order) is the
 	// rank; slab row order[len(order)] onward is free space, and the
-	// first free row doubles as the Insert reduction scratch.
+	// first free row doubles as the Insert reduction scratch. order and
+	// lead have room for at least as many entries as the slab has rows.
 	order []int32
 	lead  []int
+	// expect is the number of rows the matrix expects to hold at most,
+	// the expected rank plus the scratch row; 0 if unknown.
+	expect int
 }
 
 // NewBitMatrix returns an empty echelon matrix with the given column
@@ -44,6 +48,15 @@ func NewBitMatrix(cols int) *BitMatrix {
 		panic("gf: negative BitMatrix column count")
 	}
 	return &BitMatrix{cols: cols, stride: (cols + 63) / 64}
+}
+
+// NewBitMatrixExpecting is NewBitMatrix for a matrix that expects to
+// reach at most the given rank — k, for the span of a k-token
+// generation. The expectation sizes the storage; it does not bound it.
+func NewBitMatrixExpecting(cols, rank int) *BitMatrix {
+	m := NewBitMatrix(cols)
+	m.expect = rank + 1
+	return m
 }
 
 // Cols returns the number of columns.
@@ -110,9 +123,9 @@ func (m *BitMatrix) reduceInPlace(r BitVec) {
 // pivot word it has reached; that prefix is never empty, which lets the
 // row loops test at the bottom — the form in which the compiler folds
 // each load into its xor and the accumulators stay in registers. Where
-// useAVX512 is set, gatherXor512 replaces the sweep: it streams each
-// selected row once against dst held in vector registers. dst must not
-// be a stored row.
+// useAVX512 is set, gatherXor512 replaces both: it walks mask itself
+// and streams each selected row once against dst held in vector
+// registers. dst must not be a stored row.
 func (m *BitMatrix) XorRows(dst BitVec, chunk int, mask uint64) {
 	if dst.n != m.cols {
 		panic(fmt.Sprintf("gf: BitMatrix xor of rows into %d-bit vector, have %d columns", dst.n, m.cols))
@@ -124,16 +137,16 @@ func (m *BitMatrix) XorRows(dst BitVec, chunk int, mask uint64) {
 	if mask == 0 {
 		return
 	}
+	if useAVX512 {
+		gatherXor512(dst.w[:m.stride], m.slab, m.order[base:], mask, m.stride, m.lead[base+bits.TrailingZeros64(mask)]>>6)
+		return
+	}
 	var off, pw [64]int
 	n := 0
 	for ; mask != 0; mask &= mask - 1 {
 		i := base + bits.TrailingZeros64(mask)
 		off[n], pw[n] = int(m.order[i])*m.stride, m.lead[i]>>6
 		n++
-	}
-	if useAVX512 {
-		gatherXor512(dst.w[:m.stride], m.slab, off[:n], pw[0])
-		return
 	}
 	slab, stride, dw := m.slab, m.stride, dst.w[:m.stride]
 	w, hi := pw[0], 0
@@ -200,22 +213,42 @@ func (m *BitMatrix) XorRows(dst BitVec, chunk int, mask uint64) {
 // CPUID; only tests flip it.
 var useAVX512 = hasAVX512()
 
-// grow ensures the slab has room for one more row, doubling on demand.
+// eagerBytes is the largest expected slab that grow allocates whole:
+// Go's largest small-object size class.
+const eagerBytes = 32 << 10
+
+// grow ensures the slab, order and lead have room for one more row.
+// Within the expected row count, a basis whose expected slab is at most
+// eagerBytes gets order and lead at the expected size on its first
+// Insert, and a slab of one row, then two, then the expected size: a run
+// seeds its bases with a row or two each at spawn (a stream node its
+// whole first window) and must not pay for all their rows there. A
+// larger basis doubles up to the expected size, order and lead with the
+// slab. Past the expectation (a corrupted payload's pivot) all three
+// double.
 func (m *BitMatrix) grow() {
-	if m.stride == 0 {
+	rows := len(m.order) + 1
+	if m.stride == 0 || rows*m.stride <= len(m.slab) {
 		return
 	}
-	need := (len(m.order) + 1) * m.stride
-	if need <= len(m.slab) {
-		return
+	n := max(2*len(m.slab)/m.stride, rows)
+	small := rows <= m.expect && 8*m.expect*m.stride <= eagerBytes
+	if rows <= m.expect && (n > m.expect || small && rows > 2) {
+		n = m.expect
 	}
-	newLen := len(m.slab) * 2
-	if newLen < need {
-		newLen = need
+	book := n
+	if small {
+		book = m.expect
 	}
-	fresh := make([]uint64, newLen)
-	copy(fresh, m.slab)
-	m.slab = fresh
+	slab := make([]uint64, n*m.stride)
+	copy(slab, m.slab)
+	m.slab = slab
+	if cap(m.order) < book {
+		m.order = append(make([]int32, 0, book), m.order...)
+	}
+	if cap(m.lead) < book {
+		m.lead = append(make([]int, 0, book), m.lead...)
+	}
 }
 
 // Insert reduces v against the basis and, if the remainder is nonzero,
@@ -245,8 +278,8 @@ func (m *BitMatrix) Insert(v BitVec) bool {
 	// The column is gathered 64 rows at a time before any row is
 	// rewritten: the loads are independent and overlap their cache
 	// misses, where a test-and-xor per row waits out a miss behind every
-	// mispredicted branch. The vector kernel takes a chunk's selected
-	// rows in one call.
+	// mispredicted branch. The vector kernel takes a chunk's mask in one
+	// call and walks it itself.
 	lw, lbit := lb>>6, uint(lb)&63
 	for base := 0; base < pos; base += 64 {
 		var mask uint64
@@ -254,13 +287,8 @@ func (m *BitMatrix) Insert(v BitVec) bool {
 			mask |= (m.slab[int(idx)*m.stride+lw] >> lbit & 1) << uint(i)
 		}
 		if useAVX512 && mask != 0 {
-			var off [64]int
-			n := 0
-			for ; mask != 0; mask &= mask - 1 {
-				off[n] = int(m.order[base+bits.TrailingZeros64(mask)]) * m.stride
-				n++
-			}
-			scatterXor512(row.w, m.slab, off[:n], lw)
+			scatterXor512(row.w, m.slab, m.order[base:], mask, m.stride, lw)
+			continue
 		}
 		for ; mask != 0; mask &= mask - 1 {
 			o := int(m.order[base+bits.TrailingZeros64(mask)]) * m.stride
@@ -347,7 +375,8 @@ func (m *BitMatrix) MemoryBytes() int {
 }
 
 // Clone returns a deep copy of the matrix. The clone's slab is sized to
-// the clone's rank, not the original's capacity.
+// the clone's rank, not the original's capacity; it keeps the expected
+// row count.
 func (m *BitMatrix) Clone() *BitMatrix {
 	c := &BitMatrix{
 		cols:   m.cols,
@@ -355,6 +384,7 @@ func (m *BitMatrix) Clone() *BitMatrix {
 		slab:   make([]uint64, len(m.order)*m.stride),
 		order:  make([]int32, len(m.order)),
 		lead:   make([]int, len(m.lead)),
+		expect: m.expect,
 	}
 	for i, idx := range m.order {
 		copy(c.slab[i*m.stride:(i+1)*m.stride], m.slab[int(idx)*m.stride:(int(idx)+1)*m.stride])

@@ -551,17 +551,23 @@ func TestInsertKernelsAgree(t *testing.T) {
 // TestKernelsStopAtSlabEnd runs the kernels over slabs whose last row
 // ends exactly where the allocation does — at an inaccessible page where
 // the OS offers one — so a panel load or store past a row's last word
-// faults or reads foreign bits. XorRows reads every row of a slab of
-// exactly rank rows; Insert reduces and back-eliminates in a slab whose
-// free row is its last.
+// faults or reads foreign bits; and over an order slice that ends the
+// same way, since the kernels read it too. XorRows reads every row of a
+// slab of exactly rank rows; Insert reduces and back-eliminates in a
+// slab whose free row is its last.
 func TestKernelsStopAtSlabEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for _, cols := range []int{70, 64 * 3, 64*6 - 7, 64 * 8, 64*9 - 5, 1856, 64 * 32, 64*33 + 1, 64*65 + 1} {
 		basis := spreadBasis(cols, min(cols, 100), rng).Clone()
 		rank, stride := basis.Rank(), basis.stride
+		atEnd := func(m *BitMatrix, rows int) {
+			m.slab = endOfAllocation[uint64](t, rows*stride)
+			copy(m.slab, basis.slab)
+			m.order = endOfAllocation[int32](t, rank)
+			copy(m.order, basis.order)
+		}
 		exact := basis.Clone()
-		exact.slab = endOfAllocation(t, rank*stride)
-		copy(exact.slab, basis.slab)
+		atEnd(exact, rank)
 		for chunk := 0; chunk<<6 < rank; chunk++ {
 			checkXorRows(t, exact, randBV(cols, rng), chunk, ^uint64(0))
 		}
@@ -569,8 +575,7 @@ func TestKernelsStopAtSlabEnd(t *testing.T) {
 		var want *BitMatrix
 		for _, vec := range kernels() {
 			m := basis.Clone()
-			m.slab = endOfAllocation(t, (rank+1)*stride)
-			copy(m.slab, basis.slab)
+			atEnd(m, rank+1)
 			withKernel(vec, func() { m.Insert(v) })
 			if want == nil {
 				want = m
@@ -621,5 +626,146 @@ func TestReduceSelectsRowsUpFront(t *testing.T) {
 	}
 	if !seq.IsZero() || upfront.IsZero() {
 		t.Fatalf("non-reduced basis: row-by-row left %v, up-front %v; want zero and nonzero", seq, upfront)
+	}
+}
+
+// TestKernelsReport names the kernels this CPU runs, so a CI log says
+// whether the assembly executed at all (run it with -v).
+func TestKernelsReport(t *testing.T) {
+	for _, vec := range kernels() {
+		t.Logf("subset-xor kernel: %s", kernelName(vec))
+	}
+}
+
+// coldFill returns k random vectors of cols bits, independent, and a
+// matrix per run that expects rank k, as rlnc.NewSpan builds them.
+func coldFill(t *testing.T, cols, k, runs int, rng *rand.Rand) ([]BitVec, []*BitMatrix) {
+	t.Helper()
+	vecs := make([]BitVec, k)
+	check := NewBitMatrix(cols)
+	for i := range vecs {
+		for vecs[i] = randBV(cols, rng); !check.Insert(vecs[i]); vecs[i] = randBV(cols, rng) {
+		}
+	}
+	ms := make([]*BitMatrix, runs)
+	for i := range ms {
+		ms[i] = NewBitMatrixExpecting(cols, k)
+	}
+	return vecs, ms
+}
+
+// rowBytes is what MemoryBytes charges a row: its slab words and its
+// order and lead entries.
+func rowBytes(m *BitMatrix) int { return 8*m.stride + 4 + 8 }
+
+// TestColdFillAllocations: a matrix that expects rank k, at
+// gossip-wide's shape (K 32, 3-word rows), is filled from rank 0 to k
+// with five allocations — order and lead at their final size with a
+// one-row slab, the slab at two rows, then at its final size — and ends
+// holding k+1 rows, the rank and the scratch row.
+func TestColdFillAllocations(t *testing.T) {
+	const k, cols, runs = 32, 32 + 128, 20
+	for _, vec := range kernels() {
+		vecs, ms := coldFill(t, cols, k, runs+1, rand.New(rand.NewSource(30)))
+		next := 0
+		withKernel(vec, func() {
+			allocs := testing.AllocsPerRun(runs, func() {
+				for _, v := range vecs {
+					ms[next].Insert(v)
+				}
+				next++
+			})
+			if allocs != 5 {
+				t.Errorf("%s kernel: a cold fill to rank %d allocated %.1f times, want 5", kernelName(vec), k, allocs)
+			}
+		})
+		for _, m := range ms {
+			if m.Rank() != k || m.MemoryBytes() != (k+1)*rowBytes(m) {
+				t.Fatalf("%s kernel: rank %d and %d bytes after the fill, want %d and %d", kernelName(vec), m.Rank(), m.MemoryBytes(), k, (k+1)*rowBytes(m))
+			}
+		}
+	}
+}
+
+// TestDeepFillStopsAtExpectation: a basis larger than eagerBytes, at
+// gossip-deep's shape (K 768, 29-word rows), allocates its first row
+// alone, as a matrix with no expectation does, doubles from there — at
+// most twice its rank in rows — and never holds more than k+1 rows,
+// however many dependent vectors arrive at full rank.
+func TestDeepFillStopsAtExpectation(t *testing.T) {
+	const k, cols = 768, 768 + 1088
+	for _, vec := range kernels() {
+		vecs, ms := coldFill(t, cols, k, 1, rand.New(rand.NewSource(31)))
+		m := ms[0]
+		withKernel(vec, func() {
+			for i := range k + 3 {
+				v := vecs[i%k]
+				if i >= k {
+					v = v.Clone()
+					v.Xor(vecs[i-k+1])
+				}
+				if m.Insert(v) && m.Rank() == 1 && m.MemoryBytes() != rowBytes(m) {
+					t.Fatalf("%s kernel: %d bytes after the first Insert, want one row's %d", kernelName(vec), m.MemoryBytes(), rowBytes(m))
+				}
+				if rows := len(m.slab) / m.stride; rows > min(k+1, max(1, 2*m.Rank())) || m.MemoryBytes() > rows*rowBytes(m) {
+					t.Fatalf("%s kernel: %d slab rows, %d bytes at rank %d, want at most %d rows", kernelName(vec), rows, m.MemoryBytes(), m.Rank(), min(k+1, max(1, 2*m.Rank())))
+				}
+			}
+		})
+		if m.MemoryBytes() != (k+1)*rowBytes(m) {
+			t.Errorf("%s kernel: %d bytes at full rank, want %d", kernelName(vec), m.MemoryBytes(), (k+1)*rowBytes(m))
+		}
+	}
+}
+
+// TestGrowthPastExpectation: a matrix that expects rank k still takes
+// rows past k+1 — payload-only vectors, as a corrupted payload makes
+// them — on both sides of eagerBytes. The kernels must agree and the
+// basis stay in RREF.
+func TestGrowthPastExpectation(t *testing.T) {
+	for _, sh := range []struct{ k, cols int }{{8, 8 + 200}, {40, 64 * 110}} {
+		rng := rand.New(rand.NewSource(32))
+		var vecs []BitVec
+		for i := 0; i < sh.k+40; i++ {
+			v := randBV(sh.cols, rng)
+			for b := 0; b < sh.k; b++ {
+				v.Set(b, i == b)
+			}
+			vecs = append(vecs, v)
+		}
+		var want *BitMatrix
+		for _, vec := range kernels() {
+			m := NewBitMatrixExpecting(sh.cols, sh.k)
+			withKernel(vec, func() { insertChecked(t, m, vecs) })
+			if m.Rank() <= sh.k+1 {
+				t.Fatalf("cols=%d: rank %d, want past %d", sh.cols, m.Rank(), sh.k+1)
+			}
+			if want == nil {
+				want = m
+			}
+			checkSameMatrix(t, m, want)
+		}
+	}
+}
+
+// TestCloneKeepsExpectation: a clone expects the rank its original does,
+// so its first Insert past two rows allocates the whole of a small
+// basis.
+func TestCloneKeepsExpectation(t *testing.T) {
+	const k, cols = 32, 32 + 128
+	vecs, ms := coldFill(t, cols, k, 1, rand.New(rand.NewSource(33)))
+	for _, vec := range kernels() {
+		withKernel(vec, func() {
+			m := ms[0].Clone()
+			m.Reset()
+			for _, v := range vecs[:5] {
+				m.Insert(v)
+			}
+			c := m.Clone()
+			c.Insert(vecs[5])
+			if c.expect != m.expect || c.MemoryBytes() != (k+1)*rowBytes(c) {
+				t.Errorf("%s kernel: clone expects %d rows and holds %d bytes, want %d and %d", kernelName(vec), c.expect, c.MemoryBytes(), m.expect, (k+1)*rowBytes(c))
+			}
+		})
 	}
 }

@@ -4,6 +4,6 @@ package gf
 
 import "testing"
 
-// endOfAllocation returns n words allocated on their own, so the last
+// endOfAllocation returns n elements allocated on their own, so the last
 // of them ends where the allocation does.
-func endOfAllocation(t *testing.T, n int) []uint64 { return make([]uint64, n) }
+func endOfAllocation[T any](t *testing.T, n int) []T { return make([]T, n) }

@@ -5,16 +5,16 @@ package gf
 // CPUID.(7,0):EBX.AVX512F.
 func hasAVX512() bool
 
-// gatherXor512 xors into dst[w:] the rows slab[o+w : o+len(dst)] for
-// every o in off: each row is read once, against dst held in registers
-// a 32-word panel at a time.
+// gatherXor512 xors into dst[w:] the rows slab[o+w : o+len(dst)], o =
+// stride·order[i], for every set bit i of sel: each row is read once,
+// against dst held in registers a 32-word panel at a time.
 //
 //go:noescape
-func gatherXor512(dst, slab []uint64, off []int, w int)
+func gatherXor512(dst, slab []uint64, order []int32, sel uint64, stride, w int)
 
-// scatterXor512 xors src[w:] into the rows slab[o+w : o+len(src)] for
-// every o in off, src held in registers a 32-word panel at a time. No
-// row may overlap src or another row.
+// scatterXor512 xors src[w:] into the rows slab[o+w : o+len(src)], o =
+// stride·order[i], for every set bit i of sel, src held in registers a
+// 32-word panel at a time. No row may overlap src or another row.
 //
 //go:noescape
-func scatterXor512(src, slab []uint64, off []int, w int)
+func scatterXor512(src, slab []uint64, order []int32, sel uint64, stride, w int)

@@ -6,6 +6,9 @@
 // masking the registers past the row's end. A masked-off lane is
 // neither loaded nor stored and cannot fault, so the last panel needs
 // no scalar tail, and a row narrower than a panel runs the same loop.
+// Within a panel each kernel walks the selection word itself, lowest
+// set bit first: BSF names echelon row i, order[i]·stride its slab row.
+// R15 stays untouched (-dynlink clobbers it).
 
 // func hasAVX512() bool
 TEXT ·hasAVX512(SB), NOSPLIT, $0-1
@@ -62,33 +65,45 @@ nope:
 	VPXORQ.Z  disp(R13), zr, kr, tr \
 	VMOVDQU64 tr, kr, disp(R13)
 
-// ROW sets R13 to the panel of the i-th selected row: slab + 8·(off[i]+w).
+// ROW sets R13 to the panel of the row the lowest set bit of R12 names,
+// slab + 8·(stride·order[i] + w), and clears that bit.
 #define ROW \
-	MOVQ (R8)(R12*8), R13 \
-	LEAQ (R11)(R13*8), R13
+	BSFQ    R12, AX           \
+	MOVLQZX (R8)(AX*4), R13   \
+	IMULQ   R14, R13          \
+	ADDQ    R11, R13          \
+	LEAQ    -1(R12), AX       \
+	ANDQ    AX, R12
 
-// func gatherXor512(dst, slab []uint64, off []int, w int)
-TEXT ·gatherXor512(SB), NOSPLIT, $0-80
+// LOAD sets up the panel at word BX: K-masks, R10 = &dst[BX] with its
+// panel in Z0–Z3, R11 = &slab[BX], R12 = the whole selection.
+#define LOAD \
+	PANEL                            \
+	LEAQ (DI)(BX*8), R10             \
+	LEAQ (SI)(BX*8), R11             \
+	VMOVDQU64.Z 0(R10), K1, Z0       \
+	VMOVDQU64.Z 64(R10), K2, Z1      \
+	VMOVDQU64.Z 128(R10), K3, Z2     \
+	VMOVDQU64.Z 192(R10), K4, Z3     \
+	MOVQ R9, R12
+
+// func gatherXor512(dst, slab []uint64, order []int32, sel uint64, stride, w int)
+TEXT ·gatherXor512(SB), NOSPLIT, $0-96
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), DX
 	MOVQ slab_base+24(FP), SI
-	MOVQ off_base+48(FP), R8
-	MOVQ off_len+56(FP), R9
-	MOVQ w+72(FP), BX
+	MOVQ order_base+48(FP), R8
+	MOVQ sel+72(FP), R9
+	MOVQ stride+80(FP), R14
+	SHLQ $3, R14 // the stride in bytes
+	MOVQ w+88(FP), BX
 	TESTQ R9, R9
 	JZ   gdone
 	CMPQ BX, DX
 	JGE  gdone
 
 gpanel:
-	PANEL
-	LEAQ (DI)(BX*8), R10
-	LEAQ (SI)(BX*8), R11
-	VMOVDQU64.Z 0(R10), K1, Z0
-	VMOVDQU64.Z 64(R10), K2, Z1
-	VMOVDQU64.Z 128(R10), K3, Z2
-	VMOVDQU64.Z 192(R10), K4, Z3
-	XORQ R12, R12
+	LOAD
 
 gloop:
 	ROW
@@ -96,9 +111,8 @@ gloop:
 	GATHER(64, K2, Z1)
 	GATHER(128, K3, Z2)
 	GATHER(192, K4, Z3)
-	INCQ R12
-	CMPQ R12, R9
-	JLT  gloop
+	TESTQ R12, R12
+	JNZ  gloop
 	VMOVDQU64 Z0, K1, 0(R10)
 	VMOVDQU64 Z1, K2, 64(R10)
 	VMOVDQU64 Z2, K3, 128(R10)
@@ -111,28 +125,23 @@ gdone:
 	VZEROUPPER
 	RET
 
-// func scatterXor512(src, slab []uint64, off []int, w int)
-TEXT ·scatterXor512(SB), NOSPLIT, $0-80
+// func scatterXor512(src, slab []uint64, order []int32, sel uint64, stride, w int)
+TEXT ·scatterXor512(SB), NOSPLIT, $0-96
 	MOVQ src_base+0(FP), DI
 	MOVQ src_len+8(FP), DX
 	MOVQ slab_base+24(FP), SI
-	MOVQ off_base+48(FP), R8
-	MOVQ off_len+56(FP), R9
-	MOVQ w+72(FP), BX
+	MOVQ order_base+48(FP), R8
+	MOVQ sel+72(FP), R9
+	MOVQ stride+80(FP), R14
+	SHLQ $3, R14 // the stride in bytes
+	MOVQ w+88(FP), BX
 	TESTQ R9, R9
 	JZ   sdone
 	CMPQ BX, DX
 	JGE  sdone
 
 spanel:
-	PANEL
-	LEAQ (DI)(BX*8), R10
-	LEAQ (SI)(BX*8), R11
-	VMOVDQU64.Z 0(R10), K1, Z0
-	VMOVDQU64.Z 64(R10), K2, Z1
-	VMOVDQU64.Z 128(R10), K3, Z2
-	VMOVDQU64.Z 192(R10), K4, Z3
-	XORQ R12, R12
+	LOAD
 
 sloop:
 	ROW
@@ -140,9 +149,8 @@ sloop:
 	SCATTER(64, K2, Z1, Z5)
 	SCATTER(128, K3, Z2, Z6)
 	SCATTER(192, K4, Z3, Z7)
-	INCQ R12
-	CMPQ R12, R9
-	JLT  sloop
+	TESTQ R12, R12
+	JNZ  sloop
 	ADDQ $32, BX
 	CMPQ BX, DX
 	JLT  spanel

@@ -67,9 +67,9 @@ type Span struct {
 }
 
 // NewSpan returns an empty span for k coefficients and payloadBits of
-// payload.
+// payload. Its basis expects rank k, which sizes its storage.
 func NewSpan(k, payloadBits int) *Span {
-	return &Span{k: k, payload: payloadBits, mat: gf.NewBitMatrix(k + payloadBits)}
+	return &Span{k: k, payload: payloadBits, mat: gf.NewBitMatrixExpecting(k+payloadBits, k)}
 }
 
 // K returns the coefficient dimension.

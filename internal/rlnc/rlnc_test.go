@@ -399,6 +399,47 @@ func TestSpanResetReuse(t *testing.T) {
 	}
 }
 
+// TestSpanColdFill: a span at gossip-wide's shape (K 32, 128 payload
+// bits) fills from rank 0 to k with five allocations — its basis's
+// order and lead at their final size, its slab at one row, two, then
+// k+1 — and holds k+1 rows, the rank and the reduction scratch row; a
+// clone expects as many. gf's TestColdFillAllocations holds the same on
+// each subset-xor kernel.
+func TestSpanColdFill(t *testing.T) {
+	const k, d, runs = 32, 128, 20
+	rng := rand.New(rand.NewSource(12))
+	msgs := make([]Coded, k)
+	for i := range msgs {
+		msgs[i] = Encode(i, k, gf.RandomBitVec(d, rng.Uint64))
+	}
+	spans := make([]*Span, runs+1)
+	for i := range spans {
+		spans[i] = NewSpan(k, d)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		for _, c := range msgs {
+			spans[next].Add(c)
+		}
+		next++
+	})
+	if allocs != 5 {
+		t.Errorf("a cold fill to rank %d allocated %.1f times, want 5", k, allocs)
+	}
+	want := (k + 1) * (8*((k+d+63)/64) + 4 + 8)
+	if s := spans[0]; s.Rank() != k || s.MemoryBytes() != want {
+		t.Fatalf("rank %d and %d bytes after the fill, want %d and %d", s.Rank(), s.MemoryBytes(), k, want)
+	}
+	c := NewSpan(k, d)
+	c.Add(msgs[0])
+	c.Add(msgs[1])
+	c = c.Clone()
+	c.Add(msgs[2])
+	if c.MemoryBytes() != want {
+		t.Errorf("a clone holds %d bytes after its third row, want the expected %d", c.MemoryBytes(), want)
+	}
+}
+
 // TestCombineIntoMatchesCombine pins the tentpole equivalence: given
 // identical rng states, the in-place CombineInto/RandomCombinationInto
 // hot path and the allocating wrappers draw bit-identical combinations,

@@ -66,10 +66,24 @@ func checkAck(t *testing.T, nd *node, raw []byte) {
 	}
 }
 
+// checkSpanBytes holds a node's running span total to the walk of its
+// live spans that noteMemory once made: the peak metrics sample it.
+func checkSpanBytes(t *testing.T, nd *node) {
+	t.Helper()
+	walk := 0
+	for _, gs := range nd.spans {
+		walk += gs.span.MemoryBytes()
+	}
+	if nd.spanBytes != walk {
+		t.Fatalf("node %d at tick %d: running span total %d, the live spans hold %d", nd.ID, nd.Now, nd.spanBytes, walk)
+	}
+}
+
 // ackAudit is the outermost layer of a lockstep run: at every ack a node
 // Sends it checks the node's state and the ack's bytes, before anything
-// below may drop them. The run is serial, so the sender is between its
-// encode and its next step.
+// below may drop them, and at every packet the sender's running span
+// total. The run is serial, so the sender is between its encode and its
+// next step.
 type ackAudit struct {
 	cluster.Layer
 	t     *testing.T
@@ -79,6 +93,7 @@ type ackAudit struct {
 }
 
 func (a *ackAudit) Send(from, to int, pkt []byte) bool {
+	checkSpanBytes(a.t, a.nodes[from])
 	if wire.Type(pkt[1]) == wire.TypeAck {
 		nd := a.nodes[from]
 		checkAck(a.t, nd, pkt)
@@ -125,7 +140,9 @@ func auditedRun(t *testing.T, cfg Config) (*Result, *ackAudit) {
 // rewrites a node's own mark — the list on the wire is the one built the
 // old way, marks[ID] is delivered and unknown counts the zero marks. The
 // runs are long enough that acks go out both ways: copied while some
-// mark is unknown, aliased after.
+// mark is unknown, aliased after. At every packet, and at the end, a
+// node's running span total is the sum over its live spans, so
+// MaxSpanBytes reads what a walk of them would.
 func TestAckIsMarks(t *testing.T) {
 	sched, err := cluster.ParseChurn("crash:10:2,join:15:2,leave:20:1,restart:30:2")
 	if err != nil {
@@ -159,6 +176,7 @@ func TestAckIsMarks(t *testing.T) {
 			for _, nd := range audit.nodes {
 				if nd != nil {
 					checkMarks(t, nd)
+					checkSpanBytes(t, nd)
 				}
 			}
 		})

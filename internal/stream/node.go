@@ -67,6 +67,8 @@ type node struct {
 	base int
 	// spans holds the live generations, keyed by generation number.
 	spans map[int]*genState
+	// spanBytes is the sum of MemoryBytes over spans (see add, retire).
+	spanBytes int
 	// pool holds Reset spans for reuse by future generations.
 	pool []*rlnc.Span
 	// marks[i] is node i's id and the highest delivery watermark learned
@@ -174,6 +176,7 @@ func (nd *node) ensureGen(g int) *genState {
 	}
 	gs := &genState{span: span}
 	nd.spans[g] = gs
+	nd.spanBytes += span.MemoryBytes()
 
 	owned := false
 	for j := 0; j < nd.k; j++ {
@@ -186,7 +189,7 @@ func (nd *node) ensureGen(g int) *genState {
 		toks := nd.src.Generation(g)
 		for j := 0; j < nd.k; j++ {
 			if genOwner(g, nd.k, j, nd.n) == nd.ID {
-				gs.span.Add(rlnc.Encode(j, nd.k, cluster.TokenVec(toks[j])))
+				nd.add(gs, rlnc.Encode(j, nd.k, cluster.TokenVec(toks[j])))
 			}
 		}
 		nd.checkDecoded(g, gs)
@@ -195,6 +198,22 @@ func (nd *node) ensureGen(g int) *genState {
 		nd.m.MaxActiveGens = len(nd.spans)
 	}
 	return gs
+}
+
+// add is gs.span.Add(c), counting any growth of the span into spanBytes.
+func (nd *node) add(gs *genState, c rlnc.Coded) bool {
+	before := gs.span.MemoryBytes()
+	grew := gs.span.Add(c)
+	nd.spanBytes += gs.span.MemoryBytes() - before
+	return grew
+}
+
+// retire Resets generation g's span into the pool.
+func (nd *node) retire(g int, gs *genState) {
+	nd.spanBytes -= gs.span.MemoryBytes()
+	gs.span.Reset()
+	nd.pool = append(nd.pool, gs.span)
+	delete(nd.spans, g)
 }
 
 // checkDecoded marks g decoded once its span has full coefficient rank
@@ -257,9 +276,7 @@ func (nd *node) gc() {
 	floor := min(nd.delivered, nd.peerFloor())
 	for g := nd.base; g < floor; g++ {
 		if gs, ok := nd.spans[g]; ok {
-			gs.span.Reset()
-			nd.pool = append(nd.pool, gs.span)
-			delete(nd.spans, g)
+			nd.retire(g, gs)
 			nd.Tel.Event(nd.ID, nd.Now, telemetry.KindRetire, int64(g), 0, 0)
 		}
 	}
@@ -345,12 +362,8 @@ func (nd *node) advance() {
 
 // noteMemory samples the current span footprint into the peak metrics.
 func (nd *node) noteMemory() {
-	bytes := 0
-	for _, gs := range nd.spans {
-		bytes += gs.span.MemoryBytes()
-	}
-	if bytes > nd.m.MaxSpanBytes {
-		nd.m.MaxSpanBytes = bytes
+	if nd.spanBytes > nd.m.MaxSpanBytes {
+		nd.m.MaxSpanBytes = nd.spanBytes
 	}
 	if len(nd.spans) > nd.m.MaxActiveGens {
 		nd.m.MaxActiveGens = len(nd.spans)
@@ -428,9 +441,7 @@ func (nd *node) bootstrap() {
 	// down; base only ever moves forward.
 	for g, gs := range nd.spans {
 		if g < start {
-			gs.span.Reset()
-			nd.pool = append(nd.pool, gs.span)
-			delete(nd.spans, g)
+			nd.retire(g, gs)
 		}
 	}
 	if start > nd.base {
@@ -466,7 +477,7 @@ func (nd *node) Absorb(p *wire.Packet) bool {
 			return false
 		}
 		gs := nd.ensureGen(g)
-		if gs.decoded || !gs.span.Add(cd) {
+		if gs.decoded || !nd.add(gs, cd) {
 			if nd.Tel != nil {
 				nd.Tel.Event(nd.ID, nd.Now, telemetry.KindInsert, int64(g), int64(gs.span.Rank()), 0)
 			}
@@ -645,7 +656,7 @@ func (nd *node) adoptOrphans() {
 			if toks == nil {
 				toks = nd.src.Generation(g)
 			}
-			if gs.span.Add(rlnc.Encode(j, nd.k, cluster.TokenVec(toks[j]))) {
+			if nd.add(gs, rlnc.Encode(j, nd.k, cluster.TokenVec(toks[j]))) {
 				injected = true
 			}
 		}
