@@ -1,6 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -181,5 +184,27 @@ func TestRunTraceExportsArtifacts(t *testing.T) {
 		if strings.HasSuffix(name, ".txt") && !strings.HasPrefix(string(b), "telemetry v1\n") {
 			t.Errorf("%s does not start with the v1 schema header", name)
 		}
+	}
+}
+
+// TestFullStackTranscriptPinned pins the report of CI's full-stack line:
+// every fault flag, the adaptive adversary and churn, lowered by
+// cliutil from the flags as main parses them.
+func TestFullStackTranscriptPinned(t *testing.T) {
+	var o options
+	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
+	o.Register(fs, "cluster", 64, 32)
+	fs.StringVar(&o.mode, "mode", "coded", "")
+	full := "-n 48 -k 16 -transport lockstep -seed 1 -loss 0.1 -reorder 0.1 -delay 2ms -mutate all:0.02 -adversary adaptive -churn join:5:2,crash:10:2,leave:14:2,restart:20:1 -shards 1"
+	if err := fs.Parse(strings.Fields(full)); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := o.run(&out); err != nil {
+		t.Fatal(err)
+	}
+	const want = "5b11ab9dc4e38017c2b1a6cf0c227a78bce95ef1963e35a1f5026914a3134dc3"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out.String()))); got != want {
+		t.Errorf("report sha256 %s, want %s:\n%s", got, want, out.String())
 	}
 }

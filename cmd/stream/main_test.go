@@ -1,6 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -196,5 +199,28 @@ func TestRunTraceExportsArtifacts(t *testing.T) {
 		if strings.HasSuffix(name, ".txt") && !strings.HasPrefix(string(b), "telemetry v1\n") {
 			t.Errorf("%s does not start with the v1 schema header", name)
 		}
+	}
+}
+
+// TestFullStackTranscriptPinned pins the report of CI's full-stack line:
+// every fault flag, the adaptive adversary and churn, lowered by
+// cliutil from the flags as main parses them.
+func TestFullStackTranscriptPinned(t *testing.T) {
+	var o options
+	fs := flag.NewFlagSet("stream", flag.ContinueOnError)
+	o.Register(fs, "stream", 32, 16)
+	fs.IntVar(&o.window, "window", 4, "")
+	fs.IntVar(&o.generations, "generations", 16, "")
+	full := "-n 48 -k 16 -transport lockstep -seed 1 -loss 0.1 -reorder 0.1 -delay 2ms -mutate all:0.02 -adversary adaptive -churn join:5:2,crash:10:2,leave:14:2,restart:20:1 -shards 1"
+	if err := fs.Parse(strings.Fields(full)); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := o.run(&out); err != nil {
+		t.Fatal(err)
+	}
+	const want = "90ab673062502089c1ab0bf9fc2913efabd31a6f2c7ae4d0d2d3e7dfcb2828bb"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out.String()))); got != want {
+		t.Errorf("report sha256 %s, want %s:\n%s", got, want, out.String())
 	}
 }

@@ -225,3 +225,16 @@ func TestHostileShardedBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestHostileFingerprintPinned pins the fingerprints the two tests above
+// compare only with each other.
+func TestHostileFingerprintPinned(t *testing.T) {
+	for seed, want := range map[int64]string{
+		3:  "ticks=128 out=2338 in=460 dropped=1966 bits=244832 cuts=1917 mutates=84",
+		17: "ticks=79 out=1462 in=271 dropped=1209 bits=152480 cuts=1183 mutates=41",
+	} {
+		if got := hostileClusterFingerprint(t, seed, 1); got != want {
+			t.Errorf("seed %d: %s, want %s", seed, got, want)
+		}
+	}
+}
