@@ -18,7 +18,7 @@
 // Beside the synchronous simulator sits an asynchronous execution
 // model: internal/wire (binary packet codec, fuzz-tested to round-trip
 // exactly), internal/cluster (goroutine-per-node recoding gossip over
-// pluggable transports with loss/delay/reorder/partition middlewares,
+// pluggable transports under one fault schedule of loss/delay/reorder/partition,
 // plus a deterministic lockstep mode), and internal/stream (pipelined
 // multi-generation streaming: an unbounded token stream chunked into
 // generations, a sliding window of them gossiped concurrently, acks
@@ -34,7 +34,7 @@
 // The -shards flag runs the deterministic lockstep drivers sharded
 // across cores (internal/shard): nodes are partitioned into contiguous
 // ranges and the per-node phases, emission included, run in parallel.
-// Every middleware decision is keyed by its sender and the tick mailbox
+// Every fault decision is keyed by its sender and the tick mailbox
 // delivers by sender, so the transcript is bit-identical to -shards 1
 // at any shard count, and one 100k-node run fits CI-class memory. See
 // DESIGN.md "Node runtime and drivers" for the phase diagram.

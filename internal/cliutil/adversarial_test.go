@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/telemetry"
@@ -135,5 +136,22 @@ func TestWrapAdversarialStacks(t *testing.T) {
 	}
 	if _, err := (&GossipFlags{Mutate: "melt:0.5"}).Wrap(base, 4, nil); err == nil || !strings.Contains(err.Error(), "-mutate") {
 		t.Errorf("bad -mutate error %v does not name the flag", err)
+	}
+}
+
+// TestWrapEveryFlagIsOneLayer: every fault flag lowers to a rule of one
+// cluster.Schedule sitting directly on the fabric.
+func TestWrapEveryFlagIsOneLayer(t *testing.T) {
+	var base cluster.Transport = cluster.NewChanTransport(4, 8)
+	defer base.Close()
+	g := GossipFlags{Seed: 1, Loss: 0.1, Reorder: 0.1, Delay: 2 * time.Millisecond, Interval: time.Millisecond,
+		Mutate: "all:0.02", Adversary: "adaptive"}
+	tr, err := g.Wrap(base, 4, telemetry.New(telemetry.Config{Nodes: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ok := tr.(*cluster.Schedule)
+	if !ok || s.Unwrap() != base {
+		t.Errorf("every fault flag set: Wrap returned %T, not one schedule over the fabric", tr)
 	}
 }

@@ -100,18 +100,18 @@ func (g *GossipFlags) recorder(nodes int, meta []string) *telemetry.Recorder {
 	return rec
 }
 
-// Wrap stacks the fault-injection flags over tr — in-process channels
-// or a real socket alike — in the canonical order: loss over reorder
-// over delay, then packet mutation, then the adversarial topology. Each
-// layer's stream is keyed by the run seed and its own purpose
-// (cluster.NewRand); only the paper-side adversaries, which seed
-// math/rand by value, get an offset off Tokens' seed. The hostile
-// layers run on the sender's goroutine, which is why they wrap last;
-// every layer is clocked by the driver's ticks, whichever driver it is,
-// so -delay, a duration, is lowered to ticks of -interval (rounded up).
-// nodes is the run's full id space. Zero knobs and empty specs add no
-// layer — the golden transcripts rely on the bare transport passing
-// through untouched. Validate checks the rates and the delay.
+// Wrap lowers the fault-injection flags to one cluster.Schedule over
+// tr — in-process channels or a real socket alike — its rules from the
+// bottom: delay, reorder, loss, packet mutation, the adversarial
+// topology. Each rule's stream is keyed by the run seed and its own
+// purpose (cluster.NewRand); only the paper-side adversaries, which
+// seed math/rand by value, get an offset off Tokens' seed. The hostile
+// rules stamp telemetry on the sender's goroutine, which is why they go
+// on top; the schedule is clocked by the driver's ticks, whichever
+// driver it is, so -delay, a duration, is lowered to ticks of -interval
+// (rounded up). nodes is the run's full id space. Zero knobs and empty
+// specs add no rule — the golden transcripts rely on the bare transport
+// passing through untouched. Validate checks the rates and the delay.
 func (g *GossipFlags) Wrap(tr cluster.Transport, nodes int, rec *telemetry.Recorder) (cluster.Transport, error) {
 	ms, err := ParseMutateFlag(g.Mutate)
 	if err != nil {

@@ -5,7 +5,7 @@
 // (rlnc.Span.RandomCombination) to random peers — over a pluggable
 // Transport that serializes every message through the internal/wire
 // codec. There are no rounds and no global coordination; loss, delay,
-// reordering and partitions are composable transport middlewares.
+// reordering and partitions are rules of one fault Schedule.
 //
 // The package is also the node runtime every gossip protocol in the
 // repository runs on (DESIGN.md "Node runtime and drivers"): a Node

@@ -12,6 +12,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/cluster"
 	"repro/internal/dynnet"
+	"repro/internal/graph"
 	"repro/internal/hostile"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -288,5 +289,149 @@ func TestRandomStacksPinned(t *testing.T) {
 		if i >= len(want) || got != want[i] {
 			t.Errorf("stack %d %v: transcript %s", i, stack, got)
 		}
+	}
+}
+
+// TestScheduleLedger: at every tick of every stack in randomStacks,
+// sent from one goroutine and from three at once, each schedule's
+// ledger balances — offered plus injected is handed plus dropped plus
+// held — and what it says it handed is what reached the tally beneath
+// it; the transcript does not depend on the senders' interleaving; and
+// Close moves whatever is held to the closed cause.
+func TestScheduleLedger(t *testing.T) {
+	const n, perTick = 8, 6
+	var total cluster.Ledger
+	check := func(t *testing.T, tr cluster.Transport) {
+		t.Helper()
+		for u := tr; u != nil; {
+			if s, ok := u.(*cluster.Schedule); ok {
+				l := s.Ledger()
+				var drops int64
+				for _, d := range l.Dropped {
+					drops += d
+				}
+				if l.Offered+l.Injected != l.Handed+drops+l.Held {
+					t.Fatalf("ledger does not balance: %+v", l)
+				}
+				if got := s.Unwrap().(*tally).n.Load(); got != l.Handed {
+					t.Fatalf("ledger handed %d packets, the tally beneath counted %d", l.Handed, got)
+				}
+			}
+			w, ok := u.(interface{ Unwrap() cluster.Transport })
+			if !ok {
+				break
+			}
+			u = w.Unwrap()
+		}
+	}
+	for i, stack := range randomStacks() {
+		var serial string
+		for _, shards := range []int{1, 3} {
+			var top cluster.Transport
+			run := stackRun{n: n, ticks: 16, perTick: perTick, tail: 3, build: buildStack(stack, n),
+				each: func(_ int, tr cluster.Transport) { top = tr; check(t, tr) }}
+			got := run.transcript(inShards(n, perTick, shards))
+			if shards == 1 {
+				serial = got
+			} else if got != serial {
+				t.Errorf("stack %d %v: three senders at once diverge from one", i, stack)
+			}
+			if s, ok := top.(*cluster.Schedule); ok {
+				held := s.Ledger().Held
+				before := s.Ledger().Dropped[cluster.DropClosed]
+				top.Close()
+				l := s.Ledger()
+				if l.Held != 0 || l.Dropped[cluster.DropClosed] != before+held {
+					t.Errorf("stack %d: Close left %+v of %d held", i, l, held)
+				}
+				check(t, top)
+				total.Offered += l.Offered
+				total.Injected += l.Injected
+				total.Held += held
+				for c, d := range l.Dropped {
+					total.Dropped[c] += d
+				}
+			}
+		}
+	}
+	for _, c := range []cluster.Cause{cluster.DropLoss, cluster.DropPartition, cluster.DropAdversary, cluster.DropClosed} {
+		if total.Dropped[c] == 0 {
+			t.Errorf("no stack dropped a packet for cause %d: %+v", c, total)
+		}
+	}
+	if total.Injected == 0 || total.Held == 0 {
+		t.Errorf("no stack injected or held a packet: %+v", total)
+	}
+}
+
+// TestSendAfterCloseDrops: a closed transport drops and reports false,
+// through every constructor and a full stack alike, and releases
+// nothing it held.
+func TestSendAfterCloseDrops(t *testing.T) {
+	const n = 4
+	complete := graphAdversary{}
+	for name, wrap := range map[string]func(*telemetry.Recorder, cluster.Transport) cluster.Transport{
+		"loss": func(_ *telemetry.Recorder, tr cluster.Transport) cluster.Transport {
+			return cluster.WithLoss(tr, 0.01, 1)
+		},
+		"delay": func(_ *telemetry.Recorder, tr cluster.Transport) cluster.Transport {
+			return cluster.WithDelay(tr, 1, 1, 1)
+		},
+		"reorder": func(_ *telemetry.Recorder, tr cluster.Transport) cluster.Transport {
+			return cluster.WithReorder(tr, 0.99, 1)
+		},
+		"partition": func(_ *telemetry.Recorder, tr cluster.Transport) cluster.Transport {
+			return cluster.WithPartition(tr, func(int, int) bool { return false })
+		},
+		"mutator": func(rec *telemetry.Recorder, tr cluster.Transport) cluster.Transport {
+			return hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.3, Xgen: 0.6}, 1, rec)
+		},
+		"adversary": func(rec *telemetry.Recorder, tr cluster.Transport) cluster.Transport {
+			return hostile.WithAdversary(tr, complete, hostile.TopoConfig{Telemetry: rec})
+		},
+		"full stack": buildStack(randomStacks()[2], n),
+	} {
+		rec := telemetry.New(telemetry.Config{Nodes: n})
+		inner := &tally{Layer: cluster.Layer{Transport: cluster.NewChanTransport(n, 64)}}
+		tr := wrap(rec, inner)
+		for i := 0; i < 20; i++ {
+			tr.Send(i%n, (i+1)%n, wire.NewHello(i%n, i+1, wire.Hello{}).Marshal())
+		}
+		tr.Close()
+		before := inner.n.Load()
+		for i := 0; i < 20; i++ {
+			if tr.Send(i%n, (i+1)%n, wire.NewHello(i%n, i+1, wire.Hello{}).Marshal()) {
+				t.Errorf("%s: Send %d after Close reported true", name, i)
+			}
+		}
+		for tick := int64(1); tick <= 4; tick++ {
+			cluster.ObserveTick(tr, tick)
+		}
+		if got := inner.n.Load(); got != before {
+			t.Errorf("%s: %d packets reached the inner transport after Close", name, got-before)
+		}
+	}
+}
+
+// graphAdversary serves the complete graph on four nodes.
+type graphAdversary struct{}
+
+func (graphAdversary) Graph(int, []dynnet.Node) *graph.Graph {
+	g := graph.New(4)
+	for u := 0; u < 4; u++ {
+		for v := u + 1; v < 4; v++ {
+			g.AddEdge(u, v)
+		}
+	}
+	return g
+}
+
+// TestLossSendDoesNotAllocate: the benchmark puts a one-rule loss
+// schedule on the path of every Send.
+func TestLossSendDoesNotAllocate(t *testing.T) {
+	tr := cluster.WithLoss(cluster.NewChanTransport(2, 1), 0.3, 1)
+	pkt := []byte{1}
+	if got := testing.AllocsPerRun(1000, func() { tr.Send(0, 1, pkt) }); got != 0 {
+		t.Errorf("a lossy Send allocates %.1f times", got)
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -130,11 +131,11 @@ func (t *ChanTransport) Recv(id int) <-chan []byte {
 // Close implements Transport.
 func (t *ChanTransport) Close() { t.closed.Store(true) }
 
-// Senders is a middleware's state for each sender, built by New on
-// first use: keeping whatever a layer decides for a packet a function
-// of its sender's own sends is what makes the decision independent of
-// the order in which concurrent senders reach the layer (the sharded
-// lockstep emit phase). The layer's lock guards it.
+// Senders is a rule's state for each sender, built by New on first
+// use: keeping whatever a rule decides for a packet a function of its
+// sender's own sends is what makes the decision independent of the
+// order in which concurrent senders reach it (the sharded lockstep emit
+// phase). The schedule's lock guards it.
 type Senders[T any] struct {
 	New   func(from int) *T
 	slots []*T
@@ -156,181 +157,277 @@ func senderRands(seed int64, purpose Purpose) Senders[rand.Rand] {
 	return Senders[rand.Rand]{New: func(from int) *rand.Rand { return NewRand(seed, purpose, int64(from)) }}
 }
 
-// lossTransport drops each packet independently with fixed probability.
-type lossTransport struct {
+// Schedule is a run's faults: the one layer that applies loss, delay,
+// reordering, partitions, packet mutation and a topology adversary,
+// each a Rule, under one lock and one tick. A packet passes the rules
+// from the top (the last added) down, each of which may rewrite it,
+// until one drops it with a Cause, holds it some ticks in the
+// due-queue, or parks it in the hold-back, one slot per rule and
+// sender, until that sender's next packet parked there takes its
+// place. A released or an injected packet (a duplicate, a replay)
+// passes only the rules below the one that produced it, in the order
+// release, injected, original; the due-queue is released after the
+// tick has reached the transport below, innermost rule first, each
+// rule's in Send order. So a schedule does to every packet what a
+// stack of one layer per rule would. What reaches the bottom is handed
+// on once the lock is free. Send reports the inner transport's answer,
+// false for a drop and true for a held or parked packet, whose fate is
+// nobody's to hear. Close drops what is held, and every later Send.
+type Schedule struct {
 	Layer
-	rate float64
-	mu   sync.Mutex
-	rngs Senders[rand.Rand]
+	rules []Rule // innermost first
+
+	mu     sync.Mutex
+	closed bool
+	tick   int64
+	due    []pending
+	parked map[[2]int]pending // by rule, sender
+	ledger Ledger
 }
 
-// WithLoss decorates t so each Send is dropped with probability rate.
-// Each sender's coins come from its own seeded stream, so a lockstep
-// run's losses are reproducible at any shard count.
+// Rule is one fault of a Schedule. Decide is asked, under the
+// schedule's lock, for each packet reaching the rule; Observe, if set,
+// sees each tick first, top rule first. A rule's verdict must follow
+// from its sender's own earlier packets and the tick (keep per-sender
+// state in Senders), so that it does not depend on the order in which
+// concurrent senders arrive.
+type Rule struct {
+	Decide  func(from, to int, pkt []byte, tick int64) Verdict
+	Observe func(tick int64)
+}
+
+// Verdict is a rule's answer for one packet; the zero Verdict passes
+// it on. Four words at most, so that it is returned in registers: a
+// lossy Send asks for one.
+type Verdict struct {
+	Act   Act
+	Cause Cause  // why Drop drops it
+	Delay int32  // how many ticks Hold holds it
+	Pkt   []byte // Pass: if set, the bytes to pass on; Inject: the packet to pass on first
+}
+
+// Act is what a rule does with a packet.
+type Act uint8
+
+const (
+	Pass   Act = iota // pass it on
+	Drop              // drop it
+	Hold              // hold it in the due-queue
+	Park              // park it in the hold-back
+	Inject            // pass Pkt on, then it
+)
+
+// Cause is why a schedule dropped a packet.
+type Cause uint8
+
+const (
+	DropLoss Cause = iota + 1
+	DropPartition
+	DropAdversary
+	DropClosed // sent after Close, or held when it came
+	numCauses
+)
+
+// Ledger is a schedule's account: every packet offered to Send or
+// injected by a rule was handed to the inner transport, dropped or is
+// held, so Offered+Injected = Handed + the drops + Held.
+type Ledger struct {
+	Offered, Injected, Handed, Held int64
+	Dropped                         [numCauses]int64 // by Cause
+}
+
+// pending is a packet held, or on its way down: rules[:below] are still
+// to pass.
+type pending struct {
+	from, to int
+	pkt      []byte
+	below    int
+	due      int64
+}
+
+// WithRule returns a schedule of r over t, above t's own rules when t is
+// a Schedule (which the result then supersedes).
+func WithRule(t Transport, r Rule) Transport {
+	s := &Schedule{Layer: Layer{t}, parked: map[[2]int]pending{}}
+	if in, ok := t.(*Schedule); ok {
+		s.Layer, s.rules = in.Layer, slices.Clip(in.rules)
+	}
+	s.rules = append(s.rules, r)
+	return s
+}
+
+// Send implements Transport.
+func (s *Schedule) Send(from, to int, pkt []byte) bool {
+	var out []pending
+	fate := Drop
+	s.mu.Lock()
+	s.ledger.Offered++
+	if s.closed {
+		s.ledger.Dropped[DropClosed]++
+	} else {
+		pkt, out, fate = s.pass(from, to, pkt, len(s.rules), nil)
+	}
+	s.mu.Unlock()
+	for _, q := range out {
+		s.Transport.Send(q.from, q.to, q.pkt)
+	}
+	if fate == Pass {
+		return s.Transport.Send(from, to, pkt)
+	}
+	return fate != Drop
+}
+
+// pass takes a packet down the rules below below and returns its bytes
+// as they came out at the bottom, what became of it (Pass: it reached
+// the bottom), and out grown by what it released or injected on the
+// way, which goes first. The caller holds the lock.
+func (s *Schedule) pass(from, to int, pkt []byte, below int, out []pending) ([]byte, []pending, Act) {
+	for below > 0 {
+		below--
+		switch v := s.rules[below].Decide(from, to, pkt, s.tick); v.Act {
+		case Drop:
+			s.ledger.Dropped[v.Cause]++
+			return pkt, out, Drop
+		case Hold:
+			s.due = append(s.due, pending{from, to, pkt, below, s.tick + int64(v.Delay)})
+			return pkt, out, Hold
+		case Park:
+			k := [2]int{below, from}
+			prev, ok := s.parked[k]
+			if s.parked[k] = (pending{from, to, pkt, below, 0}); ok {
+				out = s.down(prev, out)
+			}
+			return pkt, out, Park
+		case Inject:
+			s.ledger.Injected++
+			out = s.down(pending{from, to, v.Pkt, below, 0}, out)
+		default:
+			if v.Pkt != nil {
+				pkt = v.Pkt
+			}
+		}
+	}
+	s.ledger.Handed++
+	return pkt, out, Pass
+}
+
+// down passes p and appends it to out if it reaches the bottom.
+func (s *Schedule) down(p pending, out []pending) []pending {
+	pkt, out, fate := s.pass(p.from, p.to, p.pkt, p.below, out)
+	if fate == Pass {
+		out = append(out, pending{from: p.from, to: p.to, pkt: pkt})
+	}
+	return out
+}
+
+// ObserveTick implements TickObserver.
+func (s *Schedule) ObserveTick(tick int64) {
+	s.mu.Lock()
+	s.tick = max(s.tick, tick)
+	for i := len(s.rules) - 1; i >= 0; i-- {
+		if s.rules[i].Observe != nil {
+			s.rules[i].Observe(s.tick)
+		}
+	}
+	s.mu.Unlock()
+	ObserveTick(s.Transport, tick)
+	var due, out []pending
+	s.mu.Lock()
+	s.due = slices.DeleteFunc(s.due, func(p pending) bool {
+		if p.due <= s.tick {
+			due = append(due, p)
+		}
+		return p.due <= s.tick
+	})
+	slices.SortStableFunc(due, func(a, b pending) int { return a.below - b.below })
+	for _, p := range due {
+		out = s.down(p, out)
+	}
+	s.mu.Unlock()
+	for _, p := range out {
+		s.Transport.Send(p.from, p.to, p.pkt)
+	}
+}
+
+// Close implements Transport.
+func (s *Schedule) Close() {
+	s.mu.Lock()
+	s.closed = true
+	s.ledger.Dropped[DropClosed] += int64(len(s.due) + len(s.parked))
+	s.due = nil
+	clear(s.parked)
+	s.mu.Unlock()
+	s.Transport.Close()
+}
+
+// Ledger returns the schedule's account so far.
+func (s *Schedule) Ledger() Ledger {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l := s.ledger
+	l.Held = int64(len(s.due) + len(s.parked))
+	return l
+}
+
+// WithLoss drops each packet with probability rate, drawn from its
+// sender's stream, so a lockstep run's losses are reproducible at any
+// shard count.
 func WithLoss(t Transport, rate float64, seed int64) Transport {
 	if rate <= 0 {
 		return t
 	}
-	return &lossTransport{Layer: Layer{t}, rate: rate, rngs: senderRands(seed, RandLoss)}
+	rngs := senderRands(seed, RandLoss)
+	return WithRule(t, Rule{Decide: func(from, _ int, _ []byte, _ int64) Verdict {
+		if rngs.Of(from).Float64() < rate {
+			return Verdict{Act: Drop, Cause: DropLoss}
+		}
+		return Verdict{}
+	}})
 }
 
-func (l *lossTransport) Send(from, to int, pkt []byte) bool {
-	l.mu.Lock()
-	drop := l.rngs.Of(from).Float64() < l.rate
-	l.mu.Unlock()
-	if drop {
-		return false
-	}
-	return l.Transport.Send(from, to, pkt)
-}
-
-// delayTransport holds each packet for a number of ticks drawn from
-// its sender's stream: a queue in Send order, released from
-// ObserveTick. No timers and no goroutines, so under lockstep a delayed
-// run is as much a function of its seed, at any shard count, as an
-// undelayed one.
-type delayTransport struct {
-	Layer
-	min, max int64
-	mu       sync.Mutex
-	rngs     Senders[rand.Rand]
-	now      int64
-	held     []heldPkt
-	due      []heldPkt // ObserveTick's scratch, the driver goroutine's
-}
-
-type heldPkt struct {
-	from, to int
-	pkt      []byte
-	due      int64
-}
-
-// WithDelay decorates t so each packet sent during tick s reaches t
-// when the driver observes tick s+d, d uniform in [min, max] ticks;
-// packets released by one ObserveTick go in Send order (each sender's
-// in its own order, all the tick mailbox delivers by), and d = 0 passes
-// straight through. Send reports true optimistically for a held
-// packet: what t says at its release is not attributed back to any
-// sender, and Close drops what is still held.
-func WithDelay(t Transport, min, max int, seed int64) Transport {
-	if max <= 0 {
+// WithDelay holds each packet sent during tick s until tick s+d, d
+// uniform in [lo, hi] and drawn from its sender's stream; d = 0 passes
+// it on. A queue the driver's ticks release, no timers, so under
+// lockstep a delayed run is as much a function of its seed, at any
+// shard count, as an undelayed one.
+func WithDelay(t Transport, lo, hi int, seed int64) Transport {
+	if hi <= 0 {
 		return t
 	}
-	if min < 0 {
-		min = 0
-	}
-	if max < min {
-		max = min
-	}
-	return &delayTransport{Layer: Layer{t}, min: int64(min), max: int64(max), rngs: senderRands(seed, RandDelay)}
-}
-
-func (d *delayTransport) Send(from, to int, pkt []byte) bool {
-	d.mu.Lock()
-	lat := d.min + d.rngs.Of(from).Int63n(d.max-d.min+1)
-	if lat > 0 {
-		d.held = append(d.held, heldPkt{from, to, pkt, d.now + lat})
-	}
-	d.mu.Unlock()
-	return lat > 0 || d.Transport.Send(from, to, pkt)
-}
-
-// ObserveTick implements TickObserver: the stack below advances first,
-// then receives what has fallen due.
-func (d *delayTransport) ObserveTick(tick int64) {
-	ObserveTick(d.Transport, tick)
-	d.mu.Lock()
-	d.now = tick
-	keep := d.held[:0]
-	for _, p := range d.held {
-		if p.due <= tick {
-			d.due = append(d.due, p)
-		} else {
-			keep = append(keep, p)
+	lo = max(lo, 0)
+	hi = max(hi, lo)
+	rngs := senderRands(seed, RandDelay)
+	return WithRule(t, Rule{Decide: func(from, _ int, _ []byte, _ int64) Verdict {
+		if d := int64(lo) + rngs.Of(from).Int63n(int64(hi-lo+1)); d > 0 {
+			return Verdict{Act: Hold, Delay: int32(d)}
 		}
-	}
-	clear(d.held[len(keep):])
-	d.held = keep
-	d.mu.Unlock()
-	for _, p := range d.due {
-		d.Transport.Send(p.from, p.to, p.pkt)
-	}
-	clear(d.due)
-	d.due = d.due[:0]
+		return Verdict{}
+	}})
 }
 
-func (d *delayTransport) Close() {
-	d.mu.Lock()
-	d.held = nil
-	d.mu.Unlock()
-	d.Transport.Close()
-}
-
-// reorderTransport swaps selected packets past later traffic using a
-// one-slot hold-back buffer per sender: a packet chosen for reordering
-// waits until its sender's next chosen packet arrives and is delivered
-// in its place.
-type reorderTransport struct {
-	Layer
-	rate    float64
-	mu      sync.Mutex
-	senders Senders[reorderSlot]
-}
-
-type reorderSlot struct {
-	rng  *rand.Rand
-	held *heldPkt
-}
-
-// WithReorder decorates t so each packet is, with probability rate
-// drawn from its sender's stream, parked and released only when the
-// sender's next parked packet replaces it — out-of-order delivery
-// without loss (at most one packet per sender is parked at Close). Like
-// WithDelay, Send reports true optimistically for a parked packet: its
-// eventual fate belongs to a later delivery and is not attributed back
-// to any sender.
+// WithReorder parks each packet, with probability rate drawn from its
+// sender's stream, until the sender's next parked packet replaces it:
+// out-of-order delivery without loss.
 func WithReorder(t Transport, rate float64, seed int64) Transport {
 	if rate <= 0 {
 		return t
 	}
-	return &reorderTransport{Layer: Layer{t}, rate: rate, senders: Senders[reorderSlot]{New: func(from int) *reorderSlot {
-		return &reorderSlot{rng: NewRand(seed, RandReorder, int64(from))}
-	}}}
+	rngs := senderRands(seed, RandReorder)
+	return WithRule(t, Rule{Decide: func(from, _ int, _ []byte, _ int64) Verdict {
+		if rngs.Of(from).Float64() < rate {
+			return Verdict{Act: Park}
+		}
+		return Verdict{}
+	}})
 }
 
-func (r *reorderTransport) Send(from, to int, pkt []byte) bool {
-	r.mu.Lock()
-	s := r.senders.Of(from)
-	if s.rng.Float64() >= r.rate {
-		r.mu.Unlock()
-		return r.Transport.Send(from, to, pkt)
-	}
-	release := s.held
-	s.held = &heldPkt{from: from, to: to, pkt: pkt}
-	r.mu.Unlock()
-	if release != nil {
-		r.Transport.Send(release.from, release.to, release.pkt)
-	}
-	return true
-}
-
-// partitionTransport blocks traffic across a caller-defined cut.
-type partitionTransport struct {
-	Layer
-	blocked func(from, to int) bool
-}
-
-// WithPartition decorates t so Sends for which blocked(from, to)
-// returns true are dropped. The predicate is consulted on every Send
-// and must be safe for concurrent use; flipping it heals or splits the
-// cluster mid-run.
+// WithPartition drops the packets for which blocked(from, to) is true.
+// Flipping the predicate heals or splits the cluster mid-run.
 func WithPartition(t Transport, blocked func(from, to int) bool) Transport {
-	return &partitionTransport{Layer: Layer{t}, blocked: blocked}
-}
-
-func (p *partitionTransport) Send(from, to int, pkt []byte) bool {
-	if p.blocked(from, to) {
-		return false
-	}
-	return p.Transport.Send(from, to, pkt)
+	return WithRule(t, Rule{Decide: func(from, to int, _ []byte, _ int64) Verdict {
+		if blocked(from, to) {
+			return Verdict{Act: Drop, Cause: DropPartition}
+		}
+		return Verdict{}
+	}})
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/telemetry"
@@ -24,26 +23,18 @@ const (
 	OpDup Op = iota
 	// OpStale replays an earlier packet from a bounded seeded history —
 	// a datagram whose epoch has since gone stale, which the stream
-	// layer must account as Stale (retired generation) or absorb as
-	// non-innovative rather than re-deliver. The transport replays
-	// genuine history instead of forging the epoch field in place: the
-	// wire format carries no integrity tag binding payload to epoch, so
-	// a forged epoch would be absorbed into the wrong generation's span
-	// and silently poison RLNC decoding — an attack the protocol cannot
-	// detect, documented in DESIGN.md. (The fuzz-facing Mutate primitive
-	// still rewrites the epoch bytes: the datagram layer must survive
-	// arbitrary epochs.)
+	// layer must account as Stale or absorb as non-innovative rather
+	// than re-deliver. It replays genuine history rather than forge the
+	// epoch: the wire carries no integrity tag, so a forged epoch would
+	// poison the wrong generation's span undetectably (DESIGN.md; the
+	// fuzz-facing Mutate still rewrites the epoch bytes).
 	OpStale
 	// OpTrunc truncates the packet to a random shorter prefix; the
 	// canonical decoder must reject it into exactly one drop bucket.
 	OpTrunc
-	// OpFlip flips 1–3 random bits. Because the wire format carries no
-	// integrity checksum, a flip that still parses would silently
-	// poison RLNC decoding or corrupt ack watermarks — so after
-	// flipping, the mutator re-parses the bytes and, if they still
-	// decode, additionally corrupts the version byte to guarantee
-	// rejection. The honest lesson (a checksum would catch what the
-	// envelope cannot) is documented in DESIGN.md.
+	// OpFlip flips 1–3 random bits, and the version byte too if the
+	// result would still parse: with no checksum on the wire, a flip
+	// that parses would poison decoding undetectably (DESIGN.md).
 	OpFlip
 	// OpXgen reorders across generations with a one-slot hold-back: a
 	// selected packet is parked and released only when the next
@@ -218,25 +209,11 @@ func mutateFlip(pkt []byte, scratch *wire.Packet, rng *rand.Rand) []byte {
 	return pkt
 }
 
-// mutTransport injects hostile packets on the Send path.
-type mutTransport struct {
-	cluster.Layer
-	spec  MutationSpec
-	rates [numOps]float64
-	tel   *telemetry.Recorder
-
-	mu      sync.Mutex
-	tick    int64
-	senders cluster.Senders[mutSender]
-	scratch wire.Packet
-}
-
 // mutSender is what the mutator keeps for one sender, so that what it
 // does to a packet depends on that sender's own sends only.
 type mutSender struct {
 	rng     *rand.Rand
-	held    *heldSend // OpXgen's one-slot hold-back
-	history [][]byte  // OpStale's replay source: seeded reservoir of the sender's past packets
+	history [][]byte // OpStale's replay source: seeded reservoir of the sender's past packets
 }
 
 // staleHistory bounds a sender's OpStale replay reservoir. Inserts
@@ -245,22 +222,15 @@ type mutSender struct {
 // replayed epochs genuinely stale.
 const staleHistory = 32
 
-type heldSend struct {
-	from, to int
-	pkt      []byte
-}
-
-// WithMutator decorates t so each Send is, with the spec's
-// probabilities drawn from its sender's stream (seed, RandMutator,
-// sender), duplicated, replayed with a stale epoch from the sender's
-// own history, truncated, bit-flipped, or held back behind the sender's
-// next reordered packet. Copies are fresh
-// allocations (the inner transport owns what it accepts); in-place
-// mutations reuse the sender's buffer, which the ring recycling does
-// not mind. Like the other hostile layers it must sit above WithDelay
-// so mutation draws and telemetry stay on the sender's goroutine. A
-// disabled spec returns t unchanged; an invalid one panics (callers
-// validate via MutationSpec.Validate / ParseMutations).
+// WithMutator adds a rule to t that, with the spec's probabilities
+// drawn from the sender's stream (seed, RandMutator, sender),
+// duplicates a packet, replays a stale one from the sender's own
+// history, truncates it, flips bits in it, or parks it behind the
+// sender's next packet parked here. Copies are fresh allocations (the
+// inner transport owns what it accepts); in-place mutations reuse the
+// sender's buffer, which the ring recycling does not mind. A disabled
+// spec returns t unchanged; an invalid one panics (callers validate
+// via MutationSpec.Validate / ParseMutations).
 func WithMutator(t cluster.Transport, spec MutationSpec, seed int64, tel *telemetry.Recorder) cluster.Transport {
 	if !spec.Enabled() {
 		return t
@@ -268,86 +238,55 @@ func WithMutator(t cluster.Transport, spec MutationSpec, seed int64, tel *teleme
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	mt := &mutTransport{Layer: cluster.Layer{Transport: t}, spec: spec, rates: spec.rates(), tel: tel}
-	mt.senders.New = func(from int) *mutSender {
+	rates := spec.rates()
+	senders := cluster.Senders[mutSender]{New: func(from int) *mutSender {
 		s := &mutSender{rng: cluster.NewRand(seed, cluster.RandMutator, int64(from))}
 		if spec.Stale > 0 {
 			s.history = make([][]byte, 0, staleHistory)
 		}
 		return s
-	}
-	return mt
-}
-
-// ObserveTick implements cluster.TickObserver (the tick only stamps
-// KindMutate events; mutation draws are tick-independent).
-func (m *mutTransport) ObserveTick(tick int64) {
-	m.mu.Lock()
-	if tick > m.tick {
-		m.tick = tick
-	}
-	m.mu.Unlock()
-	cluster.ObserveTick(m.Transport, tick)
-}
-
-func (m *mutTransport) Send(from, to int, pkt []byte) bool {
-	m.mu.Lock()
-	s := m.senders.Of(from)
-	op := Op(-1)
-	for o, rate := range m.rates {
-		if rate > 0 && s.rng.Float64() < rate {
-			op = Op(o)
-			break
+	}}
+	var scratch wire.Packet
+	return cluster.WithRule(t, cluster.Rule{Decide: func(from, to int, pkt []byte, tick int64) cluster.Verdict {
+		s := senders.Of(from)
+		op := Op(-1)
+		for o, rate := range rates {
+			if rate > 0 && s.rng.Float64() < rate {
+				op = Op(o)
+				break
+			}
 		}
-	}
-	// The replay reservoir captures originals before any in-place
-	// mutation, so a replayed packet is always one that was genuinely
-	// on the wire.
-	if s.history != nil && len(pkt) > 0 {
-		cp := append([]byte(nil), pkt...)
-		if len(s.history) < cap(s.history) {
-			s.history = append(s.history, cp)
-		} else {
-			s.history[s.rng.Intn(len(s.history))] = cp
+		// The replay reservoir captures originals before any in-place
+		// mutation, so a replayed packet is always one that was genuinely
+		// on the wire.
+		if s.history != nil && len(pkt) > 0 {
+			cp := append([]byte(nil), pkt...)
+			if len(s.history) < cap(s.history) {
+				s.history = append(s.history, cp)
+			} else {
+				s.history[s.rng.Intn(len(s.history))] = cp
+			}
 		}
-	}
-	var extra []byte      // an additional packet to send before the original
-	var release *heldSend // a parked packet OpXgen is letting go
-	parked := false
-	switch op {
-	case OpDup:
-		extra = append([]byte(nil), pkt...)
-	case OpStale:
-		if len(s.history) > 0 {
-			extra = append([]byte(nil), s.history[s.rng.Intn(len(s.history))]...)
+		if op < 0 {
+			return cluster.Verdict{}
 		}
-	case OpTrunc:
-		pkt = mutateTrunc(pkt, s.rng)
-	case OpFlip:
-		pkt = mutateFlip(pkt, &m.scratch, s.rng)
-	case OpXgen:
-		release = s.held
-		s.held = &heldSend{from: from, to: to, pkt: pkt}
-		parked = true
-	}
-	tick := m.tick
-	m.mu.Unlock()
-
-	if op >= 0 {
-		m.tel.Event(from, tick, telemetry.KindMutate, int64(to), int64(op), 0)
-	}
-	if release != nil {
-		m.Transport.Send(release.from, release.to, release.pkt)
-	}
-	if parked {
-		// Like WithReorder, a parked packet reports true optimistically:
-		// its eventual fate belongs to a later delivery.
-		return true
-	}
-	if extra != nil {
-		m.Transport.Send(from, to, extra)
-	}
-	return m.Transport.Send(from, to, pkt)
+		tel.Event(from, tick, telemetry.KindMutate, int64(to), int64(op), 0)
+		switch op {
+		case OpDup:
+			return cluster.Verdict{Act: cluster.Inject, Pkt: append([]byte(nil), pkt...)}
+		case OpStale:
+			if len(s.history) > 0 {
+				return cluster.Verdict{Act: cluster.Inject, Pkt: append([]byte(nil), s.history[s.rng.Intn(len(s.history))]...)}
+			}
+		case OpTrunc:
+			return cluster.Verdict{Pkt: mutateTrunc(pkt, s.rng)}
+		case OpFlip:
+			return cluster.Verdict{Pkt: mutateFlip(pkt, &scratch, s.rng)}
+		case OpXgen:
+			return cluster.Verdict{Act: cluster.Park}
+		}
+		return cluster.Verdict{}
+	}})
 }
 
 // Ops returns every mutation op in canonical order — the fuzz targets
