@@ -435,3 +435,17 @@ func TestLossSendDoesNotAllocate(t *testing.T) {
 		t.Errorf("a lossy Send allocates %.1f times", got)
 	}
 }
+
+// TestReleaseAfterInnerTick: the due-queue is released after the tick
+// has reached the transport below, so a packet held above a plain layer
+// meets the adversary beneath it with the new tick's topology, as it
+// did when every fault was a layer of its own.
+func TestReleaseAfterInnerTick(t *testing.T) {
+	const n, perTick = 8, 6
+	stack := []layerSpec{{kind: "adversary", adv: "rotating-path", seed: 3}, {kind: "plain"}, {kind: "delay", min: 1, max: 2, seed: 5}}
+	run := stackRun{n: n, ticks: 16, perTick: perTick, tail: 3, build: buildStack(stack, n)}
+	const want = "8add2b464e97f6caa5f82395fe89d2e2b8ac49e7b203ffc8a019c947715f8f65"
+	if got := sha(run.transcript(inShards(n, perTick, 1))); got != want {
+		t.Errorf("transcript sha256 %s, want %s", got, want)
+	}
+}
