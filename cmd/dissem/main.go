@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"os/signal"
 
@@ -28,6 +27,7 @@ import (
 	"repro/internal/dissem"
 	"repro/internal/dynnet"
 	"repro/internal/forwarding"
+	"repro/internal/keyed"
 	"repro/internal/sim"
 	"repro/internal/stable"
 	"repro/internal/token"
@@ -61,7 +61,7 @@ func baseline(rounds int, err error) (dissem.Result, error) {
 
 // runOnce executes one dissemination instance at the given seed.
 func runOnce(algo string, n, k, b, d, t int, advName, distName string, seed int64) (dissem.Result, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := keyed.Rand(seed, keyed.Payloads)
 	distribution, err := token.NamedDistribution(distName, n, k, d, rng)
 	if err != nil {
 		return dissem.Result{}, err
@@ -84,7 +84,7 @@ func runOnce(algo string, n, k, b, d, t int, advName, distName string, seed int6
 	if !ok {
 		return dissem.Result{}, fmt.Errorf("unknown algorithm %q", algo)
 	}
-	adv, err := adversary.Named(advName, n, seed+1)
+	adv, err := adversary.Named(advName, n, seed)
 	if err != nil {
 		return dissem.Result{}, err
 	}
@@ -97,8 +97,8 @@ func run(w io.Writer, algo string, n, k, b, d, t int, advName, distName string, 
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
 		sum, err := sim.ParallelTrials(ctx, sim.ParallelConfig{Workers: workers}, trials,
-			func(trialSeed int64) (float64, error) {
-				res, err := runOnce(algo, n, k, b, d, t, advName, distName, seed+trialSeed)
+			func(trial int64) (float64, error) {
+				res, err := runOnce(algo, n, k, b, d, t, advName, distName, int64(keyed.Word(seed, keyed.Trial, trial)))
 				return float64(res.Rounds), err
 			})
 		if err != nil {

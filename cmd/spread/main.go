@@ -13,12 +13,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 
 	"repro/internal/adversary"
 	"repro/internal/dynnet"
 	"repro/internal/gf"
+	"repro/internal/keyed"
 	"repro/internal/rlnc"
 	"repro/internal/trace"
 )
@@ -42,16 +42,14 @@ func run(w io.Writer, n, d int, advName string, seed int64) error {
 	if err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := keyed.Rand(seed, keyed.Payloads)
 	initial := make([][]rlnc.Coded, n)
-	rngs := make([]*rand.Rand, n)
 	for i := range initial {
 		initial[i] = []rlnc.Coded{rlnc.Encode(i, n, gf.RandomBitVec(d, rng.Uint64))}
-		rngs[i] = rand.New(rand.NewSource(seed + int64(i)*101 + 7))
 	}
 	rec := trace.NewRecorder(n)
 	s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: n + d, Observer: rec})
-	if _, err := rlnc.IndexedBroadcast(s, n, d, initial, rngs, rlnc.DefaultSchedule(n, n), false); err != nil {
+	if _, err := rlnc.IndexedBroadcast(s, n, d, initial, keyed.Rands(n, seed, keyed.Coins), rlnc.DefaultSchedule(n, n), false); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "coded indexed broadcast, n = k = %d, d = %d, adversary = %s, seed = %d\n\n", n, d, advName, seed)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dynnet"
 	"repro/internal/graph"
+	"repro/internal/keyed"
 )
 
 // Func adapts a plain function to dynnet.Adversary.
@@ -57,7 +58,7 @@ var _ dynnet.Adversary = (*RandomConnected)(nil)
 // NewRandomConnected returns a random-rewiring adversary over n nodes
 // adding extra edges beyond the spanning tree, seeded deterministically.
 func NewRandomConnected(n, extra int, seed int64) *RandomConnected {
-	return &RandomConnected{n: n, extra: extra, rng: rand.New(rand.NewSource(seed)), scratch: graph.New(n)}
+	return &RandomConnected{n: n, extra: extra, rng: keyed.Rand(seed, keyed.Topology), scratch: graph.New(n)}
 }
 
 // Graph returns the round's random connected topology, valid until the
@@ -130,7 +131,7 @@ func NewTInterval(n, t, extra int, seed int64) *TInterval {
 	if t < 1 {
 		panic("adversary: T must be >= 1")
 	}
-	return &TInterval{n: n, t: t, extra: extra, rng: rand.New(rand.NewSource(seed))}
+	return &TInterval{n: n, t: t, extra: extra, rng: keyed.Rand(seed, keyed.Topology)}
 }
 
 // T returns the interval length.
@@ -163,7 +164,7 @@ var _ dynnet.Adversary = (*RotatingPath)(nil)
 
 // NewRotatingPath returns a rotating-path adversary over n nodes.
 func NewRotatingPath(n int, seed int64) *RotatingPath {
-	return &RotatingPath{n: n, rng: rand.New(rand.NewSource(seed))}
+	return &RotatingPath{n: n, rng: keyed.Rand(seed, keyed.Topology)}
 }
 
 // Graph returns a path over a fresh random permutation of the vertices.
@@ -193,7 +194,7 @@ var _ dynnet.Adversary = (*IsolateInformed)(nil)
 // NewIsolateInformed returns the bottleneck adversary. The informed
 // predicate inspects node i's state each round.
 func NewIsolateInformed(n int, seed int64, informed func(i int, nodes []dynnet.Node) bool) *IsolateInformed {
-	return &IsolateInformed{n: n, informed: informed, rng: rand.New(rand.NewSource(seed))}
+	return &IsolateInformed{n: n, informed: informed, rng: keyed.Rand(seed, keyed.Topology)}
 }
 
 // Graph builds the two-path bottleneck topology for the round. The order
@@ -229,7 +230,7 @@ func (a *IsolateInformed) Graph(round int, nodes []dynnet.Node) *graph.Graph {
 // Named constructs a seeded adversary by name for the CLI tools.
 // Supported: random, rotating-path, static-<topology> (e.g. static-path).
 func Named(name string, n int, seed int64) (dynnet.Adversary, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := keyed.Rand(seed, keyed.Topology)
 	switch name {
 	case "random":
 		return NewRandomConnected(n, n/2, seed), nil

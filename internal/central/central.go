@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/dynnet"
 	"repro/internal/gf"
+	"repro/internal/keyed"
 	"repro/internal/rlnc"
 )
 
@@ -75,7 +76,7 @@ func (n *Node) Receive(_ int, msgs []dynnet.Message) {
 // bits, schedule Theta(n + k). It returns the rounds executed and
 // verifies every node decoded every payload.
 func Run(n, k, d int, adv dynnet.Adversary, seed int64) (int, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := keyed.Rand(seed, keyed.Payloads)
 	payloads := make([]gf.BitVec, k)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
@@ -84,8 +85,7 @@ func Run(n, k, d int, adv dynnet.Adversary, seed int64) (int, error) {
 			payloads[i] = gf.RandomBitVec(d, rng.Uint64)
 			initial = []rlnc.Coded{rlnc.Encode(i, k, payloads[i])}
 		}
-		nrng := rand.New(rand.NewSource(seed + 7919*int64(i+1)))
-		nodes[i] = NewNode(k, d, initial, nrng)
+		nodes[i] = NewNode(k, d, initial, keyed.Rand(seed, keyed.Coins, int64(i)))
 	}
 	s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: d})
 	if err := dynnet.Run(s, nodes, rlnc.DefaultSchedule(n, k)); err != nil {

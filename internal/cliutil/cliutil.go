@@ -9,7 +9,6 @@ package cliutil
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"strconv"
 	"strings"
@@ -19,6 +18,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dynnet"
 	"repro/internal/hostile"
+	"repro/internal/keyed"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/token"
@@ -81,7 +81,7 @@ const (
 // derivation every process of a multi-process run repeats, so all of
 // them spread (and verify against) the same tokens.
 func (g *GossipFlags) Tokens() []token.Token {
-	return token.RandomSet(g.K, g.Payload, rand.New(rand.NewSource(g.Seed)))
+	return token.RandomSet(g.K, g.Payload, keyed.Rand(g.Seed, keyed.Payloads))
 }
 
 // recorder returns the run's telemetry recorder over an id space of
@@ -104,12 +104,10 @@ func (g *GossipFlags) recorder(nodes int, meta []string) *telemetry.Recorder {
 // tr — in-process channels or a real socket alike — its rules from the
 // bottom: delay, reorder, loss, packet mutation, the adversarial
 // topology. Each rule's stream is keyed by the run seed and its own
-// purpose (cluster.NewRand); only the paper-side adversaries, which
-// seed math/rand by value, get an offset off Tokens' seed. The hostile
-// rules stamp telemetry on the sender's goroutine, which is why they go
-// on top; the schedule is clocked by the driver's ticks, whichever
-// driver it is, so -delay, a duration, is lowered to ticks of -interval
-// (rounded up). nodes is the run's full id space. Zero knobs and empty
+// purpose (package keyed). The hostile rules stamp telemetry on the
+// sender's goroutine, which is why they go on top; the schedule is
+// clocked by the driver's ticks, whichever driver it is, so -delay, a
+// duration, is lowered to ticks of -interval (rounded up). nodes is the run's full id space. Zero knobs and empty
 // specs add no rule — the golden transcripts rely on the bare transport
 // passing through untouched. Validate checks the rates and the delay.
 func (g *GossipFlags) Wrap(tr cluster.Transport, nodes int, rec *telemetry.Recorder) (cluster.Transport, error) {
@@ -117,7 +115,7 @@ func (g *GossipFlags) Wrap(tr cluster.Transport, nodes int, rec *telemetry.Recor
 	if err != nil {
 		return nil, err
 	}
-	adv, err := ParseAdversaryFlag(g.Adversary, nodes, g.Seed+104, rec)
+	adv, err := ParseAdversaryFlag(g.Adversary, nodes, g.Seed, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -216,6 +214,12 @@ func (g *GossipFlags) Validate() error {
 		return fmt.Errorf("-reorder must be in [0,1), got %g", g.Reorder)
 	case g.Delay < 0:
 		return fmt.Errorf("-delay must be non-negative, got %v", g.Delay)
+	case g.Interval < 0:
+		return fmt.Errorf("-interval must be non-negative (0 means the default), got %v", g.Interval)
+	case g.Timeout < 0:
+		return fmt.Errorf("-timeout must be non-negative (0 means the default), got %v", g.Timeout)
+	case g.MaxTicks < 0:
+		return fmt.Errorf("-maxticks must be non-negative (0 means the default), got %d", g.MaxTicks)
 	case g.Delay > 0 && g.Interval <= 0:
 		return fmt.Errorf("-delay is counted in ticks of -interval, which must be positive, got %v", g.Interval)
 	}

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/keyed"
 	"repro/internal/wire"
 )
 
@@ -543,7 +544,7 @@ func newChurner(s *ChurnSchedule, n, maxN int, seed int64) *churner {
 	}
 	return &churner{
 		events: s.Events,
-		rng:    NewRand(seed, RandChurn),
+		rng:    keyed.Rand(seed, keyed.Churn),
 		nextID: n,
 		maxID:  maxN,
 	}

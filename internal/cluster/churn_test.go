@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/keyed"
 	"repro/internal/rlnc"
 	"repro/internal/token"
 )
@@ -472,7 +473,7 @@ func TestRejoinDoesNotReplayFirstLife(t *testing.T) {
 		t.Fatalf("incarnations of the rejoined id: %+v, want two of one id", got)
 	}
 	for _, l := range got {
-		if want := NewRand(seed, RandNode, int64(l.id), l.spawn).Uint64(); l.word != want {
+		if want := keyed.Rand(seed, keyed.Node, int64(l.id), l.spawn).Uint64(); l.word != want {
 			t.Errorf("id %d spawned at tick %d starts on %#x, its key says %#x", l.id, l.spawn, l.word, want)
 		}
 	}

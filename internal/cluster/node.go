@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/internal/keyed"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -112,7 +113,7 @@ func newNode(id int, seed, spawn int64, fanout int, view *View, tr Transport, m 
 		ID:     id,
 		View:   view,
 		Now:    spawn,
-		Rng:    NewRand(seed, RandNode, int64(id), spawn),
+		Rng:    keyed.Rand(seed, keyed.Node, int64(id), spawn),
 		Fanout: fanout,
 		M:      m,
 		Tel:    tel,

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/keyed"
 )
 
 // Transport moves serialized packets between cluster nodes. The runtime
@@ -153,8 +155,8 @@ func (s *Senders[T]) Of(from int) *T {
 }
 
 // senderRands is one stream per sender, keyed (seed, purpose, sender).
-func senderRands(seed int64, purpose Purpose) Senders[rand.Rand] {
-	return Senders[rand.Rand]{New: func(from int) *rand.Rand { return NewRand(seed, purpose, int64(from)) }}
+func senderRands(seed int64, purpose keyed.Purpose) Senders[rand.Rand] {
+	return Senders[rand.Rand]{New: func(from int) *rand.Rand { return keyed.Rand(seed, purpose, int64(from)) }}
 }
 
 // Schedule is a run's faults: the one layer that applies loss, delay,
@@ -376,7 +378,7 @@ func WithLoss(t Transport, rate float64, seed int64) Transport {
 	if rate <= 0 {
 		return t
 	}
-	rngs := senderRands(seed, RandLoss)
+	rngs := senderRands(seed, keyed.Loss)
 	return WithRule(t, Rule{Decide: func(from, _ int, _ []byte, _ int64) Verdict {
 		if rngs.Of(from).Float64() < rate {
 			return Verdict{Act: Drop, Cause: DropLoss}
@@ -396,7 +398,7 @@ func WithDelay(t Transport, lo, hi int, seed int64) Transport {
 	}
 	lo = max(lo, 0)
 	hi = max(hi, lo)
-	rngs := senderRands(seed, RandDelay)
+	rngs := senderRands(seed, keyed.Delay)
 	return WithRule(t, Rule{Decide: func(from, _ int, _ []byte, _ int64) Verdict {
 		if d := int64(lo) + rngs.Of(from).Int63n(int64(hi-lo+1)); d > 0 {
 			return Verdict{Act: Hold, Delay: int32(d)}
@@ -412,7 +414,7 @@ func WithReorder(t Transport, rate float64, seed int64) Transport {
 	if rate <= 0 {
 		return t
 	}
-	rngs := senderRands(seed, RandReorder)
+	rngs := senderRands(seed, keyed.Reorder)
 	return WithRule(t, Rule{Decide: func(from, _ int, _ []byte, _ int64) Verdict {
 		if rngs.Of(from).Float64() < rate {
 			return Verdict{Act: Park}

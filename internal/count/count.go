@@ -12,11 +12,11 @@ package count
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/dynnet"
 	"repro/internal/forwarding"
 	"repro/internal/gf"
+	"repro/internal/keyed"
 	"repro/internal/rlnc"
 	"repro/internal/token"
 )
@@ -65,7 +65,6 @@ func RunCoded(n, b int, adv dynnet.Adversary, seed int64) (Result, error) {
 		// Index i carries ID ids[i]; a node injects the IDs it knows.
 		kDims := len(ids)
 		initial := make([][]rlnc.Coded, n)
-		rngs := make([]*rand.Rand, n)
 		for i := range initial {
 			for idx, id := range ids {
 				if known[i][id] {
@@ -74,9 +73,8 @@ func RunCoded(n, b int, adv dynnet.Adversary, seed int64) (Result, error) {
 					initial[i] = append(initial[i], rlnc.Encode(idx, kDims, payload))
 				}
 			}
-			rngs[i] = rand.New(rand.NewSource(seed + int64(i)*271 + 5))
 		}
-		nodes, err := rlnc.IndexedBroadcast(s, kDims, token.UIDBits, initial, rngs, rlnc.DefaultSchedule(2*m, kDims), false)
+		nodes, err := rlnc.IndexedBroadcast(s, kDims, token.UIDBits, initial, keyed.Rands(n, seed, keyed.Coins), rlnc.DefaultSchedule(2*m, kDims), false)
 		if err != nil {
 			return err
 		}

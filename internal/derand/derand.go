@@ -19,6 +19,7 @@ import (
 	"repro/internal/dynnet"
 	"repro/internal/gf"
 	"repro/internal/graph"
+	"repro/internal/keyed"
 	"repro/internal/rlnc"
 )
 
@@ -80,7 +81,7 @@ var _ dynnet.OmniscientAdversary = (*StallAdversary)(nil)
 
 // NewStallAdversary targets direction mu over field f.
 func NewStallAdversary(f gf.Field, mu gf.Vec, seed int64) *StallAdversary {
-	return &StallAdversary{mu: mu, f: f, rng: rand.New(rand.NewSource(seed))}
+	return &StallAdversary{mu: mu, f: f, rng: keyed.Rand(seed, keyed.Topology)}
 }
 
 // Graph implements the non-omniscient path for completeness: without
@@ -143,13 +144,7 @@ func (a *StallAdversary) GraphAfterMessages(_ int, nodes []dynnet.Node, msgs []d
 func AdviceSchedule(f gf.Field, seed int64) func(node, round, row int) uint64 {
 	q := f.Q()
 	return func(node, round, row int) uint64 {
-		x := uint64(seed) ^ uint64(node)*0x9e3779b97f4a7c15 ^ uint64(round)*0xbf58476d1ce4e5b9 ^ uint64(row)*0x94d049bb133111eb
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-		return x % q
+		return keyed.Word(seed, keyed.Advice, int64(node), int64(round), int64(row)) % q
 	}
 }
 
@@ -161,16 +156,15 @@ func AdviceSchedule(f gf.Field, seed int64) func(node, round, row int) uint64 {
 // fails to decode; over large fields blocking messages essentially never
 // exist and the broadcast completes on schedule.
 func RunOmniscientBroadcast(f gf.Field, n, payloadElems, schedule int, seed int64) (decodedAll bool, stalls, rounds int, err error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := keyed.Rand(seed, keyed.Payloads)
 	mu := gf.NewVec(n)
 	mu[0] = 1 // target: the direction of token 0
-	adv := NewStallAdversary(f, mu, seed+1)
+	adv := NewStallAdversary(f, mu, seed)
 
 	nodes := make([]*rlnc.GBroadcastNode, n)
 	for i := 0; i < n; i++ {
 		payload := gf.RandomVec(f, payloadElems, rng.Uint64)
-		nrng := rand.New(rand.NewSource(seed + 1000 + int64(i)))
-		nodes[i] = rlnc.NewGBroadcastNode(f, n, payloadElems, []rlnc.GCoded{rlnc.GEncode(f, i, n, payload)}, nrng)
+		nodes[i] = rlnc.NewGBroadcastNode(f, n, payloadElems, []rlnc.GCoded{rlnc.GEncode(f, i, n, payload)}, keyed.Rand(seed, keyed.Coins, int64(i)))
 	}
 	s := dynnet.NewSession(n, adv, dynnet.Config{})
 	if err := dynnet.Run(s, nodes, schedule); err != nil {

@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/dynnet"
 	"repro/internal/gf"
+	"repro/internal/keyed"
 	"repro/internal/rlnc"
 	"repro/internal/token"
 )
@@ -72,14 +73,13 @@ func newState(dist token.Distribution, seed int64) *state {
 		sets:        make([]*token.Set, len(dist)),
 		broadcasted: make(map[token.UID]bool),
 		k:           dist.K(),
-		rngs:        make([]*rand.Rand, len(dist)),
+		rngs:        keyed.Rands(len(dist), seed, keyed.Coins),
 	}
 	for i, ts := range dist {
 		st.sets[i] = token.NewSet()
 		for _, t := range ts {
 			st.sets[i].Add(t)
 		}
-		st.rngs[i] = rand.New(rand.NewSource(seed + int64(i)*0x9e3779b9 + 7))
 	}
 	return st
 }

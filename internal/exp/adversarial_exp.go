@@ -46,7 +46,7 @@ func runAdversarialTrial(cfg Config, n, k, d int, adaptive, hostilePkts bool, se
 		if adaptive {
 			adv = hostile.NewAdaptive(n, seed, rec)
 		} else {
-			adv = adversary.NewRandomConnected(n, n/2, seed+104)
+			adv = adversary.NewRandomConnected(n, n/2, seed)
 		}
 		rc.Transport = hostile.WithAdversary(tr, adv, hostile.TopoConfig{Telemetry: rec})
 	})
@@ -89,7 +89,7 @@ func E14(cfg Config) (*sim.Table, error) {
 	for _, cell := range cells {
 		cell := cell
 		trials, err := sweepSeeded(cfg, cfg.trials(), func(seed int64) (gossipTrial, error) {
-			return runAdversarialTrial(cfg, n, k, d, cell.adaptive, cell.hostile, cfg.Seed+seed)
+			return runAdversarialTrial(cfg, n, k, d, cell.adaptive, cell.hostile, seed)
 		})
 		if err != nil {
 			return nil, err

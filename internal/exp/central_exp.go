@@ -25,7 +25,7 @@ func E10(cfg Config) (*sim.Table, error) {
 	for _, n := range ns {
 		n := n
 		got, err := cfg.sweep(cfg.trials(), func(seed int64) (float64, error) {
-			r, err := central.Run(n, n, d, adversary.NewRandomConnected(n, n/2, cfg.Seed+seed), cfg.Seed+seed)
+			r, err := central.Run(n, n, d, adversary.NewRandomConnected(n, n/2, seed), seed)
 			return float64(r), err
 		})
 		if err != nil {

@@ -93,7 +93,7 @@ func E13(cfg Config) (*sim.Table, error) {
 				if err != nil {
 					return gossipTrial{}, err
 				}
-				rc := cluster.Config{N: n, Seed: cfg.Seed + seed, MaxTicks: 200000, Churn: sched}
+				rc := cluster.Config{N: n, Seed: seed, MaxTicks: 200000, Churn: sched}
 				return runGossipTrial(cfg, rc, k, d, fmt.Sprintf("under churn %q at loss %.2f", schedule.spec, loss),
 					func(rc *cluster.Config) { rc.Transport = lossy(rc, loss) })
 			})
@@ -113,7 +113,7 @@ func E13(cfg Config) (*sim.Table, error) {
 	for _, loss := range losses {
 		loss := loss
 		trials, err := sweepSeeded(cfg, perCell, func(seed int64) (joinerTrial, error) {
-			return runStreamJoinerTrial(cfg, loss, cfg.Seed+seed)
+			return runStreamJoinerTrial(cfg, loss, seed)
 		})
 		if err != nil {
 			return nil, err

@@ -2,12 +2,12 @@ package exp
 
 import (
 	"math"
-	"math/rand"
 
 	"repro/internal/adversary"
 	"repro/internal/dissem"
 	"repro/internal/dynnet"
 	"repro/internal/forwarding"
+	"repro/internal/keyed"
 	"repro/internal/sim"
 	"repro/internal/token"
 )
@@ -16,8 +16,8 @@ import (
 // against the random connected adversary, both rebuilt from the trial's
 // seed.
 func (c Config) nTokens(n, d int, seed int64) (token.Distribution, dynnet.Adversary) {
-	return token.OnePerNode(n, d, rand.New(rand.NewSource(c.Seed+seed))),
-		adversary.NewRandomConnected(n, n/2, c.Seed+seed)
+	return token.OnePerNode(n, d, keyed.Rand(seed, keyed.Payloads)),
+		adversary.NewRandomConnected(n, n/2, seed)
 }
 
 // forwardTrial is one run of the Theorem 2.1 pipelined-flooding baseline
@@ -38,7 +38,7 @@ func (c Config) codedTrial(
 ) func(seed int64) (dissem.Result, error) {
 	return func(seed int64) (dissem.Result, error) {
 		dist, adv := c.nTokens(n, d, seed)
-		return algo(dist, dissem.Params{B: b, D: d, Seed: c.Seed + seed}, adv)
+		return algo(dist, dissem.Params{B: b, D: d, Seed: seed}, adv)
 	}
 }
 
@@ -190,19 +190,16 @@ func E6(cfg Config) (*sim.Table, error) {
 			n, fr := n, fr
 			rounds := n * fr.num / fr.den
 			got, err := cfg.sweep(cfg.trials(), func(seed int64) (float64, error) {
-				rng := rand.New(rand.NewSource(cfg.Seed + seed))
-				dist := token.OnePerNode(n, d, rng)
+				dist := token.OnePerNode(n, d, keyed.Rand(seed, keyed.Payloads))
 				sets := make([]*token.Set, n)
-				rngs := make([]*rand.Rand, n)
 				for i := range sets {
 					sets[i] = token.NewSet()
 					for _, tk := range dist[i] {
 						sets[i].Add(tk)
 					}
-					rngs[i] = rand.New(rand.NewSource(cfg.Seed + seed + int64(i)*31 + 1))
 				}
-				s := dynnet.NewSession(n, adversary.NewRotatingPath(n, cfg.Seed+seed), dynnet.Config{})
-				res, err := forwarding.RandomForward(s, sets, nil, c, rounds, rngs)
+				s := dynnet.NewSession(n, adversary.NewRotatingPath(n, seed), dynnet.Config{})
+				res, err := forwarding.RandomForward(s, sets, nil, c, rounds, keyed.Rands(n, seed, keyed.Coins))
 				if err != nil {
 					return 0, err
 				}

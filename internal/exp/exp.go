@@ -11,11 +11,11 @@ package exp
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/adversary"
 	"repro/internal/dynnet"
 	"repro/internal/gf"
+	"repro/internal/keyed"
 	"repro/internal/rlnc"
 	"repro/internal/sim"
 )
@@ -26,7 +26,8 @@ type Config struct {
 	Trials int
 	// Quick shrinks sweeps to benchmark-friendly sizes.
 	Quick bool
-	// Seed offsets all randomness.
+	// Seed keys all randomness: trial t runs at the seed
+	// keyed.Word(Seed, keyed.Trial, t), so two seeds share no trial.
 	Seed int64
 	// Workers bounds the per-sweep trial worker pool; 0 means
 	// GOMAXPROCS, 1 forces serial execution. Results are identical at
@@ -59,15 +60,18 @@ func (c Config) pcfg() sim.ParallelConfig {
 	return sim.ParallelConfig{Workers: c.Workers, Progress: c.Progress}
 }
 
+// trialSeed is trial t's seed, the only way a trial number reaches a stream.
+func (c Config) trialSeed(t int64) int64 { return int64(keyed.Word(c.Seed, keyed.Trial, t)) }
+
 // sweep runs n seeded trials on the worker pool and summarizes them.
 func (c Config) sweep(n int, fn sim.TrialFunc) (sim.Summary, error) {
-	return sim.ParallelTrials(c.ctx(), c.pcfg(), n, fn)
+	return sim.ParallelTrials(c.ctx(), c.pcfg(), n, func(t int64) (float64, error) { return fn(c.trialSeed(t)) })
 }
 
-// sweepSeeded runs n seeded trials that produce a structured result
-// (rounds plus side metrics), returned in seed order.
+// sweepSeeded runs n trials that produce a structured result (rounds
+// plus side metrics), fn at each trial's seed, returned in trial order.
 func sweepSeeded[T any](c Config, n int, fn func(seed int64) (T, error)) ([]T, error) {
-	return sim.ParallelSeeded(c.ctx(), c.pcfg(), n, fn)
+	return sim.ParallelSeeded(c.ctx(), c.pcfg(), n, func(t int64) (T, error) { return fn(c.trialSeed(t)) })
 }
 
 // Experiment is a named, runnable experiment.
@@ -111,18 +115,16 @@ func Find(id string) (Experiment, error) {
 // the first round after which every node can decode (the quantity whose
 // n-scaling E1 fits). The adversary is rebuilt per trial from the seed.
 func RunIndexedUntilDecoded(n, k, d int, adv dynnet.Adversary, seed int64) (int, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := keyed.Rand(seed, keyed.Payloads)
 	initial := make([][]rlnc.Coded, n)
-	rngs := make([]*rand.Rand, n)
 	for i := range initial {
 		payload := gf.RandomBitVec(d, rng.Uint64)
 		if i < k {
 			initial[i] = []rlnc.Coded{rlnc.Encode(i, k, payload)}
 		}
-		rngs[i] = rand.New(rand.NewSource(seed + 100 + int64(i)))
 	}
 	s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: k + d})
-	_, err := rlnc.IndexedBroadcast(s, k, d, initial, rngs, 64*(n+k), true)
+	_, err := rlnc.IndexedBroadcast(s, k, d, initial, keyed.Rands(n, seed, keyed.Coins), 64*(n+k), true)
 	return s.Round(), err
 }
 
@@ -142,16 +144,14 @@ func E1(cfg Config) (*sim.Table, error) {
 	var xs, ys []float64
 	for _, n := range ns {
 		randomSum, err := cfg.sweep(cfg.trials(), func(seed int64) (float64, error) {
-			adv := adversary.NewRandomConnected(n, n/2, cfg.Seed+seed)
-			r, err := RunIndexedUntilDecoded(n, n, d, adv, cfg.Seed+seed)
+			r, err := RunIndexedUntilDecoded(n, n, d, adversary.NewRandomConnected(n, n/2, seed), seed)
 			return float64(r), err
 		})
 		if err != nil {
 			return nil, err
 		}
 		rotSum, err := cfg.sweep(cfg.trials(), func(seed int64) (float64, error) {
-			adv := adversary.NewRotatingPath(n, cfg.Seed+seed)
-			r, err := RunIndexedUntilDecoded(n, n, d, adv, cfg.Seed+seed)
+			r, err := RunIndexedUntilDecoded(n, n, d, adversary.NewRotatingPath(n, seed), seed)
 			return float64(r), err
 		})
 		if err != nil {

@@ -2,9 +2,14 @@ package exp
 
 import (
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/adversary"
+	"repro/internal/graph"
+	"repro/internal/keyed"
 )
 
 // TestAllExperimentsRunQuick smoke-runs every experiment at Quick scale
@@ -153,5 +158,45 @@ func TestRuntimeVerdictsPassQuick(t *testing.T) {
 		if verdicts == 0 {
 			t.Errorf("%s prints no verdict note", e.ID)
 		}
+	}
+}
+
+// TestTrialSeedsDisjointAcrossRunSeeds: the seeds a sweep hands its
+// trials under -seed 1 and -seed 2 share nothing. Trial t used to run at
+// Seed+t, so -seed 2 replayed four of -seed 1's five trials.
+func TestTrialSeedsDisjointAcrossRunSeeds(t *testing.T) {
+	seeds := func(c Config) []int64 {
+		s, err := sweepSeeded(c, 5, func(seed int64) (int64, error) { return seed, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	first := map[int64]int{}
+	for i, s := range seeds(Config{Seed: 1}) {
+		first[s] = i
+	}
+	for i, s := range seeds(Config{Seed: 2}) {
+		if j, dup := first[s]; dup {
+			t.Errorf("-seed 2's trial %d runs at -seed 1's trial %d's seed %d", i, j, s)
+		}
+	}
+	if len(first) != 5 {
+		t.Errorf("-seed 1's five trials run at %d distinct seeds", len(first))
+	}
+}
+
+// TestE1PayloadsAndTopologyDiffer: within one E1 trial the payload
+// stream (RunIndexedUntilDecoded's) and the random adversary's topology
+// stream are different sequences. Both used to be seeded with the trial
+// seed by value, so the adversary's first graph was the one the payload
+// stream would have drawn.
+func TestE1PayloadsAndTopologyDiffer(t *testing.T) {
+	const n = 16
+	seed := Config{Seed: 1}.trialSeed(0)
+	fromPayloads := graph.RandomConnected(n, n/2, keyed.Rand(seed, keyed.Payloads))
+	topology := adversary.NewRandomConnected(n, n/2, seed).Graph(0, nil)
+	if slices.Equal(fromPayloads.Edges(), topology.Edges()) {
+		t.Error("E1's first topology is the graph its payload stream draws")
 	}
 }

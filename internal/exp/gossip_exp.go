@@ -2,9 +2,9 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/cluster"
+	"repro/internal/keyed"
 	"repro/internal/sim"
 	"repro/internal/token"
 )
@@ -27,7 +27,7 @@ type gossipTrial struct {
 // experiments ride the deterministic parallel trial engine like every
 // other; setting names the cell in the incomplete-run error.
 func runGossipTrial(cfg Config, rc cluster.Config, k, d int, setting string, stack func(rc *cluster.Config)) (gossipTrial, error) {
-	toks := token.RandomSet(k, d, rand.New(rand.NewSource(rc.Seed)))
+	toks := token.RandomSet(k, d, keyed.Rand(rc.Seed, keyed.Payloads))
 	var g gossipTrial
 	for _, mode := range []cluster.Mode{cluster.Coded, cluster.Forward} {
 		rc := rc
@@ -92,7 +92,7 @@ func E11(cfg Config) (*sim.Table, error) {
 	for _, loss := range losses {
 		loss := loss
 		trials, err := sweepSeeded(cfg, cfg.trials(), func(seed int64) (gossipTrial, error) {
-			rc := cluster.Config{N: n, Seed: cfg.Seed + seed, MaxTicks: 100000}
+			rc := cluster.Config{N: n, Seed: seed, MaxTicks: 100000}
 			tr, err := runGossipTrial(cfg, rc, k, d, fmt.Sprintf("at loss %.2f", loss),
 				func(rc *cluster.Config) { rc.Transport = lossy(rc, loss) })
 			if err == nil && loss == 0 && tr.dropped != 0 {

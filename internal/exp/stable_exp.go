@@ -1,13 +1,12 @@
 package exp
 
 import (
-	"math/rand"
-
 	"repro/internal/adversary"
 	"repro/internal/count"
 	"repro/internal/derand"
 	"repro/internal/dynnet"
 	"repro/internal/gf"
+	"repro/internal/keyed"
 	"repro/internal/rlnc"
 	"repro/internal/sim"
 	"repro/internal/stable"
@@ -46,18 +45,14 @@ func E5(cfg Config) (*sim.Table, error) {
 		blocks, payload := geo.Blocks, geo.Payload
 		bits := float64(geo.Capacity())
 		coded, err := cfg.sweep(cfg.trials(), func(seed int64) (float64, error) {
-			rng := rand.New(rand.NewSource(cfg.Seed + seed))
+			rng := keyed.Rand(seed, keyed.Payloads)
 			initial := make([][]rlnc.Coded, n)
 			for j := 0; j < blocks; j++ {
 				initial[0] = append(initial[0], rlnc.Encode(j, blocks, gf.RandomBitVec(payload, rng.Uint64)))
 			}
-			rngs := make([]*rand.Rand, n)
-			for i := range rngs {
-				rngs[i] = rand.New(rand.NewSource(cfg.Seed + seed + int64(i)*17 + 3))
-			}
-			tadv := adversary.NewTStable(adversary.NewRandomConnected(n, n, cfg.Seed+seed), T)
+			tadv := adversary.NewTStable(adversary.NewRandomConnected(n, n, seed), T)
 			s := dynnet.NewSession(n, tadv, dynnet.Config{BitBudget: b})
-			if _, err := stable.Broadcast(s, tadv, geo, initial, rngs); err != nil {
+			if _, err := stable.Broadcast(s, tadv, geo, initial, keyed.Rands(n, seed, keyed.Coins)); err != nil {
 				return 0, err
 			}
 			return float64(s.Metrics().Rounds), nil
@@ -66,9 +61,9 @@ func E5(cfg Config) (*sim.Table, error) {
 			return nil, err
 		}
 		fwd, err := cfg.sweep(cfg.trials(), func(seed int64) (float64, error) {
-			dist := token.AtOne(n, kFwd, d, rand.New(rand.NewSource(cfg.Seed+seed)))
+			dist := token.AtOne(n, kFwd, d, keyed.Rand(seed, keyed.Payloads))
 			r, err := stable.RunFlood(dist, kFwd, b, d, T,
-				adversary.NewTStable(adversary.NewRandomConnected(n, n, cfg.Seed+seed), T))
+				adversary.NewTStable(adversary.NewRandomConnected(n, n, seed), T))
 			return float64(r), err
 		})
 		if err != nil {
@@ -122,7 +117,7 @@ func E7(cfg Config) (*sim.Table, error) {
 	for _, n := range ns {
 		n := n
 		runs, err := sweepSeeded(cfg, cfg.trials(), func(seed int64) (count.Result, error) {
-			return count.Run(n, b, adversary.NewRandomConnected(n, n/2, cfg.Seed+seed), cfg.Seed+seed)
+			return count.Run(n, b, adversary.NewRandomConnected(n, n/2, seed), seed)
 		})
 		if err != nil {
 			return nil, err
@@ -163,7 +158,7 @@ func E8(cfg Config) (*sim.Table, error) {
 			decoded bool
 		}
 		runs, err := sweepSeeded(cfg, cfg.trials(), func(seed int64) (stallTrial, error) {
-			ok, stalls, rounds, err := derand.RunOmniscientBroadcast(f, n, pe, schedule, cfg.Seed+seed)
+			ok, stalls, rounds, err := derand.RunOmniscientBroadcast(f, n, pe, schedule, seed)
 			if err != nil {
 				return stallTrial{}, err
 			}
@@ -208,7 +203,7 @@ func E9(cfg Config) (*sim.Table, error) {
 	for _, k := range ks {
 		k := k
 		fwd, err := cfg.sweep(cfg.trials()*4, func(seed int64) (float64, error) {
-			return endgameForwardRounds(k, cfg.Seed+seed), nil
+			return endgameForwardRounds(k, seed), nil
 		})
 		if err != nil {
 			return nil, err
@@ -225,7 +220,7 @@ func E9(cfg Config) (*sim.Table, error) {
 // is (k+1)/2, the paper's "randomized strategies can improve the
 // expected number of rounds only to k/2".
 func endgameForwardRounds(k int, seed int64) float64 {
-	rng := rand.New(rand.NewSource(seed))
+	rng := keyed.Rand(seed, keyed.Coins)
 	perm := rng.Perm(k)
 	missing := rng.Intn(k)
 	for r, tok := range perm {
@@ -240,7 +235,7 @@ func endgameForwardRounds(k int, seed int64) float64 {
 // B, holding all tokens but one, decodes from a single XOR of all k.
 // It is used by tests and the quickstart example.
 func EndgameCodedDecodes(k, d int, seed int64) bool {
-	rng := rand.New(rand.NewSource(seed))
+	rng := keyed.Rand(seed, keyed.Payloads)
 	span := rlnc.NewSpan(k, d)
 	all := gf.NewBitVec(k + d)
 	missing := rng.Intn(k)

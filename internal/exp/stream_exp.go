@@ -73,7 +73,7 @@ func E12(cfg Config) (*sim.Table, error) {
 		for _, w := range windows {
 			loss, w := loss, w
 			trials, err := sweepSeeded(cfg, cfg.trials(), func(seed int64) (streamTrial, error) {
-				return runStreamTrial(cfg, n, k, d, gens, w, loss, cfg.Seed+seed)
+				return runStreamTrial(cfg, n, k, d, gens, w, loss, seed)
 			})
 			if err != nil {
 				return nil, err

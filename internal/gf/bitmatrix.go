@@ -309,13 +309,6 @@ func (m *BitMatrix) Contains(v BitVec) bool {
 	return m.Reduce(v).IsZero()
 }
 
-// RREF is a no-op kept for API compatibility: Insert maintains reduced
-// row echelon form incrementally, so the matrix is always fully
-// back-eliminated. After any sequence of Inserts, if the matrix spans
-// all k unit vectors on the first k coordinates, Row(i) directly reveals
-// coordinate block i.
-func (m *BitMatrix) RREF() {}
-
 // RowWithLead returns the index of the row whose pivot column is exactly
 // c, or -1 if no row pivots there. Rows are sorted by pivot, so this is
 // a binary search.

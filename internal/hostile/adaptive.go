@@ -4,9 +4,9 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/dynnet"
 	"repro/internal/graph"
+	"repro/internal/keyed"
 	"repro/internal/telemetry"
 )
 
@@ -50,7 +50,7 @@ func NewAdaptive(n int, seed int64, rec *telemetry.Recorder) *Adaptive {
 	if rec == nil {
 		panic("hostile: Adaptive needs a telemetry recorder")
 	}
-	return &Adaptive{n: n, rng: cluster.NewRand(seed, cluster.RandAdversary), rec: rec, g: graph.New(n)}
+	return &Adaptive{n: n, rng: keyed.Rand(seed, keyed.Adversary), rec: rec, g: graph.New(n)}
 }
 
 // Graph serves the round's rank-sorted path, valid until the next call.

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/keyed"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -223,7 +224,7 @@ type mutSender struct {
 const staleHistory = 32
 
 // WithMutator adds a rule to t that, with the spec's probabilities
-// drawn from the sender's stream (seed, RandMutator, sender),
+// drawn from the sender's stream (seed, keyed.Mutator, sender),
 // duplicates a packet, replays a stale one from the sender's own
 // history, truncates it, flips bits in it, or parks it behind the
 // sender's next packet parked here. Copies are fresh allocations (the
@@ -240,7 +241,7 @@ func WithMutator(t cluster.Transport, spec MutationSpec, seed int64, tel *teleme
 	}
 	rates := spec.rates()
 	senders := cluster.Senders[mutSender]{New: func(from int) *mutSender {
-		s := &mutSender{rng: cluster.NewRand(seed, cluster.RandMutator, int64(from))}
+		s := &mutSender{rng: keyed.Rand(seed, keyed.Mutator, int64(from))}
 		if spec.Stale > 0 {
 			s.history = make([][]byte, 0, staleHistory)
 		}

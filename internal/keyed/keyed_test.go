@@ -1,7 +1,6 @@
-package cluster
+package keyed
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -53,7 +52,7 @@ func bitBalance(t *testing.T, name string, words []uint64) {
 // TestKeyedStreamBitBalance: 1 Mi words of one stream, every bit
 // position and the total within 4σ.
 func TestKeyedStreamBitBalance(t *testing.T) {
-	rng := NewRand(1, RandNode, 0, 0)
+	rng := Rand(1, Node, 0, 0)
 	words := make([]uint64, 1<<20)
 	for i := range words {
 		words[i] = rng.Uint64()
@@ -67,7 +66,7 @@ func TestKeyedStreamBitBalance(t *testing.T) {
 func TestKeyedStreamIntnUniform(t *testing.T) {
 	const draws = 1 << 16
 	for _, n := range []int{3, 16, 8192} {
-		rng := NewRand(1, RandNode, int64(n), 0)
+		rng := Rand(1, Node, int64(n), 0)
 		counts := make([]int, n-1)
 		for i := 0; i < draws; i++ {
 			counts[rng.Intn(n-1)]++
@@ -99,8 +98,8 @@ func TestKeysDifferingByOneDecorrelate(t *testing.T) {
 		picks := make([]int, n-1)
 		for i := range first {
 			seed, index := c.key(int64(i))
-			first[i] = NewRand(seed, RandNode, index...).Uint64()
-			picks[NewRand(seed, RandNode, index...).Intn(n-1)]++
+			first[i] = Rand(seed, Node, index...).Uint64()
+			picks[Rand(seed, Node, index...).Intn(n-1)]++
 			if i > 0 {
 				flips[i-1] = first[i] ^ first[i-1]
 			}
@@ -114,68 +113,49 @@ func TestKeysDifferingByOneDecorrelate(t *testing.T) {
 }
 
 // TestKeysDoNotCollide: the first words of every purpose × index of a
-// small grid, under three seeds whose sums used to coincide (S+1: node
-// 0's rng was generation 0's token source, and one trial's loss stream
-// the next trial's reorder stream; S+7919: node id's stream was node
+// small grid, and the key words Word hands out directly (advice
+// coefficients, trial seeds), under three seeds whose sums used to
+// coincide (S+1: node 0's rng was generation 0's token source, one
+// trial's loss stream the next trial's reorder stream, and -seed S+1's
+// trials all but one of -seed S's; S+7919: node id's stream was node
 // id-1's), are pairwise distinct.
 func TestKeysDoNotCollide(t *testing.T) {
 	const s = 42
 	seen := map[uint64]string{}
-	add := func(name string, seed int64, p Purpose, index ...int64) {
-		w := NewRand(seed, p, index...).Uint64()
-		name = fmt.Sprintf("seed %d %s", seed, name)
+	add := func(name string, w uint64) {
 		if other, dup := seen[w]; dup {
-			t.Errorf("%s and %s start on the same word %#x", name, other, w)
+			t.Errorf("%s and %s are the same word %#x", name, other, w)
 		}
 		seen[w] = name
 	}
+	stream := func(name string, seed int64, p Purpose, index ...int64) {
+		add(fmt.Sprintf("seed %d %s", seed, name), Rand(seed, p, index...).Uint64())
+	}
 	for _, seed := range []int64{s, s + 1, s + 7919} {
 		for i := int64(0); i < 64; i++ {
-			add(fmt.Sprintf("node %d", i), seed, RandNode, i, 0)
-			add(fmt.Sprintf("node %d respawned at tick %d", i, i+1), seed, RandNode, i, i+1)
-			add(fmt.Sprintf("generation %d", i), seed, RandGeneration, i)
+			stream(fmt.Sprintf("node %d", i), seed, Node, i, 0)
+			stream(fmt.Sprintf("node %d respawned at tick %d", i, i+1), seed, Node, i, i+1)
+			stream(fmt.Sprintf("generation %d", i), seed, Generation, i)
+			stream(fmt.Sprintf("coins of node %d", i), seed, Coins, i)
+			add(fmt.Sprintf("seed %d trial %d", seed, i), Word(seed, Trial, i))
+			for r := int64(0); r < 16; r++ {
+				for row := int64(0); row < 4; row++ {
+					add(fmt.Sprintf("seed %d advice (%d, %d, %d)", seed, i, r, row), Word(seed, Advice, i, r, row))
+				}
+			}
 		}
 		for name, p := range map[string]Purpose{
-			"churn": RandChurn, "loss": RandLoss, "delay": RandDelay,
-			"reorder": RandReorder, "adversary": RandAdversary, "mutator": RandMutator,
+			"churn": Churn, "loss": Loss, "delay": Delay, "reorder": Reorder,
+			"adversary": Adversary, "mutator": Mutator, "payloads": Payloads, "topology": Topology,
 		} {
-			add(name, seed, p)
+			stream(name, seed, p)
 		}
 	}
-	// The collision the sums had at every seed, by name.
-	if NewRand(s, RandNode, 0, 0).Uint64() == NewRand(s, RandGeneration, 0).Uint64() {
+	// The collisions the sums had at every seed, by name.
+	if Rand(s, Node, 0, 0).Uint64() == Rand(s, Generation, 0).Uint64() {
 		t.Error("node 0 codes with the bits generation 0's payloads were drawn from")
 	}
-}
-
-// TestKeyedStreamUsefulness is the differential run against math/rand:
-// the share of received packets that were innovative, pooled over 64
-// coded lockstep runs of 256 nodes (k = 32, seeds 1…64). The parent of
-// the keyed generator, on math/rand's lagged-Fibonacci sources, read
-// 522240/894198 = 0.5840 on the same 64 runs, with a standard error of
-// 0.0046 (per-seed standard deviation 0.036: the ratio is needed rank
-// over packets sent before the last node finishes, so it moves with
-// each run's last tick). Five seeds, 0.5739 there and 0.5538 here, sit
-// inside their own 0.015 and say nothing; 128 seeds read 0.5836 and
-// 0.5876. The fence is two standard errors of a difference below the
-// recorded value: a generator whose picks or coins correlate across
-// nodes loses more than that.
-func TestKeyedStreamUsefulness(t *testing.T) {
-	const mathRand, seDiff = 0.5840, 0.0065
-	var innovative, received int64
-	for seed := int64(1); seed <= 64; seed++ {
-		res, err := Run(context.Background(), Config{N: 256, Seed: seed, Lockstep: true}, testTokens(32, 64, seed))
-		if err != nil || !res.Completed {
-			t.Fatalf("seed %d: completed=%v err=%v", seed, res != nil && res.Completed, err)
-		}
-		for _, m := range res.Nodes {
-			innovative += m.Innovative
-		}
-		received += res.PacketsIn
-	}
-	got := float64(innovative) / float64(received)
-	t.Logf("innovative/received = %d/%d = %.4f (math/rand: %.4f)", innovative, received, got, mathRand)
-	if got < mathRand-2*seDiff {
-		t.Errorf("innovative/received = %.4f, more than two standard errors below math/rand's %.4f", got, mathRand)
+	if Rand(s, Payloads).Uint64() == Rand(s, Topology).Uint64() {
+		t.Error("a trial's payloads and its topology draw one sequence")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dynnet"
 	"repro/internal/gf"
+	"repro/internal/keyed"
 )
 
 // BroadcastNode is the k-indexed-broadcast algorithm of Lemma 5.3 as a
@@ -119,12 +120,8 @@ func RunIndexedBroadcast(
 	budget int,
 	seed int64,
 ) (int, [][]gf.BitVec, error) {
-	rngs := make([]*rand.Rand, len(initial))
-	for i := range rngs {
-		rngs[i] = rand.New(rand.NewSource(seed + int64(i)*1664525 + 1013904223))
-	}
 	s := dynnet.NewSession(len(initial), adv, dynnet.Config{BitBudget: budget})
-	nodes, err := IndexedBroadcast(s, k, payloadBits, initial, rngs, schedule, false)
+	nodes, err := IndexedBroadcast(s, k, payloadBits, initial, keyed.Rands(len(initial), seed, keyed.Coins), schedule, false)
 	if err != nil {
 		return s.Round(), nil, err
 	}

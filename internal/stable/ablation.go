@@ -2,12 +2,12 @@ package stable
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/adversary"
 	"repro/internal/dynnet"
 	"repro/internal/gf"
 	"repro/internal/graph"
+	"repro/internal/keyed"
 	"repro/internal/rlnc"
 )
 
@@ -23,7 +23,7 @@ import (
 // per-round progress.
 func AblationMetaRounds(g *graph.Graph, d, blocks, payload, chunkBits int, secondShare bool, seed int64, maxMeta int) (int, error) {
 	n := g.N()
-	rng := rand.New(rand.NewSource(seed))
+	rng := keyed.Rand(seed, keyed.Payloads)
 	s := dynnet.NewSession(n, adversary.NewStatic(g), dynnet.Config{})
 	patches, err := BuildPatches(s, d, rng)
 	if err != nil {
@@ -33,10 +33,9 @@ func AblationMetaRounds(g *graph.Graph, d, blocks, payload, chunkBits int, secon
 		return 0, err
 	}
 	spans := make([]*rlnc.Span, n)
-	rngs := make([]*rand.Rand, n)
+	rngs := keyed.Rands(n, seed, keyed.Coins)
 	for i := range spans {
 		spans[i] = rlnc.NewSpan(blocks, payload)
-		rngs[i] = rand.New(rand.NewSource(seed + int64(i)*131 + 1))
 	}
 	for j := 0; j < blocks; j++ {
 		spans[0].Add(rlnc.Encode(j, blocks, gf.RandomBitVec(payload, rng.Uint64)))

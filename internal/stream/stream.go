@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/keyed"
 	"repro/internal/telemetry"
 	"repro/internal/token"
 	"repro/internal/wire"
@@ -121,7 +122,7 @@ func (s *seededSource) Generation(g int) []token.Token {
 // buildUncached constructs generation g's tokens from the seed alone —
 // the pure function the cache memoizes.
 func (s *seededSource) buildUncached(g int) []token.Token {
-	rng := cluster.NewRand(s.seed, cluster.RandGeneration, int64(g))
+	rng := keyed.Rand(s.seed, keyed.Generation, int64(g))
 	out := make([]token.Token, s.k)
 	for j := range out {
 		out[j] = token.Random(token.NewUID(j, g), s.d, rng)

@@ -346,7 +346,7 @@ func TestStreamObservesContext(t *testing.T) {
 // pooled zero-allocation path — ring-recycled buffers, scratch packets,
 // the memoized source — to its coin draws and emission order. A codec
 // change may move the bits column alone; only a change to
-// cluster.NewRand's keys or generator re-pins the rest, inputs
+// keyed.Rand's keys or generator re-pins the rest, inputs
 // unchanged.
 func TestStreamLockstepGoldenTranscripts(t *testing.T) {
 	ctx := context.Background()
