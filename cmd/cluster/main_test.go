@@ -203,7 +203,7 @@ func TestFullStackTranscriptPinned(t *testing.T) {
 	if err := o.run(&out); err != nil {
 		t.Fatal(err)
 	}
-	const want = "5b11ab9dc4e38017c2b1a6cf0c227a78bce95ef1963e35a1f5026914a3134dc3"
+	const want = "164030c244300d39371e0c823c989187ef898301ce52b921da4d33d2e07b6929"
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out.String()))); got != want {
 		t.Errorf("report sha256 %s, want %s:\n%s", got, want, out.String())
 	}

@@ -219,7 +219,7 @@ func TestFullStackTranscriptPinned(t *testing.T) {
 	if err := o.run(&out); err != nil {
 		t.Fatal(err)
 	}
-	const want = "90ab673062502089c1ab0bf9fc2913efabd31a6f2c7ae4d0d2d3e7dfcb2828bb"
+	const want = "03afebbd318c8db465ef844807e528afaef3cdedc93769c4116bdb8c6b43df9b"
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out.String()))); got != want {
 		t.Errorf("report sha256 %s, want %s:\n%s", got, want, out.String())
 	}

@@ -127,11 +127,11 @@ func Example_adversarial() {
 	// Output:
 	// coded indexed broadcast vs adversaries (n = k = 16)
 	//
-	// oblivious random adversary:   decoded after  12 rounds
-	// adaptive isolation adversary: decoded after  13 rounds (one useful edge per round)
+	// oblivious random adversary:   decoded after  10 rounds
+	// adaptive isolation adversary: decoded after  14 rounds (one useful edge per round)
 	//
 	// omniscient staller (sees messages before wiring; Theorem 6.1):
-	//   GF(2)     blocked 313 of 320 crossing rounds; decoded in 20n rounds: false
+	//   GF(2)     blocked 314 of 320 crossing rounds; decoded in 20n rounds: false
 	//   GF(2^8)   blocked   0 of  15 crossing rounds; decoded in 20n rounds: true
 	//   F_65537   blocked   0 of  15 crossing rounds; decoded in 20n rounds: true
 	//
@@ -169,7 +169,7 @@ func Example_counting() {
 	// counting dynamic networks by estimate doubling (Section 4.1)
 	//
 	// true n  estimate  phases  total rounds   final phase   ratio
-	//      5         8       3            28            16    1.75
+	//      5         8       3            26            16    1.62
 	//     10        16       4            58            32    1.81
 	//     20        32       5           166            96    1.73
 	//     40        64       6           454           256    1.77
@@ -236,9 +236,9 @@ func Example_stable() {
 	// T-stable coded broadcast from one source (n = 48, b = 160)
 	//
 	//     T shipped bits         rounds   bits/round   full window capacity
-	//    48          108             94         1.15              4096 bits
-	//    96          432            228         1.89             16384 bits
-	//   192         1728            517         3.34             73984 bits
+	//    48          108            131         0.82              4096 bits
+	//    96          432            244         1.77             16384 bits
+	//   192         1728            490         3.53             73984 bits
 	//
 	// capacity grows ~4x per T doubling (the (bT)^2 mechanism of Lemma 8.1);
 	// every broadcast decoded at all nodes despite per-window topology changes

@@ -253,16 +253,16 @@ func TestRandomStacksPinned(t *testing.T) {
 		"1c0ad3b51442c655",
 		"8335cd90235ffd95",
 		"327c89aae0df2449",
-		"46bc18f4d304f858",
+		"9774829b3a41d07a",
 		"d3ae9df511b598a2",
-		"c6ccafe8609f0fb0",
+		"e057e63857a86adb",
 		"9ee9874e21174ab4",
 		"dbbbccb6b893ee1f",
 		"998b9e3771a87734",
 		"4fc8e6ef12edcac1",
-		"7e3c6cfb055c053d",
+		"594b6bc16fc3f884",
 		"e56e66ec6740fef4",
-		"4c065458d9f9f40c",
+		"fbab6da2542af9d2",
 		"52fe78c217c9483a",
 		"e3e5597454d5cc2d",
 		"5b1781d730f229f3",
@@ -276,11 +276,11 @@ func TestRandomStacksPinned(t *testing.T) {
 		"694be792c48d0468",
 		"e45d89a0d93f02f5",
 		"706ac3f1cbaf6b28",
-		"a7fa09a11744770b",
+		"57adf26ff7a78d65",
 		"91bb7a0c3d7c944c",
 		"091ba5c9c00fda0a",
-		"9f1de551168e3886",
-		"8053a75ab0cf47d1",
+		"ed58b0d54585d6ea",
+		"a8ebca94733cad08",
 		"fc6528f2d62006f5",
 	}
 	for i, stack := range randomStacks() {
@@ -444,7 +444,7 @@ func TestReleaseAfterInnerTick(t *testing.T) {
 	const n, perTick = 8, 6
 	stack := []layerSpec{{kind: "adversary", adv: "rotating-path", seed: 3}, {kind: "plain"}, {kind: "delay", min: 1, max: 2, seed: 5}}
 	run := stackRun{n: n, ticks: 16, perTick: perTick, tail: 3, build: buildStack(stack, n)}
-	const want = "8add2b464e97f6caa5f82395fe89d2e2b8ac49e7b203ffc8a019c947715f8f65"
+	const want = "3dfa40d06c6592697018b7207c184b58fe576a29b5af14c64ee2a22470fcd23e"
 	if got := sha(run.transcript(inShards(n, perTick, 1))); got != want {
 		t.Errorf("transcript sha256 %s, want %s", got, want)
 	}

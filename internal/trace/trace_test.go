@@ -152,22 +152,22 @@ func TestDecodableCurveGolden(t *testing.T) {
 	if len(samples) != 64 {
 		t.Fatalf("samples = %d, want the full 64-round schedule", len(samples))
 	}
-	if round, ok := rec.CompletionRound(); !ok || round != 7 {
-		t.Errorf("completion round = %d (ok=%v), want 7", round, ok)
+	if round, ok := rec.CompletionRound(); !ok || round != 6 {
+		t.Errorf("completion round = %d (ok=%v), want 6", round, ok)
 	}
 
 	curve := rec.DecodableCurve()
 	if len(curve) != len(samples) {
 		t.Fatalf("curve length %d != samples %d", len(curve), len(samples))
 	}
-	wantHead := []float64{2.5, 2.5, 3, 13.0 / 3, 14.0 / 3, 16.0 / 3, 16.0 / 3, 6}
+	wantHead := []float64{17.0 / 6, 17.0 / 6, 10.0 / 3, 4, 4.5, 5.5, 6, 6}
 	for i, want := range wantHead {
 		if math.Abs(curve[i]-want) > 1e-9 {
 			t.Errorf("decodable[%d] = %.6f, want %.6f", i, curve[i], want)
 		}
 	}
 	// After completion every node decodes all k = 6 tokens, forever.
-	for i := 7; i < len(curve); i++ {
+	for i := 6; i < len(curve); i++ {
 		if curve[i] != 6 {
 			t.Fatalf("decodable[%d] = %.3f after completion, want 6", i, curve[i])
 		}
@@ -180,7 +180,7 @@ func TestDecodableCurveGolden(t *testing.T) {
 		}
 	}
 
-	wantInno := []float64{0, 2.0 / 3, 4.0 / 3, 1.0 / 3, 2.0 / 3, 0, 0.5, 0}
+	wantInno := []float64{0, 5.0 / 6, 0.5, 2.0 / 3, 2.0 / 3, 0.5, 0, 0}
 	inno := rec.InnovationCurve()
 	if len(inno) != len(samples)-1 {
 		t.Fatalf("innovation length %d, want %d", len(inno), len(samples)-1)
@@ -191,7 +191,7 @@ func TestDecodableCurveGolden(t *testing.T) {
 		}
 	}
 
-	if got, want := Sparkline(curve, 20), "▁▅▇█████████████████"; got != want {
+	if got, want := Sparkline(curve, 20), "▁▄██████████████████"; got != want {
 		t.Errorf("decodable sparkline %q, want %q", got, want)
 	}
 }
