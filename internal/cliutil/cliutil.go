@@ -107,9 +107,10 @@ func (g *GossipFlags) recorder(nodes int, meta []string) *telemetry.Recorder {
 // purpose (package keyed). The hostile rules stamp telemetry on the
 // sender's goroutine, which is why they go on top; the schedule is
 // clocked by the driver's ticks, whichever driver it is, so -delay, a
-// duration, is lowered to ticks of -interval (rounded up). nodes is the run's full id space. Zero knobs and empty
-// specs add no rule — the golden transcripts rely on the bare transport
-// passing through untouched. Validate checks the rates and the delay.
+// duration, is lowered to ticks of -interval (rounded up). nodes is
+// the run's full id space. Zero knobs and empty specs add no rule — the
+// golden transcripts rely on the bare transport passing through
+// untouched. Validate checks the rates, the delay and the limits.
 func (g *GossipFlags) Wrap(tr cluster.Transport, nodes int, rec *telemetry.Recorder) (cluster.Transport, error) {
 	ms, err := ParseMutateFlag(g.Mutate)
 	if err != nil {

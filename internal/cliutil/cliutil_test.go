@@ -141,36 +141,11 @@ func inProcess() GossipFlags {
 	}
 }
 
-// TestValidateNegativeLimits: a negative -interval, -timeout or
-// -maxticks is an error naming the flag, not the default in disguise;
-// zero still means the default.
-func TestValidateNegativeLimits(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*GossipFlags)
-		want string
-	}{
-		{"negative interval", func(g *GossipFlags) { g.Interval = -time.Millisecond }, "-interval"},
-		{"negative timeout", func(g *GossipFlags) { g.Timeout = -5 * time.Second }, "-timeout"},
-		{"negative maxticks", func(g *GossipFlags) { g.MaxTicks = -3 }, "-maxticks"},
-	}
-	for _, tc := range cases {
-		g := inProcess()
-		tc.mut(&g)
-		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err %v does not name %q", tc.name, err, tc.want)
-		}
-	}
-	g := inProcess()
-	g.Interval, g.Timeout, g.MaxTicks = 0, 0, 0
-	if err := g.Validate(); err != nil {
-		t.Errorf("zero -interval, -timeout and -maxticks: %v, want the defaults", err)
-	}
-}
-
 // TestWrapHostileValidation pins the checks of the loss/reorder/delay
 // knobs that precede every Wrap — Validate's, which Open and cmd/node
-// both run first — and Wrap's identity on zero knobs.
+// both run first — and of the limits, where a negative value is an
+// error and not the default in disguise; and Wrap's identity on zero
+// knobs.
 func TestWrapHostileValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -180,6 +155,9 @@ func TestWrapHostileValidation(t *testing.T) {
 		{"negative delay", func(g *GossipFlags) { g.Delay = -time.Millisecond }, "-delay"},
 		{"reorder high", func(g *GossipFlags) { g.Reorder = 1 }, "-reorder"},
 		{"loss high", func(g *GossipFlags) { g.Loss = 1.5 }, "-loss"},
+		{"negative interval", func(g *GossipFlags) { g.Interval = -time.Millisecond }, "-interval"},
+		{"negative timeout", func(g *GossipFlags) { g.Timeout = -5 * time.Second }, "-timeout"},
+		{"negative maxticks", func(g *GossipFlags) { g.MaxTicks = -3 }, "-maxticks"},
 	}
 	for _, tc := range cases {
 		g := inProcess()

@@ -26,8 +26,7 @@ type Config struct {
 	Trials int
 	// Quick shrinks sweeps to benchmark-friendly sizes.
 	Quick bool
-	// Seed keys all randomness: trial t runs at the seed
-	// keyed.Word(Seed, keyed.Trial, t), so two seeds share no trial.
+	// Seed keys all randomness: trial t runs at trialSeed(t).
 	Seed int64
 	// Workers bounds the per-sweep trial worker pool; 0 means
 	// GOMAXPROCS, 1 forces serial execution. Results are identical at
@@ -60,7 +59,7 @@ func (c Config) pcfg() sim.ParallelConfig {
 	return sim.ParallelConfig{Workers: c.Workers, Progress: c.Progress}
 }
 
-// trialSeed is trial t's seed, the only way a trial number reaches a stream.
+// trialSeed is trial t's seed, keyed so that no two Seeds share a trial.
 func (c Config) trialSeed(t int64) int64 { return int64(keyed.Word(c.Seed, keyed.Trial, t)) }
 
 // sweep runs n seeded trials on the worker pool and summarizes them.
