@@ -2,6 +2,8 @@ package exp
 
 import (
 	"os"
+	"os/exec"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -91,12 +93,12 @@ func TestExperimentIDsAreSequential(t *testing.T) {
 	}
 }
 
-// quickTables renders E1–E10 (the synchronous, paper-model experiments)
-// at Quick scale and seed 1, the way cmd/experiments prints them.
-func quickTables(t *testing.T, workers int) string {
+// quickTables renders exps at Quick scale and seed 1, the way
+// cmd/experiments prints them.
+func quickTables(t *testing.T, exps []Experiment, workers int) string {
 	t.Helper()
 	var b strings.Builder
-	for _, e := range All()[:10] {
+	for _, e := range exps {
 		tbl, err := e.Run(Config{Quick: true, Seed: 1, Workers: workers})
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
@@ -105,6 +107,21 @@ func quickTables(t *testing.T, workers int) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// checkPinned compares exps' quick tables at Workers 1 and 4 with the
+// rendering committed at path.
+func checkPinned(t *testing.T, path string, exps []Experiment) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		if got := quickTables(t, exps, workers); got != string(want) {
+			t.Errorf("Workers=%d tables differ from %s:\n%s", workers, path, got)
+		}
+	}
 }
 
 // TestQuickTablesPinned pins the paper side the way the golden
@@ -118,18 +135,18 @@ func TestQuickTablesPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped with -short")
 	}
-	const path = "testdata/quick-seed1.txt"
-	got := quickTables(t, 1)
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	checkPinned(t, "testdata/quick-seed1.txt", All()[:10])
+}
+
+// TestRuntimeTablesPinned is TestQuickTablesPinned for E11–E14, the
+// experiments that run the lockstep gossip runtimes: their cells are a
+// pure function of the seed too, so a change to how a trial is lowered
+// onto a run leaves testdata/quick-seed1-runtime.txt as it is.
+func TestRuntimeTablesPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow; skipped with -short")
 	}
-	if got != string(want) {
-		t.Errorf("Workers=1 tables differ from %s:\n%s", path, got)
-	}
-	if got4 := quickTables(t, 4); got4 != string(want) {
-		t.Errorf("Workers=4 tables differ from %s:\n%s", path, got4)
-	}
+	checkPinned(t, "testdata/quick-seed1-runtime.txt", All()[10:])
 }
 
 // TestRuntimeVerdictsPassQuick reads the verdicts of E11–E14 — the
@@ -198,5 +215,49 @@ func TestE1PayloadsAndTopologyDiffer(t *testing.T) {
 	topology := adversary.NewRandomConnected(n, n/2, seed).Graph(0, nil)
 	if slices.Equal(fromPayloads.Edges(), topology.Edges()) {
 		t.Error("E1's first topology is the graph its payload stream draws")
+	}
+}
+
+// TestE14CellIsACommandLine: an E14 trial is the run cmd/cluster makes
+// with the cell's flags. At one trial seed the adaptive/hostile cell's
+// coded run finishes at the tick and with the protocol bits the CLI,
+// built and run as a process, reports for the same command line.
+func TestE14CellIsACommandLine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds cmd/cluster; skipped with -short")
+	}
+	bin := filepath.Join(t.TempDir(), "cluster")
+	if out, err := exec.Command("go", "build", "-o", bin, "../../cmd/cluster").CombinedOutput(); err != nil {
+		t.Fatalf("building cmd/cluster: %v\n%s", err, out)
+	}
+	cfg := Config{Quick: true, Seed: 1}
+	seed := cfg.trialSeed(0)
+	tr, err := runAdversarialTrial(cfg, 10, 8, 64, true, true, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-n", "10", "-k", "8", "-payload", "64", "-fanout", "2", "-transport", "lockstep",
+		"-seed", strconv.FormatInt(seed, 10), "-loss", "0.1", "-maxticks", "500000",
+		"-churn", "crashmax:40:1,restart:90:1", "-adversary", "adaptive", "-mutate", e14Mutations.String()}
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("cmd/cluster %v: %v\n%s", args, err, out)
+	}
+	row := func(metric string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(string(out), "\n") {
+			if rest, ok := strings.CutPrefix(line, metric); ok && strings.HasPrefix(rest, "  ") {
+				v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+				if err != nil {
+					t.Fatalf("row %q: %v", line, err)
+				}
+				return v
+			}
+		}
+		t.Fatalf("no %q row in:\n%s", metric, out)
+		return 0
+	}
+	if ticks, bits := row("ticks"), row("protocol bits sent"); ticks != tr.codedTicks || bits != tr.codedBits {
+		t.Errorf("cmd/cluster %v: %g ticks, %g bits; the E14 trial: %g ticks, %g bits", args, ticks, bits, tr.codedTicks, tr.codedBits)
 	}
 }
