@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/cluster"
+	"repro/internal/cliutil"
 	"repro/internal/sim"
 	"repro/internal/stream"
 )
@@ -20,16 +20,13 @@ type joinerTrial struct {
 // watermark it learned from gossip.
 func runStreamJoinerTrial(cfg Config, loss float64, seed int64) (joinerTrial, error) {
 	const n, k, d, gens, w, joinAt = 12, 6, 64, 10, 4, 30
-	sched, err := cluster.ParseChurn(fmt.Sprintf("join:%d:1", joinAt))
+	g := lockstep(cliutil.GossipFlags{N: n, K: k, Payload: d, Loss: loss, Seed: seed, MaxTicks: 500000,
+		Churn: fmt.Sprintf("join:%d:1", joinAt)})
+	rc, err := g.OpenStream(nil, w, gens)
 	if err != nil {
 		return joinerTrial{}, err
 	}
-	rc := stream.Config{
-		N: n, K: k, PayloadBits: d, Window: w, Generations: gens, Fanout: 2,
-		Seed: seed, Lockstep: true, MaxTicks: 500000,
-		Churn: sched, SuspectTicks: 12,
-	}
-	rc.Transport = cluster.WithLoss(rc.DefaultTransport(), loss, seed)
+	rc.SuspectTicks = 12
 	res, err := stream.Run(cfg.ctx(), rc)
 	if err != nil {
 		return joinerTrial{}, err
@@ -89,13 +86,8 @@ func E13(cfg Config) (*sim.Table, error) {
 			schedule, loss := schedule, loss
 			// Victim selection, joins and every coin derive from the seed.
 			trials, err := sweepSeeded(cfg, perCell, func(seed int64) (gossipTrial, error) {
-				sched, err := cluster.ParseChurn(schedule.spec)
-				if err != nil {
-					return gossipTrial{}, err
-				}
-				rc := cluster.Config{N: n, Seed: seed, MaxTicks: 200000, Churn: sched}
-				return runGossipTrial(cfg, rc, k, d, fmt.Sprintf("under churn %q at loss %.2f", schedule.spec, loss),
-					func(rc *cluster.Config) { rc.Transport = lossy(rc, loss) })
+				g := cliutil.GossipFlags{N: n, K: k, Payload: d, Loss: loss, Seed: seed, MaxTicks: 200000, Churn: schedule.spec}
+				return runGossipTrial(cfg, g, fmt.Sprintf("under churn %q at loss %.2f", schedule.spec, loss))
 			})
 			if err != nil {
 				return nil, err

@@ -232,13 +232,13 @@ func TestE14CellIsACommandLine(t *testing.T) {
 	}
 	cfg := Config{Quick: true, Seed: 1}
 	seed := cfg.trialSeed(0)
-	tr, err := runAdversarialTrial(cfg, 10, 8, 64, true, true, seed)
+	tr, err := runGossipTrial(cfg, e14Cell(10, 8, 64, "adaptive", "hostile", seed), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	args := []string{"-n", "10", "-k", "8", "-payload", "64", "-fanout", "2", "-transport", "lockstep",
 		"-seed", strconv.FormatInt(seed, 10), "-loss", "0.1", "-maxticks", "500000",
-		"-churn", "crashmax:40:1,restart:90:1", "-adversary", "adaptive", "-mutate", e14Mutations.String()}
+		"-churn", "crashmax:40:1,restart:90:1", "-adversary", "adaptive", "-mutate", e14Mutations}
 	out, err := exec.Command(bin, args...).CombinedOutput()
 	if err != nil {
 		t.Fatalf("cmd/cluster %v: %v\n%s", args, err, out)

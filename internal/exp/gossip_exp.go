@@ -3,10 +3,9 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/cliutil"
 	"repro/internal/cluster"
-	"repro/internal/keyed"
 	"repro/internal/sim"
-	"repro/internal/token"
 )
 
 // gossipTrial is one seeded data point of the coded-vs-forwarding
@@ -19,41 +18,45 @@ type gossipTrial struct {
 	dropped              int64
 }
 
-// runGossipTrial runs both modes through the lockstep run rc describes
-// (N, Seed, MaxTicks, Churn; fanout 2) over k random d-bit tokens drawn
-// from its seed. stack completes each run's description with its
-// transport — lossy, and whatever the cell layers on top. Lockstep mode
-// makes each run a pure function of its seed, which is what lets these
-// experiments ride the deterministic parallel trial engine like every
-// other; setting names the cell in the incomplete-run error.
-func runGossipTrial(cfg Config, rc cluster.Config, k, d int, setting string, stack func(rc *cluster.Config)) (gossipTrial, error) {
-	toks := token.RandomSet(k, d, keyed.Rand(rc.Seed, keyed.Payloads))
-	var g gossipTrial
-	for _, mode := range []cluster.Mode{cluster.Coded, cluster.Forward} {
-		rc := rc
-		rc.Mode, rc.Fanout, rc.Lockstep = mode, 2, true
-		stack(&rc)
-		res, err := cluster.Run(cfg.ctx(), rc, toks)
-		if err != nil {
-			return g, err
-		}
-		if !res.Completed {
-			return g, fmt.Errorf("exp: %v gossip incomplete %s after %d ticks (seed %d)", mode, setting, res.Ticks, rc.Seed)
-		}
-		g.dropped += res.Dropped
-		if mode == cluster.Coded {
-			g.codedTicks, g.codedBits = float64(res.Ticks), float64(res.BitsOut)
-		} else {
-			g.fwdTicks, g.fwdBits = float64(res.Ticks), float64(res.BitsOut)
-		}
-	}
-	return g, nil
+// lockstep completes a runtime trial's run description with what every
+// trial shares: the deterministic driver on one shard, fanout 2.
+// Lockstep mode makes each run a pure function of its seed, which is
+// what lets these experiments ride the deterministic parallel trial
+// engine like every other.
+func lockstep(g cliutil.GossipFlags) cliutil.GossipFlags {
+	g.Fanout, g.Transport, g.Shards = 2, "lockstep", 1
+	return g
 }
 
-// lossy is the experiments' seeded loss layer over rc's own default
-// transport.
-func lossy(rc *cluster.Config, loss float64) cluster.Transport {
-	return cluster.WithLoss(rc.DefaultTransport(0), loss, rc.Seed)
+// runGossipTrial runs both modes of the run g describes — a command
+// line of cmd/cluster, lowered by the CLIs' own GossipFlags.Open — over
+// the token set g's seed draws. setting names the cell in the
+// incomplete-run error.
+func runGossipTrial(cfg Config, g cliutil.GossipFlags, setting string) (gossipTrial, error) {
+	g = lockstep(g)
+	toks := g.Tokens()
+	var tr gossipTrial
+	for _, mode := range []cluster.Mode{cluster.Coded, cluster.Forward} {
+		rc, err := g.Open(nil)
+		if err != nil {
+			return tr, err
+		}
+		rc.Mode = mode
+		res, err := cluster.Run(cfg.ctx(), rc, toks)
+		if err != nil {
+			return tr, err
+		}
+		if !res.Completed {
+			return tr, fmt.Errorf("exp: %v gossip incomplete %s after %d ticks (seed %d)", mode, setting, res.Ticks, g.Seed)
+		}
+		tr.dropped += res.Dropped
+		if mode == cluster.Coded {
+			tr.codedTicks, tr.codedBits = float64(res.Ticks), float64(res.BitsOut)
+		} else {
+			tr.fwdTicks, tr.fwdBits = float64(res.Ticks), float64(res.BitsOut)
+		}
+	}
+	return tr, nil
 }
 
 // sumTrials adds up a cell's trials.
@@ -92,13 +95,12 @@ func E11(cfg Config) (*sim.Table, error) {
 	for _, loss := range losses {
 		loss := loss
 		trials, err := sweepSeeded(cfg, cfg.trials(), func(seed int64) (gossipTrial, error) {
-			rc := cluster.Config{N: n, Seed: seed, MaxTicks: 100000}
-			tr, err := runGossipTrial(cfg, rc, k, d, fmt.Sprintf("at loss %.2f", loss),
-				func(rc *cluster.Config) { rc.Transport = lossy(rc, loss) })
+			g := cliutil.GossipFlags{N: n, K: k, Payload: d, Loss: loss, Seed: seed, MaxTicks: 100000}
+			tr, err := runGossipTrial(cfg, g, fmt.Sprintf("at loss %.2f", loss))
 			if err == nil && loss == 0 && tr.dropped != 0 {
 				// The inbox is sized so lockstep cannot overflow; a drop on
 				// the lossless row would silently skew the baseline.
-				err = fmt.Errorf("exp: %d drops on the lossless row (seed %d)", tr.dropped, rc.Seed)
+				err = fmt.Errorf("exp: %d drops on the lossless row (seed %d)", tr.dropped, seed)
 			}
 			return tr, err
 		})

@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/cluster"
+	"repro/internal/cliutil"
 	"repro/internal/sim"
 	"repro/internal/stream"
 )
@@ -18,15 +18,13 @@ type streamTrial struct {
 }
 
 // runStreamTrial streams gens generations of k tokens across n nodes at
-// window w. Lockstep mode makes the run a pure function of its seed, so
-// E12 rides the deterministic parallel trial engine like E11.
+// window w: cmd/stream's run at those flags.
 func runStreamTrial(cfg Config, n, k, d, gens, w int, loss float64, seed int64) (streamTrial, error) {
-	const fanout = 2
-	rc := stream.Config{
-		N: n, K: k, PayloadBits: d, Window: w, Generations: gens, Fanout: fanout,
-		Seed: seed, Lockstep: true, MaxTicks: 500000,
+	g := lockstep(cliutil.GossipFlags{N: n, K: k, Payload: d, Loss: loss, Seed: seed, MaxTicks: 500000})
+	rc, err := g.OpenStream(nil, w, gens)
+	if err != nil {
+		return streamTrial{}, err
 	}
-	rc.Transport = cluster.WithLoss(rc.DefaultTransport(), loss, seed)
 	res, err := stream.Run(cfg.ctx(), rc)
 	if err != nil {
 		return streamTrial{}, err
