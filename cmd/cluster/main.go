@@ -51,10 +51,15 @@ type options struct {
 	mode string
 }
 
+// bind binds every flag of the CLI to o on fs.
+func (o *options) bind(fs *flag.FlagSet) {
+	o.Register(fs, "cluster", 64, 32)
+	fs.StringVar(&o.mode, "mode", "coded", "gossip mode: coded | forward")
+}
+
 func main() {
 	var o options
-	o.Register(flag.CommandLine, "cluster", 64, 32)
-	flag.StringVar(&o.mode, "mode", "coded", "gossip mode: coded | forward")
+	o.bind(flag.CommandLine)
 	flag.Parse()
 	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "cluster:", err)

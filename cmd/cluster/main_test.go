@@ -208,3 +208,16 @@ func TestFullStackTranscriptPinned(t *testing.T) {
 		t.Errorf("report sha256 %s, want %s:\n%s", got, want, out.String())
 	}
 }
+
+// TestFlagSurface: cmd/cluster binds exactly these flags, at these
+// defaults, through the shared cliutil block and its own.
+func TestFlagSurface(t *testing.T) {
+	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
+	new(options).bind(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
+	const want = "adversary= churn= delay=0s fanout=2 interval=500µs k=32 loss=0 maxticks=0 mode=coded mutate= n=64 payload=128 reorder=0 seed=1 shards=1 telemetry= timeout=30s trace= transport=chan"
+	if g := strings.Join(got, " "); g != want {
+		t.Errorf("flags\n got %s\nwant %s", g, want)
+	}
+}

@@ -54,8 +54,7 @@ import (
 )
 
 // options carries every flag so tests drive run() without a process.
-// The gossip knobs are the shared cliutil.GossipFlags block, bound
-// here under this CLI's own help text.
+// The gossip knobs are the shared cliutil.GossipFlags block.
 type options struct {
 	cliutil.GossipFlags
 
@@ -73,31 +72,23 @@ type options struct {
 	debugAddr string
 }
 
+// bind binds every flag of the CLI to o on fs.
+func (o *options) bind(fs *flag.FlagSet) {
+	o.Register(fs, "node", 2, 32)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:0", "UDP address to bind (host:port; port 0 = ephemeral)")
+	fs.StringVar(&o.bootstrap, "bootstrap", "", "a peer's UDP address to learn the membership from (empty = this IS the bootstrap node)")
+	fs.IntVar(&o.id, "id", 0, "this node's id in [0, n)")
+	fs.StringVar(&o.mode, "mode", "cluster", "runtime: cluster (one-shot dissemination) | stream (windowed generations)")
+	fs.IntVar(&o.window, "window", 4, "stream: maximum concurrent generations")
+	fs.IntVar(&o.generations, "generations", 8, "stream: number of generations")
+	fs.DurationVar(&o.linger, "linger", 2*time.Second, "keep gossiping this long after local completion")
+	fs.StringVar(&o.metrics, "metrics", "", "write key=value metrics to this file")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /debug/pprof and /debug/vars on this address (host:port; port 0 = ephemeral)")
+}
+
 func main() {
 	var o options
-	flag.StringVar(&o.addr, "addr", "127.0.0.1:0", "UDP address to bind (host:port; port 0 = ephemeral)")
-	flag.StringVar(&o.bootstrap, "bootstrap", "", "a peer's UDP address to learn the membership from (empty = this IS the bootstrap node)")
-	flag.IntVar(&o.id, "id", 0, "this node's id in [0, n)")
-	flag.IntVar(&o.N, "n", 2, "total number of node processes")
-	flag.StringVar(&o.mode, "mode", "cluster", "runtime: cluster (one-shot dissemination) | stream (windowed generations)")
-	flag.IntVar(&o.K, "k", 32, "tokens to disseminate (cluster) or generation size (stream)")
-	flag.IntVar(&o.Payload, "payload", 128, "token payload size in bits")
-	flag.IntVar(&o.Fanout, "fanout", 2, "peers contacted per emission")
-	flag.Int64Var(&o.Seed, "seed", 1, "shared seed; all processes must agree (tokens derive from it)")
-	flag.IntVar(&o.window, "window", 4, "stream: maximum concurrent generations")
-	flag.IntVar(&o.generations, "generations", 8, "stream: number of generations")
-	flag.DurationVar(&o.Interval, "interval", 2*time.Millisecond, "emission pacing")
-	flag.DurationVar(&o.Timeout, "timeout", 60*time.Second, "wall-clock cap for bootstrap and for the run")
-	flag.DurationVar(&o.linger, "linger", 2*time.Second, "keep gossiping this long after local completion")
-	flag.Float64Var(&o.Loss, "loss", 0, "injected packet loss rate in [0,1), above the socket")
-	flag.DurationVar(&o.Delay, "delay", 0, "injected per-packet latency upper bound, in units of -interval")
-	flag.Float64Var(&o.Reorder, "reorder", 0, "injected packet reordering rate in [0,1)")
-	flag.StringVar(&o.Adversary, "adversary", "", cliutil.AdversaryHelp)
-	flag.StringVar(&o.Mutate, "mutate", "", `hostile-packet mutation spec, e.g. "dup:0.05,stale:0.1" (ops: dup|stale|trunc|flip|xgen|all)`)
-	flag.StringVar(&o.metrics, "metrics", "", "write key=value metrics to this file")
-	flag.StringVar(&o.Trace, "trace", "", "trace the run and render node<id>-{telemetry.txt,heatmap.svg,timeline.svg,packetflow.svg} into this directory")
-	flag.StringVar(&o.Telemetry, "telemetry", "", cliutil.TelemetryHelp)
-	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve /debug/pprof and /debug/vars on this address (host:port; port 0 = ephemeral)")
+	o.bind(flag.CommandLine)
 	flag.Parse()
 	// SIGTERM joins SIGINT so a `kill` (what launchers and CI send)
 	// drains through the same cancellation path and still flushes the

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -431,4 +432,23 @@ func TestTelemetryOneTimeBase(t *testing.T) {
 			check(t, file(id), elapsed, "s", "send", "recv", "mutate", "adv_cut", "net")
 		}
 	})
+}
+
+// TestFlagSurface: cmd/node binds exactly these flags, at these
+// defaults, through the shared cliutil block and its own; the
+// in-process flags of cmd/cluster and cmd/stream are not among them.
+func TestFlagSurface(t *testing.T) {
+	fs := flag.NewFlagSet("node", flag.ContinueOnError)
+	new(options).bind(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
+	const want = "addr=127.0.0.1:0 adversary= bootstrap= debug-addr= delay=0s fanout=2 generations=8 id=0 interval=2ms k=32 linger=2s loss=0 metrics= mode=cluster mutate= n=2 payload=128 reorder=0 seed=1 telemetry= timeout=1m0s trace= window=4"
+	if g := strings.Join(got, " "); g != want {
+		t.Errorf("flags\n got %s\nwant %s", g, want)
+	}
+	for _, name := range []string{"shards", "transport", "maxticks", "churn"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("cmd/node binds the in-process flag -%s", name)
+		}
+	}
 }

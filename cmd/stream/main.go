@@ -53,11 +53,16 @@ type options struct {
 	window, generations int
 }
 
+// bind binds every flag of the CLI to o on fs.
+func (o *options) bind(fs *flag.FlagSet) {
+	o.Register(fs, "stream", 32, 16)
+	fs.IntVar(&o.window, "window", 4, "generations gossiped concurrently (1 = sequential)")
+	fs.IntVar(&o.generations, "generations", 16, "stream length in generations")
+}
+
 func main() {
 	var o options
-	o.Register(flag.CommandLine, "stream", 32, 16)
-	flag.IntVar(&o.window, "window", 4, "generations gossiped concurrently (1 = sequential)")
-	flag.IntVar(&o.generations, "generations", 16, "stream length in generations")
+	o.bind(flag.CommandLine)
 	flag.Parse()
 	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "stream:", err)

@@ -24,11 +24,10 @@ import (
 	"repro/internal/token"
 )
 
-// GossipFlags is the flag block the gossip CLIs share. cmd/cluster and
-// cmd/stream bind all of it with Register; cmd/node, whose runtime is
-// one process per node over a socket, binds the fields it has flags
-// for under its own help text and leaves the in-process ones zero;
-// cmd/repobench fills it from its own flags and the swept value.
+// GossipFlags is the flag block the gossip CLIs share. cmd/cluster,
+// cmd/stream and cmd/node bind it with Register; cmd/repobench fills it
+// from its own flags and the swept value, and the runtime experiments
+// E11–E14 (internal/exp) write each trial as a literal.
 type GossipFlags struct {
 	N, K, Payload, Fanout int
 	Loss, Reorder         float64
@@ -43,39 +42,44 @@ type GossipFlags struct {
 	Transport, Churn string
 }
 
-// Register binds every field to its flag on fs. driver is the CLI's
-// name ("cluster" or "stream"): it names the -trace artifacts and
-// picks the help text where the two differ; n and k are its defaults.
+// Register binds the block's flags on fs. driver is the CLI's name
+// ("cluster", "stream" or "node"): it names the -trace artifacts and
+// picks the help text and defaults where the CLIs differ; n and k are
+// its defaults. cmd/node runs one process of N over a socket: it gets
+// none of the in-process flags, and its tick and cap also pace and
+// bound the bootstrap.
 func (g *GossipFlags) Register(fs *flag.FlagSet, driver string, n, k int) {
-	kHelp, churnEx, mutateEx := "number of tokens", "join:500:2,crash:1000:1", "dup:0.05,stale:0.1"
-	if driver == "stream" {
+	kHelp, churnEx, mutateEx, artifacts := "number of tokens", "join:500:2,crash:1000:1", "dup:0.05,stale:0.1", driver
+	interval, timeout := 500*time.Microsecond, 30*time.Second
+	switch driver {
+	case "stream":
 		kHelp, churnEx, mutateEx = "tokens per generation", "crash:30:1,join:60:1", "stale:0.1,xgen:0.05"
+	case "node":
+		kHelp, artifacts = "tokens to disseminate (cluster) or generation size (stream)", "node<id>"
+		interval, timeout = 2*time.Millisecond, time.Minute
 	}
 	fs.IntVar(&g.N, "n", n, "number of nodes")
 	fs.IntVar(&g.K, "k", k, kHelp)
 	fs.IntVar(&g.Payload, "payload", 128, "token payload size in bits")
 	fs.Float64Var(&g.Loss, "loss", 0, "packet loss rate in [0,1)")
 	fs.IntVar(&g.Fanout, "fanout", 2, "peers contacted per emission")
-	fs.IntVar(&g.Shards, "shards", 1, "lockstep worker shards (bit-identical to serial at any count)")
-	fs.StringVar(&g.Transport, "transport", "chan", "transport: chan (async) | lockstep (deterministic)")
 	fs.Int64Var(&g.Seed, "seed", 1, "random seed (lockstep runs are a pure function of it)")
-	fs.DurationVar(&g.Interval, "interval", 500*time.Microsecond, "async emission pacing")
-	fs.DurationVar(&g.Timeout, "timeout", 30*time.Second, "async wall-clock cap")
+	fs.DurationVar(&g.Interval, "interval", interval, "async emission pacing")
+	fs.DurationVar(&g.Timeout, "timeout", timeout, "async wall-clock cap")
 	fs.DurationVar(&g.Delay, "delay", 0, "per-packet latency upper bound, in units of -interval (uniform in [delay/10, delay])")
 	fs.Float64Var(&g.Reorder, "reorder", 0, "packet reordering rate in [0,1)")
+	fs.StringVar(&g.Adversary, "adversary", "", "topology adversary name[:params] (random | rotating-path | static-<topology> | tstable:<T> | tinterval:<T> | adaptive | trace:<file>)")
+	fs.StringVar(&g.Mutate, "mutate", "", `hostile-packet mutation spec, e.g. "`+mutateEx+`" (ops: dup|stale|trunc|flip|xgen|all)`)
+	fs.StringVar(&g.Trace, "trace", "", "trace the run and render "+artifacts+"-{telemetry.txt,heatmap.svg,timeline.svg,packetflow.svg} into this directory")
+	fs.StringVar(&g.Telemetry, "telemetry", "", "trace the run and write the telemetry v1 text export to this file")
+	if driver == "node" {
+		return
+	}
+	fs.IntVar(&g.Shards, "shards", 1, "lockstep worker shards (bit-identical to serial at any count)")
+	fs.StringVar(&g.Transport, "transport", "chan", "transport: chan (async) | lockstep (deterministic)")
 	fs.IntVar(&g.MaxTicks, "maxticks", 0, "lockstep tick cap (0 = default)")
 	fs.StringVar(&g.Churn, "churn", "", `membership schedule, e.g. "`+churnEx+`" (kinds: join|leave|crash|restart|rejoin|crashmax|crashfrontier)`)
-	fs.StringVar(&g.Adversary, "adversary", "", AdversaryHelp)
-	fs.StringVar(&g.Mutate, "mutate", "", `hostile-packet mutation spec, e.g. "`+mutateEx+`" (ops: dup|stale|trunc|flip|xgen|all)`)
-	fs.StringVar(&g.Trace, "trace", "", "trace the run and render "+driver+"-{telemetry.txt,heatmap.svg,timeline.svg,packetflow.svg} into this directory")
-	fs.StringVar(&g.Telemetry, "telemetry", "", TelemetryHelp)
 }
-
-// Help text of the flags every gossip CLI words the same way.
-const (
-	AdversaryHelp = `topology adversary name[:params] (random | rotating-path | static-<topology> | tstable:<T> | tinterval:<T> | adaptive | trace:<file>)`
-	TelemetryHelp = "trace the run and write the telemetry v1 text export to this file"
-)
 
 // Tokens derives the one-shot run's token set from the flags — the
 // derivation every process of a multi-process run repeats, so all of
