@@ -22,6 +22,7 @@ import (
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/token"
+	"repro/internal/wire"
 )
 
 // GossipFlags is the flag block the gossip CLIs share. cmd/cluster,
@@ -171,6 +172,11 @@ func (g *GossipFlags) open(socket cluster.Transport, fabric func(cluster.Config)
 			// The engine rejects this too; said here in flag names.
 			return cfg, fmt.Errorf("-shards %d needs -transport lockstep: the async driver is already concurrent", g.Shards)
 		}
+		// What the flags checked leaves the id space to check, before
+		// anything is sized by it.
+		if err := cfg.Check(); err != nil {
+			return cfg, fmt.Errorf("-churn: %w", err)
+		}
 		base = fabric(cfg)
 	}
 	cfg.Telemetry = g.recorder(cfg.MaxNodes(), meta)
@@ -205,6 +211,10 @@ func (g *GossipFlags) Validate() error {
 		return fmt.Errorf("-k must be at least 1, got %d", g.K)
 	case g.Payload < 1:
 		return fmt.Errorf("-payload must be at least 1 bit, got %d", g.Payload)
+	case g.Payload > wire.MaxVecBits-token.UIDBits-g.K:
+		// A coded packet carries -k coefficients, the uid and the payload,
+		// and every decoder refuses a vector past the cap.
+		return fmt.Errorf("-payload %d does not fit a coded packet: -k %d coefficients, %d uid bits and the payload exceed the codec's %d-bit cap", g.Payload, g.K, token.UIDBits, wire.MaxVecBits)
 	case g.Fanout < 1:
 		return fmt.Errorf("-fanout must be at least 1, got %d", g.Fanout)
 	case g.Fanout >= g.N:

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/stream"
+	"repro/internal/wire"
 )
 
 // validateGossip runs GossipFlags.Validate over the given knobs.
@@ -19,6 +20,9 @@ func validateGossip(n, k, payload, fanout int, loss, reorder float64) error {
 func TestValidateGossip(t *testing.T) {
 	if err := validateGossip(2, 1, 1, 1, 0, 0); err != nil {
 		t.Fatalf("minimal valid flags rejected: %v", err)
+	}
+	if err := validateGossip(8, 4, wire.MaxVecBits-64-4, 2, 0, 0); err != nil {
+		t.Errorf("a coded packet of exactly the codec's cap rejected: %v", err)
 	}
 	cases := []struct {
 		name                  string
@@ -36,6 +40,7 @@ func TestValidateGossip(t *testing.T) {
 		{"loss high", 8, 4, 32, 2, 1, 0, "-loss"},
 		{"reorder low", 8, 4, 32, 2, 0, -1, "-reorder"},
 		{"reorder high", 8, 4, 32, 2, 0, 1.2, "-reorder"},
+		{"payload past the codec's cap", 8, 4, wire.MaxVecBits - 64 - 3, 2, 0, 0, "-payload"},
 	}
 	for _, tc := range cases {
 		err := validateGossip(tc.n, tc.k, tc.payload, tc.fanout, tc.loss, tc.reorder)
@@ -85,8 +90,16 @@ func TestParseChurnFlag(t *testing.T) {
 	if sched, err := ParseChurnFlag(""); sched != nil || err != nil {
 		t.Errorf("empty churn flag -> %v, %v; want nil, nil", sched, err)
 	}
-	if _, err := ParseChurnFlag("meteor:10:1"); err == nil || !strings.Contains(err.Error(), "-churn") {
-		t.Errorf("bad churn flag: err %v does not name -churn", err)
+	for _, bad := range []string{"meteor:10:1", "join:5:9223372036854775807,join:6:1", "join:5:100000000000"} {
+		if _, err := ParseChurnFlag(bad); err == nil || !strings.Contains(err.Error(), "-churn") {
+			t.Errorf("churn flag %q: err %v does not name -churn", bad, err)
+		}
+	}
+	// Joins the schedule alone allows but N's ids leave no room for are
+	// rejected before anything is sized by the id space.
+	g := GossipFlags{N: 8, K: 4, Payload: 32, Fanout: 2, Transport: "lockstep", Shards: 1, Churn: "join:5:4294967290"}
+	if _, err := g.Open(nil); err == nil || !strings.Contains(err.Error(), "-churn") {
+		t.Errorf("-n 8 -churn %s: err %v does not name -churn", g.Churn, err)
 	}
 }
 

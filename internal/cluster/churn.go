@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"iter"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -135,6 +136,9 @@ func ParseChurn(s string) (*ChurnSchedule, error) {
 		sched.Events = append(sched.Events, ChurnEvent{Kind: kind, At: at, Count: count})
 	}
 	sort.SliceStable(sched.Events, func(i, j int) bool { return sched.Events[i].At < sched.Events[j].At })
+	if err := sched.Validate(); err != nil {
+		return nil, err
+	}
 	return sched, nil
 }
 
@@ -150,17 +154,22 @@ func (s *ChurnSchedule) String() string {
 	return strings.Join(parts, ",")
 }
 
+// maxIDs is the largest node id space a run can have: the ids the
+// wire's 32-bit sender field carries, or as many as an int counts.
+const maxIDs = min(wire.MaxSender+1, math.MaxInt)
+
 // Joins is the number of fresh node ids the schedule can create — the
 // amount by which a run's node id space (and transport sizing) must
-// exceed Config.N.
+// exceed Config.N. It saturates at maxIDs, which Validate rejects, and
+// counts the non-positive counts Validate rejects as none.
 func (s *ChurnSchedule) Joins() int {
 	if s == nil {
 		return 0
 	}
 	total := 0
 	for _, e := range s.Events {
-		if e.Kind == ChurnJoin {
-			total += e.Count
+		if e.Kind == ChurnJoin && e.Count > 0 {
+			total += min(e.Count, maxIDs-total)
 		}
 	}
 	return total
@@ -204,6 +213,9 @@ func (s *ChurnSchedule) Validate() error {
 			return fmt.Errorf("churn event %d: count %d must be positive", i, e.Count)
 		}
 		lastAt = e.At
+	}
+	if s.Joins() == maxIDs {
+		return fmt.Errorf("the joins add up to %d node ids or more, past the wire's 32-bit sender ids", maxIDs)
 	}
 	return nil
 }
@@ -581,7 +593,11 @@ func (c *churner) pendingAdds() bool {
 // popUntil applies every event with At <= tick against the live set
 // and returns the concrete operations, reusing the internal scratch
 // slice. live is indexed by node id; the churner never selects a
-// victim that would empty the cluster.
+// victim that would empty the cluster. An event ends at its first
+// no-op — the id space exhausted, fewer than two live nodes, nothing to
+// revive — since every later iteration would be one too: a count the
+// cluster cannot absorb costs nothing, and no no-op draws from the
+// churn stream.
 func (c *churner) popUntil(tick int, live []bool) []churnOp {
 	if c == nil {
 		return nil
@@ -590,11 +606,12 @@ func (c *churner) popUntil(tick int, live []bool) []churnOp {
 	for c.next < len(c.events) && c.events[c.next].At <= tick {
 		e := c.events[c.next]
 		c.next++
+	event:
 		for i := 0; i < e.Count; i++ {
 			switch e.Kind {
 			case ChurnJoin:
 				if c.nextID >= c.maxID {
-					continue // id space exhausted (schedule bug); no-op
+					break event // id space exhausted (schedule bug)
 				}
 				id := c.nextID
 				c.nextID++
@@ -603,7 +620,7 @@ func (c *churner) popUntil(tick int, live []bool) []churnOp {
 			case ChurnLeave, ChurnCrash:
 				id := c.pickLive(live)
 				if id < 0 {
-					continue // refusing to kill the last node
+					break event // refusing to kill the last node
 				}
 				c.ops = append(c.ops, churnOp{e.Kind, id})
 				live[id] = false
@@ -613,7 +630,7 @@ func (c *churner) popUntil(tick int, live []bool) []churnOp {
 			case ChurnCrashMax, ChurnCrashFrontier:
 				id := c.pickTargeted(live, e.Kind == ChurnCrashMax)
 				if id < 0 {
-					continue // refusing to kill the last node
+					break event // refusing to kill the last node
 				}
 				// Resolve to a plain crash: drivers see only ChurnCrash
 				// ops, the targeting lives entirely in victim selection.
@@ -622,7 +639,7 @@ func (c *churner) popUntil(tick int, live []bool) []churnOp {
 				c.crashed = append(c.crashed, id)
 			case ChurnRestart, ChurnRejoin:
 				if len(c.crashed) == 0 {
-					continue // nothing to revive; no-op
+					break event // nothing to revive
 				}
 				r := c.rng.Intn(len(c.crashed))
 				id := c.crashed[r]

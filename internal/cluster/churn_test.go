@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -50,14 +52,16 @@ func TestParseChurn(t *testing.T) {
 	}
 
 	bad := []string{
-		"join:500",          // missing count
-		"meteor:10:1",       // unknown kind
-		"join:0:1",          // tick must be positive
-		"join:-5:1",         // negative tick
-		"join:10:0",         // zero count
-		"join:ten:1",        // non-numeric tick
-		"join:10:1,,",       // empty event
-		"crash:10:1;join:1", // wrong separator
+		"join:500",                            // missing count
+		"meteor:10:1",                         // unknown kind
+		"join:0:1",                            // tick must be positive
+		"join:-5:1",                           // negative tick
+		"join:10:0",                           // zero count
+		"join:ten:1",                          // non-numeric tick
+		"join:10:1,,",                         // empty event
+		"crash:10:1;join:1",                   // wrong separator
+		"join:5:9223372036854775807,join:6:1", // joins overflow an int
+		"join:5:100000000000",                 // joins past the wire's ids
 	}
 	for _, in := range bad {
 		if _, err := ParseChurn(in); err == nil {
@@ -368,6 +372,53 @@ func TestChurnRejectsBadSchedule(t *testing.T) {
 		t.Error("negative join count accepted")
 	} else if !strings.Contains(err.Error(), "count") {
 		t.Errorf("error %v does not explain the invalid count", err)
+	}
+	// Joins that leave N no room in the wire's sender ids are rejected
+	// before the per-node table is sized, not an out-of-memory crash.
+	bad = &ChurnSchedule{Events: []ChurnEvent{{ChurnJoin, 5, maxIDs - 5}}}
+	if _, err := Run(context.Background(), Config{N: 8, Lockstep: true, Churn: bad}, testTokens(4, 8, 1)); err == nil {
+		t.Error("joins past the wire's ids accepted")
+	} else if !strings.Contains(err.Error(), "sender ids") {
+		t.Errorf("error %v does not explain the id space", err)
+	}
+}
+
+// TestChurnEventEndsAtFirstNoOp: an event whose count the cluster
+// cannot absorb — more crashes or leaves than nodes, more joins than
+// ids, more restarts than crashed nodes — applies what it can and
+// stops, with the ops and the draws of a count just past what it can
+// absorb. A count of 4·10⁹ used to spin through every no-op, and the
+// test gives up on it after 10 s.
+func TestChurnEventEndsAtFirstNoOp(t *testing.T) {
+	const n, maxN, huge = 8, 10, maxIDs - 1
+	for _, spec := range []string{"crash:3:%d", "leave:3:%d", "crashmax:3:%d", "crashfrontier:3:%d",
+		"join:3:%d", "crash:2:3,restart:3:%d", "crash:2:3,rejoin:3:%d"} {
+		// ops pops the schedule at count on a churner over maxN ids (so
+		// joins run out after two) and returns its ops and next draw.
+		ops := func(count int) ([]churnOp, int64) {
+			sched, err := ParseChurn(fmt.Sprintf(spec, count))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := newChurner(sched, n, maxN, 1)
+			live := make([]bool, maxN)
+			for id := range n {
+				live[id] = true
+			}
+			done := make(chan []churnOp)
+			go func() { done <- slices.Clone(c.popUntil(3, live)) }()
+			select {
+			case got := <-done:
+				return got, c.rng.Int63()
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s at count %d: popUntil still running after 10s", spec, count)
+				return nil, 0
+			}
+		}
+		want, wantNext := ops(maxN + 1)
+		if got, next := ops(huge); !reflect.DeepEqual(got, want) || next != wantNext {
+			t.Errorf("%s: count %d pops %v then draws %d; count %d pops %v then draws %d", spec, huge, got, next, maxN+1, want, wantNext)
+		}
 	}
 }
 

@@ -538,8 +538,18 @@ func validate(mode Mode, toks []token.Token) error {
 			return fmt.Errorf("cluster: token %d has %d payload bits, token 0 has %d", i, t.D(), d)
 		}
 	}
-	if mode != Coded && mode != Forward {
+	// A packet is a coded vector (coefficients, uid, payload) or a
+	// forwarded token's payload, and the codec refuses one past its cap.
+	width := d
+	switch mode {
+	case Coded:
+		width += len(toks) + token.UIDBits
+	case Forward:
+	default:
 		return fmt.Errorf("cluster: unknown mode %d", mode)
+	}
+	if width > wire.MaxVecBits {
+		return fmt.Errorf("cluster: %v packets of %d tokens of %d bits are %d bits wide, past the codec's cap of %d", mode, len(toks), d, width, wire.MaxVecBits)
 	}
 	return nil
 }
@@ -560,6 +570,9 @@ func validate(mode Mode, toks []token.Token) error {
 // caught up.
 func Run(ctx context.Context, cfg Config, toks []token.Token) (*Result, error) {
 	if err := validate(cfg.Mode, toks); err != nil {
+		return nil, err
+	}
+	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
 	nodes := make([]NodeMetrics, cfg.MaxNodes())

@@ -3,12 +3,14 @@ package cluster
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/token"
+	"repro/internal/wire"
 )
 
 func testTokens(k, d int, seed int64) []token.Token {
@@ -487,6 +489,13 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(ctx, Config{N: 4, Mode: Mode(9), Lockstep: true}, toks); err == nil {
 		t.Error("unknown mode accepted")
+	}
+	// Coefficients, uid and payload one bit past the codec's cap: no
+	// decoder would take a packet, so the run is refused, not ground
+	// through its tick cap.
+	wide := testTokens(2, wire.MaxVecBits-token.UIDBits-1, 1)
+	if _, err := Run(ctx, Config{N: 4, Lockstep: true, MaxTicks: 2}, wide); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Errorf("coded packets past the codec's cap: err %v", err)
 	}
 }
 

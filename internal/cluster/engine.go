@@ -53,9 +53,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// check rejects the run descriptions no driver of any protocol can
-// run.
-func (c Config) check() error {
+// Check rejects the run descriptions no driver of any protocol can
+// run. Nothing may be sized by MaxNodes before it has passed.
+func (c Config) Check() error {
 	switch {
 	case c.N < 1:
 		return fmt.Errorf("cluster: need at least 1 node, got %d", c.N)
@@ -65,16 +65,17 @@ func (c Config) check() error {
 	if err := c.Churn.Validate(); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
+	if j := c.Churn.Joins(); j > maxIDs-c.N {
+		return fmt.Errorf("cluster: %d nodes and %d joins exceed the wire's %d sender ids", c.N, j, maxIDs)
+	}
 	return nil
 }
 
 // MaxNodes is the size of the run's node id space — the initial
 // membership plus every id the churn schedule can create — by which
-// per-node tables, recorders and transports are sized. An invalid N or
-// a hand-built schedule whose join counts sum below zero counts as
-// none: sizing a table must not panic before Run has rejected the
-// description.
-func (c Config) MaxNodes() int { return max(c.N, 0) + max(c.Churn.Joins(), 0) }
+// per-node tables, recorders and transports are sized, once Check has
+// passed.
+func (c Config) MaxNodes() int { return max(c.N, 0) + c.Churn.Joins() }
 
 // DefaultTransport returns the in-process fabric a run of c gets when
 // c.Transport is nil, for callers to wrap middlewares around: the tick
@@ -168,7 +169,7 @@ type run struct {
 // transport before returning. The Outcome carries the run-level fields
 // and the aggregates over the shared counters, which are the caller's.
 func (e Engine) Run(ctx context.Context, cfg Config) (Outcome, error) {
-	if err := cfg.check(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return Outcome{}, err
 	}
 	cfg = cfg.withDefaults()
@@ -693,7 +694,7 @@ func (e Engine) RunSingle(ctx context.Context, cfg Config, s Single) error {
 			return fmt.Errorf("cluster: RunSingle runs one process of a multi-process run; Config.%s belongs to the in-process drivers", f.name)
 		}
 	}
-	if err := cfg.check(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return err
 	}
 	if s.ID < 0 || s.ID >= cfg.N {

@@ -315,6 +315,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("stream: need at least 1 token per generation, got %d", c.K)
 	case c.PayloadBits < 1:
 		return fmt.Errorf("stream: need at least 1 payload bit, got %d", c.PayloadBits)
+	case c.PayloadBits > wire.MaxVecBits-token.UIDBits-c.K:
+		// A coded vector is K coefficients, the uid and the payload; the
+		// codec refuses one past its cap, so no packet would arrive.
+		return fmt.Errorf("stream: %d coefficient, %d uid and %d payload bits exceed the codec's %d-bit vector cap", c.K, token.UIDBits, c.PayloadBits, wire.MaxVecBits)
 	case c.Generations < 1:
 		return fmt.Errorf("stream: need at least 1 generation, got %d", c.Generations)
 	case uint64(c.Generations) > wire.MaxEpoch: // Generations >= 1 here; uint64 keeps 32-bit builds compiling
@@ -364,6 +368,9 @@ func (c Config) engine(metrics func(id int) *NodeMetrics) (cluster.Engine, error
 // or the lockstep tick cap is hit. Every delivered generation is
 // verified against the Source before Run returns it to the consumer.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
+	if err := cfg.runtime().Check(); err != nil {
+		return nil, err
+	}
 	res := &Result{Nodes: make([]NodeMetrics, cfg.runtime().MaxNodes())}
 	eng, err := cfg.engine(func(id int) *NodeMetrics { return &res.Nodes[id] })
 	if err != nil {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/telemetry"
 	"repro/internal/token"
+	"repro/internal/wire"
 )
 
 func TestSeededSourceDeterministic(t *testing.T) {
@@ -277,6 +279,10 @@ func TestStreamValidation(t *testing.T) {
 		// Rejected, not a panic while Run sizes its table.
 		{N: 2, K: 1, PayloadBits: 1, Generations: 1, Churn: &cluster.ChurnSchedule{
 			Events: []cluster.ChurnEvent{{Kind: cluster.ChurnJoin, At: 5, Count: -9}}}},
+		{N: 2, K: 1, PayloadBits: 1, Generations: 1, Churn: &cluster.ChurnSchedule{
+			Events: []cluster.ChurnEvent{{Kind: cluster.ChurnJoin, At: 5, Count: math.MaxInt}}}},
+		// No decoder takes a vector past the codec's cap.
+		{N: 2, K: 1, PayloadBits: wire.MaxVecBits - token.UIDBits, Generations: 1, MaxTicks: 2},
 	}
 	for i, cfg := range bad {
 		cfg.Lockstep = true
