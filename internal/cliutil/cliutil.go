@@ -132,7 +132,7 @@ func (g *GossipFlags) Wrap(tr cluster.Transport, nodes int, rec *telemetry.Recor
 	tr = cluster.WithReorder(tr, g.Reorder, g.Seed)
 	tr = cluster.WithLoss(tr, g.Loss, g.Seed)
 	tr = hostile.WithMutator(tr, ms, g.Seed, rec)
-	return hostile.WithAdversary(tr, adv, hostile.TopoConfig{Telemetry: rec}), nil
+	return hostile.WithAdversary(tr, adv, rec), nil
 }
 
 // Open validates the flags and lowers them to the cluster.Config of

@@ -37,7 +37,7 @@ func TestMiddlewareOrderIndependent(t *testing.T) {
 		tr = cluster.WithReorder(tr, 0.2, seed)
 		tr = cluster.WithLoss(tr, 0.2, seed)
 		tr = hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.1, Stale: 0.1, Trunc: 0.1, Flip: 0.1, Xgen: 0.1}, seed, rec)
-		tr = hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed, rec), hostile.TopoConfig{Telemetry: rec})
+		tr = hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed, rec), rec)
 		var b strings.Builder
 		results := make([][]bool, n)
 		sent := make([]int, n)

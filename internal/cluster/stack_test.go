@@ -110,7 +110,7 @@ func TestMiddlewareTranscriptPinned(t *testing.T) {
 		tr = cluster.WithReorder(tr, 0.2, seed)
 		tr = cluster.WithLoss(tr, 0.2, seed)
 		tr = hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.1, Stale: 0.1, Trunc: 0.1, Flip: 0.1, Xgen: 0.1}, seed, rec)
-		return hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed, rec), hostile.TopoConfig{Telemetry: rec})
+		return hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed, rec), rec)
 	}}
 	const want = "1210ad96ece6ac9c1791a8e1d4bfb732b82e7264d9a5756f72bd8d4de6d5f274"
 	if got := sha(run.transcript(inShards(n, 6, 1))); got != want {
@@ -176,7 +176,7 @@ func (l layerSpec) wrap(tr cluster.Transport, n int, rec *telemetry.Recorder) cl
 			}
 			adv = ta
 		}
-		return hostile.WithAdversary(tr, adv, hostile.TopoConfig{Telemetry: rec})
+		return hostile.WithAdversary(tr, adv, rec)
 	}
 	return &tally{Layer: cluster.Layer{Transport: tr}}
 }
@@ -387,7 +387,7 @@ func TestSendAfterCloseDrops(t *testing.T) {
 			return hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.3, Xgen: 0.6}, 1, rec)
 		},
 		"adversary": func(rec *telemetry.Recorder, tr cluster.Transport) cluster.Transport {
-			return hostile.WithAdversary(tr, complete, hostile.TopoConfig{Telemetry: rec})
+			return hostile.WithAdversary(tr, complete, rec)
 		},
 		"full stack": buildStack(randomStacks()[2], n),
 	} {

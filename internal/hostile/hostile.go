@@ -17,13 +17,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TopoConfig tunes the WithAdversary rule.
-type TopoConfig struct {
-	// Telemetry, when non-nil, traces every blocked Send as a
-	// KindAdvCut event on the sender's ring.
-	Telemetry *telemetry.Recorder
-}
-
 // WithAdversary adds a rule to t that drops a packet unless the
 // adversary's topology for the current tick has the (from, to) edge:
 // the synchronous model's "the adversary chooses each round's graph",
@@ -34,8 +27,10 @@ type TopoConfig struct {
 // and for tick 0 by a Send before the first; the graph it returns is
 // held for the tick, as scratch-reusing adversaries like
 // RandomConnected need. Ids outside the graph's vertex range are always
-// blocked. A nil adversary returns t unchanged.
-func WithAdversary(t cluster.Transport, adv dynnet.Adversary, cfg TopoConfig) cluster.Transport {
+// blocked. tel, when non-nil, traces every blocked Send as a
+// KindAdvCut event on the sender's ring. A nil adversary returns t
+// unchanged.
+func WithAdversary(t cluster.Transport, adv dynnet.Adversary, tel *telemetry.Recorder) cluster.Transport {
 	if adv == nil {
 		return t
 	}
@@ -54,7 +49,7 @@ func WithAdversary(t cluster.Transport, adv dynnet.Adversary, cfg TopoConfig) cl
 			if n := cur.N(); from >= 0 && from < n && to >= 0 && to < n && cur.HasEdge(from, to) {
 				return cluster.Verdict{}
 			}
-			cfg.Telemetry.Event(from, tick, telemetry.KindAdvCut, int64(to), 0, 0)
+			tel.Event(from, tick, telemetry.KindAdvCut, int64(to), 0, 0)
 			return cluster.Verdict{Act: cluster.Drop, Cause: cluster.DropAdversary}
 		},
 	})

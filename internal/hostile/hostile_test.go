@@ -246,7 +246,7 @@ func (p *pathAdversary) Graph(round int, _ []dynnet.Node) *graph.Graph {
 
 func TestWithAdversaryNilIsIdentity(t *testing.T) {
 	inner := &capTransport{}
-	if got := hostile.WithAdversary(inner, nil, hostile.TopoConfig{}); got != cluster.Transport(inner) {
+	if got := hostile.WithAdversary(inner, nil, nil); got != cluster.Transport(inner) {
 		t.Fatal("nil adversary wrapped the transport")
 	}
 }
@@ -254,7 +254,7 @@ func TestWithAdversaryNilIsIdentity(t *testing.T) {
 func TestWithAdversaryFiltersEdges(t *testing.T) {
 	inner := &capTransport{}
 	rec := telemetry.New(telemetry.Config{Nodes: 4})
-	tr := hostile.WithAdversary(inner, newPathAdversary(4), hostile.TopoConfig{Telemetry: rec})
+	tr := hostile.WithAdversary(inner, newPathAdversary(4), rec)
 	if !tr.Send(0, 1, validPacket(t)) {
 		t.Error("path edge 0-1 blocked")
 	}
@@ -285,7 +285,7 @@ func TestWithAdversaryFiltersEdges(t *testing.T) {
 func TestWithAdversaryQueriesOncePerTick(t *testing.T) {
 	inner := &capTransport{}
 	adv := newPathAdversary(4)
-	tr := hostile.WithAdversary(inner, adv, hostile.TopoConfig{})
+	tr := hostile.WithAdversary(inner, adv, nil)
 	cluster.ObserveTick(tr, 0)
 	for i := 0; i < 10; i++ {
 		tr.Send(0, 1, validPacket(t))

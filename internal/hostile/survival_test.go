@@ -118,7 +118,7 @@ func TestClusterSurvivesRotatingPathAdversary(t *testing.T) {
 	const n, k = 10, 8
 	toks := token.RandomSet(k, 32, rand.New(rand.NewSource(9)))
 	cfg := cluster.Config{N: n, Fanout: 2, Mode: cluster.Coded, Seed: 9, Lockstep: true, MaxTicks: 200000}
-	cfg.Transport = hostile.WithAdversary(cfg.DefaultTransport(0), adversary.NewRotatingPath(n, 9), hostile.TopoConfig{})
+	cfg.Transport = hostile.WithAdversary(cfg.DefaultTransport(0), adversary.NewRotatingPath(n, 9), nil)
 	res, err := cluster.Run(context.Background(), cfg, toks)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestAdversaryUnderPlainMiddlewareSeesEveryTick(t *testing.T) {
 	const n = 6
 	adv := newPathAdversary(n)
 	cfg := cluster.Config{N: n, Fanout: 2, Seed: 3, Lockstep: true, MaxTicks: 100000}
-	tr := hostile.WithAdversary(cfg.DefaultTransport(0), adv, hostile.TopoConfig{})
+	tr := hostile.WithAdversary(cfg.DefaultTransport(0), adv, nil)
 	tr = cluster.WithPartition(tr, func(from, to int) bool { return false })
 	tr = cluster.WithReorder(tr, 0.1, 5)
 	cfg.Transport = cluster.WithLoss(tr, 0.1, 4)
@@ -170,7 +170,7 @@ func hostileClusterFingerprint(t *testing.T, seed int64, shards int) string {
 	}
 	tr := cluster.WithLoss(cfg.DefaultTransport(0), 0.1, seed+103)
 	tr = hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.05, Stale: 0.05, Trunc: 0.03, Flip: 0.02, Xgen: 0.03}, seed+105, rec)
-	cfg.Transport = hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed+104, rec), hostile.TopoConfig{Telemetry: rec})
+	cfg.Transport = hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed+104, rec), rec)
 	res, err := cluster.Run(context.Background(), cfg, toks)
 	if err != nil {
 		t.Fatal(err)
