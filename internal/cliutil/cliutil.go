@@ -160,21 +160,19 @@ func (g *GossipFlags) open(socket cluster.Transport, fabric func(cluster.Config)
 		if err := ValidateShards(g.Shards, g.N); err != nil {
 			return cfg, err
 		}
-		var err error
-		if cfg.Lockstep, err = ParseTransport(g.Transport); err != nil {
-			return cfg, err
+		if cfg.Lockstep = g.Transport == "lockstep"; !cfg.Lockstep && g.Transport != "chan" {
+			return cfg, fmt.Errorf("-transport must be chan or lockstep, got %q", g.Transport)
 		}
-		if cfg.Churn, err = ParseChurnFlag(g.Churn); err != nil {
-			return cfg, err
+		var err error
+		if cfg.Churn, err = cluster.ParseChurn(g.Churn); err != nil {
+			return cfg, fmt.Errorf("-churn: %w", err)
 		}
 		cfg.Shards, cfg.MaxTicks = g.Shards, g.MaxTicks
 		if !cfg.Lockstep && g.Shards > 1 {
 			// The engine rejects this too; said here in flag names.
 			return cfg, fmt.Errorf("-shards %d needs -transport lockstep: the async driver is already concurrent", g.Shards)
 		}
-		// What the flags checked leaves the id space to check, before
-		// anything is sized by it.
-		if err := cfg.Check(); err != nil {
+		if err := cfg.Check(); err != nil { // before anything is sized by the id space
 			return cfg, fmt.Errorf("-churn: %w", err)
 		}
 		base = fabric(cfg)
@@ -212,8 +210,6 @@ func (g *GossipFlags) Validate() error {
 	case g.Payload < 1:
 		return fmt.Errorf("-payload must be at least 1 bit, got %d", g.Payload)
 	case g.Payload > wire.MaxVecBits-token.UIDBits-g.K:
-		// A coded packet carries -k coefficients, the uid and the payload,
-		// and every decoder refuses a vector past the cap.
 		return fmt.Errorf("-payload %d does not fit a coded packet: -k %d coefficients, %d uid bits and the payload exceed the codec's %d-bit cap", g.Payload, g.K, token.UIDBits, wire.MaxVecBits)
 	case g.Fanout < 1:
 		return fmt.Errorf("-fanout must be at least 1, got %d", g.Fanout)
@@ -255,17 +251,6 @@ func ValidateShards(shards, n int) error {
 	return nil
 }
 
-// ParseChurnFlag parses the -churn flag through the shared
-// cluster.ParseChurn grammar, naming the flag in errors. An empty
-// string means no churn (nil schedule).
-func ParseChurnFlag(s string) (*cluster.ChurnSchedule, error) {
-	sched, err := cluster.ParseChurn(s)
-	if err != nil {
-		return nil, fmt.Errorf("-churn: %w", err)
-	}
-	return sched, nil
-}
-
 // ValidateHostPort rejects flag values that are not host:port (the
 // only address shape the socket transport binds or dials), naming the
 // flag in the error. Empty host or port are allowed by the net parser
@@ -301,18 +286,6 @@ func ParseMode(name string) (stream bool, err error) {
 		return true, nil
 	default:
 		return false, fmt.Errorf("-mode must be cluster or stream, got %q", name)
-	}
-}
-
-// ParseTransport maps the -transport flag to the lockstep switch.
-func ParseTransport(name string) (lockstep bool, err error) {
-	switch name {
-	case "chan":
-		return false, nil
-	case "lockstep":
-		return true, nil
-	default:
-		return false, fmt.Errorf("unknown transport %q", name)
 	}
 }
 

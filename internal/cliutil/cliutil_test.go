@@ -51,14 +51,16 @@ func TestValidateGossip(t *testing.T) {
 }
 
 func TestParseTransport(t *testing.T) {
-	if ls, err := ParseTransport("chan"); err != nil || ls {
-		t.Errorf("chan -> %v, %v", ls, err)
+	g := GossipFlags{N: 8, K: 4, Payload: 32, Fanout: 2, Shards: 1}
+	for transport, lockstep := range map[string]bool{"chan": false, "lockstep": true} {
+		g.Transport = transport
+		if cfg, err := g.Open(nil); err != nil || cfg.Lockstep != lockstep {
+			t.Errorf("-transport %s -> lockstep %v, %v", transport, cfg.Lockstep, err)
+		}
 	}
-	if ls, err := ParseTransport("lockstep"); err != nil || !ls {
-		t.Errorf("lockstep -> %v, %v", ls, err)
-	}
-	if _, err := ParseTransport("smoke-signals"); err == nil {
-		t.Error("unknown transport accepted")
+	g.Transport = "smoke-signals"
+	if _, err := g.Open(nil); err == nil || !strings.Contains(err.Error(), "-transport") {
+		t.Errorf("unknown transport: err %v does not name -transport", err)
 	}
 }
 
@@ -83,23 +85,21 @@ func TestValidateShards(t *testing.T) {
 }
 
 func TestParseChurnFlag(t *testing.T) {
-	sched, err := ParseChurnFlag("join:10:1,crash:20:1")
-	if err != nil || sched == nil || len(sched.Events) != 2 {
-		t.Fatalf("valid churn flag -> %+v, %v", sched, err)
+	g := GossipFlags{N: 8, K: 4, Payload: 32, Fanout: 2, Transport: "lockstep", Shards: 1, Churn: "join:10:1,crash:20:1"}
+	if cfg, err := g.Open(nil); err != nil || cfg.Churn == nil || len(cfg.Churn.Events) != 2 {
+		t.Fatalf("valid churn flag -> %+v, %v", cfg.Churn, err)
 	}
-	if sched, err := ParseChurnFlag(""); sched != nil || err != nil {
-		t.Errorf("empty churn flag -> %v, %v; want nil, nil", sched, err)
+	g.Churn = ""
+	if cfg, err := g.Open(nil); cfg.Churn != nil || err != nil {
+		t.Errorf("empty churn flag -> %v, %v; want nil, nil", cfg.Churn, err)
 	}
-	for _, bad := range []string{"meteor:10:1", "join:5:9223372036854775807,join:6:1", "join:5:100000000000"} {
-		if _, err := ParseChurnFlag(bad); err == nil || !strings.Contains(err.Error(), "-churn") {
-			t.Errorf("churn flag %q: err %v does not name -churn", bad, err)
+	// The last schedule's joins leave -n 8 no room in the wire's sender
+	// ids: rejected before anything is sized by the id space.
+	for _, bad := range []string{"meteor:10:1", "join:5:9223372036854775807,join:6:1", "join:5:100000000000", "join:5:4294967290"} {
+		g.Churn = bad
+		if _, err := g.Open(nil); err == nil || !strings.Contains(err.Error(), "-churn") {
+			t.Errorf("-churn %s: err %v does not name -churn", bad, err)
 		}
-	}
-	// Joins the schedule alone allows but N's ids leave no room for are
-	// rejected before anything is sized by the id space.
-	g := GossipFlags{N: 8, K: 4, Payload: 32, Fanout: 2, Transport: "lockstep", Shards: 1, Churn: "join:5:4294967290"}
-	if _, err := g.Open(nil); err == nil || !strings.Contains(err.Error(), "-churn") {
-		t.Errorf("-n 8 -churn %s: err %v does not name -churn", g.Churn, err)
 	}
 }
 

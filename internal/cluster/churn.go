@@ -594,10 +594,7 @@ func (c *churner) pendingAdds() bool {
 // and returns the concrete operations, reusing the internal scratch
 // slice. live is indexed by node id; the churner never selects a
 // victim that would empty the cluster. An event ends at its first
-// no-op — the id space exhausted, fewer than two live nodes, nothing to
-// revive — since every later iteration would be one too: a count the
-// cluster cannot absorb costs nothing, and no no-op draws from the
-// churn stream.
+// no-op, which draws nothing: every later iteration would be one too.
 func (c *churner) popUntil(tick int, live []bool) []churnOp {
 	if c == nil {
 		return nil

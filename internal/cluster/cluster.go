@@ -538,18 +538,13 @@ func validate(mode Mode, toks []token.Token) error {
 			return fmt.Errorf("cluster: token %d has %d payload bits, token 0 has %d", i, t.D(), d)
 		}
 	}
-	// A packet is a coded vector (coefficients, uid, payload) or a
-	// forwarded token's payload, and the codec refuses one past its cap.
-	width := d
-	switch mode {
-	case Coded:
-		width += len(toks) + token.UIDBits
-	case Forward:
-	default:
+	if mode != Coded && mode != Forward {
 		return fmt.Errorf("cluster: unknown mode %d", mode)
 	}
-	if width > wire.MaxVecBits {
-		return fmt.Errorf("cluster: %v packets of %d tokens of %d bits are %d bits wide, past the codec's cap of %d", mode, len(toks), d, width, wire.MaxVecBits)
+	if d > wire.MaxVecBits-token.UIDBits-len(toks) {
+		// No decoder takes a coded vector (coefficients, uid, payload)
+		// past the codec's cap; forwarding is held to the same width.
+		return fmt.Errorf("cluster: %d tokens of %d bits make coded vectors past the codec's %d-bit cap", len(toks), d, wire.MaxVecBits)
 	}
 	return nil
 }

@@ -18,11 +18,9 @@ type gossipTrial struct {
 	dropped              int64
 }
 
-// lockstep completes a runtime trial's run description with what every
-// trial shares: the deterministic driver on one shard, fanout 2.
-// Lockstep mode makes each run a pure function of its seed, which is
-// what lets these experiments ride the deterministic parallel trial
-// engine like every other.
+// lockstep completes a runtime trial's flags with what every trial
+// shares: fanout 2 and the lockstep driver on one shard, whose runs are
+// a pure function of the seed, as the parallel trial engine needs.
 func lockstep(g cliutil.GossipFlags) cliutil.GossipFlags {
 	g.Fanout, g.Transport, g.Shards = 2, "lockstep", 1
 	return g
