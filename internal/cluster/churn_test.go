@@ -411,7 +411,7 @@ func TestChurnEventEndsAtFirstNoOp(t *testing.T) {
 			case got := <-done:
 				return got, c.rng.Int63()
 			case <-time.After(10 * time.Second):
-				t.Fatalf("%s at count %d: popUntil still running after 10s", spec, count)
+				t.Fatalf("%s: popUntil still running after 10s", fmt.Sprintf(spec, count))
 				return nil, 0
 			}
 		}
