@@ -397,33 +397,15 @@ func (v *View) Remove(id int) {
 	v.n--
 }
 
-// contacts is a live set frozen for one spawn batch — a run's initial
-// membership, or the nodes live when a churn batch applies — as a
-// template view: building it passes over the live flags once, and
-// every member of the batch copies its run list, where marking each
-// live peer per member made start-up O(n²) Mark calls.
-type contacts struct{ live *View }
-
-// newContacts snapshots the ids flagged in live, which holds at most
-// maxN flags.
-func newContacts(live []bool, maxN int) contacts {
-	c := contacts{NewView(-1, maxN)}
-	for id, l := range live {
-		if l {
-			c.live.Introduce(id, 0)
-		}
-	}
+// clone returns node self's copy of v, every member of it last heard
+// at now: the state NewView plus one Mark per live id arrives at, for
+// one copy of the run list where marking each member made start-up
+// O(n²) Mark calls.
+func (v *View) clone(self int, now int64) *View {
+	c := NewView(self, v.maxN)
+	c.runs = append(c.runs, v.runs...)
+	c.n, c.stamp = v.n, now
 	return c
-}
-
-// view returns node self's view of the contacts, every one of them
-// last heard at now: the state NewView plus one Mark per live id
-// arrives at.
-func (c contacts) view(self int, now int64) *View {
-	v := NewView(self, c.live.maxN)
-	v.runs = append(v.runs, c.live.runs...)
-	v.n, v.stamp = c.live.n, now
-	return v
 }
 
 // Live reports whether id is in the view.
@@ -590,12 +572,12 @@ func (c *churner) pendingAdds() bool {
 	return false
 }
 
-// popUntil applies every event with At <= tick against the live set
+// popUntil applies every event with At <= tick to the run's live set
 // and returns the concrete operations, reusing the internal scratch
-// slice. live is indexed by node id; the churner never selects a
-// victim that would empty the cluster. An event ends at its first
-// no-op, which draws nothing: every later iteration would be one too.
-func (c *churner) popUntil(tick int, live []bool) []churnOp {
+// slice. The churner never selects a victim that would empty the
+// cluster. An event ends at its first no-op, which draws nothing: every
+// later iteration would be one too.
+func (c *churner) popUntil(tick int, live *View) []churnOp {
 	if c == nil {
 		return nil
 	}
@@ -613,14 +595,14 @@ func (c *churner) popUntil(tick int, live []bool) []churnOp {
 				id := c.nextID
 				c.nextID++
 				c.ops = append(c.ops, churnOp{ChurnJoin, id})
-				live[id] = true
+				live.Introduce(id, 0)
 			case ChurnLeave, ChurnCrash:
 				id := c.pickLive(live)
 				if id < 0 {
 					break event // refusing to kill the last node
 				}
 				c.ops = append(c.ops, churnOp{e.Kind, id})
-				live[id] = false
+				live.Remove(id)
 				if e.Kind == ChurnCrash {
 					c.crashed = append(c.crashed, id)
 				}
@@ -632,7 +614,7 @@ func (c *churner) popUntil(tick int, live []bool) []churnOp {
 				// Resolve to a plain crash: drivers see only ChurnCrash
 				// ops, the targeting lives entirely in victim selection.
 				c.ops = append(c.ops, churnOp{ChurnCrash, id})
-				live[id] = false
+				live.Remove(id)
 				c.crashed = append(c.crashed, id)
 			case ChurnRestart, ChurnRejoin:
 				if len(c.crashed) == 0 {
@@ -642,7 +624,7 @@ func (c *churner) popUntil(tick int, live []bool) []churnOp {
 				id := c.crashed[r]
 				c.crashed = append(c.crashed[:r], c.crashed[r+1:]...)
 				c.ops = append(c.ops, churnOp{e.Kind, id})
-				live[id] = true
+				live.Introduce(id, 0)
 			}
 		}
 	}
@@ -655,47 +637,26 @@ func (c *churner) popUntil(tick int, live []bool) []churnOp {
 // breaking ties toward the lowest id so the choice is deterministic.
 // Without a rank oracle it falls back to a uniform draw; like
 // pickLive it refuses to reduce the cluster below two live nodes.
-func (c *churner) pickTargeted(live []bool, max bool) int {
-	if c.rank == nil {
+func (c *churner) pickTargeted(live *View, max bool) int {
+	if c.rank == nil || live.LiveCount() < 2 {
 		return c.pickLive(live)
 	}
-	count, victim, best := 0, -1, 0
-	for id, l := range live {
-		if !l {
-			continue
-		}
-		count++
+	victim, best := -1, 0
+	for id := range live.EligibleIDs(0) {
 		r := c.rank(id)
 		if victim < 0 || (max && r > best) || (!max && r < best) {
 			victim, best = id, r
 		}
 	}
-	if count < 2 {
-		return -1
-	}
 	return victim
 }
 
 // pickLive draws a uniform victim among live nodes, or -1 when fewer
-// than two are live (a schedule may not empty the cluster).
-func (c *churner) pickLive(live []bool) int {
-	count := 0
-	for _, l := range live {
-		if l {
-			count++
-		}
-	}
-	if count < 2 {
+// than two are live (a schedule may not empty the cluster): on a view
+// of self -1, one View.Pick.
+func (c *churner) pickLive(live *View) int {
+	if live.LiveCount() < 2 {
 		return -1
 	}
-	r := c.rng.Intn(count)
-	for id, l := range live {
-		if l {
-			if r == 0 {
-				return id
-			}
-			r--
-		}
-	}
-	return -1
+	return live.Pick(c.rng, 0)
 }

@@ -401,10 +401,7 @@ func TestChurnEventEndsAtFirstNoOp(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := newChurner(sched, n, maxN, 1)
-			live := make([]bool, maxN)
-			for id := range n {
-				live[id] = true
-			}
+			live := members(maxN, slices.Repeat([]bool{true}, n))
 			done := make(chan []churnOp)
 			go func() { done <- slices.Clone(c.popUntil(3, live)) }()
 			select {
@@ -418,6 +415,105 @@ func TestChurnEventEndsAtFirstNoOp(t *testing.T) {
 		want, wantNext := ops(maxN + 1)
 		if got, next := ops(huge); !reflect.DeepEqual(got, want) || next != wantNext {
 			t.Errorf("%s: count %d pops %v then draws %d; count %d pops %v then draws %d", spec, huge, got, next, maxN+1, want, wantNext)
+		}
+	}
+}
+
+// flagPickLive and flagPickTargeted are the churner's victim draws as
+// they were over a slice of live flags, two scans of it each: the
+// reference the draws over the run's membership View are held to.
+func flagPickLive(rng *rand.Rand, live []bool) int {
+	count := 0
+	for _, l := range live {
+		if l {
+			count++
+		}
+	}
+	if count < 2 {
+		return -1
+	}
+	r := rng.Intn(count)
+	for id, l := range live {
+		if l {
+			if r == 0 {
+				return id
+			}
+			r--
+		}
+	}
+	return -1
+}
+
+func flagPickTargeted(rng *rand.Rand, rank func(int) int, live []bool, max bool) int {
+	if rank == nil {
+		return flagPickLive(rng, live)
+	}
+	count, victim, best := 0, -1, 0
+	for id, l := range live {
+		if !l {
+			continue
+		}
+		count++
+		r := rank(id)
+		if victim < 0 || (max && r > best) || (!max && r < best) {
+			victim, best = id, r
+		}
+	}
+	if count < 2 {
+		return -1
+	}
+	return victim
+}
+
+// TestVictimDrawsMatchFlagScans holds pickLive and pickTargeted over
+// the membership View to the flag scans they replaced: over empty,
+// single, dense and fragmented live sets and random rank oracles (with
+// ties, or none), a sequence of draws — each victim removed, as
+// popUntil removes it — picks the same ids and leaves the churner's
+// rng at the same next draw.
+func TestVictimDrawsMatchFlagScans(t *testing.T) {
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		maxN := 1 + rng.Intn(24)
+		var live []bool
+		switch seed % 4 {
+		case 0:
+			live = make([]bool, maxN)
+		case 1:
+			live = make([]bool, maxN)
+			live[rng.Intn(maxN)] = true
+		default:
+			live = randomLive(rng, maxN)
+		}
+		var rank func(int) int
+		if rng.Intn(4) > 0 {
+			ranks := make([]int, maxN)
+			for id := range ranks {
+				ranks[id] = rng.Intn(1 + rng.Intn(maxN))
+			}
+			rank = func(id int) int { return ranks[id] }
+		}
+		view := members(maxN, live)
+		c := &churner{rng: rand.New(rand.NewSource(seed)), rank: rank}
+		ref := rand.New(rand.NewSource(seed))
+		for step := 0; step < 6; step++ {
+			var got, want int
+			switch kind := rng.Intn(3); kind {
+			case 0:
+				got, want = c.pickLive(view), flagPickLive(ref, live)
+			default:
+				got, want = c.pickTargeted(view, kind == 1), flagPickTargeted(ref, rank, live, kind == 1)
+			}
+			if got != want {
+				t.Fatalf("seed %d step %d: View draw %d, flag scan %d", seed, step, got, want)
+			}
+			if got >= 0 {
+				view.Remove(got)
+				live[got] = false
+			}
+		}
+		if got, want := c.rng.Int63(), ref.Int63(); got != want {
+			t.Fatalf("seed %d: next draw %d, flag scans %d", seed, got, want)
 		}
 	}
 }

@@ -143,8 +143,10 @@ type run struct {
 	res   *Outcome
 	maxN  int
 	nodes []*Node
-	live  []bool
-	ch    *churner
+	// live is the run's membership, a view of self -1: the churner
+	// changes it, and every node spawned copies it as its own View.
+	live *View
+	ch   *churner
 	// mb is the tick mailbox at the bottom of tr when the lockstep driver
 	// drains that instead of tr.Recv (see Config.fabric).
 	mb *mailbox
@@ -157,9 +159,6 @@ type run struct {
 	// exec partitions the id space for the initial spawn and the
 	// lockstep driver's parallel phases (a single shard in async mode).
 	exec *shard.Executor
-	// contacts is the live set of the current spawn batch, rebuilt
-	// whenever the churner has flipped live.
-	contacts contacts
 }
 
 // Run drives cfg's membership through one run of the protocol until
@@ -192,7 +191,7 @@ func (e Engine) Run(ctx context.Context, cfg Config) (Outcome, error) {
 		res:   &Outcome{},
 		maxN:  maxN,
 		nodes: make([]*Node, maxN),
-		live:  make([]bool, maxN),
+		live:  NewView(-1, maxN),
 		ch:    newChurner(cfg.Churn, cfg.N, maxN, cfg.Seed),
 		exec:  shard.New(maxN, cfg.Shards),
 	}
@@ -200,10 +199,7 @@ func (e Engine) Run(ctx context.Context, cfg Config) (Outcome, error) {
 		r.ranks = make([]atomic.Int64, maxN)
 		r.ch.setRank(func(id int) int { return int(r.ranks[id].Load()) })
 	}
-	for i := 0; i < cfg.N; i++ {
-		r.live[i] = true
-	}
-	r.contacts = newContacts(r.live, maxN)
+	r.live.Fill(cfg.N, 0)
 	// Spawning touches per-id state only, so the initial batch runs
 	// under exec: shard-count bit-identity holds by construction.
 	r.exec.Run(func(_, lo, hi int) {
@@ -241,10 +237,10 @@ func (e Engine) Run(ctx context.Context, cfg Config) (Outcome, error) {
 }
 
 // spawn builds (or rebuilds, wiping it) node id. Its view is a copy of
-// r.contacts, the nodes live when the batch applied — a joiner's
-// contact list.
+// r.live, which the churner has changed for the whole batch before any
+// of it applies — a joiner's contact list.
 func (r *run) spawn(id int, joiner bool, now int64) *Node {
-	nd := newNode(id, r.cfg.Seed, now, r.cfg.Fanout, r.contacts.view(id, now), r.tr, r.eng.Metrics(id), r.cfg.Telemetry)
+	nd := newNode(id, r.cfg.Seed, now, r.cfg.Fanout, r.live.clone(id, now), r.tr, r.eng.Metrics(id), r.cfg.Telemetry)
 	// Suspicion is set before any mark can deviate from the shared
 	// stamp (see View).
 	nd.View.SuspectAfter = int64(r.eng.SuspectTicks)
@@ -267,7 +263,7 @@ func (r *run) firstErr() error {
 }
 
 // apply executes one churn operation of the batch due at tick now,
-// under either driver: the churner has already flipped r.live, and
+// under either driver: the churner has already changed r.live, and
 // nobody else is driving the op's node — the lockstep loop is in its
 // serial churn phase, the async clock goroutine has let the node's
 // goroutine exit and starts the next one only afterwards.
@@ -339,7 +335,7 @@ func (r *run) runLockstep(ctx context.Context) error {
 	res := r.res
 	complete := func(tick int) bool {
 		all := true
-		for id, nd := range r.nodes {
+		for _, nd := range r.nodes {
 			if nd == nil {
 				continue
 			}
@@ -347,7 +343,7 @@ func (r *run) runLockstep(ctx context.Context) error {
 				nd.M.Done = true
 				nd.M.DoneTick = tick
 			}
-			if r.live[id] {
+			if nd.M.Live {
 				all = all && nd.M.Done
 			}
 		}
@@ -368,11 +364,9 @@ func (r *run) runLockstep(ctx context.Context) error {
 		}
 		now := int64(tick)
 		ObserveTick(r.tr, now)
-		if ops := r.ch.popUntil(tick, r.live); len(ops) > 0 {
-			r.contacts = newContacts(r.live, r.maxN)
-			for _, op := range ops {
-				r.apply(op, now, ops)
-			}
+		ops := r.ch.popUntil(tick, r.live)
+		for _, op := range ops {
+			r.apply(op, now, ops)
 		}
 		if r.mb != nil {
 			// The barrier: every packet of the tick — last tick's
@@ -382,7 +376,7 @@ func (r *run) runLockstep(ctx context.Context) error {
 		r.exec.Run(func(_, lo, hi int) {
 			for id := lo; id < hi; id++ {
 				nd := r.nodes[id]
-				if nd == nil || !r.live[id] {
+				if nd == nil || !nd.M.Live {
 					continue
 				}
 				nd.Now = now
@@ -402,7 +396,7 @@ func (r *run) runLockstep(ctx context.Context) error {
 		}
 		emit := func(_, lo, hi int) {
 			for id := lo; id < hi; id++ {
-				if nd := r.nodes[id]; nd != nil && r.live[id] {
+				if nd := r.nodes[id]; nd != nil && nd.M.Live {
 					nd.proto.Emit(true)
 				}
 			}
@@ -454,7 +448,6 @@ func (r *run) drain(nd *Node) {
 type tracker struct {
 	mu          sync.Mutex
 	nodes       []*Node
-	live        []bool
 	addsPending bool
 	allDone     chan struct{}
 	closed      bool
@@ -476,8 +469,8 @@ func (t *tracker) check() {
 	if t.closed || t.addsPending {
 		return
 	}
-	for id, l := range t.live {
-		if l && !t.nodes[id].M.Done {
+	for _, nd := range t.nodes {
+		if nd != nil && nd.M.Live && !nd.M.Done {
 			return
 		}
 	}
@@ -553,7 +546,7 @@ func (r *run) runAsync(ctx context.Context) error {
 	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()
 
-	tk := &tracker{nodes: r.nodes, live: r.live, addsPending: r.ch.pendingAdds(), allDone: make(chan struct{})}
+	tk := &tracker{nodes: r.nodes, addsPending: r.ch.pendingAdds(), allDone: make(chan struct{})}
 	errCh := make(chan error, 1) // the first failure ends the run
 	cancels := make([]context.CancelFunc, r.maxN)
 	exited := make([]chan struct{}, r.maxN)
@@ -607,14 +600,13 @@ func (r *run) runAsync(ctx context.Context) error {
 				continue // no schedule: nothing falls due
 			}
 			tk.mu.Lock()
-			ops := r.ch.popUntil(int(now), tk.live)
+			ops := r.ch.popUntil(int(now), r.live)
 			if len(ops) > 0 {
-				// popUntil has flipped liveness; completion stays blocked
-				// until the batch is applied, because a restart or rejoin
-				// must reset its node's stale Done before any check() may
-				// trust the live set.
+				// popUntil has changed the live set; completion stays
+				// blocked until the batch is applied, because a restart or
+				// rejoin must reset its node's stale Done before any
+				// check() may trust the nodes' Live.
 				tk.addsPending = true
-				r.contacts = newContacts(r.live, r.maxN)
 			}
 			tk.mu.Unlock()
 			for _, op := range ops {
@@ -677,9 +669,12 @@ type Single struct {
 // process: the other N-1 are reachable only through cfg.Transport,
 // which is required and not closed — it is the process's socket, owned
 // by the caller, and outlives the gossip run (metric scraping still
-// reads its counters). An AddressedTransport anywhere in the stack
-// gates peer sampling on routability. What only an in-process driver
-// can honour (Lockstep, Shards, MaxTicks, Churn) is rejected when set.
+// reads its counters). It must route to every id of [0, N) from the
+// first emission on: the node samples its view, which holds all N,
+// and nothing asks the transport whom it can reach (cmd/node starts
+// gossip only once its socket's address book is complete). What only
+// an in-process driver can honour (Lockstep, Shards, MaxTicks, Churn)
+// is rejected when set.
 // The node gossips until it is Done, keeps emitting for the linger
 // window so slower peers can finish too, and returns. A timeout
 // (cfg.Timeout caps the run including linger) or cancellation before
@@ -706,14 +701,10 @@ func (e Engine) RunSingle(ctx context.Context, cfg Config, s Single) error {
 	cfg = cfg.withDefaults()
 	m := e.Metrics(s.ID)
 	// Every peer starts presumed-live: membership here is static (the
-	// launcher starts all N processes); what is dynamic is routability,
-	// which the known gate covers as the address book fills.
+	// launcher starts all N processes).
 	view := NewView(s.ID, cfg.N)
 	view.Fill(cfg.N, 0)
 	nd := newNode(s.ID, cfg.Seed, 0, cfg.Fanout, view, cfg.Transport, m, cfg.Telemetry)
-	if at, ok := find[AddressedTransport](cfg.Transport); ok {
-		nd.known = at.Known
-	}
 	nd.proto = e.New(nd, false)
 	nd.proto.Start()
 

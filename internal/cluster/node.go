@@ -89,12 +89,6 @@ type Node struct {
 	// churn is true on runs with a membership schedule: only there does
 	// a node with nothing to say announce itself instead.
 	churn bool
-	// known optionally gates peer sampling on routability: a transport
-	// with an address book (udpnet) may know fewer peers than the view
-	// believes live, and pushing to an unroutable peer only burns the
-	// emission. Nil (every in-process run) means one View.Pick draw
-	// exactly, which keeps the lockstep golden transcripts byte-stable.
-	known func(int) bool
 	// rank, when non-nil, is the node's slot of the targeted-crash
 	// scoreboard (see Publish).
 	rank *atomic.Int64
@@ -145,23 +139,9 @@ func (nd *Node) Publish(progress int) {
 	nd.Tel.Publish(nd.ID, int64(progress))
 }
 
-// Pick samples a live peer for an emission, or -1 when there is none.
-// With a known gate it redraws a bounded number of times to land on a
-// routable peer, giving up while the book is still too empty; without
-// one it is exactly one View.Pick draw.
-func (nd *Node) Pick() int {
-	peer := nd.View.Pick(nd.Rng, nd.Now)
-	if nd.known == nil {
-		return peer
-	}
-	for tries := 0; tries < 4 && peer >= 0 && !nd.known(peer); tries++ {
-		peer = nd.View.Pick(nd.Rng, nd.Now)
-	}
-	if peer >= 0 && !nd.known(peer) {
-		return -1
-	}
-	return peer
-}
+// Pick samples a live peer for an emission, or -1 when there is none:
+// exactly one View.Pick draw.
+func (nd *Node) Pick() int { return nd.View.Pick(nd.Rng, nd.Now) }
 
 // Send encodes Tx into a recycled buffer and sends it to peer.
 func (nd *Node) Send(peer int) {

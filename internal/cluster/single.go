@@ -6,18 +6,6 @@ import (
 	"repro/internal/token"
 )
 
-// AddressedTransport is implemented by transports that route by an
-// address book (udpnet) rather than a node-indexed table, and can
-// therefore say which peers are reachable right now. RunSingle uses it
-// to gate peer sampling so emissions are not burned on peers whose
-// address is still unknown, and finds it under a stack of middlewares
-// through Layer.Unwrap.
-type AddressedTransport interface {
-	Transport
-	// Known reports whether the transport can currently route to id.
-	Known(id int) bool
-}
-
 // RunSingle runs ONE node of an N-node cluster dissemination: the
 // cmd/node process body (see Engine.RunSingle for what of cfg applies).
 // Token i is seeded at node i mod N, so every process must agree on N

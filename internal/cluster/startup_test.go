@@ -65,8 +65,8 @@ func perturb(rng *rand.Rand, maxN int, views ...*View) {
 }
 
 // randomLive draws a live set over maxN ids: a prefix (one run) or an
-// arbitrary subset (many), sometimes shorter than the id space, as a
-// churn run's live slice never is but callers may be.
+// arbitrary subset (many), sometimes flagging fewer ids than the id
+// space holds.
 func randomLive(rng *rand.Rand, maxN int) []bool {
 	live := make([]bool, maxN-rng.Intn(2)*rng.Intn(maxN))
 	prefix, dense := rng.Intn(len(live)+1), rng.Intn(2) == 0
@@ -80,8 +80,21 @@ func randomLive(rng *rand.Rand, maxN int) []bool {
 	return live
 }
 
+// members builds a run's membership view, self -1, over maxN ids from
+// live flags (at most maxN of them): the live set the churner keeps and
+// every spawned node clones.
+func members(maxN int, live []bool) *View {
+	v := NewView(-1, maxN)
+	for id, l := range live {
+		if l {
+			v.Introduce(id, 0)
+		}
+	}
+	return v
+}
+
 // TestContactsViewMatchesMarkLoop is the property the O(1) start-up
-// rests on: a view copied from a batch's contacts is indistinguishable
+// rests on: a node's clone of the run's membership is indistinguishable
 // from NewView plus one Mark per live id — the loop it replaced —
 // whether suspicion was switched on before or after the fill, and stays
 // so under whatever membership traffic follows.
@@ -102,7 +115,7 @@ func TestContactsViewMatchesMarkLoop(t *testing.T) {
 			}
 		}
 		ref.SuspectAfter = sa
-		got := newContacts(live, maxN).view(self, now)
+		got := members(maxN, live).clone(self, now)
 		got.SuspectAfter = sa
 
 		sameView(t, "fresh", ref, got, sa)
@@ -122,8 +135,8 @@ func TestFillMatchesMarkLoop(t *testing.T) {
 		ref, got := NewView(self, maxN), NewView(self, maxN)
 		ref.SuspectAfter, got.SuspectAfter = sa, sa
 		if rng.Intn(2) == 0 {
-			first := newContacts(randomLive(rng, maxN), maxN)
-			ref, got = first.view(self, 2), first.view(self, 2)
+			first := members(maxN, randomLive(rng, maxN))
+			ref, got = first.clone(self, 2), first.clone(self, 2)
 			ref.SuspectAfter, got.SuspectAfter = sa, sa
 			perturb(rng, maxN, ref, got)
 		}
@@ -162,7 +175,7 @@ func TestHelloBurstMarshalsOncePerRecipientCopy(t *testing.T) {
 	}
 	var m NodeMetrics
 	tr := &captureTransport{got: map[int][][]byte{}}
-	nd := newNode(id, 1, 0, 2, newContacts(live, maxN).view(id, 7), tr, &m, nil)
+	nd := newNode(id, 1, 0, 2, members(maxN, live).clone(id, 7), tr, &m, nil)
 	nd.helloAll(false)
 
 	peers := []uint32{0, 2, 3, 5, 8, 11}

@@ -70,8 +70,7 @@ type TickObserver interface {
 type Layer struct{ Transport }
 
 // Unwrap returns the inner transport: the walk by which Engine.Run
-// finds the tick mailbox, and RunSingle an AddressedTransport, under a
-// stack.
+// finds the tick mailbox under a stack.
 func (l Layer) Unwrap() Transport { return l.Transport }
 
 // ObserveTick implements TickObserver by forwarding: a layer without a

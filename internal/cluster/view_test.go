@@ -195,9 +195,9 @@ func TestHelloReceivePerRun(t *testing.T) {
 		}
 
 		var metrics NodeMetrics
-		first := newContacts(randomLive(rng, maxN), maxN)
-		ref := first.view(self, 2)
-		nd := newNode(self, 1, 0, 2, first.view(self, 2), nil, &metrics, nil)
+		first := members(maxN, randomLive(rng, maxN))
+		ref := first.clone(self, 2)
+		nd := newNode(self, 1, 0, 2, first.clone(self, 2), nil, &metrics, nil)
 		ref.SuspectAfter, nd.View.SuspectAfter = sa, sa
 		perturb(rng, maxN, ref, nd.View)
 

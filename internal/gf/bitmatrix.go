@@ -39,6 +39,9 @@ type BitMatrix struct {
 	// expect is the number of rows the matrix expects to hold at most,
 	// the expected rank plus the scratch row; 0 if unknown.
 	expect int
+	// pivots bounds the pivot columns: Insert refuses a remainder whose
+	// leading bit is at or past it (see LimitPivots). cols by default.
+	pivots int
 }
 
 // NewBitMatrix returns an empty echelon matrix with the given column
@@ -47,7 +50,7 @@ func NewBitMatrix(cols int) *BitMatrix {
 	if cols < 0 {
 		panic("gf: negative BitMatrix column count")
 	}
-	return &BitMatrix{cols: cols, stride: (cols + 63) / 64}
+	return &BitMatrix{cols: cols, stride: (cols + 63) / 64, pivots: cols}
 }
 
 // NewBitMatrixExpecting is NewBitMatrix for a matrix that expects to
@@ -58,6 +61,13 @@ func NewBitMatrixExpecting(cols, rank int) *BitMatrix {
 	m.expect = rank + 1
 	return m
 }
+
+// LimitPivots lets rows pivot only in the first c columns: Insert
+// refuses a vector whose remainder pivots at or past column c as it
+// refuses a dependent one. A coding matrix limits them to its
+// coefficient prefix, so a packet whose payload contradicts the span is
+// never back-eliminated into the rows.
+func (m *BitMatrix) LimitPivots(c int) { m.pivots = min(c, m.cols) }
 
 // Cols returns the number of columns.
 func (m *BitMatrix) Cols() int { return m.cols }
@@ -224,8 +234,7 @@ const eagerBytes = 32 << 10
 // seeds its bases with a row or two each at spawn (a stream node its
 // whole first window) and must not pay for all their rows there. A
 // larger basis doubles up to the expected size, order and lead with the
-// slab. Past the expectation (a corrupted payload's pivot) all three
-// double.
+// slab. Past the expectation all three double.
 func (m *BitMatrix) grow() {
 	rows := len(m.order) + 1
 	if m.stride == 0 || rows*m.stride <= len(m.slab) {
@@ -251,13 +260,13 @@ func (m *BitMatrix) grow() {
 	}
 }
 
-// Insert reduces v against the basis and, if the remainder is nonzero,
-// adds it as a new row, back-eliminating the older rows against the new
-// pivot so the matrix stays in reduced row echelon form. It reports
-// whether the rank grew. The reduction happens in place in the next
-// free slab row, so a rejected (dependent) vector costs no allocation
-// and an accepted one costs none either once the slab has grown to the
-// working rank.
+// Insert reduces v against the basis and, if the remainder is nonzero
+// and pivots within the limit (LimitPivots), adds it as a new row,
+// back-eliminating the older rows against the new pivot so the matrix
+// stays in reduced row echelon form. It reports whether the rank grew.
+// The reduction happens in place in the next free slab row, so a
+// rejected vector costs no allocation and an accepted one costs none
+// either once the slab has grown to the working rank.
 func (m *BitMatrix) Insert(v BitVec) bool {
 	if v.Len() != m.cols {
 		panic(fmt.Sprintf("gf: BitMatrix insert of %d-bit vector into %d columns", v.Len(), m.cols))
@@ -268,7 +277,7 @@ func (m *BitMatrix) Insert(v BitVec) bool {
 	row.CopyFrom(v)
 	m.reduceInPlace(row)
 	lb := row.LeadingBit()
-	if lb < 0 {
+	if lb < 0 || lb >= m.pivots {
 		return false
 	}
 	pos := sort.SearchInts(m.lead, lb)
@@ -378,6 +387,7 @@ func (m *BitMatrix) Clone() *BitMatrix {
 		order:  make([]int32, len(m.order)),
 		lead:   make([]int, len(m.lead)),
 		expect: m.expect,
+		pivots: m.pivots,
 	}
 	for i, idx := range m.order {
 		copy(c.slab[i*m.stride:(i+1)*m.stride], m.slab[int(idx)*m.stride:(int(idx)+1)*m.stride])

@@ -67,9 +67,12 @@ type Span struct {
 }
 
 // NewSpan returns an empty span for k coefficients and payloadBits of
-// payload. Its basis expects rank k, which sizes its storage.
+// payload. Its basis expects rank k, which sizes its storage, and its
+// rows pivot only in the k coefficient columns (see Add).
 func NewSpan(k, payloadBits int) *Span {
-	return &Span{k: k, payload: payloadBits, mat: gf.NewBitMatrixExpecting(k+payloadBits, k)}
+	mat := gf.NewBitMatrixExpecting(k+payloadBits, k)
+	mat.LimitPivots(k)
+	return &Span{k: k, payload: payloadBits, mat: mat}
 }
 
 // K returns the coefficient dimension.
@@ -82,7 +85,10 @@ func (s *Span) PayloadBits() int { return s.payload }
 func (s *Span) Rank() int { return s.mat.Rank() }
 
 // Add inserts a coded message, reporting whether it increased the rank
-// (carried new information).
+// (carried new information). A message whose coefficients lie in the
+// span but whose payload differs from the span's for them is refused
+// like a dependent one: it contradicts what the span holds, and
+// inserting it would corrupt every decoded payload it touches.
 func (s *Span) Add(c Coded) bool {
 	if c.K != s.k || c.Vec.Len() != s.k+s.payload {
 		panic(fmt.Sprintf("rlnc: message dims (k=%d,len=%d) do not match span (k=%d,len=%d)",
@@ -226,10 +232,6 @@ func (s *Span) DecodablePayload(i int) (gf.BitVec, bool) {
 func (s *Span) DecodableCount() int {
 	count := 0
 	for i := 0; i < s.mat.Rank(); i++ {
-		l := s.mat.Lead(i)
-		if l >= s.k {
-			break // leads are sorted; the rest pivot in the payload
-		}
 		if s.mat.Row(i).OnesCountPrefix(s.k) == 1 {
 			count++
 		}

@@ -77,6 +77,38 @@ func TestSpanDecodeFailsBelowRank(t *testing.T) {
 	}
 }
 
+// TestContradictingPayloadRefused is the one-packet poisoning probe: a
+// full span of four source tokens, then token 0 again with one payload
+// bit flipped. Its coefficients lie in the span and its payload does
+// not, so it must be refused like a dependent packet — no rank growth —
+// and every token must still decode to its source.
+func TestContradictingPayloadRefused(t *testing.T) {
+	const k, d = 4, 64
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewSpan(k, d)
+		payloads := make([]gf.BitVec, k)
+		for i := range payloads {
+			payloads[i] = gf.RandomBitVec(d, rng.Uint64)
+			s.Add(Encode(i, k, payloads[i]))
+		}
+		bad := Encode(0, k, payloads[0])
+		bad.Vec.Flip(k + rng.Intn(d))
+		if s.Add(bad) || s.Rank() != k {
+			t.Fatalf("seed %d: contradicting packet accepted, rank %d", seed, s.Rank())
+		}
+		got, err := s.Decode()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i := range payloads {
+			if !got[i].Equal(payloads[i]) {
+				t.Fatalf("seed %d: token %d decodes to a payload it was not sent", seed, i)
+			}
+		}
+	}
+}
+
 // TestDecodeFromRandomCombinations is the core coding property: mixing
 // random combinations of combinations still decodes.
 func TestDecodeFromRandomCombinations(t *testing.T) {

@@ -149,8 +149,7 @@ func (st *stats) snapshot() Stats {
 }
 
 // Transport is one node's socket transport. It implements
-// cluster.Transport (and cluster.AddressedTransport via Known), so the
-// gossip runtimes and the fault-injection middlewares compose over it
+// cluster.Transport, so the gossip runtimes and the fault-injection middlewares compose over it
 // exactly as over a ChanTransport.
 type Transport struct {
 	cfg  Config
@@ -307,8 +306,9 @@ func (t *Transport) addrOf(id int) *net.UDPAddr {
 	return t.book[id]
 }
 
-// Known implements cluster.AddressedTransport: it reports whether the
-// book can route to id.
+// Known reports whether the book can route to id. Bootstrap asks it;
+// gossip does not, because it starts only once WaitReady reports the
+// book complete.
 func (t *Transport) Known(id int) bool { return t.addrOf(id) != nil }
 
 // BookSize returns the number of known peers (including self).

@@ -14,9 +14,8 @@ import (
 
 // The socket transport must be a drop-in for the in-process ones.
 var (
-	_ cluster.Transport          = (*Transport)(nil)
-	_ cluster.AddressedTransport = (*Transport)(nil)
-	_ cluster.Transport          = (*Mesh)(nil)
+	_ cluster.Transport = (*Transport)(nil)
+	_ cluster.Transport = (*Mesh)(nil)
 )
 
 func testTokens(k, d int, seed int64) []token.Token {
