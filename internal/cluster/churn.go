@@ -36,11 +36,10 @@ const (
 	// that lost its disk): same id, but it bootstraps like a joiner.
 	ChurnRejoin
 	// ChurnCrashMax is the targeted-crash adversary: it kills the live
-	// node with the highest rank (most decoding progress) instead of a
-	// uniform victim, maximizing the knowledge the cluster loses. With
-	// no rank oracle installed (churner.setRank) it degrades to a
-	// uniform crash. Resolved operations surface as ChurnCrash, so the
-	// drivers need no targeted-specific handling.
+	// node with the highest rank (most decoding progress, as the node
+	// last published it) instead of a uniform victim, maximizing the
+	// knowledge the cluster loses. Resolved operations surface as
+	// ChurnCrash, so the drivers need no targeted-specific handling.
 	ChurnCrashMax
 	// ChurnCrashFrontier kills the live node with the LOWEST rank — for
 	// the stream runtime, whose rank oracle is the delivery watermark,
@@ -175,21 +174,6 @@ func (s *ChurnSchedule) Joins() int {
 	return total
 }
 
-// HasTargeted reports whether the schedule contains any rank-targeted
-// event (crashmax, crashfrontier) — the drivers use it to decide
-// whether to maintain the rank oracle the churner needs.
-func (s *ChurnSchedule) HasTargeted() bool {
-	if s == nil {
-		return false
-	}
-	for _, e := range s.Events {
-		if e.Kind == ChurnCrashMax || e.Kind == ChurnCrashFrontier {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate rejects schedules the drivers cannot run.
 func (s *ChurnSchedule) Validate() error {
 	if s == nil {
@@ -260,8 +244,8 @@ type View struct {
 	stamp int64
 	heard []int64
 	// SuspectAfter is the silence threshold beyond which a live peer
-	// stops being eligible for sampling and frontier membership. Zero
-	// means never suspect.
+	// stops being eligible for frontier membership; sampling ignores it
+	// (see Pick). Zero means never suspect.
 	SuspectAfter int64
 }
 
@@ -527,12 +511,12 @@ type churner struct {
 	ops     []churnOp
 	// rank is the oracle for the targeted crash kinds (crashmax,
 	// crashfrontier): the current decoding progress / delivery
-	// watermark of a live node. Nil degrades targeted kinds to uniform
-	// crashes. See setRank.
+	// watermark of a live node. It is called at popUntil time, from the
+	// goroutine driving the churn.
 	rank func(id int) int
 }
 
-func newChurner(s *ChurnSchedule, n, maxN int, seed int64) *churner {
+func newChurner(s *ChurnSchedule, n, maxN int, seed int64, rank func(id int) int) *churner {
 	if s == nil || len(s.Events) == 0 {
 		return nil
 	}
@@ -541,18 +525,7 @@ func newChurner(s *ChurnSchedule, n, maxN int, seed int64) *churner {
 		rng:    keyed.Rand(seed, keyed.Churn),
 		nextID: n,
 		maxID:  maxN,
-	}
-}
-
-// setRank installs the rank oracle the targeted crash kinds select
-// victims with. The drivers call it once at run start when the
-// schedule HasTargeted; fn must be callable at popUntil time for every
-// live id (the async driver's clock goroutine is not the nodes', so
-// implementations back it with atomics). A nil churner or nil fn is
-// a no-op / oracle removal.
-func (c *churner) setRank(fn func(id int) int) {
-	if c != nil {
-		c.rank = fn
+		rank:   rank,
 	}
 }
 
@@ -635,11 +608,10 @@ func (c *churner) popUntil(tick int, live *View) []churnOp {
 // maximum for crashmax (kill the best-informed node), the minimum for
 // crashfrontier (kill the straggler the stream frontier waits on) —
 // breaking ties toward the lowest id so the choice is deterministic.
-// Without a rank oracle it falls back to a uniform draw; like
-// pickLive it refuses to reduce the cluster below two live nodes.
+// Like pickLive it refuses to reduce the cluster below two live nodes.
 func (c *churner) pickTargeted(live *View, max bool) int {
-	if c.rank == nil || live.LiveCount() < 2 {
-		return c.pickLive(live)
+	if live.LiveCount() < 2 {
+		return -1
 	}
 	victim, best := -1, 0
 	for id := range live.EligibleIDs(0) {

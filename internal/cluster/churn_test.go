@@ -400,7 +400,7 @@ func TestChurnEventEndsAtFirstNoOp(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := newChurner(sched, n, maxN, 1)
+			c := newChurner(sched, n, maxN, 1, func(int) int { return 0 })
 			live := members(maxN, slices.Repeat([]bool{true}, n))
 			done := make(chan []churnOp)
 			go func() { done <- slices.Clone(c.popUntil(3, live)) }()
@@ -444,10 +444,7 @@ func flagPickLive(rng *rand.Rand, live []bool) int {
 	return -1
 }
 
-func flagPickTargeted(rng *rand.Rand, rank func(int) int, live []bool, max bool) int {
-	if rank == nil {
-		return flagPickLive(rng, live)
-	}
+func flagPickTargeted(rank func(int) int, live []bool, max bool) int {
 	count, victim, best := 0, -1, 0
 	for id, l := range live {
 		if !l {
@@ -468,7 +465,7 @@ func flagPickTargeted(rng *rand.Rand, rank func(int) int, live []bool, max bool)
 // TestVictimDrawsMatchFlagScans holds pickLive and pickTargeted over
 // the membership View to the flag scans they replaced: over empty,
 // single, dense and fragmented live sets and random rank oracles (with
-// ties, or none), a sequence of draws — each victim removed, as
+// ties), a sequence of draws — each victim removed, as
 // popUntil removes it — picks the same ids and leaves the churner's
 // rng at the same next draw.
 func TestVictimDrawsMatchFlagScans(t *testing.T) {
@@ -485,14 +482,11 @@ func TestVictimDrawsMatchFlagScans(t *testing.T) {
 		default:
 			live = randomLive(rng, maxN)
 		}
-		var rank func(int) int
-		if rng.Intn(4) > 0 {
-			ranks := make([]int, maxN)
-			for id := range ranks {
-				ranks[id] = rng.Intn(1 + rng.Intn(maxN))
-			}
-			rank = func(id int) int { return ranks[id] }
+		ranks := make([]int, maxN)
+		for id := range ranks {
+			ranks[id] = rng.Intn(1 + rng.Intn(maxN))
 		}
+		rank := func(id int) int { return ranks[id] }
 		view := members(maxN, live)
 		c := &churner{rng: rand.New(rand.NewSource(seed)), rank: rank}
 		ref := rand.New(rand.NewSource(seed))
@@ -502,7 +496,7 @@ func TestVictimDrawsMatchFlagScans(t *testing.T) {
 			case 0:
 				got, want = c.pickLive(view), flagPickLive(ref, live)
 			default:
-				got, want = c.pickTargeted(view, kind == 1), flagPickTargeted(ref, rank, live, kind == 1)
+				got, want = c.pickTargeted(view, kind == 1), flagPickTargeted(rank, live, kind == 1)
 			}
 			if got != want {
 				t.Fatalf("seed %d step %d: View draw %d, flag scan %d", seed, step, got, want)

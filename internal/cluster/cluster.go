@@ -9,16 +9,18 @@
 //
 // The package is also the node runtime every gossip protocol in the
 // repository runs on (DESIGN.md "Node runtime and drivers"): a Node
-// shell, a Protocol interface, and an Engine holding the three
-// drivers. One-shot k-token gossip (Run, RunSingle) is one Protocol,
-// defined here; the windowed stream of internal/stream is the other.
+// shell, a Protocol interface, and an Engine holding the two drivers.
+// One-shot k-token gossip (Run, RunSingle) is one Protocol, defined
+// here; the windowed stream of internal/stream is the other.
 //
-// Two in-process execution modes share the node logic, and one unit of
-// time, the tick (see TickObserver):
+// The two drivers share the node logic, and one unit of time, the tick
+// (see TickObserver):
 //
 //   - Async (default): goroutine per node, pacing by ticker plus
 //     push-on-innovation, a tick every Interval of wall time. This is the
-//     "production" shape: concurrent, lossy, timing-dependent.
+//     "production" shape: concurrent, lossy, timing-dependent, and the
+//     one a process of a multi-process run (RunSingle) drives its own
+//     node with.
 //
 //   - Lockstep (Config.Lockstep): a single-threaded driver alternates
 //     drain and emit phases over the same node state — and over the same
@@ -395,12 +397,12 @@ type dissemination struct {
 // members in the given mode, counting into the given blocks.
 func oneShotEngine(mode Mode, n int, toks []token.Token, metrics func(id int) *NodeMetrics) Engine {
 	d := &dissemination{mode: mode, n: n, toks: toks, vecs: tokenVecs(toks)}
-	return Engine{New: d.newNode, Metrics: metrics}
+	return Engine{New: d.newProtocol, Metrics: metrics}
 }
 
-// newNode builds one node's one-shot state: a founding member is
+// newProtocol builds one node's one-shot state: a founding member is
 // seeded with its stride-n share of the tokens, a joiner starts empty.
-func (d *dissemination) newNode(nd *Node, joiner bool) Protocol {
+func (d *dissemination) newProtocol(nd *Node, joiner bool) Protocol {
 	k := len(d.toks)
 	o := &oneShot{nd: nd, d: d}
 	switch d.mode {

@@ -4,20 +4,20 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/keyed"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
 
-// Engine runs a Protocol: it is the set-up, the two in-process drivers
-// (Run: deterministic lockstep, or a goroutine per node) and the
-// one-process-per-node loop (RunSingle) that one-shot gossip and the
-// stream share. It is also the only place a Config is resolved: the
-// checks every run shares, the defaults, the id space and the default
-// transport live here; callers validate what only their protocol knows
-// (token shapes, window, generations).
+// Engine runs a Protocol: it is the set-up and the two drivers that
+// one-shot gossip and the stream share — deterministic lockstep, and
+// the wall clock, which drives a goroutine per node in Run and the one
+// node of a process in RunSingle. It is also the only place a Config is
+// resolved: the checks every run shares, the defaults, the id space and
+// the default transport live here; callers validate what only their
+// protocol knows (token shapes, window, generations).
 type Engine struct {
 	// New builds the protocol state of a freshly spawned node. A joiner
 	// starts empty and catches up from gossip; everyone else is a
@@ -133,9 +133,9 @@ func (c Config) fabric(tr Transport) (*mailbox, error) {
 	return nil, nil
 }
 
-// run is the state of one in-process run, shared by both drivers: the
-// node table (indexed by id, nil until spawned), the live set, and the
-// churner applying the membership script.
+// run is the state of one run, shared by both drivers: the node table
+// (indexed by id, nil until spawned — RunSingle spawns one node of
+// it), the live set, and the churner applying the membership script.
 type run struct {
 	eng   Engine
 	cfg   Config // defaults resolved
@@ -150,12 +150,6 @@ type run struct {
 	// mb is the tick mailbox at the bottom of tr when the lockstep driver
 	// drains that instead of tr.Recv (see Config.fabric).
 	mb *mailbox
-	// ranks backs the targeted-crash oracle (ChurnCrashMax /
-	// ChurnCrashFrontier): each node publishes its progress here and the
-	// churner reads it when selecting victims — atomically, because the
-	// async driver's clock goroutine is not the nodes'. Nil unless the
-	// schedule HasTargeted, so untargeted runs pay nothing.
-	ranks []atomic.Int64
 	// exec partitions the id space for the initial spawn and the
 	// lockstep driver's parallel phases (a single shard in async mode).
 	exec *shard.Executor
@@ -192,13 +186,9 @@ func (e Engine) Run(ctx context.Context, cfg Config) (Outcome, error) {
 		maxN:  maxN,
 		nodes: make([]*Node, maxN),
 		live:  NewView(-1, maxN),
-		ch:    newChurner(cfg.Churn, cfg.N, maxN, cfg.Seed),
 		exec:  shard.New(maxN, cfg.Shards),
 	}
-	if cfg.Churn.HasTargeted() {
-		r.ranks = make([]atomic.Int64, maxN)
-		r.ch.setRank(func(id int) int { return int(r.ranks[id].Load()) })
-	}
+	r.ch = newChurner(cfg.Churn, cfg.N, maxN, cfg.Seed, r.progress)
 	r.live.Fill(cfg.N, 0)
 	// Spawning touches per-id state only, so the initial batch runs
 	// under exec: shard-count bit-identity holds by construction.
@@ -218,7 +208,7 @@ func (e Engine) Run(ctx context.Context, cfg Config) (Outcome, error) {
 		if cfg.Lockstep {
 			err = r.runLockstep(ctx)
 		} else {
-			err = r.runAsync(ctx)
+			err = r.runAsync(ctx, 0)
 		}
 	}
 	res := r.res
@@ -236,21 +226,43 @@ func (e Engine) Run(ctx context.Context, cfg Config) (Outcome, error) {
 	return *res, err
 }
 
-// spawn builds (or rebuilds, wiping it) node id. Its view is a copy of
-// r.live, which the churner has changed for the whole batch before any
-// of it applies — a joiner's contact list.
+// spawn builds (or rebuilds, wiping it) node id, spawned at tick now:
+// the one place a Node is built, whatever drives it. Its view is a copy
+// of r.live, which the churner has changed for the whole batch before
+// any of it applies — a joiner's contact list. Its rng is keyed by
+// (seed, id, now), so the same node draws the same coins under every
+// driver, in-process or one process per node.
 func (r *run) spawn(id int, joiner bool, now int64) *Node {
-	nd := newNode(id, r.cfg.Seed, now, r.cfg.Fanout, r.live.clone(id, now), r.tr, r.eng.Metrics(id), r.cfg.Telemetry)
+	m := r.eng.Metrics(id)
+	m.Spawned, m.Live = true, true
+	nd := &Node{
+		ID:     id,
+		View:   r.live.clone(id, now),
+		Now:    now,
+		Rng:    keyed.Rand(r.cfg.Seed, keyed.Node, int64(id), now),
+		Fanout: r.cfg.Fanout,
+		M:      m,
+		Tel:    r.cfg.Telemetry,
+		tr:     r.tr,
+		ring:   NewBufRing(DefaultRingCap),
+		churn:  r.cfg.Churn != nil,
+	}
 	// Suspicion is set before any mark can deviate from the shared
 	// stamp (see View).
 	nd.View.SuspectAfter = int64(r.eng.SuspectTicks)
-	nd.churn = r.cfg.Churn != nil
-	if r.ranks != nil {
-		nd.rank = &r.ranks[id]
-	}
 	nd.proto = r.eng.New(nd, joiner)
 	r.nodes[id] = nd
 	return nd
+}
+
+// progress is the targeted-crash oracle (ChurnCrashMax,
+// ChurnCrashFrontier): node id's last Publish, 0 if it was never
+// spawned.
+func (r *run) progress(id int) int {
+	if nd := r.nodes[id]; nd != nil {
+		return int(nd.progress.Load())
+	}
+	return 0
 }
 
 func (r *run) firstErr() error {
@@ -487,21 +499,17 @@ type wallClock struct {
 
 func (c wallClock) now() int64 { return int64(time.Since(c.start) / c.interval) }
 
-// loop is one started node's life as a goroutine of the async driver or
-// as a process of its own: ticker-paced full emission slots plus an
-// immediate data push after every packet that made progress. drive
-// makes the node the run's clock as well (RunSingle, where it is the
-// only goroutine there is): it feeds its ticks to the transport stack.
-// settle runs on the node's goroutine on entry and after every state
-// change; it records completion, and the channel it returns (nil:
-// never) ends the loop when it fires. The loop also ends with ctx, or
-// with the node's failure.
-func (nd *Node) loop(ctx context.Context, clk wallClock, drive bool, settle func() <-chan time.Time) error {
+// loop is one started node's life as a goroutine of the wall-clock
+// driver: ticker-paced full emission slots plus an immediate data push
+// after every packet that made progress. settle runs on the node's
+// goroutine on entry and after every state change, to record
+// completion. The loop ends with ctx, or with the node's failure.
+func (nd *Node) loop(ctx context.Context, clk wallClock, settle func()) error {
 	nd.Now = clk.now()
 	if nd.err != nil {
 		return nd.err
 	}
-	stop := settle()
+	settle()
 	inbox := nd.tr.Recv(nd.ID)
 	ticker := time.NewTicker(clk.interval)
 	defer ticker.Stop()
@@ -509,39 +517,37 @@ func (nd *Node) loop(ctx context.Context, clk wallClock, drive bool, settle func
 		select {
 		case <-ctx.Done():
 			return nil
-		case <-stop:
-			return nil
 		case raw := <-inbox:
 			nd.Now = clk.now()
 			if nd.recv(raw) {
 				if nd.err != nil {
 					return nd.err
 				}
-				stop = settle()
+				settle()
 				nd.proto.Emit(false)
 			}
 		case <-ticker.C:
 			nd.Now = clk.now()
-			if drive {
-				ObserveTick(nd.tr, nd.Now)
-			}
 			nd.sample(len(inbox))
 			nd.proto.Emit(true)
 			if nd.err != nil {
 				return nd.err
 			}
-			stop = settle() // a full slot can finish a node by itself
+			settle() // a full slot can finish a node by itself
 		}
 	}
 }
 
-// runAsync is the goroutine-per-node execution. What is asynchronous is
-// the nodes; time is one goroutine's, the run's clock: once per
-// Interval it feeds the tick to the transport stack and applies the
-// churn operations that have fallen due — letting an operation's node
-// exit first, so node state never has two owners, and starting a
-// goroutine for whatever the operation added.
-func (r *run) runAsync(ctx context.Context) error {
+// runAsync is the wall-clock driver: a goroutine per spawned node. What
+// is asynchronous is the nodes; time is one goroutine's, the run's
+// clock: once per Interval it feeds the tick to the transport stack and
+// applies the churn operations that have fallen due — letting an
+// operation's node exit first, so node state never has two owners, and
+// starting a goroutine for whatever the operation added. Once every
+// live node is done the run goes on for linger (RunSingle's
+// Single.Linger; 0 in-process), a node failure or the context,
+// whichever ends first.
+func (r *run) runAsync(ctx context.Context, linger time.Duration) error {
 	cfg := r.cfg
 	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()
@@ -563,13 +569,12 @@ func (r *run) runAsync(ctx context.Context) error {
 			defer wg.Done()
 			defer close(stop)
 			nd := r.nodes[id]
-			err := nd.loop(nodeCtx, clk, false, func() <-chan time.Time {
+			err := nd.loop(nodeCtx, clk, func() {
 				// Done is only ever written by this goroutine, or by the
 				// clock goroutine while this one is not running.
 				if !nd.M.Done {
 					tk.markDone(nd)
 				}
-				return nil
 			})
 			if err != nil {
 				select {
@@ -579,8 +584,10 @@ func (r *run) runAsync(ctx context.Context) error {
 			}
 		}()
 	}
-	for id := 0; id < cfg.N; id++ {
-		start(id)
+	for id, nd := range r.nodes {
+		if nd != nil {
+			start(id)
+		}
 	}
 
 	wg.Add(1)
@@ -635,6 +642,11 @@ func (r *run) runAsync(ctx context.Context) error {
 	select {
 	case <-tk.allDone:
 		r.res.Completed = true
+		select {
+		case <-time.After(linger):
+		case err = <-errCh:
+		case <-ctx.Done():
+		}
 	case err = <-errCh:
 	case <-ctx.Done():
 	}
@@ -666,15 +678,16 @@ type Single struct {
 }
 
 // RunSingle runs ONE node of cfg's N-node run as the body of its own
-// process: the other N-1 are reachable only through cfg.Transport,
-// which is required and not closed — it is the process's socket, owned
-// by the caller, and outlives the gossip run (metric scraping still
-// reads its counters). It must route to every id of [0, N) from the
-// first emission on: the node samples its view, which holds all N,
-// and nothing asks the transport whom it can reach (cmd/node starts
-// gossip only once its socket's address book is complete). What only
-// an in-process driver can honour (Lockstep, Shards, MaxTicks, Churn)
-// is rejected when set.
+// process: a run whose id space and live set are all N but which spawns
+// only node s.ID, under the wall-clock driver Run uses in-process. The
+// other N-1 are reachable only through cfg.Transport, which is required
+// and not closed — it is the process's socket, owned by the caller, and
+// outlives the gossip run (metric scraping still reads its counters).
+// It must route to every id of [0, N) from the first emission on: the
+// node samples its view, which holds all N, and nothing asks the
+// transport whom it can reach (cmd/node starts gossip only once its
+// socket's address book is complete). What only an in-process driver
+// can honour (Lockstep, Shards, MaxTicks, Churn) is rejected when set.
 // The node gossips until it is Done, keeps emitting for the linger
 // window so slower peers can finish too, and returns. A timeout
 // (cfg.Timeout caps the run including linger) or cancellation before
@@ -699,32 +712,8 @@ func (e Engine) RunSingle(ctx context.Context, cfg Config, s Single) error {
 		return fmt.Errorf("cluster: RunSingle needs a Transport (the process's socket)")
 	}
 	cfg = cfg.withDefaults()
-	m := e.Metrics(s.ID)
-	// Every peer starts presumed-live: membership here is static (the
-	// launcher starts all N processes).
-	view := NewView(s.ID, cfg.N)
-	view.Fill(cfg.N, 0)
-	nd := newNode(s.ID, cfg.Seed, 0, cfg.Fanout, view, cfg.Transport, m, cfg.Telemetry)
-	nd.proto = e.New(nd, false)
-	nd.proto.Start()
-
-	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
-	defer cancel()
-	var linger *time.Timer
-	defer func() {
-		if linger != nil {
-			linger.Stop()
-		}
-	}()
-	return nd.loop(ctx, wallClock{time.Now(), cfg.Interval}, true, func() <-chan time.Time {
-		if linger == nil {
-			if !nd.proto.Done() {
-				return nil
-			}
-			m.Done = true
-			m.DoneTick = int(nd.Now)
-			linger = time.NewTimer(orDefault(s.Linger, 2*time.Second))
-		}
-		return linger.C
-	})
+	r := &run{eng: e, cfg: cfg, tr: cfg.Transport, res: &Outcome{}, maxN: cfg.N, nodes: make([]*Node, cfg.N), live: NewView(-1, cfg.N)}
+	r.live.Fill(cfg.N, 0)
+	r.spawn(s.ID, false, 0).proto.Start()
+	return r.runAsync(ctx, orDefault(s.Linger, 2*time.Second))
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"repro/internal/keyed"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -14,8 +13,8 @@ import (
 // package's coded and forward gossipers) and the windowed stream
 // (internal/stream): what a node absorbs, what it emits, and when it
 // is finished. Everything else — membership, peer sampling, the wire
-// buffers, the send path, the three drivers — is the Node shell and
-// the Engine, written once. A Protocol is owned by its Node: every
+// buffers, the send path, the two drivers — is the Node shell and the
+// Engine, written once. A Protocol is owned by its Node: every
 // method is called by whichever goroutine (or lockstep slot) is
 // driving that node, never concurrently, and reaches the network only
 // through the Node's Pick, Send and Announce.
@@ -89,31 +88,12 @@ type Node struct {
 	// churn is true on runs with a membership schedule: only there does
 	// a node with nothing to say announce itself instead.
 	churn bool
-	// rank, when non-nil, is the node's slot of the targeted-crash
-	// scoreboard (see Publish).
-	rank *atomic.Int64
+	// progress is the node's last Publish, which the targeted-crash
+	// oracle reads — atomically, because under the wall-clock driver
+	// the run's clock goroutine is not the node's.
+	progress atomic.Int64
 	// err is the first failure the protocol reported (see Fail).
 	err error
-}
-
-// newNode builds the shell for one incarnation of a node, spawned at
-// tick spawn. The rng key is what every driver — in-process or one
-// process per node — shares, so the same (seed, id, spawn) draws the
-// same coins everywhere.
-func newNode(id int, seed, spawn int64, fanout int, view *View, tr Transport, m *NodeMetrics, tel *telemetry.Recorder) *Node {
-	m.Spawned = true
-	m.Live = true
-	return &Node{
-		ID:     id,
-		View:   view,
-		Now:    spawn,
-		Rng:    keyed.Rand(seed, keyed.Node, int64(id), spawn),
-		Fanout: fanout,
-		M:      m,
-		Tel:    tel,
-		tr:     tr,
-		ring:   NewBufRing(DefaultRingCap),
-	}
 }
 
 // Fail records a failure that must abort the run — a decode that does
@@ -127,15 +107,13 @@ func (nd *Node) Fail(err error) {
 
 // Publish posts the node's progress — span rank for one-shot gossip,
 // the delivery watermark for the stream — to the two scoreboards
-// adversaries read: the targeted-crash oracle (ChurnCrashMax /
-// ChurnCrashFrontier; absent unless the schedule has a targeted event)
-// and the recorder's (telemetry.Recorder.LiveRank, the adaptive
-// topology adversary's). It is the only writer of either, so both
-// adversaries sort by one definition of progress.
+// adversaries read: the node's own, which the targeted-crash oracle
+// (ChurnCrashMax / ChurnCrashFrontier) reads, and the recorder's
+// (telemetry.Recorder.LiveRank, the adaptive topology adversary's). It
+// is the only writer of either, so both adversaries sort by one
+// definition of progress.
 func (nd *Node) Publish(progress int) {
-	if nd.rank != nil {
-		nd.rank.Store(int64(progress))
-	}
+	nd.progress.Store(int64(progress))
 	nd.Tel.Publish(nd.ID, int64(progress))
 }
 

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // TestRunSingleCrossProcessEquivalent runs N independent RunSingle
@@ -127,5 +130,122 @@ func TestRunSingleTimeoutIncomplete(t *testing.T) {
 	}
 	if m.Done {
 		t.Error("node completed without its peer's tokens")
+	}
+}
+
+// tickedTransport records the tick of every sender's latest Send, as
+// the driver's ObserveTick calls report it.
+type tickedTransport struct {
+	Transport
+	mu       sync.Mutex
+	tick     int64
+	lastSend map[int]int64
+}
+
+func (t *tickedTransport) ObserveTick(tick int64) {
+	t.mu.Lock()
+	t.tick = max(t.tick, tick)
+	t.mu.Unlock()
+}
+
+func (t *tickedTransport) Send(from, to int, pkt []byte) bool {
+	t.mu.Lock()
+	t.lastSend[from] = t.tick
+	t.mu.Unlock()
+	return t.Transport.Send(from, to, pkt)
+}
+
+// lateFailure is a Protocol done from its start that fails at its third
+// full emission slot: a failure inside the linger window.
+type lateFailure struct {
+	nd    *Node
+	slots int
+}
+
+var errLate = errors.New("late failure")
+
+func (p *lateFailure) Start()                      {}
+func (p *lateFailure) Absorb(*wire.Packet) bool    { return false }
+func (p *lateFailure) Done() bool                  { return true }
+func (p *lateFailure) Progress() (rank, water int) { return 0, 0 }
+func (p *lateFailure) Restart()                    {}
+func (p *lateFailure) Leave()                      {}
+func (p *lateFailure) Emit(full bool) {
+	if full {
+		if p.slots++; p.slots == 3 {
+			p.nd.Fail(errLate)
+		}
+	}
+}
+
+// TestRunSingleLinger pins the linger contract of a one-node run: after
+// its own completion the node keeps gossiping for Single.Linger and
+// returns no earlier; a Timeout shorter than the linger cuts it short
+// with no error and Done set; a failure during the linger is the run's
+// error.
+func TestRunSingleLinger(t *testing.T) {
+	const n, interval = 2, time.Millisecond
+	toks := testTokens(4, 32, 7)
+	two := func(linger, timeout time.Duration) ([n]NodeMetrics, [n]time.Duration, map[int]int64) {
+		t.Helper()
+		tr := &tickedTransport{Transport: NewChanTransport(n, 64), lastSend: map[int]int64{}}
+		defer tr.Close()
+		cfg := Config{N: n, Seed: 3, Transport: tr, Interval: interval, Timeout: timeout}
+		var (
+			wg      sync.WaitGroup
+			ms      [n]NodeMetrics
+			elapsed [n]time.Duration
+			errs    [n]error
+		)
+		for id := range n {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start := time.Now()
+				ms[id], errs[id] = RunSingle(context.Background(), cfg, Single{ID: id, Linger: linger}, toks)
+				elapsed[id] = time.Since(start)
+			}()
+		}
+		wg.Wait()
+		for id, err := range errs {
+			if err != nil {
+				t.Fatalf("linger %v timeout %v: node %d: %v", linger, timeout, id, err)
+			}
+			if !ms[id].Done {
+				t.Fatalf("linger %v timeout %v: node %d did not complete", linger, timeout, id)
+			}
+		}
+		return ms, elapsed, tr.lastSend
+	}
+
+	const linger = 300 * time.Millisecond
+	ms, elapsed, lastSend := two(linger, 20*time.Second)
+	for id := range n {
+		if done := time.Duration(ms[id].DoneTick) * interval; elapsed[id] < done+linger {
+			t.Errorf("node %d returned %v after its start, done at %v: before the %v linger ended", id, elapsed[id], done, linger)
+		}
+		if ticks := int64(ms[id].DoneTick) + int64(linger/interval/2); lastSend[id] < ticks {
+			t.Errorf("node %d last sent at tick %d, done at %d: stopped gossiping within the linger", id, lastSend[id], ms[id].DoneTick)
+		}
+	}
+
+	_, elapsed, _ = two(time.Hour, 200*time.Millisecond)
+	for id, e := range elapsed {
+		if e > 10*time.Second {
+			t.Errorf("node %d returned after %v: the 200ms timeout did not cut the linger short", id, e)
+		}
+	}
+
+	var m NodeMetrics
+	tr := NewChanTransport(n, 64)
+	defer tr.Close()
+	eng := Engine{New: func(nd *Node, _ bool) Protocol { return &lateFailure{nd: nd} }, Metrics: func(int) *NodeMetrics { return &m }}
+	start := time.Now()
+	err := eng.RunSingle(context.Background(), Config{N: n, Transport: tr, Interval: interval, Timeout: time.Minute}, Single{ID: 0, Linger: time.Minute})
+	if !errors.Is(err, errLate) || !m.Done {
+		t.Errorf("failure during the linger: err %v, Done %v; want %v and Done", err, m.Done, errLate)
+	}
+	if e := time.Since(start); e > 10*time.Second {
+		t.Errorf("failure during the linger returned after %v", e)
 	}
 }

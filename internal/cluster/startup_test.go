@@ -93,6 +93,19 @@ func members(maxN int, live []bool) *View {
 	return v
 }
 
+// bareNode spawns node id of a run whose live set is live, at tick now
+// and with no protocol: the shell alone, for the hello tests.
+func bareNode(id int, live *View, now int64, tr Transport, m *NodeMetrics) *Node {
+	r := &run{
+		eng:   Engine{New: func(*Node, bool) Protocol { return nil }, Metrics: func(int) *NodeMetrics { return m }},
+		cfg:   Config{Seed: 1, Fanout: 2},
+		tr:    tr,
+		nodes: make([]*Node, live.maxN),
+		live:  live,
+	}
+	return r.spawn(id, false, now)
+}
+
 // TestContactsViewMatchesMarkLoop is the property the O(1) start-up
 // rests on: a node's clone of the run's membership is indistinguishable
 // from NewView plus one Mark per live id — the loop it replaced —
@@ -175,7 +188,7 @@ func TestHelloBurstMarshalsOncePerRecipientCopy(t *testing.T) {
 	}
 	var m NodeMetrics
 	tr := &captureTransport{got: map[int][][]byte{}}
-	nd := newNode(id, 1, 0, 2, members(maxN, live).clone(id, 7), tr, &m, nil)
+	nd := bareNode(id, members(maxN, live), 7, tr, &m)
 	nd.helloAll(false)
 
 	peers := []uint32{0, 2, 3, 5, 8, 11}

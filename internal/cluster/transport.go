@@ -42,18 +42,17 @@ type Transport interface {
 // contract: the tick is the only unit of time above the socket and the
 // driver its only source. Node.Now, every view stamp, churn instant and
 // telemetry stamp count the same ticks — the lockstep tick, or whole
-// Intervals elapsed under the two wall-clock drivers (runAsync,
-// RunSingle) — and the driver calls ObserveTick on Config.Transport
-// from one goroutine with ascending ticks: exactly once per tick, at
-// its start, under lockstep (the loop itself); once per Interval,
-// concurrently with Send, under the wall-clock drivers (the run's clock
-// goroutine in runAsync, the node's own loop in RunSingle), where a
-// late ticker can skip a tick. So a middleware keeps no clock of its
-// own, and an observer with state locks it. A middleware built on Layer
-// forwards the call to its inner transport (one that shadows
-// ObserveTick does so itself), so a whole stack advances together in
-// any stacking order. Transports without the facet are simply not
-// called.
+// Intervals elapsed under the wall-clock driver (runAsync, which
+// RunSingle runs too) — and the driver calls ObserveTick on
+// Config.Transport from one goroutine with ascending ticks: exactly once
+// per tick, at its start, under lockstep (the loop itself); once per
+// Interval, concurrently with Send, under the wall-clock driver (the
+// run's clock goroutine), where a late ticker can skip a tick. So a
+// middleware keeps no clock of its own, and an observer with state
+// locks it. A middleware built on Layer forwards the call to its inner
+// transport (one that shadows ObserveTick does so itself), so a whole
+// stack advances together in any stacking order. Transports without the
+// facet are simply not called.
 type TickObserver interface {
 	ObserveTick(tick int64)
 }

@@ -197,7 +197,7 @@ func TestHelloReceivePerRun(t *testing.T) {
 		var metrics NodeMetrics
 		first := members(maxN, randomLive(rng, maxN))
 		ref := first.clone(self, 2)
-		nd := newNode(self, 1, 0, 2, first.clone(self, 2), nil, &metrics, nil)
+		nd := bareNode(self, first, 2, nil, &metrics)
 		ref.SuspectAfter, nd.View.SuspectAfter = sa, sa
 		perturb(rng, maxN, ref, nd.View)
 

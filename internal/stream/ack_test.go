@@ -217,8 +217,8 @@ func TestAckMarksAboveGens(t *testing.T) {
 // round trip between them: emit, Encode, UnmarshalInto, merge.
 func ackPair(n int) func() {
 	cfg := Config{N: n, K: 32, PayloadBits: 256, Window: 4, Generations: 32}
-	tx := newNode(&cluster.Node{ID: 0}, cfg, n, &NodeMetrics{}, false)
-	rx := newNode(&cluster.Node{ID: 1}, cfg, n, &NodeMetrics{}, false)
+	tx := newProtocol(&cluster.Node{ID: 0}, cfg, n, &NodeMetrics{}, false)
+	rx := newProtocol(&cluster.Node{ID: 1}, cfg, n, &NodeMetrics{}, false)
 	tx.setDelivered(3)
 	for id := 1; id < n; id++ {
 		tx.mergeMark(id, uint32(1+id%cfg.Generations))

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -258,6 +259,49 @@ func TestLockstepStreamChurnGridCompletes(t *testing.T) {
 			res := churnStreamRun(t, seed, schedule, 0.2)
 			if !res.Completed {
 				t.Errorf("schedule %q seed %d stalled after %d ticks", schedule, seed, res.Ticks)
+			}
+		}
+	}
+}
+
+// TestStreamNoStarvationAfterRejoin: a generation leaves a node's
+// emission rotation once every peer has acked it at full rank. A node
+// that rejoins with wiped state, or a joiner in a leaver's place, still
+// lacks it, and both used to be starved until the tick cap: the tally
+// kept the rejoined node's old bit and the leaver's. The two commands
+// first, then a slice of small worlds around the same ticks.
+func TestStreamNoStarvationAfterRejoin(t *testing.T) {
+	run := func(n int, seed int64, schedule string, loss float64, suspect, maxTicks int) {
+		t.Helper()
+		sched, err := cluster.ParseChurn(schedule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{
+			N: n, K: 16, PayloadBits: 32, Window: 6, Generations: 12,
+			Seed: seed, Lockstep: true, MaxTicks: maxTicks, Churn: sched, SuspectTicks: suspect,
+		}
+		cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), loss, seed*7+1)
+		res, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed {
+			t.Errorf("n=%d seed %d loss %v %q stalled after %d ticks", n, seed, loss, schedule, res.Ticks)
+		}
+	}
+	// cmd/stream -n 3 -k 16 -payload 32 -window 6 -generations 12
+	// -transport lockstep -seed 3 -maxticks 20000 -churn <schedule>
+	run(3, 3, "crash:23:1,rejoin:23:1", 0, 0, 20000)
+	run(3, 3, "leave:23:1,join:23:1", 0, 0, 20000)
+	for _, n := range []int{3, 4} {
+		for _, at := range []int{23, 29, 35} {
+			for _, kinds := range [][2]string{{"crash", "rejoin"}, {"leave", "join"}} {
+				for seed := int64(1); seed <= 6; seed++ {
+					for _, loss := range []float64{0, 0.3} {
+						run(n, seed, fmt.Sprintf("%s:%d:1,%s:%d:1", kinds[0], at, kinds[1], at), loss, 40, 6000)
+					}
+				}
 			}
 		}
 	}

@@ -121,11 +121,11 @@ type node struct {
 	eligPrev []bool
 }
 
-// newNode builds the stream state of the node running in shell nd over
-// an id space of maxN; joiner marks it as needing frontier bootstrap.
-// It touches per-id state only, so the initial batch spawns in
-// parallel.
-func newNode(nd *cluster.Node, cfg Config, maxN int, m *NodeMetrics, joiner bool) *node {
+// newProtocol builds the stream state of the node running in shell nd
+// over an id space of maxN; joiner marks it as needing frontier
+// bootstrap. It touches per-id state only, so the initial batch spawns
+// in parallel.
+func newProtocol(nd *cluster.Node, cfg Config, maxN int, m *NodeMetrics, joiner bool) *node {
 	s := &node{
 		Node:         nd,
 		n:            cfg.N,
@@ -556,23 +556,30 @@ func (nd *node) serveCatchup() {
 }
 
 // markRank folds one first-person rank summary entry into the
-// generation's full-rank tally. Ranks never regress, so a set bit is
-// permanent; only live spans are updated (the hint is worthless once
-// the generation retired, and not worth opening a span for).
+// generation's full-rank tally; only live spans are updated (the hint
+// is worthless once the generation retired, and not worth opening a
+// span for). Without churn ranks never regress, so a set bit is
+// permanent; under churn a rejoined node reports its wiped rank, which
+// clears its bit.
 func (nd *node) markRank(sender, g, rank int) {
-	if rank < nd.k || sender < 0 || sender >= nd.maxN || sender == nd.ID {
+	full := rank >= nd.k
+	if !full && !nd.churn || sender < 0 || sender >= nd.maxN || sender == nd.ID {
 		return
 	}
 	gs, ok := nd.spans[g]
-	if !ok {
+	if !ok || !full && gs.ackedFull == nil {
 		return
 	}
 	if gs.ackedFull == nil {
 		gs.ackedFull = make([]bool, nd.maxN)
 	}
-	if !gs.ackedFull[sender] {
-		gs.ackedFull[sender] = true
-		gs.ackedCount++
+	if gs.ackedFull[sender] != full {
+		gs.ackedFull[sender] = full
+		if full {
+			gs.ackedCount++
+		} else {
+			gs.ackedCount--
+		}
 	}
 }
 
@@ -697,7 +704,7 @@ func (nd *node) emitDataInto(p *wire.Packet) bool {
 		gs := nd.ensureGen(g)
 		// A generation every peer has acked at full rank has no
 		// audience left; skip it without waiting for retirement.
-		if gs.span.Rank() > 0 && gs.ackedCount < audience {
+		if gs.span.Rank() > 0 && (gs.ackedCount < audience || nd.churn && !nd.allAcked(gs)) {
 			nd.cands = append(nd.cands, g)
 		}
 	}
@@ -710,6 +717,18 @@ func (nd *node) emitDataInto(p *wire.Packet) bool {
 		return false
 	}
 	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeCoded, Sender: uint32(nd.ID), Epoch: uint32(g)}
+	return true
+}
+
+// allAcked reports whether every eligible peer has acked gs at full
+// rank. Under churn the count alone cannot tell: it still holds a peer
+// that left, whose place a joiner without the generation took.
+func (nd *node) allAcked(gs *genState) bool {
+	for id := range nd.View.EligibleIDs(nd.Now) {
+		if id != nd.ID && !gs.ackedFull[id] {
+			return false
+		}
+	}
 	return true
 }
 

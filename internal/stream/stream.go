@@ -26,11 +26,11 @@
 // Source before the callback sees it.
 //
 // The package is a protocol, not a runtime: its node implements
-// cluster.Protocol and runs on cluster.Engine's drivers — the async
-// goroutine-per-node runtime (wall-clock pacing, context shutdown),
-// the deterministic lockstep driver whose runs are a pure function of
-// Config.Seed, and the one-process-per-node loop behind RunSingle (see
-// DESIGN.md "Node runtime and drivers").
+// cluster.Protocol and runs on cluster.Engine's two drivers — the
+// deterministic lockstep driver whose runs are a pure function of
+// Config.Seed, and the wall-clock one (context shutdown), which drives
+// a goroutine per node in Run and the one node of a process in
+// RunSingle (see DESIGN.md "Node runtime and drivers").
 package stream
 
 import (
@@ -163,8 +163,8 @@ type Config struct {
 	Deliver DeliverFunc
 	// SuspectTicks is the silence threshold (in lockstep ticks; async
 	// runs scale it by Interval) after which a peer is dropped from the
-	// retirement frontier and peer sampling. Only used with Churn;
-	// default 50.
+	// retirement frontier; peer sampling never drops a suspected peer
+	// (see cluster.View.Pick). Only used with Churn; default 50.
 	SuspectTicks int
 
 	// The run description: each field below means what the field of the
@@ -348,7 +348,7 @@ func (c Config) engine(metrics func(id int) *NodeMetrics) (cluster.Engine, error
 	maxN := c.runtime().MaxNodes()
 	eng := cluster.Engine{
 		New: func(nd *cluster.Node, joiner bool) cluster.Protocol {
-			return newNode(nd, c, maxN, metrics(nd.ID), joiner)
+			return newProtocol(nd, c, maxN, metrics(nd.ID), joiner)
 		},
 		Metrics: func(id int) *cluster.NodeMetrics { return &metrics(id).NodeMetrics },
 		Control: control,

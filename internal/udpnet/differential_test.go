@@ -15,11 +15,12 @@ import (
 )
 
 // The cross-runtime differential: the same seed and the same tokens
-// through the three drivers — lockstep, goroutine-per-node, and one
-// single-node loop per socket of a loopback mesh — must leave every
-// node with the same decoded set, under both protocols. The drivers
-// share one engine, so a bug in one of them can no longer hide behind
-// another's goldens; this is the test that would see it.
+// through the three shapes of a run — lockstep, goroutine-per-node, and
+// one single-node run per socket of a loopback mesh, the last two on
+// the one wall-clock driver — must leave every node with the same
+// decoded set, under both protocols. The shapes share one engine, so a
+// bug in one of them can no longer hide behind another's goldens; this
+// is the test that would see it.
 
 // deliveries is a concurrency-safe log of what stream nodes handed
 // their consumers.
