@@ -86,8 +86,8 @@ func run(w io.Writer, o options) error {
 	cfg.Mode = mode
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	res, err := cluster.Run(ctx, cfg, o.Tokens())
-	if err != nil {
+	var res *cluster.Result
+	if err := o.Profile(func() (err error) { res, err = cluster.Run(ctx, cfg, o.Tokens()); return err }); err != nil {
 		return err
 	}
 	if err := o.Export(cfg.Telemetry, "cluster", false); err != nil {

@@ -216,7 +216,7 @@ func TestFlagSurface(t *testing.T) {
 	new(options).bind(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
-	const want = "adversary= churn= delay=0s fanout=2 interval=500µs k=32 loss=0 maxticks=0 mode=coded mutate= n=64 payload=128 reorder=0 seed=1 shards=1 telemetry= timeout=30s trace= transport=chan"
+	const want = "adversary= churn= cpuprofile= delay=0s fanout=2 interval=500µs k=32 loss=0 maxticks=0 memprofile= mode=coded mutate= n=64 payload=128 reorder=0 seed=1 shards=1 telemetry= timeout=30s trace= transport=chan"
 	if g := strings.Join(got, " "); g != want {
 		t.Errorf("flags\n got %s\nwant %s", g, want)
 	}

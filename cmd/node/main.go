@@ -262,24 +262,26 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	// Both runtimes count into the same shared block; the stream adds
 	// its own on top.
 	var shared cluster.NodeMetrics
+	var sm stream.NodeMetrics
+	if err := o.Profile(func() (err error) {
+		if streamMode {
+			sm, err = stream.RunSingle(ctx, streamed, single)
+			shared = sm.NodeMetrics
+			return err
+		}
+		shared, err = cluster.RunSingle(ctx, oneShot, single, o.Tokens())
+		return err
+	}); err != nil {
+		return err
+	}
 	if streamMode {
-		m, err := stream.RunSingle(ctx, streamed, single)
-		if err != nil {
-			return err
-		}
-		shared = m.NodeMetrics
-		add("delivered", m.Delivered)
-		add("acks_out", m.AcksOut)
-		add("acks_in", m.AcksIn)
-		add("stale", m.Stale)
-		fmt.Fprintf(w, "DONE id=%d ok=%v delivered=%d packets_out=%d\n", o.id, m.Done, m.Delivered, m.PacketsOut)
+		add("delivered", sm.Delivered)
+		add("acks_out", sm.AcksOut)
+		add("acks_in", sm.AcksIn)
+		add("stale", sm.Stale)
+		fmt.Fprintf(w, "DONE id=%d ok=%v delivered=%d packets_out=%d\n", o.id, sm.Done, sm.Delivered, sm.PacketsOut)
 	} else {
-		m, err := cluster.RunSingle(ctx, oneShot, single, o.Tokens())
-		if err != nil {
-			return err
-		}
-		shared = m
-		fmt.Fprintf(w, "DONE id=%d ok=%v innovative=%d packets_out=%d\n", o.id, m.Done, m.Innovative, m.PacketsOut)
+		fmt.Fprintf(w, "DONE id=%d ok=%v innovative=%d packets_out=%d\n", o.id, shared.Done, shared.Innovative, shared.PacketsOut)
 	}
 	add("done", shared.Done)
 	add("done_at_ms", (time.Duration(shared.DoneTick) * o.Interval).Milliseconds())

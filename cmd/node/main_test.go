@@ -442,7 +442,7 @@ func TestFlagSurface(t *testing.T) {
 	new(options).bind(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
-	const want = "addr=127.0.0.1:0 adversary= bootstrap= debug-addr= delay=0s fanout=2 generations=8 id=0 interval=2ms k=32 linger=2s loss=0 metrics= mode=cluster mutate= n=2 payload=128 reorder=0 seed=1 telemetry= timeout=1m0s trace= window=4"
+	const want = "addr=127.0.0.1:0 adversary= bootstrap= cpuprofile= debug-addr= delay=0s fanout=2 generations=8 id=0 interval=2ms k=32 linger=2s loss=0 memprofile= metrics= mode=cluster mutate= n=2 payload=128 reorder=0 seed=1 telemetry= timeout=1m0s trace= window=4"
 	if g := strings.Join(got, " "); g != want {
 		t.Errorf("flags\n got %s\nwant %s", g, want)
 	}

@@ -87,8 +87,8 @@ func run(w io.Writer, o options) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	res, err := stream.Run(ctx, cfg)
-	if err != nil {
+	var res *stream.Result
+	if err := o.Profile(func() (err error) { res, err = stream.Run(ctx, cfg); return err }); err != nil {
 		return err
 	}
 	if err := o.Export(cfg.Telemetry, "stream", true); err != nil {

@@ -202,6 +202,29 @@ func TestRunTraceExportsArtifacts(t *testing.T) {
 	}
 }
 
+// TestRunWritesProfiles: -cpuprofile and -memprofile, parsed as main
+// parses them, each leave a non-empty pprof file, gzip-framed as pprof
+// writes them.
+func TestRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	var o options
+	fs := flag.NewFlagSet("stream", flag.ContinueOnError)
+	o.bind(fs)
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if err := fs.Parse([]string{"-transport", "lockstep", "-n", "8", "-k", "4", "-generations", "3", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.run(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{cpu, mem} {
+		b, err := os.ReadFile(name)
+		if err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Errorf("%s: %d bytes, err %v; want a gzip stream", name, len(b), err)
+		}
+	}
+}
+
 // TestFullStackTranscriptPinned pins the report of CI's full-stack line:
 // every fault flag, the adaptive adversary and churn, lowered by
 // cliutil from the flags as main parses them.
@@ -219,7 +242,7 @@ func TestFullStackTranscriptPinned(t *testing.T) {
 	if err := o.run(&out); err != nil {
 		t.Fatal(err)
 	}
-	const want = "03afebbd318c8db465ef844807e528afaef3cdedc93769c4116bdb8c6b43df9b"
+	const want = "c3d93f855c3fc274d7b08bbd4c2f751cc6f6ed67b33a8766f823c327517d68f2"
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out.String()))); got != want {
 		t.Errorf("report sha256 %s, want %s:\n%s", got, want, out.String())
 	}
@@ -232,7 +255,7 @@ func TestFlagSurface(t *testing.T) {
 	new(options).bind(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
-	const want = "adversary= churn= delay=0s fanout=2 generations=16 interval=500µs k=16 loss=0 maxticks=0 mutate= n=32 payload=128 reorder=0 seed=1 shards=1 telemetry= timeout=30s trace= transport=chan window=4"
+	const want = "adversary= churn= cpuprofile= delay=0s fanout=2 generations=16 interval=500µs k=16 loss=0 maxticks=0 memprofile= mutate= n=32 payload=128 reorder=0 seed=1 shards=1 telemetry= timeout=30s trace= transport=chan window=4"
 	if g := strings.Join(got, " "); g != want {
 		t.Errorf("flags\n got %s\nwant %s", g, want)
 	}

@@ -7,9 +7,13 @@
 package cliutil
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -37,6 +41,8 @@ type GossipFlags struct {
 	Interval, Timeout     time.Duration
 	Adversary, Mutate     string
 	Trace, Telemetry      string
+	// CPUProfile and MemProfile name the pprof files Profile writes.
+	CPUProfile, MemProfile string
 
 	// In-process runs only.
 	Shards, MaxTicks int
@@ -73,6 +79,8 @@ func (g *GossipFlags) Register(fs *flag.FlagSet, driver string, n, k int) {
 	fs.StringVar(&g.Mutate, "mutate", "", `hostile-packet mutation spec, e.g. "`+mutateEx+`" (ops: dup|stale|trunc|flip|xgen|all)`)
 	fs.StringVar(&g.Trace, "trace", "", "trace the run and render "+artifacts+"-{telemetry.txt,heatmap.svg,timeline.svg,packetflow.svg} into this directory")
 	fs.StringVar(&g.Telemetry, "telemetry", "", "trace the run and write the telemetry v1 text export to this file")
+	fs.StringVar(&g.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	fs.StringVar(&g.MemProfile, "memprofile", "", "write a pprof heap profile, taken as the run ends, to this file")
 	if driver == "node" {
 		return
 	}
@@ -365,6 +373,42 @@ func ParseMutateFlag(spec string) (hostile.MutationSpec, error) {
 		return ms, fmt.Errorf("-mutate: %w", err)
 	}
 	return ms, nil
+}
+
+// Profile calls run under the pprof profiles the flags ask for: CPU
+// over the whole call to -cpuprofile, the heap as run returns (after a
+// collection, so it counts what the run left live) to -memprofile.
+// run's error wins over a profile's.
+func (g *GossipFlags) Profile(run func() error) (err error) {
+	if g.CPUProfile != "" {
+		f, ferr := os.Create(g.CPUProfile)
+		if ferr == nil {
+			if ferr = pprof.StartCPUProfile(f); ferr != nil {
+				f.Close()
+			}
+		}
+		if ferr != nil {
+			return fmt.Errorf("-cpuprofile: %w", ferr)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil && cerr != nil {
+				err = fmt.Errorf("-cpuprofile: %w", cerr)
+			}
+		}()
+	}
+	if err = run(); err != nil || g.MemProfile == "" {
+		return err
+	}
+	f, err := os.Create(g.MemProfile)
+	if err == nil {
+		runtime.GC()
+		err = errors.Join(pprof.WriteHeapProfile(f), f.Close())
+	}
+	if err != nil {
+		return fmt.Errorf("-memprofile: %w", err)
+	}
+	return nil
 }
 
 // Export writes a traced run's artifacts where the flags ask: -trace's

@@ -129,8 +129,9 @@ type NodeMetrics struct {
 	HellosOut int64
 	// BitsOut is protocol bits sent under the simulator's Bits()
 	// accounting (wire framing excluded), comparable with
-	// dynnet.Metrics.Bits.
-	BitsOut int64
+	// dynnet.Metrics.Bits. AckBitsOut and HelloBitsOut are the part of
+	// it that acks and hellos carry; the rest is data.
+	BitsOut, AckBitsOut, HelloBitsOut int64
 	// Dropped counts Sends the transport reported undelivered.
 	Dropped int64
 	// Innovative counts received packets that grew this node's

@@ -136,9 +136,11 @@ func (nd *Node) post(peer int, bits int, buf []byte) {
 	kind, arg := telemetry.KindSend, int64(nd.Tx.Env.Epoch)
 	switch nd.Tx.Env.Type {
 	case wire.TypeAck:
+		nd.M.AckBitsOut += int64(bits)
 		kind, bits = telemetry.KindSendAck, 0
 	case wire.TypeHello:
 		nd.M.HellosOut++
+		nd.M.HelloBitsOut += int64(bits)
 		kind, bits, arg = telemetry.KindSendHello, 0, 0
 		if nd.Tx.Hello.Leaving {
 			arg = 1

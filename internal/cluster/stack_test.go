@@ -34,7 +34,9 @@ func (c *tally) Send(from, to int, pkt []byte) bool {
 // TestMiddlewareOrderIndependent does, and returns the same transcript:
 // every tick's inboxes, then each sender's Send results and telemetry.
 // tail more ticks follow without Sends, so short delays drain; each is
-// called, when non-nil, after every tick's barrier.
+// called, when non-nil, after every tick's barrier. The inbox bytes
+// are empty hellos, so a wire.Version bump moves every pin built on a
+// transcript and nothing else does.
 type stackRun struct {
 	n, ticks, perTick, tail int
 	build                   func(rec *telemetry.Recorder, tr cluster.Transport) cluster.Transport
@@ -112,7 +114,7 @@ func TestMiddlewareTranscriptPinned(t *testing.T) {
 		tr = hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.1, Stale: 0.1, Trunc: 0.1, Flip: 0.1, Xgen: 0.1}, seed, rec)
 		return hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed, rec), rec)
 	}}
-	const want = "1210ad96ece6ac9c1791a8e1d4bfb732b82e7264d9a5756f72bd8d4de6d5f274"
+	const want = "664760daa12747705420f1f2f7d68f4ff79292649e2da655f0c0ccb416d234d2"
 	if got := sha(run.transcript(inShards(n, 6, 1))); got != want {
 		t.Errorf("transcript sha256 %s, want %s", got, want)
 	}
@@ -250,38 +252,38 @@ func buildStack(stack []layerSpec, n int) func(*telemetry.Recorder, cluster.Tran
 func TestRandomStacksPinned(t *testing.T) {
 	const n, perTick = 8, 6
 	want := []string{
-		"1c0ad3b51442c655",
-		"8335cd90235ffd95",
-		"327c89aae0df2449",
-		"9774829b3a41d07a",
-		"d3ae9df511b598a2",
-		"e057e63857a86adb",
-		"9ee9874e21174ab4",
-		"dbbbccb6b893ee1f",
-		"998b9e3771a87734",
-		"4fc8e6ef12edcac1",
-		"594b6bc16fc3f884",
-		"e56e66ec6740fef4",
-		"fbab6da2542af9d2",
-		"52fe78c217c9483a",
-		"e3e5597454d5cc2d",
-		"5b1781d730f229f3",
-		"254bbd249c88e82e",
-		"8b39be90798140da",
-		"40a14ad4e43a7e4b",
-		"f2e23b42b6856901",
-		"f6b596896c4b87f9",
-		"6c4e11807bfc644b",
-		"bdd5e3116de9fa18",
-		"694be792c48d0468",
-		"e45d89a0d93f02f5",
-		"706ac3f1cbaf6b28",
-		"57adf26ff7a78d65",
-		"91bb7a0c3d7c944c",
-		"091ba5c9c00fda0a",
-		"ed58b0d54585d6ea",
-		"a8ebca94733cad08",
-		"fc6528f2d62006f5",
+		"de18ca9357028116",
+		"a8d6ea67ea50ce15",
+		"9fc9b5bac2e019f0",
+		"98e310d6cfac345d",
+		"47f8299085783f0e",
+		"c57045a2e07e823b",
+		"f8b4da2e4b6a470d",
+		"9ada50d4cf8fa8f0",
+		"fdff5af6726ea06c",
+		"90a5e6957a91e0ab",
+		"08260098ecf4292a",
+		"3637a1419bdd6281",
+		"ac32e14b4c2fda73",
+		"3ed2adbc35a08fe2",
+		"dcbefad77323f5bb",
+		"40156209105be32c",
+		"06f6812dc59ebd17",
+		"3ea8cc290e00d2ff",
+		"a95cecb1408db7a4",
+		"55623ed58389c32c",
+		"6cef84de6c17504b",
+		"81dfd56d65eff6f2",
+		"a736c6bdbd9eb594",
+		"fd7c8bdb3d9b0e17",
+		"a19f5f22f685821d",
+		"b91e372afe9fdac4",
+		"8f53723143cd869b",
+		"de811a171ef420ab",
+		"dd50fb9d3bace62b",
+		"72fc1c4e5359b5b7",
+		"59224e5c451f6d5f",
+		"0d575e1aabaf0c8b",
 	}
 	for i, stack := range randomStacks() {
 		run := stackRun{n: n, ticks: 16, perTick: perTick, tail: 3, build: buildStack(stack, n)}
@@ -444,7 +446,7 @@ func TestReleaseAfterInnerTick(t *testing.T) {
 	const n, perTick = 8, 6
 	stack := []layerSpec{{kind: "adversary", adv: "rotating-path", seed: 3}, {kind: "plain"}, {kind: "delay", min: 1, max: 2, seed: 5}}
 	run := stackRun{n: n, ticks: 16, perTick: perTick, tail: 3, build: buildStack(stack, n)}
-	const want = "3dfa40d06c6592697018b7207c184b58fe576a29b5af14c64ee2a22470fcd23e"
+	const want = "3ec39139c1b9b042ca10d9418014a2d380401b11bb90a94c6d1a06a8ac179a5d"
 	if got := sha(run.transcript(inShards(n, perTick, 1))); got != want {
 		t.Errorf("transcript sha256 %s, want %s", got, want)
 	}

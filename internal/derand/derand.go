@@ -40,13 +40,6 @@ func FailureExponentBits(n int, q uint64) float64 {
 	return float64(n) * math.Log2(float64(q))
 }
 
-// UnionBoundHolds reports whether the Theorem 6.1 union bound closes:
-// the number of witnesses times the per-witness failure probability is
-// below 2^{-margin}.
-func UnionBoundHolds(n, k, rounds int, q uint64, margin float64) bool {
-	return FailureExponentBits(n, q) >= WitnessBits(n, k, rounds)+margin
-}
-
 // RequiredFieldBits returns the minimal lg q for which the union bound
 // closes with the given margin — the paper's q = n^{Omega(k)}, i.e.
 // lg q = Omega(k log n), which is why derandomization costs a k^2 log n

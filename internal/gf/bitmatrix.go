@@ -69,9 +69,6 @@ func NewBitMatrixExpecting(cols, rank int) *BitMatrix {
 // never back-eliminated into the rows.
 func (m *BitMatrix) LimitPivots(c int) { m.pivots = min(c, m.cols) }
 
-// Cols returns the number of columns.
-func (m *BitMatrix) Cols() int { return m.cols }
-
 // Rank returns the current rank (number of stored rows).
 func (m *BitMatrix) Rank() int { return len(m.order) }
 
@@ -87,9 +84,6 @@ func (m *BitMatrix) rowAt(idx int32) BitVec {
 // vector is a view of the internal slab; callers must not modify it and
 // must not hold it across Insert (growth may move the slab).
 func (m *BitMatrix) Row(i int) BitVec { return m.rowAt(m.order[i]) }
-
-// Lead returns the pivot column of the i-th stored row.
-func (m *BitMatrix) Lead(i int) int { return m.lead[i] }
 
 // Reduce eliminates v against the stored rows and returns the remainder.
 // The input is not modified; the remainder is freshly allocated.

@@ -22,14 +22,6 @@ func NewBitVec(n int) BitVec {
 	return BitVec{n: n, w: make([]uint64, (n+63)/64)}
 }
 
-// BitVecFromBytes packs the first n bits of data (LSB-first within each
-// byte) into a BitVec of length n.
-func BitVecFromBytes(data []byte, n int) BitVec {
-	var v BitVec
-	v.SetFromBytes(data, n)
-	return v
-}
-
 // SetFromBytes reshapes v to n bits and fills it from the first
 // ceil(n/8) bytes of data (LSB-first within each byte), reusing v's
 // word storage when its capacity allows. Bits of data beyond n are
@@ -246,15 +238,6 @@ func (v BitVec) LeadingBit() int {
 		}
 	}
 	return -1
-}
-
-// OnesCount returns the number of set bits.
-func (v BitVec) OnesCount() int {
-	c := 0
-	for _, w := range v.w {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // Clone returns an independent copy of v.

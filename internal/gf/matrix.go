@@ -24,18 +24,12 @@ func NewMatrix(f Field, cols int) *Matrix {
 // Field returns the underlying field.
 func (m *Matrix) Field() Field { return m.f }
 
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // Rank returns the number of stored rows.
 func (m *Matrix) Rank() int { return len(m.rows) }
 
 // Row returns the i-th stored row. The returned slice is internal
 // storage; callers must not modify it.
 func (m *Matrix) Row(i int) Vec { return m.rows[i] }
-
-// Lead returns the pivot column of the i-th stored row.
-func (m *Matrix) Lead(i int) int { return m.lead[i] }
 
 // Reduce eliminates v against the stored rows and returns the freshly
 // allocated remainder.

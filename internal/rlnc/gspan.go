@@ -24,9 +24,6 @@ type GCoded struct {
 // costs lg(q) bits.
 func (c GCoded) Bits() int { return len(c.Vec) * c.F.Bits() }
 
-// PayloadElems returns the number of payload field elements.
-func (c GCoded) PayloadElems() int { return len(c.Vec) - c.K }
-
 // GEncode builds the initial vector for token index i of k with the
 // given payload elements.
 func GEncode(f gf.Field, i, k int, payload gf.Vec) GCoded {

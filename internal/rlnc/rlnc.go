@@ -37,9 +37,6 @@ func (c Coded) Bits() int { return c.Vec.Len() }
 // PayloadBits returns the payload length.
 func (c Coded) PayloadBits() int { return c.Vec.Len() - c.K }
 
-// Coeff returns a copy of the coefficient prefix.
-func (c Coded) Coeff() gf.BitVec { return c.Vec.Slice(0, c.K) }
-
 // Payload returns a copy of the payload suffix.
 func (c Coded) Payload() gf.BitVec { return c.Vec.Slice(c.K, c.Vec.Len()) }
 
@@ -208,22 +205,6 @@ func (s *Span) Decode() ([]gf.BitVec, error) {
 		out[i] = row.Slice(s.k, s.k+s.payload)
 	}
 	return out, nil
-}
-
-// DecodablePayload returns the payload of token i if it is already
-// recoverable from the current span (possible before full rank: any
-// basis vector whose coefficient part reduces to exactly e_i reveals
-// token i). This is the early-decoding behaviour real RLNC
-// implementations expose; the paper's algorithms only use full decodes.
-func (s *Span) DecodablePayload(i int) (gf.BitVec, bool) {
-	if i < 0 || i >= s.k {
-		return gf.BitVec{}, false
-	}
-	row, ok := s.mat.UnitRow(i, s.k)
-	if !ok {
-		return gf.BitVec{}, false
-	}
-	return row.Slice(s.k, s.k+s.payload), true
 }
 
 // DecodableCount returns how many token indices are currently

@@ -55,19 +55,6 @@ func (e *Executor) Range(s int) (lo, hi int) {
 	return lo, lo + size
 }
 
-// ShardOf returns the shard owning id. It inverts Range: for every
-// shard s and id in [Range(s)), ShardOf(id) == s.
-func (e *Executor) ShardOf(id int) int {
-	size, rem := e.n/e.shards, e.n%e.shards
-	if id < rem*(size+1) {
-		return id / (size + 1)
-	}
-	if size == 0 {
-		return e.shards - 1
-	}
-	return rem + (id-rem*(size+1))/size
-}
-
 // Run executes phase(s, lo, hi) for every shard and returns after all
 // have finished. With one shard the phase runs inline on the caller's
 // goroutine — the serial engine pays no synchronization and no

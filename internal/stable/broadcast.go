@@ -30,9 +30,6 @@ type Geometry struct {
 	BuildBudget int
 }
 
-// VectorBits returns the coded vector length Blocks + Payload.
-func (g Geometry) VectorBits() int { return g.Blocks + g.Payload }
-
 // MetaCost returns the rounds one share-pass-share meta-round consumes:
 // two share steps of 2(C+D) rounds around one pass step of C rounds.
 func (g Geometry) MetaCost() int { return 5*g.Chunks + 4*g.D }

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -260,4 +261,71 @@ func BenchmarkAckRoundTrip(b *testing.B) {
 			}
 		})
 	}
+}
+
+// ackEcho is a layer that decodes every ack a node Sends and holds the
+// decoded Ack to the one the node encoded, field by field.
+type ackEcho struct {
+	cluster.Layer
+	t      *testing.T
+	nodes  []*node
+	rx     wire.Packet
+	acks   int
+	widths map[int]int
+}
+
+func (e *ackEcho) Send(from, to int, pkt []byte) bool {
+	if wire.Type(pkt[1]) == wire.TypeAck {
+		sent := &e.nodes[from].Tx.Ack
+		if err := wire.UnmarshalInto(&e.rx, pkt); err != nil {
+			e.t.Fatalf("node %d: own ack rejected: %v", from, err)
+		}
+		got := &e.rx.Ack
+		if got.Watermark != sent.Watermark || !slices.Equal(got.Ranks, sent.Ranks) || !slices.Equal(got.Peers, sent.Peers) {
+			e.t.Fatalf("node %d at tick %d: sent %+v, decoded %+v", from, e.nodes[from].Now, *sent, *got)
+		}
+		e.acks++
+		lo, hi := ^uint32(0), uint32(0)
+		for _, pm := range got.Peers {
+			lo, hi = min(lo, pm.Watermark), max(hi, pm.Watermark)
+		}
+		if len(got.Peers) > 0 {
+			e.widths[bits.Len32(hi-lo)]++
+		}
+	}
+	return e.Layer.Send(from, to, pkt)
+}
+
+// TestAckLosslessOnLiveTraffic: every ack a lockstep n = 192 stream
+// sends under 20 % loss — the stream-lossy benchmark's shape, fewer
+// generations — decodes to the Ack its sender encoded, watermark, rank
+// runs and packed watermark vector alike, over every width the run
+// reaches.
+func TestAckLosslessOnLiveTraffic(t *testing.T) {
+	cfg := Config{N: 192, K: 8, PayloadBits: 32, Window: 4, Generations: 8, Seed: 1, Lockstep: true, MaxTicks: 100000}
+	res := &Result{Nodes: make([]NodeMetrics, cfg.N)}
+	eng, err := cfg.engine(func(id int) *NodeMetrics { return &res.Nodes[id] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo := &ackEcho{t: t, nodes: make([]*node, cfg.N), widths: map[int]int{}}
+	build := eng.New
+	eng.New = func(nd *cluster.Node, joiner bool) cluster.Protocol {
+		p := build(nd, joiner)
+		echo.nodes[nd.ID] = p.(*node)
+		return p
+	}
+	echo.Layer = cluster.Layer{Transport: cluster.WithLoss(cfg.DefaultTransport(), 0.2, 9)}
+	cfg.Transport = echo
+	if res.Outcome, err = eng.Run(context.Background(), cfg.runtime()); err != nil || !res.Completed {
+		t.Fatalf("completed=%v err=%v", res.Completed, err)
+	}
+	var sent int64
+	for _, m := range res.Nodes {
+		sent += m.AcksOut
+	}
+	if int64(echo.acks) != sent || echo.widths[0] == 0 || echo.widths[2] == 0 {
+		t.Fatalf("%d acks checked of %d sent, widths seen %v", echo.acks, sent, echo.widths)
+	}
+	t.Logf("%d acks decoded as sent; acks by width: %v", echo.acks, echo.widths)
 }

@@ -300,8 +300,9 @@ type Result struct {
 	TokensDelivered int64
 	Nodes           []NodeMetrics
 
-	// Aggregates over Nodes.
-	AcksOut int64
+	// Aggregates over Nodes: AckBitsOut and HelloBitsOut are the part
+	// of BitsOut that acks and hellos carry.
+	AcksOut, AckBitsOut, HelloBitsOut int64
 	// MaxSpanBytes is the largest per-node span footprint observed.
 	MaxSpanBytes int
 }
@@ -379,6 +380,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res.Outcome, err = eng.Run(ctx, cfg.runtime())
 	for _, m := range res.Nodes {
 		res.AcksOut += m.AcksOut
+		res.AckBitsOut += m.AckBitsOut
+		res.HelloBitsOut += m.HelloBitsOut
 		res.TokensDelivered += int64(m.Delivered) * int64(cfg.K)
 		res.MaxSpanBytes = max(res.MaxSpanBytes, m.MaxSpanBytes)
 	}

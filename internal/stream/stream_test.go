@@ -362,11 +362,11 @@ func TestStreamLockstepGoldenTranscripts(t *testing.T) {
 		out, in, acks, bits, drop int64
 		delivered                 int64
 	}{
-		{1, 55, 864, 697, 432, 221960, 249, 288},
-		{2, 65, 1024, 808, 512, 266240, 328, 288},
-		{3, 52, 816, 656, 408, 212744, 243, 288},
-		{4, 55, 864, 678, 432, 219688, 261, 288},
-		{5, 55, 864, 678, 432, 221224, 269, 288},
+		{1, 55, 864, 697, 432, 138904, 249, 288},
+		{2, 65, 1024, 808, 512, 165272, 328, 288},
+		{3, 52, 816, 656, 408, 132920, 243, 288},
+		{4, 55, 864, 678, 432, 139744, 261, 288},
+		{5, 55, 864, 678, 432, 139352, 269, 288},
 	}
 	for _, g := range goldens {
 		// Each transcript is pinned with telemetry both off and on:

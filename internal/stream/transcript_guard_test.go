@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/token"
 )
 
 // TestStreamChurnTranscriptPinned is the stream's twin of
@@ -56,6 +57,51 @@ func TestStreamChurnTranscriptPinned(t *testing.T) {
 			if got != c.want {
 				t.Errorf("%s shards %d: transcript moved:\n got %s\nwant %s", c.churn, shards, got, c.want)
 			}
+		}
+	}
+}
+
+// TestBitsByKindSumOnGoldens: on the configurations of every stream
+// golden — the lockstep goldens' five seeds and the churn transcripts'
+// two schedules — the bits of the data packets (each a coded vector of
+// K + UIDBits + PayloadBits), of the acks and of the hellos add up to
+// BitsOut exactly.
+func TestBitsByKindSumOnGoldens(t *testing.T) {
+	var cfgs []Config
+	for seed := int64(1); seed <= 5; seed++ {
+		cfg := Config{N: 8, K: 6, PayloadBits: 48, Window: 3, Generations: 6, Seed: seed, Lockstep: true, MaxTicks: 200000}
+		cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), 0.2, seed+3)
+		cfgs = append(cfgs, cfg)
+	}
+	for _, c := range []struct {
+		cfg   Config
+		churn string
+	}{
+		{Config{N: 24, K: 8, PayloadBits: 64, Window: 3, Generations: 10, Seed: 7}, "crash:6:3,join:9:3,leave:14:2"},
+		{Config{N: 96, K: 8, PayloadBits: 64, Window: 3, Generations: 12, Seed: 5, SuspectTicks: 12},
+			"crash:6:5,leave:9:6,join:14:5,rejoin:20:2,leave:26:4,join:31:4,restart:37:2,crash:42:3,join:48:3,rejoin:55:2,leave:60:3,join:66:2"},
+	} {
+		sched, err := cluster.ParseChurn(c.churn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := c.cfg
+		cfg.Lockstep, cfg.MaxTicks, cfg.Churn = true, 100000, sched
+		cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), 0.2, cfg.Seed+101)
+		cfgs = append(cfgs, cfg)
+	}
+	for _, cfg := range cfgs {
+		res, err := Run(context.Background(), cfg)
+		if err != nil || !res.Completed {
+			t.Fatalf("seed %d: completed=%v err=%v", cfg.Seed, res != nil && res.Completed, err)
+		}
+		data := res.PacketsOut * int64(cfg.K+token.UIDBits+cfg.PayloadBits)
+		if sum := data + res.AckBitsOut + res.HelloBitsOut; sum != res.BitsOut || res.AckBitsOut == 0 {
+			t.Errorf("seed %d churn %v: data %d + acks %d + hellos %d = %d bits, BitsOut %d", cfg.Seed, cfg.Churn != nil,
+				data, res.AckBitsOut, res.HelloBitsOut, sum, res.BitsOut)
+		}
+		if (res.HelloBitsOut > 0) != (cfg.Churn != nil) {
+			t.Errorf("seed %d: %d hello bits with churn %v", cfg.Seed, res.HelloBitsOut, cfg.Churn != nil)
 		}
 	}
 }

@@ -75,29 +75,6 @@ func SortByUID(ts []Token) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].UID < ts[j].UID })
 }
 
-// RandomUIDs realizes the Section 4.1 remark that O(log n)-bit unique
-// IDs are without loss of generality for randomized algorithms: it
-// draws n IDs uniformly from [1, 2^bits) and reports whether they are
-// in fact distinct (which fails with probability about n^2 / 2^bits,
-// the birthday bound — negligible for bits >= 4 lg n).
-func RandomUIDs(n, bits int, rng *rand.Rand) ([]UID, bool) {
-	if bits < 1 || bits > 63 {
-		panic(fmt.Sprintf("token: UID bits %d out of range [1,63]", bits))
-	}
-	out := make([]UID, n)
-	seen := make(map[UID]bool, n)
-	distinct := true
-	for i := range out {
-		id := UID(rng.Int63n(1<<uint(bits)-1) + 1)
-		if seen[id] {
-			distinct = false
-		}
-		seen[id] = true
-		out[i] = id
-	}
-	return out, distinct
-}
-
 // Set is a UID-keyed collection of tokens, the "knowledge" of a
 // knowledge-based node. It maintains UID order incrementally because the
 // forwarding algorithms read the sorted view every round.

@@ -1,11 +1,11 @@
 package wire
 
 // The run-length coded id lists of the two control bodies: a hello's
-// peer list and an ack's watermark vector. The contract is the
-// codec's, restated for lists: any list round-trips entry for entry,
-// accepted bytes are canonical, Bits is the encoded body less its
-// length fields, and a claim costs the decoder nothing until it is
-// within MaxAckEntries.
+// peer list, an ack's rank summary and its bit-packed watermark vector.
+// The contract is the codec's, restated for lists: any list round-trips
+// entry for entry, accepted bytes are canonical, Bits is the encoded
+// body less its length fields, and a claim costs the decoder nothing
+// until it is within MaxAckEntries.
 
 import (
 	"bytes"
@@ -68,19 +68,35 @@ func checkEncode(t *testing.T, p *Packet, raw []byte) {
 
 // lengthFieldBytes finds, by the layout in the package comment and with
 // encoding/binary's own uvarint, how many bytes of a marshalled hello or
-// ack are list lengths: the run count, and an ack's rank count.
+// ack are list lengths: the run count, and an ack's generation run count.
 func lengthFieldBytes(t *testing.T, raw []byte) int {
 	t.Helper()
-	off, fixed := HeaderBytes+1, 0 // hello: the run count follows the flags
-	if Type(raw[1]) == TypeAck {
-		nRanks := int(binary.LittleEndian.Uint32(raw[HeaderBytes+4:]))
-		off, fixed = HeaderBytes+8+8*nRanks, 4
+	if Type(raw[1]) == TypeHello { // the run count follows the flags
+		return uvarintAt(t, raw, HeaderBytes+1)
 	}
+	off := HeaderBytes + uvarintAt(t, raw, HeaderBytes) // past the watermark
+	genRuns, fields := binary.Uvarint(raw[off:])
+	off += fields
+	for r := uint64(0); r < genRuns; r++ {
+		off += uvarintAt(t, raw, off) // gen
+		count, n := binary.Uvarint(raw[off:])
+		off += n
+		for i := uint64(0); i < count; i++ {
+			off += uvarintAt(t, raw, off) // rank
+		}
+	}
+	off += uvarintAt(t, raw, off) + 1 // past the base and the width
+	return fields + uvarintAt(t, raw, off)
+}
+
+// uvarintAt is the length of the uvarint at raw[off:].
+func uvarintAt(t *testing.T, raw []byte, off int) int {
+	t.Helper()
 	_, n := binary.Uvarint(raw[off:])
 	if n <= 0 {
-		t.Fatalf("no run count at offset %d of %x", off, raw)
+		t.Fatalf("no uvarint at offset %d of %x", off, raw)
 	}
-	return fixed + n
+	return n
 }
 
 // randomIDs draws a list the way real views and hostile ones look:
@@ -118,12 +134,17 @@ func apart(n int) []uint32 {
 	return ids
 }
 
+// randomMarks draws a watermark vector the way a stream's look — a
+// base anywhere and marks within a few bits of it — or, one time in
+// four, marks of every width up to 32 bits.
 func randomMarks(rng *rand.Rand, ids []uint32) []PeerMark {
 	marks := make([]PeerMark, len(ids))
+	base, mask := rng.Uint32()>>uint(rng.Intn(33)), uint32(1)<<uint(rng.Intn(5))-1
+	wide := rng.Intn(4) == 0
 	for i, id := range ids {
-		w := uint32(rng.Intn(128))
-		if rng.Intn(4) == 0 {
-			w = rng.Uint32() >> uint(rng.Intn(32)) // every varint width, ≥ 2²⁸ included
+		w := min(base, math.MaxUint32-mask) + rng.Uint32()&mask
+		if wide {
+			w = rng.Uint32() >> uint(rng.Intn(33))
 		}
 		marks[i] = PeerMark{Node: id, Watermark: w}
 	}
@@ -171,8 +192,12 @@ func FuzzControlRoundTrip(f *testing.F) {
 		}
 		return b
 	}
-	f.Add([]byte{})
+	f.Add([]byte{}) // an empty vector: base 0, width 0
 	f.Add(pairs(0, 1, 1, 1, 2, 1, 3, 2))
+	f.Add(pairs(3, 9, 4, 9, 5, 9))                       // width 0: every mark equal
+	f.Add(pairs(0, 0, 1, math.MaxUint32, 2, 1))          // width 32
+	f.Add(pairs(0, 5, 1, 6, 5, 5, 9, 7, 10, 8, 300, 6))  // id holes
+	f.Add(pairs(2, math.MaxUint32, 3, math.MaxUint32-1)) // marks at the top of the range
 	f.Add(pairs(7, 0, 9, 200, 8, 1<<28))
 	f.Add(pairs(math.MaxUint32, 3, 0, math.MaxUint32))
 	f.Add(pairs(4, 4, 4, 4, 5, 5, 3, 3))
@@ -208,8 +233,9 @@ func TestControlRejectsNonCanonical(t *testing.T) {
 	hello := func(body ...byte) []byte {
 		return append(NewHello(1, 0, Hello{}).Marshal()[:HeaderBytes], body...)
 	}
-	ack := func(peerSection ...byte) []byte {
-		return append(NewAck(1, 2, Ack{Watermark: 1}).Marshal()[:HeaderBytes+8], peerSection...)
+	// An ack with watermark 1: its generation runs, then its vector.
+	ack := func(body ...byte) []byte {
+		return append(NewAck(1, 2, Ack{Watermark: 1}).Marshal()[:HeaderBytes+1], body...)
 	}
 	cases := []struct {
 		name string
@@ -229,14 +255,31 @@ func TestControlRejectsNonCanonical(t *testing.T) {
 		{"hello: fewer runs than claimed", hello(0, 3, 4, 2, 9, 1), ErrTruncated},
 		{"hello: more runs than claimed", hello(0, 1, 4, 2, 9, 1), ErrMalformed},
 		{"hello: start cut short", hello(0, 1, 0x84), ErrTruncated},
-		{"ack: accepted baseline", ack(2, 4, 2, 7, 7, 9, 1, 7), nil},
-		{"ack: split run", ack(2, 4, 2, 7, 7, 6, 1, 7), ErrMalformed},
-		{"ack: zero count", ack(1, 4, 0), ErrMalformed},
-		{"ack: padded watermark", ack(1, 4, 1, 0x87, 0x00), ErrMalformed},
-		{"ack: 33-bit watermark", ack(1, 4, 1, 0xff, 0xff, 0xff, 0xff, 0x10), ErrMalformed},
-		{"ack: run past 2^32", ack(1, 0xff, 0xff, 0xff, 0xff, 0x0f, 2, 7, 7), ErrMalformed},
-		{"ack: watermarks cut short", ack(1, 4, 3, 7, 7), ErrTruncated},
-		{"ack: watermark cut inside", ack(1, 4, 1, 0x87), ErrTruncated},
+		// Generations 4, 5 at ranks 3, 7; base 5, width 1; ids 4, 5 and 9
+		// at offsets 0, 1, 0: 0b010.
+		{"ack: accepted baseline", ack(1, 4, 2, 3, 7, 5, 1, 2, 4, 2, 9, 1, 0x02), nil},
+		{"ack: empty vector", ack(0, 0, 0, 0), nil},
+		{"ack: split generation run", ack(2, 4, 1, 3, 5, 1, 7, 0, 0, 0), ErrMalformed},
+		{"ack: padded rank", ack(1, 4, 1, 0x83, 0x00, 0, 0, 0), ErrMalformed},
+		{"ack: padded watermark", append(NewAck(1, 2, Ack{}).Marshal()[:HeaderBytes], 0x81, 0x00, 0, 0, 0, 0), ErrMalformed},
+		{"ack: split run", ack(0, 5, 1, 2, 4, 2, 6, 1, 0x02), ErrMalformed},
+		{"ack: zero count", ack(0, 5, 1, 1, 4, 0), ErrMalformed},
+		{"ack: run past 2^32", ack(0, 5, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 2, 0x02), ErrMalformed},
+		{"ack: base below the least mark", ack(0, 5, 1, 1, 4, 2, 0x03), ErrMalformed},
+		// Base 5 above mark 3, reached by wrapping: 5 + (2³²-2).
+		{"ack: base above the least mark", ack(0, 5, 32, 1, 4, 2, 0, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff), ErrMalformed},
+		{"ack: base on an empty vector", ack(0, 3, 0, 0), ErrMalformed},
+		{"ack: width on an empty vector", ack(0, 0, 1, 0), ErrMalformed},
+		{"ack: width wider than the spread", ack(0, 5, 2, 1, 4, 2, 0x04), ErrMalformed},
+		{"ack: width over 32", ack(0, 5, 33, 1, 4, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0x02), ErrMalformed},
+		{"ack: nonzero padding bits", ack(0, 5, 1, 1, 4, 2, 0x82), ErrMalformed},
+		{"ack: mark past 2^32-1", ack(0, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 1, 4, 2, 0x02), ErrMalformed},
+		{"ack: mark at 2^32-1", ack(0, 0xfe, 0xff, 0xff, 0xff, 0x0f, 1, 1, 4, 2, 0x02), nil},
+		{"ack: 33-bit base", ack(0, 0xff, 0xff, 0xff, 0xff, 0x10, 0, 1, 4, 1), ErrMalformed},
+		{"ack: width 32 at full spread", ack(0, 0, 32, 1, 4, 2, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff), nil},
+		{"ack: watermarks cut short", ack(0, 5, 2, 1, 4, 5, 0x02), ErrTruncated},
+		{"ack: trailing byte", ack(0, 5, 1, 1, 4, 2, 0x02, 0), ErrMalformed},
+		{"ack: width cut off", ack(0, 5), ErrTruncated},
 	}
 	for _, tc := range cases {
 		p, err := Unmarshal(tc.data)
@@ -259,7 +302,9 @@ func TestControlCapsExpandedLength(t *testing.T) {
 	billions := []byte{0xff, 0xff, 0xff, 0xff, 0x0f} // 2³²-1 ids from id 0
 	hdr := NewHello(1, 0, Hello{}).Marshal()[:HeaderBytes]
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	ackHdr := NewAck(1, 2, Ack{}).Marshal()[:HeaderBytes+8]
+	// An ack with no ranks, base 0 and 1-bit watermarks, up to its run
+	// count.
+	ackHdr := append(NewAck(1, 2, Ack{}).Marshal()[:HeaderBytes+2], 0, 1)
 	cases := []struct {
 		name string
 		data []byte
@@ -268,9 +313,11 @@ func TestControlCapsExpandedLength(t *testing.T) {
 		{"one run over the cap", join(hdr, []byte{0, 1, 0}, over), ErrMalformed},
 		{"one run of 2^32-1 ids", join(hdr, []byte{0, 1, 0}, billions), ErrMalformed},
 		{"ack run over the cap", join(ackHdr, []byte{1, 0}, over), ErrMalformed},
-		// Within the cap, but an ack's entries cost a byte each: three
-		// bytes cannot carry 2¹⁶ watermarks.
+		{"ack generation run over the cap", join(ackHdr[:HeaderBytes+1], []byte{1, 0}, over), ErrMalformed},
+		// Within the cap, but a 1-bit watermark costs an eighth of a
+		// byte: three bytes cannot carry 2¹⁶ of them.
 		{"ack run over its bytes", join(ackHdr, []byte{1, 0}, full, []byte{7, 7, 7}), ErrTruncated},
+		{"ack ranks over their bytes", join(ackHdr[:HeaderBytes+1], []byte{1, 0}, full, []byte{7, 7, 7}), ErrTruncated},
 	}
 	for _, tc := range cases {
 		var rx Packet
@@ -304,10 +351,13 @@ func TestControlCapsExpandedLength(t *testing.T) {
 }
 
 // TestControlSizeBounds pins what the encoding is for: a dense view
-// costs a few bytes whatever n is, and the worst list for it — no two
-// neighbours consecutive, so every id is its own run — stays within
-// twice the fixed-width layout it replaced (4 bytes an id in a hello,
-// 8 bytes an entry in an ack, behind a 4-byte count).
+// costs a few bytes whatever n is; an ack's watermark vector costs the
+// bits of its spread a member — at most 2 when its marks span 4 values,
+// none when they are all equal — plus a few bytes of runs; and the worst
+// list for either — no two neighbours consecutive, so every id is its
+// own run, under marks of the full 32-bit spread — stays within twice
+// the fixed-width layout it replaced (4 bytes an id in a hello, 8 bytes
+// an entry in an ack, behind a 4-byte count).
 func TestControlSizeBounds(t *testing.T) {
 	const n = 1024
 	dense := NewHello(1, 0, Hello{Peers: seq(0, n)})
@@ -318,12 +368,31 @@ func TestControlSizeBounds(t *testing.T) {
 	if p := NewHello(1, 0, Hello{Peers: holed}); p.WireBytes() > 32 {
 		t.Errorf("three-run %d-peer hello is %d bytes, want ≤ 32", len(holed), p.WireBytes())
 	}
+	window := func(n int, base uint32, span int) Ack {
+		marks := make([]PeerMark, n)
+		for i := range marks {
+			marks[i] = PeerMark{Node: uint32(i), Watermark: base + uint32(i*7%span)}
+		}
+		return Ack{Watermark: base, Ranks: []GenRank{{Gen: base, Rank: 3}, {Gen: base + 1, Rank: 1}}, Peers: marks}
+	}
+	for _, base := range []uint32{0, 30, 1 << 20} {
+		if got := NewAck(1, 0, window(n, base, 4)).Bits(); got > 2*n+8*16 {
+			t.Errorf("%d marks spanning 4 values from %d: %d bits, want ≤ 2 a member + 16 bytes", n, base, got)
+		}
+	}
+	for _, m := range []int{1, 192, n, MaxAckEntries} {
+		for _, base := range []uint32{0, 9, 1 << 31} {
+			if got := NewAck(1, 0, Ack{Watermark: base, Peers: window(m, base, 1).Peers}).Bits(); got > 8*16 {
+				t.Errorf("%d equal marks at %d: %d bits, want ≤ 16 bytes", m, base, got)
+			}
+		}
+	}
 	for _, base := range []uint32{0, 1 << 14, 1 << 28, math.MaxUint32 - 2*n} {
 		ids := make([]uint32, n)
 		marks := make([]PeerMark, n)
 		for i := range ids {
 			ids[i] = base + 2*uint32(i)
-			marks[i] = PeerMark{Node: ids[i], Watermark: math.MaxUint32}
+			marks[i] = PeerMark{Node: ids[i], Watermark: math.MaxUint32 * uint32(i%2)}
 		}
 		oldHello, oldAck := HeaderBytes+5+4*n, HeaderBytes+12+8*n
 		if got := NewHello(1, 0, Hello{Peers: ids}).WireBytes(); got > 2*oldHello {

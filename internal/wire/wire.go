@@ -26,7 +26,7 @@
 // Wire layout (all integers little-endian):
 //
 //	offset  size  field
-//	0       1     version (currently 2; anything else is rejected)
+//	0       1     version (currently 3; anything else is rejected)
 //	1       1     type (1 = coded, 2 = token, 3 = ack, 4 = hello, 5 = announce)
 //	2       4     sender (uint32 node id)
 //	6       4     epoch (uint32 sender-local sequence/round)
@@ -35,10 +35,11 @@
 //
 //	coded:    uint32 k, uint32 vecBits, ceil(vecBits/8) bytes (LSB-first)
 //	token:    uint64 uid, uint32 payloadBits, ceil(payloadBits/8) bytes
-//	ack:      uint32 watermark,
-//	          uint32 nRanks,  nRanks × (uint32 gen, uint32 rank),
-//	          uvarint nRuns,  nRuns × (uvarint start, uvarint count,
-//	                                   count × uvarint watermark)
+//	ack:      uvarint watermark, uvarint nGenRuns,
+//	          nGenRuns × (uvarint gen, uvarint count, count × uvarint rank),
+//	          uvarint base, uint8 width, uvarint nRuns,
+//	          nRuns × (uvarint start, uvarint count),
+//	          then each watermark − base in width bits, LSB-first
 //	hello:    uint8 flags (0 = announce, 1 = leave; others rejected),
 //	          uvarint nRuns,  nRuns × (uvarint start, uvarint count)
 //	announce: uint8 op (0 = ping, 1 = pong, 2 = lookup, 3 = lookup-ok;
@@ -46,25 +47,26 @@
 //	          uint32 nAddrs, nAddrs × (uint32 node, uint16 addrLen,
 //	          addrLen bytes "host:port", addrLen ≤ MaxAddrBytes)
 //
-// Id lists are run-length coded. A hello's peer list and an ack's
-// watermark vector are lists of node ids that, in every run the repo
-// makes, are a handful of stretches of consecutive ascending ids; on
-// the wire each stretch is one run (start, count) standing for the ids
-// start, start+1, …, start+count-1 in that order, an ack's run followed
-// by one watermark per id. runEnd cuts a list into runs — maximal ones,
-// in list order — so any list round-trips entry for entry (unsorted,
-// duplicated, id 2³²-1 followed by id 0: each break just starts a new
-// run), a dense n-node view costs a few bytes whatever n is, and the
-// worst case (no two neighbours consecutive) costs one count byte per
-// id over a plain varint list. uvarint is the base-128 little-endian
-// varint of encoding/binary, at most 32 bits wide here. The encoding is
-// canonical, which is what keeps Marshal(Unmarshal(b)) == b: the
-// decoder rejects a count of zero, a run that continues the one before
-// it (the encoder would have merged them), a run reaching past id
-// 2³²-1 and a varint with a padding zero group or more than 32 bits.
-// MaxAckEntries caps the expanded length of a list and is checked
-// against each run's count before the run is expanded: a few bytes
-// cannot make the decoder allocate for 2³² ids.
+// Id lists are run-length coded. A hello's peer list, an ack's
+// watermark vector and an ack's ranks (by generation) are, in every run
+// the repo makes, a handful of stretches of consecutive ascending ids;
+// on the wire each stretch is one run (start, count) standing for the
+// ids start, start+1, …, start+count-1 in that order. runEnd cuts a list
+// into runs — maximal ones, in list order — so any list round-trips
+// entry for entry (unsorted, duplicated, id 2³²-1 followed by id 0: each
+// break just starts a new run). An ack's watermarks span a window of
+// generations, so they go out as offsets from their least (base) at the
+// bits of the greatest (width, 0 when all are equal and for an empty
+// vector, whose base is 0). uvarint is encoding/binary's, at most 32
+// bits wide here. The encoding is canonical, which keeps
+// Marshal(Unmarshal(b)) == b: the decoder rejects a count of zero, a run
+// that continues the one before it (the encoder would have merged
+// them), a run reaching past id 2³²-1, a varint with a padding zero
+// group or more than 32 bits, a base other than the least mark, a width
+// other than the greatest offset's, nonzero spare bits and a watermark
+// past 2³²-1. MaxAckEntries caps the expanded length of a list and is
+// checked against each run's count before the run is expanded: a few
+// bytes cannot make the decoder allocate for 2³² ids.
 //
 // Wrap policy: Sender and Epoch are 32-bit on the wire and do NOT wrap.
 // The constructors (NewCoded, NewToken, NewAck, NewHello) panic on a
@@ -89,7 +91,7 @@ import (
 
 // Version is the codec version byte emitted by Marshal and required by
 // Unmarshal.
-const Version = 2
+const Version = 3
 
 // HeaderBytes is the size of the envelope header on the wire.
 const HeaderBytes = 10
@@ -378,7 +380,8 @@ func (p *Packet) Size() Size {
 	return Size{Bytes: HeaderBytes}
 }
 
-// runEnd is the run iterator every id list on the wire is cut by: the
+// runEnd is the run iterator every id list on the wire is cut by (an
+// ack's encoder spells it out to find the marks' spread on the way): the
 // end of the maximal run starting at list[lo], that is, the ids of
 // list[lo:end] are consecutive and ascending and list[end] (if any)
 // does not continue them. A run never wraps from id 2³²-1 to id 0.
@@ -400,8 +403,8 @@ func runEnd[T any](list []T, lo int, id func(T) uint32) int {
 // one.
 func RunEnd(peers []uint32, lo int) int { return runEnd(peers, lo, peerID) }
 
-func peerID(id uint32) uint32   { return id }
-func markID(pm PeerMark) uint32 { return pm.Node }
+func peerID(id uint32) uint32  { return id }
+func rankGen(r GenRank) uint32 { return r.Gen }
 
 // uvarintLen is the encoded size of v as a minimal uvarint.
 func uvarintLen(v uint32) int { return (bits.Len32(v|1) + 6) / 7 }
@@ -414,23 +417,62 @@ func appendUvarint(b []byte, v uint32) []byte {
 	return binary.AppendUvarint(b, uint64(v))
 }
 
-// wideMarks appends the watermarks of marks, the tail of a run from its
-// first mark of more than one byte on.
-func wideMarks(out []byte, marks []PeerMark) []byte {
+// Up to 8 bits wide, eight offsets are one word of width bytes, which
+// the byte lanes of a uint64 pack and unpack in three shifts of halves.
+const lanes8, lanes16, lanes32 = 0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff
+
+// packMarks appends each mark's offset from base in width bits,
+// LSB-first, zero spare bits up to the next byte: eight at a time from
+// byte lanes up to 8 bits wide, else a bit at a time. Like unpackRun it
+// stays out of line so that its loops keep their values in registers.
+//
+//go:noinline
+func packMarks(out []byte, marks []PeerMark, base uint32, width int) []byte {
+	if width == 0 {
+		return out
+	}
+	w := uint(width) & 63
+	for width <= 8 && len(marks) > 0 {
+		g, n := (*[8]PeerMark)(nil), min(8, len(marks))
+		if n == 8 {
+			g = (*[8]PeerMark)(marks)
+		} else { // the last group, filled up with zero offsets
+			g = &[8]PeerMark{{0, base}, {0, base}, {0, base}, {0, base}, {0, base}, {0, base}, {0, base}, {0, base}}
+			copy(g[:], marks)
+		}
+		marks = marks[n:]
+		x := (uint64(byte(g[0].Watermark-base)) | uint64(byte(g[1].Watermark-base))<<8) |
+			(uint64(byte(g[2].Watermark-base))<<16 | uint64(byte(g[3].Watermark-base))<<24) |
+			(uint64(byte(g[4].Watermark-base))<<32 | uint64(byte(g[5].Watermark-base))<<40 |
+				(uint64(byte(g[6].Watermark-base))<<48 | uint64(byte(g[7].Watermark-base))<<56))
+		x = x&lanes8 | x>>8&lanes8<<w
+		x = x&lanes16 | x>>16&lanes16<<(2*w)
+		out = binary.LittleEndian.AppendUint64(out, x&lanes32|x>>32<<(4*w))
+		out = out[:len(out)-8+(width*n+7)/8]
+	}
+	var acc uint64
+	nb := uint(0)
 	for _, pm := range marks {
-		out = appendUvarint(out, pm.Watermark)
+		acc |= uint64(pm.Watermark-base) << (nb & 63)
+		for nb += w; nb >= 8; nb -= 8 {
+			out = append(out, byte(acc))
+			acc >>= 8
+		}
+	}
+	if nb > 0 {
+		out = append(out, byte(acc))
 	}
 	return out
 }
 
-// putCount writes the run count n into the byte the encoder left for it
-// at out[at], shifting the runs after it right when n needs more.
-func putCount(out []byte, at, n int) []byte {
-	if w := uvarintLen(uint32(n)); w > 1 {
+// putUvarint writes v into the byte the encoder left for it at out[at],
+// shifting what follows right when v needs more.
+func putUvarint(out []byte, at int, v uint32) []byte {
+	if w := uvarintLen(v); w > 1 {
 		out = slices.Grow(out, w-1)[:len(out)+w-1]
 		copy(out[at+w:], out[at+1:])
 	}
-	binary.PutUvarint(out[at:], uint64(n))
+	binary.PutUvarint(out[at:], uint64(v))
 	return out
 }
 
@@ -452,18 +494,18 @@ func (p Packet) AppendTo(buf []byte) []byte {
 // extended slice with Bits(), in one pass: a hello's or an ack's id list
 // is cut into runs as they are written, and the run count put in ahead
 // of them after. It reserves room per type first — the exact size of a
-// coded, token or announce packet; an ack's fixed fields, a byte a mark
-// and 8 bytes of run headers; 64 bytes of runs for a hello, whatever its
-// length — so it allocates nothing when buf has that much spare capacity
-// (the hot path hands it a recycled buffer, buf[:0]) and once otherwise,
-// unless a list's runs outgrow the reservation. Like Marshal it panics
-// on an unknown envelope type.
+// coded, token or announce packet; an ack's fixed fields, five bytes a
+// rank, a byte a mark and a few runs' headers; 64 bytes of runs for a
+// hello, whatever its length — so it allocates nothing when buf has that
+// much spare capacity (the hot path hands it a recycled buffer, buf[:0])
+// and once otherwise, unless a list's runs or marks outgrow the
+// reservation. Like Marshal it panics on an unknown envelope type.
 func (p *Packet) Encode(buf []byte) ([]byte, int) {
 	var sz Size
 	var out []byte
 	switch p.Env.Type {
 	case TypeAck:
-		out = slices.Grow(buf, HeaderBytes+17+8*len(p.Ack.Ranks)+len(p.Ack.Peers))
+		out = slices.Grow(buf, HeaderBytes+40+5*len(p.Ack.Ranks)+len(p.Ack.Peers))
 	case TypeHello:
 		out = slices.Grow(buf, HeaderBytes+66)
 	default:
@@ -483,35 +525,34 @@ func (p *Packet) Encode(buf []byte) ([]byte, int) {
 		out = binary.LittleEndian.AppendUint32(out, uint32(p.Token.Payload.Len()))
 		out = p.Token.Payload.AppendBytes(out)
 	case TypeAck:
-		out = binary.LittleEndian.AppendUint32(out, p.Ack.Watermark)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(p.Ack.Ranks)))
-		for _, r := range p.Ack.Ranks {
-			out = binary.LittleEndian.AppendUint32(out, r.Gen)
-			out = binary.LittleEndian.AppendUint32(out, r.Rank)
-		}
-		at, runs, peers := len(out), 0, p.Ack.Peers
-		out = append(out, 0) // the run count, put in below
-		for lo, hi := 0, 0; lo < len(peers); lo, runs = hi, runs+1 {
-			hi = runEnd(peers, lo, markID)
-			out = appendUvarint(out, peers[lo].Node)
+		a := &p.Ack
+		out = appendUvarint(out, a.Watermark)
+		at, genRuns := len(out), 0
+		out = append(out, 0) // the generation run count, put in below
+		for lo, hi := 0, 0; lo < len(a.Ranks); lo, genRuns = hi, genRuns+1 {
+			hi = runEnd(a.Ranks, lo, rankGen)
+			out = appendUvarint(out, a.Ranks[lo].Gen)
 			out = appendUvarint(out, uint32(hi-lo))
-			// One byte per mark is reserved and nearly always enough;
-			// written by index, the common case is a store.
-			run, n := peers[lo:hi], len(out)
-			out = slices.Grow(out, len(run))[:n+len(run)]
-			dst := out[n:][:len(run)]
-			for i, pm := range run {
-				if pm.Watermark >= 0x80 {
-					out = wideMarks(out[:n+i], run[i:])
-					break
-				}
-				dst[i] = byte(pm.Watermark)
+			for _, r := range a.Ranks[lo:hi] {
+				out = appendUvarint(out, r.Rank)
 			}
 		}
-		out = putCount(out, at, runs)
-		// Bits is the body less its length fields: the rank count and the
-		// run count.
-		return out, 8 * (len(out) - len(buf) - HeaderBytes - 4 - uvarintLen(uint32(runs)))
+		out = putUvarint(out, at, uint32(genRuns))
+		at, runs, least, most := len(out), 0, ^uint32(0), uint32(0)
+		out = append(out, 0, 0, 0) // base, width and run count, put in below
+		for lo, hi, peers := 0, 0, a.Peers; lo < len(peers); lo, runs = hi, runs+1 {
+			// runEnd's rule, with the least and greatest mark found on the way.
+			for next := uint64(peers[lo].Node); hi < len(peers) && uint64(peers[hi].Node) == next; hi, next = hi+1, next+1 {
+				least, most = min(least, peers[hi].Watermark), max(most, peers[hi].Watermark)
+			}
+			out = appendUvarint(appendUvarint(out, peers[lo].Node), uint32(hi-lo))
+		}
+		base := min(least, most) // 0 for an empty vector
+		width := bits.Len32(most - base)
+		out[at+1] = byte(width)
+		out = packMarks(putUvarint(putUvarint(out, at+2, uint32(runs)), at, base), a.Peers, base, width)
+		// Bits is the body less its length fields: the two run counts.
+		return out, 8 * (len(out) - len(buf) - HeaderBytes - uvarintLen(uint32(genRuns)) - uvarintLen(uint32(runs)))
 	case TypeHello:
 		var flags byte
 		if p.Hello.Leaving {
@@ -524,7 +565,7 @@ func (p *Packet) Encode(buf []byte) ([]byte, int) {
 			out = appendUvarint(out, peers[lo])
 			out = appendUvarint(out, uint32(hi-lo))
 		}
-		out = putCount(out, at, runs)
+		out = putUvarint(out, at, uint32(runs))
 		return out, 8 * (len(out) - len(buf) - HeaderBytes - uvarintLen(uint32(runs)))
 	case TypeAnnounce:
 		a := &p.Announce
@@ -618,68 +659,10 @@ func UnmarshalInto(p *Packet, data []byte) error {
 		p.Token.UID = token.UID(uid)
 		return nil
 	case TypeAck:
-		if len(body) < 8 {
-			return fmt.Errorf("%w: ack body %d bytes < 8", ErrTruncated, len(body))
-		}
 		a := &p.Ack
-		nRanks := binary.LittleEndian.Uint32(body[4:8])
-		if nRanks > MaxAckEntries {
-			return fmt.Errorf("%w: ack rank count %d exceeds cap", ErrMalformed, nRanks)
-		}
-		rest := body[8:]
-		if uint64(len(rest)) < 8*uint64(nRanks) {
-			return fmt.Errorf("%w: ack body %d bytes for %d rank entries", ErrTruncated, len(body), nRanks)
-		}
-		a.Watermark = binary.LittleEndian.Uint32(body[0:4])
-		a.Ranks = a.Ranks[:0]
-		for i := 0; i < int(nRanks); i++ {
-			a.Ranks = append(a.Ranks, GenRank{
-				Gen:  binary.LittleEndian.Uint32(rest[8*i:]),
-				Rank: binary.LittleEndian.Uint32(rest[8*i+4:]),
-			})
-		}
-		rest = rest[8*nRanks:]
-		nRuns, n := uvarint(rest)
-		if n <= 0 {
-			return varintError(n, "ack run count")
-		}
-		rest = rest[n:]
-		a.Peers = a.Peers[:0]
-		prevEnd := noRun
-		for r := uint32(0); r < nRuns; r++ {
-			start, count, n, err := readRun(rest, prevEnd, len(a.Peers))
-			if err != nil {
-				return fmt.Errorf("ack run %d: %w", r, err)
-			}
-			rest = rest[n:]
-			if count > len(rest) { // a watermark is at least a byte
-				return fmt.Errorf("%w: ack run %d: %d bytes for %d watermarks", ErrTruncated, r, len(rest), count)
-			}
-			prevEnd = uint64(start) + uint64(count)
-			a.Peers = slices.Grow(a.Peers, count)[:len(a.Peers)+count]
-			run := a.Peers[len(a.Peers)-count:]
-			// One-byte marks, nearly all of them, are read in step with the
-			// ids; the first wider one moves the rest of the run to uvarint.
-			i := 0
-			for _, c := range rest[:count] {
-				if c >= 0x80 {
-					break
-				}
-				run[i] = PeerMark{Node: start + uint32(i), Watermark: uint32(c)}
-				i++
-			}
-			rest = rest[i:]
-			for ; i < count; i++ {
-				mark, n := uvarint(rest)
-				if n <= 0 {
-					return varintError(n, "ack watermark")
-				}
-				rest = rest[n:]
-				run[i] = PeerMark{Node: start + uint32(i), Watermark: mark}
-			}
-		}
-		if len(rest) != 0 {
-			return fmt.Errorf("%w: %d trailing ack bytes after %d runs", ErrMalformed, len(rest), nRuns)
+		var err error
+		if a.Watermark, a.Ranks, a.Peers, err = readAck(body, a.Ranks[:0], a.Peers[:0]); err != nil {
+			return err
 		}
 		p.Env = env
 		return nil
@@ -754,6 +737,141 @@ func UnmarshalInto(p *Packet, data []byte) error {
 	default:
 		return fmt.Errorf("%w: %d", ErrType, env.Type)
 	}
+}
+
+// readAck decodes an ack body into the reused ranks and peers. A run is
+// expanded only once the bytes left can hold it (a rank takes at least
+// a byte, an offset width bits); the vector's ids are expanded with
+// their watermarks, by unpackRun, after every run has been checked.
+func readAck(b []byte, ranks []GenRank, peers []PeerMark) (mark uint32, _ []GenRank, _ []PeerMark, err error) {
+	mark, n := uvarint(b)
+	if n <= 0 {
+		return 0, nil, nil, varintError(n, "ack watermark")
+	}
+	genRuns, m := uvarint(b[n:])
+	if m <= 0 {
+		return 0, nil, nil, varintError(m, "ack generation run count")
+	}
+	b, prevEnd := b[n+m:], noRun
+	for r := uint32(0); r < genRuns; r++ {
+		gen, count, n, err := readRun(b, prevEnd, len(ranks))
+		if err != nil {
+			return 0, nil, nil, fmt.Errorf("ack generation run %d: %w", r, err)
+		}
+		b, prevEnd = b[n:], uint64(gen)+uint64(count)
+		if count > len(b) {
+			return 0, nil, nil, fmt.Errorf("%w: ack generation run %d: %d bytes for %d ranks", ErrTruncated, r, len(b), count)
+		}
+		for i := range count {
+			rank, n := uvarint(b)
+			if n <= 0 {
+				return 0, nil, nil, varintError(n, "ack rank")
+			}
+			b, ranks = b[n:], append(ranks, GenRank{Gen: gen + uint32(i), Rank: rank})
+		}
+	}
+	base, n := uvarint(b)
+	if n <= 0 {
+		return 0, nil, nil, varintError(n, "ack watermark base")
+	} else if len(b) == n {
+		return 0, nil, nil, fmt.Errorf("%w: ack ends before its watermark width", ErrTruncated)
+	} else if b[n] > 32 {
+		return 0, nil, nil, fmt.Errorf("%w: ack watermark width %d over 32", ErrMalformed, b[n])
+	}
+	width := int(b[n])
+	nRuns, m := uvarint(b[n+1:])
+	if m <= 0 {
+		return 0, nil, nil, varintError(m, "ack run count")
+	}
+	runs, total, prevEnd := b[n+1+m:], 0, noRun
+	b = runs
+	for r := uint32(0); r < nRuns; r++ {
+		start, count, n, err := readRun(b, prevEnd, total)
+		if err != nil {
+			return 0, nil, nil, fmt.Errorf("ack run %d: %w", r, err)
+		}
+		b, prevEnd, total = b[n:], uint64(start)+uint64(count), total+count
+		if uint64(total)*uint64(width) > 8*uint64(len(b)) {
+			return 0, nil, nil, fmt.Errorf("%w: ack run %d: %d bytes for %d %d-bit watermarks", ErrTruncated, r, len(b), total, width)
+		}
+	}
+	switch used := width * total; {
+	case len(b) != (used+7)/8:
+		return 0, nil, nil, fmt.Errorf("%w: %d trailing ack bytes", ErrMalformed, len(b)-(used+7)/8)
+	case used%8 != 0 && b[len(b)-1]>>(used%8) != 0:
+		return 0, nil, nil, fmt.Errorf("%w: nonzero spare bits after the watermarks", ErrMalformed)
+	case total == 0 && base|uint32(width) != 0:
+		return 0, nil, nil, fmt.Errorf("%w: empty watermark vector with base %d, width %d", ErrMalformed, base, width)
+	}
+	peers = slices.Grow(peers, total)[:total]
+	j, acc := 0, uint64(0)
+	for i := 0; i < total; {
+		start, n := uvarint(runs)
+		count, m := uvarint(runs[n:])
+		runs = runs[n+m:]
+		j, acc = unpackRun(peers[i:i+int(count)], start, b, i, j, acc, base, uint(width))
+		i += int(count)
+	}
+	// The marks that prove base and width canonical usually come early.
+	switch {
+	case total > 0 && !slices.ContainsFunc(peers, func(pm PeerMark) bool { return pm.Watermark == base }):
+		return 0, nil, nil, fmt.Errorf("%w: watermark base %d is below the least mark", ErrMalformed, base)
+	case width > 0 && !slices.ContainsFunc(peers, func(pm PeerMark) bool { return (pm.Watermark-base)>>(width-1) != 0 }):
+		return 0, nil, nil, fmt.Errorf("%w: watermark width %d wider than the spread", ErrMalformed, width)
+	case uint64(base)+1<<width-1 > 1<<32-1 && slices.ContainsFunc(peers, func(pm PeerMark) bool { return pm.Watermark < base }):
+		return 0, nil, nil, fmt.Errorf("%w: a watermark passes 2^32-1", ErrMalformed)
+	}
+	return mark, ranks, peers, nil
+}
+
+// unpackRun expands one run of an ack vector into marks: ids from node
+// on, their watermarks from the offset of the vector's at-th mark in
+// packed on, eight at a time into byte lanes up to 8 bits wide
+// (packMarks inverted), else a bit at a time. j bytes of packed are
+// read and acc holds what is left of the last word; it returns both.
+//
+//go:noinline
+func unpackRun(marks []PeerMark, node uint32, packed []byte, at, j int, acc uint64, base uint32, w uint) (int, uint64) {
+	if w > 8 {
+		nb := uint(8*j - at*int(w)) // the bits read but not used
+		for k := range marks {
+			for ; nb < w; nb, j = nb+8, j+1 {
+				acc |= uint64(packed[j]) << (nb & 63)
+			}
+			marks[k] = PeerMark{Node: node + uint32(k), Watermark: base + uint32(acc)&(1<<w-1)}
+			acc, nb = acc>>(w&63), nb-w
+		}
+		return j, acc
+	}
+	for k := range marks {
+		if (at+k)&7 == 0 {
+			acc, j = unpackWord(packed, j, w), j+int(w)
+		}
+		marks[k] = PeerMark{Node: node + uint32(k), Watermark: base + uint32(byte(acc))}
+		acc >>= 8
+	}
+	return j, acc
+}
+
+// unpackWord returns the eight offsets of w ≤ 8 bits at packed[j:] in
+// the byte lanes of a word. Inlined, its temporaries pushed unpackRun's
+// loop counter and word out of registers, onto the stack.
+//
+//go:noinline
+func unpackWord(packed []byte, j int, w uint) uint64 {
+	var x uint64
+	if j+8 <= len(packed) {
+		x = binary.LittleEndian.Uint64(packed[j : j+8])
+	} else {
+		for i, c := range packed[j:] {
+			x |= uint64(c) << (8 * uint(i) & 63)
+		}
+	}
+	w1, w2, w4 := w&63, 2*w&63, 4*w&63 // masked: no over-wide-shift fix-ups
+	m16, m8 := (1<<w2-1)*uint64(0x0000000100000001), (1<<w1-1)*uint64(0x0001000100010001)
+	x = x&(1<<w4-1) | x>>w4<<32
+	x = x&m16 | x>>w2&m16<<16
+	return x&m8 | x>>w1&m8<<8
 }
 
 // fillRun writes the ids start, start+1, … into run: one run of a hello

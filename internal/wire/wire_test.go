@@ -58,18 +58,22 @@ func TestTokenRoundTrip(t *testing.T) {
 func TestAckRoundTrip(t *testing.T) {
 	acks := []struct {
 		a Ack
-		// peerBytes is what the peer section's runs and watermarks encode
-		// to, its run count excluded.
-		peerBytes int
+		// bodyBytes is what the body encodes to, its two run counts
+		// excluded.
+		bodyBytes int
 	}{
-		{Ack{}, 0},
-		{Ack{Watermark: 3}, 0},
-		{Ack{Watermark: 2, Ranks: []GenRank{{Gen: 2, Rank: 5}, {Gen: 3, Rank: 0}}}, 0},
-		// Two one-id runs: (start, count, watermark) a byte each.
-		{Ack{Watermark: 1, Peers: []PeerMark{{Node: 0, Watermark: 1}, {Node: 9, Watermark: 4}}}, 6},
-		{Ack{Watermark: 7, Ranks: []GenRank{{Gen: 7, Rank: 8}}, Peers: []PeerMark{{Node: 3, Watermark: 7}}}, 3},
-		// One run of three ids, the middle watermark two bytes wide.
-		{Ack{Peers: []PeerMark{{Node: 200, Watermark: 1}, {Node: 201, Watermark: 300}, {Node: 202, Watermark: 0}}}, 2 + 1 + 4},
+		// Watermark, base 0 and width 0 a byte each.
+		{Ack{}, 3},
+		{Ack{Watermark: 3}, 3},
+		// One generation run (2, 2) and two one-byte ranks.
+		{Ack{Watermark: 2, Ranks: []GenRank{{Gen: 2, Rank: 5}, {Gen: 3, Rank: 0}}}, 3 + 4},
+		// Two one-id runs, and offsets 0 and 3 from base 1 in one byte.
+		{Ack{Watermark: 1, Peers: []PeerMark{{Node: 0, Watermark: 1}, {Node: 9, Watermark: 4}}}, 3 + 4 + 1},
+		// Every mark equal: width 0, no offset bytes.
+		{Ack{Watermark: 7, Ranks: []GenRank{{Gen: 7, Rank: 8}}, Peers: []PeerMark{{Node: 3, Watermark: 7}}}, 3 + 3 + 2},
+		// One run of three ids from 200 (a two-byte start), offsets up to
+		// 300: 9 bits each, 27 bits in four bytes.
+		{Ack{Peers: []PeerMark{{Node: 200, Watermark: 1}, {Node: 201, Watermark: 300}, {Node: 202, Watermark: 0}}}, 3 + 3 + 4},
 	}
 	for i, tc := range acks {
 		a := tc.a
@@ -84,27 +88,35 @@ func TestAckRoundTrip(t *testing.T) {
 		if got.Ack.Watermark != a.Watermark || !slices.Equal(got.Ack.Ranks, a.Ranks) || !slices.Equal(got.Ack.Peers, a.Peers) {
 			t.Errorf("ack %d: body %+v does not round-trip to %+v", i, a, got.Ack)
 		}
-		if want := 32 + 64*len(a.Ranks) + 8*tc.peerBytes; p.Bits() != want {
+		if want := 8 * tc.bodyBytes; p.Bits() != want {
 			t.Errorf("ack %d: Bits %d, want %d", i, p.Bits(), want)
 		}
-		// Framing on top of Bits: the header, the rank count and the
-		// one-byte run count.
-		if want := HeaderBytes + 4 + 1 + p.Bits()/8; len(p.Marshal()) != want || p.WireBytes() != want {
+		// Framing on top of Bits: the header and the two one-byte run
+		// counts.
+		if want := HeaderBytes + 2 + p.Bits()/8; len(p.Marshal()) != want || p.WireBytes() != want {
 			t.Errorf("ack %d: wire size %d (WireBytes %d), want %d", i, len(p.Marshal()), p.WireBytes(), want)
 		}
 	}
 }
 
 func TestAckUnmarshalRejects(t *testing.T) {
+	// Watermark 1; generation run (1, 1) at rank 2; base 1, width 0; run
+	// (0, 1).
 	good := NewAck(1, 2, Ack{Watermark: 1, Ranks: []GenRank{{Gen: 1, Rank: 2}}, Peers: []PeerMark{{Node: 0, Watermark: 1}}}).Marshal()
+	if want := []byte{1, 1, 1, 1, 2, 1, 0, 1, 0, 1}; !bytes.Equal(good[HeaderBytes:], want) {
+		t.Fatalf("body %x, want %x", good[HeaderBytes:], want)
+	}
 	cases := []struct {
 		name string
 		data []byte
 		want error
 	}{
-		{"short body", good[:HeaderBytes+4], ErrTruncated},
-		{"rank list truncated", good[:HeaderBytes+12], ErrTruncated},
-		{"run count missing", good[:HeaderBytes+16], ErrTruncated},
+		{"empty body", good[:HeaderBytes], ErrTruncated},
+		{"generation run count missing", good[:HeaderBytes+1], ErrTruncated},
+		{"rank list truncated", good[:HeaderBytes+4], ErrTruncated},
+		{"base missing", good[:HeaderBytes+5], ErrTruncated},
+		{"width missing", good[:HeaderBytes+6], ErrTruncated},
+		{"run count missing", good[:HeaderBytes+7], ErrTruncated},
 		{"peer list truncated", good[:len(good)-1], ErrTruncated},
 		{"trailing byte", append(append([]byte(nil), good...), 0), ErrMalformed},
 	}
@@ -113,10 +125,21 @@ func TestAckUnmarshalRejects(t *testing.T) {
 			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	huge := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint32(huge[HeaderBytes+4:], MaxAckEntries+1)
-	if _, err := Unmarshal(huge); !errors.Is(err, ErrMalformed) {
-		t.Errorf("oversized rank count accepted: %v", err)
+	// Canonical form, by the layout: a split generation run, a base below
+	// the least mark (every offset nonzero), a width wider than the spread or over 32, nonzero
+	// padding bits, and a mark past 2³²-1.
+	edit := func(body ...byte) []byte { return append(append([]byte(nil), good[:HeaderBytes]...), body...) }
+	for name, data := range map[string][]byte{
+		"split generation run":      edit(1, 2, 1, 1, 2, 2, 1, 3, 1, 0, 1, 0, 1),
+		"base below the least mark": edit(1, 1, 1, 1, 2, 0, 1, 1, 0, 1, 0x01),
+		"width wider than spread":   edit(1, 1, 1, 1, 2, 1, 1, 1, 0, 1, 0),
+		"width over 32":             edit(1, 1, 1, 1, 2, 1, 40, 1, 0, 1, 0, 0, 0, 0, 0),
+		"nonzero padding bits":      edit(1, 1, 1, 1, 2, 1, 1, 1, 0, 2, 0x81),
+		"mark past 2^32-1":          edit(1, 1, 1, 1, 2, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 1, 0, 2, 0x02),
+	} {
+		if _, err := Unmarshal(data); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: err %v, want ErrMalformed", name, err)
+		}
 	}
 }
 
@@ -421,20 +444,23 @@ func TestGoldenWireBytes(t *testing.T) {
 			"ack",
 			NewAck(7, 8, Ack{
 				Watermark: 2,
-				Ranks:     []GenRank{{Gen: 2, Rank: 1}},
-				Peers:     []PeerMark{{Node: 0, Watermark: 2}, {Node: 1, Watermark: 3}, {Node: 300, Watermark: 200}},
+				Ranks:     []GenRank{{Gen: 2, Rank: 1}, {Gen: 3, Rank: 200}},
+				Peers:     []PeerMark{{Node: 0, Watermark: 2}, {Node: 1, Watermark: 3}, {Node: 300, Watermark: 9}},
 			}),
 			[]byte{
 				Version,                // version
 				0x03,                   // type = ack
 				0x07, 0x00, 0x00, 0x00, // sender
 				0x08, 0x00, 0x00, 0x00, // epoch
-				0x02, 0x00, 0x00, 0x00, // watermark = 2
-				0x01, 0x00, 0x00, 0x00, // 1 rank entry
-				0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, // gen 2 rank 1
-				0x02,                   // 2 peer runs
-				0x00, 0x02, 0x02, 0x03, // nodes 0, 1: watermarks 2, 3
-				0xac, 0x02, 0x01, 0xc8, 0x01, // node 300 alone: watermark 200, both two-byte uvarints
+				0x02,                         // watermark = 2
+				0x01,                         // 1 generation run
+				0x02, 0x02, 0x01, 0xc8, 0x01, // gens 2, 3: ranks 1, 200 (a two-byte uvarint)
+				0x02,       // base = 2, the least mark
+				0x03,       // width = 3: the spread 9-2 = 7 takes 3 bits
+				0x02,       // 2 peer runs
+				0x00, 0x02, // nodes 0, 1
+				0xac, 0x02, 0x01, // node 300 alone (a two-byte uvarint start)
+				0xc8, 0x01, // offsets 0, 1, 7 at 3 bits, LSB-first: 000 100 111, then 7 zero spare bits
 			},
 		},
 	}
