@@ -189,23 +189,26 @@ func TestRunTraceExportsArtifacts(t *testing.T) {
 
 // TestFullStackTranscriptPinned pins the report of CI's full-stack line:
 // every fault flag, the adaptive adversary and churn, lowered by
-// cliutil from the flags as main parses them.
+// cliutil from the flags as main parses them. With -telemetry the
+// report is the same: telemetry reads the run and never steers it.
 func TestFullStackTranscriptPinned(t *testing.T) {
-	var o options
-	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
-	o.Register(fs, "cluster", 64, 32)
-	fs.StringVar(&o.mode, "mode", "coded", "")
-	full := "-n 48 -k 16 -transport lockstep -seed 1 -loss 0.1 -reorder 0.1 -delay 2ms -mutate all:0.02 -adversary adaptive -churn join:5:2,crash:10:2,leave:14:2,restart:20:1 -shards 1"
-	if err := fs.Parse(strings.Fields(full)); err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	if err := o.run(&out); err != nil {
-		t.Fatal(err)
-	}
 	const want = "164030c244300d39371e0c823c989187ef898301ce52b921da4d33d2e07b6929"
-	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out.String()))); got != want {
-		t.Errorf("report sha256 %s, want %s:\n%s", got, want, out.String())
+	full := "-n 48 -k 16 -transport lockstep -seed 1 -loss 0.1 -reorder 0.1 -delay 2ms -mutate all:0.02 -adversary adaptive -churn join:5:2,crash:10:2,leave:14:2,restart:20:1 -shards 1"
+	for _, args := range []string{full, full + " -telemetry " + filepath.Join(t.TempDir(), "export.txt")} {
+		var o options
+		fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
+		o.Register(fs, "cluster", 64, 32)
+		fs.StringVar(&o.mode, "mode", "coded", "")
+		if err := fs.Parse(strings.Fields(args)); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if err := o.run(&out); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out.String()))); got != want {
+			t.Errorf("%s: report sha256 %s, want %s:\n%s", args, got, want, out.String())
+		}
 	}
 }
 

@@ -12,33 +12,19 @@ import (
 )
 
 func TestParseAdversaryFlagAccepts(t *testing.T) {
-	rec := telemetry.New(telemetry.Config{Nodes: 8})
 	dir := t.TempDir()
 	traceFile := filepath.Join(dir, "mob.trace")
 	if err := os.WriteFile(traceFile, []byte("5 0 1 down\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		spec string
-		rec  *telemetry.Recorder
-	}{
-		{"", nil},
-		{"random", nil},
-		{"rotating-path", nil},
-		{"static-complete", nil},
-		{"tstable:4", nil},
-		{"tinterval:3", nil},
-		{"adaptive", rec},
-		{"trace:" + traceFile, nil},
-	}
-	for _, tc := range cases {
-		adv, err := ParseAdversaryFlag(tc.spec, 8, 1, tc.rec)
+	for _, spec := range []string{"", "random", "rotating-path", "static-complete", "tstable:4", "tinterval:3", "adaptive", "trace:" + traceFile} {
+		adv, err := ParseAdversaryFlag(spec, 8, 1)
 		if err != nil {
-			t.Errorf("ParseAdversaryFlag(%q): %v", tc.spec, err)
+			t.Errorf("ParseAdversaryFlag(%q): %v", spec, err)
 			continue
 		}
-		if (adv == nil) != (tc.spec == "") {
-			t.Errorf("ParseAdversaryFlag(%q) = %v, nil only for the empty spec", tc.spec, adv)
+		if (adv == nil) != (spec == "") {
+			t.Errorf("ParseAdversaryFlag(%q) = %v, nil only for the empty spec", spec, adv)
 		}
 	}
 }
@@ -47,7 +33,7 @@ func TestParseAdversaryFlagAccepts(t *testing.T) {
 // gate: a typo'd -adversary must come back with every name the flag
 // accepts, both the adversary-package names and the hostile extensions.
 func TestParseAdversaryFlagUnknownListsValidNames(t *testing.T) {
-	_, err := ParseAdversaryFlag("omniscient", 8, 1, nil)
+	_, err := ParseAdversaryFlag("omniscient", 8, 1)
 	if err == nil {
 		t.Fatal("unknown adversary accepted")
 	}
@@ -67,25 +53,13 @@ func TestParseAdversaryFlagRejects(t *testing.T) {
 		{"tstable:x", "positive integer"},
 		{"tinterval:-1", "positive integer"},
 		{"adaptive:3", "takes no parameter"},
-		{"adaptive", "telemetry"}, // nil recorder
 		{"trace:", "trace:<file>"},
 		{"trace:/does/not/exist", "no such file"},
 		{"random:7", "takes no parameter"},
 	}
 	for _, tc := range cases {
-		if _, err := ParseAdversaryFlag(tc.spec, 8, 1, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := ParseAdversaryFlag(tc.spec, 8, 1); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ParseAdversaryFlag(%q) = %v, want error containing %q", tc.spec, err, tc.want)
-		}
-	}
-}
-
-func TestAdversaryNeedsTelemetry(t *testing.T) {
-	if !AdversaryNeedsTelemetry("adaptive") || !AdversaryNeedsTelemetry(" adaptive ") {
-		t.Error("adaptive not flagged as needing telemetry")
-	}
-	for _, spec := range []string{"", "random", "rotating-path", "trace:x"} {
-		if AdversaryNeedsTelemetry(spec) {
-			t.Errorf("%q flagged as needing telemetry", spec)
 		}
 	}
 }
@@ -153,5 +127,28 @@ func TestWrapEveryFlagIsOneLayer(t *testing.T) {
 	s, ok := tr.(*cluster.Schedule)
 	if !ok || s.Unwrap() != base {
 		t.Errorf("every fault flag set: Wrap returned %T, not one schedule over the fabric", tr)
+	}
+}
+
+// TestAdaptiveNeedsNoRecorder: -adversary adaptive reads the run, not
+// telemetry, so Open and OpenStream build a recorder only for -trace
+// or -telemetry.
+func TestAdaptiveNeedsNoRecorder(t *testing.T) {
+	g := inProcess()
+	g.Adversary = "adaptive"
+	cc, err := g.Open(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := g.OpenStream(nil, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cc.Telemetry != nil || sc.Telemetry != nil {
+		t.Errorf("no trace flag, yet Open made a recorder (%v) and OpenStream one (%v)", cc.Telemetry, sc.Telemetry)
+	}
+	g.Telemetry = filepath.Join(t.TempDir(), "export.txt")
+	if cc, err = g.Open(nil); err != nil || cc.Telemetry == nil {
+		t.Errorf("-telemetry set: Open gave recorder %v, error %v", cc.Telemetry, err)
 	}
 }

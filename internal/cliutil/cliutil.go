@@ -98,12 +98,11 @@ func (g *GossipFlags) Tokens() []token.Token {
 }
 
 // recorder returns the run's telemetry recorder over an id space of
-// nodes, or nil when no flag asks for one (-trace, -telemetry, or an
-// adversary that reads it). meta is the run's key, value, key, value…
-// header, in export order. The recorder must exist before Wrap: the
-// adaptive adversary reads its rank scoreboard.
+// nodes, or nil unless -trace or -telemetry asks for one; nothing of
+// the run reads it. meta is the run's key, value, key, value… header,
+// in export order.
 func (g *GossipFlags) recorder(nodes int, meta []string) *telemetry.Recorder {
-	if g.Trace == "" && g.Telemetry == "" && !AdversaryNeedsTelemetry(g.Adversary) {
+	if g.Trace == "" && g.Telemetry == "" {
 		return nil
 	}
 	rec := telemetry.New(telemetry.Config{Nodes: nodes})
@@ -117,19 +116,21 @@ func (g *GossipFlags) recorder(nodes int, meta []string) *telemetry.Recorder {
 // tr — in-process channels or a real socket alike — its rules from the
 // bottom: delay, reorder, loss, packet mutation, the adversarial
 // topology. Each rule's stream is keyed by the run seed and its own
-// purpose (package keyed). The hostile rules stamp telemetry on the
-// sender's goroutine, which is why they go on top; the schedule is
-// clocked by the driver's ticks, whichever driver it is, so -delay, a
-// duration, is lowered to ticks of -interval (rounded up). nodes is
-// the run's full id space. Zero knobs and empty specs add no rule — the
-// golden transcripts rely on the bare transport passing through
-// untouched. Validate checks the rates, the delay and the limits.
+// purpose (package keyed). The hostile rules stamp telemetry into rec
+// (nil: none) on the sender's goroutine, which is why they go on top;
+// nothing reads rec, the adaptive adversary reads the run the driver
+// hands the schedule. The schedule is clocked by the driver's ticks,
+// whichever driver it is, so -delay, a duration, is lowered to ticks
+// of -interval (rounded up). nodes is the run's full id space. Zero
+// knobs and empty specs add no rule — the golden transcripts rely on
+// the bare transport passing through untouched. Validate checks the
+// rates, the delay and the limits.
 func (g *GossipFlags) Wrap(tr cluster.Transport, nodes int, rec *telemetry.Recorder) (cluster.Transport, error) {
 	ms, err := ParseMutateFlag(g.Mutate)
 	if err != nil {
 		return nil, err
 	}
-	adv, err := ParseAdversaryFlag(g.Adversary, nodes, g.Seed, rec)
+	adv, err := ParseAdversaryFlag(g.Adversary, nodes, g.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -297,24 +298,17 @@ func ParseMode(name string) (stream bool, err error) {
 	}
 }
 
-// AdversaryNeedsTelemetry reports whether the -adversary spec requires
-// a telemetry recorder: the adaptive adversary reads the recorder's
-// rank scoreboard, so the CLIs create a recorder for it even when no
-// tracing flag asked for one.
-func AdversaryNeedsTelemetry(spec string) bool { return strings.TrimSpace(spec) == "adaptive" }
-
 // ParseAdversaryFlag parses the shared -adversary grammar,
 // name[:params], into a topology adversary over an id space of n:
 //
 //	random | rotating-path | static-<topology>   (adversary.Named)
 //	tstable:<T>     T-stable random rewiring (adversary.TStable)
 //	tinterval:<T>   T-interval connectivity (adversary.TInterval)
-//	adaptive        telemetry-rank worst case (hostile.Adaptive)
+//	adaptive        rank-sorted path over the run's progress (hostile.Adaptive)
 //	trace:<file>    recorded mobility trace (hostile.TraceAdversary)
 //
-// An empty spec returns nil (no adversary). rec is only required for
-// adaptive (see AdversaryNeedsTelemetry).
-func ParseAdversaryFlag(spec string, n int, seed int64, rec *telemetry.Recorder) (dynnet.Adversary, error) {
+// An empty spec returns nil (no adversary).
+func ParseAdversaryFlag(spec string, n int, seed int64) (dynnet.Adversary, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return nil, nil
@@ -344,10 +338,7 @@ func ParseAdversaryFlag(spec string, n int, seed int64, rec *telemetry.Recorder)
 		if hasParam {
 			return nil, fmt.Errorf("-adversary adaptive takes no parameter, got %q", param)
 		}
-		if rec == nil {
-			return nil, fmt.Errorf("-adversary adaptive needs a telemetry recorder (see AdversaryNeedsTelemetry)")
-		}
-		return hostile.NewAdaptive(n, seed, rec), nil
+		return hostile.NewAdaptive(n, seed), nil
 	case "trace":
 		if !hasParam || param == "" {
 			return nil, fmt.Errorf("-adversary trace needs a file: trace:<file>")

@@ -509,14 +509,10 @@ type churner struct {
 	maxID   int   // id space bound
 	crashed []int // ids available for restart/rejoin, in crash order
 	ops     []churnOp
-	// rank is the oracle for the targeted crash kinds (crashmax,
-	// crashfrontier): the current decoding progress / delivery
-	// watermark of a live node. It is called at popUntil time, from the
-	// goroutine driving the churn.
-	rank func(id int) int
+	run     Oracle // crashmax and crashfrontier rank by its Progress
 }
 
-func newChurner(s *ChurnSchedule, n, maxN int, seed int64, rank func(id int) int) *churner {
+func newChurner(s *ChurnSchedule, n, maxN int, seed int64, run Oracle) *churner {
 	if s == nil || len(s.Events) == 0 {
 		return nil
 	}
@@ -525,7 +521,7 @@ func newChurner(s *ChurnSchedule, n, maxN int, seed int64, rank func(id int) int
 		rng:    keyed.Rand(seed, keyed.Churn),
 		nextID: n,
 		maxID:  maxN,
-		rank:   rank,
+		run:    run,
 	}
 }
 
@@ -615,7 +611,7 @@ func (c *churner) pickTargeted(live *View, max bool) int {
 	}
 	victim, best := -1, 0
 	for id := range live.EligibleIDs(0) {
-		r := c.rank(id)
+		r := c.run.Progress(id)
 		if victim < 0 || (max && r > best) || (!max && r < best) {
 			victim, best = id, r
 		}

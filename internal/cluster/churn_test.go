@@ -400,7 +400,7 @@ func TestChurnEventEndsAtFirstNoOp(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := newChurner(sched, n, maxN, 1, func(int) int { return 0 })
+			c := newChurner(sched, n, maxN, 1, make(Ranks, maxN))
 			live := members(maxN, slices.Repeat([]bool{true}, n))
 			done := make(chan []churnOp)
 			go func() { done <- slices.Clone(c.popUntil(3, live)) }()
@@ -488,7 +488,7 @@ func TestVictimDrawsMatchFlagScans(t *testing.T) {
 		}
 		rank := func(id int) int { return ranks[id] }
 		view := members(maxN, live)
-		c := &churner{rng: rand.New(rand.NewSource(seed)), rank: rank}
+		c := &churner{rng: rand.New(rand.NewSource(seed)), run: Ranks(ranks)}
 		ref := rand.New(rand.NewSource(seed))
 		for step := 0; step < 6; step++ {
 			var got, want int

@@ -136,6 +136,7 @@ func (c Config) fabric(tr Transport) (*mailbox, error) {
 // run is the state of one run, shared by both drivers: the node table
 // (indexed by id, nil until spawned — RunSingle spawns one node of
 // it), the live set, and the churner applying the membership script.
+// It is the run's Oracle.
 type run struct {
 	eng   Engine
 	cfg   Config // defaults resolved
@@ -152,7 +153,8 @@ type run struct {
 	mb *mailbox
 	// exec partitions the id space for the initial spawn and the
 	// lockstep driver's parallel phases (a single shard in async mode).
-	exec *shard.Executor
+	exec    *shard.Executor
+	watched bool // the stack's rules hold the run (see observe)
 }
 
 // Run drives cfg's membership through one run of the protocol until
@@ -188,7 +190,7 @@ func (e Engine) Run(ctx context.Context, cfg Config) (Outcome, error) {
 		live:  NewView(-1, maxN),
 		exec:  shard.New(maxN, cfg.Shards),
 	}
-	r.ch = newChurner(cfg.Churn, cfg.N, maxN, cfg.Seed, r.progress)
+	r.ch = newChurner(cfg.Churn, cfg.N, maxN, cfg.Seed, r)
 	r.live.Fill(cfg.N, 0)
 	// Spawning touches per-id state only, so the initial batch runs
 	// under exec: shard-count bit-identity holds by construction.
@@ -255,14 +257,28 @@ func (r *run) spawn(id int, joiner bool, now int64) *Node {
 	return nd
 }
 
-// progress is the targeted-crash oracle (ChurnCrashMax,
-// ChurnCrashFrontier): node id's last Publish, 0 if it was never
-// spawned.
-func (r *run) progress(id int) int {
-	if nd := r.nodes[id]; nd != nil {
-		return int(nd.progress.Load())
+// Live implements Oracle.
+func (r *run) Live(id int) bool {
+	return id >= 0 && id < len(r.nodes) && r.nodes[id] != nil && r.live.Live(id)
+}
+
+// Progress implements Oracle.
+func (r *run) Progress(id int) int {
+	if id < 0 || id >= len(r.nodes) || r.nodes[id] == nil {
+		return 0
 	}
-	return 0
+	return int(r.nodes[id].progress.Load())
+}
+
+// observe feeds tick now to the transport stack, and after the first
+// hands the stack's rules the run itself (Rule.Watch): they draw the
+// first tick blind, and read the run from the next on.
+func (r *run) observe(now int64) {
+	ObserveTick(r.tr, now)
+	if !r.watched {
+		r.watched = true
+		watch(r.tr, r)
+	}
 }
 
 func (r *run) firstErr() error {
@@ -375,7 +391,7 @@ func (r *run) runLockstep(ctx context.Context) error {
 		default:
 		}
 		now := int64(tick)
-		ObserveTick(r.tr, now)
+		r.observe(now)
 		ops := r.ch.popUntil(tick, r.live)
 		for _, op := range ops {
 			r.apply(op, now, ops)
@@ -602,7 +618,7 @@ func (r *run) runAsync(ctx context.Context, linger time.Duration) error {
 			case <-ticker.C:
 			}
 			now := clk.now()
-			ObserveTick(r.tr, now)
+			r.observe(now)
 			if r.ch == nil {
 				continue // no schedule: nothing falls due
 			}

@@ -17,3 +17,15 @@ func MailboxTick(tr Transport) [][][]byte {
 	mb.carry()
 	return boxes
 }
+
+// Watch hands o to the rules of every schedule in tr's stack, as the
+// drivers hand them the run after its first tick.
+func Watch(tr Transport, o Oracle) { watch(tr, o) }
+
+// Ranks is an Oracle over a fixed membership: every id is live, at the
+// progress in its slot.
+type Ranks []int
+
+func (r Ranks) Live(int) bool { return true }
+
+func (r Ranks) Progress(id int) int { return r[id] }

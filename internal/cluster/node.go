@@ -88,9 +88,9 @@ type Node struct {
 	// churn is true on runs with a membership schedule: only there does
 	// a node with nothing to say announce itself instead.
 	churn bool
-	// progress is the node's last Publish, which the targeted-crash
-	// oracle reads — atomically, because under the wall-clock driver
-	// the run's clock goroutine is not the node's.
+	// progress is the node's last Publish, which the run's Oracle reads —
+	// atomically, because under the wall-clock driver the run's clock
+	// goroutine is not the node's.
 	progress atomic.Int64
 	// err is the first failure the protocol reported (see Fail).
 	err error
@@ -106,15 +106,11 @@ func (nd *Node) Fail(err error) {
 }
 
 // Publish posts the node's progress — span rank for one-shot gossip,
-// the delivery watermark for the stream — to the two scoreboards
-// adversaries read: the node's own, which the targeted-crash oracle
-// (ChurnCrashMax / ChurnCrashFrontier) reads, and the recorder's
-// (telemetry.Recorder.LiveRank, the adaptive topology adversary's). It
-// is the only writer of either, so both adversaries sort by one
-// definition of progress.
+// the delivery watermark for the stream — for the run's Oracle, which
+// the targeted crashes and the adaptive adversary read. It is the only
+// writer, so both sort by one definition of progress.
 func (nd *Node) Publish(progress int) {
 	nd.progress.Store(int64(progress))
-	nd.Tel.Publish(nd.ID, int64(progress))
 }
 
 // Pick samples a live peer for an emission, or -1 when there is none:

@@ -29,15 +29,14 @@ func TestMiddlewareOrderIndependent(t *testing.T) {
 	const n, ticks, perTick, seed = 8, 16, 6, 7
 	run := func(interleave func(tick int, send func(from int))) string {
 		rec := telemetry.New(telemetry.Config{Nodes: n})
-		for id := 0; id < n; id++ {
-			rec.Event(id, 0, telemetry.KindJoin, 0, 0, 0) // on the adversary's scoreboard
-		}
 		var tr cluster.Transport = cluster.Config{N: n, Lockstep: true}.DefaultTransport(0)
 		tr = cluster.WithDelay(tr, 0, 2, seed)
 		tr = cluster.WithReorder(tr, 0.2, seed)
 		tr = cluster.WithLoss(tr, 0.2, seed)
 		tr = hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.1, Stale: 0.1, Trunc: 0.1, Flip: 0.1, Xgen: 0.1}, seed, rec)
-		tr = hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed, rec), rec)
+		tr = hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed), rec)
+		ranks := make(cluster.Ranks, n)
+		cluster.Watch(tr, ranks)
 		var b strings.Builder
 		results := make([][]bool, n)
 		sent := make([]int, n)
@@ -48,7 +47,7 @@ func TestMiddlewareOrderIndependent(t *testing.T) {
 				i := sent[from]
 				sent[from]++
 				if i == 0 {
-					rec.Publish(from, int64(from*tick%5))
+					ranks[from] = from * tick % 5
 				}
 				to := (from + 1 + (tick+i)%(n-1)) % n
 				pkt := wire.NewHello(from, tick*perTick+i+1, wire.Hello{}).Marshal()

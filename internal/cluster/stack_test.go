@@ -33,6 +33,8 @@ func (c *tally) Send(from, to int, pkt []byte) bool {
 // stackRun drives a fault stack over the tick mailbox the way
 // TestMiddlewareOrderIndependent does, and returns the same transcript:
 // every tick's inboxes, then each sender's Send results and telemetry.
+// The stack's rules hold a run of n live ids from the start, each
+// publishing a rank before its first Send of a tick.
 // tail more ticks follow without Sends, so short delays drain; each is
 // called, when non-nil, after every tick's barrier. The inbox bytes
 // are empty hellos, so a wire.Version bump moves every pin built on a
@@ -46,9 +48,11 @@ type stackRun struct {
 func (r stackRun) transcript(interleave func(tick int, send func(from int))) string {
 	rec := telemetry.New(telemetry.Config{Nodes: r.n})
 	for id := 0; id < r.n; id++ {
-		rec.Event(id, 0, telemetry.KindJoin, 0, 0, 0) // on the adversary's scoreboard
+		rec.Event(id, 0, telemetry.KindJoin, 0, 0, 0) // each ring opens with its sender's join
 	}
 	tr := r.build(rec, cluster.Config{N: r.n, Lockstep: true}.DefaultTransport(0))
+	ranks := make(cluster.Ranks, r.n)
+	cluster.Watch(tr, ranks)
 	var b strings.Builder
 	results := make([][]bool, r.n)
 	sent := make([]int, r.n)
@@ -60,7 +64,7 @@ func (r stackRun) transcript(interleave func(tick int, send func(from int))) str
 				i := sent[from]
 				sent[from]++
 				if i == 0 {
-					rec.Publish(from, int64(from*tick%5))
+					ranks[from] = from * tick % 5
 				}
 				to := (from + 1 + (tick+i)%(r.n-1)) % r.n
 				pkt := wire.NewHello(from, tick*r.perTick+i+1, wire.Hello{}).Marshal()
@@ -112,7 +116,7 @@ func TestMiddlewareTranscriptPinned(t *testing.T) {
 		tr = cluster.WithReorder(tr, 0.2, seed)
 		tr = cluster.WithLoss(tr, 0.2, seed)
 		tr = hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.1, Stale: 0.1, Trunc: 0.1, Flip: 0.1, Xgen: 0.1}, seed, rec)
-		return hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed, rec), rec)
+		return hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed), rec)
 	}}
 	const want = "664760daa12747705420f1f2f7d68f4ff79292649e2da655f0c0ccb416d234d2"
 	if got := sha(run.transcript(inShards(n, 6, 1))); got != want {
@@ -166,7 +170,7 @@ func (l layerSpec) wrap(tr cluster.Transport, n int, rec *telemetry.Recorder) cl
 		var adv dynnet.Adversary
 		switch l.adv {
 		case "adaptive":
-			adv = hostile.NewAdaptive(n, l.seed, rec)
+			adv = hostile.NewAdaptive(n, l.seed)
 		case "rotating-path":
 			adv = adversary.NewRotatingPath(n, l.seed)
 		case "random":

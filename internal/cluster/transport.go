@@ -83,6 +83,17 @@ func ObserveTick(t Transport, tick int64) {
 	}
 }
 
+// watch hands a stack the run it carries, as ObserveTick hands it a
+// tick: every Schedule in it gives o to its rules (Rule.Watch), and a
+// Layer forwards it down.
+func watch(t Transport, o Oracle) {
+	if w, ok := t.(interface{ watch(Oracle) }); ok {
+		w.watch(o)
+	}
+}
+
+func (l Layer) watch(o Oracle) { watch(l.Transport, o) }
+
 // ChanTransport is the in-process transport: one buffered channel per
 // node. A Send to a full inbox drops the packet — backpressure shows up
 // as loss, exactly as on a saturated datagram socket.
@@ -194,6 +205,17 @@ type Schedule struct {
 type Rule struct {
 	Decide  func(from, to int, pkt []byte, tick int64) Verdict
 	Observe func(tick int64)
+	// Watch, if set, is handed the run once, under the lock, when its
+	// first tick has been observed.
+	Watch func(Oracle)
+}
+
+// Oracle is what a rule may see of the run it faults, and what the
+// targeted crashes rank by: the run itself, read where it is clocked
+// (a rule's Observe, the churner), never a copy.
+type Oracle interface {
+	Live(id int) bool    // spawned and in the run's live set
+	Progress(id int) int // the last Node.Publish; 0 if never spawned
 }
 
 // Verdict is a rule's answer for one packet; the zero Verdict passes
@@ -347,6 +369,17 @@ func (s *Schedule) ObserveTick(tick int64) {
 	for _, p := range out {
 		s.Transport.Send(p.from, p.to, p.pkt)
 	}
+}
+
+func (s *Schedule) watch(o Oracle) {
+	s.mu.Lock()
+	for _, r := range s.rules {
+		if r.Watch != nil {
+			r.Watch(o)
+		}
+	}
+	s.mu.Unlock()
+	watch(s.Transport, o)
 }
 
 // Close implements Transport.

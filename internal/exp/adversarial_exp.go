@@ -17,9 +17,10 @@ const e14Mutations = "dup:0.05,stale:0.05,trunc:0.03,flip:0.02,xgen:0.03"
 // Both modes face the same loss, the same targeted-crash schedule,
 // identically-seeded packet mutations, and the same adversary
 // construction — though the adaptive adversary reacts to each run's own
-// telemetry, which is the point: it reads per-node decoding rank every
-// tick and serves the rank-sorted path, so whatever the protocol
-// achieves shapes what the topology permits next.
+// progress, which is the point: it reads per-node decoding rank from
+// the run every tick (cluster.Oracle), not from telemetry, and serves
+// the rank-sorted path, so whatever the protocol achieves shapes what
+// the topology permits next.
 func e14Cell(n, k, d int, dynamics, packets string, seed int64) cliutil.GossipFlags {
 	g := cliutil.GossipFlags{N: n, K: k, Payload: d, Loss: 0.1, Seed: seed, MaxTicks: 500000,
 		Churn: "crashmax:40:1,restart:90:1", Adversary: dynamics}

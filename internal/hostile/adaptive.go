@@ -1,97 +1,80 @@
 package hostile
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
+	"repro/internal/cluster"
 	"repro/internal/dynnet"
 	"repro/internal/graph"
 	"repro/internal/keyed"
-	"repro/internal/telemetry"
 )
 
 // Adaptive is the paper-shaped adaptive adversary for the asynchronous
-// runtimes: each round it reads every node's decoding progress from the
-// telemetry rank scoreboard (Recorder.LiveRank) and serves the
-// connectivity-preserving worst case — a path over the nodes sorted by
-// rank. Neighbours then have near-identical knowledge, so innovation
-// can only trickle across the rank boundary one edge per round,
-// generalizing adversary.IsolateInformed from an informed/uninformed
-// bipartition to the full rank order. Ties are shuffled with the
-// adversary's own seeded RNG; ids the recorder has not seen (or has
-// seen crash/leave) are chained onto the tail, keeping the served graph
-// connected over the whole id space without ever placing a dead node as
-// a cut vertex between live ones.
-//
-// The recorder is the adversary's only window into the run, so runs
-// that face an Adaptive must record telemetry (Config.Telemetry);
-// without events the scoreboard is empty and the adversary degrades to
-// a fixed id-order path.
+// runtimes: each round it reads every live node's decoding progress
+// from the run (cluster.Oracle) and serves the connectivity-preserving
+// worst case — a path over the live nodes sorted by progress.
+// Neighbours then have near-identical knowledge, so innovation can only
+// trickle across the rank boundary one edge per round, generalizing
+// adversary.IsolateInformed from an informed/uninformed bipartition to
+// the full rank order. Ties are shuffled with the adversary's own
+// seeded RNG; ids that are not live (never spawned, crashed, left) are
+// chained onto the tail, keeping the served graph connected over the
+// whole id space without ever placing a dead node as a cut vertex
+// between live ones.
 type Adaptive struct {
-	n      int
-	rng    *rand.Rand
-	rec    *telemetry.Recorder
-	g      *graph.Graph
-	ranked []rankedID // scratch: snapshot of the live scoreboard
-	idle   []int      // scratch: unseen/dead ids
-	order  []int      // scratch: the round's final path order
+	n    int
+	rng  *rand.Rand
+	run  cluster.Oracle
+	g    *graph.Graph
+	path []rankedID // scratch: the round's path, live ids by progress first
 }
 
-type rankedID struct {
-	id   int
-	rank int64
-}
+type rankedID struct{ id, rank int }
 
 var _ dynnet.Adversary = (*Adaptive)(nil)
 
-// NewAdaptive returns the rank-path adversary over an id space of n,
-// reading rec's scoreboard each round. rec must not be nil.
-func NewAdaptive(n int, seed int64, rec *telemetry.Recorder) *Adaptive {
-	if rec == nil {
-		panic("hostile: Adaptive needs a telemetry recorder")
-	}
-	return &Adaptive{n: n, rng: keyed.Rand(seed, keyed.Adversary), rec: rec, g: graph.New(n)}
+// NewAdaptive returns the rank-path adversary over an id space of n.
+func NewAdaptive(n int, seed int64) *Adaptive {
+	return &Adaptive{n: n, rng: keyed.Rand(seed, keyed.Adversary), g: graph.New(n)}
 }
+
+// Watch gives the adversary the run, read from its next round on (see
+// WithAdversary); until then it serves the id-order path.
+func (a *Adaptive) Watch(run cluster.Oracle) { a.run = run }
 
 // Graph serves the round's rank-sorted path, valid until the next call.
 func (a *Adaptive) Graph(int, []dynnet.Node) *graph.Graph {
-	a.ranked, a.idle = a.ranked[:0], a.idle[:0]
-	for id := 0; id < a.n; id++ {
-		// Snapshot the atomics before sorting: a comparator that re-read
-		// them mid-sort could observe an inconsistent order.
-		if rank, ok := a.rec.LiveRank(id); ok {
-			a.ranked = append(a.ranked, rankedID{id: id, rank: rank})
-		} else {
-			a.idle = append(a.idle, id)
+	a.path = a.path[:0]
+	live := 0
+	for id := range a.n {
+		// Snapshot before sorting: a comparator that re-read the run could
+		// see an inconsistent order. Ids not live sort last, by id.
+		rank := math.MaxInt
+		if a.run != nil && a.run.Live(id) {
+			rank, live = a.run.Progress(id), live+1
 		}
+		a.path = append(a.path, rankedID{id, rank})
 	}
-	sort.Slice(a.ranked, func(i, j int) bool {
-		if a.ranked[i].rank != a.ranked[j].rank {
-			return a.ranked[i].rank < a.ranked[j].rank
-		}
-		return a.ranked[i].id < a.ranked[j].id
-	})
-	// Shuffle within equal-rank runs so the path is not exploitable as
-	// stable, while staying a pure function of the seed and the
-	// scoreboard history.
-	for lo := 0; lo < len(a.ranked); {
+	slices.SortFunc(a.path, func(x, y rankedID) int { return cmp.Or(cmp.Compare(x.rank, y.rank), cmp.Compare(x.id, y.id)) })
+	// Shuffle within equal-rank runs of live ids so the path is not
+	// exploitable as stable, while staying a pure function of the seed
+	// and the run's history.
+	for lo := 0; lo < live; {
 		hi := lo + 1
-		for hi < len(a.ranked) && a.ranked[hi].rank == a.ranked[lo].rank {
+		for hi < live && a.path[hi].rank == a.path[lo].rank {
 			hi++
 		}
 		a.rng.Shuffle(hi-lo, func(i, j int) {
-			a.ranked[lo+i], a.ranked[lo+j] = a.ranked[lo+j], a.ranked[lo+i]
+			a.path[lo+i], a.path[lo+j] = a.path[lo+j], a.path[lo+i]
 		})
 		lo = hi
 	}
-	a.order = a.order[:0]
-	for _, r := range a.ranked {
-		a.order = append(a.order, r.id)
-	}
-	a.order = append(a.order, a.idle...)
 	a.g.Reset(a.n)
-	for i := 0; i+1 < len(a.order); i++ {
-		a.g.AddEdge(a.order[i], a.order[i+1])
+	for i := 1; i < len(a.path); i++ {
+		a.g.AddEdge(a.path[i-1].id, a.path[i].id)
 	}
 	return a.g
 }

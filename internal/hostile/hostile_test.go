@@ -302,21 +302,23 @@ func TestWithAdversaryQueriesOncePerTick(t *testing.T) {
 
 // --- adaptive adversary ----------------------------------------------------
 
-// TestAdaptiveServesRankSortedPath feeds a scoreboard by hand and
-// checks the served topology is a connected path whose interior edges
-// join rank-neighbours, with dead and unseen nodes chained at the tail.
+// oracle is a run by hand: the progress of each live id.
+type oracle map[int]int
+
+func (o oracle) Live(id int) bool { _, ok := o[id]; return ok }
+
+func (o oracle) Progress(id int) int { return o[id] }
+
+// TestAdaptiveServesRankSortedPath hands the adversary a run by hand
+// and checks the served topology is a connected path whose interior
+// edges join rank-neighbours, with the ids that are not live chained at
+// the tail.
 func TestAdaptiveServesRankSortedPath(t *testing.T) {
 	const n = 6
-	rec := telemetry.New(telemetry.Config{Nodes: n})
-	// Ranks: node 0 -> 5, node 1 -> 2, node 2 -> 9, node 3 crashed,
-	// node 4 unseen, node 5 -> 2. Publish is the scoreboard's only
-	// writer; the event marks the id as part of the run.
-	for _, s := range [][2]int64{{0, 5}, {1, 2}, {2, 9}, {3, 7}, {5, 2}} {
-		rec.Event(int(s[0]), 1, telemetry.KindInsert, 0, s[1], 1)
-		rec.Publish(int(s[0]), s[1])
-	}
-	rec.Event(3, 2, telemetry.KindCrash, 0, 0, 0)
-	adv := hostile.NewAdaptive(n, 1, rec)
+	// Ranks: node 0 -> 5, node 1 -> 2, node 2 -> 9, node 5 -> 2; nodes
+	// 3 (crashed) and 4 (never spawned) are not live.
+	adv := hostile.NewAdaptive(n, 1)
+	adv.Watch(oracle{0: 5, 1: 2, 2: 9, 5: 2})
 	g := adv.Graph(0, nil)
 	if !g.IsConnected() {
 		t.Fatal("adaptive graph not connected")
@@ -348,12 +350,12 @@ func TestAdaptiveServesRankSortedPath(t *testing.T) {
 func TestAdaptiveDeterministicPerSeed(t *testing.T) {
 	const n = 8
 	build := func(seed int64) [][2]int {
-		rec := telemetry.New(telemetry.Config{Nodes: n})
+		run := oracle{}
 		for id := 0; id < n; id++ {
-			rec.Event(id, 1, telemetry.KindInsert, 0, int64(id%3), 1)
-			rec.Publish(id, int64(id%3))
+			run[id] = id % 3
 		}
-		adv := hostile.NewAdaptive(n, seed, rec)
+		adv := hostile.NewAdaptive(n, seed)
+		adv.Watch(run)
 		var edges [][2]int
 		for round := 0; round < 5; round++ {
 			edges = append(edges, adv.Graph(round, nil).Edges()...)

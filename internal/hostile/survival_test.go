@@ -170,7 +170,7 @@ func hostileClusterFingerprint(t *testing.T, seed int64, shards int) string {
 	}
 	tr := cluster.WithLoss(cfg.DefaultTransport(0), 0.1, seed+103)
 	tr = hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.05, Stale: 0.05, Trunc: 0.03, Flip: 0.02, Xgen: 0.03}, seed+105, rec)
-	cfg.Transport = hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed+104, rec), rec)
+	cfg.Transport = hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed+104), rec)
 	res, err := cluster.Run(context.Background(), cfg, toks)
 	if err != nil {
 		t.Fatal(err)

@@ -451,28 +451,30 @@ func TestSeededSourceCacheBounded(t *testing.T) {
 	}
 }
 
-// TestLiveRankIsDeliveryWatermark pins the recorder scoreboard's stream
-// semantics: what LiveRank reports for a stream node is its delivery
-// watermark — the value the node publishes, the one targeted churn
-// reads too — so at the end of a run every node reads Generations. K
-// differs from Generations here because the scoreboard used to be
-// overwritten each tick by the span rank of the generation at the
-// watermark, which for a finished node is K.
-func TestLiveRankIsDeliveryWatermark(t *testing.T) {
+// TestOracleIsDeliveryWatermark pins the stream's progress as the run's
+// Oracle reports it: the delivery watermark — the value the node
+// publishes, which the adaptive adversary and targeted churn both read
+// — so at the end of a run every live node reads Generations. K differs
+// from Generations here, so the span rank of the generation at the
+// watermark, which for a finished node is K, cannot pass for it.
+func TestOracleIsDeliveryWatermark(t *testing.T) {
 	const n, k, gens = 8, 3, 7
-	rec := telemetry.New(telemetry.Config{Nodes: n})
 	cfg := Config{
 		N: n, K: k, PayloadBits: 32, Window: 2, Generations: gens,
-		Seed: 3, Lockstep: true, MaxTicks: 100000, Telemetry: rec,
+		Seed: 3, Lockstep: true, MaxTicks: 100000,
 	}
-	cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), 0.2, 11)
+	var run cluster.Oracle
+	cfg.Transport = cluster.WithRule(cluster.WithLoss(cfg.DefaultTransport(), 0.2, 11), cluster.Rule{
+		Decide: func(int, int, []byte, int64) cluster.Verdict { return cluster.Verdict{} },
+		Watch:  func(o cluster.Oracle) { run = o },
+	})
 	res, err := Run(context.Background(), cfg)
-	if err != nil || !res.Completed {
-		t.Fatalf("completed=%v err=%v", res.Completed, err)
+	if err != nil || !res.Completed || run == nil {
+		t.Fatalf("completed=%v err=%v oracle=%v", res.Completed, err, run)
 	}
 	for id := 0; id < n; id++ {
-		if rank, ok := rec.LiveRank(id); !ok || rank != gens {
-			t.Errorf("node %d: LiveRank = %d, %v; want the watermark %d", id, rank, ok, gens)
+		if !run.Live(id) || run.Progress(id) != gens {
+			t.Errorf("node %d: Live %v, Progress %d; want the watermark %d", id, run.Live(id), run.Progress(id), gens)
 		}
 	}
 }

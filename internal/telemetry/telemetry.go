@@ -137,17 +137,6 @@ type nodeRec struct {
 	samples []Sample
 }
 
-// nodeStat is the recorder's live per-node scoreboard: the progress
-// the node last published, and its liveness as a side effect of
-// Event/Sample recording. Unlike the rings and series it is written
-// and read with atomics, so an adversary (internal/hostile) may consult
-// it concurrently with recording.
-type nodeStat struct {
-	rank atomic.Int64 // latest Publish: span rank / delivery watermark
-	seen atomic.Bool  // any event or sample recorded for this id
-	dead atomic.Bool  // last membership event was a crash or leave
-}
-
 // Recorder collects events and samples for one run. The zero value is
 // not usable; construct with New. A nil *Recorder is the disabled
 // state: every method below is a nil-receiver no-op.
@@ -163,8 +152,6 @@ type Recorder struct {
 	eventsDropped  atomic.Int64
 	samplesDropped atomic.Int64
 
-	stats []nodeStat // live rank scoreboard; see LiveRank
-
 	netSamples []netSample // owned by the net sampler goroutine
 }
 
@@ -179,7 +166,7 @@ func New(cfg Config) *Recorder {
 	if cfg.MaxSamples <= 0 {
 		cfg.MaxSamples = 65536
 	}
-	return &Recorder{cfg: cfg, recs: make([]nodeRec, cfg.Nodes), stats: make([]nodeStat, cfg.Nodes)}
+	return &Recorder{cfg: cfg, recs: make([]nodeRec, cfg.Nodes)}
 }
 
 // SetMeta records one run parameter for the export header (driver,
@@ -213,47 +200,6 @@ func (r *Recorder) Event(node int, tick int64, k Kind, a, b, c int64) {
 		r.eventsDropped.Add(1)
 	}
 	r.kindCounts[k].Add(1)
-
-	// Maintain the live scoreboard: liveness flips on membership
-	// events, any event proves the id is part of the run.
-	st := &r.stats[node]
-	st.seen.Store(true)
-	switch k {
-	case KindCrash, KindLeave:
-		st.dead.Store(true)
-	case KindJoin, KindRestart:
-		st.dead.Store(false)
-	}
-}
-
-// Publish posts node's progress to the scoreboard: span rank / token
-// count for one-shot gossip, the delivery watermark for the stream. The
-// node runtime calls it wherever the node's progress moves
-// (cluster.Node.Publish, which feeds the targeted-churn oracle the same
-// value) and nothing else writes the slot, so a rank read here means
-// one thing for the whole run. It does not mark the node observed: a
-// node shows up in LiveRank with its first event or sample.
-func (r *Recorder) Publish(node int, progress int64) {
-	if r == nil || node < 0 || node >= len(r.stats) {
-		return
-	}
-	r.stats[node].rank.Store(progress)
-}
-
-// LiveRank reads the scoreboard: the progress node last published
-// (see Publish), and whether the node has been observed at all without
-// a subsequent crash/leave. It is the adaptive adversary's window into
-// the run (internal/hostile) and is safe to call concurrently with
-// recording. A nil receiver or out-of-range id reports ok=false.
-func (r *Recorder) LiveRank(node int) (rank int64, ok bool) {
-	if r == nil || node < 0 || node >= len(r.stats) {
-		return 0, false
-	}
-	st := &r.stats[node]
-	if !st.seen.Load() || st.dead.Load() {
-		return 0, false
-	}
-	return st.rank.Load(), true
 }
 
 // Sample appends one time-series point for node: once per tick under
@@ -276,7 +222,6 @@ func (r *Recorder) Sample(node int, tick int64, rank, watermark, inbox, view int
 		Inbox: int32(inbox), View: int32(view),
 	})
 	r.sampleCount.Add(1)
-	r.stats[node].seen.Store(true)
 }
 
 // SampleNet appends one socket accounting snapshot (see netSample),

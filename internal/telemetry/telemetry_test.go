@@ -60,39 +60,6 @@ func TestEventOutOfRangeIgnored(t *testing.T) {
 	}
 }
 
-// TestLiveRankReadsPublishOnly pins the scoreboard's one definition of
-// progress: the rank LiveRank reports is what the node last published,
-// whatever per-generation ranks its insert events and samples carried;
-// observation and liveness still come from events and samples.
-func TestLiveRankReadsPublishOnly(t *testing.T) {
-	r := New(Config{Nodes: 2})
-	r.Publish(0, 3)
-	if _, ok := r.LiveRank(0); ok {
-		t.Error("a published but never observed node is live")
-	}
-	r.Sample(0, 1, 9, 0, 0, 1)
-	r.Event(0, 1, KindInsert, 4, 7, 1)
-	r.Event(0, 1, KindDeliver, 4, 5, 0)
-	if rank, ok := r.LiveRank(0); !ok || rank != 3 {
-		t.Errorf("LiveRank = %d, %v after a sample and events; want the published 3, true", rank, ok)
-	}
-	r.Publish(0, 4)
-	if rank, _ := r.LiveRank(0); rank != 4 {
-		t.Errorf("LiveRank = %d after Publish(4)", rank)
-	}
-	r.Event(0, 2, KindCrash, 0, 0, 0)
-	if _, ok := r.LiveRank(0); ok {
-		t.Error("crashed node still live")
-	}
-	r.Event(0, 3, KindRestart, 0, 0, 0)
-	if rank, ok := r.LiveRank(0); !ok || rank != 4 {
-		t.Errorf("LiveRank = %d, %v after restart; want 4, true", rank, ok)
-	}
-	r.Publish(5, 1) // out of range: ignored
-	var nilRec *Recorder
-	nilRec.Publish(0, 1)
-}
-
 func TestSampleCap(t *testing.T) {
 	r := New(Config{Nodes: 1, MaxSamples: 3})
 	for tick := int64(0); tick < 5; tick++ {
@@ -169,7 +136,6 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		r.Event(3, 17, KindInsert, 1, 2, 1)
 		r.Sample(3, 17, 4, 2, 1, 8)
-		r.Publish(3, 4)
 		r.SampleNet(17, nil)
 	}); n != 0 {
 		t.Errorf("disabled path allocates %.1f allocs/op, want 0", n)
