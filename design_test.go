@@ -294,3 +294,36 @@ func TestDesignOneNodeConstructor(t *testing.T) {
 		})
 	}
 }
+
+// TestDesignDoneHasOneWriter: a node's completion is written in two
+// places of internal/cluster — run.settle marks it, run.apply resets
+// it when a node re-enters — and nowhere else, protocols included.
+func TestDesignDoneHasOneWriter(t *testing.T) {
+	files := parseTree(t, "internal", "cmd")
+	writers := map[string]bool{}
+	for _, f := range files {
+		funcs([]goFile{f}, func(fn *ast.FuncDecl) {
+			ast.Inspect(fn, func(n ast.Node) bool {
+				as, ok := n.(*ast.AssignStmt)
+				if !ok {
+					return true
+				}
+				for _, lhs := range as.Lhs {
+					if isSel(lhs, "", "Done") || isSel(lhs, "", "DoneTick") {
+						writers[f.path+": "+recvType(fn)+"."+fn.Name.Name] = true
+					}
+				}
+				return true
+			})
+		})
+	}
+	for _, w := range []string{"internal/cluster/engine.go: run.settle", "internal/cluster/engine.go: run.apply"} {
+		if !writers[w] {
+			t.Fatalf("%s writes no Done: the rule has no subject", w)
+		}
+		delete(writers, w)
+	}
+	for w := range writers {
+		t.Errorf("%s writes a Done or DoneTick: only run.settle and run.apply may", w)
+	}
+}

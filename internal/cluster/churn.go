@@ -525,20 +525,26 @@ func newChurner(s *ChurnSchedule, n, maxN int, seed int64, run Oracle) *churner 
 	}
 }
 
-// pendingAdds reports whether any membership-adding event (join,
-// restart, rejoin) has not yet been applied. A run cannot complete
-// while one is pending: the node it adds still has catching up to do.
-func (c *churner) pendingAdds() bool {
+// pending returns the events not yet popped.
+func (c *churner) pending() []ChurnEvent {
 	if c == nil {
-		return false
+		return nil
 	}
-	for _, e := range c.events[c.next:] {
+	return c.events[c.next:]
+}
+
+// adds counts the membership-adding events (join, restart, rejoin) of
+// evs. A run cannot complete while one is pending, even one that will
+// find nothing to add: the node it may add still has catching up to do.
+func adds(evs []ChurnEvent) int {
+	n := 0
+	for _, e := range evs {
 		switch e.Kind {
 		case ChurnJoin, ChurnRestart, ChurnRejoin:
-			return true
+			n++
 		}
 	}
-	return false
+	return n
 }
 
 // popUntil applies every event with At <= tick to the run's live set

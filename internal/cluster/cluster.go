@@ -436,16 +436,16 @@ type oneShot struct {
 	g  gossiper
 	d  *dissemination
 	// verified records that the node's complete state has been checked
-	// against the originals (see settle).
+	// against the originals (see verifyOnce).
 	verified bool
 }
 
-func (o *oneShot) Start() { o.settle() }
+func (o *oneShot) Start() { o.verifyOnce() }
 
-// settle verifies the node's state the moment it first holds every
+// verifyOnce verifies the node's state the moment it first holds every
 // token — a corrupt decode fails the run there, not after more gossip
 // has spread it — and never again: a complete node's state is final.
-func (o *oneShot) settle() {
+func (o *oneShot) verifyOnce() {
 	if o.verified || !o.g.complete() {
 		return
 	}
@@ -466,7 +466,7 @@ func (o *oneShot) Absorb(p *wire.Packet) bool {
 	if innovative {
 		nd.M.Innovative++
 		nd.Publish(o.g.progress())
-		o.settle()
+		o.verifyOnce()
 	}
 	if nd.Tel != nil { // progress() is only worth computing when tracing
 		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindRecv, int64(sender), int64(p.Env.Epoch), 0)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/keyed"
@@ -135,8 +136,8 @@ func (c Config) fabric(tr Transport) (*mailbox, error) {
 
 // run is the state of one run, shared by both drivers: the node table
 // (indexed by id, nil until spawned — RunSingle spawns one node of
-// it), the live set, and the churner applying the membership script.
-// It is the run's Oracle.
+// it), the live set, the churner applying the membership script, and
+// the completion account. It is the run's Oracle.
 type run struct {
 	eng   Engine
 	cfg   Config // defaults resolved
@@ -155,6 +156,25 @@ type run struct {
 	// lockstep driver's parallel phases (a single shard in async mode).
 	exec    *shard.Executor
 	watched bool // the stack's rules hold the run (see observe)
+	// open counts what still holds the run open: the live nodes not
+	// Done, the add events (join, restart, rejoin) the churner has not
+	// popped, and 1 while a churn batch is being applied. The run is
+	// complete at 0. It changes only where its terms do — settle, apply,
+	// churn — and atomically: under the sharded lockstep driver and the
+	// async one, nodes settle concurrently.
+	open atomic.Int64
+	// allDone closes, once, when open reaches 0.
+	allDone chan struct{}
+	once    sync.Once
+}
+
+// newRun returns the state of a run of cfg over an id space of maxN,
+// the first cfg.N ids live, none spawned.
+func newRun(e Engine, cfg Config, tr Transport, maxN int) *run {
+	r := &run{eng: e, cfg: cfg, tr: tr, res: &Outcome{}, maxN: maxN, nodes: make([]*Node, maxN),
+		live: NewView(-1, maxN), allDone: make(chan struct{})}
+	r.live.Fill(cfg.N, 0)
+	return r
 }
 
 // Run drives cfg's membership through one run of the protocol until
@@ -179,19 +199,10 @@ func (e Engine) Run(ctx context.Context, cfg Config) (Outcome, error) {
 		return Outcome{}, err
 	}
 
-	r := &run{
-		eng:   e,
-		cfg:   cfg,
-		tr:    tr,
-		mb:    mb,
-		res:   &Outcome{},
-		maxN:  maxN,
-		nodes: make([]*Node, maxN),
-		live:  NewView(-1, maxN),
-		exec:  shard.New(maxN, cfg.Shards),
-	}
+	r := newRun(e, cfg, tr, maxN)
+	r.mb, r.exec = mb, shard.New(maxN, cfg.Shards)
 	r.ch = newChurner(cfg.Churn, cfg.N, maxN, cfg.Seed, r)
-	r.live.Fill(cfg.N, 0)
+	r.open.Store(int64(cfg.N + adds(r.ch.pending())))
 	// Spawning touches per-id state only, so the initial batch runs
 	// under exec: shard-count bit-identity holds by construction.
 	r.exec.Run(func(_, lo, hi int) {
@@ -290,13 +301,65 @@ func (r *run) firstErr() error {
 	return nil
 }
 
+// settle marks live node nd Done at tick now if its protocol says so,
+// and takes it off the open count: the one place a node completes,
+// under either driver, called by whatever drives nd.
+func (r *run) settle(nd *Node, now int64) {
+	if !nd.M.Done && nd.proto.Done() {
+		nd.M.Done, nd.M.DoneTick = true, int(now)
+		r.release()
+	}
+}
+
+// release takes one off the open count, and completes the run when
+// that leaves nothing open.
+func (r *run) release() {
+	if r.open.Add(-1) == 0 {
+		r.once.Do(func() { close(r.allDone) })
+	}
+}
+
+// churn applies the churn batch due at tick now, if one is: the
+// churner pops its events, changing r.live, then each operation
+// applies in order. The batch holds the run open until it is
+// applied, its popped add events no longer do. Under the wall-clock
+// driver stop lets an operation's node exit first and start runs it
+// again if the operation left it live, so node state never has two
+// owners; the lockstep driver passes nil for both.
+func (r *run) churn(now int64, stop, start func(id int)) {
+	due := r.ch.pending()
+	if len(due) == 0 || due[0].At > int(now) {
+		return
+	}
+	r.open.Add(1)
+	ops := r.ch.popUntil(int(now), r.live)
+	r.open.Add(-int64(adds(due[:len(due)-len(r.ch.pending())])))
+	for _, op := range ops {
+		if stop != nil {
+			stop(op.ID)
+		}
+		r.apply(op, now, ops)
+		if start != nil && r.nodes[op.ID].M.Live {
+			start(op.ID)
+		}
+	}
+	r.release()
+}
+
 // apply executes one churn operation of the batch due at tick now,
 // under either driver: the churner has already changed r.live, and
 // nobody else is driving the op's node — the lockstep loop is in its
 // serial churn phase, the async clock goroutine has let the node's
-// goroutine exit and starts the next one only afterwards.
+// goroutine exit and starts the next one only afterwards. A node the
+// operation takes out settles first: it may have finished in the
+// emission slot since it last did. The open count moves by the
+// node's change of live-and-not-done.
 func (r *run) apply(op churnOp, now int64, batch []churnOp) {
 	m := r.eng.Metrics(op.ID)
+	if m.Live {
+		r.settle(r.nodes[op.ID], now)
+	}
+	wasOpen := m.Live && !m.Done
 	tel := r.cfg.Telemetry
 	switch op.Kind {
 	case ChurnJoin, ChurnRejoin:
@@ -311,6 +374,7 @@ func (r *run) apply(op churnOp, now int64, batch []churnOp) {
 		nd := r.nodes[op.ID]
 		nd.Now = now
 		nd.proto.Restart()
+		m.Done = m.Done && nd.proto.Done() // its state may have gone stale while it was down
 		m.Live = true
 		m.JoinTick = int(now)
 		tel.Event(op.ID, now, telemetry.KindRestart, 0, 0, 0)
@@ -336,50 +400,41 @@ func (r *run) apply(op churnOp, now int64, batch []churnOp) {
 		tel.Event(op.ID, now, telemetry.KindCrash, 0, 0, 0)
 		m.Live = false
 	}
+	if isOpen := m.Live && !m.Done; isOpen && !wasOpen {
+		r.open.Add(1)
+	} else if wasOpen && !isOpen {
+		r.release()
+	}
 }
 
-// runLockstep is the deterministic driver: per tick, churn events
-// apply, the engine's own fabric sorts the tick's mail by destination
-// (see mailbox), every live node drains its inbox in id order,
-// completion is recorded, then every live node spends one full emission
-// slot. With a
-// seeded Config the whole run — middleware coin flips, churn victims,
-// everything — is a pure function of the seed; context cancellation
-// (checked once per tick) only ever cuts a run short, it cannot change
-// the ticks that did execute.
+// runLockstep is the deterministic driver. Per tick: the churn batch
+// due applies, the engine's own fabric sorts the tick's mail by
+// destination (see mailbox), every live node drains its inbox and
+// settles, the run ends if nothing holds it open any more, and every
+// live node spends one full emission slot. With a seeded Config the
+// whole run — middleware coin flips, churn victims, everything — is a
+// pure function of the seed; context cancellation (checked once per
+// tick) only ever cuts a run short, it cannot change the ticks that
+// did execute.
 //
 // With Config.Shards > 1 the per-node phases (telemetry sampling,
-// inbox drain, emission) fan out across r.exec's workers — each
-// touches only state owned by its id range — while tick observation,
-// churn and the completion scan stay serial at the barriers. Emission
-// fans out only on the engine's own fabric, where every decision below
-// Node.post is a function of the sender's own sends (the mailbox's
-// per-sender logs, per-sender middleware streams), so the interleaving
-// of the shards cannot show; a supplied transport orders concurrent
-// Sends by arrival, so over one the nodes emit serially in id order.
-// The phase boundaries are identical at every shard count, which is
-// what the bit-equality property tests pin.
+// inbox drain and settling, emission) fan out across r.exec's workers —
+// each touches only state owned by its id range, and the open count
+// is atomic — while tick observation, churn and the completion check
+// stay serial at the barriers. Emission fans out only on the engine's
+// own fabric, where every decision below Node.post is a function of
+// the sender's own sends (the mailbox's per-sender logs, per-sender
+// middleware streams), so the interleaving of the shards cannot show;
+// a supplied transport orders concurrent Sends by arrival, so over one
+// the nodes emit serially in id order. The phase boundaries are
+// identical at every shard count, which is what the bit-equality
+// property tests pin.
 func (r *run) runLockstep(ctx context.Context) error {
 	res := r.res
-	complete := func(tick int) bool {
-		all := true
-		for _, nd := range r.nodes {
-			if nd == nil {
-				continue
-			}
-			if !nd.M.Done && nd.proto.Done() {
-				nd.M.Done = true
-				nd.M.DoneTick = tick
-			}
-			if nd.M.Live {
-				all = all && nd.M.Done
-			}
-		}
-		// A pending add still has catching up to do.
-		return all && !r.ch.pendingAdds()
+	for _, nd := range r.nodes[:r.cfg.N] {
+		r.settle(nd, 0)
 	}
-
-	if complete(0) {
+	if r.open.Load() == 0 {
 		res.Completed = true
 		return nil
 	}
@@ -392,10 +447,7 @@ func (r *run) runLockstep(ctx context.Context) error {
 		}
 		now := int64(tick)
 		r.observe(now)
-		ops := r.ch.popUntil(tick, r.live)
-		for _, op := range ops {
-			r.apply(op, now, ops)
-		}
+		r.churn(now, nil, nil)
 		if r.mb != nil {
 			// The barrier: every packet of the tick — last tick's
 			// emissions, this tick's churn hellos — exists, none is delivered.
@@ -409,6 +461,7 @@ func (r *run) runLockstep(ctx context.Context) error {
 				}
 				nd.Now = now
 				r.drain(nd)
+				r.settle(nd, now)
 			}
 		})
 		if r.mb != nil {
@@ -417,7 +470,7 @@ func (r *run) runLockstep(ctx context.Context) error {
 		if err := r.firstErr(); err != nil {
 			return err
 		}
-		if complete(tick) {
+		if r.open.Load() == 0 {
 			res.Completed = true
 			res.Ticks = tick
 			return nil
@@ -468,44 +521,6 @@ func (r *run) drain(nd *Node) {
 	}
 }
 
-// tracker is the async driver's completion accounting for a changing
-// population: instead of a fixed countdown it re-evaluates "is every
-// live node done, with no membership additions pending" under one
-// mutex, which node goroutines take on completion and the clock
-// goroutine around every membership change.
-type tracker struct {
-	mu          sync.Mutex
-	nodes       []*Node
-	addsPending bool
-	allDone     chan struct{}
-	closed      bool
-}
-
-func (t *tracker) markDone(nd *Node) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if nd.M.Done || !nd.proto.Done() {
-		return
-	}
-	nd.M.Done = true
-	nd.M.DoneTick = int(nd.Now)
-	t.check()
-}
-
-// check closes allDone when the run is complete. Callers hold mu.
-func (t *tracker) check() {
-	if t.closed || t.addsPending {
-		return
-	}
-	for _, nd := range t.nodes {
-		if nd != nil && nd.M.Live && !nd.M.Done {
-			return
-		}
-	}
-	t.closed = true
-	close(t.allDone)
-}
-
 // wallClock is the tick under the wall-clock drivers: whole Intervals
 // elapsed since the run started.
 type wallClock struct {
@@ -517,15 +532,15 @@ func (c wallClock) now() int64 { return int64(time.Since(c.start) / c.interval) 
 
 // loop is one started node's life as a goroutine of the wall-clock
 // driver: ticker-paced full emission slots plus an immediate data push
-// after every packet that made progress. settle runs on the node's
-// goroutine on entry and after every state change, to record
-// completion. The loop ends with ctx, or with the node's failure.
-func (nd *Node) loop(ctx context.Context, clk wallClock, settle func()) error {
+// after every packet that made progress. The node settles on entry and
+// after every state change. The loop ends with ctx, or with the node's
+// failure.
+func (r *run) loop(ctx context.Context, nd *Node, clk wallClock) error {
 	nd.Now = clk.now()
 	if nd.err != nil {
 		return nd.err
 	}
-	settle()
+	r.settle(nd, nd.Now)
 	inbox := nd.tr.Recv(nd.ID)
 	ticker := time.NewTicker(clk.interval)
 	defer ticker.Stop()
@@ -539,7 +554,7 @@ func (nd *Node) loop(ctx context.Context, clk wallClock, settle func()) error {
 				if nd.err != nil {
 					return nd.err
 				}
-				settle()
+				r.settle(nd, nd.Now)
 				nd.proto.Emit(false)
 			}
 		case <-ticker.C:
@@ -549,7 +564,7 @@ func (nd *Node) loop(ctx context.Context, clk wallClock, settle func()) error {
 			if nd.err != nil {
 				return nd.err
 			}
-			settle() // a full slot can finish a node by itself
+			r.settle(nd, nd.Now) // a full slot can finish a node by itself
 		}
 	}
 }
@@ -557,10 +572,10 @@ func (nd *Node) loop(ctx context.Context, clk wallClock, settle func()) error {
 // runAsync is the wall-clock driver: a goroutine per spawned node. What
 // is asynchronous is the nodes; time is one goroutine's, the run's
 // clock: once per Interval it feeds the tick to the transport stack and
-// applies the churn operations that have fallen due — letting an
+// applies the churn batch that has fallen due (run.churn), letting an
 // operation's node exit first, so node state never has two owners, and
-// starting a goroutine for whatever the operation added. Once every
-// live node is done the run goes on for linger (RunSingle's
+// starting a goroutine for whatever the operation left live. Once
+// nothing holds the run open the run goes on for linger (RunSingle's
 // Single.Linger; 0 in-process), a node failure or the context,
 // whichever ends first.
 func (r *run) runAsync(ctx context.Context, linger time.Duration) error {
@@ -568,7 +583,6 @@ func (r *run) runAsync(ctx context.Context, linger time.Duration) error {
 	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()
 
-	tk := &tracker{nodes: r.nodes, addsPending: r.ch.pendingAdds(), allDone: make(chan struct{})}
 	errCh := make(chan error, 1) // the first failure ends the run
 	cancels := make([]context.CancelFunc, r.maxN)
 	exited := make([]chan struct{}, r.maxN)
@@ -584,21 +598,19 @@ func (r *run) runAsync(ctx context.Context, linger time.Duration) error {
 		go func() {
 			defer wg.Done()
 			defer close(stop)
-			nd := r.nodes[id]
-			err := nd.loop(nodeCtx, clk, func() {
-				// Done is only ever written by this goroutine, or by the
-				// clock goroutine while this one is not running.
-				if !nd.M.Done {
-					tk.markDone(nd)
-				}
-			})
-			if err != nil {
+			if err := r.loop(nodeCtx, r.nodes[id], clk); err != nil {
 				select {
 				case errCh <- err:
 				default:
 				}
 			}
 		}()
+	}
+	stop := func(id int) {
+		if exited[id] != nil {
+			cancels[id]()
+			<-exited[id]
+		}
 	}
 	for id, nd := range r.nodes {
 		if nd != nil {
@@ -619,44 +631,13 @@ func (r *run) runAsync(ctx context.Context, linger time.Duration) error {
 			}
 			now := clk.now()
 			r.observe(now)
-			if r.ch == nil {
-				continue // no schedule: nothing falls due
-			}
-			tk.mu.Lock()
-			ops := r.ch.popUntil(int(now), r.live)
-			if len(ops) > 0 {
-				// popUntil has changed the live set; completion stays
-				// blocked until the batch is applied, because a restart or
-				// rejoin must reset its node's stale Done before any
-				// check() may trust the nodes' Live.
-				tk.addsPending = true
-			}
-			tk.mu.Unlock()
-			for _, op := range ops {
-				if exited[op.ID] != nil {
-					cancels[op.ID]()
-					<-exited[op.ID]
-				}
-				tk.mu.Lock()
-				r.apply(op, now, ops)
-				entered := r.eng.Metrics(op.ID).Live
-				tk.mu.Unlock()
-				if entered {
-					start(op.ID)
-				}
-			}
-			if len(ops) > 0 {
-				tk.mu.Lock()
-				tk.addsPending = r.ch.pendingAdds()
-				tk.check() // e.g. a restarted already-done node closes the run
-				tk.mu.Unlock()
-			}
+			r.churn(now, stop, start)
 		}
 	}()
 
 	var err error
 	select {
-	case <-tk.allDone:
+	case <-r.allDone:
 		r.res.Completed = true
 		select {
 		case <-time.After(linger):
@@ -728,8 +709,8 @@ func (e Engine) RunSingle(ctx context.Context, cfg Config, s Single) error {
 		return fmt.Errorf("cluster: RunSingle needs a Transport (the process's socket)")
 	}
 	cfg = cfg.withDefaults()
-	r := &run{eng: e, cfg: cfg, tr: cfg.Transport, res: &Outcome{}, maxN: cfg.N, nodes: make([]*Node, cfg.N), live: NewView(-1, cfg.N)}
-	r.live.Fill(cfg.N, 0)
+	r := newRun(e, cfg, cfg.Transport, cfg.N)
+	r.open.Store(1) // its one node
 	r.spawn(s.ID, false, 0).proto.Start()
 	return r.runAsync(ctx, orDefault(s.Linger, 2*time.Second))
 }

@@ -395,11 +395,8 @@ func (nd *node) Progress() (rank, watermark int) {
 
 // Restart makes a revived node re-learn the frontier before resuming:
 // the cluster may have retired generations past its persisted
-// watermark while it was down, so its Done is stale too.
-func (nd *node) Restart() {
-	nd.bootstrapped = false
-	nd.m.Done = false
-}
+// watermark while it was down, so it is not Done until it has.
+func (nd *node) Restart() { nd.bootstrapped = false }
 
 // Leave hands nothing over: the tokens a leaver sourced are re-sourced
 // from the Source by whoever adopts them (see adoptOrphans).
