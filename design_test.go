@@ -327,3 +327,37 @@ func TestDesignDoneHasOneWriter(t *testing.T) {
 		t.Errorf("%s writes a Done or DoneTick: only run.settle and run.apply may", w)
 	}
 }
+
+// TestDesignOneSetOfDrivers: the engine holds two drivers, lockstep and
+// wall clock, one settle that marks a node done under both and one
+// churn that applies a batch under both; they and the hello plumbing
+// were once written twice (cluster and stream) and every fix with them.
+// The async driver's own completion tracker, its markDone and the
+// per-tick scan for pending additions stay deleted.
+func TestDesignOneSetOfDrivers(t *testing.T) {
+	defs := map[string][]string{}
+	for _, f := range parseTree(t, "internal") {
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				defs[d.Name.Name] = append(defs[d.Name.Name], f.path)
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					if ts, ok := s.(*ast.TypeSpec); ok && ts.Name.Name == "tracker" {
+						t.Errorf("%s: type tracker is back", f.path)
+					}
+				}
+			}
+		}
+	}
+	for _, name := range []string{"runLockstep", "runAsync", "helloAll", "settle", "churn"} {
+		if len(defs[name]) != 1 {
+			t.Errorf("%d definitions of %s under internal/ (%v), want exactly one", len(defs[name]), name, defs[name])
+		}
+	}
+	for _, name := range []string{"markDone", "pendingAdds"} {
+		if len(defs[name]) != 0 {
+			t.Errorf("%s is back in %v", name, defs[name])
+		}
+	}
+}
