@@ -553,9 +553,6 @@ func adds(evs []ChurnEvent) int {
 // cluster. An event ends at its first no-op, which draws nothing: every
 // later iteration would be one too.
 func (c *churner) popUntil(tick int, live *View) []churnOp {
-	if c == nil {
-		return nil
-	}
 	c.ops = c.ops[:0]
 	for c.next < len(c.events) && c.events[c.next].At <= tick {
 		e := c.events[c.next]
