@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -127,6 +129,26 @@ func TestRunLockstepChurnCompletes(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("churn run output missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestRunFutileRestartEndsEarly: a restart with no crashed node to
+// revive no longer holds the run open to its tick; without the fix this
+// run completed at tick 500 after 7984 packets, against under 10 ticks
+// without -churn.
+func TestRunFutileRestartEndsEarly(t *testing.T) {
+	a := defaults()
+	a.K, a.Payload, a.Churn = 8, 128, "restart:500:1"
+	var out strings.Builder
+	if err := a.run(&out); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^ticks +([0-9]+)`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no ticks line in:\n%s", out.String())
+	}
+	if ticks, _ := strconv.Atoi(m[1]); ticks >= 500 {
+		t.Errorf("the run took %d ticks: the futile restart at 500 held it open", ticks)
 	}
 }
 

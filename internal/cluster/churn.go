@@ -512,17 +512,45 @@ type churner struct {
 	run     Oracle // crashmax and crashfrontier rank by its Progress
 }
 
+// newChurner returns the churner of schedule s, nil if it has no events.
+// It works on its own copy of the events, a caller's schedule being
+// shareable across runs, and has dropped the futile ones already.
 func newChurner(s *ChurnSchedule, n, maxN int, seed int64, run Oracle) *churner {
 	if s == nil || len(s.Events) == 0 {
 		return nil
 	}
-	return &churner{
-		events: s.Events,
+	c := &churner{
+		events: slices.Clone(s.Events),
 		rng:    keyed.Rand(seed, keyed.Churn),
 		nextID: n,
 		maxID:  maxN,
 		run:    run,
 	}
+	c.futile()
+	return c
+}
+
+// futile drops the pending restart and rejoin events that can revive
+// nothing — no node is crashed, and no crash, crashmax or crashfrontier
+// event comes before them — and returns how many it dropped. Such an
+// event would pop as a no-op that draws nothing, so dropping it changes
+// only when the run may end: it no longer holds the run open.
+func (c *churner) futile() int {
+	if c == nil || len(c.crashed) > 0 {
+		return 0
+	}
+	n := len(c.events)
+	for i := c.next; i < len(c.events); {
+		switch c.events[i].Kind {
+		case ChurnCrash, ChurnCrashMax, ChurnCrashFrontier:
+			return n - len(c.events)
+		case ChurnRestart, ChurnRejoin:
+			c.events = slices.Delete(c.events, i, i+1)
+		default:
+			i++
+		}
+	}
+	return n - len(c.events)
 }
 
 // pending returns the events not yet popped.
@@ -534,8 +562,9 @@ func (c *churner) pending() []ChurnEvent {
 }
 
 // adds counts the membership-adding events (join, restart, rejoin) of
-// evs. A run cannot complete while one is pending, even one that will
-// find nothing to add: the node it may add still has catching up to do.
+// evs. A run cannot complete while one is pending: the node it may add
+// still has catching up to do. (A restart or rejoin that cannot find a
+// crashed node is dropped before it holds anything open; see futile.)
 func adds(evs []ChurnEvent) int {
 	n := 0
 	for _, e := range evs {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -68,20 +69,21 @@ func TestOpenCountsWhatTheWalkCounts(t *testing.T) {
 	}
 }
 
-// TestNoOpAdditionHoldsTheRunOpenOnce: an add event with nothing to
-// revive holds the run open until it is popped, and then no longer —
-// the count is of events, not of the operations they turn out to be.
-// Under lockstep the run equals the one without it (which completes
-// after its tick anyway); under the wall clock it completes.
-func TestNoOpAdditionHoldsTheRunOpenOnce(t *testing.T) {
-	const n, k = 8, 32
+// TestFutileReviveHoldsNothingOpen: a restart with no crashed node left
+// to revive, and no crash before it, holds nothing open — the churner
+// drops it (churner.futile) — so a run whose schedule ends in one ends
+// when its nodes are done, not at the event's tick. Under lockstep the
+// run equals, node by node, the one without it; under the wall clock it
+// completes well before the event's interval.
+func TestFutileReviveHoldsNothingOpen(t *testing.T) {
+	const n, k, futileAt = 8, 32, 400
 	run := func(churn string, lockstep bool) *Result {
 		t.Helper()
 		sched, err := ParseChurn(churn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{N: n, Seed: 3, Lockstep: lockstep, Churn: sched, Timeout: 20 * time.Second}
+		cfg := Config{N: n, Seed: 3, Lockstep: lockstep, Churn: sched, Interval: time.Millisecond, Timeout: 20 * time.Second}
 		cfg.Transport = cfg.DefaultTransport(0)
 		var checked *int
 		if lockstep {
@@ -94,20 +96,26 @@ func TestNoOpAdditionHoldsTheRunOpenOnce(t *testing.T) {
 		if lockstep && *checked == 0 {
 			t.Fatalf("%s: the probe checked no tick", churn)
 		}
-		res.Elapsed = 0
 		return res
 	}
-	with, without := run("crash:3:1,restart:4:1,restart:5:1", true), run("crash:3:1,restart:4:1", true)
-	if with.Ticks <= 5 {
-		t.Fatalf("the run completes at tick %d, before the no-op restart at 5: the comparison shows nothing", with.Ticks)
+	futile := fmt.Sprintf("crash:3:1,restart:4:1,restart:%d:1", futileAt)
+	with, without := run(futile, true), run("crash:3:1,restart:4:1", true)
+	if without.Ticks <= 4 {
+		t.Fatalf("the run completes at tick %d, before its restart at 4: the comparison shows nothing", without.Ticks)
 	}
+	if with.Ticks >= futileAt {
+		t.Errorf("the futile restart at tick %d held the run open to tick %d", futileAt, with.Ticks)
+	}
+	with.Elapsed, without.Elapsed = 0, 0
 	if with.Outcome != without.Outcome {
-		t.Errorf("the no-op restart moved the run: %+v, without it %+v", with.Outcome, without.Outcome)
+		t.Errorf("the futile restart moved the run: %+v, without it %+v", with.Outcome, without.Outcome)
 	}
 	for id := range with.Nodes {
 		if with.Nodes[id] != without.Nodes[id] {
-			t.Errorf("node %d: %+v, without the no-op restart %+v", id, with.Nodes[id], without.Nodes[id])
+			t.Errorf("node %d: %+v, without the futile restart %+v", id, with.Nodes[id], without.Nodes[id])
 		}
 	}
-	run("crash:3:1,restart:4:1,restart:5:1", false)
+	if res := run(futile, false); res.Elapsed >= futileAt/2*time.Millisecond {
+		t.Errorf("under the wall clock the run took %v, past half the futile restart's %d intervals", res.Elapsed, futileAt)
+	}
 }
