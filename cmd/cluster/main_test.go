@@ -133,9 +133,8 @@ func TestRunLockstepChurnCompletes(t *testing.T) {
 }
 
 // TestRunFutileRestartEndsEarly: a restart with no crashed node to
-// revive no longer holds the run open to its tick; without the fix this
-// run completed at tick 500 after 7984 packets, against under 10 ticks
-// without -churn.
+// revive does not hold the run open to its tick: the run ends when its
+// nodes are done, in under 10 ticks, not at tick 500.
 func TestRunFutileRestartEndsEarly(t *testing.T) {
 	a := defaults()
 	a.K, a.Payload, a.Churn = 8, 128, "restart:500:1"

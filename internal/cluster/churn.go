@@ -536,7 +536,7 @@ func newChurner(s *ChurnSchedule, n, maxN int, seed int64, run Oracle) *churner 
 // event would pop as a no-op that draws nothing, so dropping it changes
 // only when the run may end: it no longer holds the run open.
 func (c *churner) futile() int {
-	if c == nil || len(c.crashed) > 0 {
+	if len(c.crashed) > 0 {
 		return 0
 	}
 	n := len(c.events)
@@ -563,8 +563,7 @@ func (c *churner) pending() []ChurnEvent {
 
 // adds counts the membership-adding events (join, restart, rejoin) of
 // evs. A run cannot complete while one is pending: the node it may add
-// still has catching up to do. (A restart or rejoin that cannot find a
-// crashed node is dropped before it holds anything open; see futile.)
+// still has catching up to do (futile drops those that can add none).
 func adds(evs []ChurnEvent) int {
 	n := 0
 	for _, e := range evs {

@@ -319,14 +319,14 @@ func (r *run) release() {
 	}
 }
 
-// churn applies the churn batch due at tick now, if one is: the
-// churner pops its events, changing r.live, then each operation
-// applies in order. The batch holds the run open until it is
-// applied, its popped add events no longer do, nor do the restarts and
-// rejoins it left nothing to revive (churner.futile). Under the wall-clock
-// driver stop lets an operation's node exit first and start runs it
-// again if the operation left it live, so node state never has two
-// owners; the lockstep driver passes nil for both.
+// churn applies the churn batch due at tick now, if one is: the churner
+// pops its events, changing r.live, then each operation applies in
+// order. The batch holds the run open until it is applied, its popped
+// add events no longer do, nor do the restarts and rejoins it left
+// nothing to revive (churner.futile). Under the wall-clock driver stop
+// lets an operation's node exit first and start runs it again if the
+// operation left it live, so node state never has two owners; the
+// lockstep driver passes nil for both.
 func (r *run) churn(now int64, stop, start func(id int)) {
 	due := r.ch.pending()
 	if len(due) == 0 || due[0].At > int(now) {
