@@ -218,6 +218,8 @@ var deleted = []struct {
 	{[]string{"newNode", "HasTargeted", "setRank"},
 		"a second node constructor or a side table of published ranks: run.spawn builds every node, Node.Publish stores its progress"},
 	{[]string{"type tracker", "markDone", "pendingAdds"}, "a second completion account: run.open, kept where its terms change, is the one"},
+	{[]string{"peerFloor", "mergeMark", "peerMin", "ackPeers"},
+		"a walk of every member per ack or per frontier: the stream's view is a frontier and bit-planes above it (markView), merged and climbed 64 ids a word"},
 }
 
 // TestDesignDeletedNamesStayDeleted holds the table above over the tree.

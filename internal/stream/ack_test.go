@@ -3,7 +3,6 @@ package stream
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 	"testing"
 
@@ -11,60 +10,59 @@ import (
 	"repro/internal/wire"
 )
 
-// refAck is an ack's peer list built the way it was before marks became
-// the list: every nonzero mark, the node's own read from delivered.
-func refAck(nd *node) []wire.PeerMark {
-	var ref []wire.PeerMark
-	for i, pm := range nd.marks {
-		w := int(pm.Watermark)
-		if i == nd.ID {
-			w = nd.delivered
-		}
-		if w > 0 {
-			ref = append(ref, wire.PeerMark{Node: uint32(i), Watermark: uint32(w)})
-		}
-	}
-	return ref
-}
-
-// checkMarks holds a node's marks to what an ack relies on: marks[i]
-// names i, the node's own mark is its watermark, no mark passes gens,
-// and unknown counts the zero marks.
+// checkMarks holds a node's view to what an ack relies on: no mark
+// passes gens, the node's own mark is its watermark (or the frontier,
+// which under churn a peer's frontier can lift past it), and, without
+// churn, the frontier is the least mark, some id at offset 0.
 func checkMarks(t *testing.T, nd *node) {
 	t.Helper()
-	zeros := 0
-	for i, pm := range nd.marks {
-		if pm.Node != uint32(i) || int(pm.Watermark) > nd.gens {
-			t.Fatalf("node %d: marks[%d] = %+v with %d generations", nd.ID, i, pm, nd.gens)
-		}
-		if pm.Watermark == 0 {
-			zeros++
+	v := &nd.marks
+	for id := range nd.maxN {
+		if w := v.frontier + v.offset(id); w > nd.gens {
+			t.Fatalf("node %d: id %d at watermark %d with %d generations", nd.ID, id, w, nd.gens)
 		}
 	}
-	if own := int(nd.marks[nd.ID].Watermark); own != nd.delivered {
-		t.Fatalf("node %d: own mark %d, delivered %d", nd.ID, own, nd.delivered)
+	if own := v.frontier + v.offset(nd.ID); own != max(nd.delivered, v.frontier) || !nd.churn && own != nd.delivered {
+		t.Fatalf("node %d: own mark %d, delivered %d, frontier %d", nd.ID, own, nd.delivered, v.frontier)
 	}
-	if nd.unknown != zeros {
-		t.Fatalf("node %d: unknown %d, %d zero marks", nd.ID, nd.unknown, zeros)
+	if !nd.churn && nd.bootstrapped && v.least(nil) != 0 {
+		t.Fatalf("node %d: every mark is above the frontier %d", nd.ID, v.frontier)
 	}
 }
 
 // checkAck holds the ack a node just built in Tx, and its encoding raw,
-// to the reference list.
+// to the node's view: the planes are the view's own, and on the wire
+// they decode to the same frontier and offsets.
 func checkAck(t *testing.T, nd *node, raw []byte) {
 	t.Helper()
 	checkMarks(t, nd)
-	ref := refAck(nd)
-	if got := nd.Tx.Ack.Peers; !slices.Equal(got, ref) {
-		t.Fatalf("node %d at tick %d: ack lists %v, reference %v", nd.ID, nd.Now, got, ref)
-	}
-	if aliased := len(nd.Tx.Ack.Peers) > 0 && &nd.Tx.Ack.Peers[0] == &nd.marks[0]; aliased != (nd.unknown == 0) {
-		t.Fatalf("node %d: ack aliases marks %v with %d marks unknown", nd.ID, aliased, nd.unknown)
+	ack, v := &nd.Tx.Ack, &nd.marks
+	if int(ack.Frontier) != v.frontier || len(ack.Planes) != len(v.planes) ||
+		len(ack.Planes) > 0 && &ack.Planes[0][0] != &v.planes[0][0] || len(ack.Peers) != 0 {
+		t.Fatalf("node %d at tick %d: ack at frontier %d with %d planes and %d marks, view at %d with %d planes",
+			nd.ID, nd.Now, ack.Frontier, len(ack.Planes), len(ack.Peers), v.frontier, len(v.planes))
 	}
 	var rx wire.Packet
-	if err := wire.UnmarshalInto(&rx, raw); err != nil || !slices.Equal(rx.Ack.Peers, ref) {
-		t.Fatalf("node %d: ack on the wire lists %v (err %v), reference %v", nd.ID, rx.Ack.Peers, err, ref)
+	if err := wire.UnmarshalInto(&rx, raw); err != nil {
+		t.Fatalf("node %d: own ack rejected: %v", nd.ID, err)
 	}
+	for id := range nd.maxN {
+		if g, w := int(rx.Ack.Frontier)+offsetIn(rx.Ack.Planes, id), v.frontier+v.offset(id); g != w {
+			t.Fatalf("node %d at tick %d: id %d reads %d on the wire, %d in the view", nd.ID, nd.Now, id, g, w)
+		}
+	}
+}
+
+// offsetIn reads id's offset out of planes trimmed by the codec: an id
+// past their words is at offset 0.
+func offsetIn(planes [][]uint64, id int) int {
+	o := 0
+	for l, p := range planes {
+		if id/64 < len(p) {
+			o |= int(p[id/64]>>(id%64)&1) << l
+		}
+	}
+	return o
 }
 
 // checkSpanBytes holds a node's running span total to the walk of its
@@ -89,8 +87,9 @@ type ackAudit struct {
 	cluster.Layer
 	t     *testing.T
 	nodes []*node
-	// aliased and copied count the acks sent each way.
-	aliased, copied int
+	// acks counts the acks checked; widths counts them by plane count.
+	acks   int
+	widths map[int]int
 }
 
 func (a *ackAudit) Send(from, to int, pkt []byte) bool {
@@ -98,11 +97,8 @@ func (a *ackAudit) Send(from, to int, pkt []byte) bool {
 	if wire.Type(pkt[1]) == wire.TypeAck {
 		nd := a.nodes[from]
 		checkAck(a.t, nd, pkt)
-		if nd.unknown == 0 {
-			a.aliased++
-		} else {
-			a.copied++
-		}
+		a.acks++
+		a.widths[len(nd.marks.planes)]++
 	}
 	return a.Layer.Send(from, to, pkt)
 }
@@ -116,7 +112,7 @@ func auditedRun(t *testing.T, cfg Config) (*Result, *ackAudit) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	audit := &ackAudit{t: t, nodes: make([]*node, len(res.Nodes))}
+	audit := &ackAudit{t: t, nodes: make([]*node, len(res.Nodes)), widths: map[int]int{}}
 	build := eng.New
 	eng.New = func(nd *cluster.Node, joiner bool) cluster.Protocol {
 		p := build(nd, joiner)
@@ -138,12 +134,12 @@ func auditedRun(t *testing.T, cfg Config) (*Result, *ackAudit) {
 
 // TestAckIsMarks: at every ack of three lockstep runs — churnless,
 // lossy, and under a crash/join/leave/restart schedule, where bootstrap
-// rewrites a node's own mark — the list on the wire is the one built the
-// old way, marks[ID] is delivered and unknown counts the zero marks. The
-// runs are long enough that acks go out both ways: copied while some
-// mark is unknown, aliased after. At every packet, and at the end, a
-// node's running span total is the sum over its live spans, so
-// MaxSpanBytes reads what a walk of them would.
+// rewrites a node's own mark — the ack is the node's view, its planes
+// aliased, and decodes to the same watermark for every id; the node's
+// own mark is its watermark, and without churn the frontier is the
+// least mark. The runs reach views of several planes. At every packet,
+// and at the end, a node's running span total is the sum over its live
+// spans, so MaxSpanBytes reads what a walk of them would.
 func TestAckIsMarks(t *testing.T) {
 	sched, err := cluster.ParseChurn("crash:10:2,join:15:2,leave:20:1,restart:30:2")
 	if err != nil {
@@ -168,8 +164,8 @@ func TestAckIsMarks(t *testing.T) {
 			if !res.Completed {
 				t.Fatalf("incomplete after %d ticks", res.Ticks)
 			}
-			if audit.aliased == 0 || audit.copied == 0 {
-				t.Fatalf("%d acks aliased marks and %d copied them: want both", audit.aliased, audit.copied)
+			if audit.widths[0] == 0 || audit.widths[2] == 0 {
+				t.Fatalf("%d acks by plane count %v: want views of none and of two planes", audit.acks, audit.widths)
 			}
 			if tc.churn != nil && res.Nodes[16].StartGen == 0 {
 				t.Fatalf("the first joiner bootstrapped at generation 0: its own mark was never rewritten")
@@ -186,43 +182,64 @@ func TestAckIsMarks(t *testing.T) {
 
 // TestAckMarksAboveGens: a forged ack whose watermarks pass the stream's
 // length is clamped to gens before it is compared, so it raises each
-// mark once, to gens, and reports a change once; the marks stay an ack
-// of the reference list.
+// mark once, to gens, and reports a change once; a forged frontier past
+// gens lifts the frontier to gens and no further. The view stays an ack
+// of itself.
 func TestAckMarksAboveGens(t *testing.T) {
 	cfg := Config{N: 8, K: 4, PayloadBits: 32, Window: 2, Generations: 6, Seed: 2, Lockstep: true, MaxTicks: 3}
 	_, audit := auditedRun(t, cfg)
 	nd := audit.nodes[0]
 	over := uint32(nd.gens + 9)
-	forged := wire.Ack{Watermark: over, Peers: []wire.PeerMark{{Node: 0, Watermark: over}, {Node: 2, Watermark: over}, {Node: 5, Watermark: 1 << 31}}}
-	before := nd.unknown
+	// Offsets over 0 on ids 0, 2 and 5, up to 2³¹: 32 planes.
+	planes := make([][]uint64, 32)
+	for l := range planes {
+		planes[l] = []uint64{0}
+	}
+	for _, id := range []int{0, 2} {
+		for l := range planes {
+			planes[l][0] |= uint64(over>>l&1) << id
+		}
+	}
+	planes[31][0] |= 1 << 5
+	forged := wire.Ack{Watermark: over, Planes: planes}
 	if !nd.mergeAck(1, &forged) {
 		t.Fatal("a forged ack above gens changed nothing")
 	}
 	for _, id := range []int{1, 2, 5} {
-		if w := int(nd.marks[id].Watermark); w != nd.gens {
+		if w := nd.marks.frontier + nd.marks.offset(id); w != nd.gens {
 			t.Errorf("mark %d is %d after the forged ack, want gens %d", id, w, nd.gens)
 		}
+	}
+	if own := nd.marks.frontier + nd.marks.offset(0); own != nd.delivered {
+		t.Errorf("own mark %d after an ack that names it, delivered %d", own, nd.delivered)
 	}
 	if nd.mergeAck(1, &forged) {
 		t.Error("the same forged ack changed the marks twice: compared before clamping")
 	}
-	if nd.unknown > before {
-		t.Errorf("unknown rose from %d to %d", before, nd.unknown)
-	}
 	nd.emitAckInto(&nd.Tx)
 	raw, _ := nd.Tx.Encode(nil)
 	checkAck(t, nd, raw)
+
+	nd = audit.nodes[3]
+	forged = wire.Ack{Watermark: over, Frontier: over, Planes: [][]uint64{{0xff}}}
+	if !nd.mergeAck(1, &forged) || nd.marks.frontier != nd.gens || len(nd.marks.planes) != 0 {
+		t.Fatalf("a forged frontier %d: frontier %d and %d planes, want gens %d and none", over, nd.marks.frontier, len(nd.marks.planes), nd.gens)
+	}
+	if nd.mergeAck(1, &forged) {
+		t.Error("the same forged frontier changed the view twice")
+	}
 }
 
-// ackPair is a sender whose every mark is known, a receiver, and one ack
-// round trip between them: emit, Encode, UnmarshalInto, merge.
+// ackPair is a sender whose view spans 32 generations over n ids, a
+// receiver, and one ack round trip between them: emit, Encode,
+// UnmarshalInto, merge.
 func ackPair(n int) func() {
 	cfg := Config{N: n, K: 32, PayloadBits: 256, Window: 4, Generations: 32}
 	tx := newProtocol(&cluster.Node{ID: 0}, cfg, n, &NodeMetrics{}, false)
 	rx := newProtocol(&cluster.Node{ID: 1}, cfg, n, &NodeMetrics{}, false)
 	tx.setDelivered(3)
 	for id := 1; id < n; id++ {
-		tx.mergeMark(id, uint32(1+id%cfg.Generations))
+		tx.marks.raise(id, 1+id%cfg.Generations)
 	}
 	var got wire.Packet
 	var buf []byte
@@ -281,17 +298,18 @@ func (e *ackEcho) Send(from, to int, pkt []byte) bool {
 			e.t.Fatalf("node %d: own ack rejected: %v", from, err)
 		}
 		got := &e.rx.Ack
-		if got.Watermark != sent.Watermark || !slices.Equal(got.Ranks, sent.Ranks) || !slices.Equal(got.Peers, sent.Peers) {
+		same := got.Watermark == sent.Watermark && slices.Equal(got.Ranks, sent.Ranks) &&
+			got.Frontier == sent.Frontier && len(got.Planes) == len(sent.Planes) && len(got.Peers) == 0
+		for l := 0; same && l < len(got.Planes); l++ {
+			// The codec trims the words past the last nonzero offset.
+			p, q := got.Planes[l], sent.Planes[l]
+			same = slices.Equal(p, q[:len(p)]) && !slices.ContainsFunc(q[len(p):], func(x uint64) bool { return x != 0 })
+		}
+		if !same {
 			e.t.Fatalf("node %d at tick %d: sent %+v, decoded %+v", from, e.nodes[from].Now, *sent, *got)
 		}
 		e.acks++
-		lo, hi := ^uint32(0), uint32(0)
-		for _, pm := range got.Peers {
-			lo, hi = min(lo, pm.Watermark), max(hi, pm.Watermark)
-		}
-		if len(got.Peers) > 0 {
-			e.widths[bits.Len32(hi-lo)]++
-		}
+		e.widths[len(got.Planes)]++
 	}
 	return e.Layer.Send(from, to, pkt)
 }
@@ -299,7 +317,7 @@ func (e *ackEcho) Send(from, to int, pkt []byte) bool {
 // TestAckLosslessOnLiveTraffic: every ack a lockstep n = 192 stream
 // sends under 20 % loss — the stream-lossy benchmark's shape, fewer
 // generations — decodes to the Ack its sender encoded, watermark, rank
-// runs and packed watermark vector alike, over every width the run
+// runs, frontier and planes alike, over every plane count the run
 // reaches.
 func TestAckLosslessOnLiveTraffic(t *testing.T) {
 	cfg := Config{N: 192, K: 8, PayloadBits: 32, Window: 4, Generations: 8, Seed: 1, Lockstep: true, MaxTicks: 100000}
@@ -325,7 +343,7 @@ func TestAckLosslessOnLiveTraffic(t *testing.T) {
 		sent += m.AcksOut
 	}
 	if int64(echo.acks) != sent || echo.widths[0] == 0 || echo.widths[2] == 0 {
-		t.Fatalf("%d acks checked of %d sent, widths seen %v", echo.acks, sent, echo.widths)
+		t.Fatalf("%d acks checked of %d sent, plane counts seen %v", echo.acks, sent, echo.widths)
 	}
-	t.Logf("%d acks decoded as sent; acks by width: %v", echo.acks, echo.widths)
+	t.Logf("%d acks decoded as sent; acks by plane count: %v", echo.acks, echo.widths)
 }

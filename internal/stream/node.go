@@ -2,8 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/rlnc"
@@ -71,21 +69,11 @@ type node struct {
 	spanBytes int
 	// pool holds Reset spans for reuse by future generations.
 	pool []*rlnc.Span
-	// marks[i] is node i's id and the highest delivery watermark learned
-	// for it; marks[ID] is always this node's delivered (setDelivered).
-	// unknown counts the zero marks. Once it reaches zero, marks is the
-	// ack's peer list as it stands; until then emitAckInto copies the
-	// nonzero marks into ackPeers.
-	marks    []wire.PeerMark
-	unknown  int
-	ackPeers []wire.PeerMark
-	// peerMin caches the minimum of marks over every other node, for
-	// churnless runs only, where every id stays eligible (suspicion is
-	// wired under churn alone) and the frontier is just that minimum.
-	// mergeMark, the one writer of a peer's mark, clears peerMinOK when
-	// it raises a mark that may have been the minimum.
-	peerMin   int
-	peerMinOK bool
+	// marks is the highest delivery watermark learned for every id, this
+	// node's own its delivered (setDelivered), and the ack's body.
+	marks markView
+	// counted is the climb's mask of eligible ids, under churn only.
+	counted []uint64
 	// delivered is the absolute watermark: generations in
 	// [startGen, delivered) were decoded, verified and handed to the
 	// consumer in order.
@@ -139,13 +127,9 @@ func newProtocol(nd *cluster.Node, cfg Config, maxN int, m *NodeMetrics, joiner 
 		src:          cfg.Source,
 		deliver:      cfg.Deliver,
 		spans:        make(map[int]*genState),
-		marks:        make([]wire.PeerMark, maxN),
-		unknown:      maxN,
+		marks:        newMarkView(maxN),
 		bootstrapped: !joiner,
 		m:            m,
-	}
-	for i := range s.marks {
-		s.marks[i].Node = uint32(i)
 	}
 	s.Publish(s.delivered)
 	return s
@@ -153,11 +137,8 @@ func newProtocol(nd *cluster.Node, cfg Config, maxN int, m *NodeMetrics, joiner 
 
 // setDelivered moves the delivery watermark and this node's mark.
 func (nd *node) setDelivered(d int) {
-	if nd.marks[nd.ID].Watermark == 0 && d > 0 {
-		nd.unknown--
-	}
 	nd.delivered = d
-	nd.marks[nd.ID].Watermark = uint32(d)
+	nd.marks.raise(nd.ID, d)
 }
 
 // ensureGen returns generation g's state, creating the span (from the
@@ -267,13 +248,14 @@ func (nd *node) deliverReady() {
 
 // gc retires every generation below the cluster-wide watermark
 // frontier: their spans are Reset into the pool and the window slides.
-// The frontier is the minimum watermark over this node plus every
+// The frontier climbs to the minimum watermark over this node plus every
 // *eligible* view member — dead or suspected nodes drop out, so a
 // crashed node's forever-stale watermark cannot deadlock retirement;
 // an unsuspected silent node still holds the frontier, which only
 // delays retirement, never corrupts it.
 func (nd *node) gc() {
-	floor := min(nd.delivered, nd.peerFloor())
+	nd.marks.climb(nd.eligible())
+	floor := min(nd.delivered, nd.marks.frontier)
 	for g := nd.base; g < floor; g++ {
 		if gs, ok := nd.spans[g]; ok {
 			nd.retire(g, gs)
@@ -286,43 +268,38 @@ func (nd *node) gc() {
 	}
 }
 
-// peerFloor is the minimum watermark over every eligible view member
-// other than this node (MaxInt when there is none). A churn run rescans
-// marks against the view each time, because eligibility moves with the
-// clock; a churnless run reads the cached minimum.
-func (nd *node) peerFloor() int {
+// eligible is the ids the frontier counts as a mask: nil, meaning every
+// id, in a churnless run, where suspicion is off; else this node and the
+// view's eligible ids, which move with the clock, so each pass walks
+// them again.
+func (nd *node) eligible() []uint64 {
 	if !nd.churn {
-		if !nd.peerMinOK {
-			nd.peerMin, nd.peerMinOK = math.MaxInt, true
-			for id, pm := range nd.marks {
-				if id != nd.ID && int(pm.Watermark) < nd.peerMin {
-					nd.peerMin = int(pm.Watermark)
-				}
-			}
-		}
-		return nd.peerMin
+		return nil
 	}
-	// One walk of the view's eligible ids, ascending. Suspicion
-	// transitions are traced by diffing eligibility between passes: every
-	// id the walk skips is ineligible now. The first pass only snapshots.
+	// Suspicion transitions are traced by diffing eligibility between
+	// passes: every id the walk skips is ineligible now. The first pass
+	// only snapshots.
 	trackSusp := nd.Tel != nil
 	if trackSusp && nd.eligPrev == nil {
 		nd.eligPrev = make([]bool, nd.maxN)
 	}
-	floor, next := math.MaxInt, 0
+	if nd.counted == nil {
+		nd.counted = make([]uint64, nd.marks.words)
+	}
+	clear(nd.counted)
+	nd.counted[nd.ID>>6] |= 1 << (nd.ID & 63)
+	next := 0
 	for id := range nd.View.EligibleIDs(nd.Now) {
 		if trackSusp {
 			nd.suspect(next, id)
 			nd.eligPrev[id], next = true, id+1
 		}
-		if w := int(nd.marks[id].Watermark); id != nd.ID && w < floor {
-			floor = w
-		}
+		nd.counted[id>>6] |= 1 << (id & 63)
 	}
 	if trackSusp {
 		nd.suspect(next, nd.maxN)
 	}
-	return floor
+	return nd.counted
 }
 
 // suspect traces the peers of [lo, hi), none of them eligible now, that
@@ -416,20 +393,21 @@ func (nd *node) Emit(full bool) {
 
 // bootstrap consumes the first watermark gossip a joiner (or a
 // restarted node re-learning the frontier) sees: the highest watermark
-// it knows is the most conservative safe starting point — any
+// it knows (the frontier plus the largest offset) is the most
+// conservative safe starting point — any
 // generation at or above it cannot have been retired anywhere
 // (retirement needs every member's watermark to exceed it), and once
 // this node's own startGen watermark circulates, the frontier cannot
 // pass it. Generations below startGen were already delivered
 // cluster-wide and may be unobtainable: a joiner skips them, and a
 // persisted-restart node forfeits whatever the cluster retired while
-// it was down (its own persisted watermark is in marks, so it never
+// it was down (its own persisted watermark is delivered, so it never
 // skips something it could still deliver).
 func (nd *node) bootstrap() {
-	// Own mark included: it is delivered, and marks never exceed gens.
-	start := 0
-	for _, pm := range nd.marks {
-		start = max(start, int(pm.Watermark))
+	// No mark exceeds gens.
+	start := nd.delivered
+	for id := range nd.maxN {
+		start = max(start, nd.marks.frontier+nd.marks.offset(id))
 	}
 	nd.startGen = start
 	nd.setDelivered(start)
@@ -580,38 +558,15 @@ func (nd *node) markRank(sender, g, rank int) {
 	}
 }
 
-// mergeAck folds the sender's watermark and every mark its ack lists
-// into the view, reporting whether any rose. Nearly none does, which
-// the loop tells before it calls mergeMark.
+// mergeAck folds the sender's view and its own watermark, clamped to
+// gens, into the node's view, reporting whether the frontier or any mark
+// rose.
 func (nd *node) mergeAck(sender int, a *wire.Ack) bool {
-	changed, marks := nd.mergeMark(sender, a.Watermark), nd.marks
-	for _, pm := range a.Peers {
-		if uint(pm.Node) >= uint(len(marks)) || pm.Watermark > marks[pm.Node].Watermark {
-			changed = nd.mergeMark(int(pm.Node), pm.Watermark) || changed
-		}
+	changed := nd.marks.merge(a, nd.ID, nd.gens)
+	if uint(sender) < uint(nd.maxN) && sender != nd.ID {
+		changed = nd.marks.raise(sender, int(min(a.Watermark, uint32(nd.gens)))) || changed
 	}
 	return changed
-}
-
-// mergeMark folds one learned watermark into the view (pointwise max),
-// clamped to gens before it is compared. It must stay inlinable.
-func (nd *node) mergeMark(id int, w uint32) bool {
-	if uint(id) >= uint(len(nd.marks)) || id == nd.ID {
-		return false
-	}
-	w = min(w, uint32(nd.gens))
-	old := nd.marks[id].Watermark
-	if w <= old {
-		return false
-	}
-	nd.marks[id].Watermark = w
-	if old == 0 {
-		nd.unknown--
-	}
-	if int(old) <= nd.peerMin {
-		nd.peerMinOK = false
-	}
-	return true
 }
 
 // adoptOrphans re-sources tokens whose origin has left the view or
@@ -730,11 +685,9 @@ func (nd *node) allAcked(gs *genState) bool {
 }
 
 // emitAckInto summarizes this node's progress into the tx scratch: its
-// watermark, the span ranks of its active window, and every nonzero
-// mark, which once no mark is zero is marks itself, aliased (Send
-// encodes the packet before any mark can change). Until then the marks
-// are copied into ackPeers, never into the scratch's storage, which may
-// alias marks. Steady-state acks allocate nothing.
+// watermark, the span ranks of its active window, and its view of every
+// watermark, the planes aliased (Send encodes the packet before any
+// mark can change). Steady-state acks allocate nothing.
 func (nd *node) emitAckInto(p *wire.Packet) {
 	hi := min(nd.base+nd.window, nd.gens)
 	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeAck, Sender: uint32(nd.ID), Epoch: uint32(nd.delivered)}
@@ -758,21 +711,7 @@ func (nd *node) emitAckInto(p *wire.Packet) {
 		}
 		ack.Ranks = append(ack.Ranks, wire.GenRank{Gen: uint32(nd.delivered), Rank: uint32(rank)})
 	}
-	if nd.unknown == 0 {
-		ack.Peers = nd.marks
-		return
-	}
-	// Filled by index into a slice sized once for the whole id space.
-	peers := slices.Grow(nd.ackPeers[:0], len(nd.marks))[:len(nd.marks)]
-	n := 0
-	for _, pm := range nd.marks {
-		if pm.Watermark > 0 {
-			peers[n] = pm
-			n++
-		}
-	}
-	nd.ackPeers = peers
-	ack.Peers = peers[:n]
+	ack.Frontier, ack.Planes, ack.Peers = uint32(nd.marks.frontier), nd.marks.planes, nil
 }
 
 // pushData sends up to fanout fresh coded packets to random peers. A

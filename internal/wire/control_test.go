@@ -1,7 +1,8 @@
 package wire
 
 // The run-length coded id lists of the two control bodies: a hello's
-// peer list, an ack's rank summary and its bit-packed watermark vector.
+// peer list, an ack's rank summary and its bit-packed watermark vector,
+// and an ack's planes.
 // The contract is the codec's, restated for lists: any list round-trips
 // entry for entry, accepted bytes are canonical, Bits is the encoded
 // body less its length fields, and a claim costs the decoder nothing
@@ -12,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -19,12 +21,14 @@ import (
 )
 
 // checkControlRoundTrip is the property both the table test and the
-// fuzz target assert for one hello list and one ack vector.
+// fuzz target assert for one hello list, one ack vector and the same
+// marks as an ack's planes.
 func checkControlRoundTrip(t *testing.T, ids []uint32, marks []PeerMark) {
 	t.Helper()
 	for _, p := range []Packet{
 		NewHello(1, 0, Hello{Peers: ids}),
 		NewAck(1, 2, Ack{Watermark: 5, Ranks: []GenRank{{Gen: 5, Rank: 1}}, Peers: marks}),
+		NewAck(1, 2, Ack{Watermark: 5, Frontier: 5, Planes: planesOf(marks)}),
 	} {
 		raw := p.Marshal()
 		got, err := Unmarshal(raw)
@@ -33,7 +37,8 @@ func checkControlRoundTrip(t *testing.T, ids []uint32, marks []PeerMark) {
 		}
 		// decode∘encode is the identity, entry for entry and in order.
 		if !slices.Equal(got.Hello.Peers, p.Hello.Peers) || !slices.Equal(got.Ack.Peers, p.Ack.Peers) ||
-			!slices.Equal(got.Ack.Ranks, p.Ack.Ranks) || got.Ack.Watermark != p.Ack.Watermark {
+			!slices.Equal(got.Ack.Ranks, p.Ack.Ranks) || got.Ack.Watermark != p.Ack.Watermark ||
+			got.Ack.Frontier != p.Ack.Frontier || !slices.Equal(offsets(got.Ack.Planes), offsets(p.Ack.Planes)) {
 			t.Fatalf("type %d: list changed in flight:\nsent %v %v\n got %v %v", p.Env.Type,
 				p.Hello.Peers, p.Ack.Peers, got.Hello.Peers, got.Ack.Peers)
 		}
@@ -66,9 +71,42 @@ func checkEncode(t *testing.T, p *Packet, raw []byte) {
 	}
 }
 
+// planeIDs is the id space planesOf spells marks over.
+const planeIDs = 4096
+
+// planesOf spells marks as an ack's planes: a mark's watermark is the
+// offset of id Node mod planeIDs, ORed into what other marks put there.
+func planesOf(marks []PeerMark) [][]uint64 {
+	var planes [][]uint64
+	for _, pm := range marks {
+		for len(planes) < bits.Len32(pm.Watermark) {
+			planes = append(planes, make([]uint64, planeIDs/64))
+		}
+		id := pm.Node % planeIDs
+		for l, pl := range planes {
+			pl[id/64] |= uint64(pm.Watermark>>l&1) << (id % 64)
+		}
+	}
+	return planes
+}
+
+// offsets reads planes back into one offset an id.
+func offsets(planes [][]uint64) []uint32 {
+	out := make([]uint32, planeIDs)
+	for l, pl := range planes {
+		for w, x := range pl {
+			for ; x != 0; x &= x - 1 {
+				out[64*w+bits.TrailingZeros64(x)] |= 1 << l
+			}
+		}
+	}
+	return out
+}
+
 // lengthFieldBytes finds, by the layout in the package comment and with
 // encoding/binary's own uvarint, how many bytes of a marshalled hello or
-// ack are list lengths: the run count, and an ack's generation run count.
+// ack are list lengths: the run count, and an ack's generation run count
+// and plane length.
 func lengthFieldBytes(t *testing.T, raw []byte) int {
 	t.Helper()
 	if Type(raw[1]) == TypeHello { // the run count follows the flags
@@ -85,8 +123,13 @@ func lengthFieldBytes(t *testing.T, raw []byte) int {
 			off += uvarintAt(t, raw, off) // rank
 		}
 	}
-	off += uvarintAt(t, raw, off) + 1 // past the base and the width
-	return fields + uvarintAt(t, raw, off)
+	off += uvarintAt(t, raw, off) // past the frontier
+	if planes := int(raw[off]); planes > 0 {
+		size, n := binary.Uvarint(raw[off+1:])
+		fields += n
+		off += n + planes*int(size)
+	}
+	return fields + uvarintAt(t, raw, off+1)
 }
 
 // uvarintAt is the length of the uvarint at raw[off:].
@@ -192,10 +235,11 @@ func FuzzControlRoundTrip(f *testing.F) {
 		}
 		return b
 	}
-	f.Add([]byte{}) // an empty vector: base 0, width 0
+	f.Add([]byte{}) // an empty vector and no planes
 	f.Add(pairs(0, 1, 1, 1, 2, 1, 3, 2))
 	f.Add(pairs(3, 9, 4, 9, 5, 9))                       // width 0: every mark equal
-	f.Add(pairs(0, 0, 1, math.MaxUint32, 2, 1))          // width 32
+	f.Add(pairs(0, 0, 1, math.MaxUint32, 2, 1))          // width 32, 32 planes
+	f.Add(pairs(4095, 1, 64, 2, 4096, 3))                // the last id's plane bytes, and ids that wrap onto it
 	f.Add(pairs(0, 5, 1, 6, 5, 5, 9, 7, 10, 8, 300, 6))  // id holes
 	f.Add(pairs(2, math.MaxUint32, 3, math.MaxUint32-1)) // marks at the top of the range
 	f.Add(pairs(7, 0, 9, 200, 8, 1<<28))
@@ -233,7 +277,8 @@ func TestControlRejectsNonCanonical(t *testing.T) {
 	hello := func(body ...byte) []byte {
 		return append(NewHello(1, 0, Hello{}).Marshal()[:HeaderBytes], body...)
 	}
-	// An ack with watermark 1: its generation runs, then its vector.
+	// An ack with watermark 1: its generation runs, its frontier and
+	// planes, then its vector.
 	ack := func(body ...byte) []byte {
 		return append(NewAck(1, 2, Ack{Watermark: 1}).Marshal()[:HeaderBytes+1], body...)
 	}
@@ -255,31 +300,44 @@ func TestControlRejectsNonCanonical(t *testing.T) {
 		{"hello: fewer runs than claimed", hello(0, 3, 4, 2, 9, 1), ErrTruncated},
 		{"hello: more runs than claimed", hello(0, 1, 4, 2, 9, 1), ErrMalformed},
 		{"hello: start cut short", hello(0, 1, 0x84), ErrTruncated},
-		// Generations 4, 5 at ranks 3, 7; base 5, width 1; ids 4, 5 and 9
-		// at offsets 0, 1, 0: 0b010.
-		{"ack: accepted baseline", ack(1, 4, 2, 3, 7, 5, 1, 2, 4, 2, 9, 1, 0x02), nil},
+		// Generations 4, 5 at ranks 3, 7; frontier 0, no planes; ids 4, 5
+		// and 9, base 5, width 1, at offsets 0, 1, 0: 0b010.
+		{"ack: accepted baseline", ack(1, 4, 2, 3, 7, 0, 0, 2, 4, 2, 9, 1, 5, 1, 0x02), nil},
 		{"ack: empty vector", ack(0, 0, 0, 0), nil},
 		{"ack: split generation run", ack(2, 4, 1, 3, 5, 1, 7, 0, 0, 0), ErrMalformed},
 		{"ack: padded rank", ack(1, 4, 1, 0x83, 0x00, 0, 0, 0), ErrMalformed},
 		{"ack: padded watermark", append(NewAck(1, 2, Ack{}).Marshal()[:HeaderBytes], 0x81, 0x00, 0, 0, 0, 0), ErrMalformed},
-		{"ack: split run", ack(0, 5, 1, 2, 4, 2, 6, 1, 0x02), ErrMalformed},
-		{"ack: zero count", ack(0, 5, 1, 1, 4, 0), ErrMalformed},
-		{"ack: run past 2^32", ack(0, 5, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 2, 0x02), ErrMalformed},
-		{"ack: base below the least mark", ack(0, 5, 1, 1, 4, 2, 0x03), ErrMalformed},
+		{"ack: frontier cut off", ack(0), ErrTruncated},
+		{"ack: padded frontier", ack(0, 0x83, 0x00, 0, 0), ErrMalformed},
+		{"ack: plane count cut off", ack(0, 3), ErrTruncated},
+		// Frontier 3, two planes of two bytes: ids 0 and 9 at offset 1,
+		// id 8 at 2.
+		{"ack: planes", ack(0, 3, 2, 2, 0x01, 0x02, 0x00, 0x01, 0), nil},
+		{"ack: 33 planes", ack(0, 3, 33, 1, 0x01, 0), ErrMalformed},
+		{"ack: zero top plane", ack(0, 3, 2, 1, 0x01, 0x00, 0), ErrMalformed},
+		{"ack: zero plane length", ack(0, 3, 1, 0, 0), ErrMalformed},
+		{"ack: trailing zero plane byte", ack(0, 3, 1, 2, 0x01, 0x00, 0), ErrMalformed},
+		{"ack: padded plane length", ack(0, 3, 1, 0x81, 0x00, 0x01, 0), ErrMalformed},
+		{"ack: plane length cut off", ack(0, 3, 1), ErrTruncated},
+		{"ack: planes cut short", ack(0, 3, 2, 2, 0x01, 0x02, 0x00), ErrTruncated},
+		{"ack: split run", ack(0, 0, 0, 2, 4, 2, 6, 1, 5, 1, 0x02), ErrMalformed},
+		{"ack: zero count", ack(0, 0, 0, 1, 4, 0), ErrMalformed},
+		{"ack: run past 2^32", ack(0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 2, 5, 1, 0x02), ErrMalformed},
+		{"ack: base below the least mark", ack(0, 0, 0, 1, 4, 2, 5, 1, 0x03), ErrMalformed},
 		// Base 5 above mark 3, reached by wrapping: 5 + (2³²-2).
-		{"ack: base above the least mark", ack(0, 5, 32, 1, 4, 2, 0, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff), ErrMalformed},
-		{"ack: base on an empty vector", ack(0, 3, 0, 0), ErrMalformed},
-		{"ack: width on an empty vector", ack(0, 0, 1, 0), ErrMalformed},
-		{"ack: width wider than the spread", ack(0, 5, 2, 1, 4, 2, 0x04), ErrMalformed},
-		{"ack: width over 32", ack(0, 5, 33, 1, 4, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0x02), ErrMalformed},
-		{"ack: nonzero padding bits", ack(0, 5, 1, 1, 4, 2, 0x82), ErrMalformed},
-		{"ack: mark past 2^32-1", ack(0, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 1, 4, 2, 0x02), ErrMalformed},
-		{"ack: mark at 2^32-1", ack(0, 0xfe, 0xff, 0xff, 0xff, 0x0f, 1, 1, 4, 2, 0x02), nil},
-		{"ack: 33-bit base", ack(0, 0xff, 0xff, 0xff, 0xff, 0x10, 0, 1, 4, 1), ErrMalformed},
-		{"ack: width 32 at full spread", ack(0, 0, 32, 1, 4, 2, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff), nil},
-		{"ack: watermarks cut short", ack(0, 5, 2, 1, 4, 5, 0x02), ErrTruncated},
-		{"ack: trailing byte", ack(0, 5, 1, 1, 4, 2, 0x02, 0), ErrMalformed},
-		{"ack: width cut off", ack(0, 5), ErrTruncated},
+		{"ack: base above the least mark", ack(0, 0, 0, 1, 4, 2, 5, 32, 0, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff), ErrMalformed},
+		{"ack: base after an empty vector", ack(0, 0, 0, 0, 3), ErrMalformed},
+		{"ack: width after an empty vector", ack(0, 0, 0, 0, 0, 1), ErrMalformed},
+		{"ack: width wider than the spread", ack(0, 0, 0, 1, 4, 2, 5, 2, 0x04), ErrMalformed},
+		{"ack: width over 32", ack(0, 0, 0, 1, 4, 2, 5, 33, 0, 0, 0, 0, 0, 0, 0, 0, 0x02), ErrMalformed},
+		{"ack: nonzero padding bits", ack(0, 0, 0, 1, 4, 2, 5, 1, 0x82), ErrMalformed},
+		{"ack: mark past 2^32-1", ack(0, 0, 0, 1, 4, 2, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 0x02), ErrMalformed},
+		{"ack: mark at 2^32-1", ack(0, 0, 0, 1, 4, 2, 0xfe, 0xff, 0xff, 0xff, 0x0f, 1, 0x02), nil},
+		{"ack: 33-bit base", ack(0, 0, 0, 1, 4, 1, 0xff, 0xff, 0xff, 0xff, 0x10, 0), ErrMalformed},
+		{"ack: width 32 at full spread", ack(0, 0, 0, 1, 4, 2, 0, 32, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff), nil},
+		{"ack: watermarks cut short", ack(0, 0, 0, 1, 4, 5, 5, 2, 0x02), ErrTruncated},
+		{"ack: trailing byte", ack(0, 0, 0, 1, 4, 2, 5, 1, 0x02, 0), ErrMalformed},
+		{"ack: width cut off", ack(0, 0, 0, 1, 4, 2, 5), ErrTruncated},
 	}
 	for _, tc := range cases {
 		p, err := Unmarshal(tc.data)
@@ -302,9 +360,9 @@ func TestControlCapsExpandedLength(t *testing.T) {
 	billions := []byte{0xff, 0xff, 0xff, 0xff, 0x0f} // 2³²-1 ids from id 0
 	hdr := NewHello(1, 0, Hello{}).Marshal()[:HeaderBytes]
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	// An ack with no ranks, base 0 and 1-bit watermarks, up to its run
+	// An ack with no ranks, frontier 0 and no planes, up to its run
 	// count.
-	ackHdr := append(NewAck(1, 2, Ack{}).Marshal()[:HeaderBytes+2], 0, 1)
+	ackHdr := NewAck(1, 2, Ack{}).Marshal()[:HeaderBytes+4]
 	cases := []struct {
 		name string
 		data []byte
@@ -316,8 +374,11 @@ func TestControlCapsExpandedLength(t *testing.T) {
 		{"ack generation run over the cap", join(ackHdr[:HeaderBytes+1], []byte{1, 0}, over), ErrMalformed},
 		// Within the cap, but a 1-bit watermark costs an eighth of a
 		// byte: three bytes cannot carry 2¹⁶ of them.
-		{"ack run over its bytes", join(ackHdr, []byte{1, 0}, full, []byte{7, 7, 7}), ErrTruncated},
+		{"ack run over its bytes", join(ackHdr, []byte{1, 0}, full, []byte{0, 1, 7, 7, 7}), ErrTruncated},
 		{"ack ranks over their bytes", join(ackHdr[:HeaderBytes+1], []byte{1, 0}, full, []byte{7, 7, 7}), ErrTruncated},
+		// A plane past the cap's ids, and one at the cap in three bytes.
+		{"ack planes over the cap", join(ackHdr[:HeaderBytes+3], []byte{1}, binary.AppendUvarint(nil, MaxAckEntries/8+1), []byte{7, 7, 7}), ErrMalformed},
+		{"ack planes over their bytes", join(ackHdr[:HeaderBytes+3], []byte{2}, binary.AppendUvarint(nil, MaxAckEntries/8), []byte{7, 7, 7}), ErrTruncated},
 	}
 	for _, tc := range cases {
 		var rx Packet
@@ -353,7 +414,8 @@ func TestControlCapsExpandedLength(t *testing.T) {
 // TestControlSizeBounds pins what the encoding is for: a dense view
 // costs a few bytes whatever n is; an ack's watermark vector costs the
 // bits of its spread a member — at most 2 when its marks span 4 values,
-// none when they are all equal — plus a few bytes of runs; and the worst
+// none when they are all equal — plus a few bytes of runs and the two
+// bytes of an empty view, and its planes cost a bit a member each; and the worst
 // list for either — no two neighbours consecutive, so every id is its
 // own run, under marks of the full 32-bit spread — stays within twice
 // the fixed-width layout it replaced (4 bytes an id in a hello, 8 bytes
@@ -376,14 +438,23 @@ func TestControlSizeBounds(t *testing.T) {
 		return Ack{Watermark: base, Ranks: []GenRank{{Gen: base, Rank: 3}, {Gen: base + 1, Rank: 1}}, Peers: marks}
 	}
 	for _, base := range []uint32{0, 30, 1 << 20} {
-		if got := NewAck(1, 0, window(n, base, 4)).Bits(); got > 2*n+8*16 {
-			t.Errorf("%d marks spanning 4 values from %d: %d bits, want ≤ 2 a member + 16 bytes", n, base, got)
+		a := window(n, base, 4)
+		if got := NewAck(1, 0, a).Bits(); got > 2*n+8*18 {
+			t.Errorf("%d marks spanning 4 values from %d: %d bits, want ≤ 2 a member + 18 bytes", n, base, got)
+		}
+		offs := make([]PeerMark, n)
+		for i, pm := range a.Peers {
+			offs[i] = PeerMark{Node: pm.Node, Watermark: pm.Watermark - base}
+		}
+		a.Frontier, a.Planes, a.Peers = base, planesOf(offs), nil
+		if got := NewAck(1, 0, a).Bits(); got > 2*n+8*16 {
+			t.Errorf("%d offsets up to 3 above %d in planes: %d bits, want ≤ 2 a member + 16 bytes", n, base, got)
 		}
 	}
 	for _, m := range []int{1, 192, n, MaxAckEntries} {
 		for _, base := range []uint32{0, 9, 1 << 31} {
-			if got := NewAck(1, 0, Ack{Watermark: base, Peers: window(m, base, 1).Peers}).Bits(); got > 8*16 {
-				t.Errorf("%d equal marks at %d: %d bits, want ≤ 16 bytes", m, base, got)
+			if got := NewAck(1, 0, Ack{Watermark: base, Peers: window(m, base, 1).Peers}).Bits(); got > 8*18 {
+				t.Errorf("%d equal marks at %d: %d bits, want ≤ 18 bytes", m, base, got)
 			}
 		}
 	}
@@ -404,10 +475,11 @@ func TestControlSizeBounds(t *testing.T) {
 	}
 }
 
-// TestControlSteadyStateZeroAlloc: a hello and an ack over the whole id
-// space, at the stream benchmark's n and the churn benchmark's, encode
-// into a reused buffer and decode into a reused scratch without
-// allocating — dense, and with the holes churn leaves.
+// TestControlSteadyStateZeroAlloc: a hello, an ack vector and an ack's
+// planes over the whole id space, at the stream benchmark's n and the
+// churn benchmark's, encode into a reused buffer and decode into a
+// reused scratch without allocating — dense, and with the holes churn
+// leaves.
 func TestControlSteadyStateZeroAlloc(t *testing.T) {
 	for _, n := range []int{192, 1024} {
 		for _, holes := range []bool{false, true} {
@@ -421,7 +493,8 @@ func TestControlSteadyStateZeroAlloc(t *testing.T) {
 				marks = append(marks, PeerMark{Node: uint32(id), Watermark: uint32(3 + id%5)})
 			}
 			ack := Ack{Watermark: 4, Ranks: []GenRank{{Gen: 4, Rank: 9}, {Gen: 5, Rank: 2}}, Peers: marks}
-			for _, p := range []Packet{NewHello(1, 0, Hello{Peers: ids}), NewAck(1, 4, ack)} {
+			view := Ack{Watermark: 4, Ranks: ack.Ranks, Frontier: 3, Planes: planesOf(marks)}
+			for _, p := range []Packet{NewHello(1, 0, Hello{Peers: ids}), NewAck(1, 4, ack), NewAck(1, 4, view)} {
 				var rx Packet
 				buf := p.AppendTo(nil)
 				if err := UnmarshalInto(&rx, buf); err != nil {
@@ -436,7 +509,8 @@ func TestControlSteadyStateZeroAlloc(t *testing.T) {
 				if allocs != 0 {
 					t.Errorf("n=%d holes=%v type %d: %.1f allocations per round trip, want 0", n, holes, p.Env.Type, allocs)
 				}
-				if !slices.Equal(rx.Hello.Peers, p.Hello.Peers) || !slices.Equal(rx.Ack.Peers, p.Ack.Peers) {
+				if !slices.Equal(rx.Hello.Peers, p.Hello.Peers) || !slices.Equal(rx.Ack.Peers, p.Ack.Peers) ||
+					!slices.Equal(offsets(rx.Ack.Planes), offsets(p.Ack.Planes)) {
 					t.Errorf("n=%d holes=%v type %d: scratch decode differs", n, holes, p.Env.Type)
 				}
 			}

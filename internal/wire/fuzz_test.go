@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/gf"
@@ -36,6 +37,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 	seedAck := NewAck(2, 9, Ack{
 		Watermark: 4,
 		Ranks:     []GenRank{{Gen: 4, Rank: 3}, {Gen: 5, Rank: 0}},
+		Frontier:  4,
+		Planes:    [][]uint64{{0b10, 1 << 9}, {0b11, 0}},
 		Peers:     []PeerMark{{Node: 0, Watermark: 4}, {Node: 1, Watermark: 6}},
 	}).Marshal()
 	seedHello := NewHello(4, 1, Hello{Leaving: true, Peers: []uint32{0, 2, 5}}).Marshal()
@@ -60,6 +63,18 @@ func FuzzWireRoundTrip(f *testing.F) {
 	}
 	f.Add(NewHello(3, 0, Hello{Peers: many}).Marshal())
 	f.Add(NewAck(3, 1, Ack{Watermark: 0x90, Peers: marks}).Marshal())
+	// The planes' canonical form broken each way it can be: more than 32
+	// planes, a zero top plane, a zero last byte in every plane, planes cut
+	// short and planes past the entry cap (an ack of watermark 1, no
+	// ranks, frontier 2, then the planes and an empty vector).
+	ackOf := func(planes ...byte) []byte {
+		return append(append(NewAck(2, 9, Ack{}).Marshal()[:HeaderBytes], 1, 0, 2), append(planes, 0)...)
+	}
+	f.Add(ackOf(33, 1, 1))
+	f.Add(ackOf(2, 1, 1, 0))
+	f.Add(ackOf(1, 2, 1, 0))
+	f.Add(ackOf(2, 2, 1, 1, 1))
+	f.Add(ackOf(1, 0x81, 0x40, 1))
 	f.Add([]byte{})
 	f.Add([]byte{Version, byte(TypeCoded), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0xff}, 40))
@@ -155,6 +170,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 					})
 				}
 			}
+			a.Frontier, a.Planes = uint32(data[9]), planesOf(a.Peers)
 			p = NewAck(sender, epoch, a)
 		}
 		raw := p.Marshal()
@@ -176,8 +192,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatal("token body changed")
 			}
 		case TypeAck:
-			if got.Ack.Watermark != p.Ack.Watermark ||
-				len(got.Ack.Ranks) != len(p.Ack.Ranks) || len(got.Ack.Peers) != len(p.Ack.Peers) {
+			if got.Ack.Watermark != p.Ack.Watermark || got.Ack.Frontier != p.Ack.Frontier ||
+				len(got.Ack.Ranks) != len(p.Ack.Ranks) || len(got.Ack.Peers) != len(p.Ack.Peers) ||
+				!slices.Equal(offsets(got.Ack.Planes), offsets(p.Ack.Planes)) {
 				t.Fatal("ack body changed")
 			}
 		case TypeHello:

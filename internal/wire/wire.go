@@ -26,7 +26,7 @@
 // Wire layout (all integers little-endian):
 //
 //	offset  size  field
-//	0       1     version (currently 3; anything else is rejected)
+//	0       1     version (currently 4; anything else is rejected)
 //	1       1     type (1 = coded, 2 = token, 3 = ack, 4 = hello, 5 = announce)
 //	2       4     sender (uint32 node id)
 //	6       4     epoch (uint32 sender-local sequence/round)
@@ -37,8 +37,10 @@
 //	token:    uint64 uid, uint32 payloadBits, ceil(payloadBits/8) bytes
 //	ack:      uvarint watermark, uvarint nGenRuns,
 //	          nGenRuns × (uvarint gen, uvarint count, count × uvarint rank),
-//	          uvarint base, uint8 width, uvarint nRuns,
-//	          nRuns × (uvarint start, uvarint count),
+//	          uvarint frontier, uint8 planes, and unless planes is 0
+//	          uvarint planeBytes, planes × planeBytes bytes (LSB-first),
+//	          uvarint nRuns, nRuns × (uvarint start, uvarint count),
+//	          and unless nRuns is 0 uvarint base, uint8 width,
 //	          then each watermark − base in width bits, LSB-first
 //	hello:    uint8 flags (0 = announce, 1 = leave; others rejected),
 //	          uvarint nRuns,  nRuns × (uvarint start, uvarint count)
@@ -54,19 +56,23 @@
 // ids start, start+1, …, start+count-1 in that order. runEnd cuts a list
 // into runs — maximal ones, in list order — so any list round-trips
 // entry for entry (unsorted, duplicated, id 2³²-1 followed by id 0: each
-// break just starts a new run). An ack's watermarks span a window of
-// generations, so they go out as offsets from their least (base) at the
-// bits of the greatest (width, 0 when all are equal and for an empty
-// vector, whose base is 0). uvarint is encoding/binary's, at most 32
-// bits wide here. The encoding is canonical, which keeps
-// Marshal(Unmarshal(b)) == b: the decoder rejects a count of zero, a run
-// that continues the one before it (the encoder would have merged
-// them), a run reaching past id 2³²-1, a varint with a padding zero
-// group or more than 32 bits, a base other than the least mark, a width
-// other than the greatest offset's, nonzero spare bits and a watermark
-// past 2³²-1. MaxAckEntries caps the expanded length of a list and is
-// checked against each run's count before the run is expanded: a few
-// bytes cannot make the decoder allocate for 2³² ids.
+// break just starts a new run). An ack's view is bit-sliced: plane l
+// holds bit l of every id's offset above the frontier, so it costs
+// planes × planeBytes bytes however its ids fall, and it ends at the last
+// id with a nonzero offset. Its vector spells marks id by id, as offsets
+// from their least (base) at the bits of the greatest (width, 0 when all
+// are equal); an empty vector is its run count alone. uvarint is
+// encoding/binary's, at most 32 bits wide here. The encoding is
+// canonical, which keeps Marshal(Unmarshal(b)) == b: the decoder rejects
+// a count of zero, a run that continues the one before it (the encoder
+// would have merged them), a run reaching past id 2³²-1, a varint with a
+// padding zero group or more than 32 bits, a base other than the least
+// mark, a width other than the greatest offset's, nonzero spare bits, a
+// watermark past 2³²-1, more than 32 planes, a zero top plane and a last
+// plane byte zero in every plane. MaxAckEntries caps the expanded length
+// of a list, checked against each run's count before the run is
+// expanded, and the ids a plane covers: a few bytes cannot make the
+// decoder allocate for 2³² ids.
 //
 // Wrap policy: Sender and Epoch are 32-bit on the wire and do NOT wrap.
 // The constructors (NewCoded, NewToken, NewAck, NewHello) panic on a
@@ -91,7 +97,7 @@ import (
 
 // Version is the codec version byte emitted by Marshal and required by
 // Unmarshal.
-const Version = 3
+const Version = 4
 
 // HeaderBytes is the size of the envelope header on the wire.
 const HeaderBytes = 10
@@ -195,13 +201,19 @@ type PeerMark struct {
 
 // Ack is the streaming control body. Watermark is the number of
 // generations the sender has fully decoded and delivered in order;
-// Ranks summarizes the sender's span rank per active generation; Peers
-// is the sender's current view of every node's watermark, which spreads
-// transitively (receivers merge pointwise maxima) so the cluster-wide
-// minimum — the retirement frontier — converges at gossip speed.
+// Ranks summarizes the sender's span rank per active generation.
+// Frontier and Planes are the sender's view of every node's watermark:
+// node i's is Frontier plus the offset whose bit l is bit i%64 of
+// Planes[l][i/64], the planes all of one length. The encoder trims zero
+// top planes and the zero words and bytes after the last nonzero offset,
+// so a decoded Ack holds the same view in its shortest planes. Peers is
+// the same view as an id-by-id vector, the layout before the planes;
+// the stream sends it empty.
 type Ack struct {
 	Watermark uint32
 	Ranks     []GenRank
+	Frontier  uint32
+	Planes    [][]uint64
 	Peers     []PeerMark
 }
 
@@ -476,6 +488,41 @@ func putUvarint(out []byte, at int, v uint32) []byte {
 	return out
 }
 
+// trimPlanes drops zero planes from the top of planes and returns the
+// rest with the bytes each needs: up to the last byte that is nonzero
+// in some plane.
+func trimPlanes(planes [][]uint64) ([][]uint64, int) {
+	for len(planes) > 0 && !slices.ContainsFunc(planes[len(planes)-1], nonzero) {
+		planes = planes[:len(planes)-1]
+	}
+	if len(planes) == 0 {
+		return nil, 0
+	}
+	for w := len(planes[0]) - 1; ; w-- {
+		var or uint64
+		for _, pl := range planes {
+			or |= pl[w]
+		}
+		if or != 0 {
+			return planes, 8*w + (bits.Len64(or)+7)/8
+		}
+	}
+}
+
+func nonzero(w uint64) bool { return w != 0 }
+
+// appendPlane appends the first n bytes of plane, LSB-first.
+func appendPlane(out []byte, plane []uint64, n int) []byte {
+	for _, w := range plane[:n/8] {
+		out = binary.LittleEndian.AppendUint64(out, w)
+	}
+	if r := n % 8; r > 0 {
+		end := len(out) + r
+		out = binary.LittleEndian.AppendUint64(out, plane[n/8])[:end]
+	}
+	return out
+}
+
 // Marshal serializes the packet into a fresh buffer. It panics on an
 // envelope type the codec does not know (a programming error, not a
 // wire condition).
@@ -499,13 +546,19 @@ func (p Packet) AppendTo(buf []byte) []byte {
 // hello, whatever its length — so it allocates nothing when buf has that
 // much spare capacity (the hot path hands it a recycled buffer, buf[:0])
 // and once otherwise, unless a list's runs or marks outgrow the
-// reservation. Like Marshal it panics on an unknown envelope type.
+// reservation. Like Marshal it panics on an unknown envelope type, and
+// on an ack whose planes are not all of one length.
 func (p *Packet) Encode(buf []byte) ([]byte, int) {
 	var sz Size
 	var out []byte
 	switch p.Env.Type {
 	case TypeAck:
-		out = slices.Grow(buf, HeaderBytes+40+5*len(p.Ack.Ranks)+len(p.Ack.Peers))
+		a := &p.Ack
+		reserve := HeaderBytes + 40 + 5*len(a.Ranks) + len(a.Peers)
+		if len(a.Planes) > 0 {
+			reserve += 8 * len(a.Planes) * len(a.Planes[0])
+		}
+		out = slices.Grow(buf, reserve)
 	case TypeHello:
 		out = slices.Grow(buf, HeaderBytes+66)
 	default:
@@ -538,8 +591,18 @@ func (p *Packet) Encode(buf []byte) ([]byte, int) {
 			}
 		}
 		out = putUvarint(out, at, uint32(genRuns))
+		fields := uvarintLen(uint32(genRuns))
+		planes, planeBytes := trimPlanes(a.Planes)
+		out = append(appendUvarint(out, a.Frontier), byte(len(planes)))
+		if len(planes) > 0 {
+			out = appendUvarint(out, uint32(planeBytes))
+			fields += uvarintLen(uint32(planeBytes))
+			for _, pl := range planes {
+				out = appendPlane(out, pl, planeBytes)
+			}
+		}
 		at, runs, least, most := len(out), 0, ^uint32(0), uint32(0)
-		out = append(out, 0, 0, 0) // base, width and run count, put in below
+		out = append(out, 0) // the run count, put in below
 		for lo, hi, peers := 0, 0, a.Peers; lo < len(peers); lo, runs = hi, runs+1 {
 			// runEnd's rule, with the least and greatest mark found on the way.
 			for next := uint64(peers[lo].Node); hi < len(peers) && uint64(peers[hi].Node) == next; hi, next = hi+1, next+1 {
@@ -547,12 +610,14 @@ func (p *Packet) Encode(buf []byte) ([]byte, int) {
 			}
 			out = appendUvarint(appendUvarint(out, peers[lo].Node), uint32(hi-lo))
 		}
-		base := min(least, most) // 0 for an empty vector
-		width := bits.Len32(most - base)
-		out[at+1] = byte(width)
-		out = packMarks(putUvarint(putUvarint(out, at+2, uint32(runs)), at, base), a.Peers, base, width)
-		// Bits is the body less its length fields: the two run counts.
-		return out, 8 * (len(out) - len(buf) - HeaderBytes - uvarintLen(uint32(genRuns)) - uvarintLen(uint32(runs)))
+		if runs > 0 {
+			width := bits.Len32(most - least)
+			out = packMarks(append(appendUvarint(out, least), byte(width)), a.Peers, least, width)
+		}
+		out = putUvarint(out, at, uint32(runs))
+		// Bits is the body less its length fields: the two run counts and
+		// the plane length.
+		return out, 8 * (len(out) - len(buf) - HeaderBytes - fields - uvarintLen(uint32(runs)))
 	case TypeHello:
 		var flags byte
 		if p.Hello.Leaving {
@@ -659,9 +724,7 @@ func UnmarshalInto(p *Packet, data []byte) error {
 		p.Token.UID = token.UID(uid)
 		return nil
 	case TypeAck:
-		a := &p.Ack
-		var err error
-		if a.Watermark, a.Ranks, a.Peers, err = readAck(body, a.Ranks[:0], a.Peers[:0]); err != nil {
+		if err := readAck(body, &p.Ack); err != nil {
 			return err
 		}
 		p.Env = env
@@ -739,71 +802,87 @@ func UnmarshalInto(p *Packet, data []byte) error {
 	}
 }
 
-// readAck decodes an ack body into the reused ranks and peers. A run is
-// expanded only once the bytes left can hold it (a rank takes at least
-// a byte, an offset width bits); the vector's ids are expanded with
-// their watermarks, by unpackRun, after every run has been checked.
-func readAck(b []byte, ranks []GenRank, peers []PeerMark) (mark uint32, _ []GenRank, _ []PeerMark, err error) {
+// readAck decodes an ack body into a, reusing its storage. A list is
+// expanded only once the bytes left can hold it: a rank takes at least
+// a byte, a plane planeBytes of them, and the vector's ids are expanded
+// with their watermarks, by unpackRun, after every run and the packed
+// offsets' length have been checked.
+func readAck(b []byte, a *Ack) (err error) {
 	mark, n := uvarint(b)
 	if n <= 0 {
-		return 0, nil, nil, varintError(n, "ack watermark")
+		return varintError(n, "ack watermark")
 	}
 	genRuns, m := uvarint(b[n:])
 	if m <= 0 {
-		return 0, nil, nil, varintError(m, "ack generation run count")
+		return varintError(m, "ack generation run count")
 	}
+	ranks := a.Ranks[:0]
 	b, prevEnd := b[n+m:], noRun
 	for r := uint32(0); r < genRuns; r++ {
 		gen, count, n, err := readRun(b, prevEnd, len(ranks))
 		if err != nil {
-			return 0, nil, nil, fmt.Errorf("ack generation run %d: %w", r, err)
+			return fmt.Errorf("ack generation run %d: %w", r, err)
 		}
 		b, prevEnd = b[n:], uint64(gen)+uint64(count)
 		if count > len(b) {
-			return 0, nil, nil, fmt.Errorf("%w: ack generation run %d: %d bytes for %d ranks", ErrTruncated, r, len(b), count)
+			return fmt.Errorf("%w: ack generation run %d: %d bytes for %d ranks", ErrTruncated, r, len(b), count)
 		}
 		for i := range count {
 			rank, n := uvarint(b)
 			if n <= 0 {
-				return 0, nil, nil, varintError(n, "ack rank")
+				return varintError(n, "ack rank")
 			}
 			b, ranks = b[n:], append(ranks, GenRank{Gen: gen + uint32(i), Rank: rank})
 		}
 	}
-	base, n := uvarint(b)
-	if n <= 0 {
-		return 0, nil, nil, varintError(n, "ack watermark base")
+	a.Watermark, a.Ranks = mark, ranks
+	if a.Frontier, n = uvarint(b); n <= 0 {
+		return varintError(n, "ack frontier")
 	} else if len(b) == n {
-		return 0, nil, nil, fmt.Errorf("%w: ack ends before its watermark width", ErrTruncated)
-	} else if b[n] > 32 {
-		return 0, nil, nil, fmt.Errorf("%w: ack watermark width %d over 32", ErrMalformed, b[n])
+		return fmt.Errorf("%w: ack ends before its plane count", ErrTruncated)
 	}
-	width := int(b[n])
-	nRuns, m := uvarint(b[n+1:])
-	if m <= 0 {
-		return 0, nil, nil, varintError(m, "ack run count")
+	if b, err = readPlanes(b[n:], a); err != nil {
+		return err
 	}
-	runs, total, prevEnd := b[n+1+m:], 0, noRun
-	b = runs
+	nRuns, n := uvarint(b)
+	if n <= 0 {
+		return varintError(n, "ack run count")
+	}
+	runs, total := b[n:], 0
+	b, prevEnd = runs, noRun
 	for r := uint32(0); r < nRuns; r++ {
 		start, count, n, err := readRun(b, prevEnd, total)
 		if err != nil {
-			return 0, nil, nil, fmt.Errorf("ack run %d: %w", r, err)
+			return fmt.Errorf("ack run %d: %w", r, err)
 		}
 		b, prevEnd, total = b[n:], uint64(start)+uint64(count), total+count
-		if uint64(total)*uint64(width) > 8*uint64(len(b)) {
-			return 0, nil, nil, fmt.Errorf("%w: ack run %d: %d bytes for %d %d-bit watermarks", ErrTruncated, r, len(b), total, width)
+	}
+	if total == 0 {
+		if len(b) != 0 {
+			return fmt.Errorf("%w: %d trailing ack bytes", ErrMalformed, len(b))
 		}
+		a.Peers = a.Peers[:0]
+		return nil
 	}
-	switch used := width * total; {
-	case len(b) != (used+7)/8:
-		return 0, nil, nil, fmt.Errorf("%w: %d trailing ack bytes", ErrMalformed, len(b)-(used+7)/8)
+	base, n := uvarint(b)
+	if n <= 0 {
+		return varintError(n, "ack watermark base")
+	} else if len(b) == n {
+		return fmt.Errorf("%w: ack ends before its watermark width", ErrTruncated)
+	} else if b[n] > 32 {
+		return fmt.Errorf("%w: ack watermark width %d over 32", ErrMalformed, b[n])
+	}
+	width := int(b[n])
+	b = b[n+1:]
+	switch used := uint64(width) * uint64(total); {
+	case uint64(len(b)) < (used+7)/8:
+		return fmt.Errorf("%w: %d bytes for %d %d-bit watermarks", ErrTruncated, len(b), total, width)
+	case uint64(len(b)) != (used+7)/8:
+		return fmt.Errorf("%w: %d trailing ack bytes", ErrMalformed, uint64(len(b))-(used+7)/8)
 	case used%8 != 0 && b[len(b)-1]>>(used%8) != 0:
-		return 0, nil, nil, fmt.Errorf("%w: nonzero spare bits after the watermarks", ErrMalformed)
-	case total == 0 && base|uint32(width) != 0:
-		return 0, nil, nil, fmt.Errorf("%w: empty watermark vector with base %d, width %d", ErrMalformed, base, width)
+		return fmt.Errorf("%w: nonzero spare bits after the watermarks", ErrMalformed)
 	}
-	peers = slices.Grow(peers, total)[:total]
+	peers := slices.Grow(a.Peers[:0], total)[:total]
 	j, acc := 0, uint64(0)
 	for i := 0; i < total; {
 		start, n := uvarint(runs)
@@ -812,16 +891,72 @@ func readAck(b []byte, ranks []GenRank, peers []PeerMark) (mark uint32, _ []GenR
 		j, acc = unpackRun(peers[i:i+int(count)], start, b, i, j, acc, base, uint(width))
 		i += int(count)
 	}
+	a.Peers = peers
 	// The marks that prove base and width canonical usually come early.
 	switch {
-	case total > 0 && !slices.ContainsFunc(peers, func(pm PeerMark) bool { return pm.Watermark == base }):
-		return 0, nil, nil, fmt.Errorf("%w: watermark base %d is below the least mark", ErrMalformed, base)
+	case !slices.ContainsFunc(peers, func(pm PeerMark) bool { return pm.Watermark == base }):
+		return fmt.Errorf("%w: watermark base %d is below the least mark", ErrMalformed, base)
 	case width > 0 && !slices.ContainsFunc(peers, func(pm PeerMark) bool { return (pm.Watermark-base)>>(width-1) != 0 }):
-		return 0, nil, nil, fmt.Errorf("%w: watermark width %d wider than the spread", ErrMalformed, width)
+		return fmt.Errorf("%w: watermark width %d wider than the spread", ErrMalformed, width)
 	case uint64(base)+1<<width-1 > 1<<32-1 && slices.ContainsFunc(peers, func(pm PeerMark) bool { return pm.Watermark < base }):
-		return 0, nil, nil, fmt.Errorf("%w: a watermark passes 2^32-1", ErrMalformed)
+		return fmt.Errorf("%w: a watermark passes 2^32-1", ErrMalformed)
 	}
-	return mark, ranks, peers, nil
+	return nil
+}
+
+// readPlanes decodes an ack's plane count and planes from the head of b
+// into a.Planes, reusing its storage, and returns what follows them.
+// It checks the canonical form on the bytes, before it expands them.
+func readPlanes(b []byte, a *Ack) ([]byte, error) {
+	width := int(b[0])
+	if width == 0 {
+		a.Planes = a.Planes[:0]
+		return b[1:], nil
+	} else if width > 32 {
+		return nil, fmt.Errorf("%w: %d ack planes, over 32", ErrMalformed, width)
+	}
+	size, n := uvarint(b[1:])
+	if n <= 0 {
+		return nil, varintError(n, "ack plane length")
+	}
+	b = b[1+n:]
+	nb := int(size)
+	switch {
+	case size > MaxAckEntries/8:
+		return nil, fmt.Errorf("%w: ack planes of %d bytes pass the %d-entry cap", ErrMalformed, size, MaxAckEntries)
+	case width*nb > len(b):
+		return nil, fmt.Errorf("%w: %d bytes for %d ack planes of %d", ErrTruncated, len(b), width, nb)
+	case !slices.ContainsFunc(b[(width-1)*nb:width*nb], func(c byte) bool { return c != 0 }):
+		return nil, fmt.Errorf("%w: the top ack plane is zero", ErrMalformed)
+	}
+	var last byte
+	for l := range width {
+		last |= b[l*nb+nb-1]
+	}
+	if last == 0 {
+		return nil, fmt.Errorf("%w: ack planes end in a zero byte", ErrMalformed)
+	}
+	planes := a.Planes[:cap(a.Planes)]
+	for len(planes) < width {
+		planes = append(planes, nil)
+	}
+	words := (nb + 7) / 8
+	for l := range width {
+		pl, src := slices.Grow(planes[l][:0], words)[:words], b[l*nb:(l+1)*nb]
+		for w := range nb / 8 {
+			pl[w] = binary.LittleEndian.Uint64(src[8*w:])
+		}
+		if r := nb % 8; r > 0 {
+			var x uint64
+			for i, c := range src[nb-r:] {
+				x |= uint64(c) << (8 * i)
+			}
+			pl[words-1] = x
+		}
+		planes[l] = pl
+	}
+	a.Planes = planes[:width]
+	return b[width*nb:], nil
 }
 
 // unpackRun expands one run of an ack vector into marks: ids from node

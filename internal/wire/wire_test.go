@@ -58,52 +58,66 @@ func TestTokenRoundTrip(t *testing.T) {
 func TestAckRoundTrip(t *testing.T) {
 	acks := []struct {
 		a Ack
-		// bodyBytes is what the body encodes to, its two run counts
+		// bodyBytes is what the body encodes to, its length fields
 		// excluded.
 		bodyBytes int
+		// planes is what a.Planes decodes to.
+		planes [][]uint64
 	}{
-		// Watermark, base 0 and width 0 a byte each.
-		{Ack{}, 3},
-		{Ack{Watermark: 3}, 3},
+		// Watermark, frontier 0 and no planes a byte each.
+		{Ack{}, 3, nil},
+		{Ack{Watermark: 3}, 3, nil},
 		// One generation run (2, 2) and two one-byte ranks.
-		{Ack{Watermark: 2, Ranks: []GenRank{{Gen: 2, Rank: 5}, {Gen: 3, Rank: 0}}}, 3 + 4},
-		// Two one-id runs, and offsets 0 and 3 from base 1 in one byte.
-		{Ack{Watermark: 1, Peers: []PeerMark{{Node: 0, Watermark: 1}, {Node: 9, Watermark: 4}}}, 3 + 4 + 1},
+		{Ack{Watermark: 2, Ranks: []GenRank{{Gen: 2, Rank: 5}, {Gen: 3, Rank: 0}}}, 3 + 4, nil},
+		// Two one-id runs, base 1 and width 2, and offsets 0 and 3 in one
+		// byte.
+		{Ack{Watermark: 1, Peers: []PeerMark{{Node: 0, Watermark: 1}, {Node: 9, Watermark: 4}}}, 3 + 4 + 2 + 1, nil},
 		// Every mark equal: width 0, no offset bytes.
-		{Ack{Watermark: 7, Ranks: []GenRank{{Gen: 7, Rank: 8}}, Peers: []PeerMark{{Node: 3, Watermark: 7}}}, 3 + 3 + 2},
+		{Ack{Watermark: 7, Ranks: []GenRank{{Gen: 7, Rank: 8}}, Peers: []PeerMark{{Node: 3, Watermark: 7}}}, 3 + 3 + 2 + 2, nil},
 		// One run of three ids from 200 (a two-byte start), offsets up to
 		// 300: 9 bits each, 27 bits in four bytes.
-		{Ack{Peers: []PeerMark{{Node: 200, Watermark: 1}, {Node: 201, Watermark: 300}, {Node: 202, Watermark: 0}}}, 3 + 3 + 4},
+		{Ack{Peers: []PeerMark{{Node: 200, Watermark: 1}, {Node: 201, Watermark: 300}, {Node: 202, Watermark: 0}}}, 3 + 3 + 2 + 4, nil},
+		// One plane of one byte: ids 0 and 2 one past frontier 5.
+		{Ack{Frontier: 5, Planes: [][]uint64{{0b101}}}, 3 + 1, [][]uint64{{0b101}}},
+		// Two planes over 192 ids, id 191 at offset 1 and id 64 at 2:
+		// 24 bytes each.
+		{Ack{Watermark: 4, Frontier: 3, Planes: [][]uint64{{0, 0, 1 << 63}, {0, 1, 0}}}, 3 + 48, [][]uint64{{0, 0, 1 << 63}, {0, 1, 0}}},
+		// Trimmed: the zero top plane and the zero bytes after id 9.
+		{Ack{Frontier: 1, Planes: [][]uint64{{1 << 9, 0, 0}, {0, 0, 0}}}, 3 + 2, [][]uint64{{1 << 9}}},
+		// Every plane zero: none go out.
+		{Ack{Frontier: 1, Planes: [][]uint64{{0, 0}}}, 3, nil},
 	}
 	for i, tc := range acks {
 		a := tc.a
 		p := NewAck(i, i*2, a)
-		got, err := Unmarshal(p.Marshal())
+		raw := p.Marshal()
+		got, err := Unmarshal(raw)
 		if err != nil {
 			t.Fatalf("ack %d: %v", i, err)
 		}
 		if got.Env != p.Env {
 			t.Errorf("ack %d: envelope mismatch", i)
 		}
-		if got.Ack.Watermark != a.Watermark || !slices.Equal(got.Ack.Ranks, a.Ranks) || !slices.Equal(got.Ack.Peers, a.Peers) {
+		if got.Ack.Watermark != a.Watermark || !slices.Equal(got.Ack.Ranks, a.Ranks) || !slices.Equal(got.Ack.Peers, a.Peers) ||
+			got.Ack.Frontier != a.Frontier || !slices.EqualFunc(got.Ack.Planes, tc.planes, slices.Equal) {
 			t.Errorf("ack %d: body %+v does not round-trip to %+v", i, a, got.Ack)
 		}
 		if want := 8 * tc.bodyBytes; p.Bits() != want {
 			t.Errorf("ack %d: Bits %d, want %d", i, p.Bits(), want)
 		}
-		// Framing on top of Bits: the header and the two one-byte run
-		// counts.
-		if want := HeaderBytes + 2 + p.Bits()/8; len(p.Marshal()) != want || p.WireBytes() != want {
-			t.Errorf("ack %d: wire size %d (WireBytes %d), want %d", i, len(p.Marshal()), p.WireBytes(), want)
+		// Framing on top of Bits: the header and the length fields.
+		if want := HeaderBytes + lengthFieldBytes(t, raw) + p.Bits()/8; len(raw) != want || p.WireBytes() != want {
+			t.Errorf("ack %d: wire size %d (WireBytes %d), want %d", i, len(raw), p.WireBytes(), want)
 		}
 	}
 }
 
 func TestAckUnmarshalRejects(t *testing.T) {
-	// Watermark 1; generation run (1, 1) at rank 2; base 1, width 0; run
-	// (0, 1).
-	good := NewAck(1, 2, Ack{Watermark: 1, Ranks: []GenRank{{Gen: 1, Rank: 2}}, Peers: []PeerMark{{Node: 0, Watermark: 1}}}).Marshal()
-	if want := []byte{1, 1, 1, 1, 2, 1, 0, 1, 0, 1}; !bytes.Equal(good[HeaderBytes:], want) {
+	// Watermark 1; generation run (1, 1) at rank 2; frontier 1, one plane
+	// of one byte: id 1 at offset 1; one run (0, 1), base 1, width 0.
+	good := NewAck(1, 2, Ack{Watermark: 1, Ranks: []GenRank{{Gen: 1, Rank: 2}}, Frontier: 1, Planes: [][]uint64{{2}},
+		Peers: []PeerMark{{Node: 0, Watermark: 1}}}).Marshal()
+	if want := []byte{1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 0, 1, 1, 0}; !bytes.Equal(good[HeaderBytes:], want) {
 		t.Fatalf("body %x, want %x", good[HeaderBytes:], want)
 	}
 	cases := []struct {
@@ -114,10 +128,14 @@ func TestAckUnmarshalRejects(t *testing.T) {
 		{"empty body", good[:HeaderBytes], ErrTruncated},
 		{"generation run count missing", good[:HeaderBytes+1], ErrTruncated},
 		{"rank list truncated", good[:HeaderBytes+4], ErrTruncated},
-		{"base missing", good[:HeaderBytes+5], ErrTruncated},
-		{"width missing", good[:HeaderBytes+6], ErrTruncated},
-		{"run count missing", good[:HeaderBytes+7], ErrTruncated},
-		{"peer list truncated", good[:len(good)-1], ErrTruncated},
+		{"frontier missing", good[:HeaderBytes+5], ErrTruncated},
+		{"plane count missing", good[:HeaderBytes+6], ErrTruncated},
+		{"plane length missing", good[:HeaderBytes+7], ErrTruncated},
+		{"planes truncated", good[:HeaderBytes+8], ErrTruncated},
+		{"run count missing", good[:HeaderBytes+9], ErrTruncated},
+		{"run truncated", good[:HeaderBytes+11], ErrTruncated},
+		{"base missing", good[:HeaderBytes+12], ErrTruncated},
+		{"width missing", good[:HeaderBytes+13], ErrTruncated},
 		{"trailing byte", append(append([]byte(nil), good...), 0), ErrMalformed},
 	}
 	for _, tc := range cases {
@@ -125,17 +143,24 @@ func TestAckUnmarshalRejects(t *testing.T) {
 			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	// Canonical form, by the layout: a split generation run, a base below
-	// the least mark (every offset nonzero), a width wider than the spread or over 32, nonzero
-	// padding bits, and a mark past 2³²-1.
+	// Canonical form, by the layout: a split generation run; more than 32
+	// planes, a zero top plane, planes ending in a byte zero in each and
+	// planes past the entry cap; a base below the least mark (every offset
+	// nonzero), a width wider than the spread or over 32, nonzero padding
+	// bits, and a mark past 2³²-1.
 	edit := func(body ...byte) []byte { return append(append([]byte(nil), good[:HeaderBytes]...), body...) }
 	for name, data := range map[string][]byte{
-		"split generation run":      edit(1, 2, 1, 1, 2, 2, 1, 3, 1, 0, 1, 0, 1),
-		"base below the least mark": edit(1, 1, 1, 1, 2, 0, 1, 1, 0, 1, 0x01),
-		"width wider than spread":   edit(1, 1, 1, 1, 2, 1, 1, 1, 0, 1, 0),
-		"width over 32":             edit(1, 1, 1, 1, 2, 1, 40, 1, 0, 1, 0, 0, 0, 0, 0),
-		"nonzero padding bits":      edit(1, 1, 1, 1, 2, 1, 1, 1, 0, 2, 0x81),
-		"mark past 2^32-1":          edit(1, 1, 1, 1, 2, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 1, 0, 2, 0x02),
+		"split generation run":      edit(1, 2, 1, 1, 2, 2, 1, 3, 0, 0, 0),
+		"33 planes":                 edit(1, 1, 1, 1, 2, 0, 33, 1, 1, 0),
+		"zero top plane":            edit(1, 1, 1, 1, 2, 0, 2, 1, 1, 0, 0),
+		"zero plane length":         edit(1, 1, 1, 1, 2, 0, 1, 0, 0),
+		"trailing zero plane byte":  edit(1, 1, 1, 1, 2, 0, 2, 2, 1, 0, 1, 0, 0),
+		"planes past the entry cap": edit(1, 1, 1, 1, 2, 0, 1, 0x81, 0x40, 1, 0),
+		"base below the least mark": edit(1, 1, 1, 1, 2, 0, 0, 1, 0, 1, 0, 1, 0x01),
+		"width wider than spread":   edit(1, 1, 1, 1, 2, 0, 0, 1, 0, 1, 1, 1, 0),
+		"width over 32":             edit(1, 1, 1, 1, 2, 0, 0, 1, 0, 1, 1, 40, 0, 0, 0, 0, 0),
+		"nonzero padding bits":      edit(1, 1, 1, 1, 2, 0, 0, 1, 0, 2, 1, 1, 0x81),
+		"mark past 2^32-1":          edit(1, 1, 1, 1, 2, 0, 0, 1, 0, 2, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 0x02),
 	} {
 		if _, err := Unmarshal(data); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: err %v, want ErrMalformed", name, err)
@@ -611,6 +636,8 @@ func samplePackets(t *testing.T) []Packet {
 		NewAck(2, 4, Ack{
 			Watermark: 6,
 			Ranks:     []GenRank{{Gen: 6, Rank: 12}, {Gen: 7, Rank: 3}},
+			Frontier:  5,
+			Planes:    [][]uint64{{1 << 3, 1 << 40}, {1, 0}},
 			Peers:     []PeerMark{{Node: 0, Watermark: 6}, {Node: 3, Watermark: 5}},
 		}),
 		NewHello(5, 0, Hello{Leaving: true, Peers: []uint32{1, 4, 6}}),
@@ -643,9 +670,10 @@ func TestAppendToMatchesMarshal(t *testing.T) {
 // TestAppendToReservesOnce pins the per-type reservation: marshalling
 // out of an empty buffer — a node's first packets, or a hello far larger
 // than anything its ring holds — costs one allocation, not a doubling
-// chain, for every packet of the sample set and for the two lists the
+// chain, for every packet of the sample set and for the lists the
 // runtimes send: an ack of one-byte marks over the whole id space, dense
-// or with a few holes, and a hello of a dense view. A hello's
+// or with a few holes, an ack of eight planes over it, and a hello of a
+// dense view. A hello's
 // reservation does not grow with its list, because its encoding is
 // O(runs).
 func TestAppendToReservesOnce(t *testing.T) {
@@ -657,7 +685,13 @@ func TestAppendToReservesOnce(t *testing.T) {
 				marks = append(marks, PeerMark{Node: uint32(id), Watermark: uint32(1 + id%127)})
 			}
 		}
+		planes := make([][]uint64, 8)
+		for l := range planes {
+			planes[l] = make([]uint64, n/64)
+			planes[l][n/64-1] = 1 << 63
+		}
 		pkts = append(pkts, NewAck(5, 3, Ack{Watermark: 3, Ranks: []GenRank{{Gen: 3, Rank: 9}}, Peers: marks}),
+			NewAck(5, 3, Ack{Watermark: 3, Ranks: []GenRank{{Gen: 3, Rank: 9}}, Planes: planes}),
 			NewHello(5, 0, Hello{Peers: seq(0, n)}))
 	}
 	small := make([]byte, 0, HeaderBytes-1)
