@@ -118,7 +118,7 @@ func TestMiddlewareTranscriptPinned(t *testing.T) {
 		tr = hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.1, Stale: 0.1, Trunc: 0.1, Flip: 0.1, Xgen: 0.1}, seed, rec)
 		return hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed), rec)
 	}}
-	const want = "664760daa12747705420f1f2f7d68f4ff79292649e2da655f0c0ccb416d234d2"
+	const want = "0e96c6a6b5fe9806b9e6efbbfba9753ea459017ad0b12e31f15677ac99f773db"
 	if got := sha(run.transcript(inShards(n, 6, 1))); got != want {
 		t.Errorf("transcript sha256 %s, want %s", got, want)
 	}
@@ -256,38 +256,38 @@ func buildStack(stack []layerSpec, n int) func(*telemetry.Recorder, cluster.Tran
 func TestRandomStacksPinned(t *testing.T) {
 	const n, perTick = 8, 6
 	want := []string{
-		"de18ca9357028116",
-		"a8d6ea67ea50ce15",
-		"9fc9b5bac2e019f0",
-		"98e310d6cfac345d",
-		"47f8299085783f0e",
-		"c57045a2e07e823b",
-		"f8b4da2e4b6a470d",
-		"9ada50d4cf8fa8f0",
-		"fdff5af6726ea06c",
-		"90a5e6957a91e0ab",
-		"08260098ecf4292a",
-		"3637a1419bdd6281",
-		"ac32e14b4c2fda73",
-		"3ed2adbc35a08fe2",
-		"dcbefad77323f5bb",
-		"40156209105be32c",
-		"06f6812dc59ebd17",
-		"3ea8cc290e00d2ff",
-		"a95cecb1408db7a4",
-		"55623ed58389c32c",
-		"6cef84de6c17504b",
-		"81dfd56d65eff6f2",
-		"a736c6bdbd9eb594",
-		"fd7c8bdb3d9b0e17",
-		"a19f5f22f685821d",
-		"b91e372afe9fdac4",
-		"8f53723143cd869b",
-		"de811a171ef420ab",
-		"dd50fb9d3bace62b",
-		"72fc1c4e5359b5b7",
-		"59224e5c451f6d5f",
-		"0d575e1aabaf0c8b",
+		"c3d782120cec2258",
+		"fc045fc1e2be98e8",
+		"61c12190b752ff36",
+		"499966a63468784b",
+		"c4ed0c91d7119837",
+		"e4f5706ce5e7b4c1",
+		"63423b124d8bb15a",
+		"92ec58339233f1d4",
+		"b3b4f1b40f90b472",
+		"2d19f78374253bf9",
+		"95d2c0128d2d2462",
+		"0eec3d326687f15a",
+		"342bd9a8457a71d4",
+		"c0e534319d3c7700",
+		"684f818cf008082a",
+		"e1e5d4fb6d703ad9",
+		"bed6f4fb5b4f322e",
+		"0e64d937caf95f69",
+		"13b716da9d25478d",
+		"8e5b6ce25238c177",
+		"1d362f3c2abb9ab8",
+		"179af17cde74fa76",
+		"8786bd010375e092",
+		"b225f2232894cd29",
+		"29e1bb52627893fa",
+		"434e556c6347825c",
+		"dca5e4c3b6240274",
+		"752e27ef8098d03b",
+		"57752bd5deea388f",
+		"2c54bab2b8b714b1",
+		"b8e4060d344c6807",
+		"4f9ebbc5136ae73e",
 	}
 	for i, stack := range randomStacks() {
 		run := stackRun{n: n, ticks: 16, perTick: perTick, tail: 3, build: buildStack(stack, n)}
@@ -450,7 +450,7 @@ func TestReleaseAfterInnerTick(t *testing.T) {
 	const n, perTick = 8, 6
 	stack := []layerSpec{{kind: "adversary", adv: "rotating-path", seed: 3}, {kind: "plain"}, {kind: "delay", min: 1, max: 2, seed: 5}}
 	run := stackRun{n: n, ticks: 16, perTick: perTick, tail: 3, build: buildStack(stack, n)}
-	const want = "3ec39139c1b9b042ca10d9418014a2d380401b11bb90a94c6d1a06a8ac179a5d"
+	const want = "9d3de3a102c74faa263333c106ccd56963bc7d9107fb27c4d8b762fc0519a662"
 	if got := sha(run.transcript(inShards(n, perTick, 1))); got != want {
 		t.Errorf("transcript sha256 %s, want %s", got, want)
 	}

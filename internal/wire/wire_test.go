@@ -470,6 +470,8 @@ func TestGoldenWireBytes(t *testing.T) {
 			NewAck(7, 8, Ack{
 				Watermark: 2,
 				Ranks:     []GenRank{{Gen: 2, Rank: 1}, {Gen: 3, Rank: 200}},
+				Frontier:  2,
+				Planes:    [][]uint64{{0b0110}, {0b0100}},
 				Peers:     []PeerMark{{Node: 0, Watermark: 2}, {Node: 1, Watermark: 3}, {Node: 300, Watermark: 9}},
 			}),
 			[]byte{
@@ -480,11 +482,15 @@ func TestGoldenWireBytes(t *testing.T) {
 				0x02,                         // watermark = 2
 				0x01,                         // 1 generation run
 				0x02, 0x02, 0x01, 0xc8, 0x01, // gens 2, 3: ranks 1, 200 (a two-byte uvarint)
-				0x02,       // base = 2, the least mark
-				0x03,       // width = 3: the spread 9-2 = 7 takes 3 bits
+				0x02,       // frontier = 2
+				0x02,       // 2 planes
+				0x01,       // of 1 byte each
+				0x06, 0x04, // ids 0, 1, 2 at offsets 0, 1, 3: bit 0 of each, then bit 1
 				0x02,       // 2 peer runs
 				0x00, 0x02, // nodes 0, 1
 				0xac, 0x02, 0x01, // node 300 alone (a two-byte uvarint start)
+				0x02,       // base = 2, the least mark
+				0x03,       // width = 3: the spread 9-2 = 7 takes 3 bits
 				0xc8, 0x01, // offsets 0, 1, 7 at 3 bits, LSB-first: 000 100 111, then 7 zero spare bits
 			},
 		},
