@@ -11,23 +11,21 @@ import (
 // bit-sliced, bit l of id i's offset being bit i%64 of planes[l][i/64].
 // An offset saturates at 0, so an id heard of below the frontier, or
 // not at all, reads as the frontier. Raising one id costs O(width);
-// merging, shifting and climbing cost O(width · words), 64 ids a word
-// operation.
+// merging, shifting and a climb step cost O(width · words), 64 ids a
+// word operation.
 type markView struct {
 	frontier int
 	// planes holds width planes of words words, the top one nonzero;
-	// the zero planes past it, up to cap, are kept for reuse.
+	// the zero planes past it, up to the cap of 32, are kept for reuse.
 	planes [][]uint64
 	words  int
 	// tail masks the lanes of the last word that are ids.
 	tail uint64
-	// cand is the candidate lanes of least's search.
-	cand []uint64
 }
 
 func newMarkView(maxN int) markView {
 	words := (maxN + 63) / 64
-	return markView{words: words, tail: ^uint64(0) >> (uint(-maxN) & 63), cand: make([]uint64, words)}
+	return markView{planes: make([][]uint64, 0, 32), words: words, tail: ^uint64(0) >> (uint(-maxN) & 63)}
 }
 
 // offset is id's watermark less the frontier, 0 below it.
@@ -57,11 +55,7 @@ func (v *markView) raise(id, w int) bool {
 
 // grow adds a zero plane on top.
 func (v *markView) grow() {
-	if len(v.planes) < cap(v.planes) {
-		v.planes = v.planes[:len(v.planes)+1]
-	} else {
-		v.planes = append(v.planes, nil)
-	}
+	v.planes = v.planes[:len(v.planes)+1]
 	if top := &v.planes[len(v.planes)-1]; *top == nil {
 		*top = make([]uint64, v.words)
 	}
@@ -79,8 +73,8 @@ func (v *markView) trim() {
 	}
 }
 
-// sub subtracts d < 2^len(s) from the lanes of the plane words s,
-// saturating at 0: a full subtractor per plane, borrow in lanes.
+// sub subtracts d from the lanes of the plane words s, saturating at 0:
+// a full subtractor per plane, borrow in lanes.
 func sub(s []uint64, d int) {
 	var borrow uint64
 	for l, x := range s {
@@ -91,6 +85,9 @@ func sub(s []uint64, d int) {
 		s[l] = x ^ y ^ borrow
 		borrow = ^x&(y|borrow) | x&y&borrow
 	}
+	if d>>len(s) != 0 {
+		borrow = ^uint64(0)
+	}
 	for l := range s {
 		s[l] &^= borrow
 	}
@@ -98,16 +95,6 @@ func sub(s []uint64, d int) {
 
 // shift lowers every offset by d, saturating at 0.
 func (v *markView) shift(d int) {
-	if d <= 0 || len(v.planes) == 0 {
-		return
-	}
-	if d>>len(v.planes) != 0 {
-		for _, p := range v.planes {
-			clear(p)
-		}
-		v.planes = v.planes[:0]
-		return
-	}
 	var s [32]uint64
 	for w := range v.words {
 		for l, p := range v.planes {
@@ -136,31 +123,29 @@ func (v *markView) merge(a *wire.Ack, self, gens int) bool {
 		return changed // every sender watermark is at gens, the frontier
 	}
 	d, c := v.frontier-int(a.Frontier), gens-v.frontier
-	if d>>width != 0 {
-		return changed // every sender offset is below the frontier
+	var s, lim, own [32]uint64 // the sender's lanes, gens', this view's
+	for l := range width {
+		lim[l] = -uint64(c >> l & 1)
 	}
 	clamp := uint64(1)<<width-1 > uint64(d+c)
 	for len(v.planes) < width {
 		v.grow()
 	}
-	var s [32]uint64
 	for w := range min(v.words, len(a.Planes[0])) {
 		for l, p := range a.Planes {
 			s[l] = p[w]
 		}
 		sub(s[:width], d)
 		if clamp {
-			over := greater(s[:width], c)
+			over := greater(s[:width], lim[:width])
 			for l := range width {
-				s[l] = s[l]&^over | -uint64(c>>l&1)&over
+				s[l] = s[l]&^over | lim[l]&over
 			}
 		}
-		gt, eq := uint64(0), ^uint64(0)
-		for l := len(v.planes) - 1; l >= 0; l-- {
-			x, y := s[l], v.planes[l][w]
-			gt |= eq & x &^ y
-			eq &^= x ^ y
+		for l, p := range v.planes {
+			own[l] = p[w]
 		}
+		gt := greater(s[:len(v.planes)], own[:len(v.planes)])
 		if w == self>>6 {
 			gt &^= 1 << (self & 63)
 		}
@@ -178,13 +163,12 @@ func (v *markView) merge(a *wire.Ack, self, gens int) bool {
 	return changed
 }
 
-// greater is the lanes of the plane words s above c.
-func greater(s []uint64, c int) uint64 {
+// greater is the lanes in which the plane words x hold more than y.
+func greater(x, y []uint64) uint64 {
 	gt, eq := uint64(0), ^uint64(0)
-	for l := len(s) - 1; l >= 0; l-- {
-		y := -uint64(c >> l & 1)
-		gt |= eq & s[l] &^ y
-		eq &^= s[l] ^ y
+	for l := len(x) - 1; l >= 0; l-- {
+		gt |= eq & x[l] &^ y[l]
+		eq &^= x[l] ^ y[l]
 	}
 	return gt
 }
@@ -199,14 +183,26 @@ func (v *markView) climb(counted []uint64) {
 	}
 }
 
-// least is the smallest offset of a counted id. It reads the bits from
-// the top plane down, keeping the candidates that can still be least.
+// least is the smallest offset of a counted id: the largest d that no
+// counted id is below, found a bit at a time from the top.
 func (v *markView) least(counted []uint64) int {
-	if len(v.planes) == 0 {
-		return 0
+	d := 0
+	for l := len(v.planes) - 1; l >= 0; l-- {
+		if !v.below(counted, d|1<<l) {
+			d |= 1 << l
+		}
 	}
-	cand := v.cand
-	for w := range cand {
+	return d
+}
+
+// below reports whether some counted id's offset is below d.
+func (v *markView) below(counted []uint64, d int) bool {
+	var lim, own [32]uint64
+	width := len(v.planes)
+	for l := range width {
+		lim[l] = -uint64(d >> l & 1)
+	}
+	for w := range v.words {
 		m := ^uint64(0)
 		if w == v.words-1 {
 			m = v.tail
@@ -214,31 +210,12 @@ func (v *markView) least(counted []uint64) int {
 		if counted != nil {
 			m &= counted[w]
 		}
-		var some uint64
-		for _, p := range v.planes {
-			some |= p[w]
+		for l, p := range v.planes {
+			own[l] = p[w]
 		}
-		if m&^some != 0 {
-			return 0 // a counted id at the frontier
-		}
-		cand[w] = m
-	}
-	least := 0
-	for l := len(v.planes) - 1; l >= 0; l-- {
-		p, all := v.planes[l], true
-		for w, c := range cand {
-			if c&^p[w] != 0 {
-				all = false
-				break
-			}
-		}
-		if all {
-			least |= 1 << l
-			continue
-		}
-		for w := range cand {
-			cand[w] &^= p[w]
+		if m&greater(lim[:width], own[:width]) != 0 {
+			return true
 		}
 	}
-	return least
+	return false
 }

@@ -14,12 +14,14 @@
 // Control traffic is the wire.TypeAck body: each node gossips its
 // delivery watermark (generations fully decoded and handed to the
 // consumer, in order) together with its current view of every peer's
-// watermark. Views merge by pointwise maximum, so the cluster-wide
-// minimum watermark — the retirement frontier — converges at gossip
-// speed. A generation below the frontier is globally decoded: its span
-// is Reset, returned to a per-node pool, and the window slides forward,
-// which is what bounds each node's memory to O(Window) spans no matter
-// how long the stream runs.
+// watermark: a frontier every member it counts has delivered up to, and
+// each id's offset above it in bit-planes, 64 ids a word. A receiver
+// adopts a larger frontier and takes each offset's maximum, a word of
+// ids at a time, so the cluster-wide minimum watermark — the retirement
+// frontier — converges at gossip speed. A generation below the frontier
+// is globally decoded: its span is Reset, returned to a per-node pool,
+// and the window slides forward, which is what bounds each node's memory
+// to O(Window) spans no matter how long the stream runs.
 //
 // Decoded generations are delivered to Config.Deliver strictly in
 // generation order per node, and every delivery is verified against the

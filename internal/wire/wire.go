@@ -488,39 +488,17 @@ func putUvarint(out []byte, at int, v uint32) []byte {
 	return out
 }
 
-// trimPlanes drops zero planes from the top of planes and returns the
-// rest with the bytes each needs: up to the last byte that is nonzero
-// in some plane.
-func trimPlanes(planes [][]uint64) ([][]uint64, int) {
-	for len(planes) > 0 && !slices.ContainsFunc(planes[len(planes)-1], nonzero) {
-		planes = planes[:len(planes)-1]
-	}
-	if len(planes) == 0 {
-		return nil, 0
-	}
-	for w := len(planes[0]) - 1; ; w-- {
-		var or uint64
-		for _, pl := range planes {
-			or |= pl[w]
-		}
-		if or != 0 {
-			return planes, 8*w + (bits.Len64(or)+7)/8
+// trimPlanes is the planes up to the top nonzero one and the bytes each
+// needs: up to the last byte that is nonzero in some plane.
+func trimPlanes(planes [][]uint64) (width, n int) {
+	for l, pl := range planes {
+		for w, x := range pl {
+			if x != 0 {
+				width, n = l+1, max(n, 8*w+(bits.Len64(x)+7)/8)
+			}
 		}
 	}
-}
-
-func nonzero(w uint64) bool { return w != 0 }
-
-// appendPlane appends the first n bytes of plane, LSB-first.
-func appendPlane(out []byte, plane []uint64, n int) []byte {
-	for _, w := range plane[:n/8] {
-		out = binary.LittleEndian.AppendUint64(out, w)
-	}
-	if r := n % 8; r > 0 {
-		end := len(out) + r
-		out = binary.LittleEndian.AppendUint64(out, plane[n/8])[:end]
-	}
-	return out
+	return width, n
 }
 
 // Marshal serializes the packet into a fresh buffer. It panics on an
@@ -592,13 +570,16 @@ func (p *Packet) Encode(buf []byte) ([]byte, int) {
 		}
 		out = putUvarint(out, at, uint32(genRuns))
 		fields := uvarintLen(uint32(genRuns))
-		planes, planeBytes := trimPlanes(a.Planes)
-		out = append(appendUvarint(out, a.Frontier), byte(len(planes)))
-		if len(planes) > 0 {
+		width, planeBytes := trimPlanes(a.Planes)
+		out = append(appendUvarint(out, a.Frontier), byte(width))
+		if width > 0 {
 			out = appendUvarint(out, uint32(planeBytes))
 			fields += uvarintLen(uint32(planeBytes))
-			for _, pl := range planes {
-				out = appendPlane(out, pl, planeBytes)
+			for _, pl := range a.Planes[:width] { // whole words, then the spare bytes cut
+				for _, x := range pl[:(planeBytes+7)/8] {
+					out = binary.LittleEndian.AppendUint64(out, x)
+				}
+				out = out[:len(out)-(-planeBytes&7)]
 			}
 		}
 		at, runs, least, most := len(out), 0, ^uint32(0), uint32(0)
@@ -906,7 +887,7 @@ func readAck(b []byte, a *Ack) (err error) {
 
 // readPlanes decodes an ack's plane count and planes from the head of b
 // into a.Planes, reusing its storage, and returns what follows them.
-// It checks the canonical form on the bytes, before it expands them.
+// It checks their lengths before it expands them, and the canonical form.
 func readPlanes(b []byte, a *Ack) ([]byte, error) {
 	width := int(b[0])
 	if width == 0 {
@@ -926,8 +907,8 @@ func readPlanes(b []byte, a *Ack) ([]byte, error) {
 		return nil, fmt.Errorf("%w: ack planes of %d bytes pass the %d-entry cap", ErrMalformed, size, MaxAckEntries)
 	case width*nb > len(b):
 		return nil, fmt.Errorf("%w: %d bytes for %d ack planes of %d", ErrTruncated, len(b), width, nb)
-	case !slices.ContainsFunc(b[(width-1)*nb:width*nb], func(c byte) bool { return c != 0 }):
-		return nil, fmt.Errorf("%w: the top ack plane is zero", ErrMalformed)
+	case nb == 0:
+		return nil, fmt.Errorf("%w: %d empty ack planes", ErrMalformed, width)
 	}
 	var last byte
 	for l := range width {
@@ -946,14 +927,19 @@ func readPlanes(b []byte, a *Ack) ([]byte, error) {
 		for w := range nb / 8 {
 			pl[w] = binary.LittleEndian.Uint64(src[8*w:])
 		}
-		if r := nb % 8; r > 0 {
-			var x uint64
-			for i, c := range src[nb-r:] {
-				x |= uint64(c) << (8 * i)
-			}
-			pl[words-1] = x
+		if nb%8 != 0 { // the last word's spare bytes are zero
+			var x [8]byte
+			copy(x[:], src[nb&^7:])
+			pl[words-1] = binary.LittleEndian.Uint64(x[:])
 		}
 		planes[l] = pl
+	}
+	var top uint64
+	for _, x := range planes[width-1][:words] {
+		top |= x
+	}
+	if top == 0 {
+		return nil, fmt.Errorf("%w: the top ack plane is zero", ErrMalformed)
 	}
 	a.Planes = planes[:width]
 	return b[width*nb:], nil
