@@ -3,9 +3,11 @@ package stream
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -425,5 +427,112 @@ func TestHelloBurstPerRecipientCopy(t *testing.T) {
 		if to == leaver || (to != first && !bytes.Equal(buf, want)) {
 			t.Errorf("recipient %d got %x, want its own copy of %x", to, buf, want)
 		}
+	}
+}
+
+// probe is a lockstep layer that runs check before every Send, when the
+// sender is between steps, and drops what drop picks in flight.
+type probe struct {
+	cluster.Layer
+	check func()
+	drop  func(from, to int, pkt []byte) bool
+}
+
+func (p *probe) Send(from, to int, pkt []byte) bool {
+	p.check()
+	if p.drop != nil && p.drop(from, to, pkt) {
+		return true // lost on the way
+	}
+	return p.Layer.Send(from, to, pkt)
+}
+
+// TestSuspicionStaysLocal: one peer's suspicion of a live node moves that
+// peer's retirement and no one else's. Node 3 lags at generation 2 (its
+// data for it is dropped until tick 80) and node 5 never hears it, so
+// suspects it and retires past it. Every other node hears node 3, counts
+// it, and holds its generation, whatever node 5's acks carry: node 3
+// delivers every generation from 0 and no node has to serve it one it
+// retired.
+func TestSuspicionStaysLocal(t *testing.T) {
+	const lag, deaf, slow, until = 3, 5, 2, 80
+	cfg := Config{
+		N: 8, K: 4, PayloadBits: 32, Window: 3, Generations: 12, Seed: 3,
+		Lockstep: true, MaxTicks: 20000, Churn: &cluster.ChurnSchedule{}, SuspectTicks: 40,
+	}
+	past := false
+	res, nodes := layeredRun(t, cfg, func(nodes []*node, inner cluster.Transport) cluster.Transport {
+		return &probe{
+			Layer: cluster.Layer{Transport: inner},
+			check: func() {
+				r := nodes[lag]
+				for _, x := range nodes {
+					switch {
+					case x == r:
+					case len(x.serveQ) > 0:
+						t.Fatalf("tick %d: node %d serves retired generations %v", x.Now, x.ID, x.serveQ)
+					case x.base > r.delivered && x.ID != deaf:
+						t.Fatalf("tick %d: node %d retired up to %d, past node %d's watermark %d", x.Now, x.ID, x.base, lag, r.delivered)
+					case x.base > r.delivered:
+						past = true
+					}
+				}
+			},
+			drop: func(from, to int, pkt []byte) bool {
+				return from == lag && to == deaf || to == lag && nodes[to].Now < until &&
+					wire.Type(pkt[1]) == wire.TypeCoded && binary.LittleEndian.Uint32(pkt[6:10]) == slow
+			},
+		}
+	})
+	if !res.Completed {
+		t.Fatalf("incomplete after %d ticks", res.Ticks)
+	}
+	if !past {
+		t.Fatalf("node %d never retired past node %d: the run tests nothing", deaf, lag)
+	}
+	if m := res.Nodes[lag]; m.StartGen != 0 || m.Delivered != cfg.Generations || nodes[lag].delivered != cfg.Generations {
+		t.Fatalf("node %d delivered %d generations from %d", lag, m.Delivered, m.StartGen)
+	}
+}
+
+// TestJoinerStartHeldUntilItsMarkSpreads: a joiner starts at the highest
+// watermark in the first ack it hears, and that ack's sender, which
+// counts the joiner from then on and does not know its watermark yet,
+// retires nothing until it does. So at every packet of these join-only
+// runs some node still holds the start generation of each joiner that
+// has not delivered it.
+func TestJoinerStartHeldUntilItsMarkSpreads(t *testing.T) {
+	sched, err := cluster.ParseChurn("join:6:2,join:15:2,join:30:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		cfg := Config{
+			N: 8, K: 4, PayloadBits: 32, Window: 3, Generations: 16, Seed: seed,
+			Lockstep: true, MaxTicks: 20000, Churn: sched,
+		}
+		res, _ := layeredRun(t, cfg, func(nodes []*node, inner cluster.Transport) cluster.Transport {
+			return &probe{Layer: cluster.Layer{Transport: inner}, check: func() {
+				for _, j := range nodes[cfg.N:] {
+					if j == nil || !j.bootstrapped || j.delivered != j.startGen || j.startGen >= j.gens {
+						continue
+					}
+					if !slices.ContainsFunc(nodes, func(x *node) bool { return x != nil && x != j && x.base <= j.startGen }) {
+						t.Fatalf("seed %d tick %d: every node retired joiner %d's start generation %d", seed, j.Now, j.ID, j.startGen)
+					}
+				}
+			}}
+		})
+		if !res.Completed {
+			t.Fatalf("seed %d: incomplete after %d ticks", seed, res.Ticks)
+		}
+		for _, m := range res.Nodes[cfg.N:] {
+			if m.StartGen > 0 {
+				late++
+			}
+		}
+	}
+	if late == 0 {
+		t.Fatal("every joiner started at generation 0: the runs test nothing")
 	}
 }

@@ -81,3 +81,57 @@ func TestChurnlessDecisionsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestChurnDecisionsPinned is TestChurnlessDecisionsPinned's twin under
+// churn: 320 lockstep runs of n = 3 to 40 under eight schedules, every
+// kind of event among them, lossless and at 20 % loss, hashed with each
+// node's bit counts zeroed, and whether, when and with how many live
+// nodes each ended.
+func TestChurnDecisionsPinned(t *testing.T) {
+	schedules := []string{
+		"crash:3:1,restart:9:1",
+		"leave:4:1,join:6:2",
+		"crash:2:2,rejoin:8:1,join:10:1",
+		"join:2:1,crashmax:4:1,restart:7:1",
+		"crashfrontier:3:1,leave:5:1,join:5:1,rejoin:12:1",
+		"crash:3:1,restart:4:1,restart:5:1,crash:6:1,restart:6:1",
+		"crash:10:2,join:15:2,leave:20:1,restart:30:2,crash:32:1,rejoin:40:1",
+		"crash:6:5,leave:9:6,join:14:5,rejoin:20:2,leave:26:4,join:31:4,restart:37:2,crash:42:3,join:48:3,rejoin:55:2,leave:60:3,join:66:2",
+	}
+	const want = "runs=320 completed=320 hash=4b367ed293fe4c19"
+	h := fnv.New64a()
+	runs, completed := 0, 0
+	for _, n := range []int{3, 5, 8, 16, 40} {
+		for _, schedule := range schedules {
+			sched, err := cluster.ParseChurn(schedule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(1); seed <= 4; seed++ {
+				for _, loss := range []float64{0, 0.2} {
+					cfg := Config{
+						N: n, K: 4, PayloadBits: 32, Window: 3, Generations: 12,
+						Seed: seed, Lockstep: true, MaxTicks: 3000, Churn: sched, SuspectTicks: 12,
+					}
+					cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), loss, seed+13)
+					res, err := Run(context.Background(), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					runs++
+					if res.Completed {
+						completed++
+					}
+					fmt.Fprintf(h, "%v/%d/%d|", res.Completed, res.Ticks, res.FinalLive)
+					for _, m := range res.Nodes {
+						m.BitsOut, m.AckBitsOut = 0, 0
+						fmt.Fprintf(h, "%+v\n", m)
+					}
+				}
+			}
+		}
+	}
+	if got := fmt.Sprintf("runs=%d completed=%d hash=%016x", runs, completed, h.Sum64()); got != want {
+		t.Errorf("churn decisions moved:\n got %s\nwant %s", got, want)
+	}
+}

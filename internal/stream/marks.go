@@ -9,8 +9,10 @@ import (
 // markView is a node's view of every id's delivery watermark, in the
 // form an ack carries it: a frontier, and each id's offset above it
 // bit-sliced, bit l of id i's offset being bit i%64 of planes[l][i/64].
-// An offset saturates at 0, so an id heard of below the frontier, or
-// not at all, reads as the frontier. Raising one id costs O(width);
+// The frontier is the least watermark of every id, an id not heard of
+// counting as 0, so every sender's frontier is a floor under every id
+// and adopting it is the pointwise maximum; an offset saturates at 0, so
+// news below the frontier changes nothing. Raising one id costs O(width);
 // merging, shifting and a climb step cost O(width · words), 64 ids a
 // word operation.
 type markView struct {
@@ -110,7 +112,8 @@ func (v *markView) shift(d int) {
 
 // merge folds a sender's view into this one, id by id by maximum, with
 // every watermark clamped to gens, and reports whether the frontier or
-// a watermark rose. A larger frontier is adopted first. self's own
+// a watermark rose. A larger frontier, a floor under every id, is
+// adopted first. self's own
 // watermark is the node's to set, not the sender's.
 func (v *markView) merge(a *wire.Ack, self, gens int) bool {
 	changed := false
@@ -173,18 +176,17 @@ func greater(x, y []uint64) uint64 {
 	return gt
 }
 
-// climb raises the frontier to the least watermark of the counted ids:
-// every id when counted is nil, else the ids it holds, which must be
-// some.
-func (v *markView) climb(counted []uint64) {
-	if d := v.least(counted); d > 0 {
+// climb raises the frontier to the least watermark of every id.
+func (v *markView) climb() {
+	if d := v.least(nil); d > 0 {
 		v.shift(d)
 		v.frontier += d
 	}
 }
 
-// least is the smallest offset of a counted id: the largest d that no
-// counted id is below, found a bit at a time from the top.
+// least is the smallest offset of a counted id — every id when counted
+// is nil, else the ids it holds, which must be some: the largest d that
+// no counted id is below, found a bit at a time from the top.
 func (v *markView) least(counted []uint64) int {
 	d := 0
 	for l := len(v.planes) - 1; l >= 0; l-- {

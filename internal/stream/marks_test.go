@@ -53,9 +53,9 @@ func checkView(t *testing.T, step string, v *markView, ref *refView) {
 	}
 }
 
-// TestMarkViewModel applies random raises, shifts, merges and climbs to a
-// markView and to a plain []int model and holds the two equal after
-// every step. Offsets reach 32 bits in senders' planes, saturate at 0
+// TestMarkViewModel applies random raises, shifts, merges, climbs and
+// least-offset queries to a markView and to a plain []int model and
+// holds the two equal after every step. Offsets reach 32 bits in senders' planes, saturate at 0
 // when shifted below the frontier, and senders' frontiers fall behind,
 // level with and ahead of the receiver's; senders' watermarks pass gens
 // and are clamped to it.
@@ -73,7 +73,7 @@ func TestMarkViewModel(t *testing.T) {
 		}
 		for step := 0; step < 40; step++ {
 			var name string
-			switch op := rng.Intn(4); op {
+			switch op := rng.Intn(5); op {
 			case 0: // raise one id, often self, to a watermark at most gens
 				id, w := []int{self, rng.Intn(n)}[rng.Intn(2)], ref.frontier+draw(31, gens-ref.frontier)
 				name = fmt.Sprintf("raise(%d, %d)", id, w)
@@ -127,7 +127,15 @@ func TestMarkViewModel(t *testing.T) {
 				if got := v.merge(&a, self, gens); got != rose {
 					t.Fatalf("trial %d %s: reported %v, model %v", trial, name, got, rose)
 				}
-			case 3: // climb over every id, or over a random set with self
+			case 3: // climb over every id
+				least := slices.Min(ref.off)
+				name = fmt.Sprintf("climb(%d)", least)
+				for i := range ref.off {
+					ref.off[i] -= least
+				}
+				ref.frontier += least
+				v.climb()
+			case 4: // the least offset over every id, or over a random set with self
 				var counted []uint64
 				least, odds := 1<<62, 1+rng.Intn(16)
 				if rng.Intn(2) == 0 {
@@ -141,12 +149,10 @@ func TestMarkViewModel(t *testing.T) {
 						}
 					}
 				}
-				name = fmt.Sprintf("climb(%d)", least)
-				for i := range ref.off {
-					ref.off[i] = max(0, ref.off[i]-least)
+				name = fmt.Sprintf("least(%d)", least)
+				if got := v.least(counted); got != least {
+					t.Fatalf("trial %d %s: least %d, model %d", trial, name, got, least)
 				}
-				ref.frontier += least
-				v.climb(counted)
 			}
 			checkView(t, fmt.Sprintf("trial %d step %d %s", trial, step, name), &v, ref)
 		}

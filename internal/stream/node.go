@@ -72,7 +72,8 @@ type node struct {
 	// marks is the highest delivery watermark learned for every id, this
 	// node's own its delivered (setDelivered), and the ack's body.
 	marks markView
-	// counted is the climb's mask of eligible ids, under churn only.
+	// counted is the retirement floor's mask of eligible ids, under
+	// churn only.
 	counted []uint64
 	// delivered is the absolute watermark: generations in
 	// [startGen, delivered) were decoded, verified and handed to the
@@ -246,16 +247,21 @@ func (nd *node) deliverReady() {
 	}
 }
 
-// gc retires every generation below the cluster-wide watermark
-// frontier: their spans are Reset into the pool and the window slides.
-// The frontier climbs to the minimum watermark over this node plus every
-// *eligible* view member — dead or suspected nodes drop out, so a
-// crashed node's forever-stale watermark cannot deadlock retirement;
-// an unsuspected silent node still holds the frontier, which only
-// delays retirement, never corrupts it.
+// gc retires every generation below the retirement floor: their spans
+// are Reset into the pool and the window slides. The view's frontier
+// climbs to the least watermark of every id; the floor is the least over
+// this node plus every *eligible* view member, which without churn is
+// every id — under churn dead or suspected nodes drop out, so a crashed
+// node's forever-stale watermark cannot deadlock retirement; an
+// unsuspected silent node still holds the floor, which only delays
+// retirement, never corrupts it. Suspicion stays local: it moves this
+// node's floor, never the frontier its acks carry.
 func (nd *node) gc() {
-	nd.marks.climb(nd.eligible())
+	nd.marks.climb()
 	floor := min(nd.delivered, nd.marks.frontier)
+	if nd.churn {
+		floor = min(nd.delivered, nd.marks.frontier+nd.marks.least(nd.eligible()))
+	}
 	for g := nd.base; g < floor; g++ {
 		if gs, ok := nd.spans[g]; ok {
 			nd.retire(g, gs)
@@ -268,14 +274,10 @@ func (nd *node) gc() {
 	}
 }
 
-// eligible is the ids the frontier counts as a mask: nil, meaning every
-// id, in a churnless run, where suspicion is off; else this node and the
-// view's eligible ids, which move with the clock, so each pass walks
-// them again.
+// eligible is the ids the retirement floor counts under churn, as a
+// mask: this node and the view's eligible ids, which move with the
+// clock, so each pass walks them again.
 func (nd *node) eligible() []uint64 {
-	if !nd.churn {
-		return nil
-	}
 	// Suspicion transitions are traced by diffing eligibility between
 	// passes: every id the walk skips is ineligible now. The first pass
 	// only snapshots.

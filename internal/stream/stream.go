@@ -14,8 +14,8 @@
 // Control traffic is the wire.TypeAck body: each node gossips its
 // delivery watermark (generations fully decoded and handed to the
 // consumer, in order) together with its current view of every peer's
-// watermark: a frontier every member it counts has delivered up to, and
-// each id's offset above it in bit-planes, 64 ids a word. A receiver
+// watermark: a frontier every id has delivered up to, and each id's
+// offset above it in bit-planes, 64 ids a word. A receiver
 // adopts a larger frontier and takes each offset's maximum, a word of
 // ids at a time, so the cluster-wide minimum watermark — the retirement
 // frontier — converges at gossip speed. A generation below the frontier
