@@ -230,7 +230,7 @@ func TestRunWritesProfiles(t *testing.T) {
 // cliutil from the flags as main parses them. With -telemetry the
 // report is the same: telemetry reads the run and never steers it.
 func TestFullStackTranscriptPinned(t *testing.T) {
-	const want = "a1bd542bed1760f4f64cbcc6fcff0012aefb2f193c37565e0607ee0cc5e44b9e"
+	const want = "390c0a2d432ea9980ebb031b69087c46f3d6ab6a7cbb0be6ef1258f5cbbe990a"
 	full := "-n 48 -k 16 -transport lockstep -seed 1 -loss 0.1 -reorder 0.1 -delay 2ms -mutate all:0.02 -adversary adaptive -churn join:5:2,crash:10:2,leave:14:2,restart:20:1 -shards 1"
 	for _, args := range []string{full, full + " -telemetry " + filepath.Join(t.TempDir(), "export.txt")} {
 		var o options

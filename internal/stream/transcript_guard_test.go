@@ -27,10 +27,10 @@ func TestStreamChurnTranscriptPinned(t *testing.T) {
 	}{
 		{Config{N: 24, K: 8, PayloadBits: 64, Window: 3, Generations: 10, Seed: 7},
 			"crash:6:3,join:9:3,leave:14:2",
-			"ticks=198 out=8674 in=5999 hellos=133 acks=4346 dropped=3531 toks=1760 live=22 nodes=27 hash=e4d0f94e499b38c7"},
+			"ticks=181 out=7940 in=5503 hellos=126 acks=3972 dropped=3149 toks=1760 live=22 nodes=27 hash=26cc0cc58212d7da"},
 		{Config{N: 96, K: 8, PayloadBits: 64, Window: 3, Generations: 12, Seed: 5, SuspectTicks: 12},
 			"crash:6:5,leave:9:6,join:14:5,rejoin:20:2,leave:26:4,join:31:4,restart:37:2,crash:42:3,join:48:3,rejoin:55:2,leave:60:3,join:66:2",
-			"ticks=183 out=33890 in=24839 hellos=3400 acks=17068 dropped=10735 toks=8976 live=95 nodes=110 hash=45837e21ec0f1de0"},
+			"ticks=212 out=38906 in=28206 hellos=3563 acks=19825 dropped=12286 toks=8992 live=95 nodes=110 hash=3e446fafe698dc75"},
 	} {
 		sched, err := cluster.ParseChurn(c.churn)
 		if err != nil {
