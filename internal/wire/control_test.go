@@ -123,13 +123,12 @@ func lengthFieldBytes(t *testing.T, raw []byte) int {
 			off += uvarintAt(t, raw, off) // rank
 		}
 	}
-	off += uvarintAt(t, raw, off) // past the frontier
-	if planes := int(raw[off]); planes > 0 {
-		size, n := binary.Uvarint(raw[off+1:])
-		fields += n
-		off += n + planes*int(size)
+	if form := raw[off]; form&vectorForm != 0 {
+		return fields + uvarintAt(t, raw, off+1) // the run count
+	} else if off += 1 + uvarintAt(t, raw, off+1); form > 0 { // past the frontier
+		fields += uvarintAt(t, raw, off) // the plane length
 	}
-	return fields + uvarintAt(t, raw, off+1)
+	return fields
 }
 
 // uvarintAt is the length of the uvarint at raw[off:].
@@ -277,8 +276,8 @@ func TestControlRejectsNonCanonical(t *testing.T) {
 	hello := func(body ...byte) []byte {
 		return append(NewHello(1, 0, Hello{}).Marshal()[:HeaderBytes], body...)
 	}
-	// An ack with watermark 1: its generation runs, its frontier and
-	// planes, then its vector.
+	// An ack with watermark 1: its generation runs, then its form byte
+	// and its planes or its vector.
 	ack := func(body ...byte) []byte {
 		return append(NewAck(1, 2, Ack{Watermark: 1}).Marshal()[:HeaderBytes+1], body...)
 	}
@@ -300,44 +299,47 @@ func TestControlRejectsNonCanonical(t *testing.T) {
 		{"hello: fewer runs than claimed", hello(0, 3, 4, 2, 9, 1), ErrTruncated},
 		{"hello: more runs than claimed", hello(0, 1, 4, 2, 9, 1), ErrMalformed},
 		{"hello: start cut short", hello(0, 1, 0x84), ErrTruncated},
-		// Generations 4, 5 at ranks 3, 7; frontier 0, no planes; ids 4, 5
-		// and 9, base 5, width 1, at offsets 0, 1, 0: 0b010.
-		{"ack: accepted baseline", ack(1, 4, 2, 3, 7, 0, 0, 2, 4, 2, 9, 1, 5, 1, 0x02), nil},
-		{"ack: empty vector", ack(0, 0, 0, 0), nil},
-		{"ack: split generation run", ack(2, 4, 1, 3, 5, 1, 7, 0, 0, 0), ErrMalformed},
-		{"ack: padded rank", ack(1, 4, 1, 0x83, 0x00, 0, 0, 0), ErrMalformed},
-		{"ack: padded watermark", append(NewAck(1, 2, Ack{}).Marshal()[:HeaderBytes], 0x81, 0x00, 0, 0, 0, 0), ErrMalformed},
-		{"ack: frontier cut off", ack(0), ErrTruncated},
-		{"ack: padded frontier", ack(0, 0x83, 0x00, 0, 0), ErrMalformed},
-		{"ack: plane count cut off", ack(0, 3), ErrTruncated},
-		// Frontier 3, two planes of two bytes: ids 0 and 9 at offset 1,
-		// id 8 at 2.
-		{"ack: planes", ack(0, 3, 2, 2, 0x01, 0x02, 0x00, 0x01, 0), nil},
-		{"ack: 33 planes", ack(0, 3, 33, 1, 0x01, 0), ErrMalformed},
-		{"ack: zero top plane", ack(0, 3, 2, 1, 0x01, 0x00, 0), ErrMalformed},
-		{"ack: zero plane length", ack(0, 3, 1, 0, 0), ErrMalformed},
-		{"ack: trailing zero plane byte", ack(0, 3, 1, 2, 0x01, 0x00, 0), ErrMalformed},
-		{"ack: padded plane length", ack(0, 3, 1, 0x81, 0x00, 0x01, 0), ErrMalformed},
-		{"ack: plane length cut off", ack(0, 3, 1), ErrTruncated},
-		{"ack: planes cut short", ack(0, 3, 2, 2, 0x01, 0x02, 0x00), ErrTruncated},
-		{"ack: split run", ack(0, 0, 0, 2, 4, 2, 6, 1, 5, 1, 0x02), ErrMalformed},
-		{"ack: zero count", ack(0, 0, 0, 1, 4, 0), ErrMalformed},
-		{"ack: run past 2^32", ack(0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 2, 5, 1, 0x02), ErrMalformed},
-		{"ack: base below the least mark", ack(0, 0, 0, 1, 4, 2, 5, 1, 0x03), ErrMalformed},
+		// Generations 4, 5 at ranks 3, 7; a vector of width 1: ids 4, 5
+		// and 9, base 5, at offsets 0, 1, 0: 0b010.
+		{"ack: accepted baseline", ack(1, 4, 2, 3, 7, 0x81, 2, 4, 2, 9, 1, 5, 0x02), nil},
+		{"ack: no planes", ack(0, 0, 0), nil},
+		{"ack: split generation run", ack(2, 4, 1, 3, 5, 1, 7, 0, 0), ErrMalformed},
+		{"ack: padded rank", ack(1, 4, 1, 0x83, 0x00, 0, 0), ErrMalformed},
+		{"ack: padded watermark", append(NewAck(1, 2, Ack{}).Marshal()[:HeaderBytes], 0x81, 0x00, 0, 0, 0), ErrMalformed},
+		{"ack: form cut off", ack(0), ErrTruncated},
+		{"ack: form past 32 planes", ack(0, 33, 3, 1, 0x01), ErrMalformed},
+		{"ack: form between the two", ack(0, 0x40, 0), ErrMalformed},
+		{"ack: frontier cut off", ack(0, 0), ErrTruncated},
+		{"ack: padded frontier", ack(0, 0, 0x83, 0x00), ErrMalformed},
+		{"ack: trailing byte after no planes", ack(0, 0, 3, 0), ErrMalformed},
+		// Two planes of two bytes above frontier 3: ids 0 and 9 at offset
+		// 1, id 8 at 2.
+		{"ack: planes", ack(0, 2, 3, 2, 0x01, 0x02, 0x00, 0x01), nil},
+		{"ack: zero top plane", ack(0, 2, 3, 1, 0x01, 0x00), ErrMalformed},
+		{"ack: zero plane length", ack(0, 1, 3, 0), ErrMalformed},
+		{"ack: trailing zero plane byte", ack(0, 1, 3, 2, 0x01, 0x00), ErrMalformed},
+		{"ack: padded plane length", ack(0, 1, 3, 0x81, 0x00, 0x01), ErrMalformed},
+		{"ack: plane length cut off", ack(0, 1, 3), ErrTruncated},
+		{"ack: planes cut short", ack(0, 2, 3, 2, 0x01, 0x02, 0x00), ErrTruncated},
+		{"ack: trailing byte after the planes", ack(0, 1, 3, 1, 0x01, 0), ErrMalformed},
+		{"ack: empty vector", ack(0, 0x80, 0), ErrMalformed},
+		{"ack: run count cut off", ack(0, 0x81), ErrTruncated},
+		{"ack: split run", ack(0, 0x81, 2, 4, 2, 6, 1, 5, 0x02), ErrMalformed},
+		{"ack: zero count", ack(0, 0x81, 1, 4, 0), ErrMalformed},
+		{"ack: run past 2^32", ack(0, 0x81, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 2, 5, 0x02), ErrMalformed},
+		{"ack: base below the least mark", ack(0, 0x81, 1, 4, 2, 5, 0x03), ErrMalformed},
 		// Base 5 above mark 3, reached by wrapping: 5 + (2³²-2).
-		{"ack: base above the least mark", ack(0, 0, 0, 1, 4, 2, 5, 32, 0, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff), ErrMalformed},
-		{"ack: base after an empty vector", ack(0, 0, 0, 0, 3), ErrMalformed},
-		{"ack: width after an empty vector", ack(0, 0, 0, 0, 0, 1), ErrMalformed},
-		{"ack: width wider than the spread", ack(0, 0, 0, 1, 4, 2, 5, 2, 0x04), ErrMalformed},
-		{"ack: width over 32", ack(0, 0, 0, 1, 4, 2, 5, 33, 0, 0, 0, 0, 0, 0, 0, 0, 0x02), ErrMalformed},
-		{"ack: nonzero padding bits", ack(0, 0, 0, 1, 4, 2, 5, 1, 0x82), ErrMalformed},
-		{"ack: mark past 2^32-1", ack(0, 0, 0, 1, 4, 2, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 0x02), ErrMalformed},
-		{"ack: mark at 2^32-1", ack(0, 0, 0, 1, 4, 2, 0xfe, 0xff, 0xff, 0xff, 0x0f, 1, 0x02), nil},
-		{"ack: 33-bit base", ack(0, 0, 0, 1, 4, 1, 0xff, 0xff, 0xff, 0xff, 0x10, 0), ErrMalformed},
-		{"ack: width 32 at full spread", ack(0, 0, 0, 1, 4, 2, 0, 32, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff), nil},
-		{"ack: watermarks cut short", ack(0, 0, 0, 1, 4, 5, 5, 2, 0x02), ErrTruncated},
-		{"ack: trailing byte", ack(0, 0, 0, 1, 4, 2, 5, 1, 0x02, 0), ErrMalformed},
-		{"ack: width cut off", ack(0, 0, 0, 1, 4, 2, 5), ErrTruncated},
+		{"ack: base above the least mark", ack(0, 0xa0, 1, 4, 2, 5, 0, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff), ErrMalformed},
+		{"ack: width wider than the spread", ack(0, 0x82, 1, 4, 2, 5, 0x04), ErrMalformed},
+		{"ack: width over 32", ack(0, 0xa1, 1, 4, 2, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0x02), ErrMalformed},
+		{"ack: nonzero padding bits", ack(0, 0x81, 1, 4, 2, 5, 0x82), ErrMalformed},
+		{"ack: mark past 2^32-1", ack(0, 0x81, 1, 4, 2, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x02), ErrMalformed},
+		{"ack: mark at 2^32-1", ack(0, 0x81, 1, 4, 2, 0xfe, 0xff, 0xff, 0xff, 0x0f, 0x02), nil},
+		{"ack: 33-bit base", ack(0, 0x80, 1, 4, 1, 0xff, 0xff, 0xff, 0xff, 0x10), ErrMalformed},
+		{"ack: width 32 at full spread", ack(0, 0xa0, 1, 4, 2, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff), nil},
+		{"ack: watermarks cut short", ack(0, 0x82, 1, 4, 5, 5, 0x02), ErrTruncated},
+		{"ack: trailing byte", ack(0, 0x81, 1, 4, 2, 5, 0x02, 0), ErrMalformed},
+		{"ack: base cut off", ack(0, 0x81, 1, 4, 2), ErrTruncated},
 	}
 	for _, tc := range cases {
 		p, err := Unmarshal(tc.data)
@@ -360,9 +362,8 @@ func TestControlCapsExpandedLength(t *testing.T) {
 	billions := []byte{0xff, 0xff, 0xff, 0xff, 0x0f} // 2³²-1 ids from id 0
 	hdr := NewHello(1, 0, Hello{}).Marshal()[:HeaderBytes]
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	// An ack with no ranks, frontier 0 and no planes, up to its run
-	// count.
-	ackHdr := NewAck(1, 2, Ack{}).Marshal()[:HeaderBytes+4]
+	// An ack with no ranks, up to its form byte.
+	ackHdr := NewAck(1, 2, Ack{}).Marshal()[:HeaderBytes+2]
 	cases := []struct {
 		name string
 		data []byte
@@ -370,15 +371,15 @@ func TestControlCapsExpandedLength(t *testing.T) {
 	}{
 		{"one run over the cap", join(hdr, []byte{0, 1, 0}, over), ErrMalformed},
 		{"one run of 2^32-1 ids", join(hdr, []byte{0, 1, 0}, billions), ErrMalformed},
-		{"ack run over the cap", join(ackHdr, []byte{1, 0}, over), ErrMalformed},
+		{"ack run over the cap", join(ackHdr, []byte{0x81, 1, 0}, over), ErrMalformed},
 		{"ack generation run over the cap", join(ackHdr[:HeaderBytes+1], []byte{1, 0}, over), ErrMalformed},
 		// Within the cap, but a 1-bit watermark costs an eighth of a
 		// byte: three bytes cannot carry 2¹⁶ of them.
-		{"ack run over its bytes", join(ackHdr, []byte{1, 0}, full, []byte{0, 1, 7, 7, 7}), ErrTruncated},
+		{"ack run over its bytes", join(ackHdr, []byte{0x81, 1, 0}, full, []byte{0, 7, 7, 7}), ErrTruncated},
 		{"ack ranks over their bytes", join(ackHdr[:HeaderBytes+1], []byte{1, 0}, full, []byte{7, 7, 7}), ErrTruncated},
 		// A plane past the cap's ids, and one at the cap in three bytes.
-		{"ack planes over the cap", join(ackHdr[:HeaderBytes+3], []byte{1}, binary.AppendUvarint(nil, MaxAckEntries/8+1), []byte{7, 7, 7}), ErrMalformed},
-		{"ack planes over their bytes", join(ackHdr[:HeaderBytes+3], []byte{2}, binary.AppendUvarint(nil, MaxAckEntries/8), []byte{7, 7, 7}), ErrTruncated},
+		{"ack planes over the cap", join(ackHdr, []byte{1, 0}, binary.AppendUvarint(nil, MaxAckEntries/8+1), []byte{7, 7, 7}), ErrMalformed},
+		{"ack planes over their bytes", join(ackHdr, []byte{2, 0}, binary.AppendUvarint(nil, MaxAckEntries/8), []byte{7, 7, 7}), ErrTruncated},
 	}
 	for _, tc := range cases {
 		var rx Packet
@@ -414,8 +415,8 @@ func TestControlCapsExpandedLength(t *testing.T) {
 // TestControlSizeBounds pins what the encoding is for: a dense view
 // costs a few bytes whatever n is; an ack's watermark vector costs the
 // bits of its spread a member — at most 2 when its marks span 4 values,
-// none when they are all equal — plus a few bytes of runs and the two
-// bytes of an empty view, and its planes cost a bit a member each; and the worst
+// none when they are all equal — plus a few bytes of runs, and its
+// planes cost a bit a member each; and the worst
 // list for either — no two neighbours consecutive, so every id is its
 // own run, under marks of the full 32-bit spread — stays within twice
 // the fixed-width layout it replaced (4 bytes an id in a hello, 8 bytes
@@ -439,8 +440,8 @@ func TestControlSizeBounds(t *testing.T) {
 	}
 	for _, base := range []uint32{0, 30, 1 << 20} {
 		a := window(n, base, 4)
-		if got := NewAck(1, 0, a).Bits(); got > 2*n+8*18 {
-			t.Errorf("%d marks spanning 4 values from %d: %d bits, want ≤ 2 a member + 18 bytes", n, base, got)
+		if got := NewAck(1, 0, a).Bits(); got > 2*n+8*16 {
+			t.Errorf("%d marks spanning 4 values from %d: %d bits, want ≤ 2 a member + 16 bytes", n, base, got)
 		}
 		offs := make([]PeerMark, n)
 		for i, pm := range a.Peers {
@@ -453,8 +454,8 @@ func TestControlSizeBounds(t *testing.T) {
 	}
 	for _, m := range []int{1, 192, n, MaxAckEntries} {
 		for _, base := range []uint32{0, 9, 1 << 31} {
-			if got := NewAck(1, 0, Ack{Watermark: base, Peers: window(m, base, 1).Peers}).Bits(); got > 8*18 {
-				t.Errorf("%d equal marks at %d: %d bits, want ≤ 18 bytes", m, base, got)
+			if got := NewAck(1, 0, Ack{Watermark: base, Peers: window(m, base, 1).Peers}).Bits(); got > 8*16 {
+				t.Errorf("%d equal marks at %d: %d bits, want ≤ 16 bytes", m, base, got)
 			}
 		}
 	}

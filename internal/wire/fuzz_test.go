@@ -39,6 +39,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 		Ranks:     []GenRank{{Gen: 4, Rank: 3}, {Gen: 5, Rank: 0}},
 		Frontier:  4,
 		Planes:    [][]uint64{{0b10, 1 << 9}, {0b11, 0}},
+	}).Marshal()
+	seedVector := NewAck(2, 9, Ack{
+		Watermark: 4,
+		Ranks:     []GenRank{{Gen: 4, Rank: 3}, {Gen: 5, Rank: 0}},
 		Peers:     []PeerMark{{Node: 0, Watermark: 4}, {Node: 1, Watermark: 6}},
 	}).Marshal()
 	seedHello := NewHello(4, 1, Hello{Leaving: true, Peers: []uint32{0, 2, 5}}).Marshal()
@@ -49,6 +53,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(seedCoded)
 	f.Add(seedToken)
 	f.Add(seedAck)
+	f.Add(seedVector)
 	f.Add(seedHello)
 	f.Add(seedAnnounce)
 	f.Add(NewAck(0, 0, Ack{}).Marshal())
@@ -63,13 +68,16 @@ func FuzzWireRoundTrip(f *testing.F) {
 	}
 	f.Add(NewHello(3, 0, Hello{Peers: many}).Marshal())
 	f.Add(NewAck(3, 1, Ack{Watermark: 0x90, Peers: marks}).Marshal())
-	// The planes' canonical form broken each way it can be: more than 32
+	// The form's and the planes' canonical form broken each way it can
+	// be: a form between planes and vector, an empty vector, more than 32
 	// planes, a zero top plane, a zero last byte in every plane, planes cut
 	// short and planes past the entry cap (an ack of watermark 1, no
-	// ranks, frontier 2, then the planes and an empty vector).
-	ackOf := func(planes ...byte) []byte {
-		return append(append(NewAck(2, 9, Ack{}).Marshal()[:HeaderBytes], 1, 0, 2), append(planes, 0)...)
+	// ranks, then the form, frontier 2 and the planes).
+	ackOf := func(form byte, planes ...byte) []byte {
+		return append(append(NewAck(2, 9, Ack{}).Marshal()[:HeaderBytes], 1, 0, form, 2), planes...)
 	}
+	f.Add(ackOf(0x40))
+	f.Add(ackOf(0x80, 0))
 	f.Add(ackOf(33, 1, 1))
 	f.Add(ackOf(2, 1, 1, 0))
 	f.Add(ackOf(1, 2, 1, 0))
@@ -170,7 +178,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 					})
 				}
 			}
-			a.Frontier, a.Planes = uint32(data[9]), planesOf(a.Peers)
+			if data[8]&1 == 0 { // the same marks as planes, the stream's form
+				a.Frontier, a.Planes, a.Peers = uint32(data[9]), planesOf(a.Peers), nil
+			}
 			p = NewAck(sender, epoch, a)
 		}
 		raw := p.Marshal()

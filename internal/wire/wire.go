@@ -37,11 +37,12 @@
 //	token:    uint64 uid, uint32 payloadBits, ceil(payloadBits/8) bytes
 //	ack:      uvarint watermark, uvarint nGenRuns,
 //	          nGenRuns × (uvarint gen, uvarint count, count × uvarint rank),
-//	          uvarint frontier, uint8 planes, and unless planes is 0
-//	          uvarint planeBytes, planes × planeBytes bytes (LSB-first),
-//	          uvarint nRuns, nRuns × (uvarint start, uvarint count),
-//	          and unless nRuns is 0 uvarint base, uint8 width,
-//	          then each watermark − base in width bits, LSB-first
+//	          uint8 form, then either (form ≤ 32: planes) uvarint
+//	          frontier, and unless planes is 0 uvarint planeBytes,
+//	          planes × planeBytes bytes (LSB-first), or (form = 0x80 |
+//	          width: a vector) uvarint nRuns ≥ 1, nRuns × (uvarint start,
+//	          uvarint count), uvarint base, then each watermark − base in
+//	          width bits, LSB-first
 //	hello:    uint8 flags (0 = announce, 1 = leave; others rejected),
 //	          uvarint nRuns,  nRuns × (uvarint start, uvarint count)
 //	announce: uint8 op (0 = ping, 1 = pong, 2 = lookup, 3 = lookup-ok;
@@ -56,23 +57,23 @@
 // ids start, start+1, …, start+count-1 in that order. runEnd cuts a list
 // into runs — maximal ones, in list order — so any list round-trips
 // entry for entry (unsorted, duplicated, id 2³²-1 followed by id 0: each
-// break just starts a new run). An ack's view is bit-sliced: plane l
-// holds bit l of every id's offset above the frontier, so it costs
-// planes × planeBytes bytes however its ids fall, and it ends at the last
-// id with a nonzero offset. Its vector spells marks id by id, as offsets
-// from their least (base) at the bits of the greatest (width, 0 when all
-// are equal); an empty vector is its run count alone. uvarint is
-// encoding/binary's, at most 32 bits wide here. The encoding is
-// canonical, which keeps Marshal(Unmarshal(b)) == b: the decoder rejects
-// a count of zero, a run that continues the one before it (the encoder
-// would have merged them), a run reaching past id 2³²-1, a varint with a
-// padding zero group or more than 32 bits, a base other than the least
-// mark, a width other than the greatest offset's, nonzero spare bits, a
-// watermark past 2³²-1, more than 32 planes, a zero top plane and a last
-// plane byte zero in every plane. MaxAckEntries caps the expanded length
-// of a list, checked against each run's count before the run is
-// expanded, and the ids a plane covers: a few bytes cannot make the
-// decoder allocate for 2³² ids.
+// break just starts a new run). An ack carries its view of every
+// node's watermark in one of two forms. The planes are bit-sliced: plane
+// l holds bit l of every id's offset above the frontier, so they cost
+// planes × planeBytes bytes however the ids fall, and end at the last id
+// with a nonzero offset. A vector spells marks id by id, as offsets from
+// their least (base) at the bits of the greatest (width, 0 when all are
+// equal). uvarint is encoding/binary's, at most 32 bits wide here. The
+// encoding is canonical, which keeps Marshal(Unmarshal(b)) == b: the
+// decoder rejects a count of zero, a run that continues the one before
+// it (the encoder would have merged them), a run reaching past id 2³²-1,
+// a varint with a padding zero group or more than 32 bits, a base other
+// than the least mark, a width other than the greatest offset's, nonzero
+// spare bits, a watermark past 2³²-1, an empty vector, a form over 32
+// planes or bits, a zero top plane and a last plane byte zero in every
+// plane. MaxAckEntries caps the expanded length of a list, checked
+// against each run's count before the run is expanded, and the ids a
+// plane covers: a few bytes cannot make the decoder allocate for 2³² ids.
 //
 // Wrap policy: Sender and Epoch are 32-bit on the wire and do NOT wrap.
 // The constructors (NewCoded, NewToken, NewAck, NewHello) panic on a
@@ -139,6 +140,10 @@ const (
 	// never see it (internal/udpnet consumes it in its read loop).
 	TypeAnnounce Type = 5
 )
+
+// vectorForm marks an ack body's form byte as a vector's; without it the
+// byte is a plane count. The low bits hold the width either way.
+const vectorForm = 0x80
 
 // MaxAckEntries caps the list lengths the decoder accepts in an ack,
 // hello or announce body — for the run-length coded id lists the
@@ -207,8 +212,8 @@ type PeerMark struct {
 // Planes[l][i/64], the planes all of one length. The encoder trims zero
 // top planes and the zero words and bytes after the last nonzero offset,
 // so a decoded Ack holds the same view in its shortest planes. Peers is
-// the same view as an id-by-id vector, the layout before the planes;
-// the stream sends it empty.
+// the other form, an id-by-id vector, which the stream does not send: an
+// ack carries one form, Frontier and Planes when Peers is empty.
 type Ack struct {
 	Watermark uint32
 	Ranks     []GenRank
@@ -524,8 +529,9 @@ func (p Packet) AppendTo(buf []byte) []byte {
 // hello, whatever its length — so it allocates nothing when buf has that
 // much spare capacity (the hot path hands it a recycled buffer, buf[:0])
 // and once otherwise, unless a list's runs or marks outgrow the
-// reservation. Like Marshal it panics on an unknown envelope type, and
-// on an ack whose planes are not all of one length.
+// reservation. Like Marshal it panics on an unknown envelope type, on an
+// ack whose planes are not all of one length, and on an ack with both a
+// vector and a frontier or nonzero planes.
 func (p *Packet) Encode(buf []byte) ([]byte, int) {
 	var sz Size
 	var out []byte
@@ -571,19 +577,25 @@ func (p *Packet) Encode(buf []byte) ([]byte, int) {
 		out = putUvarint(out, at, uint32(genRuns))
 		fields := uvarintLen(uint32(genRuns))
 		width, planeBytes := trimPlanes(a.Planes)
-		out = append(appendUvarint(out, a.Frontier), byte(width))
-		if width > 0 {
-			out = appendUvarint(out, uint32(planeBytes))
-			fields += uvarintLen(uint32(planeBytes))
-			for _, pl := range a.Planes[:width] { // whole words, then the spare bytes cut
-				for _, x := range pl[:(planeBytes+7)/8] {
-					out = binary.LittleEndian.AppendUint64(out, x)
+		if len(a.Peers) == 0 {
+			out = appendUvarint(append(out, byte(width)), a.Frontier)
+			if width > 0 {
+				out = appendUvarint(out, uint32(planeBytes))
+				fields += uvarintLen(uint32(planeBytes))
+				for _, pl := range a.Planes[:width] { // whole words, then the spare bytes cut
+					for _, x := range pl[:(planeBytes+7)/8] {
+						out = binary.LittleEndian.AppendUint64(out, x)
+					}
+					out = out[:len(out)-(-planeBytes&7)]
 				}
-				out = out[:len(out)-(-planeBytes&7)]
 			}
+			return out, 8 * (len(out) - len(buf) - HeaderBytes - fields)
+		}
+		if width > 0 || a.Frontier != 0 {
+			panic("wire: marshal of an ack with both a vector and planes")
 		}
 		at, runs, least, most := len(out), 0, ^uint32(0), uint32(0)
-		out = append(out, 0) // the run count, put in below
+		out = append(out, 0, 0) // the form and the run count, put in below
 		for lo, hi, peers := 0, 0, a.Peers; lo < len(peers); lo, runs = hi, runs+1 {
 			// runEnd's rule, with the least and greatest mark found on the way.
 			for next := uint64(peers[lo].Node); hi < len(peers) && uint64(peers[hi].Node) == next; hi, next = hi+1, next+1 {
@@ -591,13 +603,11 @@ func (p *Packet) Encode(buf []byte) ([]byte, int) {
 			}
 			out = appendUvarint(appendUvarint(out, peers[lo].Node), uint32(hi-lo))
 		}
-		if runs > 0 {
-			width := bits.Len32(most - least)
-			out = packMarks(append(appendUvarint(out, least), byte(width)), a.Peers, least, width)
-		}
-		out = putUvarint(out, at, uint32(runs))
-		// Bits is the body less its length fields: the two run counts and
-		// the plane length.
+		width = bits.Len32(most - least)
+		out[at] = vectorForm | byte(width)
+		out = packMarks(appendUvarint(out, least), a.Peers, least, width)
+		out = putUvarint(out, at+1, uint32(runs))
+		// Bits is the body less its length fields: the two run counts.
 		return out, 8 * (len(out) - len(buf) - HeaderBytes - fields - uvarintLen(uint32(runs)))
 	case TypeHello:
 		var flags byte
@@ -783,11 +793,12 @@ func UnmarshalInto(p *Packet, data []byte) error {
 	}
 }
 
-// readAck decodes an ack body into a, reusing its storage. A list is
-// expanded only once the bytes left can hold it: a rank takes at least
-// a byte, a plane planeBytes of them, and the vector's ids are expanded
-// with their watermarks, by unpackRun, after every run and the packed
-// offsets' length have been checked.
+// readAck decodes an ack body into a, reusing its storage, and leaves
+// the form it does not carry empty. A list is expanded only once the
+// bytes left can hold it: a rank takes at least a byte, a plane
+// planeBytes of them, and the vector's ids are expanded with their
+// watermarks, by unpackRun, after every run and the packed offsets'
+// length have been checked.
 func readAck(b []byte, a *Ack) (err error) {
 	mark, n := uvarint(b)
 	if n <= 0 {
@@ -817,19 +828,34 @@ func readAck(b []byte, a *Ack) (err error) {
 		}
 	}
 	a.Watermark, a.Ranks = mark, ranks
-	if a.Frontier, n = uvarint(b); n <= 0 {
-		return varintError(n, "ack frontier")
-	} else if len(b) == n {
-		return fmt.Errorf("%w: ack ends before its plane count", ErrTruncated)
+	if len(b) == 0 {
+		return fmt.Errorf("%w: ack ends before its form", ErrTruncated)
 	}
-	if b, err = readPlanes(b[n:], a); err != nil {
-		return err
+	form := b[0]
+	width := int(form &^ vectorForm)
+	if width > 32 {
+		return fmt.Errorf("%w: ack form %#x, width %d over 32", ErrMalformed, form, width)
 	}
-	nRuns, n := uvarint(b)
+	if form&vectorForm == 0 {
+		if a.Frontier, n = uvarint(b[1:]); n <= 0 {
+			return varintError(n, "ack frontier")
+		}
+		if b, err = readPlanes(b[1+n:], width, a); err != nil {
+			return err
+		} else if len(b) != 0 {
+			return fmt.Errorf("%w: %d trailing ack bytes", ErrMalformed, len(b))
+		}
+		a.Peers = a.Peers[:0]
+		return nil
+	}
+	a.Frontier, a.Planes = 0, a.Planes[:0]
+	nRuns, n := uvarint(b[1:])
 	if n <= 0 {
 		return varintError(n, "ack run count")
+	} else if nRuns == 0 {
+		return fmt.Errorf("%w: an empty ack vector", ErrMalformed)
 	}
-	runs, total := b[n:], 0
+	runs, total := b[1+n:], 0
 	b, prevEnd = runs, noRun
 	for r := uint32(0); r < nRuns; r++ {
 		start, count, n, err := readRun(b, prevEnd, total)
@@ -838,23 +864,11 @@ func readAck(b []byte, a *Ack) (err error) {
 		}
 		b, prevEnd, total = b[n:], uint64(start)+uint64(count), total+count
 	}
-	if total == 0 {
-		if len(b) != 0 {
-			return fmt.Errorf("%w: %d trailing ack bytes", ErrMalformed, len(b))
-		}
-		a.Peers = a.Peers[:0]
-		return nil
-	}
 	base, n := uvarint(b)
 	if n <= 0 {
 		return varintError(n, "ack watermark base")
-	} else if len(b) == n {
-		return fmt.Errorf("%w: ack ends before its watermark width", ErrTruncated)
-	} else if b[n] > 32 {
-		return fmt.Errorf("%w: ack watermark width %d over 32", ErrMalformed, b[n])
 	}
-	width := int(b[n])
-	b = b[n+1:]
+	b = b[n:]
 	switch used := uint64(width) * uint64(total); {
 	case uint64(len(b)) < (used+7)/8:
 		return fmt.Errorf("%w: %d bytes for %d %d-bit watermarks", ErrTruncated, len(b), total, width)
@@ -885,22 +899,19 @@ func readAck(b []byte, a *Ack) (err error) {
 	return nil
 }
 
-// readPlanes decodes an ack's plane count and planes from the head of b
-// into a.Planes, reusing its storage, and returns what follows them.
+// readPlanes decodes an ack's width planes from the head of b into
+// a.Planes, reusing its storage, and returns what follows them.
 // It checks their lengths before it expands them, and the canonical form.
-func readPlanes(b []byte, a *Ack) ([]byte, error) {
-	width := int(b[0])
+func readPlanes(b []byte, width int, a *Ack) ([]byte, error) {
 	if width == 0 {
 		a.Planes = a.Planes[:0]
-		return b[1:], nil
-	} else if width > 32 {
-		return nil, fmt.Errorf("%w: %d ack planes, over 32", ErrMalformed, width)
+		return b, nil
 	}
-	size, n := uvarint(b[1:])
+	size, n := uvarint(b)
 	if n <= 0 {
 		return nil, varintError(n, "ack plane length")
 	}
-	b = b[1+n:]
+	b = b[n:]
 	nb := int(size)
 	switch {
 	case size > MaxAckEntries/8:

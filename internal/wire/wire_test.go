@@ -64,19 +64,19 @@ func TestAckRoundTrip(t *testing.T) {
 		// planes is what a.Planes decodes to.
 		planes [][]uint64
 	}{
-		// Watermark, frontier 0 and no planes a byte each.
+		// Watermark, form (no planes) and frontier 0 a byte each.
 		{Ack{}, 3, nil},
 		{Ack{Watermark: 3}, 3, nil},
 		// One generation run (2, 2) and two one-byte ranks.
 		{Ack{Watermark: 2, Ranks: []GenRank{{Gen: 2, Rank: 5}, {Gen: 3, Rank: 0}}}, 3 + 4, nil},
-		// Two one-id runs, base 1 and width 2, and offsets 0 and 3 in one
-		// byte.
-		{Ack{Watermark: 1, Peers: []PeerMark{{Node: 0, Watermark: 1}, {Node: 9, Watermark: 4}}}, 3 + 4 + 2 + 1, nil},
+		// A vector in place of the frontier: two one-id runs, and offsets 0
+		// and 3 from base 1 in one byte.
+		{Ack{Watermark: 1, Peers: []PeerMark{{Node: 0, Watermark: 1}, {Node: 9, Watermark: 4}}}, 3 + 4 + 1, nil},
 		// Every mark equal: width 0, no offset bytes.
-		{Ack{Watermark: 7, Ranks: []GenRank{{Gen: 7, Rank: 8}}, Peers: []PeerMark{{Node: 3, Watermark: 7}}}, 3 + 3 + 2 + 2, nil},
+		{Ack{Watermark: 7, Ranks: []GenRank{{Gen: 7, Rank: 8}}, Peers: []PeerMark{{Node: 3, Watermark: 7}}}, 3 + 3 + 2, nil},
 		// One run of three ids from 200 (a two-byte start), offsets up to
 		// 300: 9 bits each, 27 bits in four bytes.
-		{Ack{Peers: []PeerMark{{Node: 200, Watermark: 1}, {Node: 201, Watermark: 300}, {Node: 202, Watermark: 0}}}, 3 + 3 + 2 + 4, nil},
+		{Ack{Peers: []PeerMark{{Node: 200, Watermark: 1}, {Node: 201, Watermark: 300}, {Node: 202, Watermark: 0}}}, 3 + 3 + 4, nil},
 		// One plane of one byte: ids 0 and 2 one past frontier 5.
 		{Ack{Frontier: 5, Planes: [][]uint64{{0b101}}}, 3 + 1, [][]uint64{{0b101}}},
 		// Two planes over 192 ids, id 191 at offset 1 and id 64 at 2:
@@ -113,58 +113,80 @@ func TestAckRoundTrip(t *testing.T) {
 }
 
 func TestAckUnmarshalRejects(t *testing.T) {
-	// Watermark 1; generation run (1, 1) at rank 2; frontier 1, one plane
-	// of one byte: id 1 at offset 1; one run (0, 1), base 1, width 0.
-	good := NewAck(1, 2, Ack{Watermark: 1, Ranks: []GenRank{{Gen: 1, Rank: 2}}, Frontier: 1, Planes: [][]uint64{{2}},
-		Peers: []PeerMark{{Node: 0, Watermark: 1}}}).Marshal()
-	if want := []byte{1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 0, 1, 1, 0}; !bytes.Equal(good[HeaderBytes:], want) {
-		t.Fatalf("body %x, want %x", good[HeaderBytes:], want)
+	// Watermark 1; generation run (1, 1) at rank 2; then one plane of
+	// one byte above frontier 1 (id 1 at offset 1), or a vector of width
+	// 0: one run (0, 1), base 1.
+	planes := NewAck(1, 2, Ack{Watermark: 1, Ranks: []GenRank{{Gen: 1, Rank: 2}}, Frontier: 1, Planes: [][]uint64{{2}}}).Marshal()
+	vector := NewAck(1, 2, Ack{Watermark: 1, Ranks: []GenRank{{Gen: 1, Rank: 2}}, Peers: []PeerMark{{Node: 0, Watermark: 1}}}).Marshal()
+	if want := []byte{1, 1, 1, 1, 2, 1, 1, 1, 2}; !bytes.Equal(planes[HeaderBytes:], want) {
+		t.Fatalf("planes body %x, want %x", planes[HeaderBytes:], want)
+	}
+	if want := []byte{1, 1, 1, 1, 2, 0x80, 1, 0, 1, 1}; !bytes.Equal(vector[HeaderBytes:], want) {
+		t.Fatalf("vector body %x, want %x", vector[HeaderBytes:], want)
 	}
 	cases := []struct {
 		name string
 		data []byte
 		want error
 	}{
-		{"empty body", good[:HeaderBytes], ErrTruncated},
-		{"generation run count missing", good[:HeaderBytes+1], ErrTruncated},
-		{"rank list truncated", good[:HeaderBytes+4], ErrTruncated},
-		{"frontier missing", good[:HeaderBytes+5], ErrTruncated},
-		{"plane count missing", good[:HeaderBytes+6], ErrTruncated},
-		{"plane length missing", good[:HeaderBytes+7], ErrTruncated},
-		{"planes truncated", good[:HeaderBytes+8], ErrTruncated},
-		{"run count missing", good[:HeaderBytes+9], ErrTruncated},
-		{"run truncated", good[:HeaderBytes+11], ErrTruncated},
-		{"base missing", good[:HeaderBytes+12], ErrTruncated},
-		{"width missing", good[:HeaderBytes+13], ErrTruncated},
-		{"trailing byte", append(append([]byte(nil), good...), 0), ErrMalformed},
+		{"empty body", planes[:HeaderBytes], ErrTruncated},
+		{"generation run count missing", planes[:HeaderBytes+1], ErrTruncated},
+		{"rank list truncated", planes[:HeaderBytes+4], ErrTruncated},
+		{"form missing", planes[:HeaderBytes+5], ErrTruncated},
+		{"frontier missing", planes[:HeaderBytes+6], ErrTruncated},
+		{"plane length missing", planes[:HeaderBytes+7], ErrTruncated},
+		{"planes truncated", planes[:HeaderBytes+8], ErrTruncated},
+		{"trailing byte after the planes", append(append([]byte(nil), planes...), 0), ErrMalformed},
+		{"run count missing", vector[:HeaderBytes+6], ErrTruncated},
+		{"run truncated", vector[:HeaderBytes+8], ErrTruncated},
+		{"base missing", vector[:HeaderBytes+9], ErrTruncated},
+		{"trailing byte after the vector", append(append([]byte(nil), vector...), 0), ErrMalformed},
 	}
 	for _, tc := range cases {
 		if _, err := Unmarshal(tc.data); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	// Canonical form, by the layout: a split generation run; more than 32
-	// planes, a zero top plane, planes ending in a byte zero in each and
-	// planes past the entry cap; a base below the least mark (every offset
-	// nonzero), a width wider than the spread or over 32, nonzero padding
+	// Canonical form, by the layout: a split generation run; a form over
+	// 32 planes or bits, or between the two; more than 32 planes, a zero
+	// top plane, planes ending in a byte zero in each and planes past the
+	// entry cap; an empty vector, a base below the least mark (every
+	// offset nonzero), a width wider than the spread, nonzero padding
 	// bits, and a mark past 2³²-1.
-	edit := func(body ...byte) []byte { return append(append([]byte(nil), good[:HeaderBytes]...), body...) }
+	edit := func(body ...byte) []byte { return append(append([]byte(nil), planes[:HeaderBytes]...), body...) }
 	for name, data := range map[string][]byte{
-		"split generation run":      edit(1, 2, 1, 1, 2, 2, 1, 3, 0, 0, 0),
-		"33 planes":                 edit(1, 1, 1, 1, 2, 0, 33, 1, 1, 0),
-		"zero top plane":            edit(1, 1, 1, 1, 2, 0, 2, 1, 1, 0, 0),
-		"zero plane length":         edit(1, 1, 1, 1, 2, 0, 1, 0, 0),
-		"trailing zero plane byte":  edit(1, 1, 1, 1, 2, 0, 2, 2, 1, 0, 1, 0, 0),
-		"planes past the entry cap": edit(1, 1, 1, 1, 2, 0, 1, 0x81, 0x40, 1, 0),
-		"base below the least mark": edit(1, 1, 1, 1, 2, 0, 0, 1, 0, 1, 0, 1, 0x01),
-		"width wider than spread":   edit(1, 1, 1, 1, 2, 0, 0, 1, 0, 1, 1, 1, 0),
-		"width over 32":             edit(1, 1, 1, 1, 2, 0, 0, 1, 0, 1, 1, 40, 0, 0, 0, 0, 0),
-		"nonzero padding bits":      edit(1, 1, 1, 1, 2, 0, 0, 1, 0, 2, 1, 1, 0x81),
-		"mark past 2^32-1":          edit(1, 1, 1, 1, 2, 0, 0, 1, 0, 2, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 0x02),
+		"split generation run":      edit(1, 2, 1, 1, 2, 2, 1, 3, 0, 0),
+		"form between the two":      edit(1, 1, 1, 1, 2, 0x40, 1),
+		"33 planes":                 edit(1, 1, 1, 1, 2, 33, 1, 1, 1),
+		"zero top plane":            edit(1, 1, 1, 1, 2, 2, 1, 1, 1, 0),
+		"zero plane length":         edit(1, 1, 1, 1, 2, 1, 1, 0),
+		"trailing zero plane byte":  edit(1, 1, 1, 1, 2, 2, 1, 2, 1, 0, 1, 0),
+		"planes past the entry cap": edit(1, 1, 1, 1, 2, 1, 1, 0x81, 0x40, 1),
+		"empty vector":              edit(1, 1, 1, 1, 2, 0x80, 0),
+		"base below the least mark": edit(1, 1, 1, 1, 2, 0x81, 1, 0, 1, 0, 0x01),
+		"width wider than spread":   edit(1, 1, 1, 1, 2, 0x81, 1, 0, 1, 1, 0),
+		"width over 32":             edit(1, 1, 1, 1, 2, 0xa8, 1, 0, 1, 1, 0, 0, 0, 0, 0),
+		"nonzero padding bits":      edit(1, 1, 1, 1, 2, 0x81, 1, 0, 2, 1, 0x81),
+		"mark past 2^32-1":          edit(1, 1, 1, 1, 2, 0x81, 1, 0, 2, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x02),
 	} {
 		if _, err := Unmarshal(data); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: err %v, want ErrMalformed", name, err)
 		}
+	}
+	// One ack, one form: the encoder refuses a vector beside a frontier
+	// or planes.
+	for _, a := range []Ack{
+		{Frontier: 1, Peers: []PeerMark{{Node: 0, Watermark: 1}}},
+		{Planes: [][]uint64{{1}}, Peers: []PeerMark{{Node: 0, Watermark: 1}}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%+v marshalled: want a panic", a)
+				}
+			}()
+			NewAck(1, 2, a).Marshal()
+		}()
 	}
 }
 
@@ -472,7 +494,6 @@ func TestGoldenWireBytes(t *testing.T) {
 				Ranks:     []GenRank{{Gen: 2, Rank: 1}, {Gen: 3, Rank: 200}},
 				Frontier:  2,
 				Planes:    [][]uint64{{0b0110}, {0b0100}},
-				Peers:     []PeerMark{{Node: 0, Watermark: 2}, {Node: 1, Watermark: 3}, {Node: 300, Watermark: 9}},
 			}),
 			[]byte{
 				Version,                // version
@@ -482,15 +503,30 @@ func TestGoldenWireBytes(t *testing.T) {
 				0x02,                         // watermark = 2
 				0x01,                         // 1 generation run
 				0x02, 0x02, 0x01, 0xc8, 0x01, // gens 2, 3: ranks 1, 200 (a two-byte uvarint)
+				0x02,       // form: 2 planes
 				0x02,       // frontier = 2
-				0x02,       // 2 planes
 				0x01,       // of 1 byte each
 				0x06, 0x04, // ids 0, 1, 2 at offsets 0, 1, 3: bit 0 of each, then bit 1
+			},
+		},
+		{
+			"ack vector",
+			NewAck(7, 8, Ack{
+				Watermark: 2,
+				Peers:     []PeerMark{{Node: 0, Watermark: 2}, {Node: 1, Watermark: 3}, {Node: 300, Watermark: 9}},
+			}),
+			[]byte{
+				Version,                // version
+				0x03,                   // type = ack
+				0x07, 0x00, 0x00, 0x00, // sender
+				0x08, 0x00, 0x00, 0x00, // epoch
+				0x02,       // watermark = 2
+				0x00,       // no generation runs
+				0x83,       // form: a vector of width 3, the spread 9-2 = 7 taking 3 bits
 				0x02,       // 2 peer runs
 				0x00, 0x02, // nodes 0, 1
 				0xac, 0x02, 0x01, // node 300 alone (a two-byte uvarint start)
 				0x02,       // base = 2, the least mark
-				0x03,       // width = 3: the spread 9-2 = 7 takes 3 bits
 				0xc8, 0x01, // offsets 0, 1, 7 at 3 bits, LSB-first: 000 100 111, then 7 zero spare bits
 			},
 		},
@@ -644,6 +680,10 @@ func samplePackets(t *testing.T) []Packet {
 			Ranks:     []GenRank{{Gen: 6, Rank: 12}, {Gen: 7, Rank: 3}},
 			Frontier:  5,
 			Planes:    [][]uint64{{1 << 3, 1 << 40}, {1, 0}},
+		}),
+		NewAck(2, 4, Ack{
+			Watermark: 6,
+			Ranks:     []GenRank{{Gen: 6, Rank: 12}, {Gen: 7, Rank: 3}},
 			Peers:     []PeerMark{{Node: 0, Watermark: 6}, {Node: 3, Watermark: 5}},
 		}),
 		NewHello(5, 0, Hello{Leaving: true, Peers: []uint32{1, 4, 6}}),
