@@ -728,7 +728,11 @@ func BenchmarkSpanCombineInto(b *testing.B) {
 // into a reset matrix at each coding shape: every insert reduces against
 // the basis so far and back-eliminates it. The slab is at capacity, so
 // it allocates nothing; gf's TestBitMatrixInsertZeroAllocAtCapacity holds
-// it to that.
+// it to that. At the gossip-wide and gossip-deep shapes it also measures
+// the two refusals of a coding matrix, whose rows pivot in the K
+// coefficient columns as rlnc.NewSpan builds it: a random combination
+// of the basis at rank K−1 (",dependent", refused on its coefficient
+// words) and any vector at rank K (",full", refused at once).
 func BenchmarkBitMatrixInsert(b *testing.B) {
 	for _, sh := range codingShapes {
 		b.Run(sh.name, func(b *testing.B) {
@@ -747,6 +751,34 @@ func BenchmarkBitMatrixInsert(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(fresh)), "ns/insert")
 		})
+	}
+	for _, sh := range codingShapes[:2] {
+		rng := rand.New(rand.NewSource(6))
+		fresh, _ := shapeFill(sh.k, sh.bits, rng)
+		dep := gf.NewBitVec(sh.k + sh.bits)
+		for _, c := range fresh[:sh.k-1] {
+			if rng.Intn(2) == 1 {
+				dep.Xor(c.Vec)
+			}
+		}
+		for _, refusal := range []struct {
+			name string
+			rank int
+		}{{"dependent", sh.k - 1}, {"full", sh.k}} {
+			m := gf.NewBitMatrixExpecting(sh.k+sh.bits, sh.k)
+			m.LimitPivots(sh.k)
+			for _, c := range fresh[:refusal.rank] {
+				m.Insert(c.Vec)
+			}
+			b.Run(sh.name+","+refusal.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if m.Insert(dep) {
+						b.Fatal("a dependent vector grew the rank")
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -261,10 +261,17 @@ type gossiper interface {
 // generation with the same flattening so stream and cluster packets are
 // byte-compatible.
 func TokenVec(t token.Token) gf.BitVec {
-	v := gf.NewBitVec(token.UIDBits + t.D())
-	v.SetWord(0, uint64(t.UID))
-	t.Payload.CopyInto(v, token.UIDBits)
+	var v gf.BitVec
+	TokenVecInto(&v, t)
 	return v
+}
+
+// TokenVecInto is TokenVec into dst, reusing its storage when its
+// capacity allows.
+func TokenVecInto(dst *gf.BitVec, t token.Token) {
+	dst.Resize(token.UIDBits + t.D())
+	dst.SetWord(0, uint64(t.UID))
+	t.Payload.CopyInto(*dst, token.UIDBits)
 }
 
 // tokenVecs flattens the run's tokens once, for seeding and for
@@ -279,9 +286,9 @@ func tokenVecs(toks []token.Token) []gf.BitVec {
 	return vecs
 }
 
-// VecToken inverts TokenVec.
+// VecToken inverts TokenVec. The token's payload shares v's words.
 func VecToken(v gf.BitVec) token.Token {
-	return token.Token{UID: token.UID(v.Word(0)), Payload: v.Slice(token.UIDBits, v.Len())}
+	return token.Token{UID: token.UID(v.Word(0)), Payload: v.From(token.UIDBits)}
 }
 
 // codedNode gossips random linear combinations of its span.
@@ -320,15 +327,18 @@ func (c *codedNode) complete() bool { return c.span.CanDecode() }
 
 func (c *codedNode) progress() int { return c.span.Rank() }
 
+// verify compares every unit row with its token in place; only a
+// mismatch decodes, to word the error.
 func (c *codedNode) verify(toks []token.Token, vecs []gf.BitVec) error {
-	rows, err := c.span.Decode()
-	if err != nil {
-		return fmt.Errorf("node %d: %w", c.nd.ID, err)
-	}
-	for i, row := range rows {
-		if !row.Equal(vecs[i]) {
-			return fmt.Errorf("node %d: token %d decoded to %v, want %v", c.nd.ID, i, VecToken(row).UID, toks[i].UID)
+	for i := range c.span.K() {
+		if c.span.PayloadEqual(i, vecs[i]) {
+			continue
 		}
+		rows, err := c.span.Decode()
+		if err != nil {
+			return fmt.Errorf("node %d: %w", c.nd.ID, err)
+		}
+		return fmt.Errorf("node %d: token %d decoded to %v, want %v", c.nd.ID, i, VecToken(rows[i]).UID, toks[i].UID)
 	}
 	return nil
 }

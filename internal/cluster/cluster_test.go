@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gf"
+	"repro/internal/rlnc"
 	"repro/internal/telemetry"
 	"repro/internal/token"
 	"repro/internal/wire"
@@ -648,5 +650,34 @@ func TestKeyedStreamUsefulness(t *testing.T) {
 	t.Logf("innovative/received = %d/%d = %.4f (math/rand: %.4f)", innovative, received, got, mathRand)
 	if got < mathRand-2*seDiff {
 		t.Errorf("innovative/received = %.4f, more than two standard errors below math/rand's %.4f", got, mathRand)
+	}
+}
+
+// TestCodedVerifyInPlace: a coded node's one-shot verification reads its
+// unit rows in place, allocating nothing, and still names the token a
+// wrong row decodes to, or the rank a short span has.
+func TestCodedVerifyInPlace(t *testing.T) {
+	const k, d = 32, 64
+	toks := testTokens(k, d, 5)
+	vecs := tokenVecs(toks)
+	c := &codedNode{nd: &Node{ID: 3}, span: rlnc.NewSpan(k, token.UIDBits+d)}
+	for j, v := range vecs[:k-1] {
+		c.span.Add(rlnc.Encode(j, k, v))
+	}
+	if err := c.verify(toks, vecs); err == nil || !strings.Contains(err.Error(), "node 3: rlnc: rank 31 of 32") {
+		t.Fatalf("a rank-31 span verified: %v", err)
+	}
+	c.span.Add(rlnc.Encode(k-1, k, vecs[k-1]))
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := c.verify(toks, vecs); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("one-shot verification allocated %.1f times, want 0", allocs)
+	}
+	wrong := append([]gf.BitVec(nil), vecs...)
+	wrong[7] = vecs[8]
+	if err := c.verify(toks, wrong); err == nil || !strings.Contains(err.Error(), "token 7 decoded to "+toks[7].UID.String()) {
+		t.Fatalf("a wrong token verified: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package gf
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -23,9 +24,10 @@ import (
 // Echelon order is an indirection (order[i] names the slab row holding
 // echelon row i), so Insert never moves row data — it reduces the
 // candidate in place in the next free slab row and, on success, splices
-// one index. The slab grows (see grow); Reset keeps it, so a decoder
-// slot reused across coding generations (the streaming layer's span
-// pool) performs no steady-state allocation.
+// one index. Slab rows 0…rank−1 are exactly the basis. The slab grows
+// (see grow); Reset keeps it, so a decoder slot reused across coding
+// generations (the streaming layer's span pool) performs no
+// steady-state allocation.
 type BitMatrix struct {
 	cols   int
 	stride int // words per row; len(slab) is a multiple of stride
@@ -42,6 +44,12 @@ type BitMatrix struct {
 	// pivots bounds the pivot columns: Insert refuses a remainder whose
 	// leading bit is at or past it (see LimitPivots). cols by default.
 	pivots int
+	// The pivot columns as a set, bit c of word c/64 for every row's
+	// lead, over the ⌈pivots/64⌉ pivot words: the selection a reduction
+	// reads (see reduceWords). Up to 256 pivot columns the set is pfix,
+	// inside the struct; past that grow allocates pbig.
+	pfix [4]uint64
+	pbig []uint64
 }
 
 // NewBitMatrix returns an empty echelon matrix with the given column
@@ -66,8 +74,26 @@ func NewBitMatrixExpecting(cols, rank int) *BitMatrix {
 // refuses a vector whose remainder pivots at or past column c as it
 // refuses a dependent one. A coding matrix limits them to its
 // coefficient prefix, so a packet whose payload contradicts the span is
-// never back-eliminated into the rows.
-func (m *BitMatrix) LimitPivots(c int) { m.pivots = min(c, m.cols) }
+// never back-eliminated into the rows, and a dependent packet costs
+// only its coefficient words (see Insert). Call it before the first
+// Insert.
+func (m *BitMatrix) LimitPivots(c int) {
+	if len(m.order) > 0 {
+		panic("gf: LimitPivots on a nonempty BitMatrix")
+	}
+	m.pivots = min(c, m.cols)
+}
+
+// pivotWords is the number of words that can hold a pivot column.
+func (m *BitMatrix) pivotWords() int { return (m.pivots + 63) >> 6 }
+
+// pivotBits returns the pivot-column set, one word per pivot word.
+func (m *BitMatrix) pivotBits() []uint64 {
+	if cw := m.pivotWords(); cw <= len(m.pfix) {
+		return m.pfix[:cw]
+	}
+	return m.pbig
+}
 
 // Rank returns the current rank (number of stored rows).
 func (m *BitMatrix) Rank() int { return len(m.order) }
@@ -92,44 +118,85 @@ func (m *BitMatrix) Reduce(v BitVec) BitVec {
 		panic(fmt.Sprintf("gf: BitMatrix reduce of %d-bit vector against %d columns", v.Len(), m.cols))
 	}
 	r := v.Clone()
-	m.reduceInPlace(r)
+	m.reduceWords(r.w, v.w, 0)
 	return r
 }
 
-// reduceInPlace eliminates r against the stored rows, 64 echelon rows
-// per XorRows call. The rows to xor are known before any xor happens:
-// the basis is in reduced form, so a stored row is zero in every pivot
-// column but its own, and xoring it into r moves none of the other bits
-// the selection reads. Echelon form alone would not do — a row could
-// flip r at a later pivot.
-func (m *BitMatrix) reduceInPlace(r BitVec) {
-	for base := 0; base < len(m.lead); base += 64 {
-		var mask uint64
-		for i, l := range m.lead[base:min(base+64, len(m.lead))] {
-			mask |= (r.w[l>>6] >> (uint(l) & 63) & 1) << uint(i)
+// reduceWords eliminates the words dst[lo:], which hold src's, against
+// the stored rows, selecting the rows from src's pivot bits. The rows
+// to xor are known before any xor happens: the basis is in reduced
+// form, so a stored row is zero in every pivot column but its own, and
+// xoring it into the vector moves none of the other bits the selection
+// reads. Echelon form alone would not do — a row could flip the vector
+// at a later pivot. So a reduction may run in word ranges, each
+// selecting again from the unreduced src.
+//
+// Echelon order is ascending pivot order, so the bits of src at the
+// pivot set, word by word, are the selection in echelon order: one
+// PEXT a pivot word that selects anything, the results concatenated 64
+// rows to an xorRows. It reports whether it selected a row; another
+// range of the same src selects the same rows.
+func (m *BitMatrix) reduceWords(dst, src []uint64, lo int) bool {
+	var acc, sel uint64
+	base, n := 0, uint(0) // acc holds echelon rows base … base+n−1
+	for w, p := range m.pivotBits() {
+		if p == 0 {
+			continue
 		}
-		m.XorRows(r, base>>6, mask)
+		var s uint64
+		switch x := src[w] & p; {
+		case x == 0:
+		case useAVX512:
+			s = pextq(x, p)
+		default:
+			s = pext(x, p)
+		}
+		sel |= s
+		c := uint(bits.OnesCount64(p))
+		acc |= s << n
+		if n += c; n >= 64 {
+			if acc != 0 {
+				m.xorRows(dst, base, acc, lo)
+			}
+			// The bits of s that did not fit; a shift by 64 is zero.
+			n -= 64
+			acc, base = s>>(c-n), base+64
+		}
 	}
+	if acc != 0 {
+		m.xorRows(dst, base, acc, lo)
+	}
+	return sel != 0
+}
+
+// pext is PEXT in Go (Hacker's Delight's compress, 7–4): six rounds,
+// each moving every selected bit right by one bit of the count of
+// unselected bits below it.
+func pext(x, mask uint64) uint64 {
+	x &= mask
+	mk := ^mask << 1 // the zeros to count, one place up
+	for i := uint(0); i < 6; i++ {
+		mp := mk ^ mk<<1 // parallel suffix: odd counts so far
+		mp ^= mp << 2
+		mp ^= mp << 4
+		mp ^= mp << 8
+		mp ^= mp << 16
+		mp ^= mp << 32
+		mv := mp & mask // the bits that move by 2^i
+		mask = mask ^ mv | mv>>(1<<i)
+		t := x & mv
+		x = x ^ t | t>>(1<<i)
+		mk &^= mp
+	}
+	return x
 }
 
 // XorRows xors into dst the echelon rows 64·chunk+i for every set bit i
 // of mask; bits that name a row at or beyond the rank are ignored. A
 // random mask per chunk is a random combination of the basis, the pivot
-// bits of a vector its reduction: this is the one subset-xor loop under
-// Insert, Reduce and rlnc.Span.CombineInto.
-//
-// It expands mask into the slab offsets and pivot words of the selected
-// rows, on the stack, then sweeps dst in blocks of eight words (a cache
-// line) held in registers: a row-word costs one load, against two loads
-// and a store when dst is rewritten once per row. Rows are sorted by
-// pivot and zero below it, so the sweep starts at the first row's pivot
-// word and each block visits only the prefix off[:hi] of rows whose
-// pivot word it has reached; that prefix is never empty, which lets the
-// row loops test at the bottom — the form in which the compiler folds
-// each load into its xor and the accumulators stay in registers. Where
-// useAVX512 is set, gatherXor512 replaces both: it walks mask itself
-// and streams each selected row once against dst held in vector
-// registers. dst must not be a stored row.
+// bits of a vector its reduction: its loop, xorRows, is the one
+// subset-xor loop under Insert, Reduce and rlnc.Span.CombineInto. dst
+// must not be a stored row.
 func (m *BitMatrix) XorRows(dst BitVec, chunk int, mask uint64) {
 	if dst.n != m.cols {
 		panic(fmt.Sprintf("gf: BitMatrix xor of rows into %d-bit vector, have %d columns", dst.n, m.cols))
@@ -138,11 +205,33 @@ func (m *BitMatrix) XorRows(dst BitVec, chunk int, mask uint64) {
 	if rem := len(m.order) - base; rem < 64 {
 		mask &= 1<<uint(max(rem, 0)) - 1
 	}
-	if mask == 0 {
-		return
-	}
-	if useAVX512 {
+	switch {
+	case mask == 0:
+	case useAVX512: // directly: at 3-word rows the call through xorRows is a tenth of a combination
 		gatherXor512(dst.w[:m.stride], m.slab, m.order[base:], mask, m.stride, m.lead[base+bits.TrailingZeros64(mask)]>>6)
+	default:
+		m.xorRows(dst.w[:m.stride], base, mask, 0)
+	}
+}
+
+// xorRows is XorRows over the words dw[lo:] of a vector cut at
+// len(dw) ≤ stride, for a nonzero mask of rows below the rank.
+//
+// It expands mask into the slab offsets and pivot words of the selected
+// rows, on the stack, then sweeps dw in blocks of eight words (a cache
+// line) held in registers: a row-word costs one load, against two loads
+// and a store when dw is rewritten once per row. Rows are sorted by
+// pivot and zero below it, so the sweep starts at lo or the first row's
+// pivot word, whichever is later, and each block visits only the prefix
+// off[:hi] of rows whose pivot word it has reached; that prefix is never
+// empty, which lets the row loops test at the bottom — the form in which
+// the compiler folds each load into its xor and the accumulators stay in
+// registers. Where useAVX512 is set, gatherXor512 replaces both: it
+// walks mask itself and streams each selected row once against dw held
+// in vector registers.
+func (m *BitMatrix) xorRows(dw []uint64, base int, mask uint64, lo int) {
+	if useAVX512 {
+		gatherXor512(dw, m.slab, m.order[base:], mask, m.stride, max(lo, m.lead[base+bits.TrailingZeros64(mask)]>>6))
 		return
 	}
 	var off, pw [64]int
@@ -152,9 +241,9 @@ func (m *BitMatrix) XorRows(dst BitVec, chunk int, mask uint64) {
 		off[n], pw[n] = int(m.order[i])*m.stride, m.lead[i]>>6
 		n++
 	}
-	slab, stride, dw := m.slab, m.stride, dst.w[:m.stride]
-	w, hi := pw[0], 0
-	for ; w+8 <= stride; w += 8 {
+	slab, end := m.slab, len(dw)
+	w, hi := max(lo, pw[0]), 0
+	for ; w+8 <= end; w += 8 {
 		for hi < n && pw[hi] < w+8 {
 			hi++
 		}
@@ -177,7 +266,7 @@ func (m *BitMatrix) XorRows(dst BitVec, chunk int, mask uint64) {
 		}
 		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = a0, a1, a2, a3, a4, a5, a6, a7
 	}
-	if w+4 <= stride {
+	if w+4 <= end {
 		for hi < n && pw[hi] < w+4 {
 			hi++
 		}
@@ -197,7 +286,7 @@ func (m *BitMatrix) XorRows(dst BitVec, chunk int, mask uint64) {
 		d[0], d[1], d[2], d[3] = a0, a1, a2, a3
 		w += 4
 	}
-	for ; w < stride; w++ {
+	for ; w < end; w++ {
 		for hi < n && pw[hi] <= w {
 			hi++
 		}
@@ -228,7 +317,8 @@ const eagerBytes = 32 << 10
 // seeds its bases with a row or two each at spawn (a stream node its
 // whole first window) and must not pay for all their rows there. A
 // larger basis doubles up to the expected size, order and lead with the
-// slab. Past the expectation all three double.
+// slab. Past the expectation all three double. The first growth of a
+// matrix with more than 256 pivot columns allocates its pivot set.
 func (m *BitMatrix) grow() {
 	rows := len(m.order) + 1
 	if m.stride == 0 || rows*m.stride <= len(m.slab) {
@@ -252,6 +342,9 @@ func (m *BitMatrix) grow() {
 	if cap(m.lead) < book {
 		m.lead = append(make([]int, 0, book), m.lead...)
 	}
+	if cw := m.pivotWords(); cw > len(m.pfix) && m.pbig == nil {
+		m.pbig = make([]uint64, cw)
+	}
 }
 
 // Insert reduces v against the basis and, if the remainder is nonzero
@@ -261,46 +354,71 @@ func (m *BitMatrix) grow() {
 // The reduction happens in place in the next free slab row, so a
 // rejected vector costs no allocation and an accepted one costs none
 // either once the slab has grown to the working rank.
+//
+// The reduction runs on the pivot words first, the words [0, cw) that
+// can hold a pivot column: if no bit below the limit survives there, v
+// is refused before its other words are copied or xored — a dependent
+// packet of a coding matrix costs its coefficient words. A matrix
+// whose every pivot column is taken refuses at once.
 func (m *BitMatrix) Insert(v BitVec) bool {
 	if v.Len() != m.cols {
 		panic(fmt.Sprintf("gf: BitMatrix insert of %d-bit vector into %d columns", v.Len(), m.cols))
 	}
+	if len(m.order) == m.pivots {
+		return false
+	}
 	m.grow()
-	free := int32(len(m.order))
-	row := m.rowAt(free)
-	row.CopyFrom(v)
-	m.reduceInPlace(row)
-	lb := row.LeadingBit()
+	free := len(m.order)
+	row := m.rowAt(int32(free))
+	cw := m.pivotWords()
+	copy(row.w[:cw], v.w)
+	selected := m.reduceWords(row.w[:cw], v.w, 0)
+	lb := -1
+	for w, x := range row.w[:cw] {
+		if x != 0 {
+			lb = w<<6 + bits.TrailingZeros64(x)
+			break
+		}
+	}
 	if lb < 0 || lb >= m.pivots {
 		return false
 	}
-	pos := sort.SearchInts(m.lead, lb)
-	// Only rows before pos can see column lb: every later row's leading
-	// bit exceeds lb, so its bits at and below lb are already zero. The
-	// new row is zero below lb, so the xor can start at the pivot word.
-	// The column is gathered 64 rows at a time before any row is
-	// rewritten: the loads are independent and overlap their cache
-	// misses, where a test-and-xor per row waits out a miss behind every
-	// mispredicted branch. The vector kernel takes a chunk's mask in one
-	// call and walks it itself.
+	if cw < m.stride {
+		copy(row.w[cw:], v.w[cw:])
+		if selected {
+			m.reduceWords(row.w, v.w, cw)
+		}
+	}
+	// Only rows pivoting before lb can see column lb: every other row's
+	// leading bit exceeds lb, so its bits at and below lb are already
+	// zero. Those rows are slab rows 0…rank−1 in some order, so the
+	// column is gathered over the slab in memory order, 64 rows at a
+	// time, before any row is rewritten: the loads are independent and
+	// overlap their cache misses, where a test-and-xor per row waits out
+	// a miss behind every mispredicted branch. The new row is zero below
+	// lb, so the xor can start at the pivot word. The vector kernel
+	// takes a chunk's mask in one call and walks it itself.
 	lw, lbit := lb>>6, uint(lb)&63
-	for base := 0; base < pos; base += 64 {
+	for base := 0; base < free; base += 64 {
 		var mask uint64
-		for i, idx := range m.order[base:min(base+64, pos)] {
-			mask |= (m.slab[int(idx)*m.stride+lw] >> lbit & 1) << uint(i)
+		col := m.slab[base*m.stride+lw:]
+		for i := range min(64, free-base) {
+			mask |= (col[i*m.stride] >> lbit & 1) << uint(i)
 		}
 		if useAVX512 && mask != 0 {
-			scatterXor512(row.w, m.slab, m.order[base:], mask, m.stride, lw)
+			scatterXor512(row.w, m.slab, base, mask, m.stride, lw)
 			continue
 		}
 		for ; mask != 0; mask &= mask - 1 {
-			o := int(m.order[base+bits.TrailingZeros64(mask)]) * m.stride
+			o := (base + bits.TrailingZeros64(mask)) * m.stride
 			xorWords(m.slab[o+lw:o+m.stride], row.w[lw:])
 		}
 	}
+	m.pivotBits()[lw] |= 1 << lbit
+	pos := sort.SearchInts(m.lead, lb)
 	m.order = append(m.order, 0)
 	copy(m.order[pos+1:], m.order[pos:])
-	m.order[pos] = free
+	m.order[pos] = int32(free)
 	m.lead = append(m.lead, 0)
 	copy(m.lead[pos+1:], m.lead[pos:])
 	m.lead[pos] = lb
@@ -361,11 +479,14 @@ func (m *BitMatrix) SpansUnitPrefix(prefix int) bool {
 func (m *BitMatrix) Reset() {
 	m.order = m.order[:0]
 	m.lead = m.lead[:0]
+	clear(m.pivotBits())
 }
 
 // MemoryBytes returns the approximate heap bytes held by the matrix:
 // the slab plus the order/pivot bookkeeping slices. It is the
-// per-generation memory figure the streaming layer reports.
+// per-generation memory figure the streaming layer reports. It leaves
+// out the pivot set, ⌈pivots/64⌉ words — inside the struct up to 256
+// pivot columns, and under 0.1 % of the slab at K = 768.
 func (m *BitMatrix) MemoryBytes() int {
 	return 8*cap(m.slab) + 8*cap(m.lead) + 4*cap(m.order)
 }
@@ -382,6 +503,8 @@ func (m *BitMatrix) Clone() *BitMatrix {
 		lead:   make([]int, len(m.lead)),
 		expect: m.expect,
 		pivots: m.pivots,
+		pfix:   m.pfix,
+		pbig:   slices.Clone(m.pbig),
 	}
 	for i, idx := range m.order {
 		copy(c.slab[i*m.stride:(i+1)*m.stride], m.slab[int(idx)*m.stride:(int(idx)+1)*m.stride])

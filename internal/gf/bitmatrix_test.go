@@ -229,15 +229,16 @@ func TestBitMatrixResetReuse(t *testing.T) {
 }
 
 // refMatrix is the pre-slab reference implementation: one heap
-// allocation per echelon row, identical insert/back-eliminate logic.
-// The slab-backed BitMatrix must agree with it on every observable.
+// allocation per echelon row, identical insert/back-eliminate logic,
+// the whole row reduced before the pivot limit is read. The slab-backed
+// BitMatrix must agree with it on every observable.
 type refMatrix struct {
-	cols int
-	rows []BitVec
-	lead []int
+	cols, pivots int
+	rows         []BitVec
+	lead         []int
 }
 
-func newRefMatrix(cols int) *refMatrix { return &refMatrix{cols: cols} }
+func newRefMatrix(cols int) *refMatrix { return &refMatrix{cols: cols, pivots: cols} }
 
 // naiveXor is the oracle's own addition, one whole row a word at a
 // time, sharing no code with xorWords or the XorRows kernel.
@@ -255,7 +256,7 @@ func (m *refMatrix) insert(v BitVec) bool {
 		}
 	}
 	lb := r.LeadingBit()
-	if lb < 0 {
+	if lb < 0 || lb >= m.pivots {
 		return false
 	}
 	pos := 0
@@ -512,38 +513,155 @@ func TestXorRowsMatchesPerRowLoop(t *testing.T) {
 // inserts — rows zeroed below a moving column, so pivots and
 // back-eliminations start in every word, and every third one the sum of
 // the two before it, which is rejected — at widths from one word to past
-// two of the vector kernels' 32-word panels. Slab, order and leads must
-// be identical after every insert.
+// two of the vector kernels' 32-word panels. Then it does the same for
+// a coding matrix (LimitPivots) at each width, fed codingVecs. Slab —
+// the scratch row included — order and leads must be identical after
+// every insert.
 func TestInsertKernelsAgree(t *testing.T) {
-	ks := kernels()
-	if len(ks) < 2 {
+	if len(kernels()) < 2 {
 		t.Skip("one kernel on this CPU")
 	}
 	rng := rand.New(rand.NewSource(17))
 	for _, cols := range []int{64, 190, 383, 511, 512, 1856, 2048, 2049, 4160, 4200} {
 		rows := min(cols, 160)
-		ms := []*BitMatrix{NewBitMatrix(cols), NewBitMatrix(cols)}
-		var prev [2]BitVec
+		var vecs []BitVec
 		for i := 0; i < 2*rows; i++ {
 			v := randBV(cols, rng)
 			for b := 0; b < i%rows*cols/rows; b++ {
 				v.Set(b, false)
 			}
 			if i%3 == 2 {
-				v = prev[0].Clone()
-				v.Xor(prev[1])
+				v = vecs[i-2].Clone()
+				v.Xor(vecs[i-1])
 			}
-			prev[0], prev[1] = prev[1], v
-			var grew [2]bool
-			for j, vec := range ks {
-				withKernel(vec, func() { grew[j] = ms[j].Insert(v) })
-			}
-			if grew[0] != grew[1] {
-				t.Fatalf("cols=%d insert %d: go kernel grew=%v, avx512 %v", cols, i, grew[0], grew[1])
-			}
-			checkSameMatrix(t, ms[0], ms[1])
+			vecs = append(vecs, v)
 		}
-		checkRREFInvariants(t, ms[1])
+		insertKernelsAgree(t, cols, cols, vecs)
+		k := min(cols/2, 200)
+		insertKernelsAgree(t, cols, k, codingVecs(k, cols, rng))
+	}
+}
+
+// insertKernelsAgree inserts vecs into one matrix per kernel, pivots
+// limited to the first pivots columns, and requires the same decision
+// and the same matrix after each.
+func insertKernelsAgree(t *testing.T, cols, pivots int, vecs []BitVec) {
+	t.Helper()
+	ks := kernels()
+	ms := []*BitMatrix{NewBitMatrix(cols), NewBitMatrix(cols)}
+	for _, m := range ms {
+		m.LimitPivots(pivots)
+	}
+	for i, v := range vecs {
+		var grew [2]bool
+		for j, vec := range ks {
+			withKernel(vec, func() { grew[j] = ms[j].Insert(v) })
+		}
+		if grew[0] != grew[1] {
+			t.Fatalf("cols=%d pivots=%d insert %d: go kernel grew=%v, avx512 %v", cols, pivots, i, grew[0], grew[1])
+		}
+		checkSameMatrix(t, ms[0], ms[1])
+	}
+	checkRREFInvariants(t, ms[1])
+}
+
+// codingVecs is what a coding matrix of k coefficients and cols columns
+// is sent: random combinations of k source rows (unit coefficients,
+// random payloads), every fourth the sum of the two before (dependent),
+// every fifth the one before with a payload bit flipped (contradicting),
+// 2k+8 in all, so the matrix reaches full rank and refuses past it.
+func codingVecs(k, cols int, rng *rand.Rand) []BitVec {
+	src := make([]BitVec, k)
+	for j := range src {
+		src[j] = randBV(cols, rng)
+		for b := range k {
+			src[j].Set(b, b == j)
+		}
+	}
+	var out []BitVec
+	for i := range 2*k + 8 {
+		var v BitVec
+		switch {
+		case i%4 == 3:
+			v = out[i-1].Clone()
+			v.Xor(out[i-2])
+		case i%5 == 4 && k < cols:
+			v = out[i-1].Clone()
+			v.Flip(k + rng.Intn(cols-k))
+		default:
+			v = NewBitVec(cols)
+			for _, s := range src {
+				if rng.Intn(2) == 1 {
+					v.Xor(s)
+				}
+			}
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// TestInsertMatchesPerRowOnSpreadPivots holds Insert to the per-row
+// reference where pivot words are not full — rows zeroed below a moving
+// column, with and without a pivot limit — so the row selection's
+// 64-row chunks straddle pivot words and carry bits from one chunk to
+// the next. Every third vector is the sum of the two before. Decisions,
+// leads and rows must match, on every kernel.
+func TestInsertMatchesPerRowOnSpreadPivots(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, sh := range []struct{ cols, pivots, rows int }{{200, 200, 210}, {777, 777, 300}, {1500, 900, 330}, {640, 333, 240}} {
+		var vecs []BitVec
+		for i := range sh.rows {
+			v := randBV(sh.cols, rng)
+			for b := 0; b < i*sh.pivots/sh.rows; b++ {
+				v.Set(b, false)
+			}
+			if i%3 == 2 {
+				v = vecs[i-2].Clone()
+				v.Xor(vecs[i-1])
+			}
+			vecs = append(vecs, v)
+		}
+		for _, vec := range kernels() {
+			m := NewBitMatrix(sh.cols)
+			m.LimitPivots(sh.pivots)
+			withKernel(vec, func() { insertChecked(t, m, vecs) })
+			if m.Rank() <= 128 {
+				t.Fatalf("cols=%d: rank %d, want past two chunks", sh.cols, m.Rank())
+			}
+		}
+	}
+}
+
+// TestFullRankRefusesAtOnce: a coding matrix whose every pivot column is
+// taken refuses a vector without growing or writing its slab, and
+// without allocating.
+func TestFullRankRefusesAtOnce(t *testing.T) {
+	const k, cols = 8, 8 + 100
+	rng := rand.New(rand.NewSource(34))
+	for _, vec := range kernels() {
+		withKernel(vec, func() {
+			m := NewBitMatrix(cols)
+			m.LimitPivots(k)
+			for _, v := range codingVecs(k, cols, rng) {
+				m.Insert(v)
+			}
+			if m.Rank() != k {
+				t.Fatalf("rank %d, want %d", m.Rank(), k)
+			}
+			slab := slices.Clone(m.slab)
+			v := randBV(cols, rng)
+			if allocs := testing.AllocsPerRun(10, func() {
+				if m.Insert(v) {
+					t.Fatal("a full-rank matrix grew")
+				}
+			}); allocs != 0 {
+				t.Errorf("%s kernel: a full-rank refusal allocated %.1f times", kernelName(vec), allocs)
+			}
+			if !slices.Equal(m.slab, slab) {
+				t.Errorf("%s kernel: a full-rank refusal wrote the slab (%d words, was %d)", kernelName(vec), len(m.slab), len(slab))
+			}
+		})
 	}
 }
 

@@ -22,6 +22,21 @@ func NewBitVec(n int) BitVec {
 	return BitVec{n: n, w: make([]uint64, (n+63)/64)}
 }
 
+// NewBitVecs returns count zero vectors of n bits over one allocation
+// of words: each vector's words are its own range of it.
+func NewBitVecs(n, count int) []BitVec {
+	if n < 0 {
+		panic("gf: negative BitVec length")
+	}
+	words := (n + 63) / 64
+	slab := make([]uint64, count*words)
+	out := make([]BitVec, count)
+	for i := range out {
+		out[i] = BitVec{n: n, w: slab[i*words : (i+1)*words : (i+1)*words]}
+	}
+	return out
+}
+
 // SetFromBytes reshapes v to n bits and fills it from the first
 // ceil(n/8) bytes of data (LSB-first within each byte), reusing v's
 // word storage when its capacity allows. Bits of data beyond n are
@@ -248,24 +263,68 @@ func (v BitVec) Clone() BitVec {
 }
 
 // Slice copies bits [lo, hi) of v into a fresh BitVec of length hi-lo.
-// It works a word at a time: each output word is assembled from at most
-// two input words via shifts.
 func (v BitVec) Slice(lo, hi int) BitVec {
 	if lo < 0 || hi > v.n || lo > hi {
 		panic(fmt.Sprintf("gf: BitVec slice [%d,%d) out of range [0,%d)", lo, hi, v.n))
 	}
 	out := NewBitVec(hi - lo)
-	shift := uint(lo & 63)
-	wlo := lo >> 6
-	for i := range out.w {
-		w := v.w[wlo+i] >> shift
-		if shift != 0 && wlo+i+1 < len(v.w) {
-			w |= v.w[wlo+i+1] << (64 - shift)
-		}
-		out.w[i] = w
-	}
-	out.maskTail()
+	v.SliceInto(out, lo)
 	return out
+}
+
+// SliceInto overwrites dst with bits [lo, lo+dst.Len()) of v. It works
+// a word at a time: each output word is assembled from at most two
+// input words via shifts.
+func (v BitVec) SliceInto(dst BitVec, lo int) {
+	v.checkSlice(lo, dst.n)
+	for i := range dst.w {
+		dst.w[i] = v.wordAt(lo + 64*i)
+	}
+	dst.maskTail()
+}
+
+// SliceEqual reports whether bits [lo, lo+u.Len()) of v equal u, as
+// v.Slice(lo, lo+u.Len()).Equal(u) does, without the copy.
+func (v BitVec) SliceEqual(lo int, u BitVec) bool {
+	v.checkSlice(lo, u.n)
+	last := len(u.w) - 1
+	for i, uw := range u.w {
+		w := v.wordAt(lo + 64*i)
+		if i == last && u.n&63 != 0 {
+			w &= 1<<(uint(u.n)&63) - 1
+		}
+		if w != uw {
+			return false
+		}
+	}
+	return true
+}
+
+// checkSlice panics unless bits [lo, lo+n) lie within v.
+func (v BitVec) checkSlice(lo, n int) {
+	if lo < 0 || n < 0 || lo+n > v.n {
+		panic(fmt.Sprintf("gf: BitVec slice [%d,%d) out of range [0,%d)", lo, lo+n, v.n))
+	}
+}
+
+// wordAt returns the 64 bits of v from bit b < Len on, bit b lowest;
+// bits past the last word read as zero.
+func (v BitVec) wordAt(b int) uint64 {
+	i, shift := b>>6, uint(b)&63
+	w := v.w[i] >> shift
+	if shift != 0 && i+1 < len(v.w) {
+		w |= v.w[i+1] << (64 - shift)
+	}
+	return w
+}
+
+// From returns bits [lo, Len) of v, lo a multiple of 64, as a vector
+// sharing v's words: writes through either show in both.
+func (v BitVec) From(lo int) BitVec {
+	if lo&63 != 0 || lo < 0 || lo > v.n {
+		panic(fmt.Sprintf("gf: BitVec view from bit %d of %d", lo, v.n))
+	}
+	return BitVec{n: v.n - lo, w: v.w[lo>>6:]}
 }
 
 // CopyInto copies v into bits [off, off+v.Len()) of dst, leaving the

@@ -253,3 +253,54 @@ func TestRandomBitVecTailMasked(t *testing.T) {
 		}
 	}
 }
+
+// TestBitVecSliceIntoAndEqual holds SliceInto and SliceEqual to a
+// bit-by-bit slice, and SliceEqual to Slice(lo, hi).Equal, at every
+// offset 0…130 of a 300-bit vector, for lengths on both sides of word
+// boundaries and up to the tail: SliceInto into a destination holding
+// other bits, SliceEqual against the slice and against it with one bit
+// flipped.
+func TestBitVecSliceIntoAndEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	v := randBV(300, rng)
+	for lo := 0; lo <= 130; lo++ {
+		for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129, 170 - lo%7, 300 - lo - 1, 300 - lo} {
+			want := NewBitVec(n)
+			for i := range n {
+				want.Set(i, v.Bit(lo+i))
+			}
+			dst := randBV(n, rng)
+			v.SliceInto(dst, lo)
+			if !dst.Equal(want) || !v.Slice(lo, lo+n).Equal(want) {
+				t.Fatalf("lo=%d n=%d: SliceInto or Slice differs from the bit-by-bit slice", lo, n)
+			}
+			if !v.SliceEqual(lo, want) {
+				t.Fatalf("lo=%d n=%d: SliceEqual misses its own slice", lo, n)
+			}
+			if n > 0 {
+				u := want.Clone()
+				u.Flip(rng.Intn(n))
+				if v.SliceEqual(lo, u) || v.Slice(lo, lo+n).Equal(u) {
+					t.Fatalf("lo=%d n=%d: a slice equals itself with a bit flipped", lo, n)
+				}
+			}
+		}
+	}
+}
+
+// TestNewBitVecsOwnTheirRanges: the vectors of one NewBitVecs call, and
+// a word-aligned From view of one, write only their own words.
+func TestNewBitVecsOwnTheirRanges(t *testing.T) {
+	vs := NewBitVecs(130, 3)
+	for i := range 130 {
+		vs[1].Set(i, true)
+	}
+	tail := vs[1].From(64)
+	if tail.Len() != 66 || tail.OnesCount() != 66 {
+		t.Fatalf("From(64) of 130 ones: %d bits, %d set", tail.Len(), tail.OnesCount())
+	}
+	tail.Zero()
+	if vs[0].OnesCount() != 0 || vs[2].OnesCount() != 0 || vs[1].OnesCount() != 64 {
+		t.Fatalf("ones after the writes: %d, %d, %d; want 0, 64, 0", vs[0].OnesCount(), vs[1].OnesCount(), vs[2].OnesCount())
+	}
+}

@@ -1,14 +1,15 @@
 #include "textflag.h"
 
 // The AVX-512F subset-xor kernels behind BitMatrix.XorRows and Insert's
-// back-elimination (xor_amd64.go). Both walk the row from word w in
+// back-elimination (xor_amd64.go), and the BMI2 PEXT behind the
+// reduction's row selection. Both kernels walk the row from word w in
 // panels of up to 32 words: four ZMM registers of eight words, K1–K4
 // masking the registers past the row's end. A masked-off lane is
 // neither loaded nor stored and cannot fault, so the last panel needs
 // no scalar tail, and a row narrower than a panel runs the same loop.
 // Within a panel each kernel walks the selection word itself, lowest
-// set bit first: BSF names echelon row i, order[i]·stride its slab row.
-// R15 stays untouched (-dynlink clobbers it).
+// set bit first: BSF names row i, the gather's slab row order[i], the
+// scatter's row+i. R15 stays untouched (-dynlink clobbers it).
 
 // func hasAVX512() bool
 TEXT ·hasAVX512(SB), NOSPLIT, $0-1
@@ -32,9 +33,19 @@ TEXT ·hasAVX512(SB), NOSPLIT, $0-1
 	CPUID
 	BTL  $16, BX      // AVX512F
 	JCC  nope
+	BTL  $8, BX       // BMI2: PEXTQ
+	JCC  nope
 	MOVB $1, ret+0(FP)
 
 nope:
+	RET
+
+// func pextq(x, mask uint64) uint64
+TEXT ·pextq(SB), NOSPLIT, $0-24
+	MOVQ  x+0(FP), AX
+	MOVQ  mask+8(FP), CX
+	PEXTQ CX, AX, AX
+	MOVQ  AX, ret+16(FP)
 	RET
 
 // PANEL sets CX to the words left in the panel at word BX of a
@@ -65,11 +76,20 @@ nope:
 	VPXORQ.Z  disp(R13), zr, kr, tr \
 	VMOVDQU64 tr, kr, disp(R13)
 
-// ROW sets R13 to the panel of the row the lowest set bit of R12 names,
-// slab + 8·(stride·order[i] + w), and clears that bit.
+// ROW sets R13 to the panel of the row the lowest set bit i of R12
+// names, slab + 8·(stride·order[i] + w), and clears that bit.
 #define ROW \
 	BSFQ    R12, AX           \
 	MOVLQZX (R8)(AX*4), R13   \
+	IMULQ   R14, R13          \
+	ADDQ    R11, R13          \
+	LEAQ    -1(R12), AX       \
+	ANDQ    AX, R12
+
+// SLABROW is ROW for a run of slab rows from R8: slab + 8·(stride·(R8+i) + w).
+#define SLABROW \
+	BSFQ    R12, AX           \
+	LEAQ    (R8)(AX*1), R13   \
 	IMULQ   R14, R13          \
 	ADDQ    R11, R13          \
 	LEAQ    -1(R12), AX       \
@@ -125,16 +145,16 @@ gdone:
 	VZEROUPPER
 	RET
 
-// func scatterXor512(src, slab []uint64, order []int32, sel uint64, stride, w int)
-TEXT ·scatterXor512(SB), NOSPLIT, $0-96
+// func scatterXor512(src, slab []uint64, row int, sel uint64, stride, w int)
+TEXT ·scatterXor512(SB), NOSPLIT, $0-80
 	MOVQ src_base+0(FP), DI
 	MOVQ src_len+8(FP), DX
 	MOVQ slab_base+24(FP), SI
-	MOVQ order_base+48(FP), R8
-	MOVQ sel+72(FP), R9
-	MOVQ stride+80(FP), R14
+	MOVQ row+48(FP), R8
+	MOVQ sel+56(FP), R9
+	MOVQ stride+64(FP), R14
 	SHLQ $3, R14 // the stride in bytes
-	MOVQ w+88(FP), BX
+	MOVQ w+72(FP), BX
 	TESTQ R9, R9
 	JZ   sdone
 	CMPQ BX, DX
@@ -144,7 +164,7 @@ spanel:
 	LOAD
 
 sloop:
-	ROW
+	SLABROW
 	SCATTER(0, K1, Z0, Z4)
 	SCATTER(64, K2, Z1, Z5)
 	SCATTER(128, K3, Z2, Z6)

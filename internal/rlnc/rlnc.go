@@ -191,20 +191,29 @@ func (s *Span) CanDecode() bool { return s.mat.SpansUnitPrefix(s.k) }
 // Decode recovers all k payloads. It fails if the span does not yet
 // have full coefficient rank. Because the basis is maintained in
 // reduced row echelon form, decoding is a straight read of the stored
-// rows — no clone, no elimination.
+// rows — no clone, no elimination. The payloads share one allocation
+// (gf.NewBitVecs).
 func (s *Span) Decode() ([]gf.BitVec, error) {
 	if !s.CanDecode() {
 		return nil, fmt.Errorf("rlnc: rank %d of %d, cannot decode", s.Rank(), s.k)
 	}
-	out := make([]gf.BitVec, s.k)
-	for i := 0; i < s.k; i++ {
+	out := gf.NewBitVecs(s.payload, s.k)
+	for i := range out {
 		row, ok := s.mat.UnitRow(i, s.k)
 		if !ok {
 			return nil, fmt.Errorf("rlnc: internal: no unit row for index %d in RREF basis", i)
 		}
-		out[i] = row.Slice(s.k, s.k+s.payload)
+		row.SliceInto(out[i], s.k)
 	}
 	return out, nil
+}
+
+// PayloadEqual reports whether token i decodes to payload v: the span
+// holds token i's unit row and its payload bits equal v. It reads the
+// row in place and allocates nothing.
+func (s *Span) PayloadEqual(i int, v gf.BitVec) bool {
+	row, ok := s.mat.UnitRow(i, s.k)
+	return ok && v.Len() == s.payload && row.SliceEqual(s.k, v)
 }
 
 // DecodableCount returns how many token indices are currently

@@ -109,6 +109,42 @@ func TestContradictingPayloadRefused(t *testing.T) {
 	}
 }
 
+// TestPayloadEqualBelowFullRank: below full rank, a packet repeating
+// token 0 with one payload bit flipped is refused on its coefficient
+// words, and PayloadEqual reads every unit row in place: true for each
+// held token's payload, false for the flipped payload, a token without
+// a unit row, or a payload of the wrong length.
+func TestPayloadEqualBelowFullRank(t *testing.T) {
+	const k, d = 6, 100
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewSpan(k, d)
+		payloads := make([]gf.BitVec, k)
+		for i := range payloads {
+			payloads[i] = gf.RandomBitVec(d, rng.Uint64)
+			if i < k-1 {
+				s.Add(Encode(i, k, payloads[i]))
+			}
+		}
+		bad := Encode(0, k, payloads[0])
+		bad.Vec.Flip(k + rng.Intn(d))
+		if s.Add(bad) || s.Rank() != k-1 {
+			t.Fatalf("seed %d: contradicting packet accepted, rank %d", seed, s.Rank())
+		}
+		for i := 0; i < k-1; i++ {
+			if !s.PayloadEqual(i, payloads[i]) {
+				t.Fatalf("seed %d: token %d does not equal its own payload", seed, i)
+			}
+		}
+		if s.PayloadEqual(0, bad.Payload()) || s.PayloadEqual(k-1, payloads[k-1]) || s.PayloadEqual(1, payloads[1].Slice(0, d-1)) {
+			t.Fatalf("seed %d: PayloadEqual holds for a flipped payload, a missing token or a short payload", seed)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { s.PayloadEqual(2, payloads[2]) }); allocs != 0 {
+			t.Fatalf("PayloadEqual allocated %.1f times", allocs)
+		}
+	}
+}
+
 // TestDecodeFromRandomCombinations is the core coding property: mixing
 // random combinations of combinations still decodes.
 func TestDecodeFromRandomCombinations(t *testing.T) {

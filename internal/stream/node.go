@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/gf"
 	"repro/internal/rlnc"
 	"repro/internal/telemetry"
 	"repro/internal/token"
@@ -23,11 +24,12 @@ type genState struct {
 	// span stays live for recoding to stragglers until the generation
 	// retires below the cluster-wide watermark frontier.
 	decoded bool
-	// ackedFull[i] records that node i's ack reported full rank for
-	// this generation; ackedCount counts them. Once every peer has,
-	// emitting the generation is pure waste and it leaves the emission
-	// rotation early, ahead of the watermark frontier retiring it.
-	ackedFull  []bool
+	// ackedFull's bit i (of word i/64) records that node i's ack
+	// reported full rank for this generation; ackedCount counts them.
+	// Once every peer has, emitting the generation is pure waste and it
+	// leaves the emission rotation early, ahead of the watermark
+	// frontier retiring it.
+	ackedFull  []uint64
 	ackedCount int
 	// adopted[j] records that this node already injected token j on
 	// behalf of a departed origin (see adoptOrphans), so the adoption
@@ -108,6 +110,9 @@ type node struct {
 	// passes, so suspicion transitions (eligible → not) can be traced.
 	// Lazily allocated only when tracing a churn run; nil otherwise.
 	eligPrev []bool
+	// flat is verify's scratch: a source token flattened as the span
+	// codes it.
+	flat gf.BitVec
 }
 
 // newProtocol builds the stream state of the node running in shell nd
@@ -216,21 +221,9 @@ func (nd *node) deliverReady() {
 			return
 		}
 		g := nd.delivered
-		vecs, err := gs.span.Decode()
-		if err != nil {
-			nd.Fail(fmt.Errorf("stream: node %d generation %d: %w", nd.ID, g, err))
+		if err := nd.verify(g, gs.span); err != nil {
+			nd.Fail(err)
 			return
-		}
-		toks := make([]token.Token, len(vecs))
-		for j, v := range vecs {
-			toks[j] = cluster.VecToken(v)
-		}
-		for j, want := range nd.src.Generation(g) {
-			if !toks[j].Equal(want) {
-				nd.Fail(fmt.Errorf("stream: node %d generation %d token %d decoded to %v, want %v",
-					nd.ID, g, j, toks[j].UID, want.UID))
-				return
-			}
 		}
 		if nd.delivered == nd.startGen && nd.startGen > 0 && nd.m.CaughtUpTick == 0 {
 			// First delivery of a mid-stream joiner: it has reached the
@@ -242,9 +235,38 @@ func (nd *node) deliverReady() {
 		nd.m.Delivered++
 		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindDeliver, int64(g), int64(nd.delivered), 0)
 		if nd.deliver != nil {
-			nd.deliver(nd.ID, g, toks)
+			nd.deliver(nd.ID, g, decodedTokens(gs.span))
 		}
 	}
+}
+
+// verify checks generation g's unit rows against the Source's tokens in
+// place; only a mismatch decodes, to word the error.
+func (nd *node) verify(g int, span *rlnc.Span) error {
+	for j, want := range nd.src.Generation(g) {
+		cluster.TokenVecInto(&nd.flat, want)
+		if span.PayloadEqual(j, nd.flat) {
+			continue
+		}
+		vecs, err := span.Decode()
+		if err != nil {
+			return fmt.Errorf("stream: node %d generation %d: %w", nd.ID, g, err)
+		}
+		return fmt.Errorf("stream: node %d generation %d token %d decoded to %v, want %v",
+			nd.ID, g, j, cluster.VecToken(vecs[j]).UID, want.UID)
+	}
+	return nil
+}
+
+// decodedTokens decodes a verified span into fresh tokens: their
+// payloads share Decode's one allocation, each aliasing its own range.
+func decodedTokens(span *rlnc.Span) []token.Token {
+	vecs, _ := span.Decode() // verify found every unit row
+	toks := make([]token.Token, len(vecs))
+	for j, v := range vecs {
+		toks[j] = cluster.VecToken(v)
+	}
+	return toks
 }
 
 // gc retires every generation below the retirement floor: their spans
@@ -537,7 +559,7 @@ func (nd *node) serveCatchup() {
 // is worthless once the generation retired, and not worth opening a
 // span for). Without churn ranks never regress, so a set bit is
 // permanent; under churn a rejoined node reports its wiped rank, which
-// clears its bit.
+// clears its bit. Each entry still costs its spans lookup.
 func (nd *node) markRank(sender, g, rank int) {
 	full := rank >= nd.k
 	if !full && !nd.churn || sender < 0 || sender >= nd.maxN || sender == nd.ID {
@@ -548,10 +570,11 @@ func (nd *node) markRank(sender, g, rank int) {
 		return
 	}
 	if gs.ackedFull == nil {
-		gs.ackedFull = make([]bool, nd.maxN)
+		gs.ackedFull = make([]uint64, (nd.maxN+63)/64)
 	}
-	if gs.ackedFull[sender] != full {
-		gs.ackedFull[sender] = full
+	w, bit := sender>>6, uint64(1)<<(sender&63)
+	if (gs.ackedFull[w]&bit != 0) != full {
+		gs.ackedFull[w] ^= bit
 		if full {
 			gs.ackedCount++
 		} else {
@@ -679,7 +702,7 @@ func (nd *node) emitDataInto(p *wire.Packet) bool {
 // that left, whose place a joiner without the generation took.
 func (nd *node) allAcked(gs *genState) bool {
 	for id := range nd.View.EligibleIDs(nd.Now) {
-		if id != nd.ID && !gs.ackedFull[id] {
+		if id != nd.ID && gs.ackedFull[id>>6]>>(id&63)&1 == 0 {
 			return false
 		}
 	}

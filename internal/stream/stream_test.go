@@ -478,3 +478,38 @@ func TestOracleIsDeliveryWatermark(t *testing.T) {
 		}
 	}
 }
+
+// TestDeliveryAllocationsConstantInK: verifying a decoded generation
+// against the Source reads the span in place, and delivering it costs
+// a fixed number of allocations — Decode's payload slab and vectors,
+// and the token slice — whatever k. The delivered tokens are the
+// Source's.
+func TestDeliveryAllocationsConstantInK(t *testing.T) {
+	ks := []int{4, 32, 256}
+	var counts []float64
+	for _, k := range ks {
+		cfg := Config{N: 1, K: k, PayloadBits: 200, Window: 1, Generations: 1}
+		cfg.Source = NewSeededSource(k, cfg.PayloadBits, 1)
+		var got []token.Token
+		cfg.Deliver = func(_, _ int, toks []token.Token) { got = toks }
+		nd := newProtocol(&cluster.Node{ID: 0}, cfg, 1, &NodeMetrics{}, false)
+		nd.ensureGen(0) // the only node sources every token, so it decodes and delivers
+		if nd.delivered != 1 || len(got) != k {
+			t.Fatalf("k=%d: delivered %d generations, %d tokens", k, nd.delivered, len(got))
+		}
+		for j, want := range cfg.Source.Generation(0) {
+			if !got[j].Equal(want) {
+				t.Fatalf("k=%d: token %d delivered as %v, want %v", k, j, got[j].UID, want.UID)
+			}
+		}
+		counts = append(counts, testing.AllocsPerRun(10, func() {
+			nd.delivered = 0
+			nd.deliverReady()
+		}))
+	}
+	for i, c := range counts {
+		if c != 3 {
+			t.Errorf("k=%d: one delivery allocated %.1f times, want 3 at every k (all: %v)", ks[i], c, counts)
+		}
+	}
+}
