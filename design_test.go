@@ -2,8 +2,9 @@ package repro_test
 
 // The design rules, stated over the parsed tree: shapes the code was
 // simplified away from stay gone. Every rule reads one parse of
-// internal/, cmd/ and the root's Go files (never benchmark/, its own
-// module), and reads identifiers, not text: a comment names nothing.
+// internal/, cmd/ and the root's Go files (benchmark/, its own module,
+// only as a caller of internal/), and reads identifiers, not text: a
+// comment names nothing.
 // Each rule first finds its subject, so a rename fails loudly instead of
 // passing vacuously.
 
@@ -13,6 +14,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -31,25 +33,30 @@ type goFile struct {
 
 // parse is the one parse every rule reads: the Go files of internal/,
 // cmd/ and the root, test files included.
-var parse = sync.OnceValues(func() ([]goFile, error) {
+var parse = sync.OnceValues(func() ([]goFile, error) { return parseDir(".", "internal", "cmd") })
+
+// parseDir parses the Go files of root, and of those of its
+// subdirectories named in subdirs.
+func parseDir(root string, subdirs ...string) ([]goFile, error) {
 	var files []goFile
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		top, _, _ := strings.Cut(path, "/")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		rel, _ := filepath.Rel(root, path)
+		top, _, _ := strings.Cut(filepath.ToSlash(rel), "/")
 		switch {
 		case err != nil:
 			return err
-		case d.IsDir() && path != "." && top != "internal" && top != "cmd":
+		case d.IsDir() && rel != "." && !slices.Contains(subdirs, top):
 			return filepath.SkipDir
 		case d.IsDir() || !strings.HasSuffix(path, ".go"):
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		files = append(files, goFile{path, filepath.Dir(path), strings.HasSuffix(path, "_test.go"), f})
+		files = append(files, goFile{filepath.ToSlash(path), filepath.ToSlash(filepath.Dir(path)), strings.HasSuffix(path, "_test.go"), f})
 		return err
 	})
 	return files, err
-})
+}
 
 // code returns the parsed files whose directory keep accepts, test files
 // only if tests.
@@ -313,7 +320,8 @@ func TestDesignOneLowering(t *testing.T) {
 
 // TestDesignFaultCode: a run's faults (loss, delay, reorder, partition,
 // mutation, the adversary) are rules of one cluster.Schedule, the one
-// type under internal/ and cmd/ that embeds cluster.Layer, with one lock
+// middleware: the one type under internal/ and cmd/ that embeds
+// cluster.Transport, so the one the drivers see through, with one lock
 // across the fault code (non-test internal/hostile and the file that
 // declares Schedule). And the tick is the only unit of time above the
 // socket, the driver its only source (cluster.TickObserver): the fault
@@ -330,13 +338,13 @@ func TestDesignFaultCode(t *testing.T) {
 		for i := 0; ok && i < len(st.Fields.List); i++ {
 			typ := strings.TrimPrefix(types.ExprString(st.Fields.List[i].Type), "*")
 			if cluster := importName(f.ast, "repro/internal/cluster"); len(st.Fields.List[i].Names) == 0 &&
-				(f.dir == "internal/cluster" && typ == "Layer" || cluster != "" && typ == cluster+".Layer") {
+				(f.dir == "internal/cluster" && typ == "Transport" || cluster != "" && typ == cluster+".Transport") {
 				layers = append(layers, f.path+": "+where)
 			}
 		}
 	})
 	if len(layers) != 1 || !strings.HasSuffix(layers[0], ": Schedule") || len(faults) != len(pkg(t, "internal/hostile"))+1 {
-		t.Fatalf("the types embedding cluster.Layer are %v, want exactly one, Schedule, declared once", layers)
+		t.Fatalf("the types embedding cluster.Transport are %v, want exactly one, Schedule, declared once", layers)
 	}
 	var locks []string
 	for _, f := range faults {
@@ -524,4 +532,191 @@ func TestDesignOneSetOfDrivers(t *testing.T) {
 			t.Errorf("%d definitions of %s under internal/ (%v), want exactly one", len(defs[name]), name, defs[name])
 		}
 	}
+}
+
+// exportsWithoutCallers is the allowlist of TestDesignExportsHaveCallers:
+// the exported functions and methods under internal/ that no non-test
+// file calls, each with why it stays exported. A test that can build a
+// value itself does not earn its builder a place here.
+var exportsWithoutCallers = map[string]string{
+	// Paper constructions that only tests run. Moved into _test.go files
+	// they would cost as many lines and bury the result in a test.
+	"adversary.NewIsolateInformed":   "the lower-bound bottleneck adversary, run by the adversary, rlnc and dissem tests and an example",
+	"derand.AdviceSchedule":          "Corollary 6.2's advice matrix (Section 6), run by derand's tests",
+	"derand.FailureExponentBits":     "Theorem 6.1's per-witness failure exponent (Section 6), checked by derand's tests",
+	"rlnc.NewScheduledBroadcastNode": "the deterministic broadcast node of Corollary 6.2 (Section 6), run by the derand and rlnc tests",
+	"stable.AblationMetaRounds":      "the second-share ablation of Section 5.2's meta-round, run by stable's tests and a root benchmark",
+	"exp.EndgameCodedDecodes":        "E9's coded endgame (Section 8), run by exp's tests, the smoke test and an example",
+	// Shared with fuzz targets of another package.
+	"hostile.Ops":    "the mutated-ingress fuzz iterates it, so a new op is covered without a hand-written list",
+	"hostile.Mutate": "the byte recipes WithMutator puts on the wire, which udpnet's mutated-ingress fuzz feeds its parser",
+	// Read by a test that must live outside its package.
+	"cluster.Schedule.Ledger": "the schedule's packet account, audited by cluster's stack tests, which import hostile and so cannot be in package cluster",
+	// Methods a standard-library interface calls.
+	"keyed.source.Int63": "rand.Source",
+}
+
+// TestDesignExportsHaveCallers: every exported function and method
+// declared in a non-test file under internal/ has a caller in a non-test
+// file of the tree — internal/, cmd/, the root or benchmark/ — or is in
+// exportsWithoutCallers. A function is called where its package names it
+// (a bare identifier in its own package, pkg.Name elsewhere), a method
+// wherever a selector spells its name. An allowlisted name must exist
+// and have no caller, so the list only shrinks.
+func TestDesignExportsHaveCallers(t *testing.T) {
+	files := code(t, false, func(string) bool { return true })
+	bench, err := parseDir("benchmark")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, bench...)
+	type export struct{ name, dir string }
+	var exports []export
+	decls := map[*ast.Ident]bool{}
+	for _, f := range files {
+		if !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() {
+				name := f.ast.Name.Name + "." + fn.Name.Name
+				if fn.Recv != nil {
+					recv := types.ExprString(fn.Recv.List[0].Type)
+					recv, _, _ = strings.Cut(strings.TrimPrefix(recv, "*"), "[")
+					name = f.ast.Name.Name + "." + recv + "." + fn.Name.Name
+				}
+				exports = append(exports, export{name, f.dir})
+				decls[fn.Name] = true
+			}
+		}
+	}
+	called := map[string]bool{}
+	for _, f := range files {
+		each([]goFile{f}, func(_ goFile, _ string, n ast.Node) {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				called["."+n.Sel.Name] = true
+				if x, ok := n.X.(*ast.Ident); ok {
+					for _, imp := range f.ast.Imports {
+						if p, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(p, "repro/") && importName(f.ast, p) == x.Name {
+							called[strings.TrimPrefix(p, "repro/")+"."+n.Sel.Name] = true
+						}
+					}
+				}
+			case *ast.Ident:
+				if !decls[n] {
+					called[f.dir+"."+n.Name] = true
+				}
+			}
+		})
+	}
+	if len(exports) == 0 || !called["internal/cluster.Run"] {
+		t.Fatalf("%d exports under internal/, cluster.Run called: %v: the rule has no subject", len(exports), called["internal/cluster.Run"])
+	}
+	bare := map[string]bool{}
+	for _, e := range exports {
+		parts := strings.Split(e.name, ".")
+		ok := called[e.dir+"."+parts[len(parts)-1]]
+		if len(parts) == 3 {
+			ok = called["."+parts[2]]
+		}
+		_, listed := exportsWithoutCallers[e.name]
+		bare[e.name] = !ok
+		switch {
+		case !ok && !listed:
+			t.Errorf("%s: %s has no caller outside tests", e.dir, e.name)
+		case ok && listed:
+			t.Errorf("%s is allowlisted but has a caller: take it off the list", e.name)
+		}
+	}
+	for name := range exportsWithoutCallers {
+		if _, ok := bare[name]; !ok {
+			t.Errorf("%s is allowlisted but declared nowhere under internal/", name)
+		}
+	}
+}
+
+// TestDocNamesResolve: every back-quoted pkg.Name or pkg.Type.Member in
+// DESIGN.md, doc.go and the verify skill's notes, pkg a directory under
+// internal/ or cmd/, names a declaration of that package (test files
+// included): a top-level name, or a method or field of a type. A metric
+// name (BENCHMARK.json's, such as rlnc.combine_ns) holds an underscore,
+// which the pattern leaves out. benchmark/README.md is out of scope:
+// benchmark/ is its own module and is edited only with the benchmark.
+func TestDocNamesResolve(t *testing.T) {
+	decls := map[string]bool{} // "dir Name" and "dir Type.Member"
+	for _, f := range code(t, true, func(string) bool { return true }) {
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				name := d.Name.Name
+				if d.Recv != nil {
+					recv, _, _ := strings.Cut(strings.TrimPrefix(types.ExprString(d.Recv.List[0].Type), "*"), "[")
+					name = recv + "." + name
+				}
+				decls[f.dir+" "+name] = true
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						decls[f.dir+" "+s.Name.Name] = true
+						var fields *ast.FieldList
+						switch typ := s.Type.(type) {
+						case *ast.StructType:
+							fields = typ.Fields
+						case *ast.InterfaceType:
+							fields = typ.Methods
+						}
+						for _, fl := range fieldList(fields) {
+							for _, id := range fl.Names {
+								decls[f.dir+" "+s.Name.Name+"."+id.Name] = true
+							}
+							if len(fl.Names) == 0 {
+								embedded := types.ExprString(fl.Type)
+								decls[f.dir+" "+s.Name.Name+"."+embedded[strings.LastIndex(embedded, ".")+1:]] = true
+							}
+						}
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							decls[f.dir+" "+id.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	span := regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Za-z][A-Za-z0-9]*(\\.[A-Za-z][A-Za-z0-9]*)?)`")
+	checked := 0
+	for _, doc := range []string{"DESIGN.md", "doc.go", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range span.FindAllStringSubmatch(string(text), -1) {
+			var dirs []string
+			for _, dir := range []string{"internal/" + m[1], "cmd/" + m[1]} {
+				if st, err := os.Stat(dir); err == nil && st.IsDir() {
+					dirs = append(dirs, dir)
+				}
+			}
+			if len(dirs) == 0 {
+				continue
+			}
+			checked++
+			if !slices.ContainsFunc(dirs, func(dir string) bool { return decls[dir+" "+m[2]] }) {
+				t.Errorf("%s: %s names no declaration in %v", doc, m[0], dirs)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no back-quoted package name in the docs: the rule has no subject")
+	}
+}
+
+// fieldList returns l's fields, none if l is nil.
+func fieldList(l *ast.FieldList) []*ast.Field {
+	if l == nil {
+		return nil
+	}
+	return l.List
 }

@@ -59,7 +59,7 @@
 // caller-owned vectors, wire offers AppendTo/UnmarshalInto reusing one
 // buffer and one scratch packet per round trip, and the runtimes
 // recycle wire buffers through per-node rings (cluster.BufRing). The
-// allocating Marshal/Unmarshal/Combine remain as thin wrappers; see
+// allocating Marshal and Combine remain as thin wrappers; see
 // DESIGN.md "Hot-path memory layout" for the slab layout, the buffer
 // ownership rules and the before/after allocation table.
 //

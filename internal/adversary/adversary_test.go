@@ -144,7 +144,7 @@ func TestRotatingPath(t *testing.T) {
 		// A path has exactly two degree-1 vertices.
 		deg1 := 0
 		for v := 0; v < 12; v++ {
-			if g.Degree(v) == 1 {
+			if len(g.Neighbors(v)) == 1 {
 				deg1++
 			}
 		}

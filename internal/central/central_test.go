@@ -8,6 +8,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/dynnet"
 	"repro/internal/gf"
+	"repro/internal/keyed"
 	"repro/internal/rlnc"
 )
 
@@ -38,8 +39,8 @@ func TestDistributedCannotMatchBudget(t *testing.T) {
 	for i := range initial {
 		initial[i] = []rlnc.Coded{rlnc.Encode(i, n, gf.RandomBitVec(d, rng.Uint64))}
 	}
-	_, _, err := rlnc.RunIndexedBroadcast(initial, n, d, rlnc.DefaultSchedule(n, n),
-		adversary.NewRandomConnected(n, 2, 2), d /* budget too small for headers */, 3)
+	s := dynnet.NewSession(n, adversary.NewRandomConnected(n, 2, 2), dynnet.Config{BitBudget: d /* too small for headers */})
+	_, err := rlnc.IndexedBroadcast(s, n, d, initial, keyed.Rands(n, 3, keyed.Coins), rlnc.DefaultSchedule(n, n), false)
 	if !errors.Is(err, dynnet.ErrBudgetExceeded) {
 		t.Errorf("err = %v, want ErrBudgetExceeded", err)
 	}

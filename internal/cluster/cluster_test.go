@@ -154,7 +154,7 @@ func TestPartitionBlocksThenHeals(t *testing.T) {
 	cut := func(from, to int) bool { return (from < n/2) != (to < n/2) }
 
 	// Permanent partition: must time out incomplete.
-	tr := WithPartition(NewChanTransport(n, 4*n), cut)
+	tr := WithRule(NewChanTransport(n, 4*n), Partition(cut))
 	res, err := Run(context.Background(), Config{N: n, Seed: 1, Transport: tr, Timeout: 300 * time.Millisecond},
 		testTokens(k, d, 6))
 	if err != nil {
@@ -167,9 +167,9 @@ func TestPartitionBlocksThenHeals(t *testing.T) {
 	// Healed partition: an atomic flag drops the cut mid-run.
 	var partitioned atomic.Bool
 	partitioned.Store(true)
-	tr = WithPartition(NewChanTransport(n, 4*n), func(from, to int) bool {
+	tr = WithRule(NewChanTransport(n, 4*n), Partition(func(from, to int) bool {
 		return partitioned.Load() && cut(from, to)
-	})
+	}))
 	heal := time.AfterFunc(100*time.Millisecond, func() { partitioned.Store(false) })
 	defer heal.Stop()
 	res, err = Run(context.Background(), Config{N: n, Seed: 1, Transport: tr, Timeout: 15 * time.Second},
@@ -184,7 +184,7 @@ func TestPartitionBlocksThenHeals(t *testing.T) {
 
 // TestFullMiddlewareStackThenHeal composes all four transport
 // middlewares at once — WithLoss ∘ WithDelay ∘ WithReorder ∘
-// WithPartition — over a cluster split into halves holding disjoint
+// partition rule — over a cluster split into halves holding disjoint
 // tokens. While the cut is up no run can complete; once the blocked
 // predicate flips to false, dissemination must finish through the full
 // hostile stack.
@@ -198,9 +198,9 @@ func TestFullMiddlewareStackThenHeal(t *testing.T) {
 
 	stack := func() Transport {
 		var tr Transport = NewChanTransport(n, 8*n)
-		tr = WithPartition(tr, func(from, to int) bool {
+		tr = WithRule(tr, Partition(func(from, to int) bool {
 			return partitioned.Load() && cut(from, to)
-		})
+		}))
 		tr = WithReorder(tr, 0.3, 31)
 		tr = WithDelay(tr, 0, 2, 32)
 		tr = WithLoss(tr, 0.15, 33)
@@ -259,7 +259,7 @@ func TestStackedMiddlewaresDeliver(t *testing.T) {
 	const sends, maxDelay = 400, 4
 	stack := func(blocked *atomic.Bool) Transport {
 		var tr Transport = NewChanTransport(2, sends+1)
-		tr = WithPartition(tr, func(from, to int) bool { return blocked.Load() })
+		tr = WithRule(tr, Partition(func(from, to int) bool { return blocked.Load() }))
 		tr = WithReorder(tr, 0.4, 41)
 		tr = WithDelay(tr, 0, maxDelay, 42)
 		tr = WithLoss(tr, 0.25, 43)
@@ -420,7 +420,7 @@ drain:
 
 // keepOpen swallows Close, so a test can see what a layer above it
 // does with the packets it holds when the stack is closed.
-type keepOpen struct{ Layer }
+type keepOpen struct{ Transport }
 
 func (keepOpen) Close() {}
 
@@ -431,7 +431,7 @@ func (keepOpen) Close() {}
 // [min, max] is drawn; Close drops what is held.
 func TestWithDelayDeliversLater(t *testing.T) {
 	inner := NewChanTransport(2, 64)
-	tr := WithDelay(keepOpen{Layer{inner}}, 3, 3, 3)
+	tr := WithDelay(keepOpen{inner}, 3, 3, 3)
 	ObserveTick(tr, 5)
 	tr.Send(0, 1, []byte{1})
 	tr.Send(0, 1, []byte{2})

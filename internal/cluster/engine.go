@@ -80,9 +80,9 @@ func (c Config) MaxNodes() int { return max(c.N, 0) + c.Churn.Joins() }
 
 // DefaultTransport returns the in-process fabric a run of c gets when
 // c.Transport is nil, for callers to wrap middlewares around: the tick
-// mailbox when c.Lockstep (the lockstep driver finds it under any stack
-// of Layer middlewares; nothing else can drive it, so set Lockstep
-// before asking), one channel inbox per id (ChanTransport) otherwise.
+// mailbox when c.Lockstep (the lockstep driver finds it under a
+// Schedule; nothing else can drive it, so set Lockstep before asking),
+// one channel inbox per id (ChanTransport) otherwise.
 // Either way an inbox holds DefaultInboxBuffer packets (the mailbox
 // counts only mail carried from earlier ticks), sized for what a node
 // sends per tick — Fanout data packets, plus control, the protocol's
@@ -103,33 +103,25 @@ func (c Config) DefaultTransport(control int) Transport {
 	return NewChanTransport(n, buffer)
 }
 
-// find walks tr's stack through Layer.Unwrap and returns the first
-// transport in it that is a T: how a driver reaches what any stack of
-// this repository's middlewares is built on.
-func find[T any](tr Transport) (T, bool) {
-	for t := tr; t != nil; {
-		if v, ok := t.(T); ok {
-			return v, true
-		}
-		u, ok := t.(interface{ Unwrap() Transport })
-		if !ok {
-			break
-		}
-		t = u.Unwrap()
+// mailboxOf returns the tick mailbox tr is, or that its Schedule is
+// over, nil if neither.
+func mailboxOf(tr Transport) *mailbox {
+	if s, ok := tr.(*Schedule); ok {
+		tr = s.Unwrap()
 	}
-	var none T
-	return none, false
+	mb, _ := tr.(*mailbox)
+	return mb
 }
 
 // fabric checks that the driver cfg selects can drive tr and returns
 // the tick mailbox at the bottom of it, if that is what the lockstep
 // driver will drain (nil: through Recv).
 func (c Config) fabric(tr Transport) (*mailbox, error) {
-	if mb, ok := find[*mailbox](tr); ok && c.Lockstep {
+	if mb := mailboxOf(tr); mb != nil && c.Lockstep {
 		return mb, nil
 	}
 	if tr.Recv(0) == nil {
-		return nil, fmt.Errorf("cluster: the transport has no inbox channel for node 0: the tick mailbox (DefaultTransport of a Lockstep Config) serves only the lockstep driver, which reaches it only through Layer.Unwrap")
+		return nil, fmt.Errorf("cluster: the transport has no inbox channel for node 0: the tick mailbox (DefaultTransport of a Lockstep Config) serves only the lockstep driver, which reaches it only through Schedule.Unwrap")
 	}
 	return nil, nil
 }
@@ -286,9 +278,9 @@ func (r *run) Progress(id int) int {
 // first tick blind, and read the run from the next on.
 func (r *run) observe(now int64) {
 	ObserveTick(r.tr, now)
-	if !r.watched {
+	if s, ok := r.tr.(*Schedule); ok && !r.watched {
 		r.watched = true
-		watch(r.tr, r)
+		s.watch(r)
 	}
 }
 

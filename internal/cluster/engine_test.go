@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -55,15 +54,11 @@ func (c *counter) Progress() (rank, watermark int) { return c.got, 0 }
 func (c *counter) Restart()                        {}
 func (c *counter) Leave()                          {}
 
-// probe watches every Send on its way to the inboxes. It embeds Layer,
-// not a bare Transport, so the lockstep driver finds the default
-// fabric's mailbox beneath it.
+// probe watches every Send on its way to the inboxes: a rule of a
+// Schedule, so the lockstep driver finds the default fabric's mailbox
+// beneath it, and the schedule's lock guards it.
 type probe struct {
-	Layer
 	nodes []NodeMetrics
-
-	mu   sync.Mutex
-	tick int64
 	// log is the send transcript: "tick from>to type", in Send order.
 	log []string
 	// goodbyes counts leaving hellos; late, those sent by a node whose
@@ -71,16 +66,7 @@ type probe struct {
 	goodbyes, late int
 }
 
-// ObserveTick locks: under the async driver the clock goroutine calls
-// it concurrently with the nodes' Sends.
-func (p *probe) ObserveTick(tick int64) {
-	p.mu.Lock()
-	p.tick = tick
-	p.mu.Unlock()
-}
-
-func (p *probe) Send(from, to int, pkt []byte) bool {
-	p.mu.Lock()
+func (p *probe) decide(from, to int, pkt []byte, tick int64) Verdict {
 	var h wire.Packet
 	if wire.Type(pkt[1]) == wire.TypeHello && wire.UnmarshalInto(&h, pkt) == nil && h.Hello.Leaving {
 		p.goodbyes++
@@ -88,9 +74,8 @@ func (p *probe) Send(from, to int, pkt []byte) bool {
 			p.late++
 		}
 	}
-	p.log = append(p.log, fmt.Sprintf("%d %d>%d %d", p.tick, from, to, pkt[1]))
-	p.mu.Unlock()
-	return p.Transport.Send(from, to, pkt)
+	p.log = append(p.log, fmt.Sprintf("%d %d>%d %d", tick, from, to, pkt[1]))
+	return Verdict{}
 }
 
 // counterRun drives the counter protocol through one churn script:
@@ -104,8 +89,8 @@ func counterRun(t *testing.T, cfg Config) (Outcome, []NodeMetrics, *probe) {
 	}
 	cfg.N, cfg.Seed, cfg.Churn = 6, 11, sched
 	nodes := make([]NodeMetrics, cfg.MaxNodes())
-	pr := &probe{Layer: Layer{cfg.DefaultTransport(0)}, nodes: nodes}
-	cfg.Transport = pr
+	pr := &probe{nodes: nodes}
+	cfg.Transport = WithRule(cfg.DefaultTransport(0), Rule{Decide: pr.decide})
 	eng := Engine{
 		New:     func(nd *Node, _ bool) Protocol { return &counter{nd: nd, need: 1} },
 		Metrics: func(id int) *NodeMetrics { return &nodes[id] },

@@ -6,7 +6,7 @@ import "slices"
 // at the bottom of tr — sort, every id takes its inbox, carry — and
 // returns the inboxes in delivery order.
 func MailboxTick(tr Transport) [][][]byte {
-	mb, _ := find[*mailbox](tr)
+	mb := mailboxOf(tr)
 	mb.sort()
 	boxes := make([][][]byte, len(mb.off)-1)
 	for id := range boxes {
@@ -18,9 +18,9 @@ func MailboxTick(tr Transport) [][][]byte {
 	return boxes
 }
 
-// Watch hands o to the rules of every schedule in tr's stack, as the
-// drivers hand them the run after its first tick.
-func Watch(tr Transport, o Oracle) { watch(tr, o) }
+// Watch hands o to the rules of tr, a Schedule, as the drivers hand
+// them the run after its first tick.
+func Watch(tr Transport, o Oracle) { tr.(*Schedule).watch(o) }
 
 // Ranks is an Oracle over a fixed membership: every id is live, at the
 // progress in its slot.
@@ -29,3 +29,15 @@ type Ranks []int
 func (r Ranks) Live(int) bool { return true }
 
 func (r Ranks) Progress(id int) int { return r[id] }
+
+// Partition is the rule that drops, as DropPartition, the packets for
+// which blocked(from, to) is true: flipping the predicate heals or
+// splits the cluster mid-run.
+func Partition(blocked func(from, to int) bool) Rule {
+	return Rule{Decide: func(from, to int, _ []byte, _ int64) Verdict {
+		if blocked(from, to) {
+			return Verdict{Act: Drop, Cause: DropPartition}
+		}
+		return Verdict{}
+	}}
+}

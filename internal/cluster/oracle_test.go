@@ -71,7 +71,7 @@ func TestOracleReadsPublishOnly(t *testing.T) {
 }
 
 // TestWatchReachesEveryRule: the run goes down a stack as a tick does,
-// through a plain Layer too, to every rule of every schedule in it.
+// to every rule of its schedule.
 func TestWatchReachesEveryRule(t *testing.T) {
 	watched := 0
 	rule := Rule{
@@ -79,7 +79,7 @@ func TestWatchReachesEveryRule(t *testing.T) {
 		Watch:  func(Oracle) { watched++ },
 	}
 	var tr Transport = WithRule(WithRule(NewChanTransport(2, 1), rule), rule)
-	watch(WithRule(Layer{tr}, rule), Ranks{0, 0})
+	Watch(WithRule(tr, rule), Ranks{0, 0})
 	if watched != 3 {
 		t.Errorf("%d of 3 rules were handed the run", watched)
 	}

@@ -18,16 +18,16 @@ import (
 	"repro/internal/wire"
 )
 
-// tally is a plain Layer, no fault of its own: it counts the Sends that
-// reach it.
-type tally struct {
-	cluster.Layer
-	n atomic.Int64
-}
+// tally is a plain rule, no fault of its own: it counts the packets
+// that reach it.
+type tally struct{ n atomic.Int64 }
 
-func (c *tally) Send(from, to int, pkt []byte) bool {
-	c.n.Add(1)
-	return c.Transport.Send(from, to, pkt)
+// over returns tr under the tally.
+func (c *tally) over(tr cluster.Transport) cluster.Transport {
+	return cluster.WithRule(tr, cluster.Rule{Decide: func(int, int, []byte, int64) cluster.Verdict {
+		c.n.Add(1)
+		return cluster.Verdict{}
+	}})
 }
 
 // stackRun drives a fault stack over the tick mailbox the way
@@ -125,7 +125,7 @@ func TestMiddlewareTranscriptPinned(t *testing.T) {
 }
 
 // layerSpec is one fault constructor, with its arguments, or a plain
-// tally Layer.
+// tally.
 type layerSpec struct {
 	kind     string // loss, delay, reorder, partition, mutate, adversary, plain
 	rate     float64
@@ -163,7 +163,7 @@ func (l layerSpec) wrap(tr cluster.Transport, n int, rec *telemetry.Recorder) cl
 		return cluster.WithReorder(tr, l.rate, l.seed)
 	case "partition":
 		mod := l.min
-		return cluster.WithPartition(tr, func(from, to int) bool { return (3*from+to)%mod == 0 })
+		return cluster.WithRule(tr, cluster.Partition(func(from, to int) bool { return (3*from+to)%mod == 0 }))
 	case "mutate":
 		return hostile.WithMutator(tr, l.mut, l.seed, rec)
 	case "adversary":
@@ -184,7 +184,7 @@ func (l layerSpec) wrap(tr cluster.Transport, n int, rec *telemetry.Recorder) cl
 		}
 		return hostile.WithAdversary(tr, adv, rec)
 	}
-	return &tally{Layer: cluster.Layer{Transport: tr}}
+	return new(tally).over(tr)
 }
 
 // randomStacks is a seeded table of fault stacks, innermost layer first,
@@ -239,10 +239,10 @@ func randomStacks() [][]layerSpec {
 	return stacks
 }
 
-// build returns the stack over a tally over tr.
-func buildStack(stack []layerSpec, n int) func(*telemetry.Recorder, cluster.Transport) cluster.Transport {
+// buildStack returns the stack over bottom over tr.
+func buildStack(stack []layerSpec, n int, bottom *tally) func(*telemetry.Recorder, cluster.Transport) cluster.Transport {
 	return func(rec *telemetry.Recorder, tr cluster.Transport) cluster.Transport {
-		tr = &tally{Layer: cluster.Layer{Transport: tr}}
+		tr = bottom.over(tr)
 		for _, l := range stack {
 			tr = l.wrap(tr, n, rec)
 		}
@@ -290,7 +290,7 @@ func TestRandomStacksPinned(t *testing.T) {
 		"4f9ebbc5136ae73e",
 	}
 	for i, stack := range randomStacks() {
-		run := stackRun{n: n, ticks: 16, perTick: perTick, tail: 3, build: buildStack(stack, n)}
+		run := stackRun{n: n, ticks: 16, perTick: perTick, tail: 3, build: buildStack(stack, n, new(tally))}
 		got := sha(run.transcript(inShards(n, perTick, 1)))[:16]
 		if i >= len(want) || got != want[i] {
 			t.Errorf("stack %d %v: transcript %s", i, stack, got)
@@ -299,43 +299,35 @@ func TestRandomStacksPinned(t *testing.T) {
 }
 
 // TestScheduleLedger: at every tick of every stack in randomStacks,
-// sent from one goroutine and from three at once, each schedule's
+// sent from one goroutine and from three at once, the schedule's
 // ledger balances — offered plus injected is handed plus dropped plus
-// held — and what it says it handed is what reached the tally beneath
-// it; the transcript does not depend on the senders' interleaving; and
+// held — and what it says it handed is what reached the tally at its
+// bottom; the transcript does not depend on the senders' interleaving; and
 // Close moves whatever is held to the closed cause.
 func TestScheduleLedger(t *testing.T) {
 	const n, perTick = 8, 6
 	var total cluster.Ledger
-	check := func(t *testing.T, tr cluster.Transport) {
+	check := func(t *testing.T, tr cluster.Transport, bottom *tally) {
 		t.Helper()
-		for u := tr; u != nil; {
-			if s, ok := u.(*cluster.Schedule); ok {
-				l := s.Ledger()
-				var drops int64
-				for _, d := range l.Dropped {
-					drops += d
-				}
-				if l.Offered+l.Injected != l.Handed+drops+l.Held {
-					t.Fatalf("ledger does not balance: %+v", l)
-				}
-				if got := s.Unwrap().(*tally).n.Load(); got != l.Handed {
-					t.Fatalf("ledger handed %d packets, the tally beneath counted %d", l.Handed, got)
-				}
-			}
-			w, ok := u.(interface{ Unwrap() cluster.Transport })
-			if !ok {
-				break
-			}
-			u = w.Unwrap()
+		l := tr.(*cluster.Schedule).Ledger()
+		var drops int64
+		for _, d := range l.Dropped {
+			drops += d
+		}
+		if l.Offered+l.Injected != l.Handed+drops+l.Held {
+			t.Fatalf("ledger does not balance: %+v", l)
+		}
+		if got := bottom.n.Load(); got != l.Handed {
+			t.Fatalf("ledger handed %d packets, the tally beneath counted %d", l.Handed, got)
 		}
 	}
 	for i, stack := range randomStacks() {
 		var serial string
 		for _, shards := range []int{1, 3} {
 			var top cluster.Transport
-			run := stackRun{n: n, ticks: 16, perTick: perTick, tail: 3, build: buildStack(stack, n),
-				each: func(_ int, tr cluster.Transport) { top = tr; check(t, tr) }}
+			bottom := new(tally)
+			run := stackRun{n: n, ticks: 16, perTick: perTick, tail: 3, build: buildStack(stack, n, bottom),
+				each: func(_ int, tr cluster.Transport) { top = tr; check(t, tr, bottom) }}
 			got := run.transcript(inShards(n, perTick, shards))
 			if shards == 1 {
 				serial = got
@@ -350,7 +342,7 @@ func TestScheduleLedger(t *testing.T) {
 				if l.Held != 0 || l.Dropped[cluster.DropClosed] != before+held {
 					t.Errorf("stack %d: Close left %+v of %d held", i, l, held)
 				}
-				check(t, top)
+				check(t, top, bottom)
 				total.Offered += l.Offered
 				total.Injected += l.Injected
 				total.Held += held
@@ -387,7 +379,7 @@ func TestSendAfterCloseDrops(t *testing.T) {
 			return cluster.WithReorder(tr, 0.99, 1)
 		},
 		"partition": func(_ *telemetry.Recorder, tr cluster.Transport) cluster.Transport {
-			return cluster.WithPartition(tr, func(int, int) bool { return false })
+			return cluster.WithRule(tr, cluster.Partition(func(int, int) bool { return false }))
 		},
 		"mutator": func(rec *telemetry.Recorder, tr cluster.Transport) cluster.Transport {
 			return hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.3, Xgen: 0.6}, 1, rec)
@@ -395,11 +387,11 @@ func TestSendAfterCloseDrops(t *testing.T) {
 		"adversary": func(rec *telemetry.Recorder, tr cluster.Transport) cluster.Transport {
 			return hostile.WithAdversary(tr, complete, rec)
 		},
-		"full stack": buildStack(randomStacks()[2], n),
+		"full stack": buildStack(randomStacks()[2], n, new(tally)),
 	} {
 		rec := telemetry.New(telemetry.Config{Nodes: n})
-		inner := &tally{Layer: cluster.Layer{Transport: cluster.NewChanTransport(n, 64)}}
-		tr := wrap(rec, inner)
+		inner := new(tally)
+		tr := wrap(rec, inner.over(cluster.NewChanTransport(n, 64)))
 		for i := 0; i < 20; i++ {
 			tr.Send(i%n, (i+1)%n, wire.NewHello(i%n, i+1, wire.Hello{}).Marshal())
 		}
@@ -449,7 +441,7 @@ func TestLossSendDoesNotAllocate(t *testing.T) {
 func TestReleaseAfterInnerTick(t *testing.T) {
 	const n, perTick = 8, 6
 	stack := []layerSpec{{kind: "adversary", adv: "rotating-path", seed: 3}, {kind: "plain"}, {kind: "delay", min: 1, max: 2, seed: 5}}
-	run := stackRun{n: n, ticks: 16, perTick: perTick, tail: 3, build: buildStack(stack, n)}
+	run := stackRun{n: n, ticks: 16, perTick: perTick, tail: 3, build: buildStack(stack, n, new(tally))}
 	const want = "9d3de3a102c74faa263333c106ccd56963bc7d9107fb27c4d8b762fc0519a662"
 	if got := sha(run.transcript(inShards(n, perTick, 1))); got != want {
 		t.Errorf("transcript sha256 %s, want %s", got, want)

@@ -24,7 +24,7 @@ import (
 // driven through by every driver. The one fabric that is not drained
 // through Recv is the engine's own under the lockstep driver, the tick
 // mailbox behind Config.DefaultTransport, which the driver reaches
-// beneath a middleware stack through Layer.Unwrap.
+// beneath a Schedule through Schedule.Unwrap.
 type Transport interface {
 	// Send attempts to deliver pkt to node to's inbox, reporting whether
 	// it was accepted for (eventual) delivery.
@@ -49,32 +49,12 @@ type Transport interface {
 // Interval, concurrently with Send, under the wall-clock driver (the
 // run's clock goroutine), where a late ticker can skip a tick. So a
 // middleware keeps no clock of its own, and an observer with state
-// locks it. A middleware built on Layer forwards the call to its inner
-// transport (one that shadows ObserveTick does so itself), so a whole
-// stack advances together in any stacking order. Transports without the
-// facet are simply not called.
+// locks it. A Schedule forwards the call to its inner transport, so a
+// whole stack advances together. Transports without the facet are
+// simply not called.
 type TickObserver interface {
 	ObserveTick(tick int64)
 }
-
-// Layer is what a transport middleware embeds in place of a bare
-// Transport: the inner transport with its three methods promoted, plus
-// the two facets a stack needs from every layer whatever the layer
-// does. A decorator that embeds a bare Transport instead is opaque:
-// ticks stop at it, and a tick mailbox beneath it is out of the
-// lockstep driver's reach (Engine.Run rejects that stack). Over the
-// mailbox every shard of the emit phase Sends at once, so whatever a
-// layer decides for a packet must follow from its sender's own sends
-// and the tick alone (Senders).
-type Layer struct{ Transport }
-
-// Unwrap returns the inner transport: the walk by which Engine.Run
-// finds the tick mailbox under a stack.
-func (l Layer) Unwrap() Transport { return l.Transport }
-
-// ObserveTick implements TickObserver by forwarding: a layer without a
-// clock of its own must not hide the driver's from the layers below.
-func (l Layer) ObserveTick(tick int64) { ObserveTick(l.Transport, tick) }
 
 // ObserveTick type-asserts and forwards one driver tick.
 func ObserveTick(t Transport, tick int64) {
@@ -82,17 +62,6 @@ func ObserveTick(t Transport, tick int64) {
 		ob.ObserveTick(tick)
 	}
 }
-
-// watch hands a stack the run it carries, as ObserveTick hands it a
-// tick: every Schedule in it gives o to its rules (Rule.Watch), and a
-// Layer forwards it down.
-func watch(t Transport, o Oracle) {
-	if w, ok := t.(interface{ watch(Oracle) }); ok {
-		w.watch(o)
-	}
-}
-
-func (l Layer) watch(o Oracle) { watch(l.Transport, o) }
 
 // ChanTransport is the in-process transport: one buffered channel per
 // node. A Send to a full inbox drops the packet — backpressure shows up
@@ -168,10 +137,13 @@ func senderRands(seed int64, purpose keyed.Purpose) Senders[rand.Rand] {
 	return Senders[rand.Rand]{New: func(from int) *rand.Rand { return keyed.Rand(seed, purpose, int64(from)) }}
 }
 
-// Schedule is a run's faults: the one layer that applies loss, delay,
-// reordering, partitions, packet mutation and a topology adversary,
-// each a Rule, under one lock and one tick. A packet passes the rules
-// from the top (the last added) down, each of which may rewrite it,
+// Schedule is a run's faults: the one middleware, which applies loss,
+// delay, reordering, partitions, packet mutation and a topology
+// adversary, each a Rule, under one lock and one tick, over the inner
+// Transport it embeds. A decorator of any other type is opaque: ticks
+// stop at it, and a tick mailbox beneath it is out of the lockstep
+// driver's reach (Engine.Run rejects that stack). A packet passes the
+// rules from the top (the last added) down, each of which may rewrite it,
 // until one drops it with a Cause, holds it some ticks in the
 // due-queue, or parks it in the hold-back, one slot per rule and
 // sender, until that sender's next packet parked there takes its
@@ -185,7 +157,7 @@ func senderRands(seed int64, purpose keyed.Purpose) Senders[rand.Rand] {
 // false for a drop and true for a held or parked packet, whose fate is
 // nobody's to hear. Close drops what is held, and every later Send.
 type Schedule struct {
-	Layer
+	Transport
 	rules []Rule // innermost first
 
 	mu     sync.Mutex
@@ -270,9 +242,9 @@ type pending struct {
 // WithRule returns a schedule of r over t, above t's own rules when t is
 // a Schedule (which the result then supersedes).
 func WithRule(t Transport, r Rule) Transport {
-	s := &Schedule{Layer: Layer{t}, parked: map[[2]int]pending{}}
+	s := &Schedule{Transport: t, parked: map[[2]int]pending{}}
 	if in, ok := t.(*Schedule); ok {
-		s.Layer, s.rules = in.Layer, slices.Clip(in.rules)
+		s.Transport, s.rules = in.Transport, slices.Clip(in.rules)
 	}
 	s.rules = append(s.rules, r)
 	return s
@@ -371,6 +343,12 @@ func (s *Schedule) ObserveTick(tick int64) {
 	}
 }
 
+// Unwrap returns the inner transport: how Engine.Run finds the tick
+// mailbox under a schedule. It is never a Schedule: WithRule merges.
+func (s *Schedule) Unwrap() Transport { return s.Transport }
+
+// watch hands every rule the run (Rule.Watch), as ObserveTick hands
+// them a tick.
 func (s *Schedule) watch(o Oracle) {
 	s.mu.Lock()
 	for _, r := range s.rules {
@@ -379,7 +357,6 @@ func (s *Schedule) watch(o Oracle) {
 		}
 	}
 	s.mu.Unlock()
-	watch(s.Transport, o)
 }
 
 // Close implements Transport.
@@ -449,17 +426,6 @@ func WithReorder(t Transport, rate float64, seed int64) Transport {
 	return WithRule(t, Rule{Decide: func(from, _ int, _ []byte, _ int64) Verdict {
 		if rngs.Of(from).Float64() < rate {
 			return Verdict{Act: Park}
-		}
-		return Verdict{}
-	}})
-}
-
-// WithPartition drops the packets for which blocked(from, to) is true.
-// Flipping the predicate heals or splits the cluster mid-run.
-func WithPartition(t Transport, blocked func(from, to int) bool) Transport {
-	return WithRule(t, Rule{Decide: func(from, to int, _ []byte, _ int64) Verdict {
-		if blocked(from, to) {
-			return Verdict{Act: Drop, Cause: DropPartition}
 		}
 		return Verdict{}
 	}})

@@ -107,8 +107,8 @@ func TestBitMatrixEchelonInvariant(t *testing.T) {
 			if l <= prev {
 				t.Fatalf("leads not strictly increasing: %d after %d", l, prev)
 			}
-			if m.Row(i).LeadingBit() != l {
-				t.Fatalf("stored lead %d != row leading bit %d", l, m.Row(i).LeadingBit())
+			if leadingBit(m.Row(i)) != l {
+				t.Fatalf("stored lead %d != row leading bit %d", l, leadingBit(m.Row(i)))
 			}
 			prev = l
 		}
@@ -255,7 +255,7 @@ func (m *refMatrix) insert(v BitVec) bool {
 			naiveXor(r, row)
 		}
 	}
-	lb := r.LeadingBit()
+	lb := leadingBit(r)
 	if lb < 0 || lb >= m.pivots {
 		return false
 	}
@@ -329,7 +329,7 @@ func TestBitMatrixSlabDoublingBoundary(t *testing.T) {
 		// Verify every row inserted so far survived the growth.
 		for j := 0; j <= i; j++ {
 			row := m.Row(j)
-			if row.LeadingBit() != j || row.OnesCount() != 1 {
+			if leadingBit(row) != j || row.OnesCount() != 1 {
 				t.Fatalf("after insert %d: row %d = %s", i, j, row.String())
 			}
 		}
@@ -587,7 +587,8 @@ func codingVecs(k, cols int, rng *rand.Rand) []BitVec {
 			v.Xor(out[i-2])
 		case i%5 == 4 && k < cols:
 			v = out[i-1].Clone()
-			v.Flip(k + rng.Intn(cols-k))
+			b := k + rng.Intn(cols-k)
+			v.Set(b, !v.Bit(b))
 		default:
 			v = NewBitVec(cols)
 			for _, s := range src {

@@ -101,14 +101,6 @@ func (v BitVec) Zero() {
 	}
 }
 
-// CopyFrom overwrites v with u in place. The lengths must match.
-func (v BitVec) CopyFrom(u BitVec) {
-	if v.n != u.n {
-		panic(fmt.Sprintf("gf: BitVec length mismatch %d vs %d", v.n, u.n))
-	}
-	copy(v.w, u.w)
-}
-
 // Len returns the vector length in bits.
 func (v BitVec) Len() int { return v.n }
 
@@ -126,12 +118,6 @@ func (v BitVec) Set(i int, b bool) {
 	} else {
 		v.w[i>>6] &^= 1 << (uint(i) & 63)
 	}
-}
-
-// Flip toggles bit i.
-func (v BitVec) Flip(i int) {
-	v.check(i)
-	v.w[i>>6] ^= 1 << (uint(i) & 63)
 }
 
 // Word returns bits [64i, 64i+64) as one word, bit 64i lowest; bits at
@@ -239,22 +225,6 @@ func (v BitVec) IsZero() bool {
 	return true
 }
 
-// LeadingBit returns the index of the first (lowest-index) set bit, or -1
-// if the vector is zero. Echelon forms in this package pivot on the
-// lowest-index bit.
-func (v BitVec) LeadingBit() int {
-	for i, w := range v.w {
-		if w != 0 {
-			b := i*64 + bits.TrailingZeros64(w)
-			if b >= v.n {
-				return -1
-			}
-			return b
-		}
-	}
-	return -1
-}
-
 // Clone returns an independent copy of v.
 func (v BitVec) Clone() BitVec {
 	c := BitVec{n: v.n, w: make([]uint64, len(v.w))}
@@ -357,11 +327,6 @@ func (v BitVec) Equal(u BitVec) bool {
 		}
 	}
 	return true
-}
-
-// Bytes returns the vector packed LSB-first into ceil(n/8) bytes.
-func (v BitVec) Bytes() []byte {
-	return v.AppendBytes(make([]byte, 0, (v.n+7)/8))
 }
 
 // AppendBytes appends the vector packed LSB-first (ceil(n/8) bytes) to

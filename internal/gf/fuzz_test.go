@@ -77,7 +77,7 @@ func codingTail(rows []BitVec, cols, pivots int) []BitVec {
 	dep := rows[0].Clone()
 	dep.Xor(rows[1])
 	contra := dep.Clone()
-	contra.Flip(cols - 1)
+	contra.Set(cols-1, !contra.Bit(cols-1))
 	tail := []BitVec{dep, contra}
 	if pivots <= 128 {
 		for c := range pivots {
@@ -111,7 +111,7 @@ func insertChecked(t *testing.T, m *BitMatrix, rows []BitVec) {
 		if grew != ref.insert(v) {
 			t.Fatalf("cols=%d pivots=%d: Insert grew=%v, the per-row reference %v", m.Cols(), m.pivots, grew, !grew)
 		}
-		if lb := m.Reduce(v).LeadingBit(); lb >= 0 && (lb < m.pivots || grew || m.pivots == m.Cols()) {
+		if lb := leadingBit(m.Reduce(v)); lb >= 0 && (lb < m.pivots || grew || m.pivots == m.Cols()) {
 			t.Fatalf("cols=%d pivots=%d: the span leaves bit %d of a vector it was sent (grew=%v)", m.Cols(), m.pivots, lb, grew)
 		}
 		checkRREFInvariants(t, m)
@@ -141,7 +141,7 @@ func checkRREFInvariants(t *testing.T, m *BitMatrix) {
 			t.Fatalf("leads not strictly increasing: %d after %d", l, prev)
 		}
 		prev = l
-		if got := m.Row(i).LeadingBit(); got != l {
+		if got := leadingBit(m.Row(i)); got != l {
 			t.Fatalf("row %d: stored lead %d != leading bit %d", i, l, got)
 		}
 		for j := 0; j < m.Rank(); j++ {

@@ -99,12 +99,6 @@ func (g *Graph) Neighbors(u int) []int {
 	return g.adj[u]
 }
 
-// Degree returns the degree of u.
-func (g *Graph) Degree(u int) int {
-	g.checkVertex(u)
-	return len(g.adj[u])
-}
-
 func (g *Graph) checkVertex(u int) {
 	if u < 0 || u >= g.n {
 		panic(fmt.Sprintf("graph: vertex %d out of range [0,%d)", u, g.n))

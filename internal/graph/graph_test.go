@@ -19,7 +19,7 @@ func TestAddEdgeBasics(t *testing.T) {
 	if g.HasEdge(2, 2) || g.HasEdge(0, 2) {
 		t.Error("phantom edge")
 	}
-	if g.Degree(0) != 1 || g.Degree(1) != 1 || g.Degree(2) != 0 {
+	if len(g.Neighbors(0)) != 1 || len(g.Neighbors(1)) != 1 || len(g.Neighbors(2)) != 0 {
 		t.Error("degree wrong")
 	}
 }
@@ -143,8 +143,8 @@ func TestHypercube(t *testing.T) {
 		t.Errorf("M = %d, want 32", g.M())
 	}
 	for v := 0; v < 16; v++ {
-		if g.Degree(v) != 4 {
-			t.Errorf("degree(%d) = %d, want 4", v, g.Degree(v))
+		if len(g.Neighbors(v)) != 4 {
+			t.Errorf("degree(%d) = %d, want 4", v, len(g.Neighbors(v)))
 		}
 	}
 	if diameter(g) != 4 {
@@ -233,7 +233,7 @@ func TestRandomConnectedIntoMatchesAllocating(t *testing.T) {
 			}
 		}
 		for u := 0; u < n; u++ {
-			if scratch.Degree(u) != want.Degree(u) {
+			if len(scratch.Neighbors(u)) != len(want.Neighbors(u)) {
 				t.Fatalf("round %d: degree of %d diverged (stale adjacency?)", round, u)
 			}
 		}

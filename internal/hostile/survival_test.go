@@ -138,7 +138,9 @@ func TestAdversaryUnderPlainMiddlewareSeesEveryTick(t *testing.T) {
 	adv := newPathAdversary(n)
 	cfg := cluster.Config{N: n, Fanout: 2, Seed: 3, Lockstep: true, MaxTicks: 100000}
 	tr := hostile.WithAdversary(cfg.DefaultTransport(0), adv, nil)
-	tr = cluster.WithPartition(tr, func(from, to int) bool { return false })
+	tr = cluster.WithRule(tr, cluster.Rule{Decide: func(int, int, []byte, int64) cluster.Verdict {
+		return cluster.Verdict{} // a partition that cuts nothing
+	}})
 	tr = cluster.WithReorder(tr, 0.1, 5)
 	cfg.Transport = cluster.WithLoss(tr, 0.1, 4)
 	res, err := cluster.Run(context.Background(), cfg, token.RandomSet(4, 32, rand.New(rand.NewSource(3))))

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/dynnet"
-	"repro/internal/gf"
-	"repro/internal/keyed"
 )
 
 // BroadcastNode is the k-indexed-broadcast algorithm of Lemma 5.3 as a
@@ -107,31 +105,4 @@ func IndexedBroadcast(
 		}
 	}
 	return nil, fmt.Errorf("rlnc: indexed broadcast not decoded in %d rounds", rounds)
-}
-
-// RunIndexedBroadcast is one complete Lemma 5.3 execution on a session
-// of its own: all nodes run the schedule against the adversary, and
-// every node must decode all k payloads. It returns the rounds executed
-// and each node's k decoded payloads.
-func RunIndexedBroadcast(
-	initial [][]Coded,
-	k, payloadBits, schedule int,
-	adv dynnet.Adversary,
-	budget int,
-	seed int64,
-) (int, [][]gf.BitVec, error) {
-	s := dynnet.NewSession(len(initial), adv, dynnet.Config{BitBudget: budget})
-	nodes, err := IndexedBroadcast(s, k, payloadBits, initial, keyed.Rands(len(initial), seed, keyed.Coins), schedule, false)
-	if err != nil {
-		return s.Round(), nil, err
-	}
-	decoded := make([][]gf.BitVec, len(nodes))
-	for i, nd := range nodes {
-		payloads, err := nd.Span().Decode()
-		if err != nil {
-			return s.Round(), nil, fmt.Errorf("rlnc: node %d: %w", i, err)
-		}
-		decoded[i] = payloads
-	}
-	return s.Round(), decoded, nil
 }

@@ -2,6 +2,7 @@ package rlnc
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,27 @@ import (
 	"repro/internal/dynnet"
 	"repro/internal/gf"
 	"repro/internal/graph"
+	"repro/internal/keyed"
 )
+
+// runIndexedBroadcast is one complete Lemma 5.3 execution on a session
+// of its own: all nodes run the schedule against the adversary, and
+// every node must decode all k payloads. It returns the rounds executed
+// and each node's k decoded payloads.
+func runIndexedBroadcast(initial [][]Coded, k, payloadBits, schedule int, adv dynnet.Adversary, budget int, seed int64) (int, [][]gf.BitVec, error) {
+	s := dynnet.NewSession(len(initial), adv, dynnet.Config{BitBudget: budget})
+	nodes, err := IndexedBroadcast(s, k, payloadBits, initial, keyed.Rands(len(initial), seed, keyed.Coins), schedule, false)
+	if err != nil {
+		return s.Round(), nil, err
+	}
+	decoded := make([][]gf.BitVec, len(nodes))
+	for i, nd := range nodes {
+		if decoded[i], err = nd.Span().Decode(); err != nil {
+			return s.Round(), nil, fmt.Errorf("node %d: %w", i, err)
+		}
+	}
+	return s.Round(), decoded, nil
+}
 
 // oneTokenPerNode builds the canonical Lemma 5.3 instance: node i starts
 // with token i.
@@ -42,7 +63,7 @@ func TestIndexedBroadcastLemma53(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			initial, payloads := oneTokenPerNode(n, d, rng)
 			schedule := DefaultSchedule(n, n)
-			rounds, decoded, err := RunIndexedBroadcast(initial, n, d, schedule, tt.adv, n+d, 11)
+			rounds, decoded, err := runIndexedBroadcast(initial, n, d, schedule, tt.adv, n+d, 11)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +98,7 @@ func TestIndexedBroadcastAgainstIsolation(t *testing.T) {
 		return bn.Span().Rank() > 1 // more than its own token
 	})
 	schedule := 8 * (n + n) // isolation forces a near-worst-case constant
-	rounds, decoded, err := RunIndexedBroadcast(initial, n, d, schedule, adv, n+d, 13)
+	rounds, decoded, err := runIndexedBroadcast(initial, n, d, schedule, adv, n+d, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +120,7 @@ func TestIndexedBroadcastBudget(t *testing.T) {
 	const n, d = 8, 8
 	rng := rand.New(rand.NewSource(9))
 	initial, _ := oneTokenPerNode(n, d, rng)
-	_, _, err := RunIndexedBroadcast(initial, n, d, DefaultSchedule(n, n),
+	_, _, err := runIndexedBroadcast(initial, n, d, DefaultSchedule(n, n),
 		adversary.NewRandomConnected(n, 2, 1), n+d-1 /* one bit short */, 5)
 	if !errors.Is(err, dynnet.ErrBudgetExceeded) {
 		t.Errorf("err = %v, want ErrBudgetExceeded", err)

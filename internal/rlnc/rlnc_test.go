@@ -93,7 +93,8 @@ func TestContradictingPayloadRefused(t *testing.T) {
 			s.Add(Encode(i, k, payloads[i]))
 		}
 		bad := Encode(0, k, payloads[0])
-		bad.Vec.Flip(k + rng.Intn(d))
+		b := k + rng.Intn(d)
+		bad.Vec.Set(b, !bad.Vec.Bit(b))
 		if s.Add(bad) || s.Rank() != k {
 			t.Fatalf("seed %d: contradicting packet accepted, rank %d", seed, s.Rank())
 		}
@@ -127,7 +128,8 @@ func TestPayloadEqualBelowFullRank(t *testing.T) {
 			}
 		}
 		bad := Encode(0, k, payloads[0])
-		bad.Vec.Flip(k + rng.Intn(d))
+		b := k + rng.Intn(d)
+		bad.Vec.Set(b, !bad.Vec.Bit(b))
 		if s.Add(bad) || s.Rank() != k-1 {
 			t.Fatalf("seed %d: contradicting packet accepted, rank %d", seed, s.Rank())
 		}
@@ -613,7 +615,7 @@ func TestCombineIntoPinnedBits(t *testing.T) {
 				if !s.CombineInto(&dst, rng) {
 					t.Fatalf("k=%d: empty span at rank %d", tc.k, s.Rank())
 				}
-				h.Write(dst.Vec.Bytes())
+				h.Write(dst.Vec.AppendBytes(nil))
 			}
 		}
 		for s.Rank() < tc.k {
@@ -624,7 +626,7 @@ func TestCombineIntoPinnedBits(t *testing.T) {
 		}
 		draw()
 		for i := 0; i < s.Rank(); i++ {
-			h.Write(s.mat.Row(i).Bytes())
+			h.Write(s.mat.Row(i).AppendBytes(nil))
 		}
 		var tail [8]byte
 		binary.LittleEndian.PutUint64(tail[:], rng.Uint64())

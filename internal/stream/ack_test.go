@@ -83,13 +83,12 @@ func checkSpanBytes(t *testing.T, nd *node) {
 	}
 }
 
-// ackAudit is the outermost layer of a lockstep run: at every ack a node
-// Sends it checks the node's state and the ack's bytes, before anything
-// below may drop them, and at every packet the sender's running span
-// total. The run is serial, so the sender is between its encode and its
-// next step.
+// ackAudit is the top rule of a lockstep run: at every ack a node Sends
+// it checks the node's state and the ack's bytes, before anything below
+// may drop them, and at every packet the sender's running span total.
+// The run is serial, so the sender is between its encode and its next
+// step.
 type ackAudit struct {
-	cluster.Layer
 	t     *testing.T
 	nodes []*node
 	// acks counts the acks checked; widths counts them by plane count.
@@ -97,7 +96,7 @@ type ackAudit struct {
 	widths map[int]int
 }
 
-func (a *ackAudit) Send(from, to int, pkt []byte) bool {
+func (a *ackAudit) decide(from, _ int, pkt []byte, _ int64) cluster.Verdict {
 	checkSpanBytes(a.t, a.nodes[from])
 	if wire.Type(pkt[1]) == wire.TypeAck {
 		nd := a.nodes[from]
@@ -105,7 +104,7 @@ func (a *ackAudit) Send(from, to int, pkt []byte) bool {
 		a.acks++
 		a.widths[len(nd.marks.planes)]++
 	}
-	return a.Layer.Send(from, to, pkt)
+	return cluster.Verdict{}
 }
 
 // layeredRun streams cfg through the lockstep driver under the layer
@@ -143,8 +142,8 @@ func auditedRun(t *testing.T, cfg Config) (*Result, *ackAudit) {
 	t.Helper()
 	audit := &ackAudit{t: t, widths: map[int]int{}}
 	res, _ := layeredRun(t, cfg, func(nodes []*node, inner cluster.Transport) cluster.Transport {
-		audit.nodes, audit.Layer = nodes, cluster.Layer{Transport: inner}
-		return audit
+		audit.nodes = nodes
+		return cluster.WithRule(inner, cluster.Rule{Decide: audit.decide})
 	})
 	return res, audit
 }
@@ -296,10 +295,9 @@ func BenchmarkAckRoundTrip(b *testing.B) {
 	}
 }
 
-// ackEcho is a layer that decodes every ack a node Sends and holds the
+// ackEcho is a rule that decodes every ack a node Sends and holds the
 // decoded Ack to the one the node encoded, field by field.
 type ackEcho struct {
-	cluster.Layer
 	t      *testing.T
 	nodes  []*node
 	rx     wire.Packet
@@ -307,7 +305,7 @@ type ackEcho struct {
 	widths map[int]int
 }
 
-func (e *ackEcho) Send(from, to int, pkt []byte) bool {
+func (e *ackEcho) decide(from, _ int, pkt []byte, _ int64) cluster.Verdict {
 	if wire.Type(pkt[1]) == wire.TypeAck {
 		sent := &e.nodes[from].Tx.Ack
 		if err := wire.UnmarshalInto(&e.rx, pkt); err != nil {
@@ -327,7 +325,7 @@ func (e *ackEcho) Send(from, to int, pkt []byte) bool {
 		e.acks++
 		e.widths[len(got.Planes)]++
 	}
-	return e.Layer.Send(from, to, pkt)
+	return cluster.Verdict{}
 }
 
 // TestAckLosslessOnLiveTraffic: every ack a lockstep n = 192 stream
@@ -349,8 +347,7 @@ func TestAckLosslessOnLiveTraffic(t *testing.T) {
 		echo.nodes[nd.ID] = p.(*node)
 		return p
 	}
-	echo.Layer = cluster.Layer{Transport: cluster.WithLoss(cfg.DefaultTransport(), 0.2, 9)}
-	cfg.Transport = echo
+	cfg.Transport = cluster.WithRule(cluster.WithLoss(cfg.DefaultTransport(), 0.2, 9), cluster.Rule{Decide: echo.decide})
 	if res.Outcome, err = eng.Run(context.Background(), cfg.runtime()); err != nil || !res.Completed {
 		t.Fatalf("completed=%v err=%v", res.Completed, err)
 	}

@@ -430,20 +430,22 @@ func TestHelloBurstPerRecipientCopy(t *testing.T) {
 	}
 }
 
-// probe is a lockstep layer that runs check before every Send, when the
+// probe is a lockstep rule that runs check before every Send, when the
 // sender is between steps, and drops what drop picks in flight.
 type probe struct {
-	cluster.Layer
 	check func()
 	drop  func(from, to int, pkt []byte) bool
 }
 
-func (p *probe) Send(from, to int, pkt []byte) bool {
-	p.check()
-	if p.drop != nil && p.drop(from, to, pkt) {
-		return true // lost on the way
-	}
-	return p.Layer.Send(from, to, pkt)
+// over returns tr under the probe.
+func (p probe) over(tr cluster.Transport) cluster.Transport {
+	return cluster.WithRule(tr, cluster.Rule{Decide: func(from, to int, pkt []byte, _ int64) cluster.Verdict {
+		p.check()
+		if p.drop != nil && p.drop(from, to, pkt) {
+			return cluster.Verdict{Act: cluster.Drop, Cause: cluster.DropLoss}
+		}
+		return cluster.Verdict{}
+	}})
 }
 
 // TestSuspicionStaysLocal: one peer's suspicion of a live node moves that
@@ -461,8 +463,7 @@ func TestSuspicionStaysLocal(t *testing.T) {
 	}
 	past := false
 	res, nodes := layeredRun(t, cfg, func(nodes []*node, inner cluster.Transport) cluster.Transport {
-		return &probe{
-			Layer: cluster.Layer{Transport: inner},
+		return probe{
 			check: func() {
 				r := nodes[lag]
 				for _, x := range nodes {
@@ -481,7 +482,7 @@ func TestSuspicionStaysLocal(t *testing.T) {
 				return from == lag && to == deaf || to == lag && nodes[to].Now < until &&
 					wire.Type(pkt[1]) == wire.TypeCoded && binary.LittleEndian.Uint32(pkt[6:10]) == slow
 			},
-		}
+		}.over(inner)
 	})
 	if !res.Completed {
 		t.Fatalf("incomplete after %d ticks", res.Ticks)
@@ -512,7 +513,7 @@ func TestJoinerStartHeldUntilItsMarkSpreads(t *testing.T) {
 			Lockstep: true, MaxTicks: 20000, Churn: sched,
 		}
 		res, _ := layeredRun(t, cfg, func(nodes []*node, inner cluster.Transport) cluster.Transport {
-			return &probe{Layer: cluster.Layer{Transport: inner}, check: func() {
+			return probe{check: func() {
 				for _, j := range nodes[cfg.N:] {
 					if j == nil || !j.bootstrapped || j.delivered != j.startGen || j.startGen >= j.gens {
 						continue
@@ -521,7 +522,7 @@ func TestJoinerStartHeldUntilItsMarkSpreads(t *testing.T) {
 						t.Fatalf("seed %d tick %d: every node retired joiner %d's start generation %d", seed, j.Now, j.ID, j.startGen)
 					}
 				}
-			}}
+			}}.over(inner)
 		})
 		if !res.Completed {
 			t.Fatalf("seed %d: incomplete after %d ticks", seed, res.Ticks)

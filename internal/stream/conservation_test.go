@@ -29,8 +29,8 @@ func TestSendPathConservation(t *testing.T) {
 			var late refusals
 			proto, delayed := strings.CutSuffix(proto, "+delay")
 			if delayed {
-				late.Layer = cluster.Layer{Transport: inboxes}
-				tr = keepOpen{cluster.Layer{Transport: cluster.WithDelay(&late, 1, 3, 7)}}
+				late.Transport = inboxes
+				tr = keepOpen{cluster.WithDelay(&late, 1, 3, 7)}
 			}
 			var sent, received, dropped int64
 			var completed bool
@@ -87,7 +87,7 @@ func TestSendPathConservation(t *testing.T) {
 // refusals counts the Sends the transport beneath it refused. The
 // lockstep driver's Sends are serial, so it needs no lock.
 type refusals struct {
-	cluster.Layer
+	cluster.Transport
 	n int64
 }
 
@@ -100,7 +100,9 @@ func (r *refusals) Send(from, to int, pkt []byte) bool {
 }
 
 // keepOpen swallows Close: Run closes its transport, and the test wants
-// what the delay layer still holds then.
-type keepOpen struct{ cluster.Layer }
+// what the delay layer still holds then. It forwards the ticks.
+type keepOpen struct{ cluster.Transport }
 
 func (keepOpen) Close() {}
+
+func (k keepOpen) ObserveTick(tick int64) { cluster.ObserveTick(k.Transport, tick) }

@@ -27,7 +27,7 @@ func FuzzUDPIngress(f *testing.F) {
 	src := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
 
 	tok := token.RandomSet(1, 64, rand.New(rand.NewSource(1)))[0]
-	good := wire.NewToken(1, 2, tok).Marshal()
+	good := wire.Packet{Env: wire.Envelope{Version: wire.Version, Type: wire.TypeToken, Sender: 1, Epoch: 2}, Token: tok}.Marshal()
 	f.Add(good)
 	f.Add(wire.NewHello(2, 0, wire.Hello{Peers: []uint32{0, 3}}).Marshal())
 	f.Add(wire.NewAck(3, 1, wire.Ack{Watermark: 1}).Marshal())
@@ -94,7 +94,7 @@ func FuzzUDPIngress(f *testing.F) {
 		for {
 			select {
 			case b := <-tr.inbox:
-				if _, err := wire.Unmarshal(b); err != nil {
+				if err := wire.UnmarshalInto(new(wire.Packet), b); err != nil {
 					t.Fatalf("inbox surfaced a malformed packet: %v", err)
 				}
 			default:

@@ -29,7 +29,7 @@ func FuzzMutatedIngress(f *testing.F) {
 	src := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
 
 	tok := token.RandomSet(1, 64, rand.New(rand.NewSource(1)))[0]
-	good := wire.NewToken(1, 2, tok).Marshal()
+	good := wire.Packet{Env: wire.Envelope{Version: wire.Version, Type: wire.TypeToken, Sender: 1, Epoch: 2}, Token: tok}.Marshal()
 	f.Add(good, int64(1))
 	f.Add(wire.NewHello(2, 5, wire.Hello{Peers: []uint32{0, 3}}).Marshal(), int64(7))
 	f.Add(wire.NewAck(3, 9, wire.Ack{Watermark: 1}).Marshal(), int64(42))
@@ -96,7 +96,7 @@ func FuzzMutatedIngress(f *testing.F) {
 			for {
 				select {
 				case b := <-tr.inbox:
-					if _, err := wire.Unmarshal(b); err != nil {
+					if err := wire.UnmarshalInto(new(wire.Packet), b); err != nil {
 						t.Fatalf("inbox surfaced a malformed packet: %v", err)
 					}
 					continue

@@ -42,14 +42,14 @@ func TestSendRecvRoundTrip(t *testing.T) {
 	b := dialT(t, Config{ID: 1, Nodes: 2})
 	a.learn(1, b.advertiseAddr())
 
-	want := wire.NewToken(0, 7, testTokens(1, 64, 1)[0])
+	want := wire.Packet{Env: wire.Envelope{Version: wire.Version, Type: wire.TypeToken, Epoch: 7}, Token: testTokens(1, 64, 1)[0]}
 	if !a.Send(0, 1, want.Marshal()) {
 		t.Fatal("send to known peer refused")
 	}
 	select {
 	case raw := <-b.Recv(1):
-		got, err := wire.Unmarshal(raw)
-		if err != nil {
+		var got wire.Packet
+		if err := wire.UnmarshalInto(&got, raw); err != nil {
 			t.Fatalf("received packet rejected: %v", err)
 		}
 		if got.Env != want.Env || !got.Token.Equal(want.Token) {
@@ -289,7 +289,7 @@ func TestIngressRejectsGarbage(t *testing.T) {
 	b := dialT(t, Config{ID: 1, Nodes: 2})
 	a.learn(1, b.advertiseAddr())
 
-	good := wire.NewToken(0, 1, testTokens(1, 8, 1)[0]).Marshal()
+	good := wire.Packet{Env: wire.Envelope{Version: wire.Version, Type: wire.TypeToken, Epoch: 1}, Token: testTokens(1, 8, 1)[0]}.Marshal()
 	bad := [][]byte{
 		{},
 		{0xff},
@@ -307,7 +307,7 @@ func TestIngressRejectsGarbage(t *testing.T) {
 	}
 	select {
 	case raw := <-b.Recv(1):
-		if _, err := wire.Unmarshal(raw); err != nil {
+		if err := wire.UnmarshalInto(new(wire.Packet), raw); err != nil {
 			t.Fatalf("inbox surfaced a malformed packet: %v", err)
 		}
 	case <-time.After(2 * time.Second):

@@ -31,7 +31,7 @@ func checkControlRoundTrip(t *testing.T, ids []uint32, marks []PeerMark) {
 		NewAck(1, 2, Ack{Watermark: 5, Frontier: 5, Planes: planesOf(marks)}),
 	} {
 		raw := p.Marshal()
-		got, err := Unmarshal(raw)
+		got, err := unmarshal(raw)
 		if err != nil {
 			t.Fatalf("type %d: own encoding %x rejected: %v", p.Env.Type, raw, err)
 		}
@@ -271,7 +271,7 @@ func FuzzControlRoundTrip(f *testing.F) {
 
 // TestControlRejectsNonCanonical hand-builds the byte strings the
 // encoder never writes; each must be refused, or two byte strings would
-// decode to one packet and Marshal(Unmarshal(b)) == b would not hold.
+// decode to one packet and Marshal(UnmarshalInto(b)) == b would not hold.
 func TestControlRejectsNonCanonical(t *testing.T) {
 	hello := func(body ...byte) []byte {
 		return append(NewHello(1, 0, Hello{}).Marshal()[:HeaderBytes], body...)
@@ -342,7 +342,7 @@ func TestControlRejectsNonCanonical(t *testing.T) {
 		{"ack: base cut off", ack(0, 0x81, 1, 4, 2), ErrTruncated},
 	}
 	for _, tc := range cases {
-		p, err := Unmarshal(tc.data)
+		p, err := unmarshal(tc.data)
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
 		}
@@ -402,12 +402,12 @@ func TestControlCapsExpandedLength(t *testing.T) {
 	// Runs that each fit but together pass the cap are refused at the
 	// run that passes it.
 	split := join(hdr, []byte{0, 2, 0}, full, []byte{0, 1})
-	if _, err := Unmarshal(split); !errors.Is(err, ErrMalformed) {
+	if _, err := unmarshal(split); !errors.Is(err, ErrMalformed) {
 		t.Errorf("the cap, then one more id: err %v, want ErrMalformed", err)
 	}
 	// The cap itself is a legal list and a small packet.
 	p := NewHello(1, 0, Hello{Peers: seq(0, MaxAckEntries)})
-	if got, err := Unmarshal(p.Marshal()); err != nil || len(got.Hello.Peers) != MaxAckEntries || p.WireBytes() > 16 {
+	if got, err := unmarshal(p.Marshal()); err != nil || len(got.Hello.Peers) != MaxAckEntries || p.WireBytes() > 16 {
 		t.Errorf("a %d-id run: %d ids back in %d bytes, err %v", MaxAckEntries, len(got.Hello.Peers), p.WireBytes(), err)
 	}
 }

@@ -26,14 +26,14 @@ var (
 //  1. decoder-first: any byte string the decoder accepts re-marshals to
 //     the identical bytes (accepted encodings are canonical);
 //  2. encoder-first: a packet built from the fuzz input survives
-//     Marshal → Unmarshal unchanged.
+//     Marshal → UnmarshalInto unchanged.
 func FuzzWireRoundTrip(f *testing.F) {
 	rng := func() func() uint64 {
 		s := uint64(0x9e3779b97f4a7c15)
 		return func() uint64 { s += 0x9e3779b97f4a7c15; return s * 0xbf58476d1ce4e5b9 }
 	}()
 	seedCoded := NewCoded(3, 7, rlnc.Encode(1, 4, gf.RandomBitVec(12, rng))).Marshal()
-	seedToken := NewToken(1, 2, token.Token{UID: token.NewUID(5, 6), Payload: gf.RandomBitVec(30, rng)}).Marshal()
+	seedToken := Packet{Env: envelope(TypeToken, 1, 2), Token: token.Token{UID: token.NewUID(5, 6), Payload: gf.RandomBitVec(30, rng)}}.Marshal()
 	seedAck := NewAck(2, 9, Ack{
 		Watermark: 4,
 		Ranks:     []GenRank{{Gen: 4, Rank: 3}, {Gen: 5, Rank: 0}},
@@ -89,7 +89,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decoder-first.
-		p, err := Unmarshal(data)
+		p, err := unmarshal(data)
 		if err == nil {
 			out := p.Marshal()
 			if !bytes.Equal(out, data) {
@@ -108,12 +108,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 		}
 
-		// UnmarshalInto must accept and reject exactly the same inputs as
-		// Unmarshal, including when its scratch packet carries stale
-		// storage from a previous (different-typed) decode.
+		// UnmarshalInto must accept and reject exactly the same inputs
+		// into a scratch packet carrying stale storage from a previous
+		// (different-typed) decode as into a fresh one.
 		intoErr := UnmarshalInto(&scratch, data)
 		if (intoErr == nil) != (err == nil) {
-			t.Fatalf("UnmarshalInto and Unmarshal disagree on %x: %v vs %v", data, intoErr, err)
+			t.Fatalf("UnmarshalInto into scratch and into a fresh packet disagree on %x: %v vs %v", data, intoErr, err)
 		}
 		if intoErr == nil {
 			out := scratch.AppendTo(scratchBuf[:0])
@@ -138,7 +138,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			p = NewCoded(sender, epoch, rlnc.Coded{K: k, Vec: vec})
 		case 1:
 			uid := token.UID(binary.LittleEndian.Uint64(data[0:8]))
-			p = NewToken(sender, epoch, token.Token{UID: uid, Payload: bitsFrom(body, bits)})
+			p = Packet{Env: envelope(TypeToken, sender, epoch), Token: token.Token{UID: uid, Payload: bitsFrom(body, bits)}}
 		case 3:
 			h := Hello{Leaving: data[11]&1 == 1}
 			for i := 0; i+4 <= len(body) && i < 4*16; i += 4 {
@@ -185,7 +185,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		raw := p.Marshal()
 		checkEncode(t, &p, raw)
-		got, err := Unmarshal(raw)
+		got, err := unmarshal(raw)
 		if err != nil {
 			t.Fatalf("marshal of valid packet rejected: %v", err)
 		}

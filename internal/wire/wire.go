@@ -11,9 +11,9 @@
 // accounting) and the asynchronous cluster world (byte slices on a
 // Transport). Two invariants tie the worlds together:
 //
-//   - Marshal and Unmarshal round-trip exactly: Unmarshal(Marshal(p))
-//     reproduces p, and Marshal(Unmarshal(b)) reproduces b for every b
-//     the decoder accepts (enforced by FuzzWireRoundTrip). The decoder
+//   - Marshal and UnmarshalInto round-trip exactly: parsing Marshal(p)
+//     reproduces p, and marshalling the parse of b reproduces b for every
+//     b the decoder accepts (enforced by FuzzWireRoundTrip). The decoder
 //     rejects trailing bytes and nonzero spare bits so every accepted
 //     byte string has exactly one packet value.
 //
@@ -64,7 +64,7 @@
 // with a nonzero offset. A vector spells marks id by id, as offsets from
 // their least (base) at the bits of the greatest (width, 0 when all are
 // equal). uvarint is encoding/binary's, at most 32 bits wide here. The
-// encoding is canonical, which keeps Marshal(Unmarshal(b)) == b: the
+// encoding is canonical, which keeps a parse marshalling back to b: the
 // decoder rejects a count of zero, a run that continues the one before
 // it (the encoder would have merged them), a run reaching past id 2³²-1,
 // a varint with a padding zero group or more than 32 bits, a base other
@@ -76,7 +76,7 @@
 // plane covers: a few bytes cannot make the decoder allocate for 2³² ids.
 //
 // Wrap policy: Sender and Epoch are 32-bit on the wire and do NOT wrap.
-// The constructors (NewCoded, NewToken, NewAck, NewHello) panic on a
+// The constructors (NewCoded, NewAck, NewHello) panic on a
 // sender or epoch outside [0, MaxUint32] instead of silently truncating
 // the int — aliasing epoch g with g+2^32 would corrupt ack and rank
 // bookkeeping on long streams. Callers that stream more than 2^32
@@ -97,7 +97,7 @@ import (
 )
 
 // Version is the codec version byte emitted by Marshal and required by
-// Unmarshal.
+// UnmarshalInto.
 const Version = 4
 
 // HeaderBytes is the size of the envelope header on the wire.
@@ -329,12 +329,6 @@ func envelope(t Type, sender, epoch int) Envelope {
 // in the package comment).
 func NewCoded(sender, epoch int, c rlnc.Coded) Packet {
 	return Packet{Env: envelope(TypeCoded, sender, epoch), Coded: c}
-}
-
-// NewToken wraps a raw token in a versioned envelope. It panics on a
-// sender or epoch outside the 32-bit wire range.
-func NewToken(sender, epoch int, t token.Token) Packet {
-	return Packet{Env: envelope(TypeToken, sender, epoch), Token: t}
 }
 
 // NewAck wraps a streaming acknowledgement in a versioned envelope. It
@@ -645,22 +639,12 @@ func (p *Packet) Encode(buf []byte) ([]byte, int) {
 	return out, sz.Bits
 }
 
-// Unmarshal parses one packet, validating the version, type, declared
-// lengths, spare bits and the absence of trailing bytes, so that
-// Marshal(Unmarshal(b)) == b for every accepted b.
-func Unmarshal(data []byte) (Packet, error) {
-	var p Packet
-	if err := UnmarshalInto(&p, data); err != nil {
-		return Packet{}, err
-	}
-	return p, nil
-}
-
 // UnmarshalInto parses one packet into p, reusing p's body storage (the
 // coded vector, token payload and ack entry slices) so a receive loop
 // that decodes every packet into one per-node scratch Packet allocates
-// nothing in steady state. It validates exactly what Unmarshal does and
-// accepts exactly the same byte strings. On success only the body
+// nothing in steady state. It validates the version, type, declared
+// lengths, spare bits and the absence of trailing bytes, so that an
+// accepted b marshals back to b. On success only the body
 // selected by the decoded envelope type is meaningful; the other bodies
 // hold stale storage kept for reuse, and any previously decoded body is
 // overwritten, so callers that retain decoded contents past the next

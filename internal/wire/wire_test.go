@@ -15,6 +15,13 @@ import (
 	"repro/internal/token"
 )
 
+// unmarshal parses one packet into a fresh Packet.
+func unmarshal(data []byte) (Packet, error) {
+	var p Packet
+	err := UnmarshalInto(&p, data)
+	return p, err
+}
+
 // Packet must satisfy the simulator's message interface so wire and
 // simulator costs share one accounting.
 var _ dynnet.Message = Packet{}
@@ -24,7 +31,7 @@ func TestCodedRoundTrip(t *testing.T) {
 	for _, dims := range []struct{ k, d int }{{1, 0}, {1, 1}, {8, 8}, {32, 128}, {64, 7}, {13, 100}} {
 		c := rlnc.Encode(dims.k/2, dims.k, gf.RandomBitVec(dims.d, rng.Uint64))
 		p := NewCoded(3, 42, c)
-		got, err := Unmarshal(p.Marshal())
+		got, err := unmarshal(p.Marshal())
 		if err != nil {
 			t.Fatalf("k=%d d=%d: %v", dims.k, dims.d, err)
 		}
@@ -41,8 +48,8 @@ func TestTokenRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, d := range []int{0, 1, 8, 63, 64, 65, 500} {
 		tok := token.Random(token.NewUID(7, 9), d, rng)
-		p := NewToken(1, 5, tok)
-		got, err := Unmarshal(p.Marshal())
+		p := Packet{Env: envelope(TypeToken, 1, 5), Token: tok}
+		got, err := unmarshal(p.Marshal())
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
@@ -91,7 +98,7 @@ func TestAckRoundTrip(t *testing.T) {
 		a := tc.a
 		p := NewAck(i, i*2, a)
 		raw := p.Marshal()
-		got, err := Unmarshal(raw)
+		got, err := unmarshal(raw)
 		if err != nil {
 			t.Fatalf("ack %d: %v", i, err)
 		}
@@ -143,7 +150,7 @@ func TestAckUnmarshalRejects(t *testing.T) {
 		{"trailing byte after the vector", append(append([]byte(nil), vector...), 0), ErrMalformed},
 	}
 	for _, tc := range cases {
-		if _, err := Unmarshal(tc.data); !errors.Is(err, tc.want) {
+		if _, err := unmarshal(tc.data); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -169,7 +176,7 @@ func TestAckUnmarshalRejects(t *testing.T) {
 		"nonzero padding bits":      edit(1, 1, 1, 1, 2, 0x81, 1, 0, 2, 1, 0x81),
 		"mark past 2^32-1":          edit(1, 1, 1, 1, 2, 0x81, 1, 0, 2, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x02),
 	} {
-		if _, err := Unmarshal(data); !errors.Is(err, ErrMalformed) {
+		if _, err := unmarshal(data); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: err %v, want ErrMalformed", name, err)
 		}
 	}
@@ -207,7 +214,7 @@ func TestHelloRoundTrip(t *testing.T) {
 	for i, tc := range hellos {
 		h := tc.h
 		p := NewHello(i, i*3, h)
-		got, err := Unmarshal(p.Marshal())
+		got, err := unmarshal(p.Marshal())
 		if err != nil {
 			t.Fatalf("hello %d: %v", i, err)
 		}
@@ -248,7 +255,7 @@ func TestHelloUnmarshalRejects(t *testing.T) {
 		{"trailing byte", append(append([]byte(nil), good...), 0), ErrMalformed},
 	}
 	for _, tc := range cases {
-		if _, err := Unmarshal(tc.data); !errors.Is(err, tc.want) {
+		if _, err := unmarshal(tc.data); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -257,7 +264,7 @@ func TestHelloUnmarshalRejects(t *testing.T) {
 	for _, flags := range []byte{2, 3, 0x80, 0xff} {
 		bad := append([]byte(nil), good...)
 		bad[HeaderBytes] = flags
-		if _, err := Unmarshal(bad); !errors.Is(err, ErrMalformed) {
+		if _, err := unmarshal(bad); !errors.Is(err, ErrMalformed) {
 			t.Errorf("flags %#x accepted: %v", flags, err)
 		}
 	}
@@ -276,7 +283,7 @@ func TestAnnounceRoundTrip(t *testing.T) {
 	}
 	for i, a := range anns {
 		p := NewAnnounce(i, i*2, a)
-		got, err := Unmarshal(p.Marshal())
+		got, err := unmarshal(p.Marshal())
 		if err != nil {
 			t.Fatalf("announce %d: %v", i, err)
 		}
@@ -323,7 +330,7 @@ func TestAnnounceUnmarshalRejects(t *testing.T) {
 		{"trailing byte", append(append([]byte(nil), good...), 0), ErrMalformed},
 	}
 	for _, tc := range cases {
-		if _, err := Unmarshal(tc.data); !errors.Is(err, tc.want) {
+		if _, err := unmarshal(tc.data); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -332,21 +339,21 @@ func TestAnnounceUnmarshalRejects(t *testing.T) {
 	for _, op := range []byte{4, 9, 0xff} {
 		bad := append([]byte(nil), good...)
 		bad[HeaderBytes] = op
-		if _, err := Unmarshal(bad); !errors.Is(err, ErrMalformed) {
+		if _, err := unmarshal(bad); !errors.Is(err, ErrMalformed) {
 			t.Errorf("op %#x accepted: %v", op, err)
 		}
 	}
 	// Oversized entry count must be rejected before any allocation.
 	huge := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(huge[HeaderBytes+9:], MaxAckEntries+1)
-	if _, err := Unmarshal(huge); !errors.Is(err, ErrMalformed) {
+	if _, err := unmarshal(huge); !errors.Is(err, ErrMalformed) {
 		t.Errorf("oversized entry count accepted: %v", err)
 	}
 	// An address length beyond MaxAddrBytes is malformed even when the
 	// remaining body could satisfy it.
 	long := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint16(long[HeaderBytes+13+4:], MaxAddrBytes+1)
-	if _, err := Unmarshal(long); !errors.Is(err, ErrMalformed) {
+	if _, err := unmarshal(long); !errors.Is(err, ErrMalformed) {
 		t.Errorf("oversized addr length accepted: %v", err)
 	}
 }
@@ -397,13 +404,13 @@ func TestEnvelopeRangePanics(t *testing.T) {
 	// bits (the constant 2^32 would overflow at compile time).
 	var over64 int64 = 1 << 32
 	over := int(over64)
-	mustPanic("epoch 2^32", func() { NewToken(0, over, tok) })
+	mustPanic("epoch 2^32", func() { envelope(TypeToken, 0, over) })
 	mustPanic("sender 2^32", func() { NewHello(over, 0, Hello{}) })
 
 	// The extremes of the representable range still alias-proof: they
 	// marshal and round-trip unchanged.
-	p := NewToken(over-1, over-1, tok)
-	got, err := Unmarshal(p.Marshal())
+	p := Packet{Env: envelope(TypeToken, over-1, over-1), Token: tok}
+	got, err := unmarshal(p.Marshal())
 	if err != nil || got.Env.Sender != MaxSender || got.Env.Epoch != MaxEpoch {
 		t.Errorf("max envelope values did not round-trip: %+v, %v", got.Env, err)
 	}
@@ -442,7 +449,7 @@ func TestGoldenWireBytes(t *testing.T) {
 		},
 		{
 			"token",
-			NewToken(5, 6, token.Token{UID: token.NewUID(2, 3), Payload: tokenPayload}),
+			Packet{Env: envelope(TypeToken, 5, 6), Token: token.Token{UID: token.NewUID(2, 3), Payload: tokenPayload}},
 			[]byte{
 				Version,                // version
 				0x02,                   // type = token
@@ -547,7 +554,7 @@ func TestGoldenWireBytes(t *testing.T) {
 		if e := binary.LittleEndian.Uint32(got[6:10]); e != tc.pkt.Env.Epoch {
 			t.Errorf("%s: epoch at offset 6 = %d, want %d", tc.name, e, tc.pkt.Env.Epoch)
 		}
-		back, err := Unmarshal(tc.want)
+		back, err := unmarshal(tc.want)
 		if err != nil {
 			t.Errorf("%s: golden bytes rejected: %v", tc.name, err)
 		} else if !bytes.Equal(back.Marshal(), tc.want) {
@@ -575,7 +582,7 @@ func TestBitsAgreesWithSimAccounting(t *testing.T) {
 	}
 
 	tok := token.Random(token.NewUID(1, 2), 100, rng)
-	pt := NewToken(0, 0, tok)
+	pt := Packet{Env: envelope(TypeToken, 0, 0), Token: tok}
 	if pt.Bits() != tok.Bits() {
 		t.Errorf("token Bits %d != token accounting %d", pt.Bits(), tok.Bits())
 	}
@@ -615,7 +622,7 @@ func TestUnmarshalRejects(t *testing.T) {
 		}), ErrMalformed},
 	}
 	for _, tc := range cases {
-		if _, err := Unmarshal(tc.data); !errors.Is(err, tc.want) {
+		if _, err := unmarshal(tc.data); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -625,13 +632,13 @@ func TestUnmarshalRejects(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[HeaderBytes+4:], MaxVecBits+1)
 		return b
 	})
-	if _, err := Unmarshal(huge); !errors.Is(err, ErrMalformed) {
+	if _, err := unmarshal(huge); !errors.Is(err, ErrMalformed) {
 		t.Errorf("oversized vector accepted: %v", err)
 	}
 
 	// Short token body.
-	tokHdr := NewToken(0, 0, token.Token{Payload: gf.NewBitVec(0)}).Marshal()[:HeaderBytes+4]
-	if _, err := Unmarshal(tokHdr); !errors.Is(err, ErrTruncated) {
+	tokHdr := Packet{Env: envelope(TypeToken, 0, 0), Token: token.Token{Payload: gf.NewBitVec(0)}}.Marshal()[:HeaderBytes+4]
+	if _, err := unmarshal(tokHdr); !errors.Is(err, ErrTruncated) {
 		t.Errorf("short token body: %v", err)
 	}
 }
@@ -645,10 +652,10 @@ func TestAcceptedBytesAreCanonical(t *testing.T) {
 		if i%2 == 0 {
 			p = NewCoded(i, i*3, rlnc.Coded{K: i % 9, Vec: gf.RandomBitVec(i%9+i%31, rng.Uint64)})
 		} else {
-			p = NewToken(i, i*3, token.Random(token.NewUID(i, 0), i%67, rng))
+			p = Packet{Env: envelope(TypeToken, i, i*3), Token: token.Random(token.NewUID(i, 0), i%67, rng)}
 		}
 		b := p.Marshal()
-		q, err := Unmarshal(b)
+		q, err := unmarshal(b)
 		if err != nil {
 			t.Fatalf("packet %d: %v", i, err)
 		}
@@ -674,7 +681,7 @@ func samplePackets(t *testing.T) []Packet {
 	rng := rand.New(rand.NewSource(41))
 	return []Packet{
 		NewCoded(3, 9, rlnc.Encode(5, 32, gf.RandomBitVec(161, rng.Uint64))),
-		NewToken(7, 1, token.Token{UID: token.NewUID(2, 11), Payload: gf.RandomBitVec(77, rng.Uint64)}),
+		Packet{Env: envelope(TypeToken, 7, 1), Token: token.Token{UID: token.NewUID(2, 11), Payload: gf.RandomBitVec(77, rng.Uint64)}},
 		NewAck(2, 4, Ack{
 			Watermark: 6,
 			Ranks:     []GenRank{{Gen: 6, Rank: 12}, {Gen: 7, Rank: 3}},
@@ -760,8 +767,8 @@ func TestAppendToReservesOnce(t *testing.T) {
 var sink []byte
 
 // TestUnmarshalIntoReuse decodes alternating packet types into one
-// scratch Packet and requires every decode to match the allocating
-// Unmarshal exactly, proving stale cross-type storage never leaks.
+// scratch Packet and requires every decode to match a decode into a
+// fresh Packet exactly, proving stale cross-type storage never leaks.
 func TestUnmarshalIntoReuse(t *testing.T) {
 	pkts := samplePackets(t)
 	var scratch Packet
@@ -771,9 +778,9 @@ func TestUnmarshalIntoReuse(t *testing.T) {
 			if err := UnmarshalInto(&scratch, raw); err != nil {
 				t.Fatalf("type %d: UnmarshalInto: %v", p.Env.Type, err)
 			}
-			want, err := Unmarshal(raw)
+			want, err := unmarshal(raw)
 			if err != nil {
-				t.Fatalf("type %d: Unmarshal: %v", p.Env.Type, err)
+				t.Fatalf("type %d: fresh UnmarshalInto: %v", p.Env.Type, err)
 			}
 			if scratch.Env != want.Env {
 				t.Fatalf("type %d: envelope diverged", p.Env.Type)
