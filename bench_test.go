@@ -625,7 +625,7 @@ func BenchmarkSpanDecodeGF2(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := span.Clone().Decode(); err != nil {
+		if _, err := span.Decode(); err != nil {
 			b.Fatal(err)
 		}
 	}

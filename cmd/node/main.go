@@ -48,9 +48,13 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/cluster"
+	"repro/internal/gf"
+	"repro/internal/rlnc"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
+	"repro/internal/token"
 	"repro/internal/udpnet"
+	"repro/internal/wire"
 )
 
 // options carries every flag so tests drive run() without a process.
@@ -121,6 +125,12 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	}
 	if err := o.Validate(); err != nil {
 		return err
+	}
+	// A coded packet over the datagram cap is refused on every Send, and
+	// the node would wait out -timeout: refuse its shape here.
+	coded := rlnc.Coded{K: o.K, Vec: gf.NewBitVec(o.K + token.UIDBits + o.Payload)}
+	if size := wire.NewCoded(o.id, 0, coded).WireBytes(); size > udpnet.DefaultMaxPacket {
+		return fmt.Errorf("-k %d and -payload %d make a %d-byte coded packet, over the %d-byte datagram cap", o.K, o.Payload, size, udpnet.DefaultMaxPacket)
 	}
 	if o.Interval <= 0 {
 		return fmt.Errorf("-interval must be positive (it is the run's tick), got %v", o.Interval)

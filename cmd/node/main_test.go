@@ -49,6 +49,8 @@ func TestRunValidation(t *testing.T) {
 		{"single node", func(o options) options { o.N = 1; o.id = 0; return o }, "-n"},
 		{"zero k", func(o options) options { o.K = 0; return o }, "-k"},
 		{"zero payload", func(o options) options { o.Payload = 0; return o }, "-payload"},
+		{"payload over a datagram", func(o options) options { o.Payload = 600000; return o }, "-payload"},
+		{"k over a datagram", func(o options) options { o.K, o.Payload = 530000, 1; return o }, "-k"},
 		{"fanout at n", func(o options) options { o.Fanout = 2; return o }, "-fanout"},
 		{"loss out of range", func(o options) options { o.Loss = 1; return o }, "-loss"},
 		{"reorder out of range", func(o options) options { o.Reorder = -0.1; return o }, "-reorder"},

@@ -2,14 +2,19 @@ package repro_test
 
 // The design rules, stated over the parsed tree: shapes the code was
 // simplified away from stay gone. Every rule reads one parse of
-// internal/, cmd/ and the root's Go files (benchmark/, its own module,
-// only as a caller of internal/), and reads identifiers, not text: a
-// comment names nothing.
+// internal/, cmd/ and the root's Go files, or one type-check of their
+// non-test files and benchmark/'s (its own module, only as a caller of
+// internal/), and reads identifiers, not text: a comment names nothing.
 // Each rule first finds its subject, so a rename fails loudly instead of
 // passing vacuously.
 
 import (
+	"bytes"
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/constant"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -22,6 +27,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 // goFile is one parsed source file.
@@ -535,9 +542,9 @@ func TestDesignOneSetOfDrivers(t *testing.T) {
 }
 
 // exportsWithoutCallers is the allowlist of TestDesignExportsHaveCallers:
-// the exported functions and methods under internal/ that no non-test
-// file calls, each with why it stays exported. A test that can build a
-// value itself does not earn its builder a place here.
+// the exported names under internal/ that no non-test file reaches, and
+// the exported fields that none sets, each with why it stays. A test that
+// can build a value itself does not earn its builder a place here.
 var exportsWithoutCallers = map[string]string{
 	// Paper constructions that only tests run. Moved into _test.go files
 	// they would cost as many lines and bury the result in a test.
@@ -547,92 +554,424 @@ var exportsWithoutCallers = map[string]string{
 	"rlnc.NewScheduledBroadcastNode": "the deterministic broadcast node of Corollary 6.2 (Section 6), run by the derand and rlnc tests",
 	"stable.AblationMetaRounds":      "the second-share ablation of Section 5.2's meta-round, run by stable's tests and a root benchmark",
 	"exp.EndgameCodedDecodes":        "E9's coded endgame (Section 8), run by exp's tests, the smoke test and an example",
+	"rlnc.Span.Senses":               "Definition 5.1's sensing, whose Lemma 5.3 rlnc's tests measure",
+	"rlnc.GSpan.Decode":              "the general-field decode of Section 6, run by rlnc's tests (the derandomised runs ask only CanDecode)",
 	// Shared with fuzz targets of another package.
 	"hostile.Ops":    "the mutated-ingress fuzz iterates it, so a new op is covered without a hand-written list",
 	"hostile.Mutate": "the byte recipes WithMutator puts on the wire, which udpnet's mutated-ingress fuzz feeds its parser",
 	// Read by a test that must live outside its package.
-	"cluster.Schedule.Ledger": "the schedule's packet account, audited by cluster's stack tests, which import hostile and so cannot be in package cluster",
+	"cluster.Schedule.Ledger":    "the schedule's packet account, audited by cluster's stack tests, which import hostile and so cannot be in package cluster",
+	"telemetry.Recorder.Samples": "a node's time series, read by cluster's mailbox tests, which cannot be in package telemetry",
+	// Fields that only tests set.
+	"dynnet.Config.ValidateConnectivity": "a model check tests turn on; always on, cmd/experiments -quick -seed 1 takes 3.4 s instead of 2.8 s, output unchanged",
+	"udpnet.Config.MaxPacket":            "a deployment setting, and how the oversize path is tested over loopback",
 	// Methods a standard-library interface calls.
 	"keyed.source.Int63": "rand.Source",
+	"keyed.source.Seed":  "rand.Source",
 }
 
-// TestDesignExportsHaveCallers: every exported function and method
-// declared in a non-test file under internal/ has a caller in a non-test
-// file of the tree — internal/, cmd/, the root or benchmark/ — or is in
-// exportsWithoutCallers. A function is called where its package names it
-// (a bare identifier in its own package, pkg.Name elsewhere), a method
-// wherever a selector spells its name. An allowlisted name must exist
-// and have no caller, so the list only shrinks.
+// typedTree is the tree type-checked from source: the non-test files of
+// every package of internal/, cmd/, the root and benchmark/, in one Info.
+type typedTree struct {
+	pkgs  map[string]*types.Package // by import path
+	files map[*types.Package][]*ast.File
+	info  *types.Info
+	std   types.Importer // the standard library's
+}
+
+// importerFunc is an Importer written as a function.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// typed loads the typed tree once: repro/... from the tree's directories
+// (repro/benchmark is benchmark/, its own module over this one), the
+// standard library through go/importer's source importer.
+var typed = sync.OnceValues(func() (*typedTree, error) {
+	fset := token.NewFileSet()
+	tt := &typedTree{pkgs: map[string]*types.Package{}, files: map[*types.Package][]*ast.File{}, std: importer.ForCompiler(fset, "source", nil), info: &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
+	var load func(path string) (*types.Package, error)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if path == "repro" || strings.HasPrefix(path, "repro/") {
+			return load(path)
+		}
+		return tt.std.Import(path)
+	})
+	load = func(path string) (*types.Package, error) {
+		if p, ok := tt.pkgs[path]; ok {
+			return p, nil
+		}
+		dir := "." + strings.TrimPrefix(path, "repro")
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			return nil, err
+		}
+		var files []*ast.File
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		conf := types.Config{Importer: imp}
+		p, err := conf.Check(path, fset, files, tt.info)
+		tt.pkgs[path], tt.files[p] = p, files
+		return p, err
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		top, _, _ := strings.Cut(filepath.ToSlash(path), "/")
+		switch {
+		case err != nil || !d.IsDir():
+			return err
+		case path != "." && !slices.Contains([]string{"internal", "cmd", "benchmark"}, top):
+			return filepath.SkipDir
+		}
+		if _, err := build.ImportDir(path, 0); err != nil {
+			var none *build.NoGoError
+			if errors.As(err, &none) {
+				return nil
+			}
+			return err
+		}
+		_, err = load(strings.TrimSuffix("repro/"+filepath.ToSlash(path), "/."))
+		return err
+	})
+	return tt, err
+})
+
+// TestDesignExportsHaveCallers: every exported function, method, constant,
+// variable and type declared in a non-test file under internal/ is
+// reached from a non-test file of the tree (internal/, cmd/, the root or
+// benchmark/), and every exported field of an exported struct there is
+// set by one; else it is in exportsWithoutCallers. Reached means a typed
+// use of that very object (a generic instance counts for its origin), so
+// another type's method of the same name does not count. A method is also
+// reached when its receiver type implements an interface whose method a
+// non-test file calls, or when it is the String or Error of fmt.Stringer
+// or error. A field is set by a keyed or positional literal, an
+// assignment (to it or to an index of it), an increment or by taking its
+// address; a field nothing sets is a constant, not a knob. An allowlisted
+// name must exist and be unreached, so the list only shrinks.
 func TestDesignExportsHaveCallers(t *testing.T) {
-	files := code(t, false, func(string) bool { return true })
-	bench, err := parseDir("benchmark")
+	tt, err := typed()
 	if err != nil {
 		t.Fatal(err)
 	}
-	files = append(files, bench...)
-	type export struct{ name, dir string }
-	var exports []export
-	decls := map[*ast.Ident]bool{}
-	for _, f := range files {
-		if !strings.HasPrefix(f.dir, "internal/") {
+	// The subjects: objects of the packages under internal/, by name.
+	subjects := map[types.Object]string{}
+	fields := map[*types.Var]string{}
+	for path, p := range tt.pkgs {
+		if !strings.HasPrefix(path, "repro/internal/") {
 			continue
 		}
-		for _, d := range f.ast.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() {
-				name := f.ast.Name.Name + "." + fn.Name.Name
-				if fn.Recv != nil {
-					recv := types.ExprString(fn.Recv.List[0].Type)
-					recv, _, _ = strings.Cut(strings.TrimPrefix(recv, "*"), "[")
-					name = f.ast.Name.Name + "." + recv + "." + fn.Name.Name
-				}
-				exports = append(exports, export{name, f.dir})
-				decls[fn.Name] = true
+		for _, name := range p.Scope().Names() {
+			obj := p.Scope().Lookup(name)
+			if obj.Exported() {
+				subjects[obj] = p.Name() + "." + name
 			}
-		}
-	}
-	called := map[string]bool{}
-	for _, f := range files {
-		each([]goFile{f}, func(_ goFile, _ string, n ast.Node) {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				called["."+n.Sel.Name] = true
-				if x, ok := n.X.(*ast.Ident); ok {
-					for _, imp := range f.ast.Imports {
-						if p, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(p, "repro/") && importName(f.ast, p) == x.Name {
-							called[strings.TrimPrefix(p, "repro/")+"."+n.Sel.Name] = true
-						}
+			named, ok := obj.Type().(*types.Named)
+			if _, isType := obj.(*types.TypeName); !isType || !ok {
+				continue
+			}
+			for m := range named.Methods() {
+				if m.Exported() {
+					subjects[m] = p.Name() + "." + name + "." + m.Name()
+				}
+			}
+			if it, ok := named.Underlying().(*types.Interface); ok {
+				for m := range it.ExplicitMethods() {
+					if m.Exported() {
+						subjects[m] = p.Name() + "." + name + "." + m.Name()
 					}
 				}
-			case *ast.Ident:
-				if !decls[n] {
-					called[f.dir+"."+n.Name] = true
+			}
+			if st, ok := named.Underlying().(*types.Struct); ok && obj.Exported() {
+				for f := range st.Fields() {
+					if f.Exported() {
+						fields[f] = p.Name() + "." + name + "." + f.Name()
+					}
 				}
 			}
-		})
-	}
-	if len(exports) == 0 || !called["internal/cluster.Run"] {
-		t.Fatalf("%d exports under internal/, cluster.Run called: %v: the rule has no subject", len(exports), called["internal/cluster.Run"])
-	}
-	bare := map[string]bool{}
-	for _, e := range exports {
-		parts := strings.Split(e.name, ".")
-		ok := called[e.dir+"."+parts[len(parts)-1]]
-		if len(parts) == 3 {
-			ok = called["."+parts[2]]
 		}
-		_, listed := exportsWithoutCallers[e.name]
-		bare[e.name] = !ok
+	}
+	// The uses: every object a non-test file names, every interface
+	// method it calls, every field it sets.
+	reached := map[types.Object]bool{}
+	for _, obj := range tt.info.Uses {
+		reached[origin(obj)] = true
+	}
+	type ifaceCall struct {
+		iface *types.Interface
+		name  string
+	}
+	var calls []ifaceCall
+	for _, sel := range tt.info.Selections {
+		if iface, ok := sel.Recv().Underlying().(*types.Interface); ok && sel.Kind() != types.FieldVal {
+			calls = append(calls, ifaceCall{iface, sel.Obj().Name()})
+		}
+	}
+	fmtPkg, err := tt.std.Import("fmt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls = append(calls,
+		ifaceCall{fmtPkg.Scope().Lookup("Stringer").Type().Underlying().(*types.Interface), "String"},
+		ifaceCall{types.Universe.Lookup("error").Type().Underlying().(*types.Interface), "Error"})
+	set := map[types.Object]bool{}
+	setField := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				set[origin(tt.info.Uses[x.Sel])] = true
+				return
+			default:
+				return
+			}
+		}
+	}
+	for _, files := range tt.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := tt.info.Types[n].Type // *T for an elided &T
+					if ptr, isPtr := typ.Underlying().(*types.Pointer); isPtr {
+						typ = ptr.Elem()
+					}
+					st, ok := typ.Underlying().(*types.Struct)
+					for i, elt := range n.Elts {
+						if kv, keyed := elt.(*ast.KeyValueExpr); keyed && ok {
+							set[origin(tt.info.Uses[kv.Key.(*ast.Ident)])] = true
+						} else if ok {
+							set[origin(st.Field(i))] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						setField(lhs)
+					}
+				case *ast.IncDecStmt:
+					setField(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						setField(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	run := tt.pkgs["repro/internal/cluster"].Scope().Lookup("Run")
+	if len(subjects) == 0 || !reached[run] {
+		t.Fatalf("%d exports under internal/, cluster.Run reached: %v: the rule has no subject", len(subjects), reached[run])
+	}
+	unreached := map[string]string{} // by name: why it is unreached, "" if it is not
+	for obj, name := range subjects {
+		ok := reached[obj]
+		if m, isFunc := obj.(*types.Func); isFunc && !ok {
+			if recv := m.Signature().Recv(); recv != nil {
+				for _, c := range calls {
+					ok = ok || c.name == m.Name() && (types.Implements(recv.Type(), c.iface) || types.Implements(types.NewPointer(recv.Type()), c.iface))
+				}
+			}
+		}
+		unreached[name] = ""
+		if !ok {
+			unreached[name] = "has no use outside tests"
+		}
+	}
+	for f, name := range fields {
+		unreached[name] = ""
+		if !set[f] {
+			unreached[name] = "is never set outside tests: a constant, not a knob"
+		}
+	}
+	for name, why := range unreached {
+		_, listed := exportsWithoutCallers[name]
 		switch {
-		case !ok && !listed:
-			t.Errorf("%s: %s has no caller outside tests", e.dir, e.name)
-		case ok && listed:
-			t.Errorf("%s is allowlisted but has a caller: take it off the list", e.name)
+		case why != "" && !listed:
+			t.Errorf("%s %s", name, why)
+		case why == "" && listed:
+			t.Errorf("%s is allowlisted but reached outside tests: take it off the list", name)
 		}
 	}
 	for name := range exportsWithoutCallers {
-		if _, ok := bare[name]; !ok {
+		if _, ok := unreached[name]; !ok {
 			t.Errorf("%s is allowlisted but declared nowhere under internal/", name)
 		}
+	}
+}
+
+// origin is the generic declaration of an instance's method or field, obj
+// itself otherwise.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// TestDocCommittedOutputs: every "Committed output" table of DESIGN.md is
+// what its command prints today, exp.Find(id).Run at the table's -trials
+// and seed 1, line by line with trailing spaces trimmed.
+func TestDocCommittedOutputs(t *testing.T) {
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := regexp.MustCompile("Committed\\s+output\\s+\\(`go\\s+run\\s+\\./cmd/experiments\\s+-run\\s+(E\\d+)\\s+-trials\\s+(\\d+)`,\\s+seed\\s+1\\):\\s*```\n([^`]*)```").FindAllStringSubmatch(string(text), -1)
+	if n := len(regexp.MustCompile(`Committed\s+output`).FindAllIndex(text, -1)); n == 0 || len(tables) != n {
+		t.Fatalf("%d committed outputs in DESIGN.md, %d of them a -run -trials table at seed 1: the rule has no subject, or one is not in its form", n, len(tables))
+	}
+	lines := func(s string) []string {
+		out := strings.Split(strings.TrimRight(s, " \n"), "\n")
+		for i := range out {
+			out[i] = strings.TrimRight(out[i], " ")
+		}
+		return out
+	}
+	for _, m := range tables {
+		e, err := exp.Find(m[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		trials, _ := strconv.Atoi(m[2])
+		tbl, err := e.Run(exp.Config{Trials: trials, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", m[1], err)
+		}
+		got, want := lines(tbl.String()), lines(m[3])
+		for i := range max(len(got), len(want)) {
+			if i >= len(got) || i >= len(want) || got[i] != want[i] {
+				t.Errorf("DESIGN.md's %s table at -trials %d differs at line %d:\n%s", m[1], trials, i+1, tbl.String())
+				break
+			}
+		}
+	}
+}
+
+// TestDocCommandFlagsRegistered: every -flag of a `go run ./cmd/X …` line
+// in doc.go, DESIGN.md and the verify skill's notes is a flag cmd/X
+// registers, through package flag in its own code or in a function of the
+// tree it calls (cliutil.GossipFlags.Register). A command is read to the
+// end of its line, or of its code span when it sits in one; a shell
+// comment, pipe or redirection ends it.
+func TestDocCommandFlagsRegistered(t *testing.T) {
+	tt, err := typed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// flagName is the callee of call and, when it defines a flag of
+	// package flag, the flag's name.
+	flagName := func(call *ast.CallExpr) (*types.Func, string) {
+		var id *ast.Ident
+		switch fun := ast.Unparen(call.Fun).(type) {
+		case *ast.Ident:
+			id = fun
+		case *ast.SelectorExpr:
+			id = fun.Sel
+		}
+		callee, _ := tt.info.Uses[id].(*types.Func)
+		if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != "flag" {
+			return callee, ""
+		}
+		params := callee.Signature().Params()
+		for i := range min(params.Len(), len(call.Args)) {
+			if v := tt.info.Types[call.Args[i]].Value; params.At(i).Name() == "name" && v != nil && v.Kind() == constant.String {
+				return callee, constant.StringVal(v)
+			}
+		}
+		return callee, ""
+	}
+	registers := map[*types.Func][]string{} // the flags each function of the tree defines
+	for _, files := range tt.files {
+		for _, f := range files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				fn := tt.info.Defs[fd.Name].(*types.Func)
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if _, name := flagName(call); name != "" {
+							registers[fn] = append(registers[fn], name)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	flags := map[string]map[string]bool{} // by command
+	for path, p := range tt.pkgs {
+		cmd, ok := strings.CutPrefix(path, "repro/cmd/")
+		if !ok {
+			continue
+		}
+		flags[cmd] = map[string]bool{"h": true, "help": true}
+		for _, f := range tt.files[p] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					callee, name := flagName(call)
+					if name != "" {
+						flags[cmd][name] = true
+					}
+					if callee != nil {
+						for _, name := range registers[callee.Origin()] {
+							flags[cmd][name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	command := regexp.MustCompile(`go run \./cmd/(\w+)`)
+	flag := regexp.MustCompile(`(?:^|[\s\[])--?([A-Za-z][\w-]*)`)
+	checked := 0
+	for _, doc := range []string{"doc.go", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range command.FindAllSubmatchIndex(text, -1) {
+			cmd, rest := string(text[m[2]:m[3]]), string(text[m[1]:])
+			line := text[bytes.LastIndexByte(text[:m[0]], '\n')+1 : m[0]]
+			if bytes.Count(line, []byte("`"))%2 == 1 {
+				rest, _, _ = strings.Cut(rest, "`")
+			} else {
+				rest, _, _ = strings.Cut(rest, "\n")
+			}
+			if i := strings.IndexAny(rest, "#|>;&"); i >= 0 {
+				rest = rest[:i]
+			}
+			checked++
+			if flags[cmd] == nil {
+				t.Errorf("%s: go run ./cmd/%s%s: no command %s in the tree", doc, cmd, rest, cmd)
+			}
+			for _, f := range flag.FindAllStringSubmatch(rest, -1) {
+				if flags[cmd] != nil && !flags[cmd][f[1]] {
+					t.Errorf("%s: go run ./cmd/%s%s: cmd/%s registers no -%s", doc, cmd, rest, cmd, f[1])
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no go run ./cmd/ line in the docs: the rule has no subject")
 	}
 }
 

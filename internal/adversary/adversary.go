@@ -134,9 +134,6 @@ func NewTInterval(n, t, extra int, seed int64) *TInterval {
 	return &TInterval{n: n, t: t, extra: extra, rng: keyed.Rand(seed, keyed.Topology)}
 }
 
-// T returns the interval length.
-func (a *TInterval) T() int { return a.t }
-
 // Graph returns the window's stable spanning tree plus fresh random
 // edges for the round.
 func (a *TInterval) Graph(round int, _ []dynnet.Node) *graph.Graph {

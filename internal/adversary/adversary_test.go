@@ -107,8 +107,8 @@ func TestTIntervalKeepsSpanningTree(t *testing.T) {
 			t.Fatalf("round %d: no stable connected spanning subgraph", r)
 		}
 	}
-	if a.T() != T {
-		t.Errorf("T() = %d", a.T())
+	if a.t != T {
+		t.Errorf("t = %d", a.t)
 	}
 }
 

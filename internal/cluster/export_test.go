@@ -30,13 +30,13 @@ func (r Ranks) Live(int) bool { return true }
 
 func (r Ranks) Progress(id int) int { return r[id] }
 
-// Partition is the rule that drops, as DropPartition, the packets for
+// Partition is the rule that drops, as DropAdversary, the packets for
 // which blocked(from, to) is true: flipping the predicate heals or
 // splits the cluster mid-run.
 func Partition(blocked func(from, to int) bool) Rule {
 	return Rule{Decide: func(from, to int, _ []byte, _ int64) Verdict {
 		if blocked(from, to) {
-			return Verdict{Act: Drop, Cause: DropPartition}
+			return Verdict{Act: Drop, Cause: DropAdversary}
 		}
 		return Verdict{}
 	}}

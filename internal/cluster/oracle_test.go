@@ -28,7 +28,7 @@ func TestOracleReadsPublishOnly(t *testing.T) {
 	cfg.Transport = WithRule(cfg.DefaultTransport(0), Rule{
 		Decide: func(_, _ int, _ []byte, tick int64) Verdict {
 			if tick >= 2 {
-				return Verdict{Act: Drop, Cause: DropPartition}
+				return Verdict{Act: Drop, Cause: DropAdversary}
 			}
 			return Verdict{}
 		},

@@ -352,7 +352,7 @@ func TestScheduleLedger(t *testing.T) {
 			}
 		}
 	}
-	for _, c := range []cluster.Cause{cluster.DropLoss, cluster.DropPartition, cluster.DropAdversary, cluster.DropClosed} {
+	for _, c := range []cluster.Cause{cluster.DropLoss, cluster.DropAdversary, cluster.DropClosed} {
 		if total.Dropped[c] == 0 {
 			t.Errorf("no stack dropped a packet for cause %d: %+v", c, total)
 		}

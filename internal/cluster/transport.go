@@ -216,7 +216,6 @@ type Cause uint8
 
 const (
 	DropLoss Cause = iota + 1
-	DropPartition
 	DropAdversary
 	DropClosed // sent after Close, or held when it came
 	numCauses

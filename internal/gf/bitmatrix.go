@@ -3,13 +3,12 @@ package gf
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 )
 
 // BitMatrix maintains a set of GF(2) row vectors in reduced row echelon
 // form, supporting incremental insertion. It is the decoder state for
-// network coding over GF(2): each received message is Reduced against
+// network coding over GF(2): each received message is reduced against
 // the current basis and inserted when it carries new information
 // (increases the rank).
 //
@@ -111,17 +110,6 @@ func (m *BitMatrix) rowAt(idx int32) BitVec {
 // must not hold it across Insert (growth may move the slab).
 func (m *BitMatrix) Row(i int) BitVec { return m.rowAt(m.order[i]) }
 
-// Reduce eliminates v against the stored rows and returns the remainder.
-// The input is not modified; the remainder is freshly allocated.
-func (m *BitMatrix) Reduce(v BitVec) BitVec {
-	if v.Len() != m.cols {
-		panic(fmt.Sprintf("gf: BitMatrix reduce of %d-bit vector against %d columns", v.Len(), m.cols))
-	}
-	r := v.Clone()
-	m.reduceWords(r.w, v.w, 0)
-	return r
-}
-
 // reduceWords eliminates the words dst[lo:], which hold src's, against
 // the stored rows, selecting the rows from src's pivot bits. The rows
 // to xor are known before any xor happens: the basis is in reduced
@@ -195,7 +183,7 @@ func pext(x, mask uint64) uint64 {
 // of mask; bits that name a row at or beyond the rank are ignored. A
 // random mask per chunk is a random combination of the basis, the pivot
 // bits of a vector its reduction: its loop, xorRows, is the one
-// subset-xor loop under Insert, Reduce and rlnc.Span.CombineInto. dst
+// subset-xor loop under Insert and rlnc.Span.CombineInto. dst
 // must not be a stored row.
 func (m *BitMatrix) XorRows(dst BitVec, chunk int, mask uint64) {
 	if dst.n != m.cols {
@@ -425,11 +413,6 @@ func (m *BitMatrix) Insert(v BitVec) bool {
 	return true
 }
 
-// Contains reports whether v lies in the row span.
-func (m *BitMatrix) Contains(v BitVec) bool {
-	return m.Reduce(v).IsZero()
-}
-
 // RowWithLead returns the index of the row whose pivot column is exactly
 // c, or -1 if no row pivots there. Rows are sorted by pivot, so this is
 // a binary search.
@@ -489,27 +472,4 @@ func (m *BitMatrix) Reset() {
 // pivot columns, and under 0.1 % of the slab at K = 768.
 func (m *BitMatrix) MemoryBytes() int {
 	return 8*cap(m.slab) + 8*cap(m.lead) + 4*cap(m.order)
-}
-
-// Clone returns a deep copy of the matrix. The clone's slab is sized to
-// the clone's rank, not the original's capacity; it keeps the expected
-// row count.
-func (m *BitMatrix) Clone() *BitMatrix {
-	c := &BitMatrix{
-		cols:   m.cols,
-		stride: m.stride,
-		slab:   make([]uint64, len(m.order)*m.stride),
-		order:  make([]int32, len(m.order)),
-		lead:   make([]int, len(m.lead)),
-		expect: m.expect,
-		pivots: m.pivots,
-		pfix:   m.pfix,
-		pbig:   slices.Clone(m.pbig),
-	}
-	for i, idx := range m.order {
-		copy(c.slab[i*m.stride:(i+1)*m.stride], m.slab[int(idx)*m.stride:(int(idx)+1)*m.stride])
-		c.order[i] = int32(i)
-	}
-	copy(c.lead, m.lead)
-	return c
 }

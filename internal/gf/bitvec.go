@@ -171,19 +171,6 @@ func xorWords(dst, src []uint64) {
 	}
 }
 
-// Dot returns the GF(2) inner product of v and u (the parity of the
-// popcount of v AND u). The lengths must match.
-func (v BitVec) Dot(u BitVec) uint64 {
-	if v.n != u.n {
-		panic(fmt.Sprintf("gf: BitVec length mismatch %d vs %d", v.n, u.n))
-	}
-	var acc uint64
-	for i, uw := range u.w {
-		acc ^= v.w[i] & uw
-	}
-	return uint64(bits.OnesCount64(acc)) & 1
-}
-
 // DotPrefix returns the GF(2) inner product of v's first u.Len() bits
 // with u, without materializing the prefix as a slice. It relies on the
 // package invariant that u's tail bits beyond u.Len() are zero.
@@ -376,7 +363,7 @@ func RandomBitVec(n int, rnd func() uint64) BitVec {
 }
 
 // maskTail clears the unused high bits of the last word so that Equal,
-// IsZero and Dot can operate word-wise.
+// IsZero and DotPrefix can operate word-wise.
 func (v BitVec) maskTail() {
 	if v.n%64 != 0 && len(v.w) > 0 {
 		v.w[len(v.w)-1] &= (1 << (uint(v.n) % 64)) - 1

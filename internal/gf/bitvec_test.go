@@ -85,8 +85,8 @@ func TestBitVecDot(t *testing.T) {
 	for _, tt := range tests {
 		a := bvFromString(t, tt.a)
 		b := bvFromString(t, tt.b)
-		if got := a.Dot(b); got != tt.want {
-			t.Errorf("Dot(%s,%s) = %d, want %d", tt.a, tt.b, got, tt.want)
+		if got := a.DotPrefix(b); got != tt.want {
+			t.Errorf("DotPrefix(%s,%s) = %d, want %d", tt.a, tt.b, got, tt.want)
 		}
 	}
 }
@@ -109,7 +109,7 @@ func TestBitVecDotBilinear(t *testing.T) {
 		a, b, c := randBV(n, rng), randBV(n, rng), randBV(n, rng)
 		ab := a.Clone()
 		ab.Xor(b)
-		return ab.Dot(c) == (a.Dot(c)+b.Dot(c))%2
+		return ab.DotPrefix(c) == (a.DotPrefix(c)+b.DotPrefix(c))%2
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -235,7 +235,7 @@ func TestBitVecString(t *testing.T) {
 func TestBitVecPanicsOnMismatch(t *testing.T) {
 	a, b := NewBitVec(5), NewBitVec(6)
 	assertPanics(t, "Xor", func() { a.Xor(b) })
-	assertPanics(t, "Dot", func() { _ = a.Dot(b) })
+	assertPanics(t, "DotPrefix", func() { _ = a.DotPrefix(b) })
 	assertPanics(t, "Bit out of range", func() { _ = a.Bit(5) })
 	assertPanics(t, "Set out of range", func() { a.Set(-1, true) })
 	assertPanics(t, "Slice out of range", func() { _ = a.Slice(2, 9) })

@@ -23,8 +23,6 @@ type Field interface {
 	Bits() int
 	// Add returns a + b.
 	Add(a, b uint64) uint64
-	// Sub returns a - b.
-	Sub(a, b uint64) uint64
 	// Neg returns -a.
 	Neg(a uint64) uint64
 	// Mul returns a * b.
@@ -50,9 +48,6 @@ func (GF2) Bits() int { return 1 }
 
 // Add returns a XOR b.
 func (GF2) Add(a, b uint64) uint64 { return (a ^ b) & 1 }
-
-// Sub returns a XOR b (subtraction and addition coincide in GF(2)).
-func (GF2) Sub(a, b uint64) uint64 { return (a ^ b) & 1 }
 
 // Neg returns a (negation is the identity in GF(2)).
 func (GF2) Neg(a uint64) uint64 { return a & 1 }
@@ -140,9 +135,6 @@ func (f *GF2e) Bits() int { return f.e }
 // Add returns a XOR b.
 func (f *GF2e) Add(a, b uint64) uint64 { return (a ^ b) & f.mask }
 
-// Sub returns a XOR b.
-func (f *GF2e) Sub(a, b uint64) uint64 { return (a ^ b) & f.mask }
-
 // Neg returns a.
 func (f *GF2e) Neg(a uint64) uint64 { return a & f.mask }
 
@@ -210,14 +202,6 @@ func (f Prime) Add(a, b uint64) uint64 {
 		s -= f.p
 	}
 	return s
-}
-
-// Sub returns (a - b) mod p.
-func (f Prime) Sub(a, b uint64) uint64 {
-	if a >= b {
-		return a - b
-	}
-	return a + f.p - b
 }
 
 // Neg returns (-a) mod p.

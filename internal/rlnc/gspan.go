@@ -50,12 +50,6 @@ func NewGSpan(f gf.Field, k, payloadElems int) *GSpan {
 	return &GSpan{f: f, k: k, payload: payloadElems, mat: gf.NewMatrix(f, k+payloadElems)}
 }
 
-// Field returns the span's field.
-func (s *GSpan) Field() gf.Field { return s.f }
-
-// K returns the coefficient dimension.
-func (s *GSpan) K() int { return s.k }
-
 // Rank returns the dimension of the received subspace.
 func (s *GSpan) Rank() int { return s.mat.Rank() }
 

@@ -37,9 +37,6 @@ func (c Coded) Bits() int { return c.Vec.Len() }
 // PayloadBits returns the payload length.
 func (c Coded) PayloadBits() int { return c.Vec.Len() - c.K }
 
-// Payload returns a copy of the payload suffix.
-func (c Coded) Payload() gf.BitVec { return c.Vec.Slice(c.K, c.Vec.Len()) }
-
 // Encode builds the initial coded vector for token index i of k: the
 // i-th unit coefficient vector concatenated with the payload
 // ("we concatenate the ith basis vector e_i to t_i").
@@ -227,11 +224,6 @@ func (s *Span) DecodableCount() int {
 		}
 	}
 	return count
-}
-
-// Clone returns an independent copy of the span.
-func (s *Span) Clone() *Span {
-	return &Span{k: s.k, payload: s.payload, mat: s.mat.Clone()}
 }
 
 // Reset empties the span for reuse with a fresh coding generation of

@@ -26,7 +26,7 @@ func TestEncodeShape(t *testing.T) {
 			t.Errorf("coeff bit %d = %v", i, coeff.Bit(i))
 		}
 	}
-	if !c.Payload().Equal(payload) {
+	if !c.Vec.Slice(c.K, c.Vec.Len()).Equal(payload) {
 		t.Error("payload mismatch")
 	}
 }
@@ -138,7 +138,7 @@ func TestPayloadEqualBelowFullRank(t *testing.T) {
 				t.Fatalf("seed %d: token %d does not equal its own payload", seed, i)
 			}
 		}
-		if s.PayloadEqual(0, bad.Payload()) || s.PayloadEqual(k-1, payloads[k-1]) || s.PayloadEqual(1, payloads[1].Slice(0, d-1)) {
+		if s.PayloadEqual(0, bad.Vec.Slice(k, k+d)) || s.PayloadEqual(k-1, payloads[k-1]) || s.PayloadEqual(1, payloads[1].Slice(0, d-1)) {
 			t.Fatalf("seed %d: PayloadEqual holds for a flipped payload, a missing token or a short payload", seed)
 		}
 		if allocs := testing.AllocsPerRun(10, func() { s.PayloadEqual(2, payloads[2]) }); allocs != 0 {
@@ -210,7 +210,7 @@ func TestSensingLemma(t *testing.T) {
 		if !ok {
 			t.Fatal("empty span")
 		}
-		if c.Coeff().Dot(mu) == 1 {
+		if c.Coeff().DotPrefix(mu) == 1 {
 			passed++
 		}
 	}
@@ -309,17 +309,6 @@ func TestPartialDecode(t *testing.T) {
 	}
 }
 
-func TestSpanCloneIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	s := NewSpan(4, 4)
-	s.Add(Encode(0, 4, gf.RandomBitVec(4, rng.Uint64)))
-	c := s.Clone()
-	c.Add(Encode(1, 4, gf.RandomBitVec(4, rng.Uint64)))
-	if s.Rank() != 1 || c.Rank() != 2 {
-		t.Error("clone not independent")
-	}
-}
-
 // TestRowIntoSpansTheSpan: the Rank rows RowInto hands out rebuild the
 // span — every one innovative to an empty span, none to the source — at
 // ranks on both sides of the 64-row coin chunk.
@@ -340,7 +329,7 @@ func TestRowIntoSpansTheSpan(t *testing.T) {
 			var row Coded
 			for i := 0; i < s.Rank(); i++ {
 				s.RowInto(&row, i)
-				if !sink.Add(row) || s.Clone().Add(row) {
+				if !sink.Add(row) || s.Add(row) {
 					t.Fatalf("k=%d: row %d of %d is not a fresh element of the span", k, i, s.Rank())
 				}
 			}
@@ -353,7 +342,7 @@ func TestRowIntoSpansTheSpan(t *testing.T) {
 
 // TestRandomCombinationInSpanAndNonzero checks the cluster recoding
 // primitive: every draw is a nonzero vector that lies in the span (so
-// adding it to a clone cannot grow the rank).
+// adding it refuses it and leaves the span as it was).
 func TestRandomCombinationInSpanAndNonzero(t *testing.T) {
 	const k, d = 8, 16
 	rng := rand.New(rand.NewSource(11))
@@ -372,7 +361,7 @@ func TestRandomCombinationInSpanAndNonzero(t *testing.T) {
 		if c.K != k || c.Vec.Len() != k+d {
 			t.Fatalf("combination dims k=%d len=%d", c.K, c.Vec.Len())
 		}
-		if s.Clone().Add(c) {
+		if s.Add(c) {
 			t.Fatal("combination lies outside the span (rank grew)")
 		}
 	}
@@ -499,14 +488,6 @@ func TestSpanColdFill(t *testing.T) {
 	want := (k + 1) * (8*((k+d+63)/64) + 4 + 8)
 	if s := spans[0]; s.Rank() != k || s.MemoryBytes() != want {
 		t.Fatalf("rank %d and %d bytes after the fill, want %d and %d", s.Rank(), s.MemoryBytes(), k, want)
-	}
-	c := NewSpan(k, d)
-	c.Add(msgs[0])
-	c.Add(msgs[1])
-	c = c.Clone()
-	c.Add(msgs[2])
-	if c.MemoryBytes() != want {
-		t.Errorf("a clone holds %d bytes after its third row, want the expected %d", c.MemoryBytes(), want)
 	}
 }
 

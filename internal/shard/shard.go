@@ -37,12 +37,6 @@ func New(n, shards int) *Executor {
 	return &Executor{n: n, shards: shards}
 }
 
-// N returns the number of partitioned items.
-func (e *Executor) N() int { return e.n }
-
-// Shards returns the effective (clamped) shard count.
-func (e *Executor) Shards() int { return e.shards }
-
 // Range returns shard s's contiguous half-open id range [lo, hi).
 // The first n%shards shards hold one extra item each.
 func (e *Executor) Range(s int) (lo, hi int) {

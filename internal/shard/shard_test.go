@@ -15,14 +15,14 @@ func TestPartitionCoversEveryID(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 8, 64, 1000} {
 		for _, shards := range []int{-1, 0, 1, 2, 3, 4, 7, 8, 64, 2000} {
 			e := New(n, shards)
-			if e.Shards() < 1 {
-				t.Fatalf("New(%d,%d): %d shards", n, shards, e.Shards())
+			if e.shards < 1 {
+				t.Fatalf("New(%d,%d): %d shards", n, shards, e.shards)
 			}
-			if n > 0 && e.Shards() > n {
-				t.Fatalf("New(%d,%d): %d shards exceed items", n, shards, e.Shards())
+			if n > 0 && e.shards > n {
+				t.Fatalf("New(%d,%d): %d shards exceed items", n, shards, e.shards)
 			}
 			next, minSize, maxSize := 0, n+1, -1
-			for s := 0; s < e.Shards(); s++ {
+			for s := 0; s < e.shards; s++ {
 				lo, hi := e.Range(s)
 				if lo != next || hi < lo {
 					t.Fatalf("New(%d,%d) shard %d: range [%d,%d) after %d", n, shards, s, lo, hi, next)
@@ -38,7 +38,7 @@ func TestPartitionCoversEveryID(t *testing.T) {
 			if next != n {
 				t.Fatalf("New(%d,%d): ranges end at %d, want %d", n, shards, next, n)
 			}
-			for s := 0; s < e.Shards(); s++ {
+			for s := 0; s < e.shards; s++ {
 				lo, hi := e.Range(s)
 				for id := lo; id < hi; id++ {
 					if got := e.ShardOf(id); got != s {

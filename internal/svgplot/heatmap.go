@@ -21,14 +21,10 @@ type Heatmap struct {
 	Title  string
 	XLabel string
 	YLabel string
-	// Width/Height are the SVG viewport in px (default 720×480).
-	Width, Height int
 	// Values holds the cell magnitudes.
 	Values [][]float64
 	// X0/XStep map column index to data x (tick); defaults 0/1.
 	X0, XStep float64
-	// Min/Max fix the color scale; both zero means auto from the data.
-	Min, Max float64
 }
 
 // rampLo..rampHi is the sequential single-hue ramp (light→dark blue),
@@ -54,13 +50,7 @@ func rampColor(t float64) string {
 
 // SVG renders the heatmap as a complete SVG document.
 func (h *Heatmap) SVG() string {
-	w, ht := h.Width, h.Height
-	if w <= 0 {
-		w = 720
-	}
-	if ht <= 0 {
-		ht = 480
-	}
+	const w, ht = width, height
 	const barW = 14 // colorbar width inside the legend margin
 	plotW := float64(w - marginLeft - marginRight)
 	plotH := float64(ht - marginTop - marginBottom)
@@ -78,9 +68,6 @@ func (h *Heatmap) SVG() string {
 			}
 			lo, hi = math.Min(lo, v), math.Max(hi, v)
 		}
-	}
-	if h.Min != 0 || h.Max != 0 {
-		lo, hi = h.Min, h.Max
 	}
 	if math.IsInf(lo, 0) || math.IsInf(hi, 0) {
 		lo, hi = 0, 1

@@ -22,9 +22,7 @@ type Chart struct {
 	Title  string
 	XLabel string
 	YLabel string
-	// Width/Height are the SVG viewport in px (default 720×480).
-	Width, Height int
-	Series        []Series
+	Series []Series
 }
 
 // palette cycles per series; the colors stay readable on white.
@@ -34,10 +32,11 @@ var palette = []string{
 }
 
 const (
-	marginLeft   = 72
-	marginRight  = 180 // legend column
-	marginTop    = 44
-	marginBottom = 52
+	width, height = 720, 480 // the SVG viewport in px
+	marginLeft    = 72
+	marginRight   = 180 // legend column
+	marginTop     = 44
+	marginBottom  = 52
 )
 
 // fnum formats a data value the same way everywhere (ticks, labels):
@@ -112,13 +111,7 @@ func dataRange(c *Chart, y bool) (lo, hi float64, any bool) {
 
 // SVG renders the chart as a complete SVG document.
 func (c *Chart) SVG() string {
-	w, h := c.Width, c.Height
-	if w <= 0 {
-		w = 720
-	}
-	if h <= 0 {
-		h = 480
-	}
+	const w, h = width, height
 	plotW := float64(w - marginLeft - marginRight)
 	plotH := float64(h - marginTop - marginBottom)
 	xlo, xhi, _ := dataRange(c, false)

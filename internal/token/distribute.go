@@ -19,22 +19,6 @@ func (d Distribution) K() int {
 	return len(seen)
 }
 
-// All returns one copy of every distinct token, sorted by UID.
-func (d Distribution) All() []Token {
-	seen := make(map[UID]Token)
-	for _, ts := range d {
-		for _, t := range ts {
-			seen[t.UID] = t
-		}
-	}
-	out := make([]Token, 0, len(seen))
-	for _, t := range seen {
-		out = append(out, t)
-	}
-	SortByUID(out)
-	return out
-}
-
 // HeldBy checks that set holds every token of the distribution with its
 // payload intact — what "the node learned all k tokens" means at the end
 // of every dissemination run. Counting the set is not enough: a token

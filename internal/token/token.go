@@ -70,11 +70,6 @@ func RandomSet(k, d int, rng *rand.Rand) []Token {
 	return out
 }
 
-// SortByUID sorts tokens in increasing UID order in place.
-func SortByUID(ts []Token) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].UID < ts[j].UID })
-}
-
 // Set is a UID-keyed collection of tokens, the "knowledge" of a
 // knowledge-based node. It maintains UID order incrementally because the
 // forwarding algorithms read the sorted view every round.
@@ -99,16 +94,6 @@ func (s *Set) Add(t Token) bool {
 	return true
 }
 
-// Remove deletes the token with the given UID if present.
-func (s *Set) Remove(uid UID) {
-	if _, ok := s.byUID[uid]; !ok {
-		return
-	}
-	delete(s.byUID, uid)
-	pos := sort.Search(len(s.sorted), func(i int) bool { return s.sorted[i].UID >= uid })
-	s.sorted = append(s.sorted[:pos], s.sorted[pos+1:]...)
-}
-
 // Has reports whether the set contains uid.
 func (s *Set) Has(uid UID) bool {
 	_, ok := s.byUID[uid]
@@ -128,13 +113,3 @@ func (s *Set) Len() int { return len(s.byUID) }
 // set's internal storage: callers must not modify it and must not hold
 // it across Add or Remove calls.
 func (s *Set) Tokens() []Token { return s.sorted }
-
-// Clone returns an independent copy of the set.
-func (s *Set) Clone() *Set {
-	c := NewSet()
-	c.sorted = append([]Token(nil), s.sorted...)
-	for _, t := range s.sorted {
-		c.byUID[t.UID] = t
-	}
-	return c
-}

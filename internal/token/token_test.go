@@ -117,21 +117,6 @@ func TestSetBasics(t *testing.T) {
 	if len(ts) != 2 || ts[0].UID != a.UID || ts[1].UID != b.UID {
 		t.Errorf("Tokens() not sorted by UID: %v", ts)
 	}
-	s.Remove(a.UID)
-	if s.Has(a.UID) || s.Len() != 1 {
-		t.Error("Remove failed")
-	}
-}
-
-func TestSetCloneIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	s := NewSet()
-	s.Add(Random(NewUID(1, 0), 4, rng))
-	c := s.Clone()
-	c.Add(Random(NewUID(2, 0), 4, rng))
-	if s.Len() != 1 || c.Len() != 2 {
-		t.Error("clone not independent")
-	}
 }
 
 func TestDistributions(t *testing.T) {
@@ -153,14 +138,8 @@ func TestDistributions(t *testing.T) {
 			if got := tt.d.K(); got != tt.wantK {
 				t.Errorf("K = %d, want %d", got, tt.wantK)
 			}
-			all := tt.d.All()
-			if len(all) != tt.wantK {
-				t.Errorf("All() returned %d tokens", len(all))
-			}
-			for i := 1; i < len(all); i++ {
-				if all[i-1].UID >= all[i].UID {
-					t.Error("All() not sorted")
-				}
+			if all := held(tt.d); all.Len() != tt.wantK {
+				t.Errorf("%d distinct tokens held, want %d", all.Len(), tt.wantK)
 			}
 		})
 	}
@@ -171,11 +150,8 @@ func TestDistributions(t *testing.T) {
 func TestHeldByRejectsFlippedPayload(t *testing.T) {
 	const k = 6
 	d := Spread(4, k, 8, rand.New(rand.NewSource(8)))
-	all := d.All()
-	set := NewSet()
-	for _, tk := range all {
-		set.Add(tk)
-	}
+	set := held(d)
+	all := set.Tokens()
 	if err := d.HeldBy(set); err != nil {
 		t.Fatalf("complete set rejected: %v", err)
 	}
@@ -193,10 +169,24 @@ func TestHeldByRejectsFlippedPayload(t *testing.T) {
 	if err := d.HeldBy(flipped); err == nil {
 		t.Error("set with a flipped payload bit accepted")
 	}
-	set.Remove(all[0].UID)
-	if err := d.HeldBy(set); err == nil {
+	missing := NewSet()
+	for _, tk := range all[1:] {
+		missing.Add(tk)
+	}
+	if err := d.HeldBy(missing); err == nil {
 		t.Error("set missing a token accepted")
 	}
+}
+
+// held is the set of every token d places at some node.
+func held(d Distribution) *Set {
+	s := NewSet()
+	for _, ts := range d {
+		for _, tk := range ts {
+			s.Add(tk)
+		}
+	}
+	return s
 }
 
 func TestAtOnePlacement(t *testing.T) {

@@ -60,7 +60,7 @@ func overSockets(t *testing.T, n int, body func(id int, tr *Transport) (done boo
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			dones[id], errs[id] = body(id, mesh.Node(id))
+			dones[id], errs[id] = body(id, mesh.nodes[id])
 		}(id)
 	}
 	wg.Wait()

@@ -44,9 +44,6 @@ func NewMesh(n, inboxBuffer int) (*Mesh, error) {
 	return m, nil
 }
 
-// Node returns node id's underlying socket transport.
-func (m *Mesh) Node(id int) *Transport { return m.nodes[id] }
-
 // Send implements cluster.Transport, routing through node from's
 // socket.
 func (m *Mesh) Send(from, to int, pkt []byte) bool {

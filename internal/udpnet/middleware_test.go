@@ -170,12 +170,12 @@ func TestStackedMiddlewaresDeliverOverUDP(t *testing.T) {
 	}
 }
 
-// partition is the rule that drops, as cluster.DropPartition, the
+// partition is the rule that drops, as cluster.DropAdversary, the
 // packets for which blocked(from, to) is true.
 func partition(blocked func(from, to int) bool) cluster.Rule {
 	return cluster.Rule{Decide: func(from, to int, _ []byte, _ int64) cluster.Verdict {
 		if blocked(from, to) {
-			return cluster.Verdict{Act: cluster.Drop, Cause: cluster.DropPartition}
+			return cluster.Verdict{Act: cluster.Drop, Cause: cluster.DropAdversary}
 		}
 		return cluster.Verdict{}
 	}}

@@ -89,7 +89,8 @@ type Stats struct {
 	DropInboxFull int64
 	// DropUnknownPeer counts Sends to ids with no address book entry.
 	DropUnknownPeer int64
-	// WriteErrors counts failed socket writes.
+	// WriteErrors counts failed socket writes, and writes refused
+	// because the packet is over MaxPacket.
 	WriteErrors int64
 }
 
@@ -254,9 +255,6 @@ func (t *Transport) advertiseAddr() *net.UDPAddr {
 // LocalAddr returns the advertised host:port.
 func (t *Transport) LocalAddr() string { return t.advertiseAddr().String() }
 
-// ID returns the node id this transport was dialed for.
-func (t *Transport) ID() int { return t.cfg.ID }
-
 // Stats returns a snapshot of the datagram accounting.
 func (t *Transport) Stats() Stats { return t.st.snapshot() }
 
@@ -326,7 +324,11 @@ func (t *Transport) Complete() bool { return t.BookSize() == t.cfg.Nodes }
 // transport, oversized packet or kernel refusal — with UDP semantics
 // either way: a true return is no delivery guarantee.
 func (t *Transport) Send(from, to int, pkt []byte) bool {
-	if t.closed.Load() || len(pkt) > t.cfg.maxPacket() {
+	if t.closed.Load() {
+		return false
+	}
+	if len(pkt) > t.cfg.maxPacket() {
+		t.st[writeErrors].Add(1)
 		return false
 	}
 	addr := t.addrOf(to)

@@ -71,7 +71,8 @@ func TestSendRecvRoundTrip(t *testing.T) {
 
 // TestSendBounds pins the drop behavior for unroutable sends: unknown
 // peers, out-of-range ids and oversized packets all return false
-// without touching the socket.
+// without touching the socket, and each is counted once: an oversized
+// packet in WriteErrors, as an oversized announce is.
 func TestSendBounds(t *testing.T) {
 	a := dialT(t, Config{ID: 0, Nodes: 3, MaxPacket: 256})
 	if a.Send(0, 1, []byte{1}) {
@@ -85,6 +86,9 @@ func TestSendBounds(t *testing.T) {
 	}
 	if a.Send(0, 0, make([]byte, 257)) {
 		t.Error("oversized send accepted")
+	}
+	if st := a.Stats(); st.WriteErrors != 1 || st.DropUnknownPeer != 3 {
+		t.Errorf("WriteErrors = %d and DropUnknownPeer = %d after one oversized send, want 1 and 3", st.WriteErrors, st.DropUnknownPeer)
 	}
 	a.Close()
 	if a.Send(0, 0, []byte{1}) {
@@ -123,7 +127,7 @@ func TestBootstrapExchange(t *testing.T) {
 	}
 	for _, tr := range trs[1:] {
 		if err := tr.WaitReady(ctx); err != nil {
-			t.Fatalf("node %d: %v", tr.ID(), err)
+			t.Fatalf("node %d: %v", tr.cfg.ID, err)
 		}
 	}
 	// The bootstrap node itself converges from the pings it answered.
@@ -133,7 +137,7 @@ func TestBootstrapExchange(t *testing.T) {
 	for _, tr := range trs {
 		for id := 0; id < n; id++ {
 			if !tr.Known(id) {
-				t.Errorf("node %d does not know node %d after bootstrap", tr.ID(), id)
+				t.Errorf("node %d does not know node %d after bootstrap", tr.cfg.ID, id)
 			}
 		}
 	}
@@ -162,14 +166,14 @@ func TestBootstrapConvergenceMidScale(t *testing.T) {
 	}
 	for _, tr := range trs {
 		if err := tr.WaitReady(ctx); err != nil {
-			t.Fatalf("node %d: book %d/%d: %v", tr.ID(), tr.BookSize(), n, err)
+			t.Fatalf("node %d: book %d/%d: %v", tr.cfg.ID, tr.BookSize(), n, err)
 		}
 	}
 	// Books must agree on the advertised addresses, not just be full.
 	for _, tr := range trs {
 		for id := 0; id < n; id++ {
 			if got, want := tr.addrOf(id).String(), trs[id].LocalAddr(); got != want {
-				t.Fatalf("node %d has %s for node %d, want %s", tr.ID(), got, id, want)
+				t.Fatalf("node %d has %s for node %d, want %s", tr.cfg.ID, got, id, want)
 			}
 		}
 	}

@@ -103,10 +103,6 @@ const Version = 4
 // HeaderBytes is the size of the envelope header on the wire.
 const HeaderBytes = 10
 
-// HeaderBits is the envelope overhead in bits, for cost accounting that
-// wants to charge framing on top of Packet.Bits().
-const HeaderBits = HeaderBytes * 8
-
 // MaxVecBits caps the bit length the decoder accepts for a coded vector
 // or token payload. It is far above anything the experiments use and
 // exists only to bound decoder work on adversarial input.
@@ -353,7 +349,7 @@ func NewAnnounce(sender, epoch int, a Announce) Packet {
 // accounting (rlnc.Coded.Bits or token.Token.Bits; for an ack or a hello
 // every body byte but the list-length fields), which is what makes wire
 // costs comparable with dynnet.Metrics. Framing overhead is excluded;
-// see HeaderBits and WireBytes.
+// see HeaderBytes and WireBytes.
 func (p Packet) Bits() int { return p.Size().Bits }
 
 // WireBytes returns the exact marshaled size in bytes.
