@@ -234,6 +234,9 @@ var deleted = []struct {
 	{[]string{"type tracker", "markDone", "pendingAdds"}, "a second completion account: run.open, kept where its terms change, is the one"},
 	{[]string{"peerFloor", "mergeMark", "peerMin", "ackPeers"},
 		"a walk of every member per ack or per frontier: the stream's view is a frontier and bit-planes above it (markView), merged and climbed 64 ids a word"},
+	{[]string{"IntroducePeers", "RunEnd", "fillRun", "vectorForm", "packMarks", "unpackRun", "unpackWord", "lanes8", "lanes16", "lanes32"},
+		"a second wire form of a control body: a hello is its sender's view runs (wire.Run) from view to view, an ack's view a frontier and planes"},
+	{[]string{"AnnounceLookup", "AnnounceLookupOK"}, "a second announce exchange: a lookup is a ping to a known peer, answered by a pong"},
 }
 
 // TestDesignDeletedNamesStayDeleted holds the table above over the tree.
@@ -577,6 +580,7 @@ type typedTree struct {
 	files map[*types.Package][]*ast.File
 	info  *types.Info
 	std   types.Importer // the standard library's
+	fset  *token.FileSet
 }
 
 // importerFunc is an Importer written as a function.
@@ -589,7 +593,7 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // standard library through go/importer's source importer.
 var typed = sync.OnceValues(func() (*typedTree, error) {
 	fset := token.NewFileSet()
-	tt := &typedTree{pkgs: map[string]*types.Package{}, files: map[*types.Package][]*ast.File{}, std: importer.ForCompiler(fset, "source", nil), info: &types.Info{
+	tt := &typedTree{pkgs: map[string]*types.Package{}, files: map[*types.Package][]*ast.File{}, std: importer.ForCompiler(fset, "source", nil), fset: fset, info: &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
@@ -724,48 +728,11 @@ func TestDesignExportsHaveCallers(t *testing.T) {
 		ifaceCall{fmtPkg.Scope().Lookup("Stringer").Type().Underlying().(*types.Interface), "String"},
 		ifaceCall{types.Universe.Lookup("error").Type().Underlying().(*types.Interface), "Error"})
 	set := map[types.Object]bool{}
-	setField := func(e ast.Expr) {
-		for {
-			switch x := e.(type) {
-			case *ast.ParenExpr:
-				e = x.X
-			case *ast.IndexExpr:
-				e = x.X
-			case *ast.SelectorExpr:
-				set[origin(tt.info.Uses[x.Sel])] = true
-				return
-			default:
-				return
-			}
-		}
-	}
 	for _, files := range tt.files {
 		for _, f := range files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					typ := tt.info.Types[n].Type // *T for an elided &T
-					if ptr, isPtr := typ.Underlying().(*types.Pointer); isPtr {
-						typ = ptr.Elem()
-					}
-					st, ok := typ.Underlying().(*types.Struct)
-					for i, elt := range n.Elts {
-						if kv, keyed := elt.(*ast.KeyValueExpr); keyed && ok {
-							set[origin(tt.info.Uses[kv.Key.(*ast.Ident)])] = true
-						} else if ok {
-							set[origin(st.Field(i))] = true
-						}
-					}
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						setField(lhs)
-					}
-				case *ast.IncDecStmt:
-					setField(n.X)
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						setField(n.X)
-					}
+				for _, obj := range tt.sets(n) {
+					set[obj] = true
 				}
 				return true
 			})
@@ -808,6 +775,108 @@ func TestDesignExportsHaveCallers(t *testing.T) {
 	for name := range exportsWithoutCallers {
 		if _, ok := unreached[name]; !ok {
 			t.Errorf("%s is allowlisted but declared nowhere under internal/", name)
+		}
+	}
+}
+
+// sets returns the fields node n writes: by a keyed or positional
+// literal, an assignment (to a field or to an index of one), an
+// increment or by taking the field's address.
+func (tt *typedTree) sets(n ast.Node) []types.Object {
+	var out []types.Object
+	field := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				out = append(out, origin(tt.info.Uses[x.Sel]))
+				return
+			default:
+				return
+			}
+		}
+	}
+	switch n := n.(type) {
+	case *ast.CompositeLit:
+		typ := tt.info.Types[n].Type // *T for an elided &T
+		if ptr, isPtr := typ.Underlying().(*types.Pointer); isPtr {
+			typ = ptr.Elem()
+		}
+		st, ok := typ.Underlying().(*types.Struct)
+		for i, elt := range n.Elts {
+			if kv, keyed := elt.(*ast.KeyValueExpr); keyed && ok {
+				out = append(out, origin(tt.info.Uses[kv.Key.(*ast.Ident)]))
+			} else if ok {
+				out = append(out, origin(st.Field(i)))
+			}
+		}
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			field(lhs)
+		}
+	case *ast.IncDecStmt:
+		field(n.X)
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			field(n.X)
+		}
+	}
+	return out
+}
+
+// TestDesignIDListsOnlyInBenchmark: a hello travels as its sender's view
+// runs and an ack's view as a frontier and planes. The id-by-id lists,
+// wire.Ack.Peers and wire.Hello.Peers, the constructors that fold them,
+// wire.NewAck and wire.NewHello, and cluster.View.AppendPeers are the
+// benchmark's: no non-test file outside benchmark/ sets such a list or
+// calls one of them.
+func TestDesignIDListsOnlyInBenchmark(t *testing.T) {
+	tt, err := typed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, cluster := tt.pkgs["repro/internal/wire"], tt.pkgs["repro/internal/cluster"]
+	member := func(p *types.Package, typ, name string) types.Object {
+		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(p.Scope().Lookup(typ).Type()), false, p, name)
+		return obj
+	}
+	subjects := map[types.Object]string{
+		member(wire, "Ack", "Peers"):           "sets wire.Ack.Peers",
+		member(wire, "Hello", "Peers"):         "sets wire.Hello.Peers",
+		wire.Scope().Lookup("NewAck"):          "calls wire.NewAck",
+		wire.Scope().Lookup("NewHello"):        "calls wire.NewHello",
+		member(cluster, "View", "AppendPeers"): "calls cluster.View.AppendPeers",
+	}
+	inBenchmark := map[string]bool{}
+	for p, files := range tt.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				objs := tt.sets(n)
+				if id, ok := n.(*ast.Ident); ok {
+					if fn, ok := tt.info.Uses[id].(*types.Func); ok {
+						objs = append(objs, origin(fn))
+					}
+				}
+				for _, obj := range objs {
+					what, ok := subjects[obj]
+					switch {
+					case !ok:
+					case p.Path() == "repro/benchmark":
+						inBenchmark[what] = true
+					default:
+						t.Errorf("%s %s: an id-by-id list outside benchmark/", tt.fset.Position(n.Pos()), what)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for obj, what := range subjects {
+		if obj == nil || !inBenchmark[what] {
+			t.Fatalf("benchmark/ no longer %s: the rule has no subject", what)
 		}
 	}
 }

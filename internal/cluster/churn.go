@@ -210,9 +210,9 @@ func (s *ChurnSchedule) Validate() error {
 // lockstep slot driving it), like the node's BufRing.
 //
 // The live set is a sorted list of maximal runs [lo, hi) of consecutive
-// ids — what a hello carries on the wire (wire.Hello), so a received
-// peer list merges one interval union per run, and a full-membership
-// view is one run whatever n is. Every mutator is add or Remove; every
+// ids — what a hello carries (wire.Hello's Runs), so a received peer
+// list merges one interval union per run, and a full-membership view is
+// one run whatever n is. Every mutator is add or Remove; every
 // query walks or searches the runs.
 //
 // Stamps are ticks of the run's clock (Node.Now), and suspicion
@@ -350,15 +350,24 @@ func (v *View) Mark(id int, now int64) { v.add(id, id+1, now, true) }
 // unsuspected forever, deadlocking the stream's retirement frontier.
 func (v *View) Introduce(id int, now int64) { v.add(id, id+1, now, false) }
 
-// IntroducePeers is Introduce for every id of a hello body, at one
-// interval union per run of the list — cut where the wire codec cuts it
-// — and not one per id. Ids beyond the id space are ignored.
-func (v *View) IntroducePeers(peers []uint32, now int64) {
-	for lo, hi := 0, 0; lo < len(peers); lo = hi {
-		hi = wire.RunEnd(peers, lo)
-		if first := peers[lo]; first < uint32(v.maxN) {
-			v.add(int(first), int(min(peers[hi-1], uint32(v.maxN-1)))+1, now, false)
+// IntroduceRuns is Introduce for every id of a hello body, at one
+// interval union per run that is not already live. Ids beyond the id
+// space are ignored.
+func (v *View) IntroduceRuns(runs []wire.Run, now int64) {
+	i := 0 // a cursor into v.runs, for runs that ascend as a view's do
+	for _, r := range runs {
+		if r.Start >= uint32(v.maxN) {
+			continue
 		}
+		lo, hi := int(r.Start), int(min(uint64(r.Start)+uint64(r.Count), uint64(v.maxN)))
+		for i < len(v.runs) && v.runs[i].hi < hi {
+			i++
+		}
+		if i < len(v.runs) && v.runs[i].lo <= lo {
+			continue // inside v.runs[i]: nothing to add, no stamp to move
+		}
+		v.add(lo, hi, now, false)
+		i = 0 // add rewrote v.runs
 	}
 }
 
@@ -473,8 +482,19 @@ func (v *View) Pick(rng *rand.Rand, _ int64) int {
 	return -1 // unreachable
 }
 
-// AppendPeers appends the view's live ids (including self) to dst for
-// a hello body, reusing dst's capacity.
+// AppendRuns appends the view's live set (self included) to dst as a
+// hello body's runs, reusing dst's capacity.
+func (v *View) AppendRuns(dst []wire.Run) []wire.Run {
+	dst = slices.Grow(dst, len(v.runs))
+	for _, r := range v.runs {
+		dst = append(dst, wire.Run{Start: uint32(r.lo), Count: uint32(r.hi - r.lo)})
+	}
+	return dst
+}
+
+// AppendPeers appends the view's live ids (including self) to dst,
+// reusing dst's capacity: the id-by-id list the benchmark's view kernel
+// times.
 func (v *View) AppendPeers(dst []uint32) []uint32 {
 	dst = slices.Grow(dst, v.n)
 	for _, r := range v.runs {

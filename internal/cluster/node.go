@@ -177,7 +177,7 @@ func (nd *Node) recv(raw []byte) bool {
 	// Third-party introductions never refresh a known peer's stamp (see
 	// View.Introduce), or suspicion could never evict a crashed node that
 	// peers keep listing.
-	nd.View.IntroducePeers(p.Hello.Peers, nd.Now)
+	nd.View.IntroduceRuns(p.Hello.Runs, nd.Now)
 	return false
 }
 
@@ -190,16 +190,16 @@ func (nd *Node) Announce() {
 		return
 	}
 	if peer := nd.Pick(); peer >= 0 {
-		msg, bits := nd.buildHello(false, nd.View.AppendPeers(nd.Tx.Hello.Peers[:0]))
+		msg, bits := nd.buildHello(false, nd.View.AppendRuns(nd.Tx.Hello.Runs[:0]))
 		nd.post(peer, bits, msg)
 	}
 }
 
-// buildHello fills Tx with a membership announcement listing peers
-// (built in Tx.Hello.Peers' storage) and encodes it.
-func (nd *Node) buildHello(leaving bool, peers []uint32) ([]byte, int) {
+// buildHello fills Tx with a membership announcement listing runs
+// (built in Tx.Hello.Runs' storage) and encodes it.
+func (nd *Node) buildHello(leaving bool, runs []wire.Run) ([]byte, int) {
 	nd.Tx.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeHello, Sender: uint32(nd.ID), Epoch: 0}
-	nd.Tx.Hello = wire.Hello{Leaving: leaving, Peers: peers}
+	nd.Tx.Hello = wire.Hello{Leaving: leaving, Runs: runs}
 	return nd.Tx.Encode(nd.ring.Get()[:0])
 }
 
@@ -215,15 +215,17 @@ func (nd *Node) buildHello(leaving bool, peers []uint32) ([]byte, int) {
 func (nd *Node) helloAll(leaving bool) {
 	// The view is the recipient list either way; only an introduction
 	// also carries it (a goodbye keeps the storage and sends it empty).
-	to := nd.View.AppendPeers(nd.Tx.Hello.Peers[:0])
+	to := nd.View.AppendRuns(nd.Tx.Hello.Runs[:0])
 	list := to
 	if leaving {
 		list = to[:0]
 	}
 	msg, bits := nd.buildHello(leaving, list)
-	for _, pid := range to {
-		if int(pid) != nd.ID {
-			nd.post(int(pid), bits, slices.Clone(msg))
+	for _, r := range to {
+		for id := int(r.Start); id < int(r.Start)+int(r.Count); id++ {
+			if id != nd.ID {
+				nd.post(id, bits, slices.Clone(msg))
+			}
 		}
 	}
 	nd.ring.Put(msg)

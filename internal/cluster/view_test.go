@@ -135,7 +135,7 @@ func driveView(t *testing.T, script []byte) {
 			for k := 0; k <= b/7%5; k++ {
 				list = append(list, uint32(b%(maxN+2)+k))
 			}
-			v.IntroducePeers(list, now)
+			v.IntroduceRuns(wire.NewHello(0, 0, wire.Hello{Peers: list}).Hello.Runs, now)
 			for _, pid := range list {
 				m.add(int(pid), now, false)
 			}
@@ -171,6 +171,51 @@ func FuzzView(f *testing.F) {
 	f.Add([]byte{7, 0, 0, 2, 1, 16, 1, 4, 3, 0, 0, 4, 5, 0, 0, 1, 4, 0, 2, 5, 9, 0, 15})
 	f.Add([]byte{15, 9, 2, 0, 3, 0, 7, 0, 5, 0, 7, 0, 4, 0, 9, 1, 4, 0, 2, 3, 17, 40, 1, 4, 5, 0, 0})
 	f.Fuzz(driveView)
+}
+
+// TestHelloRunsMatchPeerList holds a hello built from a view's runs to
+// the one the id-by-id list builds, byte for byte, for views of up to 300
+// ids after random Fill, Remove, Introduce and Mark sequences; and a view
+// that merges it through IntroduceRuns to one that introduces every
+// listed id on its own.
+func TestHelloRunsMatchPeerList(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		maxN := 1 + rng.Intn(300)
+		v := NewView(rng.Intn(maxN), maxN)
+		for step := 0; step < rng.Intn(60); step++ {
+			id, now := rng.Intn(maxN+2)-1, int64(rng.Intn(8))
+			switch rng.Intn(4) {
+			case 0:
+				v.Fill(id, now)
+			case 1:
+				v.Remove(id)
+			case 2:
+				v.Introduce(id, now)
+			case 3:
+				v.Mark(id, now)
+			}
+		}
+		p := wire.NewHello(v.self, 0, wire.Hello{})
+		p.Hello.Runs = v.AppendRuns(nil)
+		ids := v.AppendPeers(nil)
+		got, want := p.Marshal(), wire.NewHello(v.self, 0, wire.Hello{Peers: ids}).Marshal()
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: view runs %v encode %x, the id list %x", seed, v.runs, got, want)
+		}
+		var rx wire.Packet
+		if err := wire.UnmarshalInto(&rx, got); err != nil {
+			t.Fatal(err)
+		}
+		live, sa, now := randomLive(rng, maxN), int64(rng.Intn(3)*2), int64(8+rng.Intn(4))
+		merged, ref := members(maxN, live), members(maxN, live)
+		merged.SuspectAfter, ref.SuspectAfter = sa, sa
+		merged.IntroduceRuns(rx.Hello.Runs, now)
+		for _, id := range ids {
+			ref.Introduce(int(id), now)
+		}
+		sameView(t, "hello merged", ref, merged, sa)
+	}
 }
 
 // TestHelloReceivePerRun holds a node's hello receive — one interval

@@ -736,7 +736,7 @@ func (nd *node) emitAckInto(p *wire.Packet) {
 		}
 		ack.Ranks = append(ack.Ranks, wire.GenRank{Gen: uint32(nd.delivered), Rank: uint32(rank)})
 	}
-	ack.Frontier, ack.Planes, ack.Peers = uint32(nd.marks.frontier), nd.marks.planes, nil
+	ack.Frontier, ack.Planes = uint32(nd.marks.frontier), nd.marks.planes
 }
 
 // pushData sends up to fanout fresh coded packets to random peers. A

@@ -15,14 +15,14 @@
 //     counts every rejection by wire-sentinel kind (Stats).
 //
 //   - An address book maps node ids to *net.UDPAddr, learned from a
-//     bootstrap peer via announce ping/pong and lookup exchanges over
-//     the wire codec (wire.TypeAnnounce). Every announce carries the
+//     bootstrap peer and then from known peers via announce ping/pong
+//     exchanges over the wire codec (wire.TypeAnnounce). Every announce carries the
 //     sender's view of the book, so addresses spread epidemically —
 //     the same gossip principle as the payload protocol.
 //
 //   - No network under locks. The book's RWMutex is held only to read
 //     or write table entries; every WriteToUDP happens after release.
-//     Request/response pairs (ping, lookup) are correlated by a
+//     Request/response pairs (ping, pong) are correlated by a
 //     MsgID-keyed inflight map of waiter channels, so concurrent
 //     bootstrap exchanges never collide.
 //

@@ -35,7 +35,7 @@ func FuzzUDPIngress(f *testing.F) {
 	f.Add(wire.NewAnnounce(2, 0, wire.Announce{Op: wire.AnnouncePong, MsgID: 7, Addrs: []wire.AddrEntry{
 		{Node: 3, Addr: "127.0.0.1:9003"},
 	}}).Marshal())
-	f.Add(wire.NewAnnounce(3, 0, wire.Announce{Op: wire.AnnounceLookup, MsgID: 9}).Marshal())
+	f.Add(wire.NewAnnounce(3, 0, wire.Announce{Op: wire.AnnouncePong, MsgID: 9}).Marshal())
 	f.Add([]byte{})
 	f.Add(good[:5])
 	f.Add(good[:wire.HeaderBytes])

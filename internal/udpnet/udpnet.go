@@ -170,7 +170,7 @@ type Transport struct {
 	// waiter channel is buffered (1) so the read loop never blocks
 	// delivering a response.
 	ifMu     sync.Mutex
-	inflight map[uint64]chan wire.Announce
+	inflight map[uint64]chan struct{}
 	msgID    atomic.Uint64
 
 	// free recycles consumed send buffers into inbox copies (see the
@@ -234,7 +234,7 @@ func newTransport(cfg Config) (*Transport, error) {
 		conn:     conn,
 		inbox:    make(chan []byte, cfg.inboxBuffer()),
 		book:     make([]*net.UDPAddr, cfg.Nodes),
-		inflight: make(map[uint64]chan wire.Announce),
+		inflight: make(map[uint64]chan struct{}),
 		free:     make(chan []byte, 256),
 	}
 	t.learn(cfg.ID, t.advertiseAddr())
@@ -438,9 +438,9 @@ func (t *Transport) ingest(data []byte, src *net.UDPAddr, scratch *wire.Packet) 
 
 // handleAnnounce consumes one address-book control packet. Every
 // announce teaches us the sender's socket address (the datagram source
-// is ground truth) plus whatever book entries it carried; requests
-// (ping, lookup) are answered with our full book, responses (pong,
-// lookup-ok) complete their MsgID's inflight waiter.
+// is ground truth) plus whatever book entries it carried; a request
+// (ping) is answered with our full book, a response (pong) completes its
+// MsgID's inflight waiter.
 func (t *Transport) handleAnnounce(p *wire.Packet, src *net.UDPAddr) {
 	a := p.Announce
 	t.learn(int(p.Env.Sender), src)
@@ -449,19 +449,14 @@ func (t *Transport) handleAnnounce(p *wire.Packet, src *net.UDPAddr) {
 	}
 	switch a.Op {
 	case wire.AnnouncePing:
-		t.sendBook(src, wire.AnnouncePong, a.MsgID)
-	case wire.AnnounceLookup:
-		t.sendBook(src, wire.AnnounceLookupOK, a.MsgID)
-	case wire.AnnouncePong, wire.AnnounceLookupOK:
+		t.sendBook(src, a.MsgID)
+	case wire.AnnouncePong:
 		t.ifMu.Lock()
 		ch := t.inflight[a.MsgID]
 		delete(t.inflight, a.MsgID)
 		t.ifMu.Unlock()
 		if ch != nil {
-			// Deep-copy: the scratch packet (and its Addrs backing array)
-			// is reused by the next decode.
-			cp := wire.Announce{Op: a.Op, MsgID: a.MsgID, Addrs: append([]wire.AddrEntry(nil), a.Addrs...)}
-			ch <- cp // buffered; never blocks
+			ch <- struct{}{} // buffered; never blocks
 		}
 	}
 }
@@ -479,16 +474,16 @@ func (t *Transport) appendBook(dst []wire.AddrEntry) []wire.AddrEntry {
 	return dst
 }
 
-// sendBook writes one announce carrying the full book to dst, from a
-// cached marshal when the book hasn't changed. Only the op byte and
-// msgID differ between responses, and they live at fixed offsets right
-// after the envelope, so a response is one copy and a 9-byte patch.
+// sendBook writes one pong carrying the full book to dst, from a cached
+// marshal when the book hasn't changed. Only the msgID differs between
+// responses, and it lives at a fixed offset right after the envelope and
+// the op byte, so a response is one copy and an 8-byte patch.
 // Lock ordering: bwMu, then the book's RLock inside appendBook; the
 // write happens after both are released.
-func (t *Transport) sendBook(dst *net.UDPAddr, op wire.AnnounceOp, msgID uint64) {
+func (t *Transport) sendBook(dst *net.UDPAddr, msgID uint64) {
 	t.bwMu.Lock()
 	if ver := t.bookVer.Load(); t.bookWire == nil || ver != t.bookWireVer {
-		a := wire.Announce{Op: op, MsgID: msgID, Addrs: t.appendBook(nil)}
+		a := wire.Announce{Op: wire.AnnouncePong, MsgID: msgID, Addrs: t.appendBook(nil)}
 		t.bookWire = wire.NewAnnounce(t.cfg.ID, 0, a).Marshal()
 		t.bookWireVer = ver
 	}
@@ -501,45 +496,22 @@ func (t *Transport) sendBook(dst *net.UDPAddr, op wire.AnnounceOp, msgID uint64)
 		t.st[writeErrors].Add(1)
 		return
 	}
-	buf[wire.HeaderBytes] = byte(op)
 	binary.LittleEndian.PutUint64(buf[wire.HeaderBytes+1:], msgID)
 	if _, err := t.conn.WriteToUDP(buf, dst); err != nil {
 		t.st[writeErrors].Add(1)
 	}
 }
 
-// sendSelf writes one announce carrying only our own address — the
-// request shape. Requests used to carry the sender's whole book "for
-// epidemic spread", which at n=1024 meant every bootstrap round moved
-// O(n) entries per node per direction and the marshal+parse storm
-// starved one-core runs; the responder learns the sender from the
-// datagram source anyway, so requests only need to exist.
-func (t *Transport) sendSelf(dst *net.UDPAddr, op wire.AnnounceOp, msgID uint64) {
-	self := t.addrOf(t.cfg.ID)
-	var addrs []wire.AddrEntry
-	if self != nil {
-		addrs = []wire.AddrEntry{{Node: uint32(t.cfg.ID), Addr: self.String()}}
-	}
-	t.sendAnnounce(dst, op, msgID, addrs)
-}
-
-func (t *Transport) sendAnnounce(dst *net.UDPAddr, op wire.AnnounceOp, msgID uint64, addrs []wire.AddrEntry) {
-	a := wire.Announce{Op: op, MsgID: msgID, Addrs: addrs}
-	pkt := wire.NewAnnounce(t.cfg.ID, 0, a)
-	if pkt.WireBytes() > t.cfg.maxPacket() {
-		t.st[writeErrors].Add(1)
-		return
-	}
-	if _, err := t.conn.WriteToUDP(pkt.Marshal(), dst); err != nil {
-		t.st[writeErrors].Add(1)
-	}
-}
-
-// request sends one announce request to dst and waits for the
-// correlated response (or ctx).
-func (t *Transport) request(ctx context.Context, dst *net.UDPAddr, op wire.AnnounceOp) error {
+// request sends one ping to dst and waits for the correlated pong (or
+// ctx). The ping carries only our own address. Requests used to carry
+// the sender's whole book "for epidemic spread", which at n=1024 meant
+// every bootstrap round moved O(n) entries per node per direction and
+// the marshal+parse storm starved one-core runs; the responder learns
+// the sender from the datagram source anyway, so requests only need to
+// exist.
+func (t *Transport) request(ctx context.Context, dst *net.UDPAddr) error {
 	id := t.msgID.Add(1)
-	ch := make(chan wire.Announce, 1)
+	ch := make(chan struct{}, 1)
 	t.ifMu.Lock()
 	t.inflight[id] = ch
 	t.ifMu.Unlock()
@@ -548,37 +520,45 @@ func (t *Transport) request(ctx context.Context, dst *net.UDPAddr, op wire.Annou
 		delete(t.inflight, id)
 		t.ifMu.Unlock()
 	}()
-	t.sendSelf(dst, op, id)
+	ping := wire.Announce{Op: wire.AnnouncePing, MsgID: id}
+	if self := t.addrOf(t.cfg.ID); self != nil {
+		ping.Addrs = []wire.AddrEntry{{Node: uint32(t.cfg.ID), Addr: self.String()}}
+	}
+	if pkt := wire.NewAnnounce(t.cfg.ID, 0, ping); pkt.WireBytes() > t.cfg.maxPacket() {
+		t.st[writeErrors].Add(1)
+	} else if _, err := t.conn.WriteToUDP(pkt.Marshal(), dst); err != nil {
+		t.st[writeErrors].Add(1)
+	}
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-ch:
-		// handleAnnounce already folded the response's entries into the
+		// handleAnnounce already folded the pong's entries into the
 		// book before completing the waiter.
 		return nil
 	}
 }
 
-// PingAddr announces our book to addr and waits for the pong — the
-// bootstrap handshake. The pong carries the peer's whole book, which
-// handleAnnounce folds in before this returns.
+// PingAddr pings addr and waits for the pong — the bootstrap handshake.
+// The pong carries the peer's whole book, which handleAnnounce folds in
+// before this returns.
 func (t *Transport) PingAddr(ctx context.Context, addr string) error {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return fmt.Errorf("udpnet: ping address %q: %w", addr, err)
 	}
-	return t.request(ctx, ua, wire.AnnouncePing)
+	return t.request(ctx, ua)
 }
 
-// Lookup asks the known peer via for its address book — the epidemic
-// exchange step that completes books without funneling everything
-// through the bootstrap node.
+// Lookup is PingAddr to the known peer via — the epidemic exchange step
+// that completes books without funneling everything through the
+// bootstrap node.
 func (t *Transport) Lookup(ctx context.Context, via int) error {
 	addr := t.addrOf(via)
 	if addr == nil {
 		return fmt.Errorf("udpnet: lookup via unknown peer %d", via)
 	}
-	return t.request(ctx, addr, wire.AnnounceLookup)
+	return t.request(ctx, addr)
 }
 
 // BootstrapLoop fills the address book: ping the bootstrap peer, then

@@ -37,43 +37,35 @@
 //	token:    uint64 uid, uint32 payloadBits, ceil(payloadBits/8) bytes
 //	ack:      uvarint watermark, uvarint nGenRuns,
 //	          nGenRuns × (uvarint gen, uvarint count, count × uvarint rank),
-//	          uint8 form, then either (form ≤ 32: planes) uvarint
-//	          frontier, and unless planes is 0 uvarint planeBytes,
-//	          planes × planeBytes bytes (LSB-first), or (form = 0x80 |
-//	          width: a vector) uvarint nRuns ≥ 1, nRuns × (uvarint start,
-//	          uvarint count), uvarint base, then each watermark − base in
-//	          width bits, LSB-first
+//	          uint8 planes ≤ 32, uvarint frontier, and unless planes is 0
+//	          uvarint planeBytes, planes × planeBytes bytes (LSB-first)
 //	hello:    uint8 flags (0 = announce, 1 = leave; others rejected),
 //	          uvarint nRuns,  nRuns × (uvarint start, uvarint count)
-//	announce: uint8 op (0 = ping, 1 = pong, 2 = lookup, 3 = lookup-ok;
-//	          others rejected), uint64 msgID,
-//	          uint32 nAddrs, nAddrs × (uint32 node, uint16 addrLen,
-//	          addrLen bytes "host:port", addrLen ≤ MaxAddrBytes)
+//	announce: uint8 op (0 = ping, the request; 1 = pong, the response;
+//	          others rejected), uint64 msgID, uint32 nAddrs, nAddrs ×
+//	          (uint32 node, uint16 addrLen, addrLen bytes "host:port",
+//	          addrLen ≤ MaxAddrBytes)
 //
-// Id lists are run-length coded. A hello's peer list, an ack's
-// watermark vector and an ack's ranks (by generation) are, in every run
-// the repo makes, a handful of stretches of consecutive ascending ids;
-// on the wire each stretch is one run (start, count) standing for the
-// ids start, start+1, …, start+count-1 in that order. runEnd cuts a list
-// into runs — maximal ones, in list order — so any list round-trips
-// entry for entry (unsorted, duplicated, id 2³²-1 followed by id 0: each
-// break just starts a new run). An ack carries its view of every
-// node's watermark in one of two forms. The planes are bit-sliced: plane
-// l holds bit l of every id's offset above the frontier, so they cost
-// planes × planeBytes bytes however the ids fall, and end at the last id
-// with a nonzero offset. A vector spells marks id by id, as offsets from
-// their least (base) at the bits of the greatest (width, 0 when all are
-// equal). uvarint is encoding/binary's, at most 32 bits wide here. The
-// encoding is canonical, which keeps a parse marshalling back to b: the
-// decoder rejects a count of zero, a run that continues the one before
-// it (the encoder would have merged them), a run reaching past id 2³²-1,
-// a varint with a padding zero group or more than 32 bits, a base other
-// than the least mark, a width other than the greatest offset's, nonzero
-// spare bits, a watermark past 2³²-1, an empty vector, a form over 32
-// planes or bits, a zero top plane and a last plane byte zero in every
-// plane. MaxAckEntries caps the expanded length of a list, checked
-// against each run's count before the run is expanded, and the ids a
-// plane covers: a few bytes cannot make the decoder allocate for 2³² ids.
+// Id lists are run-length coded. A hello's peer list and an ack's ranks
+// (by generation) are, in every run the repo makes, a handful of
+// stretches of consecutive ascending ids; on the wire each stretch is
+// one run (start, count) standing for the ids start, start+1, …,
+// start+count-1 in that order. A hello holds its list as those runs
+// (Hello.Runs), from the sender's membership view to the receiver's,
+// and the encoder merges runs that touch; an ack's ranks are cut into
+// maximal runs in list order. An ack carries its view of every node's
+// watermark as a frontier and bit-planes: plane l holds bit l of every
+// id's offset above the frontier, so they cost planes × planeBytes bytes
+// however the ids fall, and end at the last id with a nonzero offset.
+// uvarint is encoding/binary's, at most 32 bits wide here. The encoding
+// is canonical, which keeps a parse marshalling back to b: the decoder
+// rejects a count of zero, a run that continues the one before it (the
+// encoder would have merged them), a run reaching past id 2³²-1, a
+// varint with a padding zero group or more than 32 bits, more than 32
+// planes, a zero top plane and a last plane byte zero in every plane.
+// MaxAckEntries caps the ids a hello's runs or an ack's ranks and planes
+// cover, checked against each run's count as it is read: a few bytes
+// cannot make a receiver walk or allocate for 2³² ids.
 //
 // Wrap policy: Sender and Epoch are 32-bit on the wire and do NOT wrap.
 // The constructors (NewCoded, NewAck, NewHello) panic on a
@@ -129,21 +121,16 @@ const (
 	// cluster and stream runtimes run with dynamic membership.
 	TypeHello Type = 4
 	// TypeAnnounce is the socket transport's address-book exchange: a
-	// MsgID-correlated request/response pair (ping/pong for bootstrap,
-	// lookup/lookup-ok for targeted address resolution) carrying
-	// node-id → host:port entries. It is transport-level control — the
+	// MsgID-correlated request/response pair carrying node-id →
+	// host:port entries. It is transport-level control — the
 	// in-process transports never emit it, and the gossip runtimes
 	// never see it (internal/udpnet consumes it in its read loop).
 	TypeAnnounce Type = 5
 )
 
-// vectorForm marks an ack body's form byte as a vector's; without it the
-// byte is a plane count. The low bits hold the width either way.
-const vectorForm = 0x80
-
 // MaxAckEntries caps the list lengths the decoder accepts in an ack,
-// hello or announce body — for the run-length coded id lists the
-// expanded length, whatever the runs cost in bytes. Like MaxVecBits it
+// hello or announce body — for the run-length coded id lists the ids
+// the runs cover, whatever they cost in bytes. Like MaxVecBits it
 // only bounds decoder work and memory on adversarial input.
 const MaxAckEntries = 1 << 16
 
@@ -193,8 +180,8 @@ type GenRank struct {
 	Rank uint32
 }
 
-// PeerMark is one entry of an ack's gossip view: the highest delivery
-// watermark the sender has learned for a node (its own or relayed).
+// PeerMark is one node's delivery watermark, an entry of the id-by-id
+// list NewAck folds into an ack's planes.
 type PeerMark struct {
 	Node      uint32
 	Watermark uint32
@@ -208,40 +195,43 @@ type PeerMark struct {
 // Planes[l][i/64], the planes all of one length. The encoder trims zero
 // top planes and the zero words and bytes after the last nonzero offset,
 // so a decoded Ack holds the same view in its shortest planes. Peers is
-// the other form, an id-by-id vector, which the stream does not send: an
-// ack carries one form, Frontier and Planes when Peers is empty.
+// the same view id by id, for a caller that builds one so: NewAck folds
+// it into Frontier and Planes, and Encode refuses an ack that still
+// holds it.
 type Ack struct {
 	Watermark uint32
-	Ranks     []GenRank
 	Frontier  uint32
+	Ranks     []GenRank
 	Planes    [][]uint64
 	Peers     []PeerMark
 }
 
 // Hello is the membership control body. Leaving distinguishes a
 // graceful departure announcement from a join/alive announcement;
-// Peers is the sender's current live-peer view, which receivers merge
+// Runs is the sender's current live-peer view, which receivers merge
 // into their own so membership spreads transitively at gossip speed.
+// Peers is the same list id by id, for a caller that builds one so:
+// NewHello cuts it into Runs, and Encode refuses a hello that still
+// holds it.
 type Hello struct {
 	Leaving bool
+	Runs    []Run
 	Peers   []uint32
 }
 
-// AnnounceOp discriminates the four announce exchanges.
+// Run is the ids Start, Start+1, …, Start+Count-1: one run of a hello's
+// peer list, the pair the codec writes.
+type Run struct{ Start, Count uint32 }
+
+// AnnounceOp discriminates the two halves of an announce exchange.
 type AnnounceOp uint8
 
 const (
-	// AnnouncePing is a bootstrap request: "here is my address, tell me
-	// yours". The body carries the sender's own advertised address.
+	// AnnouncePing is a request: "here is my address, send me your
+	// book". The body carries the sender's own advertised address.
 	AnnouncePing AnnounceOp = 0
 	// AnnouncePong answers a ping with the responder's address book.
 	AnnouncePong AnnounceOp = 1
-	// AnnounceLookup requests the addresses of specific node ids; its
-	// entries carry the target ids with empty address strings.
-	AnnounceLookup AnnounceOp = 2
-	// AnnounceLookupOK answers a lookup with the entries the responder
-	// could resolve (unknown targets are simply omitted).
-	AnnounceLookupOK AnnounceOp = 3
 )
 
 // String returns the op's protocol name.
@@ -251,17 +241,12 @@ func (op AnnounceOp) String() string {
 		return "ping"
 	case AnnouncePong:
 		return "pong"
-	case AnnounceLookup:
-		return "lookup"
-	case AnnounceLookupOK:
-		return "lookup-ok"
 	}
 	return fmt.Sprintf("AnnounceOp(%d)", uint8(op))
 }
 
 // AddrEntry is one announce address-book entry: a node id bound to the
-// host:port string peers should send its datagrams to. Lookup requests
-// use an empty Addr as "resolve this id for me".
+// host:port string peers should send its datagrams to.
 type AddrEntry struct {
 	Node uint32
 	Addr string
@@ -327,16 +312,53 @@ func NewCoded(sender, epoch int, c rlnc.Coded) Packet {
 	return Packet{Env: envelope(TypeCoded, sender, epoch), Coded: c}
 }
 
-// NewAck wraps a streaming acknowledgement in a versioned envelope. It
-// panics on a sender or epoch outside the 32-bit wire range.
+// NewAck wraps a streaming acknowledgement in a versioned envelope. A
+// non-empty Peers replaces Frontier and Planes: the frontier is the
+// least listed watermark and each listed id's offset above it goes into
+// the planes (an id listed twice keeps its last). It panics on a sender
+// or epoch outside the 32-bit wire range, and on a listed id at or past
+// MaxAckEntries, which no decodable planes reach.
 func NewAck(sender, epoch int, a Ack) Packet {
-	return Packet{Env: envelope(TypeAck, sender, epoch), Ack: a}
+	if len(a.Peers) > 0 {
+		a.Frontier, a.Planes = foldMarks(a.Peers)
+	}
+	return Packet{Env: envelope(TypeAck, sender, epoch), Ack: Ack{Watermark: a.Watermark, Frontier: a.Frontier, Ranks: a.Ranks, Planes: a.Planes}}
 }
 
-// NewHello wraps a membership announcement in a versioned envelope. It
+// foldMarks is marks as a frontier and planes.
+func foldMarks(marks []PeerMark) (uint32, [][]uint64) {
+	least, most, top := ^uint32(0), uint32(0), uint32(0)
+	for _, pm := range marks {
+		least, most, top = min(least, pm.Watermark), max(most, pm.Watermark), max(top, pm.Node)
+	}
+	if top >= MaxAckEntries {
+		panic(fmt.Sprintf("wire: ack mark for node %d, past the %d ids planes carry", top, MaxAckEntries))
+	}
+	planes := make([][]uint64, bits.Len32(most-least))
+	for l := range planes {
+		planes[l] = make([]uint64, top/64+1)
+	}
+	for _, pm := range marks {
+		w, i := pm.Node/64, pm.Node%64
+		for l, pl := range planes {
+			pl[w] = pl[w]&^(1<<i) | uint64((pm.Watermark-least)>>l&1)<<i
+		}
+	}
+	return least, planes
+}
+
+// NewHello wraps a membership announcement in a versioned envelope. A
+// non-empty Peers replaces Runs by its maximal runs in list order. It
 // panics on a sender or epoch outside the 32-bit wire range.
 func NewHello(sender, epoch int, h Hello) Packet {
-	return Packet{Env: envelope(TypeHello, sender, epoch), Hello: h}
+	if peers := h.Peers; len(peers) > 0 {
+		h.Runs = nil
+		for lo, hi := 0, 0; lo < len(peers); lo = hi {
+			hi = runEnd(peers, lo, peerID)
+			h.Runs = append(h.Runs, Run{Start: peers[lo], Count: uint32(hi - lo)})
+		}
+	}
+	return Packet{Env: envelope(TypeHello, sender, epoch), Hello: Hello{Leaving: h.Leaving, Runs: h.Runs}}
 }
 
 // NewAnnounce wraps an address-book exchange in a versioned envelope.
@@ -387,15 +409,13 @@ func (p *Packet) Size() Size {
 	return Size{Bytes: HeaderBytes}
 }
 
-// runEnd is the run iterator every id list on the wire is cut by (an
-// ack's encoder spells it out to find the marks' spread on the way): the
-// end of the maximal run starting at list[lo], that is, the ids of
-// list[lo:end] are consecutive and ascending and list[end] (if any)
-// does not continue them. A run never wraps from id 2³²-1 to id 0.
-// Callers pass a constant id function and runEnd is small enough to
-// inline into them, so id becomes a plain field load; grown past the
-// inliner's budget (an unrolled variant was tried) id turns into an
-// indirect call per entry and the scan runs three times slower.
+// runEnd is the run iterator the id lists an encoder takes are cut by
+// (an ack's ranks, NewHello's list): the end of the maximal run starting
+// at list[lo], that is, the ids of list[lo:end] are consecutive and
+// ascending and list[end] (if any) does not continue them. A run never
+// wraps from id 2³²-1 to id 0. Callers pass a constant id function and
+// runEnd is small enough to inline into them, so id becomes a plain
+// field load.
 func runEnd[T any](list []T, lo int, id func(T) uint32) int {
 	next := id(list[lo]) + 1
 	hi := lo + 1
@@ -404,11 +424,6 @@ func runEnd[T any](list []T, lo int, id func(T) uint32) int {
 	}
 	return hi
 }
-
-// RunEnd is runEnd over a hello's peer list, for a receiver that merges
-// the list run by run: the codec's rule for where a run ends is the only
-// one.
-func RunEnd(peers []uint32, lo int) int { return runEnd(peers, lo, peerID) }
 
 func peerID(id uint32) uint32  { return id }
 func rankGen(r GenRank) uint32 { return r.Gen }
@@ -422,54 +437,6 @@ func appendUvarint(b []byte, v uint32) []byte {
 		return append(b, byte(v))
 	}
 	return binary.AppendUvarint(b, uint64(v))
-}
-
-// Up to 8 bits wide, eight offsets are one word of width bytes, which
-// the byte lanes of a uint64 pack and unpack in three shifts of halves.
-const lanes8, lanes16, lanes32 = 0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff
-
-// packMarks appends each mark's offset from base in width bits,
-// LSB-first, zero spare bits up to the next byte: eight at a time from
-// byte lanes up to 8 bits wide, else a bit at a time. Like unpackRun it
-// stays out of line so that its loops keep their values in registers.
-//
-//go:noinline
-func packMarks(out []byte, marks []PeerMark, base uint32, width int) []byte {
-	if width == 0 {
-		return out
-	}
-	w := uint(width) & 63
-	for width <= 8 && len(marks) > 0 {
-		g, n := (*[8]PeerMark)(nil), min(8, len(marks))
-		if n == 8 {
-			g = (*[8]PeerMark)(marks)
-		} else { // the last group, filled up with zero offsets
-			g = &[8]PeerMark{{0, base}, {0, base}, {0, base}, {0, base}, {0, base}, {0, base}, {0, base}, {0, base}}
-			copy(g[:], marks)
-		}
-		marks = marks[n:]
-		x := (uint64(byte(g[0].Watermark-base)) | uint64(byte(g[1].Watermark-base))<<8) |
-			(uint64(byte(g[2].Watermark-base))<<16 | uint64(byte(g[3].Watermark-base))<<24) |
-			(uint64(byte(g[4].Watermark-base))<<32 | uint64(byte(g[5].Watermark-base))<<40 |
-				(uint64(byte(g[6].Watermark-base))<<48 | uint64(byte(g[7].Watermark-base))<<56))
-		x = x&lanes8 | x>>8&lanes8<<w
-		x = x&lanes16 | x>>16&lanes16<<(2*w)
-		out = binary.LittleEndian.AppendUint64(out, x&lanes32|x>>32<<(4*w))
-		out = out[:len(out)-8+(width*n+7)/8]
-	}
-	var acc uint64
-	nb := uint(0)
-	for _, pm := range marks {
-		acc |= uint64(pm.Watermark-base) << (nb & 63)
-		for nb += w; nb >= 8; nb -= 8 {
-			out = append(out, byte(acc))
-			acc >>= 8
-		}
-	}
-	if nb > 0 {
-		out = append(out, byte(acc))
-	}
-	return out
 }
 
 // putUvarint writes v into the byte the encoder left for it at out[at],
@@ -511,30 +478,38 @@ func (p Packet) AppendTo(buf []byte) []byte {
 }
 
 // Encode appends the packet's serialization to buf and returns the
-// extended slice with Bits(), in one pass: a hello's or an ack's id list
-// is cut into runs as they are written, and the run count put in ahead
-// of them after. It reserves room per type first — the exact size of a
-// coded, token or announce packet; an ack's fixed fields, five bytes a
-// rank, a byte a mark and a few runs' headers; 64 bytes of runs for a
-// hello, whatever its length — so it allocates nothing when buf has that
-// much spare capacity (the hot path hands it a recycled buffer, buf[:0])
-// and once otherwise, unless a list's runs or marks outgrow the
-// reservation. Like Marshal it panics on an unknown envelope type, on an
-// ack whose planes are not all of one length, and on an ack with both a
-// vector and a frontier or nonzero planes.
+// extended slice with Bits(), in one pass: an ack's ranks are cut into
+// runs as they are written, a hello's runs merged where they touch, and
+// the run count put in ahead of them after. It reserves room per type
+// first — the exact size of a coded, token or announce packet; an ack's
+// fixed fields, five bytes a rank and its planes; ten bytes a hello run,
+// 76 bytes at least, so that the buffer, recycled by its receiver, also
+// holds the receiver's next small packets — so it allocates nothing
+// when buf has that much spare capacity (the hot path hands it a
+// recycled buffer, buf[:0]) and once otherwise, unless an ack's ranks
+// outgrow the reservation. Like Marshal it panics on an
+// unknown envelope type, on an ack whose planes are not all of one
+// length, and on an ack or a hello that holds an id-by-id Peers list
+// (NewAck and NewHello fold those into planes and runs).
 func (p *Packet) Encode(buf []byte) ([]byte, int) {
 	var sz Size
 	var out []byte
 	switch p.Env.Type {
 	case TypeAck:
 		a := &p.Ack
-		reserve := HeaderBytes + 40 + 5*len(a.Ranks) + len(a.Peers)
+		if len(a.Peers) > 0 {
+			panic("wire: marshal of an ack with an id-by-id Peers list; NewAck folds it into planes")
+		}
+		reserve := HeaderBytes + 40 + 5*len(a.Ranks)
 		if len(a.Planes) > 0 {
 			reserve += 8 * len(a.Planes) * len(a.Planes[0])
 		}
 		out = slices.Grow(buf, reserve)
 	case TypeHello:
-		out = slices.Grow(buf, HeaderBytes+66)
+		if len(p.Hello.Peers) > 0 {
+			panic("wire: marshal of a hello with an id-by-id Peers list; NewHello cuts it into runs")
+		}
+		out = slices.Grow(buf, HeaderBytes+max(66, 6+10*len(p.Hello.Runs)))
 	default:
 		sz = p.Size()
 		out = slices.Grow(buf, sz.Bytes)
@@ -567,55 +542,42 @@ func (p *Packet) Encode(buf []byte) ([]byte, int) {
 		out = putUvarint(out, at, uint32(genRuns))
 		fields := uvarintLen(uint32(genRuns))
 		width, planeBytes := trimPlanes(a.Planes)
-		if len(a.Peers) == 0 {
-			out = appendUvarint(append(out, byte(width)), a.Frontier)
-			if width > 0 {
-				out = appendUvarint(out, uint32(planeBytes))
-				fields += uvarintLen(uint32(planeBytes))
-				for _, pl := range a.Planes[:width] { // whole words, then the spare bytes cut
-					for _, x := range pl[:(planeBytes+7)/8] {
-						out = binary.LittleEndian.AppendUint64(out, x)
-					}
-					out = out[:len(out)-(-planeBytes&7)]
+		out = appendUvarint(append(out, byte(width)), a.Frontier)
+		if width > 0 {
+			out = appendUvarint(out, uint32(planeBytes))
+			fields += uvarintLen(uint32(planeBytes))
+			for _, pl := range a.Planes[:width] { // whole words, then the spare bytes cut
+				for _, x := range pl[:(planeBytes+7)/8] {
+					out = binary.LittleEndian.AppendUint64(out, x)
 				}
+				out = out[:len(out)-(-planeBytes&7)]
 			}
-			return out, 8 * (len(out) - len(buf) - HeaderBytes - fields)
 		}
-		if width > 0 || a.Frontier != 0 {
-			panic("wire: marshal of an ack with both a vector and planes")
-		}
-		at, runs, least, most := len(out), 0, ^uint32(0), uint32(0)
-		out = append(out, 0, 0) // the form and the run count, put in below
-		for lo, hi, peers := 0, 0, a.Peers; lo < len(peers); lo, runs = hi, runs+1 {
-			// runEnd's rule, with the least and greatest mark found on the way.
-			for next := uint64(peers[lo].Node); hi < len(peers) && uint64(peers[hi].Node) == next; hi, next = hi+1, next+1 {
-				least, most = min(least, peers[hi].Watermark), max(most, peers[hi].Watermark)
-			}
-			out = appendUvarint(appendUvarint(out, peers[lo].Node), uint32(hi-lo))
-		}
-		width = bits.Len32(most - least)
-		out[at] = vectorForm | byte(width)
-		out = packMarks(appendUvarint(out, least), a.Peers, least, width)
-		out = putUvarint(out, at+1, uint32(runs))
-		// Bits is the body less its length fields: the two run counts.
-		return out, 8 * (len(out) - len(buf) - HeaderBytes - fields - uvarintLen(uint32(runs)))
+		// Bits is the body less its length fields.
+		return out, 8 * (len(out) - len(buf) - HeaderBytes - fields)
 	case TypeHello:
 		var flags byte
 		if p.Hello.Leaving {
 			flags = 1
 		}
 		out = append(out, flags, 0) // the run count, put in below
-		at, runs, peers := len(out)-1, 0, p.Hello.Peers
-		for lo, hi := 0, 0; lo < len(peers); lo, runs = hi, runs+1 {
-			hi = runEnd(peers, lo, peerID)
-			out = appendUvarint(out, peers[lo])
-			out = appendUvarint(out, uint32(hi-lo))
+		at, n, runs := len(out)-1, 0, p.Hello.Runs
+		for i := 0; i < len(runs); {
+			// One written run: runs[i] and the empty or touching runs after it.
+			start := uint64(runs[i].Start)
+			end := start + uint64(runs[i].Count)
+			for i++; i < len(runs) && (runs[i].Count == 0 || uint64(runs[i].Start) == end); i++ {
+				end += uint64(runs[i].Count)
+			}
+			if end > start {
+				out, n = appendUvarint(appendUvarint(out, uint32(start)), uint32(end-start)), n+1
+			}
 		}
-		out = putUvarint(out, at, uint32(runs))
-		return out, 8 * (len(out) - len(buf) - HeaderBytes - uvarintLen(uint32(runs)))
+		out = putUvarint(out, at, uint32(n))
+		return out, 8 * (len(out) - len(buf) - HeaderBytes - uvarintLen(uint32(n)))
 	case TypeAnnounce:
 		a := &p.Announce
-		if a.Op > AnnounceLookupOK {
+		if a.Op > AnnouncePong {
 			panic(fmt.Sprintf("wire: marshal of unknown announce op %d", a.Op))
 		}
 		out = append(out, byte(a.Op))
@@ -636,7 +598,7 @@ func (p *Packet) Encode(buf []byte) ([]byte, int) {
 }
 
 // UnmarshalInto parses one packet into p, reusing p's body storage (the
-// coded vector, token payload and ack entry slices) so a receive loop
+// coded vector, token payload, ack ranks and planes, hello runs) so a receive loop
 // that decodes every packet into one per-node scratch Packet allocates
 // nothing in steady state. It validates the version, type, declared
 // lengths, spare bits and the absence of trailing bytes, so that an
@@ -711,32 +673,37 @@ func UnmarshalInto(p *Packet, data []byte) error {
 		if n <= 0 {
 			return varintError(n, "hello run count")
 		}
+		// A run takes two bytes at least: rest bounds what nRuns can claim.
 		rest := body[1+n:]
-		h := &p.Hello
-		h.Peers = h.Peers[:0]
-		prevEnd := noRun
+		runs := slices.Grow(p.Hello.Runs[:0], int(min(nRuns, uint32(len(rest)/2))))
+		prevEnd, ids := noRun, 0
 		for r := uint32(0); r < nRuns; r++ {
-			start, count, n, err := readRun(rest, prevEnd, len(h.Peers))
-			if err != nil {
-				return fmt.Errorf("hello run %d: %w", r, err)
+			// A view's run is two short values, checked here; readRun
+			// reads and checks any other, and words every refusal.
+			start, n := shortUvarint(rest)
+			count, m := shortUvarint(rest[n:])
+			if n == 0 || m == 0 || count == 0 || int(count) > MaxAckEntries-ids || uint64(start) == prevEnd {
+				s, c, k, err := readRun(rest, prevEnd, ids)
+				if err != nil {
+					return fmt.Errorf("hello run %d: %w", r, err)
+				}
+				start, count, n, m = s, uint32(c), k, 0
 			}
-			rest = rest[n:]
-			prevEnd = uint64(start) + uint64(count)
-			h.Peers = slices.Grow(h.Peers, count)[:len(h.Peers)+count]
-			fillRun(h.Peers[len(h.Peers)-count:], start)
+			rest, prevEnd, ids = rest[n+m:], uint64(start)+uint64(count), ids+int(count)
+			runs = append(runs, Run{Start: start, Count: count})
 		}
 		if len(rest) != 0 {
 			return fmt.Errorf("%w: %d trailing hello bytes after %d runs", ErrMalformed, len(rest), nRuns)
 		}
-		h.Leaving = body[0] == 1
+		p.Hello = Hello{Leaving: body[0] == 1, Runs: runs}
 		p.Env = env
 		return nil
 	case TypeAnnounce:
 		if len(body) < 13 {
 			return fmt.Errorf("%w: announce body %d bytes < 13", ErrTruncated, len(body))
 		}
-		if body[0] > byte(AnnounceLookupOK) {
-			return fmt.Errorf("%w: announce op %d (only 0-3 defined)", ErrMalformed, body[0])
+		if body[0] > byte(AnnouncePong) {
+			return fmt.Errorf("%w: announce op %d (only 0 and 1 defined)", ErrMalformed, body[0])
 		}
 		nAddrs := binary.LittleEndian.Uint32(body[9:13])
 		if nAddrs > MaxAckEntries {
@@ -773,12 +740,9 @@ func UnmarshalInto(p *Packet, data []byte) error {
 	}
 }
 
-// readAck decodes an ack body into a, reusing its storage, and leaves
-// the form it does not carry empty. A list is expanded only once the
-// bytes left can hold it: a rank takes at least a byte, a plane
-// planeBytes of them, and the vector's ids are expanded with their
-// watermarks, by unpackRun, after every run and the packed offsets'
-// length have been checked.
+// readAck decodes an ack body into a, reusing its storage. A list is
+// expanded only once the bytes left can hold it: a rank takes at least a
+// byte, a plane planeBytes of them.
 func readAck(b []byte, a *Ack) (err error) {
 	mark, n := uvarint(b)
 	if n <= 0 {
@@ -807,74 +771,22 @@ func readAck(b []byte, a *Ack) (err error) {
 			b, ranks = b[n:], append(ranks, GenRank{Gen: gen + uint32(i), Rank: rank})
 		}
 	}
-	a.Watermark, a.Ranks = mark, ranks
 	if len(b) == 0 {
-		return fmt.Errorf("%w: ack ends before its form", ErrTruncated)
+		return fmt.Errorf("%w: ack ends before its plane count", ErrTruncated)
 	}
-	form := b[0]
-	width := int(form &^ vectorForm)
+	width := int(b[0])
 	if width > 32 {
-		return fmt.Errorf("%w: ack form %#x, width %d over 32", ErrMalformed, form, width)
+		return fmt.Errorf("%w: %d ack planes, over 32", ErrMalformed, width)
 	}
-	if form&vectorForm == 0 {
-		if a.Frontier, n = uvarint(b[1:]); n <= 0 {
-			return varintError(n, "ack frontier")
-		}
-		if b, err = readPlanes(b[1+n:], width, a); err != nil {
-			return err
-		} else if len(b) != 0 {
-			return fmt.Errorf("%w: %d trailing ack bytes", ErrMalformed, len(b))
-		}
-		a.Peers = a.Peers[:0]
-		return nil
-	}
-	a.Frontier, a.Planes = 0, a.Planes[:0]
-	nRuns, n := uvarint(b[1:])
+	frontier, n := uvarint(b[1:])
 	if n <= 0 {
-		return varintError(n, "ack run count")
-	} else if nRuns == 0 {
-		return fmt.Errorf("%w: an empty ack vector", ErrMalformed)
+		return varintError(n, "ack frontier")
 	}
-	runs, total := b[1+n:], 0
-	b, prevEnd = runs, noRun
-	for r := uint32(0); r < nRuns; r++ {
-		start, count, n, err := readRun(b, prevEnd, total)
-		if err != nil {
-			return fmt.Errorf("ack run %d: %w", r, err)
-		}
-		b, prevEnd, total = b[n:], uint64(start)+uint64(count), total+count
-	}
-	base, n := uvarint(b)
-	if n <= 0 {
-		return varintError(n, "ack watermark base")
-	}
-	b = b[n:]
-	switch used := uint64(width) * uint64(total); {
-	case uint64(len(b)) < (used+7)/8:
-		return fmt.Errorf("%w: %d bytes for %d %d-bit watermarks", ErrTruncated, len(b), total, width)
-	case uint64(len(b)) != (used+7)/8:
-		return fmt.Errorf("%w: %d trailing ack bytes", ErrMalformed, uint64(len(b))-(used+7)/8)
-	case used%8 != 0 && b[len(b)-1]>>(used%8) != 0:
-		return fmt.Errorf("%w: nonzero spare bits after the watermarks", ErrMalformed)
-	}
-	peers := slices.Grow(a.Peers[:0], total)[:total]
-	j, acc := 0, uint64(0)
-	for i := 0; i < total; {
-		start, n := uvarint(runs)
-		count, m := uvarint(runs[n:])
-		runs = runs[n+m:]
-		j, acc = unpackRun(peers[i:i+int(count)], start, b, i, j, acc, base, uint(width))
-		i += int(count)
-	}
-	a.Peers = peers
-	// The marks that prove base and width canonical usually come early.
-	switch {
-	case !slices.ContainsFunc(peers, func(pm PeerMark) bool { return pm.Watermark == base }):
-		return fmt.Errorf("%w: watermark base %d is below the least mark", ErrMalformed, base)
-	case width > 0 && !slices.ContainsFunc(peers, func(pm PeerMark) bool { return (pm.Watermark-base)>>(width-1) != 0 }):
-		return fmt.Errorf("%w: watermark width %d wider than the spread", ErrMalformed, width)
-	case uint64(base)+1<<width-1 > 1<<32-1 && slices.ContainsFunc(peers, func(pm PeerMark) bool { return pm.Watermark < base }):
-		return fmt.Errorf("%w: a watermark passes 2^32-1", ErrMalformed)
+	*a = Ack{Watermark: mark, Frontier: frontier, Ranks: ranks, Planes: a.Planes}
+	if b, err = readPlanes(b[1+n:], width, a); err != nil {
+		return err
+	} else if len(b) != 0 {
+		return fmt.Errorf("%w: %d trailing ack bytes", ErrMalformed, len(b))
 	}
 	return nil
 }
@@ -936,82 +848,31 @@ func readPlanes(b []byte, width int, a *Ack) ([]byte, error) {
 	return b[width*nb:], nil
 }
 
-// unpackRun expands one run of an ack vector into marks: ids from node
-// on, their watermarks from the offset of the vector's at-th mark in
-// packed on, eight at a time into byte lanes up to 8 bits wide
-// (packMarks inverted), else a bit at a time. j bytes of packed are
-// read and acc holds what is left of the last word; it returns both.
-//
-//go:noinline
-func unpackRun(marks []PeerMark, node uint32, packed []byte, at, j int, acc uint64, base uint32, w uint) (int, uint64) {
-	if w > 8 {
-		nb := uint(8*j - at*int(w)) // the bits read but not used
-		for k := range marks {
-			for ; nb < w; nb, j = nb+8, j+1 {
-				acc |= uint64(packed[j]) << (nb & 63)
-			}
-			marks[k] = PeerMark{Node: node + uint32(k), Watermark: base + uint32(acc)&(1<<w-1)}
-			acc, nb = acc>>(w&63), nb-w
-		}
-		return j, acc
-	}
-	for k := range marks {
-		if (at+k)&7 == 0 {
-			acc, j = unpackWord(packed, j, w), j+int(w)
-		}
-		marks[k] = PeerMark{Node: node + uint32(k), Watermark: base + uint32(byte(acc))}
-		acc >>= 8
-	}
-	return j, acc
-}
-
-// unpackWord returns the eight offsets of w ≤ 8 bits at packed[j:] in
-// the byte lanes of a word. Inlined, its temporaries pushed unpackRun's
-// loop counter and word out of registers, onto the stack.
-//
-//go:noinline
-func unpackWord(packed []byte, j int, w uint) uint64 {
-	var x uint64
-	if j+8 <= len(packed) {
-		x = binary.LittleEndian.Uint64(packed[j : j+8])
-	} else {
-		for i, c := range packed[j:] {
-			x |= uint64(c) << (8 * uint(i) & 63)
-		}
-	}
-	w1, w2, w4 := w&63, 2*w&63, 4*w&63 // masked: no over-wide-shift fix-ups
-	m16, m8 := (1<<w2-1)*uint64(0x0000000100000001), (1<<w1-1)*uint64(0x0001000100010001)
-	x = x&(1<<w4-1) | x>>w4<<32
-	x = x&m16 | x>>w2&m16<<16
-	return x&m8 | x>>w1&m8<<8
-}
-
-// fillRun writes the ids start, start+1, … into run: one run of a hello
-// expanded. It stays out of line so that its loop sits at a fixed offset
-// from an aligned function entry, inside one 64-byte line; inlined into
-// UnmarshalInto, the loop moved with every edit above it, and where it
-// straddled two lines it ran at half speed.
-//
-//go:noinline
-func fillRun(run []uint32, start uint32) {
-	for i := range run {
-		run[i] = start + uint32(i)
-	}
-}
-
 // uvarint decodes one minimal uvarint of at most 32 bits from the head
 // of b and returns it with the bytes it took. n == 0 means b ended
 // inside the value; n < 0 means the value is not canonical: wider than
 // 32 bits, or padded with a final zero group.
 func uvarint(b []byte) (v uint32, n int) {
-	if len(b) > 0 && b[0] < 0x80 {
-		return uint32(b[0]), 1
+	if v, n = shortUvarint(b); n > 0 {
+		return v, n
 	}
 	wide, n := binary.Uvarint(b)
 	if n > 0 && (wide>>32 != 0 || n != uvarintLen(uint32(wide))) {
 		return 0, -1
 	}
 	return uint32(wide), n
+}
+
+// shortUvarint is uvarint for one- and two-byte values, n == 0 for the
+// rest: small enough to inline into the hello decoder, for a view's runs.
+func shortUvarint(b []byte) (v uint32, n int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint32(b[0]), 1
+	}
+	if len(b) > 1 && b[1]-1 < 0x7f { // the second byte ends the value and is not a padding zero
+		return uint32(b[0]&0x7f) | uint32(b[1])<<7, 2
+	}
+	return 0, 0
 }
 
 // varintError words uvarint's two failures.
@@ -1029,8 +890,8 @@ const noRun uint64 = 1 << 63
 // returns it with the bytes it took. It rejects what the encoder never
 // writes — an empty run, a run reaching past id 2³²-1, a run starting
 // where the one before it ended at prevEnd (they would have been one) —
-// and a count that would take the list, have entries long so far, past
-// MaxAckEntries; the caller expands the run only after that.
+// and a count that would take the list, have ids long so far, past
+// MaxAckEntries; the caller takes the run only after that.
 func readRun(b []byte, prevEnd uint64, have int) (start uint32, count, n int, err error) {
 	start, n = uvarint(b)
 	if n <= 0 {

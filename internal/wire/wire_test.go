@@ -76,14 +76,12 @@ func TestAckRoundTrip(t *testing.T) {
 		{Ack{Watermark: 3}, 3, nil},
 		// One generation run (2, 2) and two one-byte ranks.
 		{Ack{Watermark: 2, Ranks: []GenRank{{Gen: 2, Rank: 5}, {Gen: 3, Rank: 0}}}, 3 + 4, nil},
-		// A vector in place of the frontier: two one-id runs, and offsets 0
-		// and 3 from base 1 in one byte.
-		{Ack{Watermark: 1, Peers: []PeerMark{{Node: 0, Watermark: 1}, {Node: 9, Watermark: 4}}}, 3 + 4 + 1, nil},
-		// Every mark equal: width 0, no offset bytes.
-		{Ack{Watermark: 7, Ranks: []GenRank{{Gen: 7, Rank: 8}}, Peers: []PeerMark{{Node: 3, Watermark: 7}}}, 3 + 3 + 2, nil},
-		// One run of three ids from 200 (a two-byte start), offsets up to
-		// 300: 9 bits each, 27 bits in four bytes.
-		{Ack{Peers: []PeerMark{{Node: 200, Watermark: 1}, {Node: 201, Watermark: 300}, {Node: 202, Watermark: 0}}}, 3 + 3 + 4, nil},
+		// An id-by-id list, which NewAck folds: frontier 1, the least
+		// mark, and ids 0 and 9 at offsets 0 and 3, two planes of two
+		// bytes.
+		{Ack{Watermark: 1, Frontier: 1, Peers: []PeerMark{{Node: 0, Watermark: 1}, {Node: 9, Watermark: 4}}}, 3 + 4, [][]uint64{{1 << 9}, {1 << 9}}},
+		// Every mark equal: the frontier alone.
+		{Ack{Watermark: 7, Frontier: 7, Ranks: []GenRank{{Gen: 7, Rank: 8}}, Peers: []PeerMark{{Node: 3, Watermark: 7}}}, 3 + 3, nil},
 		// One plane of one byte: ids 0 and 2 one past frontier 5.
 		{Ack{Frontier: 5, Planes: [][]uint64{{0b101}}}, 3 + 1, [][]uint64{{0b101}}},
 		// Two planes over 192 ids, id 191 at offset 1 and id 64 at 2:
@@ -105,7 +103,7 @@ func TestAckRoundTrip(t *testing.T) {
 		if got.Env != p.Env {
 			t.Errorf("ack %d: envelope mismatch", i)
 		}
-		if got.Ack.Watermark != a.Watermark || !slices.Equal(got.Ack.Ranks, a.Ranks) || !slices.Equal(got.Ack.Peers, a.Peers) ||
+		if got.Ack.Watermark != a.Watermark || !slices.Equal(got.Ack.Ranks, a.Ranks) || len(got.Ack.Peers) != 0 ||
 			got.Ack.Frontier != a.Frontier || !slices.EqualFunc(got.Ack.Planes, tc.planes, slices.Equal) {
 			t.Errorf("ack %d: body %+v does not round-trip to %+v", i, a, got.Ack)
 		}
@@ -121,15 +119,10 @@ func TestAckRoundTrip(t *testing.T) {
 
 func TestAckUnmarshalRejects(t *testing.T) {
 	// Watermark 1; generation run (1, 1) at rank 2; then one plane of
-	// one byte above frontier 1 (id 1 at offset 1), or a vector of width
-	// 0: one run (0, 1), base 1.
+	// one byte above frontier 1 (id 1 at offset 1).
 	planes := NewAck(1, 2, Ack{Watermark: 1, Ranks: []GenRank{{Gen: 1, Rank: 2}}, Frontier: 1, Planes: [][]uint64{{2}}}).Marshal()
-	vector := NewAck(1, 2, Ack{Watermark: 1, Ranks: []GenRank{{Gen: 1, Rank: 2}}, Peers: []PeerMark{{Node: 0, Watermark: 1}}}).Marshal()
 	if want := []byte{1, 1, 1, 1, 2, 1, 1, 1, 2}; !bytes.Equal(planes[HeaderBytes:], want) {
 		t.Fatalf("planes body %x, want %x", planes[HeaderBytes:], want)
-	}
-	if want := []byte{1, 1, 1, 1, 2, 0x80, 1, 0, 1, 1}; !bytes.Equal(vector[HeaderBytes:], want) {
-		t.Fatalf("vector body %x, want %x", vector[HeaderBytes:], want)
 	}
 	cases := []struct {
 		name string
@@ -144,55 +137,52 @@ func TestAckUnmarshalRejects(t *testing.T) {
 		{"plane length missing", planes[:HeaderBytes+7], ErrTruncated},
 		{"planes truncated", planes[:HeaderBytes+8], ErrTruncated},
 		{"trailing byte after the planes", append(append([]byte(nil), planes...), 0), ErrMalformed},
-		{"run count missing", vector[:HeaderBytes+6], ErrTruncated},
-		{"run truncated", vector[:HeaderBytes+8], ErrTruncated},
-		{"base missing", vector[:HeaderBytes+9], ErrTruncated},
-		{"trailing byte after the vector", append(append([]byte(nil), vector...), 0), ErrMalformed},
 	}
 	for _, tc := range cases {
 		if _, err := unmarshal(tc.data); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	// Canonical form, by the layout: a split generation run; a form over
-	// 32 planes or bits, or between the two; more than 32 planes, a zero
-	// top plane, planes ending in a byte zero in each and planes past the
-	// entry cap; an empty vector, a base below the least mark (every
-	// offset nonzero), a width wider than the spread, nonzero padding
-	// bits, and a mark past 2³²-1.
+	// Canonical form, by the layout: a split generation run; more than 32
+	// planes, the vector form the codec once had among them (form bytes
+	// 0x80 and up); a zero top plane, planes ending in a byte zero in
+	// each and planes past the entry cap.
 	edit := func(body ...byte) []byte { return append(append([]byte(nil), planes[:HeaderBytes]...), body...) }
 	for name, data := range map[string][]byte{
-		"split generation run":      edit(1, 2, 1, 1, 2, 2, 1, 3, 0, 0),
-		"form between the two":      edit(1, 1, 1, 1, 2, 0x40, 1),
-		"33 planes":                 edit(1, 1, 1, 1, 2, 33, 1, 1, 1),
-		"zero top plane":            edit(1, 1, 1, 1, 2, 2, 1, 1, 1, 0),
-		"zero plane length":         edit(1, 1, 1, 1, 2, 1, 1, 0),
-		"trailing zero plane byte":  edit(1, 1, 1, 1, 2, 2, 1, 2, 1, 0, 1, 0),
-		"planes past the entry cap": edit(1, 1, 1, 1, 2, 1, 1, 0x81, 0x40, 1),
-		"empty vector":              edit(1, 1, 1, 1, 2, 0x80, 0),
-		"base below the least mark": edit(1, 1, 1, 1, 2, 0x81, 1, 0, 1, 0, 0x01),
-		"width wider than spread":   edit(1, 1, 1, 1, 2, 0x81, 1, 0, 1, 1, 0),
-		"width over 32":             edit(1, 1, 1, 1, 2, 0xa8, 1, 0, 1, 1, 0, 0, 0, 0, 0),
-		"nonzero padding bits":      edit(1, 1, 1, 1, 2, 0x81, 1, 0, 2, 1, 0x81),
-		"mark past 2^32-1":          edit(1, 1, 1, 1, 2, 0x81, 1, 0, 2, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x02),
+		"split generation run":       edit(1, 2, 1, 1, 2, 2, 1, 3, 0, 0),
+		"64 planes":                  edit(1, 1, 1, 1, 2, 0x40, 1),
+		"33 planes":                  edit(1, 1, 1, 1, 2, 33, 1, 1, 1),
+		"zero top plane":             edit(1, 1, 1, 1, 2, 2, 1, 1, 1, 0),
+		"zero plane length":          edit(1, 1, 1, 1, 2, 1, 1, 0),
+		"trailing zero plane byte":   edit(1, 1, 1, 1, 2, 2, 1, 2, 1, 0, 1, 0),
+		"planes past the entry cap":  edit(1, 1, 1, 1, 2, 1, 1, 0x81, 0x40, 1),
+		"form 0x80, an empty vector": edit(1, 1, 1, 1, 2, 0x80, 0),
+		"form 0x81, a vector":        edit(1, 1, 1, 1, 2, 0x81, 1, 0, 1, 1, 0),
+		"form 0xff":                  edit(1, 1, 1, 1, 2, 0xff, 1, 0, 1, 1, 0),
 	} {
 		if _, err := unmarshal(data); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: err %v, want ErrMalformed", name, err)
 		}
 	}
-	// One ack, one form: the encoder refuses a vector beside a frontier
-	// or planes.
-	for _, a := range []Ack{
-		{Frontier: 1, Peers: []PeerMark{{Node: 0, Watermark: 1}}},
-		{Planes: [][]uint64{{1}}, Peers: []PeerMark{{Node: 0, Watermark: 1}}},
+}
+
+// TestEncodeRefusesPeerLists: an ack or a hello that still holds an
+// id-by-id Peers list, not folded by NewAck or NewHello, is a
+// programming error, like an unknown type.
+func TestEncodeRefusesPeerLists(t *testing.T) {
+	for _, p := range []Packet{
+		{Env: envelope(TypeAck, 1, 2), Ack: Ack{Peers: []PeerMark{{Node: 0, Watermark: 1}}}},
+		{Env: envelope(TypeAck, 1, 2), Ack: Ack{Frontier: 1, Planes: [][]uint64{{1}}, Peers: []PeerMark{{Node: 0, Watermark: 1}}}},
+		{Env: envelope(TypeHello, 1, 2), Hello: Hello{Peers: []uint32{3}}},
+		{Env: envelope(TypeHello, 1, 2), Hello: Hello{Runs: []Run{{Start: 3, Count: 1}}, Peers: []uint32{3}}},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%+v marshalled: want a panic", a)
+					t.Errorf("%+v marshalled: want a panic", p)
 				}
 			}()
-			NewAck(1, 2, a).Marshal()
+			p.Marshal()
 		}()
 	}
 }
@@ -202,14 +192,20 @@ func TestHelloRoundTrip(t *testing.T) {
 		h Hello
 		// runBytes is what the peer list's (start, count) pairs encode to.
 		runBytes int
+		// runs is what the list decodes to.
+		runs []Run
 	}{
-		{Hello{}, 0},
-		{Hello{Leaving: true}, 0},
-		{Hello{Peers: []uint32{0, 3, 9}}, 6},
-		{Hello{Leaving: true, Peers: []uint32{7}}, 2},
+		{Hello{}, 0, nil},
+		{Hello{Leaving: true}, 0, nil},
+		{Hello{Peers: []uint32{0, 3, 9}}, 6, []Run{{0, 1}, {3, 1}, {9, 1}}},
+		{Hello{Leaving: true, Peers: []uint32{7}}, 2, []Run{{7, 1}}},
 		// 0..299 is one run with a two-byte count; 1000 stands alone with
 		// a two-byte start.
-		{Hello{Peers: append(seq(0, 300), 1000)}, 1 + 2 + 2 + 1},
+		{Hello{Peers: append(seq(0, 300), 1000)}, 1 + 2 + 2 + 1, []Run{{0, 300}, {1000, 1}}},
+		// Runs as given, merged where they touch.
+		{Hello{Runs: []Run{{0, 2}, {2, 3}, {9, 1}}}, 4, []Run{{0, 5}, {9, 1}}},
+		// Empty runs go, and do not keep the runs around them apart.
+		{Hello{Runs: []Run{{4, 0}, {6, 1}, {8, 0}, {7, 2}}}, 2, []Run{{6, 3}}},
 	}
 	for i, tc := range hellos {
 		h := tc.h
@@ -221,7 +217,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		if got.Env != p.Env {
 			t.Errorf("hello %d: envelope mismatch", i)
 		}
-		if got.Hello.Leaving != h.Leaving || !slices.Equal(got.Hello.Peers, h.Peers) {
+		if got.Hello.Leaving != h.Leaving || !slices.Equal(got.Hello.Runs, tc.runs) || len(got.Hello.Peers) != 0 {
 			t.Errorf("hello %d: body %+v does not round-trip to %+v", i, h, got.Hello)
 		}
 		if want := 8 + 8*tc.runBytes; p.Bits() != want {
@@ -278,8 +274,8 @@ func TestAnnounceRoundTrip(t *testing.T) {
 			{Node: 0, Addr: "127.0.0.1:9000"},
 			{Node: 3, Addr: "[::1]:9003"},
 		}},
-		{Op: AnnounceLookup, MsgID: 1 << 60, Addrs: []AddrEntry{{Node: 9}}},
-		{Op: AnnounceLookupOK, MsgID: 42, Addrs: []AddrEntry{{Node: 9, Addr: "10.0.0.9:12345"}}},
+		{Op: AnnouncePing, MsgID: 1 << 60, Addrs: []AddrEntry{{Node: 9}}},
+		{Op: AnnouncePong, MsgID: 42, Addrs: []AddrEntry{{Node: 9, Addr: "10.0.0.9:12345"}}},
 	}
 	for i, a := range anns {
 		p := NewAnnounce(i, i*2, a)
@@ -335,8 +331,8 @@ func TestAnnounceUnmarshalRejects(t *testing.T) {
 		}
 	}
 	// Undefined op values are rejected: canonical encodings use only
-	// ping/pong/lookup/lookup-ok.
-	for _, op := range []byte{4, 9, 0xff} {
+	// ping and pong (2 and 3 were a lookup exchange the codec once had).
+	for _, op := range []byte{2, 3, 4, 9, 0xff} {
 		bad := append([]byte(nil), good...)
 		bad[HeaderBytes] = op
 		if _, err := unmarshal(bad); !errors.Is(err, ErrMalformed) {
@@ -372,7 +368,7 @@ func TestAnnounceMarshalPanics(t *testing.T) {
 		f()
 	}
 	mustPanic("bad op", func() {
-		NewAnnounce(0, 0, Announce{Op: 4}).Marshal()
+		NewAnnounce(0, 0, Announce{Op: 2}).Marshal()
 	})
 	mustPanic("oversized addr", func() {
 		NewAnnounce(0, 0, Announce{Addrs: []AddrEntry{{Node: 0, Addr: string(make([]byte, MaxAddrBytes+1))}}}).Marshal()
@@ -517,10 +513,10 @@ func TestGoldenWireBytes(t *testing.T) {
 			},
 		},
 		{
-			"ack vector",
+			"ack of an id-by-id list",
 			NewAck(7, 8, Ack{
 				Watermark: 2,
-				Peers:     []PeerMark{{Node: 0, Watermark: 2}, {Node: 1, Watermark: 3}, {Node: 300, Watermark: 9}},
+				Peers:     []PeerMark{{Node: 0, Watermark: 2}, {Node: 1, Watermark: 3}, {Node: 2, Watermark: 5}},
 			}),
 			[]byte{
 				Version,                // version
@@ -529,12 +525,10 @@ func TestGoldenWireBytes(t *testing.T) {
 				0x08, 0x00, 0x00, 0x00, // epoch
 				0x02,       // watermark = 2
 				0x00,       // no generation runs
-				0x83,       // form: a vector of width 3, the spread 9-2 = 7 taking 3 bits
-				0x02,       // 2 peer runs
-				0x00, 0x02, // nodes 0, 1
-				0xac, 0x02, 0x01, // node 300 alone (a two-byte uvarint start)
-				0x02,       // base = 2, the least mark
-				0xc8, 0x01, // offsets 0, 1, 7 at 3 bits, LSB-first: 000 100 111, then 7 zero spare bits
+				0x02,       // 2 planes
+				0x02,       // frontier = 2, the least mark
+				0x01,       // of 1 byte each
+				0x06, 0x04, // ids 0, 1, 2 at offsets 0, 1, 3
 			},
 		},
 	}
@@ -694,7 +688,7 @@ func samplePackets(t *testing.T) []Packet {
 			Peers:     []PeerMark{{Node: 0, Watermark: 6}, {Node: 3, Watermark: 5}},
 		}),
 		NewHello(5, 0, Hello{Leaving: true, Peers: []uint32{1, 4, 6}}),
-		NewAnnounce(6, 2, Announce{Op: AnnounceLookupOK, MsgID: 99, Addrs: []AddrEntry{
+		NewAnnounce(6, 2, Announce{Op: AnnouncePong, MsgID: 99, Addrs: []AddrEntry{
 			{Node: 1, Addr: "127.0.0.1:9001"},
 			{Node: 4, Addr: "[::1]:9004"},
 		}}),
@@ -724,11 +718,10 @@ func TestAppendToMatchesMarshal(t *testing.T) {
 // out of an empty buffer — a node's first packets, or a hello far larger
 // than anything its ring holds — costs one allocation, not a doubling
 // chain, for every packet of the sample set and for the lists the
-// runtimes send: an ack of one-byte marks over the whole id space, dense
-// or with a few holes, an ack of eight planes over it, and a hello of a
-// dense view. A hello's
-// reservation does not grow with its list, because its encoding is
-// O(runs).
+// runtimes send: an ack of seven planes over the whole id space, folded
+// from a list with a few holes, an ack of eight planes over it, and a
+// hello of a dense view. A hello's reservation grows with its runs, not
+// with the ids they cover.
 func TestAppendToReservesOnce(t *testing.T) {
 	pkts := samplePackets(t)
 	for _, n := range []int{192, 2048} {
@@ -759,8 +752,8 @@ func TestAppendToReservesOnce(t *testing.T) {
 		}
 	}
 	dense := NewHello(5, 0, Hello{Peers: seq(0, MaxAckEntries)})
-	if got, want := cap(dense.AppendTo(nil)), cap(NewHello(5, 0, Hello{}).AppendTo(nil)); got != want {
-		t.Errorf("a %d-id hello reserved %d bytes, an empty one %d", MaxAckEntries, got, want)
+	if got, want := cap(dense.AppendTo(nil)), cap(NewHello(5, 0, Hello{Peers: []uint32{0}}).AppendTo(nil)); got != want {
+		t.Errorf("a %d-id hello reserved %d bytes, a one-id one %d", MaxAckEntries, got, want)
 	}
 }
 
