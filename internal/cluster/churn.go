@@ -351,23 +351,13 @@ func (v *View) Mark(id int, now int64) { v.add(id, id+1, now, true) }
 func (v *View) Introduce(id int, now int64) { v.add(id, id+1, now, false) }
 
 // IntroduceRuns is Introduce for every id of a hello body, at one
-// interval union per run that is not already live. Ids beyond the id
-// space are ignored.
+// interval union per run and not one per id. Ids beyond the id space
+// are ignored.
 func (v *View) IntroduceRuns(runs []wire.Run, now int64) {
-	i := 0 // a cursor into v.runs, for runs that ascend as a view's do
 	for _, r := range runs {
-		if r.Start >= uint32(v.maxN) {
-			continue
+		if r.Start < uint32(v.maxN) {
+			v.add(int(r.Start), int(min(uint64(r.Start)+uint64(r.Count), uint64(v.maxN))), now, false)
 		}
-		lo, hi := int(r.Start), int(min(uint64(r.Start)+uint64(r.Count), uint64(v.maxN)))
-		for i < len(v.runs) && v.runs[i].hi < hi {
-			i++
-		}
-		if i < len(v.runs) && v.runs[i].lo <= lo {
-			continue // inside v.runs[i]: nothing to add, no stamp to move
-		}
-		v.add(lo, hi, now, false)
-		i = 0 // add rewrote v.runs
 	}
 }
 

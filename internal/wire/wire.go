@@ -678,19 +678,12 @@ func UnmarshalInto(p *Packet, data []byte) error {
 		runs := slices.Grow(p.Hello.Runs[:0], int(min(nRuns, uint32(len(rest)/2))))
 		prevEnd, ids := noRun, 0
 		for r := uint32(0); r < nRuns; r++ {
-			// A view's run is two short values, checked here; readRun
-			// reads and checks any other, and words every refusal.
-			start, n := shortUvarint(rest)
-			count, m := shortUvarint(rest[n:])
-			if n == 0 || m == 0 || count == 0 || int(count) > MaxAckEntries-ids || uint64(start) == prevEnd {
-				s, c, k, err := readRun(rest, prevEnd, ids)
-				if err != nil {
-					return fmt.Errorf("hello run %d: %w", r, err)
-				}
-				start, count, n, m = s, uint32(c), k, 0
+			start, count, n, err := readRun(rest, prevEnd, ids)
+			if err != nil {
+				return fmt.Errorf("hello run %d: %w", r, err)
 			}
-			rest, prevEnd, ids = rest[n+m:], uint64(start)+uint64(count), ids+int(count)
-			runs = append(runs, Run{Start: start, Count: count})
+			rest, prevEnd, ids = rest[n:], uint64(start)+uint64(count), ids+count
+			runs = append(runs, Run{Start: start, Count: uint32(count)})
 		}
 		if len(rest) != 0 {
 			return fmt.Errorf("%w: %d trailing hello bytes after %d runs", ErrMalformed, len(rest), nRuns)
@@ -853,26 +846,14 @@ func readPlanes(b []byte, width int, a *Ack) ([]byte, error) {
 // inside the value; n < 0 means the value is not canonical: wider than
 // 32 bits, or padded with a final zero group.
 func uvarint(b []byte) (v uint32, n int) {
-	if v, n = shortUvarint(b); n > 0 {
-		return v, n
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint32(b[0]), 1
 	}
 	wide, n := binary.Uvarint(b)
 	if n > 0 && (wide>>32 != 0 || n != uvarintLen(uint32(wide))) {
 		return 0, -1
 	}
 	return uint32(wide), n
-}
-
-// shortUvarint is uvarint for one- and two-byte values, n == 0 for the
-// rest: small enough to inline into the hello decoder, for a view's runs.
-func shortUvarint(b []byte) (v uint32, n int) {
-	if len(b) > 0 && b[0] < 0x80 {
-		return uint32(b[0]), 1
-	}
-	if len(b) > 1 && b[1]-1 < 0x7f { // the second byte ends the value and is not a padding zero
-		return uint32(b[0]&0x7f) | uint32(b[1])<<7, 2
-	}
-	return 0, 0
 }
 
 // varintError words uvarint's two failures.
