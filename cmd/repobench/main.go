@@ -337,11 +337,13 @@ func (rep *report) entry(name string) *workload {
 }
 
 // churnSchedule builds the swept churn workload as a -churn value:
-// `pairs` crash/join pairs spread over the run.
+// `pairs` crash/join pairs spread over the run, each crash revived by a
+// persisted restart, since a stream whose founding node stays down loses
+// that origin's share.
 func churnSchedule(pairs int) string {
 	var parts []string
 	for i := 0; i < pairs; i++ {
-		parts = append(parts, fmt.Sprintf("crash:%d:1,join:%d:1", 15+20*i, 25+20*i))
+		parts = append(parts, fmt.Sprintf("crash:%d:1,restart:%d:1,join:%d:1", 15+20*i, 20+20*i, 25+20*i))
 	}
 	return strings.Join(parts, ",")
 }

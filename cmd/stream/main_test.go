@@ -225,13 +225,16 @@ func TestRunWritesProfiles(t *testing.T) {
 	}
 }
 
-// TestFullStackTranscriptPinned pins the report of CI's full-stack line:
-// every fault flag, the adaptive adversary and churn, lowered by
-// cliutil from the flags as main parses them. With -telemetry the
-// report is the same: telemetry reads the run and never steers it.
+// TestFullStackTranscriptPinned pins the report of CI's full-stack line
+// for the stream: every fault flag, the adaptive adversary and churn,
+// lowered by cliutil from the flags as main parses them. Every crash is
+// revived and nobody leaves: a founding origin down for good, or a
+// hand-over the adversary's path drops, ends the stream incomplete. With
+// -telemetry the report is the same: telemetry reads the run and never
+// steers it.
 func TestFullStackTranscriptPinned(t *testing.T) {
 	const want = "390c0a2d432ea9980ebb031b69087c46f3d6ab6a7cbb0be6ef1258f5cbbe990a"
-	full := "-n 48 -k 16 -transport lockstep -seed 1 -loss 0.1 -reorder 0.1 -delay 2ms -mutate all:0.02 -adversary adaptive -churn join:5:2,crash:10:2,leave:14:2,restart:20:1 -shards 1"
+	full := "-n 48 -k 16 -transport lockstep -seed 1 -loss 0.1 -reorder 0.1 -delay 2ms -mutate all:0.02 -adversary adaptive -churn join:5:2,crash:10:2,restart:20:1,rejoin:20:1 -shards 1"
 	for _, args := range []string{full, full + " -telemetry " + filepath.Join(t.TempDir(), "export.txt")} {
 		var o options
 		fs := flag.NewFlagSet("stream", flag.ContinueOnError)

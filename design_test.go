@@ -237,6 +237,8 @@ var deleted = []struct {
 	{[]string{"IntroducePeers", "RunEnd", "fillRun", "vectorForm", "packMarks", "unpackRun", "unpackWord", "lanes8", "lanes16", "lanes32"},
 		"a second wire form of a control body: a hello is its sender's view runs (wire.Run) from view to view, an ack's view a frontier and planes"},
 	{[]string{"AnnounceLookup", "AnnounceLookupOK"}, "a second announce exchange: a lookup is a ping to a known peer, answered by a pong"},
+	{[]string{"adoptOrphans", "lowestEligible", "adopted", "serveQ", "serveReq", "queueServe", "serveCatchup"},
+		"re-sourcing stream tokens from the Source at nodes that were never sent them: a token enters only at its origin (TestDesignStreamSourceIsAnOracle)"},
 }
 
 // TestDesignDeletedNamesStayDeleted holds the table above over the tree.
@@ -265,6 +267,28 @@ func TestDesignDeletedNamesStayDeleted(t *testing.T) {
 			t.Errorf("%s: %s is back, %s", f.path, name, w)
 		}
 	})
+}
+
+// TestDesignStreamSourceIsAnOracle: a stream token enters only at its
+// origin. In internal/stream a node reads the Source for its own share
+// (node.ensureGen) and to verify a delivery (node.verify), and a run
+// for its shape (Config.engine); nothing else re-derives a token a node
+// was never sent.
+func TestDesignStreamSourceIsAnOracle(t *testing.T) {
+	readers := map[string]bool{}
+	each(pkg(t, "internal/stream"), func(_ goFile, where string, n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok && isSel(call.Fun, "", "Generation") {
+			readers[where] = true
+		}
+	})
+	if !readers["node.ensureGen"] || !readers["node.verify"] {
+		t.Fatalf("Source.Generation is called from %v, not from node.ensureGen and node.verify: the rule has no subject", readers)
+	}
+	for where := range readers {
+		if where != "node.ensureGen" && where != "node.verify" && where != "Config.engine" {
+			t.Errorf("%s reads the stream's Source: a token enters only at its origin, and the Source is only its oracle", where)
+		}
+	}
 }
 
 // TestDesignOneRunDescription: Shards without Lockstep is rejected in

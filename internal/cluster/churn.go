@@ -412,15 +412,9 @@ func (v *View) unsuspected(id int, now int64) bool {
 	return now-heard <= v.SuspectAfter
 }
 
-// Eligible reports whether id is in the view and not suspected at the
-// given instant. The view's own node is always eligible.
-func (v *View) Eligible(id int, now int64) bool {
-	return v.Live(id) && v.unsuspected(id, now)
-}
-
-// EligibleIDs iterates, in ascending order, over the ids Eligible at the
+// EligibleIDs iterates, in ascending order, over the ids eligible at the
 // given instant: one walk of the runs, for callers that would otherwise
-// ask Eligible of every id of the id space.
+// ask eligible of every id of the id space.
 func (v *View) EligibleIDs(now int64) iter.Seq[int] {
 	return func(yield func(int) bool) {
 		for _, r := range v.runs {

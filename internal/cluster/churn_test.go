@@ -107,21 +107,21 @@ func TestViewSuspicion(t *testing.T) {
 	v := NewView(0, 4)
 	v.Fill(4, 10)
 	v.SuspectAfter = 5
-	if !v.Eligible(2, 15) {
+	if !v.eligible(2, 15) {
 		t.Error("peer heard at 10 suspected at 15 with threshold 5")
 	}
-	if v.Eligible(2, 16) {
+	if v.eligible(2, 16) {
 		t.Error("peer heard at 10 still eligible at 16 with threshold 5")
 	}
-	if !v.Eligible(0, 1000) {
+	if !v.eligible(0, 1000) {
 		t.Error("self suspected")
 	}
 	v.Mark(2, 20) // heard again: reinstated
-	if !v.Eligible(2, 24) {
+	if !v.eligible(2, 24) {
 		t.Error("reinstated peer still suspected")
 	}
 	v.Remove(2)
-	if v.Eligible(2, 21) || v.Live(2) {
+	if v.eligible(2, 21) || v.Live(2) {
 		t.Error("removed peer still in view")
 	}
 	if v.LiveCount() != 3 {

@@ -28,8 +28,8 @@ func sameView(t *testing.T, stage string, ref, got *View, sa int64) {
 			t.Fatalf("%s: Live(%d) = %v, Mark loop %v", stage, id, got.Live(id), ref.Live(id))
 		}
 		for _, at := range []int64{0, 3, 3 + sa, 4 + sa, 9 + sa, 40} {
-			if ref.Eligible(id, at) != got.Eligible(id, at) {
-				t.Fatalf("%s: Eligible(%d, %d) = %v, Mark loop %v", stage, id, at, got.Eligible(id, at), ref.Eligible(id, at))
+			if ref.eligible(id, at) != got.eligible(id, at) {
+				t.Fatalf("%s: eligible(%d, %d) = %v, Mark loop %v", stage, id, at, got.eligible(id, at), ref.eligible(id, at))
 			}
 		}
 	}

@@ -37,6 +37,12 @@ func (m *flagView) remove(id int) {
 
 func (m *flagView) has(id int) bool { return id >= 0 && id < len(m.live) && m.live[id] }
 
+// eligible reports whether id is in the view and not suspected at the
+// given instant, as EligibleIDs would list it.
+func (v *View) eligible(id int, now int64) bool {
+	return v.Live(id) && v.unsuspected(id, now)
+}
+
 func (m *flagView) eligible(id int, now int64) bool {
 	return m.has(id) && (id == m.self || m.sa == 0 || now-m.heard[id] <= m.sa)
 }
@@ -77,8 +83,8 @@ func checkView(t *testing.T, step int, m *flagView, v *View) {
 			if v.Live(id) != m.has(id) {
 				t.Fatalf("step %d: Live(%d) = %v", step, id, v.Live(id))
 			}
-			if v.Eligible(id, at) != m.eligible(id, at) {
-				t.Fatalf("step %d: Eligible(%d, %d) = %v, model %v", step, id, at, v.Eligible(id, at), m.eligible(id, at))
+			if v.eligible(id, at) != m.eligible(id, at) {
+				t.Fatalf("step %d: eligible(%d, %d) = %v, model %v", step, id, at, v.eligible(id, at), m.eligible(id, at))
 			}
 			if m.eligible(id, at) {
 				want = append(want, id)

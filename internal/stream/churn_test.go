@@ -9,17 +9,29 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/rlnc"
+	"repro/internal/token"
 	"repro/internal/wire"
 )
 
 // churnStreamRun is the canonical seeded lockstep churn stream shared
-// by the determinism and completion tests.
+// by the determinism and completion tests. Its completing runs end by
+// tick 140 or so; the cap stops a lost one at a few times that.
 func churnStreamRun(t *testing.T, seed int64, schedule string, loss float64) *Result {
+	t.Helper()
+	res, _ := churnStreamNodes(t, seed, schedule, loss)
+	return res
+}
+
+// churnStreamNodes is churnStreamRun that also hands back each id's
+// latest incarnation.
+func churnStreamNodes(t *testing.T, seed int64, schedule string, loss float64) (*Result, []*node) {
 	t.Helper()
 	sched, err := cluster.ParseChurn(schedule)
 	if err != nil {
@@ -28,22 +40,92 @@ func churnStreamRun(t *testing.T, seed int64, schedule string, loss float64) *Re
 	const n, k, d, gens, w = 12, 6, 48, 10, 4
 	cfg := Config{
 		N: n, K: k, PayloadBits: d, Window: w, Generations: gens,
-		Seed: seed, Lockstep: true, MaxTicks: 200000,
+		Seed: seed, Lockstep: true, MaxTicks: 600,
 		Churn: sched, SuspectTicks: 12,
 	}
 	cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), loss, seed*17+1)
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, nodes := keptRun(t, cfg)
 	res.Elapsed = 0 // wall clock is the one legitimately impure field
-	return res
+	return res, nodes
+}
+
+// keptRun is Run that also hands back each id's latest incarnation, as
+// cluster's runKeepingStates does.
+func keptRun(t *testing.T, cfg Config) (*Result, []*node) {
+	t.Helper()
+	return layeredRun(t, cfg, func(_ []*node, inner cluster.Transport) cluster.Transport { return inner })
+}
+
+// held is the stream's twin of cluster's held, for a run that stopped
+// incomplete: the lowest generation g a live node still needs, the joint
+// rank of the live nodes' span rows of g and the unit rows of its tokens
+// whose origin is live and will still open it, and g's departed
+// origins: those not live, or revived with a StartGen past g. Below k
+// with a departed origin, a share left with it and no amount of gossip
+// among the survivors completes the run.
+func held(res *Result, nodes []*node) (g, rank int, departed []int) {
+	g = -1
+	var any *node
+	for id, nd := range nodes {
+		if nd != nil && res.Nodes[id].Live && !nd.Done() && (g < 0 || nd.delivered < g) {
+			g, any = nd.delivered, nd
+		}
+	}
+	if any == nil {
+		return g, 0, nil
+	}
+	joint := rlnc.NewSpan(any.k, token.UIDBits+any.d)
+	var row rlnc.Coded
+	for id, nd := range nodes {
+		if gs, ok := nd.spanOf(g); ok && res.Nodes[id].Live {
+			for i := range gs.Rank() {
+				gs.RowInto(&row, i)
+				joint.Add(row)
+			}
+		}
+	}
+	toks := any.src.Generation(g)
+	for j := range any.k {
+		switch o := genOwner(g, any.k, j, any.n); {
+		case !res.Nodes[o].Live || g < nodes[o].startGen:
+			if !slices.Contains(departed, o) {
+				departed = append(departed, o)
+			}
+		case g >= nodes[o].base:
+			joint.Add(rlnc.Encode(j, any.k, cluster.TokenVec(toks[j])))
+		}
+	}
+	return g, joint.Rank(), departed
+}
+
+// spanOf is the span a (possibly never spawned) node holds of
+// generation g.
+func (nd *node) spanOf(g int) (*rlnc.Span, bool) {
+	if nd == nil || nd.spans[g] == nil {
+		return nil, false
+	}
+	return nd.spans[g].span, true
+}
+
+// checkEnd fails t unless the run completed, or stopped having lost a
+// share (see held); it reports whether the run was lost.
+func checkEnd(t *testing.T, name string, res *Result, nodes []*node) bool {
+	t.Helper()
+	if res.Completed {
+		return false
+	}
+	g, rank, departed := held(res, nodes)
+	if k := nodes[0].k; rank >= k || len(departed) == 0 {
+		t.Errorf("%s stalled after %d ticks: generation %d at joint rank %d of %d among its live holders, departed origins %v",
+			name, res.Ticks, g, rank, k, departed)
+	}
+	return true
 }
 
 // TestLockstepStreamChurnDeterministic is the acceptance-criteria
 // property for the streaming runtime: a lockstep churn run — joins,
-// crashes, restarts, suspicion, orphan adoption, loss — is a pure
-// function of the seed.
+// crashes, restarts, leaves, suspicion, loss — is a pure function of the
+// seed.
 func TestLockstepStreamChurnDeterministic(t *testing.T) {
 	const schedule = "crash:15:1,join:25:1,leave:35:1,restart:45:1"
 	pure := func(s uint16) bool {
@@ -100,24 +182,26 @@ func TestStreamJoinerCatchesUpUnderLoss(t *testing.T) {
 	}
 }
 
-// TestStreamSurvivesOriginCrash pins the orphan-adoption path: crash
-// nodes early — likely including origins of not-yet-opened
-// generations — and the stream must still complete because the lowest
-// live node re-sources tokens whose origin fell out of the view. The
-// retirement frontier must likewise drop the crashed nodes (via
-// suspicion) instead of deadlocking on their stale watermarks.
-func TestStreamSurvivesOriginCrash(t *testing.T) {
+// TestStreamOriginCrashLosesItsShare: a token enters the stream only
+// at its origin, so an origin that crashes at tick 1, before its first
+// emission, takes its share of every generation with it. The survivors
+// deliver what precedes the first generation it owns and stop there,
+// incomplete, with held naming the crashed node as that generation's
+// departed origin.
+func TestStreamOriginCrashLosesItsShare(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		res := churnStreamRun(t, seed, "crash:8:2", 0.1)
-		if !res.Completed {
-			t.Fatalf("seed %d: stream incomplete after %d ticks with 2 crashed origins", seed, res.Ticks)
+		res, nodes := churnStreamNodes(t, seed, "crash:1:1", 0.1)
+		crashed := slices.IndexFunc(res.Nodes, func(m NodeMetrics) bool { return !m.Live })
+		if res.Completed || crashed < 0 {
+			t.Fatalf("seed %d: completed=%v with node %d crashed at tick 1", seed, res.Completed, crashed)
 		}
-		if res.FinalLive != 10 {
-			t.Errorf("seed %d: FinalLive = %d, want 10", seed, res.FinalLive)
+		g, rank, departed := held(res, nodes)
+		if rank >= nodes[0].k || !slices.Equal(departed, []int{crashed}) {
+			t.Errorf("seed %d: generation %d at joint rank %d, departed origins %v, want below %d and [%d]", seed, g, rank, departed, nodes[0].k, crashed)
 		}
 		for id, m := range res.Nodes {
-			if m.Live && m.Delivered != 10 {
-				t.Errorf("seed %d: live node %d delivered %d of 10", seed, id, m.Delivered)
+			if m.Live && m.Delivered != g {
+				t.Errorf("seed %d: live node %d delivered %d generations, want the %d before the lost one", seed, id, m.Delivered, g)
 			}
 		}
 	}
@@ -174,16 +258,17 @@ func TestStreamChurnlessUnchanged(t *testing.T) {
 }
 
 // TestAsyncStreamChurnCrashJoin is the async churn integration test
-// for the streaming runtime: a node crashes mid-stream, a fresh node
-// joins and catches up to the watermark, under loss, -race clean. The
-// run must complete with every live node's deliveries source-verified
-// (Run verifies every delivery inline).
+// for the streaming runtime: a node crashes mid-stream and restarts (a
+// founding node that stays down takes its share of later generations
+// with it), a fresh node joins and catches up to the watermark, under
+// loss, -race clean. The run must complete with every live node's
+// deliveries source-verified (Run verifies every delivery inline).
 func TestAsyncStreamChurnCrashJoin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stream integration test skipped with -short")
 	}
 	const n, k, d, gens, w = 12, 6, 64, 10, 4
-	sched, err := cluster.ParseChurn("crash:25:1,join:40:1")
+	sched, err := cluster.ParseChurn("crash:25:1,restart:35:1,join:40:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +286,8 @@ func TestAsyncStreamChurnCrashJoin(t *testing.T) {
 	if !res.Completed {
 		t.Fatal("async churn stream did not complete")
 	}
-	if res.FinalLive != n {
-		t.Errorf("FinalLive = %d, want %d", res.FinalLive, n)
+	if res.FinalLive != n+1 {
+		t.Errorf("FinalLive = %d, want %d", res.FinalLive, n+1)
 	}
 	j := &res.Nodes[n]
 	if !j.Spawned || !j.Live || !j.Done {
@@ -241,26 +326,32 @@ func TestStreamRejectsEpochOverflow(t *testing.T) {
 }
 
 // TestLockstepStreamChurnGridCompletes sweeps a grid of churn
-// schedules × seeds through the lockstep driver and requires every run
-// to complete: with catch-up serving, orphan adoption and clock-driven
-// frontier re-evaluation, no schedule that leaves at least two nodes
-// alive may stall the stream. (Each stall mode this PR fixed —
-// stale-stamp refresh, sampling suspicion, packet-only advance — first
-// showed up as a hang a sweep like this one would have caught.)
+// schedules × seeds through the lockstep driver. Where every crashed
+// node is revived and nobody leaves, every run completes. Where a
+// founding node stays down, a run completes or stops having lost that
+// origin's share (checkEnd). None may stall. (Each stall mode fixed
+// here — stale-stamp refresh, sampling suspicion, packet-only advance —
+// first showed up as a hang a sweep like this one would have caught.)
 func TestLockstepStreamChurnGridCompletes(t *testing.T) {
-	schedules := []string{
+	revived := []string{
+		"crash:15:1,restart:40:1",
+		"crash:8:2,restart:50:2",
+		"join:5:2,crash:25:1,rejoin:60:1",
+		"crash:15:1,restart:30:1,crash:45:1,rejoin:50:1,join:70:1",
+	}
+	gone := []string{
 		"crash:15:1",
 		"crash:15:1,leave:40:1",
 		"leave:10:1,crash:20:1,join:30:1",
 		"crash:8:2,restart:50:1",
-		"join:5:2,crash:25:1,rejoin:60:1",
 		"crash:15:1,crash:45:1,join:70:1",
 	}
-	for _, schedule := range schedules {
+	for _, schedule := range append(revived, gone...) {
 		for seed := int64(1); seed <= 3; seed++ {
-			res := churnStreamRun(t, seed, schedule, 0.2)
-			if !res.Completed {
-				t.Errorf("schedule %q seed %d stalled after %d ticks", schedule, seed, res.Ticks)
+			res, nodes := churnStreamNodes(t, seed, schedule, 0.2)
+			name := fmt.Sprintf("schedule %q seed %d", schedule, seed)
+			if checkEnd(t, name, res, nodes) && slices.Contains(revived, schedule) {
+				t.Errorf("%s: every crash revived, yet incomplete after %d ticks", name, res.Ticks)
 			}
 		}
 	}
@@ -271,9 +362,14 @@ func TestLockstepStreamChurnGridCompletes(t *testing.T) {
 // that rejoins with wiped state, or a joiner in a leaver's place, still
 // lacks it, and both used to be starved until the tick cap: the tally
 // kept the rejoined node's old bit and the leaver's. The two commands
-// first, then a slice of small worlds around the same ticks.
+// first, then a slice of small worlds around the same ticks. A leaver
+// takes its share of every generation it has not opened with it, so the
+// leave runs open every generation from the start (window 12), which
+// spreads the stream out: there the leave comes at ticks 61 to 73. Under
+// loss a hand-over may still be lost, which checkEnd tells from a
+// stall. Every lossless run completes.
 func TestStreamNoStarvationAfterRejoin(t *testing.T) {
-	run := func(n int, seed int64, schedule string, loss float64, suspect, maxTicks int) {
+	run := func(n int, seed int64, schedule string, loss float64, suspect int) {
 		t.Helper()
 		sched, err := cluster.ParseChurn(schedule)
 		if err != nil {
@@ -281,29 +377,59 @@ func TestStreamNoStarvationAfterRejoin(t *testing.T) {
 		}
 		cfg := Config{
 			N: n, K: 16, PayloadBits: 32, Window: 6, Generations: 12,
-			Seed: seed, Lockstep: true, MaxTicks: maxTicks, Churn: sched, SuspectTicks: suspect,
+			Seed: seed, Lockstep: true, MaxTicks: 1000, Churn: sched, SuspectTicks: suspect,
+		}
+		if strings.HasPrefix(schedule, "leave") {
+			cfg.Window = cfg.Generations
 		}
 		cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), loss, seed*7+1)
-		res, err := Run(context.Background(), cfg)
+		res, nodes := keptRun(t, cfg)
+		name := fmt.Sprintf("n=%d seed %d loss %v %q", n, seed, loss, schedule)
+		if checkEnd(t, name, res, nodes) && loss == 0 {
+			t.Errorf("%s: lossless, yet lost a share after %d ticks", name, res.Ticks)
+		}
+	}
+	// cmd/stream -n 3 -k 16 -payload 32 -window 6 (12 for the leave)
+	// -generations 12 -transport lockstep -seed 3 -churn <schedule>
+	run(3, 3, "crash:23:1,rejoin:23:1", 0, 0)
+	run(3, 3, "leave:61:1,join:61:1", 0, 0)
+	for _, n := range []int{3, 4} {
+		for i := range 3 {
+			for _, kinds := range [][3]any{{"crash", "rejoin", 23}, {"leave", "join", 61}} {
+				at := kinds[2].(int) + 6*i
+				for seed := int64(1); seed <= 6; seed++ {
+					for _, loss := range []float64{0, 0.3} {
+						run(n, seed, fmt.Sprintf("%s:%d:1,%s:%d:1", kinds[0], at, kinds[1], at), loss, 40)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStreamLeaverHandsOver mirrors cluster's TestLeaverHandsOver: a
+// stream whose window is its whole length opens every generation at
+// tick 0, so a node that leaves at tick 1, before anyone has emitted,
+// holds the only copies of its share of every generation, and the later
+// leavers may be where they went. On a lossless fabric the hand-over
+// alone is what lets the survivors complete.
+func TestStreamLeaverHandsOver(t *testing.T) {
+	const n, gens = 8, 6
+	for _, schedule := range []string{"leave:1:1,leave:2:1,leave:3:1", "leave:1:2,leave:2:1"} {
+		sched, err := cluster.ParseChurn(schedule)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Completed {
-			t.Errorf("n=%d seed %d loss %v %q stalled after %d ticks", n, seed, loss, schedule, res.Ticks)
-		}
-	}
-	// cmd/stream -n 3 -k 16 -payload 32 -window 6 -generations 12
-	// -transport lockstep -seed 3 -maxticks 20000 -churn <schedule>
-	run(3, 3, "crash:23:1,rejoin:23:1", 0, 0, 20000)
-	run(3, 3, "leave:23:1,join:23:1", 0, 0, 20000)
-	for _, n := range []int{3, 4} {
-		for _, at := range []int{23, 29, 35} {
-			for _, kinds := range [][2]string{{"crash", "rejoin"}, {"leave", "join"}} {
-				for seed := int64(1); seed <= 6; seed++ {
-					for _, loss := range []float64{0, 0.3} {
-						run(n, seed, fmt.Sprintf("%s:%d:1,%s:%d:1", kinds[0], at, kinds[1], at), loss, 40, 6000)
-					}
-				}
+		for seed := int64(1); seed <= 8; seed++ {
+			cfg := Config{
+				N: n, K: 12, PayloadBits: 48, Window: gens, Generations: gens,
+				Seed: seed, Lockstep: true, MaxTicks: 500, Churn: sched,
+			}
+			res, nodes := keptRun(t, cfg)
+			if !res.Completed || res.FinalLive != n-3 {
+				g, rank, departed := held(res, nodes)
+				t.Errorf("%s seed %d: completed=%v with %d live, generation %d at joint rank %d, departed origins %v",
+					schedule, seed, res.Completed, res.FinalLive, g, rank, departed)
 			}
 		}
 	}
@@ -315,9 +441,10 @@ func TestStreamNoStarvationAfterRejoin(t *testing.T) {
 // slot, so pre-outage traffic is not double-counted; leavers and
 // crashers keep their final counters), TokensDelivered is the
 // K-scaled sum of per-node generation deliveries, unspawned ids stay
-// zero, and FinalLive matches the Live flags.
+// zero, and FinalLive matches the Live flags. Each crash is revived and
+// the leave comes once its share has spread, so the run completes.
 func TestLockstepStreamChurnAggregateMetrics(t *testing.T) {
-	const schedule = "join:5:1,crash:8:1,leave:12:1,restart:15:1,join:18:2,rejoin:25:1"
+	const schedule = "join:5:1,crash:8:1,restart:15:1,join:18:2,crash:20:1,rejoin:25:1,leave:120:1"
 	sched, err := cluster.ParseChurn(schedule)
 	if err != nil {
 		t.Fatal(err)
@@ -469,8 +596,6 @@ func TestSuspicionStaysLocal(t *testing.T) {
 				for _, x := range nodes {
 					switch {
 					case x == r:
-					case len(x.serveQ) > 0:
-						t.Fatalf("tick %d: node %d serves retired generations %v", x.Now, x.ID, x.serveQ)
 					case x.base > r.delivered && x.ID != deaf:
 						t.Fatalf("tick %d: node %d retired up to %d, past node %d's watermark %d", x.Now, x.ID, x.base, lag, r.delivered)
 					case x.base > r.delivered:

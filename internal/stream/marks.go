@@ -113,8 +113,8 @@ func (v *markView) shift(d int) {
 // merge folds a sender's view into this one, id by id by maximum, with
 // every watermark clamped to gens, and reports whether the frontier or
 // a watermark rose. A larger frontier, a floor under every id, is
-// adopted first. self's own
-// watermark is the node's to set, not the sender's.
+// adopted first. self's own watermark is the node's to set, not the
+// sender's; self -1 takes every id's.
 func (v *markView) merge(a *wire.Ack, self, gens int) bool {
 	changed := false
 	if f := int(min(a.Frontier, uint32(gens))); f > v.frontier {

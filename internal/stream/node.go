@@ -2,6 +2,8 @@ package stream
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/gf"
@@ -11,10 +13,15 @@ import (
 	"repro/internal/wire"
 )
 
-// genOwner returns the node where token j of generation g originates.
-// Origins rotate across the initial membership so every founding node
-// takes sourcing turns; joiners never source primarily but may adopt
-// the tokens of a departed origin (see adoptOrphans).
+// genOwner returns the node where token j of generation g originates,
+// the one node that reads it from the Source to inject it: a token
+// exists anywhere else only once a packet carrying it, or a combination
+// of it, has arrived. Origins rotate across the founding membership, so
+// joiners source nothing. A founding node that departs before its share
+// of a generation spread takes that share with it, and the stream ends
+// incomplete at its tick cap, as a one-shot run that loses a token
+// does; a revived origin sources its share again from its new StartGen
+// on.
 func genOwner(g, k, j, n int) int { return (g*k + j) % n }
 
 // genState is one live generation at one node.
@@ -31,10 +38,6 @@ type genState struct {
 	// frontier retiring it.
 	ackedFull  []uint64
 	ackedCount int
-	// adopted[j] records that this node already injected token j on
-	// behalf of a departed origin (see adoptOrphans), so the adoption
-	// sweep does not re-encode the same rows every tick.
-	adopted []bool
 }
 
 // node is the stream's cluster.Protocol: the window, ack and retirement
@@ -77,6 +80,13 @@ type node struct {
 	// counted is the retirement floor's mask of eligible ids, under
 	// churn only.
 	counted []uint64
+	// past is, under churn, the lowest window start past delivered among
+	// the acks drained since stuckSince (0: none), each from a peer that
+	// retired the generation this node waits on; held records that one
+	// showed a window that does not start past it.
+	past       int
+	held       bool
+	stuckSince int64
 	// delivered is the absolute watermark: generations in
 	// [startGen, delivered) were decoded, verified and handed to the
 	// consumer in order.
@@ -94,13 +104,6 @@ type node struct {
 	cursor int
 	// cands is the emission candidate scratch buffer.
 	cands []int
-	// serveQ queues catch-up requests discovered in acks: a peer
-	// reporting partial rank for a generation this node already
-	// retired is behind the frontier (a joiner whose bootstrap lost a
-	// race, or a restarted node); the generations are re-derivable
-	// from the pure Source, so the next emission slot serves them back
-	// directly. Only ever non-empty in churn runs.
-	serveQ []serveReq
 
 	// m is the node's full counter block; the shell's M points at the
 	// shared counters embedded in it.
@@ -145,6 +148,7 @@ func newProtocol(nd *cluster.Node, cfg Config, maxN int, m *NodeMetrics, joiner 
 func (nd *node) setDelivered(d int) {
 	nd.delivered = d
 	nd.marks.raise(nd.ID, d)
+	nd.past, nd.held, nd.stuckSince = 0, false, nd.Now
 }
 
 // ensureGen returns generation g's state, creating the span (from the
@@ -399,15 +403,36 @@ func (nd *node) Progress() (rank, watermark int) {
 // watermark while it was down, so it is not Done until it has.
 func (nd *node) Restart() { nd.bootstrapped = false }
 
-// Leave hands nothing over: the tokens a leaver sourced are re-sourced
-// from the Source by whoever adopts them (see adoptOrphans).
-func (nd *node) Leave() {}
+// Leave hands over every basis row of every open generation, each to a
+// freshly picked peer, as the one-shot runtime's Leave does: the leaver
+// may hold the only copy of its share, or of a combination no survivor
+// has. Its share of generations it has not opened leaves with it.
+func (nd *node) Leave() {
+	for _, g := range slices.Sorted(maps.Keys(nd.spans)) {
+		span := nd.spans[g].span
+		for i := range span.Rank() {
+			peer := nd.Pick()
+			if peer < 0 {
+				return
+			}
+			span.RowInto(&nd.Tx.Coded, i)
+			nd.Tx.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeCoded, Sender: uint32(nd.ID), Epoch: uint32(g)}
+			nd.Send(peer)
+		}
+	}
+}
 
-// Emit pushes fanout data packets; a full slot first adopts tokens
-// orphaned by dead origins (churn runs) and ends with one ack.
+// Emit pushes fanout data packets and, in a full slot, one ack. Under
+// churn a full slot first re-evaluates the frontier on the clock, not
+// just on packets: suspicion is a function of time, so a crashed peer's
+// eviction can unblock retirement (and open new window generations) at
+// a moment when no received packet changes any mark; without it a fully
+// decoded window with saturated watermarks stalls the tick the
+// frontier's last blocker goes silent.
 func (nd *node) Emit(full bool) {
-	if full {
-		nd.adoptOrphans()
+	if full && nd.churn {
+		nd.advance()
+		nd.forfeit()
 	}
 	nd.pushData()
 	if full {
@@ -415,38 +440,38 @@ func (nd *node) Emit(full bool) {
 	}
 }
 
-// bootstrap consumes the first watermark gossip a joiner (or a
-// restarted node re-learning the frontier) sees: the highest watermark
-// it knows (the frontier plus the largest offset) is the most
-// conservative safe starting point — any
-// generation at or above it cannot have been retired anywhere
-// (retirement needs every member's watermark to exceed it), and once
-// this node's own startGen watermark circulates, the frontier cannot
-// pass it. Generations below startGen were already delivered
-// cluster-wide and may be unobtainable: a joiner skips them, and a
-// persisted-restart node forfeits whatever the cluster retired while
-// it was down (its own persisted watermark is delivered, so it never
-// skips something it could still deliver).
-func (nd *node) bootstrap() {
-	// No mark exceeds gens.
-	start := nd.delivered
-	for id := range nd.maxN {
-		start = max(start, nd.marks.frontier+nd.marks.offset(id))
+// forfeit ends each stretch of SuspectTicks ticks a node spends waiting
+// on one generation: if every ack it drained in the stretch came from a
+// peer whose window starts past that generation, its peers retired it
+// while they suspected this node, and nobody can send it any more. The
+// straggler then forfeits what they retired, as a persisted restart
+// forfeits what the cluster retired while it was down: it starts again
+// at the lowest generation those peers still hold.
+func (nd *node) forfeit() {
+	if !nd.bootstrapped || nd.Now-nd.stuckSince < nd.View.SuspectAfter {
+		return
 	}
+	if nd.past > 0 && !nd.held {
+		nd.bootstrap(nd.past)
+	}
+	nd.past, nd.held, nd.stuckSince = 0, false, nd.Now
+}
+
+// bootstrap starts the node's delivery obligation at generation start,
+// at or past its watermark: what lies below is forfeit, and what it
+// already decoded from there on is delivered. A node that holds no span
+// opens nothing below start; one that does (a persisted restart, a
+// straggler that forfeits) keeps recoding its spans, which may hold what
+// no other node does, until its floor retires them.
+func (nd *node) bootstrap(start int) {
 	nd.startGen = start
 	nd.setDelivered(start)
 	nd.m.StartGen = start
-	// Sweep persisted spans the cluster retired while this node was
-	// down; base only ever moves forward.
-	for g, gs := range nd.spans {
-		if g < start {
-			nd.retire(g, gs)
-		}
-	}
-	if start > nd.base {
-		nd.base = start
+	if len(nd.spans) == 0 {
+		nd.base = max(nd.base, start)
 	}
 	nd.bootstrapped = true
+	nd.deliverReady()
 	nd.advance()
 }
 
@@ -495,22 +520,32 @@ func (nd *node) Absorb(p *wire.Packet) bool {
 		nd.View.Mark(sender, nd.Now)
 		changed := nd.mergeAck(sender, &p.Ack)
 		if !nd.bootstrapped {
-			nd.bootstrap()
+			// A joiner, or a revived node re-learning the frontier, starts
+			// at the highest watermark it knows: retirement needs every
+			// member's watermark past a generation, and once this node's
+			// own circulates the frontier cannot pass it. An ack drained in
+			// its (re)entry tick may have waited out its downtime.
+			if nd.Now <= int64(nd.m.JoinTick) {
+				return changed
+			}
+			start := nd.delivered // no mark exceeds gens
+			for id := range nd.maxN {
+				start = max(start, nd.marks.frontier+nd.marks.offset(id))
+			}
+			nd.bootstrap(start)
 			return true
 		}
 		for _, gr := range p.Ack.Ranks {
 			nd.markRank(sender, int(gr.Gen), int(gr.Rank))
-			if nd.churn && int(gr.Rank) < nd.k && int(gr.Gen) < nd.base {
-				// The sender is behind the retirement frontier: it still
-				// needs a generation this node retired. Without churn this
-				// cannot happen (retirement requires every watermark to
-				// have passed the generation), but a joiner can bootstrap
-				// from a stale watermark view that trails what the cluster
-				// has already retired — queue a catch-up serve, or it
-				// would be starved forever (every span is gone and the
-				// origin, being alive, never re-sources).
-				nd.queueServe(sender, int(gr.Gen))
-			}
+		}
+		from := nd.gens // an ack with no ranks is from a node done with the stream
+		if len(p.Ack.Ranks) > 0 {
+			from = int(min(p.Ack.Ranks[0].Gen, uint32(nd.gens)))
+		}
+		if from <= nd.delivered {
+			nd.held = true
+		} else if nd.past == 0 || from < nd.past {
+			nd.past = from
 		}
 		if changed {
 			nd.advance()
@@ -518,40 +553,6 @@ func (nd *node) Absorb(p *wire.Packet) bool {
 		return changed
 	}
 	return false
-}
-
-// serveReq is one queued catch-up serve: re-source generation gen
-// directly to peer.
-type serveReq struct {
-	peer, gen int
-}
-
-// queueServe records a catch-up request, deduplicating until the next
-// emission slot drains the queue.
-func (nd *node) queueServe(peer, gen int) {
-	for _, rq := range nd.serveQ {
-		if rq.peer == peer && rq.gen == gen {
-			return
-		}
-	}
-	nd.serveQ = append(nd.serveQ, serveReq{peer: peer, gen: gen})
-}
-
-// serveCatchup re-sources queued retired generations straight from the
-// Source (a pure function, so no span is needed) as plain unit-row
-// coded packets addressed to the straggler. Losses heal themselves:
-// the straggler's next ack still shows partial rank and re-queues the
-// serve.
-func (nd *node) serveCatchup() {
-	for _, rq := range nd.serveQ {
-		toks := nd.src.Generation(rq.gen)
-		for j := 0; j < nd.k; j++ {
-			nd.Tx.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeCoded, Sender: uint32(nd.ID), Epoch: uint32(rq.gen)}
-			nd.Tx.Coded = rlnc.Encode(j, nd.k, cluster.TokenVec(toks[j]))
-			nd.Send(rq.peer)
-		}
-	}
-	nd.serveQ = nd.serveQ[:0]
 }
 
 // markRank folds one first-person rank summary entry into the
@@ -585,85 +586,20 @@ func (nd *node) markRank(sender, g, rank int) {
 
 // mergeAck folds the sender's view and its own watermark, clamped to
 // gens, into the node's view, reporting whether the frontier or any mark
-// rose.
+// rose. Until it bootstraps a node takes its own mark from its peers
+// too: a revived id's peers still count it at its last life's
+// watermark, and may retire what lies below it, so bootstrap must not
+// start beneath it.
 func (nd *node) mergeAck(sender int, a *wire.Ack) bool {
-	changed := nd.marks.merge(a, nd.ID, nd.gens)
+	self := nd.ID
+	if !nd.bootstrapped {
+		self = -1
+	}
+	changed := nd.marks.merge(a, self, nd.gens)
 	if uint(sender) < uint(nd.maxN) && sender != nd.ID {
 		changed = nd.marks.raise(sender, int(min(a.Watermark, uint32(nd.gens)))) || changed
 	}
 	return changed
-}
-
-// adoptOrphans re-sources tokens whose origin has left the view or
-// fallen under suspicion: the lowest-id eligible node injects them
-// from the (pure) Source so a generation can never be starved by its
-// origin crashing before it shared anything. Several nodes may
-// transiently disagree about who is lowest and double-inject, which
-// costs nothing (identical rows are non-innovative); what matters is
-// that at least one live node injects. Drivers call this once per
-// tick/interval in churn runs.
-func (nd *node) adoptOrphans() {
-	if !nd.churn || !nd.bootstrapped {
-		return
-	}
-	// Re-evaluate the frontier on the clock, not just on packets:
-	// suspicion is a function of time, so a crashed peer's eviction can
-	// unblock retirement (and open new window generations) at a moment
-	// when no received packet changes any mark — without this, a fully
-	// decoded window with saturated watermarks stalls forever the tick
-	// the frontier's last blocker goes silent.
-	nd.advance()
-	if !nd.lowestEligible() {
-		return
-	}
-	hi := min(nd.base+nd.window, nd.gens)
-	progressed := false
-	for g := nd.base; g < hi; g++ {
-		gs, ok := nd.spans[g]
-		if !ok || gs.decoded {
-			continue
-		}
-		var toks []token.Token
-		injected := false
-		for j := 0; j < nd.k; j++ {
-			owner := genOwner(g, nd.k, j, nd.n)
-			if owner == nd.ID || nd.View.Eligible(owner, nd.Now) {
-				continue
-			}
-			if gs.adopted == nil {
-				gs.adopted = make([]bool, nd.k)
-			}
-			if gs.adopted[j] {
-				continue
-			}
-			gs.adopted[j] = true
-			if toks == nil {
-				toks = nd.src.Generation(g)
-			}
-			if nd.add(gs, rlnc.Encode(j, nd.k, cluster.TokenVec(toks[j]))) {
-				injected = true
-			}
-		}
-		if injected {
-			nd.checkDecoded(g, gs)
-			progressed = true
-		}
-	}
-	if progressed {
-		nd.advance()
-	}
-}
-
-// lowestEligible reports whether this node has the smallest id among
-// the currently eligible view members — the deterministic adopter of
-// orphaned origins.
-func (nd *node) lowestEligible() bool {
-	for id := range nd.View.EligibleIDs(nd.Now) {
-		if id < nd.ID {
-			return false
-		}
-	}
-	return true
 }
 
 // emitDataInto draws one fresh coded packet from the active window into
@@ -724,18 +660,6 @@ func (nd *node) emitAckInto(p *wire.Packet) {
 			ack.Ranks = append(ack.Ranks, wire.GenRank{Gen: uint32(g), Rank: uint32(gs.span.Rank())})
 		}
 	}
-	if nd.churn && nd.delivered < nd.gens && (nd.delivered < nd.base || nd.delivered >= hi) {
-		// Always advertise the generation this node is actually stuck
-		// on: a straggler whose base lags (it never learned a crashed
-		// peer's watermark, say) would otherwise only report the lagging
-		// window, and the peers that already retired its missing
-		// generation would never learn to serve it back.
-		rank := 0
-		if gs, ok := nd.spans[nd.delivered]; ok {
-			rank = gs.span.Rank()
-		}
-		ack.Ranks = append(ack.Ranks, wire.GenRank{Gen: uint32(nd.delivered), Rank: uint32(rank)})
-	}
 	ack.Frontier, ack.Planes = uint32(nd.marks.frontier), nd.marks.planes
 }
 
@@ -746,7 +670,6 @@ func (nd *node) pushData() {
 	if nd.View.LiveCount() < 2 {
 		return
 	}
-	nd.serveCatchup()
 	sent := false
 	for f := 0; f < nd.Fanout; f++ {
 		if !nd.emitDataInto(&nd.Tx) {

@@ -1,8 +1,8 @@
 package stream
 
 // Bit-equality of the sharded lockstep stream driver against the
-// serial one: the windowed pipeline, catch-up serving, ack gossip and
-// churn bookkeeping must all replay identically at any shard count.
+// serial one: the windowed pipeline, the leaver's hand-over, ack gossip
+// and churn bookkeeping must all replay identically at any shard count.
 
 import (
 	"context"
@@ -36,7 +36,7 @@ func shardedStreamFingerprint(t *testing.T, seed int64, shards int) string {
 	cfg := Config{
 		N: n, K: k, PayloadBits: d, Window: w, Generations: gens, Fanout: 2,
 		Seed: seed, Lockstep: true, Shards: shards,
-		MaxTicks: 100000, Churn: sched,
+		MaxTicks: 300, Churn: sched, // the leave loses most runs; completing ones end by tick 80
 		Deliver: func(node, gen int, toks []token.Token) {
 			mu.Lock()
 			deliveries[fmt.Sprintf("n%d/g%d/%d", node, gen, len(toks))]++

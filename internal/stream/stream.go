@@ -25,7 +25,11 @@
 //
 // Decoded generations are delivered to Config.Deliver strictly in
 // generation order per node, and every delivery is verified against the
-// Source before the callback sees it.
+// Source before the callback sees it. Otherwise only a token's origin
+// reads the Source: a token enters the stream there and nowhere else.
+// Under churn a leaver hands its open generations over; a founding node
+// that departs before its share spread takes the share along, and the
+// stream ends incomplete at its tick cap.
 //
 // The package is a protocol, not a runtime: its node implements
 // cluster.Protocol and runs on cluster.Engine's two drivers — the
@@ -380,12 +384,17 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res.Outcome, err = eng.Run(ctx, cfg.runtime())
+	res.total(cfg.K)
+	return res, err
+}
+
+// total sums the per-node counters into the run's aggregates.
+func (res *Result) total(k int) {
 	for _, m := range res.Nodes {
 		res.AcksOut += m.AcksOut
 		res.AckBitsOut += m.AckBitsOut
 		res.HelloBitsOut += m.HelloBitsOut
-		res.TokensDelivered += int64(m.Delivered) * int64(cfg.K)
+		res.TokensDelivered += int64(m.Delivered) * int64(k)
 		res.MaxSpanBytes = max(res.MaxSpanBytes, m.MaxSpanBytes)
 	}
-	return res, err
 }
