@@ -233,7 +233,7 @@ func TestRunWritesProfiles(t *testing.T) {
 // -telemetry the report is the same: telemetry reads the run and never
 // steers it.
 func TestFullStackTranscriptPinned(t *testing.T) {
-	const want = "390c0a2d432ea9980ebb031b69087c46f3d6ab6a7cbb0be6ef1258f5cbbe990a"
+	const want = "4007e0ab746509fdd25fc0e1d85d6209bf2aa8e83c88855b0577a45386f6a51b"
 	full := "-n 48 -k 16 -transport lockstep -seed 1 -loss 0.1 -reorder 0.1 -delay 2ms -mutate all:0.02 -adversary adaptive -churn join:5:2,crash:10:2,restart:20:1,rejoin:20:1 -shards 1"
 	for _, args := range []string{full, full + " -telemetry " + filepath.Join(t.TempDir(), "export.txt")} {
 		var o options

@@ -28,10 +28,10 @@ func TestStreamChurnTranscriptPinned(t *testing.T) {
 	}{
 		{Config{N: 24, K: 8, PayloadBits: 64, Window: 3, Generations: 10, Seed: 7},
 			"crash:6:3,join:9:3,leave:14:2",
-			"ticks=181 out=7940 in=5503 hellos=126 acks=3972 dropped=3149 toks=1760 live=22 nodes=27 hash=26cc0cc58212d7da"},
+			"ticks=600 out=26453 in=18449 hellos=126 acks=13212 dropped=11383 toks=176 live=22 nodes=27 hash=01570ee93294694c"},
 		{Config{N: 96, K: 8, PayloadBits: 64, Window: 3, Generations: 12, Seed: 5, SuspectTicks: 12},
 			"crash:6:5,leave:9:6,join:14:5,rejoin:20:2,leave:26:4,join:31:4,restart:37:2,crash:42:3,join:48:3,rejoin:55:2,leave:60:3,join:66:2",
-			"ticks=212 out=38906 in=28206 hellos=3563 acks=19825 dropped=12286 toks=8992 live=95 nodes=110 hash=3e446fafe698dc75"},
+			"ticks=600 out=112704 in=80473 hellos=3568 acks=56762 dropped=42501 toks=2896 live=95 nodes=110 hash=3aa44fdfc4e17690"},
 	} {
 		sched, err := cluster.ParseChurn(c.churn)
 		if err != nil {
