@@ -87,8 +87,9 @@ func TestChurnlessDecisionsPinned(t *testing.T) {
 // kind of event among them, lossless and at 20 % loss, hashed with each
 // node's bit counts zeroed, and whether, when and with how many live
 // nodes each ended. A run that crashes or loses a founding origin's
-// share for good stops at the cap, about twice the slowest completing
-// run's ticks, and checkEnd holds it to a lost share, not a stall.
+// share for good stops at the cap, three times the median completing
+// run's ticks (the slowest takes 184), and checkEnd holds it to a lost
+// share, not a stall.
 func TestChurnDecisionsPinned(t *testing.T) {
 	schedules := []string{
 		"crash:3:1,restart:9:1",
@@ -100,7 +101,7 @@ func TestChurnDecisionsPinned(t *testing.T) {
 		"crash:10:2,join:15:2,leave:20:1,restart:30:2,crash:32:1,rejoin:40:1",
 		"crash:6:5,leave:9:6,join:14:5,rejoin:20:2,leave:26:4,join:31:4,restart:37:2,crash:42:3,join:48:3,rejoin:55:2,leave:60:3,join:66:2",
 	}
-	const want = "runs=320 completed=128 hash=52e949a8ca25dc0a"
+	const want = "runs=320 completed=128 hash=f1df8b500e0fbc4c"
 	h := fnv.New64a()
 	runs, completed := 0, 0
 	for _, n := range []int{3, 5, 8, 16, 40} {
@@ -113,7 +114,7 @@ func TestChurnDecisionsPinned(t *testing.T) {
 				for _, loss := range []float64{0, 0.2} {
 					cfg := Config{
 						N: n, K: 4, PayloadBits: 32, Window: 3, Generations: 12,
-						Seed: seed, Lockstep: true, MaxTicks: 600, Churn: sched, SuspectTicks: 12,
+						Seed: seed, Lockstep: true, MaxTicks: 300, Churn: sched, SuspectTicks: 12,
 					}
 					cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), loss, seed+13)
 					res, nodes := keptRun(t, cfg)

@@ -18,8 +18,8 @@ import (
 // leaves that stay gone, a rejoin, joins after leaves) with a suspicion
 // threshold short enough that crashed peers leave and re-enter frontiers
 // while the run is still streaming. Both lose a founding origin's share
-// for good (checkEnd), so both stop at the cap, three times the ticks
-// they took when the stream re-sourced such shares from its Source.
+// for good (checkEnd), so both stop at the cap, twice the ticks they
+// took when the stream re-sourced such shares from its Source.
 func TestStreamChurnTranscriptPinned(t *testing.T) {
 	for _, c := range []struct {
 		cfg   Config
@@ -28,10 +28,10 @@ func TestStreamChurnTranscriptPinned(t *testing.T) {
 	}{
 		{Config{N: 24, K: 8, PayloadBits: 64, Window: 3, Generations: 10, Seed: 7},
 			"crash:6:3,join:9:3,leave:14:2",
-			"ticks=600 out=26453 in=18449 hellos=126 acks=13212 dropped=11383 toks=176 live=22 nodes=27 hash=01570ee93294694c"},
+			"ticks=400 out=17653 in=12306 hellos=126 acks=8812 dropped=7380 toks=176 live=22 nodes=27 hash=dc90e42ebc38d1d1"},
 		{Config{N: 96, K: 8, PayloadBits: 64, Window: 3, Generations: 12, Seed: 5, SuspectTicks: 12},
 			"crash:6:5,leave:9:6,join:14:5,rejoin:20:2,leave:26:4,join:31:4,restart:37:2,crash:42:3,join:48:3,rejoin:55:2,leave:60:3,join:66:2",
-			"ticks=600 out=112704 in=80473 hellos=3568 acks=56762 dropped=42501 toks=2896 live=95 nodes=110 hash=3aa44fdfc4e17690"},
+			"ticks=400 out=74704 in=53440 hellos=3568 acks=37762 dropped=26414 toks=2896 live=95 nodes=110 hash=d4671e66dab80e24"},
 	} {
 		sched, err := cluster.ParseChurn(c.churn)
 		if err != nil {
@@ -39,7 +39,7 @@ func TestStreamChurnTranscriptPinned(t *testing.T) {
 		}
 		for _, shards := range []int{1, 3} {
 			cfg := c.cfg
-			cfg.Lockstep, cfg.Shards, cfg.MaxTicks, cfg.Churn = true, shards, 600, sched
+			cfg.Lockstep, cfg.Shards, cfg.MaxTicks, cfg.Churn = true, shards, 400, sched
 			cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), 0.2, cfg.Seed+101)
 			res, nodes := keptRun(t, cfg)
 			checkEnd(t, fmt.Sprintf("%s shards %d", c.churn, shards), res, nodes)
@@ -85,7 +85,7 @@ func TestBitsByKindSumOnGoldens(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := c.cfg
-		cfg.Lockstep, cfg.MaxTicks, cfg.Churn = true, 600, sched
+		cfg.Lockstep, cfg.MaxTicks, cfg.Churn = true, 400, sched
 		cfg.Transport = cluster.WithLoss(cfg.DefaultTransport(), 0.2, cfg.Seed+101)
 		cfgs = append(cfgs, cfg)
 	}
