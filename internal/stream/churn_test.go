@@ -65,46 +65,38 @@ func keptRun(t *testing.T, cfg Config) (*Result, []*node) {
 // among the survivors completes the run.
 func held(res *Result, nodes []*node) (g, rank int, departed []int) {
 	g = -1
-	var any *node
+	var ref *node
 	for id, nd := range nodes {
 		if nd != nil && res.Nodes[id].Live && !nd.Done() && (g < 0 || nd.delivered < g) {
-			g, any = nd.delivered, nd
+			g, ref = nd.delivered, nd
 		}
 	}
-	if any == nil {
+	if ref == nil {
 		return g, 0, nil
 	}
-	joint := rlnc.NewSpan(any.k, token.UIDBits+any.d)
+	joint := rlnc.NewSpan(ref.k, token.UIDBits+ref.d)
 	var row rlnc.Coded
 	for id, nd := range nodes {
-		if gs, ok := nd.spanOf(g); ok && res.Nodes[id].Live {
-			for i := range gs.Rank() {
-				gs.RowInto(&row, i)
-				joint.Add(row)
-			}
+		if nd == nil || !res.Nodes[id].Live || nd.spans[g] == nil {
+			continue
+		}
+		for i := range nd.spans[g].span.Rank() {
+			nd.spans[g].span.RowInto(&row, i)
+			joint.Add(row)
 		}
 	}
-	toks := any.src.Generation(g)
-	for j := range any.k {
-		switch o := genOwner(g, any.k, j, any.n); {
+	toks := ref.src.Generation(g)
+	for j := range ref.k {
+		switch o := genOwner(g, ref.k, j, ref.n); {
 		case !res.Nodes[o].Live || g < nodes[o].startGen:
 			if !slices.Contains(departed, o) {
 				departed = append(departed, o)
 			}
 		case g >= nodes[o].base:
-			joint.Add(rlnc.Encode(j, any.k, cluster.TokenVec(toks[j])))
+			joint.Add(rlnc.Encode(j, ref.k, cluster.TokenVec(toks[j])))
 		}
 	}
 	return g, joint.Rank(), departed
-}
-
-// spanOf is the span a (possibly never spawned) node holds of
-// generation g.
-func (nd *node) spanOf(g int) (*rlnc.Span, bool) {
-	if nd == nil || nd.spans[g] == nil {
-		return nil, false
-	}
-	return nd.spans[g].span, true
 }
 
 // checkEnd fails t unless the run completed, or stopped having lost a

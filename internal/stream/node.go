@@ -169,20 +169,16 @@ func (nd *node) ensureGen(g int) *genState {
 	nd.spans[g] = gs
 	nd.spanBytes += span.MemoryBytes()
 
-	owned := false
+	var toks []token.Token // this node's share enters the stream here
 	for j := 0; j < nd.k; j++ {
 		if genOwner(g, nd.k, j, nd.n) == nd.ID {
-			owned = true
-			break
+			if toks == nil {
+				toks = nd.src.Generation(g)
+			}
+			nd.add(gs, rlnc.Encode(j, nd.k, cluster.TokenVec(toks[j])))
 		}
 	}
-	if owned {
-		toks := nd.src.Generation(g)
-		for j := 0; j < nd.k; j++ {
-			if genOwner(g, nd.k, j, nd.n) == nd.ID {
-				nd.add(gs, rlnc.Encode(j, nd.k, cluster.TokenVec(toks[j])))
-			}
-		}
+	if toks != nil {
 		nd.checkDecoded(g, gs)
 	}
 	if len(nd.spans) > nd.m.MaxActiveGens {

@@ -279,10 +279,12 @@ type NodeMetrics struct {
 	Delivered int
 	// StartGen is where the node's delivery obligation started: 0 for
 	// founding members, the frontier learned at join time for joiners.
+	// A restart, or a straggler that forfeits, moves it past what the
+	// node gave up.
 	StartGen int
-	// CaughtUpTick stamps a mid-stream joiner's first delivery — the
-	// moment it reached the cluster watermark it learned at join time.
-	// Zero for founding members. Subtract JoinTick for the
+	// CaughtUpTick stamps the first delivery from a StartGen past 0 —
+	// for a mid-stream joiner the moment it reached the cluster
+	// watermark it learned at join time. Subtract JoinTick for the
 	// time-to-catch-up.
 	CaughtUpTick int
 	// MaxSpanBytes is the peak heap held in live spans — the memory a
