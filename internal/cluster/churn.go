@@ -412,9 +412,9 @@ func (v *View) unsuspected(id int, now int64) bool {
 	return now-heard <= v.SuspectAfter
 }
 
-// EligibleIDs iterates, in ascending order, over the ids eligible at the
-// given instant: one walk of the runs, for callers that would otherwise
-// ask eligible of every id of the id space.
+// EligibleIDs iterates, in ascending order, over the ids in the view and
+// not suspected at the given instant, the view's own node among them:
+// one walk of the runs, never a question per id of the id space.
 func (v *View) EligibleIDs(now int64) iter.Seq[int] {
 	return func(yield func(int) bool) {
 		for _, r := range v.runs {
