@@ -80,12 +80,12 @@ type node struct {
 	// counted is the retirement floor's mask of eligible ids, under
 	// churn only.
 	counted []uint64
-	// past is, under churn, the lowest window start past delivered among
-	// the acks drained since stuckSince (0: none), each from a peer that
-	// retired the generation this node waits on; held records that one
-	// showed a window that does not start past it.
+	// past and holder are forfeit's evidence: the lowest window start
+	// past delivered among the acks drained since stuckSince (0: none),
+	// each from a peer that retired the generation this node waits on,
+	// and whether one showed a window that does not start past it.
 	past       int
-	held       bool
+	holder     bool
 	stuckSince int64
 	// delivered is the absolute watermark: generations in
 	// [startGen, delivered) were decoded, verified and handed to the
@@ -148,7 +148,7 @@ func newProtocol(nd *cluster.Node, cfg Config, maxN int, m *NodeMetrics, joiner 
 func (nd *node) setDelivered(d int) {
 	nd.delivered = d
 	nd.marks.raise(nd.ID, d)
-	nd.past, nd.held, nd.stuckSince = 0, false, nd.Now
+	nd.past, nd.holder, nd.stuckSince = 0, false, nd.Now
 }
 
 // ensureGen returns generation g's state, creating the span (from the
@@ -447,10 +447,10 @@ func (nd *node) forfeit() {
 	if !nd.bootstrapped || nd.Now-nd.stuckSince < nd.View.SuspectAfter {
 		return
 	}
-	if nd.past > 0 && !nd.held {
+	if nd.past > 0 && !nd.holder {
 		nd.bootstrap(nd.past)
 	}
-	nd.past, nd.held, nd.stuckSince = 0, false, nd.Now
+	nd.past, nd.holder, nd.stuckSince = 0, false, nd.Now
 }
 
 // bootstrap starts the node's delivery obligation at generation start,
@@ -539,7 +539,7 @@ func (nd *node) Absorb(p *wire.Packet) bool {
 			from = int(min(p.Ack.Ranks[0].Gen, uint32(nd.gens)))
 		}
 		if from <= nd.delivered {
-			nd.held = true
+			nd.holder = true
 		} else if nd.past == 0 || from < nd.past {
 			nd.past = from
 		}
