@@ -1,6 +1,8 @@
 // Package forwarding implements the token-forwarding side of the paper:
 // the knowledge-based pipelined flooding algorithm of Theorem 2.1 (the
-// baseline network coding is measured against), the random-forward
+// baseline network coding is measured against; one node, run on the
+// theorem's schedule here and on a T-stable one by package stable), the
+// random-forward
 // gathering primitive of Section 7, and the flooding building blocks
 // (max aggregation, smallest-values dissemination) that the paper's
 // composite algorithms use for identification and indexing.
@@ -52,111 +54,120 @@ func TokensPerMessage(b, d int) (int, error) {
 	return c, nil
 }
 
-// smallestUnfinished returns the (up to) limit smallest-UID tokens of
-// set that are not yet finished, in UID order.
-func smallestUnfinished(set *token.Set, finished map[token.UID]bool, limit int) []token.Token {
-	all := set.Tokens() // sorted by UID
-	out := make([]token.Token, 0, limit)
-	for _, t := range all {
-		if finished[t.UID] {
-			continue
-		}
-		out = append(out, t)
-		if len(out) == limit {
-			break
-		}
-	}
-	return out
-}
-
-// PipelinedFloodNode is the deterministic knowledge-based token
-// forwarding algorithm of Theorem 2.1: dissemination proceeds in phases
-// of n rounds; within a phase every node broadcasts the c = b/(d+log n)
-// smallest not-yet-finished tokens it knows, and at the end of the phase
-// all nodes mark the c smallest tokens they know as finished. Because
-// the c globally smallest unfinished tokens are always among the c
-// smallest at every node that knows them, they flood completely within a
-// phase, so all nodes finish consistently. Total time: ceil(k/c) phases.
-type PipelinedFloodNode struct {
+// floodNode is the knowledge-based token forwarding algorithm of
+// Theorem 2.1, batched the way Kuhn et al.'s T-interval algorithm is:
+// dissemination proceeds in periods, and within a period the node
+// pipelines its batch (the batch smallest tokens it knows that are not
+// finished) smallest first, c tokens a round, sending each batch token
+// at most once per window of rounds, so a new window, and hence possibly
+// a new topology, resends the batch from its start. At the end of a
+// period it marks its batch finished. The globally smallest unfinished
+// tokens are among the batch of every node that knows them, so with a
+// period long enough for a batch to flood, all nodes finish the same
+// tokens. With batch c and window 1 it sends the c smallest unfinished
+// tokens every round: the Theorem 2.1 schedule.
+type floodNode struct {
 	set      *token.Set
 	finished map[token.UID]bool
-	n        int
-	c        int
-	round    int
+	sent     map[token.UID]bool // batch tokens sent this window
+
+	c, batch, period, window, round int
 }
 
-var _ dynnet.Node = (*PipelinedFloodNode)(nil)
+var _ dynnet.Node = (*floodNode)(nil)
 
-// NewPipelinedFloodNode returns a node for an n-node network
-// disseminating k tokens, c tokens per message, starting with the given
-// tokens. The set is owned by the node afterwards.
-func NewPipelinedFloodNode(n, k, c int, initial []token.Token) *PipelinedFloodNode {
-	set := token.NewSet()
-	for _, t := range initial {
-		set.Add(t)
+// Send broadcasts the next c batch tokens not yet sent this window.
+func (f *floodNode) Send(int) dynnet.Message {
+	var out []token.Token
+	inBatch := 0
+	for _, t := range f.set.Tokens() {
+		if f.finished[t.UID] {
+			continue
+		}
+		if inBatch == f.batch || len(out) == f.c {
+			break
+		}
+		inBatch++
+		if !f.sent[t.UID] {
+			f.sent[t.UID] = true
+			out = append(out, t)
+		}
 	}
-	return &PipelinedFloodNode{
-		set:      set,
-		finished: make(map[token.UID]bool, k),
-		n:        n,
-		c:        c,
-	}
-}
-
-// Set exposes the node's token knowledge.
-func (p *PipelinedFloodNode) Set() *token.Set { return p.set }
-
-// Send broadcasts the c smallest unfinished tokens the node knows.
-func (p *PipelinedFloodNode) Send(int) dynnet.Message {
-	ts := smallestUnfinished(p.set, p.finished, p.c)
-	if len(ts) == 0 {
+	if len(out) == 0 {
 		return nil
 	}
-	return TokensMsg{Tokens: ts}
+	return TokensMsg{Tokens: out}
 }
 
-// Receive merges neighbour tokens; at phase end it finalizes the c
-// smallest known unfinished tokens.
-func (p *PipelinedFloodNode) Receive(_ int, msgs []dynnet.Message) {
+// Receive merges neighbour tokens; at a period's end it finishes the
+// batch, and at a period's or a window's end the resend filter clears.
+func (f *floodNode) Receive(_ int, msgs []dynnet.Message) {
 	for _, m := range msgs {
 		tm, ok := m.(TokensMsg)
 		if !ok {
 			continue
 		}
 		for _, t := range tm.Tokens {
-			p.set.Add(t)
+			f.set.Add(t)
 		}
 	}
-	p.round++
-	if p.round%p.n == 0 {
-		for _, t := range smallestUnfinished(p.set, p.finished, p.c) {
-			p.finished[t.UID] = true
+	f.round++
+	if f.round%f.period == 0 {
+		done := 0
+		for _, t := range f.set.Tokens() {
+			if done == f.batch {
+				break
+			}
+			if !f.finished[t.UID] {
+				f.finished[t.UID] = true
+				done++
+			}
 		}
+	}
+	if f.round%f.period == 0 || f.round%f.window == 0 {
+		clear(f.sent)
 	}
 }
 
-// RunPipelinedFlood executes the Theorem 2.1 baseline end to end for a
-// distribution of k tokens and verifies every node learned every token.
-// It returns the number of rounds executed.
-func RunPipelinedFlood(dist token.Distribution, k, b, d int, adv dynnet.Adversary) (int, error) {
+// RunBatchedFlood runs the knowledge-based flooding baseline end to end
+// for a distribution of k tokens and verifies every node learned every
+// token. schedule maps the node count n and the tokens per message c to
+// the node's batch, period and window; ceil(k/batch) periods are the
+// whole run. It returns the number of rounds executed.
+func RunBatchedFlood(dist token.Distribution, k, b, d int, adv dynnet.Adversary, schedule func(n, c int) (batch, period, window int)) (int, error) {
 	n := len(dist)
 	c, err := TokensPerMessage(b, d)
 	if err != nil {
 		return 0, err
 	}
-	nodes := make([]*PipelinedFloodNode, n)
+	batch, period, window := schedule(n, c)
+	nodes := make([]*floodNode, n)
 	for i := range nodes {
-		nodes[i] = NewPipelinedFloodNode(n, k, c, dist[i])
+		set := token.NewSet()
+		for _, t := range dist[i] {
+			set.Add(t)
+		}
+		nodes[i] = &floodNode{set: set, finished: make(map[token.UID]bool, k), sent: make(map[token.UID]bool, batch),
+			c: c, batch: batch, period: period, window: window}
 	}
-	// ceil(k/c) phases of n rounds, c tokens finalized per phase.
 	s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: b})
-	if err := dynnet.Run(s, nodes, (k+c-1)/c*n); err != nil {
+	if err := dynnet.Run(s, nodes, (k+batch-1)/batch*period); err != nil {
 		return s.Round(), err
 	}
 	for i, nd := range nodes {
-		if err := dist.HeldBy(nd.Set()); err != nil {
+		if err := dist.HeldBy(nd.set); err != nil {
 			return s.Round(), fmt.Errorf("forwarding: node %d: %w", i, err)
 		}
 	}
 	return s.Round(), nil
+}
+
+// RunPipelinedFlood executes the Theorem 2.1 baseline: phases of n
+// rounds, in each of which every node broadcasts the c = b/(d+log n)
+// smallest tokens it knows that are not finished, and at whose end it
+// finishes them. The c globally smallest unfinished tokens flood
+// completely within a phase, so all nodes finish consistently, and
+// ceil(k/c) phases disseminate all k tokens.
+func RunPipelinedFlood(dist token.Distribution, k, b, d int, adv dynnet.Adversary) (int, error) {
+	return RunBatchedFlood(dist, k, b, d, adv, func(n, c int) (int, int, int) { return c, n, 1 })
 }
