@@ -1,4 +1,4 @@
-package trace
+package main
 
 import (
 	"math"
@@ -12,9 +12,9 @@ import (
 	"repro/internal/rlnc"
 )
 
-// runRecorded executes a small coded broadcast (n = k, every seed
-// pinned) with a recorder attached.
-func runRecorded(t *testing.T, n int) *Recorder {
+// sampled runs a small coded broadcast (n = k, every seed pinned) and
+// samples every round, as run does.
+func sampled(t *testing.T, n int) []sample {
 	t.Helper()
 	const d = 8
 	rng := rand.New(rand.NewSource(1))
@@ -24,68 +24,60 @@ func runRecorded(t *testing.T, n int) *Recorder {
 		initial[i] = []rlnc.Coded{rlnc.Encode(i, n, gf.RandomBitVec(d, rng.Uint64))}
 		rngs[i] = rand.New(rand.NewSource(int64(i + 10)))
 	}
-	rec := NewRecorder(n)
-	s := dynnet.NewSession(n, adversary.NewRandomConnected(n, n/2, 2), dynnet.Config{Observer: rec})
-	if _, err := rlnc.IndexedBroadcast(s, n, d, initial, rngs, rlnc.DefaultSchedule(n, n), false); err != nil {
+	s := dynnet.NewSession(n, adversary.NewRandomConnected(n, n/2, 2), dynnet.Config{})
+	samples, err := sampleRun(s, d, initial, rngs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return rec
+	return samples
 }
 
-func TestRecorderSamplesEveryRound(t *testing.T) {
-	rec := runRecorded(t, 12)
-	samples := rec.Samples()
-	if len(samples) == 0 {
-		t.Fatal("no samples")
+// TestSamplesEveryRound: one sample per round of the whole schedule,
+// each with its least rank at most its largest.
+func TestSamplesEveryRound(t *testing.T) {
+	samples := sampled(t, 12)
+	if len(samples) != rlnc.DefaultSchedule(12, 12) {
+		t.Fatalf("%d samples, want the full %d-round schedule", len(samples), rlnc.DefaultSchedule(12, 12))
 	}
-	for i, s := range samples {
-		if s.Round != i {
-			t.Fatalf("sample %d has round %d", i, s.Round)
-		}
-		if s.MaxKnown < s.MinKnown {
-			t.Fatalf("round %d: max < min", i)
-		}
-		if s.Edges < 11 {
-			t.Fatalf("round %d: %d edges for a connected 12-node graph", i, s.Edges)
+	for r, sm := range samples {
+		if sm.maxRank < sm.minRank {
+			t.Fatalf("round %d: max < min", r)
 		}
 	}
 }
 
-// TestKnowledgeMonotone asserts rank never decreases — the span is
-// monotone, so the recorded mean must be too.
-func TestKnowledgeMonotone(t *testing.T) {
-	rec := runRecorded(t, 12)
+// TestRankMonotone asserts rank never decreases — the span is monotone,
+// so the sampled mean must be too.
+func TestRankMonotone(t *testing.T) {
 	prev := 0.0
-	for _, s := range rec.Samples() {
-		if s.MeanKnown+1e-9 < prev {
-			t.Fatalf("mean knowledge decreased: %f -> %f", prev, s.MeanKnown)
+	for _, sm := range sampled(t, 12) {
+		if sm.meanRank+1e-9 < prev {
+			t.Fatalf("mean rank decreased: %f -> %f", prev, sm.meanRank)
 		}
-		prev = s.MeanKnown
+		prev = sm.meanRank
 	}
 }
 
 func TestCompletionRound(t *testing.T) {
-	rec := runRecorded(t, 12)
-	round, ok := rec.CompletionRound()
+	samples := sampled(t, 12)
+	round, ok := completion(samples, 12)
 	if !ok {
 		t.Fatal("run never completed")
 	}
 	if round <= 0 || round > 4*(12+12)+16 {
 		t.Errorf("completion round %d out of range", round)
 	}
-	last := rec.Samples()[len(rec.Samples())-1]
-	if last.Complete != 12 {
-		t.Errorf("final complete count %d, want 12", last.Complete)
+	if last := samples[len(samples)-1]; last.minRank != 12 {
+		t.Errorf("final least rank %d, want every node complete at 12", last.minRank)
 	}
 }
 
 // TestInnovationDecays checks the Section 5.2 shape: the first half of
 // the run carries at least as much innovation as the second half.
 func TestInnovationDecays(t *testing.T) {
-	rec := runRecorded(t, 16)
-	curve := rec.InnovationCurve()
+	curve := innovation(sampled(t, 16))
 	if len(curve) < 4 {
-		t.Skip("run too short")
+		t.Fatalf("run too short: %d innovation values", len(curve))
 	}
 	half := len(curve) / 2
 	first, second := 0.0, 0.0
@@ -115,50 +107,45 @@ func TestSparkline(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := Sparkline(tt.values, tt.width)
+			got := sparkline(tt.values, tt.width)
 			if n := len([]rune(got)); n != tt.want {
 				t.Errorf("rune count = %d, want %d (%q)", n, tt.want, got)
 			}
 		})
 	}
 	// A ramp must end on the tallest bar.
-	ramp := Sparkline([]float64{0, 1, 2, 3}, 4)
+	ramp := sparkline([]float64{0, 1, 2, 3}, 4)
 	if !strings.HasSuffix(ramp, "█") {
 		t.Errorf("ramp %q does not end at full height", ramp)
 	}
 }
 
 func TestReportRenders(t *testing.T) {
-	rec := runRecorded(t, 8)
-	rep := rec.Report()
-	for _, want := range []string{"rounds observed", "complete at round", "mean knowledge", "innovation rate"} {
+	rep := report(sampled(t, 8), 8)
+	for _, want := range []string{"rounds observed", "complete at round", "mean knowledge", "innovation rate", "decodable toks"} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)
 		}
 	}
-	if empty := NewRecorder(0).Report(); !strings.Contains(empty, "no samples") {
-		t.Error("empty recorder report wrong")
-	}
 }
 
-// TestDecodableCurveGolden pins the round-curve output of a small fully
+// TestDecodableCurveGolden pins the sampled curves of a small fully
 // deterministic run (n = k = 6, seeds fixed): every derived curve and
 // its rendering must reproduce bit for bit. The early decodable values
 // and the saturation at k are the Section 5.2 "late reveal" shape the
 // curve exists to expose.
 func TestDecodableCurveGolden(t *testing.T) {
-	rec := runRecorded(t, 6)
-	samples := rec.Samples()
+	samples := sampled(t, 6)
 	if len(samples) != 64 {
 		t.Fatalf("samples = %d, want the full 64-round schedule", len(samples))
 	}
-	if round, ok := rec.CompletionRound(); !ok || round != 6 {
+	if round, ok := completion(samples, 6); !ok || round != 6 {
 		t.Errorf("completion round = %d (ok=%v), want 6", round, ok)
 	}
 
-	curve := rec.DecodableCurve()
-	if len(curve) != len(samples) {
-		t.Fatalf("curve length %d != samples %d", len(curve), len(samples))
+	curve := make([]float64, len(samples))
+	for r, sm := range samples {
+		curve[r] = sm.decodable
 	}
 	wantHead := []float64{17.0 / 6, 17.0 / 6, 10.0 / 3, 4, 4.5, 5.5, 6, 6}
 	for i, want := range wantHead {
@@ -181,7 +168,7 @@ func TestDecodableCurveGolden(t *testing.T) {
 	}
 
 	wantInno := []float64{0, 5.0 / 6, 0.5, 2.0 / 3, 2.0 / 3, 0.5, 0, 0}
-	inno := rec.InnovationCurve()
+	inno := innovation(samples)
 	if len(inno) != len(samples)-1 {
 		t.Fatalf("innovation length %d, want %d", len(inno), len(samples)-1)
 	}
@@ -191,7 +178,7 @@ func TestDecodableCurveGolden(t *testing.T) {
 		}
 	}
 
-	if got, want := Sparkline(curve, 20), "▁▄██████████████████"; got != want {
+	if got, want := sparkline(curve, 20), "▁▄██████████████████"; got != want {
 		t.Errorf("decodable sparkline %q, want %q", got, want)
 	}
 }

@@ -239,6 +239,10 @@ var deleted = []struct {
 	{[]string{"AnnounceLookup", "AnnounceLookupOK"}, "a second announce exchange: a lookup is a ping to a known peer, answered by a pong"},
 	{[]string{"adoptOrphans", "lowestEligible", "adopted", "serveQ", "serveReq", "queueServe", "serveCatchup"},
 		"re-sourcing stream tokens from the Source at nodes that were never sent them: a token enters only at its origin (TestDesignStreamSourceIsAnOracle)"},
+	{[]string{"type Observer", "ObserveRound", "InnovationCurve", "DecodableCurve", "CompletionRound", "MinKnown", "MeanKnown", "MaxKnown", "MeanDecodable"},
+		"a second way to watch synchronous rounds: one-round phases are the one (rlnc.IndexedBroadcast's stop function)"},
+	{[]string{"PipelinedFloodNode", "NewPipelinedFloodNode", "type FloodNode", "NewFloodNode"},
+		"a second knowledge-based flooding node: forwarding's one node runs the Theorem 2.1 and the T-stable schedules"},
 }
 
 // TestDesignDeletedNamesStayDeleted holds the table above over the tree.

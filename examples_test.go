@@ -92,7 +92,7 @@ func Example_adversarial() {
 			rngs[i] = rand.New(rand.NewSource(int64(100 + i)))
 		}
 		s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: n + d})
-		if _, err := rlnc.IndexedBroadcast(s, n, d, initial, rngs, 64*2*n, true); err != nil {
+		if _, err := rlnc.IndexedBroadcast(s, n, d, initial, rngs, 64*2*n, rlnc.Decoded()); err != nil {
 			panic(err)
 		}
 		return s.Round()

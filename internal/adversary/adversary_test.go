@@ -138,8 +138,8 @@ func TestRotatingPath(t *testing.T) {
 		if !g.IsConnected() {
 			t.Fatalf("round %d: disconnected", r)
 		}
-		if g.M() != 11 {
-			t.Fatalf("round %d: %d edges, want 11", r, g.M())
+		if len(g.Edges()) != 11 {
+			t.Fatalf("round %d: %d edges, want 11", r, len(g.Edges()))
 		}
 		// A path has exactly two degree-1 vertices.
 		deg1 := 0

@@ -40,7 +40,7 @@ func TestDistributedCannotMatchBudget(t *testing.T) {
 		initial[i] = []rlnc.Coded{rlnc.Encode(i, n, gf.RandomBitVec(d, rng.Uint64))}
 	}
 	s := dynnet.NewSession(n, adversary.NewRandomConnected(n, 2, 2), dynnet.Config{BitBudget: d /* too small for headers */})
-	_, err := rlnc.IndexedBroadcast(s, n, d, initial, keyed.Rands(n, 3, keyed.Coins), rlnc.DefaultSchedule(n, n), false)
+	_, err := rlnc.IndexedBroadcast(s, n, d, initial, keyed.Rands(n, 3, keyed.Coins), rlnc.DefaultSchedule(n, n), nil)
 	if !errors.Is(err, dynnet.ErrBudgetExceeded) {
 		t.Errorf("err = %v, want ErrBudgetExceeded", err)
 	}

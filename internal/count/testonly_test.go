@@ -39,7 +39,7 @@ func RunCoded(n, b int, adv dynnet.Adversary, seed int64) (Result, error) {
 				}
 			}
 		}
-		nodes, err := rlnc.IndexedBroadcast(s, kDims, token.UIDBits, initial, keyed.Rands(n, seed, keyed.Coins), rlnc.DefaultSchedule(2*m, kDims), false)
+		nodes, err := rlnc.IndexedBroadcast(s, kDims, token.UIDBits, initial, keyed.Rands(n, seed, keyed.Coins), rlnc.DefaultSchedule(2*m, kDims), nil)
 		if err != nil {
 			return err
 		}

@@ -189,7 +189,7 @@ func codedBroadcast(
 	kDims, payloadBits int,
 	initial [][]rlnc.Coded,
 ) ([]gf.BitVec, error) {
-	nodes, err := rlnc.IndexedBroadcast(s, kDims, payloadBits, initial, st.rngs, rlnc.DefaultSchedule(s.N(), kDims), false)
+	nodes, err := rlnc.IndexedBroadcast(s, kDims, payloadBits, initial, st.rngs, rlnc.DefaultSchedule(s.N(), kDims), nil)
 	if err != nil {
 		return nil, err
 	}

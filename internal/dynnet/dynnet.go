@@ -71,17 +71,6 @@ type Config struct {
 	// from serving. It costs O(n + m) per round, so it is off by default
 	// and enabled in tests.
 	ValidateConnectivity bool
-	// Observer, when non-nil, is invoked after every round with the
-	// round's topology and messages (nil entries for silent nodes).
-	// Observers must not retain or mutate their arguments.
-	Observer Observer
-}
-
-// Observer receives a callback after each executed round; the trace
-// package uses it to record spreading dynamics without touching the
-// protocols.
-type Observer interface {
-	ObserveRound(round int, g *graph.Graph, msgs []Message, nodes []Node)
 }
 
 // Metrics accumulates cost counters across phases.
@@ -111,11 +100,11 @@ type Session struct {
 	cfg     Config
 	metrics Metrics
 	round   int
-	// nodes holds the running phase's participants as the adversary and
-	// the observer see them. msgs and inbuf are per-round scratch reused
-	// across rounds so the session's own bookkeeping allocates nothing
-	// in steady state; both are only valid within a round: Receive
-	// implementations and Observers must not retain them.
+	// nodes holds the running phase's participants as the adversary
+	// sees them. msgs and inbuf are per-round scratch reused across
+	// rounds so the session's own bookkeeping allocates nothing in
+	// steady state; both are only valid within a round: Receive
+	// implementations must not retain them.
 	nodes []Node
 	msgs  []Message
 	inbuf []Message
@@ -210,9 +199,6 @@ func (s *Session) step() error {
 		}
 		s.inbuf = in[:0]
 		n.Receive(s.round, in)
-	}
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.ObserveRound(s.round, g, msgs, s.nodes)
 	}
 	s.round++
 	s.metrics.Rounds++

@@ -123,7 +123,7 @@ func RunIndexedUntilDecoded(n, k, d int, adv dynnet.Adversary, seed int64) (int,
 		}
 	}
 	s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: k + d})
-	_, err := rlnc.IndexedBroadcast(s, k, d, initial, keyed.Rands(n, seed, keyed.Coins), 64*(n+k), true)
+	_, err := rlnc.IndexedBroadcast(s, k, d, initial, keyed.Rands(n, seed, keyed.Coins), 64*(n+k), rlnc.Decoded())
 	return s.Round(), err
 }
 

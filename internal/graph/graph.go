@@ -63,9 +63,6 @@ func (g *Graph) Reset(n int) {
 	g.n = n
 }
 
-// M returns the number of edges.
-func (g *Graph) M() int { return len(g.has) }
-
 // AddEdge inserts the undirected edge {u, v}. Self-loops and duplicate
 // edges are ignored.
 func (g *Graph) AddEdge(u, v int) {

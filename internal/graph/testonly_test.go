@@ -2,6 +2,9 @@ package graph
 
 // Exported functions only this package's tests call.
 
+// M returns the number of edges.
+func (g *Graph) M() int { return len(g.has) }
+
 // Members returns the vertices of the patch led by leader, in increasing
 // order.
 func (p *Patching) Members(leader int) []int {

@@ -327,8 +327,8 @@ func TestAdaptiveServesRankSortedPath(t *testing.T) {
 			t.Fatalf("node %d has degree %d in a path", u, d)
 		}
 	}
-	if g.M() != n-1 {
-		t.Fatalf("adaptive graph has %d edges, want %d (a path)", g.M(), n-1)
+	if len(g.Edges()) != n-1 {
+		t.Fatalf("adaptive graph has %d edges, want %d (a path)", len(g.Edges()), n-1)
 	}
 	// Node 2 (highest live rank 9) borders the idle tail {3, 4}: the
 	// path is ranked-ascending then idle, so 2 must touch an idle node.

@@ -71,38 +71,47 @@ func DefaultSchedule(n, k int) int { return 4*(n+k) + 16 }
 
 // IndexedBroadcast is the one wiring of Lemma 5.3: node i starts with
 // the coded vectors initial[i] and mixes with rngs[i], and all run as one
-// phase of s — for exactly rounds rounds, or, with untilDecoded, round
-// by round until every span has full rank, rounds then being the cap
-// whose exhaustion is an error. It returns the nodes for the caller to
-// decode; s.Round() tells how long it took.
+// phase of s — for exactly rounds rounds when stop is nil, or else round
+// by round until stop, called with the nodes after every round, says to
+// stop, rounds then being the cap whose exhaustion is an error. It
+// returns the nodes for the caller to decode; s.Round() tells how long
+// it took.
 func IndexedBroadcast(
 	s *dynnet.Session,
 	k, payloadBits int,
 	initial [][]Coded,
 	rngs []*rand.Rand,
 	rounds int,
-	untilDecoded bool,
+	stop func([]*BroadcastNode) bool,
 ) ([]*BroadcastNode, error) {
 	nodes := make([]*BroadcastNode, len(initial))
 	for i := range nodes {
 		nodes[i] = NewBroadcastNode(k, payloadBits, initial[i], rngs[i])
 	}
-	if !untilDecoded {
+	if stop == nil {
 		return nodes, dynnet.Run(s, nodes, rounds)
 	}
-	// Decodability is monotone (spans only gain rank), so the check
-	// resumes at the first node not yet known to decode.
-	decoding := 0
 	for r := 0; r < rounds; r++ {
 		if err := dynnet.Run(s, nodes, 1); err != nil {
 			return nil, err
 		}
-		for decoding < len(nodes) && nodes[decoding].span.CanDecode() {
-			decoding++
-		}
-		if decoding == len(nodes) {
+		if stop(nodes) {
 			return nodes, nil
 		}
 	}
-	return nil, fmt.Errorf("rlnc: indexed broadcast not decoded in %d rounds", rounds)
+	return nil, fmt.Errorf("rlnc: indexed broadcast did not stop in %d rounds", rounds)
+}
+
+// Decoded returns IndexedBroadcast's stop function for one run: stop
+// once every span has full rank. Decodability is monotone (spans only
+// gain rank), so each check resumes at the first node not yet known to
+// decode.
+func Decoded() func([]*BroadcastNode) bool {
+	decoding := 0
+	return func(nodes []*BroadcastNode) bool {
+		for decoding < len(nodes) && nodes[decoding].span.CanDecode() {
+			decoding++
+		}
+		return decoding == len(nodes)
+	}
 }

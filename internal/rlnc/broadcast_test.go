@@ -19,7 +19,7 @@ import (
 // and each node's k decoded payloads.
 func runIndexedBroadcast(initial [][]Coded, k, payloadBits, schedule int, adv dynnet.Adversary, budget int, seed int64) (int, [][]gf.BitVec, error) {
 	s := dynnet.NewSession(len(initial), adv, dynnet.Config{BitBudget: budget})
-	nodes, err := IndexedBroadcast(s, k, payloadBits, initial, keyed.Rands(len(initial), seed, keyed.Coins), schedule, false)
+	nodes, err := IndexedBroadcast(s, k, payloadBits, initial, keyed.Rands(len(initial), seed, keyed.Coins), schedule, nil)
 	if err != nil {
 		return s.Round(), nil, err
 	}
@@ -127,7 +127,7 @@ func TestIndexedBroadcastBudget(t *testing.T) {
 	}
 }
 
-// TestIndexedBroadcastUntilDecoded: with untilDecoded the phase stops at
+// TestIndexedBroadcastUntilDecoded: with Decoded the phase stops at
 // the first round after which every span has full rank — the round
 // before, some span lacked it — and a cap too small is an error.
 func TestIndexedBroadcastUntilDecoded(t *testing.T) {
@@ -139,7 +139,7 @@ func TestIndexedBroadcastUntilDecoded(t *testing.T) {
 			rngs[i] = rand.New(rand.NewSource(int64(20 + i)))
 		}
 		s := dynnet.NewSession(n, adversary.NewStatic(graph.Path(n)), dynnet.Config{BitBudget: n + d})
-		nodes, err := IndexedBroadcast(s, n, d, initial, rngs, limit, true)
+		nodes, err := IndexedBroadcast(s, n, d, initial, rngs, limit, Decoded())
 		return s, nodes, err
 	}
 	s, nodes, err := run(DefaultSchedule(n, n))
