@@ -115,7 +115,13 @@ func run(w io.Writer, o options) error {
 	t.AddRow("packets sent", sim.I(int(res.PacketsOut)))
 	t.AddRow("packets received", sim.I(int(res.PacketsIn)))
 	t.AddRow("packets dropped", sim.I(int(res.Dropped)))
+	var helloBits int64
+	for _, m := range res.Nodes {
+		helloBits += m.HelloBitsOut
+	}
 	t.AddRow("protocol bits sent", sim.I(int(res.BitsOut)))
+	t.AddRow("  data bits", sim.I(int(res.BitsOut-helloBits)))
+	t.AddRow("  hello bits", sim.I(int(helloBits)))
 	if cfg.Churn != nil {
 		spawned, hellos := 0, int64(0)
 		for _, m := range res.Nodes {

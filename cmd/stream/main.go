@@ -141,14 +141,29 @@ func run(w io.Writer, o options) error {
 	t.AddRow("acks sent", sim.I(int(res.AcksOut)))
 	t.AddRow("packets dropped", sim.I(int(res.Dropped)))
 	t.AddRow("protocol bits sent", sim.I(int(res.BitsOut)))
+	t.AddRow("  data bits", sim.I(int(res.BitsOut-res.AckBitsOut-res.HelloBitsOut)))
+	t.AddRow("  ack bits", sim.I(int(res.AckBitsOut)))
+	t.AddRow("  hello bits", sim.I(int(res.HelloBitsOut)))
 	if deliveredPerNode > 0 {
 		t.AddRow("bits per delivered token", sim.F(float64(res.BitsOut)/deliveredPerNode))
 	}
 	t.AddRow("peak span memory per node", fmt.Sprintf("%d B", res.MaxSpanBytes))
+	forfeiters, forfeited := 0, 0
 	if cfg.Churn != nil {
 		t.AddRow("churn schedule", cfg.Churn.String())
 		t.AddRow("nodes live at end", sim.I(res.FinalLive))
 		for id, m := range res.Nodes {
+			if id < o.N && m.StartGen > 0 {
+				// A founding node starts at generation 0; a later start is
+				// what a restart or a straggler forfeited, not a join.
+				t.AddRow(fmt.Sprintf("node %d forfeited, start gen %d", id, m.StartGen),
+					fmt.Sprintf("delivered %d of %d generations", m.Delivered, o.generations))
+				if m.Live {
+					forfeiters++
+					forfeited += o.generations - m.Delivered
+				}
+				continue
+			}
 			if !m.Spawned || m.StartGen == 0 || m.CaughtUpTick == 0 {
 				continue
 			}
@@ -162,9 +177,13 @@ func run(w io.Writer, o options) error {
 			}
 		}
 	}
-	if res.Completed {
+	switch {
+	case res.Completed && forfeiters > 0:
+		t.AddNote("all %d live nodes decoded and delivered the stream in order from their start generations; %d founding nodes forfeited %d generations between them; deliveries verified against the source",
+			res.FinalLive, forfeiters, forfeited)
+	case res.Completed:
 		t.AddNote("all %d live nodes decoded and delivered the stream in order; deliveries verified against the source", res.FinalLive)
-	} else {
+	default:
 		t.AddNote("run did NOT complete (timeout/tick cap); counters cover the partial run, throughput covers only delivered tokens")
 	}
 	fmt.Fprint(w, t.String())
