@@ -213,7 +213,7 @@ func TestRunTraceExportsArtifacts(t *testing.T) {
 // cliutil from the flags as main parses them. With -telemetry the
 // report is the same: telemetry reads the run and never steers it.
 func TestFullStackTranscriptPinned(t *testing.T) {
-	const want = "164030c244300d39371e0c823c989187ef898301ce52b921da4d33d2e07b6929"
+	const want = "129c8761da58bc4185b2e35709e5b28d0d41d2cb7eaa7465b3ddf3b9cd941b02"
 	full := "-n 48 -k 16 -transport lockstep -seed 1 -loss 0.1 -reorder 0.1 -delay 2ms -mutate all:0.02 -adversary adaptive -churn join:5:2,crash:10:2,leave:14:2,restart:20:1 -shards 1"
 	for _, args := range []string{full, full + " -telemetry " + filepath.Join(t.TempDir(), "export.txt")} {
 		var o options
