@@ -115,8 +115,11 @@ func run(w io.Writer, o options) error {
 	t.AddRow("packets sent", sim.I(int(res.PacketsOut)))
 	t.AddRow("packets received", sim.I(int(res.PacketsIn)))
 	t.AddRow("packets dropped", sim.I(int(res.Dropped)))
-	var helloBits int64
+	done, helloBits := 0, int64(0)
 	for _, m := range res.Nodes {
+		if m.Done {
+			done++
+		}
 		helloBits += m.HelloBitsOut
 	}
 	t.AddRow("protocol bits sent", sim.I(int(res.BitsOut)))
@@ -136,12 +139,6 @@ func run(w io.Writer, o options) error {
 	}
 	// Dissemination work per node-token, over the nodes that finished:
 	// a timed-out run must not pretend all n nodes were served.
-	done := 0
-	for _, m := range res.Nodes {
-		if m.Done {
-			done++
-		}
-	}
 	if done > 0 {
 		t.AddRow("packets per done-node-token", sim.F(float64(res.PacketsOut)/float64(done*o.K)))
 	}

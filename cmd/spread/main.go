@@ -59,11 +59,8 @@ func run(w io.Writer, n, d int, advName string, seed int64) error {
 	// The early-decoding onset makes the Section 5.2 shape concrete:
 	// ranks grow from round one, but tokens beyond a node's own initial
 	// one (mean >= 2) surface only once spans close in on full rank.
-	for r, sm := range samples {
-		if sm.decodable >= 2 {
-			fmt.Fprintf(w, "first round decoding a non-initial token (mean >= 2): %d\n", r)
-			break
-		}
+	if r := slices.IndexFunc(samples, func(sm sample) bool { return sm.decodable >= 2 }); r >= 0 {
+		fmt.Fprintf(w, "first round decoding a non-initial token (mean >= 2): %d\n", r)
 	}
 	return nil
 }
@@ -72,9 +69,8 @@ func run(w io.Writer, n, d int, advName string, seed int64) error {
 // largest span rank, and the mean number of individually recoverable
 // tokens (early decoding, ahead of full rank).
 type sample struct {
-	minRank, maxRank int
-	meanRank         float64
-	decodable        float64
+	minRank, maxRank    int
+	meanRank, decodable float64
 }
 
 // sampleRun runs Lemma 5.3 with k = n (node i holds token i, initial[i])
@@ -102,17 +98,6 @@ func sampleRun(s *dynnet.Session, d int, initial [][]rlnc.Coded, rngs []*rand.Ra
 	return samples, err
 }
 
-// completion returns the first round after which every node has full
-// rank k.
-func completion(samples []sample, k int) (int, bool) {
-	for r, sm := range samples {
-		if sm.minRank >= k {
-			return r, true
-		}
-	}
-	return -1, false
-}
-
 // innovation returns, per round after the first, the increase of the
 // mean rank — the fraction of communication that carried new
 // information. Its early-high late-low shape is the "wasted
@@ -133,7 +118,7 @@ func report(samples []sample, k int) string {
 	last := samples[len(samples)-1]
 	fmt.Fprintf(&sb, "rounds observed: %d, final knowledge min/mean/max: %d/%.1f/%d\n",
 		len(samples), last.minRank, last.meanRank, last.maxRank)
-	if r, ok := completion(samples, k); ok {
+	if r := slices.IndexFunc(samples, func(sm sample) bool { return sm.minRank >= k }); r >= 0 {
 		fmt.Fprintf(&sb, "all nodes complete at round %d\n", r)
 	}
 	means := make([]float64, len(samples))

@@ -3,6 +3,7 @@ package main
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,6 +33,13 @@ func sampled(t *testing.T, n int) []sample {
 	return samples
 }
 
+// completion returns the first round after which every node has full
+// rank k, as the report finds it.
+func completion(samples []sample, k int) (int, bool) {
+	r := slices.IndexFunc(samples, func(sm sample) bool { return sm.minRank >= k })
+	return r, r >= 0
+}
+
 // TestSamplesEveryRound: one sample per round of the whole schedule,
 // each with its least rank at most its largest.
 func TestSamplesEveryRound(t *testing.T) {
@@ -46,9 +54,9 @@ func TestSamplesEveryRound(t *testing.T) {
 	}
 }
 
-// TestRankMonotone asserts rank never decreases — the span is monotone,
+// TestKnowledgeMonotone asserts rank never decreases — the span is monotone,
 // so the sampled mean must be too.
-func TestRankMonotone(t *testing.T) {
+func TestKnowledgeMonotone(t *testing.T) {
 	prev := 0.0
 	for _, sm := range sampled(t, 12) {
 		if sm.meanRank+1e-9 < prev {

@@ -74,21 +74,26 @@ type floodNode struct {
 	c, batch, period, window, round int
 }
 
-var _ dynnet.Node = (*floodNode)(nil)
+// batchTokens returns the node's batch: the batch smallest tokens it
+// knows that are not finished, in UID order.
+func (f *floodNode) batchTokens() []token.Token {
+	var out []token.Token
+	for _, t := range f.set.Tokens() {
+		if len(out) == f.batch {
+			break
+		}
+		if !f.finished[t.UID] {
+			out = append(out, t)
+		}
+	}
+	return out
+}
 
 // Send broadcasts the next c batch tokens not yet sent this window.
 func (f *floodNode) Send(int) dynnet.Message {
 	var out []token.Token
-	inBatch := 0
-	for _, t := range f.set.Tokens() {
-		if f.finished[t.UID] {
-			continue
-		}
-		if inBatch == f.batch || len(out) == f.c {
-			break
-		}
-		inBatch++
-		if !f.sent[t.UID] {
+	for _, t := range f.batchTokens() {
+		if len(out) < f.c && !f.sent[t.UID] {
 			f.sent[t.UID] = true
 			out = append(out, t)
 		}
@@ -113,15 +118,8 @@ func (f *floodNode) Receive(_ int, msgs []dynnet.Message) {
 	}
 	f.round++
 	if f.round%f.period == 0 {
-		done := 0
-		for _, t := range f.set.Tokens() {
-			if done == f.batch {
-				break
-			}
-			if !f.finished[t.UID] {
-				f.finished[t.UID] = true
-				done++
-			}
+		for _, t := range f.batchTokens() {
+			f.finished[t.UID] = true
 		}
 	}
 	if f.round%f.period == 0 || f.round%f.window == 0 {
