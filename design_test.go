@@ -243,6 +243,8 @@ var deleted = []struct {
 		"a second way to watch synchronous rounds: one-round phases are the one (rlnc.IndexedBroadcast's stop function)"},
 	{[]string{"PipelinedFloodNode", "NewPipelinedFloodNode", "type FloodNode", "NewFloodNode"},
 		"a second knowledge-based flooding node: forwarding's one node runs the Theorem 2.1 and the T-stable schedules"},
+	{[]string{"MaxFloodNode", "NewMaxFloodNode", "SmallestFloodNode", "NewSmallestFloodNode"},
+		"a second value flood: forwarding floods values through one node"},
 }
 
 // TestDesignDeletedNamesStayDeleted holds the table above over the tree.

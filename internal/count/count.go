@@ -110,17 +110,18 @@ func run(n, b int, adv dynnet.Adversary, confirm func(s *dynnet.Session, m int, 
 		// failed; the harness also fails the phase when some node's
 		// knowledge is incomplete (the paper's full detection mechanism
 		// is deferred to its full version).
-		verify := make([]*forwarding.MaxFloodNode, n)
-		for i := range verify {
-			verify[i] = forwarding.NewMaxFloodNode(uint64(len(known[i])), 32)
+		counts := make([]uint64, n)
+		for i := range counts {
+			counts[i] = uint64(len(known[i]))
 		}
-		if err := dynnet.Run(s, verify, m); err != nil {
+		heard, err := forwarding.FloodMax(s, counts, 32, m)
+		if err != nil {
 			return Result{}, err
 		}
 
 		failed := false
 		for i := range known {
-			if len(known[i]) != n || int(verify[i].Best()) != len(known[i]) || len(known[i]) > m {
+			if len(known[i]) != n || int(heard[i]) != len(known[i]) || len(known[i]) > m {
 				failed = true
 				break
 			}

@@ -1,123 +1,163 @@
 package forwarding
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"repro/internal/dynnet"
 )
 
-// MaxFloodNode floods the maximum of a 64-bit value across the network:
-// every round it broadcasts the largest value it has seen. After n-1
-// rounds on always-connected dynamics every node knows the global
-// maximum. Callers pack (count, id) or similar orderings into the value.
-type MaxFloodNode struct {
-	best  uint64
-	width int
+// valueNode floods the least values across the network: it keeps the
+// keep least values it has heard and every round broadcasts the perMsg
+// least of them at width bits each. The s globally least values are
+// always among the s least of any node that heard them, so for
+// perMsg >= s each floods within n-1 rounds on always-connected
+// dynamics. It is the indexing subroutine of Corollary 7.1 (token UIDs
+// as values) and of priority-forward (block priorities as values), and
+// at keep 1 over complemented values the maximum flood (FloodMax).
+type valueNode struct {
+	keep, perMsg, width int
+	known               []uint64 // ascending, at most keep long
 }
 
-var _ dynnet.Node = (*MaxFloodNode)(nil)
+var _ dynnet.Node = (*valueNode)(nil)
 
-// NewMaxFloodNode returns a node starting with value own, charging width
-// bits per message.
-func NewMaxFloodNode(own uint64, width int) *MaxFloodNode {
-	return &MaxFloodNode{best: own, width: width}
+// add keeps v if it is new and among the keep least heard.
+func (nd *valueNode) add(v uint64) {
+	i, found := slices.BinarySearch(nd.known, v)
+	if found || i >= nd.keep {
+		return
+	}
+	if len(nd.known) == nd.keep {
+		nd.known = nd.known[:nd.keep-1]
+	}
+	nd.known = slices.Insert(nd.known, i, v)
 }
 
-// Best returns the largest value seen so far.
-func (m *MaxFloodNode) Best() uint64 { return m.best }
-
-// Send broadcasts the current maximum.
-func (m *MaxFloodNode) Send(int) dynnet.Message {
-	return ValuesMsg{Width: m.width, Values: []uint64{m.best}}
+// Send broadcasts the perMsg least known values.
+func (nd *valueNode) Send(int) dynnet.Message {
+	if len(nd.known) == 0 {
+		return nil
+	}
+	return ValuesMsg{Width: nd.width, Values: slices.Clone(nd.known[:min(nd.perMsg, len(nd.known))])}
 }
 
-// Receive keeps the maximum over all heard values.
-func (m *MaxFloodNode) Receive(_ int, msgs []dynnet.Message) {
+// Receive merges heard values.
+func (nd *valueNode) Receive(_ int, msgs []dynnet.Message) {
 	for _, msg := range msgs {
-		vm, ok := msg.(ValuesMsg)
-		if !ok {
-			continue
-		}
-		for _, v := range vm.Values {
-			if v > m.best {
-				m.best = v
+		if vm, ok := msg.(ValuesMsg); ok {
+			for _, v := range vm.Values {
+				nd.add(v)
 			}
 		}
 	}
 }
 
-// SmallestFloodNode floods the s globally smallest values: every round
-// it broadcasts the (up to) perMsg smallest values it knows; each of the
-// s globally smallest values is always among any node's s smallest, so
-// for perMsg >= s each floods within n-1 rounds. It is the indexing
-// subroutine of Corollary 7.1 (token UIDs as values) and of
-// priority-forward (block priorities as values).
-type SmallestFloodNode struct {
-	keep   int
-	perMsg int
-	width  int
-	known  []uint64
-	seen   map[uint64]bool
-}
-
-var _ dynnet.Node = (*SmallestFloodNode)(nil)
-
-// NewSmallestFloodNode returns a node that starts knowing own, keeps the
-// keep smallest values and broadcasts at most perMsg of them per round
-// at width bits each.
-func NewSmallestFloodNode(own []uint64, keep, perMsg, width int) *SmallestFloodNode {
-	n := &SmallestFloodNode{keep: keep, perMsg: perMsg, width: width, seen: make(map[uint64]bool)}
-	for _, v := range own {
-		n.add(v)
-	}
-	return n
-}
-
-func (s *SmallestFloodNode) add(v uint64) {
-	if s.seen[v] {
-		return
-	}
-	s.seen[v] = true
-	s.known = append(s.known, v)
-	sort.Slice(s.known, func(i, j int) bool { return s.known[i] < s.known[j] })
-	if len(s.known) > s.keep {
-		delete(s.seen, s.known[len(s.known)-1])
-		s.known = s.known[:s.keep]
-	}
-}
-
-// Smallest returns the currently known smallest values, ascending.
-func (s *SmallestFloodNode) Smallest() []uint64 {
-	out := make([]uint64, len(s.known))
-	copy(out, s.known)
-	return out
-}
-
-// Send broadcasts the perMsg smallest known values.
-func (s *SmallestFloodNode) Send(int) dynnet.Message {
-	if len(s.known) == 0 {
-		return nil
-	}
-	m := s.perMsg
-	if m > len(s.known) {
-		m = len(s.known)
-	}
-	vals := make([]uint64, m)
-	copy(vals, s.known[:m])
-	return ValuesMsg{Width: s.width, Values: vals}
-}
-
-// Receive merges heard values.
-func (s *SmallestFloodNode) Receive(_ int, msgs []dynnet.Message) {
-	for _, msg := range msgs {
-		vm, ok := msg.(ValuesMsg)
-		if !ok {
-			continue
-		}
-		for _, v := range vm.Values {
-			s.add(v)
+// flood runs one phase of rounds rounds of value flooding from own[i] at
+// node i and returns what each node kept, ascending.
+func flood(s *dynnet.Session, own [][]uint64, keep, perMsg, width, rounds int) ([][]uint64, error) {
+	nodes := make([]*valueNode, len(own))
+	for i, vals := range own {
+		nodes[i] = &valueNode{keep: keep, perMsg: perMsg, width: width}
+		for _, v := range vals {
+			nodes[i].add(v)
 		}
 	}
+	if err := dynnet.Run(s, nodes, rounds); err != nil {
+		return nil, err
+	}
+	kept := make([][]uint64, len(nodes))
+	for i, nd := range nodes {
+		kept[i] = nd.known
+	}
+	return kept, nil
+}
+
+// FloodMax floods the maximum of the nodes' values for rounds rounds, one
+// width-bit value a node a round, and returns the largest value each
+// node heard (the global maximum at every node once rounds covers the
+// dynamic diameter, n-1 on always-connected dynamics). Callers pack
+// (count, id) or similar orderings into the value. It is the
+// least-values flood of the complements: max v = ^min ^v.
+func FloodMax(s *dynnet.Session, own []uint64, width, rounds int) ([]uint64, error) {
+	comp := make([][]uint64, len(own))
+	for i, v := range own {
+		comp[i] = []uint64{^v}
+	}
+	kept, err := flood(s, comp, 1, 1, width, rounds)
+	if err != nil {
+		return nil, err
+	}
+	best := make([]uint64, len(kept))
+	for i, k := range kept {
+		best[i] = ^k[0]
+	}
+	return best, nil
+}
+
+// FloodSmallestMulti floods the selectCount globally smallest values
+// across the network when they do not all fit in one message: it runs
+// ceil(selectCount/perMsg) phases of n rounds, each flooding (and then
+// finalizing) the perMsg smallest not-yet-finalized values. This is the
+// "naive indexing algorithm via flooding" the paper describes, whose
+// log-factor overhead priority-forward inherits in our implementation
+// (the paper's recursive O(n)-time refinement is deferred to its full
+// version; see DESIGN.md).
+//
+// own[i] holds node i's initial values. phaseLen is the per-phase round
+// count — n for a network of known size, or the current size estimate in
+// the counting application. The returned slice is the ascending list of
+// at most selectCount global minima, identical at all nodes when
+// phaseLen >= n (the driver cross-checks).
+func FloodSmallestMulti(s *dynnet.Session, own [][]uint64, selectCount, perMsg, width, phaseLen int) ([]uint64, error) {
+	n := s.N()
+	if len(own) != n {
+		return nil, fmt.Errorf("forwarding: %d value sets for %d nodes", len(own), n)
+	}
+	if perMsg < 1 {
+		return nil, fmt.Errorf("forwarding: perMsg must be >= 1")
+	}
+	if phaseLen < 1 {
+		return nil, fmt.Errorf("forwarding: phaseLen must be >= 1")
+	}
+	finalized := make([]uint64, 0, selectCount)
+	inFinal := make(map[uint64]bool, selectCount)
+
+	for len(finalized) < selectCount {
+		open := make([][]uint64, n)
+		for i := range open {
+			for _, v := range own[i] {
+				if !inFinal[v] {
+					open[i] = append(open[i], v)
+				}
+			}
+		}
+		kept, err := flood(s, open, perMsg, perMsg, width, phaseLen)
+		if err != nil {
+			return nil, err
+		}
+		chosen := kept[0]
+		for _, other := range kept[1:] {
+			if !slices.Equal(other, chosen) {
+				return nil, fmt.Errorf("forwarding: flood phase disagreement on values")
+			}
+		}
+		if len(chosen) == 0 {
+			break
+		}
+		for _, v := range chosen {
+			if len(finalized) == selectCount {
+				break
+			}
+			finalized = append(finalized, v)
+			inFinal[v] = true
+		}
+		if len(chosen) < perMsg {
+			// The network is exhausted: nothing more to select.
+			break
+		}
+	}
+	return finalized, nil
 }
 
 // PackCountID packs a (count, node ID) pair so that uint64 ordering is

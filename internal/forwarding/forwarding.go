@@ -2,10 +2,9 @@
 // the knowledge-based pipelined flooding algorithm of Theorem 2.1 (the
 // baseline network coding is measured against; one node, run on the
 // theorem's schedule here and on a T-stable one by package stable), the
-// random-forward
-// gathering primitive of Section 7, and the flooding building blocks
-// (max aggregation, smallest-values dissemination) that the paper's
-// composite algorithms use for identification and indexing.
+// random-forward gathering primitive of Section 7, and the one value
+// flood (least values, FloodSmallestMulti; the maximum, FloodMax) that
+// the paper's composite algorithms use for identification and indexing.
 package forwarding
 
 import (

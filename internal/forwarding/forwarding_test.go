@@ -2,7 +2,9 @@ package forwarding
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/adversary"
@@ -104,41 +106,58 @@ func TestPipelinedFloodBudgetTooSmall(t *testing.T) {
 func TestMaxFloodAgreesOnPath(t *testing.T) {
 	const n = 9
 	vals := []uint64{3, 1, 4, 1, 5, 9, 2, 6, 5}
-	impls := make([]*MaxFloodNode, n)
-	for i := range impls {
-		impls[i] = NewMaxFloodNode(vals[i], 64)
-	}
 	s := dynnet.NewSession(n, adversary.NewStatic(graph.Path(n)), dynnet.Config{BitBudget: 64 + token.CountBits})
-	if err := dynnet.Run(s, impls, n); err != nil {
+	best, err := FloodMax(s, vals, 64, n)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, impl := range impls {
-		if impl.Best() != 9 {
-			t.Errorf("node %d best = %d, want 9", i, impl.Best())
+	for i, b := range best {
+		if b != 9 {
+			t.Errorf("node %d best = %d, want 9", i, b)
 		}
+	}
+	// One width-bit value a node a round, whatever the values.
+	if m := s.Metrics(); m.Messages != n*n || m.Bits != int64(n*n*(64+token.CountBits)) {
+		t.Errorf("messages = %d, bits = %d, want %d and %d", m.Messages, m.Bits, n*n, n*n*(64+token.CountBits))
 	}
 }
 
 func TestSmallestFloodConvergesToGlobalSmallest(t *testing.T) {
 	const n, keep = 10, 3
-	impls := make([]*SmallestFloodNode, n)
-	for i := range impls {
-		impls[i] = NewSmallestFloodNode([]uint64{uint64(100 - i)}, keep, keep, 32)
+	own := make([][]uint64, n)
+	for i := range own {
+		own[i] = []uint64{uint64(100 - i)}
 	}
 	s := dynnet.NewSession(n, adversary.NewRotatingPath(n, 7), dynnet.Config{})
-	if err := dynnet.Run(s, impls, n); err != nil {
+	kept, err := flood(s, own, keep, keep, 32, n)
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := []uint64{91, 92, 93}
-	for i, impl := range impls {
-		got := impl.Smallest()
-		if len(got) != keep {
-			t.Fatalf("node %d knows %d values", i, len(got))
+	for i, got := range kept {
+		if !slices.Equal(got, want) {
+			t.Errorf("node %d smallest = %v, want %v", i, got, want)
 		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Errorf("node %d smallest = %v, want %v", i, got, want)
-			}
+	}
+}
+
+// TestValueNodeKeepsLeastDistinct holds the node's kept list to a model:
+// the keep least distinct values of everything it heard, ascending.
+func TestValueNodeKeepsLeastDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		keep := 1 + rng.Intn(6)
+		nd := &valueNode{keep: keep, perMsg: keep, width: 8}
+		heard := map[uint64]bool{}
+		for range rng.Intn(40) {
+			v := uint64(rng.Intn(20))
+			nd.add(v)
+			heard[v] = true
+		}
+		want := slices.Sorted(maps.Keys(heard))
+		want = want[:min(keep, len(want))]
+		if !slices.Equal(nd.known, want) {
+			t.Fatalf("keep %d: kept %v, want %v", keep, nd.known, want)
 		}
 	}
 }

@@ -98,7 +98,7 @@ func RandomForward(
 
 	// Identify: flood (count, id) maxima for n rounds so every node
 	// learns which node holds the maximum eligible count.
-	flood := make([]*MaxFloodNode, n)
+	packed := make([]uint64, n)
 	for i, set := range sets {
 		count := 0
 		for _, t := range set.Tokens() {
@@ -106,11 +106,12 @@ func RandomForward(
 				count++
 			}
 		}
-		flood[i] = NewMaxFloodNode(PackCountID(count, i, n), 64)
+		packed[i] = PackCountID(count, i, n)
 	}
-	if err := dynnet.Run(s, flood, n); err != nil {
+	best, err := FloodMax(s, packed, 64, n)
+	if err != nil {
 		return RandomForwardResult{}, err
 	}
-	count, id := UnpackCountID(flood[0].Best(), n)
+	count, id := UnpackCountID(best[0], n)
 	return RandomForwardResult{Identified: id, Count: count}, nil
 }

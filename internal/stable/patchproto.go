@@ -64,35 +64,28 @@ func BuildPatches(s *dynnet.Session, d int, rng *rand.Rand) (*graph.Patching, er
 				prio[i] = (uint64(rng.Uint32())+1)<<32 | uint64(uint32(i))
 			}
 		}
-		maxNodes := make([]*forwarding.MaxFloodNode, n)
-		for i := range maxNodes {
-			maxNodes[i] = forwarding.NewMaxFloodNode(prio[i], 64)
-		}
-		if err := dynnet.Run(s, maxNodes, d); err != nil {
+		heard, err := forwarding.FloodMax(s, prio, 64, d)
+		if err != nil {
 			return nil, err
 		}
 		joined := make([]bool, n)
+		deact := make([]uint64, n)
 		for i := range joined {
-			joined[i] = active[i] && maxNodes[i].Best() == prio[i]
+			joined[i] = active[i] && heard[i] == prio[i]
+			if joined[i] {
+				deact[i] = 1
+			}
 		}
 		// Deactivation wave: a 1-bit flood from fresh MIS members for d
 		// rounds deactivates their d-neighbourhoods.
-		deact := make([]*forwarding.MaxFloodNode, n)
-		for i := range deact {
-			own := uint64(0)
-			if joined[i] {
-				own = 1
-			}
-			deact[i] = forwarding.NewMaxFloodNode(own, 1)
-		}
-		if err := dynnet.Run(s, deact, d); err != nil {
+		if deact, err = forwarding.FloodMax(s, deact, 1, d); err != nil {
 			return nil, err
 		}
 		for i := range active {
 			if joined[i] {
 				inMIS[i] = true
 			}
-			if active[i] && deact[i].Best() == 1 {
+			if active[i] && deact[i] == 1 {
 				active[i] = false
 				remaining--
 			}
