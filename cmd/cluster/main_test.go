@@ -178,21 +178,19 @@ func TestRunIncompleteOutputIsSane(t *testing.T) {
 	}
 }
 
-// TestRunTraceExportsArtifacts drives run with both telemetry flags
-// set and checks the full artifact set lands: the standard rendered
-// file set in -trace's directory and the bare v1 text export at
-// -telemetry's path, all non-empty and schema-framed.
+// TestRunTraceExportsArtifacts drives run with -trace set and checks
+// the full artifact set lands in its directory: the v1 text export and
+// the rendered SVGs, all non-empty and the export schema-framed.
 func TestRunTraceExportsArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	a := defaults()
 	a.Trace = dir
-	a.Telemetry = filepath.Join(dir, "export.txt")
 	if err := a.run(nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
 		"cluster-telemetry.txt", "cluster-heatmap.svg",
-		"cluster-timeline.svg", "cluster-packetflow.svg", "export.txt",
+		"cluster-timeline.svg", "cluster-packetflow.svg",
 	} {
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -210,12 +208,12 @@ func TestRunTraceExportsArtifacts(t *testing.T) {
 
 // TestFullStackTranscriptPinned pins the report of CI's full-stack line:
 // every fault flag, the adaptive adversary and churn, lowered by
-// cliutil from the flags as main parses them. With -telemetry the
-// report is the same: telemetry reads the run and never steers it.
+// cliutil from the flags as main parses them. With -trace the report is
+// the same: telemetry reads the run and never steers it.
 func TestFullStackTranscriptPinned(t *testing.T) {
 	const want = "129c8761da58bc4185b2e35709e5b28d0d41d2cb7eaa7465b3ddf3b9cd941b02"
 	full := "-n 48 -k 16 -transport lockstep -seed 1 -loss 0.1 -reorder 0.1 -delay 2ms -mutate all:0.02 -adversary adaptive -churn join:5:2,crash:10:2,leave:14:2,restart:20:1 -shards 1"
-	for _, args := range []string{full, full + " -telemetry " + filepath.Join(t.TempDir(), "export.txt")} {
+	for _, args := range []string{full, full + " -trace " + t.TempDir()} {
 		var o options
 		fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
 		o.Register(fs, "cluster", 64, 32)
@@ -240,7 +238,7 @@ func TestFlagSurface(t *testing.T) {
 	new(options).bind(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
-	const want = "adversary= churn= cpuprofile= delay=0s fanout=2 interval=500µs k=32 loss=0 maxticks=0 memprofile= mode=coded mutate= n=64 payload=128 reorder=0 seed=1 shards=1 telemetry= timeout=30s trace= transport=chan"
+	const want = "adversary= churn= cpuprofile= delay=0s fanout=2 interval=500µs k=32 loss=0 maxticks=0 memprofile= mode=coded mutate= n=64 payload=128 reorder=0 seed=1 shards=1 timeout=30s trace= transport=chan"
 	if g := strings.Join(got, " "); g != want {
 		t.Errorf("flags\n got %s\nwant %s", g, want)
 	}

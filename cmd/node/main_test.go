@@ -189,7 +189,7 @@ func TestMetricsFlushOnCancel(t *testing.T) {
 	dir := t.TempDir()
 	o := validOptions()
 	o.metrics = filepath.Join(dir, "node0.metrics")
-	o.Telemetry = filepath.Join(dir, "node0.telemetry")
+	o.Trace = dir
 	// No peer ever answers: the node blocks (in bootstrap or the run
 	// loop) until killed.
 	o.Timeout = 20 * time.Second
@@ -208,7 +208,7 @@ func TestMetricsFlushOnCancel(t *testing.T) {
 			t.Errorf("flushed metrics lack %q:\n%s", key, raw)
 		}
 	}
-	if tel, rerr := os.ReadFile(o.Telemetry); rerr != nil {
+	if tel, rerr := os.ReadFile(filepath.Join(dir, "node0-telemetry.txt")); rerr != nil {
 		t.Errorf("canceled run left no telemetry export: %v", rerr)
 	} else if !strings.HasPrefix(string(tel), "telemetry v1\n") {
 		t.Errorf("telemetry export lacks the v1 header:\n%.80s", tel)
@@ -405,7 +405,7 @@ func TestTelemetryOneTimeBase(t *testing.T) {
 	t.Run("async", func(t *testing.T) {
 		g := validOptions().GossipFlags
 		g.N, g.K, g.Fanout, g.Interval, g.Transport, g.Shards = 8, 32, 2, interval, "chan", 1
-		g.Mutate, g.Adversary, g.Telemetry = "dup:0.2", "random", filepath.Join(t.TempDir(), "async.telemetry")
+		g.Mutate, g.Adversary, g.Trace = "dup:0.2", "random", t.TempDir()
 		cfg, err := g.Open(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -416,18 +416,18 @@ func TestTelemetryOneTimeBase(t *testing.T) {
 		if err != nil || !res.Completed {
 			t.Fatalf("completed=%v, err %v", res.Completed, err)
 		}
-		if err := g.Export(cfg.Telemetry, "", false); err != nil {
+		if err := g.Export(cfg.Telemetry, "cluster", false); err != nil {
 			t.Fatal(err)
 		}
-		check(t, g.Telemetry, elapsed, "s", "send", "recv", "mutate", "adv_cut")
+		check(t, filepath.Join(g.Trace, "cluster-telemetry.txt"), elapsed, "s", "send", "recv", "mutate", "adv_cut")
 	})
 
 	t.Run("node", func(t *testing.T) {
 		dir := t.TempDir()
-		file := func(id int) string { return filepath.Join(dir, fmt.Sprintf("node%d.telemetry", id)) }
+		file := func(id int) string { return filepath.Join(dir, fmt.Sprintf("node%d-telemetry.txt", id)) }
 		start := time.Now()
 		launch(t, 3, func(id int, o *options) {
-			o.K, o.Interval, o.Mutate, o.Adversary, o.Telemetry = 16, interval, "dup:0.2", "rotating-path", file(id)
+			o.K, o.Interval, o.Mutate, o.Adversary, o.Trace = 16, interval, "dup:0.2", "rotating-path", dir
 		})
 		elapsed := time.Since(start)
 		for id := 0; id < 3; id++ {
@@ -444,7 +444,7 @@ func TestFlagSurface(t *testing.T) {
 	new(options).bind(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
-	const want = "addr=127.0.0.1:0 adversary= bootstrap= cpuprofile= debug-addr= delay=0s fanout=2 generations=8 id=0 interval=2ms k=32 linger=2s loss=0 memprofile= metrics= mode=cluster mutate= n=2 payload=128 reorder=0 seed=1 telemetry= timeout=1m0s trace= window=4"
+	const want = "addr=127.0.0.1:0 adversary= bootstrap= cpuprofile= debug-addr= delay=0s fanout=2 generations=8 id=0 interval=2ms k=32 linger=2s loss=0 memprofile= metrics= mode=cluster mutate= n=2 payload=128 reorder=0 seed=1 timeout=1m0s trace= window=4"
 	if g := strings.Join(got, " "); g != want {
 		t.Errorf("flags\n got %s\nwant %s", g, want)
 	}

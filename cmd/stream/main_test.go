@@ -172,21 +172,19 @@ func TestRunIncompleteOutputIsSane(t *testing.T) {
 	}
 }
 
-// TestRunTraceExportsArtifacts drives run with both telemetry flags
-// set and checks the full artifact set lands: the standard rendered
-// file set in -trace's directory and the bare v1 text export at
-// -telemetry's path, all non-empty and schema-framed.
+// TestRunTraceExportsArtifacts drives run with -trace set and checks
+// the full artifact set lands in its directory: the v1 text export and
+// the rendered SVGs, all non-empty and the export schema-framed.
 func TestRunTraceExportsArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	a := defaults()
 	a.Trace = dir
-	a.Telemetry = filepath.Join(dir, "export.txt")
 	if err := a.run(nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
 		"stream-telemetry.txt", "stream-heatmap.svg",
-		"stream-timeline.svg", "stream-packetflow.svg", "export.txt",
+		"stream-timeline.svg", "stream-packetflow.svg",
 	} {
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -230,12 +228,12 @@ func TestRunWritesProfiles(t *testing.T) {
 // lowered by cliutil from the flags as main parses them. Every crash is
 // revived and nobody leaves: a founding origin down for good, or a
 // hand-over the adversary's path drops, ends the stream incomplete. With
-// -telemetry the report is the same: telemetry reads the run and never
+// -trace the report is the same: telemetry reads the run and never
 // steers it.
 func TestFullStackTranscriptPinned(t *testing.T) {
 	const want = "d1aa55645427a8cd3b0b44d5870a3998cf7515a1e13b19db52ae98195a1a9f33"
 	full := "-n 48 -k 16 -transport lockstep -seed 1 -loss 0.1 -reorder 0.1 -delay 2ms -mutate all:0.02 -adversary adaptive -churn join:5:2,crash:10:2,restart:20:1,rejoin:20:1 -shards 1"
-	for _, args := range []string{full, full + " -telemetry " + filepath.Join(t.TempDir(), "export.txt")} {
+	for _, args := range []string{full, full + " -trace " + t.TempDir()} {
 		var o options
 		fs := flag.NewFlagSet("stream", flag.ContinueOnError)
 		o.Register(fs, "stream", 32, 16)
@@ -261,7 +259,7 @@ func TestFlagSurface(t *testing.T) {
 	new(options).bind(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
-	const want = "adversary= churn= cpuprofile= delay=0s fanout=2 generations=16 interval=500µs k=16 loss=0 maxticks=0 memprofile= mutate= n=32 payload=128 reorder=0 seed=1 shards=1 telemetry= timeout=30s trace= transport=chan window=4"
+	const want = "adversary= churn= cpuprofile= delay=0s fanout=2 generations=16 interval=500µs k=16 loss=0 maxticks=0 memprofile= mutate= n=32 payload=128 reorder=0 seed=1 shards=1 timeout=30s trace= transport=chan window=4"
 	if g := strings.Join(got, " "); g != want {
 		t.Errorf("flags\n got %s\nwant %s", g, want)
 	}

@@ -131,8 +131,7 @@ func TestWrapEveryFlagIsOneLayer(t *testing.T) {
 }
 
 // TestAdaptiveNeedsNoRecorder: -adversary adaptive reads the run, not
-// telemetry, so Open and OpenStream build a recorder only for -trace
-// or -telemetry.
+// telemetry, so Open and OpenStream build a recorder only for -trace.
 func TestAdaptiveNeedsNoRecorder(t *testing.T) {
 	g := inProcess()
 	g.Adversary = "adaptive"
@@ -147,8 +146,8 @@ func TestAdaptiveNeedsNoRecorder(t *testing.T) {
 	if cc.Telemetry != nil || sc.Telemetry != nil {
 		t.Errorf("no trace flag, yet Open made a recorder (%v) and OpenStream one (%v)", cc.Telemetry, sc.Telemetry)
 	}
-	g.Telemetry = filepath.Join(t.TempDir(), "export.txt")
+	g.Trace = t.TempDir()
 	if cc, err = g.Open(nil); err != nil || cc.Telemetry == nil {
-		t.Errorf("-telemetry set: Open gave recorder %v, error %v", cc.Telemetry, err)
+		t.Errorf("-trace set: Open gave recorder %v, error %v", cc.Telemetry, err)
 	}
 }

@@ -40,7 +40,7 @@ type GossipFlags struct {
 	Seed                  int64
 	Interval, Timeout     time.Duration
 	Adversary, Mutate     string
-	Trace, Telemetry      string
+	Trace                 string
 	// CPUProfile and MemProfile name the pprof files Profile writes.
 	CPUProfile, MemProfile string
 
@@ -78,7 +78,6 @@ func (g *GossipFlags) Register(fs *flag.FlagSet, driver string, n, k int) {
 	fs.StringVar(&g.Adversary, "adversary", "", "topology adversary name[:params] (random | rotating-path | static-<topology> | tstable:<T> | tinterval:<T> | adaptive | trace:<file>)")
 	fs.StringVar(&g.Mutate, "mutate", "", `hostile-packet mutation spec, e.g. "`+mutateEx+`" (ops: dup|stale|trunc|flip|xgen|all)`)
 	fs.StringVar(&g.Trace, "trace", "", "trace the run and render "+artifacts+"-{telemetry.txt,heatmap.svg,timeline.svg,packetflow.svg} into this directory")
-	fs.StringVar(&g.Telemetry, "telemetry", "", "trace the run and write the telemetry v1 text export to this file")
 	fs.StringVar(&g.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	fs.StringVar(&g.MemProfile, "memprofile", "", "write a pprof heap profile, taken as the run ends, to this file")
 	if driver == "node" {
@@ -98,11 +97,11 @@ func (g *GossipFlags) Tokens() []token.Token {
 }
 
 // recorder returns the run's telemetry recorder over an id space of
-// nodes, or nil unless -trace or -telemetry asks for one; nothing of
+// nodes, or nil unless -trace asks for one; nothing of
 // the run reads it. meta is the run's key, value, key, value… header,
 // in export order.
 func (g *GossipFlags) recorder(nodes int, meta []string) *telemetry.Recorder {
-	if g.Trace == "" && g.Telemetry == "" {
+	if g.Trace == "" {
 		return nil
 	}
 	rec := telemetry.New(telemetry.Config{Nodes: nodes})
@@ -402,22 +401,13 @@ func (g *GossipFlags) Profile(run func() error) (err error) {
 	return nil
 }
 
-// Export writes a traced run's artifacts where the flags ask: -trace's
-// directory gets the standard rendered file set (text export, heatmap,
-// timeline, packet flow) under prefix, -telemetry's file just the v1
-// text export. A nil recorder (tracing off) is a no-op, so callers can
-// invoke it unconditionally.
+// Export writes a traced run's artifacts into -trace's directory: the
+// standard rendered file set (the v1 text export <prefix>-telemetry.txt,
+// heatmap, timeline, packet flow). A nil recorder (tracing off) is a
+// no-op, so callers can invoke it unconditionally.
 func (g *GossipFlags) Export(rec *telemetry.Recorder, prefix string, watermark bool) error {
 	if rec == nil {
 		return nil
 	}
-	if g.Telemetry != "" {
-		if err := rec.WriteTextFile(g.Telemetry); err != nil {
-			return err
-		}
-	}
-	if g.Trace != "" {
-		return rec.WriteFiles(g.Trace, prefix, watermark)
-	}
-	return nil
+	return rec.WriteFiles(g.Trace, prefix, watermark)
 }

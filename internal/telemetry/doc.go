@@ -43,9 +43,9 @@
 //
 // cmd/stream writes the same set under the stream- prefix (its
 // timeline plots delivery watermarks, the paper's frontier), and
-// cmd/node traces one process's ring per process. -telemetry FILE
-// writes just the text export; -debug-addr serves the live aggregate
-// counters over expvar alongside pprof.
+// cmd/node traces one process's ring per process, under the node<id>-
+// prefix; -debug-addr serves the live aggregate counters over expvar
+// alongside pprof.
 //
 // Programmatic use is the same shape the CLIs wrap:
 //

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 )
 
 // The text export schema, version 1, written by WriteText. One
@@ -59,17 +58,4 @@ func (r *Recorder) WriteText(w io.Writer) error {
 	}
 	fmt.Fprintf(bw, "end\n")
 	return bw.Flush()
-}
-
-// WriteTextFile writes WriteText's document to a new file at path.
-func (r *Recorder) WriteTextFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteText(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

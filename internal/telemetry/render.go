@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/svgplot"
 )
@@ -276,19 +277,21 @@ func (r *Recorder) WriteFiles(dir, prefix string, watermark bool) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := r.WriteTextFile(filepath.Join(dir, prefix+"-telemetry.txt")); err != nil {
+	var text strings.Builder
+	if err := r.WriteText(&text); err != nil {
 		return err
 	}
 	tl := r.RankTimeline()
 	if watermark {
 		tl = r.WatermarkTimeline()
 	}
-	for name, svg := range map[string]string{
+	for name, body := range map[string]string{
+		prefix + "-telemetry.txt":  text.String(),
 		prefix + "-heatmap.svg":    r.RankHeatmap(renderBuckets).SVG(),
 		prefix + "-timeline.svg":   tl.SVG(),
 		prefix + "-packetflow.svg": r.PacketFlow(renderBuckets).SVG(),
 	} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(svg), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			return err
 		}
 	}
