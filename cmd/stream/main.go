@@ -164,17 +164,19 @@ func run(w io.Writer, o options) error {
 				}
 				continue
 			}
-			if !m.Spawned || m.StartGen == 0 || m.CaughtUpTick == 0 {
+			if !m.Spawned || m.StartGen == 0 {
 				continue
 			}
-			if cfg.Lockstep {
-				t.AddRow(fmt.Sprintf("node %d joined@%d, start gen %d", id, m.JoinTick, m.StartGen),
-					fmt.Sprintf("caught up in %d ticks", m.CaughtUpTick-m.JoinTick))
-			} else {
+			joined, caught := fmt.Sprint(m.JoinTick), fmt.Sprintf("%d ticks", m.CaughtUpTick-m.JoinTick)
+			if !cfg.Lockstep {
 				wall := func(ticks int) time.Duration { return (time.Duration(ticks) * o.Interval).Round(time.Millisecond) }
-				t.AddRow(fmt.Sprintf("node %d joined@%v, start gen %d", id, wall(m.JoinTick), m.StartGen),
-					fmt.Sprintf("caught up in %v", wall(m.CaughtUpTick-m.JoinTick)))
+				joined, caught = wall(m.JoinTick).String(), wall(m.CaughtUpTick-m.JoinTick).String()
 			}
+			value := "caught up in " + caught
+			if m.CaughtUpTick == 0 {
+				value = fmt.Sprintf("delivered %d of %d generations", m.Delivered, o.generations)
+			}
+			t.AddRow(fmt.Sprintf("node %d joined@%s, start gen %d", id, joined, m.StartGen), value)
 		}
 	}
 	switch {

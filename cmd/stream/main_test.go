@@ -231,7 +231,7 @@ func TestRunWritesProfiles(t *testing.T) {
 // -trace the report is the same: telemetry reads the run and never
 // steers it.
 func TestFullStackTranscriptPinned(t *testing.T) {
-	const want = "d1aa55645427a8cd3b0b44d5870a3998cf7515a1e13b19db52ae98195a1a9f33"
+	const want = "f63ebd66f0c80675272ad730969d710b3496d0cf55d4c5327b4cb21eddff4c03"
 	full := "-n 48 -k 16 -transport lockstep -seed 1 -loss 0.1 -reorder 0.1 -delay 2ms -mutate all:0.02 -adversary adaptive -churn join:5:2,crash:10:2,restart:20:1,rejoin:20:1 -shards 1"
 	for _, args := range []string{full, full + " -trace " + t.TempDir()} {
 		var o options

@@ -101,7 +101,7 @@ func TestChurnDecisionsPinned(t *testing.T) {
 		"crash:10:2,join:15:2,leave:20:1,restart:30:2,crash:32:1,rejoin:40:1",
 		"crash:6:5,leave:9:6,join:14:5,rejoin:20:2,leave:26:4,join:31:4,restart:37:2,crash:42:3,join:48:3,rejoin:55:2,leave:60:3,join:66:2",
 	}
-	const want = "runs=320 completed=128 hash=f1df8b500e0fbc4c"
+	const want = "runs=320 completed=128 hash=7c98b5304dddcd62"
 	h := fnv.New64a()
 	runs, completed := 0, 0
 	for _, n := range []int{3, 5, 8, 16, 40} {

@@ -225,9 +225,9 @@ func (nd *node) deliverReady() {
 			nd.Fail(err)
 			return
 		}
-		if nd.delivered == nd.startGen && nd.startGen > 0 && nd.m.CaughtUpTick == 0 {
-			// First delivery of a mid-stream joiner: it has reached the
-			// cluster watermark it learned at join time.
+		if nd.delivered == nd.startGen && nd.startGen > 0 {
+			// First delivery from the node's latest start: it has
+			// reached the watermark it started at.
 			nd.m.CaughtUpTick = int(nd.Now)
 		}
 		nd.setDelivered(nd.delivered + 1)
@@ -462,7 +462,7 @@ func (nd *node) forfeit() {
 func (nd *node) bootstrap(start int) {
 	nd.startGen = start
 	nd.setDelivered(start)
-	nd.m.StartGen = start
+	nd.m.StartGen, nd.m.CaughtUpTick = start, 0
 	if len(nd.spans) == 0 {
 		nd.base = max(nd.base, start)
 	}

@@ -282,10 +282,11 @@ type NodeMetrics struct {
 	// A restart, or a straggler that forfeits, moves it past what the
 	// node gave up.
 	StartGen int
-	// CaughtUpTick stamps the first delivery from a StartGen past 0 —
-	// for a mid-stream joiner the moment it reached the cluster
-	// watermark it learned at join time. Subtract JoinTick for the
-	// time-to-catch-up.
+	// CaughtUpTick stamps the first delivery from the node's latest
+	// StartGen past 0 — for a mid-stream joiner the moment it reached
+	// the cluster watermark it learned at join time, or the one a later
+	// forfeit moved it to; 0 until that delivery. Subtract JoinTick for
+	// the time-to-catch-up.
 	CaughtUpTick int
 	// MaxSpanBytes is the peak heap held in live spans — the memory a
 	// node needs no matter how long the stream is; window retirement is
