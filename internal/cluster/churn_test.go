@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/keyed"
 	"repro/internal/rlnc"
+	"repro/internal/sim"
 	"repro/internal/token"
 )
 
@@ -290,6 +291,41 @@ func TestLockstepChurnCompletesAndVerifies(t *testing.T) {
 // TestChurnlessRunsUnchanged pins that a nil churn schedule leaves the
 // static-membership pipeline untouched: no hellos, all nodes live, and
 // (via TestLockstepGoldenTranscripts) bit-identical transcripts.
+// TestHelloBitsStayLogarithmic holds the one-shot runtime to the
+// paper's message model under churn: a hello is its sender's view
+// runs, so the hello bits a node sends a tick grow at most
+// logarithmically in n. CI's churn line at n = 64, 256 and 1024 reads
+// about 6, 10 and 9 bits a node a tick; a hello that listed its view
+// id by id would grow with n.
+func TestHelloBitsStayLogarithmic(t *testing.T) {
+	sched, err := ParseChurn("join:5:2,crash:10:2,leave:14:2,restart:20:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	toks := token.RandomSet(16, 64, keyed.Rand(1, keyed.Payloads))
+	var ns, perNodeTick []float64
+	for _, n := range []int{64, 256, 1024} {
+		res, err := Run(context.Background(), Config{N: n, Fanout: 2, Seed: 1, Lockstep: true, Churn: sched}, toks)
+		if err != nil || !res.Completed {
+			t.Fatalf("n=%d: completed=%v err=%v", n, res != nil && res.Completed, err)
+		}
+		var hello int64
+		for _, m := range res.Nodes {
+			hello += m.HelloBitsOut
+		}
+		ns = append(ns, float64(n))
+		perNodeTick = append(perNodeTick, float64(hello)/float64(n*res.Ticks))
+	}
+	slope, err := sim.FitLogLogSlope(ns, perNodeTick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("hello bits per node per tick %.2f at n = %v: slope %.3f", perNodeTick, ns, slope)
+	if slope > 0.5 {
+		t.Errorf("hello bits per node per tick %v at n = %v: log-log slope %.3f, want at most 0.5", perNodeTick, ns, slope)
+	}
+}
+
 func TestChurnlessRunsUnchanged(t *testing.T) {
 	res, err := Run(context.Background(), Config{N: 8, Seed: 1, Lockstep: true}, testTokens(8, 32, 1))
 	if err != nil {
