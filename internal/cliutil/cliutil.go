@@ -97,9 +97,9 @@ func (g *GossipFlags) Tokens() []token.Token {
 }
 
 // recorder returns the run's telemetry recorder over an id space of
-// nodes, or nil unless -trace asks for one; nothing of
-// the run reads it. meta is the run's key, value, key, value… header,
-// in export order.
+// nodes, or nil unless -trace asks for one; nothing of the run reads
+// it. meta is the run's key, value, key, value… header, in export
+// order.
 func (g *GossipFlags) recorder(nodes int, meta []string) *telemetry.Recorder {
 	if g.Trace == "" {
 		return nil
