@@ -211,7 +211,8 @@ func refs(f goFile, members []string, paths ...string) []string {
 // design it would undo. No identifier of the tree, test files included,
 // is spelled so; a name written "func X" or "type X" is barred only as
 // a declaration of that kind, the word living on elsewhere (udpnet's
-// InboxBuffer field, a test's delivery tracker).
+// InboxBuffer field, a test's delivery tracker), and one written "type
+// p.X" or "func p.X" only as a declaration in package p.
 var deleted = []struct {
 	names []string
 	why   string
@@ -245,6 +246,7 @@ var deleted = []struct {
 		"a second knowledge-based flooding node: forwarding's one node runs the Theorem 2.1 and the T-stable schedules"},
 	{[]string{"MaxFloodNode", "NewMaxFloodNode", "SmallestFloodNode", "NewSmallestFloodNode"},
 		"a second value flood: forwarding floods values through one node"},
+	{[]string{"type central.Node", "func central.NewNode"}, "a second Lemma 5.3 node: central wraps rlnc.BroadcastNode"},
 }
 
 // TestDesignDeletedNamesStayDeleted holds the table above over the tree.
@@ -260,17 +262,19 @@ func TestDesignDeletedNamesStayDeleted(t *testing.T) {
 		}
 	}
 	each(files, func(f goFile, _ string, n ast.Node) {
-		var name string
+		var name, qualified string
 		switch n := n.(type) {
 		case *ast.Ident:
 			name = n.Name
 		case *ast.FuncDecl:
-			name = "func " + n.Name.Name
+			name, qualified = "func "+n.Name.Name, "func "+f.ast.Name.Name+"."+n.Name.Name
 		case *ast.TypeSpec:
-			name = "type " + n.Name.Name
+			name, qualified = "type "+n.Name.Name, "type "+f.ast.Name.Name+"."+n.Name.Name
 		}
-		if w, ok := why[name]; ok {
-			t.Errorf("%s: %s is back, %s", f.path, name, w)
+		for _, name := range []string{name, qualified} {
+			if w, ok := why[name]; ok {
+				t.Errorf("%s: %s is back, %s", f.path, name, w)
+			}
 		}
 	})
 }

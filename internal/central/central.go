@@ -11,7 +11,6 @@ package central
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/dynnet"
 	"repro/internal/gf"
@@ -31,44 +30,28 @@ type Message struct {
 // Bits charges the payload only.
 func (m Message) Bits() int { return m.Coded.PayloadBits() }
 
-// Node is the centralized counterpart of rlnc.BroadcastNode: identical
-// coding state, header-free messages.
-type Node struct {
-	span *rlnc.Span
-	rng  *rand.Rand
-}
+// node is Lemma 5.3's node with its coefficient header sent out of
+// band: the same span and coins, header-free messages.
+type node struct{ *rlnc.BroadcastNode }
 
-var _ dynnet.Node = (*Node)(nil)
-
-// NewNode returns a centralized coding node. The rng models the shared
-// randomness source: the driver seeds all nodes from one stream.
-func NewNode(k, payloadBits int, initial []rlnc.Coded, rng *rand.Rand) *Node {
-	n := &Node{span: rlnc.NewSpan(k, payloadBits), rng: rng}
-	for _, c := range initial {
-		n.span.Add(c)
-	}
-	return n
-}
-
-// Span exposes the coding state.
-func (n *Node) Span() *rlnc.Span { return n.span }
-
-// Send broadcasts a random combination, header-free.
-func (n *Node) Send(int) dynnet.Message {
-	c, ok := n.span.Combine(n.rng)
+// Send wraps the embedded node's combination in a Message.
+func (n node) Send(round int) dynnet.Message {
+	c, ok := n.BroadcastNode.Send(round).(*rlnc.Coded)
 	if !ok {
 		return nil
 	}
-	return Message{Coded: c}
+	return Message{Coded: *c}
 }
 
-// Receive inserts every heard combination.
-func (n *Node) Receive(_ int, msgs []dynnet.Message) {
-	for _, m := range msgs {
+// Receive hands every heard vector on to the embedded node. The inbox
+// is the session's per-round scratch, so its entries may be rewritten.
+func (n node) Receive(round int, msgs []dynnet.Message) {
+	for i, m := range msgs {
 		if cm, ok := m.(Message); ok {
-			n.span.Add(cm.Coded)
+			msgs[i] = cm.Coded
 		}
 	}
+	n.BroadcastNode.Receive(round, msgs)
 }
 
 // Run executes Corollary 2.6's randomized centralized k-indexed
@@ -78,14 +61,14 @@ func (n *Node) Receive(_ int, msgs []dynnet.Message) {
 func Run(n, k, d int, adv dynnet.Adversary, seed int64) (int, error) {
 	rng := keyed.Rand(seed, keyed.Payloads)
 	payloads := make([]gf.BitVec, k)
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
+	nodes := make([]node, n)
+	for i := range nodes {
 		var initial []rlnc.Coded
 		if i < k {
 			payloads[i] = gf.RandomBitVec(d, rng.Uint64)
 			initial = []rlnc.Coded{rlnc.Encode(i, k, payloads[i])}
 		}
-		nodes[i] = NewNode(k, d, initial, keyed.Rand(seed, keyed.Coins, int64(i)))
+		nodes[i] = node{rlnc.NewBroadcastNode(k, d, initial, keyed.Rand(seed, keyed.Coins, int64(i)))}
 	}
 	s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: d})
 	if err := dynnet.Run(s, nodes, rlnc.DefaultSchedule(n, k)); err != nil {

@@ -66,7 +66,7 @@ func TestMessageBitsChargePayloadOnly(t *testing.T) {
 }
 
 func TestNodeSilentWhenEmpty(t *testing.T) {
-	n := NewNode(4, 4, nil, rand.New(rand.NewSource(6)))
+	n := node{rlnc.NewBroadcastNode(4, 4, nil, rand.New(rand.NewSource(6)))}
 	if n.Send(0) != nil {
 		t.Error("empty node should stay silent")
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/hostile"
 	"repro/internal/telemetry"
 )
 
@@ -69,7 +70,7 @@ func TestParseMutateFlagNamesFlag(t *testing.T) {
 		t.Errorf("bad -mutate error %v does not name the flag", err)
 	}
 	ms, err := ParseMutateFlag("dup:0.25")
-	if err != nil || ms.Dup != 0.25 {
+	if err != nil || ms[hostile.OpDup] != 0.25 {
 		t.Errorf("ParseMutateFlag(dup:0.25) = %+v, %v", ms, err)
 	}
 }

@@ -76,7 +76,7 @@ func (g *GossipFlags) Register(fs *flag.FlagSet, driver string, n, k int) {
 	fs.DurationVar(&g.Delay, "delay", 0, "per-packet latency upper bound, in units of -interval (uniform in [delay/10, delay])")
 	fs.Float64Var(&g.Reorder, "reorder", 0, "packet reordering rate in [0,1)")
 	fs.StringVar(&g.Adversary, "adversary", "", "topology adversary name[:params] (random | rotating-path | static-<topology> | tstable:<T> | tinterval:<T> | adaptive | trace:<file>)")
-	fs.StringVar(&g.Mutate, "mutate", "", `hostile-packet mutation spec, e.g. "`+mutateEx+`" (ops: dup|stale|trunc|flip|xgen|all)`)
+	fs.StringVar(&g.Mutate, "mutate", "", `hostile-packet mutation spec, e.g. "`+mutateEx+`" (ops: `+hostile.OpList()+`)`)
 	fs.StringVar(&g.Trace, "trace", "", "trace the run and render "+artifacts+"-{telemetry.txt,heatmap.svg,timeline.svg,packetflow.svg} into this directory")
 	fs.StringVar(&g.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	fs.StringVar(&g.MemProfile, "memprofile", "", "write a pprof heap profile, taken as the run ends, to this file")
@@ -86,7 +86,7 @@ func (g *GossipFlags) Register(fs *flag.FlagSet, driver string, n, k int) {
 	fs.IntVar(&g.Shards, "shards", 1, "lockstep worker shards (bit-identical to serial at any count)")
 	fs.StringVar(&g.Transport, "transport", "chan", "transport: chan (async) | lockstep (deterministic)")
 	fs.IntVar(&g.MaxTicks, "maxticks", 0, "lockstep tick cap (0 = default)")
-	fs.StringVar(&g.Churn, "churn", "", `membership schedule, e.g. "`+churnEx+`" (kinds: join|leave|crash|restart|rejoin|crashmax|crashfrontier)`)
+	fs.StringVar(&g.Churn, "churn", "", `membership schedule, e.g. "`+churnEx+`" (kinds: `+cluster.ChurnKindList()+`)`)
 }
 
 // Tokens derives the one-shot run's token set from the flags — the

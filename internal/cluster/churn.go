@@ -48,26 +48,19 @@ const (
 	ChurnCrashFrontier
 )
 
+// churnKindNames is the schedule grammar's name for each kind.
+var churnKindNames = [...]string{"join", "leave", "crash", "restart", "rejoin", "crashmax", "crashfrontier"}
+
 // String returns the kind's schedule-grammar name.
 func (k ChurnKind) String() string {
-	switch k {
-	case ChurnJoin:
-		return "join"
-	case ChurnLeave:
-		return "leave"
-	case ChurnCrash:
-		return "crash"
-	case ChurnRestart:
-		return "restart"
-	case ChurnRejoin:
-		return "rejoin"
-	case ChurnCrashMax:
-		return "crashmax"
-	case ChurnCrashFrontier:
-		return "crashfrontier"
+	if k >= 0 && int(k) < len(churnKindNames) {
+		return churnKindNames[k]
 	}
 	return fmt.Sprintf("ChurnKind(%d)", int(k))
 }
+
+// ChurnKindList is the grammar's kinds as one "join|leave|…" list.
+func ChurnKindList() string { return strings.Join(churnKindNames[:], "|") }
 
 // ChurnEvent schedules Count membership events of one kind at one
 // instant. At is a tick of the run's clock (see TickObserver), so one
@@ -90,10 +83,9 @@ type ChurnSchedule struct {
 }
 
 // ParseChurn parses the CLI churn grammar: a comma-separated list of
-// kind:tick:count triples, e.g. "join:500:2,crash:1000:1". Kinds are
-// join, leave, crash, restart (crashed node revives with persisted
-// state) and rejoin (revives with wiped state). Events are sorted by
-// tick; same-tick events apply in the listed order.
+// kind:tick:count triples, e.g. "join:500:2,crash:1000:1", a kind
+// being a ChurnKind's String. Events are sorted by tick; same-tick
+// events apply in the listed order.
 func ParseChurn(s string) (*ChurnSchedule, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -105,24 +97,9 @@ func ParseChurn(s string) (*ChurnSchedule, error) {
 		if len(fields) != 3 {
 			return nil, fmt.Errorf("churn event %q: want kind:tick:count", part)
 		}
-		var kind ChurnKind
-		switch fields[0] {
-		case "join":
-			kind = ChurnJoin
-		case "leave":
-			kind = ChurnLeave
-		case "crash":
-			kind = ChurnCrash
-		case "restart":
-			kind = ChurnRestart
-		case "rejoin":
-			kind = ChurnRejoin
-		case "crashmax":
-			kind = ChurnCrashMax
-		case "crashfrontier":
-			kind = ChurnCrashFrontier
-		default:
-			return nil, fmt.Errorf("churn event %q: unknown kind %q (want join|leave|crash|restart|rejoin|crashmax|crashfrontier)", part, fields[0])
+		kind := ChurnKind(slices.Index(churnKindNames[:], fields[0]))
+		if kind < 0 {
+			return nil, fmt.Errorf("churn event %q: unknown kind %q (want %s)", part, fields[0], ChurnKindList())
 		}
 		at, err := strconv.Atoi(fields[1])
 		if err != nil || at < 1 {
@@ -181,10 +158,7 @@ func (s *ChurnSchedule) Validate() error {
 	}
 	lastAt := 0
 	for i, e := range s.Events {
-		switch e.Kind {
-		case ChurnJoin, ChurnLeave, ChurnCrash, ChurnRestart, ChurnRejoin,
-			ChurnCrashMax, ChurnCrashFrontier:
-		default:
+		if e.Kind < 0 || int(e.Kind) >= len(churnKindNames) {
 			return fmt.Errorf("churn event %d: unknown kind %d", i, int(e.Kind))
 		}
 		if e.At < 1 {

@@ -52,6 +52,19 @@ func TestParseChurn(t *testing.T) {
 		t.Errorf("empty schedule -> %v, %v; want nil, nil", s, err)
 	}
 
+	// A schedule of every kind round-trips through String, and an
+	// unknown kind's error lists every kind.
+	every := &ChurnSchedule{}
+	for k := ChurnJoin; k <= ChurnCrashFrontier; k++ {
+		every.Events = append(every.Events, ChurnEvent{k, 10 * int(k+1), int(k) + 1})
+	}
+	if s, err := ParseChurn(every.String()); err != nil || !reflect.DeepEqual(s, every) {
+		t.Errorf("ParseChurn(%q) = %+v, %v; want %+v", every, s, err, every)
+	}
+	if _, err := ParseChurn("meteor:10:1"); err == nil || !strings.Contains(err.Error(), "(want join|leave|crash|restart|rejoin|crashmax|crashfrontier)") {
+		t.Errorf("unknown-kind error %v does not list every kind", err)
+	}
+
 	bad := []string{
 		"join:500",                            // missing count
 		"meteor:10:1",                         // unknown kind
@@ -75,8 +88,10 @@ func TestChurnScheduleValidate(t *testing.T) {
 	if err := (&ChurnSchedule{Events: []ChurnEvent{{ChurnCrash, 20, 1}, {ChurnJoin, 10, 1}}}).Validate(); err == nil {
 		t.Error("unsorted schedule validated")
 	}
-	if err := (&ChurnSchedule{Events: []ChurnEvent{{ChurnKind(9), 10, 1}}}).Validate(); err == nil {
-		t.Error("unknown kind validated")
+	for _, k := range []ChurnKind{-1, ChurnCrashFrontier + 1, 9} {
+		if err := (&ChurnSchedule{Events: []ChurnEvent{{k, 10, 1}}}).Validate(); err == nil {
+			t.Errorf("unknown kind %d validated", k)
+		}
 	}
 	var nilSched *ChurnSchedule
 	if err := nilSched.Validate(); err != nil {

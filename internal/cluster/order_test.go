@@ -33,7 +33,7 @@ func TestMiddlewareOrderIndependent(t *testing.T) {
 		tr = cluster.WithDelay(tr, 0, 2, seed)
 		tr = cluster.WithReorder(tr, 0.2, seed)
 		tr = cluster.WithLoss(tr, 0.2, seed)
-		tr = hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.1, Stale: 0.1, Trunc: 0.1, Flip: 0.1, Xgen: 0.1}, seed, rec)
+		tr = hostile.WithMutator(tr, hostile.MutationSpec{hostile.OpDup: 0.1, hostile.OpStale: 0.1, hostile.OpTrunc: 0.1, hostile.OpFlip: 0.1, hostile.OpXgen: 0.1}, seed, rec)
 		tr = hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed), rec)
 		ranks := make(cluster.Ranks, n)
 		cluster.Watch(tr, ranks)

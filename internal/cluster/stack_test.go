@@ -115,7 +115,7 @@ func TestMiddlewareTranscriptPinned(t *testing.T) {
 		tr = cluster.WithDelay(tr, 0, 2, seed)
 		tr = cluster.WithReorder(tr, 0.2, seed)
 		tr = cluster.WithLoss(tr, 0.2, seed)
-		tr = hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.1, Stale: 0.1, Trunc: 0.1, Flip: 0.1, Xgen: 0.1}, seed, rec)
+		tr = hostile.WithMutator(tr, hostile.MutationSpec{hostile.OpDup: 0.1, hostile.OpStale: 0.1, hostile.OpTrunc: 0.1, hostile.OpFlip: 0.1, hostile.OpXgen: 0.1}, seed, rec)
 		return hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed), rec)
 	}}
 	const want = "0e96c6a6b5fe9806b9e6efbbfba9753ea459017ad0b12e31f15677ac99f773db"
@@ -191,7 +191,7 @@ func (l layerSpec) wrap(tr cluster.Transport, n int, rec *telemetry.Recorder) cl
 // every one over a tally: the stacks the tests in this file name, then
 // random ones of one to six layers, repeats and plain layers included.
 func randomStacks() [][]layerSpec {
-	all := hostile.MutationSpec{Dup: 0.1, Stale: 0.1, Trunc: 0.1, Flip: 0.1, Xgen: 0.1}
+	all := hostile.MutationSpec{hostile.OpDup: 0.1, hostile.OpStale: 0.1, hostile.OpTrunc: 0.1, hostile.OpFlip: 0.1, hostile.OpXgen: 0.1}
 	stacks := [][]layerSpec{
 		// TestMiddlewareOrderIndependent's
 		{{kind: "delay", max: 2, seed: 7}, {kind: "reorder", rate: 0.2, seed: 7}, {kind: "loss", rate: 0.2, seed: 7},
@@ -200,7 +200,7 @@ func randomStacks() [][]layerSpec {
 		{{kind: "partition", min: 5}, {kind: "reorder", rate: 0.3, seed: 31}, {kind: "delay", max: 2, seed: 32}, {kind: "loss", rate: 0.15, seed: 33}},
 		// cliutil.Wrap's, every flag set
 		{{kind: "delay", min: 1, max: 3, seed: 1}, {kind: "reorder", rate: 0.1, seed: 1}, {kind: "loss", rate: 0.1, seed: 1},
-			{kind: "mutate", mut: hostile.MutationSpec{Dup: 0.02, Stale: 0.02, Trunc: 0.02, Flip: 0.02, Xgen: 0.02}, seed: 1},
+			{kind: "mutate", mut: hostile.MutationSpec{hostile.OpDup: 0.02, hostile.OpStale: 0.02, hostile.OpTrunc: 0.02, hostile.OpFlip: 0.02, hostile.OpXgen: 0.02}, seed: 1},
 			{kind: "adversary", adv: "adaptive", seed: 105}},
 		// TestAdversaryUnderPlainMiddlewareSeesEveryTick's
 		{{kind: "adversary", adv: "rotating-path", seed: 3}, {kind: "partition", min: 97}, {kind: "reorder", rate: 0.1, seed: 5}, {kind: "loss", rate: 0.1, seed: 4}},
@@ -221,11 +221,10 @@ func randomStacks() [][]layerSpec {
 			case "partition":
 				l.min = 3 + rng.Intn(6)
 			case "mutate":
-				rates := []*float64{&l.mut.Dup, &l.mut.Stale, &l.mut.Trunc, &l.mut.Flip, &l.mut.Xgen}
 				for !l.mut.Enabled() {
-					for _, r := range rates {
+					for op := range l.mut {
 						if rng.Intn(2) == 0 {
-							*r = float64(5+rng.Intn(26)) / 100
+							l.mut[op] = float64(5+rng.Intn(26)) / 100
 						}
 					}
 				}
@@ -382,7 +381,7 @@ func TestSendAfterCloseDrops(t *testing.T) {
 			return cluster.WithRule(tr, cluster.Partition(func(int, int) bool { return false }))
 		},
 		"mutator": func(rec *telemetry.Recorder, tr cluster.Transport) cluster.Transport {
-			return hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.3, Xgen: 0.6}, 1, rec)
+			return hostile.WithMutator(tr, hostile.MutationSpec{hostile.OpDup: 0.3, hostile.OpXgen: 0.6}, 1, rec)
 		},
 		"adversary": func(rec *telemetry.Recorder, tr cluster.Transport) cluster.Transport {
 			return hostile.WithAdversary(tr, complete, rec)

@@ -21,11 +21,19 @@ func TestParseMutationsRoundTrip(t *testing.T) {
 		want hostile.MutationSpec
 	}{
 		{"", hostile.MutationSpec{}},
-		{"dup:0.05", hostile.MutationSpec{Dup: 0.05}},
+		{"dup:0.05", hostile.MutationSpec{hostile.OpDup: 0.05}},
 		{"dup:0.05,stale:0.1,trunc:0.02,flip:0.01,xgen:0.03",
-			hostile.MutationSpec{Dup: 0.05, Stale: 0.1, Trunc: 0.02, Flip: 0.01, Xgen: 0.03}},
-		{"all:0.1", hostile.MutationSpec{Dup: 0.1, Stale: 0.1, Trunc: 0.1, Flip: 0.1, Xgen: 0.1}},
-		{" stale:0.2 , xgen:0.4 ", hostile.MutationSpec{Stale: 0.2, Xgen: 0.4}},
+			hostile.MutationSpec{hostile.OpDup: 0.05, hostile.OpStale: 0.1, hostile.OpTrunc: 0.02, hostile.OpFlip: 0.01, hostile.OpXgen: 0.03}},
+		{"all:0.1", hostile.MutationSpec{hostile.OpDup: 0.1, hostile.OpStale: 0.1, hostile.OpTrunc: 0.1, hostile.OpFlip: 0.1, hostile.OpXgen: 0.1}},
+		{" stale:0.2 , xgen:0.4 ", hostile.MutationSpec{hostile.OpStale: 0.2, hostile.OpXgen: 0.4}},
+	}
+	for _, op := range hostile.Ops() {
+		var alone hostile.MutationSpec
+		alone[op] = 0.25
+		cases = append(cases, struct {
+			in   string
+			want hostile.MutationSpec
+		}{op.String() + ":0.25", alone})
 	}
 	for _, tc := range cases {
 		got, err := hostile.ParseMutations(tc.in)
@@ -170,7 +178,7 @@ func TestWithMutatorDisabledIsIdentity(t *testing.T) {
 func TestWithMutatorStaleReplaysHistory(t *testing.T) {
 	inner := &capTransport{}
 	rec := telemetry.New(telemetry.Config{Nodes: 4})
-	tr := hostile.WithMutator(inner, hostile.MutationSpec{Stale: 0.5}, 42, rec)
+	tr := hostile.WithMutator(inner, hostile.MutationSpec{hostile.OpStale: 0.5}, 42, rec)
 	sent := map[string]bool{}
 	for i := 0; i < 200; i++ {
 		pkt := wire.NewHello(i%4, i+1, wire.Hello{}).Marshal()
@@ -192,7 +200,7 @@ func TestWithMutatorStaleReplaysHistory(t *testing.T) {
 
 func TestWithMutatorDupSendsIdenticalExtra(t *testing.T) {
 	inner := &capTransport{}
-	tr := hostile.WithMutator(inner, hostile.MutationSpec{Dup: 1 - 1e-9}, 7, nil)
+	tr := hostile.WithMutator(inner, hostile.MutationSpec{hostile.OpDup: 1 - 1e-9}, 7, nil)
 	pkt := validPacket(t)
 	tr.Send(0, 1, append([]byte(nil), pkt...))
 	if len(inner.sends) != 2 {
@@ -205,7 +213,7 @@ func TestWithMutatorDupSendsIdenticalExtra(t *testing.T) {
 
 func TestWithMutatorXgenHoldsBackOneSlot(t *testing.T) {
 	inner := &capTransport{}
-	tr := hostile.WithMutator(inner, hostile.MutationSpec{Xgen: 1 - 1e-9}, 7, nil)
+	tr := hostile.WithMutator(inner, hostile.MutationSpec{hostile.OpXgen: 1 - 1e-9}, 7, nil)
 	a, b := wire.NewHello(0, 1, wire.Hello{}).Marshal(), wire.NewHello(0, 2, wire.Hello{}).Marshal()
 	if !tr.Send(0, 1, a) {
 		t.Fatal("parked send reported false")

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -56,22 +57,15 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(o))
 }
 
-// MutationSpec sets the per-Send application rate of each mutation.
-// Ops are evaluated in code order (dup, stale, trunc, flip, xgen) and
-// at most one fires per Send, so a later op's effective rate is scaled
-// by the earlier ops' complements.
-type MutationSpec struct {
-	Dup, Stale, Trunc, Flip, Xgen float64
-}
-
-// rates returns the spec in canonical op order.
-func (s MutationSpec) rates() [numOps]float64 {
-	return [numOps]float64{s.Dup, s.Stale, s.Trunc, s.Flip, s.Xgen}
-}
+// MutationSpec sets the per-Send application rate of each mutation,
+// indexed by Op. Ops are evaluated in code order (dup, stale, trunc,
+// flip, xgen) and at most one fires per Send, so a later op's effective
+// rate is scaled by the earlier ops' complements.
+type MutationSpec [numOps]float64
 
 // Enabled reports whether any mutation has a positive rate.
 func (s MutationSpec) Enabled() bool {
-	for _, r := range s.rates() {
+	for _, r := range s {
 		if r > 0 {
 			return true
 		}
@@ -81,7 +75,7 @@ func (s MutationSpec) Enabled() bool {
 
 // Validate rejects rates outside [0,1).
 func (s MutationSpec) Validate() error {
-	for op, r := range s.rates() {
+	for op, r := range s {
 		if r < 0 || r >= 1 {
 			return fmt.Errorf("hostile: %s rate must be in [0,1), got %g", Op(op), r)
 		}
@@ -93,7 +87,7 @@ func (s MutationSpec) Validate() error {
 // positive rates, in canonical op order); empty for the zero spec.
 func (s MutationSpec) String() string {
 	var parts []string
-	for op, r := range s.rates() {
+	for op, r := range s {
 		if r > 0 {
 			parts = append(parts, fmt.Sprintf("%s:%g", Op(op), r))
 		}
@@ -101,10 +95,13 @@ func (s MutationSpec) String() string {
 	return strings.Join(parts, ",")
 }
 
+// OpList is the -mutate grammar's ops as one "dup|…|all" list.
+func OpList() string { return strings.Join(opNames[:], "|") + "|all" }
+
 // ParseMutations parses the -mutate grammar: a comma-separated list of
-// op:rate pairs, e.g. "dup:0.05,stale:0.1,trunc:0.02". Ops are dup,
-// stale, trunc, flip and xgen; the shorthand "all:rate" sets every op
-// at once. An empty string is the zero (disabled) spec.
+// op:rate pairs, e.g. "dup:0.05,stale:0.1,trunc:0.02", an op being an
+// Op's String; the shorthand "all:rate" sets every op at once. An
+// empty string is the zero (disabled) spec.
 func ParseMutations(spec string) (MutationSpec, error) {
 	var s MutationSpec
 	spec = strings.TrimSpace(spec)
@@ -120,21 +117,15 @@ func ParseMutations(spec string) (MutationSpec, error) {
 		if err != nil || rate < 0 || rate >= 1 {
 			return s, fmt.Errorf("hostile: mutation %q: rate must be in [0,1)", part)
 		}
-		switch fields[0] {
-		case "dup":
-			s.Dup = rate
-		case "stale":
-			s.Stale = rate
-		case "trunc":
-			s.Trunc = rate
-		case "flip":
-			s.Flip = rate
-		case "xgen":
-			s.Xgen = rate
-		case "all":
-			s = MutationSpec{Dup: rate, Stale: rate, Trunc: rate, Flip: rate, Xgen: rate}
+		switch op := slices.Index(opNames[:], fields[0]); {
+		case op >= 0:
+			s[op] = rate
+		case fields[0] == "all":
+			for op := range s {
+				s[op] = rate
+			}
 		default:
-			return s, fmt.Errorf("hostile: mutation %q: unknown op %q (want dup|stale|trunc|flip|xgen|all)", part, fields[0])
+			return s, fmt.Errorf("hostile: mutation %q: unknown op %q (want %s)", part, fields[0], OpList())
 		}
 	}
 	return s, nil
@@ -239,10 +230,9 @@ func WithMutator(t cluster.Transport, spec MutationSpec, seed int64, tel *teleme
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	rates := spec.rates()
 	senders := cluster.Senders[mutSender]{New: func(from int) *mutSender {
 		s := &mutSender{rng: keyed.Rand(seed, keyed.Mutator, int64(from))}
-		if spec.Stale > 0 {
+		if spec[OpStale] > 0 {
 			s.history = make([][]byte, 0, staleHistory)
 		}
 		return s
@@ -251,7 +241,7 @@ func WithMutator(t cluster.Transport, spec MutationSpec, seed int64, tel *teleme
 	return cluster.WithRule(t, cluster.Rule{Decide: func(from, to int, pkt []byte, tick int64) cluster.Verdict {
 		s := senders.Of(from)
 		op := Op(-1)
-		for o, rate := range rates {
+		for o, rate := range spec {
 			if rate > 0 && s.rng.Float64() < rate {
 				op = Op(o)
 				break

@@ -61,7 +61,7 @@ func (d *deliveryTracker) check(t *testing.T) {
 // streamSurvivalMutations is the satellite-3 hostile mix: stale-epoch
 // replays plus duplicates and cross-generation reordering, the three
 // ops that attack the retirement frontier and in-order delivery.
-var streamSurvivalMutations = hostile.MutationSpec{Dup: 0.05, Stale: 0.1, Xgen: 0.05}
+var streamSurvivalMutations = hostile.MutationSpec{hostile.OpDup: 0.05, hostile.OpStale: 0.1, hostile.OpXgen: 0.05}
 
 // TestStreamSurvivesCrashFrontierAndStaleReplay is the stream
 // survivability gate: under a crashfrontier churn schedule (the churner
@@ -171,7 +171,7 @@ func hostileClusterFingerprint(t *testing.T, seed int64, shards int) string {
 		Lockstep: true, Shards: shards, MaxTicks: 200000, Churn: sched, Telemetry: rec,
 	}
 	tr := cluster.WithLoss(cfg.DefaultTransport(0), 0.1, seed+103)
-	tr = hostile.WithMutator(tr, hostile.MutationSpec{Dup: 0.05, Stale: 0.05, Trunc: 0.03, Flip: 0.02, Xgen: 0.03}, seed+105, rec)
+	tr = hostile.WithMutator(tr, hostile.MutationSpec{hostile.OpDup: 0.05, hostile.OpStale: 0.05, hostile.OpTrunc: 0.03, hostile.OpFlip: 0.02, hostile.OpXgen: 0.03}, seed+105, rec)
 	cfg.Transport = hostile.WithAdversary(tr, hostile.NewAdaptive(n, seed+104), rec)
 	res, err := cluster.Run(context.Background(), cfg, toks)
 	if err != nil {
