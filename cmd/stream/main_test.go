@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
+	"repro/internal/stream"
 )
 
 // defaults are small valid flags, overridden per case, so the tests
@@ -249,6 +251,46 @@ func TestFullStackTranscriptPinned(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out.String()))); got != want {
 			t.Errorf("%s: report sha256 %s, want %s:\n%s", args, got, want, out.String())
 		}
+	}
+}
+
+// TestFullStackDeliveriesBounded runs the full-stack line of
+// TestFullStackTranscriptPinned and bounds each live node's deliveries:
+// all from its start generation on, at most the whole stream. A node
+// that forfeits after delivering counts those deliveries too (joiner 49
+// delivers 7 generations and then starts at 16), so the count is not
+// the generations from its start.
+func TestFullStackDeliveriesBounded(t *testing.T) {
+	const gens = 16
+	var o options
+	fs := flag.NewFlagSet("stream", flag.ContinueOnError)
+	o.Register(fs, "stream", 32, 16)
+	full := "-n 48 -k 16 -transport lockstep -seed 1 -loss 0.1 -reorder 0.1 -delay 2ms -mutate all:0.02 -adversary adaptive -churn join:5:2,crash:10:2,restart:20:1,rejoin:20:1 -shards 1"
+	if err := fs.Parse(strings.Fields(full)); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := o.OpenStream(nil, 4, gens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := stream.Run(context.Background(), cfg)
+	if err != nil || !res.Completed {
+		t.Fatalf("full-stack run: completed %v, %v", res != nil && res.Completed, err)
+	}
+	beyond := 0
+	for id, m := range res.Nodes {
+		if !m.Live {
+			continue
+		}
+		if !m.Done || m.Delivered < gens-m.StartGen || m.Delivered > gens {
+			t.Errorf("node %d: done %v, delivered %d from start gen %d, want done and %d to %d", id, m.Done, m.Delivered, m.StartGen, gens-m.StartGen, gens)
+		}
+		if m.Delivered > gens-m.StartGen {
+			beyond++
+		}
+	}
+	if beyond == 0 {
+		t.Error("no live node delivered before a later start: the bound is not exercised")
 	}
 }
 

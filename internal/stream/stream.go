@@ -274,8 +274,9 @@ type NodeMetrics struct {
 	// Stale counts received coded packets for generations already
 	// retired locally (or arriving before a joiner bootstrapped).
 	Stale int64
-	// Delivered is the number of generations handed to the consumer
-	// (from StartGen onward for joiners).
+	// Delivered is every generation handed to the consumer; a later
+	// start does not reset it, so a node that forfeits after a delivery
+	// counts more than the generations from its StartGen on.
 	Delivered int
 	// StartGen is where the node's delivery obligation started: 0 for
 	// founding members, the frontier learned at join time for joiners.
