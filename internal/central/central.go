@@ -56,11 +56,14 @@ func (n node) Receive(round int, msgs []dynnet.Message) {
 
 // Run executes Corollary 2.6's randomized centralized k-indexed
 // broadcast: one token per node for i < k, message budget exactly d
-// bits, schedule Theta(n + k). It returns the rounds executed and
-// verifies every node decoded every payload.
+// bits, one-round phases until every span decodes, with Lemma 5.3's
+// Theta(n + k) schedule as the cap whose exhaustion is an error. It
+// returns the rounds executed and verifies every node decoded every
+// payload.
 func Run(n, k, d int, adv dynnet.Adversary, seed int64) (int, error) {
 	rng := keyed.Rand(seed, keyed.Payloads)
 	payloads := make([]gf.BitVec, k)
+	bns := make([]*rlnc.BroadcastNode, n)
 	nodes := make([]node, n)
 	for i := range nodes {
 		var initial []rlnc.Coded
@@ -68,13 +71,20 @@ func Run(n, k, d int, adv dynnet.Adversary, seed int64) (int, error) {
 			payloads[i] = gf.RandomBitVec(d, rng.Uint64)
 			initial = []rlnc.Coded{rlnc.Encode(i, k, payloads[i])}
 		}
-		nodes[i] = node{rlnc.NewBroadcastNode(k, d, initial, keyed.Rand(seed, keyed.Coins, int64(i)))}
+		bns[i] = rlnc.NewBroadcastNode(k, d, initial, keyed.Rand(seed, keyed.Coins, int64(i)))
+		nodes[i] = node{bns[i]}
 	}
 	s := dynnet.NewSession(n, adv, dynnet.Config{BitBudget: d})
-	if err := dynnet.Run(s, nodes, rlnc.DefaultSchedule(n, k)); err != nil {
-		return s.Round(), err
+	decoded, limit := rlnc.Decoded(), rlnc.DefaultSchedule(n, k)
+	for !decoded(bns) {
+		if s.Round() == limit {
+			return s.Round(), fmt.Errorf("central: not decoded in %d rounds", limit)
+		}
+		if err := dynnet.Run(s, nodes, 1); err != nil {
+			return s.Round(), err
+		}
 	}
-	for i, nd := range nodes {
+	for i, nd := range bns {
 		got, err := nd.Span().Decode()
 		if err != nil {
 			return s.Round(), fmt.Errorf("central: node %d: %w", i, err)

@@ -23,7 +23,7 @@ func TestCentralizedLinearTimeWithTinyMessages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if rounds > 8*(2*n)+16 {
+		if rounds > 2*n {
 			t.Errorf("n=%d: %d rounds, expected O(n)", n, rounds)
 		}
 	}

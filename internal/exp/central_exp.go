@@ -10,7 +10,7 @@ import (
 // (messages exactly one token wide, no room for coefficient headers)
 // dissemination of n tokens completes in O(n) rounds, a regime in which
 // Theorem 2.2 proves no token-forwarding algorithm — even centralized —
-// can be linear-time.
+// can be linear-time. A trial counts rounds until every node decodes.
 func E10(cfg Config) (*sim.Table, error) {
 	ns := []int{16, 32, 64, 128}
 	if cfg.Quick {
@@ -40,6 +40,7 @@ func E10(cfg Config) (*sim.Table, error) {
 		return nil, err
 	}
 	t.AddNote("slope vs n = %.2f (Cor 2.6 predicts 1.0: order-optimal Theta(n))", slope)
+	t.AddNote("rounds equal E1's random column: the same coding and coins, with the coefficient header out of band")
 	t.AddNote("distributed coding needs k + d bits per message; forwarding is Omega(n log k) here (Thm 2.2)")
 	return t, nil
 }

@@ -261,3 +261,23 @@ func TestE14CellIsACommandLine(t *testing.T) {
 		t.Errorf("cmd/cluster %v: %g ticks, %g bits; the E14 trial: %g ticks, %g bits", args, ticks, bits, tr.codedTicks, tr.codedBits)
 	}
 }
+
+// TestE10RoundsAreE1Random holds E10's note: Corollary 2.6's run is
+// Lemma 5.3's coding with the header out of band, so its rounds to
+// decode equal E1's random-adversary column, row for row.
+func TestE10RoundsAreE1Random(t *testing.T) {
+	cfg := Config{Quick: true, Seed: 3}
+	e1, err := E1(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e10, err := E10(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range e10.Rows {
+		if row[1] != e1.Rows[i][1] {
+			t.Errorf("n = %s: E10 reads %s rounds, E1's random column %s", row[0], row[1], e1.Rows[i][1])
+		}
+	}
+}
