@@ -594,7 +594,6 @@ var exportsWithoutCallers = map[string]string{
 	"rlnc.Span.Senses":               "Definition 5.1's sensing, whose Lemma 5.3 rlnc's tests measure",
 	"rlnc.GSpan.Decode":              "the general-field decode of Section 6, run by rlnc's tests (the derandomised runs ask only CanDecode)",
 	// Shared with fuzz targets of another package.
-	"hostile.Ops":    "the mutated-ingress fuzz iterates it, so a new op is covered without a hand-written list",
 	"hostile.Mutate": "the byte recipes WithMutator puts on the wire, which udpnet's mutated-ingress fuzz feeds its parser",
 	// Read by a test that must live outside its package.
 	"cluster.Schedule.Ledger":    "the schedule's packet account, audited by cluster's stack tests, which import hostile and so cannot be in package cluster",

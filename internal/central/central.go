@@ -11,6 +11,7 @@ package central
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dynnet"
 	"repro/internal/gf"
@@ -56,10 +57,9 @@ func (n node) Receive(round int, msgs []dynnet.Message) {
 
 // Run executes Corollary 2.6's randomized centralized k-indexed
 // broadcast: one token per node for i < k, message budget exactly d
-// bits, one-round phases until every span decodes, with Lemma 5.3's
-// Theta(n + k) schedule as the cap whose exhaustion is an error. It
-// returns the rounds executed and verifies every node decoded every
-// payload.
+// bits, one-round phases until every span decodes, an error past Lemma
+// 5.3's Theta(n + k) schedule. It returns the rounds executed and
+// verifies every node decoded every payload.
 func Run(n, k, d int, adv dynnet.Adversary, seed int64) (int, error) {
 	rng := keyed.Rand(seed, keyed.Payloads)
 	payloads := make([]gf.BitVec, k)
@@ -89,10 +89,8 @@ func Run(n, k, d int, adv dynnet.Adversary, seed int64) (int, error) {
 		if err != nil {
 			return s.Round(), fmt.Errorf("central: node %d: %w", i, err)
 		}
-		for j := range payloads {
-			if !got[j].Equal(payloads[j]) {
-				return s.Round(), fmt.Errorf("central: node %d decoded token %d incorrectly", i, j)
-			}
+		if !slices.EqualFunc(got, payloads, gf.BitVec.Equal) {
+			return s.Round(), fmt.Errorf("central: node %d decoded its tokens incorrectly", i)
 		}
 	}
 	return s.Round(), nil

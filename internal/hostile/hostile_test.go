@@ -27,13 +27,13 @@ func TestParseMutationsRoundTrip(t *testing.T) {
 		{"all:0.1", hostile.MutationSpec{hostile.OpDup: 0.1, hostile.OpStale: 0.1, hostile.OpTrunc: 0.1, hostile.OpFlip: 0.1, hostile.OpXgen: 0.1}},
 		{" stale:0.2 , xgen:0.4 ", hostile.MutationSpec{hostile.OpStale: 0.2, hostile.OpXgen: 0.4}},
 	}
-	for _, op := range hostile.Ops() {
+	for op := range (hostile.MutationSpec{}) {
 		var alone hostile.MutationSpec
 		alone[op] = 0.25
 		cases = append(cases, struct {
 			in   string
 			want hostile.MutationSpec
-		}{op.String() + ":0.25", alone})
+		}{hostile.Op(op).String() + ":0.25", alone})
 	}
 	for _, tc := range cases {
 		got, err := hostile.ParseMutations(tc.in)
@@ -74,9 +74,9 @@ func TestParseMutationsErrors(t *testing.T) {
 	// The unknown-op error must name every valid op, or the flag is
 	// undiscoverable from the CLI.
 	_, err := hostile.ParseMutations("melt:0.1")
-	for _, op := range hostile.Ops() {
-		if !strings.Contains(err.Error(), op.String()) {
-			t.Errorf("unknown-op error %q does not list valid op %q", err, op)
+	for op := range (hostile.MutationSpec{}) {
+		if !strings.Contains(err.Error(), hostile.Op(op).String()) {
+			t.Errorf("unknown-op error %q does not list valid op %q", err, hostile.Op(op))
 		}
 	}
 }

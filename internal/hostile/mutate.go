@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -117,14 +116,13 @@ func ParseMutations(spec string) (MutationSpec, error) {
 		if err != nil || rate < 0 || rate >= 1 {
 			return s, fmt.Errorf("hostile: mutation %q: rate must be in [0,1)", part)
 		}
-		switch op := slices.Index(opNames[:], fields[0]); {
-		case op >= 0:
-			s[op] = rate
-		case fields[0] == "all":
-			for op := range s {
-				s[op] = rate
+		set := 0
+		for op, name := range opNames {
+			if fields[0] == name || fields[0] == "all" {
+				s[op], set = rate, set+1
 			}
-		default:
+		}
+		if set == 0 {
 			return s, fmt.Errorf("hostile: mutation %q: unknown op %q (want %s)", part, fields[0], OpList())
 		}
 	}
@@ -278,14 +276,4 @@ func WithMutator(t cluster.Transport, spec MutationSpec, seed int64, tel *teleme
 		}
 		return cluster.Verdict{}
 	}})
-}
-
-// Ops returns every mutation op in canonical order — the fuzz targets
-// iterate it so a new op cannot be forgotten.
-func Ops() []Op {
-	ops := make([]Op, 0, numOps)
-	for o := Op(0); o < numOps; o++ {
-		ops = append(ops, o)
-	}
-	return ops
 }

@@ -275,8 +275,7 @@ type NodeMetrics struct {
 	// retired locally (or arriving before a joiner bootstrapped).
 	Stale int64
 	// Delivered is every generation handed to the consumer; a later
-	// start does not reset it, so a node that forfeits after a delivery
-	// counts more than the generations from its StartGen on.
+	// start does not reset it.
 	Delivered int
 	// StartGen is where the node's delivery obligation started: 0 for
 	// founding members, the frontier learned at join time for joiners.

@@ -41,7 +41,8 @@ func FuzzMutatedIngress(f *testing.F) {
 	var scratch wire.Packet
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		for _, op := range hostile.Ops() {
+		for o := range (hostile.MutationSpec{}) { // every op, a new one too
+			op := hostile.Op(o)
 			// Mutate a fresh copy: OpTrunc/OpFlip work in place and the
 			// fuzz engine owns data.
 			mutated := hostile.Mutate(op, append([]byte(nil), data...), rng)
