@@ -23,9 +23,9 @@ import (
 // (reconstructed from shared randomness and topology history). Only the
 // payload is charged against the budget.
 type Message struct {
-	// Coded is the full vector; its coefficient prefix is carried for
-	// simulation fidelity but not charged.
-	Coded rlnc.Coded
+	// Coded is the sender's scratch vector until its next Send; its
+	// coefficient prefix is carried for simulation fidelity, not charged.
+	Coded *rlnc.Coded
 }
 
 // Bits charges the payload only.
@@ -41,7 +41,7 @@ func (n node) Send(round int) dynnet.Message {
 	if !ok {
 		return nil
 	}
-	return Message{Coded: *c}
+	return Message{Coded: c}
 }
 
 // Receive hands every heard vector on to the embedded node. The inbox

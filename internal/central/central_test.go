@@ -59,7 +59,7 @@ func TestCentralizedUnderRotatingPath(t *testing.T) {
 
 func TestMessageBitsChargePayloadOnly(t *testing.T) {
 	c := rlnc.Encode(0, 100, gf.NewBitVec(8))
-	m := Message{Coded: c}
+	m := Message{Coded: &c}
 	if m.Bits() != 8 {
 		t.Errorf("Bits = %d, want 8 (payload only)", m.Bits())
 	}
