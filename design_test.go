@@ -267,9 +267,11 @@ func TestDesignDeletedNamesStayDeleted(t *testing.T) {
 		case *ast.Ident:
 			name = n.Name
 		case *ast.FuncDecl:
-			name, qualified = "func "+n.Name.Name, "func "+f.ast.Name.Name+"."+n.Name.Name
+			name = "func " + n.Name.Name
+			qualified = "func " + strings.TrimSuffix(f.ast.Name.Name, "_test") + "." + n.Name.Name
 		case *ast.TypeSpec:
-			name, qualified = "type "+n.Name.Name, "type "+f.ast.Name.Name+"."+n.Name.Name
+			name = "type " + n.Name.Name
+			qualified = "type " + strings.TrimSuffix(f.ast.Name.Name, "_test") + "." + n.Name.Name
 		}
 		for _, name := range []string{name, qualified} {
 			if w, ok := why[name]; ok {
